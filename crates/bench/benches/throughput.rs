@@ -16,13 +16,28 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ssa_bench::{section_v_engine, section_v_market, section_v_sharded_market};
+use ssa_bench::section_v_engine;
 use ssa_core::marketplace::QueryRequest;
 use ssa_core::sharded::ShardedMarketplace;
 use ssa_core::{EngineConfig, PricingScheme, WdMethod};
+use ssa_net::{local_twin, market_config_for};
 use ssa_workload::sql::{programmed_market, ProgrammedMarket, Strategy};
 use ssa_workload::{SectionVConfig, SectionVWorkload};
 use std::time::{Duration, Instant};
+
+/// The Section V per-click population on `shards` shards (one shard is
+/// the single-threaded facade's exact behaviour), solving with RH under
+/// GSP: the market `reproduce --method rh` and a `Configure`d server build.
+fn section_v_market(section: SectionVConfig, shards: usize) -> ShardedMarketplace {
+    let config = market_config_for(
+        &section,
+        WdMethod::Reduced,
+        PricingScheme::Gsp,
+        shards,
+        false,
+    );
+    local_twin(&SectionVWorkload::generate(section), &config)
+}
 
 /// Auctions per measured iteration; one batch call vs one loop of calls.
 /// Large enough that each sample runs for tens of milliseconds, keeping
@@ -71,7 +86,8 @@ fn bench_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `Marketplace` facade serving a multi-keyword query stream:
+/// The marketplace (one shard — the single-threaded facade's exact
+/// behaviour) serving a multi-keyword query stream:
 /// `serve_batch` splits the stream into same-keyword chunks and feeds each
 /// chunk to that keyword's persistent engine, so queries of the same
 /// keyword reuse one revenue matrix and one solver scratch — no per-query
@@ -88,17 +104,12 @@ fn bench_marketplace(c: &mut Criterion) {
             QueryRequest::new(((state >> 33) % 10) as usize)
         })
         .collect();
-    let config = EngineConfig {
-        method: WdMethod::Reduced,
-        pricing: PricingScheme::Gsp,
-        ..EngineConfig::default()
-    };
     for n in [2000usize, 5000] {
         group.bench_with_input(
             BenchmarkId::new("rh/serve_batch_multi_keyword", n),
             &n,
             |b, &n| {
-                let mut market = section_v_market(n, 0xBA7C4, config);
+                let mut market = section_v_market(SectionVConfig::paper(n, 0xBA7C4), 1);
                 // Warm every per-keyword engine so the measurement sees the
                 // steady serving state, not ten one-off engine builds.
                 let warmup: Vec<QueryRequest> = (0..10).map(QueryRequest::new).collect();
@@ -329,18 +340,13 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The mixed 8-keyword Section V workload the sharded scaling rows run on.
 fn sharded_setup(n: usize, shards: usize) -> (ShardedMarketplace, Vec<QueryRequest>) {
-    let config = EngineConfig {
-        method: WdMethod::Reduced,
-        pricing: PricingScheme::Gsp,
-        ..EngineConfig::default()
-    };
     let section = SectionVConfig {
         num_advertisers: n,
         num_slots: 15,
         num_keywords: 8,
         seed: 0xBA7C4,
     };
-    let mut market = section_v_sharded_market(section, config, shards);
+    let mut market = section_v_market(section, shards);
     // Deterministic interleaved stream over all 8 keywords (chunk length
     // ≈ 1 — the fan-out's worst case for batching, best case for spread).
     let mut state = 0x5EEDu64;

@@ -1,46 +1,39 @@
 //! Regenerates every figure of the paper's evaluation (and the
-//! illustrative tables) as text output.
+//! illustrative tables) as text output, or — in single-run mode — serves
+//! one `ssa_bench::Scenario` and reports its throughput.
 //!
 //! Usage:
 //!
 //! ```text
 //! reproduce [fig12|fig13|tables|all] [--quick]
+//! reproduce [--method <m>] [--strategy <s>] [--workload <w>] [--targeted]
+//!           [--shards <n>] [--load <q>] [--pruned] [--durable]
+//!           [--server <host:port>] [--json] [--quick]
 //! ```
-//!
-//! Single-run mode (`--method`) additionally accepts `--pruned` to route
-//! winner determination through the top-k `PrunedSolver` wrapper — same
-//! auction outcomes, smaller solves.
 //!
 //! `--quick` shrinks advertiser counts and auction counts so the whole run
 //! finishes in seconds; the default mirrors the paper's scales (Figure 12:
 //! up to 5000 advertisers, 100 auctions per point; Figure 13: up to 20000
-//! advertisers, 1000 auctions per point).
+//! advertisers, 1000 auctions per point). In single-run mode every flag
+//! sets one `Scenario` field and the flags compose freely; a combination a
+//! layer cannot express is that layer's typed error.
 
-use ssa_bench::{
-    format_table, measure_method, measure_method_durable, measure_method_remote,
-    measure_method_sharded, measure_method_targeted, measure_method_workload, measure_programmed,
-    measure_series,
-};
+use ssa_bench::{format_table, measure_series, MethodRun, Population, Scenario, ScenarioError};
 use ssa_bidlang::{BidsTable, Formula, Money, SlotId};
 use ssa_core::prob::ClickModel;
 use ssa_core::sharded::parse_shards;
-use ssa_core::{PricingScheme, WdMethod};
+use ssa_core::WdMethod;
 use ssa_matching::{reduced_assignment, RevenueMatrix};
-use ssa_workload::{Method, Strategy, WorkloadShape};
+use ssa_workload::{Method, Strategy, Stream, WorkloadShape};
+use std::process::exit;
 
 const USAGE: &str = "\
 reproduce — regenerate the paper's figures as text output
 
 Usage: reproduce [fig12|fig13|tables|all] [--quick]
-       reproduce --method <lp|h|rh|rhp:<threads>> [--json] [--quick]
-                 [--shards <n>] [--load <queries>] [--pruned] [--durable]
-                 [--strategy <native|sql|sql-reparse>]
-                 [--server <host:port>]
-       reproduce --strategy <native|sql|sql-reparse> [--json] [--quick]
-       reproduce --workload <uniform|zipf:<s>|flash|churn> [--json] [--quick]
-                 [--shards <n>] [--load <queries>] [--pruned]
-       reproduce --targeted [--json] [--quick] [--shards <n>]
-                 [--load <queries>] [--pruned]
+       reproduce [--method <m>] [--strategy <s>] [--workload <w>] [--targeted]
+                 [--shards <n>] [--load <q>] [--pruned] [--durable]
+                 [--server <host:port>] [--json] [--quick]
        reproduce --list-methods
 
 Targets:
@@ -49,57 +42,48 @@ Targets:
   tables   the illustrative tables of Figures 1-11
   all      everything above (default)
 
-Options:
-  --method <m>    measure one winner-determination method on the Marketplace
-                  serve_batch pipeline instead of printing figures
-  --shards <n>    with --method, serve through a ShardedMarketplace with n
-                  worker shards (n >= 1) instead of the single-threaded
-                  facade
-  --load <q>      with --method, serve q timed queries (q >= 1) instead of
-                  the built-in auction count — the load-generator knob
-  --pruned        with --method/--strategy, solve on the union of each
-                  slot's top-k bidders (ties kept) instead of the full
-                  advertiser set — bit-identical outcomes, smaller solves
-  --durable       with --method, attach a write-ahead log to the sharded
-                  run (a throw-away data directory under the system temp
-                  dir): every mutation and batch is journalled while the
-                  clock runs, and after the run the store is recovered and
-                  verified bit-identical to the served marketplace. The
-                  output gains a recovery line; the JSON emits a second
+Single-run mode serves one scenario through the marketplace's serve_batch
+pipeline instead of printing figures. Any of --method, --strategy,
+--workload, or --targeted selects it; every flag below sets one dimension
+of the scenario and they compose freely (a combination a layer cannot
+express — programs over the wire or under a journal — fails with that
+layer's error):
+  --method <m>    winner determination: lp | h | rh | rhp:<threads>
+                  (default rh; see --list-methods)
+  --strategy <s>  population: every advertiser a keyword-local Figure 5 ROI
+                  program (Section II-B) instead of a static per-click bid —
+                  native Rust (native), SQL on prepared statements (sql), or
+                  the reparse-per-round SQL baseline (sql-reparse)
+  --targeted      population: every even advertiser's campaigns carry the
+                  targeting program device = 'mobile', and the stream
+                  alternates mobile and desktop queries, so half the queries
+                  exclude half the advertisers before the matrix fill
+  --workload <w>  stream: instead of keywords in rotation, uniform (seeded
+                  uniform draws), zipf:<s> (rank-frequency skew, s > 0, e.g.
+                  zipf:1.1), flash (the middle half of the stream pinned to
+                  one hot keyword — one shard), or churn (uniform queries
+                  while advertisers exhaust budgets, rebid, and return
+                  mid-stream); the output gains a per-shard skew summary
+  --shards <n>    serve on n worker shards (n >= 1; default 1, reported as
+                  \"shards\":null) — bit-identical outcomes at every count
+  --load <q>      serve q timed queries (q >= 1) instead of the preset's
+  --pruned        solve on the union of each slot's top-k bidders (ties
+                  kept) — bit-identical outcomes, smaller solves
+  --durable       journal every mutation and batch to a write-ahead log (a
+                  throw-away directory under the system temp dir) while the
+                  clock runs, then recover from it and verify the recovered
+                  marketplace bit-identical to the served one; the output
+                  gains a recovery line, the JSON a second
                   {\"metric\":\"recovery\",...} object
-  --strategy <s>  measure the *programmed* Section II-B population instead
-                  of the static per-click one: every advertiser a
-                  keyword-local Figure 5 ROI program, run natively
-                  (native), as a SQL bidding program on prepared
-                  statements (sql), or as the reparse-per-round SQL
-                  baseline (sql-reparse). Implies single-run mode; the
-                  method defaults to rh when --method is omitted
-  --workload <w>  swap the round-robin query stream for a hostile one:
-                  uniform (seeded uniform draws), zipf:<s> (rank-frequency
-                  skew with exponent s > 0, e.g. zipf:1.1), flash (a flash
-                  crowd pinning the middle half of the stream to one hot
-                  keyword — one shard), or churn (uniform queries while
-                  advertisers exhaust budgets, rebid, and return
-                  mid-stream). Implies single-run mode (the method
-                  defaults to rh); the output gains a per-shard skew
-                  summary and the JSON a \"shard_skew\" object
-  --targeted      serve the *targeted* Section V population: every even
-                  advertiser's campaigns carry the targeting program
-                  device = 'mobile', and the stream alternates mobile and
-                  desktop queries, so half the queries exclude half the
-                  advertisers before the matrix fill. Implies single-run
-                  mode (the method defaults to rh); the JSON gains
-                  \"targeted\":true
-  --server <a>    with --method, serve the run through a running ssa-server
-                  at <a> (host:port) over the ssa_net wire protocol instead
-                  of in process; --shards sets the server-side shard count
-                  (default 1). Bit-identical outcomes to the in-process
-                  run; the JSON gains \"server\":\"<a>\"
+  --server <a>    serve through a running ssa-server at <a> (host:port)
+                  over the wire protocol instead of in process — bit-identical
+                  outcomes; --shards sets the server-side shard count
+  --json          emit one machine-readable JSON object per line
+  --quick         the quick preset (250 advertisers, 50 auctions) instead of
+                  the full one (1000, 200); for figures, smaller sweeps
+
   --list-methods  print the accepted --method names with their paper
                   sections, then exit
-  --json          with --method, emit one machine-readable JSON object
-  --quick         shrink advertiser/auction counts so the run finishes in
-                  seconds
   --help          print this message";
 
 const METHODS: &str = "\
@@ -108,6 +92,24 @@ h         Hungarian algorithm on the full bipartite graph (Section III-D)
 rh        reduced bipartite graph (Section III-E)
 rhp:<t>   rh with parallel tree aggregation over <t> threads (Section III-E;
           the thread count is required — bare rhp is rejected)";
+
+/// Flags that carry a value.
+const VALUE_FLAGS: [&str; 6] = [
+    "--method",
+    "--shards",
+    "--load",
+    "--strategy",
+    "--server",
+    "--workload",
+];
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 5] = ["--quick", "--json", "--pruned", "--durable", "--targeted"];
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -119,178 +121,118 @@ fn main() {
         println!("{METHODS}");
         return;
     }
-    let method = match parse_method_flag(&args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let shards = match parse_value_flag(&args, "--shards", parse_shards) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let load = match parse_value_flag(&args, "--load", parse_load) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let strategy = match parse_value_flag(&args, "--strategy", |v| {
-        v.parse::<Strategy>().map_err(|e| e.to_string())
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let server = match parse_value_flag(&args, "--server", ssa_net::parse_addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let workload = match parse_value_flag(&args, "--workload", |v| {
-        v.parse::<WorkloadShape>().map_err(|e| e.to_string())
-    }) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let method = value_flag(&args, "--method", str::parse::<WdMethod>);
+    let shards = value_flag(&args, "--shards", parse_shards);
+    let load = value_flag(&args, "--load", parse_load);
+    let strategy = value_flag(&args, "--strategy", str::parse::<Strategy>);
+    let server = value_flag(&args, "--server", ssa_net::parse_addr);
+    let workload = value_flag(&args, "--workload", str::parse::<WorkloadShape>);
     // Walk the arguments once: reject unknown flags and find the first
     // positional target (skipping the value-carrying flags' values).
-    let value_flag = |a: &str| {
-        a == "--method"
-            || a == "--shards"
-            || a == "--load"
-            || a == "--strategy"
-            || a == "--server"
-            || a == "--workload"
-    };
-    let known_flag = |a: &str| {
-        a == "--quick"
-            || a == "--json"
-            || a == "--pruned"
-            || a == "--durable"
-            || a == "--targeted"
-            || value_flag(a)
-    };
     let mut target: Option<&str> = None;
     let mut skip_value = false;
     for a in &args {
         if skip_value {
             skip_value = false;
-            continue;
-        }
-        if value_flag(a) {
+        } else if VALUE_FLAGS.contains(&a.as_str()) {
             skip_value = true;
-            continue;
+        } else if !a.starts_with('-') {
+            target.get_or_insert(a.as_str());
+        } else if !SWITCHES.contains(&a.as_str()) {
+            usage_error(&format!("unknown option {a:?}"));
         }
-        if a.starts_with('-') {
-            if !known_flag(a) {
-                eprintln!("unknown option {a:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-            continue;
-        }
-        target.get_or_insert(a.as_str());
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let pruned = args.iter().any(|a| a == "--pruned");
-    let durable = args.iter().any(|a| a == "--durable");
-    let targeted = args.iter().any(|a| a == "--targeted");
+    let switch = |name: &str| args.iter().any(|a| a == name);
+    let (quick, json, pruned) = (switch("--quick"), switch("--json"), switch("--pruned"));
+    let (durable, targeted) = (switch("--durable"), switch("--targeted"));
     // --strategy/--workload/--targeted imply single-run mode with the rh
     // default method.
     let single_run = method.is_some() || strategy.is_some() || workload.is_some() || targeted;
-    if json && !single_run {
-        eprintln!("--json requires --method or --strategy\n{USAGE}");
-        std::process::exit(2);
-    }
-    if (shards.is_some() || load.is_some() || pruned) && !single_run {
-        eprintln!("--shards/--load/--pruned require --method or --strategy\n{USAGE}");
-        std::process::exit(2);
-    }
-    if server.is_some() && method.is_none() {
-        eprintln!("--server requires --method\n{USAGE}");
-        std::process::exit(2);
-    }
-    if server.is_some() && strategy.is_some() {
-        eprintln!(
-            "--server cannot be combined with --strategy: programmed populations \
-             run in process only\n{USAGE}"
-        );
-        std::process::exit(2);
-    }
-    if durable && method.is_none() {
-        eprintln!("--durable requires --method\n{USAGE}");
-        std::process::exit(2);
-    }
-    if durable && (server.is_some() || strategy.is_some()) {
-        eprintln!(
-            "--durable cannot be combined with --server or --strategy: the journal \
-             attaches to the in-process sharded run only\n{USAGE}"
-        );
-        std::process::exit(2);
-    }
-    if workload.is_some() && targeted {
-        eprintln!(
-            "--workload cannot be combined with --targeted: pick one population \
-             per run\n{USAGE}"
-        );
-        std::process::exit(2);
-    }
-    if (workload.is_some() || targeted) && (server.is_some() || strategy.is_some() || durable) {
-        eprintln!(
-            "--workload/--targeted cannot be combined with --server, --strategy, \
-             or --durable: hostile and targeted runs serve the in-process sharded \
-             marketplace only\n{USAGE}"
-        );
-        std::process::exit(2);
-    }
-
-    if single_run {
-        if let Some(target) = target {
-            eprintln!("--method/--strategy cannot be combined with target {target:?}\n{USAGE}");
-            std::process::exit(2);
+    if !single_run {
+        if json {
+            usage_error("--json requires --method or --strategy");
         }
-        let method = method.unwrap_or(WdMethod::Reduced);
-        single_method(
-            method, json, quick, shards, load, strategy, server, pruned, durable, workload,
-            targeted,
-        );
+        if shards.is_some() || load.is_some() || pruned {
+            usage_error("--shards/--load/--pruned require --method or --strategy");
+        }
+        if server.is_some() {
+            usage_error("--server requires --method");
+        }
+        if durable {
+            usage_error("--durable requires --method");
+        }
+        match target.unwrap_or("all") {
+            "fig12" => fig12(quick),
+            "fig13" => fig13(quick),
+            "tables" => tables(),
+            "all" => {
+                tables();
+                fig12(quick);
+                fig13(quick);
+            }
+            other => usage_error(&format!("unknown target {other:?}")),
+        }
         return;
     }
+    if let Some(target) = target {
+        usage_error(&format!(
+            "--method/--strategy cannot be combined with target {target:?}"
+        ));
+    }
+    if strategy.is_some() && targeted {
+        usage_error("--strategy and --targeted both choose the population: give one");
+    }
 
-    match target.unwrap_or("all") {
-        "fig12" => fig12(quick),
-        "fig13" => fig13(quick),
-        "tables" => tables(),
-        "all" => {
-            tables();
-            fig12(quick);
-            fig13(quick);
+    // One Scenario field per flag; the dimensions compose.
+    let preset = if quick {
+        Scenario::quick()
+    } else {
+        Scenario::full()
+    };
+    let auctions = load.unwrap_or(preset.auctions);
+    let scenario = Scenario {
+        population: match strategy {
+            Some(strategy) => Population::Programmed(strategy),
+            None if targeted => Population::Targeted,
+            None => Population::PerClick,
+        },
+        stream: workload.map_or(Stream::RoundRobin, Stream::Shaped),
+        transport: server,
+        durability: durable.then(|| {
+            std::env::temp_dir().join(format!("ssa-reproduce-durable-{}", std::process::id()))
+        }),
+        shards,
+        method: method.unwrap_or(WdMethod::Reduced),
+        pruned,
+        ..preset
+    }
+    .load(auctions);
+    if let Some(dir) = &scenario.durability {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let outcome = ssa_bench::run(&scenario);
+    if let Some(dir) = &scenario.durability {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    match outcome {
+        Ok(run) if json => {
+            println!("{}", run.to_json());
+            if let Some(recovery) = &run.recovery {
+                println!("{}", recovery.to_json());
+            }
         }
-        other => {
-            eprintln!("unknown target {other:?}\n{USAGE}");
-            std::process::exit(2);
+        Ok(run) => print_run(&run),
+        // The environment failing is a runtime error; a scenario no layer
+        // can express is a usage error.
+        Err(e @ (ScenarioError::Net { .. } | ScenarioError::Durable(_))) => {
+            eprintln!("error: {e}");
+            exit(1);
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            exit(2);
         }
     }
-}
-
-/// Extracts `--method <m>` from the argument list, if present.
-fn parse_method_flag(args: &[String]) -> Result<Option<WdMethod>, String> {
-    parse_value_flag(args, "--method", |v| {
-        v.parse::<WdMethod>().map_err(|e| e.to_string())
-    })
 }
 
 /// Parses `--load`: the same positive-count contract as `--shards`
@@ -305,253 +247,91 @@ fn parse_load(s: &str) -> Result<usize, String> {
 }
 
 /// Extracts `<flag> <value>` from the argument list, if present, running
-/// the flag's typed parser on the value.
-fn parse_value_flag<T, E: std::fmt::Display>(
+/// the flag's typed parser on the value; a missing or unparsable value is
+/// a usage error.
+fn value_flag<T, E: std::fmt::Display>(
     args: &[String],
     flag: &str,
     parse: impl Fn(&str) -> Result<T, E>,
-) -> Result<Option<T>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
+) -> Option<T> {
+    let pos = args.iter().position(|a| a == flag)?;
+    let Some(value) = args.get(pos + 1) else {
+        usage_error(&format!("{flag} requires a value"));
     };
-    let value = args
-        .get(pos + 1)
-        .ok_or_else(|| format!("{flag} requires a value"))?;
-    parse(value).map(Some).map_err(|e| e.to_string())
-}
-
-/// Single-run mode: one batched throughput run on the Section V workload
-/// — through the single-threaded `Marketplace` facade (per-keyword
-/// persistent engines, `serve_batch` over a round-robin multi-keyword
-/// stream), or through the multi-threaded `ShardedMarketplace` when
-/// `--shards` is given — reported as text or JSON (for `BENCH_*.json`
-/// tracking). `--load` overrides the timed query count, turning the mode
-/// into a load generator. `--strategy` swaps the static per-click
-/// population for the programmed Section II-B one (native vs SQL ROI
-/// programs), which is how CI tracks the SQL interpreter's overhead.
-/// `--server` routes the whole run through a live `ssa-server` over the
-/// ssa_net wire protocol instead — bit-identical outcomes, real sockets.
-/// `--durable` attaches a write-ahead log to the sharded run and verifies
-/// post-run recovery, reporting the replay cost alongside the throughput.
-/// `--workload` swaps the round-robin stream for a hostile shape (Zipf
-/// skew, a flash crowd, or advertiser churn) and reports the per-shard
-/// skew it induced; `--targeted` serves the targeted population whose
-/// campaigns carry attribute-targeting programs.
-#[allow(clippy::too_many_arguments)] // one parameter per CLI flag
-fn single_method(
-    method: WdMethod,
-    json: bool,
-    quick: bool,
-    shards: Option<usize>,
-    load: Option<usize>,
-    strategy: Option<Strategy>,
-    server: Option<std::net::SocketAddr>,
-    pruned: bool,
-    durable: bool,
-    workload: Option<WorkloadShape>,
-    targeted: bool,
-) {
-    let (n, default_auctions) = if quick { (250, 50) } else { (1000, 200) };
-    let auctions = load.unwrap_or(default_auctions);
-    let warmup = auctions / 10 + 1;
-    let mut recovery = None;
-    let run = if durable {
-        let dir =
-            std::env::temp_dir().join(format!("ssa-reproduce-durable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (run, report) = measure_method_durable(
-            &dir,
-            method,
-            PricingScheme::Gsp,
-            n,
-            auctions,
-            warmup,
-            4242,
-            shards.unwrap_or(1),
-            pruned,
-        );
-        std::fs::remove_dir_all(&dir).ok();
-        recovery = Some(report);
-        run
-    } else if let Some(shape) = workload {
-        measure_method_workload(
-            method,
-            PricingScheme::Gsp,
-            n,
-            auctions,
-            warmup,
-            4242,
-            shards.unwrap_or(1),
-            pruned,
-            shape,
-        )
-    } else if targeted {
-        measure_method_targeted(
-            method,
-            PricingScheme::Gsp,
-            n,
-            auctions,
-            warmup,
-            4242,
-            shards.unwrap_or(1),
-            pruned,
-        )
-    } else {
-        dispatch_plain(
-            method, quick, shards, load, strategy, server, pruned, n, auctions, warmup,
-        )
-    };
-    if json {
-        println!("{}", run.to_json());
-        if let Some(report) = &recovery {
-            println!("{}", report.to_json());
-        }
-    } else {
-        print_run(&run);
-        if let Some(report) = &recovery {
-            println!(
-                "recovery: {} wal records replayed in {:.2} ms ({} snapshot bytes)",
-                report.wal_records, report.replay_ms, report.snapshot_bytes,
-            );
-        }
-    }
-}
-
-/// The non-durable single-run dispatch: remote, programmed, sharded, or
-/// the single-threaded facade, by flag.
-#[allow(clippy::too_many_arguments)] // one parameter per CLI flag
-fn dispatch_plain(
-    method: WdMethod,
-    quick: bool,
-    shards: Option<usize>,
-    load: Option<usize>,
-    strategy: Option<Strategy>,
-    server: Option<std::net::SocketAddr>,
-    pruned: bool,
-    n: usize,
-    auctions: usize,
-    warmup: usize,
-) -> ssa_bench::MethodRun {
-    let _ = (quick, load);
-    match (server, strategy) {
-        (Some(addr), _) => {
-            let sharding = shards.unwrap_or(1);
-            match measure_method_remote(
-                addr,
-                method,
-                PricingScheme::Gsp,
-                n,
-                auctions,
-                warmup,
-                4242,
-                sharding,
-                pruned,
-            ) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("error: remote run against {addr} failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        (None, Some(strategy)) => {
-            measure_programmed(strategy, method, n, auctions, warmup, 4242, shards, pruned)
-        }
-        (None, None) => match shards {
-            Some(shards) => measure_method_sharded(
-                method,
-                PricingScheme::Gsp,
-                n,
-                auctions,
-                warmup,
-                4242,
-                shards,
-                pruned,
-            ),
-            None => measure_method(
-                method,
-                PricingScheme::Gsp,
-                n,
-                auctions,
-                warmup,
-                4242,
-                pruned,
-            ),
-        },
-    }
+    Some(parse(value).unwrap_or_else(|e| usage_error(&e.to_string())))
 }
 
 /// Prints the human-readable form of a single run.
-fn print_run(run: &ssa_bench::MethodRun) {
-    {
-        let sharding = match run.shards {
-            Some(s) => format!(", {s} shards"),
-            None => String::new(),
-        };
-        let population = match run.strategy {
-            Some(s) => format!(", {s} programs"),
-            None => String::new(),
-        };
-        let pruning = if run.pruned { ", pruned" } else { "" };
-        let journalled = if run.durable { ", journalled" } else { "" };
-        let shaping = match run.workload {
-            Some(shape) => format!(", {shape} stream"),
-            None => String::new(),
-        };
-        let targeting = if run.targeted { ", targeted" } else { "" };
-        let via = match &run.server {
-            Some(addr) => format!(", via {addr}"),
-            None => String::new(),
-        };
+fn print_run(run: &MethodRun) {
+    let s = &run.scenario;
+    let mut dimensions = format!("{} pricing", s.pricing);
+    if let Some(shards) = s.shards {
+        dimensions += &format!(", {shards} shards");
+    }
+    if let Population::Programmed(strategy) = s.population {
+        dimensions += &format!(", {strategy} programs");
+    }
+    if s.pruned {
+        dimensions += ", pruned";
+    }
+    if s.durability.is_some() {
+        dimensions += ", journalled";
+    }
+    if let Some(shape) = s.stream.shape() {
+        dimensions += &format!(", {shape} stream");
+    }
+    if s.population == Population::Targeted {
+        dimensions += ", targeted";
+    }
+    if let Some(addr) = s.transport {
+        dimensions += &format!(", via {addr}");
+    }
+    println!(
+        "method {} ({dimensions}): n = {}, k = {}, {} auctions in {:.2} ms \
+         ({:.0} auctions/sec, {} clicks, {} realized)",
+        s.method,
+        s.advertisers,
+        run.slots,
+        s.auctions,
+        ssa_bench::ms(run.elapsed),
+        run.auctions_per_sec(),
+        run.report.clicks,
+        run.report.realized_revenue,
+    );
+    let p = run.report.phases;
+    println!(
+        "phases: program-eval {:.2} ms, matrix-fill {:.2} ms, solve {:.2} ms, \
+         pricing {:.2} ms, settlement {:.2} ms ({} solves, {} warm, \
+         avg {:.1} candidates)",
+        p.program_eval_ns as f64 / 1e6,
+        p.matrix_fill_ns as f64 / 1e6,
+        p.solve_ns as f64 / 1e6,
+        p.pricing_ns as f64 / 1e6,
+        p.settlement_ns as f64 / 1e6,
+        p.solves,
+        p.warm_solves,
+        p.avg_candidates(),
+    );
+    if let Some(skew) = &run.skew {
         println!(
-            "method {} ({} pricing{}{}{}{}{}{}{}): n = {}, k = {}, {} auctions in {:.2} ms \
-             ({:.0} auctions/sec, {} clicks, {} realized)",
-            run.method,
-            run.pricing,
-            sharding,
-            population,
-            pruning,
-            journalled,
-            shaping,
-            targeting,
-            via,
-            run.advertisers,
-            run.slots,
-            run.auctions,
-            ssa_bench::ms(run.elapsed),
-            run.auctions_per_sec(),
-            run.report.clicks,
-            run.report.realized_revenue,
+            "skew: {:?} queries per shard (p50 {}, p99 {}, max/mean {:.3})",
+            skew.queries_per_shard,
+            skew.p50(),
+            skew.p99(),
+            skew.max_over_mean(),
         );
-        let p = run.report.phases;
+    }
+    if let (Some(mode), Some(stats)) = (run.planner_mode, run.planner) {
         println!(
-            "phases: program-eval {:.2} ms, matrix-fill {:.2} ms, solve {:.2} ms, \
-             pricing {:.2} ms, settlement {:.2} ms ({} solves, {} warm, \
-             avg {:.1} candidates)",
-            p.program_eval_ns as f64 / 1e6,
-            p.matrix_fill_ns as f64 / 1e6,
-            p.solve_ns as f64 / 1e6,
-            p.pricing_ns as f64 / 1e6,
-            p.settlement_ns as f64 / 1e6,
-            p.solves,
-            p.warm_solves,
-            p.avg_candidates(),
+            "planner {mode:?}: {} index hits, {} rows scanned, {} plans cached",
+            stats.index_hits, stats.rows_scanned, stats.plans_cached,
         );
-        if let Some(skew) = &run.skew {
-            println!(
-                "skew: {:?} queries per shard (p50 {}, p99 {}, max/mean {:.3})",
-                skew.queries_per_shard,
-                skew.p50(),
-                skew.p99(),
-                skew.max_over_mean(),
-            );
-        }
-        if let (Some(mode), Some(stats)) = (run.planner_mode, run.planner) {
-            println!(
-                "planner {mode:?}: {} index hits, {} rows scanned, {} plans cached",
-                stats.index_hits, stats.rows_scanned, stats.plans_cached,
-            );
-        }
+    }
+    if let Some(recovery) = &run.recovery {
+        println!(
+            "recovery: {} wal records replayed in {:.2} ms ({} snapshot bytes)",
+            recovery.wal_records, recovery.replay_ms, recovery.snapshot_bytes,
+        );
     }
 }
 

@@ -4,22 +4,32 @@
 //! binary prints the numeric series behind Figures 12 and 13 (plus the
 //! illustrative tables of Figures 1–11), and the Criterion benches measure
 //! the same code paths with statistical rigour.
+//!
+//! There are two entry points. [`measure_series`] times the legacy
+//! reference `Simulation` (the only home of RHTALU) for the figures.
+//! [`run`] serves one [`Scenario`] — population × stream × transport ×
+//! durability × shards — on the marketplace and returns a [`MethodRun`];
+//! every single-run `reproduce` flag is one `Scenario` field, and the
+//! dimensions compose. A combination a *layer* cannot express comes back
+//! as that layer's typed error ([`ScenarioError`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ssa_bidlang::{Money, SlotId};
-use ssa_core::marketplace::{CampaignId, CampaignSpec, Marketplace, QueryRequest};
+use ssa_bidlang::Money;
+use ssa_core::marketplace::{CampaignId, MarketError, QueryRequest};
 use ssa_core::sharded::ShardedMarketplace;
-use ssa_core::{
-    AuctionEngine, BatchReport, EngineConfig, PricingScheme, TableBidder, UserAttrs, WdMethod,
-};
+use ssa_core::{AuctionEngine, BatchReport, EngineConfig, PricingScheme, TableBidder};
+use ssa_durable::{Durability, DurableError, FsyncPolicy, RecoveryReport};
 use ssa_minidb::{PlannerMode, PlannerStats};
-use ssa_net::{market_config_for, populate_remote, Client, NetError};
+use ssa_net::server::build_market;
+use ssa_net::{available_cores, market_config_for, populate_remote, Client, NetError};
 use ssa_workload::{
-    programmed_market, programmed_sharded_market, ChurnAction, Method, SectionVConfig,
-    SectionVWorkload, ShardSkew, Simulation, Strategy, WorkloadShape,
+    programmed_sharded_market, ChurnAction, ChurnEvent, Method, ProgramHandle, SectionVConfig,
+    SectionVWorkload, ShardSkew, Simulation, Strategy,
 };
+pub use ssa_workload::{Population, Scenario, Stream};
+use std::fmt;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -87,8 +97,8 @@ pub fn ms(d: Duration) -> f64 {
 /// [`TableBidder`]s with the workload's initial bids, the paper's
 /// 15-slot click model, no purchases.
 ///
-/// This is the low-level escape-hatch twin of [`section_v_market`], kept
-/// for benches that measure the raw engine pipeline.
+/// This is the low-level escape hatch under the marketplace [`run`]
+/// serves on, kept for benches that measure the raw engine pipeline.
 pub fn section_v_engine(n: usize, seed: u64, config: EngineConfig) -> AuctionEngine<TableBidder> {
     let workload = SectionVWorkload::generate(SectionVConfig::paper(n, seed));
     let bidders: Vec<TableBidder> = workload
@@ -115,178 +125,64 @@ pub fn section_v_engine(n: usize, seed: u64, config: EngineConfig) -> AuctionEng
     )
 }
 
-/// Configures the marketplace builder shared by both serving flavours.
-fn section_v_builder(
-    workload: &SectionVWorkload,
-    seed: u64,
-    config: EngineConfig,
-) -> ssa_core::MarketplaceBuilder {
-    Marketplace::builder()
-        .slots(workload.config.num_slots)
-        .keywords(workload.config.num_keywords)
-        .method(config.method)
-        .pricing(config.pricing)
-        .pruned(config.pruned)
-        .warm_start(config.warm_start)
-        .seed(seed ^ 0xD1CE_D1CE)
-}
-
-/// Logical cores available to this process — recorded in every
-/// [`MethodRun`] so throughput rows from different machines are
-/// comparable.
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-/// Registers the Section V population — one advertiser, one per-click
-/// campaign per keyword at the workload-initial bid and click value — on a
-/// marketplace. A macro rather than a function because [`Marketplace`] and
-/// [`ShardedMarketplace`] share the control-plane API by name, not by
-/// trait; both builders below expand the same population code.
-macro_rules! populate_section_v {
-    ($market:expr, $workload:expr) => {{
-        let k = $workload.config.num_slots;
-        for (i, b) in $workload.bidders.iter().enumerate() {
-            let advertiser = $market.register_advertiser(format!("advertiser-{i}"));
-            let click_probs: Vec<f64> = (0..k)
-                .map(|j| $workload.clicks.p_click(i, SlotId::from_index0(j)))
-                .collect();
-            for (keyword, &(value, bid, _)) in b.keywords.iter().enumerate() {
-                $market
-                    .add_campaign(
-                        advertiser,
-                        keyword,
-                        CampaignSpec::per_click(Money::from_cents(bid.max(0)))
-                            .click_value(Money::from_cents(value))
-                            .click_probs(click_probs.clone()),
-                    )
-                    .expect("Section V campaign is valid");
-            }
-        }
-    }};
-}
-
-/// Builds a [`Marketplace`] over a Section V population: every advertiser
-/// registers once and opens one per-click campaign per keyword (bidding its
-/// workload-initial bid, valued at its click value), under the paper's
-/// 15-slot click model with no purchases.
-pub fn section_v_market(n: usize, seed: u64, config: EngineConfig) -> Marketplace {
-    let workload = SectionVWorkload::generate(SectionVConfig::paper(n, seed));
-    let mut market = section_v_builder(&workload, seed, config)
-        .build()
-        .expect("Section V configuration is valid");
-    populate_section_v!(market, workload);
-    market
-}
-
-/// Builds a [`ShardedMarketplace`] over the same Section V population as
-/// [`section_v_market`], its keyword books partitioned across `shards`
-/// worker shards. `section_config` controls the workload shape (use
-/// [`SectionVConfig::paper`] for the paper's 15-slot / 10-keyword setup, or
-/// a custom keyword count for shard-scaling experiments).
-pub fn section_v_sharded_market(
-    section_config: SectionVConfig,
-    config: EngineConfig,
-    shards: usize,
-) -> ShardedMarketplace {
-    let seed = section_config.seed;
-    let workload = SectionVWorkload::generate(section_config);
-    let mut market = section_v_builder(&workload, seed, config)
-        .build_sharded(shards)
-        .expect("Section V sharded configuration is valid");
-    populate_section_v!(market, workload);
-    market
-}
-
-/// Outcome of a single-method batched throughput run (the machine-readable
-/// record behind `reproduce --method <m> --json`).
+/// Outcome of [`run`]: the machine-readable record behind `reproduce
+/// --method <m> --json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MethodRun {
-    /// Winner-determination method measured.
-    pub method: WdMethod,
-    /// Pricing scheme in force.
-    pub pricing: PricingScheme,
-    /// Advertiser count.
-    pub advertisers: usize,
+    /// The scenario that was served.
+    pub scenario: Scenario,
     /// Slot count.
     pub slots: usize,
-    /// Shard count of the serving layer: `Some(n)` when the run went
-    /// through `ShardedMarketplace` with `n` shards, `None` for the
-    /// single-threaded `Marketplace` facade.
-    pub shards: Option<usize>,
-    /// Population flavour: `Some(strategy)` for the programmed Section
-    /// II-B population ([`ssa_workload::sql`]), `None` for the static
-    /// per-click Section V population.
-    pub strategy: Option<Strategy>,
-    /// Timed auctions (after warm-up).
-    pub auctions: usize,
     /// Logical cores available to the process during the run.
     pub cores: usize,
-    /// Whether the engines solved through the top-k
-    /// [`PrunedSolver`](ssa_matching::PrunedSolver) wrapper.
-    pub pruned: bool,
-    /// Whether the run served with a write-ahead log attached
-    /// ([`measure_method_durable`]) — `true` means every mutation and
-    /// serve was journalled to disk while the clock ran.
-    pub durable: bool,
-    /// Traffic shape of the timed stream: `Some(shape)` for hostile-world
-    /// runs ([`measure_method_workload`]), `None` for the legacy
-    /// round-robin stream.
-    pub workload: Option<WorkloadShape>,
     /// Per-shard queue-depth skew of the timed stream under
-    /// keyword-affinity routing — recorded for shaped sharded runs,
-    /// `None` otherwise.
+    /// keyword-affinity routing — recorded for shaped streams, `None` for
+    /// the round-robin one.
     pub skew: Option<ShardSkew>,
-    /// Whether the population carried targeting programs
-    /// ([`measure_method_targeted`]): half the campaigns accept only
-    /// mobile queries, so desktop queries drop them from the candidate
-    /// set before the matrix fill.
-    pub targeted: bool,
-    /// Wall-clock time of the timed batch.
+    /// Wall-clock time of the timed auctions.
     pub elapsed: Duration,
-    /// Aggregate auction outcomes of the timed batch.
+    /// Aggregate outcomes of the timed auctions. Per-phase solver timings
+    /// do not travel over the wire: a wire run's `phases` are zero, and
+    /// the outcome fields are the equivalence surface.
     pub report: BatchReport,
-    /// Address of the `ssa-server` the run was served through, for runs
-    /// driven over the wire (`reproduce --server <addr>`); `None` for
-    /// in-process runs.
-    pub server: Option<String>,
     /// Planner mode of the campaign databases for programmed SQL runs
-    /// (`None` for native programs and the static Section V population).
+    /// (`None` for native programs and the per-click populations).
     /// `ForceScan` means the `SSA_MINIDB_FORCE_SCAN` A/B toggle was live.
     pub planner_mode: Option<PlannerMode>,
     /// Planner counters summed over every campaign database after the
-    /// timed batch — shows whether auctions were answered by index probes
-    /// (`index_hits`) or scans (`rows_scanned`).
+    /// timed auctions — shows whether auctions were answered by index
+    /// probes (`index_hits`) or scans (`rows_scanned`).
     pub planner: Option<PlannerStats>,
+    /// For journalled runs, what the post-run recovery replayed. No
+    /// snapshot is taken, so `wal_records` counts every journalled
+    /// operation of the run.
+    pub recovery: Option<RecoveryReport>,
 }
 
 impl MethodRun {
     /// Batched throughput in auctions per second.
     pub fn auctions_per_sec(&self) -> f64 {
-        self.auctions as f64 / self.elapsed.as_secs_f64().max(1e-12)
+        self.scenario.auctions as f64 / self.elapsed.as_secs_f64().max(1e-12)
     }
 
     /// Serialises the run as a single JSON object (stable keys, no
-    /// dependencies) for `BENCH_*.json`-style tracking. `"shards"` is a
-    /// number for sharded runs and `null` for the single-threaded facade;
-    /// `"planner"` carries the mode and counters of the campaign
-    /// databases for programmed SQL runs and is `null` otherwise.
+    /// dependencies) for `BENCH_*.json`-style tracking. `"shards"` is
+    /// `null` when the scenario left the shard count unset; `"planner"`
+    /// carries the mode and counters of the campaign databases for
+    /// programmed SQL runs and is `null` otherwise.
     pub fn to_json(&self) -> String {
-        let shards = self
-            .shards
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "null".to_string());
-        let strategy = self
-            .strategy
-            .map(|s| format!("\"{s}\""))
-            .unwrap_or_else(|| "null".to_string());
-        let server = self
-            .server
-            .as_deref()
-            .map(|a| format!("\"{a}\""))
-            .unwrap_or_else(|| "null".to_string());
+        fn or_null<T: fmt::Display>(value: Option<T>, quoted: bool) -> String {
+            match value {
+                Some(v) if quoted => format!("\"{v}\""),
+                Some(v) => v.to_string(),
+                None => "null".to_string(),
+            }
+        }
+        let s = &self.scenario;
+        let strategy = match s.population {
+            Population::Programmed(strategy) => Some(strategy),
+            Population::PerClick | Population::Targeted => None,
+        };
         let planner = match (self.planner_mode, self.planner) {
             (Some(mode), Some(stats)) => {
                 let mode = match mode {
@@ -303,15 +199,6 @@ impl MethodRun {
             }
             _ => "null".to_string(),
         };
-        let workload = self
-            .workload
-            .map(|w| format!("\"{w}\""))
-            .unwrap_or_else(|| "null".to_string());
-        let skew = self
-            .skew
-            .as_ref()
-            .map(|s| s.to_json())
-            .unwrap_or_else(|| "null".to_string());
         let p = &self.report.phases;
         let phases = format!(
             concat!(
@@ -340,587 +227,313 @@ impl MethodRun {
                 "\"clicks\":{},\"realized_revenue_cents\":{},\"planner\":{},",
                 "\"shard_skew\":{}}}"
             ),
-            self.method,
-            self.pricing,
-            self.advertisers,
+            s.method,
+            s.pricing,
+            s.advertisers,
             self.slots,
-            shards,
-            strategy,
-            server,
-            self.auctions,
+            or_null(s.shards, false),
+            or_null(strategy, true),
+            or_null(s.transport, true),
+            s.auctions,
             ms(self.elapsed),
             self.auctions_per_sec(),
             self.cores,
-            self.pruned,
-            self.durable,
-            workload,
-            self.targeted,
+            s.pruned,
+            s.durability.is_some(),
+            or_null(s.stream.shape(), true),
+            s.population == Population::Targeted,
             phases,
             self.report.expected_revenue,
             self.report.clicks,
             self.report.realized_revenue.cents(),
             planner,
-            skew,
+            or_null(self.skew.as_ref().map(ShardSkew::to_json), false),
         )
     }
 }
 
-/// Measures one method's batched serving throughput on the Section V
-/// workload, driven through the [`Marketplace`] facade: `warmup`
-/// unmeasured auctions (building the per-keyword engines and filling their
-/// persistent solver and matrix buffers), then `auctions` timed ones
-/// served with [`Marketplace::serve_batch`] over a round-robin
-/// multi-keyword query stream.
-pub fn measure_method(
-    method: WdMethod,
-    pricing: PricingScheme,
-    n: usize,
-    auctions: usize,
-    warmup: usize,
-    seed: u64,
-    pruned: bool,
-) -> MethodRun {
-    let config = EngineConfig {
-        method,
-        pricing,
-        pruned,
-        ..EngineConfig::default()
-    };
-    let mut market = section_v_market(n, seed, config);
-    let slots = market.num_slots();
-    let keywords = market.num_keywords();
-    let (elapsed, report) = timed_round_robin(keywords, auctions, warmup, |requests| {
-        market
-            .serve_batch(requests)
-            .expect("round-robin keywords are in range")
-            .total
-    });
-    MethodRun {
-        method,
-        pricing,
-        advertisers: n,
-        slots,
-        shards: None,
-        strategy: None,
-        auctions,
-        cores: available_cores(),
-        pruned,
-        durable: false,
-        workload: None,
-        skew: None,
-        targeted: false,
-        elapsed,
-        report,
-        server: None,
-        planner_mode: None,
-        planner: None,
-    }
+/// Why [`run`] could not serve a scenario. The first two variants are
+/// combinations a layer cannot express; the rest are that layer failing.
+#[derive(Debug)]
+pub enum ScenarioError {
+    /// A programmed population was asked to serve over the wire: bidding
+    /// programs are in-process values with no wire encoding.
+    ProgramsOverWire(Strategy),
+    /// A journal was asked for on a wire run: the write-ahead log belongs
+    /// to the server process (`ssa-server --data-dir`), not its client.
+    JournalOverWire,
+    /// The marketplace refused an operation — notably
+    /// [`MarketError::NotDurable`] for a programmed population under a
+    /// journal.
+    Market(MarketError),
+    /// The durability layer failed to open, append, or recover.
+    Durable(DurableError),
+    /// The server at `server` could not be reached or refused a request.
+    Net {
+        /// The address the run was served through.
+        server: SocketAddr,
+        /// The client-side failure.
+        source: Box<NetError>,
+    },
 }
 
-/// Measures one method's batched serving throughput through the
-/// [`ShardedMarketplace`]: the load-generator twin of [`measure_method`].
-/// The warm-up round builds every shard's per-keyword engines; the timed
-/// round serves `auctions` queries with
-/// [`ShardedMarketplace::serve_batch`], fanning the same round-robin
-/// multi-keyword stream out across `shards` worker threads.
-#[allow(clippy::too_many_arguments)] // the workload shape plus two toggles
-pub fn measure_method_sharded(
-    method: WdMethod,
-    pricing: PricingScheme,
-    n: usize,
-    auctions: usize,
-    warmup: usize,
-    seed: u64,
-    shards: usize,
-    pruned: bool,
-) -> MethodRun {
-    let config = EngineConfig {
-        method,
-        pricing,
-        pruned,
-        ..EngineConfig::default()
-    };
-    let mut market = section_v_sharded_market(SectionVConfig::paper(n, seed), config, shards);
-    let slots = market.num_slots();
-    let keywords = market.num_keywords();
-    let (elapsed, report) = timed_round_robin(keywords, auctions, warmup, |requests| {
-        market
-            .serve_batch(requests)
-            .expect("round-robin keywords are in range")
-            .total
-    });
-    MethodRun {
-        method,
-        pricing,
-        advertisers: n,
-        slots,
-        shards: Some(shards),
-        strategy: None,
-        auctions,
-        cores: available_cores(),
-        pruned,
-        durable: false,
-        workload: None,
-        skew: None,
-        targeted: false,
-        elapsed,
-        report,
-        server: None,
-        planner_mode: None,
-        planner: None,
-    }
-}
-
-/// Applies one churn event to a sharded marketplace. The plan's
-/// coordinates are generated within the population's bounds, so failures
-/// are harness bugs, not workload outcomes.
-fn apply_churn(market: &mut ShardedMarketplace, event: &ssa_workload::ChurnEvent) {
-    let id = CampaignId::from_parts(event.keyword, event.index);
-    match event.action {
-        ChurnAction::Exhaust => market
-            .pause_campaign(id)
-            .expect("churn coordinates are in range"),
-        ChurnAction::Return => market
-            .resume_campaign(id)
-            .expect("churn coordinates are in range"),
-        ChurnAction::Rebid { bid_cents } => market
-            .update_bid(id, Money::from_cents(bid_cents))
-            .expect("churn coordinates are in range"),
-    }
-}
-
-/// Measures one method's batched serving throughput under a hostile-world
-/// traffic shape: the same Section V population as
-/// [`measure_method_sharded`], but the timed stream is drawn by `shape`
-/// ([`WorkloadShape::query_stream`]) instead of round-robin — Zipf skew,
-/// a flash crowd pinned to one shard, or advertiser churn applied
-/// *while the clock runs* ([`WorkloadShape::churn_plan`]).
-///
-/// The run records the stream's per-shard queue-depth skew
-/// ([`MethodRun::skew`]) next to the throughput, which is what the
-/// perf-smoke CI row asserts on: a skewed stream must still serve, and
-/// the imbalance must be visible in the report rather than averaged away.
-#[allow(clippy::too_many_arguments)] // mirrors measure_method_sharded plus the shape
-pub fn measure_method_workload(
-    method: WdMethod,
-    pricing: PricingScheme,
-    n: usize,
-    auctions: usize,
-    warmup: usize,
-    seed: u64,
-    shards: usize,
-    pruned: bool,
-    shape: WorkloadShape,
-) -> MethodRun {
-    let config = EngineConfig {
-        method,
-        pricing,
-        pruned,
-        ..EngineConfig::default()
-    };
-    let mut market = section_v_sharded_market(SectionVConfig::paper(n, seed), config, shards);
-    let slots = market.num_slots();
-    let keywords = market.num_keywords();
-    // The stream seed is decoupled from the population seed so the shape
-    // owns traffic randomness and the population stays comparable across
-    // shapes.
-    let stream = shape.query_stream(keywords, auctions.max(warmup), seed ^ 0x7AFF_1C5E);
-    let requests: Vec<QueryRequest> = stream.iter().map(|&k| QueryRequest::new(k)).collect();
-    market
-        .serve_batch(&requests[..warmup])
-        .expect("shaped keywords are in range");
-    let plan = shape.churn_plan(keywords, n, auctions, seed);
-    let start = Instant::now();
-    let mut report = BatchReport::default();
-    let mut served = 0usize;
-    let mut next_event = 0usize;
-    while served < auctions {
-        let until = plan
-            .events
-            .get(next_event)
-            .map(|e| e.after_query.clamp(served, auctions))
-            .unwrap_or(auctions);
-        if until > served {
-            let segment = market
-                .serve_batch(&requests[served..until])
-                .expect("shaped keywords are in range");
-            report.absorb(&segment.total);
-            served = until;
+impl ScenarioError {
+    fn net(server: SocketAddr) -> impl Fn(NetError) -> Self {
+        move |source| ScenarioError::Net {
+            server,
+            source: Box::new(source),
         }
-        while let Some(event) = plan.events.get(next_event) {
-            if event.after_query > served {
-                break;
+    }
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::ProgramsOverWire(strategy) => write!(
+                f,
+                "{strategy} bidding programs cannot cross the wire: programmed \
+                 populations serve in process only"
+            ),
+            ScenarioError::JournalOverWire => write!(
+                f,
+                "a wire run cannot attach a journal: the write-ahead log belongs \
+                 to the server (start ssa-server with --data-dir)"
+            ),
+            ScenarioError::Market(e) => write!(f, "{e}"),
+            ScenarioError::Durable(e) => write!(f, "durable store failed: {e}"),
+            ScenarioError::Net { server, source } => {
+                write!(f, "remote run against {server} failed: {source}")
             }
-            apply_churn(&mut market, event);
-            next_event += 1;
         }
-    }
-    let elapsed = start.elapsed();
-    MethodRun {
-        method,
-        pricing,
-        advertisers: n,
-        slots,
-        shards: Some(shards),
-        strategy: None,
-        auctions,
-        cores: available_cores(),
-        pruned,
-        durable: false,
-        workload: Some(shape),
-        skew: Some(ShardSkew::from_stream(&stream[..auctions], shards)),
-        targeted: false,
-        elapsed,
-        report,
-        server: None,
-        planner_mode: None,
-        planner: None,
     }
 }
 
-/// Measures one method's batched serving throughput over a *targeted*
-/// Section V population: every even-indexed advertiser's campaigns carry
-/// the targeting program `device = 'mobile'`, and the round-robin stream
-/// alternates mobile and desktop queries — so desktop queries exclude
-/// half the advertisers from the candidate set before the matrix fill.
-///
-/// With `method = rh` the drop is visible in
-/// [`PhaseStats::avg_candidates`](ssa_core::PhaseStats::avg_candidates)
-/// (the perf-smoke CI row asserts it sits strictly below the advertiser
-/// count), which certifies that targeting prunes work rather than merely
-/// zeroing bids.
-#[allow(clippy::too_many_arguments)] // mirrors measure_method_sharded
-pub fn measure_method_targeted(
-    method: WdMethod,
-    pricing: PricingScheme,
-    n: usize,
-    auctions: usize,
-    warmup: usize,
-    seed: u64,
-    shards: usize,
-    pruned: bool,
-) -> MethodRun {
-    let config = EngineConfig {
-        method,
-        pricing,
-        pruned,
-        ..EngineConfig::default()
-    };
-    let workload = SectionVWorkload::generate(SectionVConfig::paper(n, seed));
-    let mut market = section_v_builder(&workload, seed, config)
-        .build_sharded(shards)
-        .expect("Section V sharded configuration is valid");
-    let k = workload.config.num_slots;
-    for (i, b) in workload.bidders.iter().enumerate() {
-        let advertiser = market.register_advertiser(format!("advertiser-{i}"));
-        let click_probs: Vec<f64> = (0..k)
-            .map(|j| workload.clicks.p_click(i, SlotId::from_index0(j)))
-            .collect();
-        for (keyword, &(value, bid, _)) in b.keywords.iter().enumerate() {
-            let mut spec = CampaignSpec::per_click(Money::from_cents(bid.max(0)))
-                .click_value(Money::from_cents(value))
-                .click_probs(click_probs.clone());
-            if i % 2 == 0 {
-                spec = spec.targeting("device = 'mobile'");
+impl std::error::Error for ScenarioError {}
+
+impl From<MarketError> for ScenarioError {
+    fn from(e: MarketError) -> Self {
+        ScenarioError::Market(e)
+    }
+}
+
+impl From<DurableError> for ScenarioError {
+    fn from(e: DurableError) -> Self {
+        ScenarioError::Durable(e)
+    }
+}
+
+/// Where a scenario's operations execute: the marketplace in this
+/// process, or the one behind an `ssa-server`.
+enum Backend {
+    Local(ShardedMarketplace),
+    Wire { client: Client, server: SocketAddr },
+}
+
+impl Backend {
+    fn serve_batch(&mut self, requests: &[QueryRequest]) -> Result<BatchReport, ScenarioError> {
+        match self {
+            Backend::Local(market) => Ok(market.serve_batch(requests)?.total),
+            Backend::Wire { client, server } => {
+                let queries = requests
+                    .iter()
+                    .map(|r| (r.keyword, r.attrs.clone()))
+                    .collect();
+                let summary = client
+                    .serve_batch_queries(queries)
+                    .map_err(ScenarioError::net(*server))?;
+                Ok(BatchReport {
+                    auctions: summary.auctions,
+                    expected_revenue: summary.expected_revenue,
+                    filled_slots: summary.filled_slots,
+                    clicks: summary.clicks,
+                    purchases: summary.purchases,
+                    realized_revenue: Money::from_cents(summary.realized_cents),
+                    phases: Default::default(),
+                })
             }
-            market
-                .add_campaign(advertiser, keyword, spec)
-                .expect("targeted Section V campaign is valid");
         }
     }
-    let slots = market.num_slots();
-    let keywords = market.num_keywords().max(1);
-    let requests: Vec<QueryRequest> = (0..auctions.max(warmup))
-        .map(|i| {
-            let device = if i % 2 == 0 { "mobile" } else { "desktop" };
-            QueryRequest::with_attrs(i % keywords, UserAttrs::new().device(device))
-        })
-        .collect();
-    market
-        .serve_batch(&requests[..warmup])
-        .expect("round-robin keywords are in range");
-    let start = Instant::now();
-    let report = market
-        .serve_batch(&requests[..auctions])
-        .expect("round-robin keywords are in range")
-        .total;
-    let elapsed = start.elapsed();
-    MethodRun {
-        method,
-        pricing,
-        advertisers: n,
-        slots,
-        shards: Some(shards),
-        strategy: None,
-        auctions,
-        cores: available_cores(),
-        pruned,
-        durable: false,
-        workload: None,
-        skew: None,
-        targeted: true,
-        elapsed,
-        report,
-        server: None,
-        planner_mode: None,
-        planner: None,
+
+    /// Applies one churn event. The plan's coordinates are generated
+    /// within the population's bounds, so a refusal is a harness bug
+    /// surfaced as the layer's error.
+    fn churn(&mut self, event: &ChurnEvent) -> Result<(), ScenarioError> {
+        let id = CampaignId::from_parts(event.keyword, event.index);
+        match self {
+            Backend::Local(market) => match event.action {
+                ChurnAction::Exhaust => market.pause_campaign(id),
+                ChurnAction::Return => market.resume_campaign(id),
+                ChurnAction::Rebid { bid_cents } => {
+                    market.update_bid(id, Money::from_cents(bid_cents))
+                }
+            }
+            .map_err(ScenarioError::Market),
+            Backend::Wire { client, server } => match event.action {
+                ChurnAction::Exhaust => client.pause_campaign(id),
+                ChurnAction::Return => client.resume_campaign(id),
+                ChurnAction::Rebid { bid_cents } => {
+                    client.update_bid(id, Money::from_cents(bid_cents))
+                }
+            }
+            .map_err(ScenarioError::net(*server)),
+        }
     }
 }
 
-/// Measures one method's batched serving throughput with a write-ahead
-/// log attached: the same Section V population and round-robin stream as
-/// [`measure_method_sharded`], but every control-plane mutation and every
-/// timed batch is journalled to a [`ssa_durable::Durability`] store in
-/// `dir` while the clock runs — the engine behind `reproduce --durable`,
-/// which is how CI tracks the journalling overhead next to the plain
-/// sharded row.
+/// Serves one [`Scenario`] and measures it: registers the population
+/// (in process, or over the wire at `scenario.transport`), serves
+/// `scenario.warmup` unmeasured auctions (building the per-keyword
+/// engines and filling their persistent solver and matrix buffers), then
+/// times `scenario.auctions` auctions of the scenario's stream through
+/// `serve_batch`, applying the stream's churn plan between batches while
+/// the clock runs.
 ///
-/// After the timed batch the store is recovered from disk and the
-/// recovered marketplace is asserted **bit-identical** to the served one
-/// (captured state equality), so every reported number also certifies the
-/// recovery path. Returns the run (with [`MethodRun::durable`] set)
-/// alongside the [`ssa_durable::RecoveryReport`] of the post-run
-/// recovery. No snapshot is taken, so the report's `wal_records` counts
-/// every journalled operation of the run.
+/// Every dimension is an execution strategy, not a semantic one: for a
+/// given population, stream, sizes, and seed, [`MethodRun::report`]'s
+/// outcome fields are **bit-identical** whatever the shard count, whether
+/// or not a journal is attached, and whether the auctions ran in this
+/// process or behind a socket (`f64` aggregates travel as raw bits).
+///
+/// With `scenario.durability` set, every mutation and batch is journalled
+/// while the clock runs; afterwards the store is recovered from disk and
+/// the recovered marketplace is asserted bit-identical to the served one,
+/// so every reported number also certifies the recovery path
+/// ([`MethodRun::recovery`]). With `scenario.transport` set, the server is
+/// rebuilt to the run's configuration (`Configure`), so consecutive runs
+/// against one long-lived server are independent.
 ///
 /// # Panics
 ///
-/// Panics if the store cannot be opened or recovered, or if the recovered
-/// state diverges from the served one — a durability bug, not a
+/// Panics if the journal directory already holds a store, or if the
+/// recovered state diverges from the served one — a durability bug, not a
 /// measurement artefact.
-#[allow(clippy::too_many_arguments)] // mirrors measure_method_sharded plus the directory
-pub fn measure_method_durable(
-    dir: &std::path::Path,
-    method: WdMethod,
-    pricing: PricingScheme,
-    n: usize,
-    auctions: usize,
-    warmup: usize,
-    seed: u64,
-    shards: usize,
-    pruned: bool,
-) -> (MethodRun, ssa_durable::RecoveryReport) {
-    let config = EngineConfig {
-        method,
-        pricing,
-        pruned,
-        ..EngineConfig::default()
-    };
-    let (recovered, durability) =
-        ssa_durable::Durability::open(dir, ssa_durable::FsyncPolicy::Off, 0)
-            .expect("durable store opens");
-    assert!(
-        recovered.is_none(),
-        "measure_method_durable requires an empty data directory"
+pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
+    let mut scenario = scenario.clone();
+    let section = scenario.section_v();
+    let workload = SectionVWorkload::generate(section);
+    let shards = scenario.shards.unwrap_or(1);
+    let targeted = scenario.population == Population::Targeted;
+
+    // One configuration for both sides of the wire: `Configure` makes the
+    // server run the same `build_market` the in-process arm calls, so the
+    // two markets of one scenario are the same market by construction.
+    let config = market_config_for(
+        &section,
+        scenario.method,
+        scenario.pricing,
+        shards,
+        scenario.pruned,
     );
-    // The market starts *empty* (the paper config fixes slots and
-    // keywords independently of `n`) and the whole population registers
-    // through the journal, so recovery replays it.
-    let mut market = section_v_sharded_market(SectionVConfig::paper(0, seed), config, shards);
-    durability
-        .log_configure(&market.capture_state().expect("journalable").config)
-        .expect("configure journalled");
-    market.set_journal(durability.journal());
-    let workload = SectionVWorkload::generate(SectionVConfig::paper(n, seed));
-    populate_section_v!(market, workload);
-    let slots = market.num_slots();
-    let keywords = market.num_keywords();
-    let (elapsed, report) = timed_round_robin(keywords, auctions, warmup, |requests| {
-        market
-            .serve_batch(requests)
-            .expect("round-robin keywords are in range")
-            .total
-    });
-    drop(durability);
-    let (recovered, recovery) = ssa_durable::recover(dir)
-        .expect("recovery succeeds")
-        .expect("the run journalled state");
-    assert_eq!(
-        recovered.capture_state().expect("journalable"),
-        market.capture_state().expect("journalable"),
-        "recovered marketplace diverged from the served one"
-    );
-    let run = MethodRun {
-        method,
-        pricing,
-        advertisers: n,
-        slots,
-        shards: Some(shards),
-        strategy: None,
-        auctions,
-        cores: available_cores(),
-        pruned,
-        durable: true,
-        workload: None,
-        skew: None,
-        targeted: false,
-        elapsed,
-        report,
-        server: None,
-        planner_mode: None,
-        planner: None,
+    let mut handles: Vec<ProgramHandle> = Vec::new();
+    let mut journal = None;
+    let mut backend = match (scenario.transport, scenario.population) {
+        (Some(_), Population::Programmed(strategy)) => {
+            return Err(ScenarioError::ProgramsOverWire(strategy));
+        }
+        (Some(_), _) if scenario.durability.is_some() => {
+            return Err(ScenarioError::JournalOverWire);
+        }
+        (Some(server), _) => {
+            let net = ScenarioError::net(server);
+            let mut client = Client::connect(server).map_err(&net)?;
+            client.configure(&config).map_err(&net)?;
+            populate_remote(&mut client, &workload, targeted).map_err(&net)?;
+            Backend::Wire { client, server }
+        }
+        (None, population) => {
+            let mut market = match population {
+                Population::Programmed(strategy) => {
+                    // The programmed populations are defined (and
+                    // equivalence-tested) under GSP settlement.
+                    scenario.pricing = PricingScheme::Gsp;
+                    let mut built =
+                        programmed_sharded_market(&workload, scenario.method, strategy, shards)?;
+                    built.market.set_pruned(scenario.pruned);
+                    handles = built.handles;
+                    built.market
+                }
+                Population::PerClick | Population::Targeted => build_market(&config)?,
+            };
+            if let Some(dir) = &scenario.durability {
+                let (recovered, store) = Durability::open(dir, FsyncPolicy::Off, 0)?;
+                assert!(
+                    recovered.is_none(),
+                    "a journalled run needs an empty data directory"
+                );
+                // A programmed population stops here, with the
+                // marketplace's own `NotDurable`.
+                store.log_configure(&market.capture_state()?.config)?;
+                market.set_journal(store.journal());
+                journal = Some(store);
+            }
+            // Registered *after* the journal attaches, so recovery
+            // replays the population.
+            if !matches!(population, Population::Programmed(_)) {
+                workload.populate(&mut market, targeted)?;
+            }
+            Backend::Local(market)
+        }
     };
-    (run, recovery)
-}
 
-/// Measures one method's batched serving throughput **over the wire**: the
-/// same Section V population and round-robin stream as
-/// [`measure_method_sharded`], but configured, populated, and served
-/// through an `ssa-server` at `server` via [`ssa_net::Client`] — the
-/// engine behind `reproduce --server <addr>`.
-///
-/// The server is rebuilt to the run's configuration (`Configure`), so
-/// consecutive runs against one long-lived server are independent. The
-/// `f64` aggregates travel as raw bits, so the returned
-/// [`MethodRun::report`] is **bit-identical** to the in-process
-/// [`measure_method_sharded`] report for the same parameters — only
-/// `elapsed` (and the absent per-phase timings) differ.
-#[allow(clippy::too_many_arguments)] // mirrors measure_method_sharded plus the address
-pub fn measure_method_remote(
-    server: SocketAddr,
-    method: WdMethod,
-    pricing: PricingScheme,
-    n: usize,
-    auctions: usize,
-    warmup: usize,
-    seed: u64,
-    shards: usize,
-    pruned: bool,
-) -> Result<MethodRun, NetError> {
-    let section_config = SectionVConfig::paper(n, seed);
-    let workload = SectionVWorkload::generate(section_config);
-    let market_config = market_config_for(&section_config, method, pricing, shards, pruned);
-
-    let mut client = Client::connect(server)?;
-    client.configure(&market_config)?;
-    populate_remote(&mut client, &workload)?;
-
-    // The same stream shape as `timed_round_robin`: serve the warm-up
-    // prefix unmeasured, then time the `auctions`-query batch.
-    let keywords = section_config.num_keywords.max(1);
-    let stream: Vec<usize> = (0..auctions.max(warmup)).map(|i| i % keywords).collect();
-    client.serve_batch(&stream[..warmup])?;
+    let requests = scenario.requests(scenario.auctions.max(scenario.warmup));
+    backend.serve_batch(&requests[..scenario.warmup])?;
+    let plan = scenario.churn_plan();
     let start = Instant::now();
-    let summary = client.serve_batch(&stream[..auctions])?;
+    let mut report = BatchReport::default();
+    let mut served = 0;
+    let mut events = plan.events.iter().peekable();
+    while served < scenario.auctions {
+        let until = events.peek().map_or(scenario.auctions, |e| {
+            e.after_query.clamp(served, scenario.auctions)
+        });
+        if until > served {
+            report.absorb(&backend.serve_batch(&requests[served..until])?);
+            served = until;
+        }
+        while let Some(event) = events.next_if(|e| e.after_query <= served) {
+            backend.churn(event)?;
+        }
+    }
     let elapsed = start.elapsed();
 
-    let report = BatchReport {
-        auctions: summary.auctions,
-        expected_revenue: summary.expected_revenue,
-        filled_slots: summary.filled_slots,
-        clicks: summary.clicks,
-        purchases: summary.purchases,
-        realized_revenue: Money::from_cents(summary.realized_cents),
-        // Per-phase solver timings do not travel over the wire; the
-        // aggregate outcome fields above are the equivalence surface.
-        phases: Default::default(),
+    let recovery = match (journal, &backend) {
+        (Some(store), Backend::Local(market)) => {
+            let dir = store.dir();
+            drop(store);
+            let (recovered, recovery) =
+                ssa_durable::recover(&dir)?.expect("the run journalled state");
+            assert_eq!(
+                recovered.capture_state()?,
+                market.capture_state()?,
+                "recovered marketplace diverged from the served one"
+            );
+            Some(recovery)
+        }
+        _ => None,
     };
+    let (planner_mode, planner) = planner_totals(&handles);
     Ok(MethodRun {
-        method,
-        pricing,
-        advertisers: n,
-        slots: section_config.num_slots,
-        shards: Some(shards),
-        strategy: None,
-        auctions,
+        slots: section.num_slots,
         cores: available_cores(),
-        pruned,
-        durable: false,
-        workload: None,
-        skew: None,
-        targeted: false,
+        skew: scenario.stream.shape().map(|_| {
+            let keywords: Vec<usize> = requests[..scenario.auctions]
+                .iter()
+                .map(|r| r.keyword)
+                .collect();
+            ShardSkew::from_stream(&keywords, shards)
+        }),
         elapsed,
         report,
-        server: Some(server.to_string()),
-        planner_mode: None,
-        planner: None,
-    })
-}
-
-/// Measures the *programmed* Section II-B population: every advertiser a
-/// keyword-local Figure 5 ROI program — native Rust, SQL on prepared
-/// statements, or the reparse-per-round SQL baseline, per `strategy` —
-/// served with `serve_batch` over the same round-robin stream as
-/// [`measure_method`]. The native-vs-sql elapsed ratio is the SQL
-/// interpreter's overhead; sql-reparse-vs-sql is what the
-/// prepared-statement layer buys.
-///
-/// With `shards = Some(n)` the population serves through a
-/// [`ShardedMarketplace`] (the programs are keyword-local, so outcomes are
-/// shard-invariant). Pricing is always the paper's GSP — the programmed
-/// populations are defined (and equivalence-tested) under GSP settlement,
-/// whose click charges are the feedback the ROI programs consume.
-#[allow(clippy::too_many_arguments)] // the workload shape plus two toggles
-pub fn measure_programmed(
-    strategy: Strategy,
-    method: WdMethod,
-    n: usize,
-    auctions: usize,
-    warmup: usize,
-    seed: u64,
-    shards: Option<usize>,
-    pruned: bool,
-) -> MethodRun {
-    let pricing = PricingScheme::Gsp;
-    let workload = SectionVWorkload::generate(SectionVConfig::paper(n, seed));
-    let slots = workload.config.num_slots;
-    let keywords = workload.config.num_keywords;
-    let (elapsed, report, planner_mode, planner) = match shards {
-        None => {
-            let mut built = programmed_market(&workload, method, strategy);
-            built.market.set_pruned(pruned);
-            let (elapsed, report) = timed_round_robin(keywords, auctions, warmup, |requests| {
-                built
-                    .market
-                    .serve_batch(requests)
-                    .expect("round-robin keywords are in range")
-                    .total
-            });
-            let (mode, stats) = planner_totals(&built.handles);
-            (elapsed, report, mode, stats)
-        }
-        Some(shards) => {
-            let mut built = programmed_sharded_market(&workload, method, strategy, shards)
-                .expect("valid shard count");
-            built.market.set_pruned(pruned);
-            let (elapsed, report) = timed_round_robin(keywords, auctions, warmup, |requests| {
-                built
-                    .market
-                    .serve_batch(requests)
-                    .expect("round-robin keywords are in range")
-                    .total
-            });
-            let (mode, stats) = planner_totals(&built.handles);
-            (elapsed, report, mode, stats)
-        }
-    };
-    MethodRun {
-        method,
-        pricing,
-        advertisers: n,
-        slots,
-        shards,
-        strategy: Some(strategy),
-        auctions,
-        cores: available_cores(),
-        pruned,
-        durable: false,
-        workload: None,
-        skew: None,
-        targeted: false,
-        elapsed,
-        report,
-        server: None,
         planner_mode,
         planner,
-    }
+        recovery,
+        scenario,
+    })
 }
 
 /// Sums planner counters over every campaign database of a programmed
 /// population (`(None, None)` for native programs, which have none).
-fn planner_totals(
-    handles: &[ssa_workload::ProgramHandle],
-) -> (Option<PlannerMode>, Option<PlannerStats>) {
+fn planner_totals(handles: &[ProgramHandle]) -> (Option<PlannerMode>, Option<PlannerStats>) {
     let mode = handles.iter().find_map(|h| h.planner_mode());
     let stats = handles
         .iter()
@@ -933,26 +546,6 @@ fn planner_totals(
     (mode, stats)
 }
 
-/// The shared measurement scaffold of [`measure_method`] and
-/// [`measure_method_sharded`]: build one round-robin multi-keyword stream,
-/// serve the warm-up prefix unmeasured, then time the `auctions`-query
-/// batch and return its wall-clock and aggregate report.
-fn timed_round_robin(
-    keywords: usize,
-    auctions: usize,
-    warmup: usize,
-    mut serve_batch: impl FnMut(&[QueryRequest]) -> BatchReport,
-) -> (Duration, BatchReport) {
-    let keywords = keywords.max(1);
-    let requests: Vec<QueryRequest> = (0..auctions.max(warmup))
-        .map(|i| QueryRequest::new(i % keywords))
-        .collect();
-    serve_batch(&requests[..warmup]);
-    let start = Instant::now();
-    let report = serve_batch(&requests[..auctions]);
-    (start.elapsed(), report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -963,338 +556,6 @@ mod tests {
         assert_eq!(pts.len(), 2);
         assert!(pts.iter().all(|p| p.ms_per_auction > 0.0));
         assert_eq!(pts[0].n, 30);
-    }
-
-    #[test]
-    fn method_run_json_shape() {
-        let run = measure_method(WdMethod::Reduced, PricingScheme::Gsp, 40, 6, 2, 11, false);
-        assert_eq!(run.auctions, 6);
-        assert_eq!(run.report.auctions, 6);
-        assert!(run.auctions_per_sec() > 0.0);
-        assert!(run.cores >= 1);
-        let json = run.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        for key in [
-            "\"method\":\"rh\"",
-            "\"pricing\":\"gsp\"",
-            "\"advertisers\":40",
-            "\"slots\":15",
-            "\"shards\":null",
-            "\"strategy\":null",
-            "\"auctions\":6",
-            "\"elapsed_ms\":",
-            "\"auctions_per_sec\":",
-            "\"cores\":",
-            "\"pruned\":false",
-            "\"durable\":false",
-            "\"workload\":null",
-            "\"targeted\":false",
-            "\"shard_skew\":null",
-            "\"phases\":{\"program_eval_ms\":",
-            "\"solve_ms\":",
-            "\"solves\":",
-            "\"warm_solves\":",
-            "\"avg_candidates\":",
-            "\"expected_revenue_cents\":",
-            "\"clicks\":",
-            "\"realized_revenue_cents\":",
-            "\"planner\":null",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-    }
-
-    #[test]
-    fn shaped_run_reports_workload_and_skew() {
-        let run = measure_method_workload(
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            30,
-            40,
-            4,
-            17,
-            4,
-            false,
-            WorkloadShape::Zipf { s: 1.1 },
-        );
-        assert_eq!(run.report.auctions, 40);
-        assert_eq!(run.workload, Some(WorkloadShape::Zipf { s: 1.1 }));
-        let skew = run.skew.as_ref().expect("shaped runs record skew");
-        assert_eq!(skew.queries_per_shard.len(), 4);
-        assert_eq!(skew.queries_per_shard.iter().sum::<u64>(), 40);
-        let json = run.to_json();
-        for key in [
-            "\"workload\":\"zipf:1.1\"",
-            "\"targeted\":false",
-            "\"shard_skew\":{\"queries_per_shard\":[",
-            "\"p50\":",
-            "\"p99\":",
-            "\"max_over_mean\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-    }
-
-    #[test]
-    fn churn_run_applies_the_plan_and_accounts_every_auction() {
-        // Churn pauses, rebids, and revives campaigns mid-stream; every
-        // query must still be served exactly once around the events.
-        let run = measure_method_workload(
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            25,
-            64,
-            4,
-            23,
-            2,
-            false,
-            WorkloadShape::Churn,
-        );
-        assert_eq!(run.report.auctions, 64);
-        assert!(run.to_json().contains("\"workload\":\"churn\""));
-    }
-
-    #[test]
-    fn uniform_shaped_run_matches_the_plain_sharded_run_outcomes() {
-        // The uniform shape draws the same kind of stream as the classic
-        // round-robin harness but from the seeded generator; its outcomes
-        // must be shard-invariant like everything else.
-        let shape = WorkloadShape::Uniform;
-        let one = measure_method_workload(
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            30,
-            48,
-            4,
-            31,
-            1,
-            false,
-            shape,
-        );
-        let four = measure_method_workload(
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            30,
-            48,
-            4,
-            31,
-            4,
-            false,
-            shape,
-        );
-        assert_eq!(one.report, four.report, "shape outcomes depend on shards");
-    }
-
-    #[test]
-    fn targeted_run_prunes_candidates_and_diverges_from_untargeted() {
-        // The targeted population serves the same round-robin keyword
-        // stream as `measure_method_sharded`, so if the desktop queries
-        // actually exclude the mobile-only advertisers the two runs must
-        // place (and click) differently — and the reduced solver's
-        // candidate count must sit below the advertiser count.
-        let n = 40;
-        let run = measure_method_targeted(
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            n,
-            32,
-            4,
-            19,
-            2,
-            false,
-        );
-        assert_eq!(run.report.auctions, 32);
-        assert!(run.targeted);
-        let p = run.report.phases;
-        assert!(p.solves > 0);
-        assert!(
-            p.avg_candidates() < n as f64,
-            "targeting excluded nobody: {p:?}"
-        );
-        let untargeted = measure_method_sharded(
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            n,
-            32,
-            4,
-            19,
-            2,
-            false,
-        );
-        assert_ne!(
-            run.report, untargeted.report,
-            "targeting changed no outcome on a mixed mobile/desktop stream"
-        );
-        let json = run.to_json();
-        assert!(json.contains("\"targeted\":true"), "{json}");
-        assert!(json.contains("\"workload\":null"), "{json}");
-    }
-
-    #[test]
-    fn pruned_run_matches_unpruned_and_reports_fewer_candidates() {
-        // Top-k pruning is an execution strategy: identical auction
-        // outcomes, smaller candidate sets fed to the solver.
-        let full = measure_method(
-            WdMethod::Hungarian,
-            PricingScheme::Gsp,
-            60,
-            10,
-            2,
-            13,
-            false,
-        );
-        let pruned = measure_method(WdMethod::Hungarian, PricingScheme::Gsp, 60, 10, 2, 13, true);
-        assert_eq!(full.report, pruned.report);
-        assert!(pruned.to_json().contains("\"pruned\":true"));
-        let p = pruned.report.phases;
-        assert!(
-            p.solves == 0 || p.avg_candidates() < 60.0,
-            "pruning never engaged: {p:?}"
-        );
-    }
-
-    #[test]
-    fn programmed_runs_are_strategy_invariant() {
-        // Native, prepared-SQL, and reparse-SQL populations must produce
-        // identical auction outcomes (only their speed differs) — here
-        // through the measurement harness itself, sharded and not.
-        let run = |strategy, shards| {
-            measure_programmed(strategy, WdMethod::Reduced, 30, 12, 3, 7, shards, false)
-        };
-        let native = run(Strategy::Native, None);
-        let sql = run(Strategy::Sql, None);
-        let reparse = run(Strategy::SqlReparse, None);
-        assert_eq!(native.report, sql.report);
-        assert_eq!(sql.report, reparse.report);
-        assert!(sql.to_json().contains("\"strategy\":\"sql\""));
-        assert!(native.to_json().contains("\"strategy\":\"native\""));
-        let sharded = run(Strategy::Sql, Some(2));
-        assert_eq!(sharded.report, sql.report);
-        assert!(sharded.to_json().contains("\"shards\":2"));
-        // SQL runs expose the planner counters (and took the index path);
-        // native runs have no database and report null.
-        let stats = sql.planner.expect("sql run has planner counters");
-        assert!(stats.index_hits > 0, "{stats:?}");
-        assert!(stats.plans_cached > 0, "{stats:?}");
-        let json = sql.to_json();
-        assert!(
-            json.contains("\"planner\":{\"mode\":\"auto\",\"index_hits\":"),
-            "{json}"
-        );
-        assert!(native.planner.is_none());
-        assert!(native.to_json().contains("\"planner\":null"));
-    }
-
-    #[test]
-    fn pruned_warm_programmed_runs_match_unpruned_cold() {
-        // The acceptance bar for the solver fast path: pruned + warm-started
-        // serving of the programmed three-way workload (native / sql /
-        // sql-reparse) is bit-identical to the unpruned cold solve,
-        // unsharded and at 1 and 4 shards.
-        let workload = SectionVWorkload::generate(SectionVConfig::paper(40, 4242));
-        let keywords = workload.config.num_keywords.max(1);
-        let requests: Vec<QueryRequest> =
-            (0..24).map(|i| QueryRequest::new(i % keywords)).collect();
-        for strategy in [Strategy::Native, Strategy::Sql, Strategy::SqlReparse] {
-            let mut cold = programmed_market(&workload, WdMethod::Reduced, strategy);
-            cold.market.set_pruned(false);
-            cold.market.set_warm_start(false);
-            let want = cold.market.serve_batch(&requests).expect("in range");
-
-            let mut fast = programmed_market(&workload, WdMethod::Reduced, strategy);
-            fast.market.set_pruned(true);
-            fast.market.set_warm_start(true);
-            let got = fast.market.serve_batch(&requests).expect("in range");
-            assert_eq!(got, want, "{strategy} unsharded");
-
-            for shards in [1, 4] {
-                let mut sharded =
-                    programmed_sharded_market(&workload, WdMethod::Reduced, strategy, shards)
-                        .expect("valid shard count");
-                sharded.market.set_pruned(true);
-                sharded.market.set_warm_start(true);
-                let got = sharded.market.serve_batch(&requests).expect("in range");
-                assert_eq!(got, want, "{strategy} shards={shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn durable_run_recovers_and_matches_the_plain_sharded_run() {
-        let dir = std::env::temp_dir().join(format!("ssa-bench-durable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (run, recovery) = measure_method_durable(
-            &dir,
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            30,
-            8,
-            2,
-            17,
-            2,
-            false,
-        );
-        assert!(run.durable);
-        assert!(
-            run.to_json().contains("\"durable\":true"),
-            "{}",
-            run.to_json()
-        );
-        // 1 configure + 30 registers + 300 campaigns + 2 batches.
-        assert!(recovery.wal_records > 0, "{recovery:?}");
-        let json = recovery.to_json();
-        assert!(json.contains("\"metric\":\"recovery\""), "{json}");
-        assert!(json.contains("\"wal_records\":"), "{json}");
-        assert!(json.contains("\"replay_ms\":"), "{json}");
-        // Journalling is observation, not behaviour: the durable run's
-        // outcomes are bit-identical to the plain sharded run's.
-        let plain = measure_method_sharded(
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            30,
-            8,
-            2,
-            17,
-            2,
-            false,
-        );
-        assert_eq!(run.report, plain.report);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_method_run_is_shard_count_invariant() {
-        let one = measure_method_sharded(
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            40,
-            12,
-            3,
-            11,
-            1,
-            false,
-        );
-        let four = measure_method_sharded(
-            WdMethod::Reduced,
-            PricingScheme::Gsp,
-            40,
-            12,
-            3,
-            11,
-            4,
-            false,
-        );
-        assert_eq!(one.shards, Some(1));
-        assert_eq!(four.shards, Some(4));
-        assert!(one.to_json().contains("\"shards\":1"), "{}", one.to_json());
-        assert!(
-            four.to_json().contains("\"shards\":4"),
-            "{}",
-            four.to_json()
-        );
-        // Identical auction outcomes regardless of shard count: the sharded
-        // layer is an execution strategy, not a semantic one.
-        assert_eq!(one.report, four.report);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! CLI contract tests for the `reproduce` binary: the typed-error paths
-//! (`--method rhp` without threads, `--shards 0`, `--load 0`, …) and the
-//! sharded load-generator happy path.
+//! (`--method rhp` without threads, `--shards 0`, `--load 0`, …), the
+//! sharded load-generator happy path, and the single-run flags composing
+//! (what a layer cannot express fails with that layer's error).
 
 use std::process::{Command, Output};
 
@@ -17,6 +18,20 @@ fn stderr_of(out: &Output) -> String {
 
 fn stdout_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The outcome fields of a `--json` row (everything a run's *result*
+/// consists of; timings and the run's coordinates precede them).
+fn outcomes_of(json: &str) -> String {
+    json.split("\"expected_revenue_cents\":")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no outcome keys in {json}"))
+        // The planner counters legitimately differ between populations
+        // (native programs have no database) — outcomes must not.
+        .split("\"planner\":")
+        .next()
+        .expect("planner key present")
+        .to_string()
 }
 
 /// Asserts a clean usage failure: exit code 2, no stdout, a stderr that
@@ -112,18 +127,7 @@ fn native_and_sql_strategies_report_identical_outcomes() {
     let run = |strategy: &str| {
         let out = reproduce(&["--strategy", strategy, "--json", "--quick", "--load", "12"]);
         assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-        let json = stdout_of(&out);
-        let outcomes = json
-            .split("\"expected_revenue_cents\":")
-            .nth(1)
-            .expect("report keys present")
-            // The planner counters legitimately differ between populations
-            // (native programs have no database) — outcomes must not.
-            .split("\"planner\":")
-            .next()
-            .expect("planner key present")
-            .to_string();
-        outcomes
+        outcomes_of(&stdout_of(&out))
     };
     assert_eq!(run("native"), run("sql"));
 }
@@ -139,17 +143,28 @@ fn bad_server_address_is_a_clear_error_not_a_panic() {
         &["--server", "127.0.0.1:7878"],
         "--server requires --method",
     );
-    assert_usage_error(
-        &[
-            "--method",
-            "rh",
-            "--server",
-            "127.0.0.1:7878",
-            "--strategy",
-            "sql",
-        ],
-        "--server cannot be combined with --strategy",
-    );
+}
+
+#[test]
+fn programs_over_the_wire_or_under_a_journal_are_typed_layer_errors() {
+    // No CLI guard forbids these: the layer that cannot express the
+    // combination says so, and the exit code is a usage error's.
+    for (args, needle) in [
+        (
+            &["--strategy", "sql", "--server", "127.0.0.1:7878", "--quick"][..],
+            "sql bidding programs cannot cross the wire",
+        ),
+        (
+            &["--strategy", "sql", "--durable", "--quick"][..],
+            "cannot be journalled for durability",
+        ),
+    ] {
+        let out = reproduce(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        assert!(stdout_of(&out).is_empty(), "args {args:?}");
+        let err = stderr_of(&out);
+        assert!(err.contains(needle), "args {args:?}: stderr {err:?}");
+    }
 }
 
 #[test]
@@ -189,14 +204,7 @@ fn server_runs_report_the_in_process_outcomes() {
     let outcomes = |args: &[&str]| {
         let out = reproduce(args);
         assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-        let json = stdout_of(&out);
-        json.split("\"expected_revenue_cents\":")
-            .nth(1)
-            .unwrap_or_else(|| panic!("no outcome keys in {json}"))
-            .split("\"planner\":")
-            .next()
-            .expect("planner key present")
-            .to_string()
+        outcomes_of(&stdout_of(&out))
     };
 
     let common = [
@@ -283,21 +291,11 @@ fn bogus_workload_is_a_clear_error() {
     assert_usage_error(&["--workload", "pareto"], "invalid workload \"pareto\"");
     assert_usage_error(&["--workload", "zipf:0"], "invalid workload");
     assert_usage_error(&["--workload"], "--workload requires a value");
-    assert_usage_error(
-        &["--workload", "flash", "--targeted"],
-        "--workload cannot be combined with --targeted",
-    );
-    assert_usage_error(
-        &["--workload", "flash", "--durable"],
-        "--durable requires --method",
-    );
-    assert_usage_error(
-        &["--workload", "flash", "--method", "rh", "--durable"],
-        "--workload/--targeted cannot be combined",
-    );
+    assert_usage_error(&["--durable"], "--durable requires --method");
+    // Two flags, one Scenario field.
     assert_usage_error(
         &["--targeted", "--strategy", "sql"],
-        "--workload/--targeted cannot be combined",
+        "--strategy and --targeted both choose the population",
     );
     assert_usage_error(
         &["--workload", "flash", "fig12"],
@@ -318,8 +316,47 @@ fn sharded_load_generator_emits_json() {
 }
 
 #[test]
-fn unsharded_json_reports_null_shards() {
-    let out = reproduce(&["--method", "rh", "--json", "--quick", "--load", "5"]);
+fn formerly_forbidden_flag_combinations_compose() {
+    // A hostile stream under a journal, on a targeted population.
+    let out = reproduce(&[
+        "--workload",
+        "flash",
+        "--targeted",
+        "--durable",
+        "--shards",
+        "2",
+        "--json",
+        "--quick",
+        "--load",
+        "20",
+    ]);
     assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-    assert!(stdout_of(&out).contains("\"shards\":null"));
+    let json = stdout_of(&out);
+    for key in [
+        "\"workload\":\"flash\"",
+        "\"targeted\":true",
+        "\"durable\":true",
+        "\"shard_skew\":{",
+        "{\"metric\":\"recovery\",\"wal_records\":",
+    ] {
+        assert!(json.contains(key), "missing {key} in {json}");
+    }
+}
+
+#[test]
+fn shard_count_absent_or_given_reports_the_same_outcomes() {
+    // One RNG mode: the run without --shards is the one-shard run, and
+    // every shard count reproduces it. Only the "shards" key differs.
+    let run = |extra: &[&str]| {
+        let mut args = vec!["--method", "rh", "--json", "--quick"];
+        args.extend_from_slice(extra);
+        let out = reproduce(&args);
+        assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+        stdout_of(&out)
+    };
+    let unsharded = run(&[]);
+    assert!(unsharded.contains("\"shards\":null"), "{unsharded}");
+    let sharded = run(&["--shards", "4"]);
+    assert!(sharded.contains("\"shards\":4"), "{sharded}");
+    assert_eq!(outcomes_of(&unsharded), outcomes_of(&sharded));
 }

@@ -32,7 +32,7 @@
 //! keyword universe across worker shards by stable hash and fans
 //! `serve_batch` out over scoped threads — with bit-identical auction
 //! outcomes at every shard count (see the [`sharded`] module docs for the
-//! keyword-local-RNG equivalence guarantee).
+//! per-keyword-RNG equivalence guarantee).
 //!
 //! Campaigns can be *SQL bidding programs* (Section II-B): [`sqlprog`]
 //! packages a script pair (schema + triggers, executed by the embedded
@@ -69,8 +69,9 @@ pub use engine::{
 pub use heavyweight::{solve_heavyweight, HeavyweightInstance, HeavyweightSolution};
 pub use journal::{MutationJournal, MutationRecord};
 pub use marketplace::{
-    AdvertiserHandle, AuctionResponse, CampaignId, CampaignSpec, MarketBatchReport, MarketError,
-    MarketSnapshot, Marketplace, MarketplaceBuilder, Placement, QueryRequest,
+    keyword_stream_seed, AdvertiserHandle, AuctionResponse, CampaignId, CampaignSpec,
+    MarketBatchReport, MarketError, MarketSnapshot, Marketplace, MarketplaceBuilder, Placement,
+    QueryRequest,
 };
 pub use pricing::{ParsePricingError, PricingScheme, SlotPrice};
 pub use prob::{ClickModel, PurchaseModel, SeparableClickModel};

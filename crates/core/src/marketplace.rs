@@ -512,12 +512,10 @@ struct KeywordBook {
     /// Sorted per-click bids (cents) of unpaused per-click campaigns — the
     /// Section IV-B adjustment list backing `update_bid` / `top_bids`.
     index: AdjustmentList,
-    /// The keyword's own user-action RNG stream, drawn from instead of the
-    /// market-global stream when the marketplace runs in
-    /// [`MarketplaceBuilder::keyword_local_rng`] mode. Seeded purely from
-    /// `(market seed, keyword)`, so a keyword's outcome stream does not
-    /// depend on which other keywords were queried in between — the
-    /// property sharded serving relies on.
+    /// The keyword's own user-action RNG stream, seeded purely from
+    /// `(market seed, keyword)` ([`keyword_stream_seed`]), so a keyword's
+    /// outcome stream does not depend on which other keywords were queried
+    /// in between — the property sharded serving relies on.
     rng: StdRng,
 }
 
@@ -549,8 +547,13 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seed of keyword `keyword`'s local RNG stream under market seed `seed`.
-pub(crate) fn keyword_stream_seed(seed: u64, keyword: usize) -> u64 {
+/// Seed of keyword `keyword`'s user-action RNG stream under market seed
+/// `seed`. Every marketplace draws clicks and purchases from one such
+/// stream per keyword, so a keyword's auctions depend only on the queries
+/// on that keyword — which is what makes an unsharded [`Marketplace`] and
+/// a [`crate::sharded::ShardedMarketplace`] of any shard count agree bit
+/// for bit. Exported so reference harnesses can draw from the same streams.
+pub fn keyword_stream_seed(seed: u64, keyword: usize) -> u64 {
     splitmix64(seed ^ splitmix64(keyword as u64 ^ 0x5EED_4B1D_0EC0_FFEE))
 }
 
@@ -679,7 +682,6 @@ pub struct MarketplaceBuilder {
     num_slots: usize,
     num_keywords: usize,
     seed: u64,
-    keyword_local_rng: bool,
     pruned: bool,
     warm_start: bool,
     default_click_probs: Option<Vec<f64>>,
@@ -695,7 +697,6 @@ impl Default for MarketplaceBuilder {
             num_slots: 1,
             num_keywords: 1,
             seed: 0,
-            keyword_local_rng: false,
             pruned: engine_defaults.pruned,
             warm_start: engine_defaults.warm_start,
             default_click_probs: None,
@@ -729,25 +730,11 @@ impl MarketplaceBuilder {
         self
     }
 
-    /// Seed of the marketplace's own RNG (user clicks and purchases).
+    /// Seed of the marketplace's user-action randomness (clicks and
+    /// purchases): keyword `k` draws from its own stream seeded by
+    /// [`keyword_stream_seed`]`(seed, k)`.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Draw user actions from one deterministic RNG stream *per keyword*
-    /// (each seeded from `(seed, keyword)`) instead of a single
-    /// market-global stream (the default).
-    ///
-    /// With keyword-local streams, a keyword's auction outcomes depend only
-    /// on the sub-sequence of queries on that keyword — not on how queries
-    /// to other keywords interleave with them. That independence is what
-    /// makes serving bit-identical no matter how keywords are partitioned
-    /// across shards; [`crate::sharded::ShardedMarketplace`] always runs
-    /// its shards in this mode, and an unsharded marketplace built with
-    /// this flag reproduces a sharded one exactly.
-    pub fn keyword_local_rng(mut self, enabled: bool) -> Self {
-        self.keyword_local_rng = enabled;
         self
     }
 
@@ -782,8 +769,7 @@ impl MarketplaceBuilder {
     }
 
     /// Validates the configuration and constructs a
-    /// [`crate::sharded::ShardedMarketplace`] with `num_shards` shards
-    /// (each running in [`MarketplaceBuilder::keyword_local_rng`] mode).
+    /// [`crate::sharded::ShardedMarketplace`] with `num_shards` shards.
     pub fn build_sharded(
         self,
         num_shards: usize,
@@ -822,9 +808,7 @@ impl MarketplaceBuilder {
                 .collect(),
             default_click_probs: self.default_click_probs,
             default_purchase_probs: self.default_purchase_probs,
-            rng: StdRng::seed_from_u64(self.seed),
             seed: self.seed,
-            keyword_local_rng: self.keyword_local_rng,
             clock: 0,
         })
     }
@@ -901,12 +885,9 @@ pub struct Marketplace {
     books: Vec<KeywordBook>,
     default_click_probs: Option<Vec<f64>>,
     default_purchase_probs: Option<Vec<(f64, f64)>>,
-    rng: StdRng,
     /// The builder seed, retained so a state capture can reproduce the
     /// build (per-keyword RNG streams are seeded from it).
     seed: u64,
-    /// See [`MarketplaceBuilder::keyword_local_rng`].
-    keyword_local_rng: bool,
     clock: u64,
 }
 
@@ -1379,12 +1360,7 @@ impl Marketplace {
         let book = &mut self.books[keyword];
         let engine = book.engine.as_mut().expect("engine built above");
         engine.set_time(time - 1);
-        let rng = if self.keyword_local_rng {
-            &mut book.rng
-        } else {
-            &mut self.rng
-        };
-        let report = engine.run_auction((keyword, attrs), rng);
+        let report = engine.run_auction((keyword, attrs), &mut book.rng);
         respond(&book.campaigns, keyword, time, report)
     }
 
@@ -1394,8 +1370,8 @@ impl Marketplace {
     /// The stream is split into maximal same-keyword chunks; each chunk is
     /// one [`AuctionEngine::run_batch`] call, so consecutive queries on the
     /// same keyword reuse one revenue matrix and one solver scratch with no
-    /// per-query allocation. Auction order (and therefore the RNG stream)
-    /// is exactly the order of `requests`.
+    /// per-query allocation. Auction order (and therefore each keyword's
+    /// RNG stream) is exactly the order of `requests`.
     pub fn serve_batch(
         &mut self,
         requests: &[QueryRequest],
@@ -1454,12 +1430,7 @@ impl Marketplace {
         let book = &mut self.books[keyword];
         let engine = book.engine.as_mut().expect("engine built above");
         engine.set_time(start_time);
-        let rng = if self.keyword_local_rng {
-            &mut book.rng
-        } else {
-            &mut self.rng
-        };
-        engine.run_batch(requests, rng)
+        engine.run_batch(requests, &mut book.rng)
     }
 
     /// Builds (or reuses) the keyword's persistent engine. Only structural

@@ -20,18 +20,18 @@
 //!
 //! # The equivalence guarantee
 //!
-//! Sharding is an *execution* strategy, not a semantic one: every shard
-//! runs in [`MarketplaceBuilder::keyword_local_rng`] mode, where keyword
-//! `k`'s user-action RNG stream is seeded purely from `(seed, k)`. Since
+//! Sharding is an *execution* strategy, not a semantic one: keyword `k`'s
+//! user-action RNG stream is seeded purely from `(seed, k)`
+//! ([`crate::marketplace::keyword_stream_seed`]). Since
 //! per-keyword state (campaigns, engine, logical bid index, RNG) is fully
 //! keyword-local, the auctions served on a keyword depend only on the
 //! sub-sequence of queries on that keyword and their global clock values —
 //! not on which shard runs them or what other shards do concurrently.
 //! Consequently a `ShardedMarketplace` produces **bit-identical** winners,
 //! clicks, and charges for every shard count, all equal to an unsharded
-//! `Marketplace` built with the same configuration and
-//! `keyword_local_rng(true)` (the property-based tests in
-//! `tests/sharding.rs` prove this for shard counts 1, 2, 4, and 7).
+//! `Marketplace` built with the same configuration (the property-based
+//! tests in `tests/sharding.rs` prove this for shard counts 1, 2, 4, and
+//! 7).
 //!
 //! One caveat: the guarantee covers campaigns whose bidding state is
 //! keyword-local (per-click campaigns, fixed tables, and independent
@@ -157,14 +157,14 @@ impl ShardedMarketplace {
     /// [`MarketplaceBuilder::build_sharded`].
     ///
     /// Every shard is a full [`Marketplace`] over the whole keyword
-    /// universe running in keyword-local RNG mode; only the keywords a
-    /// shard owns ever receive campaigns or queries.
+    /// universe; only the keywords a shard owns ever receive campaigns or
+    /// queries.
     pub fn new(builder: MarketplaceBuilder, num_shards: usize) -> Result<Self, MarketError> {
         if num_shards == 0 {
             return Err(MarketError::NoShards);
         }
         let shards: Vec<Marketplace> = (0..num_shards)
-            .map(|_| builder.clone().keyword_local_rng(true).build())
+            .map(|_| builder.clone().build())
             .collect::<Result<_, _>>()?;
         let num_keywords = shards[0].num_keywords();
         Ok(ShardedMarketplace {
@@ -584,8 +584,7 @@ impl ShardedMarketplace {
 
     /// Serves one query on its owning shard (no worker threads involved)
     /// and returns the fully typed outcome. Identical, auction for
-    /// auction, to an unsharded keyword-local-RNG [`Marketplace`] serving
-    /// the same stream.
+    /// auction, to an unsharded [`Marketplace`] serving the same stream.
     pub fn serve(&mut self, request: QueryRequest) -> Result<AuctionResponse, MarketError> {
         let keyword = self.check_keyword(request.keyword)?;
         self.clock += 1;
@@ -765,10 +764,7 @@ mod tests {
     }
 
     fn populated_unsharded(keywords: usize) -> (Marketplace, Vec<CampaignId>) {
-        let mut m = builder(keywords)
-            .keyword_local_rng(true)
-            .build()
-            .expect("valid");
+        let mut m = builder(keywords).build().expect("valid");
         let ids = populate(
             &mut m,
             keywords,

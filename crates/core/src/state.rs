@@ -12,8 +12,8 @@
 //! # Why this is sufficient
 //!
 //! The marketplace is deterministic apart from the user-action RNG
-//! streams, and a sharded marketplace draws those streams *per keyword*
-//! (see [`crate::marketplace::MarketplaceBuilder::keyword_local_rng`]).
+//! streams, and every marketplace draws those streams *per keyword*
+//! (see [`crate::marketplace::keyword_stream_seed`]).
 //! Engines, solver scratch, and warm-start caches are pure execution
 //! state — rebuilding them lazily from the campaign book reproduces the
 //! same auctions bit for bit (the repository's solver-equivalence

@@ -102,7 +102,6 @@ fn builder(s: &Scenario) -> MarketplaceBuilder {
         .keywords(s.num_keywords)
         .seed(s.seed)
         .method(s.method)
-        .keyword_local_rng(true)
         .default_click_probs((0..s.num_slots).map(|j| 0.8 / (j + 1) as f64).collect())
         .default_purchase_probs(
             (0..s.num_slots)
@@ -225,7 +224,6 @@ fn pruned_warm_matches_unpruned_cold_at_issue_sizes() {
                     .keywords(2)
                     .seed(0xF1F0 + n as u64)
                     .method(method)
-                    .keyword_local_rng(true)
                     .pruned(pruned)
                     .warm_start(warm)
                     .default_click_probs((0..slots).map(|j| 0.7 / (j + 1) as f64).collect())

@@ -132,7 +132,7 @@ proptest! {
         let second: Vec<QueryRequest> = s.stream[mid..].iter().map(|&k| QueryRequest::new(k)).collect();
 
         // Reference: the unsharded marketplace in keyword-local RNG mode.
-        let mut reference = builder(&s).keyword_local_rng(true).build().expect("valid");
+        let mut reference = builder(&s).build().expect("valid");
         let ref_ids = populate!(reference, s);
         let want_a = reference.serve_batch(&first).expect("in range");
         for &(c, cents) in &s.updates {
@@ -161,7 +161,7 @@ proptest! {
     /// position for every shard count.
     #[test]
     fn per_query_winners_clicks_and_charges_are_shard_invariant(s in arb_scenario()) {
-        let mut reference = builder(&s).keyword_local_rng(true).build().expect("valid");
+        let mut reference = builder(&s).build().expect("valid");
         populate!(reference, s);
         let want: Vec<_> = s
             .stream

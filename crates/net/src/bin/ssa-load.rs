@@ -19,36 +19,45 @@
 //!   per-request latency; `Overloaded` refusals are counted separately
 //!   and never poison the latency distribution.
 //!
+//! The population, stream, and sizes are a [`Scenario`]'s — the same
+//! value (and the same quick/full presets) `reproduce` runs in process —
+//! so a `net_load` row and a `reproduce` row of one scenario differ only
+//! in the layers between them.
+//!
 //! Either way the run ends with one `"metric":"net_load"` JSON line
-//! (QPS, p50/p99/max latency, cores, overload count, verification
+//! (preset, QPS, p50/p99/max latency, cores, overload count, verification
 //! verdict) on stdout with `--json` and/or appended to `--report <path>`.
 
 use std::io::Write as _;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
-use ssa_core::{parse_shards, PricingScheme, WdMethod};
+use ssa_core::parse_shards;
 use ssa_net::client::{Client, NetError};
 use ssa_net::load::{
     available_cores, local_twin, market_config_for, populate_remote, LatencyRecorder, LoadReport,
 };
-use ssa_workload::{SectionVConfig, SectionVWorkload, WorkloadShape};
+use ssa_net::MarketConfig;
+use ssa_workload::{Scenario, SectionVWorkload, Stream, WorkloadShape};
 
 const USAGE: &str = "\
 Usage: ssa-load --addr <host:port> [options]
 
 Options:
   --addr <host:port>   Server to drive (required)
-  --advertisers <n>    Section V advertiser count (default 50)
-  --queries <n>        Measured queries (default 4096)
-  --warmup <n>         Unmeasured warm-up queries (default 512)
+  --quick              Start from the quick preset (250 advertisers, 50
+                       queries, 6 warm-up) instead of the full one (1000,
+                       200, 21) — the presets reproduce --quick uses
+  --advertisers <n>    Section V advertiser count (default: the preset's)
+  --queries <n>        Measured queries (default: the preset's)
+  --warmup <n>         Unmeasured warm-up queries (default: the preset's)
   --connections <n>    Concurrent connections in throughput mode (default 4)
-  --seed <n>           Workload seed (default 42)
+  --seed <n>           Workload seed (default: the preset's, 4242)
   --method <m>         Winner determination: lp | h | rh | rhp:<threads> (default rh)
   --pricing <p>        Pricing: pay-your-bid | gsp | vcg (default gsp)
   --shards <n>         Shard count the server should run (default 4)
   --workload <w>       Query stream shape: uniform | zipf:<s> | flash | churn
-                       (default: the workload's own pre-drawn uniform stream).
+                       (default: keywords in rotation).
                        zipf:<s> skews queries by keyword rank, flash pins the
                        middle half of the stream to one hot keyword — one
                        shard — and churn draws uniformly (the adversarial
@@ -58,7 +67,6 @@ Options:
   --skip <n>           Verify mode: assume the server already holds the market
                        (skip configure/populate) and fast-forward the twin past
                        the first <n> queries before comparing (default 0)
-  --quick              Small preset (20 advertisers, 1024 queries, 128 warm-up)
   --json               Print the JSON report line to stdout
   --report <path>      Append the JSON report line to a file
   --shutdown           Ask the server to shut down gracefully after the run
@@ -75,17 +83,14 @@ fn fatal(message: &str) -> ! {
 }
 
 struct Options {
+    /// What to serve (`auctions` are the measured queries). The transport
+    /// and shard dimensions are `addr` and `shards` below: always set here.
+    scenario: Scenario,
+    /// Name of the preset `scenario` started from.
+    preset: &'static str,
     addr: std::net::SocketAddr,
-    advertisers: usize,
-    queries: usize,
-    warmup: usize,
-    connections: usize,
-    seed: u64,
-    method: WdMethod,
-    pricing: PricingScheme,
     shards: usize,
-    workload: Option<WorkloadShape>,
-    pruned: bool,
+    connections: usize,
     verify: bool,
     skip: usize,
     json: bool,
@@ -95,24 +100,19 @@ struct Options {
 
 fn parse_options() -> Options {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let (preset, mut scenario) = if args.iter().any(|a| a == "--quick") {
+        ("quick", Scenario::quick())
+    } else {
+        ("full", Scenario::full())
+    };
     let mut addr = None;
-    let mut advertisers = 50usize;
-    let mut queries = 4096usize;
-    let mut warmup = 512usize;
-    let mut connections = 4usize;
-    let mut seed = 42u64;
-    let mut method = WdMethod::Reduced;
-    let mut pricing = PricingScheme::Gsp;
     let mut shards = 4usize;
-    let mut workload: Option<WorkloadShape> = None;
-    let mut pruned = false;
+    let mut connections = 4usize;
     let mut verify = false;
     let mut skip = 0usize;
     let mut json = false;
     let mut report = None;
     let mut shutdown = false;
-    let mut quick = false;
-    let mut sized = false;
 
     let mut i = 0;
     while i < args.len() {
@@ -133,24 +133,15 @@ fn parse_options() -> Options {
                 }
             }
             "--advertisers" => match value("--advertisers").parse() {
-                Ok(n) if n > 0 => {
-                    advertisers = n;
-                    sized = true;
-                }
+                Ok(n) if n > 0 => scenario.advertisers = n,
                 _ => usage_error("--advertisers expects a positive integer"),
             },
             "--queries" => match value("--queries").parse() {
-                Ok(n) if n > 0 => {
-                    queries = n;
-                    sized = true;
-                }
+                Ok(n) if n > 0 => scenario.auctions = n,
                 _ => usage_error("--queries expects a positive integer"),
             },
             "--warmup" => match value("--warmup").parse() {
-                Ok(n) => {
-                    warmup = n;
-                    sized = true;
-                }
+                Ok(n) => scenario.warmup = n,
                 Err(_) => usage_error("--warmup expects an unsigned integer"),
             },
             "--connections" => match value("--connections").parse() {
@@ -158,15 +149,15 @@ fn parse_options() -> Options {
                 _ => usage_error("--connections expects a positive integer"),
             },
             "--seed" => match value("--seed").parse() {
-                Ok(n) => seed = n,
+                Ok(n) => scenario.seed = n,
                 Err(_) => usage_error("--seed expects an unsigned integer"),
             },
             "--method" => match value("--method").parse() {
-                Ok(m) => method = m,
+                Ok(m) => scenario.method = m,
                 Err(e) => usage_error(&format!("{e}")),
             },
             "--pricing" => match value("--pricing").parse() {
-                Ok(p) => pricing = p,
+                Ok(p) => scenario.pricing = p,
                 Err(e) => usage_error(&format!("{e}")),
             },
             "--shards" => match parse_shards(&value("--shards")) {
@@ -174,16 +165,16 @@ fn parse_options() -> Options {
                 Err(e) => usage_error(&e.to_string()),
             },
             "--workload" => match value("--workload").parse::<WorkloadShape>() {
-                Ok(w) => workload = Some(w),
+                Ok(w) => scenario.stream = Stream::Shaped(w),
                 Err(e) => usage_error(&e.to_string()),
             },
-            "--pruned" => pruned = true,
+            "--pruned" => scenario.pruned = true,
             "--verify" => verify = true,
             "--skip" => match value("--skip").parse() {
                 Ok(n) => skip = n,
                 Err(_) => usage_error("--skip expects an unsigned integer"),
             },
-            "--quick" => quick = true,
+            "--quick" => {}
             "--json" => json = true,
             "--report" => report = Some(value("--report")),
             "--shutdown" => shutdown = true,
@@ -196,26 +187,15 @@ fn parse_options() -> Options {
         i += 1;
     }
 
-    if quick && !sized {
-        advertisers = 20;
-        queries = 1024;
-        warmup = 128;
-    }
     let Some(addr) = addr else {
         usage_error("--addr is required");
     };
     Options {
+        scenario,
+        preset,
         addr,
-        advertisers,
-        queries,
-        warmup,
-        connections,
-        seed,
-        method,
-        pricing,
         shards,
-        workload,
-        pruned,
+        connections,
         verify,
         skip,
         json,
@@ -224,17 +204,60 @@ fn parse_options() -> Options {
     }
 }
 
-/// The measured query stream: the workload's pre-drawn stream cycled out
-/// to `len` queries — or, with `--workload`, the hostile shape's seeded
-/// stream over the same keyword space (both sides of a `--verify` run
-/// derive it from the same options, so twin and wire replay stay in
-/// lockstep).
-fn stream_of(opts: &Options, workload: &SectionVWorkload, len: usize) -> Vec<usize> {
-    match opts.workload {
-        Some(shape) => shape.query_stream(workload.config.num_keywords, len, opts.seed),
-        None => (0..len)
-            .map(|i| workload.query_stream[i % workload.query_stream.len()])
-            .collect(),
+impl Options {
+    /// The first `len` keywords of the scenario's stream (both sides of a
+    /// `--verify` run derive it from the same scenario, so twin and wire
+    /// replay stay in lockstep).
+    fn stream(&self, workload: &SectionVWorkload, len: usize) -> Vec<usize> {
+        let scenario = &self.scenario;
+        scenario
+            .stream
+            .keywords(workload.config.num_keywords, len, scenario.seed)
+    }
+
+    fn market_config(&self, workload: &SectionVWorkload) -> MarketConfig {
+        let scenario = &self.scenario;
+        market_config_for(
+            &workload.config,
+            scenario.method,
+            scenario.pricing,
+            self.shards,
+            scenario.pruned,
+        )
+    }
+
+    /// The run's report row: the scenario's coordinates plus what was
+    /// measured.
+    #[allow(clippy::too_many_arguments)] // one per measured quantity
+    fn report(
+        &self,
+        workload: &SectionVWorkload,
+        connections: usize,
+        queries: u64,
+        warmup: usize,
+        elapsed: Duration,
+        latencies: LatencyRecorder,
+        overloaded: u64,
+        verified: Option<bool>,
+    ) -> LoadReport {
+        LoadReport {
+            preset: self.preset,
+            advertisers: self.scenario.advertisers,
+            keywords: workload.config.num_keywords,
+            slots: workload.config.num_slots,
+            method: self.scenario.method,
+            shards: self.shards,
+            seed: self.scenario.seed,
+            connections,
+            queries,
+            warmup: warmup as u64,
+            elapsed,
+            latency: latencies.summary(),
+            overloaded,
+            cores: available_cores(),
+            verified,
+            workload: self.scenario.stream.shape(),
+        }
     }
 }
 
@@ -247,25 +270,19 @@ fn connect(addr: std::net::SocketAddr) -> Client {
 
 /// Verify mode: ordered replay against the in-process twin.
 fn run_verify(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
-    let config = market_config_for(
-        &workload.config,
-        opts.method,
-        opts.pricing,
-        opts.shards,
-        opts.pruned,
-    );
+    let config = opts.market_config(workload);
     let mut client = connect(opts.addr);
     if opts.skip == 0 {
         if let Err(e) = client.configure(&config) {
             fatal(&format!("configure failed: {e}"));
         }
-        if let Err(e) = populate_remote(&mut client, workload) {
+        if let Err(e) = populate_remote(&mut client, workload, false) {
             fatal(&format!("population failed: {e}"));
         }
     }
     let mut twin = local_twin(workload, &config);
 
-    let full = stream_of(opts, workload, opts.skip + opts.queries);
+    let full = opts.stream(workload, opts.skip + opts.scenario.auctions);
     // Fast-forward the twin past the queries the server already served
     // (before it crashed / was restarted); the wire never sees them.
     for &keyword in &full[..opts.skip] {
@@ -319,52 +336,38 @@ fn run_verify(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
         );
     }
 
-    LoadReport {
-        advertisers: opts.advertisers,
-        keywords: workload.config.num_keywords,
-        slots: workload.config.num_slots,
-        method: opts.method,
-        shards: opts.shards,
-        seed: opts.seed,
-        connections: 1,
-        queries: stream.len() as u64,
-        warmup: 0,
+    opts.report(
+        workload,
+        1,
+        stream.len() as u64,
+        0,
         elapsed,
         latencies,
-        overloaded: 0,
-        cores: available_cores(),
-        verified: Some(verified),
-        workload: opts.workload,
-    }
+        0,
+        Some(verified),
+    )
 }
 
 /// Throughput mode: concurrent connections splitting the stream.
 fn run_throughput(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
-    let config = market_config_for(
-        &workload.config,
-        opts.method,
-        opts.pricing,
-        opts.shards,
-        opts.pruned,
-    );
     let mut control = connect(opts.addr);
-    if let Err(e) = control.configure(&config) {
+    if let Err(e) = control.configure(&opts.market_config(workload)) {
         fatal(&format!("configure failed: {e}"));
     }
-    if let Err(e) = populate_remote(&mut control, workload) {
+    if let Err(e) = populate_remote(&mut control, workload, false) {
         fatal(&format!("population failed: {e}"));
     }
 
     // Warm-up: unmeasured, single connection, so engines and solver
     // scratch exist before the clock starts.
-    for &keyword in &stream_of(opts, workload, opts.warmup) {
+    for &keyword in &opts.stream(workload, opts.scenario.warmup) {
         match control.serve(keyword) {
             Ok(_) | Err(NetError::Overloaded { .. }) => {}
             Err(e) => fatal(&format!("warm-up serve failed: {e}")),
         }
     }
 
-    let stream = stream_of(opts, workload, opts.queries);
+    let stream = opts.stream(workload, opts.scenario.auctions);
     let shares: Vec<Vec<usize>> = (0..opts.connections)
         .map(|w| {
             stream
@@ -421,33 +424,21 @@ fn run_throughput(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
         overloaded += worker_overloaded;
     }
 
-    LoadReport {
-        advertisers: opts.advertisers,
-        keywords: workload.config.num_keywords,
-        slots: workload.config.num_slots,
-        method: opts.method,
-        shards: opts.shards,
-        seed: opts.seed,
-        connections: opts.connections,
-        queries: served,
-        warmup: opts.warmup as u64,
+    opts.report(
+        workload,
+        opts.connections,
+        served,
+        opts.scenario.warmup,
         elapsed,
         latencies,
         overloaded,
-        cores: available_cores(),
-        verified: None,
-        workload: opts.workload,
-    }
+        None,
+    )
 }
 
 fn main() {
     let opts = parse_options();
-    let workload = SectionVWorkload::generate(SectionVConfig {
-        num_advertisers: opts.advertisers,
-        num_slots: 15,
-        num_keywords: 10,
-        seed: opts.seed,
-    });
+    let workload = SectionVWorkload::generate(opts.scenario.section_v());
 
     let report = if opts.verify {
         run_verify(&opts, &workload)
@@ -461,9 +452,9 @@ fn main() {
         report.connections,
         report.elapsed.as_secs_f64() * 1e3,
         report.qps(),
-        report.latencies.quantile_ms(0.50),
-        report.latencies.quantile_ms(0.99),
-        report.latencies.max_ms(),
+        report.latency.p50_ms,
+        report.latency.p99_ms,
+        report.latency.max_ms,
         report.overloaded,
     );
 

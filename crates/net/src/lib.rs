@@ -80,7 +80,8 @@ pub use admission::Admission;
 pub use client::{parse_addr, Client, NetError, ParseAddrError};
 pub use frame::{FrameError, FrameKind, RawFrame, MAX_FRAME, PROTO_VERSION};
 pub use load::{
-    available_cores, local_twin, market_config_for, populate_remote, LatencyRecorder, LoadReport,
+    available_cores, local_twin, market_config_for, populate_remote, LatencyRecorder,
+    LatencySummary, LoadReport,
 };
 pub use proto::{
     BatchSummary, ErrorCode, MarketConfig, ProtoError, Request, Response, ServerStats, WireAuction,

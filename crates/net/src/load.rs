@@ -1,31 +1,24 @@
 //! Section V load-driving over the wire: population, verification twins,
 //! and latency reporting for the `ssa-load` binary and the bench driver.
 //!
-//! The helpers here mirror `ssa_bench`'s Section V conventions *exactly*
-//! (builder seed `workload seed ^ 0xD1CE_D1CE`, `advertiser-{i}` names,
-//! one per-click campaign per keyword at the workload-initial bid), so a
-//! remote marketplace configured through [`market_config_for`] +
-//! [`populate_remote`] is bit-for-bit the market the bench harness builds
-//! in process — which is what lets [`local_twin`] act as the equivalence
-//! oracle for wire-served auctions.
+//! Both sides of the wire register the same population from the same
+//! source ([`SectionVWorkload::campaigns`]) on a market built from the same
+//! [`MarketConfig`] ([`market_config_for`]), so a remote marketplace
+//! configured and populated through [`populate_remote`] is bit-for-bit the
+//! market [`local_twin`] builds in process — which is what lets the twin
+//! act as the equivalence oracle for wire-served auctions.
 
 use std::time::Duration;
 
-use ssa_bidlang::{Money, SlotId};
 use ssa_core::{PricingScheme, ShardedMarketplace, WdMethod};
-use ssa_workload::{SectionVConfig, SectionVWorkload};
+use ssa_workload::{nearest_rank, SectionVConfig, SectionVWorkload};
 
 use crate::client::{Client, NetError};
 use crate::proto::MarketConfig;
 use crate::server::build_market;
 
-/// The bench harness's marketplace-seed convention: the builder is seeded
-/// with the *workload* seed XOR this tag, so user-action randomness and
-/// bid randomness stay decoupled.
-pub const MARKET_SEED_TAG: u64 = 0xD1CE_D1CE;
-
-/// The [`MarketConfig`] matching `ssa_bench`'s Section V marketplace for a
-/// given workload: same slots/keywords, same derived seed, caller-chosen
+/// The [`MarketConfig`] of the Section V marketplace for a given workload:
+/// same slots/keywords, the workload's derived market seed, caller-chosen
 /// method, pricing, shard count, and solver toggles.
 pub fn market_config_for(
     config: &SectionVConfig,
@@ -37,7 +30,7 @@ pub fn market_config_for(
     MarketConfig {
         slots: config.num_slots as u64,
         keywords: config.num_keywords as u64,
-        seed: config.seed ^ MARKET_SEED_TAG,
+        seed: config.market_seed(),
         method,
         pricing,
         shards: shards as u64,
@@ -46,65 +39,64 @@ pub fn market_config_for(
     }
 }
 
-/// Per-slot click probabilities of advertiser `i` under the workload's
-/// click model.
-fn click_probs_of(workload: &SectionVWorkload, advertiser: usize) -> Vec<f64> {
-    (0..workload.config.num_slots)
-        .map(|j| workload.clicks.p_click(advertiser, SlotId::from_index0(j)))
-        .collect()
-}
-
-/// Registers the Section V population over the wire: one advertiser
-/// (`advertiser-{i}`) and one per-click campaign per keyword, at the
-/// workload-initial bid and click value — the same population
-/// `ssa_bench`'s in-process builders register.
-pub fn populate_remote(client: &mut Client, workload: &SectionVWorkload) -> Result<(), NetError> {
-    for (i, bidder) in workload.bidders.iter().enumerate() {
-        let advertiser = client.register_advertiser(&format!("advertiser-{i}"))?;
-        let click_probs = click_probs_of(workload, i);
-        for (keyword, &(value, bid, _)) in bidder.keywords.iter().enumerate() {
-            client.add_campaign(
-                advertiser,
-                keyword,
-                Money::from_cents(bid.max(0)),
-                Money::from_cents(value),
-                None,
-                Some(click_probs.clone()),
-            )?;
+/// Registers the Section V per-click population over the wire (`targeted`
+/// as in [`SectionVWorkload::campaigns`]): the same registrations, in the
+/// same order, as [`SectionVWorkload::populate`] makes in process.
+pub fn populate_remote(
+    client: &mut Client,
+    workload: &SectionVWorkload,
+    targeted: bool,
+) -> Result<(), NetError> {
+    let mut handles = Vec::with_capacity(workload.bidders.len());
+    for campaign in workload.campaigns(targeted) {
+        if campaign.advertiser == handles.len() {
+            handles.push(client.register_advertiser(&campaign.advertiser_name())?);
         }
+        client.add_targeted_campaign(
+            handles[campaign.advertiser],
+            campaign.keyword,
+            campaign.bid,
+            campaign.click_value,
+            None,
+            Some(campaign.click_probs),
+            campaign.targeting.map(str::to_string),
+        )?;
     }
     Ok(())
 }
 
 /// Builds the in-process marketplace a remote server holds after
-/// [`crate::proto::Request::Configure`]\(`config`\) + [`populate_remote`]:
-/// the oracle for equivalence checks. Thanks to the keyword-local-RNG
-/// guarantee, outcomes do not depend on `config.shards`, so the twin may
-/// run any shard count.
+/// [`crate::proto::Request::Configure`]\(`config`\) +
+/// [`populate_remote`] of the untargeted population: the oracle for
+/// equivalence checks. Outcomes do not depend on `config.shards`, so the
+/// twin may run any shard count.
 pub fn local_twin(workload: &SectionVWorkload, config: &MarketConfig) -> ShardedMarketplace {
     let mut market = build_market(config).expect("twin configuration is valid");
-    for (i, bidder) in workload.bidders.iter().enumerate() {
-        let advertiser = market.register_advertiser(format!("advertiser-{i}"));
-        let click_probs = click_probs_of(workload, i);
-        for (keyword, &(value, bid, _)) in bidder.keywords.iter().enumerate() {
-            market
-                .add_campaign(
-                    advertiser,
-                    keyword,
-                    ssa_core::marketplace::CampaignSpec::per_click(Money::from_cents(bid.max(0)))
-                        .click_value(Money::from_cents(value))
-                        .click_probs(click_probs.clone()),
-                )
-                .expect("Section V campaign is valid");
-        }
-    }
+    workload
+        .populate(&mut market, false)
+        .expect("Section V campaign is valid");
     market
 }
 
-/// Collects request latencies and reports percentiles.
+/// Collects request latencies; [`LatencyRecorder::summary`] sorts them
+/// once and reports percentiles.
 #[derive(Debug, Default, Clone)]
 pub struct LatencyRecorder {
     samples_us: Vec<u64>,
+}
+
+/// Percentiles of a [`LatencyRecorder`]'s samples, in milliseconds (all 0
+/// if nothing was recorded).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LatencySummary {
+    /// Median, by the nearest-rank method.
+    pub p50_ms: f64,
+    /// 99th percentile, by the nearest-rank method.
+    pub p99_ms: f64,
+    /// Maximum.
+    pub max_ms: f64,
+    /// Mean.
+    pub mean_ms: f64,
 }
 
 impl LatencyRecorder {
@@ -134,30 +126,18 @@ impl LatencyRecorder {
         self.samples_us.is_empty()
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1) latency in milliseconds, by the
-    /// nearest-rank method; 0 if empty.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        if self.samples_us.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples_us.clone();
+    /// Sorts the samples once and reads every reported statistic off the
+    /// sorted vector.
+    pub fn summary(self) -> LatencySummary {
+        let mut sorted = self.samples_us;
         sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[rank] as f64 / 1e3
-    }
-
-    /// Maximum latency in milliseconds; 0 if empty.
-    pub fn max_ms(&self) -> f64 {
-        self.samples_us.iter().copied().max().unwrap_or(0) as f64 / 1e3
-    }
-
-    /// Mean latency in milliseconds; 0 if empty.
-    pub fn mean_ms(&self) -> f64 {
-        if self.samples_us.is_empty() {
-            return 0.0;
+        let sum: u64 = sorted.iter().sum();
+        LatencySummary {
+            p50_ms: nearest_rank(&sorted, 0.50) as f64 / 1e3,
+            p99_ms: nearest_rank(&sorted, 0.99) as f64 / 1e3,
+            max_ms: sorted.last().copied().unwrap_or(0) as f64 / 1e3,
+            mean_ms: sum as f64 / sorted.len().max(1) as f64 / 1e3,
         }
-        let sum: u64 = self.samples_us.iter().sum();
-        sum as f64 / self.samples_us.len() as f64 / 1e3
     }
 }
 
@@ -165,6 +145,9 @@ impl LatencyRecorder {
 /// in the bench-report stream.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
+    /// Name of the `Scenario` preset the run's sizes started from
+    /// (`"quick"` or `"full"`; size flags may have overridden parts of it).
+    pub preset: &'static str,
     /// Advertisers in the Section V population.
     pub advertisers: usize,
     /// Keyword universe size.
@@ -185,8 +168,8 @@ pub struct LoadReport {
     pub warmup: u64,
     /// Wall-clock time of the measured phase.
     pub elapsed: Duration,
-    /// Per-request latencies of the measured phase.
-    pub latencies: LatencyRecorder,
+    /// Per-request latency percentiles of the measured phase.
+    pub latency: LatencySummary,
     /// Requests refused with `Overloaded`.
     pub overloaded: u64,
     /// Logical cores available to the *client* process.
@@ -195,7 +178,7 @@ pub struct LoadReport {
     /// `Some(true)` verified, `Some(false)` mismatch, `None` not checked.
     pub verified: Option<bool>,
     /// Hostile stream shape the run drew its queries from (`--workload`),
-    /// or `None` for the workload's own pre-drawn uniform stream.
+    /// or `None` for the round-robin stream.
     pub workload: Option<ssa_workload::WorkloadShape>,
 }
 
@@ -218,7 +201,8 @@ impl LoadReport {
         };
         format!(
             concat!(
-                "{{\"metric\":\"net_load\",\"method\":\"{}\",\"advertisers\":{},",
+                "{{\"metric\":\"net_load\",\"preset\":\"{}\",",
+                "\"method\":\"{}\",\"advertisers\":{},",
                 "\"keywords\":{},\"slots\":{},\"shards\":{},\"seed\":{},",
                 "\"connections\":{},\"queries\":{},\"warmup\":{},",
                 "\"elapsed_ms\":{:.3},\"qps\":{:.1},\"p50_ms\":{:.3},",
@@ -226,6 +210,7 @@ impl LoadReport {
                 "\"overloaded\":{},\"cores\":{},\"verified\":{},",
                 "\"workload\":{}}}"
             ),
+            self.preset,
             self.method,
             self.advertisers,
             self.keywords,
@@ -237,10 +222,10 @@ impl LoadReport {
             self.warmup,
             self.elapsed.as_secs_f64() * 1e3,
             self.qps(),
-            self.latencies.quantile_ms(0.50),
-            self.latencies.quantile_ms(0.99),
-            self.latencies.max_ms(),
-            self.latencies.mean_ms(),
+            self.latency.p50_ms,
+            self.latency.p99_ms,
+            self.latency.max_ms,
+            self.latency.mean_ms,
             self.overloaded,
             self.cores,
             verified,
@@ -261,16 +246,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_use_nearest_rank() {
+    fn summary_uses_nearest_rank() {
         let mut rec = LatencyRecorder::new();
-        for us in [1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10_000] {
+        // Recorded out of order: the summary sorts.
+        for us in [9000, 2000, 7000, 4000, 5000, 6000, 3000, 8000, 1000, 10_000] {
             rec.record(Duration::from_micros(us));
         }
-        assert_eq!(rec.quantile_ms(0.5), 5.0);
-        assert_eq!(rec.quantile_ms(0.99), 10.0);
-        assert_eq!(rec.max_ms(), 10.0);
-        assert_eq!(rec.mean_ms(), 5.5);
-        assert_eq!(LatencyRecorder::new().quantile_ms(0.5), 0.0);
+        let summary = rec.summary();
+        assert_eq!(summary.p50_ms, 5.0);
+        assert_eq!(summary.p99_ms, 10.0);
+        assert_eq!(summary.max_ms, 10.0);
+        assert_eq!(summary.mean_ms, 5.5);
+        assert_eq!(LatencyRecorder::new().summary(), LatencySummary::default());
     }
 
     #[test]
@@ -278,6 +265,7 @@ mod tests {
         let mut latencies = LatencyRecorder::new();
         latencies.record(Duration::from_micros(1500));
         let report = LoadReport {
+            preset: "full",
             advertisers: 50,
             keywords: 10,
             slots: 15,
@@ -288,7 +276,7 @@ mod tests {
             queries: 4096,
             warmup: 512,
             elapsed: Duration::from_millis(100),
-            latencies,
+            latency: latencies.summary(),
             overloaded: 0,
             cores: available_cores(),
             verified: Some(true),
@@ -297,6 +285,7 @@ mod tests {
         let json = report.to_json();
         for key in [
             "\"metric\":\"net_load\"",
+            "\"preset\":\"full\"",
             "\"qps\":",
             "\"p50_ms\":",
             "\"p99_ms\":",

@@ -46,7 +46,7 @@ fn setup(
     let server = spawn_server();
     let mut client = Client::connect(server.addr()).expect("connect");
     client.configure(&market_config).expect("configure");
-    populate_remote(&mut client, &workload).expect("populate");
+    populate_remote(&mut client, &workload, false).expect("populate");
     (server, client, workload, market_config)
 }
 
@@ -167,7 +167,7 @@ fn reconfigure_resets_to_a_reproducible_market() {
 
     // Rebuild + repopulate: the same auctions come out again.
     client.configure(&market_config).expect("reconfigure");
-    populate_remote(&mut client, &workload).expect("repopulate");
+    populate_remote(&mut client, &workload, false).expect("repopulate");
     for (i, &kw) in stream.iter().enumerate() {
         let again = client.serve(kw).expect("second pass");
         assert_eq!(again, first[i], "replay diverged at query {i}");

@@ -2,8 +2,22 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ssa_bidlang::{Money, SlotId};
+use ssa_core::marketplace::{CampaignSpec, MarketError};
 use ssa_core::prob::{ClickModel, PurchaseModel};
+use ssa_core::ShardedMarketplace;
 use ssa_strategy::RoiBidderParams;
+
+/// The harnesses' marketplace-seed convention: a Section V market is
+/// seeded with the *workload* seed XOR this tag, so user-action
+/// randomness and bid randomness stay decoupled. Every harness (in
+/// process, over the wire, journalled) derives the seed here, which is
+/// what makes their runs of one scenario bit-identical.
+pub const MARKET_SEED_TAG: u64 = 0xD1CE_D1CE;
+
+/// The targeting program the targeted population's even-indexed
+/// advertisers carry.
+pub const MOBILE_ONLY: &str = "device = 'mobile'";
 
 /// Parameters of the Section V experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,6 +40,49 @@ impl SectionVConfig {
             num_slots: 15,
             num_keywords: 10,
             seed,
+        }
+    }
+
+    /// Seed of the marketplace serving this workload (see
+    /// [`MARKET_SEED_TAG`]).
+    pub fn market_seed(&self) -> u64 {
+        self.seed ^ MARKET_SEED_TAG
+    }
+}
+
+/// One per-click campaign of the static Section V population: advertiser
+/// `advertiser` bidding its workload-initial bid on `keyword`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SectionVCampaign {
+    /// Index of the owning advertiser (registered as
+    /// [`SectionVCampaign::advertiser_name`]).
+    pub advertiser: usize,
+    /// The keyword bid on.
+    pub keyword: usize,
+    /// Workload-initial per-click bid.
+    pub bid: Money,
+    /// Value of a click to the advertiser.
+    pub click_value: Money,
+    /// The advertiser's per-slot click probabilities.
+    pub click_probs: Vec<f64>,
+    /// Targeting program source, for the targeted population.
+    pub targeting: Option<&'static str>,
+}
+
+impl SectionVCampaign {
+    /// The display name the owning advertiser registers under.
+    pub fn advertiser_name(&self) -> String {
+        format!("advertiser-{}", self.advertiser)
+    }
+
+    /// The campaign as an in-process registration.
+    pub fn spec(self) -> CampaignSpec {
+        let spec = CampaignSpec::per_click(self.bid)
+            .click_value(self.click_value)
+            .click_probs(self.click_probs);
+        match self.targeting {
+            Some(source) => spec.targeting(source),
+            None => spec,
         }
     }
 }
@@ -109,6 +166,65 @@ impl SectionVWorkload {
             purchases,
             query_stream,
         }
+    }
+
+    /// The static per-click population, advertiser-major: every advertiser
+    /// opens one campaign per keyword at its workload-initial bid and click
+    /// value. With `targeted`, every even-indexed advertiser's campaigns
+    /// carry [`MOBILE_ONLY`], so desktop queries exclude half the
+    /// population before the matrix fill.
+    ///
+    /// This is the one population source: the in-process
+    /// [`SectionVWorkload::populate`] and the wire-side populate both
+    /// consume it, so they cannot drift apart.
+    pub fn campaigns(&self, targeted: bool) -> impl Iterator<Item = SectionVCampaign> + '_ {
+        self.bidders.iter().enumerate().flat_map(move |(i, b)| {
+            let click_probs: Vec<f64> = (0..self.config.num_slots)
+                .map(|j| self.clicks.p_click(i, SlotId::from_index0(j)))
+                .collect();
+            b.keywords
+                .iter()
+                .enumerate()
+                .map(move |(keyword, &(value, bid, _))| SectionVCampaign {
+                    advertiser: i,
+                    keyword,
+                    bid: Money::from_cents(bid.max(0)),
+                    click_value: Money::from_cents(value),
+                    click_probs: click_probs.clone(),
+                    targeting: (targeted && i % 2 == 0).then_some(MOBILE_ONLY),
+                })
+        })
+    }
+
+    /// Registers [`SectionVWorkload::campaigns`] on `market`, each
+    /// advertiser once, ahead of its first campaign.
+    pub fn populate(
+        &self,
+        market: &mut ShardedMarketplace,
+        targeted: bool,
+    ) -> Result<(), MarketError> {
+        self.populate_with(market, targeted, SectionVCampaign::spec)
+    }
+
+    /// [`SectionVWorkload::populate`] with the registration of each
+    /// campaign chosen by `spec` — for populations that keep the Section V
+    /// shape (who bids where, under which click model) but swap the
+    /// per-click bid for a program.
+    pub fn populate_with(
+        &self,
+        market: &mut ShardedMarketplace,
+        targeted: bool,
+        mut spec: impl FnMut(SectionVCampaign) -> CampaignSpec,
+    ) -> Result<(), MarketError> {
+        let mut handles = Vec::with_capacity(self.bidders.len());
+        for campaign in self.campaigns(targeted) {
+            if campaign.advertiser == handles.len() {
+                handles.push(market.register_advertiser(campaign.advertiser_name()));
+            }
+            let (advertiser, keyword) = (handles[campaign.advertiser], campaign.keyword);
+            market.add_campaign(advertiser, keyword, spec(campaign))?;
+        }
+        Ok(())
     }
 }
 

@@ -258,6 +258,17 @@ pub struct ChurnPlan {
     pub events: Vec<ChurnEvent>,
 }
 
+/// The `q`-quantile (0 ≤ q ≤ 1) of an ascending-sorted sample by the
+/// nearest-rank method: the smallest element with at least `q` of the
+/// sample at or below it. 0 for an empty sample.
+pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
+    sorted[rank]
+}
+
 /// How unevenly a query stream routes across `shards` worker shards: the
 /// static queue depth each shard would see under keyword-affinity routing
 /// ([`ssa_core::shard_of_keyword`]).
@@ -284,8 +295,7 @@ impl ShardSkew {
     pub fn quantile(&self, q: f64) -> u64 {
         let mut sorted = self.queries_per_shard.clone();
         sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[rank]
+        nearest_rank(&sorted, q)
     }
 
     /// Median per-shard queue depth.
@@ -439,6 +449,16 @@ mod tests {
             "flash crowd did not skew 4 shards: {skew:?}"
         );
         assert!(skew.p99() >= skew.p50());
+    }
+
+    #[test]
+    fn nearest_rank_pins_the_quantile_formula() {
+        let sorted = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
+        assert_eq!(nearest_rank(&sorted, 0.0), 10);
+        assert_eq!(nearest_rank(&sorted, 0.5), 50);
+        assert_eq!(nearest_rank(&sorted, 0.99), 100);
+        assert_eq!(nearest_rank(&sorted, 1.0), 100);
+        assert_eq!(nearest_rank(&[], 0.5), 0);
     }
 
     #[test]

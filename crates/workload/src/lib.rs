@@ -18,11 +18,19 @@
 //! methods ([`Method::Lp`], [`Method::H`], [`Method::Rh`],
 //! [`Method::Rhtalu`]) and is what both the Criterion benches and the
 //! `reproduce` binary drive. [`MarketSimulation`] is the same experiment
-//! expressed on the `Marketplace` service facade (advertisers, campaigns,
-//! `serve_batch`), equivalent to the legacy path for the full-matrix
-//! methods. [`ShardedMarketSimulation`] serves the (static-bid) Section V
-//! population through the multi-threaded `ShardedMarketplace` and proves
-//! the results shard-count-invariant.
+//! expressed on the marketplace service API (advertisers, campaigns,
+//! `serve_batch` on a `ShardedMarketplace`): with the shared-ROI
+//! population on one shard it is equivalent to the legacy path for the
+//! full-matrix methods, and with the static per-click population it is
+//! shard-count-invariant. Both draw user actions from the same
+//! per-keyword RNG streams as the reference.
+//!
+//! [`SectionVWorkload::campaigns`] is the one source of the static
+//! per-click population every harness registers, and [`scenario`] the one
+//! description of a single-run experiment ([`Scenario`]: population,
+//! stream, transport, durability, shards, sizes) with its quick and full
+//! presets — shared by the `reproduce` runner and the `ssa-load` driver
+//! so their rows describe the same scenario.
 //!
 //! The [`hostile`] module is the evaluation's adversarial counterpart:
 //! Zipf-skewed and flash-crowd query streams, advertiser churn under
@@ -35,17 +43,17 @@
 pub mod config;
 pub mod hostile;
 pub mod market;
-pub mod sharded;
+pub mod scenario;
 pub mod sim;
 pub mod sql;
 
-pub use config::{SectionVConfig, SectionVWorkload};
+pub use config::{SectionVCampaign, SectionVConfig, SectionVWorkload, MARKET_SEED_TAG};
 pub use hostile::{
-    defective_targeting_sources, ChurnAction, ChurnEvent, ChurnPlan, ParseWorkloadError, ShardSkew,
-    WorkloadShape,
+    defective_targeting_sources, nearest_rank, ChurnAction, ChurnEvent, ChurnPlan,
+    ParseWorkloadError, ShardSkew, WorkloadShape,
 };
-pub use market::{MarketSimulation, SharedRoiProgram};
-pub use sharded::ShardedMarketSimulation;
+pub use market::{MarketPopulation, MarketSimulation, SharedRoiProgram};
+pub use scenario::{Population, Scenario, Stream};
 pub use sim::{Method, Simulation, SimulationStats};
 pub use sql::{
     programmed_market, programmed_sharded_market, ParseStrategyError, ProgramHandle,

@@ -1,26 +1,37 @@
-//! The Section V experiment expressed on the [`Marketplace`] facade.
+//! The Section V experiment expressed on the marketplace service API.
 //!
-//! [`MarketSimulation`] is the facade-native port of [`crate::Simulation`]:
-//! every advertiser registers once, opens one campaign per keyword, and all
-//! of an advertiser's campaigns share one [`RoiBidder`] (the Figure 5
-//! strategy couples keywords through the advertiser-level spending rate and
-//! max/min ROI, so per-campaign state would not be faithful). Queries are
-//! then served through [`Marketplace::serve_batch`] — the typed service
-//! API driving the same persistent-engine pipeline.
+//! [`MarketSimulation`] is the one marketplace driver: it registers a
+//! Section V population on a [`ShardedMarketplace`] (one shard reproduces
+//! the single-threaded [`ssa_core::Marketplace`] bit for bit) and serves
+//! the workload's query stream through `serve_batch`. The population is
+//! chosen by [`MarketPopulation`]:
 //!
-//! The port is *exactly* equivalent to the legacy [`crate::Simulation`]
-//! path for the full-matrix methods (LP / H / RH): same bids, same
-//! allocations, same sampled clicks, same GSP charges, auction for auction.
-//! The integration tests assert this; it is the proof that the facade can
-//! express the paper's evaluation without the hand-assembled harness.
+//! * [`MarketPopulation::SharedRoi`] — the facade-native port of
+//!   [`crate::Simulation`]: every advertiser opens one campaign per
+//!   keyword, and all of an advertiser's campaigns share one
+//!   [`RoiBidder`] (the Figure 5 strategy couples keywords through the
+//!   advertiser-level spending rate and max/min ROI, so per-campaign state
+//!   would not be faithful). On one shard this is *exactly* equivalent to
+//!   the legacy [`crate::Simulation`] path for the full-matrix methods
+//!   (LP / H / RH): same bids, same allocations, same sampled clicks, same
+//!   GSP charges, auction for auction — the integration tests assert it.
+//!   Shared strategy state observes cross-keyword event order, so this
+//!   population is **not** shard-invariant; run it on one shard.
+//! * [`MarketPopulation::PerClick`] — per-click campaigns frozen at the
+//!   workload's initial bids ([`SectionVWorkload::populate`]). All state
+//!   is keyword-local, so the stats are bit-identical at every shard
+//!   count (tested below for 1, 2, 4, and 7).
+//!
 //! (`Simulation` remains the reference implementation and the only home of
 //! the RHTALU threshold-algorithm evaluation path.)
 
 use crate::config::SectionVWorkload;
 use crate::sim::SimulationStats;
-use ssa_bidlang::{BidsTable, Formula, Money, SlotId};
-use ssa_core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
-use ssa_core::{Bidder, BidderOutcome, PricingScheme, QueryContext, WdMethod};
+use ssa_bidlang::{BidsTable, Formula, Money};
+use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace, QueryRequest};
+use ssa_core::{
+    Bidder, BidderOutcome, CampaignId, PricingScheme, QueryContext, ShardedMarketplace, WdMethod,
+};
 use ssa_strategy::{KeywordEntry, RoiBidder};
 use std::sync::{Arc, Mutex};
 
@@ -38,8 +49,8 @@ use std::sync::{Arc, Mutex};
 /// able to migrate to shard worker threads). Note that *sharing* strategy
 /// state across keywords makes the program order-sensitive: it is exactly
 /// the kind of cross-keyword-coupled bidder whose results are not
-/// shard-invariant, so the Section V ROI experiment stays on the
-/// single-threaded `Marketplace` (see `ssa_core::sharded`'s module docs).
+/// shard-invariant, so the Section V ROI experiment runs on one shard
+/// (see `ssa_core::sharded`'s module docs).
 pub struct SharedRoiProgram {
     shared: Arc<Mutex<RoiBidder>>,
 }
@@ -70,11 +81,24 @@ impl Bidder for SharedRoiProgram {
     }
 }
 
-/// The Section V workload running on the [`Marketplace`] facade.
+/// Which Section V population [`MarketSimulation`] registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MarketPopulation {
+    /// Live Figure 5 ROI programs, one strategy state per advertiser
+    /// shared across its keywords (legacy-equivalent on one shard).
+    SharedRoi,
+    /// Per-click campaigns frozen at the workload's initial bids
+    /// (shard-count-invariant).
+    PerClick,
+}
+
+/// The Section V workload running on the marketplace service API.
 pub struct MarketSimulation {
     /// The generated workload.
     pub workload: SectionVWorkload,
-    market: Marketplace,
+    market: ShardedMarketplace,
+    /// One shared strategy handle per advertiser ([`MarketPopulation::SharedRoi`]
+    /// only; empty for the static population).
     programs: Vec<Arc<Mutex<RoiBidder>>>,
     auction_idx: usize,
     /// Aggregate counters, kept shape-compatible with the legacy
@@ -85,11 +109,16 @@ pub struct MarketSimulation {
 }
 
 impl MarketSimulation {
-    /// Builds the marketplace for `workload`: one advertiser registration
-    /// and one ROI campaign per (advertiser, keyword) pair, engines running
-    /// `method` with the paper's GSP pricing, RNG seeded exactly like the
-    /// legacy simulation.
-    pub fn new(workload: SectionVWorkload, method: WdMethod) -> Self {
+    /// Builds the marketplace for `workload` on `shards` shards: one
+    /// advertiser registration and one campaign per (advertiser, keyword)
+    /// pair, engines running `method` with the paper's GSP pricing, RNG
+    /// seeded exactly like the legacy simulation.
+    pub fn new(
+        workload: SectionVWorkload,
+        method: WdMethod,
+        population: MarketPopulation,
+        shards: usize,
+    ) -> Result<Self, MarketError> {
         let config = workload.config;
         let mut market = Marketplace::builder()
             .slots(config.num_slots)
@@ -97,51 +126,52 @@ impl MarketSimulation {
             .method(method)
             .pricing(PricingScheme::Gsp)
             .seed(config.seed ^ 0x5EED_CAFE)
-            .build()
-            .expect("Section V configuration is valid");
-        let mut programs = Vec::with_capacity(workload.bidders.len());
-        for (i, params) in workload.bidders.iter().enumerate() {
-            let advertiser = market.register_advertiser(format!("advertiser-{i}"));
-            let shared = Arc::new(Mutex::new(RoiBidder::new(
-                params
-                    .keywords
-                    .iter()
-                    .map(|&(value, bid, roi)| KeywordEntry::new(value, bid, roi))
-                    .collect(),
-                params.target_spend_rate,
-            )));
-            let click_probs: Vec<f64> = (0..config.num_slots)
-                .map(|j| workload.clicks.p_click(i, SlotId::from_index0(j)))
-                .collect();
-            for keyword in 0..config.num_keywords {
-                market
-                    .add_campaign(
-                        advertiser,
-                        keyword,
-                        CampaignSpec::program(Box::new(SharedRoiProgram::new(Arc::clone(&shared))))
-                            .click_probs(click_probs.clone()),
-                    )
-                    .expect("Section V campaign is valid");
+            .build_sharded(shards)?;
+        let programs: Vec<Arc<Mutex<RoiBidder>>> = match population {
+            MarketPopulation::PerClick => Vec::new(),
+            MarketPopulation::SharedRoi => workload
+                .bidders
+                .iter()
+                .map(|params| {
+                    let keywords = params
+                        .keywords
+                        .iter()
+                        .map(|&(value, bid, roi)| KeywordEntry::new(value, bid, roi))
+                        .collect();
+                    Arc::new(Mutex::new(RoiBidder::new(
+                        keywords,
+                        params.target_spend_rate,
+                    )))
+                })
+                .collect(),
+        };
+        workload.populate_with(&mut market, false, |campaign| {
+            match programs.get(campaign.advertiser) {
+                Some(shared) => {
+                    CampaignSpec::program(Box::new(SharedRoiProgram::new(Arc::clone(shared))))
+                        .click_probs(campaign.click_probs)
+                }
+                None => campaign.spec(),
             }
-            programs.push(shared);
-        }
-        MarketSimulation {
+        })?;
+        Ok(MarketSimulation {
             workload,
             market,
             programs,
             auction_idx: 0,
             stats: SimulationStats::default(),
-        }
+        })
     }
 
-    /// The underlying marketplace (e.g. to inspect `now()` or `top_bids`).
-    pub fn market(&self) -> &Marketplace {
+    /// The underlying marketplace (e.g. to inspect `now()`,
+    /// `num_shards()`, or `top_bids`).
+    pub fn market(&self) -> &ShardedMarketplace {
         &self.market
     }
 
     /// Serves the next `count` queries of the workload's stream (cycled,
     /// exactly like the legacy simulation) through
-    /// [`Marketplace::serve_batch`] and folds the outcome into
+    /// [`ShardedMarketplace::serve_batch`] and folds the outcome into
     /// [`MarketSimulation::stats`].
     pub fn run_auctions(&mut self, count: usize) -> &SimulationStats {
         let stream = &self.workload.query_stream;
@@ -162,14 +192,20 @@ impl MarketSimulation {
         &self.stats
     }
 
-    /// Current bid (cents) of advertiser `adv` on `keyword`, read from the
-    /// shared strategy state.
+    /// Current bid (cents) of advertiser `adv` on `keyword`: read from the
+    /// shared strategy state, or from the marketplace's bid index for the
+    /// static population.
     pub fn bid_of(&self, adv: usize, keyword: usize) -> i64 {
-        self.programs[adv]
-            .lock()
-            .expect("ROI strategy state poisoned")
-            .keywords[keyword]
-            .bid
+        match self.programs.get(adv) {
+            Some(shared) => {
+                shared.lock().expect("ROI strategy state poisoned").keywords[keyword].bid
+            }
+            None => self
+                .market
+                .current_bid(CampaignId::from_parts(keyword, adv))
+                .expect("Section V registers one campaign per advertiser per keyword")
+                .cents(),
+        }
     }
 }
 
@@ -178,15 +214,24 @@ mod tests {
     use super::*;
     use crate::config::SectionVConfig;
 
-    #[test]
-    fn facade_serves_the_section_v_workload() {
-        let workload = SectionVWorkload::generate(SectionVConfig {
-            num_advertisers: 30,
+    fn workload() -> SectionVWorkload {
+        SectionVWorkload::generate(SectionVConfig {
+            num_advertisers: 40,
             num_slots: 5,
-            num_keywords: 4,
-            seed: 17,
-        });
-        let mut sim = MarketSimulation::new(workload, WdMethod::Reduced);
+            num_keywords: 8,
+            seed: 23,
+        })
+    }
+
+    #[test]
+    fn roi_population_serves_the_section_v_workload() {
+        let mut sim = MarketSimulation::new(
+            workload(),
+            WdMethod::Reduced,
+            MarketPopulation::SharedRoi,
+            1,
+        )
+        .expect("valid");
         sim.run_auctions(60);
         assert_eq!(sim.stats.auctions, 60);
         assert_eq!(sim.market().now(), 60);
@@ -195,9 +240,63 @@ mod tests {
             sim.stats.clicks > 0,
             "five slots over 60 auctions must click"
         );
-        assert_eq!(sim.stats.candidates, 60 * 30);
+        assert_eq!(sim.stats.candidates, 60 * 40);
         // Strategy state is live and reachable.
-        let bids: Vec<i64> = (0..30).map(|a| sim.bid_of(a, 0)).collect();
+        let bids: Vec<i64> = (0..40).map(|a| sim.bid_of(a, 0)).collect();
         assert!(bids.iter().any(|&b| b > 0));
+    }
+
+    #[test]
+    fn static_population_serves_sharded_and_exposes_its_bids() {
+        let mut sim =
+            MarketSimulation::new(workload(), WdMethod::Reduced, MarketPopulation::PerClick, 4)
+                .expect("valid");
+        sim.run_auctions(80);
+        assert_eq!(sim.stats.auctions, 80);
+        assert_eq!(sim.market().now(), 80);
+        assert_eq!(sim.market().num_shards(), 4);
+        assert!(sim.stats.total_expected_revenue > 0.0);
+        assert!(
+            sim.stats.clicks > 0,
+            "five slots over 80 auctions must click"
+        );
+        assert_eq!(sim.stats.candidates, 80 * 40);
+        let (_, initial_bid, _) = sim.workload.bidders[3].keywords[2];
+        assert_eq!(sim.bid_of(3, 2), initial_bid.max(0));
+    }
+
+    #[test]
+    fn static_population_is_shard_count_invariant() {
+        // The same workload under 1, 2, 4, and 7 shards: every stats field
+        // — including the floating-point expected-revenue sum — must be
+        // identical, in several incremental rounds.
+        let runs: Vec<SimulationStats> = [1usize, 2, 4, 7]
+            .into_iter()
+            .map(|shards| {
+                let mut sim = MarketSimulation::new(
+                    workload(),
+                    WdMethod::Reduced,
+                    MarketPopulation::PerClick,
+                    shards,
+                )
+                .expect("valid");
+                for _ in 0..3 {
+                    sim.run_auctions(50);
+                }
+                sim.stats
+            })
+            .collect();
+        for (i, stats) in runs.iter().enumerate().skip(1) {
+            assert_eq!(stats, &runs[0], "shard count #{i} diverged");
+        }
+    }
+
+    #[test]
+    fn zero_shards_is_rejected() {
+        assert_eq!(
+            MarketSimulation::new(workload(), WdMethod::Reduced, MarketPopulation::PerClick, 0)
+                .err(),
+            Some(MarketError::NoShards)
+        );
     }
 }

@@ -121,7 +121,10 @@ pub struct Simulation {
     population: Population,
     /// Static per-slot click-probability indexes (RHTALU only).
     w_indexes: Vec<MaintainedIndex>,
-    rng: StdRng,
+    /// One user-action RNG stream per keyword, seeded exactly like the
+    /// marketplace's ([`ssa_core::keyword_stream_seed`]), so the
+    /// marketplace driver reproduces this reference click for click.
+    rngs: Vec<StdRng>,
     auction_idx: usize,
     /// Persistent solver for the full-matrix methods (LP / H / RH); RHTALU
     /// runs its own threshold-algorithm selection in front of `hungarian`.
@@ -172,13 +175,20 @@ impl Simulation {
             Method::Rh => Some(Box::new(ReducedSolver::new())),
             Method::Rhtalu => None,
         };
-        let rng = StdRng::seed_from_u64(workload.config.seed ^ 0x5EED_CAFE);
+        let rngs = (0..workload.config.num_keywords)
+            .map(|keyword| {
+                StdRng::seed_from_u64(ssa_core::keyword_stream_seed(
+                    workload.config.seed ^ 0x5EED_CAFE,
+                    keyword,
+                ))
+            })
+            .collect();
         Simulation {
             workload,
             method,
             population,
             w_indexes,
-            rng,
+            rngs,
             auction_idx: 0,
             solver,
             hungarian: HungarianSolver::new(),
@@ -199,7 +209,7 @@ impl Simulation {
 
     /// Current bid (cents) of `program` on `keyword` — exposed so the
     /// facade-equivalence tests can compare strategy state bid-for-bid
-    /// against `MarketSimulation`.
+    /// against [`crate::MarketSimulation`].
     pub fn bid_of(&self, program: usize, keyword: usize) -> i64 {
         match &self.population {
             Population::Naive(p) => p.bid_on(program, keyword),
@@ -342,7 +352,7 @@ impl Simulation {
         for (j, adv) in assignment.slot_to_adv.iter().enumerate() {
             let Some(adv) = *adv else { continue };
             let p = clicks.p_click(adv, SlotId::from_index0(j));
-            if self.rng.gen::<f64>() >= p {
+            if self.rngs[keyword].gen::<f64>() >= p {
                 continue;
             }
             self.stats.clicks += 1;

@@ -509,8 +509,7 @@ macro_rules! populate_programmed {
 /// A single-threaded marketplace carrying the programmed population.
 #[derive(Debug)]
 pub struct ProgrammedMarket {
-    /// The marketplace (built in keyword-local-RNG mode so it reproduces
-    /// its sharded twin exactly).
+    /// The marketplace (it reproduces its sharded twin exactly).
     pub market: Marketplace,
     /// One handle per campaign, indexed `advertiser * num_keywords +
     /// keyword`.
@@ -539,7 +538,6 @@ fn programmed_builder(
         .method(method)
         .pricing(PricingScheme::Gsp)
         .seed(workload.config.seed ^ 0x5EC7_10B2)
-        .keyword_local_rng(true)
 }
 
 /// Builds the programmed Section II-B population on a single-threaded

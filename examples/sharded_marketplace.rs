@@ -117,12 +117,9 @@ fn main() {
         report2.total.auctions, report2.total.clicks, report2.total.realized_revenue,
     );
 
-    // The equivalence guarantee, demonstrated: an unsharded marketplace in
-    // keyword-local RNG mode replays the exact same auctions.
-    let mut replay = configure()
-        .keyword_local_rng(true)
-        .build()
-        .expect("valid configuration");
+    // The equivalence guarantee, demonstrated: an unsharded marketplace
+    // replays the exact same auctions.
+    let mut replay = configure().build().expect("valid configuration");
     let replay_campaigns = populate!(replay);
     let replay1 = replay.serve_batch(&stream).expect("keywords in range");
     replay

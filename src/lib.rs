@@ -20,9 +20,10 @@
 //!   pricing, the heavyweight model (Sections III-A/E/F) — plus the
 //!   [`marketplace`] service facade;
 //! * [`workload`] — the Section V experimental workload, the four-method
-//!   simulation (legacy harness and facade-native `MarketSimulation`),
-//!   and the hostile-world generator (Zipf / flash-crowd / churn query
-//!   shapes, defective targeting sources);
+//!   reference simulation, the one marketplace driver `MarketSimulation`,
+//!   the `Scenario` description of a single-run experiment, and the
+//!   hostile-world generator (Zipf / flash-crowd / churn query shapes,
+//!   defective targeting sources);
 //! * [`net`] — the TCP serving front-end: a framed wire protocol over
 //!   `std::net`, the `ssa-server` binary wrapping
 //!   [`sharded::ShardedMarketplace`], and the `ssa-load` latency-reporting
@@ -46,8 +47,8 @@
 //!      serve(QueryRequest) / serve_batch         set_roi_target
 //!                 │ one persistent engine              │ logical::
 //!                 ▼ per keyword                        ▼ AdjustmentList
-//!        core::AuctionEngine   workload::Simulation (legacy harness)
-//!        (run_auction / run_batch / stream)
+//!        core::AuctionEngine   workload::Simulation (reference for
+//!        (run_auction / run_batch / stream)   Figures 12/13 and RHTALU)
 //!                    ┌──────┴────────┐
 //!                 WdMethod::new_solver()
 //!        ▲            ▲            ▲              ▲
@@ -80,17 +81,39 @@
 //! route to the owning shard, preserving the `O(log n)` incremental path
 //! per shard with no cross-shard locking.
 //!
-//! Sharding is an execution strategy with a proven equivalence guarantee:
-//! every shard draws user actions from keyword-local RNG streams
-//! ([`marketplace::MarketplaceBuilder::keyword_local_rng`]), so winners,
-//! clicks, and charges are bit-identical for every shard count and equal
-//! to an unsharded keyword-local marketplace on the same stream
+//! Sharding is an execution strategy with a proven equivalence guarantee.
+//! There is one RNG mode: every marketplace, sharded or not, draws keyword
+//! `k`'s user actions from its own stream seeded by
+//! [`marketplace::keyword_stream_seed`]`(seed, k)`, so winners, clicks,
+//! and charges are bit-identical for every shard count and equal to an
+//! unsharded [`marketplace::Marketplace`] on the same stream
 //! (property-tested for shard counts 1/2/4/7). Pick `--shards` ≈ the
-//! machine's core count when serving many keywords; stay on the
-//! single-threaded `Marketplace` for cross-keyword-coupled bidding
-//! programs (e.g. the shared-state ROI strategy), whose semantics depend
-//! on global event order. See `examples/sharded_marketplace.rs` for a
-//! runnable tour.
+//! machine's core count when serving many keywords; stay on one shard for
+//! cross-keyword-coupled bidding programs (e.g. the shared-state ROI
+//! strategy), whose semantics depend on global event order. See
+//! `examples/sharded_marketplace.rs` for a runnable tour.
+//!
+//! ## One scenario, one driver, one runner
+//!
+//! The paper's evaluation is one experiment, and every serving layer is a
+//! dimension of it. `workload::MarketSimulation` is the one marketplace
+//! driver (shared-ROI programs on one shard ≡ the legacy reference, or
+//! static per-click bids at any shard count). `workload::Scenario`
+//! describes a single run, one field per `reproduce` flag:
+//!
+//! | field | flag | |
+//! |---|---|---|
+//! | `population` | `--strategy`, `--targeted` | per-click, targeted, or programmed |
+//! | `stream` | `--workload` | round-robin or a hostile shape |
+//! | `transport` | `--server` | in process or over the wire |
+//! | `durability` | `--durable` | memory only or journalled + recovered |
+//! | `shards` | `--shards` | worker shards |
+//! | `method`, `pruned` | `--method`, `--pruned` | winner determination |
+//! | `advertisers`, `auctions`, `warmup`, `seed` | `--quick`, `--load` | the `Scenario::quick()` / `full()` presets |
+//!
+//! `ssa_bench::run` serves it with bit-identical outcomes along every
+//! execution-strategy dimension; what a layer cannot express (programs
+//! over the wire or under a journal) is that layer's typed error.
 //!
 //! ## Quickstart: the `Marketplace` facade
 //!

@@ -10,8 +10,15 @@ use sponsored_search::core::marketplace::{
 };
 use sponsored_search::core::WdMethod;
 use sponsored_search::workload::{
-    MarketSimulation, Method, SectionVConfig, SectionVWorkload, Simulation,
+    MarketPopulation, MarketSimulation, Method, SectionVConfig, SectionVWorkload, Simulation,
 };
+
+/// The facade-native port of the legacy experiment: shared-ROI programs
+/// on one shard.
+fn roi_facade(workload: SectionVWorkload, method: WdMethod) -> MarketSimulation {
+    MarketSimulation::new(workload, method, MarketPopulation::SharedRoi, 1)
+        .expect("Section V configuration is valid")
+}
 
 /// `Marketplace::serve_batch` over the Section V workload produces the same
 /// aggregate revenue, clicks, charges — and the same evolved strategy state
@@ -34,7 +41,7 @@ fn serve_batch_matches_legacy_simulation_on_section_v() {
         for _ in 0..auctions {
             legacy.run_auction();
         }
-        let mut facade = MarketSimulation::new(SectionVWorkload::generate(config), facade_method);
+        let mut facade = roi_facade(SectionVWorkload::generate(config), facade_method);
         facade.run_auctions(auctions);
 
         assert_eq!(
@@ -83,8 +90,8 @@ fn single_serve_equals_serve_batch_on_section_v() {
         seed: 99,
     };
     let workload = SectionVWorkload::generate(config);
-    let mut one_by_one = MarketSimulation::new(workload.clone(), WdMethod::Reduced);
-    let mut batched = MarketSimulation::new(workload, WdMethod::Reduced);
+    let mut one_by_one = roi_facade(workload.clone(), WdMethod::Reduced);
+    let mut batched = roi_facade(workload, WdMethod::Reduced);
     for _ in 0..60 {
         one_by_one.run_auctions(1);
     }
