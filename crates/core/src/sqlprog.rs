@@ -44,6 +44,22 @@
 //! into `Outcome` — firing the settlement trigger, which can keep ROI
 //! statistics entirely in SQL.
 //!
+//! # One compiled program, many campaigns
+//!
+//! Registering the same `tables`/`program` text for another campaign costs
+//! that campaign's rows, variables and indexes and nothing else: the
+//! scripts are interned by [`ssa_minidb`] (parsed once per distinct text,
+//! and every program holds its two, so a text stays compiled while any
+//! campaign runs it),
+//! the installed triggers are the bodies inside the interned script, the
+//! three host statements above are prepared from fixed texts, and every
+//! lowered plan is stamped with the catalog's *shape*, which all programs
+//! built from one `tables` script have in common. [`SqlProgramBidder::new`]
+//! also plans (or adopts) all of it — trigger bodies and host statements —
+//! so registration, not the first auction, pays for planning. None of this
+//! is visible in behaviour: a program whose trigger reshapes its own
+//! tables simply stops sharing plans and keeps working.
+//!
 //! A program that errors mid-auction (type error, overflow, deleted
 //! tables, …) submits **no bids** from that auction on: defective
 //! programs are excluded from the matching rather than taking the
@@ -52,7 +68,7 @@
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use ssa_bidlang::{parse_formula, BidsTable, Formula, Money};
-use ssa_minidb::{Database, DbError, Params, Prepared, Value};
+use ssa_minidb::{Database, DbError, Params, Prepared, Value, NO_PARAMS};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -111,6 +127,11 @@ impl From<DbError> for SqlProgramError {
 /// [module docs](crate::sqlprog).
 pub struct SqlProgramBidder {
     db: Database,
+    /// The `tables` and `program` scripts. Nothing executes them again;
+    /// they are held so the next campaign registering the same texts finds
+    /// them still interned — and installs these very trigger bodies —
+    /// instead of parsing its own.
+    _scripts: [Prepared; 2],
     /// `SELECT` of the first two Bids columns — prepared once.
     read_bids: Prepared,
     /// Clears the activation tables between auctions so a long-lived
@@ -133,9 +154,10 @@ impl SqlProgramBidder {
     /// protocol's table contract.
     pub fn new(tables: &str, program: &str, params: &Params) -> Result<Self, SqlProgramError> {
         let mut db = Database::new();
-        let mut setup = db.prepare(tables)?;
-        setup.execute(&mut db, params)?;
-        db.run(program)?;
+        let mut tables = db.prepare(tables)?;
+        tables.execute(&mut db, params)?;
+        let mut program = db.prepare(program)?;
+        program.execute(&mut db, NO_PARAMS)?;
         let query_cols = db
             .table("Query")
             .map_err(|_| SqlProgramError::MissingTable("Query"))?
@@ -168,18 +190,27 @@ impl SqlProgramBidder {
             }
             Err(_) => false,
         };
-        let read_bids = db.prepare("SELECT * FROM Bids")?;
-        let clear_query = db.prepare("DELETE FROM Query")?;
-        let clear_outcome = if has_outcome {
+        let mut read_bids = db.prepare("SELECT * FROM Bids")?;
+        let mut clear_query = db.prepare("DELETE FROM Query")?;
+        let mut clear_outcome = if has_outcome {
             Some(db.prepare("DELETE FROM Outcome")?)
         } else {
             None
         };
-        // Lower every trigger body to a plan (and build the indexes those
-        // plans ask for) now, so the first auction pays no planning cost.
+        // Lower every trigger body and host statement to a plan (and build
+        // the indexes those plans ask for) now, so registration — not the
+        // first auction — pays for planning. For every program after the
+        // first of its text and schema this adopts the plans already there.
         db.warm_plans();
+        for statement in [&mut read_bids, &mut clear_query]
+            .into_iter()
+            .chain(&mut clear_outcome)
+        {
+            statement.warm(&mut db);
+        }
         Ok(SqlProgramBidder {
             db,
+            _scripts: [tables, program],
             read_bids,
             clear_query,
             clear_outcome,
@@ -221,10 +252,10 @@ impl SqlProgramBidder {
         // Each auction starts from a clean activation table: the trigger
         // sees exactly one fresh Query row, and a campaign serving millions
         // of auctions does not accumulate rows.
-        self.clear_query.execute(&mut self.db, &Params::new())?;
+        self.clear_query.execute(&mut self.db, NO_PARAMS)?;
         self.db
             .insert("Query", vec![Value::Int(ctx.keyword as i64)])?;
-        let rows = self.read_bids.query(&mut self.db, &Params::new())?;
+        let rows = self.read_bids.query(&mut self.db, NO_PARAMS)?;
         let mut bids = Vec::with_capacity(rows.len());
         for row in rows {
             // Re-check the row shape on every read: a trigger body may
@@ -263,7 +294,7 @@ impl SqlProgramBidder {
             .set_var("purchased", Value::Int(i64::from(outcome.purchased)));
         self.db.set_var("price", Value::Int(outcome.price.cents()));
         if let Some(clear) = &mut self.clear_outcome {
-            clear.execute(&mut self.db, &Params::new())?;
+            clear.execute(&mut self.db, NO_PARAMS)?;
         }
         self.db.insert("Outcome", vec![Value::Int(clicked)])
     }

@@ -1,0 +1,151 @@
+//! Footprint and boundedness of shared SQL bidding programs.
+//!
+//! Campaigns that register the same program text share everything derived
+//! from the text — parsed scripts, trigger bodies, lowered plans — through
+//! `ssa_minidb`'s script interner; each `SqlProgramBidder` owns only its
+//! rows, variables and indexes. This file pins that down from outside:
+//! resident memory per program, pointer identity of what is shared, and
+//! that the interner — which holds only weak references — empties when the
+//! programs go and cannot be grown by one-off statements.
+//!
+//! It is a test binary of its own, and one `#[test]`, because both things
+//! it measures are process-wide: resident set size and the interner's
+//! entry count. Linux-only: resident memory is read from
+//! `/proc/self/status`.
+//!
+//! The run prints one JSON line (`sql_program_footprint_kb`) that the
+//! `perf-smoke` CI job appends to `bench-report.json`.
+
+#![cfg(target_os = "linux")]
+
+use ssa_core::SqlProgramBidder;
+use ssa_minidb::{interned_scripts, Database, Params};
+
+/// The keyword-local Figure 5 program (`ssa_workload::sql::ROI_TABLES` /
+/// `ROI_PROGRAM`, which this crate cannot depend on).
+const TABLES: &str = "
+CREATE TABLE Query (kw INT);
+CREATE TABLE Outcome (clicked INT);
+CREATE TABLE Keywords (text TEXT, formula TEXT, maxbid INT, roi FLOAT, bid INT, relevance FLOAT);
+CREATE TABLE Bids (formula TEXT, value INT);
+INSERT INTO Keywords VALUES ('kw', 'Click', :value, :roi, :bid, 1.0);
+INSERT INTO Bids VALUES ('Click', 0);
+SET amtSpent = 0.0;
+SET spent = 0.0;
+SET valueGained = 0.0;
+SET clickValue = :value;
+SET targetSpendRate = :rate;
+";
+
+const PROGRAM: &str = "
+CREATE TRIGGER bid AFTER INSERT ON Query
+{
+  IF amtSpent / time < targetSpendRate THEN
+    UPDATE Keywords
+    SET bid = bid + 1
+    WHERE roi = ( SELECT MAX( K.roi ) FROM Keywords K )
+      AND relevance > 0
+      AND bid < maxbid;
+  ELSEIF amtSpent / time > targetSpendRate THEN
+    UPDATE Keywords
+    SET bid = bid - 1
+    WHERE roi = ( SELECT MIN( K.roi ) FROM Keywords K )
+      AND relevance > 0
+      AND bid > 0;
+  ENDIF;
+
+  UPDATE Bids
+  SET value =
+    ( SELECT SUM( K.bid )
+      FROM Keywords K
+      WHERE K.relevance > 0.7
+        AND K.formula = Bids.formula );
+}
+
+CREATE TRIGGER settle AFTER INSERT ON Outcome
+{
+  IF clicked = 1 AND price > 0 THEN
+    SET spent = spent + price;
+    SET valueGained = valueGained + clickValue;
+    SET amtSpent = amtSpent + price;
+    UPDATE Keywords SET roi = valueGained / spent;
+  ENDIF;
+}
+";
+
+fn program(i: i64) -> SqlProgramBidder {
+    let params = Params::new()
+        .bind("value", 20 + i % 30)
+        .bind("bid", 1 + i % 7)
+        .bind("roi", 1.0 + (i % 5) as f64 * 0.25)
+        .bind("rate", 0.5 + (i % 3) as f64);
+    SqlProgramBidder::new(TABLES, PROGRAM, &params).expect("the Figure 5 program is well-formed")
+}
+
+/// Resident set size of this process in KB (`VmRSS`).
+fn resident_kb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|rest| rest.trim().strip_suffix("kB"))
+        .and_then(|kb| kb.trim().parse().ok())
+        .expect("VmRSS line in /proc/self/status")
+}
+
+#[test]
+fn shared_programs_are_small_identical_and_leave_nothing_behind() {
+    assert_eq!(interned_scripts(), 0, "nothing is interned at start");
+
+    // -- Sharing: two programs from one text are one compiled program. ----
+    let first = program(0);
+    let second = program(1);
+    assert!(
+        first.db().shares_triggers_with(second.db()),
+        "trigger bodies and planned scripts must be pointer-identical"
+    );
+    assert_eq!(
+        second.planner_stats().plans_cached,
+        first.planner_stats().plans_cached,
+        "adopted plans count like lowered ones: the counters do not tell who compiled"
+    );
+    // Tables script, program script, three host statements.
+    assert_eq!(interned_scripts(), 5);
+
+    // -- Footprint: what one more program of a known text costs. ----------
+    const PROGRAMS: usize = 2_000;
+    let mut programs = Vec::with_capacity(PROGRAMS);
+    let before = resident_kb();
+    for i in 0..PROGRAMS {
+        programs.push(program(i as i64));
+    }
+    let per_program_kb = (resident_kb() - before) / PROGRAMS as f64;
+    println!("{{\"metric\":\"sql_program_footprint_kb\",\"programs\":{PROGRAMS},\"value\":{per_program_kb:.2}}}");
+    assert!(
+        per_program_kb <= 8.0,
+        "a Figure 5 program costs {per_program_kb:.1} KB resident, 8 KB allowed \
+         (30.8 KB before scripts and plans were shared)"
+    );
+    assert_eq!(interned_scripts(), 5, "2 000 programs, still five texts");
+    assert!(programs[PROGRAMS - 1].db().shares_triggers_with(first.db()));
+
+    // -- Boundedness: the interner holds no program alive. ----------------
+    drop(programs);
+    drop(second);
+    assert_eq!(interned_scripts(), 5, "one program still holds the texts");
+    drop(first);
+    assert_eq!(
+        interned_scripts(),
+        0,
+        "the last program of a text takes its interned scripts with it"
+    );
+
+    // One-off texts — the shape of a peer sending a distinct statement
+    // every time — come and go without leaving entries.
+    let db = Database::new();
+    for i in 0..10_000 {
+        let one_off = format!("UPDATE Keywords SET bid = bid + 1 WHERE bid < {i}");
+        drop(db.prepare(&one_off).expect("statement parses"));
+    }
+    assert_eq!(interned_scripts(), 0, "one-off texts must not accumulate");
+}

@@ -67,21 +67,6 @@ impl WdSolver for HungarianSolver {
         let cols = n + k; // advertisers + one dummy per slot
         self.reset_scratch(k, cols);
 
-        // Minimisation formulation: cost = -weight, dummies cost 0,
-        // excluded ∞.
-        let cost = |slot: usize, col: usize| -> f64 {
-            if col < n {
-                let w = matrix.get(col, slot);
-                if w == EXCLUDED {
-                    f64::INFINITY
-                } else {
-                    -w
-                }
-            } else {
-                0.0
-            }
-        };
-
         // Jonker–Volgenant with 1-based sentinel index 0 (e-maxx
         // formulation).
         for slot in 1..=k {
@@ -94,18 +79,36 @@ impl WdSolver for HungarianSolver {
                 let i0 = self.matched_row[j0];
                 let mut delta = f64::INFINITY;
                 let mut j1 = 0usize;
-                for j in 1..=cols {
-                    if self.used[j] {
+                // One pass over the columns 1..=cols, each scratch vector
+                // walked as a slice. Minimisation formulation: cost =
+                // -weight (slot `i0 - 1`'s weights are one contiguous
+                // matrix column), excluded ∞, and the columns past the
+                // advertisers are the dummies, cost 0.
+                let weights = matrix.column(i0 - 1);
+                let u0 = self.u[i0];
+                let scan = self.used[1..]
+                    .iter()
+                    .zip(&self.v[1..])
+                    .zip(&mut self.minv[1..])
+                    .zip(&mut self.way[1..])
+                    .enumerate();
+                for (col, (((&used, &v), minv), way)) in scan {
+                    if used {
                         continue;
                     }
-                    let cur = cost(i0 - 1, j - 1) - self.u[i0] - self.v[j];
-                    if cur < self.minv[j] {
-                        self.minv[j] = cur;
-                        self.way[j] = j0;
+                    let cost = match weights.get(col) {
+                        Some(&w) if w == EXCLUDED => f64::INFINITY,
+                        Some(&w) => -w,
+                        None => 0.0,
+                    };
+                    let cur = cost - u0 - v;
+                    if cur < *minv {
+                        *minv = cur;
+                        *way = j0;
                     }
-                    if self.minv[j] < delta {
-                        delta = self.minv[j];
-                        j1 = j;
+                    if *minv < delta {
+                        delta = *minv;
+                        j1 = col + 1;
                     }
                 }
                 debug_assert!(

@@ -39,7 +39,11 @@ pub fn reduced_candidates(matrix: &RevenueMatrix) -> Vec<usize> {
 /// Method **RH** as a reusable [`WdSolver`]: the per-slot top-k heaps, the
 /// candidate list, the reduced sub-matrix, and the inner Hungarian solver's
 /// scratch all persist across calls, so a stream of same-sized auctions
-/// performs no allocation after warm-up.
+/// performs no allocation after warm-up. The previous call's candidates
+/// also seed the next top-k pass ([`TopK::offer_column`]): consecutive
+/// auctions differ in a few bids, so the floors start where they will end
+/// and the pass is one compare per entry. The seeds are a hint only — the
+/// result is the same for any seeds.
 #[derive(Debug, Clone)]
 pub struct ReducedSolver {
     collectors: Vec<TopK>,
@@ -89,10 +93,10 @@ impl WdSolver for ReducedSolver {
         for c in &mut self.collectors {
             c.reset(k);
         }
+        // `self.candidates` still holds the previous solve's union: between
+        // consecutive auctions it is nearly the answer again.
         for (slot, collector) in self.collectors.iter_mut().enumerate() {
-            for (adv, &w) in matrix.column(slot).iter().enumerate() {
-                collector.offer(adv, w);
-            }
+            collector.offer_column(matrix.column(slot), &self.candidates);
         }
 
         // Candidate union, sorted so the sub-matrix row order (and hence

@@ -48,6 +48,36 @@ impl TopK {
         }
     }
 
+    /// Offers `(index, weight)` for every entry of `weights` — one column
+    /// of a revenue matrix. The retained set is exactly what calling
+    /// [`TopK::offer`] on each entry in order would leave (the `k` largest
+    /// keys do not depend on the order they were offered in); only the
+    /// route there is shorter. `likely` — strictly ascending, typically the
+    /// previous solve's candidates — is offered first, so the floor starts
+    /// high and the scan of the rest rejects nearly every weight with one
+    /// float compare instead of churning the heap as the floor creeps up.
+    pub fn offer_column(&mut self, weights: &[f64], likely: &[usize]) {
+        // The scan below skips what was offered here by binary search.
+        debug_assert!(likely.windows(2).all(|pair| pair[0] < pair[1]));
+        for &id in likely {
+            if let Some(&weight) = weights.get(id) {
+                self.offer(id, weight);
+            }
+        }
+        // Nothing is below -inf, so until the collector fills every weight
+        // goes through `offer`.
+        let mut floor = self.current_floor().unwrap_or(f64::NEG_INFINITY);
+        for (id, &weight) in weights.iter().enumerate() {
+            // Numerically below the floor implies below it in the heap's
+            // total order: never admitted, whatever its id.
+            if weight < floor || likely.binary_search(&id).is_ok() {
+                continue;
+            }
+            self.offer(id, weight);
+            floor = self.current_floor().unwrap_or(f64::NEG_INFINITY);
+        }
+    }
+
     /// Re-arms the collector for a fresh pass retaining the `k` largest
     /// entries, keeping the heap's allocation. Used by the reusable solvers
     /// to avoid per-auction heap construction.
@@ -128,6 +158,44 @@ mod tests {
             t.offer(id, 7.0);
         }
         assert_eq!(t.into_sorted_desc(), vec![(0, 7.0), (1, 7.0)]);
+    }
+
+    /// `offer_column` is a faster route to the same retained set as
+    /// offering every entry in order — whatever ids it is told are likely,
+    /// with ties (which break towards smaller ids), excluded entries and
+    /// signed zeros in the column.
+    #[test]
+    fn offer_column_matches_offering_in_order() {
+        let values = [3.0, 0.0, -0.0, 7.5, EXCLUDED, 3.0, -2.0, 7.5, 1.0];
+        // A fixed multiplicative walk over `values`: long columns full of
+        // ties, no RNG needed.
+        let column = |len: usize, salt: usize| -> Vec<f64> {
+            (0..len)
+                .map(|i| values[(i * 7 + salt * 5 + i / 3) % values.len()])
+                .collect()
+        };
+        for len in [0, 1, 4, 9, 40] {
+            for salt in 0..6 {
+                let weights = column(len, salt);
+                for k in [0, 1, 3, 8] {
+                    let mut in_order = TopK::new(k);
+                    for (id, &w) in weights.iter().enumerate() {
+                        in_order.offer(id, w);
+                    }
+                    let expected = in_order.into_sorted_desc();
+                    let hints: [&[usize]; 4] = [&[], &[0, 2, 5], &[3, 7, 38, 39, 400], &[1, 4, 6]];
+                    for likely in hints {
+                        let mut seeded = TopK::new(k);
+                        seeded.offer_column(&weights, likely);
+                        assert_eq!(
+                            seeded.into_sorted_desc(),
+                            expected,
+                            "len {len} salt {salt} k {k} likely {likely:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Abstract syntax for the SQL dialect.
 
+use crate::script::Script;
 use crate::value::{ArithOp, Value, ValueType};
+use std::sync::Arc;
 
 /// A possibly-qualified column reference (`bid`, `K.roi`, `Bids.formula`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,8 +143,10 @@ pub enum Statement {
         name: String,
         /// Watched table.
         table: String,
-        /// Statements run after each insert.
-        body: Vec<Statement>,
+        /// Statements run after each insert. Installing the trigger
+        /// stores this very `Arc`, so every database that runs the
+        /// defining script shares one body and one plan cache.
+        body: Arc<Script>,
     },
     /// `INSERT INTO table [(cols)] VALUES (exprs), …`
     Insert {

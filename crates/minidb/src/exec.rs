@@ -15,9 +15,9 @@
 use crate::ast::{AggFunc, CmpOp, ColumnRef, Expr, Select, SelectItem, Statement};
 use crate::error::{DbError, DbResult};
 use crate::index::FnvBuildHasher;
-use crate::parser::parse_script;
-use crate::plan::{self, ExplainLine, PlanCache, PlannedScript, PlannerCounters, PlannerMode};
+use crate::plan::{self, ExplainLine, PlannedScript, PlannerCounters, PlannerMode};
 use crate::prepared::{Params, Prepared, NO_PARAMS};
+use crate::script::{CatalogShape, Script};
 use crate::table::{Row, Schema, Table};
 use crate::value::Value;
 use std::collections::HashMap;
@@ -54,27 +54,62 @@ pub enum ExecOutcome {
 
 #[derive(Debug, Clone)]
 pub(crate) struct TriggerDef {
-    pub(crate) name_lower: String,
-    pub(crate) table_lower: String,
-    pub(crate) body: Arc<Vec<Statement>>,
-    /// Cached per-statement plans for the body (shared across clones;
-    /// entries revalidate against the catalog version).
-    pub(crate) plans: Arc<PlanCache>,
+    name_lower: String,
+    table_lower: String,
+    /// The body as parsed inside the defining script — the same `Arc` in
+    /// every database that ran that script, plan cache included.
+    body: Arc<Script>,
     /// Owner-local memo of the planned body. Living inside `Database`, it
     /// needs no lock: repeat firings revalidate one version number and go.
-    /// The shared `plans` cache above stays the source of truth that
-    /// `warm_plans` and clones refill this memo from.
-    pub(crate) planned: Option<Arc<PlannedScript>>,
+    /// The body's shared plan cache stays the source of truth that
+    /// `warm_plans` and firings after DDL refill this memo from.
+    ready: Option<Arc<ReadyTrigger>>,
+}
+
+impl TriggerDef {
+    /// The memo, if it was planned at catalog shape `version`.
+    fn ready_at(&self, version: u64) -> Option<&Arc<ReadyTrigger>> {
+        self.ready
+            .as_ref()
+            .filter(|ready| ready.planned.version() == version)
+    }
+}
+
+/// What one firing executes. The body and its plan are shared by every
+/// database running the program; this pairing sits behind a database-local
+/// `Arc`, so the per-firing clone bumps a count only this database's thread
+/// touches and leaves the shared counts — one cache line for a whole
+/// population — alone.
+#[derive(Debug)]
+struct ReadyTrigger {
+    body: Arc<Script>,
+    planned: Arc<PlannedScript>,
 }
 
 /// An in-memory database: tables, triggers, and host scalar variables.
+///
+/// What a database owns is its *state*: rows, indexes, variable values.
+/// What it derives from SQL text — parsed trigger bodies, lowered plans —
+/// is shared with every other database running the same text over the same
+/// catalog shape (see [`crate::script`]).
 #[derive(Debug, Clone)]
 pub struct Database {
     pub(crate) tables: StrMap<(String, Table)>, // lowercase name → (display, table)
-    pub(crate) triggers: Vec<TriggerDef>,
+    triggers: Vec<TriggerDef>,
     pub(crate) vars: StrMap<Value>, // lowercase name
     pub(crate) mode: PlannerMode,
+    /// Id of the catalog's shape; what plans are validated against.
     pub(crate) catalog_version: u64,
+    /// Every shape this database has had since the empty one, which keeps
+    /// their ids interned: coming back to a shape (a table dropped and
+    /// recreated as it was) comes back to its id whether or not another
+    /// database still has it, so what this database replans depends on its
+    /// own history alone.
+    shapes: Vec<Arc<CatalogShape>>,
+    /// `CREATE TABLE`s and `DROP TABLE`s executed here. How plans in flight
+    /// notice DDL that ended on their own shape id — see
+    /// [`Database::exec_planned_seq`].
+    pub(crate) ddl_epoch: u64,
     pub(crate) counters: PlannerCounters,
 }
 
@@ -98,27 +133,31 @@ impl Database {
             } else {
                 PlannerMode::Auto
             },
-            catalog_version: plan::next_catalog_version(),
+            catalog_version: CatalogShape::empty().id(),
+            shapes: Vec::new(),
+            ddl_epoch: 0,
             counters: PlannerCounters::default(),
         }
     }
 
     /// Parses and executes a script; returns one outcome per statement.
     ///
-    /// This re-parses `sql` on every call; callers on a hot path should
+    /// The text is resolved through the script interner, so it is parsed
+    /// only if no [`Prepared`] of the same text is alive in the process.
+    /// Nothing holds *this* call's script once it returns, and its
+    /// statements are planned afresh every time. Callers on a hot path —
+    /// and hosts installing one program in many databases — should
     /// [`Database::prepare`] once and execute the returned [`Prepared`]
     /// plan instead.
     pub fn run(&mut self, sql: &str) -> DbResult<Vec<ExecOutcome>> {
-        let statements = parse_script(sql)?;
-        let mut outcomes = Vec::with_capacity(statements.len());
-        for stmt in &statements {
-            outcomes.push(self.execute(stmt)?);
-        }
-        Ok(outcomes)
+        let script = Script::intern(sql)?;
+        script.iter().map(|stmt| self.execute(stmt)).collect()
     }
 
-    /// Parses a script once into a [`Prepared`] plan whose `?`/`:name`
-    /// placeholders are bound per execution — see [`crate::prepared`].
+    /// Resolves a script to a [`Prepared`] plan whose `?`/`:name`
+    /// placeholders are bound per execution — see [`crate::prepared`]. The
+    /// text is parsed at most once while any handle prepared from it is
+    /// alive, whichever database prepared it.
     pub fn prepare(&self, sql: &str) -> DbResult<Prepared> {
         Prepared::parse(sql)
     }
@@ -190,7 +229,7 @@ impl Database {
     }
 
     /// Executes a DDL statement from the planned path (DDL always runs on
-    /// the interpreter, which bumps the catalog version).
+    /// the interpreter, which moves the catalog shape).
     pub(crate) fn execute_ddl(
         &mut self,
         stmt: &Statement,
@@ -234,8 +273,46 @@ impl Database {
         }
         self.tables
             .insert(key, (name.to_string(), Table::new(schema)));
-        self.catalog_version = plan::next_catalog_version();
+        self.catalog_changed();
         Ok(())
+    }
+
+    /// Re-derives the catalog shape after a table was created or dropped.
+    /// Trigger memos go too: a shape this database had before (a table
+    /// dropped and recreated as it was) revalidates old plans, but not the
+    /// indexes the dropped table took with it — refilling the memo from the
+    /// plan cache rebuilds them.
+    fn catalog_changed(&mut self) {
+        let mut tables: Vec<_> = self.tables.iter().collect();
+        tables.sort_unstable_by_key(|(key, _)| key.as_str());
+        let shape = CatalogShape::intern(
+            tables
+                .into_iter()
+                .map(|(_, (display, table))| (display.as_str(), table.schema())),
+        );
+        self.catalog_version = shape.id();
+        if !self.shapes.iter().any(|seen| seen.id() == shape.id()) {
+            self.shapes.push(shape);
+        }
+        self.ddl_epoch += 1;
+        for trigger in &mut self.triggers {
+            trigger.ready = None;
+        }
+    }
+
+    /// `true` if both databases fire the very same compiled triggers: the
+    /// same number of them (at least one), each pair one shared body and
+    /// one shared planned script. Databases that installed one program text
+    /// over one catalog shape do; a diagnostic for tests of that sharing,
+    /// which is otherwise invisible.
+    pub fn shares_triggers_with(&self, other: &Database) -> bool {
+        !self.triggers.is_empty()
+            && self.triggers.len() == other.triggers.len()
+            && self.triggers.iter().zip(&other.triggers).all(|(a, b)| {
+                Arc::ptr_eq(&a.body, &b.body)
+                    && matches!((&a.ready, &b.ready), (Some(a), Some(b))
+                        if Arc::ptr_eq(&a.planned, &b.planned))
+            })
     }
 
     /// Host-side insert; fires `AFTER INSERT` triggers like SQL inserts do.
@@ -276,7 +353,7 @@ impl Database {
                     return Err(DbError::NoSuchTable(name.clone()));
                 }
                 self.triggers.retain(|t| t.table_lower != key);
-                self.catalog_version = plan::next_catalog_version();
+                self.catalog_changed();
                 Ok(ExecOutcome::Dropped)
             }
             Statement::CreateTrigger { name, table, body } => {
@@ -291,9 +368,8 @@ impl Database {
                 self.triggers.push(TriggerDef {
                     name_lower,
                     table_lower,
-                    body: Arc::new(body.clone()),
-                    plans: plan::new_plan_cache(),
-                    planned: None,
+                    body: Arc::clone(body),
+                    ready: None,
                 });
                 Ok(ExecOutcome::Created)
             }
@@ -420,7 +496,7 @@ impl Database {
             return Err(DbError::TriggerDepthExceeded);
         }
         if self.mode == PlannerMode::ForceScan {
-            let fired: Vec<Arc<Vec<Statement>>> = self
+            let fired: Vec<Arc<Script>> = self
                 .triggers
                 .iter()
                 .filter(|t| t.table_lower == table_lower)
@@ -437,50 +513,63 @@ impl Database {
         }
         // Snapshot the firing set up front: bodies may themselves create or
         // drop triggers, so we never touch `self.triggers` while executing.
-        // A valid owner-local memo skips the shared plan cache entirely; on
-        // a miss we also carry the trigger's slot so the freshly planned
-        // script can be memoised back (guarded by a body identity check in
-        // case a fired body rewrote the trigger list under us).
-        type Fired = (
-            usize,
-            Arc<Vec<Statement>>,
-            Option<Arc<PlanCache>>,
-            Option<Arc<PlannedScript>>,
-        );
+        // A valid memo is cloned as is; a miss carries the trigger's slot
+        // and body so the memo can be refilled when its turn comes (by then
+        // an earlier body may have rewritten the trigger list under us).
+        type Fired = Result<Arc<ReadyTrigger>, (usize, Arc<Script>)>;
         let fired: Vec<Fired> = self
             .triggers
             .iter()
             .enumerate()
             .filter(|(_, t)| t.table_lower == table_lower)
-            .map(|(slot, t)| {
-                let memo = t
-                    .planned
-                    .as_ref()
-                    .filter(|s| s.version() == self.catalog_version)
-                    .cloned();
-                let plans = memo.is_none().then(|| Arc::clone(&t.plans));
-                (slot, Arc::clone(&t.body), plans, memo)
+            .map(|(slot, t)| match t.ready_at(self.catalog_version) {
+                Some(ready) => Ok(Arc::clone(ready)),
+                None => Err((slot, Arc::clone(&t.body))),
             })
             .collect();
-        for (slot, body, plans, memo) in fired {
-            let script = match memo {
-                Some(script) => script,
-                None => {
-                    let plans = plans.expect("snapshot pairs a plan cache with every memo miss");
-                    let script = self.cached_script(&plans, &body);
+        for fired in fired {
+            let ready = match fired {
+                Ok(ready) => ready,
+                Err((slot, body)) => {
+                    let ready = self.ready_trigger(body);
                     if let Some(t) = self.triggers.get_mut(slot) {
-                        if Arc::ptr_eq(&t.body, &body) {
-                            t.planned = Some(Arc::clone(&script));
+                        if Arc::ptr_eq(&t.body, &ready.body) {
+                            t.ready = Some(Arc::clone(&ready));
                         }
                     }
-                    script
+                    ready
                 }
             };
-            for (stmt, plan) in body.iter().zip(script.plans()) {
-                self.exec_planned(stmt, plan, depth + 1, NO_PARAMS)?;
-            }
+            let body = ready.body.iter().zip(ready.planned.plans());
+            self.exec_planned_seq(body, depth + 1, NO_PARAMS, |_| ())?;
         }
         Ok(())
+    }
+
+    /// Plans every stored trigger body now (instead of on first firing) —
+    /// or adopts the plan another database of the same catalog shape
+    /// already lowered for the same body — and materialises the indexes
+    /// those plans request. Campaign hosts call this once after installing
+    /// a bidding program, so the first auction pays no planning cost. A
+    /// no-op under [`PlannerMode::ForceScan`].
+    pub fn warm_plans(&mut self) {
+        if self.mode == PlannerMode::ForceScan {
+            return;
+        }
+        for slot in 0..self.triggers.len() {
+            let trigger = &self.triggers[slot];
+            if trigger.ready_at(self.catalog_version).is_none() {
+                let body = Arc::clone(&trigger.body);
+                self.triggers[slot].ready = Some(self.ready_trigger(body));
+            }
+        }
+    }
+
+    /// Pairs a trigger body with its plan for the current catalog shape
+    /// (lowered now, or adopted), building the indexes the plan probes.
+    fn ready_trigger(&mut self, body: Arc<Script>) -> Arc<ReadyTrigger> {
+        let planned = self.cached_script(&body);
+        Arc::new(ReadyTrigger { body, planned })
     }
 
     fn exec_update(

@@ -30,8 +30,8 @@
 //!
 //! 1. **Logical lowering** — each statement of a [`Prepared`] script or
 //!    trigger body is lowered once into a plan ([`plan`] module) and cached
-//!    behind the statement list; clones of a [`Prepared`] or of a
-//!    [`Database`] share the cache.
+//!    in the parsed [`Script`], which every database running the same text
+//!    shares (see "Compile once per text" below).
 //! 2. **Secondary hash indexes** — [`Table`] maintains hash indexes on
 //!    `INT`/`TEXT` columns incrementally through every `INSERT`, `UPDATE`,
 //!    and `DELETE`. Indexes are created on demand by the planner the first
@@ -52,6 +52,44 @@
 //! [`Database::set_planner_mode`]) to pin the interpreter for A/B runs,
 //! and read [`Database::planner_stats`] for `index_hits` / `rows_scanned` /
 //! `plans_cached` counters.
+//!
+//! ## Compile once per text
+//!
+//! A marketplace runs one bidding program for thousands of campaigns, each
+//! in a [`Database`] of its own. What a database owns is its state — rows,
+//! indexes, variable values; everything derived from SQL *text* is compiled
+//! once per distinct text and shared ([`script`] module):
+//!
+//! * **Script interning** — [`Database::prepare`] and [`Database::run`]
+//!   resolve their text through a process-wide table of weak references. A
+//!   text that a [`Prepared`] handle still holds is not parsed again: the
+//!   caller gets the same statements and the same plan cache. `CREATE
+//!   TRIGGER` stores the body straight out of the defining script's AST,
+//!   so every database that executed one defining script fires one body —
+//!   a host installing a program in many databases prepares it once and
+//!   keeps the handle. The table never keeps a script alive and drops an
+//!   entry with its last holder, so one-off statements cannot grow it
+//!   ([`interned_scripts`] counts it).
+//! * **Structural catalog identity** — plans are stamped not with a
+//!   per-database version but with the interned id of the catalog's
+//!   *shape*: its tables, their spelling, column names and types, which is
+//!   all that planning reads. Databases that ran the same DDL validate the
+//!   same planned script; one whose DDL diverges (a trigger that recreates
+//!   a table with other columns, say) gets another id and replans alone,
+//!   without disturbing the others' memoised plans. A database keeps the
+//!   shapes it has been through interned, so what it replans follows from
+//!   its own DDL history, never from which other databases exist.
+//! * **Indexes stay private** — a database that adopts a plan a sibling
+//!   lowered still builds the indexes that plan probes on its own tables.
+//!
+//! Each owner (a [`Prepared`] handle, a trigger inside a database) memoises
+//! the planned script it last ran, so the serving path takes no lock and
+//! touches no shared reference count. Sharing is invisible in
+//! [`Database::planner_stats`]: `plans_cached` counts the statement plans a
+//! database's owners memoised, lowered here or adopted alike, so a
+//! database reports the same numbers with or without siblings
+//! ([`Database::shares_triggers_with`] and
+//! [`Prepared::shares_script_with`] are how to see the sharing).
 //!
 //! ```
 //! use ssa_minidb::Database;
@@ -80,12 +118,14 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 pub mod prepared;
+pub mod script;
 pub mod table;
 pub mod value;
 
 pub use error::{DbError, DbResult};
 pub use exec::{Database, ExecOutcome};
 pub use plan::{ExplainAccess, ExplainLine, PlannerMode, PlannerStats};
-pub use prepared::{Params, Prepared};
+pub use prepared::{Params, Prepared, NO_PARAMS};
+pub use script::{interned_scripts, Script};
 pub use table::{Column, Row, Schema, Table};
 pub use value::{Value, ValueType};

@@ -19,10 +19,13 @@
 //!    [`crate::table::Table`] afterwards) and updating
 //!    [`PlannerStats`] counters.
 //!
-//! Plans are validated against a catalog version stamped on every
-//! `CREATE TABLE`/`DROP TABLE`; a stale plan is transparently replanned, so
-//! cached plans (in [`crate::prepared::Prepared`] and trigger definitions)
-//! never observe a renamed schema.
+//! Plans are stamped with the id of the catalog *shape* they were lowered
+//! against (`crate::script::CatalogShape`: tables, column names and
+//! types — all that planning reads). Databases that ran the same DDL carry
+//! the same id and share one planned script per script text; `CREATE
+//! TABLE`/`DROP TABLE` moves a database to another id, and a plan stamped
+//! with a different id is transparently replanned, so cached plans never
+//! observe a renamed schema.
 //!
 //! **Equivalence guarantee**: for every script, the planned executor
 //! produces bit-identical outcomes — rows, errors, trigger effects, and
@@ -41,10 +44,10 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{Database, ExecOutcome};
 use crate::parser::parse_script;
 use crate::prepared::Params;
+use crate::script::Script;
 use crate::table::{Row, Table};
 use crate::value::{ArithOp, Value, ValueType};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -69,7 +72,10 @@ pub struct PlannerStats {
     pub index_hits: u64,
     /// Rows examined by full-scan access paths (both engines count).
     pub rows_scanned: u64,
-    /// Statement plans built and stored in a plan cache.
+    /// Statement plans memoised for this database by their owners
+    /// (prepared handles, triggers). Plans adopted from a database of the
+    /// same catalog shape count like plans lowered here, so the number does
+    /// not depend on which other databases exist.
     pub plans_cached: u64,
 }
 
@@ -91,14 +97,6 @@ impl PlannerCounters {
     }
 }
 
-/// Hands out globally unique catalog versions, so a plan stamped with a
-/// version is valid exactly for databases whose catalog lineage carries the
-/// same stamp (clones share plans; any DDL diverges them).
-pub(crate) fn next_catalog_version() -> u64 {
-    static CATALOG_EPOCH: AtomicU64 = AtomicU64::new(1);
-    CATALOG_EPOCH.fetch_add(1, Ordering::Relaxed)
-}
-
 /// Reads the `SSA_MINIDB_FORCE_SCAN` toggle once per process: set to
 /// anything non-empty other than `0` to start every database in
 /// [`PlannerMode::ForceScan`].
@@ -112,7 +110,7 @@ pub(crate) fn force_scan_env() -> bool {
 }
 
 /// A whole script (prepared statement list or trigger body) planned at one
-/// catalog version. Caching the script as a unit means executing it costs a
+/// catalog shape. Caching the script as a unit means executing it costs a
 /// single lock acquisition and `Arc` bump, not one per statement — the
 /// per-statement `version` check in [`Database::exec_planned`] still
 /// catches DDL executed mid-script.
@@ -123,6 +121,9 @@ pub(crate) struct PlannedScript {
     /// sharing unit, and one contiguous allocation keeps the serving path's
     /// cold-cache footprint down.
     plans: Vec<StmtPlan>,
+    /// Every `(table key, column ordinal)` the script's plans probe, sorted
+    /// and deduplicated: what a database adopting this script must index.
+    index_reqs: Vec<(String, usize)>,
 }
 
 impl PlannedScript {
@@ -131,24 +132,24 @@ impl PlannedScript {
         &self.plans
     }
 
-    /// The catalog version the script was planned at. Owners that memoise
+    /// The catalog shape id the script was planned at. Owners that memoise
     /// a script (prepared statements, trigger definitions) revalidate
     /// against [`Database::catalog_version`] before reusing it.
     pub(crate) fn version(&self) -> u64 {
         self.version
     }
+
+    /// The indexes the script's plans probe.
+    pub(crate) fn index_reqs(&self) -> &[(String, usize)] {
+        &self.index_reqs
+    }
 }
 
-/// A per-script plan cache, shared by clones of its owner. An uncontended
-/// mutex here measured *faster* than a per-database hash memo: the cache
-/// line is touched either way, and the lock is never contended on the
-/// serving path (each campaign database is driven by one thread at a time).
+/// A script's plan cache (it lives in the [`Script`]), shared by every
+/// database that runs the script's text. It holds the most recently lowered
+/// plan; the lock is taken only when an owner's private memo misses — once
+/// per owner in the steady state — never on the serving path.
 pub(crate) type PlanCache = Mutex<Option<Arc<PlannedScript>>>;
-
-/// Builds an empty plan cache.
-pub(crate) fn new_plan_cache() -> Arc<PlanCache> {
-    Arc::new(Mutex::new(None))
-}
 
 fn lock_cache(cache: &PlanCache) -> std::sync::MutexGuard<'_, Option<Arc<PlannedScript>>> {
     cache
@@ -187,7 +188,7 @@ pub struct ExplainLine {
 // Plan structures.
 // ---------------------------------------------------------------------------
 
-/// A fully lowered statement: the catalog version it was planned against,
+/// A fully lowered statement: the catalog shape id it was planned against,
 /// the executable form, and the indexes it wants materialised.
 #[derive(Debug)]
 pub(crate) struct StmtPlan {
@@ -199,7 +200,7 @@ pub(crate) struct StmtPlan {
 
 #[derive(Debug)]
 enum PlanKind {
-    /// DDL executes on the interpreter (and bumps the catalog version).
+    /// DDL executes on the interpreter (and moves the catalog shape).
     Ddl,
     /// Planning already diagnosed the statement's first runtime error.
     Raise(DbError),
@@ -1101,65 +1102,43 @@ pub(crate) fn run_planned_select<'a>(
 }
 
 impl Database {
-    /// Returns (planning if needed) the cached plan for statement `idx` of
-    /// a script, revalidating the cached entry's catalog version.
-    /// Fetches (or builds and caches) the whole-script plan, materialising
-    /// any indexes a freshly built plan requests. Cache hits — the steady
-    /// state — cost one lock acquisition and touch no table state at all.
-    pub(crate) fn cached_script(
-        &mut self,
-        cache: &PlanCache,
-        statements: &[Statement],
-    ) -> Arc<PlannedScript> {
-        let script = {
-            let mut guard = lock_cache(cache);
-            if let Some(script) = &*guard {
-                if script.version == self.catalog_version {
-                    return Arc::clone(script);
+    /// Fetches the whole-script plan for this database's catalog shape from
+    /// the script's shared cache — lowering and caching it if no database
+    /// of this shape has yet — and builds the indexes it probes. A hit may
+    /// be a plan some *other* database lowered, so the indexes are checked
+    /// on both paths. Owners memoise the result; in the steady state this
+    /// runs once per owner.
+    pub(crate) fn cached_script(&mut self, script: &Script) -> Arc<PlannedScript> {
+        let planned = {
+            let mut guard = lock_cache(&script.plans);
+            match &*guard {
+                Some(planned) if planned.version == self.catalog_version => Arc::clone(planned),
+                _ => {
+                    let plans: Vec<StmtPlan> = script
+                        .iter()
+                        .map(|stmt| plan_statement(self, stmt))
+                        .collect();
+                    let mut index_reqs: Vec<(String, usize)> = plans
+                        .iter()
+                        .flat_map(|p| p.index_reqs.iter().cloned())
+                        .collect();
+                    index_reqs.sort();
+                    index_reqs.dedup();
+                    let planned = Arc::new(PlannedScript {
+                        version: self.catalog_version,
+                        plans,
+                        index_reqs,
+                    });
+                    *guard = Some(Arc::clone(&planned));
+                    planned
                 }
             }
-            let plans: Vec<StmtPlan> = statements
-                .iter()
-                .map(|stmt| plan_statement(self, stmt))
-                .collect();
-            PlannerCounters::bump(&self.counters.plans_cached, plans.len() as u64);
-            let script = Arc::new(PlannedScript {
-                version: self.catalog_version,
-                plans,
-            });
-            *guard = Some(Arc::clone(&script));
-            script
         };
-        let mut reqs: Vec<(String, usize)> = script
-            .plans
-            .iter()
-            .flat_map(|p| p.index_reqs.iter().cloned())
-            .collect();
-        reqs.sort();
-        reqs.dedup();
-        self.ensure_plan_indexes(&reqs);
-        script
-    }
-
-    /// Executes a prepared script through the plan cache (or the
-    /// interpreter under [`PlannerMode::ForceScan`]).
-    pub(crate) fn execute_prepared_script(
-        &mut self,
-        statements: &[Statement],
-        cache: &PlanCache,
-        params: &Params,
-    ) -> DbResult<Vec<ExecOutcome>> {
-        let script =
-            (self.mode != PlannerMode::ForceScan).then(|| self.cached_script(cache, statements));
-        let mut outcomes = Vec::with_capacity(statements.len());
-        for (idx, stmt) in statements.iter().enumerate() {
-            let outcome = match &script {
-                None => self.execute_interpreted(stmt, params)?,
-                Some(script) => self.exec_planned(stmt, &script.plans[idx], 0, params)?,
-            };
-            outcomes.push(outcome);
-        }
-        Ok(outcomes)
+        // Counted whether lowered here or adopted: what a database reports
+        // must not depend on which other databases exist.
+        PlannerCounters::bump(&self.counters.plans_cached, planned.plans.len() as u64);
+        self.ensure_plan_indexes(&planned.index_reqs);
+        planned
     }
 
     /// Executes a whole pre-planned script: the lock-free fast path for
@@ -1174,10 +1153,35 @@ impl Database {
         params: &Params,
     ) -> DbResult<Vec<ExecOutcome>> {
         let mut outcomes = Vec::with_capacity(statements.len());
-        for (stmt, plan) in statements.iter().zip(script.plans()) {
-            outcomes.push(self.exec_planned(stmt, plan, 0, params)?);
-        }
+        let planned = statements.iter().zip(script.plans());
+        self.exec_planned_seq(planned, 0, params, |outcome| outcomes.push(outcome))?;
         Ok(outcomes)
+    }
+
+    /// Executes planned statements in order: a prepared script, a trigger
+    /// body, an `IF` block.
+    ///
+    /// DDL run along the way — by an earlier statement or a trigger it
+    /// fired — may drop a table and recreate it as it was. The catalog is
+    /// then back at the shape the remaining plans are stamped with, so they
+    /// stay valid, but the indexes they probe went with the old table: once
+    /// this database's DDL count has moved, each remaining statement gets
+    /// its indexes re-ensured first.
+    pub(crate) fn exec_planned_seq<'p>(
+        &mut self,
+        planned: impl Iterator<Item = (&'p Statement, &'p StmtPlan)>,
+        depth: usize,
+        params: &Params,
+        mut outcome: impl FnMut(ExecOutcome),
+    ) -> DbResult<()> {
+        let epoch = self.ddl_epoch;
+        for (stmt, plan) in planned {
+            if self.ddl_epoch != epoch && plan.version == self.catalog_version {
+                self.ensure_plan_indexes(&plan.index_reqs);
+            }
+            outcome(self.exec_planned(stmt, plan, depth, params)?);
+        }
+        Ok(())
     }
 
     /// Executes a statement against a plan, transparently replanning when
@@ -1212,8 +1216,8 @@ impl Database {
         depth: usize,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
-        // Indexes were materialised when the plan was built (cached_plan,
-        // warm_plans, or the replan above) — execution only probes them.
+        // Indexes were materialised when the plan was built or adopted
+        // (cached_script, or the replan above) — execution only probes them.
         match &plan.kind {
             PlanKind::Ddl => self.execute_ddl(source, depth, params),
             PlanKind::Raise(e) => Err(e.clone()),
@@ -1260,9 +1264,8 @@ impl Database {
         depth: usize,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
-        for (stmt, plan) in &block.stmts {
-            self.exec_planned(stmt, plan, depth, params)?;
-        }
+        let planned = block.stmts.iter().map(|(stmt, plan)| (stmt, plan));
+        self.exec_planned_seq(planned, depth, params, |_| ())?;
         Ok(ExecOutcome::Done)
     }
 
@@ -1402,25 +1405,6 @@ impl Database {
             lines.extend(explain_statement(self, stmt)?);
         }
         Ok(lines)
-    }
-
-    /// Plans every stored trigger body now (instead of on first firing)
-    /// and materialises the indexes those plans request. Campaign hosts
-    /// call this once after installing a bidding program, so the first
-    /// auction pays no planning cost. A no-op under
-    /// [`PlannerMode::ForceScan`].
-    pub fn warm_plans(&mut self) {
-        if self.mode == PlannerMode::ForceScan {
-            return;
-        }
-        let triggers: Vec<_> = self
-            .triggers
-            .iter()
-            .map(|t| (Arc::clone(&t.body), Arc::clone(&t.plans)))
-            .collect();
-        for (body, cache) in triggers {
-            self.cached_script(&cache, &body);
-        }
     }
 
     /// Current planner counters (monotonic since the database was created).

@@ -34,14 +34,13 @@
 //! host scalar variables are the channel for values shared with
 //! triggers.
 
-use crate::ast::{Expr, ParamRef, Select, SelectItem, Statement};
+use crate::ast::{ParamRef, Statement};
 use crate::error::{DbError, DbResult};
 use crate::exec::{Database, ExecOutcome};
-use crate::parser::parse_script;
-use crate::plan::{new_plan_cache, PlanCache, PlannedScript};
+use crate::plan::{PlannedScript, PlannerMode};
+use crate::script::Script;
 use crate::table::Row;
 use crate::value::Value;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Values bound to a prepared statement's parameters for one execution.
@@ -51,9 +50,11 @@ pub struct Params {
     named: Vec<(String, Value)>,
 }
 
-/// The shared empty binding environment (plain `run`/`execute` paths and
-/// trigger bodies).
-pub(crate) const NO_PARAMS: &Params = &Params {
+/// The shared empty binding environment: what plain `run`/`execute` paths
+/// and trigger bodies evaluate under, and what hosts pass to a prepared
+/// statement that has no placeholders instead of building a fresh
+/// [`Params::new`] per call.
+pub const NO_PARAMS: &Params = &Params {
     positional: Vec::new(),
     named: Vec::new(),
 };
@@ -102,93 +103,113 @@ impl Params {
 }
 
 /// A script parsed once and executable many times with fresh parameter
-/// bindings. Created by [`Database::prepare`]; cheap to clone (the AST is
-/// shared) and `Send + Sync`, so prepared plans migrate with their owners
-/// across shard worker threads.
+/// bindings. Created by [`Database::prepare`]; cheap to clone and
+/// `Send + Sync`, so prepared plans migrate with their owners across shard
+/// worker threads.
+///
+/// The parsed script is interned by its text (see [`crate::script`]): two
+/// handles prepared from the same text — on the same database or on
+/// different ones — share one statement list and one plan cache for as long
+/// as either is alive.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    statements: Arc<Vec<Statement>>,
-    /// Number of `?` placeholders.
-    positional: usize,
-    /// Names of `:name` placeholders (lowercased, deduplicated).
-    named: Vec<String>,
-    /// Per-statement plan cache, lazily filled on first execution and
-    /// shared by clones. Entries are revalidated against the database's
-    /// catalog version, so one `Prepared` can serve several databases.
-    plans: Arc<PlanCache>,
+    script: Arc<Script>,
     /// This handle's private memo of the planned script — revalidated
-    /// against the catalog version on every execution, so the serving hot
-    /// path takes no lock at all. (The shared `plans` cache above still
-    /// lets clones reuse one planning pass.)
+    /// against the database's catalog shape on every execution, so the
+    /// serving hot path takes no lock at all. (The script's shared plan
+    /// cache is what the memo is refilled from.)
     planned: Option<Arc<PlannedScript>>,
 }
 
 impl Prepared {
     pub(crate) fn parse(sql: &str) -> DbResult<Prepared> {
-        let statements = parse_script(sql)?;
-        let mut positional = 0usize;
-        let mut named = BTreeSet::new();
-        for stmt in &statements {
-            collect_statement_params(stmt, &mut positional, &mut named);
-        }
-        let plans = new_plan_cache();
         Ok(Prepared {
-            statements: Arc::new(statements),
-            positional,
-            named: named.into_iter().collect(),
-            plans,
+            script: Script::intern(sql)?,
             planned: None,
         })
     }
 
     /// Number of positional (`?`) placeholders in the script.
     pub fn positional_params(&self) -> usize {
-        self.positional
+        self.script.positional_params()
     }
 
     /// Names of the `:name` placeholders in the script (lowercased,
     /// sorted, deduplicated).
     pub fn named_params(&self) -> &[String] {
-        &self.named
+        self.script.named_params()
     }
 
     /// The parsed statements (for hosts that want to execute them one at a
     /// time through [`Database::execute`]-style paths).
     pub fn statements(&self) -> &[Statement] {
-        &self.statements
+        self.script.statements()
+    }
+
+    /// `true` if both handles hold the very same interned script — one
+    /// statement list and one plan cache — which handles prepared from one
+    /// text while either is alive always do.
+    pub fn shares_script_with(&self, other: &Prepared) -> bool {
+        Arc::ptr_eq(&self.script, &other.script)
     }
 
     /// Validates `params` against the script's placeholder signature:
     /// exact positional arity, every named placeholder bound.
     fn check(&self, params: &Params) -> DbResult<()> {
-        if params.positional_len() != self.positional {
+        if params.positional_len() != self.positional_params() {
             return Err(DbError::ParamArity {
-                expected: self.positional,
+                expected: self.positional_params(),
                 got: params.positional_len(),
             });
         }
-        for name in &self.named {
+        for name in self.named_params() {
             params.resolve(&ParamRef::Named(name.clone()))?;
         }
         Ok(())
+    }
+
+    /// Points this handle's memo at the planned script for `db`: kept when
+    /// it is still valid for `db`'s catalog shape, else refilled from the
+    /// script's shared plan cache (planning if no database has yet). Either
+    /// way `db` ends up with the indexes the plan probes — a shape-equal
+    /// database is not necessarily the one the memo was filled against.
+    fn plan_for(&mut self, db: &mut Database) {
+        match &self.planned {
+            Some(planned) if planned.version() == db.catalog_version => {
+                db.ensure_plan_indexes(planned.index_reqs());
+            }
+            _ => self.planned = Some(db.cached_script(&self.script)),
+        }
+    }
+
+    /// Plans the script against `db` now (adopting the plan another
+    /// database of the same catalog shape already lowered, if one did) and
+    /// builds the indexes it probes, so the first execution pays neither.
+    /// A no-op under [`PlannerMode::ForceScan`].
+    pub fn warm(&mut self, db: &mut Database) {
+        if db.planner_mode() != PlannerMode::ForceScan {
+            self.plan_for(db);
+        }
     }
 
     /// Executes the script against `db` with `params` bound; returns one
     /// outcome per statement (the prepared twin of [`Database::run`]).
     ///
     /// Takes `&mut self` to memoise the planned script in this handle:
-    /// repeat executions — the auction serving path — revalidate one
-    /// version number and go, with no lock and no reference-count traffic.
+    /// repeat executions — the auction serving path — take no lock and
+    /// touch no reference count. They compare one shape id and check that
+    /// `db` has each index the plan probes (a table lookup per index; most
+    /// statements probe none): a valid memo says the plan fits `db`'s
+    /// shape, not that `db` is where its indexes were built.
     pub fn execute(&mut self, db: &mut Database, params: &Params) -> DbResult<Vec<ExecOutcome>> {
         self.check(params)?;
-        if db.planner_mode() == crate::PlannerMode::ForceScan {
-            return db.execute_prepared_script(&self.statements, &self.plans, params);
+        if db.planner_mode() == PlannerMode::ForceScan {
+            let interpret = |stmt| db.execute_interpreted(stmt, params);
+            return self.script.iter().map(interpret).collect();
         }
-        if !matches!(&self.planned, Some(s) if s.version() == db.catalog_version) {
-            self.planned = Some(db.cached_script(&self.plans, &self.statements));
-        }
-        let script = self.planned.as_ref().expect("planned above");
-        db.execute_planned_script(&self.statements, script, params)
+        self.plan_for(db);
+        let planned = self.planned.as_deref().expect("memoised by plan_for");
+        db.execute_planned_script(&self.script, planned, params)
     }
 
     /// Runs a single-`SELECT` prepared script and returns its rows (the
@@ -202,91 +223,6 @@ impl Prepared {
                 position: 0,
             }),
         }
-    }
-}
-
-fn collect_statement_params(
-    stmt: &Statement,
-    positional: &mut usize,
-    named: &mut BTreeSet<String>,
-) {
-    let mut on_expr = |e: &Expr| collect_expr_params(e, positional, named);
-    match stmt {
-        Statement::CreateTable { .. } | Statement::DropTable { .. } => {}
-        Statement::CreateTrigger { .. } => {
-            // Trigger bodies cannot contain parameters (the parser rejects
-            // them), so there is nothing to collect.
-        }
-        Statement::Insert { rows, .. } => {
-            for row in rows {
-                for e in row {
-                    on_expr(e);
-                }
-            }
-        }
-        Statement::Update {
-            sets, where_clause, ..
-        } => {
-            for s in sets {
-                on_expr(&s.value);
-            }
-            if let Some(w) = where_clause {
-                on_expr(w);
-            }
-        }
-        Statement::Delete { where_clause, .. } => {
-            if let Some(w) = where_clause {
-                on_expr(w);
-            }
-        }
-        Statement::Select(select) => collect_select_params(select, positional, named),
-        Statement::If { arms, else_block } => {
-            for (cond, block) in arms {
-                collect_expr_params(cond, positional, named);
-                for s in block {
-                    collect_statement_params(s, positional, named);
-                }
-            }
-            if let Some(block) = else_block {
-                for s in block {
-                    collect_statement_params(s, positional, named);
-                }
-            }
-        }
-        Statement::SetVar { value, .. } => on_expr(value),
-        Statement::Explain(_) => {
-            // EXPLAIN only plans its inner statement — parameters are never
-            // resolved, so they contribute nothing to the binding signature.
-        }
-    }
-}
-
-fn collect_select_params(select: &Select, positional: &mut usize, named: &mut BTreeSet<String>) {
-    for item in &select.items {
-        match item {
-            SelectItem::Expr(e) => collect_expr_params(e, positional, named),
-            SelectItem::Agg(_, Some(e)) => collect_expr_params(e, positional, named),
-            SelectItem::Agg(_, None) | SelectItem::Star => {}
-        }
-    }
-    if let Some(w) = &select.where_clause {
-        collect_expr_params(w, positional, named);
-    }
-}
-
-fn collect_expr_params(expr: &Expr, positional: &mut usize, named: &mut BTreeSet<String>) {
-    match expr {
-        Expr::Literal(_) | Expr::Column(_) => {}
-        Expr::Param(ParamRef::Positional(i)) => *positional = (*positional).max(i + 1),
-        Expr::Param(ParamRef::Named(n)) => {
-            named.insert(n.clone());
-        }
-        Expr::Arith(a, _, b) | Expr::Cmp(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-            collect_expr_params(a, positional, named);
-            collect_expr_params(b, positional, named);
-        }
-        Expr::Not(inner) | Expr::Neg(inner) => collect_expr_params(inner, positional, named),
-        Expr::Subquery(select) => collect_select_params(select, positional, named),
     }
 }
 

@@ -10,7 +10,9 @@
 //! plus the full table state after each step.
 
 use proptest::prelude::*;
-use ssa_minidb::{Database, PlannerMode, Row, Value};
+use ssa_minidb::{
+    Database, DbResult, ExplainAccess, Params, PlannerMode, Prepared, Row, Value, NO_PARAMS,
+};
 
 /// A nullable row for the test table `t (k INT, w TEXT, f FLOAT)`.
 ///
@@ -196,5 +198,327 @@ fn mixed_case_spellings_agree() {
     assert_eq!(
         auto.query("SELECT k FROM t WHERE w = 'boot'").unwrap(),
         vec![vec![Value::Int(1)]]
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Sharing and isolation: databases that run one script text share the
+// parsed script and its plans, and still behave as if each had its own.
+// ---------------------------------------------------------------------------
+
+/// A small bidding program over tables suffixed with `tag`: each test takes
+/// its own tag — its own texts and catalog shape — so what it asserts about
+/// pointer-shared scripts and plans is its own doing, not a concurrently
+/// running test's.
+fn program(tag: &str) -> String {
+    format!(
+        "CREATE TABLE Query{tag} (kw INT);
+         CREATE TABLE Keywords{tag} (text TEXT, bid INT, maxbid INT);
+         CREATE TABLE Bids{tag} (formula TEXT, value INT);
+         INSERT INTO Keywords{tag} VALUES ('boot', :bid, :max), ('shoe', :bid + 1, :max);
+         INSERT INTO Bids{tag} VALUES ('Click', 0);
+         CREATE TRIGGER bid{tag} AFTER INSERT ON Query{tag} {{
+           UPDATE Keywords{tag} SET bid = bid + 1 WHERE text = 'boot' AND bid < maxbid;
+           UPDATE Bids{tag} SET value =
+             (SELECT SUM(K.bid) FROM Keywords{tag} K WHERE K.text = 'boot')
+           WHERE formula = 'Click';
+         }}"
+    )
+}
+
+/// One campaign: a database built from `program(tag)` plus its host
+/// statements, the way `SqlProgramBidder` drives a program.
+struct Campaign {
+    db: Database,
+    /// Held, like a campaign host holds it, so the next campaign of the
+    /// same text installs these trigger bodies instead of parsing its own.
+    _program: Prepared,
+    clear: Prepared,
+    read: Prepared,
+    query_table: String,
+}
+
+impl Campaign {
+    fn new(tag: &str, mode: PlannerMode, bid: i64, max: i64) -> Campaign {
+        let mut db = Database::new();
+        db.set_planner_mode(mode);
+        let params = Params::new().bind("bid", bid).bind("max", max);
+        let mut program = db.prepare(&program(tag)).unwrap();
+        program.execute(&mut db, &params).unwrap();
+        let query_table = format!("Query{tag}");
+        let mut clear = db.prepare(&format!("DELETE FROM {query_table}")).unwrap();
+        let mut read = db.prepare(&format!("SELECT * FROM Bids{tag}")).unwrap();
+        // Plan (or adopt) everything at registration, like a campaign host.
+        db.warm_plans();
+        clear.warm(&mut db);
+        read.warm(&mut db);
+        Campaign {
+            db,
+            _program: program,
+            clear,
+            read,
+            query_table,
+        }
+    }
+
+    /// One auction round; `Err` carries the first failing statement's error.
+    fn round(&mut self) -> DbResult<Vec<Row>> {
+        self.clear.execute(&mut self.db, NO_PARAMS)?;
+        self.db.insert(&self.query_table, vec![Value::Int(0)])?;
+        self.read.query(&mut self.db, NO_PARAMS)
+    }
+
+    fn keywords(&mut self, tag: &str) -> Vec<Row> {
+        self.db
+            .query(&format!("SELECT text, bid, maxbid FROM Keywords{tag}"))
+            .unwrap()
+    }
+}
+
+/// N databases built from one script with different bound parameters,
+/// driven interleaved: each is bit-identical to its own forced-scan oracle,
+/// all of them fire the plans the first lowered, and their counters cannot
+/// tell who lowered and who adopted.
+#[test]
+fn databases_sharing_one_script_match_their_oracles() {
+    let tag = "_shared";
+    let params = [(1, 4), (3, 3), (0, 9), (-2, 1)];
+    let mut autos: Vec<Campaign> = params
+        .iter()
+        .map(|&(bid, max)| Campaign::new(tag, PlannerMode::Auto, bid, max))
+        .collect();
+    let mut scans: Vec<Campaign> = params
+        .iter()
+        .map(|&(bid, max)| Campaign::new(tag, PlannerMode::ForceScan, bid, max))
+        .collect();
+    for sibling in &autos[1..] {
+        assert!(
+            autos[0].db.shares_triggers_with(&sibling.db),
+            "a sibling adopts the plans the first database lowered"
+        );
+        assert_eq!(
+            sibling.db.planner_stats(),
+            autos[0].db.planner_stats(),
+            "adopting must count like lowering"
+        );
+    }
+    assert!(!autos[0].db.shares_triggers_with(&scans[0].db));
+    for round in 0..6 {
+        for (auto, scan) in autos.iter_mut().zip(&mut scans) {
+            assert_eq!(auto.round(), scan.round(), "round {round}");
+            assert_eq!(auto.keywords(tag), scan.keywords(tag), "round {round}");
+        }
+    }
+    // Different parameters really produced different trajectories.
+    assert_ne!(autos[0].keywords(tag), autos[1].keywords(tag));
+    for (i, auto) in autos.iter().enumerate() {
+        let stats = auto.db.planner_stats();
+        assert!(stats.index_hits > 0, "database {i} never probed an index");
+        assert_eq!(
+            stats.plans_cached,
+            autos[0].db.planner_stats().plans_cached,
+            "database {i} planned more or less than the one that lowered"
+        );
+    }
+}
+
+/// A sibling whose trigger reshapes `Bids` (another column list) leaves the
+/// shared catalog shape: it replans, alone, and the databases that stayed
+/// keep their results, their plans and their counters' pace.
+#[test]
+fn a_sibling_whose_ddl_diverges_replans_alone() {
+    let tag = "_diverge";
+    let reshape = format!(
+        "CREATE TRIGGER reshape AFTER INSERT ON Query{tag} {{
+           DROP TABLE Bids{tag};
+           CREATE TABLE Bids{tag} (formula TEXT, value INT, note TEXT);
+           INSERT INTO Bids{tag} VALUES ('Click', 7, 'reshaped');
+         }}"
+    );
+    let build = |mode, diverge: bool| {
+        let mut campaign = Campaign::new(tag, mode, 1, 5);
+        if diverge {
+            campaign.db.run(&reshape).unwrap();
+        }
+        campaign
+    };
+    let mut stayers = [
+        build(PlannerMode::Auto, false),
+        build(PlannerMode::Auto, false),
+    ];
+    let mut stayer_oracle = build(PlannerMode::ForceScan, false);
+    let mut sibling = build(PlannerMode::Auto, true);
+    let mut sibling_oracle = build(PlannerMode::ForceScan, true);
+
+    // Two rounds of the stayers alone; the second (the activation table is
+    // no longer empty) sets the pace their counters move at.
+    let mut before = stayers[0].db.planner_stats();
+    for _ in 0..2 {
+        before = stayers[0].db.planner_stats();
+        let expected = stayer_oracle.round();
+        for stayer in &mut stayers {
+            assert_eq!(stayer.round(), expected);
+        }
+    }
+    let after = stayers[0].db.planner_stats();
+    let pace = (
+        after.index_hits - before.index_hits,
+        after.rows_scanned - before.rows_scanned,
+    );
+    assert_eq!(after.plans_cached, before.plans_cached);
+
+    let sibling_plans = sibling.db.planner_stats().plans_cached;
+    for round in 0..4 {
+        // The sibling's round drops and recreates Bids, so everything it
+        // runs — the host statements' texts are shared with the stayers —
+        // is replanned for the shapes it passes through.
+        assert_eq!(sibling.round(), sibling_oracle.round(), "round {round}");
+        assert_eq!(sibling.keywords(tag), sibling_oracle.keywords(tag));
+
+        let expected = stayer_oracle.round();
+        for stayer in &mut stayers {
+            let before = stayer.db.planner_stats();
+            assert_eq!(stayer.round(), expected, "round {round}");
+            let after = stayer.db.planner_stats();
+            assert_eq!(
+                after.plans_cached, before.plans_cached,
+                "a stayer replanned"
+            );
+            assert_eq!(
+                (
+                    after.index_hits - before.index_hits,
+                    after.rows_scanned - before.rows_scanned
+                ),
+                pace,
+                "a stayer's access paths changed"
+            );
+        }
+    }
+    assert!(sibling.db.planner_stats().plans_cached > sibling_plans);
+    assert!(stayers[0].db.shares_triggers_with(&stayers[1].db));
+    assert_eq!(sibling.round().unwrap()[0].len(), 3, "the reshaped Bids");
+}
+
+/// A database that adopts a plan another database lowered builds its own
+/// indexes: it reports the index path, takes it, and returns its own rows.
+#[test]
+fn an_adopted_plan_still_gets_its_indexes() {
+    let build = |bids: &[i64]| {
+        let mut db = Database::new();
+        db.run("CREATE TABLE Adopted (text TEXT, bid INT)").unwrap();
+        let mut insert = db.prepare("INSERT INTO Adopted VALUES (?, ?)").unwrap();
+        for (i, bid) in bids.iter().enumerate() {
+            let word = if i % 2 == 0 { "boot" } else { "shoe" };
+            insert
+                .execute(&mut db, &Params::new().push(word).push(*bid))
+                .unwrap();
+        }
+        db
+    };
+    let sql = "SELECT bid FROM Adopted WHERE text = ?";
+    let boot = Params::new().push("boot");
+
+    let mut first = build(&[1, 2, 3]);
+    let built = first.planner_stats().plans_cached;
+    let mut lowered = first.prepare(sql).unwrap();
+    assert_eq!(
+        lowered.query(&mut first, &boot).unwrap(),
+        vec![vec![Value::Int(1)], vec![Value::Int(3)]]
+    );
+    let lowering_counted = first.planner_stats().plans_cached - built;
+    assert!(lowering_counted > 0);
+
+    // A second database of the same shape, through a handle of its own.
+    let mut second = build(&[10, 20, 30, 40, 50]);
+    let planned_before = second.planner_stats().plans_cached;
+    let mut adopted = second.prepare(sql).unwrap();
+    assert!(adopted.shares_script_with(&lowered));
+    let lines = second
+        .explain("SELECT bid FROM Adopted WHERE text = 'boot'")
+        .unwrap();
+    assert_eq!(
+        lines[0].access,
+        ExplainAccess::IndexLookup {
+            column: "text".into()
+        }
+    );
+    let scanned_before = second.planner_stats().rows_scanned;
+    assert_eq!(
+        adopted.query(&mut second, &boot).unwrap(),
+        vec![
+            vec![Value::Int(10)],
+            vec![Value::Int(30)],
+            vec![Value::Int(50)]
+        ]
+    );
+    let stats = second.planner_stats();
+    assert_eq!(
+        stats.plans_cached - planned_before,
+        lowering_counted,
+        "adopting counts like lowering"
+    );
+    assert_eq!(stats.index_hits, 1, "the adopted plan must probe, not scan");
+    assert_eq!(stats.rows_scanned, scanned_before);
+
+    // A third, through the *first* database's handle: its memo is valid for
+    // the shape, and the index still gets built where the handle now runs.
+    let mut third = build(&[7, 8]);
+    let scanned_before = third.planner_stats().rows_scanned;
+    assert_eq!(
+        lowered.query(&mut third, &boot).unwrap(),
+        vec![vec![Value::Int(7)]]
+    );
+    assert_eq!(third.planner_stats().index_hits, 1);
+    assert_eq!(third.planner_stats().rows_scanned, scanned_before);
+}
+
+/// A trigger that drops a table and recreates it as it was brings the
+/// database back to a catalog shape — and shape id — it had before, with
+/// the table's indexes gone. What the database does next (the access paths
+/// of the statements still in flight, what it replans) must be the same
+/// whether or not a sibling database has that shape too.
+#[test]
+fn recreating_a_table_behaves_the_same_with_or_without_a_sibling() {
+    let tag = "_recreate";
+    let recreate = format!(
+        "CREATE TRIGGER recreate AFTER INSERT ON Query{tag} {{
+           DROP TABLE Bids{tag};
+           CREATE TABLE Bids{tag} (formula TEXT, value INT);
+           INSERT INTO Bids{tag} VALUES ('Click', 0), ('Purchase', 0);
+           UPDATE Bids{tag} SET value = 9 WHERE formula = 'Click';
+         }}"
+    );
+    // Rows and counters after each of four rounds.
+    let run = |mode, with_sibling: bool| {
+        let _sibling = with_sibling.then(|| Campaign::new(tag, PlannerMode::Auto, 1, 5));
+        let mut campaign = Campaign::new(tag, mode, 1, 5);
+        campaign.db.run(&recreate).unwrap();
+        let rounds: Vec<_> = (0..4)
+            .map(|_| (campaign.round(), campaign.db.planner_stats()))
+            .collect();
+        rounds
+    };
+    // One at a time: any live database of the shape, the oracle included,
+    // would be a sibling to the others.
+    let oracle = run(PlannerMode::ForceScan, false);
+    let alone = run(PlannerMode::Auto, false);
+    let accompanied = run(PlannerMode::Auto, true);
+    assert_eq!(alone, accompanied);
+    for (planned, interpreted) in alone.iter().zip(&oracle) {
+        assert_eq!(planned.0, interpreted.0);
+    }
+    // The UPDATE behind the DDL, in flight when the index went, probes the
+    // rebuilt index every round: the pace of the counters never changes.
+    let pace = |a: usize, b: usize| {
+        let (from, to) = (alone[a].1, alone[b].1);
+        (
+            to.index_hits - from.index_hits,
+            to.rows_scanned - from.rows_scanned,
+        )
+    };
+    assert_eq!(pace(1, 2), pace(2, 3));
+    assert!(
+        pace(2, 3).0 >= 4,
+        "three probes by `bid`, one by `recreate`"
     );
 }

@@ -19,7 +19,7 @@
 
 use ssa_bidlang::{parse_formula, BidsTable, Money};
 use ssa_core::{Bidder, BidderOutcome, QueryContext};
-use ssa_minidb::{Database, DbError, Params, Prepared, Value};
+use ssa_minidb::{Database, DbError, Params, Prepared, Value, NO_PARAMS};
 use std::fmt;
 
 /// Figure 5 (line 11's comparison corrected to `>`).
@@ -215,14 +215,14 @@ impl SqlRoiBidder {
         self.db
             .set_var("targetSpendRate", Value::Float(self.target_spend_rate));
         // Relevance: 1 for the query keyword, 0 elsewhere.
-        self.reset_relevance.execute(&mut self.db, &Params::new())?;
+        self.reset_relevance.execute(&mut self.db, NO_PARAMS)?;
         self.raise_relevance
             .execute(&mut self.db, &Params::new().push(name))?;
         // The activation table is host-managed scratch: clear it so a
         // long-lived bidder's memory stays flat across rounds.
-        self.clear_query.execute(&mut self.db, &Params::new())?;
+        self.clear_query.execute(&mut self.db, NO_PARAMS)?;
         self.db.insert("Query", vec!["q".into()])?;
-        let rows = self.read_bid.query(&mut self.db, &Params::new())?;
+        let rows = self.read_bid.query(&mut self.db, NO_PARAMS)?;
         let row = rows.first().ok_or(SqlRoiError::MissingBidRow)?;
         Ok(row[0].as_int()?)
     }

@@ -34,7 +34,7 @@ use ssa_bidlang::{BidsTable, Formula, Money, SlotId};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
 use ssa_core::sharded::ShardedMarketplace;
 use ssa_core::{Bidder, BidderOutcome, PricingScheme, QueryContext, SqlProgramBidder, WdMethod};
-use ssa_minidb::{Database, DbError, Params, Value};
+use ssa_minidb::{Database, DbError, Params, Prepared, Value, NO_PARAMS};
 use ssa_strategy::{KeywordEntry, RoiBidder};
 use std::fmt;
 use std::str::FromStr;
@@ -211,6 +211,49 @@ impl Bidder for LocalRoiProgram {
     }
 }
 
+/// The prepared flavour as the harness registers it: the Figure 5 program
+/// as a [`SqlProgramBidder`], plus the harness's own prepared read of the
+/// stored bid (checks read every program's bid, so that read must not parse
+/// SQL text per call).
+pub struct PreparedSqlProgram {
+    program: SqlProgramBidder,
+    read_bid: Prepared,
+}
+
+impl PreparedSqlProgram {
+    /// Assembles [`ROI_TABLES`] and [`ROI_PROGRAM`] with one (advertiser,
+    /// keyword) pair's initial state bound.
+    pub fn new(value: i64, bid: i64, roi: f64, rate: f64) -> Self {
+        let program =
+            SqlProgramBidder::new(ROI_TABLES, ROI_PROGRAM, &roi_params(value, bid, roi, rate))
+                .expect("the Figure 5 ROI program is well-formed");
+        let read_bid = program
+            .db()
+            .prepare("SELECT bid FROM Keywords")
+            .expect("static statement parses");
+        PreparedSqlProgram { program, read_bid }
+    }
+
+    /// The program's current stored bid (cents).
+    pub fn current_bid(&mut self) -> i64 {
+        self.read_bid
+            .query(self.program.db_mut(), NO_PARAMS)
+            .ok()
+            .and_then(|rows| rows.first().and_then(|r| r[0].as_int().ok()))
+            .unwrap_or(0)
+    }
+}
+
+impl Bidder for PreparedSqlProgram {
+    fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
+        self.program.on_query(ctx)
+    }
+
+    fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
+        self.program.on_outcome(ctx, outcome)
+    }
+}
+
 /// The reparse-per-round baseline: the same database and triggers as the
 /// prepared path, but every host statement is formatted into SQL text and
 /// re-parsed on every auction — exactly what `SqlRoiBidder` did before the
@@ -338,7 +381,7 @@ pub enum ProgramHandle {
     /// Native Rust program.
     Native(Arc<Mutex<LocalRoiProgram>>),
     /// Prepared-statement SQL program.
-    Sql(Arc<Mutex<SqlProgramBidder>>),
+    Sql(Arc<Mutex<PreparedSqlProgram>>),
     /// Reparse-per-round SQL program.
     Reparse(Arc<Mutex<ReparseSqlProgram>>),
 }
@@ -348,15 +391,7 @@ impl ProgramHandle {
     pub fn current_bid(&self) -> i64 {
         match self {
             ProgramHandle::Native(h) => h.lock().expect("program state poisoned").current_bid(),
-            ProgramHandle::Sql(h) => {
-                let mut program = h.lock().expect("program state poisoned");
-                program
-                    .db_mut()
-                    .query("SELECT bid FROM Keywords")
-                    .ok()
-                    .and_then(|rows| rows.first().and_then(|r| r[0].as_int().ok()))
-                    .unwrap_or(0)
-            }
+            ProgramHandle::Sql(h) => h.lock().expect("program state poisoned").current_bid(),
             ProgramHandle::Reparse(h) => h.lock().expect("program state poisoned").current_bid(),
         }
     }
@@ -367,9 +402,12 @@ impl ProgramHandle {
     pub fn planner_stats(&self) -> Option<ssa_minidb::PlannerStats> {
         match self {
             ProgramHandle::Native(_) => None,
-            ProgramHandle::Sql(h) => {
-                Some(h.lock().expect("program state poisoned").planner_stats())
-            }
+            ProgramHandle::Sql(h) => Some(
+                h.lock()
+                    .expect("program state poisoned")
+                    .program
+                    .planner_stats(),
+            ),
             ProgramHandle::Reparse(h) => {
                 Some(h.lock().expect("program state poisoned").db.planner_stats())
             }
@@ -384,6 +422,7 @@ impl ProgramHandle {
             ProgramHandle::Sql(h) => Some(
                 h.lock()
                     .expect("program state poisoned")
+                    .program
                     .db()
                     .planner_mode(),
             ),
@@ -403,6 +442,7 @@ impl ProgramHandle {
             ProgramHandle::Sql(h) => h
                 .lock()
                 .expect("program state poisoned")
+                .program
                 .db_mut()
                 .set_planner_mode(mode),
             ProgramHandle::Reparse(h) => h
@@ -419,9 +459,13 @@ impl ProgramHandle {
     pub fn explain(&self, sql: &str) -> Option<ssa_minidb::DbResult<Vec<ssa_minidb::ExplainLine>>> {
         match self {
             ProgramHandle::Native(_) => None,
-            ProgramHandle::Sql(h) => {
-                Some(h.lock().expect("program state poisoned").db().explain(sql))
-            }
+            ProgramHandle::Sql(h) => Some(
+                h.lock()
+                    .expect("program state poisoned")
+                    .program
+                    .db()
+                    .explain(sql),
+            ),
             ProgramHandle::Reparse(h) => {
                 Some(h.lock().expect("program state poisoned").db.explain(sql))
             }
@@ -458,10 +502,7 @@ fn make_program(
             )
         }
         Strategy::Sql => {
-            let program =
-                SqlProgramBidder::new(ROI_TABLES, ROI_PROGRAM, &roi_params(value, bid, roi, rate))
-                    .expect("the Figure 5 ROI program is well-formed");
-            let h = Arc::new(Mutex::new(program));
+            let h = Arc::new(Mutex::new(PreparedSqlProgram::new(value, bid, roi, rate)));
             (
                 Box::new(SharedProgram(Arc::clone(&h))),
                 ProgramHandle::Sql(h),

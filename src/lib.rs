@@ -213,10 +213,14 @@
 //! tiny planner that chooses index-lookup vs scan per statement and
 //! maintained incrementally on every mutation (posting lists stay in
 //! scan order; NULLs are never indexed, matching three-valued
-//! equality). Whole scripts are planned once per catalog version and
-//! memoised by their owners — prepared statements and trigger bodies
-//! revalidate one version number per execution, and DDL transparently
-//! replans.
+//! equality). Scripts are parsed once per distinct *text* and planned
+//! once per text and catalog *shape* (tables, column names and types),
+//! process-wide: the thousands of campaign databases running one program
+//! share its parsed scripts, trigger bodies and plans, and own only their
+//! rows, variables and indexes. Owners — prepared statements and trigger
+//! bodies — memoise their planned script and revalidate one shape id per
+//! execution; DDL moves a database to another shape and transparently
+//! replans for it alone.
 //!
 //! The planner is held to an equivalence guarantee: planned + indexed +
 //! compiled execution is bit-identical to the reference tree-walking
