@@ -50,6 +50,20 @@ pub trait Bidder {
     /// Step 6: learn the outcome (slot, click, purchase, price). Default:
     /// ignore.
     fn on_outcome(&mut self, _ctx: &QueryContext, _outcome: &BidderOutcome) {}
+
+    /// Whether this bidder's table is a *standing* bid: a function of the
+    /// bidder's own fields alone — not of the query, the clock or past
+    /// outcomes — so it can change only when somebody writes to the bidder.
+    /// The engine asks a standing bidder for its table once, keeps it, and
+    /// asks again only after a write through
+    /// [`crate::AuctionEngine::bidder_mut`]; it never notifies it of
+    /// outcomes. Everything else (the default) is a *program*: evaluated at
+    /// every auction and told every outcome.
+    ///
+    /// The answer must not change over the bidder's life.
+    fn is_standing(&self) -> bool {
+        false
+    }
 }
 
 /// The simplest bidder: a fixed Bids table, independent of the query.
@@ -75,6 +89,10 @@ impl Bidder for TableBidder {
     fn on_query(&mut self, _ctx: &QueryContext) -> BidsTable {
         self.bids.clone()
     }
+
+    fn is_standing(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -94,6 +112,7 @@ mod tests {
             BidsTable::single_feature(Money::from_cents(7))
         );
         assert_eq!(b.on_query(&ctx), b.bids);
+        assert!(b.is_standing());
         b.on_outcome(&ctx, &BidderOutcome::lost()); // default no-op
     }
 }

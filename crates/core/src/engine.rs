@@ -13,12 +13,29 @@
 //!   revenue-matrix allocation**. `run_batch` aggregates into a
 //!   [`BatchReport`]; `stream` lazily materialises per-auction reports.
 //!
-//! Every hot step is instrumented with per-phase wall-clock tallies
+//! # Evaluate only what changed
+//!
+//! The engine keeps the last table every bidder produced and does work per
+//! auction in proportion to what can have changed since:
+//!
+//! * a **standing** bidder ([`Bidder::is_standing`]: a fixed table, a
+//!   per-click campaign) is asked for its table once and again only after a
+//!   write through [`AuctionEngine::bidder_mut`] — the one way to reach a
+//!   bidder mutably, which is what lets the engine trust the table it
+//!   holds. It is never notified of outcomes.
+//! * a **program** (any other bidder) is evaluated at every auction and told
+//!   every outcome; a bidder with a targeting matcher is visited at every
+//!   auction too, since the query decides whether it bids. Both are reached
+//!   through index lists of just those rows.
+//!
+//! Each re-evaluated table replaces the one the engine held and is compared
+//! with it, so a write that leaves the table equal dirties nothing. Every
+//! hot step is instrumented with per-phase wall-clock tallies
 //! ([`PhaseStats`]), and two exactness-preserving optimisations ride the
-//! persistent state: top-k candidate pruning
-//! ([`EngineConfig::pruned`]) and warm-started assignments
-//! ([`EngineConfig::warm_start`], which skips the matrix refill and solve
-//! outright when no bid changed since the previous auction on the engine).
+//! persistent state: top-k candidate pruning ([`EngineConfig::pruned`]) and
+//! warm-started assignments ([`EngineConfig::warm_start`], which refreshes
+//! only the changed rows of the revenue matrix and skips the solve outright
+//! when no table changed since the previous auction on the engine).
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use crate::pricing::{gsp_prices_into, vcg_prices, PricingScheme, SlotPrice};
@@ -353,16 +370,15 @@ impl BatchReport {
     }
 }
 
-/// Hot-path scratch reused across batched auctions; every buffer is refilled
-/// in place each step.
+/// Hot-path scratch reused across batched auctions.
 #[derive(Debug)]
 struct BatchScratch {
-    bids: Vec<BidsTable>,
-    /// The previous auction's bid tables, kept for the warm-start diff.
-    prev_bids: Vec<BidsTable>,
-    /// `matrix`/`base` reflect `bids` from a completed hot step, so the
-    /// warm-start path may refresh only the rows whose bids changed.
-    have_prev: bool,
+    /// Rows whose table changed in the current auction's evaluation.
+    changed: Vec<usize>,
+    /// `matrix`/`base` reflect the engine's `bids`, so the warm-start path
+    /// may refresh only the rows whose table changed. Cleared when the
+    /// bidder count grows (the slot-major matrix has to be laid out anew).
+    filled: bool,
     /// `assignment` is the current solver's output for `matrix`, so an
     /// unchanged auction may skip the solve outright.
     solved: bool,
@@ -373,7 +389,11 @@ struct BatchScratch {
     purchased: Vec<bool>,
     charges: Vec<(usize, Money)>,
     prices: Vec<SlotPrice>,
+    /// The inverse of `assignment`, parallel to the bidders and rewritten
+    /// only where a solve moved somebody (at most `2k` entries).
     adv_to_slot: Vec<Option<usize>>,
+    /// Parallel to the bidders and all zero between auctions: `charges`
+    /// scattered for the duration of one program notification.
     price_by_adv: Vec<Money>,
     phases: PhaseStats,
 }
@@ -381,9 +401,8 @@ struct BatchScratch {
 impl BatchScratch {
     fn new(num_slots: usize) -> Self {
         BatchScratch {
-            bids: Vec::new(),
-            prev_bids: Vec::new(),
-            have_prev: false,
+            changed: Vec::new(),
+            filled: false,
             solved: false,
             matrix: RevenueMatrix::zeros(0, num_slots.max(1)),
             base: NoSlotValues::default(),
@@ -402,12 +421,11 @@ impl BatchScratch {
 /// The auction engine over a population of bidders.
 #[derive(Debug)]
 pub struct AuctionEngine<B: Bidder> {
-    /// The bidding programs.
-    pub bidders: Vec<B>,
-    /// Click probability model.
-    pub clicks: ClickModel,
-    /// Purchase probability model.
-    pub purchases: PurchaseModel,
+    /// The bidders. Private: a standing bidder's table is trusted between
+    /// writes, so writes go through [`AuctionEngine::bidder_mut`].
+    bidders: Vec<B>,
+    clicks: ClickModel,
+    purchases: PurchaseModel,
     /// Configuration.
     pub config: EngineConfig,
     /// Keyword universe size, surfaced to bidders.
@@ -417,12 +435,36 @@ pub struct AuctionEngine<B: Bidder> {
     solver_method: WdMethod,
     solver_pruned: bool,
     /// Per-bidder targeting matchers, parallel to `bidders` (`None` =
-    /// untargeted; an empty vector = no campaign targets). A bidder whose
+    /// untargeted; an empty vector = no bidder targets). A bidder whose
     /// matcher rejects the query's attributes is EXCLUDED before the
     /// matrix fill: its program is not evaluated and it contributes an
     /// empty bid table, exactly like a paused campaign.
     targeting: Vec<Option<Arc<CompiledTargeting>>>,
+    /// The last table each bidder produced, parallel to `bidders`.
+    bids: Vec<BidsTable>,
+    /// Rows evaluated at every auction, ascending: programs, and standing
+    /// bidders with a targeting matcher.
+    every_auction: Vec<usize>,
+    /// Rows of programs, ascending: the bidders told every outcome.
+    programs: Vec<usize>,
+    /// The [`RowState::Written`] rows, each once.
+    written: Vec<usize>,
+    /// How each bidder's held table is kept current, parallel to `bidders`.
+    rows: Vec<RowState>,
     scratch: BatchScratch,
+}
+
+/// How the engine keeps the table it holds for one bidder current.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowState {
+    /// A program, or a bidder with a targeting matcher: evaluated at every
+    /// auction (listed in `every_auction`).
+    EveryAuction,
+    /// A standing untargeted bidder whose held table is current.
+    Current,
+    /// A standing untargeted bidder added or written to since it was last
+    /// asked (listed in `written`): asked again at the next auction.
+    Written,
 }
 
 /// The solver a config asks for: the method's own solver, optionally
@@ -435,8 +477,38 @@ fn build_solver(config: EngineConfig) -> Box<dyn WdSolver> {
     }
 }
 
+/// Bidder `row`'s targeting matcher, if it has one (`targeting` is empty
+/// while no bidder targets).
+fn matcher_of(
+    targeting: &[Option<Arc<CompiledTargeting>>],
+    row: usize,
+) -> Option<&CompiledTargeting> {
+    targeting.get(row).and_then(|t| t.as_deref())
+}
+
+/// Asks one bidder for its table — an empty one, without running it, when
+/// its targeting rejects the query — and puts the answer in `held`, the
+/// table the engine kept from the last time. Returns whether the two differ.
+fn evaluate<B: Bidder>(
+    bidder: &mut B,
+    matcher: Option<&CompiledTargeting>,
+    ctx: &QueryContext,
+    attrs: &UserAttrs,
+    held: &mut BidsTable,
+) -> bool {
+    let table = if matcher.is_some_and(|t| !t.matches(attrs)) {
+        BidsTable::empty()
+    } else {
+        bidder.on_query(ctx)
+    };
+    let replaced = std::mem::replace(held, table);
+    replaced != *held
+}
+
 impl<B: Bidder> AuctionEngine<B> {
-    /// Builds an engine; model dimensions must match the bidder count.
+    /// Builds an engine over untargeted bidders; model dimensions must
+    /// match the bidder count. More bidders (targeted or not) can join
+    /// later through [`AuctionEngine::push_bidder`].
     pub fn new(
         bidders: Vec<B>,
         clicks: ClickModel,
@@ -444,10 +516,11 @@ impl<B: Bidder> AuctionEngine<B> {
         num_keywords: usize,
         config: EngineConfig,
     ) -> Self {
-        assert_eq!(clicks.num_advertisers(), bidders.len());
-        assert_eq!(purchases.num_advertisers(), bidders.len());
+        let n = bidders.len();
+        assert_eq!(clicks.num_advertisers(), n);
+        assert_eq!(purchases.num_advertisers(), n);
         let scratch = BatchScratch::new(clicks.num_slots());
-        AuctionEngine {
+        let mut engine = AuctionEngine {
             bidders,
             clicks,
             purchases,
@@ -458,21 +531,96 @@ impl<B: Bidder> AuctionEngine<B> {
             solver_method: config.method,
             solver_pruned: config.pruned,
             targeting: Vec::new(),
+            bids: Vec::with_capacity(n),
+            every_auction: Vec::new(),
+            programs: Vec::new(),
+            written: Vec::new(),
+            rows: Vec::with_capacity(n),
             scratch,
+        };
+        for row in 0..n {
+            engine.enlist(row);
         }
+        engine
     }
 
-    /// Installs per-bidder targeting matchers, parallel to `bidders`
-    /// (compiled once at campaign registration — the engine never parses
-    /// targeting text). Pass an empty vector (the default) or all-`None`
-    /// for an untargeted market; both leave the hot path bit-identical to
-    /// an engine that never heard of targeting.
-    pub fn set_targeting(&mut self, targeting: Vec<Option<Arc<CompiledTargeting>>>) {
-        assert!(
-            targeting.is_empty() || targeting.len() == self.bidders.len(),
-            "targeting must be empty or parallel to bidders"
-        );
-        self.targeting = targeting;
+    /// Adds a bidder (it becomes row [`AuctionEngine::bidders`]`.len()`)
+    /// with its per-slot click probabilities, its per-slot purchase
+    /// probabilities (`None`: it never purchases) and, optionally, a
+    /// targeting matcher compiled by the caller — the engine never parses
+    /// targeting text. The models grow by one row; nothing is rebuilt, and
+    /// the tables the engine holds for the other bidders stay valid. The
+    /// next auction lays the revenue matrix out for the new bidder count
+    /// and solves.
+    pub fn push_bidder(
+        &mut self,
+        bidder: B,
+        click_probs: &[f64],
+        purchase_probs: Option<&[(f64, f64)]>,
+        targeting: Option<Arc<CompiledTargeting>>,
+    ) {
+        let row = self.bidders.len();
+        self.clicks.push_row(click_probs);
+        match purchase_probs {
+            Some(probs) => self.purchases.push_row(probs),
+            None => self.purchases.push_never(),
+        }
+        if targeting.is_some() || !self.targeting.is_empty() {
+            self.targeting.resize(row, None);
+            self.targeting.push(targeting);
+        }
+        self.bidders.push(bidder);
+        self.enlist(row);
+        self.scratch.filled = false;
+    }
+
+    /// Gives bidder `row`, the next one without them, its per-row engine
+    /// state: an empty held table (it has not been asked yet) and its place
+    /// on the lists the hot step walks.
+    fn enlist(&mut self, row: usize) {
+        debug_assert_eq!(row, self.rows.len());
+        let standing = self.bidders[row].is_standing();
+        if !standing {
+            self.programs.push(row);
+        }
+        if !standing || matcher_of(&self.targeting, row).is_some() {
+            self.every_auction.push(row);
+            self.rows.push(RowState::EveryAuction);
+        } else {
+            self.written.push(row);
+            self.rows.push(RowState::Written);
+        }
+        self.bids.push(BidsTable::empty());
+        self.scratch.adv_to_slot.push(None);
+        self.scratch.price_by_adv.push(Money::ZERO);
+    }
+
+    /// The bidders, in row order.
+    pub fn bidders(&self) -> &[B] {
+        &self.bidders
+    }
+
+    /// Mutable access to one bidder — the only one there is. It records
+    /// that the bidder may have been written to, so a standing bidder is
+    /// asked for its table again at the next auction (and only then; if the
+    /// table comes back equal, the auction is as warm as if nobody had
+    /// asked).
+    pub fn bidder_mut(&mut self, row: usize) -> &mut B {
+        if self.rows[row] == RowState::Current {
+            self.rows[row] = RowState::Written;
+            self.written.push(row);
+        }
+        &mut self.bidders[row]
+    }
+
+    /// Click probability model (one row per bidder).
+    pub fn clicks(&self) -> &ClickModel {
+        &self.clicks
+    }
+
+    /// Purchase probability model (one row per bidder).
+    pub fn purchases(&self) -> &PurchaseModel {
+        &self.purchases
     }
 
     /// The auction clock (number of auctions run).
@@ -545,67 +693,68 @@ impl<B: Bidder> AuctionEngine<B> {
             num_keywords: self.num_keywords,
         };
 
-        // Step 3: program evaluation into the reused bids buffer; the
-        // previous auction's tables rotate into `prev_bids` for the
-        // warm-start diff. A bidder whose targeting rejects the query's
-        // attributes is excluded here — its program never runs and its
-        // empty table makes it an EXCLUDED row for winner determination,
-        // the same mechanism paused campaigns use. The warm-start row
-        // diff then handles match/unmatch transitions like any other bid
-        // change.
+        // Step 3: program evaluation, of the rows that can have changed.
+        // Programs and targeted bidders are visited at every auction (a
+        // bidder whose targeting rejects the query's attributes is not run:
+        // its empty table makes it an EXCLUDED row for winner
+        // determination, the same mechanism paused campaigns use); a
+        // standing bidder only after a write. Every other table is the one
+        // the engine already holds.
         let t_eval = Instant::now();
-        std::mem::swap(&mut self.scratch.bids, &mut self.scratch.prev_bids);
-        self.scratch.bids.clear();
-        for (i, b) in self.bidders.iter_mut().enumerate() {
-            let excluded = self
-                .targeting
-                .get(i)
-                .and_then(|t| t.as_ref())
-                .is_some_and(|t| !t.matches(attrs));
-            self.scratch.bids.push(if excluded {
-                BidsTable::empty()
-            } else {
-                b.on_query(&ctx)
-            });
+        self.scratch.changed.clear();
+        for &i in &self.every_auction {
+            let matcher = matcher_of(&self.targeting, i);
+            if evaluate(
+                &mut self.bidders[i],
+                matcher,
+                &ctx,
+                attrs,
+                &mut self.bids[i],
+            ) {
+                self.scratch.changed.push(i);
+            }
+        }
+        for i in self.written.drain(..) {
+            self.rows[i] = RowState::Current;
+            if evaluate(&mut self.bidders[i], None, &ctx, attrs, &mut self.bids[i]) {
+                self.scratch.changed.push(i);
+            }
         }
         let t_fill = Instant::now();
         self.scratch.phases.program_eval_ns += (t_fill - t_eval).as_nanos() as u64;
 
-        // Step 4a: revenue matrix. With warm starts enabled and a valid
-        // previous fill, refresh only the rows whose bids changed (the
-        // Section IV-B adjustment lists guarantee few do between
-        // consecutive auctions); the row refresh plus the in-order base
-        // re-sum is bit-identical to a full rebuild.
+        // Step 4a: revenue matrix. With warm starts enabled and a matrix
+        // that reflects the held tables, refresh only the rows whose table
+        // changed (the Section IV-B adjustment lists guarantee few do
+        // between consecutive auctions); the row refresh plus the in-order
+        // base re-sum is bit-identical to a full rebuild.
         let warm = self.config.warm_start;
-        let mut dirty = 0usize;
-        if warm && self.scratch.have_prev && self.scratch.prev_bids.len() == self.scratch.bids.len()
-        {
-            for (i, bids) in self.scratch.bids.iter().enumerate() {
-                if *bids != self.scratch.prev_bids[i] {
-                    revenue_matrix_refresh_row(
-                        bids,
-                        i,
-                        &self.clicks,
-                        &self.purchases,
-                        &mut self.scratch.matrix,
-                        &mut self.scratch.base,
-                    );
-                    dirty += 1;
-                }
+        let refreshed;
+        if warm && self.scratch.filled {
+            for &i in &self.scratch.changed {
+                revenue_matrix_refresh_row(
+                    &self.bids[i],
+                    i,
+                    &self.clicks,
+                    &self.purchases,
+                    &mut self.scratch.matrix,
+                    &mut self.scratch.base,
+                );
             }
-            if dirty > 0 {
+            refreshed = self.scratch.changed.len();
+            if refreshed > 0 {
                 self.scratch.base.resum();
             }
         } else {
             revenue_matrix_into(
-                &self.scratch.bids,
+                &self.bids,
                 &self.clicks,
                 &self.purchases,
                 &mut self.scratch.matrix,
                 &mut self.scratch.base,
             );
-            dirty = self.scratch.bids.len().max(1);
-            self.scratch.have_prev = true;
+            refreshed = self.bids.len().max(1);
+            self.scratch.filled = true;
         }
         let t_solve = Instant::now();
         self.scratch.phases.matrix_fill_ns += (t_solve - t_fill).as_nanos() as u64;
@@ -614,11 +763,21 @@ impl<B: Bidder> AuctionEngine<B> {
         // previous assignment needs no solve: solvers are deterministic
         // functions of the matrix and draw no randomness, so the retained
         // assignment is exactly what a fresh solve would produce.
-        if warm && dirty == 0 && self.scratch.solved {
+        if warm && refreshed == 0 && self.scratch.solved {
             self.scratch.phases.warm_solves += 1;
         } else {
+            // `adv_to_slot` follows the assignment: forget the seats the
+            // solve is about to take away, then record the ones it gives.
+            for adv in self.scratch.assignment.slot_to_adv.iter().flatten() {
+                self.scratch.adv_to_slot[*adv] = None;
+            }
             self.solver
                 .solve(&self.scratch.matrix, &mut self.scratch.assignment);
+            for (j, adv) in self.scratch.assignment.slot_to_adv.iter().enumerate() {
+                if let Some(i) = adv {
+                    self.scratch.adv_to_slot[*i] = Some(j);
+                }
+            }
             self.scratch.solved = true;
             self.scratch.phases.solves += 1;
             self.scratch.phases.candidates += self
@@ -647,14 +806,6 @@ impl<B: Bidder> AuctionEngine<B> {
             self.scratch.purchased[j] = p_buy > 0.0 && rng.gen::<f64>() < p_buy;
         }
 
-        // Reused advertiser→slot inverse map (pricing and notification).
-        self.scratch.adv_to_slot.clear();
-        self.scratch.adv_to_slot.resize(self.bidders.len(), None);
-        for (j, adv) in self.scratch.assignment.slot_to_adv.iter().enumerate() {
-            if let Some(i) = adv {
-                self.scratch.adv_to_slot[*i] = Some(j);
-            }
-        }
         let t_pricing = Instant::now();
         self.scratch.phases.settlement_ns += (t_pricing - t_action).as_nanos() as u64;
 
@@ -662,7 +813,7 @@ impl<B: Bidder> AuctionEngine<B> {
         compute_charges_into(
             self.config.pricing,
             &self.clicks,
-            &self.scratch.bids,
+            &self.bids,
             &self.scratch.matrix,
             &self.scratch.assignment,
             &self.scratch.adv_to_slot,
@@ -674,9 +825,10 @@ impl<B: Bidder> AuctionEngine<B> {
         let t_notify = Instant::now();
         self.scratch.phases.pricing_ns += (t_notify - t_pricing).as_nanos() as u64;
 
-        // Notify bidders.
-        notify_bidders(
+        // Notify the programs (standing bidders do not listen).
+        notify_programs(
             &mut self.bidders,
+            &self.programs,
             &ctx,
             &self.scratch.adv_to_slot,
             &self.scratch.clicked,
@@ -767,31 +919,35 @@ where
     }
 }
 
-/// Notifies every bidder of its slot, click, purchase, and charge.
-/// `price_by_adv` is a reusable scratch scattered from `charges` so the
-/// per-bidder lookup is O(1) rather than a scan of the charge list (which
-/// under pay-your-bid pricing can cover every advertiser).
-fn notify_bidders<B: Bidder>(
+/// Notifies every program (the rows in `programs`) of its slot, click,
+/// purchase, and charge. `price_by_adv` is an all-zero scratch that holds
+/// `charges` scattered for the duration of the call, so the per-program
+/// lookup is O(1) rather than a scan of the charge list (which under
+/// pay-your-bid pricing can cover every advertiser).
+#[allow(clippy::too_many_arguments)] // the auction facts plus one scratch
+fn notify_programs<B: Bidder>(
     bidders: &mut [B],
+    programs: &[usize],
     ctx: &QueryContext,
     adv_to_slot: &[Option<usize>],
     clicked: &[bool],
     purchased: &[bool],
     charges: &[(usize, Money)],
-    price_by_adv: &mut Vec<Money>,
+    price_by_adv: &mut [Money],
 ) {
-    price_by_adv.clear();
-    price_by_adv.resize(bidders.len(), Money::ZERO);
+    if programs.is_empty() {
+        return;
+    }
     for &(adv, m) in charges {
         price_by_adv[adv] = m;
     }
-    for (i, bidder) in bidders.iter_mut().enumerate() {
+    for &i in programs {
         let slot = adv_to_slot[i].map(SlotId::from_index0);
         let (c, p) = match adv_to_slot[i] {
             Some(j) => (clicked[j], purchased[j]),
             None => (false, false),
         };
-        bidder.on_outcome(
+        bidders[i].on_outcome(
             ctx,
             &BidderOutcome {
                 slot,
@@ -800,6 +956,9 @@ fn notify_bidders<B: Bidder>(
                 price: price_by_adv[i],
             },
         );
+    }
+    for &(adv, _) in charges {
+        price_by_adv[adv] = Money::ZERO;
     }
 }
 

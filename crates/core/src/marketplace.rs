@@ -436,28 +436,38 @@ enum CampaignKind {
     Program,
 }
 
+/// Campaign metadata. The campaign's click and purchase probabilities are
+/// not here: their one copy is its row of the keyword engine's models.
 #[derive(Debug)]
 struct Campaign {
     id: CampaignId,
     advertiser: AdvertiserHandle,
     kind: CampaignKind,
     paused: bool,
-    click_probs: Vec<f64>,
-    purchase_probs: Vec<(f64, f64)>,
     /// Compiled targeting matcher (`None` = the campaign bids on every
-    /// query). Shared with the keyword's engine via `Arc`: engine rebuilds
-    /// never re-parse, and the retained [`CompiledTargeting::source`] is
-    /// what state capture and the mutation journal serialize.
+    /// query). Shared with the keyword's engine via `Arc`; the retained
+    /// [`CompiledTargeting::source`] is what state capture and the mutation
+    /// journal serialize.
     targeting: Option<Arc<CompiledTargeting>>,
 }
 
-/// The engine-side representation of a campaign: a [`Bidder`] whose table
-/// is rewritten in place by the incremental update API. A paused campaign
-/// submits an empty table, which winner determination treats as
+/// What a [`CampaignBidder`] bids when it is not paused.
+enum BidSource {
+    /// The effective per-click bid, rewritten by the incremental update
+    /// API. The one-row table is built when the engine asks for it — after
+    /// a write — and the engine keeps the only copy.
+    PerClick(Money),
+    /// A fixed table.
+    Table(BidsTable),
+    /// A bidding program, run at every auction.
+    Program(Box<dyn Bidder + Send>),
+}
+
+/// The engine-side representation of a campaign. A paused campaign submits
+/// an empty table, which winner determination treats as
 /// [`ssa_matching::EXCLUDED`] — it can never be displayed.
 struct CampaignBidder {
-    table: BidsTable,
-    program: Option<Box<dyn Bidder + Send>>,
+    source: BidSource,
     paused: bool,
 }
 
@@ -466,48 +476,50 @@ impl Bidder for CampaignBidder {
         if self.paused {
             return BidsTable::empty();
         }
-        match &mut self.program {
-            Some(p) => p.on_query(ctx),
-            None => self.table.clone(),
+        match &mut self.source {
+            BidSource::PerClick(bid) => BidsTable::single_feature(*bid),
+            BidSource::Table(table) => table.clone(),
+            BidSource::Program(p) => p.on_query(ctx),
         }
     }
 
     fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
-        if let Some(p) = &mut self.program {
+        if let BidSource::Program(p) = &mut self.source {
             if !self.paused {
                 p.on_outcome(ctx, outcome);
             }
         }
     }
+
+    /// Per-click and fixed-table campaigns change only through the update
+    /// API, which writes through [`AuctionEngine::bidder_mut`].
+    fn is_standing(&self) -> bool {
+        !matches!(self.source, BidSource::Program(_))
+    }
 }
 
 impl std::fmt::Debug for CampaignBidder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let source = match &self.source {
+            BidSource::PerClick(_) => "per-click",
+            BidSource::Table(_) => "table",
+            BidSource::Program(_) => "custom",
+        };
         f.debug_struct("CampaignBidder")
             .field("paused", &self.paused)
-            .field(
-                "program",
-                &if self.program.is_some() {
-                    "custom"
-                } else {
-                    "table"
-                },
-            )
+            .field("source", &source)
             .finish_non_exhaustive()
     }
 }
 
 /// Everything the marketplace holds for one keyword: campaign metadata, the
-/// persistent engine (solver + matrix buffers), and the logical bid index.
-///
-/// The campaign bidders live in exactly one of two places: inside the
-/// engine while it exists, or in `pending` between a structural change
-/// (campaign added) and the next serve. Incremental updates mutate them in
-/// place wherever they are.
+/// persistent engine (bidders, probability models, solver and matrix
+/// buffers), and the logical bid index.
 #[derive(Debug)]
 struct KeywordBook {
     campaigns: Vec<Campaign>,
-    pending: Vec<CampaignBidder>,
+    /// Built by the keyword's first campaign and grown in place by every
+    /// later one; `None` exactly while `campaigns` is empty.
     engine: Option<AuctionEngine<CampaignBidder>>,
     /// Sorted per-click bids (cents) of unpaused per-click campaigns — the
     /// Section IV-B adjustment list backing `update_bid` / `top_bids`.
@@ -523,18 +535,19 @@ impl KeywordBook {
     fn new(rng: StdRng) -> Self {
         KeywordBook {
             campaigns: Vec::new(),
-            pending: Vec::new(),
             engine: None,
             index: AdjustmentList::default(),
             rng,
         }
     }
 
+    /// Write access to a registered campaign's bidder, through the engine's
+    /// dirty-marking accessor.
     fn bidder_mut(&mut self, index: usize) -> &mut CampaignBidder {
-        match self.engine.as_mut() {
-            Some(engine) => &mut engine.bidders[index],
-            None => &mut self.pending[index],
-        }
+        self.engine
+            .as_mut()
+            .expect("a registered campaign has an engine")
+            .bidder_mut(index)
     }
 }
 
@@ -1007,7 +1020,11 @@ impl Marketplace {
         keyword: usize,
         out: &mut Vec<crate::state::CampaignState>,
     ) -> Result<(), MarketError> {
-        for campaign in &self.books[keyword].campaigns {
+        let book = &self.books[keyword];
+        let Some(engine) = &book.engine else {
+            return Ok(());
+        };
+        for (row, campaign) in book.campaigns.iter().enumerate() {
             let CampaignKind::PerClick {
                 nominal,
                 click_value,
@@ -1022,8 +1039,8 @@ impl Marketplace {
                 bid_cents: nominal.cents(),
                 click_value_cents: click_value.cents(),
                 roi_target,
-                click_probs: campaign.click_probs.clone(),
-                purchase_probs: campaign.purchase_probs.clone(),
+                click_probs: engine.clicks().row(row).to_vec(),
+                purchase_probs: engine.purchases().row(row),
                 paused: campaign.paused,
                 targeting: campaign.targeting.as_ref().map(|t| t.source().to_string()),
             });
@@ -1083,9 +1100,10 @@ impl Marketplace {
 
     /// Registers a campaign for `advertiser` on `keyword`.
     ///
-    /// This is the structural slow path: the keyword's engine is rebuilt on
-    /// the next serve (its bidder vector grows). Bid changes afterwards go
-    /// through the incremental API, which never rebuilds.
+    /// The keyword's engine grows by one bidder in place: the campaign's
+    /// probabilities become the next row of its models, the tables it holds
+    /// for the other campaigns stay valid, and the next serve lays the
+    /// revenue matrix out for the new size and solves.
     pub fn add_campaign(
         &mut self,
         advertiser: AdvertiserHandle,
@@ -1096,27 +1114,25 @@ impl Marketplace {
             return Err(MarketError::UnknownAdvertiser(advertiser));
         }
         let keyword = self.check_keyword(keyword)?;
-        let click_probs = match spec.click_probs {
-            Some(probs) => probs,
-            None => self
-                .default_click_probs
-                .clone()
-                .ok_or(MarketError::MissingClickModel)?,
-        };
-        validate_click_probs(&click_probs, self.num_slots)?;
-        let purchase_probs = match spec.purchase_probs {
-            Some(probs) => probs,
-            None => self
-                .default_purchase_probs
-                .clone()
-                .unwrap_or_else(|| vec![(0.0, 0.0); self.num_slots]),
-        };
-        validate_purchase_probs(&purchase_probs, self.num_slots)?;
+        let click_probs = spec
+            .click_probs
+            .as_deref()
+            .or(self.default_click_probs.as_deref())
+            .ok_or(MarketError::MissingClickModel)?;
+        validate_click_probs(click_probs, self.num_slots)?;
+        // `None`: purchases never happen.
+        let purchase_probs = spec
+            .purchase_probs
+            .as_deref()
+            .or(self.default_purchase_probs.as_deref());
+        if let Some(probs) = purchase_probs {
+            validate_purchase_probs(probs, self.num_slots)?;
+        }
         if let Some(target) = spec.roi_target {
             check_roi_target(target)?;
         }
-        // Every validation must precede the engine teardown below: a
-        // rejected registration leaves the keyword's warm engine untouched.
+        // Every validation precedes the first change below: a rejected
+        // registration leaves the keyword's warm engine untouched.
         if let ProgramSpec::PerClick(bid) = &spec.program {
             if !bid.is_positive() && *bid != Money::ZERO {
                 return Err(MarketError::NegativeBid(*bid));
@@ -1129,54 +1145,48 @@ impl Marketplace {
             None => None,
         };
 
+        let (config, num_slots, num_keywords) = (self.config, self.num_slots, self.num_keywords);
         let book = &mut self.books[keyword];
-        // Tear the engine down to `pending` so the bidder vector can grow;
-        // the next serve rebuilds it with the enlarged models.
-        if let Some(engine) = book.engine.take() {
-            book.pending = engine.bidders;
-        }
         let id = CampaignId {
             keyword,
             index: book.campaigns.len(),
         };
-        let (kind, bidder) = match spec.program {
+        let (kind, source) = match spec.program {
             ProgramSpec::PerClick(bid) => (
                 CampaignKind::PerClick {
                     nominal: bid,
                     click_value: spec.click_value,
                     roi_target: spec.roi_target,
                 },
-                CampaignBidder {
-                    table: BidsTable::empty(), // filled by refresh below
-                    program: None,
-                    paused: false,
-                },
+                BidSource::PerClick(Money::ZERO), // set by the refresh below
             ),
-            ProgramSpec::Table(table) => (
-                CampaignKind::Table,
-                CampaignBidder {
-                    table,
-                    program: None,
-                    paused: false,
-                },
-            ),
-            ProgramSpec::Program(program) => (
-                CampaignKind::Program,
-                CampaignBidder {
-                    table: BidsTable::empty(),
-                    program: Some(program),
-                    paused: false,
-                },
-            ),
+            ProgramSpec::Table(table) => (CampaignKind::Table, BidSource::Table(table)),
+            ProgramSpec::Program(program) => (CampaignKind::Program, BidSource::Program(program)),
         };
-        book.pending.push(bidder);
+        book.engine
+            .get_or_insert_with(|| {
+                AuctionEngine::new(
+                    Vec::new(),
+                    ClickModel::empty(num_slots),
+                    PurchaseModel::never(0, num_slots),
+                    num_keywords,
+                    config,
+                )
+            })
+            .push_bidder(
+                CampaignBidder {
+                    source,
+                    paused: false,
+                },
+                click_probs,
+                purchase_probs,
+                targeting.clone(),
+            );
         book.campaigns.push(Campaign {
             id,
             advertiser,
             kind,
             paused: false,
-            click_probs,
-            purchase_probs,
             targeting,
         });
         if matches!(kind, CampaignKind::PerClick { .. }) {
@@ -1201,9 +1211,9 @@ impl Marketplace {
 
     /// Sets a per-click campaign's bid.
     ///
-    /// `O(log n)` on the keyword's logical bid index plus an in-place
-    /// rewrite of the campaign's table — the engine, its solver scratch,
-    /// and the other campaigns are untouched.
+    /// `O(log n)` on the keyword's logical bid index plus a write to the
+    /// campaign's bidder that marks its row for re-evaluation — the engine,
+    /// its solver scratch, and the other campaigns are untouched.
     pub fn update_bid(&mut self, id: CampaignId, bid: Money) -> Result<(), MarketError> {
         self.check_campaign(id)?;
         if !bid.is_positive() && bid != Money::ZERO {
@@ -1300,7 +1310,8 @@ impl Marketplace {
 
     /// Recomputes a per-click campaign's effective bid and pushes it into
     /// both views: the keyword's [`AdjustmentList`] (remove + insert,
-    /// `O(log n)`) and the campaign's in-place engine table.
+    /// `O(log n)`) and the campaign's bidder, whose row the engine
+    /// re-evaluates at the keyword's next auction.
     fn refresh_per_click(&mut self, id: CampaignId) {
         let book = &mut self.books[id.keyword];
         let campaign = &book.campaigns[id.index];
@@ -1319,7 +1330,7 @@ impl Marketplace {
             book.index.insert(id.index, effective.cents());
         }
         let bidder = book.bidder_mut(id.index);
-        bidder.table = BidsTable::single_feature(effective);
+        bidder.source = BidSource::PerClick(effective);
         bidder.paused = paused;
     }
 
@@ -1346,7 +1357,8 @@ impl Marketplace {
         attrs: &UserAttrs,
         time: u64,
     ) -> AuctionResponse {
-        if self.books[keyword].campaigns.is_empty() {
+        let book = &mut self.books[keyword];
+        let Some(engine) = book.engine.as_mut() else {
             return AuctionResponse {
                 keyword,
                 time,
@@ -1355,10 +1367,7 @@ impl Marketplace {
                 placements: Vec::new(),
                 charges: Vec::new(),
             };
-        }
-        self.ensure_engine(keyword);
-        let book = &mut self.books[keyword];
-        let engine = book.engine.as_mut().expect("engine built above");
+        };
         engine.set_time(time - 1);
         let report = engine.run_auction((keyword, attrs), &mut book.rng);
         respond(&book.campaigns, keyword, time, report)
@@ -1420,40 +1429,15 @@ impl Marketplace {
             requests.iter().all(|r| r.keyword == keyword),
             "serve_run_at takes one same-keyword run"
         );
-        if self.books[keyword].campaigns.is_empty() {
+        let book = &mut self.books[keyword];
+        let Some(engine) = book.engine.as_mut() else {
             return BatchReport {
                 auctions: requests.len() as u64,
                 ..BatchReport::default()
             };
-        }
-        self.ensure_engine(keyword);
-        let book = &mut self.books[keyword];
-        let engine = book.engine.as_mut().expect("engine built above");
+        };
         engine.set_time(start_time);
         engine.run_batch(requests, &mut book.rng)
-    }
-
-    /// Builds (or reuses) the keyword's persistent engine. Only structural
-    /// changes (new campaigns) tear it down; bid updates never do.
-    fn ensure_engine(&mut self, keyword: usize) {
-        let config = self.config;
-        let num_keywords = self.num_keywords;
-        let num_slots = self.num_slots;
-        let book = &mut self.books[keyword];
-        if book.engine.is_some() || book.campaigns.is_empty() {
-            return;
-        }
-        let n = book.campaigns.len();
-        debug_assert_eq!(book.pending.len(), n, "bidders out of sync with metadata");
-        let campaigns = &book.campaigns;
-        let clicks = ClickModel::from_fn(n, num_slots, |i, j| campaigns[i].click_probs[j]);
-        let purchases = PurchaseModel::from_fn(n, num_slots, |i, j| campaigns[i].purchase_probs[j]);
-        let targeting: Vec<Option<Arc<CompiledTargeting>>> =
-            campaigns.iter().map(|c| c.targeting.clone()).collect();
-        let bidders = std::mem::take(&mut book.pending);
-        let mut engine = AuctionEngine::new(bidders, clicks, purchases, num_keywords, config);
-        engine.set_targeting(targeting);
-        book.engine = Some(engine);
     }
 }
 
@@ -1813,14 +1797,14 @@ mod tests {
     }
 
     #[test]
-    fn adding_a_campaign_rebuilds_only_that_keyword() {
+    fn adding_a_campaign_grows_the_warm_engine_in_place() {
         let (mut market, c1, _) = two_campaign_market();
         market.serve(QueryRequest::new(0)).expect("warm engine");
         let a = market.register_advertiser("late");
         let c3 = market
             .add_campaign(a, 0, CampaignSpec::per_click(Money::from_cents(50)))
             .expect("accepted");
-        // The pre-rebuild incremental state survives the rebuild.
+        // Writes after the growth land like writes before it.
         market
             .update_bid(c1, Money::from_cents(2))
             .expect("per-click");

@@ -10,6 +10,13 @@
 //! is the restricted product form (Figure 8) used by current auction
 //! platforms; it converts into a `ClickModel` and additionally supports the
 //! sort-based allocation that is only correct under separability.
+//!
+//! Both models grow one advertiser at a time ([`ClickModel::push_row`],
+//! [`PurchaseModel::push_row`]), so a long-lived engine keeps the only copy
+//! of each advertiser's probabilities and a new advertiser appends a row
+//! instead of rebuilding the model. An advertiser that never purchases —
+//! the pure click-auction setting — costs [`PurchaseModel`] no per-slot
+//! storage at all.
 
 use ssa_bidlang::SlotId;
 
@@ -22,24 +29,50 @@ pub struct ClickModel {
 }
 
 impl ClickModel {
+    /// A model over `k` slots with no advertisers yet; grow it with
+    /// [`ClickModel::push_row`].
+    pub fn empty(k: usize) -> Self {
+        ClickModel {
+            n: 0,
+            k,
+            p: Vec::new(),
+        }
+    }
+
     /// Builds a model from a function of `(advertiser, slot)` indexes.
     ///
     /// # Panics
     ///
     /// Panics if any probability is outside `[0, 1]`.
     pub fn from_fn(n: usize, k: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut p = Vec::with_capacity(n * k);
+        let mut model = ClickModel::empty(k);
+        model.p.reserve_exact(n * k);
+        let mut row = Vec::with_capacity(k);
         for i in 0..n {
-            for j in 0..k {
-                let v = f(i, j);
-                assert!(
-                    (0.0..=1.0).contains(&v),
-                    "p_click({i},{j}) = {v} out of range"
-                );
-                p.push(v);
-            }
+            row.clear();
+            row.extend((0..k).map(|j| f(i, j)));
+            model.push_row(&row);
         }
-        ClickModel { n, k, p }
+        model
+    }
+
+    /// Appends the next advertiser's per-slot click probabilities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row does not have one entry per slot or any
+    /// probability is outside `[0, 1]`.
+    pub fn push_row(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.k, "click row must cover every slot");
+        for (j, &v) in row.iter().enumerate() {
+            assert!(
+                (0.0..=1.0).contains(&v),
+                "p_click({},{j}) = {v} out of range",
+                self.n
+            );
+        }
+        self.p.extend_from_slice(row);
+        self.n += 1;
     }
 
     /// Builds a model from explicit rows.
@@ -170,61 +203,118 @@ impl SeparableClickModel {
 
 /// P(purchase | click?, slot) per advertiser (Section III-A: purchase
 /// probability depends on whether the ad was clicked and on the slot).
+///
+/// Stored sparsely: only advertisers with some non-zero probability own a
+/// per-slot row. In the pure click-auction setting — every production
+/// population so far — the model is one word per advertiser.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PurchaseModel {
-    n: usize,
     k: usize,
-    given_click: Vec<f64>,    // [advertiser * k + slot]
-    given_no_click: Vec<f64>, // [advertiser * k + slot]
+    /// Per advertiser: index of its row in `rows` (in units of `k`), or
+    /// [`NEVER`] for an advertiser that never purchases.
+    row_of: Vec<u32>,
+    /// `(p | click, p | no click)`, row-major over the stored rows.
+    rows: Vec<(f64, f64)>,
 }
+
+/// `row_of` marker of an advertiser whose purchase probabilities are all
+/// `+0.0`.
+const NEVER: u32 = u32::MAX;
 
 impl PurchaseModel {
     /// A model where purchases never happen (the pure click-auction
     /// setting).
     pub fn never(n: usize, k: usize) -> Self {
         PurchaseModel {
-            n,
             k,
-            given_click: vec![0.0; n * k],
-            given_no_click: vec![0.0; n * k],
+            row_of: vec![NEVER; n],
+            rows: Vec::new(),
         }
     }
 
     /// Builds a model from `(advertiser, slot) → (p | click, p | no click)`.
     pub fn from_fn(n: usize, k: usize, mut f: impl FnMut(usize, usize) -> (f64, f64)) -> Self {
-        let mut given_click = Vec::with_capacity(n * k);
-        let mut given_no_click = Vec::with_capacity(n * k);
+        let mut model = PurchaseModel::never(0, k);
+        let mut row = Vec::with_capacity(k);
         for i in 0..n {
-            for j in 0..k {
-                let (pc, pn) = f(i, j);
-                assert!((0.0..=1.0).contains(&pc), "p_purchase|click out of range");
-                assert!((0.0..=1.0).contains(&pn), "p_purchase|¬click out of range");
-                given_click.push(pc);
-                given_no_click.push(pn);
-            }
+            row.clear();
+            row.extend((0..k).map(|j| f(i, j)));
+            model.push_row(&row);
         }
-        PurchaseModel {
-            n,
-            k,
-            given_click,
-            given_no_click,
+        model
+    }
+
+    /// Appends the next advertiser's per-slot `(p | click, p | no click)`
+    /// pairs. A row of nothing but `+0.0` is recorded as "never purchases"
+    /// and stores nothing per slot (`-0.0` is kept as written, so
+    /// [`PurchaseModel::row`] always returns the bits it was given).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row does not have one entry per slot or any
+    /// probability is outside `[0, 1]`.
+    pub fn push_row(&mut self, row: &[(f64, f64)]) {
+        assert_eq!(row.len(), self.k, "purchase row must cover every slot");
+        for &(pc, pn) in row {
+            assert!((0.0..=1.0).contains(&pc), "p_purchase|click out of range");
+            assert!((0.0..=1.0).contains(&pn), "p_purchase|¬click out of range");
+        }
+        if row
+            .iter()
+            .all(|&(pc, pn)| pc.to_bits() == 0 && pn.to_bits() == 0)
+        {
+            return self.push_never();
+        }
+        // A row that is not all zeros has an entry, so `k > 0` here.
+        let index = u32::try_from(self.rows.len() / self.k).unwrap_or(NEVER);
+        assert_ne!(index, NEVER, "more than 2^32 - 2 purchasing advertisers");
+        self.row_of.push(index);
+        self.rows.extend_from_slice(row);
+    }
+
+    /// Appends an advertiser that never purchases.
+    pub fn push_never(&mut self) {
+        self.row_of.push(NEVER);
+    }
+
+    fn stored_row(&self, adv: usize) -> Option<&[(f64, f64)]> {
+        match self.row_of[adv] {
+            NEVER => None,
+            index => {
+                let start = index as usize * self.k;
+                Some(&self.rows[start..start + self.k])
+            }
         }
     }
 
     /// P(purchase | advertiser `i` in slot `j`, clicked?).
     #[inline]
     pub fn p_purchase(&self, adv: usize, slot: SlotId, clicked: bool) -> f64 {
-        let idx = adv * self.k + slot.index0();
-        if clicked {
-            self.given_click[idx]
-        } else {
-            self.given_no_click[idx]
+        match self.stored_row(adv) {
+            None => 0.0,
+            Some(row) => {
+                let (given_click, given_no_click) = row[slot.index0()];
+                if clicked {
+                    given_click
+                } else {
+                    given_no_click
+                }
+            }
+        }
+    }
+
+    /// An advertiser's per-slot `(p | click, p | no click)` pairs exactly
+    /// as they were supplied — explicit zeros for one that never purchases.
+    pub fn row(&self, adv: usize) -> Vec<(f64, f64)> {
+        match self.stored_row(adv) {
+            None => vec![(0.0, 0.0); self.k],
+            Some(row) => row.to_vec(),
         }
     }
 
     /// Number of advertisers.
     pub fn num_advertisers(&self) -> usize {
-        self.n
+        self.row_of.len()
     }
 }
 
@@ -285,6 +375,42 @@ mod tests {
         assert_eq!(m.p_purchase(0, SlotId::new(1), false), 0.01);
         let never = PurchaseModel::never(1, 2);
         assert_eq!(never.p_purchase(0, SlotId::new(1), true), 0.0);
+    }
+
+    #[test]
+    fn models_grow_one_advertiser_at_a_time() {
+        let mut clicks = ClickModel::empty(2);
+        clicks.push_row(&[0.7, 0.4]);
+        clicks.push_row(&[0.6, 0.3]);
+        assert_eq!(clicks, ClickModel::figure7());
+        assert_eq!(clicks.row(1), &[0.6, 0.3]);
+
+        let mut purchases = PurchaseModel::never(1, 2);
+        purchases.push_row(&[(0.5, 0.25), (0.0, 0.0)]);
+        purchases.push_never();
+        purchases.push_row(&[(0.0, 0.0), (0.0, 0.0)]);
+        purchases.push_row(&[(0.0, -0.0), (0.0, 0.0)]);
+        let built = PurchaseModel::from_fn(5, 2, |i, j| match (i, j) {
+            (1, 0) => (0.5, 0.25),
+            (4, 0) => (0.0, -0.0),
+            _ => (0.0, 0.0),
+        });
+        assert_eq!(purchases, built);
+        assert_eq!(purchases.num_advertisers(), 5);
+        assert_eq!(purchases.p_purchase(1, SlotId::new(1), false), 0.25);
+        assert_eq!(purchases.p_purchase(3, SlotId::new(2), true), 0.0);
+        // Only the two rows that are not all `+0.0` are stored; the others
+        // read back as explicit zeros, and `-0.0` as it was written.
+        assert_eq!(purchases.rows.len(), 2 * 2);
+        assert_eq!(purchases.row(0), vec![(0.0, 0.0); 2]);
+        assert_eq!(purchases.row(1), vec![(0.5, 0.25), (0.0, 0.0)]);
+        assert!(purchases.row(4)[0].1.is_sign_negative());
+    }
+
+    #[test]
+    #[should_panic(expected = "cover every slot")]
+    fn pushed_rows_must_cover_every_slot() {
+        ClickModel::empty(2).push_row(&[0.5]);
     }
 
     #[test]

@@ -214,8 +214,8 @@ impl ShardedMarketplace {
     ///
     /// [`ShardedMarketplace::from_state`] rebuilds a marketplace from the
     /// capture that serves **bit-identical** auctions from the next query
-    /// on (engines and solver scratch are execution state and rebuild
-    /// lazily with identical outcomes).
+    /// on (held tables, revenue matrices and solver scratch are execution
+    /// state and are re-derived with identical outcomes).
     pub fn capture_state(&self) -> Result<MarketState, MarketError> {
         let shard0 = &self.shards[0];
         let config = MarketConfigState {

@@ -14,11 +14,16 @@
 //! The marketplace is deterministic apart from the user-action RNG
 //! streams, and every marketplace draws those streams *per keyword*
 //! (see [`crate::marketplace::keyword_stream_seed`]).
-//! Engines, solver scratch, and warm-start caches are pure execution
-//! state — rebuilding them lazily from the campaign book reproduces the
-//! same auctions bit for bit (the repository's solver-equivalence
-//! guarantee). So campaigns + clock + RNG positions pin down every future
-//! auction outcome exactly.
+//! The tables an engine holds for its campaigns, its revenue matrix,
+//! solver scratch, and warm-start state are pure execution state — a
+//! restored market re-derives them at each keyword's next auction and
+//! reproduces the same auctions bit for bit (the repository's
+//! solver-equivalence guarantee). Each campaign's probabilities, whose one
+//! copy is its row of the keyword engine's models, are read out of those
+//! models into [`CampaignState`] — a campaign that never purchases stores
+//! no purchase row there, and is captured with the explicit zeros it would
+//! have been registered with. So campaigns + clock + RNG positions pin down
+//! every future auction outcome exactly.
 
 use crate::engine::WdMethod;
 use crate::pricing::PricingScheme;

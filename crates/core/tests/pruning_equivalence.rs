@@ -291,3 +291,485 @@ fn pruned_warm_matches_unpruned_cold_at_issue_sizes() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Mixed streams: every kind of write between auctions.
+// ---------------------------------------------------------------------------
+//
+// The engine keeps the last table each campaign produced and re-evaluates a
+// per-click or fixed-table campaign only after a write that went through its
+// dirty-marking accessor. The property below drives every such write —
+// `update_bid` (new values, rewrites of the current value, writes to paused
+// campaigns), `pause`/`resume`, `set_roi_target`, queries that flip a
+// targeted campaign between matched and unmatched, `add_campaign` on a warm
+// keyword, and `set_warm_start`/`set_pruned` toggles — and holds the market
+// to two standards: every response and every `top_bids` read equals those of
+// a twin that refills and solves at every auction, and the number of solves
+// it skipped equals the number of auctions the test's own shadow of the
+// campaign book says nothing changed for.
+
+use ssa_bidlang::targeting::UserAttrs;
+use ssa_bidlang::BidsTable;
+use ssa_core::marketplace::{AuctionResponse, MarketBatchReport};
+use ssa_core::{AdvertiserHandle, CampaignId, MarketError, ShardedMarketplace};
+
+const MOBILE_ONLY: &str = "device = 'mobile'";
+
+/// A campaign registration: up front, or mid-stream on a warm keyword.
+#[derive(Debug, Clone)]
+struct NewCampaign {
+    advertiser: usize,
+    keyword: usize,
+    cents: i64,
+    click_value: i64,
+    targeted: bool,
+    /// A fixed-table campaign (pause/resume only) rather than a per-click
+    /// one.
+    fixed_table: bool,
+}
+
+/// One step of a mixed stream. `campaign` counts registrations in order.
+#[derive(Debug, Clone)]
+enum Op {
+    Serve {
+        keyword: usize,
+        mobile: bool,
+    },
+    UpdateBid {
+        campaign: usize,
+        cents: i64,
+    },
+    /// `update_bid` to the nominal bid the campaign already has.
+    RewriteBid {
+        campaign: usize,
+    },
+    Pause {
+        campaign: usize,
+    },
+    Resume {
+        campaign: usize,
+    },
+    SetRoi {
+        campaign: usize,
+        target: Option<f64>,
+    },
+    Add(NewCampaign),
+    WarmStart(bool),
+    Pruned(bool),
+}
+
+#[derive(Debug, Clone)]
+struct MixedScenario {
+    num_keywords: usize,
+    num_slots: usize,
+    seed: u64,
+    method: WdMethod,
+    campaigns: Vec<NewCampaign>,
+    ops: Vec<Op>,
+}
+
+const MIXED_ADVERTISERS: usize = 6;
+
+fn arb_mixed() -> impl Strategy<Value = MixedScenario> {
+    (1usize..=4, 1usize..=3, 0u64..10_000, 0usize..4).prop_map(
+        |(num_keywords, num_slots, seed, method_idx)| {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |m: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % m
+            };
+            let campaign = |next: &mut dyn FnMut(u64) -> u64| NewCampaign {
+                advertiser: next(MIXED_ADVERTISERS as u64) as usize,
+                keyword: next(num_keywords as u64) as usize,
+                cents: next(8) as i64,
+                click_value: next(40) as i64,
+                targeted: next(3) == 0,
+                fixed_table: next(5) == 0,
+            };
+            let campaigns: Vec<NewCampaign> = (0..next(12)).map(|_| campaign(&mut next)).collect();
+            // Per registration: is it per-click (the update API applies)?
+            let mut per_click: Vec<bool> = campaigns.iter().map(|c| !c.fixed_table).collect();
+            let mut ops = Vec::new();
+            for _ in 0..next(80) {
+                let any = |next: &mut dyn FnMut(u64) -> u64, n: usize| next(n as u64) as usize;
+                let updatable: Vec<usize> =
+                    (0..per_click.len()).filter(|&c| per_click[c]).collect();
+                let op = match next(16) {
+                    0 | 1 if !updatable.is_empty() => Op::UpdateBid {
+                        campaign: updatable[any(&mut next, updatable.len())],
+                        cents: next(12) as i64,
+                    },
+                    2 if !updatable.is_empty() => Op::RewriteBid {
+                        campaign: updatable[any(&mut next, updatable.len())],
+                    },
+                    3 if !per_click.is_empty() => Op::Pause {
+                        campaign: any(&mut next, per_click.len()),
+                    },
+                    4 if !per_click.is_empty() => Op::Resume {
+                        campaign: any(&mut next, per_click.len()),
+                    },
+                    5 if !updatable.is_empty() => Op::SetRoi {
+                        campaign: updatable[any(&mut next, updatable.len())],
+                        target: (next(3) > 0).then(|| 0.5 + next(8) as f64 * 0.5),
+                    },
+                    6 => {
+                        let added = campaign(&mut next);
+                        per_click.push(!added.fixed_table);
+                        Op::Add(added)
+                    }
+                    7 => match next(4) {
+                        0 => Op::WarmStart(false),
+                        1 => Op::WarmStart(true),
+                        2 => Op::Pruned(false),
+                        _ => Op::Pruned(true),
+                    },
+                    _ => Op::Serve {
+                        keyword: next(num_keywords as u64) as usize,
+                        mobile: next(3) > 0,
+                    },
+                };
+                ops.push(op);
+            }
+            MixedScenario {
+                num_keywords,
+                num_slots,
+                seed,
+                method: METHODS[method_idx],
+                campaigns,
+                ops,
+            }
+        },
+    )
+}
+
+/// The control and serving surface `Marketplace` and `ShardedMarketplace`
+/// share by name.
+trait Market {
+    fn register(&mut self, name: String) -> AdvertiserHandle;
+    fn add(
+        &mut self,
+        advertiser: AdvertiserHandle,
+        keyword: usize,
+        spec: CampaignSpec,
+    ) -> Result<CampaignId, MarketError>;
+    fn update_bid(&mut self, id: CampaignId, bid: Money) -> Result<(), MarketError>;
+    fn set_roi(&mut self, id: CampaignId, target: Option<f64>) -> Result<(), MarketError>;
+    fn pause(&mut self, id: CampaignId) -> Result<(), MarketError>;
+    fn resume(&mut self, id: CampaignId) -> Result<(), MarketError>;
+    fn warm_start(&mut self, enabled: bool);
+    fn pruned(&mut self, enabled: bool);
+    fn book(&self, keyword: usize) -> Vec<(CampaignId, Money)>;
+    fn serve_one(&mut self, request: QueryRequest) -> AuctionResponse;
+    fn serve_tallied(&mut self, request: QueryRequest) -> MarketBatchReport;
+}
+
+macro_rules! impl_market {
+    ($market:ty) => {
+        impl Market for $market {
+            fn register(&mut self, name: String) -> AdvertiserHandle {
+                self.register_advertiser(name)
+            }
+            fn add(
+                &mut self,
+                advertiser: AdvertiserHandle,
+                keyword: usize,
+                spec: CampaignSpec,
+            ) -> Result<CampaignId, MarketError> {
+                self.add_campaign(advertiser, keyword, spec)
+            }
+            fn update_bid(&mut self, id: CampaignId, bid: Money) -> Result<(), MarketError> {
+                <$market>::update_bid(self, id, bid)
+            }
+            fn set_roi(&mut self, id: CampaignId, target: Option<f64>) -> Result<(), MarketError> {
+                self.set_roi_target(id, target)
+            }
+            fn pause(&mut self, id: CampaignId) -> Result<(), MarketError> {
+                self.pause_campaign(id)
+            }
+            fn resume(&mut self, id: CampaignId) -> Result<(), MarketError> {
+                self.resume_campaign(id)
+            }
+            fn warm_start(&mut self, enabled: bool) {
+                self.set_warm_start(enabled)
+            }
+            fn pruned(&mut self, enabled: bool) {
+                self.set_pruned(enabled)
+            }
+            fn book(&self, keyword: usize) -> Vec<(CampaignId, Money)> {
+                self.top_bids(keyword, usize::MAX).expect("in range")
+            }
+            fn serve_one(&mut self, request: QueryRequest) -> AuctionResponse {
+                self.serve(request).expect("in range")
+            }
+            fn serve_tallied(&mut self, request: QueryRequest) -> MarketBatchReport {
+                self.serve_batch(&[request]).expect("in range")
+            }
+        }
+    };
+}
+
+impl_market!(Marketplace);
+impl_market!(ShardedMarketplace);
+
+/// What the twin and the market under test are compared on.
+#[derive(Debug, Default, PartialEq)]
+struct Run {
+    /// Per auction: the response (`serve`) …
+    responses: Vec<AuctionResponse>,
+    /// … or its outcome tallies (`serve_batch` of one, which is where the
+    /// solve counters come from).
+    tallies: Vec<(f64, u64, u64, u64, Money)>,
+    /// `top_bids` of the touched keyword after every write, and of every
+    /// keyword at the end.
+    books: Vec<Vec<(CampaignId, Money)>>,
+    warm_solves: u64,
+}
+
+fn tally_of(response: &AuctionResponse) -> (f64, u64, u64, u64, Money) {
+    let placed = &response.placements;
+    (
+        response.expected_revenue,
+        placed.len() as u64,
+        placed.iter().filter(|p| p.clicked).count() as u64,
+        placed.iter().filter(|p| p.purchased).count() as u64,
+        response.realized_revenue,
+    )
+}
+
+fn register<M: Market>(
+    market: &mut M,
+    handles: &[AdvertiserHandle],
+    c: &NewCampaign,
+) -> CampaignId {
+    let bid = Money::from_cents(c.cents);
+    let mut spec = if c.fixed_table {
+        CampaignSpec::table(BidsTable::single_feature(bid))
+    } else {
+        CampaignSpec::per_click(bid).click_value(Money::from_cents(c.click_value))
+    };
+    if c.targeted {
+        spec = spec.targeting(MOBILE_ONLY);
+    }
+    market
+        .add(handles[c.advertiser], c.keyword, spec)
+        .expect("campaign accepted")
+}
+
+/// Runs the scenario. `twin` ignores the warm-start and pruning toggles (it
+/// is built cold and unpruned and stays so); `tallied` serves through
+/// `serve_batch` of one query instead of `serve`.
+fn drive<M: Market>(market: &mut M, s: &MixedScenario, twin: bool, tallied: bool) -> Run {
+    let handles: Vec<AdvertiserHandle> = (0..MIXED_ADVERTISERS)
+        .map(|adv| market.register(format!("adv-{adv}")))
+        .collect();
+    // Registration order → (id, current nominal bid).
+    let mut ids: Vec<(CampaignId, i64)> = s
+        .campaigns
+        .iter()
+        .map(|c| (register(market, &handles, c), c.cents))
+        .collect();
+    let mut run = Run::default();
+    for op in &s.ops {
+        let touched = match op {
+            Op::Serve { keyword, mobile } => {
+                let device = if *mobile { "mobile" } else { "desktop" };
+                let request =
+                    QueryRequest::with_attrs(*keyword, UserAttrs::new().set_str("device", device));
+                if tallied {
+                    let total = market.serve_tallied(request).total;
+                    run.warm_solves += total.phases.warm_solves;
+                    run.tallies.push((
+                        total.expected_revenue,
+                        total.filled_slots,
+                        total.clicks,
+                        total.purchases,
+                        total.realized_revenue,
+                    ));
+                } else {
+                    let response = market.serve_one(request);
+                    run.tallies.push(tally_of(&response));
+                    run.responses.push(response);
+                }
+                None
+            }
+            Op::UpdateBid { campaign, cents } => {
+                ids[*campaign].1 = *cents;
+                market
+                    .update_bid(ids[*campaign].0, Money::from_cents(*cents))
+                    .expect("per-click");
+                Some(ids[*campaign].0)
+            }
+            Op::RewriteBid { campaign } => {
+                let (id, cents) = ids[*campaign];
+                market
+                    .update_bid(id, Money::from_cents(cents))
+                    .expect("per-click");
+                Some(id)
+            }
+            Op::Pause { campaign } => {
+                market.pause(ids[*campaign].0).expect("known campaign");
+                Some(ids[*campaign].0)
+            }
+            Op::Resume { campaign } => {
+                market.resume(ids[*campaign].0).expect("known campaign");
+                Some(ids[*campaign].0)
+            }
+            Op::SetRoi { campaign, target } => {
+                market
+                    .set_roi(ids[*campaign].0, *target)
+                    .expect("per-click");
+                Some(ids[*campaign].0)
+            }
+            Op::Add(c) => {
+                let id = register(market, &handles, c);
+                ids.push((id, c.cents));
+                Some(id)
+            }
+            Op::WarmStart(enabled) => {
+                if !twin {
+                    market.warm_start(*enabled);
+                }
+                None
+            }
+            Op::Pruned(enabled) => {
+                if !twin {
+                    market.pruned(*enabled);
+                }
+                None
+            }
+        };
+        if let Some(id) = touched {
+            run.books.push(market.book(id.keyword()));
+        }
+    }
+    run.books
+        .extend((0..s.num_keywords).map(|kw| market.book(kw)));
+    run
+}
+
+/// The test's own account of the campaign book: how many auctions of the
+/// stream found every campaign on their keyword bidding exactly what it bid
+/// at the keyword's previous auction, under the same solver, with warm
+/// starts on — the auctions whose solve must have been skipped, and no
+/// others.
+fn expected_warm_solves(s: &MixedScenario) -> u64 {
+    #[derive(Clone)]
+    struct Shadow {
+        spec: NewCampaign,
+        nominal: i64,
+        roi: Option<f64>,
+        paused: bool,
+    }
+    impl Shadow {
+        /// The campaign's table on a query, as far as it can differ: `None`
+        /// for the empty table of a paused or unmatched campaign.
+        fn bids(&self, mobile: bool) -> Option<i64> {
+            if self.paused || (self.spec.targeted && !mobile) {
+                return None;
+            }
+            if self.spec.fixed_table {
+                return Some(self.spec.cents);
+            }
+            let capped = match self.roi {
+                Some(target) => self
+                    .nominal
+                    .min((self.spec.click_value as f64 / target).floor() as i64),
+                None => self.nominal,
+            };
+            Some(capped.max(0))
+        }
+    }
+    let shadow_of = |c: &NewCampaign| Shadow {
+        spec: c.clone(),
+        nominal: c.cents,
+        roi: None,
+        paused: false,
+    };
+    let mut book: Vec<Shadow> = s.campaigns.iter().map(shadow_of).collect();
+    // Per keyword: the tables of its previous auction and the pruning flag
+    // its solver was built under.
+    let mut previous: Vec<Option<(Vec<Option<i64>>, bool)>> = vec![None; s.num_keywords];
+    let (mut warm_start, mut pruned) = (true, false);
+    let mut warm_solves = 0;
+    for op in &s.ops {
+        match op {
+            Op::Serve { keyword, mobile } => {
+                let now: Vec<Option<i64>> = book
+                    .iter()
+                    .filter(|c| c.spec.keyword == *keyword)
+                    .map(|c| c.bids(*mobile))
+                    .collect();
+                if now.is_empty() {
+                    continue; // no campaigns, no engine, no solve to skip
+                }
+                let auction = Some((now, pruned));
+                if warm_start && previous[*keyword] == auction {
+                    warm_solves += 1;
+                }
+                previous[*keyword] = auction;
+            }
+            Op::UpdateBid { campaign, cents } => book[*campaign].nominal = *cents,
+            Op::RewriteBid { .. } => {}
+            Op::Pause { campaign } => book[*campaign].paused = true,
+            Op::Resume { campaign } => book[*campaign].paused = false,
+            Op::SetRoi { campaign, target } => book[*campaign].roi = *target,
+            Op::Add(c) => book.push(shadow_of(c)),
+            Op::WarmStart(enabled) => warm_start = *enabled,
+            Op::Pruned(enabled) => pruned = *enabled,
+        }
+    }
+    warm_solves
+}
+
+fn mixed_builder(s: &MixedScenario) -> MarketplaceBuilder {
+    Marketplace::builder()
+        .slots(s.num_slots)
+        .keywords(s.num_keywords)
+        .seed(s.seed)
+        .method(s.method)
+        .default_click_probs((0..s.num_slots).map(|j| 0.8 / (j + 1) as f64).collect())
+        .default_purchase_probs(
+            (0..s.num_slots)
+                .map(|j| (0.2 / (j + 1) as f64, 0.0))
+                .collect(),
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Evaluating only what changed is bit-identical to evaluating
+    /// everything, and skips exactly the solves it may.
+    #[test]
+    fn mixed_writes_match_a_cold_twin_and_skip_exactly_the_unchanged_auctions(s in arb_mixed()) {
+        let mut cold = mixed_builder(&s).warm_start(false).build().expect("valid");
+        let want = drive(&mut cold, &s, true, false);
+        prop_assert_eq!(want.warm_solves, 0);
+        let want_warm = expected_warm_solves(&s);
+
+        for tallied in [false, true] {
+            let mut market = mixed_builder(&s).build().expect("valid");
+            let got = drive(&mut market, &s, false, tallied);
+            prop_assert_eq!(&got.tallies, &want.tallies, "unsharded, tallied={}", tallied);
+            prop_assert_eq!(&got.books, &want.books, "unsharded, tallied={}", tallied);
+            if tallied {
+                prop_assert_eq!(got.warm_solves, want_warm, "unsharded");
+            } else {
+                prop_assert_eq!(&got.responses, &want.responses, "unsharded");
+            }
+            for shards in SHARD_COUNTS {
+                let mut market = mixed_builder(&s).build_sharded(shards).expect("valid");
+                let got = drive(&mut market, &s, false, tallied);
+                prop_assert_eq!(&got.tallies, &want.tallies, "shards={}, tallied={}", shards, tallied);
+                prop_assert_eq!(&got.books, &want.books, "shards={}, tallied={}", shards, tallied);
+                if tallied {
+                    prop_assert_eq!(got.warm_solves, want_warm, "shards={}", shards);
+                } else {
+                    prop_assert_eq!(&got.responses, &want.responses, "shards={}", shards);
+                }
+            }
+        }
+    }
+}

@@ -252,6 +252,96 @@ fn first_seq_of(path: &Path) -> u64 {
         .unwrap()
 }
 
+/// A campaign that never purchases stores no purchase row in the engine,
+/// and one that does stores its own — on the same keyword, through a
+/// snapshot and through WAL replay, both come back with the rows they were
+/// registered with (explicit zeros for the first), bit for bit.
+#[test]
+fn purchasing_and_never_purchasing_campaigns_round_trip_on_one_keyword() {
+    let run = |market: &mut ShardedMarketplace| {
+        let a = market.register_advertiser("buyer");
+        let b = market.register_advertiser("browser");
+        let per_click = |cents| CampaignSpec::per_click(Money::from_cents(cents));
+        let ids = [
+            market
+                .add_campaign(
+                    a,
+                    0,
+                    per_click(40).purchase_probs(vec![(0.5, 0.125), (0.25, 0.0)]),
+                )
+                .unwrap(),
+            market.add_campaign(b, 0, per_click(60)).unwrap(),
+            // Negative zeros are not "never": they come back as written.
+            market
+                .add_campaign(
+                    b,
+                    0,
+                    per_click(50).purchase_probs(vec![(-0.0, 0.0), (0.0, 0.0)]),
+                )
+                .unwrap(),
+        ];
+        for _ in 0..20 {
+            market.serve(QueryRequest::new(0)).unwrap();
+        }
+        ids
+    };
+    let build = || {
+        let builder = Marketplace::builder()
+            .slots(2)
+            .keywords(1)
+            .seed(99)
+            .default_click_probs(vec![0.75, 0.375]);
+        ShardedMarketplace::new(builder, 1).unwrap()
+    };
+    for snapshot in [false, true] {
+        let dir = temp_dir("purchases");
+        let (_, dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
+        let mut market = build();
+        dur.log_configure(&market.capture_state().unwrap().config)
+            .unwrap();
+        market.set_journal(dur.journal());
+        let ids = run(&mut market);
+        if snapshot {
+            dur.snapshot_now(&market).unwrap();
+        }
+        market.update_bid(ids[1], Money::from_cents(45)).unwrap();
+        market.serve(QueryRequest::new(0)).unwrap();
+        drop(market.take_journal());
+        drop(dur);
+
+        let want = market.capture_state().unwrap();
+        let bits = |row: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            row.iter()
+                .map(|(c, n)| (c.to_bits(), n.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            bits(&want.campaigns[0].purchase_probs),
+            bits(&[(0.5, 0.125), (0.25, 0.0)])
+        );
+        assert_eq!(bits(&want.campaigns[1].purchase_probs), vec![(0, 0); 2]);
+        assert_eq!(
+            bits(&want.campaigns[2].purchase_probs),
+            bits(&[(-0.0, 0.0), (0.0, 0.0)])
+        );
+
+        let (mut recovered, _) = recover(&dir).unwrap().expect("records were written");
+        let got = recovered.capture_state().unwrap();
+        assert_eq!(got, want, "snapshot={snapshot}");
+        for (g, w) in got.campaigns.iter().zip(&want.campaigns) {
+            assert_eq!(bits(&g.purchase_probs), bits(&w.purchase_probs));
+        }
+        for _ in 0..20 {
+            assert_eq!(
+                recovered.serve(QueryRequest::new(0)).unwrap(),
+                market.serve(QueryRequest::new(0)).unwrap(),
+                "snapshot={snapshot}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -71,7 +71,7 @@ fn main() {
         let keyword = sample_rng.gen_range(0..keywords);
         engine.run_auction(keyword, &mut sample_rng);
         if t % 50 == 0 {
-            let focal = &engine.bidders[0];
+            let focal = &engine.bidders()[0];
             println!(
                 "{:>8} {:>12.0} {:>12.3} {:>10} {:>10}",
                 t,
@@ -82,7 +82,7 @@ fn main() {
             );
         }
     }
-    let focal = &engine.bidders[0];
+    let focal = &engine.bidders()[0];
     let final_rate = focal.amt_spent / 400.0;
     println!(
         "\nfinal spending rate {:.3} ¢/auction (target 3.0); ROI boot {:.2}, shoe {:.2}",

@@ -324,11 +324,35 @@
 //!   (a dominated row's augmenting pass can re-route *tied* winners), so
 //!   outcomes are bit-identical — property-tested across all four
 //!   methods, sharded and not.
+//! * **Standing vs. evaluated bidders** — the engine keeps the last table
+//!   every bidder produced and evaluates only what can have changed. A
+//!   bidder declares through the provided method
+//!   [`core::Bidder::is_standing`] whether its table is a function of its
+//!   own fields alone: a [`core::TableBidder`] and a per-click or
+//!   fixed-table campaign are *standing* — asked once, and again only after
+//!   a write through [`core::AuctionEngine::bidder_mut`], the
+//!   dirty-marking accessor every marketplace update (`update_bid`,
+//!   `pause_campaign`, `resume_campaign`, `set_roi_target`) goes through.
+//!   The bidder vector is private, so there is no other way to mutate a
+//!   bidder. SQL and closure *programs*, and campaigns with a targeting
+//!   matcher, are visited at every auction through index lists of just
+//!   those rows, and only programs are told outcomes. A re-evaluated table
+//!   is swapped in and compared with the one it replaces, so a write that
+//!   leaves it equal dirties nothing.
 //! * **Warm starts** (`EngineConfig::warm_start`, default on) — the
-//!   engine diffs the bid table between auctions, refreshes only dirty
-//!   rows of the persistent revenue matrix, and skips the solve entirely
-//!   when nothing changed; solvers are deterministic, so the previous
-//!   assignment *is* the solution.
+//!   engine refreshes only the rows of the persistent revenue matrix whose
+//!   table changed, and skips the solve entirely when none did; solvers
+//!   are deterministic, so the previous assignment *is* the solution. With
+//!   warm starts off, every auction refills the whole matrix from the held
+//!   tables and solves.
+//! * **One copy of each campaign's probabilities** —
+//!   [`core::ClickModel`] and [`core::PurchaseModel`] grow a row at a time
+//!   and live in the keyword's engine from its first `add_campaign`
+//!   ([`core::AuctionEngine::push_bidder`] appends to a warm engine rather
+//!   than rebuilding it); the campaign book holds no second copy, state
+//!   capture reads the models, and a campaign that never purchases stores
+//!   no purchase row (captured as explicit zeros, so snapshots do not
+//!   change).
 //! * **Slot-major matrix layout** — [`matching::RevenueMatrix`] stores
 //!   `data[slot * n + adv]`, so the per-slot column scans of the solvers
 //!   (and the pruning floor pass) walk contiguous memory.
