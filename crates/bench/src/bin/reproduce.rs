@@ -302,7 +302,7 @@ fn print_run(run: &MethodRun) {
     println!(
         "phases: program-eval {:.2} ms, matrix-fill {:.2} ms, solve {:.2} ms, \
          pricing {:.2} ms, settlement {:.2} ms ({} solves, {} warm, \
-         avg {:.1} candidates)",
+         avg {:.1} candidates, {} cells evaluated, {} rescans)",
         p.program_eval_ns as f64 / 1e6,
         p.matrix_fill_ns as f64 / 1e6,
         p.solve_ns as f64 / 1e6,
@@ -311,6 +311,8 @@ fn print_run(run: &MethodRun) {
         p.solves,
         p.warm_solves,
         p.avg_candidates(),
+        p.cells_evaluated,
+        p.rescans,
     );
     if let Some(skew) = &run.skew {
         println!(

@@ -205,7 +205,7 @@ impl MethodRun {
                 "{{\"program_eval_ms\":{:.3},\"matrix_fill_ms\":{:.3},",
                 "\"solve_ms\":{:.3},\"pricing_ms\":{:.3},",
                 "\"settlement_ms\":{:.3},\"solves\":{},\"warm_solves\":{},",
-                "\"avg_candidates\":{:.1}}}"
+                "\"avg_candidates\":{:.1},\"cells_evaluated\":{},\"rescans\":{}}}"
             ),
             p.program_eval_ns as f64 / 1e6,
             p.matrix_fill_ns as f64 / 1e6,
@@ -215,6 +215,8 @@ impl MethodRun {
             p.solves,
             p.warm_solves,
             p.avg_candidates(),
+            p.cells_evaluated,
+            p.rescans,
         );
         format!(
             concat!(

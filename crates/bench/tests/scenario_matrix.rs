@@ -317,6 +317,8 @@ fn method_run_json_shape() {
             "solves",
             "warm_solves",
             "avg_candidates",
+            "cells_evaluated",
+            "rescans",
             "expected_revenue_cents",
             "clicks",
             "realized_revenue_cents",

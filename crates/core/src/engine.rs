@@ -7,11 +7,11 @@
 //!   it runs the same in-place hot step as the batched paths and
 //!   materialises a fully-owned [`AuctionReport`] from the scratch buffers.
 //! * [`AuctionEngine::run_batch`] / [`AuctionEngine::stream`] — the hot
-//!   path. The engine owns a boxed [`WdSolver`] plus preallocated matrix,
-//!   assignment, and charge buffers; each auction refills them in place
-//!   (via [`revenue_matrix_into`]), so a batch performs **no per-auction
-//!   revenue-matrix allocation**. `run_batch` aggregates into a
-//!   [`BatchReport`]; `stream` lazily materialises per-auction reports.
+//!   path. The engine owns its solver and preallocated weight, assignment
+//!   and charge buffers; each auction updates them in place, so a batch
+//!   performs **no per-auction allocation** after warm-up. `run_batch`
+//!   aggregates into a [`BatchReport`]; `stream` lazily materialises
+//!   per-auction reports.
 //!
 //! # Evaluate only what changed
 //!
@@ -29,24 +29,63 @@
 //!   through index lists of just those rows.
 //!
 //! Each re-evaluated table replaces the one the engine held and is compared
-//! with it, so a write that leaves the table equal dirties nothing. Every
-//! hot step is instrumented with per-phase wall-clock tallies
-//! ([`PhaseStats`]), and two exactness-preserving optimisations ride the
-//! persistent state: top-k candidate pruning ([`EngineConfig::pruned`]) and
-//! warm-started assignments ([`EngineConfig::warm_start`], which refreshes
-//! only the changed rows of the revenue matrix and skips the solve outright
-//! when no table changed since the previous auction on the engine).
+//! with it, so a write that leaves the table equal dirties nothing. With
+//! [`EngineConfig::warm_start`] only the changed rows' weights are
+//! recomputed, and an auction in which no table changed skips the solve
+//! outright. Every hot step is instrumented with per-phase wall-clock
+//! tallies and exact cost counters ([`PhaseStats`]).
+//!
+//! # Solve and price from per-slot order
+//!
+//! Section III-E needs, of all `n` bidders, each slot's top `k`; GSP needs
+//! one more, the best row an assignment of `k` left out. On the default
+//! configuration — method `rh`, unpruned, GSP or pay-your-bid pricing — the
+//! engine therefore holds **no `n × k` revenue matrix**. It keeps a
+//! [`RetainedOrder`]: per slot, the best `k + 1` to `2(k + 1)` rows under
+//! the solver's own ranking, and a floor no unlisted row ranks above. A
+//! changed row's `k` weights are recomputed from its held table
+//! ([`row_weights_into`]) and the row re-ranked; an unlisted row that stays
+//! under the floor costs one compare per slot. The reduced graph is the
+//! union of the lists' top `k` — exactly
+//! [`ssa_matching::reduced_candidates`] of the matrix that is not there —
+//! its weights are kept from the previous solve for rows that were
+//! candidates then and evaluated for the newcomers, and
+//! [`ReducedSolver::solve_candidates`] runs the Hungarian step on it. GSP
+//! reads each slot's runner-up off the slot's list. Assignments, charges and
+//! expected revenues are bit-identical to solving and pricing on the dense
+//! matrix ([`ReducedSolver`]'s [`WdSolver::solve`] and
+//! [`gsp_prices_into`], which remain as the oracles).
+//!
+//! Rows leaving a list shorten it. When a list with unlisted rows behind it
+//! drops below `k + 1`, the order is rebuilt by streaming every row through
+//! it — a **rescan**, `n × k` weight evaluations, counted in
+//! [`PhaseStats::rescans`]. A rebuild refills every list to `2(k + 1)`, so
+//! at least `k + 1` writes must each take a row off one list between two
+//! rescans. The same rebuild is the cold start, follows
+//! [`AuctionEngine::push_bidder`], and runs at every auction when
+//! `warm_start` is off.
+//!
+//! Configurations that read whole columns keep the dense matrix, allocated
+//! only while one of them is in force: `h` and `lp` solve on all `n` rows,
+//! `rhp` scans them on its threads, [`EngineConfig::pruned`] keeps every
+//! weight tie at a column's floor, and VCG re-solves the market without
+//! each winner. [`AuctionEngine::config`] is a public field; when its
+//! method, pruning or pricing change, the next auction lays the weight
+//! source out for the new configuration, fills it from the held tables and
+//! solves.
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
-use crate::pricing::{gsp_prices_into, vcg_prices, PricingScheme, SlotPrice};
+use crate::pricing::{
+    gsp_prices_from_order_into, gsp_prices_into, vcg_prices, PricingScheme, SlotPrice,
+};
 use crate::prob::{ClickModel, PurchaseModel};
-use crate::revenue::{revenue_matrix_into, revenue_matrix_refresh_row, NoSlotValues};
+use crate::revenue::{revenue_matrix_into, row_weights_into, NoSlotValues};
 use rand::Rng;
 use ssa_bidlang::targeting::{CompiledTargeting, UserAttrs};
 use ssa_bidlang::{AdvertiserView, BidsTable, Money, SlotId};
 use ssa_matching::{
-    Assignment, HungarianSolver, ParallelReducedSolver, PrunedSolver, ReducedSolver, RevenueMatrix,
-    WdSolver,
+    Assignment, HungarianSolver, ParallelReducedSolver, PrunedSolver, ReducedSolver, RetainedOrder,
+    RevenueMatrix, WdSolver,
 };
 use ssa_simplex::NetworkSimplexSolver;
 use std::sync::Arc;
@@ -288,6 +327,13 @@ pub struct PhaseStats {
     /// actually considered (`n` for unpruned full-matrix methods, the
     /// candidate-set size for pruned/reduced ones).
     pub candidates: u64,
+    /// Weights computed from a bid table and the probability models: `k`
+    /// per row (re)evaluated, so `n × k` for a full fill or a rescan. An
+    /// exact count, not a time.
+    pub cells_evaluated: u64,
+    /// Times the per-slot retained order ran short and was rebuilt from
+    /// every row (see the [module docs](self)); 0 on the dense path.
+    pub rescans: u64,
 }
 
 impl PhaseStats {
@@ -301,6 +347,8 @@ impl PhaseStats {
         self.solves += other.solves;
         self.warm_solves += other.warm_solves;
         self.candidates += other.candidates;
+        self.cells_evaluated += other.cells_evaluated;
+        self.rescans += other.rescans;
     }
 
     /// Total instrumented nanoseconds across all phases.
@@ -375,15 +423,16 @@ impl BatchReport {
 struct BatchScratch {
     /// Rows whose table changed in the current auction's evaluation.
     changed: Vec<usize>,
-    /// `matrix`/`base` reflect the engine's `bids`, so the warm-start path
-    /// may refresh only the rows whose table changed. Cleared when the
-    /// bidder count grows (the slot-major matrix has to be laid out anew).
+    /// The weight source and `base` reflect the engine's `bids`, so the
+    /// warm-start path may repair only the rows whose table changed.
+    /// Cleared when the bidder count grows or the source is laid out anew.
     filled: bool,
-    /// `assignment` is the current solver's output for `matrix`, so an
-    /// unchanged auction may skip the solve outright.
+    /// `assignment` is the current solver's output for the weights as they
+    /// stand, so an unchanged auction may skip the solve outright.
     solved: bool,
-    matrix: RevenueMatrix,
     base: NoSlotValues,
+    /// One row of weights, one per slot, on its way into the source.
+    row: Vec<f64>,
     assignment: Assignment,
     clicked: Vec<bool>,
     purchased: Vec<bool>,
@@ -404,8 +453,8 @@ impl BatchScratch {
             changed: Vec::new(),
             filled: false,
             solved: false,
-            matrix: RevenueMatrix::zeros(0, num_slots.max(1)),
             base: NoSlotValues::default(),
+            row: vec![0.0; num_slots],
             assignment: Assignment::default(),
             clicked: Vec::new(),
             purchased: Vec::new(),
@@ -431,9 +480,9 @@ pub struct AuctionEngine<B: Bidder> {
     /// Keyword universe size, surfaced to bidders.
     pub num_keywords: usize,
     time: u64,
-    solver: Box<dyn WdSolver>,
-    solver_method: WdMethod,
-    solver_pruned: bool,
+    source: WeightSource,
+    /// The configuration `source` was laid out for.
+    laid: EngineConfig,
     /// Per-bidder targeting matchers, parallel to `bidders` (`None` =
     /// untargeted; an empty vector = no bidder targets). A bidder whose
     /// matcher rejects the query's attributes is EXCLUDED before the
@@ -475,6 +524,73 @@ fn build_solver(config: EngineConfig) -> Box<dyn WdSolver> {
     } else {
         config.method.new_solver()
     }
+}
+
+/// Where winner determination and pricing read their weights from.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per engine, and the large variant is the default
+enum WeightSource {
+    /// `rh`, unpruned, under GSP or pay-your-bid — the default: no matrix.
+    /// Each slot's best rows are kept current from the rows that changed,
+    /// the reduced graph is read off them, and GSP finds its runner-up
+    /// there too.
+    Lists {
+        order: RetainedOrder,
+        solver: ReducedSolver,
+        /// The reduced graph's rows at the latest solve, ascending.
+        candidates: Vec<usize>,
+    },
+    /// Every configuration that reads whole columns: `h` and `lp` solve on
+    /// all `n` rows, `rhp` scans them on its threads, the pruned wrapper
+    /// keeps every tie at a column's floor, and VCG re-solves the market
+    /// without each winner. The `n × k` matrix exists only while one of
+    /// these is configured.
+    Dense {
+        matrix: RevenueMatrix,
+        solver: Box<dyn WdSolver>,
+    },
+}
+
+impl WeightSource {
+    /// An empty source of the kind `config` needs.
+    fn for_config(config: EngineConfig, num_slots: usize) -> Self {
+        if config.method == WdMethod::Reduced
+            && !config.pruned
+            && config.pricing != PricingScheme::Vickrey
+        {
+            WeightSource::Lists {
+                order: RetainedOrder::new(num_slots),
+                solver: ReducedSolver::new(),
+                candidates: Vec::new(),
+            }
+        } else {
+            WeightSource::Dense {
+                matrix: RevenueMatrix::zeros(0, num_slots.max(1)),
+                solver: build_solver(config),
+            }
+        }
+    }
+}
+
+/// Rebuilds the retained order and the no-slot values from every held
+/// table: the cold start, and the rescan after a list ran short.
+fn rebuild_order(
+    order: &mut RetainedOrder,
+    bids: &[BidsTable],
+    clicks: &ClickModel,
+    purchases: &PurchaseModel,
+    row: &mut [f64],
+    base: &mut NoSlotValues,
+) {
+    order.clear();
+    base.base.clear();
+    base.base.reserve_exact(bids.len());
+    for (i, table) in bids.iter().enumerate() {
+        base.base
+            .push(row_weights_into(table, i, clicks, purchases, row));
+        order.update(i, row);
+    }
+    base.resum();
 }
 
 /// Bidder `row`'s targeting matcher, if it has one (`targeting` is empty
@@ -520,6 +636,7 @@ impl<B: Bidder> AuctionEngine<B> {
         assert_eq!(clicks.num_advertisers(), n);
         assert_eq!(purchases.num_advertisers(), n);
         let scratch = BatchScratch::new(clicks.num_slots());
+        let source = WeightSource::for_config(config, clicks.num_slots());
         let mut engine = AuctionEngine {
             bidders,
             clicks,
@@ -527,9 +644,8 @@ impl<B: Bidder> AuctionEngine<B> {
             config,
             num_keywords,
             time: 0,
-            solver: build_solver(config),
-            solver_method: config.method,
-            solver_pruned: config.pruned,
+            source,
+            laid: config,
             targeting: Vec::new(),
             bids: Vec::with_capacity(n),
             every_auction: Vec::new(),
@@ -644,19 +760,26 @@ impl<B: Bidder> AuctionEngine<B> {
     }
 
     /// The persistent solver the batched path dispatches to, rebuilt lazily
-    /// whenever `config.method` changes.
+    /// whenever the configuration changes.
     pub fn solver_name(&mut self) -> &'static str {
-        self.ensure_solver();
-        self.solver.name()
+        self.ensure_source();
+        match &self.source {
+            WeightSource::Lists { solver, .. } => solver.name(),
+            WeightSource::Dense { solver, .. } => solver.name(),
+        }
     }
 
-    fn ensure_solver(&mut self) {
-        if self.solver_method != self.config.method || self.solver_pruned != self.config.pruned {
-            self.solver = build_solver(self.config);
-            self.solver_method = self.config.method;
-            self.solver_pruned = self.config.pruned;
-            // A different solver may break ties differently: the retained
-            // assignment no longer counts as this solver's output.
+    /// `config` is a public field: whenever its method, pruning or pricing
+    /// differ from what the weight source was laid out for, lay a fresh one
+    /// out for them. The next auction fills it from the held tables and
+    /// solves — a different solver may break ties differently, so the
+    /// retained assignment no longer counts as this one's output.
+    fn ensure_source(&mut self) {
+        let (now, then) = (self.config, self.laid);
+        if (now.method, now.pruned, now.pricing) != (then.method, then.pruned, then.pricing) {
+            self.source = WeightSource::for_config(now, self.clicks.num_slots());
+            self.laid = now;
+            self.scratch.filled = false;
             self.scratch.solved = false;
         }
     }
@@ -669,7 +792,7 @@ impl<B: Bidder> AuctionEngine<B> {
     /// scratch allocation), then materialises an owned [`AuctionReport`]
     /// from the scratch buffers — the only allocation this path adds.
     pub fn run_auction<Q: EngineQuery, R: Rng>(&mut self, query: Q, rng: &mut R) -> AuctionReport {
-        self.ensure_solver();
+        self.ensure_source();
         let expected_revenue = self.hot_step(query.keyword(), query.attrs(), rng);
         let scratch = &self.scratch;
         AuctionReport {
@@ -723,47 +846,87 @@ impl<B: Bidder> AuctionEngine<B> {
         let t_fill = Instant::now();
         self.scratch.phases.program_eval_ns += (t_fill - t_eval).as_nanos() as u64;
 
-        // Step 4a: revenue matrix. With warm starts enabled and a matrix
-        // that reflects the held tables, refresh only the rows whose table
+        // Step 4a: weights. With warm starts enabled and a source that
+        // reflects the held tables, repair only the rows whose table
         // changed (the Section IV-B adjustment lists guarantee few do
-        // between consecutive auctions); the row refresh plus the in-order
-        // base re-sum is bit-identical to a full rebuild.
+        // between consecutive auctions); the repair, plus an in-order base
+        // re-sum when a base value moved, is bit-identical to a rebuild.
         let warm = self.config.warm_start;
-        let refreshed;
-        if warm && self.scratch.filled {
+        let k = self.clicks.num_slots();
+        let repair = warm && self.scratch.filled;
+        let unchanged = repair && self.scratch.changed.is_empty();
+        let evaluated = if repair {
+            self.scratch.changed.len()
+        } else {
+            self.bids.len()
+        };
+        self.scratch.phases.cells_evaluated += (evaluated * k) as u64;
+        if repair {
+            let mut resum = false;
             for &i in &self.scratch.changed {
-                revenue_matrix_refresh_row(
+                let base = row_weights_into(
                     &self.bids[i],
                     i,
                     &self.clicks,
                     &self.purchases,
-                    &mut self.scratch.matrix,
-                    &mut self.scratch.base,
+                    &mut self.scratch.row,
                 );
+                resum |= self.scratch.base.set(i, base);
+                match &mut self.source {
+                    WeightSource::Lists { order, solver, .. } => {
+                        order.update(i, &self.scratch.row);
+                        solver.replace_row(i, &self.scratch.row);
+                    }
+                    WeightSource::Dense { matrix, .. } => matrix.set_row(i, &self.scratch.row),
+                }
             }
-            refreshed = self.scratch.changed.len();
-            if refreshed > 0 {
+            if resum {
                 self.scratch.base.resum();
             }
-        } else {
-            revenue_matrix_into(
-                &self.bids,
-                &self.clicks,
-                &self.purchases,
-                &mut self.scratch.matrix,
-                &mut self.scratch.base,
-            );
-            refreshed = self.bids.len().max(1);
-            self.scratch.filled = true;
         }
+        match &mut self.source {
+            WeightSource::Lists { order, solver, .. } => {
+                // A list that ran short is rebuilt from every row — the
+                // time the matrix used to buy, paid only when it is needed.
+                let rescan = repair && order.underflowed();
+                if rescan {
+                    self.scratch.phases.rescans += 1;
+                    self.scratch.phases.cells_evaluated += (self.bids.len() * k) as u64;
+                }
+                if rescan || !repair {
+                    rebuild_order(
+                        order,
+                        &self.bids,
+                        &self.clicks,
+                        &self.purchases,
+                        &mut self.scratch.row,
+                        &mut self.scratch.base,
+                    );
+                    solver.forget_rows();
+                }
+            }
+            WeightSource::Dense { matrix, .. } => {
+                if !repair {
+                    revenue_matrix_into(
+                        &self.bids,
+                        &self.clicks,
+                        &self.purchases,
+                        matrix,
+                        &mut self.scratch.base,
+                    );
+                }
+            }
+        }
+        self.scratch.filled = true;
         let t_solve = Instant::now();
         self.scratch.phases.matrix_fill_ns += (t_solve - t_fill).as_nanos() as u64;
 
-        // Step 4b: winner determination. An unchanged matrix with a valid
-        // previous assignment needs no solve: solvers are deterministic
-        // functions of the matrix and draw no randomness, so the retained
+        // Step 4b: winner determination. Unchanged weights with a valid
+        // previous assignment need no solve: solvers are deterministic
+        // functions of the weights and draw no randomness, so the retained
         // assignment is exactly what a fresh solve would produce.
-        if warm && refreshed == 0 && self.scratch.solved {
+        let mut laying_ns = 0;
+        if unchanged && self.scratch.solved {
             self.scratch.phases.warm_solves += 1;
         } else {
             // `adv_to_slot` follows the assignment: forget the seats the
@@ -771,8 +934,31 @@ impl<B: Bidder> AuctionEngine<B> {
             for adv in self.scratch.assignment.slot_to_adv.iter().flatten() {
                 self.scratch.adv_to_slot[*adv] = None;
             }
-            self.solver
-                .solve(&self.scratch.matrix, &mut self.scratch.assignment);
+            let considered = match &mut self.source {
+                WeightSource::Lists {
+                    order,
+                    solver,
+                    candidates,
+                } => {
+                    order.candidates_into(candidates);
+                    // Laying the reduced graph out evaluates the rows that
+                    // were not candidates a solve ago: matrix-fill work.
+                    let t_lay = Instant::now();
+                    let asked = solver.load_candidates(k, candidates, |i, row| {
+                        row_weights_into(&self.bids[i], i, &self.clicks, &self.purchases, row);
+                    });
+                    self.scratch.phases.cells_evaluated += (asked * k) as u64;
+                    laying_ns = t_lay.elapsed().as_nanos() as u64;
+                    solver.solve_candidates(&mut self.scratch.assignment);
+                    candidates.len()
+                }
+                WeightSource::Dense { matrix, solver } => {
+                    solver.solve(matrix, &mut self.scratch.assignment);
+                    solver
+                        .last_candidates()
+                        .unwrap_or_else(|| matrix.num_advertisers())
+                }
+            };
             for (j, adv) in self.scratch.assignment.slot_to_adv.iter().enumerate() {
                 if let Some(i) = adv {
                     self.scratch.adv_to_slot[*i] = Some(j);
@@ -780,18 +966,14 @@ impl<B: Bidder> AuctionEngine<B> {
             }
             self.scratch.solved = true;
             self.scratch.phases.solves += 1;
-            self.scratch.phases.candidates += self
-                .solver
-                .last_candidates()
-                .unwrap_or_else(|| self.scratch.matrix.num_advertisers())
-                as u64;
+            self.scratch.phases.candidates += considered as u64;
         }
         let expected_revenue = self.scratch.base.total_base + self.scratch.assignment.total_weight;
         let t_action = Instant::now();
-        self.scratch.phases.solve_ns += (t_action - t_solve).as_nanos() as u64;
+        self.scratch.phases.matrix_fill_ns += laying_ns;
+        self.scratch.phases.solve_ns += (t_action - t_solve).as_nanos() as u64 - laying_ns;
 
         // Step 5: user action.
-        let k = self.scratch.matrix.num_slots();
         self.scratch.clicked.clear();
         self.scratch.clicked.resize(k, false);
         self.scratch.purchased.clear();
@@ -814,7 +996,7 @@ impl<B: Bidder> AuctionEngine<B> {
             self.config.pricing,
             &self.clicks,
             &self.bids,
-            &self.scratch.matrix,
+            &self.source,
             &self.scratch.assignment,
             &self.scratch.adv_to_slot,
             &self.scratch.clicked,
@@ -847,7 +1029,7 @@ impl<B: Bidder> AuctionEngine<B> {
     /// never clones a query: attributes are read through
     /// [`EngineQuery::attrs`] by reference.
     pub fn run_batch<Q: EngineQuery, R: Rng>(&mut self, queries: &[Q], rng: &mut R) -> BatchReport {
-        self.ensure_solver();
+        self.ensure_source();
         self.scratch.phases = PhaseStats::default();
         let mut report = BatchReport::default();
         for query in queries {
@@ -876,7 +1058,7 @@ impl<B: Bidder> AuctionEngine<B> {
         I: IntoIterator,
         I::Item: EngineQuery,
     {
-        self.ensure_solver();
+        self.ensure_source();
         AuctionStream {
             engine: self,
             rng,
@@ -970,7 +1152,7 @@ fn compute_charges_into(
     pricing: PricingScheme,
     clicks: &ClickModel,
     bids: &[BidsTable],
-    matrix: &RevenueMatrix,
+    source: &WeightSource,
     assignment: &Assignment,
     adv_to_slot: &[Option<usize>],
     clicked: &[bool],
@@ -998,13 +1180,24 @@ fn compute_charges_into(
             }));
         }
         PricingScheme::Gsp => {
-            gsp_prices_into(
-                matrix,
-                assignment,
-                adv_to_slot,
-                &|adv, slot| clicks.p_click(adv, SlotId::from_index0(slot)),
-                prices,
-            );
+            let p_click = |adv, slot| clicks.p_click(adv, SlotId::from_index0(slot));
+            match source {
+                WeightSource::Lists { order, solver, .. } => gsp_prices_from_order_into(
+                    order,
+                    &|winner, slot| {
+                        solver
+                            .candidate_weight(winner, slot)
+                            .expect("a winner is a candidate")
+                    },
+                    assignment,
+                    adv_to_slot,
+                    &p_click,
+                    prices,
+                ),
+                WeightSource::Dense { matrix, .. } => {
+                    gsp_prices_into(matrix, assignment, adv_to_slot, &p_click, prices)
+                }
+            }
             out.extend(
                 prices
                     .iter()
@@ -1013,12 +1206,17 @@ fn compute_charges_into(
                     .filter(|(_, m)| m.is_positive()),
             );
         }
-        PricingScheme::Vickrey => out.extend(
-            vcg_prices(matrix, assignment)
-                .into_iter()
-                .map(|p| (p.winner, Money::from_f64_rounded(p.amount)))
-                .filter(|(_, m)| m.is_positive()),
-        ),
+        PricingScheme::Vickrey => {
+            let WeightSource::Dense { matrix, .. } = source else {
+                unreachable!("a source laid out for VCG is dense");
+            };
+            out.extend(
+                vcg_prices(matrix, assignment)
+                    .into_iter()
+                    .map(|p| (p.winner, Money::from_f64_rounded(p.amount)))
+                    .filter(|(_, m)| m.is_positive()),
+            );
+        }
     }
 }
 
@@ -1191,6 +1389,73 @@ mod tests {
         assert_eq!(engine.solver_name(), "network-simplex");
         let b = engine.run_batch(&[0, 0], &mut rng).expected_revenue / 2.0;
         assert!((a - b).abs() < 1e-9, "objective must not depend on method");
+    }
+
+    /// `config` is a public field. Whatever is flipped on a warm engine —
+    /// to a configuration that needs the dense matrix, and back to the
+    /// lists — the next auctions are those of an engine built that way over
+    /// the same bids: the weight source is laid out anew and the retained
+    /// assignment is not reused.
+    #[test]
+    fn reconfiguring_a_warm_engine_matches_one_built_that_way() {
+        let rh = EngineConfig::default();
+        let others = [
+            EngineConfig {
+                pricing: PricingScheme::Vickrey,
+                ..rh
+            },
+            EngineConfig {
+                method: WdMethod::Hungarian,
+                ..rh
+            },
+            EngineConfig { pruned: true, ..rh },
+            EngineConfig {
+                pricing: PricingScheme::PayYourBid,
+                ..rh
+            },
+        ];
+        let (n, k) = (40usize, 3usize);
+        let build = |cents: &[i64], config| {
+            AuctionEngine::new(
+                cents
+                    .iter()
+                    .map(|&c| TableBidder::per_click(Money::from_cents(c)))
+                    .collect(),
+                ClickModel::from_fn(n, k, |i, j| 0.9 / (1 + (i * 7 + j * 3) % 5) as f64),
+                PurchaseModel::never(n, k),
+                1,
+                config,
+            )
+        };
+        for other in others {
+            let mut cents: Vec<i64> = (0..n).map(|i| ((i * 37) % 23) as i64).collect();
+            let mut engine = build(&cents, rh);
+            let mut rng = StdRng::seed_from_u64(11);
+            engine.run_batch(&[0usize; 3], &mut rng);
+            for (step, config) in [other, rh, other, rh].into_iter().enumerate() {
+                // On even steps a bid moves as well; on odd ones the flip
+                // alone must bring the solve about.
+                if step % 2 == 0 {
+                    let row = (step * 11 + 5) % n;
+                    cents[row] = 30 + step as i64;
+                    engine.bidder_mut(row).bids =
+                        BidsTable::single_feature(Money::from_cents(cents[row]));
+                }
+                engine.config = config;
+                let mut twin = build(&cents, config);
+                let mut twin_rng = rng.clone();
+                let first = engine.run_batch(&[0usize], &mut rng);
+                assert_eq!(first, twin.run_batch(&[0usize], &mut twin_rng));
+                assert_eq!((first.phases.solves, first.phases.warm_solves), (1, 0));
+                for _ in 0..2 {
+                    assert_eq!(
+                        engine.run_auction(0, &mut rng),
+                        twin.run_auction(0, &mut twin_rng),
+                        "{other:?}, step {step}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

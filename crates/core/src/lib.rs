@@ -16,10 +16,13 @@
 //!    ([`pricing`]).
 //!
 //! Winner determination dispatches through the `ssa_matching::WdSolver`
-//! trait: [`AuctionEngine`] owns a boxed solver with persistent scratch and
-//! a preallocated revenue matrix, and the batched entry points
-//! ([`AuctionEngine::run_batch`], [`AuctionEngine::stream`]) refill them in
-//! place — no per-auction matrix allocation on the hot path.
+//! trait: [`AuctionEngine`] owns a solver with persistent scratch and the
+//! weights it reads — on the default `rh` path each slot's few best rows,
+//! kept current from the bids that changed; for methods that read whole
+//! columns a preallocated revenue matrix — and the batched entry points
+//! ([`AuctionEngine::run_batch`], [`AuctionEngine::stream`]) update them in
+//! place: no per-auction matrix allocation on the hot path (see the
+//! [`engine`] module docs).
 //!
 //! Above the engine sits the [`marketplace`] service facade: a long-lived
 //! [`marketplace::Marketplace`] owning registered advertisers,

@@ -966,27 +966,45 @@ impl Marketplace {
         self.config.warm_start
     }
 
+    /// Rewrites the engine configuration of every keyword engine, built
+    /// and future. An engine notices at its next auction and lays its
+    /// weight source out for the new configuration.
+    fn reconfigure(&mut self, change: impl Fn(&mut EngineConfig)) {
+        change(&mut self.config);
+        for book in &mut self.books {
+            if let Some(engine) = &mut book.engine {
+                change(&mut engine.config);
+            }
+        }
+    }
+
     /// Enables or disables top-k pruned winner determination on every
     /// keyword engine (built and future). Outcomes are bit-identical either
     /// way; only the solve cost changes.
     pub fn set_pruned(&mut self, enabled: bool) {
-        self.config.pruned = enabled;
-        for book in &mut self.books {
-            if let Some(engine) = &mut book.engine {
-                engine.config.pruned = enabled;
-            }
-        }
+        self.reconfigure(|config| config.pruned = enabled);
     }
 
     /// Enables or disables warm-started assignments on every keyword engine
     /// (built and future). Outcomes are bit-identical either way.
     pub fn set_warm_start(&mut self, enabled: bool) {
-        self.config.warm_start = enabled;
-        for book in &mut self.books {
-            if let Some(engine) = &mut book.engine {
-                engine.config.warm_start = enabled;
-            }
-        }
+        self.reconfigure(|config| config.warm_start = enabled);
+    }
+
+    /// Switches the winner-determination method of every keyword engine
+    /// (built and future), from the next auction on. Unlike
+    /// [`Marketplace::set_pruned`] this can change outcomes — methods may
+    /// break revenue ties differently — and it is not a journalled
+    /// mutation: a durable deployment reconfigures by rebuilding the market.
+    pub fn set_method(&mut self, method: WdMethod) {
+        self.reconfigure(|config| config.method = method);
+    }
+
+    /// Switches the pricing rule of every keyword engine (built and
+    /// future), from the next auction on. Charges change with it; like
+    /// [`Marketplace::set_method`], not a journalled mutation.
+    pub fn set_pricing(&mut self, pricing: PricingScheme) {
+        self.reconfigure(|config| config.pricing = pricing);
     }
 
     /// The global market clock: total auctions served.

@@ -13,7 +13,7 @@
 //!   imposes, computed exactly by re-solving the matching without the
 //!   winner. Charged per auction (not per click), as in Clarke–Groves.
 
-use ssa_matching::{max_weight_assignment, Assignment, RevenueMatrix};
+use ssa_matching::{max_weight_assignment, Assignment, RetainedOrder, RevenueMatrix};
 
 /// Which pricing rule the engine applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,21 +128,51 @@ pub fn gsp_prices_into(
                 }
             }
         }
-        let p = p_click(winner, slot);
-        let own_equiv = if p > 0.0 {
-            matrix.get(winner, slot).max(0.0) / p
-        } else {
-            0.0
-        };
-        let per_click = if p > 0.0 {
-            (runner_up / p).min(own_equiv)
-        } else {
-            0.0
-        };
         prices.push(SlotPrice {
             slot,
             winner,
-            amount: per_click.max(0.0),
+            amount: gsp_per_click(runner_up, matrix.get(winner, slot), p_click(winner, slot)),
+        });
+    }
+}
+
+/// The GSP per-click price of one slot: the best losing expected revenue
+/// `runner_up` over the winner's click probability `p`, capped by the
+/// winner's own per-click equivalent (`own` = its weight for the slot).
+fn gsp_per_click(runner_up: f64, own: f64, p: f64) -> f64 {
+    if p > 0.0 {
+        (runner_up / p).min(own.max(0.0) / p).max(0.0)
+    } else {
+        0.0
+    }
+}
+
+/// [`gsp_prices_into`] without the matrix: the runner-up of a slot is read
+/// off that slot's retained order and the winner's own weight comes from
+/// `weight(winner, slot)`. The best unassigned row of a column is among its
+/// top `k + 1` — an assignment seats at most `k` — and `order` lists at
+/// least that many best first, so the first unassigned entry is the one the
+/// full scan would settle on; the prices agree bit for bit.
+pub fn gsp_prices_from_order_into(
+    order: &RetainedOrder,
+    weight: &dyn Fn(usize, usize) -> f64,
+    assignment: &Assignment,
+    assigned: &[Option<usize>],
+    p_click: &dyn Fn(usize, usize) -> f64,
+    prices: &mut Vec<SlotPrice>,
+) {
+    prices.clear();
+    for (slot, winner) in assignment.slot_to_adv.iter().enumerate() {
+        let Some(winner) = *winner else { continue };
+        let runner_up = order
+            .top(slot)
+            .iter()
+            .find(|(adv, _)| assigned[*adv].is_none())
+            .map_or(0.0, |&(_, w)| if w > 0.0 { w } else { 0.0 });
+        prices.push(SlotPrice {
+            slot,
+            winner,
+            amount: gsp_per_click(runner_up, weight(winner, slot), p_click(winner, slot)),
         });
     }
 }
@@ -241,6 +271,57 @@ mod tests {
         let a = max_weight_assignment(&matrix);
         let prices = gsp_prices(&matrix, &a, &|_, _| 0.5);
         assert!(prices.iter().all(|p| p.amount == 0.0));
+    }
+
+    /// Reading the runner-up off the retained order gives the prices the
+    /// full scan gives, bit for bit — with ties, excluded rows, non-positive
+    /// weights and fewer rows than slots.
+    #[test]
+    fn gsp_from_the_retained_order_matches_the_full_scan() {
+        use ssa_matching::EXCLUDED;
+        let values = [7.0, 7.0, 3.5, 0.0, -0.0, -2.0, 12.25, EXCLUDED];
+        let mut state = 0xC0FFEEu64;
+        let mut next = move |m: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize % m
+        };
+        for (n, k) in [(1, 2), (3, 3), (9, 2), (40, 3), (40, 1)] {
+            for _ in 0..20 {
+                let excluded_row = next(n);
+                let matrix = RevenueMatrix::from_fn(n, k, |i, _| {
+                    if i == excluded_row {
+                        EXCLUDED
+                    } else {
+                        values[next(values.len())]
+                    }
+                });
+                let mut order = RetainedOrder::new(k);
+                let mut row = vec![0.0; k];
+                for i in 0..n {
+                    for (j, w) in row.iter_mut().enumerate() {
+                        *w = matrix.get(i, j);
+                    }
+                    order.update(i, &row);
+                }
+                let assignment = max_weight_assignment(&matrix);
+                let p_click = |adv: usize, slot: usize| [0.5, 0.0, 0.25][(adv + slot) % 3];
+                let want = gsp_prices(&matrix, &assignment, &p_click);
+                let mut got = Vec::new();
+                gsp_prices_from_order_into(
+                    &order,
+                    &|adv, slot| matrix.get(adv, slot),
+                    &assignment,
+                    &assignment.adv_to_slot(n),
+                    &p_click,
+                    &mut got,
+                );
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!((g.slot, g.winner), (w.slot, w.winner));
+                    assert_eq!(g.amount.to_bits(), w.amount.to_bits(), "n={n} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -389,6 +389,22 @@ impl ShardedMarketplace {
         }
     }
 
+    /// Switches the winner-determination method on every shard; see
+    /// [`Marketplace::set_method`] (not journalled).
+    pub fn set_method(&mut self, method: WdMethod) {
+        for shard in &mut self.shards {
+            shard.set_method(method);
+        }
+    }
+
+    /// Switches the pricing rule on every shard; see
+    /// [`Marketplace::set_pricing`] (not journalled).
+    pub fn set_pricing(&mut self, pricing: PricingScheme) {
+        for shard in &mut self.shards {
+            shard.set_pricing(pricing);
+        }
+    }
+
     /// The global market clock: total auctions served across all shards.
     pub fn now(&self) -> u64 {
         self.clock

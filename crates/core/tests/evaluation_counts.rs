@@ -231,3 +231,291 @@ fn a_paused_program_campaign_is_not_run() {
     assert_eq!(serve(&mut market).placements[0].campaign, id);
     assert_eq!((calls.asked(), calls.told()), (3, 3));
 }
+
+// ---------------------------------------------------------------------------
+// What an auction evaluates at benchmark scale (5 000 bidders, 15 slots).
+// ---------------------------------------------------------------------------
+//
+// On its default path the engine holds no revenue matrix: it keeps each
+// slot's best rows current from the rows that changed and evaluates weights
+// only for those rows and for rows that newly become candidates. The tests
+// below count the cells it evaluated (`PhaseStats::cells_evaluated`, an exact
+// count) and hold its candidates, assignment and charges against the dense
+// oracle — `revenue_matrix` of the tables the engine must be holding.
+
+use ssa_core::pricing::gsp_prices;
+use ssa_core::{revenue_matrix, AuctionReport, PhaseStats, TableBidder};
+use ssa_matching::{reduced_assignment, reduced_candidates};
+
+const N: usize = 5_000;
+const K: usize = 15;
+
+/// A seeded xorshift stream.
+struct Stream(u64);
+
+impl Stream {
+    fn below(&mut self, m: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % m as u64) as usize
+    }
+}
+
+fn per_click(cents: i64) -> BidsTable {
+    BidsTable::single_feature(Money::from_cents(cents))
+}
+
+/// `N` per-click bidders whose click probabilities do not factor into
+/// advertiser × slot, so every slot ranks them differently and the reduced
+/// graph has several dozen rows. The last `targeted` of them bid for mobile
+/// visitors only.
+fn big_engine(stream: &mut Stream, targeted: usize) -> (AuctionEngine<TableBidder>, Vec<i64>) {
+    let cents: Vec<i64> = (0..N).map(|_| 1 + stream.below(50) as i64).collect();
+    let probs: Vec<Vec<f64>> = (0..N)
+        .map(|_| {
+            (0..K)
+                .map(|j| {
+                    (0.05 + 0.9 * stream.below(1 << 20) as f64 / (1 << 20) as f64) / (j + 1) as f64
+                })
+                .collect()
+        })
+        .collect();
+    let open = N - targeted;
+    let mut engine = AuctionEngine::new(
+        cents[..open]
+            .iter()
+            .map(|&c| TableBidder::new(per_click(c)))
+            .collect(),
+        ClickModel::from_rows(&probs[..open]),
+        PurchaseModel::never(open, K),
+        1,
+        EngineConfig::default(),
+    );
+    let mobile = Arc::new(CompiledTargeting::parse("device = 'mobile'").unwrap());
+    for row in open..N {
+        engine.push_bidder(
+            TableBidder::new(per_click(cents[row])),
+            &probs[row],
+            None,
+            Some(mobile.clone()),
+        );
+    }
+    (engine, cents)
+}
+
+/// Serves one query on `engine` for its report and on its twin — same
+/// bidders, same writes, same RNG position — for the tallies.
+fn serve_both(
+    engines: &mut [AuctionEngine<TableBidder>; 2],
+    rngs: &mut [StdRng; 2],
+    attrs: &UserAttrs,
+) -> (AuctionReport, PhaseStats) {
+    let [solo, tallied] = engines;
+    let report = solo.run_auction((0usize, attrs), &mut rngs[0]);
+    let phases = tallied.run_batch(&[(0usize, attrs)], &mut rngs[1]).phases;
+    (report, phases)
+}
+
+#[test]
+fn an_auction_evaluates_the_changed_rows_and_the_newcomers_and_matches_the_dense_oracle() {
+    const TARGETED: usize = 100;
+    let mut stream = Stream(0x5EED_CAFE);
+    let (solo, cents) = big_engine(&mut Stream(7), TARGETED);
+    let (tallied, _) = big_engine(&mut Stream(7), TARGETED);
+    let mut engines = [solo, tallied];
+    let mut rngs = [StdRng::seed_from_u64(5), StdRng::seed_from_u64(5)];
+    let mobile = UserAttrs::new().set_str("device", "mobile");
+    let desktop = UserAttrs::new().set_str("device", "desktop");
+
+    // What each bidder would answer, and what the engine must be holding:
+    // the answer, or nothing for a targeted bidder the query missed.
+    let mut answers: Vec<BidsTable> = cents.iter().map(|&c| per_click(c)).collect();
+    let mut held: Vec<BidsTable> = vec![BidsTable::empty(); N];
+    let mut candidates: Vec<usize> = Vec::new();
+    let (mut cold_auctions, mut rescans) = (0, 0);
+    for auction in 0..160 {
+        // A write, a pause, a resume, or nothing.
+        let row = stream.below(N);
+        let written = match stream.below(10) {
+            0..=5 => Some(per_click(1 + stream.below(60) as i64)),
+            6 => Some(BidsTable::empty()),
+            7 => Some(per_click(cents[row])),
+            _ => None,
+        };
+        if let Some(table) = written {
+            for engine in &mut engines {
+                engine.bidder_mut(row).bids = table.clone();
+            }
+            answers[row] = table;
+        }
+        let attrs = if stream.below(8) == 0 {
+            &desktop
+        } else {
+            &mobile
+        };
+        let (report, phases) = serve_both(&mut engines, &mut rngs, attrs);
+
+        let now: Vec<BidsTable> = (0..N)
+            .map(|i| {
+                if i >= N - TARGETED && attrs == &desktop {
+                    BidsTable::empty()
+                } else {
+                    answers[i].clone()
+                }
+            })
+            .collect();
+        let changed = (0..N).filter(|&i| now[i] != held[i]).count();
+        held = now;
+
+        // The dense oracle.
+        let (clicks, purchases) = (engines[0].clicks(), engines[0].purchases());
+        let (matrix, base) = revenue_matrix(&held, clicks, purchases);
+        let want = reduced_assignment(&matrix);
+        assert_eq!(want.candidates, reduced_candidates(&matrix));
+        assert_eq!(report.assignment, want.assignment, "auction {auction}");
+        assert_eq!(
+            report.expected_revenue.to_bits(),
+            (base.total_base + want.assignment.total_weight).to_bits()
+        );
+        let prices = gsp_prices(&matrix, &want.assignment, &|adv, slot| {
+            clicks.row(adv)[slot]
+        });
+        let charges: Vec<(usize, Money)> = prices
+            .iter()
+            .filter(|p| report.clicked[p.slot])
+            .map(|p| (p.winner, Money::from_f64_rounded(p.amount)))
+            .filter(|(_, m)| m.is_positive())
+            .collect();
+        assert_eq!(report.charges, charges, "auction {auction}");
+
+        // The cells it took.
+        let newcomers = want
+            .candidates
+            .iter()
+            .filter(|id| candidates.binary_search(id).is_err())
+            .count();
+        if changed == 0 {
+            assert_eq!((phases.solves, phases.warm_solves), (0, 1));
+            assert_eq!(phases.cells_evaluated, 0, "auction {auction}");
+        } else {
+            assert_eq!(
+                (phases.solves, phases.candidates),
+                (1, want.candidates.len() as u64)
+            );
+            if auction == 0 {
+                assert_eq!(phases.cells_evaluated, ((N + newcomers) * K) as u64);
+                cold_auctions += 1;
+            } else if phases.rescans == 0 {
+                assert!(
+                    phases.cells_evaluated <= ((changed + newcomers) * K) as u64,
+                    "auction {auction}: {} cells for {changed} changed rows and {newcomers} newcomers",
+                    phases.cells_evaluated
+                );
+            }
+            candidates = want.candidates;
+        }
+        rescans += phases.rescans;
+    }
+    assert_eq!(cold_auctions, 1);
+    // The targeted rows leave and rejoin the lists as visitors come and go;
+    // with a hundred of them among five thousand no list runs short.
+    assert_eq!(rescans, 0);
+}
+
+/// The `engine-solve` benchmark's traffic: one bid write, then one auction.
+/// Exact counts of a seeded stream, printed for the `perf-smoke` CI job.
+#[test]
+fn a_write_then_serve_stream_evaluates_a_few_rows_an_auction_and_rescans_rarely() {
+    const AUCTIONS: u64 = 6_000;
+    let mut stream = Stream(0xB1D_5EED);
+    let (mut engine, _) = big_engine(&mut Stream(11), 0);
+    let mut rng = StdRng::seed_from_u64(9);
+    engine.run_batch(&[0usize], &mut rng);
+
+    let mut total = PhaseStats::default();
+    for _ in 0..AUCTIONS {
+        let row = stream.below(N);
+        engine.bidder_mut(row).bids = per_click(1 + stream.below(60) as i64);
+        let phases = engine.run_batch(&[0usize], &mut rng).phases;
+        if phases.rescans == 0 {
+            assert!(phases.cells_evaluated < (N * K) as u64, "never n × k");
+        }
+        total.absorb(&phases);
+    }
+    // A rescan evaluates every row once more, on top of the auction's own.
+    let steady = total.cells_evaluated - total.rescans * (N * K) as u64;
+    let cells_per_auction = steady as f64 / AUCTIONS as f64;
+    let rescans_per_1000 = total.rescans as f64 * 1e3 / AUCTIONS as f64;
+    println!(
+        "{{\"metric\":\"cells_per_written_auction\",\"auctions\":{AUCTIONS},\"value\":{cells_per_auction:.2}}}"
+    );
+    println!(
+        "{{\"metric\":\"rescans_per_1000_auctions\",\"auctions\":{AUCTIONS},\"value\":{rescans_per_1000:.3}}}"
+    );
+    // Each auction wrote one row; a write rarely changes who is a candidate.
+    assert!(
+        cells_per_auction <= 2.0 * K as f64,
+        "{cells_per_auction:.2} cells per written auction, {} allowed",
+        2 * K
+    );
+    // A rebuilt list holds 2(k + 1) rows and runs short below k + 1, so
+    // k + 1 writes must each take a row off it first; in this traffic far
+    // fewer writes do.
+    assert!(total.rescans * (K as u64 + 1) <= AUCTIONS);
+    assert!(
+        rescans_per_1000 <= 2.0,
+        "{rescans_per_1000:.3} rescans per 1000 auctions, 2 allowed"
+    );
+}
+
+/// Pausing the leaders one by one empties the lists from the top: with two
+/// slots a list holds six rows and runs short below three, so every fourth
+/// pause — and no other — rebuilds the order from all rows. Outcomes are a
+/// cold twin's throughout.
+#[test]
+fn a_list_that_runs_short_is_rebuilt_from_every_row() {
+    let (n, k) = (60usize, 2usize);
+    let build = |warm_start| {
+        AuctionEngine::new(
+            (0..n)
+                .map(|i| TableBidder::new(per_click(100 - i as i64)))
+                .collect(),
+            ClickModel::from_fn(n, k, |_, j| 0.5 / (j + 1) as f64),
+            PurchaseModel::never(n, k),
+            1,
+            EngineConfig {
+                warm_start,
+                ..EngineConfig::default()
+            },
+        )
+    };
+    let mut engines = [build(true), build(true), build(false)];
+    let mut rngs = [1, 1, 1].map(StdRng::seed_from_u64);
+    let mut serve = |engines: &mut [AuctionEngine<TableBidder>; 3]| {
+        let [solo, tallied, cold] = engines;
+        assert_eq!(
+            solo.run_auction(0usize, &mut rngs[0]),
+            cold.run_auction(0usize, &mut rngs[2])
+        );
+        tallied.run_batch(&[0usize], &mut rngs[1]).phases
+    };
+    serve(&mut engines);
+    for leader in 0..12 {
+        for engine in &mut engines {
+            engine.bidder_mut(leader).bids = BidsTable::empty();
+        }
+        let phases = serve(&mut engines);
+        let rescan = leader % 4 == 3;
+        assert_eq!(phases.rescans, u64::from(rescan), "pause {leader}");
+        // The paused row; on a rescan every row again, and then the whole
+        // reduced graph of k rows (the rebuild forgets the rows it held);
+        // otherwise the one row that moved up into it.
+        let (rebuilt, newcomers) = if rescan { (n, k) } else { (0, 1) };
+        assert_eq!(
+            phases.cells_evaluated,
+            ((1 + rebuilt + newcomers) * k) as u64,
+            "pause {leader}"
+        );
+    }
+}

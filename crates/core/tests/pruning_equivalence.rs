@@ -302,16 +302,18 @@ fn pruned_warm_matches_unpruned_cold_at_issue_sizes() {
 // `update_bid` (new values, rewrites of the current value, writes to paused
 // campaigns), `pause`/`resume`, `set_roi_target`, queries that flip a
 // targeted campaign between matched and unmatched, `add_campaign` on a warm
-// keyword, and `set_warm_start`/`set_pruned` toggles — and holds the market
-// to two standards: every response and every `top_bids` read equals those of
-// a twin that refills and solves at every auction, and the number of solves
-// it skipped equals the number of auctions the test's own shadow of the
-// campaign book says nothing changed for.
+// keyword, `set_warm_start`/`set_pruned` toggles, and `set_method`/
+// `set_pricing` flips that move a warm engine between its matrix-free and
+// dense weight sources — and holds the market to two standards: every
+// response and every `top_bids` read equals those of a twin that refills and
+// solves at every auction, and the number of solves it skipped equals the
+// number of auctions the test's own shadow of the campaign book says nothing
+// changed for.
 
 use ssa_bidlang::targeting::UserAttrs;
 use ssa_bidlang::BidsTable;
 use ssa_core::marketplace::{AuctionResponse, MarketBatchReport};
-use ssa_core::{AdvertiserHandle, CampaignId, MarketError, ShardedMarketplace};
+use ssa_core::{AdvertiserHandle, CampaignId, MarketError, PricingScheme, ShardedMarketplace};
 
 const MOBILE_ONLY: &str = "device = 'mobile'";
 
@@ -356,7 +358,15 @@ enum Op {
     Add(NewCampaign),
     WarmStart(bool),
     Pruned(bool),
+    Method(WdMethod),
+    Pricing(PricingScheme),
 }
+
+const PRICINGS: [PricingScheme; 3] = [
+    PricingScheme::Gsp,
+    PricingScheme::PayYourBid,
+    PricingScheme::Vickrey,
+];
 
 #[derive(Debug, Clone)]
 struct MixedScenario {
@@ -425,6 +435,10 @@ fn arb_mixed() -> impl Strategy<Value = MixedScenario> {
                         2 => Op::Pruned(false),
                         _ => Op::Pruned(true),
                     },
+                    8 => match next(2) {
+                        0 => Op::Method(METHODS[any(&mut next, METHODS.len())]),
+                        _ => Op::Pricing(PRICINGS[any(&mut next, PRICINGS.len())]),
+                    },
                     _ => Op::Serve {
                         keyword: next(num_keywords as u64) as usize,
                         mobile: next(3) > 0,
@@ -460,6 +474,8 @@ trait Market {
     fn resume(&mut self, id: CampaignId) -> Result<(), MarketError>;
     fn warm_start(&mut self, enabled: bool);
     fn pruned(&mut self, enabled: bool);
+    fn method(&mut self, method: WdMethod);
+    fn pricing(&mut self, pricing: PricingScheme);
     fn book(&self, keyword: usize) -> Vec<(CampaignId, Money)>;
     fn serve_one(&mut self, request: QueryRequest) -> AuctionResponse;
     fn serve_tallied(&mut self, request: QueryRequest) -> MarketBatchReport;
@@ -496,6 +512,12 @@ macro_rules! impl_market {
             }
             fn pruned(&mut self, enabled: bool) {
                 self.set_pruned(enabled)
+            }
+            fn method(&mut self, method: WdMethod) {
+                self.set_method(method)
+            }
+            fn pricing(&mut self, pricing: PricingScheme) {
+                self.set_pricing(pricing)
             }
             fn book(&self, keyword: usize) -> Vec<(CampaignId, Money)> {
                 self.top_bids(keyword, usize::MAX).expect("in range")
@@ -558,8 +580,9 @@ fn register<M: Market>(
 }
 
 /// Runs the scenario. `twin` ignores the warm-start and pruning toggles (it
-/// is built cold and unpruned and stays so); `tallied` serves through
-/// `serve_batch` of one query instead of `serve`.
+/// is built cold and unpruned and stays so) but follows method and pricing
+/// flips, which outcomes depend on; `tallied` serves through `serve_batch`
+/// of one query instead of `serve`.
 fn drive<M: Market>(market: &mut M, s: &MixedScenario, twin: bool, tallied: bool) -> Run {
     let handles: Vec<AdvertiserHandle> = (0..MIXED_ADVERTISERS)
         .map(|adv| market.register(format!("adv-{adv}")))
@@ -639,6 +662,14 @@ fn drive<M: Market>(market: &mut M, s: &MixedScenario, twin: bool, tallied: bool
                 }
                 None
             }
+            Op::Method(method) => {
+                market.method(*method);
+                None
+            }
+            Op::Pricing(pricing) => {
+                market.pricing(*pricing);
+                None
+            }
         };
         if let Some(id) = touched {
             run.books.push(market.book(id.keyword()));
@@ -651,9 +682,9 @@ fn drive<M: Market>(market: &mut M, s: &MixedScenario, twin: bool, tallied: bool
 
 /// The test's own account of the campaign book: how many auctions of the
 /// stream found every campaign on their keyword bidding exactly what it bid
-/// at the keyword's previous auction, under the same solver, with warm
-/// starts on — the auctions whose solve must have been skipped, and no
-/// others.
+/// at the keyword's previous auction, under the same method, pruning and
+/// pricing, with warm starts on — the auctions whose solve must have been
+/// skipped, and no others.
 fn expected_warm_solves(s: &MixedScenario) -> u64 {
     #[derive(Clone)]
     struct Shadow {
@@ -688,10 +719,11 @@ fn expected_warm_solves(s: &MixedScenario) -> u64 {
         paused: false,
     };
     let mut book: Vec<Shadow> = s.campaigns.iter().map(shadow_of).collect();
-    // Per keyword: the tables of its previous auction and the pruning flag
-    // its solver was built under.
-    let mut previous: Vec<Option<(Vec<Option<i64>>, bool)>> = vec![None; s.num_keywords];
-    let (mut warm_start, mut pruned) = (true, false);
+    // Per keyword: the tables of its previous auction and the method,
+    // pruning flag and pricing its weight source was laid out for.
+    type Laid = (WdMethod, bool, PricingScheme);
+    let mut previous: Vec<Option<(Vec<Option<i64>>, Laid)>> = vec![None; s.num_keywords];
+    let (mut warm_start, mut laid) = (true, (s.method, false, PricingScheme::Gsp));
     let mut warm_solves = 0;
     for op in &s.ops {
         match op {
@@ -704,7 +736,7 @@ fn expected_warm_solves(s: &MixedScenario) -> u64 {
                 if now.is_empty() {
                     continue; // no campaigns, no engine, no solve to skip
                 }
-                let auction = Some((now, pruned));
+                let auction = Some((now, laid));
                 if warm_start && previous[*keyword] == auction {
                     warm_solves += 1;
                 }
@@ -717,7 +749,9 @@ fn expected_warm_solves(s: &MixedScenario) -> u64 {
             Op::SetRoi { campaign, target } => book[*campaign].roi = *target,
             Op::Add(c) => book.push(shadow_of(c)),
             Op::WarmStart(enabled) => warm_start = *enabled,
-            Op::Pruned(enabled) => pruned = *enabled,
+            Op::Pruned(enabled) => laid.1 = *enabled,
+            Op::Method(method) => laid.0 = *method,
+            Op::Pricing(pricing) => laid.2 = *pricing,
         }
     }
     warm_solves

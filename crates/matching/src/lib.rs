@@ -11,6 +11,9 @@
 //!   keep only the advertisers with the top-k expected revenues (bounded
 //!   min-heaps, `O(n k log k)`), then run the Hungarian algorithm on the
 //!   reduced graph of at most `k²` advertisers (`O(k⁵)`).
+//! * [`retained`] — [`RetainedOrder`]: each slot's best rows kept current
+//!   one changed row at a time, from which [`ReducedSolver`] is handed its
+//!   candidates without an `n × k` matrix or a selection pass.
 //! * [`parallel`] — the binary-tree aggregation networks of Section III-E:
 //!   a simulated tree network (verifies the `O(k log n)` combining depth)
 //!   and a real multi-threaded implementation.
@@ -42,6 +45,7 @@ pub mod ordered;
 pub mod parallel;
 pub mod pruned;
 pub mod reduced;
+pub mod retained;
 pub mod solver;
 pub mod threshold;
 pub mod topk;
@@ -52,6 +56,7 @@ pub use ordered::OrderedF64;
 pub use parallel::ParallelReducedSolver;
 pub use pruned::PrunedSolver;
 pub use reduced::{reduced_assignment, reduced_candidates, ReducedSolution, ReducedSolver};
+pub use retained::RetainedOrder;
 pub use solver::{BoxedWdSolver, WdSolver};
 pub use threshold::{threshold_top_k, MaintainedIndex, TaInstrumentation, TaSource};
 pub use topk::{top_k_indices, TopK};

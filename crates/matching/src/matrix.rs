@@ -119,11 +119,7 @@ impl RevenueMatrix {
     ///
     /// Panics if `k == 0` or if `f` produces NaN / `+∞`.
     pub fn fill_from_fn(&mut self, n: usize, k: usize, mut f: impl FnMut(usize, usize) -> f64) {
-        assert!(k > 0, "at least one slot is required");
-        self.n = n;
-        self.k = k;
-        self.data.clear();
-        self.data.resize(n * k, 0.0);
+        self.reshape(n, k);
         // `f` is still called advertiser-major (i outer, j inner) so that
         // stateful closures observe the same call order as `from_fn`.
         for i in 0..n {
@@ -135,6 +131,34 @@ impl RevenueMatrix {
                 );
                 self.data[j * n + i] = weight;
             }
+        }
+    }
+
+    /// Reshapes the matrix to `n × k` in place, every weight zero, reusing
+    /// the existing allocation when its capacity suffices. For weights that
+    /// arrive a row at a time ([`RevenueMatrix::set_row`]), which slot-major
+    /// storage cannot lend out as slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn reshape(&mut self, n: usize, k: usize) {
+        assert!(k > 0, "at least one slot is required");
+        self.n = n;
+        self.k = k;
+        self.data.clear();
+        self.data.resize(n * k, 0.0);
+    }
+
+    /// Sets one advertiser's weights for every slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is not one weight per slot, or on NaN / `+∞`.
+    pub fn set_row(&mut self, adv: usize, weights: &[f64]) {
+        assert_eq!(weights.len(), self.k, "one weight per slot");
+        for (slot, &weight) in weights.iter().enumerate() {
+            self.set(adv, slot, weight);
         }
     }
 
@@ -327,6 +351,22 @@ mod tests {
         m.fill_from_fn(2, 2, |_, _| 1.0);
         assert_eq!(m.data.capacity(), cap_before);
         assert_eq!(m.num_advertisers(), 2);
+    }
+
+    #[test]
+    fn reshape_and_set_row_fill_a_row_at_a_time() {
+        let mut m = RevenueMatrix::from_rows(&[vec![9.0, 5.0]]);
+        m.reshape(2, 3);
+        assert_eq!(m, RevenueMatrix::zeros(2, 3));
+        m.set_row(1, &[1.0, EXCLUDED, -0.5]);
+        assert_eq!(m.column(1), &[0.0, EXCLUDED]);
+        assert_eq!(m.get(1, 2), -0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "one weight per slot")]
+    fn set_row_checks_the_row_length() {
+        RevenueMatrix::zeros(1, 2).set_row(0, &[1.0]);
     }
 
     #[test]

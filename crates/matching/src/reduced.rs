@@ -44,11 +44,23 @@ pub fn reduced_candidates(matrix: &RevenueMatrix) -> Vec<usize> {
 /// auctions differ in a few bids, so the floors start where they will end
 /// and the pass is one compare per entry. The seeds are a hint only — the
 /// result is the same for any seeds.
+///
+/// A caller that already knows the candidate set — it maintains a
+/// [`RetainedOrder`](crate::RetainedOrder) — skips the selection pass and
+/// the full matrix with it: [`ReducedSolver::load_candidates`] lays the
+/// reduced graph out from the rows the solver still holds plus the few it
+/// asks for, and [`ReducedSolver::solve_candidates`] runs the same
+/// Hungarian step [`WdSolver::solve`] ends in.
 #[derive(Debug, Clone)]
 pub struct ReducedSolver {
     collectors: Vec<TopK>,
+    /// Sorted original ids of the rows of `sub`.
     candidates: Vec<usize>,
     sub: RevenueMatrix,
+    /// The sub-matrix being laid out while `sub` is still read from.
+    next_sub: RevenueMatrix,
+    /// One candidate's weights on their way into `next_sub`.
+    row: Vec<f64>,
     sub_out: Assignment,
     inner: HungarianSolver,
 }
@@ -66,15 +78,90 @@ impl ReducedSolver {
             collectors: Vec::new(),
             candidates: Vec::new(),
             sub: RevenueMatrix::zeros(0, 1),
+            next_sub: RevenueMatrix::zeros(0, 1),
+            row: Vec::new(),
             sub_out: Assignment::default(),
             inner: HungarianSolver::new(),
         }
     }
 
-    /// The candidate set computed by the most recent [`WdSolver::solve`]
-    /// call (sorted ascending original advertiser ids).
+    /// The candidate set of the most recent solve (sorted ascending
+    /// original advertiser ids).
     pub fn candidates(&self) -> &[usize] {
         &self.candidates
+    }
+
+    /// Makes `candidates` (strictly ascending original ids — what
+    /// [`reduced_candidates`] would return) the reduced graph over
+    /// `num_slots` slots. A candidate the solver holds from its previous
+    /// reduced graph keeps its weights; for each other one `weights_of` is
+    /// asked to write the row. Returns how many rows it asked for.
+    pub fn load_candidates(
+        &mut self,
+        num_slots: usize,
+        candidates: &[usize],
+        mut weights_of: impl FnMut(usize, &mut [f64]),
+    ) -> usize {
+        debug_assert!(candidates.windows(2).all(|pair| pair[0] < pair[1]));
+        if self.sub.num_slots() != num_slots {
+            self.candidates.clear();
+        }
+        self.next_sub.reshape(candidates.len(), num_slots);
+        self.row.resize(num_slots, 0.0);
+        let mut asked = 0;
+        // Both id lists ascend: one forward walk finds every held row.
+        let mut at = 0;
+        for (local, &id) in candidates.iter().enumerate() {
+            while self.candidates.get(at).is_some_and(|&held| held < id) {
+                at += 1;
+            }
+            if self.candidates.get(at) == Some(&id) {
+                for slot in 0..num_slots {
+                    self.next_sub.set(local, slot, self.sub.get(at, slot));
+                }
+            } else {
+                weights_of(id, &mut self.row);
+                self.next_sub.set_row(local, &self.row);
+                asked += 1;
+            }
+        }
+        std::mem::swap(&mut self.sub, &mut self.next_sub);
+        self.candidates.clear();
+        self.candidates.extend_from_slice(candidates);
+        asked
+    }
+
+    /// Overwrites the weights held for `id`, if it is a candidate: its row
+    /// changed since the reduced graph was laid out.
+    pub fn replace_row(&mut self, id: usize, weights: &[f64]) {
+        if let Ok(local) = self.candidates.binary_search(&id) {
+            self.sub.set_row(local, weights);
+        }
+    }
+
+    /// Forgets the held rows: the next [`ReducedSolver::load_candidates`]
+    /// asks for every candidate's weights.
+    pub fn forget_rows(&mut self) {
+        self.candidates.clear();
+    }
+
+    /// The weight the reduced graph holds for candidate `id` in `slot`;
+    /// `None` if `id` is not a candidate.
+    pub fn candidate_weight(&self, id: usize, slot: usize) -> Option<f64> {
+        let local = self.candidates.binary_search(&id).ok()?;
+        Some(self.sub.get(local, slot))
+    }
+
+    /// Hungarian on the reduced graph as it stands, mapped back to original
+    /// ids: the step [`WdSolver::solve`] ends in, for a graph laid out by
+    /// [`ReducedSolver::load_candidates`].
+    pub fn solve_candidates(&mut self, out: &mut Assignment) {
+        self.inner.solve(&self.sub, &mut self.sub_out);
+        out.reset(self.sub.num_slots());
+        out.total_weight = self.sub_out.total_weight;
+        for (j, local) in self.sub_out.slot_to_adv.iter().enumerate() {
+            out.slot_to_adv[j] = local.map(|l| self.candidates[l]);
+        }
     }
 }
 
@@ -108,14 +195,8 @@ impl WdSolver for ReducedSolver {
         self.candidates.sort_unstable();
         self.candidates.dedup();
 
-        // Hungarian on the reduced graph, then map back to original ids.
         matrix.restrict_advertisers_into(&self.candidates, &mut self.sub);
-        self.inner.solve(&self.sub, &mut self.sub_out);
-        out.reset(k);
-        out.total_weight = self.sub_out.total_weight;
-        for (j, local) in self.sub_out.slot_to_adv.iter().enumerate() {
-            out.slot_to_adv[j] = local.map(|l| self.candidates[l]);
-        }
+        self.solve_candidates(out);
     }
 
     fn last_candidates(&self) -> Option<usize> {
@@ -215,6 +296,65 @@ mod tests {
             assert_eq!(solver.candidates(), one_shot.candidates, "n={n} k={k}");
             assert_eq!(solver.candidates(), reduced_candidates(&m));
         }
+    }
+
+    /// The caller-supplied-candidates route is the matrix route minus the
+    /// selection pass: same assignment, and only rows the solver does not
+    /// already hold are asked for.
+    #[test]
+    fn loaded_candidates_solve_like_the_full_matrix() {
+        let mut state = 0xA11CEu64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) % 90) as f64 / 4.0
+        };
+        let (n, k) = (14, 3);
+        let mut m = RevenueMatrix::from_fn(n, k, |_, _| next());
+        let mut by_matrix = ReducedSolver::new();
+        let mut by_candidates = ReducedSolver::new();
+        let (mut want, mut got) = (Assignment::default(), Assignment::default());
+        let mut held: Vec<usize> = Vec::new();
+        for step in 0..40 {
+            // One row changes per step; every fifth step it is excluded.
+            let row = (step * 5) % n;
+            let weights: Vec<f64> = (0..k)
+                .map(|_| if step % 5 == 4 { EXCLUDED } else { next() })
+                .collect();
+            m.set_row(row, &weights);
+            by_candidates.replace_row(row, &weights);
+
+            by_matrix.solve(&m, &mut want);
+            let candidates = reduced_candidates(&m);
+            let mut asked = Vec::new();
+            let count = by_candidates.load_candidates(k, &candidates, |id, out| {
+                asked.push(id);
+                for (slot, w) in out.iter_mut().enumerate() {
+                    *w = m.get(id, slot);
+                }
+            });
+            by_candidates.solve_candidates(&mut got);
+            assert_eq!(got, want, "step {step}");
+            assert_eq!(by_candidates.candidates(), by_matrix.candidates());
+            assert_eq!(count, asked.len());
+            assert!(asked.iter().all(|id| !held.contains(id)), "step {step}");
+            for &id in &candidates {
+                for slot in 0..k {
+                    assert_eq!(
+                        by_candidates.candidate_weight(id, slot),
+                        Some(m.get(id, slot))
+                    );
+                }
+            }
+            held = candidates;
+        }
+        assert_eq!(by_candidates.candidate_weight(usize::MAX, 0), None);
+        by_candidates.forget_rows();
+        let count = by_candidates.load_candidates(k, &held, |id, out| {
+            for (slot, w) in out.iter_mut().enumerate() {
+                *w = m.get(id, slot);
+            }
+        });
+        assert_eq!(count, held.len());
     }
 
     #[test]

@@ -5,7 +5,8 @@ use ssa_matching::exhaustive::brute_force_assignment;
 use ssa_matching::parallel::{threaded_reduced_assignment, threaded_top_k, tree_top_k};
 use ssa_matching::threshold::{threshold_top_k, IndexedSource, MaintainedIndex};
 use ssa_matching::{
-    max_weight_assignment, reduced_assignment, top_k_indices, RevenueMatrix, EXCLUDED,
+    max_weight_assignment, reduced_assignment, reduced_candidates, top_k_indices, RetainedOrder,
+    RevenueMatrix, EXCLUDED,
 };
 
 /// A small matrix with optional excluded entries.
@@ -22,8 +23,101 @@ fn arb_matrix(max_n: usize, max_k: usize) -> impl Strategy<Value = RevenueMatrix
     })
 }
 
+/// Few distinct weights, so columns are full of ties: negative, both zeros,
+/// and excluded cells among them.
+const PALETTE: [f64; 8] = [-3.0, -0.0, 0.0, 1.0, 2.5, 2.5, 7.0, EXCLUDED];
+
+/// One write to a [`RetainedOrder`] and its shadow matrix.
+#[derive(Debug, Clone)]
+struct RowWrite {
+    /// Which existing row (modulo their number) the write goes to …
+    pick: usize,
+    /// … unless it inserts a new row (7), or excludes the whole row (6).
+    kind: u8,
+    /// Indexes into [`PALETTE`], one per slot.
+    cells: Vec<usize>,
+}
+
+/// `k`, the number of rows to start from — below, at and above the
+/// `2(k + 1)` a list holds — and a stream of writes.
+fn arb_row_writes() -> impl Strategy<Value = (usize, usize, Vec<RowWrite>)> {
+    (1usize..=3).prop_flat_map(|k| {
+        let cap = 2 * (k + 1);
+        let write = (
+            0usize..64,
+            0u8..8,
+            proptest::collection::vec(0usize..PALETTE.len(), k),
+        )
+            .prop_map(|(pick, kind, cells)| RowWrite { pick, kind, cells });
+        (
+            Just(k),
+            prop_oneof![0usize..cap, Just(cap), cap + 1..3 * cap],
+            proptest::collection::vec(write, 0..120),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The retained order is the shadow matrix's per-slot top k + 1 after
+    /// every write, it asks for a rebuild only when a list really ran
+    /// short, and never fails to ask when one did.
+    #[test]
+    fn retained_order_tracks_the_dense_top_k((k, n0, writes) in arb_row_writes()) {
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut order = RetainedOrder::new(k);
+        let (mut rescans, mut written) = (0usize, 0usize);
+        let initial = (0..n0).map(|i| RowWrite {
+            pick: 0,
+            kind: 7,
+            cells: (0..k).map(|j| (i * 3 + j * 5) % PALETTE.len()).collect(),
+        });
+        for write in initial.chain(writes) {
+            let weights: Vec<f64> = match write.kind {
+                6 => vec![EXCLUDED; k],
+                _ => write.cells.iter().map(|&c| PALETTE[c]).collect(),
+            };
+            let row = if write.kind == 7 || rows.is_empty() {
+                rows.push(Vec::new());
+                rows.len() - 1
+            } else {
+                write.pick % rows.len()
+            };
+            rows[row] = weights;
+            order.update(row, &rows[row]);
+            written += 1;
+
+            let shadow = RevenueMatrix::from_fn(rows.len(), k, |i, j| rows[i][j]);
+            if order.underflowed() {
+                let really_short = (0..k).any(|slot| {
+                    let listed = order.top(slot).len();
+                    let bidding = shadow.column(slot).iter().filter(|w| **w != EXCLUDED).count();
+                    listed < k + 1 && listed < bidding
+                });
+                prop_assert!(really_short, "asked for a rebuild with every list long enough");
+                rescans += 1;
+                order.clear();
+                for (i, weights) in rows.iter().enumerate() {
+                    order.update(i, weights);
+                }
+                prop_assert!(!order.underflowed(), "a rebuilt order is whole");
+            }
+            let want = top_k_indices(&shadow, k + 1);
+            for (slot, want) in want.iter().enumerate() {
+                let bits = |entries: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                    entries.iter().take(k + 1).map(|&(id, w)| (id, w.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(order.top(slot)), bits(want), "slot {}", slot);
+            }
+            let mut candidates = Vec::new();
+            order.candidates_into(&mut candidates);
+            prop_assert_eq!(candidates, reduced_candidates(&shadow));
+        }
+        // A rebuild refills every list, so k + 1 writes must take a row off
+        // one list before the next.
+        prop_assert!(rescans * (k + 1) <= written, "{} rebuilds in {} writes", rescans, written);
+    }
 
     /// Theorem 2 machinery: the Hungarian solver is exactly optimal.
     #[test]

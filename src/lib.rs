@@ -61,9 +61,11 @@
 //! ```
 //!
 //! The batched entry points ([`core::AuctionEngine::run_batch`] and
-//! [`core::AuctionEngine::stream`]) reuse one preallocated revenue matrix
-//! (refilled in place by [`core::revenue_matrix_into`]) and one boxed
-//! solver across the whole batch — no per-auction matrix allocation.
+//! [`core::AuctionEngine::stream`]) reuse one solver and one weight source
+//! across the whole batch — per-slot top lists on the default `rh` path,
+//! a revenue matrix refilled in place by [`core::revenue_matrix_into`] for
+//! the methods that read whole columns (see "Solver hot path" below) — so
+//! there is no per-auction matrix allocation.
 //! [`marketplace::Marketplace::serve_batch`] sits on top: it splits a
 //! multi-keyword query stream into same-keyword chunks and feeds each to
 //! that keyword's persistent engine, so there is no per-query allocation
@@ -311,7 +313,8 @@
 //! * **Phase metrics** — every [`core::BatchReport`] carries a
 //!   [`core::PhaseStats`]: nanoseconds spent in program evaluation,
 //!   matrix fill, the solve itself, pricing, and settlement, plus solve /
-//!   warm-solve / candidate counters. Shards absorb their workers' stats,
+//!   warm-solve / candidate counters and the exact `cells_evaluated` /
+//!   `rescans` cost counters. Shards absorb their workers' stats,
 //!   and `reproduce --json` (and the text mode's `phases:` line) surface
 //!   them so a regression names the phase that slowed down. Timings are
 //!   excluded from report equality — two runs compare on outcomes.
@@ -340,11 +343,34 @@
 //!   is swapped in and compared with the one it replaces, so a write that
 //!   leaves it equal dirties nothing.
 //! * **Warm starts** (`EngineConfig::warm_start`, default on) — the
-//!   engine refreshes only the rows of the persistent revenue matrix whose
-//!   table changed, and skips the solve entirely when none did; solvers
-//!   are deterministic, so the previous assignment *is* the solution. With
-//!   warm starts off, every auction refills the whole matrix from the held
-//!   tables and solves.
+//!   engine recomputes only the weights of rows whose table changed, and
+//!   skips the solve entirely when none did; solvers are deterministic, so
+//!   the previous assignment *is* the solution. With warm starts off,
+//!   every auction recomputes every weight from the held tables and
+//!   solves.
+//! * **Solve and price from per-slot order** — on the default
+//!   configuration (method `rh`, unpruned, GSP or pay-your-bid) the engine
+//!   holds no `n × k` revenue matrix. It keeps a
+//!   [`matching::RetainedOrder`]: per slot, the best `k + 1` to `2(k + 1)`
+//!   rows in the solver's ranking and a floor no unlisted row ranks above,
+//!   repaired from the rows whose table changed (one row formula,
+//!   `ssa_core::revenue::row_weights_into`, shared with the dense fill).
+//!   The reduced graph is the union of the lists' top `k`, solved by
+//!   [`matching::ReducedSolver::solve_candidates`]; GSP reads each slot's
+//!   runner-up off its list. Outcomes are bit-identical to solving and
+//!   pricing on the dense matrix, which [`core::revenue_matrix`],
+//!   `ReducedSolver::solve` and `gsp_prices` remain the oracles for. When
+//!   a list with unlisted rows behind it drops below `k + 1`, the order is
+//!   rebuilt from every row — a *rescan*, `n × k` weight evaluations,
+//!   counted with every other evaluated cell in
+//!   [`core::PhaseStats`]`::{cells_evaluated, rescans}`; at least `k + 1`
+//!   writes must each take a row off one list between two rescans. `h`,
+//!   `lp`, `rhp:<t>`, pruning and VCG read whole columns and keep the
+//!   dense matrix, allocated only while one of them is configured;
+//!   changing `AuctionEngine::config` (or
+//!   [`marketplace::Marketplace::set_method`] / `set_pricing` /
+//!   `set_pruned`) on a warm engine lays the weight source out anew at the
+//!   next auction.
 //! * **One copy of each campaign's probabilities** —
 //!   [`core::ClickModel`] and [`core::PurchaseModel`] grow a row at a time
 //!   and live in the keyword's engine from its first `add_campaign`
