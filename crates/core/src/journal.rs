@@ -1,5 +1,31 @@
-//! The mutation-journal hook: how a durability layer observes a
-//! [`ShardedMarketplace`] without the marketplace knowing about files.
+//! The one market operation: [`MutationRecord`], its byte codec, the
+//! single [`apply`], and the journal hook that observes it.
+//!
+//! Everything that changes a [`ShardedMarketplace`] across a process
+//! boundary — a request arriving over the wire, a record replayed from the
+//! write-ahead log — is one `MutationRecord`, executed by one [`apply`].
+//!
+//! # One body, two envelopes
+//!
+//! [`MutationRecord::encode_into`] writes `tag u8 ++ fields` through
+//! [`crate::codec`]. Those bytes are the operation *body*, and both
+//! transports carry them verbatim:
+//!
+//! ```text
+//! WAL record    = len u32 ++ crc32 u32 ++ seq u64 ++ body     (ssa_durable)
+//! request frame = len u32 ++ version ++ kind ++ id u64 ++ body (ssa_net)
+//! ```
+//!
+//! Tags 0–8 and every field layout are the on-disk format (`WAL_VERSION`
+//! 2, pinned by the golden fixture); the wire shares the tag space, with
+//! its read-only requests numbered after the operations.
+//!
+//! Adding a field to an operation — `Serve`, say — therefore touches: the
+//! variant here, its arm in `encode_into`, `read` and [`apply`], and
+//! `ssa_net::proto::Request::Serve` with its two bridge arms (the wire
+//! enum stays flat until the benchmark that constructs it can follow).
+//!
+//! # The journal hook
 //!
 //! A [`MutationJournal`] attached via
 //! [`ShardedMarketplace::set_journal`] receives one [`MutationRecord`]
@@ -20,19 +46,34 @@
 //! When no journal is attached the hot serve path pays a single
 //! `Option::is_some` branch and nothing else.
 
-use crate::marketplace::{AdvertiserHandle, CampaignId, CampaignSpec, MarketError, QueryRequest};
+use crate::codec::{
+    put_attrs, put_f64, put_f64_vec, put_i64, put_opt, put_pair_vec, put_string, put_u32, put_u64,
+    CodecError, Reader,
+};
+use crate::marketplace::{
+    AdvertiserHandle, AuctionResponse, CampaignId, MarketBatchReport, MarketError, PerClickParts,
+    QueryRequest,
+};
 use crate::sharded::ShardedMarketplace;
+use crate::state::MarketConfigState;
 use ssa_bidlang::targeting::UserAttrs;
 use ssa_bidlang::Money;
 
-/// One journalled marketplace operation.
+/// One marketplace operation.
 ///
-/// The set mirrors the wire protocol's mutating requests: per-click
-/// campaigns only (the kind [`CampaignSpec::per_click`] builds). Campaigns
+/// Coordinates (advertiser, keyword, campaign index) are `u64`, the width
+/// they have on disk and on the wire; [`apply`] is where they become
+/// in-memory indexes.
+///
+/// Per-click campaigns only (the kind
+/// [`crate::marketplace::CampaignSpec::per_click`] builds): campaigns
 /// running custom programs or fixed tables cannot be serialized and are
 /// rejected with [`MarketError::NotDurable`] while a journal is attached.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MutationRecord {
+    /// [`ShardedMarketplace::configure`]: replace the marketplace with a
+    /// fresh build of this configuration.
+    Configure(MarketConfigState),
     /// [`ShardedMarketplace::register_advertiser`].
     RegisterAdvertiser {
         /// Display name registered.
@@ -43,9 +84,9 @@ pub enum MutationRecord {
     /// replay, same as at first application).
     AddCampaign {
         /// Registration index of the advertiser.
-        advertiser: usize,
+        advertiser: u64,
         /// Keyword the campaign bids on.
-        keyword: usize,
+        keyword: u64,
         /// Nominal per-click bid, in cents.
         bid_cents: i64,
         /// Click value, in cents.
@@ -63,32 +104,32 @@ pub enum MutationRecord {
     /// [`ShardedMarketplace::update_bid`].
     UpdateBid {
         /// Campaign's keyword.
-        keyword: usize,
+        keyword: u64,
         /// Campaign's index within the keyword.
-        index: usize,
+        index: u64,
         /// New nominal bid, in cents.
         bid_cents: i64,
     },
     /// [`ShardedMarketplace::pause_campaign`].
     PauseCampaign {
         /// Campaign's keyword.
-        keyword: usize,
+        keyword: u64,
         /// Campaign's index within the keyword.
-        index: usize,
+        index: u64,
     },
     /// [`ShardedMarketplace::resume_campaign`].
     ResumeCampaign {
         /// Campaign's keyword.
-        keyword: usize,
+        keyword: u64,
         /// Campaign's index within the keyword.
-        index: usize,
+        index: u64,
     },
     /// [`ShardedMarketplace::set_roi_target`].
     SetRoiTarget {
         /// Campaign's keyword.
-        keyword: usize,
+        keyword: u64,
         /// Campaign's index within the keyword.
-        index: usize,
+        index: u64,
         /// New target (`None` clears it).
         target: Option<f64>,
     },
@@ -96,7 +137,7 @@ pub enum MutationRecord {
     /// replay).
     Serve {
         /// The keyword queried.
-        keyword: usize,
+        keyword: u64,
         /// The query's typed user attributes (empty for legacy queries).
         /// Journaled because targeting makes outcomes depend on them.
         attrs: UserAttrs,
@@ -104,8 +145,162 @@ pub enum MutationRecord {
     /// One [`ShardedMarketplace::serve_batch`] call, in stream order.
     ServeBatch {
         /// The queries served, in order: keyword plus user attributes.
-        queries: Vec<(usize, UserAttrs)>,
+        queries: Vec<(u64, UserAttrs)>,
     },
+}
+
+// The operation tag table. These numbers are on disk (`WAL_VERSION` 2) and
+// on the wire; a new operation takes the next number free in both.
+const TAG_CONFIGURE: u8 = 0;
+const TAG_REGISTER: u8 = 1;
+const TAG_ADD_CAMPAIGN: u8 = 2;
+const TAG_UPDATE_BID: u8 = 3;
+const TAG_PAUSE: u8 = 4;
+const TAG_RESUME: u8 = 5;
+const TAG_SET_ROI: u8 = 6;
+const TAG_SERVE: u8 = 7;
+const TAG_SERVE_BATCH: u8 = 8;
+
+/// The head most operations share: the tag, then two `u64` coordinates.
+fn put_head(buf: &mut Vec<u8>, tag: u8, first: u64, second: u64) {
+    buf.push(tag);
+    put_u64(buf, first);
+    put_u64(buf, second);
+}
+
+impl MutationRecord {
+    /// Appends the operation body — `tag ++ fields` — to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        match self {
+            MutationRecord::Configure(config) => {
+                buf.push(TAG_CONFIGURE);
+                config.encode_into(buf);
+            }
+            MutationRecord::RegisterAdvertiser { name } => {
+                buf.push(TAG_REGISTER);
+                put_string(buf, name);
+            }
+            MutationRecord::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                roi_target,
+                click_probs,
+                purchase_probs,
+                targeting,
+            } => {
+                put_head(buf, TAG_ADD_CAMPAIGN, *advertiser, *keyword);
+                put_i64(buf, *bid_cents);
+                put_i64(buf, *click_value_cents);
+                put_opt(buf, roi_target, |b, v| put_f64(b, *v));
+                put_opt(buf, click_probs, |b, v| put_f64_vec(b, v));
+                put_opt(buf, purchase_probs, |b, v| put_pair_vec(b, v));
+                put_opt(buf, targeting, |b, v| put_string(b, v));
+            }
+            MutationRecord::UpdateBid {
+                keyword,
+                index,
+                bid_cents,
+            } => {
+                put_head(buf, TAG_UPDATE_BID, *keyword, *index);
+                put_i64(buf, *bid_cents);
+            }
+            MutationRecord::PauseCampaign { keyword, index } => {
+                put_head(buf, TAG_PAUSE, *keyword, *index);
+            }
+            MutationRecord::ResumeCampaign { keyword, index } => {
+                put_head(buf, TAG_RESUME, *keyword, *index);
+            }
+            MutationRecord::SetRoiTarget {
+                keyword,
+                index,
+                target,
+            } => {
+                put_head(buf, TAG_SET_ROI, *keyword, *index);
+                put_opt(buf, target, |b, v| put_f64(b, *v));
+            }
+            MutationRecord::Serve { keyword, attrs } => {
+                buf.push(TAG_SERVE);
+                put_u64(buf, *keyword);
+                put_attrs(buf, attrs);
+            }
+            MutationRecord::ServeBatch { queries } => {
+                buf.push(TAG_SERVE_BATCH);
+                put_u32(buf, queries.len() as u32);
+                for (keyword, attrs) in queries {
+                    put_u64(buf, *keyword);
+                    put_attrs(buf, attrs);
+                }
+            }
+        }
+    }
+
+    /// Decodes one operation body, requiring the buffer to be exactly
+    /// consumed.
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        let op = Self::read(&mut r)?;
+        r.finish()?;
+        Ok(op)
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8("operation tag")? {
+            TAG_CONFIGURE => MutationRecord::Configure(MarketConfigState::read(r)?),
+            TAG_REGISTER => MutationRecord::RegisterAdvertiser {
+                name: r.string("advertiser name")?,
+            },
+            TAG_ADD_CAMPAIGN => MutationRecord::AddCampaign {
+                advertiser: r.u64("campaign advertiser")?,
+                keyword: r.u64("campaign keyword")?,
+                bid_cents: r.i64("campaign bid")?,
+                click_value_cents: r.i64("campaign click value")?,
+                roi_target: r.opt("campaign roi", |r| r.f64("campaign roi"))?,
+                click_probs: r.opt("campaign click probs", |r| {
+                    r.f64_vec("campaign click probs")
+                })?,
+                purchase_probs: r.opt("campaign purchase probs", |r| {
+                    r.pair_vec("campaign purchase probs")
+                })?,
+                targeting: r.opt("campaign targeting", |r| r.string("campaign targeting"))?,
+            },
+            TAG_UPDATE_BID => MutationRecord::UpdateBid {
+                keyword: r.u64("update keyword")?,
+                index: r.u64("update index")?,
+                bid_cents: r.i64("update bid")?,
+            },
+            TAG_PAUSE => MutationRecord::PauseCampaign {
+                keyword: r.u64("pause keyword")?,
+                index: r.u64("pause index")?,
+            },
+            TAG_RESUME => MutationRecord::ResumeCampaign {
+                keyword: r.u64("resume keyword")?,
+                index: r.u64("resume index")?,
+            },
+            TAG_SET_ROI => MutationRecord::SetRoiTarget {
+                keyword: r.u64("roi keyword")?,
+                index: r.u64("roi index")?,
+                target: r.opt("roi target", |r| r.f64("roi target"))?,
+            },
+            TAG_SERVE => MutationRecord::Serve {
+                keyword: r.u64("serve keyword")?,
+                attrs: r.attrs("serve attrs")?,
+            },
+            TAG_SERVE_BATCH => MutationRecord::ServeBatch {
+                // Minimum element: keyword (8) + empty attr bag count (4).
+                queries: r.vec("batch queries", 12, |r| {
+                    Ok((r.u64("batch keyword")?, r.attrs("batch attrs")?))
+                })?,
+            },
+            tag => {
+                return Err(CodecError::UnknownTag {
+                    what: "operation",
+                    tag,
+                })
+            }
+        })
+    }
 }
 
 /// A sink for [`MutationRecord`]s; see the [module docs](self).
@@ -120,14 +315,38 @@ pub trait MutationJournal: Send + std::fmt::Debug {
     fn record(&mut self, record: &MutationRecord);
 }
 
-/// Replays one journalled operation against a marketplace, discarding any
-/// auction output. Recovery applies records to a journal-free marketplace;
-/// applying to a journalled one would re-journal the operation.
-pub fn apply(market: &mut ShardedMarketplace, record: &MutationRecord) -> Result<(), MarketError> {
-    match record {
+/// What a successfully [`apply`]d operation answers.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// Applied, nothing to return (configure, update, pause, resume, ROI).
+    Done,
+    /// The new advertiser's handle.
+    AdvertiserRegistered(AdvertiserHandle),
+    /// The new campaign's id.
+    CampaignAdded(CampaignId),
+    /// One auction's full outcome.
+    Served(AuctionResponse),
+    /// A query stream's aggregate outcome.
+    BatchServed(MarketBatchReport),
+}
+
+/// Executes one operation against a marketplace — the only place an
+/// operation is turned into marketplace calls, for the serving layer and
+/// recovery replay alike. Takes the operation by value so attribute bags,
+/// probability vectors and targeting sources move into the market.
+///
+/// A marketplace with a journal attached journals the operation as usual,
+/// so recovery replays into a journal-free one.
+pub fn apply(market: &mut ShardedMarketplace, op: MutationRecord) -> Result<Reply, MarketError> {
+    let campaign =
+        |keyword: u64, index: u64| CampaignId::from_parts(keyword as usize, index as usize);
+    Ok(match op {
+        MutationRecord::Configure(config) => {
+            market.configure(config)?;
+            Reply::Done
+        }
         MutationRecord::RegisterAdvertiser { name } => {
-            market.register_advertiser(name.clone());
-            Ok(())
+            Reply::AdvertiserRegistered(market.register_advertiser(name))
         }
         MutationRecord::AddCampaign {
             advertiser,
@@ -139,52 +358,53 @@ pub fn apply(market: &mut ShardedMarketplace, record: &MutationRecord) -> Result
             purchase_probs,
             targeting,
         } => {
-            let mut spec = CampaignSpec::per_click(Money::from_cents(*bid_cents))
-                .click_value(Money::from_cents(*click_value_cents));
-            if let Some(target) = roi_target {
-                spec = spec.roi_target(*target);
-            }
-            if let Some(probs) = click_probs {
-                spec = spec.click_probs(probs.clone());
-            }
-            if let Some(probs) = purchase_probs {
-                spec = spec.purchase_probs(probs.clone());
-            }
-            if let Some(source) = targeting {
-                spec = spec.targeting(source.clone());
-            }
-            market
-                .add_campaign(AdvertiserHandle::from_index(*advertiser), *keyword, spec)
-                .map(|_| ())
+            let parts = PerClickParts {
+                bid: Money::from_cents(bid_cents),
+                click_value: Money::from_cents(click_value_cents),
+                roi_target,
+                click_probs,
+                purchase_probs,
+                targeting,
+            };
+            Reply::CampaignAdded(market.add_campaign(
+                AdvertiserHandle::from_index(advertiser as usize),
+                keyword as usize,
+                parts.into(),
+            )?)
         }
         MutationRecord::UpdateBid {
             keyword,
             index,
             bid_cents,
-        } => market.update_bid(
-            CampaignId::from_parts(*keyword, *index),
-            Money::from_cents(*bid_cents),
-        ),
+        } => {
+            market.update_bid(campaign(keyword, index), Money::from_cents(bid_cents))?;
+            Reply::Done
+        }
         MutationRecord::PauseCampaign { keyword, index } => {
-            market.pause_campaign(CampaignId::from_parts(*keyword, *index))
+            market.pause_campaign(campaign(keyword, index))?;
+            Reply::Done
         }
         MutationRecord::ResumeCampaign { keyword, index } => {
-            market.resume_campaign(CampaignId::from_parts(*keyword, *index))
+            market.resume_campaign(campaign(keyword, index))?;
+            Reply::Done
         }
         MutationRecord::SetRoiTarget {
             keyword,
             index,
             target,
-        } => market.set_roi_target(CampaignId::from_parts(*keyword, *index), *target),
-        MutationRecord::Serve { keyword, attrs } => market
-            .serve(QueryRequest::with_attrs(*keyword, attrs.clone()))
-            .map(|_| ()),
+        } => {
+            market.set_roi_target(campaign(keyword, index), target)?;
+            Reply::Done
+        }
+        MutationRecord::Serve { keyword, attrs } => {
+            Reply::Served(market.serve(QueryRequest::with_attrs(keyword as usize, attrs))?)
+        }
         MutationRecord::ServeBatch { queries } => {
             let requests: Vec<QueryRequest> = queries
-                .iter()
-                .map(|(kw, attrs)| QueryRequest::with_attrs(*kw, attrs.clone()))
+                .into_iter()
+                .map(|(keyword, attrs)| QueryRequest::with_attrs(keyword as usize, attrs))
                 .collect();
-            market.serve_batch(&requests).map(|_| ())
+            Reply::BatchServed(market.serve_batch(&requests)?)
         }
-    }
+    })
 }

@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod bidder;
+pub mod codec;
 pub mod engine;
 pub mod heavyweight;
 pub mod journal;
@@ -65,12 +66,13 @@ pub mod sqlprog;
 pub mod state;
 
 pub use bidder::{Bidder, BidderOutcome, QueryContext, TableBidder};
+pub use codec::CodecError;
 pub use engine::{
     AuctionEngine, AuctionReport, AuctionStream, BatchReport, EngineConfig, EngineQuery,
     ParseMethodError, PhaseStats, WdMethod,
 };
 pub use heavyweight::{solve_heavyweight, HeavyweightInstance, HeavyweightSolution};
-pub use journal::{MutationJournal, MutationRecord};
+pub use journal::{MutationJournal, MutationRecord, Reply};
 pub use marketplace::{
     keyword_stream_seed, AdvertiserHandle, AuctionResponse, CampaignId, CampaignSpec,
     MarketBatchReport, MarketError, MarketSnapshot, Marketplace, MarketplaceBuilder, Placement,

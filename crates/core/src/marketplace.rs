@@ -404,6 +404,21 @@ pub(crate) struct PerClickParts {
     pub(crate) targeting: Option<String>,
 }
 
+/// The one place serialized per-click parts (a journalled `AddCampaign`, a
+/// snapshotted campaign) become a [`CampaignSpec`] again.
+impl From<PerClickParts> for CampaignSpec {
+    fn from(parts: PerClickParts) -> Self {
+        CampaignSpec {
+            program: ProgramSpec::PerClick(parts.bid),
+            click_probs: parts.click_probs,
+            purchase_probs: parts.purchase_probs,
+            click_value: parts.click_value,
+            roi_target: parts.roi_target,
+            targeting: parts.targeting,
+        }
+    }
+}
+
 impl std::fmt::Debug for CampaignSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.program {

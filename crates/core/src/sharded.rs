@@ -69,7 +69,7 @@ use crate::engine::{BatchReport, WdMethod};
 use crate::journal::{MutationJournal, MutationRecord};
 use crate::marketplace::{
     splitmix64, AdvertiserHandle, AuctionResponse, CampaignId, CampaignSpec, MarketBatchReport,
-    MarketError, Marketplace, MarketplaceBuilder, QueryRequest,
+    MarketError, Marketplace, MarketplaceBuilder, PerClickParts, QueryRequest,
 };
 use crate::pricing::PricingScheme;
 use crate::state::{MarketConfigState, MarketState};
@@ -187,9 +187,7 @@ impl ShardedMarketplace {
         self.journal = Some(journal);
     }
 
-    /// Detaches and returns the journal, if one is attached. Used by the
-    /// serving layer to carry the journal across a marketplace rebuild
-    /// (`Configure`).
+    /// Detaches and returns the journal, if one is attached.
     pub fn take_journal(&mut self) -> Option<Box<dyn MutationJournal>> {
         self.journal.take()
     }
@@ -254,11 +252,11 @@ impl ShardedMarketplace {
         })
     }
 
-    /// Rebuilds a marketplace from a [`ShardedMarketplace::capture_state`]
-    /// capture; see there for the bit-identity guarantee. The restored
-    /// marketplace has no journal attached.
-    pub fn from_state(state: &MarketState) -> Result<Self, MarketError> {
-        let config = &state.config;
+    /// Builds the empty marketplace `config` describes — the one function
+    /// that turns a configuration into a marketplace (state restore,
+    /// recovery replay and the serving layer's `Configure` all build
+    /// through it). No journal is attached.
+    pub fn from_config(config: &MarketConfigState) -> Result<Self, MarketError> {
         let mut builder = Marketplace::builder()
             .slots(config.slots)
             .keywords(config.keywords)
@@ -273,25 +271,41 @@ impl ShardedMarketplace {
         if let Some(probs) = &config.default_purchase_probs {
             builder = builder.default_purchase_probs(probs.clone());
         }
-        let mut market = builder.build_sharded(config.shards)?;
+        builder.build_sharded(config.shards)
+    }
+
+    /// Replaces this marketplace with a fresh build of `config`, carrying
+    /// an attached journal over and journalling the reconfiguration like
+    /// any other operation. A rejected configuration changes nothing.
+    pub fn configure(&mut self, config: MarketConfigState) -> Result<(), MarketError> {
+        let mut fresh = Self::from_config(&config)?;
+        fresh.journal = self.journal.take();
+        *self = fresh;
+        self.record(&MutationRecord::Configure(config));
+        Ok(())
+    }
+
+    /// Rebuilds a marketplace from a [`ShardedMarketplace::capture_state`]
+    /// capture; see there for the bit-identity guarantee. The restored
+    /// marketplace has no journal attached.
+    pub fn from_state(state: &MarketState) -> Result<Self, MarketError> {
+        let mut market = Self::from_config(&state.config)?;
         for name in &state.advertisers {
             market.register_advertiser(name.clone());
         }
         for campaign in &state.campaigns {
-            let mut spec = CampaignSpec::per_click(Money::from_cents(campaign.bid_cents))
-                .click_value(Money::from_cents(campaign.click_value_cents))
-                .click_probs(campaign.click_probs.clone())
-                .purchase_probs(campaign.purchase_probs.clone());
-            if let Some(target) = campaign.roi_target {
-                spec = spec.roi_target(target);
-            }
-            if let Some(source) = &campaign.targeting {
-                spec = spec.targeting(source.clone());
-            }
+            let parts = PerClickParts {
+                bid: Money::from_cents(campaign.bid_cents),
+                click_value: Money::from_cents(campaign.click_value_cents),
+                roi_target: campaign.roi_target,
+                click_probs: Some(campaign.click_probs.clone()),
+                purchase_probs: Some(campaign.purchase_probs.clone()),
+                targeting: campaign.targeting.clone(),
+            };
             let id = market.add_campaign(
                 AdvertiserHandle::from_index(campaign.advertiser),
                 campaign.keyword,
-                spec,
+                parts.into(),
             )?;
             if campaign.paused {
                 market.pause_campaign(id)?;
@@ -488,8 +502,8 @@ impl ShardedMarketplace {
             .add_campaign(advertiser, keyword, spec)?;
         if let Some(parts) = parts {
             self.record(&MutationRecord::AddCampaign {
-                advertiser: advertiser.index(),
-                keyword,
+                advertiser: advertiser.index() as u64,
+                keyword: keyword as u64,
                 bid_cents: parts.bid.cents(),
                 click_value_cents: parts.click_value.cents(),
                 roi_target: parts.roi_target,
@@ -528,8 +542,8 @@ impl ShardedMarketplace {
             .map_err(|_| MarketError::UnknownCampaign(id))?;
         self.owner_mut(id.keyword()).update_bid(id, bid)?;
         self.record(&MutationRecord::UpdateBid {
-            keyword: id.keyword(),
-            index: id.index(),
+            keyword: id.keyword() as u64,
+            index: id.index() as u64,
             bid_cents: bid.cents(),
         });
         Ok(())
@@ -546,8 +560,8 @@ impl ShardedMarketplace {
             .map_err(|_| MarketError::UnknownCampaign(id))?;
         self.owner_mut(id.keyword()).set_roi_target(id, target)?;
         self.record(&MutationRecord::SetRoiTarget {
-            keyword: id.keyword(),
-            index: id.index(),
+            keyword: id.keyword() as u64,
+            index: id.index() as u64,
             target,
         });
         Ok(())
@@ -560,8 +574,8 @@ impl ShardedMarketplace {
             .map_err(|_| MarketError::UnknownCampaign(id))?;
         self.owner_mut(id.keyword()).pause_campaign(id)?;
         self.record(&MutationRecord::PauseCampaign {
-            keyword: id.keyword(),
-            index: id.index(),
+            keyword: id.keyword() as u64,
+            index: id.index() as u64,
         });
         Ok(())
     }
@@ -572,8 +586,8 @@ impl ShardedMarketplace {
             .map_err(|_| MarketError::UnknownCampaign(id))?;
         self.owner_mut(id.keyword()).resume_campaign(id)?;
         self.record(&MutationRecord::ResumeCampaign {
-            keyword: id.keyword(),
-            index: id.index(),
+            keyword: id.keyword() as u64,
+            index: id.index() as u64,
         });
         Ok(())
     }
@@ -610,7 +624,7 @@ impl ShardedMarketplace {
             .serve_at(keyword, &request.attrs, time);
         if self.journal.is_some() {
             self.record(&MutationRecord::Serve {
-                keyword,
+                keyword: keyword as u64,
                 attrs: request.attrs,
             });
         }
@@ -720,7 +734,7 @@ impl ShardedMarketplace {
         if self.journal.is_some() {
             let queries = requests
                 .iter()
-                .map(|r| (r.keyword, r.attrs.clone()))
+                .map(|r| (r.keyword as u64, r.attrs.clone()))
                 .collect();
             self.record(&MutationRecord::ServeBatch { queries });
         }
@@ -994,7 +1008,7 @@ mod tests {
         // Replay the journal into a fresh market of the same build.
         let mut replayed = builder(6).build_sharded(3).expect("valid");
         for record in journal.0.lock().unwrap().iter() {
-            crate::journal::apply(&mut replayed, record).expect("replay applies cleanly");
+            crate::journal::apply(&mut replayed, record.clone()).expect("replay applies cleanly");
         }
         assert_eq!(replayed.now(), live.now());
         assert_eq!(

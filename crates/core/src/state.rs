@@ -25,6 +25,9 @@
 //! have been registered with. So campaigns + clock + RNG positions pin down
 //! every future auction outcome exactly.
 
+use crate::codec::{
+    put_bool, put_f64_vec, put_opt, put_pair_vec, put_u32, put_u64, CodecError, Reader,
+};
 use crate::engine::WdMethod;
 use crate::pricing::PricingScheme;
 
@@ -52,6 +55,75 @@ pub struct MarketConfigState {
     pub default_click_probs: Option<Vec<f64>>,
     /// Builder-level default purchase model, if one was configured.
     pub default_purchase_probs: Option<Vec<(f64, f64)>>,
+}
+
+impl MarketConfigState {
+    /// Appends the configuration's encoding — the `Configure` operation's
+    /// body and the head of a snapshot body — to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.slots as u64);
+        put_u64(buf, self.keywords as u64);
+        put_u64(buf, self.seed);
+        match self.method {
+            WdMethod::Lp => buf.push(0),
+            WdMethod::Hungarian => buf.push(1),
+            WdMethod::Reduced => buf.push(2),
+            WdMethod::ReducedParallel(threads) => {
+                buf.push(3);
+                put_u32(buf, threads as u32);
+            }
+        }
+        buf.push(match self.pricing {
+            PricingScheme::PayYourBid => 0,
+            PricingScheme::Gsp => 1,
+            PricingScheme::Vickrey => 2,
+        });
+        put_u64(buf, self.shards as u64);
+        put_bool(buf, self.pruned);
+        put_bool(buf, self.warm_start);
+        put_opt(buf, &self.default_click_probs, |b, v| put_f64_vec(b, v));
+        put_opt(buf, &self.default_purchase_probs, |b, v| put_pair_vec(b, v));
+    }
+
+    /// Reads a configuration written by [`MarketConfigState::encode_into`].
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(MarketConfigState {
+            slots: r.u64("config slots")? as usize,
+            keywords: r.u64("config keywords")? as usize,
+            seed: r.u64("config seed")?,
+            method: match r.u8("method")? {
+                0 => WdMethod::Lp,
+                1 => WdMethod::Hungarian,
+                2 => WdMethod::Reduced,
+                3 => WdMethod::ReducedParallel(r.u32("method threads")? as usize),
+                tag => {
+                    return Err(CodecError::UnknownTag {
+                        what: "method",
+                        tag,
+                    })
+                }
+            },
+            pricing: match r.u8("pricing")? {
+                0 => PricingScheme::PayYourBid,
+                1 => PricingScheme::Gsp,
+                2 => PricingScheme::Vickrey,
+                tag => {
+                    return Err(CodecError::UnknownTag {
+                        what: "pricing",
+                        tag,
+                    })
+                }
+            },
+            shards: r.u64("config shards")? as usize,
+            pruned: r.bool("config pruned")?,
+            warm_start: r.bool("config warm_start")?,
+            default_click_probs: r
+                .opt("config click probs", |r| r.f64_vec("config click probs"))?,
+            default_purchase_probs: r.opt("config purchase probs", |r| {
+                r.pair_vec("config purchase probs")
+            })?,
+        })
+    }
 }
 
 /// One per-click campaign's durable state: enough to re-register it via

@@ -1,48 +1,17 @@
-//! Byte-level encoding of log records and snapshots.
+//! The snapshot body encoding and the CRC that guards every record.
 //!
-//! Everything is little-endian and self-delimiting. Floating-point values
-//! travel as raw `f64::to_bits` words — the durability guarantee is
-//! *bit-identical* recovery, so no decimal round-trip is allowed anywhere.
-//! Enum variants use stable one-byte tags that mirror the wire protocol in
-//! `ssa_net::proto` where the same types appear (method, pricing), so a
-//! captured WAL stays readable across both layers' test fixtures.
+//! A WAL record's payload is `seq u64` followed by the operation body
+//! [`ssa_core::MutationRecord::encode_into`] writes — the same bytes a
+//! request frame carries on the wire, so this crate owns no operation
+//! codec. What it does own is the [`MarketState`] snapshot body, written
+//! with the same [`ssa_core::codec`] primitives (little-endian, `f64` as
+//! raw bits, counts checked before allocation), and [`crc32`].
 
-use ssa_core::{AttrValue, MarketConfigState, MutationRecord, PricingScheme, UserAttrs, WdMethod};
-
-/// Why a byte buffer failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// The buffer ended before the named field.
-    Truncated(&'static str),
-    /// An enum tag byte had no corresponding variant.
-    UnknownTag {
-        /// Which enum was being decoded.
-        what: &'static str,
-        /// The offending tag byte.
-        tag: u8,
-    },
-    /// A length prefix implied more elements than the remaining bytes
-    /// could possibly hold.
-    Oversized(&'static str),
-    /// A string field held invalid UTF-8.
-    Utf8(&'static str),
-    /// Decoding finished with unconsumed bytes left over.
-    Trailing(usize),
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated(what) => write!(f, "buffer truncated reading {what}"),
-            CodecError::UnknownTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
-            CodecError::Oversized(what) => write!(f, "{what} length exceeds remaining bytes"),
-            CodecError::Utf8(what) => write!(f, "{what} is not valid UTF-8"),
-            CodecError::Trailing(n) => write!(f, "{n} trailing bytes after record"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
+use ssa_core::codec::{
+    put_bool, put_f64, put_f64_vec, put_i64, put_opt, put_pair_vec, put_string, put_u32, put_u64,
+    CodecError, Reader,
+};
+use ssa_core::{CampaignState, MarketConfigState, MarketState};
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected polynomial 0xEDB88320), const-table implementation.
@@ -79,465 +48,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive writers / readers.
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-pub(crate) fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-pub(crate) fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_f64_vec(buf: &mut Vec<u8>, v: &[f64]) {
-    put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_f64(buf, x);
-    }
-}
-
-fn put_pair_vec(buf: &mut Vec<u8>, v: &[(f64, f64)]) {
-    put_u32(buf, v.len() as u32);
-    for &(a, b) in v {
-        put_f64(buf, a);
-        put_f64(buf, b);
-    }
-}
-
-fn put_opt<T>(buf: &mut Vec<u8>, v: &Option<T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
-    match v {
-        None => buf.push(0),
-        Some(x) => {
-            buf.push(1);
-            put(buf, x);
-        }
-    }
-}
-
-fn put_attrs(buf: &mut Vec<u8>, attrs: &UserAttrs) {
-    put_u32(buf, attrs.len() as u32);
-    for (key, value) in attrs.iter() {
-        put_string(buf, key);
-        match value {
-            AttrValue::Int(v) => {
-                buf.push(0);
-                put_i64(buf, *v);
-            }
-            AttrValue::Str(s) => {
-                buf.push(1);
-                put_string(buf, s);
-            }
-        }
-    }
-}
-
-/// A cursor over an immutable byte buffer; every read names the field it
-/// is reading so corruption reports say *what* was truncated.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CodecError::Truncated(what));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub(crate) fn bool(&mut self, what: &'static str) -> Result<bool, CodecError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(CodecError::UnknownTag { what, tag }),
-        }
-    }
-
-    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn i64(&mut self, what: &'static str) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self, what: &'static str) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Reads a `u32` element count and checks the remaining buffer can hold
-    /// at least `min_elem_bytes` per element, so a corrupt count cannot
-    /// trigger a huge allocation.
-    pub(crate) fn count(
-        &mut self,
-        min_elem_bytes: usize,
-        what: &'static str,
-    ) -> Result<usize, CodecError> {
-        let n = self.u32(what)? as usize;
-        if n.saturating_mul(min_elem_bytes) > self.buf.len() - self.pos {
-            return Err(CodecError::Oversized(what));
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn string(&mut self, what: &'static str) -> Result<String, CodecError> {
-        let n = self.count(1, what)?;
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Utf8(what))
-    }
-
-    fn f64_vec(&mut self, what: &'static str) -> Result<Vec<f64>, CodecError> {
-        let n = self.count(8, what)?;
-        (0..n).map(|_| self.f64(what)).collect()
-    }
-
-    fn pair_vec(&mut self, what: &'static str) -> Result<Vec<(f64, f64)>, CodecError> {
-        let n = self.count(16, what)?;
-        (0..n)
-            .map(|_| Ok((self.f64(what)?, self.f64(what)?)))
-            .collect()
-    }
-
-    fn opt<T>(
-        &mut self,
-        what: &'static str,
-        read: impl FnOnce(&mut Self) -> Result<T, CodecError>,
-    ) -> Result<Option<T>, CodecError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(read(self)?)),
-            tag => Err(CodecError::UnknownTag { what, tag }),
-        }
-    }
-
-    /// Reads a typed attribute bag: a count, then sorted `key → value`
-    /// entries (tag 0 = integer, tag 1 = string). Minimum entry size is the
-    /// key length prefix (4) + value tag (1) + string length prefix (4).
-    fn attrs(&mut self, what: &'static str) -> Result<UserAttrs, CodecError> {
-        let n = self.count(9, what)?;
-        (0..n)
-            .map(|_| {
-                let key = self.string(what)?;
-                let value = match self.u8(what)? {
-                    0 => AttrValue::Int(self.i64(what)?),
-                    1 => AttrValue::Str(self.string(what)?),
-                    tag => return Err(CodecError::UnknownTag { what, tag }),
-                };
-                Ok((key, value))
-            })
-            .collect()
-    }
-
-    pub(crate) fn finish(self) -> Result<(), CodecError> {
-        let left = self.buf.len() - self.pos;
-        if left == 0 {
-            Ok(())
-        } else {
-            Err(CodecError::Trailing(left))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WdMethod / PricingScheme tags (mirroring ssa_net::proto).
-// ---------------------------------------------------------------------------
-
-fn put_method(buf: &mut Vec<u8>, method: WdMethod) {
-    match method {
-        WdMethod::Lp => buf.push(0),
-        WdMethod::Hungarian => buf.push(1),
-        WdMethod::Reduced => buf.push(2),
-        WdMethod::ReducedParallel(threads) => {
-            buf.push(3);
-            put_u32(buf, threads as u32);
-        }
-    }
-}
-
-fn read_method(r: &mut Reader<'_>) -> Result<WdMethod, CodecError> {
-    match r.u8("method")? {
-        0 => Ok(WdMethod::Lp),
-        1 => Ok(WdMethod::Hungarian),
-        2 => Ok(WdMethod::Reduced),
-        3 => Ok(WdMethod::ReducedParallel(r.u32("method threads")? as usize)),
-        tag => Err(CodecError::UnknownTag {
-            what: "method",
-            tag,
-        }),
-    }
-}
-
-fn put_pricing(buf: &mut Vec<u8>, pricing: PricingScheme) {
-    buf.push(match pricing {
-        PricingScheme::PayYourBid => 0,
-        PricingScheme::Gsp => 1,
-        PricingScheme::Vickrey => 2,
-    });
-}
-
-fn read_pricing(r: &mut Reader<'_>) -> Result<PricingScheme, CodecError> {
-    match r.u8("pricing")? {
-        0 => Ok(PricingScheme::PayYourBid),
-        1 => Ok(PricingScheme::Gsp),
-        2 => Ok(PricingScheme::Vickrey),
-        tag => Err(CodecError::UnknownTag {
-            what: "pricing",
-            tag,
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MarketConfigState.
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_config(buf: &mut Vec<u8>, config: &MarketConfigState) {
-    put_u64(buf, config.slots as u64);
-    put_u64(buf, config.keywords as u64);
-    put_u64(buf, config.seed);
-    put_method(buf, config.method);
-    put_pricing(buf, config.pricing);
-    put_u64(buf, config.shards as u64);
-    put_bool(buf, config.pruned);
-    put_bool(buf, config.warm_start);
-    put_opt(buf, &config.default_click_probs, |b, v| put_f64_vec(b, v));
-    put_opt(buf, &config.default_purchase_probs, |b, v| {
-        put_pair_vec(b, v)
-    });
-}
-
-pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<MarketConfigState, CodecError> {
-    Ok(MarketConfigState {
-        slots: r.u64("config slots")? as usize,
-        keywords: r.u64("config keywords")? as usize,
-        seed: r.u64("config seed")?,
-        method: read_method(r)?,
-        pricing: read_pricing(r)?,
-        shards: r.u64("config shards")? as usize,
-        pruned: r.bool("config pruned")?,
-        warm_start: r.bool("config warm_start")?,
-        default_click_probs: r.opt("config click probs", |r| r.f64_vec("config click probs"))?,
-        default_purchase_probs: r.opt("config purchase probs", |r| {
-            r.pair_vec("config purchase probs")
-        })?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// WalOp: one log record's payload (after the sequence number).
-// ---------------------------------------------------------------------------
-
-/// One write-ahead-log operation: either a marketplace (re)configuration
-/// or a journalled mutation.
-///
-/// A `Configure` record resets the replayed marketplace to a fresh build of
-/// the embedded configuration, exactly as the serving layer's `Configure`
-/// request does; every other record replays through
-/// [`ssa_core::journal::apply`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalOp {
-    /// Build (or rebuild) the marketplace from this configuration.
-    Configure(MarketConfigState),
-    /// Replay one journalled mutation.
-    Mutation(MutationRecord),
-}
-
-const TAG_CONFIGURE: u8 = 0;
-const TAG_REGISTER: u8 = 1;
-const TAG_ADD_CAMPAIGN: u8 = 2;
-const TAG_UPDATE_BID: u8 = 3;
-const TAG_PAUSE: u8 = 4;
-const TAG_RESUME: u8 = 5;
-const TAG_SET_ROI: u8 = 6;
-const TAG_SERVE: u8 = 7;
-const TAG_SERVE_BATCH: u8 = 8;
-
-impl WalOp {
-    /// Appends the tagged encoding of this operation to `buf`.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        match self {
-            WalOp::Configure(config) => {
-                buf.push(TAG_CONFIGURE);
-                put_config(buf, config);
-            }
-            WalOp::Mutation(record) => match record {
-                MutationRecord::RegisterAdvertiser { name } => {
-                    buf.push(TAG_REGISTER);
-                    put_string(buf, name);
-                }
-                MutationRecord::AddCampaign {
-                    advertiser,
-                    keyword,
-                    bid_cents,
-                    click_value_cents,
-                    roi_target,
-                    click_probs,
-                    purchase_probs,
-                    targeting,
-                } => {
-                    buf.push(TAG_ADD_CAMPAIGN);
-                    put_u64(buf, *advertiser as u64);
-                    put_u64(buf, *keyword as u64);
-                    put_i64(buf, *bid_cents);
-                    put_i64(buf, *click_value_cents);
-                    put_opt(buf, roi_target, |b, v| put_f64(b, *v));
-                    put_opt(buf, click_probs, |b, v| put_f64_vec(b, v));
-                    put_opt(buf, purchase_probs, |b, v| put_pair_vec(b, v));
-                    put_opt(buf, targeting, |b, v| put_string(b, v));
-                }
-                MutationRecord::UpdateBid {
-                    keyword,
-                    index,
-                    bid_cents,
-                } => {
-                    buf.push(TAG_UPDATE_BID);
-                    put_u64(buf, *keyword as u64);
-                    put_u64(buf, *index as u64);
-                    put_i64(buf, *bid_cents);
-                }
-                MutationRecord::PauseCampaign { keyword, index } => {
-                    buf.push(TAG_PAUSE);
-                    put_u64(buf, *keyword as u64);
-                    put_u64(buf, *index as u64);
-                }
-                MutationRecord::ResumeCampaign { keyword, index } => {
-                    buf.push(TAG_RESUME);
-                    put_u64(buf, *keyword as u64);
-                    put_u64(buf, *index as u64);
-                }
-                MutationRecord::SetRoiTarget {
-                    keyword,
-                    index,
-                    target,
-                } => {
-                    buf.push(TAG_SET_ROI);
-                    put_u64(buf, *keyword as u64);
-                    put_u64(buf, *index as u64);
-                    put_opt(buf, target, |b, v| put_f64(b, *v));
-                }
-                MutationRecord::Serve { keyword, attrs } => {
-                    buf.push(TAG_SERVE);
-                    put_u64(buf, *keyword as u64);
-                    put_attrs(buf, attrs);
-                }
-                MutationRecord::ServeBatch { queries } => {
-                    buf.push(TAG_SERVE_BATCH);
-                    put_u32(buf, queries.len() as u32);
-                    for (kw, attrs) in queries {
-                        put_u64(buf, *kw as u64);
-                        put_attrs(buf, attrs);
-                    }
-                }
-            },
-        }
-    }
-
-    /// Decodes one operation, requiring the buffer to be exactly consumed.
-    pub fn decode(bytes: &[u8]) -> Result<WalOp, CodecError> {
-        let mut r = Reader::new(bytes);
-        let op = Self::read(&mut r)?;
-        r.finish()?;
-        Ok(op)
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<WalOp, CodecError> {
-        let tag = r.u8("op tag")?;
-        let op = match tag {
-            TAG_CONFIGURE => WalOp::Configure(read_config(r)?),
-            TAG_REGISTER => WalOp::Mutation(MutationRecord::RegisterAdvertiser {
-                name: r.string("advertiser name")?,
-            }),
-            TAG_ADD_CAMPAIGN => WalOp::Mutation(MutationRecord::AddCampaign {
-                advertiser: r.u64("campaign advertiser")? as usize,
-                keyword: r.u64("campaign keyword")? as usize,
-                bid_cents: r.i64("campaign bid")?,
-                click_value_cents: r.i64("campaign click value")?,
-                roi_target: r.opt("campaign roi", |r| r.f64("campaign roi"))?,
-                click_probs: r.opt("campaign click probs", |r| {
-                    r.f64_vec("campaign click probs")
-                })?,
-                purchase_probs: r.opt("campaign purchase probs", |r| {
-                    r.pair_vec("campaign purchase probs")
-                })?,
-                targeting: r.opt("campaign targeting", |r| r.string("campaign targeting"))?,
-            }),
-            TAG_UPDATE_BID => WalOp::Mutation(MutationRecord::UpdateBid {
-                keyword: r.u64("update keyword")? as usize,
-                index: r.u64("update index")? as usize,
-                bid_cents: r.i64("update bid")?,
-            }),
-            TAG_PAUSE => WalOp::Mutation(MutationRecord::PauseCampaign {
-                keyword: r.u64("pause keyword")? as usize,
-                index: r.u64("pause index")? as usize,
-            }),
-            TAG_RESUME => WalOp::Mutation(MutationRecord::ResumeCampaign {
-                keyword: r.u64("resume keyword")? as usize,
-                index: r.u64("resume index")? as usize,
-            }),
-            TAG_SET_ROI => WalOp::Mutation(MutationRecord::SetRoiTarget {
-                keyword: r.u64("roi keyword")? as usize,
-                index: r.u64("roi index")? as usize,
-                target: r.opt("roi target", |r| r.f64("roi target"))?,
-            }),
-            TAG_SERVE => WalOp::Mutation(MutationRecord::Serve {
-                keyword: r.u64("serve keyword")? as usize,
-                attrs: r.attrs("serve attrs")?,
-            }),
-            TAG_SERVE_BATCH => {
-                // Minimum element: keyword (8) + empty attr bag count (4).
-                let n = r.count(12, "batch queries")?;
-                let queries = (0..n)
-                    .map(|_| Ok((r.u64("batch keyword")? as usize, r.attrs("batch attrs")?)))
-                    .collect::<Result<Vec<_>, CodecError>>()?;
-                WalOp::Mutation(MutationRecord::ServeBatch { queries })
-            }
-            tag => return Err(CodecError::UnknownTag { what: "op", tag }),
-        };
-        Ok(op)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // MarketState (snapshot body).
 // ---------------------------------------------------------------------------
 
 /// Encodes a full marketplace checkpoint as a snapshot body.
-pub(crate) fn encode_state(state: &ssa_core::MarketState) -> Vec<u8> {
+pub(crate) fn encode_state(state: &MarketState) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256 + state.campaigns.len() * 64);
-    put_config(&mut buf, &state.config);
+    state.config.encode_into(&mut buf);
     put_u32(&mut buf, state.advertisers.len() as u32);
     for name in &state.advertisers {
         put_string(&mut buf, name);
@@ -565,43 +82,34 @@ pub(crate) fn encode_state(state: &ssa_core::MarketState) -> Vec<u8> {
 }
 
 /// Decodes a snapshot body back into a marketplace checkpoint.
-pub(crate) fn decode_state(bytes: &[u8]) -> Result<ssa_core::MarketState, CodecError> {
+pub(crate) fn decode_state(bytes: &[u8]) -> Result<MarketState, CodecError> {
     let mut r = Reader::new(bytes);
-    let config = read_config(&mut r)?;
-    let n = r.count(4, "advertisers")?;
-    let advertisers = (0..n)
-        .map(|_| r.string("advertiser name"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let n = r.count(43, "campaigns")?;
-    let campaigns = (0..n)
-        .map(|_| {
-            Ok(ssa_core::CampaignState {
-                keyword: r.u64("campaign keyword")? as usize,
-                advertiser: r.u64("campaign advertiser")? as usize,
-                bid_cents: r.i64("campaign bid")?,
-                click_value_cents: r.i64("campaign click value")?,
-                roi_target: r.opt("campaign roi", |r| r.f64("campaign roi"))?,
-                click_probs: r.f64_vec("campaign click probs")?,
-                purchase_probs: r.pair_vec("campaign purchase probs")?,
-                paused: r.bool("campaign paused")?,
-                targeting: r.opt("campaign targeting", |r| r.string("campaign targeting"))?,
-            })
+    let config = MarketConfigState::read(&mut r)?;
+    let advertisers = r.vec("advertisers", 4, |r| r.string("advertiser name"))?;
+    let campaigns = r.vec("campaigns", 43, |r| {
+        Ok(CampaignState {
+            keyword: r.u64("campaign keyword")? as usize,
+            advertiser: r.u64("campaign advertiser")? as usize,
+            bid_cents: r.i64("campaign bid")?,
+            click_value_cents: r.i64("campaign click value")?,
+            roi_target: r.opt("campaign roi", |r| r.f64("campaign roi"))?,
+            click_probs: r.f64_vec("campaign click probs")?,
+            purchase_probs: r.pair_vec("campaign purchase probs")?,
+            paused: r.bool("campaign paused")?,
+            targeting: r.opt("campaign targeting", |r| r.string("campaign targeting"))?,
         })
-        .collect::<Result<Vec<_>, CodecError>>()?;
+    })?;
     let clock = r.u64("clock")?;
-    let n = r.count(32, "rng states")?;
-    let rng_states = (0..n)
-        .map(|_| {
-            Ok([
-                r.u64("rng word")?,
-                r.u64("rng word")?,
-                r.u64("rng word")?,
-                r.u64("rng word")?,
-            ])
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
+    let rng_states = r.vec("rng states", 32, |r| {
+        Ok([
+            r.u64("rng word")?,
+            r.u64("rng word")?,
+            r.u64("rng word")?,
+            r.u64("rng word")?,
+        ])
+    })?;
     r.finish()?;
-    Ok(ssa_core::MarketState {
+    Ok(MarketState {
         config,
         advertisers,
         campaigns,
@@ -613,7 +121,7 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<ssa_core::MarketState, CodecE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssa_core::{CampaignState, MarketState};
+    use ssa_core::{PricingScheme, WdMethod};
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -622,98 +130,20 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    fn sample_config() -> MarketConfigState {
-        MarketConfigState {
-            slots: 3,
-            keywords: 11,
-            seed: 42,
-            method: WdMethod::ReducedParallel(2),
-            pricing: PricingScheme::Gsp,
-            shards: 4,
-            pruned: true,
-            warm_start: false,
-            default_click_probs: Some(vec![0.3, 0.2, 0.1]),
-            default_purchase_probs: None,
-        }
-    }
-
-    #[test]
-    fn ops_round_trip() {
-        let ops = vec![
-            WalOp::Configure(sample_config()),
-            WalOp::Mutation(MutationRecord::RegisterAdvertiser {
-                name: "acme".into(),
-            }),
-            WalOp::Mutation(MutationRecord::AddCampaign {
-                advertiser: 1,
-                keyword: 7,
-                bid_cents: 125,
-                click_value_cents: 600,
-                roi_target: Some(1.25),
-                click_probs: Some(vec![0.5, 0.25]),
-                purchase_probs: Some(vec![(0.1, 0.01), (0.05, 0.002)]),
-                targeting: Some("geo = 'us' and age >= 21".into()),
-            }),
-            WalOp::Mutation(MutationRecord::AddCampaign {
-                advertiser: 0,
-                keyword: 0,
-                bid_cents: 0,
-                click_value_cents: 0,
-                roi_target: None,
-                click_probs: None,
-                purchase_probs: None,
-                targeting: None,
-            }),
-            WalOp::Mutation(MutationRecord::UpdateBid {
-                keyword: 3,
-                index: 2,
-                bid_cents: -1,
-            }),
-            WalOp::Mutation(MutationRecord::PauseCampaign {
-                keyword: 1,
-                index: 0,
-            }),
-            WalOp::Mutation(MutationRecord::ResumeCampaign {
-                keyword: 1,
-                index: 0,
-            }),
-            WalOp::Mutation(MutationRecord::SetRoiTarget {
-                keyword: 2,
-                index: 1,
-                target: None,
-            }),
-            WalOp::Mutation(MutationRecord::Serve {
-                keyword: 9,
-                attrs: UserAttrs::new(),
-            }),
-            WalOp::Mutation(MutationRecord::Serve {
-                keyword: 2,
-                attrs: UserAttrs::new()
-                    .geo("us")
-                    .device("mobile")
-                    .set_int("age", -3),
-            }),
-            WalOp::Mutation(MutationRecord::ServeBatch {
-                queries: vec![
-                    (0, UserAttrs::new()),
-                    (9, UserAttrs::new().segment("gamer")),
-                    (4, UserAttrs::new().set_int("score", i64::MAX)),
-                    (4, UserAttrs::new()),
-                    (1, UserAttrs::new()),
-                ],
-            }),
-        ];
-        for op in ops {
-            let mut buf = Vec::new();
-            op.encode_into(&mut buf);
-            assert_eq!(WalOp::decode(&buf).expect("round trip"), op, "{op:?}");
-        }
-    }
-
-    #[test]
-    fn state_round_trips_preserving_f64_bits() {
-        let state = MarketState {
-            config: sample_config(),
+    fn sample_state() -> MarketState {
+        MarketState {
+            config: MarketConfigState {
+                slots: 3,
+                keywords: 11,
+                seed: 42,
+                method: WdMethod::ReducedParallel(2),
+                pricing: PricingScheme::Gsp,
+                shards: 4,
+                pruned: true,
+                warm_start: false,
+                default_click_probs: Some(vec![0.3, 0.2, 0.1]),
+                default_purchase_probs: None,
+            },
             advertisers: vec!["a".into(), "advertiser-две".into()],
             campaigns: vec![CampaignState {
                 keyword: 5,
@@ -728,7 +158,12 @@ mod tests {
             }],
             clock: 987,
             rng_states: vec![[1, 2, 3, 4], [u64::MAX, 0, 7, 9]],
-        };
+        }
+    }
+
+    #[test]
+    fn state_round_trips_preserving_f64_bits() {
+        let state = sample_state();
         let bytes = encode_state(&state);
         let back = decode_state(&bytes).expect("round trip");
         assert_eq!(back, state);
@@ -740,23 +175,19 @@ mod tests {
     }
 
     #[test]
-    fn truncated_buffers_fail_cleanly() {
-        let mut buf = Vec::new();
-        WalOp::Configure(sample_config()).encode_into(&mut buf);
-        for len in 0..buf.len() {
+    fn damaged_snapshot_bodies_fail_cleanly() {
+        let bytes = encode_state(&sample_state());
+        for len in 0..bytes.len() {
             assert!(
-                WalOp::decode(&buf[..len]).is_err(),
+                decode_state(&bytes[..len]).is_err(),
                 "prefix of {len} bytes decoded"
             );
         }
-    }
-
-    #[test]
-    fn oversized_counts_are_rejected_without_allocating() {
-        // A ServeBatch claiming u32::MAX keywords in a 16-byte buffer.
-        let mut buf = vec![8u8];
-        put_u32(&mut buf, u32::MAX);
-        buf.extend_from_slice(&[0u8; 8]);
-        assert!(matches!(WalOp::decode(&buf), Err(CodecError::Oversized(_))));
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(
+            decode_state(&trailing),
+            Err(CodecError::Trailing { extra: 1 })
+        );
     }
 }

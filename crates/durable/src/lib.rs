@@ -22,11 +22,22 @@
 //! data/
 //! ├── wal-00000000000000000001.log      segments of framed records:
 //! │     [magic 8B][version u32][first_seq u64]          <- 20B header
-//! │     [len u32][crc32 u32][seq u64 ++ op bytes]...    <- records
+//! │     [len u32][crc32 u32][seq u64 ++ op body]...     <- records
 //! └── snapshot-00000000000000000517.snap
 //!       [magic 8B][version u32][last_seq u64]
 //!       [body_len u32][crc32 u32][MarketState body]
 //! ```
+//!
+//! An *op body* is one [`ssa_core::MutationRecord`] as
+//! [`ssa_core::MutationRecord::encode_into`] writes it: a one-byte tag
+//! (0 `Configure`, 1 `RegisterAdvertiser`, 2 `AddCampaign`, 3 `UpdateBid`,
+//! 4 `PauseCampaign`, 5 `ResumeCampaign`, 6 `SetRoiTarget`, 7 `Serve`,
+//! 8 `ServeBatch`) and the variant's fields. This crate owns no operation
+//! codec: the record body is byte for byte the payload `ssa_net` puts in a
+//! request frame for the same operation — one body, two envelopes — and
+//! recovery replays it through the same [`ssa_core::journal::apply`] the
+//! server executes requests with. A `Configure` record resets the
+//! replayed marketplace to a fresh build of its configuration.
 //!
 //! The header version is [`WAL_VERSION`]. Version 2, the current
 //! format, extended version 1 for typed query targeting: `Serve` /
@@ -83,9 +94,20 @@
 //!         market
 //!     }
 //!     None => {
-//!         let builder = ssa_core::Marketplace::builder().slots(4).keywords(100);
-//!         let market = ssa_core::ShardedMarketplace::new(builder, 4)?;
-//!         dur.log_configure(&market.capture_state()?.config)?;
+//!         let config = ssa_core::MarketConfigState {
+//!             slots: 4,
+//!             keywords: 100,
+//!             seed: 7,
+//!             method: ssa_core::WdMethod::Reduced,
+//!             pricing: ssa_core::PricingScheme::Gsp,
+//!             shards: 4,
+//!             pruned: false,
+//!             warm_start: true,
+//!             default_click_probs: None,
+//!             default_purchase_probs: None,
+//!         };
+//!         let market = ssa_core::ShardedMarketplace::from_config(&config)?;
+//!         dur.log_configure(&config)?;
 //!         market
 //!     }
 //! };
@@ -102,11 +124,12 @@ mod snapshot;
 mod store;
 mod wal;
 
-pub use codec::{crc32, CodecError, WalOp};
+pub use codec::crc32;
 pub use snapshot::SNAPSHOT_MAGIC;
 pub use store::{recover, Durability, RecoveryReport};
 pub use wal::WAL_MAGIC;
 
+use ssa_core::CodecError;
 use std::str::FromStr;
 
 /// Version stamped into every WAL segment and snapshot header. Bump it

@@ -14,11 +14,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::codec::WalOp;
 use crate::wal::{self, WalWriter, HEADER_LEN};
 use crate::{snapshot, DurableError, FsyncPolicy};
 use ssa_core::sharded::ShardedMarketplace;
-use ssa_core::{MarketConfigState, MarketState, MutationJournal, MutationRecord};
+use ssa_core::{MarketConfigState, MutationJournal, MutationRecord};
 
 /// What [`recover`] (and [`Durability::open`]) replayed.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,22 +71,21 @@ fn recover_inner(dir: &Path) -> Result<Recovered, DurableError> {
             )));
         }
     }
-    let mut wal_records = 0u64;
-    for (seq, op) in &scan.records {
-        match op {
-            WalOp::Configure(config) => {
-                market = Some(build_market(config)?);
+    let wal_records = scan.records.len() as u64;
+    for (seq, op) in scan.records {
+        match (market.as_mut(), op) {
+            (Some(market), op) => {
+                ssa_core::journal::apply(market, op)?;
             }
-            WalOp::Mutation(record) => {
-                let market = market.as_mut().ok_or_else(|| {
-                    DurableError::Corrupt(format!(
-                        "record seq {seq} precedes any configure record or snapshot"
-                    ))
-                })?;
-                ssa_core::journal::apply(market, record)?;
+            (None, MutationRecord::Configure(config)) => {
+                market = Some(ShardedMarketplace::from_config(&config)?);
+            }
+            (None, _) => {
+                return Err(DurableError::Corrupt(format!(
+                    "record seq {seq} precedes any configure record or snapshot"
+                )))
             }
         }
-        wal_records += 1;
     }
     let last_seq = scan.last_seq.unwrap_or(base_seq).max(base_seq);
     let report = RecoveryReport {
@@ -101,19 +99,6 @@ fn recover_inner(dir: &Path) -> Result<Recovered, DurableError> {
         snapshot_seq: base_seq,
         tail: scan.tail,
     })
-}
-
-fn build_market(config: &MarketConfigState) -> Result<ShardedMarketplace, DurableError> {
-    // An empty checkpoint of `config`: building via `from_state` keeps the
-    // builder wiring (keyword-local RNG, defaults) in exactly one place.
-    let empty = MarketState {
-        config: config.clone(),
-        advertisers: Vec::new(),
-        campaigns: Vec::new(),
-        clock: 0,
-        rng_states: Vec::new(),
-    };
-    Ok(ShardedMarketplace::from_state(&empty)?)
 }
 
 /// Rebuilds the marketplace persisted in `dir` by loading the newest
@@ -142,7 +127,7 @@ struct Inner {
 }
 
 impl Inner {
-    fn append(&mut self, op: &WalOp) -> Result<(), DurableError> {
+    fn append(&mut self, op: &MutationRecord) -> Result<(), DurableError> {
         self.writer.append(self.next_seq, op)?;
         if self.policy == FsyncPolicy::Always {
             self.writer.sync()?;
@@ -201,11 +186,13 @@ impl Durability {
         Ok((recovered.market, handle))
     }
 
-    /// Appends a [`WalOp::Configure`] record. The serving layer calls this
-    /// when it builds a marketplace from scratch (fresh boot or a
-    /// `Configure` request), *before* attaching the journal to it.
+    /// Appends a `Configure` record for a marketplace the caller built
+    /// from `config` itself (a fresh boot), *before* attaching the journal
+    /// to it. A journalled marketplace reconfigured through
+    /// [`ShardedMarketplace::configure`] journals its own.
     pub fn log_configure(&self, config: &MarketConfigState) -> Result<(), DurableError> {
-        self.lock().append(&WalOp::Configure(config.clone()))
+        let op = MutationRecord::Configure(config.clone());
+        self.lock().append(&op)
     }
 
     /// Adapts this handle to the marketplace's journal hook. The returned
@@ -295,7 +282,7 @@ struct DurableJournal(Durability);
 
 impl MutationJournal for DurableJournal {
     fn record(&mut self, record: &MutationRecord) {
-        if let Err(err) = self.0.lock().append(&WalOp::Mutation(record.clone())) {
+        if let Err(err) = self.0.lock().append(record) {
             // Contract of MutationJournal: fail loudly. Acknowledging an
             // operation the log did not accept would break recovery.
             panic!("write-ahead log append failed: {err}");
@@ -437,14 +424,11 @@ mod tests {
         let mut market = fresh_market(&dur, 2);
         populate(&mut market);
         serve_n(&mut market, 10);
-        // Serving layer behaviour on Configure: build fresh, journal the
-        // config, move the journal over.
-        let journal = market.take_journal().unwrap();
-        let builder = Marketplace::builder().slots(1).keywords(3).seed(7);
-        let mut market = ShardedMarketplace::new(builder, 1).unwrap();
-        dur.log_configure(&market.capture_state().unwrap().config)
-            .unwrap();
-        market.set_journal(journal);
+        // What the serving layer does on a Configure request.
+        let mut config = market.capture_state().unwrap().config;
+        (config.slots, config.keywords, config.seed, config.shards) = (1, 3, 7, 1);
+        config.default_click_probs = None;
+        market.configure(config).unwrap();
         let a = market.register_advertiser("fresh");
         market
             .add_campaign(

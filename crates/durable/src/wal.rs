@@ -14,8 +14,11 @@
 //! | payload_len u32 | crc32 u32 | payload          |   record 1
 //! | ...                                            |
 //! +------------------------------------------------+
-//! payload = seq u64 ++ WalOp encoding; crc32 covers the whole payload.
+//! payload = seq u64 ++ operation body; crc32 covers the whole payload.
 //! ```
+//!
+//! The operation body is what [`MutationRecord::encode_into`] writes — the
+//! bytes a request frame carries on the wire, under a different envelope.
 //!
 //! Sequence numbers start at 1 and are contiguous across segment
 //! boundaries. A new segment is opened by snapshot rotation (see
@@ -29,8 +32,10 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{crc32, put_u32, put_u64, WalOp};
+use crate::codec::crc32;
 use crate::{DurableError, WAL_VERSION};
+use ssa_core::codec::{put_u32, put_u64};
+use ssa_core::MutationRecord;
 
 /// First eight bytes of every WAL segment.
 pub const WAL_MAGIC: [u8; 8] = *b"SSAWAL\0\0";
@@ -95,7 +100,7 @@ pub(crate) struct Tail {
 pub(crate) struct ScanOutcome {
     /// Valid records with sequence number strictly greater than the
     /// `after_seq` filter, in log order.
-    pub records: Vec<(u64, WalOp)>,
+    pub records: Vec<(u64, MutationRecord)>,
     /// Sequence number of the last valid record anywhere in the log
     /// (pre-filter), or `None` for an empty log.
     pub last_seq: Option<u64>,
@@ -148,7 +153,7 @@ fn scan_segment(
     bytes: &[u8],
     segment: &Segment,
     after_seq: u64,
-    records: &mut Vec<(u64, WalOp)>,
+    records: &mut Vec<(u64, MutationRecord)>,
     last_seq: &mut Option<u64>,
 ) -> Result<(u64, bool), DurableError> {
     let display = segment.path.display();
@@ -207,7 +212,7 @@ fn scan_segment(
                 "{display}: record seq {seq} where {expected} was expected"
             )));
         }
-        let op = match WalOp::decode(&payload[8..]) {
+        let op = match MutationRecord::decode(&payload[8..]) {
             Ok(op) => op,
             // A checksum-valid but undecodable payload means the record
             // was written by something we don't understand — corruption,
@@ -266,7 +271,7 @@ impl WalWriter {
 
     /// Appends one record and flushes it to the OS (surviving a process
     /// kill; call [`WalWriter::sync`] as well to survive power loss).
-    pub(crate) fn append(&mut self, seq: u64, op: &WalOp) -> io::Result<()> {
+    pub(crate) fn append(&mut self, seq: u64, op: &MutationRecord) -> io::Result<()> {
         let mut payload = Vec::with_capacity(32);
         put_u64(&mut payload, seq);
         op.encode_into(&mut payload);
@@ -293,7 +298,6 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssa_core::MutationRecord;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -307,11 +311,11 @@ mod tests {
         dir
     }
 
-    fn serve(kw: usize) -> WalOp {
-        WalOp::Mutation(MutationRecord::Serve {
+    fn serve(kw: u64) -> MutationRecord {
+        MutationRecord::Serve {
             keyword: kw,
             attrs: ssa_core::UserAttrs::new(),
-        })
+        }
     }
 
     #[test]
@@ -319,7 +323,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let mut w = WalWriter::create(&dir, 1).unwrap();
         for seq in 1..=5u64 {
-            w.append(seq, &serve(seq as usize)).unwrap();
+            w.append(seq, &serve(seq)).unwrap();
         }
         drop(w);
         let scan = scan(&dir, 0).unwrap();

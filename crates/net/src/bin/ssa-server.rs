@@ -55,8 +55,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:0".to_string();
     let mut shards = 1usize;
-    let mut slots = 15u64;
-    let mut keywords = 10u64;
+    let mut slots = 15usize;
+    let mut keywords = 10usize;
     let mut seed = 42u64;
     let mut method = WdMethod::Reduced;
     let mut pricing = PricingScheme::Gsp;
@@ -136,9 +136,11 @@ fn main() {
         seed,
         method,
         pricing,
-        shards: shards as u64,
+        shards,
         pruned,
         warm_start: true,
+        default_click_probs: None,
+        default_purchase_probs: None,
     };
 
     let (market, durability) = match &data_dir {
@@ -172,10 +174,7 @@ fn main() {
                         Ok(market) => market,
                         Err(e) => usage_error(&format!("invalid marketplace configuration: {e}")),
                     };
-                    let state = market
-                        .capture_state()
-                        .expect("a freshly built marketplace is always journalable");
-                    if let Err(e) = durability.log_configure(&state.config) {
+                    if let Err(e) = durability.log_configure(&config) {
                         eprintln!("error: cannot write to data dir {}: {e}", dir.display());
                         exit(1);
                     }

@@ -53,7 +53,9 @@ pub fn parse_addr(s: &str) -> Result<SocketAddr, ParseAddrError> {
 pub enum NetError {
     /// Transport failure (connect, read, write).
     Io(std::io::Error),
-    /// The peer sent bytes we could not decode.
+    /// The peer sent a frame we could not read.
+    Frame(FrameError),
+    /// The peer sent a payload we could not decode.
     Proto(ProtoError),
     /// The connection closed where a response was expected.
     Disconnected,
@@ -77,6 +79,7 @@ impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NetError::Io(e) => write!(f, "transport: {e}"),
+            NetError::Frame(e) => write!(f, "protocol: framing: {e}"),
             NetError::Proto(e) => write!(f, "protocol: {e}"),
             NetError::Disconnected => f.write_str("server disconnected mid-request"),
             NetError::Server { code, message } => write!(f, "server error ({code:?}): {message}"),
@@ -92,6 +95,7 @@ impl std::error::Error for NetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NetError::Io(e) => Some(e),
+            NetError::Frame(e) => Some(e),
             NetError::Proto(e) => Some(e),
             _ => None,
         }
@@ -112,7 +116,7 @@ impl From<ProtoError> for NetError {
 
 impl From<FrameError> for NetError {
     fn from(e: FrameError) -> Self {
-        NetError::Proto(ProtoError::Frame(e))
+        NetError::Frame(e)
     }
 }
 
@@ -293,6 +297,7 @@ impl Client {
             click_value_cents: click_value.cents(),
             roi_target,
             click_probs,
+            purchase_probs: None,
             targeting,
         })? {
             Response::CampaignAdded { keyword, index } => {

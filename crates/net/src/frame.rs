@@ -30,9 +30,13 @@ use std::io::{self, Read, Write};
 
 /// Protocol version spoken by this build; peers reject anything else.
 /// Version 2 added typed user attributes on `Serve`/`ServeBatch` and the
-/// targeting-source field on `AddCampaign` — version-1 frames decode to
-/// [`FrameError::Version`], never a panic or a misread.
-pub const PROTO_VERSION: u8 = 2;
+/// targeting-source field on `AddCampaign`; version 3 made an
+/// operation-carrying request's payload the operation body the
+/// write-ahead log stores (renumbering the request tags, and adding the
+/// purchase model to `AddCampaign` and the default models to `Configure`).
+/// Frames of an older version decode to [`FrameError::Version`], never a
+/// panic or a misread.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Hard ceiling on `len` (header tail + payload), in bytes. Large enough
 /// for a `ServeBatch` of several hundred thousand queries; small enough
@@ -288,13 +292,16 @@ mod tests {
             read_frame(&mut buf.as_slice()),
             Err(FrameError::Version { got: 99 })
         );
-        // A well-formed frame from the pre-targeting protocol (version 1)
-        // is a typed rejection too, not a misread of the new layout.
-        buf[4] = 1;
-        assert_eq!(
-            read_frame(&mut buf.as_slice()),
-            Err(FrameError::Version { got: 1 })
-        );
+        // A well-formed frame from an older protocol (1: pre-targeting,
+        // 2: its own request tag table) is a typed rejection too, not a
+        // misread of the new layout.
+        for old in [1, 2] {
+            buf[4] = old;
+            assert_eq!(
+                read_frame(&mut buf.as_slice()),
+                Err(FrameError::Version { got: old })
+            );
+        }
     }
 
     #[test]

@@ -28,14 +28,16 @@ pub fn market_config_for(
     pruned: bool,
 ) -> MarketConfig {
     MarketConfig {
-        slots: config.num_slots as u64,
-        keywords: config.num_keywords as u64,
+        slots: config.num_slots,
+        keywords: config.num_keywords,
         seed: config.market_seed(),
         method,
         pricing,
-        shards: shards as u64,
+        shards,
         pruned,
         warm_start: true,
+        default_click_probs: None,
+        default_purchase_probs: None,
     }
 }
 

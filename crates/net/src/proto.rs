@@ -7,7 +7,24 @@
 //! ([`crate::admission`]) and may be refused with
 //! [`Response::Overloaded`], while control requests always queue.
 //!
-//! Payloads are hand-rolled little-endian binary: fixed-width integers,
+//! # One operation body, two envelopes
+//!
+//! Nine of [`Request`]'s variants carry a market operation. They are the
+//! wire-facing spelling of [`ssa_core::MutationRecord`], joined to it by one mechanical bridge —
+//! `TryFrom<Request> for MutationRecord` and `From<MutationRecord> for
+//! Request` — and they encode and decode *through* the operation codec:
+//! the payload of such a request is byte for byte the body the
+//! write-ahead log stores after `len ++ crc ++ seq` for the same
+//! operation, and the server executes it with the same
+//! [`ssa_core::journal::apply`] recovery replays with. The four remaining
+//! requests ([`Request::Ping`], [`Request::TopBids`], [`Request::Stats`],
+//! [`Request::Shutdown`]) read or steer the server, are never journalled,
+//! and take the tags after the operations'. Adding a field to an
+//! operation touches the `MutationRecord` variant and its codec and
+//! `apply` arms in `ssa_core::journal`, then the `Request` variant and its
+//! two bridge arms here — nothing else.
+//!
+//! Payloads use [`ssa_core::codec`]: fixed-width little-endian integers,
 //! `f64` via [`f64::to_bits`] (so expected-revenue values survive the wire
 //! *bit-exactly* — the server↔in-process equivalence tests depend on it),
 //! `u32`-length-prefixed UTF-8 strings, and `u32`-counted vectors. Every
@@ -16,350 +33,28 @@
 //! claimed element counts are validated against the bytes actually present
 //! before any buffer is reserved.
 
-use crate::frame::FrameError;
 use ssa_bidlang::{Money, SlotId};
+use ssa_core::codec::{put_bool, put_f64, put_i64, put_string, put_u16, put_u32, put_u64, Reader};
 use ssa_core::marketplace::{
     AdvertiserHandle, AuctionResponse, CampaignId, MarketBatchReport, MarketError, Placement,
 };
-use ssa_core::{AttrValue, PricingScheme, UserAttrs, WdMethod};
+use ssa_core::{MutationRecord, Reply, UserAttrs};
 
-/// Typed payload decode failure. Like [`FrameError`], carrying only
-/// `Clone + PartialEq` data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtoError {
-    /// The payload ended before the named field.
-    Truncated {
-        /// Which field was being decoded.
-        what: &'static str,
-    },
-    /// An enum tag byte had no meaning.
-    UnknownTag {
-        /// Which enum was being decoded.
-        what: &'static str,
-        /// The offending byte.
-        tag: u8,
-    },
-    /// Bytes remained after a complete message.
-    Trailing {
-        /// How many bytes were left over.
-        extra: usize,
-    },
-    /// A string field held invalid UTF-8.
-    InvalidUtf8,
-    /// A count or length field exceeded what the payload could possibly
-    /// hold; rejected before allocating.
-    Oversized {
-        /// Which field was being decoded.
-        what: &'static str,
-        /// The claimed count.
-        len: u64,
-    },
-    /// The enclosing frame was itself malformed.
-    Frame(FrameError),
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::Truncated { what } => write!(f, "payload truncated decoding {what}"),
-            ProtoError::UnknownTag { what, tag } => {
-                write!(f, "unknown {what} tag {tag:#04x}")
-            }
-            ProtoError::Trailing { extra } => {
-                write!(f, "{extra} trailing bytes after a complete message")
-            }
-            ProtoError::InvalidUtf8 => f.write_str("string field is not valid UTF-8"),
-            ProtoError::Oversized { what, len } => {
-                write!(
-                    f,
-                    "{what} claims {len} elements, more than the payload holds"
-                )
-            }
-            ProtoError::Frame(e) => write!(f, "framing: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ProtoError::Frame(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<FrameError> for ProtoError {
-    fn from(e: FrameError) -> Self {
-        ProtoError::Frame(e)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reader / writer primitives.
-// ---------------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ProtoError> {
-        if self.buf.len() < n {
-            return Err(ProtoError::Truncated { what });
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, ProtoError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn bool(&mut self, what: &'static str) -> Result<bool, ProtoError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(ProtoError::UnknownTag { what, tag }),
-        }
-    }
-
-    fn u16(&mut self, what: &'static str) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self, what: &'static str) -> Result<i64, ProtoError> {
-        Ok(self.u64(what)? as i64)
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, ProtoError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// An element count, validated against the bytes still present: a
-    /// hostile count cannot reserve more memory than the payload it rode
-    /// in on could justify.
-    fn count(&mut self, what: &'static str, min_elem_size: usize) -> Result<usize, ProtoError> {
-        let n = self.u32(what)? as usize;
-        if n.saturating_mul(min_elem_size.max(1)) > self.buf.len() {
-            return Err(ProtoError::Oversized {
-                what,
-                len: n as u64,
-            });
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self, what: &'static str) -> Result<String, ProtoError> {
-        let n = self.count(what, 1)?;
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::InvalidUtf8)
-    }
-
-    fn option<T>(
-        &mut self,
-        what: &'static str,
-        read: impl FnOnce(&mut Self) -> Result<T, ProtoError>,
-    ) -> Result<Option<T>, ProtoError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(read(self)?)),
-            tag => Err(ProtoError::UnknownTag { what, tag }),
-        }
-    }
-
-    fn f64_vec(&mut self, what: &'static str) -> Result<Vec<f64>, ProtoError> {
-        let n = self.count(what, 8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64(what)?);
-        }
-        Ok(out)
-    }
-
-    /// A typed attribute bag: a count, then `key → value` entries (value
-    /// tag 0 = integer, 1 = string). Minimum entry size is the key length
-    /// prefix (4) + value tag (1) + string length prefix (4).
-    fn attrs(&mut self, what: &'static str) -> Result<UserAttrs, ProtoError> {
-        let n = self.count(what, 9)?;
-        (0..n)
-            .map(|_| {
-                let key = self.string(what)?;
-                let value = match self.u8(what)? {
-                    0 => AttrValue::Int(self.i64(what)?),
-                    1 => AttrValue::Str(self.string(what)?),
-                    tag => return Err(ProtoError::UnknownTag { what, tag }),
-                };
-                Ok((key, value))
-            })
-            .collect()
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(ProtoError::Trailing {
-                extra: self.buf.len(),
-            })
-        }
-    }
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    put_u64(buf, v as u64);
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_option<T>(buf: &mut Vec<u8>, v: &Option<T>, write: impl FnOnce(&mut Vec<u8>, &T)) {
-    match v {
-        None => buf.push(0),
-        Some(inner) => {
-            buf.push(1);
-            write(buf, inner);
-        }
-    }
-}
-
-fn put_f64_vec(buf: &mut Vec<u8>, v: &[f64]) {
-    put_u32(buf, v.len() as u32);
-    for x in v {
-        put_f64(buf, *x);
-    }
-}
-
-fn put_attrs(buf: &mut Vec<u8>, attrs: &UserAttrs) {
-    put_u32(buf, attrs.len() as u32);
-    for (key, value) in attrs.iter() {
-        put_string(buf, key);
-        match value {
-            AttrValue::Int(v) => {
-                buf.push(0);
-                put_i64(buf, *v);
-            }
-            AttrValue::Str(s) => {
-                buf.push(1);
-                put_string(buf, s);
-            }
-        }
-    }
-}
-
-fn read_method(r: &mut Reader<'_>) -> Result<WdMethod, ProtoError> {
-    match r.u8("method")? {
-        0 => Ok(WdMethod::Lp),
-        1 => Ok(WdMethod::Hungarian),
-        2 => Ok(WdMethod::Reduced),
-        3 => Ok(WdMethod::ReducedParallel(r.u32("method threads")? as usize)),
-        tag => Err(ProtoError::UnknownTag {
-            what: "method",
-            tag,
-        }),
-    }
-}
-
-fn put_method(buf: &mut Vec<u8>, m: WdMethod) {
-    match m {
-        WdMethod::Lp => buf.push(0),
-        WdMethod::Hungarian => buf.push(1),
-        WdMethod::Reduced => buf.push(2),
-        WdMethod::ReducedParallel(threads) => {
-            buf.push(3);
-            put_u32(buf, threads as u32);
-        }
-    }
-}
-
-fn read_pricing(r: &mut Reader<'_>) -> Result<PricingScheme, ProtoError> {
-    match r.u8("pricing")? {
-        0 => Ok(PricingScheme::PayYourBid),
-        1 => Ok(PricingScheme::Gsp),
-        2 => Ok(PricingScheme::Vickrey),
-        tag => Err(ProtoError::UnknownTag {
-            what: "pricing",
-            tag,
-        }),
-    }
-}
-
-fn put_pricing(buf: &mut Vec<u8>, p: PricingScheme) {
-    buf.push(match p {
-        PricingScheme::PayYourBid => 0,
-        PricingScheme::Gsp => 1,
-        PricingScheme::Vickrey => 2,
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Requests.
-// ---------------------------------------------------------------------------
+/// Typed payload decode failure: the workspace's one [`CodecError`],
+/// under the name this layer has always exported.
+///
+/// [`CodecError`]: ssa_core::CodecError
+pub use ssa_core::CodecError as ProtoError;
 
 /// Marketplace configuration carried by [`Request::Configure`]: the server
 /// tears down its marketplace and rebuilds it to this shape, so a client
 /// (the load driver, the equivalence tests) fully controls the market it
-/// measures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MarketConfig {
-    /// Ad slots per results page.
-    pub slots: u64,
-    /// Size of the keyword universe.
-    pub keywords: u64,
-    /// Marketplace RNG seed (keyword-local streams derive from it).
-    pub seed: u64,
-    /// Winner-determination method.
-    pub method: WdMethod,
-    /// Pricing rule.
-    pub pricing: PricingScheme,
-    /// Shard count for the rebuilt [`ssa_core::ShardedMarketplace`].
-    pub shards: u64,
-    /// Top-k pruned winner determination.
-    pub pruned: bool,
-    /// Warm-started assignments.
-    pub warm_start: bool,
-}
+/// measures. The same type the write-ahead log and snapshots record.
+pub use ssa_core::MarketConfigState as MarketConfig;
+
+// ---------------------------------------------------------------------------
+// Requests.
+// ---------------------------------------------------------------------------
 
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -402,6 +97,9 @@ pub enum Request {
         roi_target: Option<f64>,
         /// Optional per-slot click probabilities.
         click_probs: Option<Vec<f64>>,
+        /// Optional per-slot purchase probabilities
+        /// `(p | click, p | no click)`.
+        purchase_probs: Option<Vec<(f64, f64)>>,
         /// Optional targeting expression source; the server parses and
         /// compiles it at registration and answers
         /// [`ErrorCode::InvalidTargeting`] if it is malformed or too deep.
@@ -461,94 +159,25 @@ impl Request {
         matches!(self, Request::Serve { .. } | Request::ServeBatch { .. })
     }
 
-    /// Encodes the request into a frame payload.
+    /// Encodes the request into a frame payload: an operation-carrying
+    /// request is its [`MutationRecord`] body, a wire-only one its tag and
+    /// fields.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
-            Request::Ping => buf.push(0),
-            Request::Serve { keyword, attrs } => {
-                buf.push(1);
-                put_u64(&mut buf, *keyword);
-                put_attrs(&mut buf, attrs);
-            }
-            Request::ServeBatch { queries } => {
-                buf.push(2);
-                put_u32(&mut buf, queries.len() as u32);
-                for (kw, attrs) in queries {
-                    put_u64(&mut buf, *kw);
-                    put_attrs(&mut buf, attrs);
-                }
-            }
-            Request::RegisterAdvertiser { name } => {
-                buf.push(3);
-                put_string(&mut buf, name);
-            }
-            Request::AddCampaign {
-                advertiser,
-                keyword,
-                bid_cents,
-                click_value_cents,
-                roi_target,
-                click_probs,
-                targeting,
-            } => {
-                buf.push(4);
-                put_u64(&mut buf, *advertiser);
-                put_u64(&mut buf, *keyword);
-                put_i64(&mut buf, *bid_cents);
-                put_i64(&mut buf, *click_value_cents);
-                put_option(&mut buf, roi_target, |b, t| put_f64(b, *t));
-                put_option(&mut buf, click_probs, |b, p| put_f64_vec(b, p));
-                put_option(&mut buf, targeting, |b, t| put_string(b, t));
-            }
-            Request::UpdateBid {
-                keyword,
-                index,
-                bid_cents,
-            } => {
-                buf.push(5);
-                put_u64(&mut buf, *keyword);
-                put_u64(&mut buf, *index);
-                put_i64(&mut buf, *bid_cents);
-            }
-            Request::PauseCampaign { keyword, index } => {
-                buf.push(6);
-                put_u64(&mut buf, *keyword);
-                put_u64(&mut buf, *index);
-            }
-            Request::ResumeCampaign { keyword, index } => {
-                buf.push(7);
-                put_u64(&mut buf, *keyword);
-                put_u64(&mut buf, *index);
-            }
-            Request::SetRoiTarget {
-                keyword,
-                index,
-                target,
-            } => {
-                buf.push(8);
-                put_u64(&mut buf, *keyword);
-                put_u64(&mut buf, *index);
-                put_option(&mut buf, target, |b, t| put_f64(b, *t));
-            }
+            Request::Ping => buf.push(TAG_PING),
             Request::TopBids { keyword, limit } => {
-                buf.push(9);
+                buf.push(TAG_TOP_BIDS);
                 put_u64(&mut buf, *keyword);
                 put_u64(&mut buf, *limit);
             }
-            Request::Stats => buf.push(10),
-            Request::Configure(config) => {
-                buf.push(11);
-                put_u64(&mut buf, config.slots);
-                put_u64(&mut buf, config.keywords);
-                put_u64(&mut buf, config.seed);
-                put_method(&mut buf, config.method);
-                put_pricing(&mut buf, config.pricing);
-                put_u64(&mut buf, config.shards);
-                put_bool(&mut buf, config.pruned);
-                put_bool(&mut buf, config.warm_start);
-            }
-            Request::Shutdown => buf.push(12),
+            Request::Stats => buf.push(TAG_STATS),
+            Request::Shutdown => buf.push(TAG_SHUTDOWN),
+            // The clone is the price of the flat enum: the operation codec
+            // encodes a `MutationRecord`, and `self` is only borrowed.
+            op => MutationRecord::try_from(op.clone())
+                .expect("every other request carries an operation")
+                .encode_into(&mut buf),
         }
         buf
     }
@@ -556,79 +185,145 @@ impl Request {
     /// Decodes a request from a frame payload; the whole payload must be
     /// consumed.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut r = Reader::new(payload);
-        let req = match r.u8("request tag")? {
-            0 => Request::Ping,
-            1 => Request::Serve {
-                keyword: r.u64("keyword")?,
-                attrs: r.attrs("serve attrs")?,
-            },
-            2 => {
-                // Minimum element: keyword (8) + empty attr bag count (4).
-                let n = r.count("serve-batch queries", 12)?;
-                let mut queries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let kw = r.u64("keyword")?;
-                    let attrs = r.attrs("batch attrs")?;
-                    queries.push((kw, attrs));
-                }
-                Request::ServeBatch { queries }
-            }
-            3 => Request::RegisterAdvertiser {
-                name: r.string("advertiser name")?,
-            },
-            4 => Request::AddCampaign {
-                advertiser: r.u64("advertiser")?,
-                keyword: r.u64("keyword")?,
-                bid_cents: r.i64("bid")?,
-                click_value_cents: r.i64("click value")?,
-                roi_target: r.option("roi target", |r| r.f64("roi target"))?,
-                click_probs: r.option("click probs", |r| r.f64_vec("click probs"))?,
-                targeting: r.option("targeting", |r| r.string("targeting"))?,
-            },
-            5 => Request::UpdateBid {
-                keyword: r.u64("keyword")?,
-                index: r.u64("campaign index")?,
-                bid_cents: r.i64("bid")?,
-            },
-            6 => Request::PauseCampaign {
-                keyword: r.u64("keyword")?,
-                index: r.u64("campaign index")?,
-            },
-            7 => Request::ResumeCampaign {
-                keyword: r.u64("keyword")?,
-                index: r.u64("campaign index")?,
-            },
-            8 => Request::SetRoiTarget {
-                keyword: r.u64("keyword")?,
-                index: r.u64("campaign index")?,
-                target: r.option("roi target", |r| r.f64("roi target"))?,
-            },
-            9 => Request::TopBids {
+        let mut r = Reader::new(payload.get(1..).unwrap_or_default());
+        let request = match payload.first() {
+            Some(&TAG_PING) => Request::Ping,
+            Some(&TAG_TOP_BIDS) => Request::TopBids {
                 keyword: r.u64("keyword")?,
                 limit: r.u64("limit")?,
             },
-            10 => Request::Stats,
-            11 => Request::Configure(MarketConfig {
-                slots: r.u64("slots")?,
-                keywords: r.u64("keywords")?,
-                seed: r.u64("seed")?,
-                method: read_method(&mut r)?,
-                pricing: read_pricing(&mut r)?,
-                shards: r.u64("shards")?,
-                pruned: r.bool("pruned")?,
-                warm_start: r.bool("warm start")?,
-            }),
-            12 => Request::Shutdown,
-            tag => {
-                return Err(ProtoError::UnknownTag {
-                    what: "request",
-                    tag,
-                })
-            }
+            Some(&TAG_STATS) => Request::Stats,
+            Some(&TAG_SHUTDOWN) => Request::Shutdown,
+            _ => return MutationRecord::decode(payload).map(Request::from),
         };
         r.finish()?;
-        Ok(req)
+        Ok(request)
+    }
+}
+
+// Wire-only request tags. They share one tag space with the operations
+// (0–8, `ssa_core::journal`), so a new operation's tag must skip these.
+const TAG_PING: u8 = 9;
+const TAG_TOP_BIDS: u8 = 10;
+const TAG_STATS: u8 = 11;
+const TAG_SHUTDOWN: u8 = 12;
+
+/// The bridge, wire-facing → execution-facing: mechanical, field for
+/// field, every field moved. `Err` hands back exactly the four wire-only
+/// requests, which carry no operation.
+impl TryFrom<Request> for MutationRecord {
+    type Error = Request;
+
+    fn try_from(request: Request) -> Result<Self, Request> {
+        Ok(match request {
+            Request::Configure(config) => MutationRecord::Configure(config),
+            Request::RegisterAdvertiser { name } => MutationRecord::RegisterAdvertiser { name },
+            Request::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                roi_target,
+                click_probs,
+                purchase_probs,
+                targeting,
+            } => MutationRecord::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                roi_target,
+                click_probs,
+                purchase_probs,
+                targeting,
+            },
+            Request::UpdateBid {
+                keyword,
+                index,
+                bid_cents,
+            } => MutationRecord::UpdateBid {
+                keyword,
+                index,
+                bid_cents,
+            },
+            Request::PauseCampaign { keyword, index } => {
+                MutationRecord::PauseCampaign { keyword, index }
+            }
+            Request::ResumeCampaign { keyword, index } => {
+                MutationRecord::ResumeCampaign { keyword, index }
+            }
+            Request::SetRoiTarget {
+                keyword,
+                index,
+                target,
+            } => MutationRecord::SetRoiTarget {
+                keyword,
+                index,
+                target,
+            },
+            Request::Serve { keyword, attrs } => MutationRecord::Serve { keyword, attrs },
+            Request::ServeBatch { queries } => MutationRecord::ServeBatch { queries },
+            wire_only @ (Request::Ping
+            | Request::TopBids { .. }
+            | Request::Stats
+            | Request::Shutdown) => return Err(wire_only),
+        })
+    }
+}
+
+/// The bridge back, execution-facing → wire-facing: what a decoded
+/// operation body becomes.
+impl From<MutationRecord> for Request {
+    fn from(op: MutationRecord) -> Self {
+        match op {
+            MutationRecord::Configure(config) => Request::Configure(config),
+            MutationRecord::RegisterAdvertiser { name } => Request::RegisterAdvertiser { name },
+            MutationRecord::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                roi_target,
+                click_probs,
+                purchase_probs,
+                targeting,
+            } => Request::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                roi_target,
+                click_probs,
+                purchase_probs,
+                targeting,
+            },
+            MutationRecord::UpdateBid {
+                keyword,
+                index,
+                bid_cents,
+            } => Request::UpdateBid {
+                keyword,
+                index,
+                bid_cents,
+            },
+            MutationRecord::PauseCampaign { keyword, index } => {
+                Request::PauseCampaign { keyword, index }
+            }
+            MutationRecord::ResumeCampaign { keyword, index } => {
+                Request::ResumeCampaign { keyword, index }
+            }
+            MutationRecord::SetRoiTarget {
+                keyword,
+                index,
+                target,
+            } => Request::SetRoiTarget {
+                keyword,
+                index,
+                target,
+            },
+            MutationRecord::Serve { keyword, attrs } => Request::Serve { keyword, attrs },
+            MutationRecord::ServeBatch { queries } => Request::ServeBatch { queries },
+        }
     }
 }
 
@@ -1081,10 +776,8 @@ impl Response {
                 let time = r.u64("time")?;
                 let expected_revenue = r.f64("expected revenue")?;
                 let realized_cents = r.i64("realized revenue")?;
-                let np = r.count("placements", 29)?;
-                let mut placements = Vec::with_capacity(np);
-                for _ in 0..np {
-                    placements.push(WirePlacement {
+                let placements = r.vec("placements", 29, |r| {
+                    Ok(WirePlacement {
                         slot_position: r.u16("slot")?,
                         campaign_keyword: r.u64("campaign keyword")?,
                         campaign_index: r.u64("campaign index")?,
@@ -1092,17 +785,15 @@ impl Response {
                         clicked: r.bool("clicked")?,
                         purchased: r.bool("purchased")?,
                         charge_cents: r.i64("charge")?,
-                    });
-                }
-                let nc = r.count("charges", 24)?;
-                let mut charges = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    charges.push((
+                    })
+                })?;
+                let charges = r.vec("charges", 24, |r| {
+                    Ok((
                         r.u64("charge keyword")?,
                         r.u64("charge index")?,
                         r.i64("charge cents")?,
-                    ));
-                }
+                    ))
+                })?;
                 Response::Served(WireAuction {
                     keyword,
                     time,
@@ -1129,14 +820,11 @@ impl Response {
                 index: r.u64("campaign index")?,
             },
             5 => Response::Ack,
-            6 => {
-                let n = r.count("top bids", 24)?;
-                let mut bids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    bids.push((r.u64("keyword")?, r.u64("index")?, r.i64("cents")?));
-                }
-                Response::TopBids { bids }
-            }
+            6 => Response::TopBids {
+                bids: r.vec("top bids", 24, |r| {
+                    Ok((r.u64("keyword")?, r.u64("index")?, r.i64("cents")?))
+                })?,
+            },
             7 => Response::Stats(ServerStats {
                 advertisers: r.u64("advertisers")?,
                 campaigns: r.u64("campaigns")?,
@@ -1169,29 +857,35 @@ impl Response {
     }
 }
 
-// Keyword/index pairs cross the wire as u64 but live as usize in-process;
-// decode-side helpers for the server.
-pub(crate) fn keyword_of(v: u64) -> usize {
-    v as usize
-}
-
-/// Rebuilds a [`CampaignId`] from its wire coordinates.
-pub(crate) fn campaign_of(keyword: u64, index: u64) -> CampaignId {
-    CampaignId::from_parts(keyword_of(keyword), index as usize)
+/// What an executed operation answers on the wire.
+impl From<Reply> for Response {
+    fn from(reply: Reply) -> Self {
+        match reply {
+            Reply::Done => Response::Ack,
+            Reply::AdvertiserRegistered(advertiser) => Response::AdvertiserRegistered {
+                advertiser: advertiser.index() as u64,
+            },
+            Reply::CampaignAdded(id) => Response::CampaignAdded {
+                keyword: id.keyword() as u64,
+                index: id.index() as u64,
+            },
+            Reply::Served(auction) => Response::Served(WireAuction::from(&auction)),
+            Reply::BatchServed(report) => Response::BatchServed(BatchSummary::from_report(&report)),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssa_core::{PricingScheme, WdMethod};
 
+    /// One request per variant; the operation-carrying ones also cross the
+    /// bridge (the property suite in `tests/framing.rs` draws the rest).
     #[test]
     fn requests_round_trip() {
         let reqs = vec![
             Request::Ping,
-            Request::Serve {
-                keyword: 3,
-                attrs: UserAttrs::new(),
-            },
             Request::Serve {
                 keyword: 8,
                 attrs: UserAttrs::new()
@@ -1203,8 +897,6 @@ mod tests {
                 queries: vec![
                     (0, UserAttrs::new()),
                     (1, UserAttrs::new().segment("gamer")),
-                    (1, UserAttrs::new().set_int("score", i64::MIN)),
-                    (2, UserAttrs::new()),
                     (9, UserAttrs::new()),
                 ],
             },
@@ -1218,6 +910,7 @@ mod tests {
                 click_value_cents: 400,
                 roi_target: Some(1.25),
                 click_probs: Some(vec![0.6, 0.3, 0.15]),
+                purchase_probs: Some(vec![(0.1, 0.01)]),
                 targeting: Some("geo = 'us' and not device = 'bot'".into()),
             },
             Request::UpdateBid {
@@ -1252,11 +945,28 @@ mod tests {
                 shards: 4,
                 pruned: true,
                 warm_start: false,
+                default_click_probs: None,
+                default_purchase_probs: None,
             }),
             Request::Shutdown,
         ];
         for req in reqs {
-            assert_eq!(Request::decode(&req.encode()), Ok(req));
+            let payload = req.encode();
+            assert_eq!(Request::decode(&payload).as_ref(), Ok(&req));
+            match MutationRecord::try_from(req.clone()) {
+                // An operation's payload *is* its body, and the bridge is
+                // lossless in both directions.
+                Ok(op) => {
+                    let mut body = Vec::new();
+                    op.encode_into(&mut body);
+                    assert_eq!(payload, body);
+                    assert_eq!(Request::from(op), req);
+                }
+                Err(wire_only) => {
+                    assert_eq!(wire_only, req);
+                    assert!(MutationRecord::decode(&payload).is_err());
+                }
+            }
         }
     }
 
@@ -1325,40 +1035,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hostile_count_rejected_before_allocation() {
-        // A ServeBatch claiming u32::MAX queries inside a 9-byte payload.
-        let mut buf = vec![2u8];
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 4]);
-        assert_eq!(
-            Request::decode(&buf),
-            Err(ProtoError::Oversized {
-                what: "serve-batch queries",
-                len: u32::MAX as u64,
-            })
-        );
-        // An attribute bag claiming u32::MAX entries inside a Serve.
-        let mut buf = vec![1u8];
-        buf.extend_from_slice(&7u64.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            Request::decode(&buf),
-            Err(ProtoError::Oversized {
-                what: "serve attrs",
-                len: u32::MAX as u64,
-            })
-        );
-    }
+    // The hostile-input cases for operation bodies (truncation at every
+    // byte, absurd counts, unknown tags) live with the codec, in
+    // `ssa_core`'s `tests/op_codec.rs`; these cover what only this layer
+    // decodes.
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut buf = Request::Ping.encode();
-        buf.push(0);
-        assert_eq!(
-            Request::decode(&buf),
-            Err(ProtoError::Trailing { extra: 1 })
-        );
+        for request in [Request::Ping, Request::Stats, Request::Shutdown] {
+            let mut buf = request.encode();
+            buf.push(0);
+            assert_eq!(
+                Request::decode(&buf),
+                Err(ProtoError::Trailing { extra: 1 })
+            );
+        }
     }
 
     #[test]
@@ -1366,7 +1057,7 @@ mod tests {
         assert_eq!(
             Request::decode(&[200]),
             Err(ProtoError::UnknownTag {
-                what: "request",
+                what: "operation",
                 tag: 200,
             })
         );

@@ -36,16 +36,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use ssa_bidlang::Money;
-use ssa_core::marketplace::{AdvertiserHandle, CampaignSpec, Marketplace, QueryRequest};
-use ssa_core::{shard_of_keyword, ShardedMarketplace};
+use ssa_core::{shard_of_keyword, MutationRecord, ShardedMarketplace};
 
 use crate::admission::{Admission, Ticket};
 use crate::frame::{read_frame, write_frame, FrameKind, PROTO_VERSION};
-use crate::proto::{
-    campaign_of, keyword_of, BatchSummary, ErrorCode, MarketConfig, Request, Response, ServerStats,
-    WireAuction,
-};
+use crate::proto::{ErrorCode, MarketConfig, Request, Response, ServerStats};
 use crate::session::{Session, SessionRegistry};
 use ssa_durable::Durability;
 
@@ -64,7 +59,8 @@ pub struct ServerConfig {
     /// Write-ahead log to journal the marketplace through. The caller
     /// opens it (recovering any prior state into the `market` passed to
     /// [`Server::bind`]) and must already have logged the configure
-    /// record for a freshly built marketplace; `bind` attaches the
+    /// record for a freshly built marketplace
+    /// ([`Durability::log_configure`]); `bind` attaches the
     /// journal and the executor snapshots on the durability handle's
     /// cadence between requests. `None` serves memory-only.
     pub durability: Option<Durability>,
@@ -113,12 +109,12 @@ impl Shared {
         let num_shards = self.num_shards.load(Ordering::Relaxed);
         match request {
             Request::Serve { keyword, .. } => {
-                Some(vec![shard_of_keyword(keyword_of(*keyword), num_shards)])
+                Some(vec![shard_of_keyword(*keyword as usize, num_shards)])
             }
             Request::ServeBatch { queries } => Some(
                 queries
                     .iter()
-                    .map(|(kw, _)| shard_of_keyword(keyword_of(*kw), num_shards))
+                    .map(|(kw, _)| shard_of_keyword(*kw as usize, num_shards))
                     .collect(),
             ),
             _ => None,
@@ -387,7 +383,16 @@ fn executor_loop(mut market: ShardedMarketplace, jobs: mpsc::Receiver<Job>, shar
             std::thread::sleep(delay);
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        let response = execute(&mut market, &job, shared);
+        // `_ticket` lives to the end of the iteration: the lane slot is
+        // released only after the request fully executed.
+        let Job {
+            request_id,
+            session,
+            request,
+            reply,
+            _ticket,
+        } = job;
+        let response = execute(&mut market, request, &session, shared);
         if let Some(durability) = &shared.durability {
             // Snapshotting needs `&market` while the journal half of the
             // handle lives inside it, so the trigger sits here — on the
@@ -396,92 +401,27 @@ fn executor_loop(mut market: ShardedMarketplace, jobs: mpsc::Receiver<Job>, shar
                 eprintln!("ssa-server: snapshot failed (log continues): {e}");
             }
         }
-        let _ = job.reply.send((job.request_id, response));
-        // `job` (and its admission ticket) drops here: the lane slot is
-        // released only after the request fully executed.
+        let _ = reply.send((request_id, response));
     }
 }
 
-fn execute(market: &mut ShardedMarketplace, job: &Job, shared: &Shared) -> Response {
-    match &job.request {
+/// Runs one request: the four wire-only ones here, every other through the
+/// bridge into [`ssa_core::journal::apply`] — the same `apply` recovery
+/// replays the write-ahead log with, journalling (a `Configure` included)
+/// through the marketplace's own hook.
+fn execute(
+    market: &mut ShardedMarketplace,
+    request: Request,
+    session: &Session,
+    shared: &Shared,
+) -> Response {
+    match request {
         Request::Ping => Response::Pong {
-            session: job.session.id,
+            session: session.id,
             proto_version: PROTO_VERSION,
         },
-        Request::Serve { keyword, attrs } => {
-            match market.serve(QueryRequest::with_attrs(
-                keyword_of(*keyword),
-                attrs.clone(),
-            )) {
-                Ok(auction) => Response::Served(WireAuction::from(&auction)),
-                Err(e) => failed(&e),
-            }
-        }
-        Request::ServeBatch { queries } => {
-            let requests: Vec<QueryRequest> = queries
-                .iter()
-                .map(|(kw, attrs)| QueryRequest::with_attrs(keyword_of(*kw), attrs.clone()))
-                .collect();
-            match market.serve_batch(&requests) {
-                Ok(report) => Response::BatchServed(BatchSummary::from_report(&report)),
-                Err(e) => failed(&e),
-            }
-        }
-        Request::RegisterAdvertiser { name } => Response::AdvertiserRegistered {
-            advertiser: market.register_advertiser(name.clone()).index() as u64,
-        },
-        Request::AddCampaign {
-            advertiser,
-            keyword,
-            bid_cents,
-            click_value_cents,
-            roi_target,
-            click_probs,
-            targeting,
-        } => {
-            let mut spec = CampaignSpec::per_click(Money::from_cents(*bid_cents))
-                .click_value(Money::from_cents(*click_value_cents));
-            if let Some(target) = roi_target {
-                spec = spec.roi_target(*target);
-            }
-            if let Some(probs) = click_probs {
-                spec = spec.click_probs(probs.clone());
-            }
-            if let Some(source) = targeting {
-                spec = spec.targeting(source.clone());
-            }
-            match market.add_campaign(
-                AdvertiserHandle::from_index(*advertiser as usize),
-                keyword_of(*keyword),
-                spec,
-            ) {
-                Ok(id) => Response::CampaignAdded {
-                    keyword: id.keyword() as u64,
-                    index: id.index() as u64,
-                },
-                Err(e) => failed(&e),
-            }
-        }
-        Request::UpdateBid {
-            keyword,
-            index,
-            bid_cents,
-        } => ack_or_fail(
-            market.update_bid(campaign_of(*keyword, *index), Money::from_cents(*bid_cents)),
-        ),
-        Request::PauseCampaign { keyword, index } => {
-            ack_or_fail(market.pause_campaign(campaign_of(*keyword, *index)))
-        }
-        Request::ResumeCampaign { keyword, index } => {
-            ack_or_fail(market.resume_campaign(campaign_of(*keyword, *index)))
-        }
-        Request::SetRoiTarget {
-            keyword,
-            index,
-            target,
-        } => ack_or_fail(market.set_roi_target(campaign_of(*keyword, *index), *target)),
         Request::TopBids { keyword, limit } => {
-            match market.top_bids(keyword_of(*keyword), *limit as usize) {
+            match market.top_bids(keyword as usize, limit as usize) {
                 Ok(bids) => Response::TopBids {
                     bids: bids
                         .into_iter()
@@ -513,62 +453,38 @@ fn execute(market: &mut ShardedMarketplace, job: &Job, shared: &Shared) -> Respo
                     .map_or(0, |durability| durability.snapshot_seq()),
             })
         }
-        Request::Configure(config) => match build_market(config) {
-            Ok(mut new_market) => {
-                if let Some(durability) = &shared.durability {
-                    let state = new_market
-                        .capture_state()
-                        .expect("a freshly built marketplace is always journalable");
-                    if let Err(e) = durability.log_configure(&state.config) {
-                        // Same contract as the journal: an unloggable
-                        // reconfiguration must not be acknowledged.
-                        panic!("write-ahead log append failed: {e}");
-                    }
-                    if let Some(journal) = market.take_journal() {
-                        new_market.set_journal(journal);
-                    }
-                }
-                shared
-                    .num_shards
-                    .store(new_market.num_shards(), Ordering::Relaxed);
-                *market = new_market;
-                Response::Ack
-            }
-            Err(e) => Response::Failed {
-                code: ErrorCode::InvalidConfig,
-                message: e.to_string(),
-            },
-        },
         Request::Shutdown => {
             begin_shutdown(shared);
             Response::Ack
         }
+        op => {
+            let op =
+                MutationRecord::try_from(op).expect("every other request carries an operation");
+            match ssa_core::journal::apply(market, op) {
+                Ok(reply) => {
+                    // Only a `Configure` can have changed it; one relaxed
+                    // store is cheaper than asking which operation ran.
+                    shared
+                        .num_shards
+                        .store(market.num_shards(), Ordering::Relaxed);
+                    reply.into()
+                }
+                Err(e) => failed(&e),
+            }
+        }
     }
 }
 
-/// Builds the marketplace a [`Request::Configure`] describes.
+/// Builds the marketplace a [`Request::Configure`] describes
+/// ([`ShardedMarketplace::from_config`] under the name this layer has
+/// always exported).
 pub fn build_market(config: &MarketConfig) -> Result<ShardedMarketplace, ssa_core::MarketError> {
-    Marketplace::builder()
-        .slots(config.slots as usize)
-        .keywords(config.keywords as usize)
-        .seed(config.seed)
-        .method(config.method)
-        .pricing(config.pricing)
-        .pruned(config.pruned)
-        .warm_start(config.warm_start)
-        .build_sharded(config.shards as usize)
+    ShardedMarketplace::from_config(config)
 }
 
 fn failed(e: &ssa_core::MarketError) -> Response {
     Response::Failed {
         code: ErrorCode::from(e),
         message: e.to_string(),
-    }
-}
-
-fn ack_or_fail(result: Result<(), ssa_core::MarketError>) -> Response {
-    match result {
-        Ok(()) => Response::Ack,
-        Err(e) => failed(&e),
     }
 }

@@ -25,6 +25,8 @@ fn wire_config() -> MarketConfig {
         shards: 2,
         pruned: false,
         warm_start: true,
+        default_click_probs: None,
+        default_purchase_probs: None,
     }
 }
 

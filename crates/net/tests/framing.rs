@@ -7,7 +7,8 @@ use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
 
-use ssa_core::{AttrValue, PricingScheme, UserAttrs, WdMethod};
+use ssa_core::{AttrValue, MutationRecord, PricingScheme, ShardedMarketplace, UserAttrs, WdMethod};
+use ssa_durable::{Durability, FsyncPolicy};
 use ssa_net::frame::{
     encode_frame, read_frame, FrameError, FrameKind, HEADER_TAIL, MAX_FRAME, PROTO_VERSION,
 };
@@ -37,11 +38,19 @@ fn arb_pricing() -> BoxedStrategy<PricingScheme> {
 
 fn arb_config() -> BoxedStrategy<MarketConfig> {
     (
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<usize>(), any::<usize>(), any::<u64>(), any::<usize>()),
         (arb_method(), arb_pricing(), any::<bool>(), any::<bool>()),
+        (
+            option::of(vec(any::<f64>(), 0..16)),
+            option::of(vec((any::<f64>(), any::<f64>()), 0..16)),
+        ),
     )
         .prop_map(
-            |((slots, keywords, seed, shards), (method, pricing, pruned, warm_start))| {
+            |(
+                (slots, keywords, seed, shards),
+                (method, pricing, pruned, warm_start),
+                (default_click_probs, default_purchase_probs),
+            )| {
                 MarketConfig {
                     slots,
                     keywords,
@@ -51,6 +60,8 @@ fn arb_config() -> BoxedStrategy<MarketConfig> {
                     shards,
                     pruned,
                     warm_start,
+                    default_click_probs,
+                    default_purchase_probs,
                 }
             },
         )
@@ -82,13 +93,14 @@ fn arb_request() -> BoxedStrategy<Request> {
             (
                 option::of(any::<f64>()),
                 option::of(vec(any::<f64>(), 0..16)),
+                option::of(vec((any::<f64>(), any::<f64>()), 0..16)),
                 option::of(".{0,40}"),
             ),
         )
             .prop_map(
                 |(
                     (advertiser, keyword, bid_cents, click_value_cents),
-                    (roi_target, click_probs, targeting),
+                    (roi_target, click_probs, purchase_probs, targeting),
                 )| {
                     Request::AddCampaign {
                         advertiser,
@@ -97,6 +109,7 @@ fn arb_request() -> BoxedStrategy<Request> {
                         click_value_cents,
                         roi_target,
                         click_probs,
+                        purchase_probs,
                         targeting,
                     }
                 }
@@ -342,7 +355,7 @@ proptest! {
         bytes.extend_from_slice(&tail);
         prop_assert_eq!(
             Request::decode(&bytes),
-            Err(ProtoError::UnknownTag { what: "request", tag })
+            Err(ProtoError::UnknownTag { what: "operation", tag })
         );
         prop_assert_eq!(
             Response::decode(&bytes),
@@ -375,6 +388,141 @@ proptest! {
             Err(ProtoError::Trailing { extra })
         );
     }
+
+    /// One body, two envelopes: the payload of an operation-carrying
+    /// request is byte for byte what the write-ahead log stores after
+    /// `len ++ crc ++ seq` when the journal is handed that operation; a
+    /// wire-only request has no operation to journal.
+    #[test]
+    fn request_payload_is_the_wal_record_body(request in arb_request()) {
+        let payload = request.encode();
+        match MutationRecord::try_from(request.clone()) {
+            Ok(op) => {
+                let wal = TempWal::open();
+                wal.durability.journal().record(&op);
+                prop_assert_eq!(wal.bodies(), vec![payload]);
+            }
+            Err(wire_only) => prop_assert_eq!(wire_only, request),
+        }
+    }
+}
+
+/// A write-ahead log in a scratch directory, read back record by record.
+struct TempWal {
+    dir: std::path::PathBuf,
+    durability: Durability,
+}
+
+impl TempWal {
+    fn open() -> TempWal {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ssa-framing-wal-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (recovered, durability) =
+            Durability::open(&dir, FsyncPolicy::Off, 0).expect("open scratch WAL");
+        assert!(recovered.is_none());
+        TempWal { dir, durability }
+    }
+
+    /// The bytes after `seq` of every record in the (single) segment: a
+    /// 20-byte header, then `len u32 ++ crc u32 ++ seq u64 ++ body`.
+    fn bodies(&self) -> Vec<Vec<u8>> {
+        let segment = std::fs::read(self.dir.join("wal-00000000000000000001.log"))
+            .expect("the first segment exists");
+        let mut rest = &segment[20..];
+        let mut bodies = Vec::new();
+        while !rest.is_empty() {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            bodies.push(rest[16..8 + len].to_vec());
+            rest = &rest[8 + len..];
+        }
+        bodies
+    }
+}
+
+impl Drop for TempWal {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// The same equality for operations a journalled market really executed:
+/// one request per operation, applied in order, and the log holds exactly
+/// their payloads — the marketplace journals what the request said, not a
+/// re-spelling of it.
+#[test]
+fn executed_requests_journal_their_own_payloads() {
+    let config = MarketConfig {
+        slots: 2,
+        keywords: 4,
+        seed: 9,
+        method: WdMethod::Reduced,
+        pricing: PricingScheme::Gsp,
+        shards: 2,
+        pruned: false,
+        warm_start: true,
+        default_click_probs: Some(vec![0.6, 0.3]),
+        default_purchase_probs: None,
+    };
+    let attrs = UserAttrs::new().geo("us").set_int("age", 30);
+    let script = vec![
+        Request::Configure(config.clone()),
+        Request::RegisterAdvertiser {
+            name: "shoes.example".into(),
+        },
+        Request::AddCampaign {
+            advertiser: 0,
+            keyword: 1,
+            bid_cents: 40,
+            click_value_cents: 90,
+            roi_target: Some(1.5),
+            click_probs: None,
+            purchase_probs: Some(vec![(0.2, 0.0), (0.1, 0.0)]),
+            targeting: Some("geo = 'us'".into()),
+        },
+        Request::UpdateBid {
+            keyword: 1,
+            index: 0,
+            bid_cents: 35,
+        },
+        Request::PauseCampaign {
+            keyword: 1,
+            index: 0,
+        },
+        Request::ResumeCampaign {
+            keyword: 1,
+            index: 0,
+        },
+        Request::SetRoiTarget {
+            keyword: 1,
+            index: 0,
+            target: None,
+        },
+        Request::Serve {
+            keyword: 1,
+            attrs: attrs.clone(),
+        },
+        Request::ServeBatch {
+            queries: vec![(1, attrs), (3, UserAttrs::new()), (1, UserAttrs::new())],
+        },
+    ];
+    let wal = TempWal::open();
+    let mut market = ShardedMarketplace::from_config(&MarketConfig {
+        keywords: 1,
+        ..config
+    })
+    .expect("valid boot configuration");
+    market.set_journal(wal.durability.journal());
+    for request in &script {
+        let op = MutationRecord::try_from(request.clone()).expect("carries an operation");
+        ssa_core::journal::apply(&mut market, op).expect("the script is valid");
+    }
+    let payloads: Vec<Vec<u8>> = script.iter().map(Request::encode).collect();
+    assert_eq!(wal.bodies(), payloads);
 }
 
 /// The count guard exercised at the exact boundary: a ServeBatch whose
@@ -400,12 +548,12 @@ fn count_guard_boundary() {
 /// count × element-size guard — decoding must not try to allocate.
 #[test]
 fn hostile_count_rejected_before_allocation() {
-    let mut payload = vec![2u8]; // ServeBatch tag
+    let mut payload = vec![8u8]; // ServeBatch tag
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
         Request::decode(&payload),
         Err(ProtoError::Oversized {
-            what: "serve-batch queries",
+            what: "batch queries",
             len: u32::MAX as u64,
         })
     );

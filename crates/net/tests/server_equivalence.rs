@@ -122,7 +122,7 @@ fn wire_batch_matches_in_process_at_any_shard_count() {
 
     for twin_shards in [1usize, 2, 4] {
         let twin_config = MarketConfig {
-            shards: twin_shards as u64,
+            shards: twin_shards,
             ..market_config.clone()
         };
         let mut twin = local_twin(&workload, &twin_config);
@@ -172,6 +172,201 @@ fn reconfigure_resets_to_a_reproducible_market() {
         let again = client.serve(kw).expect("second pass");
         assert_eq!(again, first[i], "replay diverged at query {i}");
     }
+
+    client.shutdown_server().expect("graceful shutdown");
+    server.join();
+}
+
+/// Every operation arm answers a malformed request exactly as the server's
+/// hand-written `execute` arms did before requests ran through the bridge
+/// and `ssa_core::journal::apply`: same [`ErrorCode`], same message. The
+/// market is the 8-keyword, 5-slot, 25-advertiser Section V one.
+#[test]
+fn malformed_requests_keep_their_error_codes_and_messages() {
+    use ssa_core::UserAttrs;
+    use ssa_net::{ErrorCode, NetError, Request};
+
+    let config = small_config();
+    let (server, mut client, _workload, market_config) = setup(&config, 2);
+    let add_campaign =
+        |advertiser, keyword, click_probs, targeting: Option<&str>| Request::AddCampaign {
+            advertiser,
+            keyword,
+            bid_cents: 10,
+            click_value_cents: 20,
+            roi_target: None,
+            click_probs,
+            purchase_probs: None,
+            targeting: targeting.map(str::to_string),
+        };
+    let unknown_keyword = "keyword 99 outside the configured universe of 8";
+    let cases: Vec<(Request, ErrorCode, &str)> = vec![
+        (
+            Request::Serve {
+                keyword: 99,
+                attrs: UserAttrs::new(),
+            },
+            ErrorCode::UnknownKeyword,
+            unknown_keyword,
+        ),
+        (
+            Request::ServeBatch {
+                queries: vec![(0, UserAttrs::new()), (99, UserAttrs::new())],
+            },
+            ErrorCode::UnknownKeyword,
+            unknown_keyword,
+        ),
+        (
+            add_campaign(0, 99, None, None),
+            ErrorCode::UnknownKeyword,
+            unknown_keyword,
+        ),
+        (
+            add_campaign(999, 1, Some(vec![0.1; 5]), None),
+            ErrorCode::UnknownAdvertiser,
+            "unknown advertiser handle 999",
+        ),
+        (
+            add_campaign(0, 1, Some(vec![0.1; 3]), None),
+            ErrorCode::ModelDimension,
+            "per-slot model has 3 entries but the marketplace has 5 slots",
+        ),
+        (
+            add_campaign(0, 1, Some(vec![0.1, 0.1, 1.5, 0.1, 0.1]), None),
+            ErrorCode::InvalidProbability,
+            "probability 1.5 outside [0, 1]",
+        ),
+        (
+            add_campaign(0, 1, None, None),
+            ErrorCode::MissingClickModel,
+            "campaign supplied no click probabilities and no default click model is configured",
+        ),
+        (
+            add_campaign(0, 1, Some(vec![0.1; 5]), Some("geo = ")),
+            ErrorCode::InvalidTargeting,
+            "invalid targeting expression: ",
+        ),
+        (
+            Request::UpdateBid {
+                keyword: 1,
+                index: 999,
+                bid_cents: 5,
+            },
+            ErrorCode::UnknownCampaign,
+            "unknown campaign 1/999 (keyword/index)",
+        ),
+        (
+            Request::UpdateBid {
+                keyword: 99,
+                index: 0,
+                bid_cents: 5,
+            },
+            ErrorCode::UnknownCampaign,
+            "unknown campaign 99/0 (keyword/index)",
+        ),
+        (
+            Request::UpdateBid {
+                keyword: 1,
+                index: 0,
+                bid_cents: -5,
+            },
+            ErrorCode::NegativeBid,
+            "bid -$0.05 is negative",
+        ),
+        (
+            Request::PauseCampaign {
+                keyword: 1,
+                index: 999,
+            },
+            ErrorCode::UnknownCampaign,
+            "unknown campaign 1/999 (keyword/index)",
+        ),
+        (
+            Request::ResumeCampaign {
+                keyword: 99,
+                index: 0,
+            },
+            ErrorCode::UnknownCampaign,
+            "unknown campaign 99/0 (keyword/index)",
+        ),
+        (
+            Request::SetRoiTarget {
+                keyword: 1,
+                index: 999,
+                target: Some(1.5),
+            },
+            ErrorCode::UnknownCampaign,
+            "unknown campaign 1/999 (keyword/index)",
+        ),
+        (
+            Request::SetRoiTarget {
+                keyword: 1,
+                index: 0,
+                target: Some(0.0),
+            },
+            ErrorCode::InvalidRoiTarget,
+            "ROI target 0 must be finite and positive",
+        ),
+        (
+            Request::Configure(MarketConfig {
+                slots: 0,
+                ..market_config.clone()
+            }),
+            ErrorCode::InvalidConfig,
+            "a marketplace needs at least one slot",
+        ),
+        (
+            Request::Configure(MarketConfig {
+                keywords: 0,
+                ..market_config.clone()
+            }),
+            ErrorCode::InvalidConfig,
+            "a marketplace needs at least one keyword",
+        ),
+        (
+            Request::Configure(MarketConfig {
+                shards: 0,
+                ..market_config.clone()
+            }),
+            ErrorCode::InvalidConfig,
+            "a sharded marketplace needs at least one shard",
+        ),
+    ];
+    let before = client.stats().expect("stats");
+    for (request, code, message) in cases {
+        match client.request(&request) {
+            Err(NetError::Server {
+                code: got,
+                message: detail,
+            }) => {
+                assert_eq!(got, code, "{request:?}");
+                // The targeting parser's own wording is pinned by its
+                // crate; here only the arm's prefix is.
+                if code == ErrorCode::InvalidTargeting {
+                    assert!(detail.starts_with(message), "{request:?}: {detail}");
+                } else {
+                    assert_eq!(detail, message, "{request:?}");
+                }
+            }
+            other => panic!("{request:?} answered {other:?}"),
+        }
+    }
+    // A refused operation changes nothing — a refused Configure included.
+    let after = client.stats().expect("stats");
+    assert_eq!(
+        (
+            after.campaigns,
+            after.keywords,
+            after.shards,
+            after.auctions
+        ),
+        (
+            before.campaigns,
+            before.keywords,
+            before.shards,
+            before.auctions
+        )
+    );
 
     client.shutdown_server().expect("graceful shutdown");
     server.join();

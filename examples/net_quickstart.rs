@@ -50,13 +50,15 @@ fn main() {
     client
         .configure(&MarketConfig {
             slots: 2,
-            keywords: KEYWORDS as u64,
+            keywords: KEYWORDS,
             seed: SEED,
             method: WdMethod::Reduced,
             pricing: PricingScheme::Gsp,
-            shards: SHARDS as u64,
+            shards: SHARDS,
             pruned: false,
             warm_start: true,
+            default_click_probs: None,
+            default_purchase_probs: None,
         })
         .expect("reconfigure");
     let athletics = client

@@ -397,6 +397,20 @@
 //! frames, oversized length prefixes, unknown tags — comes back as a
 //! typed [`net::ProtoError`], never a panic or an unbounded allocation.
 //!
+//! A market operation is spelled once: [`core::MutationRecord`], with one
+//! byte codec on [`core::codec`] and one executor,
+//! [`core::journal::apply`]. An operation-carrying [`net::Request`]'s
+//! payload *is* that operation's body — byte for byte what the
+//! write-ahead log stores after `len ++ crc ++ seq` — so the wire and the
+//! log are two envelopes around one body, the server executes requests
+//! with the `apply` recovery replays with, and a `Configure` is journalled
+//! like any other operation. `Request` stays the wire-facing enum (nine
+//! operations plus `Ping`, `TopBids`, `Stats`, `Shutdown`), joined to
+//! `MutationRecord` by one mechanical `TryFrom`/`From` pair; adding a
+//! field to `Serve` touches `MutationRecord::Serve` and its codec and
+//! `apply` arms in `ssa_core::journal`, `Request::Serve` and its two
+//! bridge arms in `ssa_net::proto`, and nothing else.
+//!
 //! The server ([`net::Server`], shipped as the `ssa-server` binary) keeps
 //! a single executor thread that owns the marketplace; per-connection
 //! reader threads decode and *admit* requests through bounded per-shard
@@ -437,12 +451,14 @@
 //! segment  = [magic "SSAWAL\0\0"][version u32][first_seq u64]  (20 bytes)
 //!            followed by records:
 //! record   = [payload_len u32][crc32 u32][payload]
-//! payload  = [seq u64][op: Configure | Register | AddCampaign |
-//!                          UpdateBid | Pause | Resume | SetRoi |
-//!                          Serve | ServeBatch]
+//! payload  = [seq u64][op body: Configure | Register | AddCampaign |
+//!                               UpdateBid | Pause | Resume | SetRoi |
+//!                               Serve | ServeBatch]
 //! ```
 //!
-//! Every control-plane mutation and every serve appends one checksummed
+//! The op body is [`core::MutationRecord::encode_into`]'s output, the same
+//! bytes a request frame carries for that operation. Every control-plane
+//! mutation and every serve appends one checksummed
 //! record ([`durable::Durability::journal`] plugs into
 //! [`sharded::ShardedMarketplace::set_journal`]). A crash can tear at
 //! most the final record; recovery ([`durable::recover`]) truncates the
