@@ -84,4 +84,4 @@ pub use revenue::{expected_revenue, revenue_matrix, revenue_matrix_into, NoSlotV
 pub use sharded::{parse_shards, shard_of_keyword, ParseShardsError, ShardedMarketplace};
 pub use sqlprog::{SqlProgramBidder, SqlProgramError};
 pub use ssa_bidlang::targeting::{AttrValue, CompiledTargeting, TargetParseError, UserAttrs};
-pub use state::{CampaignState, MarketConfigState, MarketState};
+pub use state::{CampaignState, CampaignView, MarketConfigState, MarketState, StateSource};

@@ -1045,40 +1045,41 @@ impl Marketplace {
         self.default_purchase_probs.as_ref()
     }
 
-    /// Appends the durable state of every campaign on `keyword` to `out`
-    /// in registration order; [`MarketError::NotDurable`] if any campaign
-    /// is not per-click.
-    pub(crate) fn capture_campaigns_into(
+    /// The durable state of every campaign on `keyword`, in registration
+    /// order, borrowed from the book and the keyword engine's models;
+    /// [`MarketError::NotDurable`] for a campaign that is not per-click.
+    pub(crate) fn campaign_views(
         &self,
         keyword: usize,
-        out: &mut Vec<crate::state::CampaignState>,
-    ) -> Result<(), MarketError> {
+    ) -> impl Iterator<Item = Result<crate::state::CampaignView<'_>, MarketError>> {
         let book = &self.books[keyword];
-        let Some(engine) = &book.engine else {
-            return Ok(());
-        };
-        for (row, campaign) in book.campaigns.iter().enumerate() {
-            let CampaignKind::PerClick {
-                nominal,
-                click_value,
-                roi_target,
-            } = campaign.kind
-            else {
-                return Err(MarketError::NotDurable(campaign.id));
-            };
-            out.push(crate::state::CampaignState {
-                keyword,
-                advertiser: campaign.advertiser.index(),
-                bid_cents: nominal.cents(),
-                click_value_cents: click_value.cents(),
-                roi_target,
-                click_probs: engine.clicks().row(row).to_vec(),
-                purchase_probs: engine.purchases().row(row),
-                paused: campaign.paused,
-                targeting: campaign.targeting.as_ref().map(|t| t.source().to_string()),
-            });
-        }
-        Ok(())
+        // A keyword without an engine has no campaigns.
+        book.engine.iter().flat_map(move |engine| {
+            book.campaigns
+                .iter()
+                .enumerate()
+                .map(move |(row, campaign)| {
+                    let CampaignKind::PerClick {
+                        nominal,
+                        click_value,
+                        roi_target,
+                    } = campaign.kind
+                    else {
+                        return Err(MarketError::NotDurable(campaign.id));
+                    };
+                    Ok(crate::state::CampaignView {
+                        keyword,
+                        advertiser: campaign.advertiser.index(),
+                        bid_cents: nominal.cents(),
+                        click_value_cents: click_value.cents(),
+                        roi_target,
+                        click_probs: engine.clicks().row(row),
+                        purchase_probs: engine.purchases().stored_row(row),
+                        paused: campaign.paused,
+                        targeting: campaign.targeting.as_ref().map(|t| t.source()),
+                    })
+                })
+        })
     }
 
     /// Exact stream position of a keyword's user-action RNG.

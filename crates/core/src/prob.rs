@@ -277,7 +277,8 @@ impl PurchaseModel {
         self.row_of.push(NEVER);
     }
 
-    fn stored_row(&self, adv: usize) -> Option<&[(f64, f64)]> {
+    /// Advertiser `adv`'s row as stored; `None` if it never purchases.
+    pub(crate) fn stored_row(&self, adv: usize) -> Option<&[(f64, f64)]> {
         match self.row_of[adv] {
             NEVER => None,
             index => {

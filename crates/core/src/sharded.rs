@@ -72,7 +72,7 @@ use crate::marketplace::{
     MarketError, Marketplace, MarketplaceBuilder, PerClickParts, QueryRequest,
 };
 use crate::pricing::PricingScheme;
-use crate::state::{MarketConfigState, MarketState};
+use crate::state::{CampaignView, MarketConfigState, MarketState, StateSource};
 use ssa_bidlang::Money;
 
 /// Error returned when parsing a shard count (the `--shards` CLI flag)
@@ -215,40 +215,16 @@ impl ShardedMarketplace {
     /// on (held tables, revenue matrices and solver scratch are execution
     /// state and are re-derived with identical outcomes).
     pub fn capture_state(&self) -> Result<MarketState, MarketError> {
-        let shard0 = &self.shards[0];
-        let config = MarketConfigState {
-            slots: shard0.num_slots(),
-            keywords: self.num_keywords,
-            seed: shard0.seed(),
-            method: shard0.method(),
-            pricing: shard0.pricing(),
-            shards: self.shards.len(),
-            pruned: shard0.pruned(),
-            warm_start: shard0.warm_start(),
-            default_click_probs: shard0.default_click_probs().cloned(),
-            default_purchase_probs: shard0.default_purchase_probs().cloned(),
-        };
-        let advertisers = (0..shard0.num_advertisers())
-            .map(|i| {
-                shard0
-                    .advertiser_name(AdvertiserHandle::from_index(i))
-                    .expect("advertiser indexes are dense")
-                    .to_string()
-            })
-            .collect();
-        let mut campaigns = Vec::with_capacity(self.num_campaigns_total());
-        let mut rng_states = Vec::with_capacity(self.num_keywords);
-        for kw in 0..self.num_keywords {
-            let owner = self.owner(kw);
-            owner.capture_campaigns_into(kw, &mut campaigns)?;
-            rng_states.push(owner.rng_state(kw));
+        let mut campaigns = Vec::with_capacity(self.campaign_count());
+        for campaign in self.campaigns() {
+            campaigns.push(campaign?.to_state());
         }
         Ok(MarketState {
-            config,
-            advertisers,
+            config: self.config(),
+            advertisers: self.advertisers().map(str::to_string).collect(),
             campaigns,
             clock: self.clock,
-            rng_states,
+            rng_states: self.rng_states().collect(),
         })
     }
 
@@ -739,6 +715,51 @@ impl ShardedMarketplace {
             self.record(&MutationRecord::ServeBatch { queries });
         }
         Ok(out)
+    }
+}
+
+/// The live marketplace read in place: what
+/// [`ShardedMarketplace::capture_state`] copies, without the copy.
+impl StateSource for ShardedMarketplace {
+    fn config(&self) -> MarketConfigState {
+        let shard0 = &self.shards[0];
+        MarketConfigState {
+            slots: shard0.num_slots(),
+            keywords: self.num_keywords,
+            seed: shard0.seed(),
+            method: shard0.method(),
+            pricing: shard0.pricing(),
+            shards: self.shards.len(),
+            pruned: shard0.pruned(),
+            warm_start: shard0.warm_start(),
+            default_click_probs: shard0.default_click_probs().cloned(),
+            default_purchase_probs: shard0.default_purchase_probs().cloned(),
+        }
+    }
+
+    fn advertisers(&self) -> impl ExactSizeIterator<Item = &str> {
+        let shard0 = &self.shards[0];
+        (0..shard0.num_advertisers()).map(move |i| {
+            shard0
+                .advertiser_name(AdvertiserHandle::from_index(i))
+                .expect("advertiser indexes are dense")
+        })
+    }
+
+    fn campaign_count(&self) -> usize {
+        self.num_campaigns_total()
+    }
+
+    fn campaigns(&self) -> impl Iterator<Item = Result<CampaignView<'_>, MarketError>> {
+        (0..self.num_keywords).flat_map(move |kw| self.owner(kw).campaign_views(kw))
+    }
+
+    fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    fn rng_states(&self) -> impl ExactSizeIterator<Item = [u64; 4]> {
+        (0..self.num_keywords).map(move |kw| self.owner(kw).rng_state(kw))
     }
 }
 

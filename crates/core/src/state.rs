@@ -7,7 +7,11 @@
 //! each keyword's user-action RNG. It is produced by
 //! [`crate::sharded::ShardedMarketplace::capture_state`] and consumed by
 //! [`crate::sharded::ShardedMarketplace::from_state`]; the `ssa_durable`
-//! crate serializes it as the snapshot half of its snapshot + WAL scheme.
+//! crate serializes it as the snapshot half of its snapshot + WAL scheme —
+//! reading it through [`StateSource`], which the live marketplace
+//! implements too, so a snapshot is written from the marketplace in place
+//! and a `MarketState` is only built where one is wanted as a value
+//! (tests, equivalence checks, recovery).
 //!
 //! # Why this is sufficient
 //!
@@ -29,6 +33,7 @@ use crate::codec::{
     put_bool, put_f64_vec, put_opt, put_pair_vec, put_u32, put_u64, CodecError, Reader,
 };
 use crate::engine::WdMethod;
+use crate::marketplace::MarketError;
 use crate::pricing::PricingScheme;
 
 /// The build-time configuration of a sharded marketplace, as needed to
@@ -153,6 +158,74 @@ pub struct CampaignState {
     pub targeting: Option<String>,
 }
 
+/// A [`CampaignState`] borrowed from wherever it lives — a captured
+/// [`MarketState`], or the live market's books and probability models —
+/// so a snapshot can be written without copying the campaign book first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CampaignView<'a> {
+    /// See [`CampaignState::keyword`].
+    pub keyword: usize,
+    /// See [`CampaignState::advertiser`].
+    pub advertiser: usize,
+    /// See [`CampaignState::bid_cents`].
+    pub bid_cents: i64,
+    /// See [`CampaignState::click_value_cents`].
+    pub click_value_cents: i64,
+    /// See [`CampaignState::roi_target`].
+    pub roi_target: Option<f64>,
+    /// See [`CampaignState::click_probs`].
+    pub click_probs: &'a [f64],
+    /// See [`CampaignState::purchase_probs`]. `None` is a campaign that
+    /// never purchases and stores no row: it stands for one explicit
+    /// `(0.0, 0.0)` per entry of `click_probs`.
+    pub purchase_probs: Option<&'a [(f64, f64)]>,
+    /// See [`CampaignState::paused`].
+    pub paused: bool,
+    /// See [`CampaignState::targeting`].
+    pub targeting: Option<&'a str>,
+}
+
+impl CampaignView<'_> {
+    /// Copies the view into an owned [`CampaignState`].
+    pub(crate) fn to_state(self) -> CampaignState {
+        CampaignState {
+            keyword: self.keyword,
+            advertiser: self.advertiser,
+            bid_cents: self.bid_cents,
+            click_value_cents: self.click_value_cents,
+            roi_target: self.roi_target,
+            click_probs: self.click_probs.to_vec(),
+            purchase_probs: match self.purchase_probs {
+                Some(row) => row.to_vec(),
+                None => vec![(0.0, 0.0); self.click_probs.len()],
+            },
+            paused: self.paused,
+            targeting: self.targeting.map(str::to_string),
+        }
+    }
+}
+
+/// Where a snapshot's content comes from: a captured [`MarketState`], or
+/// the live [`crate::sharded::ShardedMarketplace`] read in place. Both
+/// yield the same sequence — campaigns keyword-major in registration
+/// order — so the one snapshot encoder (`ssa_durable`) writes the same
+/// bytes from either.
+pub trait StateSource {
+    /// Build configuration.
+    fn config(&self) -> MarketConfigState;
+    /// Advertiser display names in registration order.
+    fn advertisers(&self) -> impl ExactSizeIterator<Item = &str>;
+    /// How many items [`StateSource::campaigns`] yields.
+    fn campaign_count(&self) -> usize;
+    /// Every campaign's durable state, in [`MarketState::campaigns`]
+    /// order; [`MarketError::NotDurable`] for a campaign that has none.
+    fn campaigns(&self) -> impl Iterator<Item = Result<CampaignView<'_>, MarketError>>;
+    /// Global market clock.
+    fn clock(&self) -> u64;
+    /// Each keyword's RNG stream position, indexed by keyword.
+    fn rng_states(&self) -> impl ExactSizeIterator<Item = [u64; 4]>;
+}
+
 /// A complete, bit-identical checkpoint of a
 /// [`crate::sharded::ShardedMarketplace`].
 ///
@@ -172,4 +245,42 @@ pub struct MarketState {
     /// Exact xoshiro256** state of each keyword's user-action RNG stream,
     /// indexed by keyword (read from the owning shard).
     pub rng_states: Vec<[u64; 4]>,
+}
+
+impl StateSource for MarketState {
+    fn config(&self) -> MarketConfigState {
+        self.config.clone()
+    }
+
+    fn advertisers(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.advertisers.iter().map(String::as_str)
+    }
+
+    fn campaign_count(&self) -> usize {
+        self.campaigns.len()
+    }
+
+    fn campaigns(&self) -> impl Iterator<Item = Result<CampaignView<'_>, MarketError>> {
+        self.campaigns.iter().map(|c| {
+            Ok(CampaignView {
+                keyword: c.keyword,
+                advertiser: c.advertiser,
+                bid_cents: c.bid_cents,
+                click_value_cents: c.click_value_cents,
+                roi_target: c.roi_target,
+                click_probs: &c.click_probs,
+                purchase_probs: Some(&c.purchase_probs),
+                paused: c.paused,
+                targeting: c.targeting.as_deref(),
+            })
+        })
+    }
+
+    fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    fn rng_states(&self) -> impl ExactSizeIterator<Item = [u64; 4]> {
+        self.rng_states.iter().copied()
+    }
 }

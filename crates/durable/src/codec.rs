@@ -7,11 +7,14 @@
 //! with the same [`ssa_core::codec`] primitives (little-endian, `f64` as
 //! raw bits, counts checked before allocation), and [`crc32`].
 
+use std::io::{self, Write};
+
+use crate::DurableError;
 use ssa_core::codec::{
     put_bool, put_f64, put_f64_vec, put_i64, put_opt, put_pair_vec, put_string, put_u32, put_u64,
     CodecError, Reader,
 };
-use ssa_core::{CampaignState, MarketConfigState, MarketState};
+use ssa_core::{CampaignState, MarketConfigState, MarketState, StateSource};
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected polynomial 0xEDB88320), const-table implementation.
@@ -37,48 +40,102 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
+/// A CRC-32 (IEEE) over bytes fed in pieces: what a snapshot body streamed
+/// to disk is checksummed with. [`crc32`] is the one-piece form.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    /// The checksum of no bytes yet.
+    pub fn new() -> Self {
+        Crc32(!0)
+    }
+
+    /// Folds the next piece in.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut crc = self.0;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
 /// CRC-32 (IEEE) of `bytes` — the checksum guarding every WAL record and
 /// snapshot body.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 // ---------------------------------------------------------------------------
 // MarketState (snapshot body).
 // ---------------------------------------------------------------------------
 
-/// Encodes a full marketplace checkpoint as a snapshot body.
-pub(crate) fn encode_state(state: &MarketState) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(256 + state.campaigns.len() * 64);
-    state.config.encode_into(&mut buf);
-    put_u32(&mut buf, state.advertisers.len() as u32);
-    for name in &state.advertisers {
-        put_string(&mut buf, name);
+/// Writes a full marketplace checkpoint to `out` as a snapshot body, one
+/// campaign at a time through a small reused buffer: `source` is the live
+/// marketplace (nothing is copied out of it first) or a captured
+/// [`MarketState`], and the bytes are the same.
+pub(crate) fn encode_state(
+    source: &impl StateSource,
+    out: &mut impl Write,
+) -> Result<(), DurableError> {
+    fn emit(out: &mut impl Write, buf: &mut Vec<u8>) -> io::Result<()> {
+        out.write_all(buf)?;
+        buf.clear();
+        Ok(())
     }
-    put_u32(&mut buf, state.campaigns.len() as u32);
-    for c in &state.campaigns {
-        put_u64(&mut buf, c.keyword as u64);
-        put_u64(&mut buf, c.advertiser as u64);
-        put_i64(&mut buf, c.bid_cents);
-        put_i64(&mut buf, c.click_value_cents);
-        put_opt(&mut buf, &c.roi_target, |b, v| put_f64(b, *v));
-        put_f64_vec(&mut buf, &c.click_probs);
-        put_pair_vec(&mut buf, &c.purchase_probs);
-        put_bool(&mut buf, c.paused);
-        put_opt(&mut buf, &c.targeting, |b, v| put_string(b, v));
+    let buf = &mut Vec::with_capacity(512);
+    source.config().encode_into(buf);
+    let advertisers = source.advertisers();
+    put_u32(buf, advertisers.len() as u32);
+    for name in advertisers {
+        put_string(buf, name);
+        emit(out, buf)?;
     }
-    put_u64(&mut buf, state.clock);
-    put_u32(&mut buf, state.rng_states.len() as u32);
-    for s in &state.rng_states {
-        for &word in s {
-            put_u64(&mut buf, word);
+    put_u32(buf, source.campaign_count() as u32);
+    for campaign in source.campaigns() {
+        let c = campaign?;
+        put_u64(buf, c.keyword as u64);
+        put_u64(buf, c.advertiser as u64);
+        put_i64(buf, c.bid_cents);
+        put_i64(buf, c.click_value_cents);
+        put_opt(buf, &c.roi_target, |b, v| put_f64(b, *v));
+        put_f64_vec(buf, c.click_probs);
+        match c.purchase_probs {
+            Some(row) => put_pair_vec(buf, row),
+            None => {
+                put_u32(buf, c.click_probs.len() as u32);
+                buf.resize(buf.len() + 16 * c.click_probs.len(), 0);
+            }
         }
+        put_bool(buf, c.paused);
+        put_opt(buf, &c.targeting, |b, v| put_string(b, v));
+        emit(out, buf)?;
     }
-    buf
+    put_u64(buf, source.clock());
+    let rng_states = source.rng_states();
+    put_u32(buf, rng_states.len() as u32);
+    for state in rng_states {
+        for word in state {
+            put_u64(buf, word);
+        }
+        emit(out, buf)?;
+    }
+    emit(out, buf)?;
+    Ok(())
 }
 
 /// Decodes a snapshot body back into a marketplace checkpoint.
@@ -128,6 +185,18 @@ mod tests {
         // The canonical IEEE test vector plus the empty string.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Fed in pieces, the same checksum.
+        let mut pieces = Crc32::new();
+        pieces.update(b"1234");
+        pieces.update(b"");
+        pieces.update(b"56789");
+        assert_eq!(pieces.finish(), 0xCBF4_3926);
+    }
+
+    fn encoded(state: &MarketState) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_state(state, &mut bytes).expect("a Vec takes every write");
+        bytes
     }
 
     fn sample_state() -> MarketState {
@@ -164,7 +233,7 @@ mod tests {
     #[test]
     fn state_round_trips_preserving_f64_bits() {
         let state = sample_state();
-        let bytes = encode_state(&state);
+        let bytes = encoded(&state);
         let back = decode_state(&bytes).expect("round trip");
         assert_eq!(back, state);
         // PartialEq on f64 would accept -0.0 == 0.0; check raw bits too.
@@ -176,7 +245,7 @@ mod tests {
 
     #[test]
     fn damaged_snapshot_bodies_fail_cleanly() {
-        let bytes = encode_state(&sample_state());
+        let bytes = encoded(&sample_state());
         for len in 0..bytes.len() {
             assert!(
                 decode_state(&bytes[..len]).is_err(),

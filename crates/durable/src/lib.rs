@@ -63,22 +63,42 @@
 //!   short or whose checksum fails, necessarily at the very end of the
 //!   final segment. Recovery truncates it — losing exactly the operations
 //!   that were never acknowledged, never an acknowledged one.
-//! * A snapshot is written to a temp file and renamed, so a half-written
-//!   snapshot is never visible; a damaged one falls back to its
-//!   predecessor.
+//! * A snapshot is streamed from the live marketplace into a temp file —
+//!   campaign by campaign through one buffered writer with a running
+//!   checksum, the header's length and checksum filled in last — and
+//!   renamed, so a half-written snapshot is never visible; a damaged one
+//!   falls back to its predecessor.
 //! * Damage anywhere else (mid-log checksum failure, a sequence gap) is
 //!   reported as [`DurableError::Corrupt`], never silently skipped.
 //!
 //! ## Fsync trade-offs
 //!
-//! [`FsyncPolicy`] picks the failure domain:
+//! Records reach the log in *commit groups*. A one-at-a-time caller — an
+//! in-process market journalling through [`Durability::journal`] — makes
+//! every record its own group. A caller that can hold acknowledgements
+//! back — the server's executor, through [`Durability::group_journal`] —
+//! stages the records of everything it ran in one tick and commits them
+//! together ([`Durability::commit`]): one `write`, and at most one
+//! `fdatasync`, however many records the group holds. [`FsyncPolicy`]
+//! picks what a commit does, and so the failure domain:
 //!
-//! * [`FsyncPolicy::Off`] — records are `write(2)`-flushed per operation.
+//! * [`FsyncPolicy::Off`] — a commit `write(2)`-flushes its group.
 //!   Survives process death (including `kill -9`): the bytes are in the
 //!   OS page cache. Does *not* survive kernel panic or power loss.
-//! * [`FsyncPolicy::Always`] — additionally `fdatasync`s every record and
-//!   syncs directory entries on rotation. Survives power loss, at the
-//!   cost of one sync per operation.
+//! * [`FsyncPolicy::Always`] — a commit additionally `fdatasync`s, and
+//!   directory entries are synced on rotation. Survives power loss. The
+//!   promise is per acknowledgement, not per record: **an operation is
+//!   acknowledged only after an `fdatasync` that covers its record has
+//!   returned** — its own for a one-at-a-time caller, one shared with the
+//!   requests in flight beside it for the server. Records of operations
+//!   that were never acknowledged (a group cut by the crash, or one whose
+//!   commit failed) may be lost or may be recovered, as a torn tail always
+//!   could be; an acknowledged one never is lost.
+//!
+//! A commit that fails leaves the log finished: what reached the file is
+//! unknown, so the handle refuses every later commit rather than append
+//! behind a possibly half-written record, and the caller must acknowledge
+//! none of the group. [`Durability::syncs`] counts the `fdatasync`s made.
 //!
 //! ## Quick use
 //!
@@ -113,6 +133,8 @@
 //! };
 //! market.set_journal(dur.journal());
 //! // ... serve; call dur.maybe_snapshot(&market) between requests ...
+//! // (a server attaches dur.group_journal() instead, and calls
+//! // dur.commit() before it answers what it ran)
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -139,13 +161,14 @@ use std::str::FromStr;
 /// the format at this version — a deliberate bump regenerates it.
 pub const WAL_VERSION: u32 = 2;
 
-/// When WAL appends reach stable storage; see the
+/// What a commit does to make its records durable; see the
 /// [crate docs](self#fsync-trade-offs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` every record: survives power loss.
+    /// `fdatasync` every commit group before anything in it is
+    /// acknowledged: survives power loss.
     Always,
-    /// Flush to the OS per record: survives process death only.
+    /// Flush every commit group to the OS: survives process death only.
     Off,
 }
 

@@ -20,15 +20,20 @@
 //! *next* successful snapshot compacts it).
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{crc32, decode_state, encode_state};
+use crate::codec::{crc32, decode_state, encode_state, Crc32};
 use crate::{DurableError, FsyncPolicy, WAL_VERSION};
-use ssa_core::MarketState;
+use ssa_core::{MarketState, StateSource};
 
 /// First eight bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SSASNAP\0";
+
+/// Byte length of the header ahead of the body, and where in it the
+/// `body_len`/`crc32` pair sits.
+const HEADER_LEN: usize = 28;
+const BODY_LEN_AT: u64 = 20;
 
 fn snapshot_path(dir: &Path, last_seq: u64) -> PathBuf {
     dir.join(format!("snapshot-{last_seq:020}.snap"))
@@ -53,37 +58,84 @@ pub(crate) fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Writes a snapshot covering WAL records `..= last_seq` and returns its
-/// size in bytes. Atomic: tmp file + rename.
+/// The body's path to disk: every byte is counted and checksummed on its
+/// way into the file's buffer, so the header can be completed afterwards
+/// without the body ever being held whole.
+struct BodyWriter {
+    out: BufWriter<File>,
+    crc: Crc32,
+    len: u64,
+}
+
+impl Write for BodyWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.crc.update(&buf[..n]);
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
+/// Writes a snapshot of `source` covering WAL records `..= last_seq` and
+/// returns its size in bytes. The body is streamed from `source` — the
+/// live marketplace — straight into the file. Atomic: tmp file + rename,
+/// the tmp file removed again if anything fails.
 pub(crate) fn write_snapshot(
     dir: &Path,
     last_seq: u64,
-    state: &MarketState,
+    source: &impl StateSource,
     policy: FsyncPolicy,
-) -> io::Result<u64> {
-    let body = encode_state(state);
-    let mut bytes = Vec::with_capacity(28 + body.len());
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&last_seq.to_le_bytes());
-    bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
+) -> Result<u64, DurableError> {
     let path = snapshot_path(dir, last_seq);
     let tmp = path.with_extension("snap.tmp");
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
+    let written = write_tmp(&tmp, last_seq, source, policy).and_then(|bytes| {
+        fs::rename(&tmp, &path)?;
         if policy == FsyncPolicy::Always {
-            file.sync_data()?;
+            // Persist the rename itself (the directory entry).
+            File::open(dir)?.sync_all()?;
         }
+        Ok(bytes)
+    });
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    fs::rename(&tmp, &path)?;
+    written
+}
+
+fn write_tmp(
+    tmp: &Path,
+    last_seq: u64,
+    source: &impl StateSource,
+    policy: FsyncPolicy,
+) -> Result<u64, DurableError> {
+    let mut out = BufWriter::new(File::create(tmp)?);
+    out.write_all(&SNAPSHOT_MAGIC)?;
+    out.write_all(&WAL_VERSION.to_le_bytes())?;
+    out.write_all(&last_seq.to_le_bytes())?;
+    // `body_len` and `crc32`: known once the body has gone by.
+    out.write_all(&[0; 8])?;
+    let mut body = BodyWriter {
+        out,
+        crc: Crc32::new(),
+        len: 0,
+    };
+    encode_state(source, &mut body)?;
+    let body_len = u32::try_from(body.len)
+        .map_err(|_| io::Error::other("snapshot body exceeds the format's 4 GiB limit"))?;
+    let mut file = body.out.into_inner().map_err(|e| e.into_error())?;
+    file.seek(SeekFrom::Start(BODY_LEN_AT))?;
+    let mut patch = [0u8; 8];
+    patch[..4].copy_from_slice(&body_len.to_le_bytes());
+    patch[4..].copy_from_slice(&body.crc.finish().to_le_bytes());
+    file.write_all(&patch)?;
     if policy == FsyncPolicy::Always {
-        // Persist the rename itself (the directory entry).
-        File::open(dir)?.sync_all()?;
+        file.sync_data()?;
     }
-    Ok(bytes.len() as u64)
+    Ok(HEADER_LEN as u64 + body.len)
 }
 
 /// Loads the newest snapshot that validates, as
@@ -114,7 +166,7 @@ pub(crate) fn load_latest(dir: &Path) -> Result<Option<(MarketState, u64, u64)>,
 }
 
 fn validate(bytes: &[u8], expected_seq: u64) -> Result<MarketState, DurableError> {
-    if bytes.len() < 28 {
+    if bytes.len() < HEADER_LEN {
         return Err(DurableError::Corrupt("snapshot shorter than header".into()));
     }
     if bytes[..8] != SNAPSHOT_MAGIC {
@@ -136,12 +188,12 @@ fn validate(bytes: &[u8], expected_seq: u64) -> Result<MarketState, DurableError
     }
     let body_len = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
-    if bytes.len() - 28 != body_len {
+    if bytes.len() - HEADER_LEN != body_len {
         return Err(DurableError::Corrupt(
             "snapshot body length mismatch".into(),
         ));
     }
-    let body = &bytes[28..];
+    let body = &bytes[HEADER_LEN..];
     if crc32(body) != crc {
         return Err(DurableError::Corrupt("snapshot checksum mismatch".into()));
     }

@@ -1,14 +1,17 @@
-//! The durability store: recovery, the live [`Durability`] handle, and
-//! snapshot rotation/compaction.
+//! The durability store: recovery, the live [`Durability`] handle, commit
+//! groups, and snapshot rotation/compaction.
 //!
 //! One [`Durability`] wraps one log directory. [`Durability::open`]
 //! recovers whatever the directory holds, positions the WAL writer after
 //! the last valid record (truncating a torn tail in place), and hands
 //! back a cloneable handle. [`Durability::journal`] adapts the handle to
-//! the marketplace's [`MutationJournal`] hook; the serving layer calls
-//! [`Durability::maybe_snapshot`] between requests, from the same thread
-//! that owns the marketplace, so a snapshot always observes a state that
-//! exactly covers every journalled record.
+//! the marketplace's [`MutationJournal`] hook, one commit per record;
+//! [`Durability::group_journal`] only stages records, and the caller makes
+//! a whole group of them durable with one [`Durability::commit`] — one
+//! `write`, one `fdatasync` — before acknowledging any of them. The
+//! serving layer calls [`Durability::maybe_snapshot`] between commit
+//! groups, from the same thread that owns the marketplace, so a snapshot
+//! always observes a state that exactly covers every journalled record.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -122,18 +125,32 @@ struct Inner {
     snapshot_every: u64,
     writer: WalWriter,
     next_seq: u64,
+    /// Newest record a successful commit has covered.
+    committed_seq: u64,
+    /// `fdatasync` calls commits have made.
+    syncs: u64,
     snapshot_seq: u64,
     records_since_snapshot: u64,
 }
 
 impl Inner {
-    fn append(&mut self, op: &MutationRecord) -> Result<(), DurableError> {
-        self.writer.append(self.next_seq, op)?;
-        if self.policy == FsyncPolicy::Always {
-            self.writer.sync()?;
-        }
+    /// Stages one record behind the open commit group. In memory only.
+    fn stage(&mut self, op: &MutationRecord) {
+        self.writer.stage(self.next_seq, op);
         self.next_seq += 1;
         self.records_since_snapshot += 1;
+    }
+
+    /// Makes every staged record durable under the policy: one `write`,
+    /// and under [`FsyncPolicy::Always`] one `fdatasync`.
+    fn commit(&mut self) -> Result<(), DurableError> {
+        if !self.writer.has_staged() {
+            return Ok(());
+        }
+        let sync = self.policy == FsyncPolicy::Always;
+        self.syncs += sync as u64;
+        self.writer.commit(sync)?;
+        self.committed_seq = self.next_seq - 1;
         Ok(())
     }
 }
@@ -177,6 +194,8 @@ impl Durability {
             snapshot_every,
             writer,
             next_seq,
+            committed_seq: recovered.last_seq,
+            syncs: 0,
             snapshot_seq: recovered.snapshot_seq,
             records_since_snapshot: recovered.last_seq - recovered.snapshot_seq,
         };
@@ -191,15 +210,47 @@ impl Durability {
     /// to it. A journalled marketplace reconfigured through
     /// [`ShardedMarketplace::configure`] journals its own.
     pub fn log_configure(&self, config: &MarketConfigState) -> Result<(), DurableError> {
-        let op = MutationRecord::Configure(config.clone());
-        self.lock().append(&op)
+        let mut inner = self.lock();
+        inner.stage(&MutationRecord::Configure(config.clone()));
+        inner.commit()
     }
 
-    /// Adapts this handle to the marketplace's journal hook. The returned
-    /// journal panics if a record cannot be persisted — continuing would
-    /// silently break the recovery guarantee.
+    /// Adapts this handle to the marketplace's journal hook, committing
+    /// every record on its own (under [`FsyncPolicy::Always`]: one
+    /// `fdatasync` per record). The returned journal panics if a record
+    /// cannot be persisted — continuing would silently break the recovery
+    /// guarantee. A caller that can hold its acknowledgements back — a
+    /// server — uses [`Durability::group_journal`] instead.
     pub fn journal(&self) -> Box<dyn MutationJournal> {
-        Box::new(DurableJournal(self.clone()))
+        Box::new(DurableJournal {
+            handle: self.clone(),
+            commit_each: true,
+        })
+    }
+
+    /// The journal hook for commit groups: every record is only *staged*
+    /// (framed in memory, in order, under its sequence number), which
+    /// cannot fail. The records staged since the last commit are one
+    /// group; the caller makes them durable together with
+    /// [`Durability::commit`] and must not acknowledge any of their
+    /// operations before that returns `Ok`.
+    pub fn group_journal(&self) -> Box<dyn MutationJournal> {
+        Box::new(DurableJournal {
+            handle: self.clone(),
+            commit_each: false,
+        })
+    }
+
+    /// Commits the open group: every staged record reaches the log in one
+    /// `write` and, under [`FsyncPolicy::Always`], one `fdatasync`. A
+    /// no-op (no system call) when nothing is staged.
+    ///
+    /// On `Err` none of the group's operations may be acknowledged, and
+    /// the log is finished: what reached the file is unknown, so every
+    /// later commit fails as well. A restart recovers the whole-record
+    /// prefix that did reach it.
+    pub fn commit(&self) -> Result<(), DurableError> {
+        self.lock().commit()
     }
 
     /// Takes a snapshot if at least `snapshot_every` records accumulated
@@ -221,15 +272,19 @@ impl Durability {
 
     /// Takes a snapshot unconditionally (no-op if no records arrived since
     /// the last one), then rotates the WAL to a fresh segment and deletes
-    /// segments and snapshots the new snapshot supersedes.
+    /// segments and snapshots the new snapshot supersedes. Commits the
+    /// open group first: a snapshot covers every record journalled so far.
+    ///
+    /// The snapshot body is streamed out of `market` as it stands — no
+    /// [`ssa_core::MarketState`] is built.
     pub fn snapshot_now(&self, market: &ShardedMarketplace) -> Result<(), DurableError> {
-        let state = market.capture_state()?;
         let mut inner = self.lock();
+        inner.commit()?;
         if inner.records_since_snapshot == 0 {
             return Ok(());
         }
         let last_seq = inner.next_seq - 1;
-        snapshot::write_snapshot(&inner.dir, last_seq, &state, inner.policy)?;
+        snapshot::write_snapshot(&inner.dir, last_seq, market, inner.policy)?;
         // Rotate: further appends go to a fresh segment starting past the
         // snapshot, then drop everything the snapshot supersedes.
         inner.writer = WalWriter::create(&inner.dir, last_seq + 1)?;
@@ -253,9 +308,33 @@ impl Durability {
     }
 
     /// Total records appended to the WAL over the directory's lifetime
-    /// (`= the sequence number of the newest record`).
+    /// (`= the sequence number of the newest record`), those of an open
+    /// commit group included.
     pub fn wal_records(&self) -> u64 {
         self.lock().next_seq - 1
+    }
+
+    /// Sequence number of the newest record a successful commit has
+    /// covered: an operation whose record is past it must not have been
+    /// acknowledged yet.
+    pub fn committed_seq(&self) -> u64 {
+        self.lock().committed_seq
+    }
+
+    /// `fdatasync` calls commits have made since this handle was opened:
+    /// one per record for one-at-a-time callers under
+    /// [`FsyncPolicy::Always`], one per group for a grouping caller, none
+    /// under [`FsyncPolicy::Off`].
+    pub fn syncs(&self) -> u64 {
+        self.lock().syncs
+    }
+
+    /// Fault injection for tests: the log's descriptor is swapped for a
+    /// read-only one, so the next commit fails with the OS's own error
+    /// and the handle behaves from then on as after any failed commit.
+    #[doc(hidden)]
+    pub fn break_log_for_tests(&self) -> Result<(), DurableError> {
+        Ok(self.lock().writer.break_descriptor()?)
     }
 
     /// Sequence number the newest snapshot covers through (0 if none).
@@ -276,16 +355,24 @@ impl Durability {
 }
 
 /// [`MutationJournal`] adapter over [`Durability`]; see
-/// [`Durability::journal`].
+/// [`Durability::journal`] and [`Durability::group_journal`].
 #[derive(Debug)]
-struct DurableJournal(Durability);
+struct DurableJournal {
+    handle: Durability,
+    /// Whether every record is its own commit group.
+    commit_each: bool,
+}
 
 impl MutationJournal for DurableJournal {
     fn record(&mut self, record: &MutationRecord) {
-        if let Err(err) = self.0.lock().append(record) {
-            // Contract of MutationJournal: fail loudly. Acknowledging an
-            // operation the log did not accept would break recovery.
-            panic!("write-ahead log append failed: {err}");
+        let mut inner = self.handle.lock();
+        inner.stage(record);
+        if self.commit_each {
+            if let Err(err) = inner.commit() {
+                // Contract of MutationJournal: fail loudly. Acknowledging
+                // an operation the log did not accept would break recovery.
+                panic!("write-ahead log append failed: {err}");
+            }
         }
     }
 }
@@ -463,6 +550,166 @@ mod tests {
         drop(dur);
         let (recovered, _) = Durability::open(&dir, FsyncPolicy::Always, 0).unwrap();
         assert_eq!(recovered.unwrap().0.capture_state().unwrap(), live_state);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    /// A market exercising every campaign shape a snapshot must carry:
+    /// targeted, paused, ROI-capped, purchasing and never-purchasing.
+    fn varied_market(dur: &Durability, shards: usize) -> ShardedMarketplace {
+        let mut market = fresh_market(dur, shards);
+        populate(&mut market);
+        let a = market.register_advertiser("targeter");
+        let targeted = market
+            .add_campaign(
+                a,
+                3,
+                CampaignSpec::per_click(Money::from_cents(61))
+                    .click_value(Money::from_cents(140))
+                    .purchase_probs(vec![(0.5, 0.125), (0.25, 0.0)])
+                    .targeting("device = 'mobile' and age >= 21"),
+            )
+            .unwrap();
+        market.pause_campaign(targeted).unwrap();
+        let capped = market
+            .add_campaign(
+                a,
+                1,
+                CampaignSpec::per_click(Money::from_cents(70))
+                    .click_value(Money::from_cents(75))
+                    .roi_target(1.5),
+            )
+            .unwrap();
+        market
+            .update_bid(capped, Money::from_cents(72))
+            .expect("per-click campaign");
+        serve_n(&mut market, 25);
+        market
+    }
+
+    #[test]
+    fn streamed_snapshot_is_the_framed_encoding_of_the_captured_state() {
+        for shards in [1, 4] {
+            let dir = temp_dir("stream");
+            let (_, dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
+            let market = varied_market(&dur, shards);
+            dur.snapshot_now(&market).unwrap();
+            let last_seq = dur.snapshot_seq();
+            assert_eq!(last_seq, dur.wal_records());
+            let (_, path) = snapshot::list_snapshots(&dir).unwrap().remove(0);
+            let streamed = std::fs::read(path).unwrap();
+
+            // The same encoder fed the captured copy, framed by hand.
+            let state = market.capture_state().unwrap();
+            assert!(state.campaigns.iter().any(|c| c.paused));
+            assert!(state.campaigns.iter().any(|c| c.targeting.is_some()));
+            assert!(state.campaigns.iter().any(|c| c.roi_target.is_some()));
+            let mut body = Vec::new();
+            crate::codec::encode_state(&state, &mut body).unwrap();
+            let mut framed = Vec::new();
+            framed.extend_from_slice(&crate::SNAPSHOT_MAGIC);
+            framed.extend_from_slice(&crate::WAL_VERSION.to_le_bytes());
+            framed.extend_from_slice(&last_seq.to_le_bytes());
+            framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            framed.extend_from_slice(&crate::crc32(&body).to_le_bytes());
+            framed.extend_from_slice(&body);
+            assert_eq!(streamed, framed, "{shards} shards");
+
+            drop(dur);
+            let (recovered, _) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
+            assert_eq!(recovered.unwrap().0.capture_state().unwrap(), state);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_failed_snapshot_leaves_no_file_behind() {
+        let dir = temp_dir("nosnap");
+        let (_, dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
+        let mut market = fresh_market(&dur, 1);
+        serve_n(&mut market, 1);
+        let mut free = ShardedMarketplace::new(
+            Marketplace::builder()
+                .slots(1)
+                .keywords(1)
+                .default_click_probs(vec![0.5]),
+            1,
+        )
+        .unwrap();
+        let a = free.register_advertiser("a");
+        let table = ssa_bidlang::BidsTable::single_feature(Money::from_cents(2));
+        free.add_campaign(a, 0, CampaignSpec::table(table))
+            .expect("accepted without a journal");
+        // `free` holds a campaign with no durable form: the stream stops
+        // there, and neither a snapshot nor its `.tmp` survives.
+        assert!(matches!(
+            dur.snapshot_now(&free),
+            Err(DurableError::Market(ssa_core::MarketError::NotDurable(_)))
+        ));
+        assert!(snapshot::list_snapshots(&dir).unwrap().is_empty());
+        assert!(std::fs::read_dir(&dir).unwrap().all(|e| !e
+            .unwrap()
+            .file_name()
+            .to_string_lossy()
+            .ends_with(".tmp")));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_group_is_one_sync_and_bare_records_one_each() {
+        let dir = temp_dir("group");
+        let (_, dur) = Durability::open(&dir, FsyncPolicy::Always, 0).unwrap();
+        let mut market = fresh_market(&dur, 2);
+        populate(&mut market);
+        // One-at-a-time journalling: a sync per record, the configure
+        // record included.
+        assert_eq!(dur.wal_records(), 13);
+        assert_eq!(dur.syncs(), 13);
+        assert_eq!(dur.committed_seq(), 13);
+
+        market.set_journal(dur.group_journal());
+        serve_n(&mut market, 20);
+        assert_eq!(dur.wal_records(), 33);
+        assert_eq!((dur.syncs(), dur.committed_seq()), (13, 13));
+        dur.commit().unwrap();
+        assert_eq!((dur.syncs(), dur.committed_seq()), (14, 33));
+        // Nothing staged: no system call, no sync.
+        dur.commit().unwrap();
+        assert_eq!(dur.syncs(), 14);
+        let live_state = market.capture_state().unwrap();
+        drop(dur);
+
+        let (recovered, dur) = Durability::open(&dir, FsyncPolicy::Always, 0).unwrap();
+        let (back, report) = recovered.expect("state persisted");
+        assert_eq!(report.wal_records, 33);
+        assert_eq!(back.capture_state().unwrap(), live_state);
+        assert_eq!((dur.wal_records(), dur.committed_seq()), (33, 33));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_commit_finishes_the_log() {
+        let dir = temp_dir("broken");
+        let (_, dur) = Durability::open(&dir, FsyncPolicy::Always, 0).unwrap();
+        let mut market = fresh_market(&dur, 1);
+        populate(&mut market);
+        market.set_journal(dur.group_journal());
+        serve_n(&mut market, 3);
+        dur.commit().unwrap();
+        let acknowledged = market.capture_state().unwrap();
+
+        dur.break_log_for_tests().unwrap();
+        serve_n(&mut market, 2);
+        assert!(matches!(dur.commit(), Err(DurableError::Io(_))));
+        assert_eq!(dur.committed_seq(), 16);
+        // Later groups fail too, and so does a snapshot, rather than write
+        // behind a record of unknown extent.
+        serve_n(&mut market, 1);
+        assert!(dur.commit().is_err());
+        assert!(dur.snapshot_now(&market).is_err());
+        drop(dur);
+
+        let (recovered, dur) = Durability::open(&dir, FsyncPolicy::Always, 0).unwrap();
+        assert_eq!(recovered.unwrap().0.capture_state().unwrap(), acknowledged);
+        assert_eq!(dur.wal_records(), 16);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

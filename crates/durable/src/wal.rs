@@ -29,12 +29,12 @@
 //! sequence gap) is corruption, not a crash artifact.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::codec::crc32;
 use crate::{DurableError, WAL_VERSION};
-use ssa_core::codec::{put_u32, put_u64};
+use ssa_core::codec::put_u64;
 use ssa_core::MutationRecord;
 
 /// First eight bytes of every WAL segment.
@@ -233,65 +233,106 @@ fn scan_segment(
 }
 
 /// The append side of one segment file.
+///
+/// Records are *staged* — framed into one reused buffer — and reach the
+/// file together on the next [`WalWriter::commit`], in one `write`: a
+/// commit group of any size costs one system call (plus one `fdatasync`
+/// when it syncs).
 #[derive(Debug)]
 pub(crate) struct WalWriter {
-    out: BufWriter<File>,
+    file: File,
     path: PathBuf,
+    /// Frames staged since the last flush.
+    staged: Vec<u8>,
+    /// Set by the first failed write or sync. What reached the file after
+    /// that is unknown (possibly half a record), so nothing more may be
+    /// appended behind it: every later commit fails too.
+    failed: bool,
 }
 
 impl WalWriter {
     /// Creates a fresh segment whose first record will be `first_seq`.
     pub(crate) fn create(dir: &Path, first_seq: u64) -> io::Result<WalWriter> {
         let path = segment_path(dir, first_seq);
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
             .open(&path)?;
-        let mut out = BufWriter::new(file);
-        out.write_all(&WAL_MAGIC)?;
-        out.write_all(&WAL_VERSION.to_le_bytes())?;
-        out.write_all(&first_seq.to_le_bytes())?;
-        out.flush()?;
-        Ok(WalWriter { out, path })
+        let mut header = [0u8; HEADER_LEN as usize];
+        header[..8].copy_from_slice(&WAL_MAGIC);
+        header[8..12].copy_from_slice(&WAL_VERSION.to_le_bytes());
+        header[12..].copy_from_slice(&first_seq.to_le_bytes());
+        file.write_all(&header)?;
+        Ok(WalWriter::over(file, path))
     }
 
     /// Reopens an existing segment for appending, first truncating any
     /// torn bytes past `valid_len`.
     pub(crate) fn open_tail(path: &Path, valid_len: u64) -> io::Result<WalWriter> {
-        let file = OpenOptions::new().write(true).read(true).open(path)?;
+        let mut file = OpenOptions::new().write(true).read(true).open(path)?;
         file.set_len(valid_len)?;
-        let mut out = BufWriter::new(file);
-        out.seek(SeekFrom::End(0))?;
-        Ok(WalWriter {
-            out,
-            path: path.to_path_buf(),
-        })
+        file.seek(SeekFrom::End(0))?;
+        Ok(WalWriter::over(file, path.to_path_buf()))
     }
 
-    /// Appends one record and flushes it to the OS (surviving a process
-    /// kill; call [`WalWriter::sync`] as well to survive power loss).
-    pub(crate) fn append(&mut self, seq: u64, op: &MutationRecord) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(32);
-        put_u64(&mut payload, seq);
-        op.encode_into(&mut payload);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
-        self.out.write_all(&frame)?;
-        self.out.flush()
+    fn over(file: File, path: PathBuf) -> WalWriter {
+        WalWriter {
+            file,
+            path,
+            staged: Vec::new(),
+            failed: false,
+        }
     }
 
-    /// Forces written records to stable storage (`fdatasync`).
-    pub(crate) fn sync(&mut self) -> io::Result<()> {
-        self.out.flush()?;
-        self.out.get_ref().sync_data()
+    /// Frames one record behind those already staged. In memory only:
+    /// nothing can fail here, and nothing is on disk until the next commit.
+    pub(crate) fn stage(&mut self, seq: u64, op: &MutationRecord) {
+        let frame = self.staged.len();
+        // `payload_len` and `crc32`: patched once the payload is in place.
+        self.staged.extend_from_slice(&[0; 8]);
+        put_u64(&mut self.staged, seq);
+        op.encode_into(&mut self.staged);
+        let payload = frame + 8;
+        let len = (self.staged.len() - payload) as u32;
+        let crc = crc32(&self.staged[payload..]);
+        self.staged[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+        self.staged[frame + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Whether records are staged and not yet written.
+    pub(crate) fn has_staged(&self) -> bool {
+        !self.staged.is_empty()
+    }
+
+    /// Writes every staged record to the OS in one `write` (surviving a
+    /// process kill) and, with `sync`, forces them to stable storage
+    /// (`fdatasync`, surviving power loss).
+    pub(crate) fn commit(&mut self, sync: bool) -> io::Result<()> {
+        if self.failed {
+            return Err(io::Error::other(
+                "an earlier write-ahead log write failed; the log accepts no more records",
+            ));
+        }
+        let mut result = self.file.write_all(&self.staged);
+        if sync && result.is_ok() {
+            result = self.file.sync_data();
+        }
+        self.failed = result.is_err();
+        self.staged.clear();
+        result
     }
 
     /// The segment file this writer appends to.
     pub(crate) fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Fault injection for tests: swaps the segment's descriptor for a
+    /// read-only one, so the next commit fails with the OS's own error.
+    pub(crate) fn break_descriptor(&mut self) -> io::Result<()> {
+        self.file = File::open(&self.path)?;
+        Ok(())
     }
 }
 
@@ -311,6 +352,12 @@ mod tests {
         dir
     }
 
+    /// One record staged and written on its own.
+    fn append(w: &mut WalWriter, seq: u64, op: &MutationRecord) {
+        w.stage(seq, op);
+        w.commit(false).unwrap();
+    }
+
     fn serve(kw: u64) -> MutationRecord {
         MutationRecord::Serve {
             keyword: kw,
@@ -323,7 +370,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let mut w = WalWriter::create(&dir, 1).unwrap();
         for seq in 1..=5u64 {
-            w.append(seq, &serve(seq)).unwrap();
+            append(&mut w, seq, &serve(seq));
         }
         drop(w);
         let scan = scan(&dir, 0).unwrap();
@@ -344,8 +391,8 @@ mod tests {
     fn torn_tail_is_detected_and_truncation_point_reported() {
         let dir = temp_dir("torn");
         let mut w = WalWriter::create(&dir, 1).unwrap();
-        w.append(1, &serve(0)).unwrap();
-        w.append(2, &serve(1)).unwrap();
+        append(&mut w, 1, &serve(0));
+        append(&mut w, 2, &serve(1));
         drop(w);
         let path = segment_path(&dir, 1);
         let full = fs::read(&path).unwrap();
@@ -371,10 +418,10 @@ mod tests {
     fn corrupt_mid_log_record_is_an_error_not_a_truncation() {
         let dir = temp_dir("midcorrupt");
         let mut w = WalWriter::create(&dir, 1).unwrap();
-        w.append(1, &serve(0)).unwrap();
+        append(&mut w, 1, &serve(0));
         drop(w);
         let mut w = WalWriter::create(&dir, 2).unwrap();
-        w.append(2, &serve(1)).unwrap();
+        append(&mut w, 2, &serve(1));
         drop(w);
         // Flip a payload byte in the FIRST (non-final) segment.
         let path = segment_path(&dir, 1);
@@ -390,8 +437,8 @@ mod tests {
     fn open_tail_truncates_and_appends_continue_the_stream() {
         let dir = temp_dir("reopen");
         let mut w = WalWriter::create(&dir, 1).unwrap();
-        w.append(1, &serve(0)).unwrap();
-        w.append(2, &serve(1)).unwrap();
+        append(&mut w, 1, &serve(0));
+        append(&mut w, 2, &serve(1));
         drop(w);
         let path = segment_path(&dir, 1);
         let full = fs::read(&path).unwrap();
@@ -401,7 +448,7 @@ mod tests {
         assert!(tail.valid_len < fs::metadata(&tail.path).unwrap().len());
         let mut w = WalWriter::open_tail(&tail.path, tail.valid_len).unwrap();
         // Seq 2 was torn away, so the stream resumes at 2.
-        w.append(2, &serve(7)).unwrap();
+        append(&mut w, 2, &serve(7));
         drop(w);
         let second = scan(&dir, 0).unwrap();
         assert_eq!(second.last_seq, Some(2));
@@ -415,11 +462,11 @@ mod tests {
     fn sequence_gap_across_segments_is_corruption() {
         let dir = temp_dir("gap");
         let mut w = WalWriter::create(&dir, 1).unwrap();
-        w.append(1, &serve(0)).unwrap();
+        append(&mut w, 1, &serve(0));
         drop(w);
         // Next segment claims to start at 5: records 2-4 are missing.
         let mut w = WalWriter::create(&dir, 5).unwrap();
-        w.append(5, &serve(1)).unwrap();
+        append(&mut w, 5, &serve(1));
         drop(w);
         assert!(matches!(scan(&dir, 0), Err(DurableError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();

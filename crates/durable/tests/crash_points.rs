@@ -224,17 +224,7 @@ proptest! {
                 None => prop_assert_eq!(persisted, 0, "cut {} lost persisted records", cut),
                 Some((mut got, report)) => {
                     prop_assert_eq!(report.wal_records as usize, persisted);
-                    // Twin: a fresh market applying the same acked prefix.
-                    let mut want = build_market(&s, 2);
-                    let mut want_ids = Vec::new();
-                    let mut steps = persisted - 1; // skip the configure record
-                    // Prologue records: 2 registers + 2 campaigns.
-                    let take = steps.min(4);
-                    replay_prologue(&mut want, &mut want_ids, take);
-                    steps -= take;
-                    for op in s.ops.iter().take(steps) {
-                        apply_op(&mut want, &mut want_ids, op);
-                    }
+                    let mut want = twin_of_prefix(&s, persisted);
                     prop_assert_eq!(
                         got.capture_state().unwrap(),
                         want.capture_state().unwrap(),
@@ -256,6 +246,106 @@ proptest! {
         std::fs::remove_dir_all(&write_dir).ok();
         std::fs::remove_dir_all(&crash_dir).ok();
     }
+}
+
+/// A fresh market that applied the operations of the log's first
+/// `persisted` (≥ 1) records: the configure record, then the prologue's
+/// 2 registers + 2 campaigns, then the scenario's ops.
+fn twin_of_prefix(s: &Scenario, persisted: usize) -> ShardedMarketplace {
+    let mut want = build_market(s, 2);
+    let mut want_ids = Vec::new();
+    let steps = persisted - 1; // skip the configure record
+    let take = steps.min(4);
+    replay_prologue(&mut want, &mut want_ids, take);
+    for op in s.ops.iter().take(steps - take) {
+        apply_op(&mut want, &mut want_ids, op);
+    }
+    want
+}
+
+/// The same sweep over a *commit group*: records staged through the group
+/// journal reach the file in one write, so a crash can cut that write
+/// anywhere. Every cut recovers to a whole-record prefix, never an error,
+/// and reopening the directory for writing resumes at the next sequence
+/// number.
+#[test]
+fn a_commit_group_cut_anywhere_recovers_a_whole_record_prefix() {
+    let s = Scenario {
+        keywords: 3,
+        slots: 2,
+        seed: 77,
+        ops: vec![
+            Op::Serve(0),
+            Op::AddCampaign {
+                adv: 1,
+                kw: 2,
+                cents: 35,
+            },
+            Op::UpdateBid { nth: 2, cents: 48 },
+            Op::Serve(2),
+            Op::Pause { nth: 0 },
+            Op::SetRoi {
+                nth: 1,
+                target: Some(1.25),
+            },
+            Op::Serve(0),
+            Op::Resume { nth: 0 },
+            Op::Serve(1),
+        ],
+    };
+    let write_dir = temp_dir("gw");
+    let (_, dur) = Durability::open(&write_dir, FsyncPolicy::Always, 0).unwrap();
+    let mut market = build_market(&s, 2);
+    dur.log_configure(&market.capture_state().unwrap().config)
+        .unwrap();
+    market.set_journal(dur.group_journal());
+    let mut ids = prologue(&mut market);
+    for op in &s.ops {
+        apply_op(&mut market, &mut ids, op);
+    }
+    let segment = std::fs::read_dir(&write_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "log"))
+        .expect("one segment");
+    // The whole group is still in memory: only the configure record is on
+    // disk, under one sync.
+    assert_eq!(record_ends(&std::fs::read(&segment).unwrap()).len(), 1);
+    assert_eq!((dur.committed_seq(), dur.syncs()), (1, 1));
+    dur.commit().unwrap();
+    let records = 5 + s.ops.len();
+    assert_eq!(dur.wal_records(), records as u64);
+    assert_eq!((dur.committed_seq(), dur.syncs()), (records as u64, 2));
+    drop(dur);
+    let full = std::fs::read(&segment).unwrap();
+    let ends = record_ends(&full);
+    assert_eq!(ends.len(), records);
+    assert_eq!(*ends.last().unwrap(), full.len());
+
+    let crash_dir = temp_dir("gc");
+    std::fs::create_dir_all(&crash_dir).unwrap();
+    let crash_file = crash_dir.join(segment.file_name().unwrap());
+    for cut in 0..=full.len() {
+        std::fs::write(&crash_file, &full[..cut]).unwrap();
+        let persisted = ends.iter().filter(|&&e| e <= cut).count();
+        let recovered = recover(&crash_dir).expect("a cut group never fails recovery");
+        assert_eq!(recovered.is_some(), persisted > 0, "cut {cut}");
+        if let Some((got, report)) = recovered {
+            assert_eq!(report.wal_records as usize, persisted, "cut {cut}");
+            assert_eq!(
+                got.capture_state().unwrap(),
+                twin_of_prefix(&s, persisted).capture_state().unwrap(),
+                "cut {cut} diverged"
+            );
+        }
+        // Taking the directory over truncates the torn record and resumes
+        // right behind the prefix.
+        let (_, dur) = Durability::open(&crash_dir, FsyncPolicy::Off, 0).unwrap();
+        assert_eq!(dur.wal_records() as usize, persisted, "cut {cut}");
+        assert_eq!(dur.committed_seq() as usize, persisted, "cut {cut}");
+    }
+    std::fs::remove_dir_all(&write_dir).ok();
+    std::fs::remove_dir_all(&crash_dir).ok();
 }
 
 /// Applies the first `take` (≤ 4) prologue records to a twin market.

@@ -14,7 +14,10 @@
 //! write-ahead log in that directory and, on restart, recovers the
 //! persisted marketplace — bit-identical, RNG streams included — instead
 //! of building one from the flags. A `recovered ...` status line goes to
-//! stderr (stdout's first line stays the address-discovery contract).
+//! stderr (stdout's first line stays the address-discovery contract), and
+//! so does a `durability wal_records=… wal_syncs=…` line once the server
+//! has drained: requests in flight together share an `fdatasync`, so under
+//! `--fsync always` the second number is the smaller one.
 
 use std::io::Write as _;
 use std::process::exit;
@@ -41,7 +44,9 @@ Options:
   --data-dir <path>    Durability: journal to a write-ahead log in <path> and
                        recover any marketplace persisted there (default: off)
   --fsync <policy>     WAL sync policy: always | off (default off; 'off' still
-                       survives process kills, 'always' survives power loss)
+                       survives process kills, 'always' survives power loss:
+                       a reply waits for an fdatasync covering its record,
+                       shared by the requests in flight with it)
   --snapshot-every <n> Snapshot + compact the log every <n> records (default
                        10000; 0 disables automatic snapshots)
 ";
@@ -192,7 +197,7 @@ fn main() {
             admission_per_shard: admission,
             retry_after_ms: retry_ms,
             executor_delay: None,
-            durability,
+            durability: durability.clone(),
         },
     ) {
         Ok(server) => server,
@@ -207,5 +212,13 @@ fn main() {
     println!("ssa-server listening on {}", server.local_addr());
     let _ = std::io::stdout().flush();
     server.run();
+    if let Some(durability) = durability {
+        // Parsed by the perf-smoke CI job; keep the key=value fields stable.
+        eprintln!(
+            "ssa-server durability wal_records={} wal_syncs={}",
+            durability.wal_records(),
+            durability.syncs()
+        );
+    }
     println!("ssa-server drained and stopped");
 }

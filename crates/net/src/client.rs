@@ -7,7 +7,7 @@
 //! [`Client::send_request`] / [`Client::read_response`] halves to keep
 //! many requests in flight on one connection.
 
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use ssa_bidlang::Money;
@@ -120,9 +120,11 @@ impl From<FrameError> for NetError {
     }
 }
 
-/// A blocking protocol connection.
+/// A blocking protocol connection. Reads are buffered: one `read` brings
+/// in every response that has arrived, so a burst of pipelined responses
+/// costs one system call, not three per frame.
 pub struct Client {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     next_id: u64,
 }
 
@@ -131,7 +133,10 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Client { stream, next_id: 0 })
+        Ok(Client {
+            stream: BufReader::new(stream),
+            next_id: 0,
+        })
     }
 
     /// Sends a request frame without waiting for its response; returns the
@@ -140,8 +145,9 @@ impl Client {
     pub fn send_request(&mut self, request: &Request) -> Result<u64, NetError> {
         self.next_id += 1;
         let id = self.next_id;
-        write_frame(&mut self.stream, FrameKind::Request, id, &request.encode())?;
-        self.stream.flush()?;
+        let stream = self.stream.get_mut();
+        write_frame(stream, FrameKind::Request, id, &request.encode())?;
+        stream.flush()?;
         Ok(id)
     }
 

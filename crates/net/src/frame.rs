@@ -313,4 +313,69 @@ mod tests {
             Err(FrameError::UnknownKind(7))
         );
     }
+
+    /// A transport that hands out one arrived burst per `read` and counts
+    /// the calls.
+    struct Bursts {
+        bursts: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for Bursts {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(burst) = self.bursts.front_mut() else {
+                return Ok(0);
+            };
+            let n = burst.len().min(buf.len());
+            buf[..n].copy_from_slice(&burst[..n]);
+            burst.drain(..n);
+            if burst.is_empty() {
+                self.bursts.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    /// Reads every frame of `bursts` the way the connection reader and
+    /// `Client` do — through a `BufReader` — and returns the `read` calls
+    /// it took, the one that saw EOF included.
+    fn buffered_reads(bursts: Vec<Vec<u8>>, frames: usize) -> usize {
+        let mut reader = io::BufReader::new(Bursts {
+            bursts: bursts.into(),
+            reads: 0,
+        });
+        for id in 0..frames as u64 {
+            let frame = read_frame(&mut reader).unwrap().expect("a frame");
+            assert_eq!((frame.request_id, frame.payload.len()), (id, 70));
+        }
+        assert_eq!(read_frame(&mut reader), Ok(None));
+        reader.get_ref().reads
+    }
+
+    #[test]
+    fn a_buffered_frame_costs_at_most_one_read_and_a_burst_shares_one() {
+        let frames = 48;
+        let frame = |id| encode_frame(FrameKind::Request, id, &[7; 70]);
+        // One frame per arrival: one read each (three unbuffered — length,
+        // header, payload), plus the read that sees EOF.
+        let one_by_one = (0..frames).map(frame).collect();
+        assert_eq!(
+            buffered_reads(one_by_one, frames as usize),
+            frames as usize + 1
+        );
+        // Pipelined frames that arrived together share a read.
+        let in_bursts: Vec<Vec<u8>> = (0..frames)
+            .step_by(16)
+            .map(|first| (first..first + 16).flat_map(frame).collect())
+            .collect();
+        assert_eq!(buffered_reads(in_bursts, frames as usize), 3 + 1);
+        // And without the buffer, for the record.
+        let mut bare = Bursts {
+            bursts: (0..frames).map(frame).collect(),
+            reads: 0,
+        };
+        while read_frame(&mut bare).unwrap().is_some() {}
+        assert_eq!(bare.reads, 3 * frames as usize + 1);
+    }
 }

@@ -548,6 +548,9 @@ pub enum ErrorCode {
     /// A campaign's targeting expression failed to parse or exceeded the
     /// nesting-depth limit.
     InvalidTargeting,
+    /// The server's write-ahead log failed: the operation was not made
+    /// durable and is not acknowledged, and the server is shutting down.
+    StorageFailed,
 }
 
 impl ErrorCode {
@@ -566,6 +569,7 @@ impl ErrorCode {
             ErrorCode::ShuttingDown => 10,
             ErrorCode::Unsupported => 11,
             ErrorCode::InvalidTargeting => 12,
+            ErrorCode::StorageFailed => 13,
         }
     }
 
@@ -584,6 +588,7 @@ impl ErrorCode {
             10 => ErrorCode::ShuttingDown,
             11 => ErrorCode::Unsupported,
             12 => ErrorCode::InvalidTargeting,
+            13 => ErrorCode::StorageFailed,
             tag => {
                 return Err(ProtoError::UnknownTag {
                     what: "error code",

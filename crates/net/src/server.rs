@@ -9,13 +9,35 @@
 //!   executed in submission order. (`serve_batch` still fans out across
 //!   shard worker threads *inside* a request, so multi-core throughput
 //!   comes from batching, exactly as in-process callers get it.)
-//! * **Per connection**: a reader thread (decode → admit → submit) and a
-//!   writer thread (encode → write), joined by a per-connection response
-//!   channel. Responses to pipelined requests come back in execution
-//!   order, each carrying its request id.
+//! * **The executor works in ticks**: it blocks for one job, then runs it
+//!   and whatever else is queued — arrivals during the tick included, up
+//!   to a fixed bound — in queue order, each through the same
+//!   [`ssa_core::journal::apply`], until the queue is empty. Memory-only,
+//!   every job is answered as soon as it has run. With a [`Durability`]
+//!   attached the tick is one *commit group*: its records — one per
+//!   operation, queue order = execution order = log order — are staged in
+//!   memory as the jobs run and reach the write-ahead log in one `write`
+//!   and (under `FsyncPolicy::Always`) one `fdatasync`, and only then are
+//!   the tick's replies released. An acknowledgement therefore always
+//!   waits for a sync that covers its record; what a tick saves is every
+//!   sync but one. A one-at-a-time client makes one-record ticks and pays
+//!   one sync each, as before.
+//! * **A commit that fails acknowledges nothing**: every job of the tick
+//!   is answered [`ErrorCode::StorageFailed`], and the server begins its
+//!   drain (later ticks fail the same way — the log accepts nothing behind
+//!   a write of unknown extent). A restart recovers the log's whole-record
+//!   prefix: every acknowledged operation, possibly followed by
+//!   unacknowledged ones.
+//! * **Per connection**: a reader thread (buffered read → decode → admit
+//!   → submit) and a writer thread (encode → write), joined by a
+//!   per-connection response channel. Responses to pipelined requests
+//!   come back in execution order, each carrying its request id; the
+//!   writer sends everything its channel holds in one `write`, so a
+//!   tick's burst of replies to one peer is one system call. Accepted
+//!   sockets run with `TCP_NODELAY`.
 //! * **Backpressure**: data-plane requests take a bounded
 //!   [`crate::admission`] slot per involved shard before entering the
-//!   executor queue and hold it until execution finishes; a full lane is
+//!   executor queue and hold it until they are answered; a full lane is
 //!   answered immediately with [`Response::Overloaded`] — the request is
 //!   never queued.
 //!
@@ -30,7 +52,7 @@
 //! responses; then the threads unwind. In-flight requests are *completed*,
 //! never dropped.
 
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -60,9 +82,9 @@ pub struct ServerConfig {
     /// opens it (recovering any prior state into the `market` passed to
     /// [`Server::bind`]) and must already have logged the configure
     /// record for a freshly built marketplace
-    /// ([`Durability::log_configure`]); `bind` attaches the
-    /// journal and the executor snapshots on the durability handle's
-    /// cadence between requests. `None` serves memory-only.
+    /// ([`Durability::log_configure`]); `bind` attaches the handle's
+    /// group journal, the executor commits once per tick and snapshots on
+    /// the handle's cadence between ticks. `None` serves memory-only.
     pub durability: Option<Durability>,
 }
 
@@ -79,7 +101,7 @@ impl Default for ServerConfig {
 
 /// One unit of executor work: a decoded request plus everything needed to
 /// answer it. The admission ticket rides along so its lane slots are
-/// released only when execution has finished.
+/// released only when the request has been answered.
 struct Job {
     request_id: u64,
     session: Arc<Session>,
@@ -141,7 +163,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         if let Some(durability) = &config.durability {
-            market.set_journal(durability.journal());
+            market.set_journal(durability.group_journal());
         }
         let shared = Arc::new(Shared {
             local_addr: listener.local_addr()?,
@@ -287,23 +309,29 @@ fn serve_connection(
             }
         };
         std::thread::spawn(move || {
-            while let Ok((request_id, response)) = reply_rx.recv() {
-                if write_frame(
-                    &mut stream,
-                    FrameKind::Response,
-                    request_id,
-                    &response.encode(),
-                )
-                .is_err()
-                {
+            // Everything the channel holds goes out in one write: the
+            // replies a tick releases together cost one system call.
+            let mut burst = Vec::new();
+            while let Ok(first) = reply_rx.recv() {
+                for (request_id, response) in std::iter::once(first).chain(reply_rx.try_iter()) {
+                    write_frame(
+                        &mut burst,
+                        FrameKind::Response,
+                        request_id,
+                        &response.encode(),
+                    )
+                    .expect("a Vec takes every write");
+                }
+                if stream.write_all(&burst).is_err() {
                     break;
                 }
-                let _ = stream.flush();
+                burst.clear();
             }
         })
     };
 
-    let mut reader = stream;
+    // One `read` brings in as many pipelined frames as have arrived.
+    let mut reader = BufReader::new(stream);
     // Clean EOF, mid-frame truncation, or transport error all end the
     // loop: there is nothing further to decode on this connection.
     while let Ok(Some(frame)) = read_frame(&mut reader) {
@@ -375,33 +403,84 @@ fn serve_connection(
     let _ = writer.join();
 }
 
+/// A reply held back until the commit group its record belongs to is
+/// durable. The ticket rides along: the lane slot frees on release.
+struct Held {
+    reply: mpsc::Sender<(u64, Response)>,
+    request_id: u64,
+    response: Response,
+    _ticket: Option<Ticket>,
+}
+
+/// Most jobs one tick runs before it commits: the queue is normally empty
+/// long before, and a peer that keeps it full cannot put everyone's
+/// commit — and so everyone's replies — off for longer than this.
+const MAX_TICK: usize = 256;
+
 /// The executor: single owner of the marketplace, draining the job queue
-/// in submission order until every sender is gone.
+/// in submission order, a tick at a time, until every sender is gone.
 fn executor_loop(mut market: ShardedMarketplace, jobs: mpsc::Receiver<Job>, shared: &Shared) {
-    while let Ok(job) = jobs.recv() {
-        if let (Some(delay), true) = (shared.executor_delay, job.request.is_data_plane()) {
-            std::thread::sleep(delay);
-        }
-        shared.requests.fetch_add(1, Ordering::Relaxed);
-        // `_ticket` lives to the end of the iteration: the lane slot is
-        // released only after the request fully executed.
-        let Job {
-            request_id,
-            session,
-            request,
-            reply,
-            _ticket,
-        } = job;
-        let response = execute(&mut market, request, &session, shared);
-        if let Some(durability) = &shared.durability {
-            // Snapshotting needs `&market` while the journal half of the
-            // handle lives inside it, so the trigger sits here — on the
-            // thread that owns the marketplace, between requests.
-            if let Err(e) = durability.maybe_snapshot(&market) {
-                eprintln!("ssa-server: snapshot failed (log continues): {e}");
+    let mut held: Vec<Held> = Vec::new();
+    while let Ok(first) = jobs.recv() {
+        for job in std::iter::once(first).chain(jobs.try_iter()).take(MAX_TICK) {
+            if let (Some(delay), true) = (shared.executor_delay, job.request.is_data_plane()) {
+                std::thread::sleep(delay);
+            }
+            shared.requests.fetch_add(1, Ordering::Relaxed);
+            let Job {
+                request_id,
+                session,
+                request,
+                reply,
+                _ticket,
+            } = job;
+            let response = execute(&mut market, request, &session, shared);
+            match &shared.durability {
+                // `_ticket` lives to the end of the iteration: the lane
+                // slot is released only after the request fully executed.
+                None => {
+                    let _ = reply.send((request_id, response));
+                }
+                Some(_) => held.push(Held {
+                    reply,
+                    request_id,
+                    response,
+                    _ticket,
+                }),
             }
         }
-        let _ = reply.send((request_id, response));
+        let Some(durability) = &shared.durability else {
+            continue;
+        };
+        match durability.commit() {
+            Ok(()) => {
+                // Only this thread journals, so every reply's record is
+                // at or before the newest one — which the commit covered.
+                debug_assert_eq!(durability.committed_seq(), durability.wal_records());
+                for job in held.drain(..) {
+                    let _ = job.reply.send((job.request_id, job.response));
+                }
+                // Snapshotting needs `&market` while the journal half of
+                // the handle lives inside it, so the trigger sits here —
+                // on the thread that owns the marketplace, between ticks.
+                if let Err(e) = durability.maybe_snapshot(&market) {
+                    eprintln!("ssa-server: snapshot failed (log continues): {e}");
+                }
+            }
+            Err(e) => {
+                eprintln!("ssa-server: write-ahead log commit failed, shutting down: {e}");
+                begin_shutdown(shared);
+                for job in held.drain(..) {
+                    let _ = job.reply.send((
+                        job.request_id,
+                        Response::Failed {
+                            code: ErrorCode::StorageFailed,
+                            message: format!("not made durable, not acknowledged: {e}"),
+                        },
+                    ));
+                }
+            }
+        }
     }
 }
 

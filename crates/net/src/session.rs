@@ -52,9 +52,12 @@ impl SessionRegistry {
         Arc::new(SessionRegistry::default())
     }
 
-    /// Registers a freshly accepted connection, assigning its session id.
-    /// The registry keeps a clone of the stream for shutdown signalling.
+    /// Registers a freshly accepted connection, assigning its session id
+    /// and turning `TCP_NODELAY` on: responses are small and each is
+    /// written whole, so waiting to coalesce them only adds latency. The
+    /// registry keeps a clone of the stream for shutdown signalling.
     pub fn register(&self, stream: &TcpStream) -> std::io::Result<Arc<Session>> {
+        stream.set_nodelay(true)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         self.ever.fetch_add(1, Ordering::Relaxed);
         let session = Arc::new(Session {
@@ -119,6 +122,10 @@ mod tests {
         let a = registry.register(&s1).expect("register");
         let b = registry.register(&s2).expect("register");
         assert_ne!(a.id, b.id);
+        // The option is the socket's, so the accepted stream and the
+        // registry's clone of it both report it.
+        assert!(s1.nodelay().expect("nodelay") && a.stream.nodelay().expect("nodelay"));
+        assert!(b.stream.nodelay().expect("nodelay"));
         assert_eq!(registry.active_count(), 2);
         assert_eq!(registry.total_count(), 2);
 

@@ -469,11 +469,19 @@
 //! travel as raw IEEE-754 bits end to end, so "bit-identical" is meant
 //! literally.
 //!
-//! Two fsync policies trade durability for latency
-//! ([`durable::FsyncPolicy`]): `Off` (default) flushes each record to the
+//! Records reach the log in commit groups: every record is its own group
+//! for an in-process market ([`durable::Durability::journal`]), while the
+//! server stages a record per operation as its executor runs a tick of
+//! queued requests and commits them together before any of the tick's
+//! replies is sent ([`durable::Durability::group_journal`],
+//! [`durable::Durability::commit`]). Two fsync policies say what a commit
+//! does ([`durable::FsyncPolicy`]): `Off` (default) writes the group to the
 //! OS page cache — it survives process kills (`kill -9`) but not power
-//! loss; `Always` issues `fdatasync` per record plus directory syncs on
-//! rotation — it survives power loss at a large per-record cost. Periodic
+//! loss; `Always` also issues one `fdatasync` per group, plus directory
+//! syncs on rotation — it survives power loss, and an acknowledgement
+//! always waits for an `fdatasync` covering its record (shared with the
+//! requests in flight beside it; unacknowledged tail records may be lost
+//! or recovered). Periodic
 //! snapshots ([`durable::Durability::maybe_snapshot`]) bound replay time
 //! and compact the log: after a snapshot lands, older segments and
 //! snapshots are deleted.
