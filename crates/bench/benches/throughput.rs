@@ -17,8 +17,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssa_bench::section_v_engine;
-use ssa_core::marketplace::QueryRequest;
-use ssa_core::sharded::ShardedMarketplace;
+use ssa_core::marketplace::{Marketplace, QueryRequest};
 use ssa_core::{EngineConfig, PricingScheme, WdMethod};
 use ssa_net::{local_twin, market_config_for};
 use ssa_workload::sql::{programmed_market, ProgrammedMarket, Strategy};
@@ -28,7 +27,7 @@ use std::time::{Duration, Instant};
 /// The Section V per-click population on `shards` shards (one shard is
 /// the single-threaded facade's exact behaviour), solving with RH under
 /// GSP: the market `reproduce --method rh` and a `Configure`d server build.
-fn section_v_market(section: SectionVConfig, shards: usize) -> ShardedMarketplace {
+fn section_v_market(section: SectionVConfig, shards: usize) -> Marketplace {
     let config = market_config_for(
         &section,
         WdMethod::Reduced,
@@ -339,7 +338,7 @@ fn bench_sqlprog_round(c: &mut Criterion) {
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The mixed 8-keyword Section V workload the sharded scaling rows run on.
-fn sharded_setup(n: usize, shards: usize) -> (ShardedMarketplace, Vec<QueryRequest>) {
+fn sharded_setup(n: usize, shards: usize) -> (Marketplace, Vec<QueryRequest>) {
     let section = SectionVConfig {
         num_advertisers: n,
         num_slots: 15,
@@ -361,7 +360,7 @@ fn sharded_setup(n: usize, shards: usize) -> (ShardedMarketplace, Vec<QueryReque
     (market, requests)
 }
 
-/// `ShardedMarketplace::serve_batch` on a mixed 8-keyword stream at 1, 2,
+/// `Marketplace::serve_batch` on a mixed 8-keyword stream at 1, 2,
 /// 4, and 8 shards: per-shard scoped workers each driving their own
 /// persistent per-keyword engines. Wall-clock scaling with the shard count
 /// is bounded by the machine's cores (`std::thread::available_parallelism`
@@ -390,7 +389,7 @@ fn bench_sharded(c: &mut Criterion) {
 fn paired_sharded_speedup() {
     const ROUNDS: usize = 10;
     let n = 2000;
-    let mut markets: Vec<(usize, ShardedMarketplace, Vec<QueryRequest>)> = SHARD_COUNTS
+    let mut markets: Vec<(usize, Marketplace, Vec<QueryRequest>)> = SHARD_COUNTS
         .into_iter()
         .map(|shards| {
             let (market, requests) = sharded_setup(n, shards);

@@ -17,8 +17,7 @@
 #![warn(missing_docs)]
 
 use ssa_bidlang::Money;
-use ssa_core::marketplace::{CampaignId, MarketError, QueryRequest};
-use ssa_core::sharded::ShardedMarketplace;
+use ssa_core::marketplace::{CampaignId, MarketError, Marketplace, QueryRequest};
 use ssa_core::{AuctionEngine, BatchReport, EngineConfig, PricingScheme, TableBidder};
 use ssa_durable::{Durability, DurableError, FsyncPolicy, RecoveryReport};
 use ssa_minidb::{PlannerMode, PlannerStats};
@@ -327,7 +326,7 @@ impl From<DurableError> for ScenarioError {
 /// Where a scenario's operations execute: the marketplace in this
 /// process, or the one behind an `ssa-server`.
 enum Backend {
-    Local(ShardedMarketplace),
+    Local(Marketplace),
     Wire { client: Client, server: SocketAddr },
 }
 

@@ -1,7 +1,7 @@
 //! The one market operation: [`MutationRecord`], its byte codec, the
 //! single [`apply`], and the journal hook that observes it.
 //!
-//! Everything that changes a [`ShardedMarketplace`] across a process
+//! Everything that changes a [`Marketplace`] across a process
 //! boundary — a request arriving over the wire, a record replayed from the
 //! write-ahead log — is one `MutationRecord`, executed by one [`apply`].
 //!
@@ -28,7 +28,7 @@
 //! # The journal hook
 //!
 //! A [`MutationJournal`] attached via
-//! [`ShardedMarketplace::set_journal`] receives one [`MutationRecord`]
+//! [`Marketplace::set_journal`] receives one [`MutationRecord`]
 //! *after* every successfully applied control-plane mutation and every
 //! served query. Two properties make this sufficient for exact recovery:
 //!
@@ -51,10 +51,9 @@ use crate::codec::{
     CodecError, Reader,
 };
 use crate::marketplace::{
-    AdvertiserHandle, AuctionResponse, CampaignId, MarketBatchReport, MarketError, PerClickParts,
-    QueryRequest,
+    AdvertiserHandle, AuctionResponse, CampaignId, MarketBatchReport, MarketError, Marketplace,
+    PerClickParts, QueryRequest,
 };
-use crate::sharded::ShardedMarketplace;
 use crate::state::MarketConfigState;
 use ssa_bidlang::targeting::UserAttrs;
 use ssa_bidlang::Money;
@@ -71,15 +70,15 @@ use ssa_bidlang::Money;
 /// rejected with [`MarketError::NotDurable`] while a journal is attached.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MutationRecord {
-    /// [`ShardedMarketplace::configure`]: replace the marketplace with a
+    /// [`Marketplace::configure`]: replace the marketplace with a
     /// fresh build of this configuration.
     Configure(MarketConfigState),
-    /// [`ShardedMarketplace::register_advertiser`].
+    /// [`Marketplace::register_advertiser`].
     RegisterAdvertiser {
         /// Display name registered.
         name: String,
     },
-    /// [`ShardedMarketplace::add_campaign`] with a per-click spec, exactly
+    /// [`Marketplace::add_campaign`] with a per-click spec, exactly
     /// as supplied (models left `None` resolve through builder defaults at
     /// replay, same as at first application).
     AddCampaign {
@@ -101,7 +100,7 @@ pub enum MutationRecord {
         /// through the same validation path as the original registration).
         targeting: Option<String>,
     },
-    /// [`ShardedMarketplace::update_bid`].
+    /// [`Marketplace::update_bid`].
     UpdateBid {
         /// Campaign's keyword.
         keyword: u64,
@@ -110,21 +109,21 @@ pub enum MutationRecord {
         /// New nominal bid, in cents.
         bid_cents: i64,
     },
-    /// [`ShardedMarketplace::pause_campaign`].
+    /// [`Marketplace::pause_campaign`].
     PauseCampaign {
         /// Campaign's keyword.
         keyword: u64,
         /// Campaign's index within the keyword.
         index: u64,
     },
-    /// [`ShardedMarketplace::resume_campaign`].
+    /// [`Marketplace::resume_campaign`].
     ResumeCampaign {
         /// Campaign's keyword.
         keyword: u64,
         /// Campaign's index within the keyword.
         index: u64,
     },
-    /// [`ShardedMarketplace::set_roi_target`].
+    /// [`Marketplace::set_roi_target`].
     SetRoiTarget {
         /// Campaign's keyword.
         keyword: u64,
@@ -133,7 +132,7 @@ pub enum MutationRecord {
         /// New target (`None` clears it).
         target: Option<f64>,
     },
-    /// One [`ShardedMarketplace::serve`] call (outcome re-derived at
+    /// One [`Marketplace::serve`] call (outcome re-derived at
     /// replay).
     Serve {
         /// The keyword queried.
@@ -142,7 +141,7 @@ pub enum MutationRecord {
         /// Journaled because targeting makes outcomes depend on them.
         attrs: UserAttrs,
     },
-    /// One [`ShardedMarketplace::serve_batch`] call, in stream order.
+    /// One [`Marketplace::serve_batch`] call, in stream order.
     ServeBatch {
         /// The queries served, in order: keyword plus user attributes.
         queries: Vec<(u64, UserAttrs)>,
@@ -337,7 +336,7 @@ pub enum Reply {
 ///
 /// A marketplace with a journal attached journals the operation as usual,
 /// so recovery replays into a journal-free one.
-pub fn apply(market: &mut ShardedMarketplace, op: MutationRecord) -> Result<Reply, MarketError> {
+pub fn apply(market: &mut Marketplace, op: MutationRecord) -> Result<Reply, MarketError> {
     let campaign =
         |keyword: u64, index: u64| CampaignId::from_parts(keyword as usize, index as usize);
     Ok(match op {

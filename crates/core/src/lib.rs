@@ -24,18 +24,20 @@
 //! place: no per-auction matrix allocation on the hot path (see the
 //! [`engine`] module docs).
 //!
-//! Above the engine sits the [`marketplace`] service facade: a long-lived
-//! [`marketplace::Marketplace`] owning registered advertisers,
-//! per-keyword campaigns, and one persistent engine+solver per keyword,
-//! with a typed query-serving API and an incremental update API backed by
-//! the Section IV-B [`logical`] adjustment lists. `AuctionEngine` remains
-//! the documented low-level escape hatch.
+//! Above the engine sits the [`marketplace`]: a long-lived
+//! [`marketplace::Marketplace`] — the one market type — owning registered
+//! advertisers, per-keyword campaigns, and one persistent engine+solver
+//! per keyword, with a typed query-serving API and an incremental update
+//! API backed by the Section IV-B [`logical`] adjustment lists.
+//! `AuctionEngine` remains the documented low-level escape hatch.
 //!
-//! For multi-core serving, [`sharded::ShardedMarketplace`] partitions the
-//! keyword universe across worker shards by stable hash and fans
-//! `serve_batch` out over scoped threads — with bit-identical auction
-//! outcomes at every shard count (see the [`sharded`] module docs for the
-//! per-keyword-RNG equivalence guarantee).
+//! For multi-core serving,
+//! [`marketplace::MarketplaceBuilder::build_sharded`] partitions the
+//! marketplace's keyword books across shards by stable hash
+//! ([`sharded::shard_of_keyword`]) and `serve_batch` fans out over scoped
+//! threads — with bit-identical auction outcomes at every shard count (see
+//! the [`marketplace`] module docs for the per-keyword-RNG equivalence
+//! guarantee).
 //!
 //! Campaigns can be *SQL bidding programs* (Section II-B): [`sqlprog`]
 //! packages a script pair (schema + triggers, executed by the embedded

@@ -1,23 +1,52 @@
-//! The `Marketplace` service facade: a long-lived auction *system* rather
-//! than a per-keyword engine.
+//! The `Marketplace`: a long-lived auction *system* rather than a
+//! per-keyword engine, and the one market type of the workspace.
 //!
 //! The paper describes a database of expressive bids that serves a stream
 //! of keyword queries and absorbs incremental bid-program updates between
-//! auctions. [`Marketplace`] is that surface: it owns registered
-//! advertisers ([`AdvertiserHandle`]), per-keyword campaigns (each a
+//! auctions. [`Marketplace`] is that surface. It owns the build
+//! configuration, the advertiser roster ([`AdvertiserHandle`]), the global
+//! clock, an optional mutation journal ([`crate::journal`]), and one
+//! *keyword book* per keyword: that keyword's campaigns (each a
 //! [`BidsTable`] bidding program — or an arbitrary [`Bidder`] — plus
-//! click/purchase models), and one persistent [`AuctionEngine`]+solver per
-//! keyword. Queries are served through a typed API
-//! ([`Marketplace::serve`] / [`Marketplace::serve_batch`], built on
-//! [`AuctionEngine::run_batch`]) and bids are changed through an
-//! incremental update API ([`Marketplace::update_bid`],
-//! [`Marketplace::pause_campaign`], [`Marketplace::set_roi_target`]) that
-//! routes through the Section IV-B logical-update machinery
-//! ([`crate::logical::AdjustmentList`]) instead of rebuilding bidder
-//! vectors.
+//! click/purchase models), its persistent [`AuctionEngine`]+solver, its
+//! logical bid index, and its own user-action RNG stream. Queries are
+//! served through a typed API ([`Marketplace::serve`] /
+//! [`Marketplace::serve_batch`], built on [`AuctionEngine::run_batch`]) and
+//! bids are changed through an incremental update API
+//! ([`Marketplace::update_bid`], [`Marketplace::pause_campaign`],
+//! [`Marketplace::set_roi_target`]) that routes through the Section IV-B
+//! logical-update machinery ([`crate::logical::AdjustmentList`]) instead of
+//! rebuilding bidder vectors. Every operation is defined once and indexes
+//! the keyword's book directly.
 //!
 //! [`AuctionEngine`] remains the documented low-level escape hatch for
 //! callers that want to assemble a single-keyword auction by hand.
+//!
+//! # Shards are a partition of the books
+//!
+//! Everything an auction reads or writes is keyword-local — it lives in the
+//! keyword's book — and keyword `k`'s RNG stream is seeded purely from
+//! `(seed, k)` ([`keyword_stream_seed`]). The auctions served on a keyword
+//! therefore depend only on the sub-sequence of queries on that keyword and
+//! their global clock values. A marketplace built with
+//! [`MarketplaceBuilder::build_sharded`]`(n)` uses exactly that: keywords
+//! are partitioned into `n` shards by a stable hash
+//! ([`crate::sharded::shard_of_keyword`]), and a [`Marketplace::serve_batch`]
+//! whose stream touches more than one partition hands each partition's
+//! books to its own [`std::thread::scope`] worker. Nothing else knows about
+//! shards: the control plane, [`Marketplace::serve`], state capture and the
+//! journal are the same code at every shard count, and
+//! [`MarketplaceBuilder::build`] is `build_sharded(1)`.
+//!
+//! Sharding is thus an *execution* strategy, not a semantic one: winners,
+//! clicks and charges are **bit-identical** at every shard count
+//! (`tests/sharding.rs` holds shard counts 2, 4 and 7 to a one-shard market
+//! driven query by query). One caveat: the guarantee covers campaigns whose
+//! bidding state is keyword-local (per-click campaigns, fixed tables, and
+//! independent programs). A custom program *shared across keywords* (e.g.
+//! the Section II-C ROI strategy coupling an advertiser's keywords through
+//! one spend rate) observes cross-shard event ordering and is therefore not
+//! shard-invariant; keep such workloads on one shard.
 //!
 //! # Quickstart
 //!
@@ -27,35 +56,43 @@
 //!
 //! let mut market = Marketplace::builder()
 //!     .slots(2)
-//!     .keywords(1)
+//!     .keywords(8)
 //!     .seed(7)
 //!     .default_click_probs(vec![0.6, 0.3])
-//!     .build()
+//!     .build_sharded(4)
 //!     .expect("valid configuration");
 //! let shoes = market.register_advertiser("shoes.example");
 //! let books = market.register_advertiser("books.example");
 //! let c1 = market
-//!     .add_campaign(shoes, 0, CampaignSpec::per_click(Money::from_cents(20)))
+//!     .add_campaign(shoes, 3, CampaignSpec::per_click(Money::from_cents(20)))
 //!     .expect("campaign accepted");
 //! market
-//!     .add_campaign(books, 0, CampaignSpec::per_click(Money::from_cents(10)))
+//!     .add_campaign(books, 3, CampaignSpec::per_click(Money::from_cents(10)))
 //!     .expect("campaign accepted");
 //!
-//! let response = market.serve(QueryRequest::new(0)).expect("keyword 0 exists");
+//! let response = market.serve(QueryRequest::new(3)).expect("keyword 3 exists");
 //! assert_eq!(response.placements.len(), 2);
 //!
+//! // A mixed-keyword stream fans out across the shards.
+//! let requests: Vec<QueryRequest> = (0..64).map(|i| QueryRequest::new(i % 8)).collect();
+//! let report = market.serve_batch(&requests).expect("keywords in range");
+//! assert_eq!(report.total.auctions, 64);
+//!
 //! // Incremental update: O(log n) on the keyword's logical bid index, no
-//! // engine rebuild.
+//! // engine rebuild, no other keyword touched.
 //! market.update_bid(c1, Money::from_cents(5)).expect("per-click campaign");
 //! assert_eq!(market.current_bid(c1).unwrap(), Money::from_cents(5));
 //! ```
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use crate::engine::{AuctionEngine, AuctionReport, BatchReport, EngineConfig, WdMethod};
+use crate::journal::{MutationJournal, MutationRecord};
 use crate::logical::AdjustmentList;
 use crate::pricing::PricingScheme;
 use crate::prob::{ClickModel, PurchaseModel};
+use crate::sharded::shard_of_keyword;
 use crate::sqlprog::{SqlProgramBidder, SqlProgramError};
+use crate::state::{CampaignView, MarketConfigState, MarketState, StateSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssa_bidlang::targeting::{CompiledTargeting, TargetParseError, UserAttrs};
@@ -247,9 +284,8 @@ enum ProgramSpec {
     /// A fixed multi-feature [`BidsTable`] submitted verbatim each auction.
     Table(BidsTable),
     /// An arbitrary bidding program (anything implementing [`Bidder`]),
-    /// e.g. a shared-state ROI strategy. `Send` so the marketplace — and
-    /// with it every campaign — can move across threads in a sharded
-    /// serving layer (see [`crate::sharded`]).
+    /// e.g. a shared-state ROI strategy. `Send` so a keyword's book — and
+    /// with it every campaign — can be served on a shard worker thread.
     Program(Box<dyn Bidder + Send>),
 }
 
@@ -376,8 +412,8 @@ impl CampaignSpec {
     }
 
     /// The journalable pieces of a per-click spec, exactly as supplied
-    /// (`None` for table/program specs, which cannot be serialized). Used
-    /// by the sharded facade to journal `add_campaign` for durability.
+    /// (`None` for table/program specs, which cannot be serialized): what
+    /// a journalled `add_campaign` records.
     pub(crate) fn per_click_parts(&self) -> Option<PerClickParts> {
         match &self.program {
             ProgramSpec::PerClick(bid) => Some(PerClickParts {
@@ -564,6 +600,74 @@ impl KeywordBook {
             .expect("a registered campaign has an engine")
             .bidder_mut(index)
     }
+
+    /// Serves one query on this book's keyword as the auction with
+    /// (1-based) global time `time`.
+    fn serve_at(&mut self, keyword: usize, attrs: &UserAttrs, time: u64) -> AuctionResponse {
+        let Some(engine) = self.engine.as_mut() else {
+            return AuctionResponse {
+                keyword,
+                time,
+                expected_revenue: 0.0,
+                realized_revenue: Money::ZERO,
+                placements: Vec::new(),
+                charges: Vec::new(),
+            };
+        };
+        engine.set_time(time - 1);
+        let report = engine.run_auction((keyword, attrs), &mut self.rng);
+        respond(&self.campaigns, keyword, time, report)
+    }
+
+    /// Serves a run of consecutive queries on this book's keyword as one
+    /// [`AuctionEngine::run_batch`] call starting at global time
+    /// `start_time` (the clock value *before* the first of the queries). A
+    /// campaign-less keyword serves `requests.len()` empty pages without
+    /// touching any engine. The requests are borrowed straight from the
+    /// caller's slice — attributes are never cloned on this path.
+    fn serve_run(&mut self, requests: &[QueryRequest], start_time: u64) -> BatchReport {
+        let Some(engine) = self.engine.as_mut() else {
+            return BatchReport {
+                auctions: requests.len() as u64,
+                ..BatchReport::default()
+            };
+        };
+        engine.set_time(start_time);
+        engine.run_batch(requests, &mut self.rng)
+    }
+
+    /// The durable state of every campaign on this book's keyword, in
+    /// registration order, borrowed from the book and the engine's models;
+    /// [`MarketError::NotDurable`] for a campaign that is not per-click.
+    fn views(&self, keyword: usize) -> impl Iterator<Item = Result<CampaignView<'_>, MarketError>> {
+        // A keyword without an engine has no campaigns.
+        self.engine.iter().flat_map(move |engine| {
+            self.campaigns
+                .iter()
+                .enumerate()
+                .map(move |(row, campaign)| {
+                    let CampaignKind::PerClick {
+                        nominal,
+                        click_value,
+                        roi_target,
+                    } = campaign.kind
+                    else {
+                        return Err(MarketError::NotDurable(campaign.id));
+                    };
+                    Ok(CampaignView {
+                        keyword,
+                        advertiser: campaign.advertiser.index(),
+                        bid_cents: nominal.cents(),
+                        click_value_cents: click_value.cents(),
+                        roi_target,
+                        click_probs: engine.clicks().row(row),
+                        purchase_probs: engine.purchases().stored_row(row),
+                        paused: campaign.paused,
+                        targeting: campaign.targeting.as_ref().map(|t| t.source()),
+                    })
+                })
+        })
+    }
 }
 
 /// The 64-bit SplitMix finaliser: a cheap, stable bijective mixer used for
@@ -578,9 +682,9 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 /// Seed of keyword `keyword`'s user-action RNG stream under market seed
 /// `seed`. Every marketplace draws clicks and purchases from one such
 /// stream per keyword, so a keyword's auctions depend only on the queries
-/// on that keyword — which is what makes an unsharded [`Marketplace`] and
-/// a [`crate::sharded::ShardedMarketplace`] of any shard count agree bit
-/// for bit. Exported so reference harnesses can draw from the same streams.
+/// on that keyword — which is what makes marketplaces of every shard count
+/// agree bit for bit. Exported so reference harnesses can draw from the
+/// same streams.
 pub fn keyword_stream_seed(seed: u64, keyword: usize) -> u64 {
     splitmix64(seed ^ splitmix64(keyword as u64 ^ 0x5EED_4B1D_0EC0_FFEE))
 }
@@ -638,8 +742,8 @@ impl crate::engine::EngineQuery for QueryRequest {
 
 // Compile-time audit: the attribute bag (and with it `QueryRequest`) must
 // stay shareable across shard worker threads and cheaply duplicable —
-// `Send + Sync + Clone` — or the sharded fan-out and the wire front-end
-// stop building.
+// `Send + Sync + Clone` — or the `serve_batch` fan-out and the wire
+// front-end stop building.
 const _: () = {
     const fn assert_send_sync_clone<T: Send + Sync + Clone>() {}
     assert_send_sync_clone::<UserAttrs>();
@@ -796,17 +900,19 @@ impl MarketplaceBuilder {
         self
     }
 
-    /// Validates the configuration and constructs a
-    /// [`crate::sharded::ShardedMarketplace`] with `num_shards` shards.
-    pub fn build_sharded(
-        self,
-        num_shards: usize,
-    ) -> Result<crate::sharded::ShardedMarketplace, MarketError> {
-        crate::sharded::ShardedMarketplace::new(self, num_shards)
+    /// Validates the configuration and constructs the marketplace on one
+    /// shard: every `serve_batch` runs on the calling thread.
+    pub fn build(self) -> Result<Marketplace, MarketError> {
+        self.build_sharded(1)
     }
 
-    /// Validates the configuration and constructs the marketplace.
-    pub fn build(self) -> Result<Marketplace, MarketError> {
+    /// Validates the configuration and constructs the marketplace with its
+    /// keywords partitioned across `num_shards` shards (see the
+    /// [module docs](crate::marketplace)).
+    pub fn build_sharded(self, num_shards: usize) -> Result<Marketplace, MarketError> {
+        if num_shards == 0 {
+            return Err(MarketError::NoShards);
+        }
         if self.num_slots == 0 {
             return Err(MarketError::NoSlots);
         }
@@ -827,7 +933,7 @@ impl MarketplaceBuilder {
                 warm_start: self.warm_start,
             },
             num_slots: self.num_slots,
-            num_keywords: self.num_keywords,
+            num_shards,
             advertisers: Vec::new(),
             books: (0..self.num_keywords)
                 .map(|kw| {
@@ -838,6 +944,7 @@ impl MarketplaceBuilder {
             default_purchase_probs: self.default_purchase_probs,
             seed: self.seed,
             clock: 0,
+            journal: None,
         })
     }
 }
@@ -893,8 +1000,7 @@ pub struct MarketSnapshot {
     pub keywords: usize,
     /// Ad slots per results page.
     pub slots: usize,
-    /// Shards the keyword universe is partitioned across (1 for the
-    /// single-threaded facade).
+    /// Shards the keyword universe is partitioned across.
     pub shards: usize,
     /// Total auctions served so far (the global market clock).
     pub auctions: u64,
@@ -908,8 +1014,10 @@ pub struct MarketSnapshot {
 pub struct Marketplace {
     config: EngineConfig,
     num_slots: usize,
-    num_keywords: usize,
+    /// How many partitions `serve_batch` may spread the books over.
+    num_shards: usize,
     advertisers: Vec<String>,
+    /// One book per keyword, indexed by keyword.
     books: Vec<KeywordBook>,
     default_click_probs: Option<Vec<f64>>,
     default_purchase_probs: Option<Vec<(f64, f64)>>,
@@ -917,6 +1025,10 @@ pub struct Marketplace {
     /// build (per-keyword RNG streams are seeded from it).
     seed: u64,
     clock: u64,
+    /// Durability hook: receives every applied mutation and served query
+    /// (see [`crate::journal`]). `None` — the default — costs the hot
+    /// serve path a single branch.
+    journal: Option<Box<dyn MutationJournal>>,
 }
 
 impl Marketplace {
@@ -925,9 +1037,159 @@ impl Marketplace {
         MarketplaceBuilder::default()
     }
 
-    /// Registers an advertiser, returning its handle.
+    // -- durability hook ----------------------------------------------------
+
+    /// Attaches a mutation journal: from now on every successfully applied
+    /// control-plane mutation and every served query is reported to it
+    /// (see [`crate::journal`]). While a journal is attached,
+    /// [`Marketplace::add_campaign`] rejects non-per-click specs with
+    /// [`MarketError::NotDurable`] — they cannot be serialized, so
+    /// accepting one would silently break recovery.
+    pub fn set_journal(&mut self, journal: Box<dyn MutationJournal>) {
+        self.journal = Some(journal);
+    }
+
+    /// Detaches and returns the journal, if one is attached.
+    pub fn take_journal(&mut self) -> Option<Box<dyn MutationJournal>> {
+        self.journal.take()
+    }
+
+    /// Whether a mutation journal is attached.
+    pub fn journal_attached(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    fn record(&mut self, record: &MutationRecord) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.record(record);
+        }
+    }
+
+    // -- durable state capture ----------------------------------------------
+
+    /// Captures the marketplace's complete durable state: configuration,
+    /// advertisers, per-click campaign book, clock, and the exact position
+    /// of every keyword's RNG stream. [`MarketError::NotDurable`] if any
+    /// campaign runs a custom program or fixed table.
+    ///
+    /// [`Marketplace::from_state`] rebuilds a marketplace from the capture
+    /// that serves **bit-identical** auctions from the next query on (held
+    /// tables, revenue matrices and solver scratch are execution state and
+    /// are re-derived with identical outcomes).
+    pub fn capture_state(&self) -> Result<MarketState, MarketError> {
+        let mut campaigns = Vec::with_capacity(self.campaign_count());
+        for campaign in self.campaigns() {
+            campaigns.push(campaign?.to_state());
+        }
+        Ok(MarketState {
+            config: self.config(),
+            advertisers: self.advertisers.clone(),
+            campaigns,
+            clock: self.clock,
+            rng_states: self.rng_states().collect(),
+        })
+    }
+
+    /// Builds the empty marketplace `config` describes — the one function
+    /// that turns a configuration into a marketplace (state restore,
+    /// recovery replay and the serving layer's `Configure` all build
+    /// through it). No journal is attached.
+    pub fn from_config(config: &MarketConfigState) -> Result<Self, MarketError> {
+        let mut builder = Marketplace::builder()
+            .slots(config.slots)
+            .keywords(config.keywords)
+            .seed(config.seed)
+            .method(config.method)
+            .pricing(config.pricing)
+            .pruned(config.pruned)
+            .warm_start(config.warm_start);
+        if let Some(probs) = &config.default_click_probs {
+            builder = builder.default_click_probs(probs.clone());
+        }
+        if let Some(probs) = &config.default_purchase_probs {
+            builder = builder.default_purchase_probs(probs.clone());
+        }
+        builder.build_sharded(config.shards)
+    }
+
+    /// Replaces this marketplace with a fresh build of `config`, carrying
+    /// an attached journal over and journalling the reconfiguration like
+    /// any other operation. A rejected configuration changes nothing.
+    pub fn configure(&mut self, config: MarketConfigState) -> Result<(), MarketError> {
+        let mut fresh = Self::from_config(&config)?;
+        fresh.journal = self.journal.take();
+        *self = fresh;
+        self.record(&MutationRecord::Configure(config));
+        Ok(())
+    }
+
+    /// Rebuilds a marketplace from a [`Marketplace::capture_state`]
+    /// capture; see there for the bit-identity guarantee. The restored
+    /// marketplace has no journal attached.
+    ///
+    /// # Panics
+    ///
+    /// If `state` does not carry exactly one RNG stream per keyword: a
+    /// market restored with a stream missing would serve different clicks.
+    /// `ssa_durable` refuses such a snapshot before it gets here.
+    pub fn from_state(state: &MarketState) -> Result<Self, MarketError> {
+        let mut market = Self::from_config(&state.config)?;
+        assert_eq!(
+            state.rng_states.len(),
+            market.books.len(),
+            "a market state carries one RNG stream per keyword"
+        );
+        for name in &state.advertisers {
+            market.register_advertiser(name.clone());
+        }
+        for campaign in &state.campaigns {
+            let parts = PerClickParts {
+                bid: Money::from_cents(campaign.bid_cents),
+                click_value: Money::from_cents(campaign.click_value_cents),
+                roi_target: campaign.roi_target,
+                click_probs: Some(campaign.click_probs.clone()),
+                purchase_probs: Some(campaign.purchase_probs.clone()),
+                targeting: campaign.targeting.clone(),
+            };
+            let id = market.add_campaign(
+                AdvertiserHandle::from_index(campaign.advertiser),
+                campaign.keyword,
+                parts.into(),
+            )?;
+            if campaign.paused {
+                market.pause_campaign(id)?;
+            }
+        }
+        market.clock = state.clock;
+        for (book, rng_state) in market.books.iter_mut().zip(&state.rng_states) {
+            book.rng = StdRng::from_state(*rng_state);
+        }
+        Ok(market)
+    }
+
+    // -- shape and configuration --------------------------------------------
+
+    /// Number of shards the keyword universe is partitioned across.
+    pub fn num_shards(&self) -> usize {
+        self.num_shards
+    }
+
+    /// The shard owning `keyword`; see [`shard_of_keyword`].
+    pub fn shard_of(&self, keyword: usize) -> usize {
+        shard_of_keyword(keyword, self.num_shards)
+    }
+
+    /// Registers an advertiser, returning its handle. Handles are global:
+    /// an advertiser can open campaigns on any keyword, whichever shard
+    /// owns it.
     pub fn register_advertiser(&mut self, name: impl Into<String>) -> AdvertiserHandle {
-        self.advertisers.push(name.into());
+        let name = name.into();
+        if self.journal.is_some() {
+            self.advertisers.push(name.clone());
+            self.record(&MutationRecord::RegisterAdvertiser { name });
+        } else {
+            self.advertisers.push(name);
+        }
         AdvertiserHandle(self.advertisers.len() - 1)
     }
 
@@ -951,7 +1213,7 @@ impl Marketplace {
 
     /// Size of the keyword universe.
     pub fn num_keywords(&self) -> usize {
-        self.num_keywords
+        self.books.len()
     }
 
     /// Number of campaigns registered on a keyword.
@@ -1027,71 +1289,6 @@ impl Marketplace {
         self.clock
     }
 
-    /// The seed the marketplace was built with (user-action randomness).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    // -- durable state capture (crate-internal; the public surface is
-    // `ShardedMarketplace::capture_state` / `from_state`) ------------------
-
-    /// Builder-level default click model, if one was configured.
-    pub(crate) fn default_click_probs(&self) -> Option<&Vec<f64>> {
-        self.default_click_probs.as_ref()
-    }
-
-    /// Builder-level default purchase model, if one was configured.
-    pub(crate) fn default_purchase_probs(&self) -> Option<&Vec<(f64, f64)>> {
-        self.default_purchase_probs.as_ref()
-    }
-
-    /// The durable state of every campaign on `keyword`, in registration
-    /// order, borrowed from the book and the keyword engine's models;
-    /// [`MarketError::NotDurable`] for a campaign that is not per-click.
-    pub(crate) fn campaign_views(
-        &self,
-        keyword: usize,
-    ) -> impl Iterator<Item = Result<crate::state::CampaignView<'_>, MarketError>> {
-        let book = &self.books[keyword];
-        // A keyword without an engine has no campaigns.
-        book.engine.iter().flat_map(move |engine| {
-            book.campaigns
-                .iter()
-                .enumerate()
-                .map(move |(row, campaign)| {
-                    let CampaignKind::PerClick {
-                        nominal,
-                        click_value,
-                        roi_target,
-                    } = campaign.kind
-                    else {
-                        return Err(MarketError::NotDurable(campaign.id));
-                    };
-                    Ok(crate::state::CampaignView {
-                        keyword,
-                        advertiser: campaign.advertiser.index(),
-                        bid_cents: nominal.cents(),
-                        click_value_cents: click_value.cents(),
-                        roi_target,
-                        click_probs: engine.clicks().row(row),
-                        purchase_probs: engine.purchases().stored_row(row),
-                        paused: campaign.paused,
-                        targeting: campaign.targeting.as_ref().map(|t| t.source()),
-                    })
-                })
-        })
-    }
-
-    /// Exact stream position of a keyword's user-action RNG.
-    pub(crate) fn rng_state(&self, keyword: usize) -> [u64; 4] {
-        self.books[keyword].rng.state()
-    }
-
-    /// Rewinds a keyword's user-action RNG to a captured stream position.
-    pub(crate) fn set_rng_state(&mut self, keyword: usize, state: [u64; 4]) {
-        self.books[keyword].rng = StdRng::from_state(state);
-    }
-
     /// Total campaigns registered across every keyword.
     pub fn num_campaigns_total(&self) -> usize {
         self.books.iter().map(|b| b.campaigns.len()).sum()
@@ -1102,20 +1299,20 @@ impl Marketplace {
         MarketSnapshot {
             advertisers: self.advertisers.len(),
             campaigns: self.num_campaigns_total(),
-            keywords: self.num_keywords,
+            keywords: self.books.len(),
             slots: self.num_slots,
-            shards: 1,
+            shards: self.num_shards,
             auctions: self.clock,
         }
     }
 
     fn check_keyword(&self, keyword: usize) -> Result<usize, MarketError> {
-        if keyword < self.num_keywords {
+        if keyword < self.books.len() {
             Ok(keyword)
         } else {
             Err(MarketError::UnknownKeyword {
                 keyword,
-                num_keywords: self.num_keywords,
+                num_keywords: self.books.len(),
             })
         }
     }
@@ -1144,10 +1341,25 @@ impl Marketplace {
         keyword: usize,
         spec: CampaignSpec,
     ) -> Result<CampaignId, MarketError> {
+        let keyword = self.check_keyword(keyword)?;
+        // Extract the journalable parts *before* the spec is consumed; a
+        // spec the journal cannot represent is rejected up front so the
+        // market and its journal never diverge.
+        let journalled = if self.journal.is_some() {
+            let next = CampaignId {
+                keyword,
+                index: self.books[keyword].campaigns.len(),
+            };
+            Some(
+                spec.per_click_parts()
+                    .ok_or(MarketError::NotDurable(next))?,
+            )
+        } else {
+            None
+        };
         if advertiser.0 >= self.advertisers.len() {
             return Err(MarketError::UnknownAdvertiser(advertiser));
         }
-        let keyword = self.check_keyword(keyword)?;
         let click_probs = spec
             .click_probs
             .as_deref()
@@ -1179,7 +1391,7 @@ impl Marketplace {
             None => None,
         };
 
-        let (config, num_slots, num_keywords) = (self.config, self.num_slots, self.num_keywords);
+        let (config, num_slots, num_keywords) = (self.config, self.num_slots, self.books.len());
         let book = &mut self.books[keyword];
         let id = CampaignId {
             keyword,
@@ -1226,6 +1438,18 @@ impl Marketplace {
         if matches!(kind, CampaignKind::PerClick { .. }) {
             self.refresh_per_click(id);
         }
+        if let Some(parts) = journalled {
+            self.record(&MutationRecord::AddCampaign {
+                advertiser: advertiser.index() as u64,
+                keyword: keyword as u64,
+                bid_cents: parts.bid.cents(),
+                click_value_cents: parts.click_value.cents(),
+                roi_target: parts.roi_target,
+                click_probs: parts.click_probs,
+                purchase_probs: parts.purchase_probs,
+                targeting: parts.targeting,
+            });
+        }
         Ok(id)
     }
 
@@ -1258,6 +1482,11 @@ impl Marketplace {
             _ => return Err(MarketError::NotIncremental(id)),
         }
         self.refresh_per_click(id);
+        self.record(&MutationRecord::UpdateBid {
+            keyword: id.keyword as u64,
+            index: id.index as u64,
+            bid_cents: bid.cents(),
+        });
         Ok(())
     }
 
@@ -1282,6 +1511,11 @@ impl Marketplace {
             _ => return Err(MarketError::NotIncremental(id)),
         }
         self.refresh_per_click(id);
+        self.record(&MutationRecord::SetRoiTarget {
+            keyword: id.keyword as u64,
+            index: id.index as u64,
+            target,
+        });
         Ok(())
     }
 
@@ -1289,12 +1523,22 @@ impl Marketplace {
     /// matching, can never be displayed) until resumed. Works for every
     /// campaign kind and never rebuilds the engine.
     pub fn pause_campaign(&mut self, id: CampaignId) -> Result<(), MarketError> {
-        self.set_paused(id, true)
+        self.set_paused(id, true)?;
+        self.record(&MutationRecord::PauseCampaign {
+            keyword: id.keyword as u64,
+            index: id.index as u64,
+        });
+        Ok(())
     }
 
     /// Resumes a paused campaign.
     pub fn resume_campaign(&mut self, id: CampaignId) -> Result<(), MarketError> {
-        self.set_paused(id, false)
+        self.set_paused(id, false)?;
+        self.record(&MutationRecord::ResumeCampaign {
+            keyword: id.keyword as u64,
+            index: id.index as u64,
+        });
+        Ok(())
     }
 
     fn set_paused(&mut self, id: CampaignId, paused: bool) -> Result<(), MarketError> {
@@ -1371,40 +1615,19 @@ impl Marketplace {
     // -- query serving ------------------------------------------------------
 
     /// Serves one query end to end (program evaluation, winner
-    /// determination, user action, pricing, program notification) and
-    /// returns the fully typed outcome.
+    /// determination, user action, pricing, program notification) on the
+    /// calling thread and returns the fully typed outcome.
     pub fn serve(&mut self, request: QueryRequest) -> Result<AuctionResponse, MarketError> {
         let keyword = self.check_keyword(request.keyword)?;
         self.clock += 1;
-        Ok(self.serve_at(keyword, &request.attrs, self.clock))
-    }
-
-    /// Serves one query on an already-checked `keyword` as the auction
-    /// with (1-based) global time `time`, leaving the market clock alone.
-    ///
-    /// Shard support: [`crate::sharded::ShardedMarketplace`] owns the
-    /// global clock itself and aligns each shard-resident marketplace to
-    /// it per query, so bidders observe market-wide time.
-    pub(crate) fn serve_at(
-        &mut self,
-        keyword: usize,
-        attrs: &UserAttrs,
-        time: u64,
-    ) -> AuctionResponse {
-        let book = &mut self.books[keyword];
-        let Some(engine) = book.engine.as_mut() else {
-            return AuctionResponse {
-                keyword,
-                time,
-                expected_revenue: 0.0,
-                realized_revenue: Money::ZERO,
-                placements: Vec::new(),
-                charges: Vec::new(),
-            };
-        };
-        engine.set_time(time - 1);
-        let report = engine.run_auction((keyword, attrs), &mut book.rng);
-        respond(&book.campaigns, keyword, time, report)
+        let response = self.books[keyword].serve_at(keyword, &request.attrs, self.clock);
+        if self.journal.is_some() {
+            self.record(&MutationRecord::Serve {
+                keyword: keyword as u64,
+                attrs: request.attrs,
+            });
+        }
+        Ok(response)
     }
 
     /// Serves a stream of queries through the persistent per-keyword
@@ -1413,8 +1636,16 @@ impl Marketplace {
     /// The stream is split into maximal same-keyword chunks; each chunk is
     /// one [`AuctionEngine::run_batch`] call, so consecutive queries on the
     /// same keyword reuse one revenue matrix and one solver scratch with no
-    /// per-query allocation. Auction order (and therefore each keyword's
-    /// RNG stream) is exactly the order of `requests`.
+    /// per-query allocation. A chunk's auctions carry the global clock
+    /// values of their stream positions.
+    ///
+    /// When the chunks fall in one shard — always, on one shard — they run
+    /// on the calling thread in stream order. Otherwise every shard with
+    /// work runs its chunks, in stream order, on a [`std::thread::scope`]
+    /// worker holding that shard's keyword books. Per-chunk reports are
+    /// merged **in stream order** either way, so the aggregate — including
+    /// the floating-point `expected_revenue` sums — is bit-identical at
+    /// every shard count.
     pub fn serve_batch(
         &mut self,
         requests: &[QueryRequest],
@@ -1422,11 +1653,8 @@ impl Marketplace {
         for request in requests {
             self.check_keyword(request.keyword)?;
         }
-        let mut out = MarketBatchReport {
-            total: BatchReport::default(),
-            per_keyword: vec![BatchReport::default(); self.num_keywords],
-            chunks: 0,
-        };
+        let mut chunks = Vec::new();
+        let mut time = self.clock;
         let mut i = 0;
         while i < requests.len() {
             let keyword = requests[i].keyword;
@@ -1434,44 +1662,155 @@ impl Marketplace {
             while j < requests.len() && requests[j].keyword == keyword {
                 j += 1;
             }
-            let chunk = self.serve_run_at(&requests[i..j], self.clock);
-            self.clock += (j - i) as u64;
-            out.per_keyword[keyword].absorb(&chunk);
-            out.total.absorb(&chunk);
-            out.chunks += 1;
+            chunks.push(Chunk {
+                keyword,
+                requests: &requests[i..j],
+                start_time: time,
+            });
+            time += (j - i) as u64;
             i = j;
+        }
+        self.clock = time;
+
+        let num_shards = self.num_shards;
+        let shard = |c: &Chunk| shard_of_keyword(c.keyword, num_shards);
+        let one_shard = num_shards == 1
+            || chunks
+                .windows(2)
+                .all(|pair| shard(&pair[0]) == shard(&pair[1]));
+        // One report per chunk, in stream order.
+        let reports: Vec<BatchReport> = if one_shard {
+            chunks
+                .iter()
+                .map(|c| self.books[c.keyword].serve_run(c.requests, c.start_time))
+                .collect()
+        } else {
+            self.fan_out(&chunks)
+        };
+
+        let mut out = MarketBatchReport {
+            total: BatchReport::default(),
+            per_keyword: vec![BatchReport::default(); self.books.len()],
+            chunks: chunks.len() as u64,
+        };
+        for (chunk, report) in chunks.iter().zip(&reports) {
+            out.per_keyword[chunk.keyword].absorb(report);
+            out.total.absorb(report);
+        }
+        if self.journal.is_some() {
+            let queries = requests
+                .iter()
+                .map(|r| (r.keyword as u64, r.attrs.clone()))
+                .collect();
+            self.record(&MutationRecord::ServeBatch { queries });
         }
         Ok(out)
     }
 
-    /// Serves a run of consecutive same-keyword queries (already checked)
-    /// as one [`AuctionEngine::run_batch`] call starting at global time
-    /// `start_time` (the clock value *before* the first of the queries),
-    /// leaving the market clock alone. A campaign-less keyword serves
-    /// `requests.len()` empty pages without touching any engine.
-    ///
-    /// This is the chunk primitive both [`Marketplace::serve_batch`] and
-    /// the sharded fan-out build on. The requests are borrowed straight
-    /// from the caller's slice — attributes are never cloned on this path.
-    pub(crate) fn serve_run_at(
-        &mut self,
-        requests: &[QueryRequest],
-        start_time: u64,
-    ) -> BatchReport {
-        let keyword = requests[0].keyword;
-        debug_assert!(
-            requests.iter().all(|r| r.keyword == keyword),
-            "serve_run_at takes one same-keyword run"
-        );
-        let book = &mut self.books[keyword];
-        let Some(engine) = book.engine.as_mut() else {
-            return BatchReport {
-                auctions: requests.len() as u64,
-                ..BatchReport::default()
-            };
-        };
-        engine.set_time(start_time);
-        engine.run_batch(requests, &mut book.rng)
+    /// Runs `chunks` with one scoped worker per shard that has any, each
+    /// holding the disjoint `&mut` books of its shard, and returns the
+    /// reports in chunk order.
+    fn fan_out(&mut self, chunks: &[Chunk]) -> Vec<BatchReport> {
+        let num_shards = self.num_shards;
+        let mut shards: Vec<ShardWork> = (0..num_shards).map(|_| ShardWork::default()).collect();
+        for (keyword, book) in self.books.iter_mut().enumerate() {
+            shards[shard_of_keyword(keyword, num_shards)]
+                .books
+                .push((keyword, book));
+        }
+        for (at, chunk) in chunks.iter().enumerate() {
+            shards[shard_of_keyword(chunk.keyword, num_shards)]
+                .chunks
+                .push(at);
+        }
+        let mut reports = vec![BatchReport::default(); chunks.len()];
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = shards
+                .into_iter()
+                .filter(|shard| !shard.chunks.is_empty())
+                .map(|mut shard| {
+                    scope.spawn(move || {
+                        let serve = |at: usize| {
+                            let chunk = &chunks[at];
+                            let book = shard
+                                .books
+                                .binary_search_by_key(&chunk.keyword, |(keyword, _)| *keyword)
+                                .expect("a shard holds the books of its keywords");
+                            let book = &mut shard.books[book].1;
+                            (at, book.serve_run(chunk.requests, chunk.start_time))
+                        };
+                        shard.chunks.iter().copied().map(serve).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for worker in workers {
+                for (at, report) in worker.join().expect("shard worker panicked") {
+                    reports[at] = report;
+                }
+            }
+        });
+        reports
+    }
+}
+
+/// One shard's share of a [`Marketplace::fan_out`].
+#[derive(Default)]
+struct ShardWork<'a> {
+    /// The shard's books with their keywords, ascending by keyword.
+    books: Vec<(usize, &'a mut KeywordBook)>,
+    /// Positions of the shard's chunks, ascending: stream order.
+    chunks: Vec<usize>,
+}
+
+/// One maximal same-keyword run of a request stream: the typed requests
+/// (keyword *and* user attributes) borrowed from the caller's slice.
+#[derive(Debug, Clone, Copy)]
+struct Chunk<'a> {
+    keyword: usize,
+    requests: &'a [QueryRequest],
+    /// Global clock value before the chunk's first query.
+    start_time: u64,
+}
+
+/// The live marketplace read in place: what [`Marketplace::capture_state`]
+/// copies, without the copy.
+impl StateSource for Marketplace {
+    fn config(&self) -> MarketConfigState {
+        MarketConfigState {
+            slots: self.num_slots,
+            keywords: self.books.len(),
+            seed: self.seed,
+            method: self.config.method,
+            pricing: self.config.pricing,
+            shards: self.num_shards,
+            pruned: self.config.pruned,
+            warm_start: self.config.warm_start,
+            default_click_probs: self.default_click_probs.clone(),
+            default_purchase_probs: self.default_purchase_probs.clone(),
+        }
+    }
+
+    fn advertisers(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.advertisers.iter().map(String::as_str)
+    }
+
+    fn campaign_count(&self) -> usize {
+        self.num_campaigns_total()
+    }
+
+    fn campaigns(&self) -> impl Iterator<Item = Result<CampaignView<'_>, MarketError>> {
+        self.books
+            .iter()
+            .enumerate()
+            .flat_map(|(keyword, book)| book.views(keyword))
+    }
+
+    fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    fn rng_states(&self) -> impl ExactSizeIterator<Item = [u64; 4]> {
+        self.books.iter().map(|book| book.rng.state())
     }
 }
 
@@ -1846,5 +2185,287 @@ mod tests {
         assert_eq!(response.placements[0].campaign, c3);
         assert_eq!(market.num_campaigns(0).unwrap(), 3);
         assert_eq!(market.current_bid(c1).unwrap(), Money::from_cents(2));
+    }
+
+    // -- one market at every shard count --------------------------------------
+
+    fn builder(keywords: usize) -> MarketplaceBuilder {
+        Marketplace::builder()
+            .slots(2)
+            .keywords(keywords)
+            .seed(99)
+            .default_click_probs(vec![0.7, 0.35])
+    }
+
+    /// Two advertisers, one campaign per keyword each.
+    fn populate(market: &mut Marketplace) -> Vec<CampaignId> {
+        let a = market.register_advertiser("a");
+        let b = market.register_advertiser("b");
+        let mut ids = Vec::new();
+        for kw in 0..market.num_keywords() {
+            for (advertiser, cents) in [(a, 10 + kw as i64), (b, 4 + 2 * kw as i64)] {
+                let spec = CampaignSpec::per_click(Money::from_cents(cents));
+                ids.push(market.add_campaign(advertiser, kw, spec).expect("accepted"));
+            }
+        }
+        ids
+    }
+
+    fn populated(keywords: usize, shards: usize) -> (Marketplace, Vec<CampaignId>) {
+        let mut market = builder(keywords).build_sharded(shards).expect("valid");
+        let ids = populate(&mut market);
+        (market, ids)
+    }
+
+    fn mixed_stream(keywords: usize, len: usize) -> Vec<QueryRequest> {
+        let mut state = 0xD15EA5Eu64;
+        (0..len)
+            .map(|_| {
+                state = splitmix64(state);
+                QueryRequest::new((state % keywords as u64) as usize)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn zero_shards_is_a_typed_error() {
+        assert_eq!(
+            builder(4).build_sharded(0).err(),
+            Some(MarketError::NoShards)
+        );
+    }
+
+    #[test]
+    fn build_is_one_shard() {
+        let market = builder(4).build().expect("valid");
+        assert_eq!(market.num_shards(), 1);
+        assert_eq!(market.snapshot().shards, 1);
+        let (market, _) = populated(16, 5);
+        assert_eq!(market.num_shards(), 5);
+        for kw in 0..16 {
+            assert_eq!(market.shard_of(kw), shard_of_keyword(kw, 5));
+        }
+    }
+
+    #[test]
+    fn serve_is_shard_invariant() {
+        for shards in [2, 4, 7] {
+            let (mut sharded, _) = populated(9, shards);
+            let (mut plain, _) = populated(9, 1);
+            for (t, request) in mixed_stream(9, 60).into_iter().enumerate() {
+                let got = sharded.serve(request.clone()).expect("keyword in range");
+                let want = plain.serve(request).expect("keyword in range");
+                assert_eq!(got, want, "shards={shards} t={t}");
+            }
+            assert_eq!(sharded.now(), plain.now());
+        }
+    }
+
+    #[test]
+    fn serve_batch_is_shard_invariant() {
+        let requests = mixed_stream(9, 300);
+        let (mut plain, _) = populated(9, 1);
+        let want = plain.serve_batch(&requests).expect("keywords in range");
+        for shards in [2, 4, 7] {
+            let (mut sharded, _) = populated(9, shards);
+            let got = sharded.serve_batch(&requests).expect("keywords in range");
+            assert_eq!(got, want, "shards={shards}");
+            assert_eq!(sharded.now(), 300);
+        }
+    }
+
+    #[test]
+    fn incremental_updates_are_shard_invariant() {
+        let (mut sharded, ids) = populated(6, 4);
+        let (mut plain, plain_ids) = populated(6, 1);
+        assert_eq!(ids, plain_ids);
+        // Warm the engines, then update bids incrementally on both sides.
+        let warm = mixed_stream(6, 24);
+        sharded.serve_batch(&warm).expect("in range");
+        plain.serve_batch(&warm).expect("in range");
+        for (i, &id) in ids.iter().enumerate() {
+            let bid = Money::from_cents(1 + (7 * i % 23) as i64);
+            sharded.update_bid(id, bid).expect("per-click");
+            plain.update_bid(id, bid).expect("per-click");
+            assert_eq!(sharded.current_bid(id).unwrap(), bid);
+        }
+        sharded.pause_campaign(ids[3]).expect("known");
+        plain.pause_campaign(ids[3]).expect("known");
+        assert!(sharded.is_paused(ids[3]).unwrap());
+        for kw in 0..6 {
+            assert_eq!(
+                sharded.top_bids(kw, 8).unwrap(),
+                plain.top_bids(kw, 8).unwrap()
+            );
+        }
+        // Post-update serving still matches, auction for auction.
+        for request in mixed_stream(6, 40) {
+            assert_eq!(
+                sharded.serve(request.clone()).unwrap(),
+                plain.serve(request).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn typed_errors_do_not_depend_on_the_shard_count() {
+        let (mut m, _) = populated(4, 2);
+        assert!(matches!(
+            m.serve(QueryRequest::new(99)),
+            Err(MarketError::UnknownKeyword { keyword: 99, .. })
+        ));
+        assert!(matches!(
+            m.serve_batch(&[QueryRequest::new(0), QueryRequest::new(44)]),
+            Err(MarketError::UnknownKeyword { keyword: 44, .. })
+        ));
+        let ghost = CampaignId::new(99, 0);
+        assert_eq!(
+            m.update_bid(ghost, Money::ZERO),
+            Err(MarketError::UnknownCampaign(ghost))
+        );
+        assert_eq!(
+            m.current_bid(ghost),
+            Err(MarketError::UnknownCampaign(ghost))
+        );
+    }
+
+    /// Test journal: records into a shared Vec so the test can inspect
+    /// what the marketplace reported.
+    #[derive(Debug, Default, Clone)]
+    struct VecJournal(std::sync::Arc<std::sync::Mutex<Vec<MutationRecord>>>);
+
+    impl MutationJournal for VecJournal {
+        fn record(&mut self, record: &MutationRecord) {
+            self.0.lock().unwrap().push(record.clone());
+        }
+    }
+
+    #[test]
+    fn capture_state_round_trips_bit_identically() {
+        for shards in [1, 2, 4] {
+            let (mut live, ids) = populated(9, shards);
+            // Advance mid-stream: every RNG stream and the clock move.
+            live.serve_batch(&mixed_stream(9, 120)).expect("in range");
+            live.update_bid(ids[2], Money::from_cents(77)).unwrap();
+            live.pause_campaign(ids[5]).unwrap();
+            live.set_roi_target(ids[0], Some(1.5)).unwrap();
+
+            let state = live.capture_state().expect("per-click campaigns only");
+            let mut restored = Marketplace::from_state(&state).expect("valid state");
+
+            assert_eq!(restored.now(), live.now());
+            assert_eq!(restored.snapshot(), live.snapshot());
+            for kw in 0..9 {
+                assert_eq!(
+                    restored.top_bids(kw, 8).unwrap(),
+                    live.top_bids(kw, 8).unwrap()
+                );
+            }
+            for &id in &ids {
+                assert_eq!(restored.current_bid(id), live.current_bid(id));
+                assert_eq!(restored.is_paused(id), live.is_paused(id));
+            }
+            // Future auctions are bit-identical: same winners, clicks,
+            // purchases, and charges.
+            for (t, request) in mixed_stream(9, 80).into_iter().enumerate() {
+                let want = live.serve(request.clone()).expect("in range");
+                let got = restored.serve(request).expect("in range");
+                assert_eq!(got, want, "shards={shards} t={t}");
+            }
+            // And the re-captured state matches a fresh capture exactly.
+            assert_eq!(
+                restored.capture_state().unwrap(),
+                live.capture_state().unwrap()
+            );
+        }
+    }
+
+    /// A journal replays into the same market — attached to a market from
+    /// `build()` as well as to one from `build_sharded(3)`.
+    #[test]
+    fn journal_replay_reproduces_the_market() {
+        let builds: [fn() -> Marketplace; 2] = [
+            || builder(6).build().expect("valid"),
+            || builder(6).build_sharded(3).expect("valid"),
+        ];
+        for build in builds {
+            let journal = VecJournal::default();
+            let mut live = build();
+            live.set_journal(Box::new(journal.clone()));
+            assert!(live.journal_attached());
+
+            let ids = populate(&mut live);
+            for request in mixed_stream(6, 30) {
+                live.serve(request).expect("in range");
+            }
+            live.update_bid(ids[1], Money::from_cents(3)).unwrap();
+            live.pause_campaign(ids[4]).unwrap();
+            live.serve_batch(&mixed_stream(6, 40)).expect("in range");
+            live.resume_campaign(ids[4]).unwrap();
+            live.set_roi_target(ids[2], Some(2.0)).unwrap();
+            live.set_roi_target(ids[2], None).unwrap();
+
+            // Replay the journal into a fresh market of the same build.
+            let mut replayed = build();
+            for record in journal.0.lock().unwrap().iter() {
+                crate::journal::apply(&mut replayed, record.clone())
+                    .expect("replay applies cleanly");
+            }
+            assert_eq!(replayed.now(), live.now());
+            assert_eq!(
+                replayed.capture_state().unwrap(),
+                live.capture_state().unwrap()
+            );
+            // Journaled serves replayed the RNG streams to the same position:
+            // the next auctions agree bit for bit.
+            for request in mixed_stream(6, 25) {
+                assert_eq!(
+                    replayed.serve(request.clone()).unwrap(),
+                    live.serve(request).unwrap()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn journalled_markets_reject_non_durable_campaigns() {
+        let table = || CampaignSpec::table(BidsTable::single_feature(Money::from_cents(2)));
+        let mut m = builder(4).build_sharded(2).expect("valid");
+        m.set_journal(Box::new(VecJournal::default()));
+        let a = m.register_advertiser("a");
+        let err = m
+            .add_campaign(a, 1, table())
+            .expect_err("table campaigns are not durable");
+        assert!(matches!(err, MarketError::NotDurable(_)), "{err:?}");
+        // The rejection was a pure no-op.
+        assert_eq!(m.num_campaigns(1).unwrap(), 0);
+        // Without a journal the same spec is accepted.
+        let mut free = builder(4).build_sharded(2).expect("valid");
+        let a = free.register_advertiser("a");
+        free.add_campaign(a, 1, table())
+            .expect("accepted without a journal");
+        // But capture then refuses: the campaign cannot be serialized.
+        assert!(matches!(
+            free.capture_state(),
+            Err(MarketError::NotDurable(_))
+        ));
+    }
+
+    #[test]
+    fn advertisers_are_global() {
+        for shards in [1, 3] {
+            let (mut m, _) = populated(6, shards);
+            assert_eq!(m.num_advertisers(), 2);
+            let c = m.register_advertiser("late");
+            assert_eq!(m.advertiser_name(c).unwrap(), "late");
+            // One `String` per registration, whatever the shard count.
+            assert_eq!(m.snapshot().advertisers, 3);
+            assert_eq!(m.advertisers, ["a", "b", "late"]);
+            // The new advertiser can open campaigns on any shard's keywords.
+            for kw in 0..6 {
+                m.add_campaign(c, kw, CampaignSpec::per_click(Money::from_cents(2)))
+                    .expect("accepted on every shard");
+            }
+        }
     }
 }

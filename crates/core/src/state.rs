@@ -1,12 +1,12 @@
 //! Full-fidelity marketplace state capture for the durability layer.
 //!
 //! [`MarketState`] is everything needed to rebuild a
-//! [`crate::sharded::ShardedMarketplace`] **bit-identically**: the build
+//! [`crate::marketplace::Marketplace`] **bit-identically**: the build
 //! configuration, the advertiser roster, every per-click campaign's
 //! nominal bid state, the global clock, and the exact stream position of
 //! each keyword's user-action RNG. It is produced by
-//! [`crate::sharded::ShardedMarketplace::capture_state`] and consumed by
-//! [`crate::sharded::ShardedMarketplace::from_state`]; the `ssa_durable`
+//! [`crate::marketplace::Marketplace::capture_state`] and consumed by
+//! [`crate::marketplace::Marketplace::from_state`]; the `ssa_durable`
 //! crate serializes it as the snapshot half of its snapshot + WAL scheme —
 //! reading it through [`StateSource`], which the live marketplace
 //! implements too, so a snapshot is written from the marketplace in place
@@ -36,7 +36,7 @@ use crate::engine::WdMethod;
 use crate::marketplace::MarketError;
 use crate::pricing::PricingScheme;
 
-/// The build-time configuration of a sharded marketplace, as needed to
+/// The build-time configuration of a marketplace, as needed to
 /// reconstruct it via [`crate::marketplace::MarketplaceBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarketConfigState {
@@ -206,7 +206,7 @@ impl CampaignView<'_> {
 }
 
 /// Where a snapshot's content comes from: a captured [`MarketState`], or
-/// the live [`crate::sharded::ShardedMarketplace`] read in place. Both
+/// the live [`crate::marketplace::Marketplace`] read in place. Both
 /// yield the same sequence — campaigns keyword-major in registration
 /// order — so the one snapshot encoder (`ssa_durable`) writes the same
 /// bytes from either.
@@ -227,7 +227,7 @@ pub trait StateSource {
 }
 
 /// A complete, bit-identical checkpoint of a
-/// [`crate::sharded::ShardedMarketplace`].
+/// [`crate::marketplace::Marketplace`].
 ///
 /// Campaigns appear grouped by keyword in ascending keyword order and, within
 /// a keyword, in registration order — replaying them through
@@ -243,7 +243,7 @@ pub struct MarketState {
     /// Global market clock: auctions served so far.
     pub clock: u64,
     /// Exact xoshiro256** state of each keyword's user-action RNG stream,
-    /// indexed by keyword (read from the owning shard).
+    /// indexed by keyword: exactly one per keyword of `config`.
     pub rng_states: Vec<[u64; 4]>,
 }
 

@@ -110,51 +110,50 @@ fn builder(s: &Scenario) -> MarketplaceBuilder {
         )
 }
 
-/// Populates a market through the closure-based control plane so the same
-/// code drives both `Marketplace` and `ShardedMarketplace`.
-macro_rules! populate {
-    ($market:expr, $s:expr) => {{
-        let mut handles = Vec::new();
-        for adv in 0..9 {
-            handles.push($market.register_advertiser(format!("adv-{adv}")));
-        }
-        let mut ids = Vec::new();
-        for &(adv, kw, cents) in &$s.campaigns {
-            ids.push(
-                $market
-                    .add_campaign(
-                        handles[adv],
-                        kw,
-                        CampaignSpec::per_click(Money::from_cents(cents)),
-                    )
-                    .expect("campaign accepted"),
-            );
-        }
-        ids
-    }};
+/// Registers the scenario's population, returning the campaign ids in
+/// registration order.
+fn populate(market: &mut Marketplace, s: &Scenario) -> Vec<CampaignId> {
+    let handles: Vec<AdvertiserHandle> = (0..9)
+        .map(|adv| market.register_advertiser(format!("adv-{adv}")))
+        .collect();
+    s.campaigns
+        .iter()
+        .map(|&(adv, kw, cents)| {
+            market
+                .add_campaign(
+                    handles[adv],
+                    kw,
+                    CampaignSpec::per_click(Money::from_cents(cents)),
+                )
+                .expect("campaign accepted")
+        })
+        .collect()
 }
 
 /// Runs the scenario's split stream (updates in the middle) and returns
-/// both halves' aggregate reports plus every per-query response.
-macro_rules! run_scenario {
-    ($market:expr, $s:expr, $ids:expr) => {{
-        let mid = $s.stream.len() / 2;
-        let first: Vec<QueryRequest> = $s.stream[..mid]
-            .iter()
-            .map(|&k| QueryRequest::new(k))
-            .collect();
-        let a = $market.serve_batch(&first).expect("in range");
-        for &(c, cents) in &$s.updates {
-            $market
-                .update_bid($ids[c], Money::from_cents(cents))
-                .expect("per-click");
-        }
-        let responses: Vec<_> = $s.stream[mid..]
-            .iter()
-            .map(|&k| $market.serve(QueryRequest::new(k)).expect("in range"))
-            .collect();
-        (a, responses)
-    }};
+/// the first half's aggregate report plus every per-query response of the
+/// second.
+fn run_scenario(
+    market: &mut Marketplace,
+    s: &Scenario,
+    ids: &[CampaignId],
+) -> (MarketBatchReport, Vec<AuctionResponse>) {
+    let mid = s.stream.len() / 2;
+    let first: Vec<QueryRequest> = s.stream[..mid]
+        .iter()
+        .map(|&k| QueryRequest::new(k))
+        .collect();
+    let a = market.serve_batch(&first).expect("in range");
+    for &(c, cents) in &s.updates {
+        market
+            .update_bid(ids[c], Money::from_cents(cents))
+            .expect("per-click");
+    }
+    let responses = s.stream[mid..]
+        .iter()
+        .map(|&k| market.serve(QueryRequest::new(k)).expect("in range"))
+        .collect();
+    (a, responses)
 }
 
 proptest! {
@@ -167,19 +166,19 @@ proptest! {
     #[test]
     fn pruned_serving_is_bit_identical(s in arb_scenario()) {
         let mut reference = builder(&s).pruned(false).build().expect("valid");
-        let ref_ids = populate!(reference, s);
-        let (want_a, want_rs) = run_scenario!(reference, s, ref_ids);
+        let ref_ids = populate(&mut reference, &s);
+        let (want_a, want_rs) = run_scenario(&mut reference, &s, &ref_ids);
 
         let mut pruned = builder(&s).pruned(true).build().expect("valid");
-        let ids = populate!(pruned, s);
-        let (got_a, got_rs) = run_scenario!(pruned, s, ids);
+        let ids = populate(&mut pruned, &s);
+        let (got_a, got_rs) = run_scenario(&mut pruned, &s, &ids);
         prop_assert_eq!(&got_a, &want_a, "unsharded batch halves");
         prop_assert_eq!(&got_rs, &want_rs, "unsharded per-query");
 
         for shards in SHARD_COUNTS {
             let mut market = builder(&s).pruned(true).build_sharded(shards).expect("valid");
-            let ids = populate!(market, s);
-            let (got_a, got_rs) = run_scenario!(market, s, ids);
+            let ids = populate(&mut market, &s);
+            let (got_a, got_rs) = run_scenario(&mut market, &s, &ids);
             prop_assert_eq!(&got_a, &want_a, "shards={}", shards);
             prop_assert_eq!(&got_rs, &want_rs, "shards={}", shards);
         }
@@ -192,18 +191,18 @@ proptest! {
     #[test]
     fn warm_start_matches_cold_start(s in arb_scenario()) {
         let mut cold = builder(&s).warm_start(false).build().expect("valid");
-        let cold_ids = populate!(cold, s);
-        let (want_a, want_rs) = run_scenario!(cold, s, cold_ids);
+        let cold_ids = populate(&mut cold, &s);
+        let (want_a, want_rs) = run_scenario(&mut cold, &s, &cold_ids);
 
         let mut warm = builder(&s).warm_start(true).build().expect("valid");
-        let ids = populate!(warm, s);
-        let (got_a, got_rs) = run_scenario!(warm, s, ids);
+        let ids = populate(&mut warm, &s);
+        let (got_a, got_rs) = run_scenario(&mut warm, &s, &ids);
         prop_assert_eq!(&got_a, &want_a, "warm batch halves");
         prop_assert_eq!(&got_rs, &want_rs, "warm per-query");
 
         let mut both = builder(&s).warm_start(true).pruned(true).build().expect("valid");
-        let ids = populate!(both, s);
-        let (got_a, got_rs) = run_scenario!(both, s, ids);
+        let ids = populate(&mut both, &s);
+        let (got_a, got_rs) = run_scenario(&mut both, &s, &ids);
         prop_assert_eq!(&got_a, &want_a, "warm+pruned batch halves");
         prop_assert_eq!(&got_rs, &want_rs, "warm+pruned per-query");
     }
@@ -313,7 +312,7 @@ fn pruned_warm_matches_unpruned_cold_at_issue_sizes() {
 use ssa_bidlang::targeting::UserAttrs;
 use ssa_bidlang::BidsTable;
 use ssa_core::marketplace::{AuctionResponse, MarketBatchReport};
-use ssa_core::{AdvertiserHandle, CampaignId, MarketError, PricingScheme, ShardedMarketplace};
+use ssa_core::{AdvertiserHandle, CampaignId, PricingScheme};
 
 const MOBILE_ONLY: &str = "device = 'mobile'";
 
@@ -458,83 +457,6 @@ fn arb_mixed() -> impl Strategy<Value = MixedScenario> {
     )
 }
 
-/// The control and serving surface `Marketplace` and `ShardedMarketplace`
-/// share by name.
-trait Market {
-    fn register(&mut self, name: String) -> AdvertiserHandle;
-    fn add(
-        &mut self,
-        advertiser: AdvertiserHandle,
-        keyword: usize,
-        spec: CampaignSpec,
-    ) -> Result<CampaignId, MarketError>;
-    fn update_bid(&mut self, id: CampaignId, bid: Money) -> Result<(), MarketError>;
-    fn set_roi(&mut self, id: CampaignId, target: Option<f64>) -> Result<(), MarketError>;
-    fn pause(&mut self, id: CampaignId) -> Result<(), MarketError>;
-    fn resume(&mut self, id: CampaignId) -> Result<(), MarketError>;
-    fn warm_start(&mut self, enabled: bool);
-    fn pruned(&mut self, enabled: bool);
-    fn method(&mut self, method: WdMethod);
-    fn pricing(&mut self, pricing: PricingScheme);
-    fn book(&self, keyword: usize) -> Vec<(CampaignId, Money)>;
-    fn serve_one(&mut self, request: QueryRequest) -> AuctionResponse;
-    fn serve_tallied(&mut self, request: QueryRequest) -> MarketBatchReport;
-}
-
-macro_rules! impl_market {
-    ($market:ty) => {
-        impl Market for $market {
-            fn register(&mut self, name: String) -> AdvertiserHandle {
-                self.register_advertiser(name)
-            }
-            fn add(
-                &mut self,
-                advertiser: AdvertiserHandle,
-                keyword: usize,
-                spec: CampaignSpec,
-            ) -> Result<CampaignId, MarketError> {
-                self.add_campaign(advertiser, keyword, spec)
-            }
-            fn update_bid(&mut self, id: CampaignId, bid: Money) -> Result<(), MarketError> {
-                <$market>::update_bid(self, id, bid)
-            }
-            fn set_roi(&mut self, id: CampaignId, target: Option<f64>) -> Result<(), MarketError> {
-                self.set_roi_target(id, target)
-            }
-            fn pause(&mut self, id: CampaignId) -> Result<(), MarketError> {
-                self.pause_campaign(id)
-            }
-            fn resume(&mut self, id: CampaignId) -> Result<(), MarketError> {
-                self.resume_campaign(id)
-            }
-            fn warm_start(&mut self, enabled: bool) {
-                self.set_warm_start(enabled)
-            }
-            fn pruned(&mut self, enabled: bool) {
-                self.set_pruned(enabled)
-            }
-            fn method(&mut self, method: WdMethod) {
-                self.set_method(method)
-            }
-            fn pricing(&mut self, pricing: PricingScheme) {
-                self.set_pricing(pricing)
-            }
-            fn book(&self, keyword: usize) -> Vec<(CampaignId, Money)> {
-                self.top_bids(keyword, usize::MAX).expect("in range")
-            }
-            fn serve_one(&mut self, request: QueryRequest) -> AuctionResponse {
-                self.serve(request).expect("in range")
-            }
-            fn serve_tallied(&mut self, request: QueryRequest) -> MarketBatchReport {
-                self.serve_batch(&[request]).expect("in range")
-            }
-        }
-    };
-}
-
-impl_market!(Marketplace);
-impl_market!(ShardedMarketplace);
-
 /// What the twin and the market under test are compared on.
 #[derive(Debug, Default, PartialEq)]
 struct Run {
@@ -549,6 +471,10 @@ struct Run {
     warm_solves: u64,
 }
 
+fn book(market: &Marketplace, keyword: usize) -> Vec<(CampaignId, Money)> {
+    market.top_bids(keyword, usize::MAX).expect("in range")
+}
+
 fn tally_of(response: &AuctionResponse) -> (f64, u64, u64, u64, Money) {
     let placed = &response.placements;
     (
@@ -560,11 +486,7 @@ fn tally_of(response: &AuctionResponse) -> (f64, u64, u64, u64, Money) {
     )
 }
 
-fn register<M: Market>(
-    market: &mut M,
-    handles: &[AdvertiserHandle],
-    c: &NewCampaign,
-) -> CampaignId {
+fn register(market: &mut Marketplace, handles: &[AdvertiserHandle], c: &NewCampaign) -> CampaignId {
     let bid = Money::from_cents(c.cents);
     let mut spec = if c.fixed_table {
         CampaignSpec::table(BidsTable::single_feature(bid))
@@ -575,7 +497,7 @@ fn register<M: Market>(
         spec = spec.targeting(MOBILE_ONLY);
     }
     market
-        .add(handles[c.advertiser], c.keyword, spec)
+        .add_campaign(handles[c.advertiser], c.keyword, spec)
         .expect("campaign accepted")
 }
 
@@ -583,9 +505,9 @@ fn register<M: Market>(
 /// is built cold and unpruned and stays so) but follows method and pricing
 /// flips, which outcomes depend on; `tallied` serves through `serve_batch`
 /// of one query instead of `serve`.
-fn drive<M: Market>(market: &mut M, s: &MixedScenario, twin: bool, tallied: bool) -> Run {
+fn drive(market: &mut Marketplace, s: &MixedScenario, twin: bool, tallied: bool) -> Run {
     let handles: Vec<AdvertiserHandle> = (0..MIXED_ADVERTISERS)
-        .map(|adv| market.register(format!("adv-{adv}")))
+        .map(|adv| market.register_advertiser(format!("adv-{adv}")))
         .collect();
     // Registration order → (id, current nominal bid).
     let mut ids: Vec<(CampaignId, i64)> = s
@@ -601,7 +523,7 @@ fn drive<M: Market>(market: &mut M, s: &MixedScenario, twin: bool, tallied: bool
                 let request =
                     QueryRequest::with_attrs(*keyword, UserAttrs::new().set_str("device", device));
                 if tallied {
-                    let total = market.serve_tallied(request).total;
+                    let total = market.serve_batch(&[request]).expect("in range").total;
                     run.warm_solves += total.phases.warm_solves;
                     run.tallies.push((
                         total.expected_revenue,
@@ -611,7 +533,7 @@ fn drive<M: Market>(market: &mut M, s: &MixedScenario, twin: bool, tallied: bool
                         total.realized_revenue,
                     ));
                 } else {
-                    let response = market.serve_one(request);
+                    let response = market.serve(request).expect("in range");
                     run.tallies.push(tally_of(&response));
                     run.responses.push(response);
                 }
@@ -632,16 +554,20 @@ fn drive<M: Market>(market: &mut M, s: &MixedScenario, twin: bool, tallied: bool
                 Some(id)
             }
             Op::Pause { campaign } => {
-                market.pause(ids[*campaign].0).expect("known campaign");
+                market
+                    .pause_campaign(ids[*campaign].0)
+                    .expect("known campaign");
                 Some(ids[*campaign].0)
             }
             Op::Resume { campaign } => {
-                market.resume(ids[*campaign].0).expect("known campaign");
+                market
+                    .resume_campaign(ids[*campaign].0)
+                    .expect("known campaign");
                 Some(ids[*campaign].0)
             }
             Op::SetRoi { campaign, target } => {
                 market
-                    .set_roi(ids[*campaign].0, *target)
+                    .set_roi_target(ids[*campaign].0, *target)
                     .expect("per-click");
                 Some(ids[*campaign].0)
             }
@@ -652,31 +578,31 @@ fn drive<M: Market>(market: &mut M, s: &MixedScenario, twin: bool, tallied: bool
             }
             Op::WarmStart(enabled) => {
                 if !twin {
-                    market.warm_start(*enabled);
+                    market.set_warm_start(*enabled);
                 }
                 None
             }
             Op::Pruned(enabled) => {
                 if !twin {
-                    market.pruned(*enabled);
+                    market.set_pruned(*enabled);
                 }
                 None
             }
             Op::Method(method) => {
-                market.method(*method);
+                market.set_method(*method);
                 None
             }
             Op::Pricing(pricing) => {
-                market.pricing(*pricing);
+                market.set_pricing(*pricing);
                 None
             }
         };
         if let Some(id) = touched {
-            run.books.push(market.book(id.keyword()));
+            run.books.push(book(market, id.keyword()));
         }
     }
     run.books
-        .extend((0..s.num_keywords).map(|kw| market.book(kw)));
+        .extend((0..s.num_keywords).map(|kw| book(market, kw)));
     run
 }
 

@@ -1,15 +1,15 @@
 //! Compile-time thread-safety assertions.
 //!
-//! The sharded serving layer moves whole per-shard marketplaces — engines,
-//! boxed solvers, campaign programs, RNGs — onto scoped worker threads, so
-//! these types must stay `Send`. Asserting the bounds here means a future
+//! `serve_batch` hands each shard's keyword books — engines, boxed
+//! solvers, campaign programs, RNGs — to a scoped worker thread, and the
+//! serving layer moves the whole marketplace, attached journal included,
+//! to its executor thread, so these types must stay `Send`. Asserting the bounds here means a future
 //! non-thread-safe field (an `Rc`, a `RefCell` handed across campaigns, a
 //! raw pointer in solver scratch) fails `cargo test` at compile time
 //! instead of surfacing as a trait-bound error deep inside shard
 //! integration.
 
 use ssa_core::marketplace::{AuctionResponse, CampaignSpec, MarketBatchReport, Marketplace};
-use ssa_core::sharded::ShardedMarketplace;
 use ssa_core::{AuctionEngine, BatchReport, SqlProgramBidder, TableBidder};
 use ssa_matching::{HungarianSolver, ParallelReducedSolver, ReducedSolver, WdSolver};
 use ssa_simplex::NetworkSimplexSolver;
@@ -19,8 +19,9 @@ fn assert_sync<T: Sync>() {}
 
 #[test]
 fn marketplaces_are_send() {
+    // The marketplace carries its journal (`Box<dyn MutationJournal>`,
+    // `Send` by supertrait) wherever it goes.
     assert_send::<Marketplace>();
-    assert_send::<ShardedMarketplace>();
     assert_send::<AuctionEngine<TableBidder>>();
     // Campaign specs (and thus their boxed programs) move into the
     // marketplace, which must remain Send afterwards.

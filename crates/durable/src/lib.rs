@@ -126,7 +126,7 @@
 //!             default_click_probs: None,
 //!             default_purchase_probs: None,
 //!         };
-//!         let market = ssa_core::ShardedMarketplace::from_config(&config)?;
+//!         let market = ssa_core::Marketplace::from_config(&config)?;
 //!         dur.log_configure(&config)?;
 //!         market
 //!     }
@@ -228,7 +228,8 @@ pub enum DurableError {
         expected: u32,
     },
     /// The log is damaged in a way a crash cannot explain (bad magic,
-    /// sequence gap, mid-log checksum failure, lost snapshot).
+    /// sequence gap, mid-log checksum failure, lost snapshot, a
+    /// checksum-valid snapshot without one RNG stream per keyword).
     Corrupt(String),
     /// Replaying a record against the marketplace failed — the log
     /// disagrees with the marketplace's own validation, so the log is

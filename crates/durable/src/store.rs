@@ -19,8 +19,7 @@ use std::time::Instant;
 
 use crate::wal::{self, WalWriter, HEADER_LEN};
 use crate::{snapshot, DurableError, FsyncPolicy};
-use ssa_core::sharded::ShardedMarketplace;
-use ssa_core::{MarketConfigState, MutationJournal, MutationRecord};
+use ssa_core::{MarketConfigState, Marketplace, MutationJournal, MutationRecord};
 
 /// What [`recover`] (and [`Durability::open`]) replayed.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +46,7 @@ impl RecoveryReport {
 }
 
 struct Recovered {
-    market: Option<(ShardedMarketplace, RecoveryReport)>,
+    market: Option<(Marketplace, RecoveryReport)>,
     /// Sequence number of the last valid record on disk (snapshot or WAL,
     /// whichever is newer); the next append is `last_seq + 1`.
     last_seq: u64,
@@ -59,7 +58,19 @@ fn recover_inner(dir: &Path) -> Result<Recovered, DurableError> {
     let start = Instant::now();
     let snap = snapshot::load_latest(dir)?;
     let (mut market, base_seq, snapshot_bytes) = match snap {
-        Some((state, seq, bytes)) => (Some(ShardedMarketplace::from_state(&state)?), seq, bytes),
+        Some((state, seq, bytes)) => {
+            // A checksum-valid snapshot is not crash damage. One stream per
+            // keyword or no recovery: a market restored with a stream
+            // missing would come up and serve different clicks.
+            if state.rng_states.len() != state.config.keywords {
+                return Err(DurableError::Corrupt(format!(
+                    "snapshot holds {} RNG streams for {} keywords",
+                    state.rng_states.len(),
+                    state.config.keywords
+                )));
+            }
+            (Some(Marketplace::from_state(&state)?), seq, bytes)
+        }
         None => (None, 0, 0),
     };
     let scan = wal::scan(dir, base_seq)?;
@@ -81,7 +92,7 @@ fn recover_inner(dir: &Path) -> Result<Recovered, DurableError> {
                 ssa_core::journal::apply(market, op)?;
             }
             (None, MutationRecord::Configure(config)) => {
-                market = Some(ShardedMarketplace::from_config(&config)?);
+                market = Some(Marketplace::from_config(&config)?);
             }
             (None, _) => {
                 return Err(DurableError::Corrupt(format!(
@@ -111,7 +122,7 @@ fn recover_inner(dir: &Path) -> Result<Recovered, DurableError> {
 /// records — a fresh start. Read-only: torn tail bytes are *ignored* here
 /// and truncated only when [`Durability::open`] takes over the directory
 /// for writing.
-pub fn recover(dir: &Path) -> Result<Option<(ShardedMarketplace, RecoveryReport)>, DurableError> {
+pub fn recover(dir: &Path) -> Result<Option<(Marketplace, RecoveryReport)>, DurableError> {
     if !dir.is_dir() {
         return Ok(None);
     }
@@ -175,7 +186,7 @@ impl Durability {
         dir: &Path,
         policy: FsyncPolicy,
         snapshot_every: u64,
-    ) -> Result<(Option<(ShardedMarketplace, RecoveryReport)>, Durability), DurableError> {
+    ) -> Result<(Option<(Marketplace, RecoveryReport)>, Durability), DurableError> {
         std::fs::create_dir_all(dir)?;
         let recovered = recover_inner(dir)?;
         let next_seq = recovered.last_seq + 1;
@@ -208,7 +219,7 @@ impl Durability {
     /// Appends a `Configure` record for a marketplace the caller built
     /// from `config` itself (a fresh boot), *before* attaching the journal
     /// to it. A journalled marketplace reconfigured through
-    /// [`ShardedMarketplace::configure`] journals its own.
+    /// [`Marketplace::configure`] journals its own.
     pub fn log_configure(&self, config: &MarketConfigState) -> Result<(), DurableError> {
         let mut inner = self.lock();
         inner.stage(&MutationRecord::Configure(config.clone()));
@@ -259,7 +270,7 @@ impl Durability {
     /// Must be called from the thread that owns `market`, after its
     /// journalled operations completed — so the captured state covers
     /// exactly the records appended so far.
-    pub fn maybe_snapshot(&self, market: &ShardedMarketplace) -> Result<bool, DurableError> {
+    pub fn maybe_snapshot(&self, market: &Marketplace) -> Result<bool, DurableError> {
         {
             let inner = self.lock();
             if inner.snapshot_every == 0 || inner.records_since_snapshot < inner.snapshot_every {
@@ -277,7 +288,7 @@ impl Durability {
     ///
     /// The snapshot body is streamed out of `market` as it stands — no
     /// [`ssa_core::MarketState`] is built.
-    pub fn snapshot_now(&self, market: &ShardedMarketplace) -> Result<(), DurableError> {
+    pub fn snapshot_now(&self, market: &Marketplace) -> Result<(), DurableError> {
         let mut inner = self.lock();
         inner.commit()?;
         if inner.records_since_snapshot == 0 {
@@ -394,20 +405,20 @@ mod tests {
         dir
     }
 
-    fn fresh_market(dur: &Durability, shards: usize) -> ShardedMarketplace {
+    fn fresh_market(dur: &Durability, shards: usize) -> Marketplace {
         let builder = Marketplace::builder()
             .slots(2)
             .keywords(5)
             .seed(99)
             .default_click_probs(vec![0.6, 0.3]);
-        let mut market = ShardedMarketplace::new(builder, shards).unwrap();
+        let mut market = builder.build_sharded(shards).unwrap();
         dur.log_configure(&market.capture_state().unwrap().config)
             .unwrap();
         market.set_journal(dur.journal());
         market
     }
 
-    fn populate(market: &mut ShardedMarketplace) {
+    fn populate(market: &mut Marketplace) {
         let a = market.register_advertiser("a");
         let b = market.register_advertiser("b");
         for kw in 0..5 {
@@ -431,7 +442,7 @@ mod tests {
         }
     }
 
-    fn serve_n(market: &mut ShardedMarketplace, n: usize) {
+    fn serve_n(market: &mut Marketplace, n: usize) {
         for i in 0..n {
             market.serve(QueryRequest::new(i % 5)).unwrap();
         }
@@ -554,7 +565,7 @@ mod tests {
     }
     /// A market exercising every campaign shape a snapshot must carry:
     /// targeted, paused, ROI-capped, purchasing and never-purchasing.
-    fn varied_market(dur: &Durability, shards: usize) -> ShardedMarketplace {
+    fn varied_market(dur: &Durability, shards: usize) -> Marketplace {
         let mut market = fresh_market(dur, shards);
         populate(&mut market);
         let a = market.register_advertiser("targeter");
@@ -626,14 +637,12 @@ mod tests {
         let (_, dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
         let mut market = fresh_market(&dur, 1);
         serve_n(&mut market, 1);
-        let mut free = ShardedMarketplace::new(
-            Marketplace::builder()
-                .slots(1)
-                .keywords(1)
-                .default_click_probs(vec![0.5]),
-            1,
-        )
-        .unwrap();
+        let mut free = Marketplace::builder()
+            .slots(1)
+            .keywords(1)
+            .default_click_probs(vec![0.5])
+            .build()
+            .unwrap();
         let a = free.register_advertiser("a");
         let table = ssa_bidlang::BidsTable::single_feature(Money::from_cents(2));
         free.add_campaign(a, 0, CampaignSpec::table(table))
@@ -710,6 +719,45 @@ mod tests {
         let (recovered, dur) = Durability::open(&dir, FsyncPolicy::Always, 0).unwrap();
         assert_eq!(recovered.unwrap().0.capture_state().unwrap(), acknowledged);
         assert_eq!(dur.wal_records(), 16);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot that passes its checksum but carries fewer or more RNG
+    /// streams than its keywords is refused at open: restoring it would
+    /// succeed and then serve different clicks.
+    #[test]
+    fn a_snapshot_with_the_wrong_number_of_rng_streams_is_refused() {
+        let dir = temp_dir("rngcount");
+        let (_, dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
+        let mut market = fresh_market(&dur, 2);
+        populate(&mut market);
+        serve_n(&mut market, 20);
+        let good = market.capture_state().unwrap();
+        let last_seq = dur.wal_records();
+        drop(dur);
+        assert_eq!(good.rng_states.len(), 5);
+
+        for (count, message) in [
+            (4, "snapshot holds 4 RNG streams for 5 keywords"),
+            (6, "snapshot holds 6 RNG streams for 5 keywords"),
+        ] {
+            let mut state = good.clone();
+            state.rng_states.resize(count, [1, 2, 3, 4]);
+            snapshot::write_snapshot(&dir, last_seq, &state, FsyncPolicy::Off).unwrap();
+            for result in [
+                recover(&dir).map(drop),
+                Durability::open(&dir, FsyncPolicy::Off, 0).map(drop),
+            ] {
+                match result {
+                    Err(DurableError::Corrupt(found)) => assert_eq!(found, message),
+                    other => panic!("{count} streams: expected a refusal, got {other:?}"),
+                }
+            }
+        }
+        // The consistent state in the same place recovers.
+        snapshot::write_snapshot(&dir, last_seq, &good, FsyncPolicy::Off).unwrap();
+        let (back, _) = recover(&dir).unwrap().expect("state persisted");
+        assert_eq!(back.capture_state().unwrap(), good);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,7 +12,6 @@
 use proptest::prelude::*;
 use ssa_bidlang::Money;
 use ssa_core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
-use ssa_core::sharded::ShardedMarketplace;
 use ssa_durable::{recover, Durability, FsyncPolicy};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,18 +99,18 @@ fn temp_dir(tag: &str) -> PathBuf {
     ))
 }
 
-fn build_market(s: &Scenario, shards: usize) -> ShardedMarketplace {
+fn build_market(s: &Scenario, shards: usize) -> Marketplace {
     let builder = Marketplace::builder()
         .slots(s.slots)
         .keywords(s.keywords)
         .seed(s.seed)
         .default_click_probs((0..s.slots).map(|j| 0.7 / (j + 1) as f64).collect());
-    ShardedMarketplace::new(builder, shards).unwrap()
+    builder.build_sharded(shards).unwrap()
 }
 
 /// The fixed prologue every scenario starts from: two advertisers, two
 /// campaigns. Returns the campaign-id list mutation ops index into.
-fn prologue(market: &mut ShardedMarketplace) -> Vec<ssa_core::CampaignId> {
+fn prologue(market: &mut Marketplace) -> Vec<ssa_core::CampaignId> {
     let a = market.register_advertiser("a");
     let b = market.register_advertiser("b");
     vec![
@@ -132,7 +131,7 @@ fn prologue(market: &mut ShardedMarketplace) -> Vec<ssa_core::CampaignId> {
     ]
 }
 
-fn apply_op(market: &mut ShardedMarketplace, ids: &mut Vec<ssa_core::CampaignId>, op: &Op) {
+fn apply_op(market: &mut Marketplace, ids: &mut Vec<ssa_core::CampaignId>, op: &Op) {
     let handles: Vec<_> = (0..market.num_advertisers())
         .map(ssa_core::AdvertiserHandle::from_index)
         .collect();
@@ -251,7 +250,7 @@ proptest! {
 /// A fresh market that applied the operations of the log's first
 /// `persisted` (≥ 1) records: the configure record, then the prologue's
 /// 2 registers + 2 campaigns, then the scenario's ops.
-fn twin_of_prefix(s: &Scenario, persisted: usize) -> ShardedMarketplace {
+fn twin_of_prefix(s: &Scenario, persisted: usize) -> Marketplace {
     let mut want = build_market(s, 2);
     let mut want_ids = Vec::new();
     let steps = persisted - 1; // skip the configure record
@@ -349,11 +348,7 @@ fn a_commit_group_cut_anywhere_recovers_a_whole_record_prefix() {
 }
 
 /// Applies the first `take` (≤ 4) prologue records to a twin market.
-fn replay_prologue(
-    market: &mut ShardedMarketplace,
-    ids: &mut Vec<ssa_core::CampaignId>,
-    take: usize,
-) {
+fn replay_prologue(market: &mut Marketplace, ids: &mut Vec<ssa_core::CampaignId>, take: usize) {
     let mut handles = Vec::new();
     if take >= 1 {
         handles.push(market.register_advertiser("a"));

@@ -9,7 +9,6 @@
 use proptest::prelude::*;
 use ssa_bidlang::Money;
 use ssa_core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
-use ssa_core::sharded::ShardedMarketplace;
 use ssa_core::AdvertiserHandle;
 use ssa_durable::{recover, Durability, FsyncPolicy};
 use std::path::{Path, PathBuf};
@@ -133,17 +132,17 @@ fn temp_dir(tag: &str) -> PathBuf {
     ))
 }
 
-fn build_market(s: &Scenario, shards: usize) -> ShardedMarketplace {
+fn build_market(s: &Scenario, shards: usize) -> Marketplace {
     let builder = Marketplace::builder()
         .slots(s.slots)
         .keywords(s.keywords)
         .seed(s.seed)
         .default_click_probs((0..s.slots).map(|j| 0.75 / (j + 1) as f64).collect())
         .default_purchase_probs((0..s.slots).map(|j| (0.15 / (j + 1) as f64, 0.0)).collect());
-    ShardedMarketplace::new(builder, shards).unwrap()
+    builder.build_sharded(shards).unwrap()
 }
 
-fn prologue(market: &mut ShardedMarketplace, ids: &mut Vec<ssa_core::CampaignId>) {
+fn prologue(market: &mut Marketplace, ids: &mut Vec<ssa_core::CampaignId>) {
     let a = market.register_advertiser("adv-1");
     let b = market.register_advertiser("adv-2");
     ids.push(
@@ -173,7 +172,7 @@ fn records_of(_op: &Op) -> usize {
     1
 }
 
-fn apply_op(market: &mut ShardedMarketplace, ids: &mut Vec<ssa_core::CampaignId>, op: &Op) {
+fn apply_op(market: &mut Marketplace, ids: &mut Vec<ssa_core::CampaignId>, op: &Op) {
     match op {
         Op::Serve(kw) => {
             market.serve(QueryRequest::new(*kw)).unwrap();
@@ -258,7 +257,7 @@ fn first_seq_of(path: &Path) -> u64 {
 /// registered with (explicit zeros for the first), bit for bit.
 #[test]
 fn purchasing_and_never_purchasing_campaigns_round_trip_on_one_keyword() {
-    let run = |market: &mut ShardedMarketplace| {
+    let run = |market: &mut Marketplace| {
         let a = market.register_advertiser("buyer");
         let b = market.register_advertiser("browser");
         let per_click = |cents| CampaignSpec::per_click(Money::from_cents(cents));
@@ -285,13 +284,16 @@ fn purchasing_and_never_purchasing_campaigns_round_trip_on_one_keyword() {
         }
         ids
     };
+    // `build()`: the plain one-shard market journals, captures and
+    // recovers like any other.
     let build = || {
-        let builder = Marketplace::builder()
+        Marketplace::builder()
             .slots(2)
             .keywords(1)
             .seed(99)
-            .default_click_probs(vec![0.75, 0.375]);
-        ShardedMarketplace::new(builder, 1).unwrap()
+            .default_click_probs(vec![0.75, 0.375])
+            .build()
+            .unwrap()
     };
     for snapshot in [false, true] {
         let dir = temp_dir("purchases");

@@ -1,4 +1,4 @@
-//! `ssa-server` — serve a [`ssa_core::ShardedMarketplace`] over TCP.
+//! `ssa-server` — serve a [`ssa_core::Marketplace`] over TCP.
 //!
 //! Binds the requested address, prints `ssa-server listening on <addr>`
 //! as its first stdout line (scripts parse it to discover `:0`-assigned

@@ -21,7 +21,7 @@
 //!   half-close that drives graceful drain.
 //! * [`server`] — accept loop, per-connection reader/writer threads, and
 //!   the single executor thread that owns the
-//!   [`ssa_core::ShardedMarketplace`].
+//!   [`ssa_core::Marketplace`].
 //! * [`client`] — a blocking typed client, usable single-outstanding or
 //!   pipelined.
 //! * [`load`] — Section V population and replay helpers shared by the
@@ -30,7 +30,7 @@
 //!
 //! The serving contract: a seeded Section V stream served over a socket
 //! produces **bit-identical** winners, clicks, and charges to the same
-//! stream served in process through `ShardedMarketplace::serve_batch`
+//! stream served in process through `Marketplace::serve_batch`
 //! (proven in `tests/server_equivalence.rs`).
 //!
 //! # Quickstart

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use ssa_core::{PricingScheme, ShardedMarketplace, WdMethod};
+use ssa_core::{Marketplace, PricingScheme, WdMethod};
 use ssa_workload::{nearest_rank, SectionVConfig, SectionVWorkload};
 
 use crate::client::{Client, NetError};
@@ -72,7 +72,7 @@ pub fn populate_remote(
 /// [`populate_remote`] of the untargeted population: the oracle for
 /// equivalence checks. Outcomes do not depend on `config.shards`, so the
 /// twin may run any shard count.
-pub fn local_twin(workload: &SectionVWorkload, config: &MarketConfig) -> ShardedMarketplace {
+pub fn local_twin(workload: &SectionVWorkload, config: &MarketConfig) -> Marketplace {
     let mut market = build_market(config).expect("twin configuration is valid");
     workload
         .populate(&mut market, false)

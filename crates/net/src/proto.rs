@@ -71,7 +71,7 @@ pub enum Request {
         attrs: UserAttrs,
     },
     /// Data plane: run a mixed-keyword query stream through
-    /// [`ssa_core::ShardedMarketplace::serve_batch`].
+    /// [`ssa_core::Marketplace::serve_batch`].
     ServeBatch {
         /// One `(keyword, user attributes)` pair per query, in stream
         /// order.

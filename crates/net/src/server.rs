@@ -4,7 +4,7 @@
 //! # Threading model
 //!
 //! * **One executor thread** owns the
-//!   [`ShardedMarketplace`] outright — no locks on
+//!   [`Marketplace`] outright — no locks on
 //!   market state; requests are serialised through an [`mpsc`] channel and
 //!   executed in submission order. (`serve_batch` still fans out across
 //!   shard worker threads *inside* a request, so multi-core throughput
@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use ssa_core::{shard_of_keyword, MutationRecord, ShardedMarketplace};
+use ssa_core::{shard_of_keyword, Marketplace, MutationRecord};
 
 use crate::admission::{Admission, Ticket};
 use crate::frame::{read_frame, write_frame, FrameKind, PROTO_VERSION};
@@ -158,7 +158,7 @@ impl Server {
     /// [`Server::run`] (or [`Server::spawn`]) is called.
     pub fn bind(
         addr: impl ToSocketAddrs,
-        mut market: ShardedMarketplace,
+        mut market: Marketplace,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
@@ -419,7 +419,7 @@ const MAX_TICK: usize = 256;
 
 /// The executor: single owner of the marketplace, draining the job queue
 /// in submission order, a tick at a time, until every sender is gone.
-fn executor_loop(mut market: ShardedMarketplace, jobs: mpsc::Receiver<Job>, shared: &Shared) {
+fn executor_loop(mut market: Marketplace, jobs: mpsc::Receiver<Job>, shared: &Shared) {
     let mut held: Vec<Held> = Vec::new();
     while let Ok(first) = jobs.recv() {
         for job in std::iter::once(first).chain(jobs.try_iter()).take(MAX_TICK) {
@@ -489,7 +489,7 @@ fn executor_loop(mut market: ShardedMarketplace, jobs: mpsc::Receiver<Job>, shar
 /// replays the write-ahead log with, journalling (a `Configure` included)
 /// through the marketplace's own hook.
 fn execute(
-    market: &mut ShardedMarketplace,
+    market: &mut Marketplace,
     request: Request,
     session: &Session,
     shared: &Shared,
@@ -555,10 +555,10 @@ fn execute(
 }
 
 /// Builds the marketplace a [`Request::Configure`] describes
-/// ([`ShardedMarketplace::from_config`] under the name this layer has
+/// ([`Marketplace::from_config`] under the name this layer has
 /// always exported).
-pub fn build_market(config: &MarketConfig) -> Result<ShardedMarketplace, ssa_core::MarketError> {
-    ShardedMarketplace::from_config(config)
+pub fn build_market(config: &MarketConfig) -> Result<Marketplace, ssa_core::MarketError> {
+    Marketplace::from_config(config)
 }
 
 fn failed(e: &ssa_core::MarketError) -> Response {

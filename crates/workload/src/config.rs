@@ -3,9 +3,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssa_bidlang::{Money, SlotId};
-use ssa_core::marketplace::{CampaignSpec, MarketError};
+use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
 use ssa_core::prob::{ClickModel, PurchaseModel};
-use ssa_core::ShardedMarketplace;
 use ssa_strategy::RoiBidderParams;
 
 /// The harnesses' marketplace-seed convention: a Section V market is
@@ -198,11 +197,7 @@ impl SectionVWorkload {
 
     /// Registers [`SectionVWorkload::campaigns`] on `market`, each
     /// advertiser once, ahead of its first campaign.
-    pub fn populate(
-        &self,
-        market: &mut ShardedMarketplace,
-        targeted: bool,
-    ) -> Result<(), MarketError> {
+    pub fn populate(&self, market: &mut Marketplace, targeted: bool) -> Result<(), MarketError> {
         self.populate_with(market, targeted, SectionVCampaign::spec)
     }
 
@@ -212,7 +207,7 @@ impl SectionVWorkload {
     /// per-click bid for a program.
     pub fn populate_with(
         &self,
-        market: &mut ShardedMarketplace,
+        market: &mut Marketplace,
         targeted: bool,
         mut spec: impl FnMut(SectionVCampaign) -> CampaignSpec,
     ) -> Result<(), MarketError> {

@@ -19,7 +19,7 @@
 //! [`Method::Rhtalu`]) and is what both the Criterion benches and the
 //! `reproduce` binary drive. [`MarketSimulation`] is the same experiment
 //! expressed on the marketplace service API (advertisers, campaigns,
-//! `serve_batch` on a `ShardedMarketplace`): with the shared-ROI
+//! `serve_batch` on a `Marketplace`): with the shared-ROI
 //! population on one shard it is equivalent to the legacy path for the
 //! full-matrix methods, and with the static per-click population it is
 //! shard-count-invariant. Both draw user actions from the same
@@ -57,5 +57,5 @@ pub use scenario::{Population, Scenario, Stream};
 pub use sim::{Method, Simulation, SimulationStats};
 pub use sql::{
     programmed_market, programmed_sharded_market, ParseStrategyError, ProgramHandle,
-    ProgrammedMarket, ShardedProgrammedMarket, Strategy,
+    ProgrammedMarket, Strategy,
 };

@@ -1,10 +1,9 @@
 //! The Section V experiment expressed on the marketplace service API.
 //!
 //! [`MarketSimulation`] is the one marketplace driver: it registers a
-//! Section V population on a [`ShardedMarketplace`] (one shard reproduces
-//! the single-threaded [`ssa_core::Marketplace`] bit for bit) and serves
-//! the workload's query stream through `serve_batch`. The population is
-//! chosen by [`MarketPopulation`]:
+//! Section V population on a [`Marketplace`] of the requested shard count
+//! and serves the workload's query stream through `serve_batch`. The
+//! population is chosen by [`MarketPopulation`]:
 //!
 //! * [`MarketPopulation::SharedRoi`] — the facade-native port of
 //!   [`crate::Simulation`]: every advertiser opens one campaign per
@@ -29,9 +28,7 @@ use crate::config::SectionVWorkload;
 use crate::sim::SimulationStats;
 use ssa_bidlang::{BidsTable, Formula, Money};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace, QueryRequest};
-use ssa_core::{
-    Bidder, BidderOutcome, CampaignId, PricingScheme, QueryContext, ShardedMarketplace, WdMethod,
-};
+use ssa_core::{Bidder, BidderOutcome, CampaignId, PricingScheme, QueryContext, WdMethod};
 use ssa_strategy::{KeywordEntry, RoiBidder};
 use std::sync::{Arc, Mutex};
 
@@ -50,7 +47,7 @@ use std::sync::{Arc, Mutex};
 /// state across keywords makes the program order-sensitive: it is exactly
 /// the kind of cross-keyword-coupled bidder whose results are not
 /// shard-invariant, so the Section V ROI experiment runs on one shard
-/// (see `ssa_core::sharded`'s module docs).
+/// (see `ssa_core::marketplace`'s module docs).
 pub struct SharedRoiProgram {
     shared: Arc<Mutex<RoiBidder>>,
 }
@@ -96,7 +93,7 @@ pub enum MarketPopulation {
 pub struct MarketSimulation {
     /// The generated workload.
     pub workload: SectionVWorkload,
-    market: ShardedMarketplace,
+    market: Marketplace,
     /// One shared strategy handle per advertiser ([`MarketPopulation::SharedRoi`]
     /// only; empty for the static population).
     programs: Vec<Arc<Mutex<RoiBidder>>>,
@@ -165,13 +162,13 @@ impl MarketSimulation {
 
     /// The underlying marketplace (e.g. to inspect `now()`,
     /// `num_shards()`, or `top_bids`).
-    pub fn market(&self) -> &ShardedMarketplace {
+    pub fn market(&self) -> &Marketplace {
         &self.market
     }
 
     /// Serves the next `count` queries of the workload's stream (cycled,
     /// exactly like the legacy simulation) through
-    /// [`ShardedMarketplace::serve_batch`] and folds the outcome into
+    /// [`Marketplace::serve_batch`] and folds the outcome into
     /// [`MarketSimulation::stats`].
     pub fn run_auctions(&mut self, count: usize) -> &SimulationStats {
         let stream = &self.workload.query_stream;

@@ -2,8 +2,8 @@
 //! served at marketplace scale.
 //!
 //! This module builds the Section V advertiser population three ways —
-//! selectable by [`Strategy`] — over the same [`Marketplace`] /
-//! `ShardedMarketplace` configuration:
+//! selectable by [`Strategy`] — over the same [`Marketplace`]
+//! configuration:
 //!
 //! * [`Strategy::Native`] — one keyword-local Figure 5 ROI program per
 //!   (advertiser, keyword) pair, run as native Rust
@@ -20,7 +20,7 @@
 //!
 //! The three populations are proven **bit-identical** — same reports,
 //! same clicks, same charges, and same per-campaign bid trajectories —
-//! through `serve_batch`, both single-threaded and sharded (the programs
+//! through `serve_batch`, on one shard and on several (the programs
 //! here are keyword-local, unlike the cross-keyword-coupled
 //! [`crate::SharedRoiProgram`], so shard-invariance applies).
 //!
@@ -32,7 +32,6 @@
 use crate::config::SectionVWorkload;
 use ssa_bidlang::{BidsTable, Formula, Money, SlotId};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
-use ssa_core::sharded::ShardedMarketplace;
 use ssa_core::{Bidder, BidderOutcome, PricingScheme, QueryContext, SqlProgramBidder, WdMethod};
 use ssa_minidb::{Database, DbError, Params, Prepared, Value, NO_PARAMS};
 use ssa_strategy::{KeywordEntry, RoiBidder};
@@ -520,37 +519,10 @@ fn make_program(
     }
 }
 
-/// Registers the programmed Section II-B population on a marketplace-like
-/// control plane (`Marketplace` and `ShardedMarketplace` share the API by
-/// name, not by trait).
-macro_rules! populate_programmed {
-    ($market:expr, $workload:expr, $strategy:expr, $handles:expr) => {{
-        let slots = $workload.config.num_slots;
-        for (i, params) in $workload.bidders.iter().enumerate() {
-            let advertiser = $market.register_advertiser(format!("advertiser-{i}"));
-            let click_probs: Vec<f64> = (0..slots)
-                .map(|j| $workload.clicks.p_click(i, SlotId::from_index0(j)))
-                .collect();
-            for (keyword, &(value, bid, roi)) in params.keywords.iter().enumerate() {
-                let (program, handle) =
-                    make_program($strategy, value, bid, roi, params.target_spend_rate);
-                $market
-                    .add_campaign(
-                        advertiser,
-                        keyword,
-                        CampaignSpec::program(program).click_probs(click_probs.clone()),
-                    )
-                    .expect("Section II-B campaign is valid");
-                $handles.push(handle);
-            }
-        }
-    }};
-}
-
-/// A single-threaded marketplace carrying the programmed population.
+/// A marketplace carrying the programmed Section II-B population.
 #[derive(Debug)]
 pub struct ProgrammedMarket {
-    /// The marketplace (it reproduces its sharded twin exactly).
+    /// The marketplace.
     pub market: Marketplace,
     /// One handle per campaign, indexed `advertiser * num_keywords +
     /// keyword`.
@@ -558,60 +530,52 @@ pub struct ProgrammedMarket {
     num_keywords: usize,
 }
 
-/// A sharded marketplace carrying the programmed population.
-#[derive(Debug)]
-pub struct ShardedProgrammedMarket {
-    /// The sharded marketplace.
-    pub market: ShardedMarketplace,
-    /// One handle per campaign, indexed `advertiser * num_keywords +
-    /// keyword`.
-    pub handles: Vec<ProgramHandle>,
-    num_keywords: usize,
-}
-
-fn programmed_builder(
-    workload: &SectionVWorkload,
-    method: WdMethod,
-) -> ssa_core::MarketplaceBuilder {
-    Marketplace::builder()
-        .slots(workload.config.num_slots)
-        .keywords(workload.config.num_keywords)
-        .method(method)
-        .pricing(PricingScheme::Gsp)
-        .seed(workload.config.seed ^ 0x5EC7_10B2)
-}
-
-/// Builds the programmed Section II-B population on a single-threaded
+/// Builds the programmed Section II-B population on a one-shard
 /// [`Marketplace`].
 pub fn programmed_market(
     workload: &SectionVWorkload,
     method: WdMethod,
     strategy: Strategy,
 ) -> ProgrammedMarket {
-    let mut market = programmed_builder(workload, method)
-        .build()
-        .expect("Section V configuration is valid");
-    let mut handles = Vec::with_capacity(workload.bidders.len() * workload.config.num_keywords);
-    populate_programmed!(market, workload, strategy, handles);
-    ProgrammedMarket {
-        market,
-        handles,
-        num_keywords: workload.config.num_keywords,
-    }
+    programmed_sharded_market(workload, method, strategy, 1)
+        .expect("Section V configuration is valid")
 }
 
-/// Builds the programmed Section II-B population on a
-/// [`ShardedMarketplace`] with `shards` worker shards.
+/// Builds the programmed Section II-B population on a [`Marketplace`]
+/// with `shards` shards.
 pub fn programmed_sharded_market(
     workload: &SectionVWorkload,
     method: WdMethod,
     strategy: Strategy,
     shards: usize,
-) -> Result<ShardedProgrammedMarket, MarketError> {
-    let mut market = programmed_builder(workload, method).build_sharded(shards)?;
+) -> Result<ProgrammedMarket, MarketError> {
+    let mut market = Marketplace::builder()
+        .slots(workload.config.num_slots)
+        .keywords(workload.config.num_keywords)
+        .method(method)
+        .pricing(PricingScheme::Gsp)
+        .seed(workload.config.seed ^ 0x5EC7_10B2)
+        .build_sharded(shards)?;
     let mut handles = Vec::with_capacity(workload.bidders.len() * workload.config.num_keywords);
-    populate_programmed!(market, workload, strategy, handles);
-    Ok(ShardedProgrammedMarket {
+    for (i, params) in workload.bidders.iter().enumerate() {
+        let advertiser = market.register_advertiser(format!("advertiser-{i}"));
+        let click_probs: Vec<f64> = (0..workload.config.num_slots)
+            .map(|j| workload.clicks.p_click(i, SlotId::from_index0(j)))
+            .collect();
+        for (keyword, &(value, bid, roi)) in params.keywords.iter().enumerate() {
+            let (program, handle) =
+                make_program(strategy, value, bid, roi, params.target_spend_rate);
+            market
+                .add_campaign(
+                    advertiser,
+                    keyword,
+                    CampaignSpec::program(program).click_probs(click_probs.clone()),
+                )
+                .expect("Section II-B campaign is valid");
+            handles.push(handle);
+        }
+    }
+    Ok(ProgrammedMarket {
         market,
         handles,
         num_keywords: workload.config.num_keywords,
@@ -619,13 +583,6 @@ pub fn programmed_sharded_market(
 }
 
 impl ProgrammedMarket {
-    /// Current bid (cents) of advertiser `adv`'s program on `keyword`.
-    pub fn bid_of(&self, adv: usize, keyword: usize) -> i64 {
-        self.handles[adv * self.num_keywords + keyword].current_bid()
-    }
-}
-
-impl ShardedProgrammedMarket {
     /// Current bid (cents) of advertiser `adv`'s program on `keyword`.
     pub fn bid_of(&self, adv: usize, keyword: usize) -> i64 {
         self.handles[adv * self.num_keywords + keyword].current_bid()
@@ -733,8 +690,8 @@ mod tests {
 
     /// The planned, indexed, compiled pipeline is a pure performance
     /// change: flipping every program database to the forced-scan
-    /// interpreter produces bit-identical reports and stored bids, both
-    /// unsharded (1) and sharded (4).
+    /// interpreter produces bit-identical reports and stored bids, on one
+    /// shard and on four.
     #[test]
     fn indexed_pipeline_matches_forced_scan_across_shard_counts() {
         use ssa_minidb::PlannerMode;

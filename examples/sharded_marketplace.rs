@@ -1,21 +1,19 @@
 //! Sharded marketplace quickstart: the multi-threaded sibling of
 //! `examples/marketplace.rs`.
 //!
-//! An 8-keyword marketplace is partitioned across 4 shards; a mixed query
-//! stream is fanned out to per-shard worker threads by `serve_batch`, bids
-//! change incrementally between batches (routed to the owning shard, no
-//! cross-shard locking), and at the end the run is replayed on an
-//! *unsharded* marketplace in keyword-local RNG mode to demonstrate the
-//! equivalence guarantee: sharding changes the wall-clock, never the
-//! auctions.
+//! An 8-keyword marketplace is built on 4 shards; a mixed query stream is
+//! fanned out to per-shard worker threads by `serve_batch`, bids change
+//! incrementally between batches (each touches its keyword's book, no
+//! cross-shard locking), and at the end the run is replayed on the same
+//! marketplace built on *one* shard to demonstrate the equivalence
+//! guarantee: sharding changes the wall-clock, never the auctions.
 //!
 //! ```text
 //! cargo run --example sharded_marketplace
 //! ```
 
 use sponsored_search::bidlang::Money;
-use sponsored_search::core::sharded::ShardedMarketplace;
-use sponsored_search::core::WdMethod;
+use sponsored_search::core::{CampaignId, WdMethod};
 use sponsored_search::marketplace::{CampaignSpec, Marketplace, MarketplaceBuilder, QueryRequest};
 
 const KEYWORDS: usize = 8;
@@ -30,47 +28,33 @@ fn configure() -> MarketplaceBuilder {
         .default_click_probs(vec![0.35, 0.2])
 }
 
-/// Registers the same small campaign population on any marketplace flavour
-/// (the control-plane APIs are name-for-name identical).
-macro_rules! populate {
-    ($market:expr) => {{
-        let athletics = $market.register_advertiser("Athletics Inc");
-        let runners = $market.register_advertiser("Runner's Hub");
-        let brand = $market.register_advertiser("BrandHouse");
-        let mut campaigns = Vec::new();
-        for keyword in 0..KEYWORDS {
+/// Registers a small campaign population: three advertisers on every
+/// keyword.
+fn populate(market: &mut Marketplace) -> Vec<CampaignId> {
+    let athletics = market.register_advertiser("Athletics Inc");
+    let runners = market.register_advertiser("Runner's Hub");
+    let brand = market.register_advertiser("BrandHouse");
+    let mut campaigns = Vec::new();
+    for keyword in 0..KEYWORDS {
+        // Three bidders on two slots, so GSP's runner-up price is always
+        // live and realized revenue is non-trivial.
+        for (advertiser, cents) in [
+            (athletics, 10 + keyword as i64),
+            (runners, 14 - keyword as i64),
+            (brand, 7),
+        ] {
             campaigns.push(
-                $market
+                market
                     .add_campaign(
-                        athletics,
+                        advertiser,
                         keyword,
-                        CampaignSpec::per_click(Money::from_cents(10 + keyword as i64)),
-                    )
-                    .expect("campaign accepted"),
-            );
-            campaigns.push(
-                $market
-                    .add_campaign(
-                        runners,
-                        keyword,
-                        CampaignSpec::per_click(Money::from_cents(14 - keyword as i64)),
-                    )
-                    .expect("campaign accepted"),
-            );
-            // Three bidders on two slots, so GSP's runner-up price is
-            // always live and realized revenue is non-trivial.
-            campaigns.push(
-                $market
-                    .add_campaign(
-                        brand,
-                        keyword,
-                        CampaignSpec::per_click(Money::from_cents(7)),
+                        CampaignSpec::per_click(Money::from_cents(cents)),
                     )
                     .expect("campaign accepted"),
             );
         }
-        campaigns
-    }};
+    }
+    campaigns
 }
 
 fn mixed_stream(len: usize) -> Vec<QueryRequest> {
@@ -84,10 +68,10 @@ fn mixed_stream(len: usize) -> Vec<QueryRequest> {
 }
 
 fn main() {
-    let mut market: ShardedMarketplace = configure()
+    let mut market = configure()
         .build_sharded(SHARDS)
         .expect("valid configuration");
-    let campaigns = populate!(market);
+    let campaigns = populate(&mut market);
 
     println!("== keyword → shard routing (stable hash) ==");
     for keyword in 0..KEYWORDS {
@@ -104,8 +88,8 @@ fn main() {
         report.total.auctions, report.chunks, report.total.clicks, report.total.realized_revenue,
     );
 
-    // Incremental updates route straight to the owning shard: O(log n) on
-    // that keyword's logical bid index, other shards untouched.
+    // Incremental updates go straight to the keyword's book: O(log n) on
+    // its logical bid index, every other keyword untouched.
     market
         .update_bid(campaigns[0], Money::from_cents(1))
         .expect("per-click campaign");
@@ -117,10 +101,10 @@ fn main() {
         report2.total.auctions, report2.total.clicks, report2.total.realized_revenue,
     );
 
-    // The equivalence guarantee, demonstrated: an unsharded marketplace
-    // replays the exact same auctions.
+    // The equivalence guarantee, demonstrated: the same marketplace on one
+    // shard replays the exact same auctions.
     let mut replay = configure().build().expect("valid configuration");
-    let replay_campaigns = populate!(replay);
+    let replay_campaigns = populate(&mut replay);
     let replay1 = replay.serve_batch(&stream).expect("keywords in range");
     replay
         .update_bid(replay_campaigns[0], Money::from_cents(1))
@@ -129,10 +113,10 @@ fn main() {
         .pause_campaign(replay_campaigns[3])
         .expect("known campaign");
     let replay2 = replay.serve_batch(&stream).expect("keywords in range");
-    assert_eq!(report, replay1, "sharded and unsharded runs must agree");
+    assert_eq!(report, replay1, "four shards and one must agree");
     assert_eq!(report2, replay2, "…including across incremental updates");
     println!(
-        "\nunsharded replay matched both batches bit-for-bit \
+        "\none-shard replay matched both batches bit-for-bit \
          ({} shards are an execution detail, not a semantic one)",
         SHARDS
     );

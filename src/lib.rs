@@ -25,8 +25,8 @@
 //!   hostile-world generator (Zipf / flash-crowd / churn query shapes,
 //!   defective targeting sources);
 //! * [`net`] — the TCP serving front-end: a framed wire protocol over
-//!   `std::net`, the `ssa-server` binary wrapping
-//!   [`sharded::ShardedMarketplace`], and the `ssa-load` latency-reporting
+//!   `std::net`, the `ssa-server` binary wrapping a
+//!   [`marketplace::Marketplace`], and the `ssa-load` latency-reporting
 //!   load driver;
 //! * [`durable`] — crash recovery: a checksummed write-ahead log of every
 //!   control-plane mutation and serve, periodic snapshots, and
@@ -34,9 +34,11 @@
 //!
 //! ## Architecture: the `Marketplace` facade over the `WdSolver` pipeline
 //!
-//! The public serving surface is the [`marketplace::Marketplace`]: a
-//! long-lived service owning registered advertisers, per-keyword campaigns,
-//! and one persistent engine+solver per keyword. Below it, winner
+//! The public serving surface is the [`marketplace::Marketplace`], the
+//! one market type: a long-lived service owning registered advertisers,
+//! the clock, an optional journal, and one book per keyword (campaigns,
+//! persistent engine+solver, logical bid index, RNG stream). Shards are a
+//! partition of those books that only `serve_batch` looks at. Below it, winner
 //! determination is unified behind [`matching::WdSolver`]: each method (H,
 //! RH, parallel RH, LP) is a solver struct with persistent scratch,
 //! constructed from a [`core::WdMethod`] via `WdMethod::new_solver()`:
@@ -71,25 +73,26 @@
 //! that keyword's persistent engine, so there is no per-query allocation
 //! either.
 //!
-//! ## Scaling out: the sharded marketplace
+//! ## Scaling out: shards
 //!
-//! [`sharded::ShardedMarketplace`] multiplies the facade across worker
-//! threads: keywords are partitioned over `N` shards by a stable hash,
-//! each shard owns its keywords' campaigns, engines, and solver scratch,
-//! and `serve_batch` fans mixed-keyword streams out via
-//! [`std::thread::scope`] workers, merging per-shard
-//! [`core::BatchReport`]s in stream order. Control-plane calls
-//! (`add_campaign`, `update_bid`, `pause_campaign`, `set_roi_target`)
-//! route to the owning shard, preserving the `O(log n)` incremental path
-//! per shard with no cross-shard locking.
+//! [`marketplace::MarketplaceBuilder::build_sharded`]`(N)` partitions the
+//! marketplace's keywords over `N` shards by a stable hash
+//! ([`sharded::shard_of_keyword`]); when a `serve_batch` stream touches
+//! more than one shard, each shard's keyword books — campaigns, engines,
+//! solver scratch — go to a [`std::thread::scope`] worker and the
+//! per-chunk [`core::BatchReport`]s are merged in stream order. `serve`,
+//! the control plane (`add_campaign`, `update_bid`, `pause_campaign`,
+//! `set_roi_target` index the keyword's book directly: `O(log n)`, no
+//! cross-shard locking), state capture and the journal are the same code
+//! at every shard count, and `build()` is `build_sharded(1)`.
 //!
 //! Sharding is an execution strategy with a proven equivalence guarantee.
-//! There is one RNG mode: every marketplace, sharded or not, draws keyword
-//! `k`'s user actions from its own stream seeded by
+//! There is one RNG mode: every marketplace draws keyword `k`'s user
+//! actions from its own stream seeded by
 //! [`marketplace::keyword_stream_seed`]`(seed, k)`, so winners, clicks,
-//! and charges are bit-identical for every shard count and equal to an
-//! unsharded [`marketplace::Marketplace`] on the same stream
-//! (property-tested for shard counts 1/2/4/7). Pick `--shards` ≈ the
+//! and charges are bit-identical for every shard count
+//! (property-tested for shard counts 1/2/4/7 against a one-shard market
+//! driven query by query). Pick `--shards` ≈ the
 //! machine's core count when serving many keywords; stay on one shard for
 //! cross-keyword-coupled bidding programs (e.g. the shared-state ROI
 //! strategy), whose semantics depend on global event order. See
@@ -460,7 +463,7 @@
 //! bytes a request frame carries for that operation. Every control-plane
 //! mutation and every serve appends one checksummed
 //! record ([`durable::Durability::journal`] plugs into
-//! [`sharded::ShardedMarketplace::set_journal`]). A crash can tear at
+//! [`marketplace::Marketplace::set_journal`]). A crash can tear at
 //! most the final record; recovery ([`durable::recover`]) truncates the
 //! torn tail, replays snapshot ∘ log, and returns a marketplace whose
 //! stored bids, top-bid indexes, and *future auction outcomes* are
@@ -588,9 +591,10 @@ pub use ssa_core as core;
 /// discoverability: `sponsored_search::marketplace::Marketplace` is the
 /// recommended entry point.
 pub use ssa_core::marketplace;
-/// The sharded, multi-threaded serving layer, re-exported from [`core`]:
-/// `sponsored_search::sharded::ShardedMarketplace` scales the facade
-/// across worker threads with bit-identical auction outcomes.
+/// Shard routing, re-exported from [`core`]: the stable keyword → shard
+/// hash, `--shards` parsing, and `ShardedMarketplace`, the alias
+/// [`marketplace::Marketplace`] keeps for code written when a sharded
+/// market was a second type.
 pub use ssa_core::sharded;
 /// Crash recovery: the write-ahead log, snapshots, and `recover` — see
 /// the "Durability" section above.
