@@ -18,10 +18,38 @@ pub struct BidRow {
 ///
 /// Semantics are OR-bid: the advertiser pays the **sum** of the values of all
 /// rows whose formulas hold in the final outcome.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// A one-row table — every per-click bid — is stored inline, in the same 32
+/// bytes a longer table spends on its row vector, so building, holding and
+/// replacing one never touches the heap. Tables of zero or several rows
+/// keep a `Vec`. Equality compares [`BidsTable::rows`].
+#[derive(Debug, Clone)]
 pub struct BidsTable {
-    rows: Vec<BidRow>,
+    rows: Rows,
 }
+
+#[derive(Debug, Clone)]
+enum Rows {
+    One(BidRow),
+    /// Zero rows or at least two.
+    Many(Vec<BidRow>),
+}
+
+impl Default for BidsTable {
+    fn default() -> Self {
+        BidsTable {
+            rows: Rows::Many(Vec::new()),
+        }
+    }
+}
+
+impl PartialEq for BidsTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows() == other.rows()
+    }
+}
+
+impl Eq for BidsTable {}
 
 impl BidsTable {
     /// Builds a table from `(formula, value)` rows.
@@ -32,17 +60,11 @@ impl BidsTable {
     /// events; negative payments would let an advertiser be paid by the
     /// provider.
     pub fn new<I: IntoIterator<Item = (Formula, Money)>>(rows: I) -> Self {
-        let rows: Vec<BidRow> = rows
-            .into_iter()
-            .map(|(formula, value)| {
-                assert!(
-                    value >= Money::ZERO,
-                    "bid values must be non-negative, got {value} for {formula}"
-                );
-                BidRow { formula, value }
-            })
-            .collect();
-        BidsTable { rows }
+        let mut table = BidsTable::empty();
+        for (formula, value) in rows {
+            table.push(formula, value);
+        }
+        table
     }
 
     /// An empty table (bids nothing, pays nothing).
@@ -63,35 +85,57 @@ impl BidsTable {
     }
 
     /// The classical single-feature bid: pay `value` per click (Figure 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is negative.
     pub fn single_feature(value: Money) -> Self {
-        BidsTable::new(vec![(Formula::click(), value)])
+        BidsTable::new([(Formula::click(), value)])
     }
 
     /// The rows of the table.
     pub fn rows(&self) -> &[BidRow] {
-        &self.rows
+        match &self.rows {
+            Rows::One(row) => std::slice::from_ref(row),
+            Rows::Many(rows) => rows,
+        }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows().len()
     }
 
     /// `true` if the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows().is_empty()
     }
 
     /// Appends a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is negative.
     pub fn push(&mut self, formula: Formula, value: Money) {
-        assert!(value >= Money::ZERO, "bid values must be non-negative");
-        self.rows.push(BidRow { formula, value });
+        assert!(
+            value >= Money::ZERO,
+            "bid values must be non-negative, got {value} for {formula}"
+        );
+        let row = BidRow { formula, value };
+        self.rows = match std::mem::replace(&mut self.rows, Rows::Many(Vec::new())) {
+            Rows::Many(rows) if rows.is_empty() => Rows::One(row),
+            Rows::Many(mut rows) => {
+                rows.push(row);
+                Rows::Many(rows)
+            }
+            Rows::One(first) => Rows::Many(vec![first, row]),
+        };
     }
 
     /// Total payment owed under an outcome view: the sum of values of rows
     /// whose formulas are true (OR-bid semantics).
     pub fn payment(&self, view: &AdvertiserView) -> Money {
-        self.rows
+        self.rows()
             .iter()
             .filter(|r| r.formula.eval(view))
             .map(|r| r.value)
@@ -100,19 +144,19 @@ impl BidsTable {
 
     /// `true` if any row's formula mentions a heavyweight predicate.
     pub fn mentions_heavy(&self) -> bool {
-        self.rows.iter().any(|r| r.formula.mentions_heavy())
+        self.rows().iter().any(|r| r.formula.mentions_heavy())
     }
 
     /// Sum of all row values — an upper bound on the payment in any outcome.
     pub fn max_payment(&self) -> Money {
-        self.rows.iter().map(|r| r.value).sum()
+        self.rows().iter().map(|r| r.value).sum()
     }
 }
 
 impl fmt::Display for BidsTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{:<40} value", "formula")?;
-        for row in &self.rows {
+        for row in self.rows() {
             writeln!(f, "{:<40} {}", row.formula.to_string(), row.value)?;
         }
         Ok(())
@@ -199,6 +243,39 @@ mod tests {
         assert!(s.contains("Purchase"));
         assert!(s.contains("Slot1 ∨ Slot2"));
         assert!(s.contains("$0.05"));
+    }
+
+    #[test]
+    fn one_row_tables_live_inline() {
+        // The one row fits where a row vector would be.
+        assert_eq!(
+            std::mem::size_of::<BidsTable>(),
+            std::mem::size_of::<BidRow>()
+        );
+        let bid = Money::from_cents(3);
+        let one = BidsTable::single_feature(bid);
+        assert!(matches!(one.rows, Rows::One(_)));
+        assert_eq!(
+            one.rows(),
+            &[BidRow {
+                formula: Formula::click(),
+                value: bid
+            }]
+        );
+        assert_eq!(one, BidsTable::new(vec![(Formula::click(), bid)]));
+        assert_ne!(one, BidsTable::empty());
+        assert_ne!(one, BidsTable::single_feature(Money::from_cents(4)));
+
+        // Growing past one row moves to a vector; equality follows the rows.
+        let mut grown = BidsTable::empty();
+        grown.push(Formula::purchase(), Money::from_cents(5));
+        grown.push(
+            Formula::any_slot([SlotId::new(1), SlotId::new(2)]),
+            Money::from_cents(2),
+        );
+        assert_eq!(grown, BidsTable::figure3());
+        assert_eq!(grown.len(), 2);
+        assert_eq!(BidsTable::new(Vec::new()), BidsTable::empty());
     }
 
     #[test]

@@ -78,7 +78,7 @@ use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use crate::pricing::{
     gsp_prices_from_order_into, gsp_prices_into, vcg_prices, PricingScheme, SlotPrice,
 };
-use crate::prob::{ClickModel, PurchaseModel};
+use crate::prob::{ClickModel, IntoClickRow, PurchaseModel};
 use crate::revenue::{revenue_matrix_into, row_weights_into, NoSlotValues};
 use rand::Rng;
 use ssa_bidlang::targeting::{CompiledTargeting, UserAttrs};
@@ -668,10 +668,15 @@ impl<B: Bidder> AuctionEngine<B> {
     /// the tables the engine holds for the other bidders stay valid. The
     /// next auction lays the revenue matrix out for the new bidder count
     /// and solves.
+    ///
+    /// Click probabilities given as an `Arc<[f64]>` are held, not copied
+    /// (see [`IntoClickRow`]): engines that are handed the same row — one
+    /// advertiser's campaigns on several keywords — share one copy of it.
+    /// A borrowed slice becomes a row of its own.
     pub fn push_bidder(
         &mut self,
         bidder: B,
-        click_probs: &[f64],
+        click_probs: impl IntoClickRow,
         purchase_probs: Option<&[(f64, f64)]>,
         targeting: Option<Arc<CompiledTargeting>>,
     ) {

@@ -97,6 +97,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssa_bidlang::targeting::{CompiledTargeting, TargetParseError, UserAttrs};
 use ssa_bidlang::{BidsTable, Money, SlotId};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -488,7 +489,8 @@ enum CampaignKind {
 }
 
 /// Campaign metadata. The campaign's click and purchase probabilities are
-/// not here: their one copy is its row of the keyword engine's models.
+/// not here: they are its row of the keyword engine's models, and its click
+/// row is shared with its advertiser's other campaigns when they are equal.
 #[derive(Debug)]
 struct Campaign {
     id: CampaignId,
@@ -496,7 +498,8 @@ struct Campaign {
     kind: CampaignKind,
     paused: bool,
     /// Compiled targeting matcher (`None` = the campaign bids on every
-    /// query). Shared with the keyword's engine via `Arc`; the retained
+    /// query). Shared via `Arc` with the keyword's engine and with every
+    /// campaign of the market registered with the same text; the retained
     /// [`CompiledTargeting::source`] is what state capture and the mutation
     /// journal serialize.
     targeting: Option<Arc<CompiledTargeting>>,
@@ -508,8 +511,9 @@ enum BidSource {
     /// API. The one-row table is built when the engine asks for it — after
     /// a write — and the engine keeps the only copy.
     PerClick(Money),
-    /// A fixed table.
-    Table(BidsTable),
+    /// A fixed table, boxed so that a per-click campaign's bidder is not
+    /// sized for an inline table row (32 rather than 40 bytes).
+    Table(Box<BidsTable>),
     /// A bidding program, run at every auction.
     Program(Box<dyn Bidder + Send>),
 }
@@ -529,7 +533,7 @@ impl Bidder for CampaignBidder {
         }
         match &mut self.source {
             BidSource::PerClick(bid) => BidsTable::single_feature(*bid),
-            BidSource::Table(table) => table.clone(),
+            BidSource::Table(table) => BidsTable::clone(table),
             BidSource::Program(p) => p.on_query(ctx),
         }
     }
@@ -935,12 +939,14 @@ impl MarketplaceBuilder {
             num_slots: self.num_slots,
             num_shards,
             advertisers: Vec::new(),
+            click_rows: Vec::new(),
+            matchers: HashMap::new(),
             books: (0..self.num_keywords)
                 .map(|kw| {
                     KeywordBook::new(StdRng::seed_from_u64(keyword_stream_seed(self.seed, kw)))
                 })
                 .collect(),
-            default_click_probs: self.default_click_probs,
+            default_click_probs: self.default_click_probs.map(Arc::from),
             default_purchase_probs: self.default_purchase_probs,
             seed: self.seed,
             clock: 0,
@@ -1017,9 +1023,17 @@ pub struct Marketplace {
     /// How many partitions `serve_batch` may spread the books over.
     num_shards: usize,
     advertisers: Vec<String>,
+    /// Parallel to `advertisers`: the click row each advertiser's latest
+    /// campaign registered, handed to its next campaign whose row is bit
+    /// for bit the same (see [`Marketplace::click_row`]).
+    click_rows: Vec<Option<Arc<[f64]>>>,
+    /// One compiled matcher per distinct targeting text, shared by every
+    /// campaign registered with that text.
+    matchers: HashMap<String, Arc<CompiledTargeting>>,
     /// One book per keyword, indexed by keyword.
     books: Vec<KeywordBook>,
-    default_click_probs: Option<Vec<f64>>,
+    /// The row every campaign without click probabilities of its own shares.
+    default_click_probs: Option<Arc<[f64]>>,
     default_purchase_probs: Option<Vec<(f64, f64)>>,
     /// The builder seed, retained so a state capture can reproduce the
     /// build (per-keyword RNG streams are seeded from it).
@@ -1190,6 +1204,7 @@ impl Marketplace {
         } else {
             self.advertisers.push(name);
         }
+        self.click_rows.push(None);
         AdvertiserHandle(self.advertisers.len() - 1)
     }
 
@@ -1335,6 +1350,12 @@ impl Marketplace {
     /// probabilities become the next row of its models, the tables it holds
     /// for the other campaigns stay valid, and the next serve lays the
     /// revenue matrix out for the new size and solves.
+    ///
+    /// What campaigns have in common is stored once: a campaign whose click
+    /// probabilities are bit for bit those its advertiser's latest campaign
+    /// registered (or the builder default) shares that row, and a targeting
+    /// text is compiled on its first use and its matcher shared by every
+    /// later campaign with the same text.
     pub fn add_campaign(
         &mut self,
         advertiser: AdvertiserHandle,
@@ -1360,12 +1381,7 @@ impl Marketplace {
         if advertiser.0 >= self.advertisers.len() {
             return Err(MarketError::UnknownAdvertiser(advertiser));
         }
-        let click_probs = spec
-            .click_probs
-            .as_deref()
-            .or(self.default_click_probs.as_deref())
-            .ok_or(MarketError::MissingClickModel)?;
-        validate_click_probs(click_probs, self.num_slots)?;
+        let click_row = self.click_row(advertiser, spec.click_probs.as_deref())?;
         // `None`: purchases never happen.
         let purchase_probs = spec
             .purchase_probs
@@ -1384,13 +1400,14 @@ impl Marketplace {
                 return Err(MarketError::NegativeBid(*bid));
             }
         }
-        let targeting = match &spec.targeting {
-            Some(source) => Some(Arc::new(
-                CompiledTargeting::parse(source).map_err(MarketError::InvalidTargeting)?,
-            )),
+        // The last validation, and the first change: a text's first use
+        // enters its matcher in `matchers`.
+        let targeting = match spec.targeting.as_deref() {
+            Some(source) => Some(shared_matcher(&mut self.matchers, source)?),
             None => None,
         };
 
+        self.click_rows[advertiser.0] = Some(click_row.clone());
         let (config, num_slots, num_keywords) = (self.config, self.num_slots, self.books.len());
         let book = &mut self.books[keyword];
         let id = CampaignId {
@@ -1406,7 +1423,7 @@ impl Marketplace {
                 },
                 BidSource::PerClick(Money::ZERO), // set by the refresh below
             ),
-            ProgramSpec::Table(table) => (CampaignKind::Table, BidSource::Table(table)),
+            ProgramSpec::Table(table) => (CampaignKind::Table, BidSource::Table(Box::new(table))),
             ProgramSpec::Program(program) => (CampaignKind::Program, BidSource::Program(program)),
         };
         book.engine
@@ -1424,7 +1441,7 @@ impl Marketplace {
                     source,
                     paused: false,
                 },
-                click_probs,
+                click_row,
                 purchase_probs,
                 targeting.clone(),
             );
@@ -1451,6 +1468,36 @@ impl Marketplace {
             });
         }
         Ok(id)
+    }
+
+    /// The click row a campaign of `advertiser` registers: the builder
+    /// default when the campaign brings no probabilities; otherwise the row
+    /// the advertiser's latest campaign registered, or the default, when
+    /// `probs` is bit for bit the same (so `0.0` and `-0.0` differ, and a
+    /// captured row reads back exactly as it was supplied); otherwise a new
+    /// row.
+    fn click_row(
+        &self,
+        advertiser: AdvertiserHandle,
+        probs: Option<&[f64]>,
+    ) -> Result<Arc<[f64]>, MarketError> {
+        let Some(probs) = probs else {
+            return self
+                .default_click_probs
+                .clone()
+                .ok_or(MarketError::MissingClickModel);
+        };
+        validate_click_probs(probs, self.num_slots)?;
+        let same = |row: &&Arc<[f64]>| {
+            row.iter()
+                .zip(probs)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        Ok(self.click_rows[advertiser.0]
+            .iter()
+            .chain(&self.default_click_probs)
+            .find(same)
+            .map_or_else(|| Arc::from(probs), Arc::clone))
     }
 
     /// The advertiser owning a campaign.
@@ -1785,7 +1832,7 @@ impl StateSource for Marketplace {
             shards: self.num_shards,
             pruned: self.config.pruned,
             warm_start: self.config.warm_start,
-            default_click_probs: self.default_click_probs.clone(),
+            default_click_probs: self.default_click_probs.as_deref().map(<[f64]>::to_vec),
             default_purchase_probs: self.default_purchase_probs.clone(),
         }
     }
@@ -1812,6 +1859,22 @@ impl StateSource for Marketplace {
     fn rng_states(&self) -> impl ExactSizeIterator<Item = [u64; 4]> {
         self.books.iter().map(|book| book.rng.state())
     }
+}
+
+/// The compiled matcher of targeting text `source` in a market's
+/// `matchers`: parsed on the text's first use, the same `Arc` on every
+/// later one.
+fn shared_matcher(
+    matchers: &mut HashMap<String, Arc<CompiledTargeting>>,
+    source: &str,
+) -> Result<Arc<CompiledTargeting>, MarketError> {
+    if let Some(matcher) = matchers.get(source) {
+        return Ok(matcher.clone());
+    }
+    let matcher =
+        Arc::new(CompiledTargeting::parse(source).map_err(MarketError::InvalidTargeting)?);
+    matchers.insert(source.to_owned(), matcher.clone());
+    Ok(matcher)
 }
 
 fn check_roi_target(target: f64) -> Result<(), MarketError> {
@@ -2425,6 +2488,89 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Advertiser `a` brings one row to keywords 0 and 1; `b` brings rows
+    /// that differ only in the sign of a zero; `c` brings none. Every
+    /// campaign but `c`'s targets with one text.
+    fn register_sharers(market: &mut Marketplace) -> [CampaignId; 6] {
+        let [a, b, c] = ["a", "b", "c"].map(|name| market.register_advertiser(name));
+        let targeted = |cents, probs: Vec<f64>| {
+            CampaignSpec::per_click(Money::from_cents(cents))
+                .click_probs(probs)
+                .targeting("device = 'mobile'")
+        };
+        let mut add = |advertiser, keyword, spec| {
+            market
+                .add_campaign(advertiser, keyword, spec)
+                .expect("accepted")
+        };
+        [
+            add(a, 0, targeted(10, vec![0.6, 0.3])),
+            add(a, 1, targeted(11, vec![0.6, 0.3])),
+            add(b, 0, targeted(12, vec![0.0, 0.3])),
+            add(b, 1, targeted(13, vec![-0.0, 0.3])),
+            add(c, 0, CampaignSpec::per_click(Money::from_cents(14))),
+            add(c, 1, CampaignSpec::per_click(Money::from_cents(15))),
+        ]
+    }
+
+    /// Holds `market` to what [`register_sharers`] shares: by pointer.
+    fn assert_shared(market: &Marketplace, ids: &[CampaignId; 6], how: &str) {
+        let book = |id: CampaignId| &market.books[id.keyword];
+        let row = |id: CampaignId| {
+            let engine = book(id).engine.as_ref().expect("registered");
+            engine.clicks().row(id.index)
+        };
+        let matcher = |id: CampaignId| {
+            let campaign = &book(id).campaigns[id.index];
+            campaign.targeting.as_ref().expect("targeted")
+        };
+        let [a0, a1, b0, b1, c0, c1] = *ids;
+        assert!(
+            std::ptr::eq(row(a0), row(a1)),
+            "{how}: one advertiser, one row"
+        );
+        assert!(
+            !std::ptr::eq(row(b0), row(b1)),
+            "{how}: 0.0 and -0.0 differ"
+        );
+        assert!(
+            row(b1)[0].is_sign_negative(),
+            "{how}: -0.0 kept as supplied"
+        );
+        let default = market.default_click_probs.as_deref().expect("configured");
+        assert!(std::ptr::eq(row(c0), default), "{how}: the default row");
+        assert!(std::ptr::eq(row(c1), default), "{how}: the default row");
+        for id in [a1, b0, b1] {
+            assert!(Arc::ptr_eq(matcher(a0), matcher(id)), "{how}: one matcher");
+        }
+        assert_eq!(market.matchers.len(), 1, "{how}");
+    }
+
+    #[test]
+    fn shared_rows_and_matchers_survive_every_rebuild() {
+        let journal = VecJournal::default();
+        let mut live = builder(2).build().expect("valid");
+        live.set_journal(Box::new(journal.clone()));
+        let ids = register_sharers(&mut live);
+        assert_shared(&live, &ids, "build()");
+
+        let mut sharded = builder(2).build_sharded(4).expect("valid");
+        assert_eq!(register_sharers(&mut sharded), ids);
+        assert_shared(&sharded, &ids, "build_sharded(4)");
+
+        let state = live.capture_state().expect("per-click campaigns only");
+        let restored = Marketplace::from_state(&state).expect("valid state");
+        assert_shared(&restored, &ids, "from_state");
+        assert_eq!(restored.capture_state().unwrap(), state);
+
+        let mut replayed = builder(2).build().expect("valid");
+        for record in journal.0.lock().unwrap().iter() {
+            crate::journal::apply(&mut replayed, record.clone()).expect("replays");
+        }
+        assert_shared(&replayed, &ids, "journal replay");
+        assert_eq!(replayed.capture_state().unwrap(), state);
     }
 
     #[test]

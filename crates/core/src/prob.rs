@@ -12,20 +12,57 @@
 //! sort-based allocation that is only correct under separability.
 //!
 //! Both models grow one advertiser at a time ([`ClickModel::push_row`],
-//! [`PurchaseModel::push_row`]), so a long-lived engine keeps the only copy
-//! of each advertiser's probabilities and a new advertiser appends a row
-//! instead of rebuilding the model. An advertiser that never purchases —
-//! the pure click-auction setting — costs [`PurchaseModel`] no per-slot
-//! storage at all.
+//! [`PurchaseModel::push_row`]), so a new advertiser appends a row instead
+//! of rebuilding the model. A click row is an `Arc<[f64]>`: the model
+//! holds a pointer, and whoever pushes a row it already holds — the
+//! marketplace does, for an advertiser's campaigns on every keyword —
+//! stores its probabilities once for all of them. A row nobody shares
+//! costs its 16-byte pointer and its allocation's 16-byte header on top of
+//! its `k` entries. An advertiser that never purchases — the pure
+//! click-auction setting — costs [`PurchaseModel`] no per-slot storage at
+//! all.
 
 use ssa_bidlang::SlotId;
+use std::sync::Arc;
 
 /// Per-advertiser, per-slot click probabilities.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClickModel {
-    n: usize,
     k: usize,
-    p: Vec<f64>, // row-major [advertiser * k + slot]
+    /// One row per advertiser, each possibly shared with other models.
+    rows: Vec<Arc<[f64]>>,
+}
+
+/// A click row as [`ClickModel::push_row`] takes it: an `Arc<[f64]>` is
+/// kept as it is (shared with whoever else holds it), a borrowed slice is
+/// copied into a row of its own.
+pub trait IntoClickRow {
+    /// The row as the model stores it.
+    fn into_click_row(self) -> Arc<[f64]>;
+}
+
+impl IntoClickRow for Arc<[f64]> {
+    fn into_click_row(self) -> Arc<[f64]> {
+        self
+    }
+}
+
+impl IntoClickRow for &[f64] {
+    fn into_click_row(self) -> Arc<[f64]> {
+        Arc::from(self)
+    }
+}
+
+impl IntoClickRow for &Vec<f64> {
+    fn into_click_row(self) -> Arc<[f64]> {
+        Arc::from(self.as_slice())
+    }
+}
+
+impl<const K: usize> IntoClickRow for &[f64; K] {
+    fn into_click_row(self) -> Arc<[f64]> {
+        Arc::from(self.as_slice())
+    }
 }
 
 impl ClickModel {
@@ -33,9 +70,8 @@ impl ClickModel {
     /// [`ClickModel::push_row`].
     pub fn empty(k: usize) -> Self {
         ClickModel {
-            n: 0,
             k,
-            p: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -46,33 +82,31 @@ impl ClickModel {
     /// Panics if any probability is outside `[0, 1]`.
     pub fn from_fn(n: usize, k: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut model = ClickModel::empty(k);
-        model.p.reserve_exact(n * k);
-        let mut row = Vec::with_capacity(k);
+        model.rows.reserve_exact(n);
         for i in 0..n {
-            row.clear();
-            row.extend((0..k).map(|j| f(i, j)));
-            model.push_row(&row);
+            model.push_row((0..k).map(|j| f(i, j)).collect::<Arc<[f64]>>());
         }
         model
     }
 
-    /// Appends the next advertiser's per-slot click probabilities.
+    /// Appends the next advertiser's per-slot click probabilities. A
+    /// shared row is stored as the same allocation, not copied.
     ///
     /// # Panics
     ///
     /// Panics if the row does not have one entry per slot or any
     /// probability is outside `[0, 1]`.
-    pub fn push_row(&mut self, row: &[f64]) {
+    pub fn push_row(&mut self, row: impl IntoClickRow) {
+        let row = row.into_click_row();
         assert_eq!(row.len(), self.k, "click row must cover every slot");
         for (j, &v) in row.iter().enumerate() {
             assert!(
                 (0.0..=1.0).contains(&v),
                 "p_click({},{j}) = {v} out of range",
-                self.n
+                self.rows.len()
             );
         }
-        self.p.extend_from_slice(row);
-        self.n += 1;
+        self.rows.push(row);
     }
 
     /// Builds a model from explicit rows.
@@ -84,7 +118,7 @@ impl ClickModel {
 
     /// Number of advertisers.
     pub fn num_advertisers(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
     /// Number of slots.
@@ -96,35 +130,41 @@ impl ClickModel {
     /// clicked.
     #[inline]
     pub fn p_click(&self, adv: usize, slot: SlotId) -> f64 {
-        self.p[adv * self.k + slot.index0()]
+        self.rows[adv][slot.index0()]
     }
 
     /// Raw row access for hot loops.
     #[inline]
     pub fn row(&self, adv: usize) -> &[f64] {
-        &self.p[adv * self.k..(adv + 1) * self.k]
+        &self.rows[adv]
     }
 
     /// Checks the separability condition: the matrix factors into
     /// advertiser-specific × slot-specific terms (within `tol`).
     ///
-    /// Separability ⇔ every 2×2 minor has equal cross ratios:
-    /// `p[i][j] · p[i'][j'] = p[i][j'] · p[i'][j]`.
+    /// Separability ⇔ the matrix has rank at most one. With a pivot
+    /// `p[r][c] ≠ 0` that is every 2×2 minor through the pivot:
+    /// `p[i][j] · p[r][c] = p[i][c] · p[r][j]`. The pivot is the entry of
+    /// largest magnitude, so a row or column of zeros is never the one
+    /// everything is compared against.
     pub fn is_separable(&self, tol: f64) -> bool {
-        if self.n < 2 || self.k < 2 {
+        if self.rows.len() < 2 || self.k < 2 {
             return true;
         }
-        // Compare every row against row 0 (sufficient by transitivity).
-        for i in 1..self.n {
-            for j in 1..self.k {
-                let lhs = self.p[0] * self.p[i * self.k + j];
-                let rhs = self.p[j] * self.p[i * self.k];
-                if (lhs - rhs).abs() > tol {
-                    return false;
+        let (mut r, mut c, mut p_rc) = (0, 0, 0.0f64);
+        for (i, row) in self.rows.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                if v.abs() > p_rc.abs() {
+                    (r, c, p_rc) = (i, j, v);
                 }
             }
         }
-        true
+        if p_rc == 0.0 {
+            return true; // the zero matrix
+        }
+        self.rows
+            .iter()
+            .all(|row| (0..self.k).all(|j| (row[j] * p_rc - row[c] * self.rows[r][j]).abs() <= tol))
     }
 
     /// The paper's Figure 7 non-separable example (Nike/Adidas × 2 slots).
@@ -327,6 +367,33 @@ mod tests {
     fn figure7_is_not_separable_figure8_is() {
         assert!(!ClickModel::figure7().is_separable(1e-9));
         assert!(ClickModel::figure8().is_separable(1e-9));
+    }
+
+    #[test]
+    fn a_zero_row_or_column_does_not_make_a_model_separable() {
+        // Row 0 / column 0 of zeros: every minor through (0, 0) is 0 = 0.
+        let zero_row = ClickModel::from_rows(&[vec![0.0, 0.0], vec![0.5, 0.1], vec![0.1, 0.5]]);
+        assert!(!zero_row.is_separable(1e-9));
+        let zero_column = ClickModel::from_rows(&[vec![0.0, 0.5, 0.1], vec![0.0, 0.2, 0.9]]);
+        assert!(!zero_column.is_separable(1e-9));
+        // Zeros that do factor still do.
+        let factored = ClickModel::from_rows(&[vec![0.0, 0.0], vec![0.4, 0.2], vec![0.2, 0.1]]);
+        assert!(factored.is_separable(1e-9));
+        assert!(ClickModel::from_fn(3, 2, |_, _| 0.0).is_separable(1e-9));
+    }
+
+    #[test]
+    fn pushed_shared_rows_are_stored_once() {
+        let row: Arc<[f64]> = Arc::from([0.7, 0.4].as_slice());
+        let mut clicks = ClickModel::empty(2);
+        clicks.push_row(row.clone());
+        clicks.push_row(row.clone());
+        clicks.push_row(&[0.7, 0.4]);
+        assert!(std::ptr::eq(clicks.row(0), clicks.row(1)));
+        assert!(std::ptr::eq(clicks.row(0), &*row));
+        assert!(!std::ptr::eq(clicks.row(0), clicks.row(2)));
+        assert_eq!(clicks.row(0), clicks.row(2));
+        assert_eq!(Arc::strong_count(&row), 3);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::config::SectionVWorkload;
 use crate::sim::SimulationStats;
-use ssa_bidlang::{BidsTable, Formula, Money};
+use ssa_bidlang::{BidsTable, Money};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace, QueryRequest};
 use ssa_core::{Bidder, BidderOutcome, CampaignId, PricingScheme, QueryContext, WdMethod};
 use ssa_strategy::{KeywordEntry, RoiBidder};
@@ -66,7 +66,7 @@ impl Bidder for SharedRoiProgram {
             .lock()
             .expect("ROI strategy state poisoned")
             .adjust_and_bid(ctx.keyword, ctx.time);
-        BidsTable::new(vec![(Formula::click(), Money::from_cents(bid))])
+        BidsTable::single_feature(Money::from_cents(bid))
     }
 
     fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {

@@ -30,7 +30,7 @@
 //! move-the-program-in flavour of the same machinery.
 
 use crate::config::SectionVWorkload;
-use ssa_bidlang::{BidsTable, Formula, Money, SlotId};
+use ssa_bidlang::{BidsTable, Money, SlotId};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
 use ssa_core::{Bidder, BidderOutcome, PricingScheme, QueryContext, SqlProgramBidder, WdMethod};
 use ssa_minidb::{Database, DbError, Params, Prepared, Value, NO_PARAMS};
@@ -197,7 +197,7 @@ impl LocalRoiProgram {
 impl Bidder for LocalRoiProgram {
     fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
         let bid = self.roi.adjust_and_bid(0, ctx.time);
-        BidsTable::new(vec![(Formula::click(), Money::from_cents(bid))])
+        BidsTable::single_feature(Money::from_cents(bid))
     }
 
     fn on_outcome(&mut self, _ctx: &QueryContext, outcome: &BidderOutcome) {
