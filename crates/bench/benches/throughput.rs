@@ -147,10 +147,8 @@ fn programmed_setup(n: usize, strategy: Strategy) -> (ProgrammedMarket, Vec<Quer
 }
 
 /// The Section II-B expressiveness claim, measured: the same ROI strategy
-/// as native Rust, as a SQL bidding program on prepared statements, and
-/// as the reparse-per-round SQL baseline. native-vs-sql is the price of
-/// SQL-programmability; sql-vs-sql_reparse is what the prepared-statement
-/// layer buys back.
+/// as native Rust and as a SQL bidding program on prepared statements.
+/// native-vs-sql is the price of SQL-programmability.
 fn bench_sql_programs(c: &mut Criterion) {
     let mut group = c.benchmark_group("sql_program_serve_batch");
     group.sample_size(10);
@@ -170,56 +168,6 @@ fn bench_sql_programs(c: &mut Criterion) {
         );
     }
     group.finish();
-}
-
-/// Paired prepared-vs-reparse measurement: alternate rounds on twin
-/// populations so machine drift hits both equally, then print the
-/// speedup. Prepared statements must beat the reparse-per-round baseline
-/// — that gap is the per-auction parse cost the tentpole removed.
-fn paired_sql_program_speedup() {
-    const ROUNDS: usize = 10;
-    let n = 100;
-    let mut flavours: Vec<(Strategy, ProgrammedMarket, Vec<QueryRequest>)> = Strategy::ALL
-        .into_iter()
-        .map(|strategy| {
-            let (built, requests) = programmed_setup(n, strategy);
-            (strategy, built, requests)
-        })
-        .collect();
-    let mut times = vec![Duration::ZERO; flavours.len()];
-    for _ in 0..ROUNDS {
-        for (i, (_, built, requests)) in flavours.iter_mut().enumerate() {
-            let start = Instant::now();
-            built
-                .market
-                .serve_batch(requests)
-                .expect("keywords in range");
-            times[i] += start.elapsed();
-        }
-    }
-    let auctions = (ROUNDS * BATCH) as f64;
-    let time_of = |wanted: Strategy| {
-        let i = flavours
-            .iter()
-            .position(|(s, ..)| *s == wanted)
-            .expect("flavour measured above");
-        times[i].as_secs_f64()
-    };
-    let sql = time_of(Strategy::Sql);
-    for (i, (strategy, ..)) in flavours.iter().enumerate() {
-        let t = times[i].as_secs_f64();
-        println!(
-            "sql_program_serve_batch/rh/paired/{n}: {strategy} {:.0} auctions/sec, \
-             ×{:.3} vs prepared sql",
-            auctions / t,
-            t / sql,
-        );
-    }
-    println!(
-        "sql_program_serve_batch/rh/paired/{n}: prepared statements are ×{:.3} \
-         the reparse-per-round baseline's throughput",
-        time_of(Strategy::SqlReparse) / sql,
-    );
 }
 
 /// The minidb query pipeline itself, isolated from the marketplace: a
@@ -575,7 +523,6 @@ fn main() {
         paired_speedup();
         paired_pruned_speedup();
         paired_sharded_speedup();
-        paired_sql_program_speedup();
     }
     benches();
     Criterion::default().final_summary();

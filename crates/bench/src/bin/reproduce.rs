@@ -52,8 +52,8 @@ layer's error):
                   (default rh; see --list-methods)
   --strategy <s>  population: every advertiser a keyword-local Figure 5 ROI
                   program (Section II-B) instead of a static per-click bid —
-                  native Rust (native), SQL on prepared statements (sql), or
-                  the reparse-per-round SQL baseline (sql-reparse)
+                  native Rust (native) or SQL on prepared, planned
+                  statements (sql), the one production SQL path
   --targeted      population: every even advertiser's campaigns carry the
                   targeting program device = 'mobile', and the stream
                   alternates mobile and desktop queries, so half the queries
@@ -323,9 +323,9 @@ fn print_run(run: &MethodRun) {
             skew.max_over_mean(),
         );
     }
-    if let (Some(mode), Some(stats)) = (run.planner_mode, run.planner) {
+    if let Some(stats) = run.planner {
         println!(
-            "planner {mode:?}: {} index hits, {} rows scanned, {} plans cached",
+            "planner: {} index hits, {} rows scanned, {} plans cached",
             stats.index_hits, stats.rows_scanned, stats.plans_cached,
         );
     }

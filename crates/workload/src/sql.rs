@@ -1,7 +1,7 @@
 //! The Section II-B population: every advertiser a *SQL bidding program*,
 //! served at marketplace scale.
 //!
-//! This module builds the Section V advertiser population three ways —
+//! This module builds the Section V advertiser population two ways —
 //! selectable by [`Strategy`] — over the same [`Marketplace`]
 //! configuration:
 //!
@@ -12,13 +12,11 @@
 //!   SQL dialect and executed by [`SqlProgramBidder`] on prepared
 //!   statements (parse once at registration, bind-and-run per auction),
 //!   with ROI settlement done entirely inside SQL by an `Outcome`
-//!   trigger;
-//! * [`Strategy::SqlReparse`] — the pre-prepared-statement baseline: the
-//!   identical database and triggers, but every host statement formatted
-//!   and re-parsed on every round. Kept (and benchmarked) to measure what
-//!   the prepared-statement layer buys.
+//!   trigger. This is the one production SQL path; the forced-scan
+//!   interpreter is reachable only through
+//!   [`ProgramHandle::set_planner_mode`], as a test and bench oracle.
 //!
-//! The three populations are proven **bit-identical** — same reports,
+//! The two populations are proven **bit-identical** — same reports,
 //! same clicks, same charges, and same per-campaign bid trajectories —
 //! through `serve_batch`, on one shard and on several (the programs
 //! here are keyword-local, unlike the cross-keyword-coupled
@@ -33,29 +31,25 @@ use crate::config::SectionVWorkload;
 use ssa_bidlang::{BidsTable, Money, SlotId};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
 use ssa_core::{Bidder, BidderOutcome, PricingScheme, QueryContext, SqlProgramBidder, WdMethod};
-use ssa_minidb::{Database, DbError, Params, Prepared, Value, NO_PARAMS};
+use ssa_minidb::{Params, Prepared, NO_PARAMS};
 use ssa_strategy::{KeywordEntry, RoiBidder};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which implementation of the Section II-B ROI program the population
-/// runs. Parsed from `native` / `sql` / `sql-reparse` (the `reproduce
-/// --strategy` flag).
+/// runs. Parsed from `native` / `sql` (the `reproduce --strategy` flag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Native Rust Figure 5 programs.
     Native,
     /// SQL programs on prepared statements (the production path).
     Sql,
-    /// SQL programs re-parsing every statement per round (the baseline the
-    /// prepared layer replaces; kept for overhead benchmarking).
-    SqlReparse,
 }
 
 impl Strategy {
     /// Every strategy, in CLI order.
-    pub const ALL: [Strategy; 3] = [Strategy::Native, Strategy::Sql, Strategy::SqlReparse];
+    pub const ALL: [Strategy; 2] = [Strategy::Native, Strategy::Sql];
 }
 
 impl fmt::Display for Strategy {
@@ -63,7 +57,6 @@ impl fmt::Display for Strategy {
         let s = match self {
             Strategy::Native => "native",
             Strategy::Sql => "sql",
-            Strategy::SqlReparse => "sql-reparse",
         };
         f.write_str(s)
     }
@@ -77,7 +70,7 @@ impl fmt::Display for ParseStrategyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "invalid strategy {:?}: expected native, sql, or sql-reparse",
+            "invalid strategy {:?}: expected one of native, sql",
             self.0
         )
     }
@@ -92,7 +85,6 @@ impl FromStr for Strategy {
         match s.trim().to_ascii_lowercase().as_str() {
             "native" => Ok(Strategy::Native),
             "sql" => Ok(Strategy::Sql),
-            "sql-reparse" | "sql_reparse" | "reparse" => Ok(Strategy::SqlReparse),
             _ => Err(ParseStrategyError(s.to_string())),
         }
     }
@@ -169,7 +161,7 @@ pub fn roi_params(value: i64, bid: i64, roi: f64, rate: f64) -> Params {
 }
 
 // ---------------------------------------------------------------------------
-// The three program flavours.
+// The two program flavours.
 // ---------------------------------------------------------------------------
 
 /// The native twin of the SQL program: a single-keyword Figure 5 ROI
@@ -253,105 +245,6 @@ impl Bidder for PreparedSqlProgram {
     }
 }
 
-/// The reparse-per-round baseline: the same database and triggers as the
-/// prepared path, but every host statement is formatted into SQL text and
-/// re-parsed on every auction — exactly what `SqlRoiBidder` did before the
-/// prepared-statement layer existed. Defective programs bid nothing, like
-/// [`SqlProgramBidder`].
-pub struct ReparseSqlProgram {
-    db: Database,
-    error: Option<DbError>,
-}
-
-impl ReparseSqlProgram {
-    /// Builds the same program state as the prepared flavour (setup still
-    /// binds parameters — only the per-round path re-parses).
-    pub fn new(value: i64, bid: i64, roi: f64, rate: f64) -> Result<Self, DbError> {
-        let mut db = Database::new();
-        let mut setup = db.prepare(ROI_TABLES)?;
-        setup.execute(&mut db, &roi_params(value, bid, roi, rate))?;
-        db.run(ROI_PROGRAM)?;
-        Ok(ReparseSqlProgram { db, error: None })
-    }
-
-    /// The program's current stored bid (cents), read with — what else — a
-    /// freshly parsed query.
-    pub fn current_bid(&mut self) -> i64 {
-        self.db
-            .query("SELECT bid FROM Keywords")
-            .ok()
-            .and_then(|rows| rows.first().and_then(|r| r[0].as_int().ok()))
-            .unwrap_or(0)
-    }
-
-    fn round(&mut self, ctx: &QueryContext) -> Result<BidsTable, DbError> {
-        self.db.set_var("time", Value::Int(ctx.time as i64));
-        self.db.set_var("keyword", Value::Int(ctx.keyword as i64));
-        // The reparse baseline: SQL text rebuilt and re-parsed per round
-        // (activation tables are host-managed scratch, cleared like the
-        // prepared path does — just without prepared statements).
-        self.db.run("DELETE FROM Query")?;
-        self.db
-            .run(&format!("INSERT INTO Query VALUES ({})", ctx.keyword))?;
-        let rows = self.db.query("SELECT * FROM Bids")?;
-        let mut bids = Vec::with_capacity(rows.len());
-        for row in rows {
-            let formula = ssa_bidlang::parse_formula(row[0].as_text()?)
-                .map_err(|e| DbError::Type(format!("bad bid formula: {e}")))?;
-            bids.push((formula, Money::from_cents(row[1].as_int()?)));
-        }
-        Ok(BidsTable::new(bids))
-    }
-
-    fn settle(&mut self, outcome: &BidderOutcome) -> Result<(), DbError> {
-        let clicked = i64::from(outcome.clicked);
-        self.db.set_var("clicked", Value::Int(clicked));
-        self.db
-            .set_var("purchased", Value::Int(i64::from(outcome.purchased)));
-        self.db.set_var("price", Value::Int(outcome.price.cents()));
-        self.db.set_var(
-            "slot",
-            Value::Int(outcome.slot.map(|s| s.position() as i64).unwrap_or(0)),
-        );
-        self.db.run("DELETE FROM Outcome")?;
-        self.db
-            .run(&format!("INSERT INTO Outcome VALUES ({clicked})"))?;
-        Ok(())
-    }
-}
-
-impl Bidder for ReparseSqlProgram {
-    fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
-        if self.error.is_some() {
-            return BidsTable::empty();
-        }
-        match self.round(ctx) {
-            Ok(bids) => bids,
-            Err(e) => {
-                self.error = Some(e);
-                BidsTable::empty()
-            }
-        }
-    }
-
-    fn on_outcome(&mut self, _ctx: &QueryContext, outcome: &BidderOutcome) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = self.settle(outcome) {
-            self.error = Some(e);
-        }
-    }
-}
-
-impl fmt::Debug for ReparseSqlProgram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ReparseSqlProgram")
-            .field("error", &self.error)
-            .finish_non_exhaustive()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Shared handles and the population builders.
 // ---------------------------------------------------------------------------
@@ -381,8 +274,6 @@ pub enum ProgramHandle {
     Native(Arc<Mutex<LocalRoiProgram>>),
     /// Prepared-statement SQL program.
     Sql(Arc<Mutex<PreparedSqlProgram>>),
-    /// Reparse-per-round SQL program.
-    Reparse(Arc<Mutex<ReparseSqlProgram>>),
 }
 
 impl ProgramHandle {
@@ -391,64 +282,32 @@ impl ProgramHandle {
         match self {
             ProgramHandle::Native(h) => h.lock().expect("program state poisoned").current_bid(),
             ProgramHandle::Sql(h) => h.lock().expect("program state poisoned").current_bid(),
-            ProgramHandle::Reparse(h) => h.lock().expect("program state poisoned").current_bid(),
+        }
+    }
+
+    /// The SQL program behind the handle, locked; `None` for native
+    /// programs (no database).
+    fn sql(&self) -> Option<MutexGuard<'_, PreparedSqlProgram>> {
+        match self {
+            ProgramHandle::Native(_) => None,
+            ProgramHandle::Sql(h) => Some(h.lock().expect("program state poisoned")),
         }
     }
 
     /// Planner counters of the program's private database, or `None` for
-    /// native programs (no database). Lets the harness assert whether SQL
-    /// campaigns served auctions from index probes or full scans.
+    /// native programs. Lets the harness assert whether SQL campaigns
+    /// served auctions from index probes or full scans.
     pub fn planner_stats(&self) -> Option<ssa_minidb::PlannerStats> {
-        match self {
-            ProgramHandle::Native(_) => None,
-            ProgramHandle::Sql(h) => Some(
-                h.lock()
-                    .expect("program state poisoned")
-                    .program
-                    .planner_stats(),
-            ),
-            ProgramHandle::Reparse(h) => {
-                Some(h.lock().expect("program state poisoned").db.planner_stats())
-            }
-        }
-    }
-
-    /// The planner mode of the program's database (`None` for native
-    /// programs). Reflects the `SSA_MINIDB_FORCE_SCAN` toggle.
-    pub fn planner_mode(&self) -> Option<ssa_minidb::PlannerMode> {
-        match self {
-            ProgramHandle::Native(_) => None,
-            ProgramHandle::Sql(h) => Some(
-                h.lock()
-                    .expect("program state poisoned")
-                    .program
-                    .db()
-                    .planner_mode(),
-            ),
-            ProgramHandle::Reparse(h) => {
-                Some(h.lock().expect("program state poisoned").db.planner_mode())
-            }
-        }
+        self.sql().map(|p| p.program.planner_stats())
     }
 
     /// Switches the program's database between the planned pipeline and
     /// the forced-scan interpreter (no-op for native programs). The two
-    /// modes are bit-identical; the harness flips this for overhead
-    /// measurements and equivalence checks.
+    /// modes are bit-identical; tests and benches select the interpreter
+    /// here, by name, as the oracle.
     pub fn set_planner_mode(&self, mode: ssa_minidb::PlannerMode) {
-        match self {
-            ProgramHandle::Native(_) => {}
-            ProgramHandle::Sql(h) => h
-                .lock()
-                .expect("program state poisoned")
-                .program
-                .db_mut()
-                .set_planner_mode(mode),
-            ProgramHandle::Reparse(h) => h
-                .lock()
-                .expect("program state poisoned")
-                .db
-                .set_planner_mode(mode),
+        if let Some(mut p) = self.sql() {
+            p.program.db_mut().set_planner_mode(mode);
         }
     }
 
@@ -456,19 +315,7 @@ impl ProgramHandle {
     /// for native programs. Read-only: planning for `EXPLAIN` must not
     /// perturb program state (see the RNG-invariance test).
     pub fn explain(&self, sql: &str) -> Option<ssa_minidb::DbResult<Vec<ssa_minidb::ExplainLine>>> {
-        match self {
-            ProgramHandle::Native(_) => None,
-            ProgramHandle::Sql(h) => Some(
-                h.lock()
-                    .expect("program state poisoned")
-                    .program
-                    .db()
-                    .explain(sql),
-            ),
-            ProgramHandle::Reparse(h) => {
-                Some(h.lock().expect("program state poisoned").db.explain(sql))
-            }
-        }
+        self.sql().map(|p| p.program.db().explain(sql))
     }
 }
 
@@ -477,7 +324,6 @@ impl fmt::Debug for ProgramHandle {
         let kind = match self {
             ProgramHandle::Native(_) => "native",
             ProgramHandle::Sql(_) => "sql",
-            ProgramHandle::Reparse(_) => "sql-reparse",
         };
         write!(f, "ProgramHandle({kind})")
     }
@@ -505,15 +351,6 @@ fn make_program(
             (
                 Box::new(SharedProgram(Arc::clone(&h))),
                 ProgramHandle::Sql(h),
-            )
-        }
-        Strategy::SqlReparse => {
-            let program = ReparseSqlProgram::new(value, bid, roi, rate)
-                .expect("the Figure 5 ROI program is well-formed");
-            let h = Arc::new(Mutex::new(program));
-            (
-                Box::new(SharedProgram(Arc::clone(&h))),
-                ProgramHandle::Reparse(h),
             )
         }
     }
@@ -769,25 +606,6 @@ mod tests {
                 for kw in 0..w.config.num_keywords {
                     assert_eq!(plain.bid_of(adv, kw), explained.bid_of(adv, kw));
                 }
-            }
-        }
-    }
-
-    /// The prepared-statement rewrite is a pure performance change: the
-    /// reparse-per-round baseline produces identical outcomes.
-    #[test]
-    fn prepared_and_reparse_sql_populations_agree() {
-        let w = workload();
-        let mut prepared = programmed_market(&w, WdMethod::Reduced, Strategy::Sql);
-        let mut reparse = programmed_market(&w, WdMethod::Reduced, Strategy::SqlReparse);
-        let batch = requests(&w, 0, 80);
-        assert_eq!(
-            prepared.market.serve_batch(&batch).expect("valid keywords"),
-            reparse.market.serve_batch(&batch).expect("valid keywords"),
-        );
-        for adv in 0..w.bidders.len() {
-            for kw in 0..w.config.num_keywords {
-                assert_eq!(prepared.bid_of(adv, kw), reparse.bid_of(adv, kw));
             }
         }
     }

@@ -227,12 +227,12 @@
 //! execution; DDL moves a database to another shape and transparently
 //! replans for it alone.
 //!
-//! The planner is held to an equivalence guarantee: planned + indexed +
-//! compiled execution is bit-identical to the reference tree-walking
-//! interpreter, which stays reachable as a forced-scan mode
-//! (`SSA_MINIDB_FORCE_SCAN=1` or [`minidb::Database::set_planner_mode`])
-//! and backs a proptest equivalence suite plus the three-way
-//! (`native|sql|sql-reparse`) Section V workload check.
+//! Planned + indexed + compiled execution is the one production SQL
+//! path, held to an equivalence guarantee: it is bit-identical to the
+//! reference tree-walking interpreter, which tests and benches select by
+//! name ([`minidb::Database::set_planner_mode`]) as the oracle of a
+//! proptest equivalence suite and of the `native|sql` Section V workload
+//! check.
 //! [`minidb::Database::explain`] (and the `EXPLAIN` statement) report
 //! the chosen access path without executing — provably without
 //! disturbing RNG or trigger state — and planner counters
