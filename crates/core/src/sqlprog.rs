@@ -47,14 +47,18 @@
 //! # One compiled program, many campaigns
 //!
 //! Registering the same `tables`/`program` text for another campaign costs
-//! that campaign's rows, variables and indexes and nothing else: the
+//! that campaign's rows, indexes and variable values and nothing else: the
 //! scripts are interned by [`ssa_minidb`] (parsed once per distinct text,
 //! and every program holds its two, so a text stays compiled while any
 //! campaign runs it),
-//! the installed triggers are the bodies inside the interned script, the
-//! three host statements above are prepared from fixed texts, and every
-//! lowered plan is stamped with the catalog's *shape*, which all programs
-//! built from one `tables` script have in common. [`SqlProgramBidder::new`]
+//! the installed triggers are the bodies inside the interned script, names
+//! included, the three host statements above are prepared from fixed texts,
+//! the catalog — table names and column lists — is the interned *shape*
+//! all programs built from one `tables` script have in common, every
+//! lowered plan is stamped with that shape, and variable names (`time`,
+//! `keyword`, `price`, …) are interned once per process. A Figure 5
+//! program costs about 2 KB resident when built and 2.7 KB once it has
+//! served auctions (`tests/sqlprog_footprint.rs`). [`SqlProgramBidder::new`]
 //! also plans (or adopts) all of it — trigger bodies and host statements —
 //! so registration, not the first auction, pays for planning. None of this
 //! is visible in behaviour: a program whose trigger reshapes its own
@@ -529,6 +533,32 @@ mod tests {
         // Error text is readable.
         let err: Box<dyn std::error::Error> = Box::new(SqlProgramError::MissingTable("Bids"));
         assert!(err.to_string().contains("Bids"));
+    }
+
+    #[test]
+    fn duplicate_column_names_are_refused_at_registration() {
+        // Column names are case-insensitive, so `a` and `A` collide. Both
+        // scripts are parsed when the program registers, so a trigger body
+        // that would create such a table is refused there too, long before
+        // it could fire on a serving thread.
+        let duplicate = SqlProgramError::Db(DbError::DuplicateColumn("A".to_string()));
+        let tables = "
+            CREATE TABLE Query (kw INT);
+            CREATE TABLE Bids (formula TEXT, value INT);
+            CREATE TABLE Stats (a INT, A INT);
+        ";
+        assert_eq!(
+            SqlProgramBidder::new(tables, "", &Params::new()).unwrap_err(),
+            duplicate
+        );
+        let program = "
+            CREATE TRIGGER bid AFTER INSERT ON Query
+            { CREATE TABLE Scratch (a INT, A INT); }
+        ";
+        assert_eq!(
+            SqlProgramBidder::new(TABLES, program, &Params::new().bind("start", 1)).unwrap_err(),
+            duplicate
+        );
     }
 
     #[test]

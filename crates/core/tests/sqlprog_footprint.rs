@@ -1,24 +1,30 @@
 //! Footprint and boundedness of shared SQL bidding programs.
 //!
 //! Campaigns that register the same program text share everything derived
-//! from the text — parsed scripts, trigger bodies, lowered plans — through
-//! `ssa_minidb`'s script interner; each `SqlProgramBidder` owns only its
-//! rows, variables and indexes. This file pins that down from outside:
-//! resident memory per program, pointer identity of what is shared, and
-//! that the interner — which holds only weak references — empties when the
-//! programs go and cannot be grown by one-off statements.
+//! from the text — parsed scripts, trigger bodies, lowered plans, the
+//! catalog of table names and column lists, variable names — through
+//! `ssa_minidb`'s interners; each `SqlProgramBidder` owns only its rows,
+//! indexes and variable values. This file pins that down from outside:
+//! resident memory per program, freshly built and after it has served
+//! auctions, pointer identity of what is shared, and that the script
+//! interner — which holds only weak references — empties when the programs
+//! go and cannot be grown by one-off statements.
 //!
 //! It is a test binary of its own, and one `#[test]`, because both things
 //! it measures are process-wide: resident set size and the interner's
 //! entry count. Linux-only: resident memory is read from
 //! `/proc/self/status`.
 //!
-//! The run prints one JSON line (`sql_program_footprint_kb`) that the
-//! `perf-smoke` CI job appends to `bench-report.json`.
+//! The run prints two JSON lines (`sql_program_footprint_kb` for a freshly
+//! built program, `sql_program_served_footprint_kb` for one that has served
+//! 20 auctions and settled a click, the state the `program-sql` benchmark
+//! workload holds its programs in) that the `perf-smoke` CI job appends to
+//! `bench-report.json`.
 
 #![cfg(target_os = "linux")]
 
-use ssa_core::SqlProgramBidder;
+use ssa_bidlang::{Money, SlotId};
+use ssa_core::{Bidder, BidderOutcome, QueryContext, SqlProgramBidder};
 use ssa_minidb::{interned_scripts, Database, Params};
 
 /// The keyword-local Figure 5 program (`ssa_workload::sql::ROI_TABLES` /
@@ -82,6 +88,26 @@ fn program(i: i64) -> SqlProgramBidder {
     SqlProgramBidder::new(TABLES, PROGRAM, &params).expect("the Figure 5 program is well-formed")
 }
 
+/// Twenty auctions on one keyword, then a clicked first slot to settle.
+fn serve(program: &mut SqlProgramBidder) {
+    let ctx = |time| QueryContext {
+        time,
+        keyword: 0,
+        num_keywords: 1,
+    };
+    for time in 1..=20 {
+        assert!(!program.on_query(&ctx(time)).is_empty(), "the program bids");
+    }
+    let click = BidderOutcome {
+        slot: Some(SlotId::new(1)),
+        clicked: true,
+        purchased: false,
+        price: Money::from_cents(3),
+    };
+    program.on_outcome(&ctx(20), &click);
+    assert!(program.last_error().is_none());
+}
+
 /// Resident set size of this process in KB (`VmRSS`).
 fn resident_kb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
@@ -122,11 +148,27 @@ fn shared_programs_are_small_identical_and_leave_nothing_behind() {
     let per_program_kb = (resident_kb() - before) / PROGRAMS as f64;
     println!("{{\"metric\":\"sql_program_footprint_kb\",\"programs\":{PROGRAMS},\"value\":{per_program_kb:.2}}}");
     assert!(
-        per_program_kb <= 8.0,
-        "a Figure 5 program costs {per_program_kb:.1} KB resident, 8 KB allowed \
-         (30.8 KB before scripts and plans were shared)"
+        per_program_kb <= 3.0,
+        "a Figure 5 program costs {per_program_kb:.1} KB resident, 3 KB allowed \
+         (30.8 KB before scripts and plans were shared, 4.4 KB while each \
+         database kept its own catalog and variable names)"
     );
     assert_eq!(interned_scripts(), 5, "2 000 programs, still five texts");
+    assert!(programs[PROGRAMS - 1].db().shares_triggers_with(first.db()));
+
+    // -- Served: what the programs hold once they have run auctions. ------
+    for program in &mut programs {
+        serve(program);
+    }
+    let served_kb = (resident_kb() - before) / PROGRAMS as f64;
+    println!("{{\"metric\":\"sql_program_served_footprint_kb\",\"programs\":{PROGRAMS},\"value\":{served_kb:.2}}}");
+    assert!(
+        served_kb <= 3.5,
+        "a Figure 5 program that served 20 auctions and a click costs \
+         {served_kb:.1} KB resident, 3.5 KB allowed (≈ 5.6 KB while each \
+         database kept its own catalog and variable names)"
+    );
+    assert_eq!(interned_scripts(), 5, "serving interns no script");
     assert!(programs[PROGRAMS - 1].db().shares_triggers_with(first.db()));
 
     // -- Boundedness: the interner holds no program alive. ----------------

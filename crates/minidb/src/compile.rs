@@ -20,6 +20,8 @@ use crate::plan::{run_planned_select, PlannedSelect};
 use crate::prepared::Params;
 use crate::table::Schema;
 use crate::value::{ArithOp, Value, ValueType};
+use crate::vars::VarName;
+use std::sync::Arc;
 
 /// One op of the expression stack machine.
 #[derive(Debug)]
@@ -38,8 +40,9 @@ pub(crate) enum Op {
     },
     /// Push a host scalar variable (the unqualified-name fallback).
     PushVar {
-        /// Lowercased variable name.
-        lower: String,
+        /// The interned name: looking it up is a pointer comparison per
+        /// variable the database holds.
+        name: Arc<VarName>,
         /// Original spelling, for the `NoSuchColumn` error.
         display: String,
     },
@@ -126,7 +129,7 @@ fn leaf_value(op: &Op, cx: &EvalCx<'_>) -> DbResult<Value> {
         Op::PushLiteral(v) => Ok(v.clone()),
         Op::PushParam(p) => cx.params.resolve(p),
         Op::PushColumn { depth, col } => Ok(cx.scopes[*depth][*col].clone()),
-        Op::PushVar { lower, display } => match cx.db.vars.get(lower) {
+        Op::PushVar { name, display } => match cx.db.vars.get(name) {
             Some(v) => Ok(v.clone()),
             None => Err(DbError::NoSuchColumn(display.clone())),
         },
@@ -300,7 +303,7 @@ impl CompiledExpr {
                     cx.stack.push(v);
                 }
                 Op::PushColumn { depth, col } => cx.stack.push(cx.scopes[*depth][*col].clone()),
-                Op::PushVar { lower, display } => match cx.db.vars.get(lower) {
+                Op::PushVar { name, display } => match cx.db.vars.get(name) {
                     Some(v) => cx.stack.push(v.clone()),
                     None => return Err(DbError::NoSuchColumn(display.clone())),
                 },
@@ -494,7 +497,7 @@ fn emit(expr: &Expr, db: &Database, scopes: &[CScope<'_>], ops: &mut Vec<Op>) {
         Expr::Column(cref) => match resolve_static(cref, scopes) {
             Resolution::Cell { depth, col } => ops.push(Op::PushColumn { depth, col }),
             Resolution::Var(name) => ops.push(Op::PushVar {
-                lower: name.to_ascii_lowercase(),
+                name: VarName::intern(&name),
                 display: name,
             }),
             Resolution::Missing(display) => ops.push(Op::Raise(DbError::NoSuchColumn(display))),

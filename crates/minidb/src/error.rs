@@ -29,6 +29,8 @@ pub enum DbError {
     TableExists(String),
     /// A trigger with this name already exists.
     TriggerExists(String),
+    /// A `CREATE TABLE` names the same column twice (ignoring case).
+    DuplicateColumn(String),
     /// Type error during evaluation.
     Type(String),
     /// Division by zero.
@@ -80,6 +82,7 @@ impl fmt::Display for DbError {
             DbError::NoSuchVariable(v) => write!(f, "no such variable: {v}"),
             DbError::TableExists(t) => write!(f, "table already exists: {t}"),
             DbError::TriggerExists(t) => write!(f, "trigger already exists: {t}"),
+            DbError::DuplicateColumn(c) => write!(f, "duplicate column: {c}"),
             DbError::Type(msg) => write!(f, "type error: {msg}"),
             DbError::DivisionByZero => write!(f, "division by zero"),
             DbError::Overflow => write!(f, "integer arithmetic overflow"),

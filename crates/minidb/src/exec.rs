@@ -14,22 +14,16 @@
 
 use crate::ast::{AggFunc, CmpOp, ColumnRef, Expr, Select, SelectItem, Statement};
 use crate::error::{DbError, DbResult};
-use crate::index::FnvBuildHasher;
 use crate::plan::{self, ExplainLine, PlannedScript, PlannerCounters, PlannerMode};
 use crate::prepared::{Params, Prepared, NO_PARAMS};
 use crate::script::{CatalogShape, Script};
 use crate::table::{Row, Schema, Table};
 use crate::value::Value;
-use std::collections::HashMap;
+use crate::vars::Vars;
 use std::sync::Arc;
 
 /// Maximum depth of trigger-initiated statement nesting.
 const MAX_TRIGGER_DEPTH: usize = 16;
-
-/// Name-keyed map (catalog, host variables): FNV over short lowercase
-/// strings beats the DoS-resistant default hasher, and the names come from
-/// trusted program text, not external input.
-pub(crate) type StrMap<V> = HashMap<String, V, FnvBuildHasher>;
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,10 +48,9 @@ pub enum ExecOutcome {
 
 #[derive(Debug, Clone)]
 pub(crate) struct TriggerDef {
-    name_lower: String,
-    table_lower: String,
     /// The body as parsed inside the defining script — the same `Arc` in
-    /// every database that ran that script, plan cache included.
+    /// every database that ran that script, plan cache included. It also
+    /// carries the trigger's name and table.
     body: Arc<Script>,
     /// Owner-local memo of the planned body. Living inside `Database`, it
     /// needs no lock: repeat firings revalidate one version number and go.
@@ -89,17 +82,20 @@ struct ReadyTrigger {
 /// An in-memory database: tables, triggers, and host scalar variables.
 ///
 /// What a database owns is its *state*: rows, indexes, variable values.
-/// What it derives from SQL text — parsed trigger bodies, lowered plans —
-/// is shared with every other database running the same text over the same
-/// catalog shape (see [`crate::script`]).
+/// Everything else is shared with every other database that ran the same
+/// text over the same catalog shape (see [`crate::script`]): the catalog —
+/// table names, spellings, column lists — is the interned shape, parsed
+/// trigger bodies (names included) and lowered plans live in the scripts,
+/// and variable names are interned once per process.
 #[derive(Debug, Clone)]
 pub struct Database {
-    pub(crate) tables: StrMap<(String, Table)>, // lowercase name → (display, table)
+    /// The catalog: which tables exist and what their columns are.
+    pub(crate) shape: Arc<CatalogShape>,
+    /// Rows and indexes of each table of `shape`, in its order.
+    pub(crate) tables: Vec<Table>,
     triggers: Vec<TriggerDef>,
-    pub(crate) vars: StrMap<Value>, // lowercase name
+    pub(crate) vars: Vars,
     pub(crate) mode: PlannerMode,
-    /// Id of the catalog's shape; what plans are validated against.
-    pub(crate) catalog_version: u64,
     /// Every shape this database has had since the empty one, which keeps
     /// their ids interned: coming back to a shape (a table dropped and
     /// recreated as it was) comes back to its id whether or not another
@@ -123,11 +119,11 @@ impl Database {
     /// Creates an empty database in [`PlannerMode::Auto`].
     pub fn new() -> Self {
         Database {
-            tables: StrMap::default(),
+            shape: CatalogShape::empty(),
+            tables: Vec::new(),
             triggers: Vec::new(),
-            vars: StrMap::default(),
+            vars: Vars::default(),
             mode: PlannerMode::Auto,
-            catalog_version: CatalogShape::empty().id(),
             shapes: Vec::new(),
             ddl_epoch: 0,
             counters: PlannerCounters::default(),
@@ -212,61 +208,66 @@ impl Database {
         self.execute_at_depth(stmt, depth, params)
     }
 
-    /// Sets a host scalar variable (e.g. `amtSpent`, `time`).
+    /// Sets a host scalar variable (e.g. `amtSpent`, `time`); names are
+    /// case-insensitive. Overwriting a variable allocates nothing.
     pub fn set_var(&mut self, name: &str, value: Value) {
-        // Keys are stored lowercase, and auction drivers pass lowercase
-        // names every round — overwrite in place without allocating. A
-        // mixed-case name can never equal a stored key, so the miss arm
-        // is the only one that needs to fold.
-        if let Some(slot) = self.vars.get_mut(name) {
-            *slot = value;
-            return;
-        }
-        self.vars.insert(name.to_ascii_lowercase(), value);
+        self.vars.set_named(name, value);
     }
 
     /// Reads a host scalar variable.
     pub fn var(&self, name: &str) -> Option<&Value> {
-        self.vars.get(&name.to_ascii_lowercase())
+        self.vars.find(name)
     }
 
     /// Host access to a table.
     pub fn table(&self, name: &str) -> DbResult<&Table> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .map(|(_, t)| t)
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+        Ok(&self.tables[self.table_position(name)?])
     }
 
     /// Host-side table creation.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> DbResult<()> {
-        let key = name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) {
-            return Err(DbError::TableExists(name.to_string()));
-        }
-        self.tables
-            .insert(key, (name.to_string(), Table::new(schema)));
-        self.catalog_changed();
+        let pos = match self.shape.search(name) {
+            Ok(_) => return Err(DbError::TableExists(name.to_string())),
+            Err(pos) => pos,
+        };
+        let shape = self.shape.with_table(pos, name, &Arc::new(schema));
+        self.tables.reserve_exact(1);
+        self.tables.insert(
+            pos,
+            Table::with_schema(Arc::clone(&shape.tables()[pos].schema)),
+        );
+        self.enter_shape(shape);
         Ok(())
     }
 
-    /// Re-derives the catalog shape after a table was created or dropped.
-    /// Trigger memos go too: a shape this database had before (a table
-    /// dropped and recreated as it was) revalidates old plans, but not the
-    /// indexes the dropped table took with it — refilling the memo from the
-    /// plan cache rebuilds them.
-    fn catalog_changed(&mut self) {
-        let mut tables: Vec<_> = self.tables.iter().collect();
-        tables.sort_unstable_by_key(|(key, _)| key.as_str());
-        let shape = CatalogShape::intern(
-            tables
-                .into_iter()
-                .map(|(_, (display, table))| (display.as_str(), table.schema())),
-        );
-        self.catalog_version = shape.id();
-        if !self.shapes.iter().any(|seen| seen.id() == shape.id()) {
-            self.shapes.push(shape);
+    /// The id of the catalog's shape; what plans are validated against.
+    pub(crate) fn catalog_version(&self) -> u64 {
+        self.shape.id()
+    }
+
+    /// The position of the table called `name` (in any case).
+    pub(crate) fn table_position(&self, name: &str) -> DbResult<usize> {
+        self.shape
+            .position(name)
+            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    }
+
+    /// The spelling and contents of the table at `pos`.
+    pub(crate) fn table_at(&self, pos: usize) -> (&str, &Table) {
+        (&self.shape.tables()[pos].display, &self.tables[pos])
+    }
+
+    /// Moves to `shape` after a table was created or dropped, `tables`
+    /// already holding one entry per table of it. Trigger memos go too: a shape this
+    /// database had before (a table dropped and recreated as it was)
+    /// revalidates old plans, but not the indexes the dropped table took
+    /// with it — refilling the memo from the plan cache rebuilds them.
+    fn enter_shape(&mut self, shape: Arc<CatalogShape>) {
+        if !self.shapes.iter().any(|seen| Arc::ptr_eq(seen, &shape)) {
+            self.shapes.reserve_exact(1);
+            self.shapes.push(Arc::clone(&shape));
         }
+        self.shape = shape;
         self.ddl_epoch += 1;
         for trigger in &mut self.triggers {
             trigger.ready = None;
@@ -290,18 +291,14 @@ impl Database {
 
     /// Host-side insert; fires `AFTER INSERT` triggers like SQL inserts do.
     pub fn insert(&mut self, table: &str, row: Row) -> DbResult<()> {
-        let key = table.to_ascii_lowercase();
-        let (_, t) = self
-            .tables
-            .get_mut(&key)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-        t.insert(row)?;
-        self.fire_triggers(&key, 0)
+        let pos = self.table_position(table)?;
+        self.tables[pos].insert(row)?;
+        self.fire_triggers(pos, 0)
     }
 
     /// Names of all tables (display form), sorted.
     pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.values().map(|(n, _)| n.as_str()).collect();
+        let mut names: Vec<&str> = self.shape.tables().iter().map(|t| &*t.display).collect();
         names.sort_unstable();
         names
     }
@@ -316,34 +313,31 @@ impl Database {
     ) -> DbResult<ExecOutcome> {
         match stmt {
             Statement::CreateTable { name, columns } => {
-                let schema = Schema::new(columns.iter().cloned());
+                let schema = Schema::try_new(columns.iter().cloned())?;
                 self.create_table(name, schema)?;
                 Ok(ExecOutcome::Created)
             }
             Statement::DropTable { name } => {
-                let key = name.to_ascii_lowercase();
-                if self.tables.remove(&key).is_none() {
-                    return Err(DbError::NoSuchTable(name.clone()));
-                }
-                self.triggers.retain(|t| t.table_lower != key);
-                self.catalog_changed();
+                let pos = self.table_position(name)?;
+                self.tables.remove(pos);
+                self.triggers.retain(|t| !t.body.is_trigger_on(name));
+                let shape = self.shape.without_table(pos);
+                self.enter_shape(shape);
                 Ok(ExecOutcome::Dropped)
             }
             Statement::CreateTrigger { name, table, body } => {
-                let name_lower = name.to_ascii_lowercase();
-                if self.triggers.iter().any(|t| t.name_lower == name_lower) {
+                if self.triggers.iter().any(|t| t.body.is_trigger_named(name)) {
                     return Err(DbError::TriggerExists(name.clone()));
                 }
-                let table_lower = table.to_ascii_lowercase();
-                if !self.tables.contains_key(&table_lower) {
-                    return Err(DbError::NoSuchTable(table.clone()));
-                }
-                self.triggers.push(TriggerDef {
-                    name_lower,
-                    table_lower,
-                    body: Arc::clone(body),
-                    ready: None,
-                });
+                self.table_position(table)?;
+                let body = if body.is_trigger_named(name) && body.is_trigger_on(table) {
+                    Arc::clone(body)
+                } else {
+                    // A statement assembled around another trigger's body.
+                    Arc::new(Script::trigger_body(name, table, body.to_vec()))
+                };
+                self.triggers.reserve_exact(1);
+                self.triggers.push(TriggerDef { body, ready: None });
                 Ok(ExecOutcome::Created)
             }
             Statement::Insert {
@@ -386,7 +380,7 @@ impl Database {
             }
             Statement::SetVar { name, value } => {
                 let v = Evaluator::global(self, params).eval(value)?;
-                self.set_var(name, v);
+                self.vars.set_named(name, v);
                 Ok(ExecOutcome::Done)
             }
             Statement::Explain(inner) => {
@@ -415,16 +409,12 @@ impl Database {
         depth: usize,
         params: &Params,
     ) -> DbResult<usize> {
-        let key = table.to_ascii_lowercase();
+        let pos = self.table_position(table)?;
         // Evaluate before mutating (expressions may read other tables).
         let mut materialised: Vec<Row> = Vec::with_capacity(rows.len());
         {
             let evaluator = Evaluator::global(self, params);
-            let (_, t) = self
-                .tables
-                .get(&key)
-                .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-            let schema = t.schema();
+            let schema = self.tables[pos].schema();
             for exprs in rows {
                 let mut values = Vec::with_capacity(exprs.len());
                 for e in exprs {
@@ -453,26 +443,25 @@ impl Database {
             }
         }
         let count = materialised.len();
-        let (_, t) = self
-            .tables
-            .get_mut(&key)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
+        let t = &mut self.tables[pos];
         for row in materialised {
             t.insert(row)?;
         }
-        self.fire_triggers(&key, depth)?;
+        self.fire_triggers(pos, depth)?;
         Ok(count)
     }
 
-    pub(crate) fn fire_triggers(&mut self, table_lower: &str, depth: usize) -> DbResult<()> {
+    /// Fires the `AFTER INSERT` triggers of the table at `pos`.
+    pub(crate) fn fire_triggers(&mut self, pos: usize, depth: usize) -> DbResult<()> {
         if depth >= MAX_TRIGGER_DEPTH {
             return Err(DbError::TriggerDepthExceeded);
         }
+        let table = &*self.shape.tables()[pos].display;
         if self.mode == PlannerMode::ForceScan {
             let fired: Vec<Arc<Script>> = self
                 .triggers
                 .iter()
-                .filter(|t| t.table_lower == table_lower)
+                .filter(|t| t.body.is_trigger_on(table))
                 .map(|t| Arc::clone(&t.body))
                 .collect();
             for body in fired {
@@ -494,8 +483,8 @@ impl Database {
             .triggers
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.table_lower == table_lower)
-            .map(|(slot, t)| match t.ready_at(self.catalog_version) {
+            .filter(|(_, t)| t.body.is_trigger_on(table))
+            .map(|(slot, t)| match t.ready_at(self.catalog_version()) {
                 Some(ready) => Ok(Arc::clone(ready)),
                 None => Err((slot, Arc::clone(&t.body))),
             })
@@ -531,7 +520,7 @@ impl Database {
         }
         for slot in 0..self.triggers.len() {
             let trigger = &self.triggers[slot];
-            if trigger.ready_at(self.catalog_version).is_none() {
+            if trigger.ready_at(self.catalog_version()).is_none() {
                 let body = Arc::clone(&trigger.body);
                 self.triggers[slot].ready = Some(self.ready_trigger(body));
             }
@@ -552,15 +541,12 @@ impl Database {
         where_clause: Option<&Expr>,
         params: &Params,
     ) -> DbResult<usize> {
-        let key = table.to_ascii_lowercase();
+        let pos = self.table_position(table)?;
         // Phase 1 (immutable): find matching rows, compute new values
         // against the snapshot.
         let mut planned: Vec<(usize, Vec<(usize, Value)>)> = Vec::new();
         {
-            let (display, t) = self
-                .tables
-                .get(&key)
-                .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
+            let (display, t) = self.table_at(pos);
             let schema = t.schema();
             let set_indices: Vec<usize> = sets
                 .iter()
@@ -589,7 +575,7 @@ impl Database {
         }
         // Phase 2 (mutable): apply.
         let count = planned.len();
-        let (_, t) = self.tables.get_mut(&key).expect("checked in phase 1");
+        let t = &mut self.tables[pos];
         for (ridx, assignments) in planned {
             for (cidx, value) in assignments {
                 t.set_cell(ridx, cidx, value)?;
@@ -604,13 +590,10 @@ impl Database {
         where_clause: Option<&Expr>,
         params: &Params,
     ) -> DbResult<usize> {
-        let key = table.to_ascii_lowercase();
+        let pos = self.table_position(table)?;
         let mut doomed: Vec<usize> = Vec::new();
         {
-            let (display, t) = self
-                .tables
-                .get(&key)
-                .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
+            let (display, t) = self.table_at(pos);
             for (ridx, row) in t.rows().iter().enumerate() {
                 PlannerCounters::bump(&self.counters.rows_scanned, 1);
                 let evaluator = Evaluator::with_row(self, display, None, t.schema(), row, params);
@@ -624,8 +607,7 @@ impl Database {
             }
         }
         let count = doomed.len();
-        let (_, t) = self.tables.get_mut(&key).expect("checked in phase 1");
-        t.delete_rows(&doomed);
+        self.tables[pos].delete_rows(&doomed);
         Ok(count)
     }
 }
@@ -705,7 +687,7 @@ impl<'a> Evaluator<'a> {
                 }
                 self.db
                     .vars
-                    .get(&cref.column.to_ascii_lowercase())
+                    .find(&cref.column)
                     .cloned()
                     .ok_or_else(|| DbError::NoSuchColumn(cref.column.clone()))
             }
@@ -799,12 +781,7 @@ impl<'a> Evaluator<'a> {
     }
 
     fn run_select(&self, select: &Select) -> DbResult<Vec<Row>> {
-        let key = select.from.to_ascii_lowercase();
-        let (display, table) = self
-            .db
-            .tables
-            .get(&key)
-            .ok_or_else(|| DbError::NoSuchTable(select.from.clone()))?;
+        let (display, table) = self.db.table_at(self.db.table_position(&select.from)?);
         let schema = table.schema();
 
         let has_agg = select
@@ -1139,6 +1116,28 @@ mod tests {
             db.run("SELECT SUM(a), a FROM t"),
             Err(DbError::Type(_))
         ));
+    }
+
+    #[test]
+    fn duplicate_columns_are_a_typed_error_on_every_path() {
+        let mut db = Database::new();
+        assert_eq!(
+            db.run("CREATE TABLE t (a INT, A INT)"),
+            Err(DbError::DuplicateColumn("A".to_string()))
+        );
+        // The parser never builds such a statement; a host can.
+        let assembled = Statement::CreateTable {
+            name: "t".to_string(),
+            columns: vec![
+                ("a".to_string(), crate::ValueType::Int),
+                ("A".to_string(), crate::ValueType::Int),
+            ],
+        };
+        assert_eq!(
+            db.execute(&assembled),
+            Err(DbError::DuplicateColumn("A".to_string()))
+        );
+        assert!(db.table_names().is_empty());
     }
 
     #[test]

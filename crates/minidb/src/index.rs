@@ -29,7 +29,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// maps keyed by row values; speed on 8-byte ints and short strings is the
 /// point.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FnvHasher(u64);
+struct FnvHasher(u64);
 
 impl Default for FnvHasher {
     fn default() -> Self {
@@ -52,10 +52,8 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// Build-hasher handle for FNV-keyed maps; also used by [`crate::exec`] for
-/// the catalog and host-variable maps, which are probed by short lowercase
-/// names on every statement.
-pub(crate) type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
+/// Build-hasher handle for FNV-keyed posting maps.
+type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
 type FnvMap<K> = HashMap<K, Vec<usize>, FnvBuildHasher>;
 

@@ -59,7 +59,7 @@
 //! A marketplace runs one bidding program for thousands of campaigns, each
 //! in a [`Database`] of its own. What a database owns is its state — rows,
 //! indexes, variable values; everything derived from SQL *text* is compiled
-//! once per distinct text and shared ([`script`] module):
+//! or interned once and shared ([`script`] module):
 //!
 //! * **Script interning** — [`Database::prepare`] and [`Database::run`]
 //!   resolve their text through a process-wide table of weak references. A
@@ -71,15 +71,21 @@
 //!   keeps the handle. The table never keeps a script alive and drops an
 //!   entry with its last holder, so one-off statements cannot grow it
 //!   ([`interned_scripts`] counts it).
-//! * **Structural catalog identity** — plans are stamped not with a
-//!   per-database version but with the interned id of the catalog's
-//!   *shape*: its tables, their spelling, column names and types, which is
-//!   all that planning reads. Databases that ran the same DDL validate the
-//!   same planned script; one whose DDL diverges (a trigger that recreates
-//!   a table with other columns, say) gets another id and replans alone,
+//! * **A shared catalog** — the catalog's *shape* (its tables, their
+//!   spelling, column names and types: all that planning reads) is
+//!   interned, and a database holds it plus one table of rows and indexes
+//!   per entry, in the shape's order. Plans are stamped not with a
+//!   per-database version but with the shape's id, and name tables by
+//!   position in it. Databases that ran the same DDL validate the same
+//!   planned script; one whose DDL diverges (a trigger that recreates a
+//!   table with other columns, say) gets another id and replans alone,
 //!   without disturbing the others' memoised plans. A database keeps the
 //!   shapes it has been through interned, so what it replans follows from
 //!   its own DDL history, never from which other databases exist.
+//! * **Shared names** — trigger names live in the shared trigger bodies,
+//!   and variable names are interned once per process: a database's
+//!   variables are a small vector of (shared name, value) pairs, so setting
+//!   or reading one it already has allocates nothing.
 //! * **Indexes stay private** — a database that adopts a plan a sibling
 //!   lowered still builds the indexes that plan probes on its own tables.
 //!
@@ -122,6 +128,7 @@ pub mod prepared;
 pub mod script;
 pub mod table;
 pub mod value;
+mod vars;
 
 pub use error::{DbError, DbResult};
 pub use exec::{Database, ExecOutcome};

@@ -207,9 +207,15 @@ impl Parser {
         if self.eat_keyword("TABLE") {
             let name = self.expect_ident()?;
             self.expect_symbol('(')?;
-            let mut columns = Vec::new();
+            let mut columns: Vec<(String, ValueType)> = Vec::new();
             loop {
                 let col = self.expect_ident()?;
+                if columns
+                    .iter()
+                    .any(|(seen, _)| seen.eq_ignore_ascii_case(&col))
+                {
+                    return Err(DbError::DuplicateColumn(col));
+                }
                 let ty = self.parse_type()?;
                 columns.push((col, ty));
                 if !self.eat_symbol(',') {
@@ -246,11 +252,8 @@ impl Parser {
                 }
             }
             self.in_trigger_body = outer;
-            Ok(Statement::CreateTrigger {
-                name,
-                table,
-                body: Arc::new(Script::trigger_body(body)),
-            })
+            let body = Arc::new(Script::trigger_body(&name, &table, body));
+            Ok(Statement::CreateTrigger { name, table, body })
         } else {
             Err(self.error("expected TABLE or TRIGGER after CREATE"))
         }
@@ -731,6 +734,19 @@ mod tests {
                 ],
             }
         );
+    }
+
+    #[test]
+    fn duplicate_column_names_are_rejected() {
+        for sql in [
+            "CREATE TABLE X (a INT, A INT)",
+            "CREATE TRIGGER t AFTER INSERT ON q { CREATE TABLE X (b TEXT, c INT, B FLOAT) }",
+        ] {
+            assert!(
+                matches!(parse_statement(sql), Err(DbError::DuplicateColumn(_))),
+                "{sql} accepted"
+            );
+        }
     }
 
     #[test]

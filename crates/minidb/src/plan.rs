@@ -5,7 +5,7 @@
 //! adds the layered pipeline in front of it:
 //!
 //! 1. **Logical plan** — `plan_statement` lowers a parsed [`Statement`]
-//!    once: the target table is resolved to its catalog key, every column
+//!    once: the target table is resolved to its catalog position, every column
 //!    reference to a `(scope depth, offset)` pair, every expression to a
 //!    flat compiled op sequence (`crate::compile`), and parameter slots
 //!    stay symbolic so one plan serves every binding.
@@ -25,7 +25,10 @@
 //! the same id and share one planned script per script text; `CREATE
 //! TABLE`/`DROP TABLE` moves a database to another id, and a plan stamped
 //! with a different id is transparently replanned, so cached plans never
-//! observe a renamed schema.
+//! observe a renamed schema. Because a shape id fixes the catalog's table
+//! list, a plan names its tables by their position in it: a database holds
+//! its tables in the shape's order, and a plan runs only where its stamp
+//! matches the catalog.
 //!
 //! **Equivalence guarantee**: for every script, the planned executor
 //! produces bit-identical outcomes — rows, errors, trigger effects, and
@@ -44,9 +47,10 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{Database, ExecOutcome};
 use crate::parser::parse_script;
 use crate::prepared::Params;
-use crate::script::Script;
+use crate::script::{CatalogShape, Script};
 use crate::table::{Row, Table};
 use crate::value::{ArithOp, Value, ValueType};
+use crate::vars::VarName;
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
@@ -110,9 +114,10 @@ pub(crate) struct PlannedScript {
     /// sharing unit, and one contiguous allocation keeps the serving path's
     /// cold-cache footprint down.
     plans: Vec<StmtPlan>,
-    /// Every `(table key, column ordinal)` the script's plans probe, sorted
-    /// and deduplicated: what a database adopting this script must index.
-    index_reqs: Vec<(String, usize)>,
+    /// Every `(table position, column ordinal)` the script's plans probe,
+    /// sorted and deduplicated: what a database adopting this script must
+    /// index.
+    index_reqs: Vec<(usize, usize)>,
 }
 
 impl PlannedScript {
@@ -123,13 +128,13 @@ impl PlannedScript {
 
     /// The catalog shape id the script was planned at. Owners that memoise
     /// a script (prepared statements, trigger definitions) revalidate
-    /// against [`Database::catalog_version`] before reusing it.
+    /// against the database's catalog shape before reusing it.
     pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
     /// The indexes the script's plans probe.
-    pub(crate) fn index_reqs(&self) -> &[(String, usize)] {
+    pub(crate) fn index_reqs(&self) -> &[(usize, usize)] {
         &self.index_reqs
     }
 }
@@ -183,8 +188,8 @@ pub struct ExplainLine {
 pub(crate) struct StmtPlan {
     version: u64,
     kind: PlanKind,
-    /// `(table key, column ordinal)` pairs this plan probes.
-    pub(crate) index_reqs: Vec<(String, usize)>,
+    /// `(table position, column ordinal)` pairs this plan probes.
+    pub(crate) index_reqs: Vec<(usize, usize)>,
 }
 
 #[derive(Debug)]
@@ -202,7 +207,9 @@ enum PlanKind {
         else_block: Option<PlannedBlock>,
     },
     SetVar {
-        name: String,
+        name: Arc<VarName>,
+        /// The spelling `EXPLAIN` shows.
+        display: String,
         value: CompiledExpr,
     },
     /// `EXPLAIN stmt`: the rendered plan of the inner statement.
@@ -216,11 +223,12 @@ struct PlannedBlock {
     stmts: Vec<(Statement, StmtPlan)>,
 }
 
+// A `table` field below is a position in the catalog shape the plan is
+// stamped with; plans execute only on a database of that shape.
+
 #[derive(Debug)]
 struct PlannedInsert {
-    key: String,
-    from: String,
-    display: String,
+    table: usize,
     schema_len: usize,
     rows: Vec<PRow>,
 }
@@ -245,18 +253,14 @@ enum RowMap {
 
 #[derive(Debug)]
 struct PlannedUpdate {
-    key: String,
-    from: String,
-    display: String,
+    table: usize,
     access: AccessPlan,
     sets: Vec<(usize, CompiledExpr)>,
 }
 
 #[derive(Debug)]
 struct PlannedDelete {
-    key: String,
-    from: String,
-    display: String,
+    table: usize,
     access: AccessPlan,
 }
 
@@ -266,9 +270,7 @@ pub(crate) struct PlannedSelect {
     /// Pre-diagnosed error (missing table, or aggregates mixed with plain
     /// columns), raised before any row work — exactly like the interpreter.
     error: Option<DbError>,
-    key: String,
-    from: String,
-    display: String,
+    table: usize,
     access: AccessPlan,
     proj: Proj,
 }
@@ -329,7 +331,7 @@ pub(crate) fn plan_statement(db: &Database, stmt: &Statement) -> StmtPlan {
     reqs.sort();
     reqs.dedup();
     StmtPlan {
-        version: db.catalog_version,
+        version: db.catalog_version(),
         kind,
         index_reqs: reqs,
     }
@@ -345,11 +347,10 @@ fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
             columns,
             rows,
         } => {
-            let key = table.to_ascii_lowercase();
-            let Some((display, t)) = db.tables.get(&key) else {
+            let Some(pos) = db.shape.position(table) else {
                 return PlanKind::Raise(DbError::NoSuchTable(table.clone()));
             };
-            let schema = t.schema();
+            let schema = &*db.shape.tables()[pos].schema;
             let planned_rows = rows
                 .iter()
                 .map(|exprs| {
@@ -385,9 +386,7 @@ fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
                 })
                 .collect();
             PlanKind::Insert(PlannedInsert {
-                key,
-                from: table.clone(),
-                display: display.clone(),
+                table: pos,
                 schema_len: schema.len(),
                 rows: planned_rows,
             })
@@ -397,14 +396,14 @@ fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
             sets,
             where_clause,
         } => {
-            let key = table.to_ascii_lowercase();
-            let Some((display, t)) = db.tables.get(&key) else {
+            let Some(pos) = db.shape.position(table) else {
                 return PlanKind::Raise(DbError::NoSuchTable(table.clone()));
             };
-            let schema = t.schema();
+            let described = &db.shape.tables()[pos];
+            let schema = &*described.schema;
             let mut set_plans = Vec::with_capacity(sets.len());
             let scopes = [CScope {
-                name: display,
+                name: &described.display,
                 alias: None,
                 schema,
             }];
@@ -421,9 +420,7 @@ fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
             }
             let access = plan_access(db, where_clause.as_ref(), &scopes, 0);
             PlanKind::Update(PlannedUpdate {
-                key,
-                from: table.clone(),
-                display: display.clone(),
+                table: pos,
                 access,
                 sets: set_plans,
             })
@@ -432,22 +429,17 @@ fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
             table,
             where_clause,
         } => {
-            let key = table.to_ascii_lowercase();
-            let Some((display, t)) = db.tables.get(&key) else {
+            let Some(pos) = db.shape.position(table) else {
                 return PlanKind::Raise(DbError::NoSuchTable(table.clone()));
             };
+            let described = &db.shape.tables()[pos];
             let scopes = [CScope {
-                name: display,
+                name: &described.display,
                 alias: None,
-                schema: t.schema(),
+                schema: &described.schema,
             }];
             let access = plan_access(db, where_clause.as_ref(), &scopes, 0);
-            PlanKind::Delete(PlannedDelete {
-                key,
-                from: table.clone(),
-                display: display.clone(),
-                access,
-            })
+            PlanKind::Delete(PlannedDelete { table: pos, access })
         }
         Statement::Select(select) => PlanKind::Select(plan_select(db, select, &[])),
         Statement::If { arms, else_block } => PlanKind::If {
@@ -458,7 +450,8 @@ fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
             else_block: else_block.as_ref().map(|b| plan_block(db, b)),
         },
         Statement::SetVar { name, value } => PlanKind::SetVar {
-            name: name.clone(),
+            name: VarName::intern(name),
+            display: name.clone(),
             value: compile_expr(value, db, &[]),
         },
         Statement::Explain(inner) => match explain_statement(db, inner) {
@@ -480,21 +473,19 @@ fn plan_block(db: &Database, block: &[Statement]) -> PlannedBlock {
 /// Plans a SELECT given the statically known outer scopes (empty for a
 /// top-level statement; the enclosing rows' scopes for a subquery).
 pub(crate) fn plan_select(db: &Database, select: &Select, outer: &[CScope<'_>]) -> PlannedSelect {
-    let key = select.from.to_ascii_lowercase();
     let dummy = |error: DbError| PlannedSelect {
         error: Some(error),
-        key: key.clone(),
-        from: select.from.clone(),
-        display: select.from.clone(),
+        table: 0,
         access: AccessPlan {
             kind: AccessKind::Scan,
             full_pred: None,
         },
         proj: Proj::Rows(Vec::new()),
     };
-    let Some((display, t)) = db.tables.get(&key) else {
+    let Some(pos) = db.shape.position(&select.from) else {
         return dummy(DbError::NoSuchTable(select.from.clone()));
     };
+    let described = &db.shape.tables()[pos];
     let has_agg = select
         .items
         .iter()
@@ -511,9 +502,9 @@ pub(crate) fn plan_select(db: &Database, select: &Select, outer: &[CScope<'_>]) 
     }
     let mut scopes: Vec<CScope<'_>> = outer.to_vec();
     scopes.push(CScope {
-        name: display,
+        name: &described.display,
         alias: select.alias.as_deref(),
-        schema: t.schema(),
+        schema: &described.schema,
     });
     let scan_depth = scopes.len() - 1;
     let access = plan_access(db, select.where_clause.as_ref(), &scopes, scan_depth);
@@ -549,9 +540,7 @@ pub(crate) fn plan_select(db: &Database, select: &Select, outer: &[CScope<'_>]) 
     };
     PlannedSelect {
         error: None,
-        key,
-        from: select.from.clone(),
-        display: display.clone(),
+        table: pos,
         access,
         proj,
     }
@@ -665,7 +654,7 @@ fn eq_probe<'e>(
 // Index requirements.
 // ---------------------------------------------------------------------------
 
-fn collect_reqs_kind(kind: &PlanKind, out: &mut Vec<(String, usize)>) {
+fn collect_reqs_kind(kind: &PlanKind, out: &mut Vec<(usize, usize)>) {
     match kind {
         PlanKind::Ddl | PlanKind::Raise(_) | PlanKind::Explain(_) => {}
         PlanKind::Insert(pi) => {
@@ -676,23 +665,23 @@ fn collect_reqs_kind(kind: &PlanKind, out: &mut Vec<(String, usize)>) {
             }
         }
         PlanKind::Update(pu) => {
-            collect_reqs_access(&pu.key, &pu.access, out);
+            collect_reqs_access(pu.table, &pu.access, out);
             for (_, ce) in &pu.sets {
                 collect_reqs_expr(ce, out);
             }
         }
-        PlanKind::Delete(pd) => collect_reqs_access(&pd.key, &pd.access, out),
+        PlanKind::Delete(pd) => collect_reqs_access(pd.table, &pd.access, out),
         PlanKind::Select(ps) => collect_reqs_select(ps, out),
         PlanKind::If { arms, else_block } => {
             for (cond, block) in arms {
                 collect_reqs_expr(cond, out);
                 for (_, plan) in &block.stmts {
-                    out.extend(plan.index_reqs.iter().cloned());
+                    out.extend(&plan.index_reqs);
                 }
             }
             if let Some(block) = else_block {
                 for (_, plan) in &block.stmts {
-                    out.extend(plan.index_reqs.iter().cloned());
+                    out.extend(&plan.index_reqs);
                 }
             }
         }
@@ -700,11 +689,11 @@ fn collect_reqs_kind(kind: &PlanKind, out: &mut Vec<(String, usize)>) {
     }
 }
 
-fn collect_reqs_select(ps: &PlannedSelect, out: &mut Vec<(String, usize)>) {
+fn collect_reqs_select(ps: &PlannedSelect, out: &mut Vec<(usize, usize)>) {
     if ps.error.is_some() {
         return;
     }
-    collect_reqs_access(&ps.key, &ps.access, out);
+    collect_reqs_access(ps.table, &ps.access, out);
     match &ps.proj {
         Proj::Rows(items) => {
             for item in items {
@@ -723,12 +712,12 @@ fn collect_reqs_select(ps: &PlannedSelect, out: &mut Vec<(String, usize)>) {
     }
 }
 
-fn collect_reqs_access(table_key: &str, access: &AccessPlan, out: &mut Vec<(String, usize)>) {
+fn collect_reqs_access(table: usize, access: &AccessPlan, out: &mut Vec<(usize, usize)>) {
     if let AccessKind::IndexEq {
         col, key, residual, ..
     } = &access.kind
     {
-        out.push((table_key.to_string(), *col));
+        out.push((table, *col));
         collect_reqs_expr(key, out);
         if let Some(r) = residual {
             collect_reqs_expr(r, out);
@@ -739,7 +728,7 @@ fn collect_reqs_access(table_key: &str, access: &AccessPlan, out: &mut Vec<(Stri
     }
 }
 
-fn collect_reqs_expr(ce: &CompiledExpr, out: &mut Vec<(String, usize)>) {
+fn collect_reqs_expr(ce: &CompiledExpr, out: &mut Vec<(usize, usize)>) {
     for sub in ce.subqueries() {
         collect_reqs_select(sub, out);
     }
@@ -753,9 +742,12 @@ fn collect_reqs_expr(ce: &CompiledExpr, out: &mut Vec<(String, usize)>) {
 /// never creates an index, caches a plan, or bumps a counter.
 pub(crate) fn explain_statement(db: &Database, stmt: &Statement) -> DbResult<Vec<ExplainLine>> {
     let plan = plan_statement(db, stmt);
-    let mut out = Vec::new();
-    render_kind(&plan.kind, &mut out)?;
-    Ok(out)
+    let mut render = Render {
+        shape: &db.shape,
+        out: Vec::new(),
+    };
+    render.kind(&plan.kind)?;
+    Ok(render.out)
 }
 
 fn access_of(access: &AccessPlan) -> ExplainAccess {
@@ -767,125 +759,129 @@ fn access_of(access: &AccessPlan) -> ExplainAccess {
     }
 }
 
-fn render_kind(kind: &PlanKind, out: &mut Vec<ExplainLine>) -> DbResult<()> {
-    match kind {
-        PlanKind::Ddl => out.push(ExplainLine {
-            op: "DDL".to_string(),
-            access: ExplainAccess::None,
-        }),
-        PlanKind::Raise(e) => return Err(e.clone()),
-        PlanKind::Explain(lines) => out.extend(lines.iter().cloned()),
-        PlanKind::SetVar { name, value } => {
-            out.push(ExplainLine {
-                op: format!("SET {name}"),
-                access: ExplainAccess::None,
-            });
-            render_expr_subqueries(value, out)?;
-        }
-        PlanKind::If { arms, else_block } => {
-            out.push(ExplainLine {
-                op: "IF".to_string(),
-                access: ExplainAccess::None,
-            });
-            for (cond, block) in arms {
-                render_expr_subqueries(cond, out)?;
-                for (_, plan) in &block.stmts {
-                    render_kind(&plan.kind, out)?;
-                }
-            }
-            if let Some(block) = else_block {
-                for (_, plan) in &block.stmts {
-                    render_kind(&plan.kind, out)?;
-                }
-            }
-        }
-        PlanKind::Insert(pi) => {
-            out.push(ExplainLine {
-                op: format!("INSERT INTO {}", pi.display),
-                access: ExplainAccess::None,
-            });
-            for prow in &pi.rows {
-                for ce in &prow.exprs {
-                    render_expr_subqueries(ce, out)?;
-                }
-            }
-        }
-        PlanKind::Update(pu) => {
-            out.push(ExplainLine {
-                op: format!("UPDATE {}", pu.display),
-                access: access_of(&pu.access),
-            });
-            render_access_subqueries(&pu.access, out)?;
-            for (_, ce) in &pu.sets {
-                render_expr_subqueries(ce, out)?;
-            }
-        }
-        PlanKind::Delete(pd) => {
-            out.push(ExplainLine {
-                op: format!("DELETE FROM {}", pd.display),
-                access: access_of(&pd.access),
-            });
-            render_access_subqueries(&pd.access, out)?;
-        }
-        PlanKind::Select(ps) => render_select_lines(ps, "SELECT", out)?,
-    }
-    Ok(())
+/// `EXPLAIN` output under construction, with the catalog shape the plan
+/// was lowered at (which names the plan's table positions).
+struct Render<'a> {
+    shape: &'a CatalogShape,
+    out: Vec<ExplainLine>,
 }
 
-fn render_select_lines(
-    ps: &PlannedSelect,
-    label: &str,
-    out: &mut Vec<ExplainLine>,
-) -> DbResult<()> {
-    if let Some(e) = &ps.error {
-        return Err(e.clone());
+impl Render<'_> {
+    fn line(&mut self, op: String, access: ExplainAccess) {
+        self.out.push(ExplainLine { op, access });
     }
-    out.push(ExplainLine {
-        op: format!("{label} FROM {}", ps.display),
-        access: access_of(&ps.access),
-    });
-    render_access_subqueries(&ps.access, out)?;
-    match &ps.proj {
-        Proj::Rows(items) => {
-            for item in items {
-                if let PItem::Expr(ce) = item {
-                    render_expr_subqueries(ce, out)?;
+
+    fn table(&self, pos: usize) -> &str {
+        &self.shape.tables()[pos].display
+    }
+
+    fn kind(&mut self, kind: &PlanKind) -> DbResult<()> {
+        match kind {
+            PlanKind::Ddl => self.line("DDL".to_string(), ExplainAccess::None),
+            PlanKind::Raise(e) => return Err(e.clone()),
+            PlanKind::Explain(lines) => self.out.extend(lines.iter().cloned()),
+            PlanKind::SetVar { display, value, .. } => {
+                self.line(format!("SET {display}"), ExplainAccess::None);
+                self.expr_subqueries(value)?;
+            }
+            PlanKind::If { arms, else_block } => {
+                self.line("IF".to_string(), ExplainAccess::None);
+                for (cond, block) in arms {
+                    self.expr_subqueries(cond)?;
+                    for (_, plan) in &block.stmts {
+                        self.kind(&plan.kind)?;
+                    }
+                }
+                if let Some(block) = else_block {
+                    for (_, plan) in &block.stmts {
+                        self.kind(&plan.kind)?;
+                    }
+                }
+            }
+            PlanKind::Insert(pi) => {
+                self.line(
+                    format!("INSERT INTO {}", self.table(pi.table)),
+                    ExplainAccess::None,
+                );
+                for prow in &pi.rows {
+                    for ce in &prow.exprs {
+                        self.expr_subqueries(ce)?;
+                    }
+                }
+            }
+            PlanKind::Update(pu) => {
+                self.line(
+                    format!("UPDATE {}", self.table(pu.table)),
+                    access_of(&pu.access),
+                );
+                self.access_subqueries(&pu.access)?;
+                for (_, ce) in &pu.sets {
+                    self.expr_subqueries(ce)?;
+                }
+            }
+            PlanKind::Delete(pd) => {
+                self.line(
+                    format!("DELETE FROM {}", self.table(pd.table)),
+                    access_of(&pd.access),
+                );
+                self.access_subqueries(&pd.access)?;
+            }
+            PlanKind::Select(ps) => self.select(ps, "SELECT")?,
+        }
+        Ok(())
+    }
+
+    fn select(&mut self, ps: &PlannedSelect, label: &str) -> DbResult<()> {
+        if let Some(e) = &ps.error {
+            return Err(e.clone());
+        }
+        self.line(
+            format!("{label} FROM {}", self.table(ps.table)),
+            access_of(&ps.access),
+        );
+        self.access_subqueries(&ps.access)?;
+        match &ps.proj {
+            Proj::Rows(items) => {
+                for item in items {
+                    if let PItem::Expr(ce) = item {
+                        self.expr_subqueries(ce)?;
+                    }
+                }
+            }
+            Proj::Aggs(aggs) => {
+                for agg in aggs {
+                    if let PAgg::Over(_, ce) = agg {
+                        self.expr_subqueries(ce)?;
+                    }
                 }
             }
         }
-        Proj::Aggs(aggs) => {
-            for agg in aggs {
-                if let PAgg::Over(_, ce) = agg {
-                    render_expr_subqueries(ce, out)?;
+        Ok(())
+    }
+
+    fn access_subqueries(&mut self, access: &AccessPlan) -> DbResult<()> {
+        match &access.kind {
+            AccessKind::Scan => {
+                if let Some(p) = &access.full_pred {
+                    self.expr_subqueries(p)?;
+                }
+            }
+            AccessKind::IndexEq { key, residual, .. } => {
+                self.expr_subqueries(key)?;
+                if let Some(r) = residual {
+                    self.expr_subqueries(r)?;
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
-}
 
-fn render_access_subqueries(access: &AccessPlan, out: &mut Vec<ExplainLine>) -> DbResult<()> {
-    match &access.kind {
-        AccessKind::Scan => {
-            if let Some(p) = &access.full_pred {
-                render_expr_subqueries(p, out)?;
-            }
+    fn expr_subqueries(&mut self, ce: &CompiledExpr) -> DbResult<()> {
+        for sub in ce.subqueries() {
+            self.select(sub, "SUBQUERY SELECT")?;
         }
-        AccessKind::IndexEq { key, residual, .. } => {
-            render_expr_subqueries(key, out)?;
-            if let Some(r) = residual {
-                render_expr_subqueries(r, out)?;
-            }
-        }
+        Ok(())
     }
-    Ok(())
-}
-
-fn render_expr_subqueries(ce: &CompiledExpr, out: &mut Vec<ExplainLine>) -> DbResult<()> {
-    for sub in ce.subqueries() {
-        render_select_lines(sub, "SUBQUERY SELECT", out)?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,9 +1021,7 @@ pub(crate) fn run_planned_select<'a>(
         return Err(e.clone());
     }
     let db = cx.db;
-    let Some((_, table)) = db.tables.get(&ps.key) else {
-        return Err(DbError::NoSuchTable(ps.from.clone()));
-    };
+    let table = &db.tables[ps.table];
     let mut matched: Vec<&'a [Value]> = Vec::new();
     for_each_match(cx, table, &ps.access, |_cx, _ridx, row| {
         matched.push(row);
@@ -1101,20 +1095,20 @@ impl Database {
         let planned = {
             let mut guard = lock_cache(&script.plans);
             match &*guard {
-                Some(planned) if planned.version == self.catalog_version => Arc::clone(planned),
+                Some(planned) if planned.version == self.catalog_version() => Arc::clone(planned),
                 _ => {
                     let plans: Vec<StmtPlan> = script
                         .iter()
                         .map(|stmt| plan_statement(self, stmt))
                         .collect();
-                    let mut index_reqs: Vec<(String, usize)> = plans
+                    let mut index_reqs: Vec<(usize, usize)> = plans
                         .iter()
-                        .flat_map(|p| p.index_reqs.iter().cloned())
+                        .flat_map(|p| p.index_reqs.iter().copied())
                         .collect();
                     index_reqs.sort();
                     index_reqs.dedup();
                     let planned = Arc::new(PlannedScript {
-                        version: self.catalog_version,
+                        version: self.catalog_version(),
                         plans,
                         index_reqs,
                     });
@@ -1165,7 +1159,7 @@ impl Database {
     ) -> DbResult<()> {
         let epoch = self.ddl_epoch;
         for (stmt, plan) in planned {
-            if self.ddl_epoch != epoch && plan.version == self.catalog_version {
+            if self.ddl_epoch != epoch && plan.version == self.catalog_version() {
                 self.ensure_plan_indexes(&plan.index_reqs);
             }
             outcome(self.exec_planned(stmt, plan, depth, params)?);
@@ -1182,7 +1176,7 @@ impl Database {
         depth: usize,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
-        if plan.version != self.catalog_version {
+        if plan.version != self.catalog_version() {
             let fresh = plan_statement(self, source);
             self.ensure_plan_indexes(&fresh.index_reqs);
             return self.exec_plan_kind(source, &fresh, depth, params);
@@ -1190,10 +1184,12 @@ impl Database {
         self.exec_plan_kind(source, plan, depth, params)
     }
 
-    pub(crate) fn ensure_plan_indexes(&mut self, reqs: &[(String, usize)]) {
-        for (key, col) in reqs {
-            if let Some((_, table)) = self.tables.get_mut(key) {
-                table.ensure_index(*col);
+    /// Builds the indexes `reqs` name, positions taken at this database's
+    /// current catalog shape.
+    pub(crate) fn ensure_plan_indexes(&mut self, reqs: &[(usize, usize)]) {
+        for &(table, col) in reqs {
+            if let Some(table) = self.tables.get_mut(table) {
+                table.ensure_index(col);
             }
         }
     }
@@ -1211,12 +1207,12 @@ impl Database {
             PlanKind::Ddl => self.execute_ddl(source, depth, params),
             PlanKind::Raise(e) => Err(e.clone()),
             PlanKind::Explain(lines) => Ok(ExecOutcome::Explain(lines.clone())),
-            PlanKind::SetVar { name, value } => {
+            PlanKind::SetVar { name, value, .. } => {
                 let v = {
                     let mut cx = EvalCx::new(&*self, params);
                     value.eval(&mut cx)?
                 };
-                self.set_var(name, v);
+                self.vars.set(name, v);
                 Ok(ExecOutcome::Done)
             }
             PlanKind::If { arms, else_block } => {
@@ -1289,14 +1285,11 @@ impl Database {
             }
         }
         let count = materialised.len();
-        let (_, t) = self
-            .tables
-            .get_mut(&pi.key)
-            .ok_or_else(|| DbError::NoSuchTable(pi.from.clone()))?;
+        let t = &mut self.tables[pi.table];
         for row in materialised {
             t.insert(row)?;
         }
-        self.fire_triggers(&pi.key, depth)?;
+        self.fire_triggers(pi.table, depth)?;
         Ok(ExecOutcome::Inserted(count))
     }
 
@@ -1311,10 +1304,7 @@ impl Database {
         {
             let mut cx = EvalCx::new(&*self, params);
             let db = cx.db;
-            let (_, t) = db
-                .tables
-                .get(&pu.key)
-                .ok_or_else(|| DbError::NoSuchTable(pu.from.clone()))?;
+            let t = &db.tables[pu.table];
             for_each_match(&mut cx, t, &pu.access, |cx, ridx, _row| {
                 let mut assignments = Vec::with_capacity(pu.sets.len());
                 for (cidx, ce) in &pu.sets {
@@ -1326,7 +1316,7 @@ impl Database {
         }
         // Phase 2 (mutable): apply.
         let count = planned_rows.len();
-        let (_, t) = self.tables.get_mut(&pu.key).expect("checked in phase 1");
+        let t = &mut self.tables[pu.table];
         for (ridx, assignments) in planned_rows {
             for (cidx, value) in assignments {
                 t.set_cell(ridx, cidx, value)?;
@@ -1344,18 +1334,14 @@ impl Database {
         {
             let mut cx = EvalCx::new(&*self, params);
             let db = cx.db;
-            let (_, t) = db
-                .tables
-                .get(&pd.key)
-                .ok_or_else(|| DbError::NoSuchTable(pd.from.clone()))?;
+            let t = &db.tables[pd.table];
             for_each_match(&mut cx, t, &pd.access, |_cx, ridx, _row| {
                 doomed.push(ridx);
                 Ok(())
             })?;
         }
         let count = doomed.len();
-        let (_, t) = self.tables.get_mut(&pd.key).expect("checked in phase 1");
-        t.delete_rows(&doomed);
+        self.tables[pd.table].delete_rows(&doomed);
         Ok(ExecOutcome::Deleted(count))
     }
 

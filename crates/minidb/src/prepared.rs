@@ -175,7 +175,7 @@ impl Prepared {
     /// database is not necessarily the one the memo was filled against.
     fn plan_for(&mut self, db: &mut Database) {
         match &self.planned {
-            Some(planned) if planned.version() == db.catalog_version => {
+            Some(planned) if planned.version() == db.catalog_version() => {
                 db.ensure_plan_indexes(planned.index_reqs());
             }
             _ => self.planned = Some(db.cached_script(&self.script)),

@@ -13,25 +13,27 @@
 //!   entry is removed when the last handle drops, so one-off statements
 //!   cannot grow the table.
 //! * A `CREATE TRIGGER` body is a nested [`Script`] inside its defining
-//!   script's AST. Installing the trigger stores that very `Arc`, so all
-//!   databases that executed one defining script fire one shared body
-//!   through one shared plan cache.
+//!   script's AST, carrying the trigger's name and table. Installing the
+//!   trigger stores that very `Arc`, so all databases that executed one
+//!   defining script fire one shared body through one shared plan cache.
 //!
 //! Holding a [`crate::Prepared`] is the one way to keep a text compiled: a
 //! host that installs the same program in many databases prepares it,
 //! executes the handle, and keeps it for as long as later databases should
 //! share (a trigger keeps its own body alive, not the script around it).
 //!
-//! Plans are valid for a catalog *shape*, not for one database: every
-//! database carries the interned id of its shape (tables, their spelling,
-//! column names and types — all that planning reads), databases that ran
-//! the same DDL carry the same id, and a plan is reused wherever the ids
+//! Plans are valid for a catalog *shape*, not for one database. The shape
+//! — tables, their spelling, column names and types, all that planning
+//! reads — is interned too, and it *is* the catalog: a database holds its
+//! shape and, per table, only rows and indexes. Databases that ran the same
+//! DDL hold the same shape, and a plan is reused wherever the shape ids
 //! match.
 
 use crate::ast::{Expr, ParamRef, Select, SelectItem, Statement};
 use crate::error::DbResult;
 use crate::parser::parse_script;
 use crate::plan::PlanCache;
+use crate::table::Schema;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +54,7 @@ pub(crate) struct WeakInterner<T> {
 }
 
 impl<T> WeakInterner<T> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WeakInterner {
             map: Mutex::new(HashMap::new()),
         }
@@ -67,14 +69,14 @@ impl<T> WeakInterner<T> {
     }
 
     /// The live value interned under `key`, if any.
-    fn get(&self, key: &str) -> Option<Arc<T>> {
+    pub(crate) fn get(&self, key: &str) -> Option<Arc<T>> {
         self.lock().get(key).and_then(Weak::upgrade)
     }
 
     /// Interns the value `make` builds for `key`, unless another thread
     /// interned one since the caller's [`WeakInterner::get`] missed — then
     /// that one wins and `make` never runs.
-    fn insert_with(&self, key: &str, make: impl FnOnce(Arc<str>) -> T) -> Arc<T> {
+    pub(crate) fn insert_with(&self, key: &str, make: impl FnOnce(Arc<str>) -> T) -> Arc<T> {
         let key: Arc<str> = Arc::from(key);
         let mut map = self.lock();
         match map.entry(Arc::clone(&key)) {
@@ -96,7 +98,7 @@ impl<T> WeakInterner<T> {
     /// value's `Drop`: by then no strong reference is left, but a racing
     /// thread may already have replaced the entry with a fresh value, which
     /// must stay.
-    fn forget(&self, key: &str, dead: &T) {
+    pub(crate) fn forget(&self, key: &str, dead: &T) {
         let mut map = self.lock();
         if map
             .get(key)
@@ -106,7 +108,7 @@ impl<T> WeakInterner<T> {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().len()
     }
 }
@@ -141,13 +143,23 @@ pub struct Script {
     /// gets there first and revalidated against each database's catalog
     /// shape.
     pub(crate) plans: PlanCache,
-    /// The interner key; `None` for a trigger body, which lives inside its
-    /// defining script's AST instead of the table.
-    key: Option<Arc<str>>,
+    origin: Origin,
+}
+
+/// Where a [`Script`] came from.
+#[derive(Debug)]
+enum Origin {
+    /// A whole text, interned under it.
+    Text(Arc<str>),
+    /// The body of `CREATE TRIGGER name AFTER INSERT ON table` (both names
+    /// lowercase). It lives inside its defining script's AST instead of the
+    /// interner, and every database that installs it reads the trigger's
+    /// names from here rather than keeping copies.
+    Trigger { name: Box<str>, table: Box<str> },
 }
 
 impl Script {
-    fn new(statements: Vec<Statement>, key: Option<Arc<str>>) -> Script {
+    fn new(statements: Vec<Statement>, origin: Origin) -> Script {
         let mut positional = 0usize;
         let mut named = BTreeSet::new();
         for stmt in &statements {
@@ -158,13 +170,17 @@ impl Script {
             positional,
             named: named.into_iter().collect(),
             plans: Mutex::new(None),
-            key,
+            origin,
         }
     }
 
-    /// Wraps the statements of a `CREATE TRIGGER` body.
-    pub(crate) fn trigger_body(statements: Vec<Statement>) -> Script {
-        Script::new(statements, None)
+    /// Wraps the statements of `CREATE TRIGGER name AFTER INSERT ON table`.
+    pub(crate) fn trigger_body(name: &str, table: &str, statements: Vec<Statement>) -> Script {
+        let origin = Origin::Trigger {
+            name: name.to_ascii_lowercase().into(),
+            table: table.to_ascii_lowercase().into(),
+        };
+        Script::new(statements, origin)
     }
 
     /// Resolves `sql` to its shared script, parsing it only if no live
@@ -177,7 +193,18 @@ impl Script {
         // Parse outside the table's lock: concurrent `run`s of different
         // texts must not serialise on it.
         let statements = parse_script(sql)?;
-        Ok(SCRIPTS.insert_with(sql, |key| Script::new(statements, Some(key))))
+        Ok(SCRIPTS.insert_with(sql, |key| Script::new(statements, Origin::Text(key))))
+    }
+
+    /// `true` if this is the body of a trigger called `name`
+    /// (case-insensitively).
+    pub(crate) fn is_trigger_named(&self, name: &str) -> bool {
+        matches!(&self.origin, Origin::Trigger { name: own, .. } if own.eq_ignore_ascii_case(name))
+    }
+
+    /// `true` if this is the body of a trigger on `table` (case-insensitively).
+    pub(crate) fn is_trigger_on(&self, table: &str) -> bool {
+        matches!(&self.origin, Origin::Trigger { table: own, .. } if own.eq_ignore_ascii_case(table))
     }
 
     /// The parsed statements, in script order.
@@ -196,7 +223,7 @@ impl Script {
 
 impl Drop for Script {
     fn drop(&mut self) {
-        if let Some(key) = &self.key {
+        if let Origin::Text(key) = &self.origin {
             SCRIPTS.forget(key, self);
         }
     }
@@ -309,10 +336,13 @@ fn collect_expr_params(expr: &Expr, positional: &mut usize, named: &mut BTreeSet
 static SHAPES: std::sync::LazyLock<WeakInterner<CatalogShape>> =
     std::sync::LazyLock::new(WeakInterner::new);
 
-/// The identity of a catalog's *shape*: which tables exist, under which
-/// spelling, with which column names and types — everything planning reads
-/// from a database and nothing else (rows, indexes, variables and triggers
-/// are looked up at execution time).
+/// A catalog's *shape* — which tables exist, under which spelling, with
+/// which column names and types — and the catalog description every
+/// database of that shape shares. It is everything planning reads from a
+/// database and everything about a table except its rows and indexes; a
+/// database holds its shape plus one [`crate::Table`] of rows and indexes
+/// per entry of [`CatalogShape::tables`], in the same order, so a plan
+/// stamped with a shape's id names tables by position.
 ///
 /// Shapes are interned, so two databases that ran the same DDL carry the
 /// same [`CatalogShape::id`] and validate the same planned script, while a
@@ -324,14 +354,24 @@ static SHAPES: std::sync::LazyLock<WeakInterner<CatalogShape>> =
 pub(crate) struct CatalogShape {
     id: u64,
     key: Arc<str>,
+    /// Sorted by [`CatalogTable::key`].
+    tables: Vec<CatalogTable>,
+}
+
+/// One table of a [`CatalogShape`].
+#[derive(Debug)]
+pub(crate) struct CatalogTable {
+    /// The lowercase name tables are ordered and looked up by.
+    key: Box<str>,
+    /// The spelling the table was created with.
+    pub(crate) display: Box<str>,
+    pub(crate) schema: Arc<Schema>,
 }
 
 impl CatalogShape {
     /// Interns the shape of a catalog listing `tables` as `(display name,
     /// columns)` in catalog-key order.
-    pub(crate) fn intern<'a>(
-        tables: impl Iterator<Item = (&'a str, &'a crate::table::Schema)>,
-    ) -> Arc<CatalogShape> {
+    fn intern(tables: &[(&str, &Arc<Schema>)]) -> Arc<CatalogShape> {
         use std::fmt::Write;
         // `{:?}` escapes quotes, so the rendering is injective whatever the
         // names contain (host-side `create_table` takes arbitrary strings).
@@ -351,6 +391,14 @@ impl CatalogShape {
             // Relaxed: the id publishes nothing but itself.
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             key,
+            tables: tables
+                .iter()
+                .map(|&(display, schema)| CatalogTable {
+                    key: display.to_ascii_lowercase().into(),
+                    display: display.into(),
+                    schema: Arc::clone(schema),
+                })
+                .collect(),
         })
     }
 
@@ -361,8 +409,53 @@ impl CatalogShape {
     /// be empty.
     pub(crate) fn empty() -> Arc<CatalogShape> {
         static EMPTY: std::sync::LazyLock<Arc<CatalogShape>> =
-            std::sync::LazyLock::new(|| CatalogShape::intern(std::iter::empty()));
+            std::sync::LazyLock::new(|| CatalogShape::intern(&[]));
         Arc::clone(&EMPTY)
+    }
+
+    /// This shape plus a table `display` of `schema` at `pos`, the slot a
+    /// failed [`CatalogShape::search`] for `display` returned.
+    pub(crate) fn with_table(
+        &self,
+        pos: usize,
+        display: &str,
+        schema: &Arc<Schema>,
+    ) -> Arc<CatalogShape> {
+        let mut listing = self.listing();
+        listing.insert(pos, (display, schema));
+        CatalogShape::intern(&listing)
+    }
+
+    /// This shape without the table at `pos`.
+    pub(crate) fn without_table(&self, pos: usize) -> Arc<CatalogShape> {
+        let mut listing = self.listing();
+        listing.remove(pos);
+        CatalogShape::intern(&listing)
+    }
+
+    fn listing(&self) -> Vec<(&str, &Arc<Schema>)> {
+        self.tables
+            .iter()
+            .map(|table| (&*table.display, &table.schema))
+            .collect()
+    }
+
+    /// Where the table called `name` (in any case) sits: `Ok(position)`, or
+    /// `Err(position)` it would be created at.
+    pub(crate) fn search(&self, name: &str) -> Result<usize, usize> {
+        let folded = || name.bytes().map(|b| b.to_ascii_lowercase());
+        self.tables
+            .binary_search_by(|table| table.key.bytes().cmp(folded()))
+    }
+
+    /// The position of the table called `name` (in any case).
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
+        self.search(name).ok()
+    }
+
+    /// The tables, in catalog-key order.
+    pub(crate) fn tables(&self) -> &[CatalogTable] {
+        &self.tables
     }
 
     /// The id plans are stamped with and databases compare against.

@@ -3,6 +3,7 @@
 use crate::error::{DbError, DbResult};
 use crate::index::HashIndex;
 use crate::value::{Value, ValueType};
+use std::sync::Arc;
 
 /// A named, typed column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,22 +28,28 @@ impl Schema {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate column names (case-insensitive).
+    /// Panics on duplicate column names (case-insensitive); use
+    /// [`Schema::try_new`] for names that are not known to be distinct.
     pub fn new<I: IntoIterator<Item = (String, ValueType)>>(cols: I) -> Self {
+        Schema::try_new(cols).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a schema from `(name, type)` pairs, or
+    /// [`DbError::DuplicateColumn`] if two names are equal ignoring case.
+    pub fn try_new<I: IntoIterator<Item = (String, ValueType)>>(cols: I) -> DbResult<Self> {
         let columns: Vec<Column> = cols
             .into_iter()
             .map(|(name, ty)| Column { name, ty })
             .collect();
         for (i, a) in columns.iter().enumerate() {
-            for b in &columns[i + 1..] {
-                assert!(
-                    !a.name.eq_ignore_ascii_case(&b.name),
-                    "duplicate column {}",
-                    a.name
-                );
+            if columns[..i]
+                .iter()
+                .any(|b| a.name.eq_ignore_ascii_case(&b.name))
+            {
+                return Err(DbError::DuplicateColumn(a.name.clone()));
             }
         }
-        Schema { columns }
+        Ok(Schema { columns })
     }
 
     /// The columns in order.
@@ -70,10 +77,13 @@ impl Schema {
 
 /// An in-memory table: a schema plus rows, plus any secondary indexes the
 /// planner has requested (see `crate::index`). Indexes are derived state
-/// and excluded from equality.
+/// and excluded from equality. The schema is shared: a table inside a
+/// [`crate::Database`] holds the one of the catalog shape it was created
+/// in, so databases that ran the same DDL keep one copy of their column
+/// lists.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
-    schema: Schema,
+    schema: Arc<Schema>,
     rows: Vec<Row>,
     indexes: Vec<HashIndex>,
 }
@@ -89,6 +99,11 @@ impl PartialEq for Table {
 impl Table {
     /// Creates an empty table with the given schema.
     pub fn new(schema: Schema) -> Self {
+        Table::with_schema(Arc::new(schema))
+    }
+
+    /// Creates an empty table over a shared schema.
+    pub(crate) fn with_schema(schema: Arc<Schema>) -> Self {
         Table {
             schema,
             rows: Vec::new(),

@@ -522,3 +522,150 @@ fn recreating_a_table_behaves_the_same_with_or_without_a_sibling() {
         "three probes by `bid`, one by `recreate`"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Position shifts: plans name tables by their position in the catalog shape
+// they were lowered at. DDL that moves a table's position — a table created
+// whose name sorts before it, or dropped from before it — must never let a
+// memoised plan, or one in flight inside a trigger body, touch the table
+// that now sits where its own used to.
+// ---------------------------------------------------------------------------
+
+/// `Aaa_shift` and `Decoy_shift` sort before `Keywords_shift` and have its
+/// very columns: a stale position would not fail, it would quietly read or
+/// write the wrong rows.
+const SHIFT_SETUP: &str = "
+    CREATE TABLE Query_shift (kw INT);
+    CREATE TABLE Keywords_shift (text TEXT, bid INT);
+    INSERT INTO Keywords_shift VALUES ('boot', 1), ('shoe', 2), ('boot', 3);
+    CREATE TRIGGER shift_in_flight AFTER INSERT ON Query_shift {
+      CREATE TABLE Aaa_shift (text TEXT, bid INT);
+      INSERT INTO Aaa_shift VALUES ('boot', 100), ('shoe', 200);
+      UPDATE Keywords_shift SET bid = bid + 1 WHERE text = 'boot';
+      DROP TABLE Aaa_shift;
+      UPDATE Keywords_shift SET bid = bid * 2 WHERE text = 'shoe';
+    }";
+
+#[derive(Debug, Clone)]
+enum ShiftOp {
+    /// Insert into `Query_shift`: the trigger shifts positions mid-body.
+    Fire,
+    AddDecoy,
+    DropDecoy,
+    Bump(&'static str, i64),
+    Read(&'static str),
+    ReadDecoy(&'static str),
+}
+
+fn shift_op() -> impl Strategy<Value = ShiftOp> {
+    let word = || prop_oneof![Just("boot"), Just("shoe"), Just("sock")];
+    prop_oneof![
+        Just(ShiftOp::Fire),
+        Just(ShiftOp::AddDecoy),
+        Just(ShiftOp::DropDecoy),
+        (word(), -2i64..3).prop_map(|(w, d)| ShiftOp::Bump(w, d)),
+        word().prop_map(ShiftOp::Read),
+        word().prop_map(ShiftOp::ReadDecoy),
+    ]
+}
+
+/// A database of the shift schema and its memoised host statements.
+struct Shifting {
+    db: Database,
+    bump: Prepared,
+    read: Prepared,
+    read_decoy: Prepared,
+}
+
+impl Shifting {
+    fn new(mode: PlannerMode) -> Shifting {
+        let mut db = Database::new();
+        db.set_planner_mode(mode);
+        db.run(SHIFT_SETUP).unwrap();
+        let mut shifting = Shifting {
+            bump: db
+                .prepare("UPDATE Keywords_shift SET bid = bid + ? WHERE text = ?")
+                .unwrap(),
+            read: db
+                .prepare("SELECT text, bid FROM Keywords_shift WHERE text = ?")
+                .unwrap(),
+            read_decoy: db
+                .prepare("SELECT bid FROM Decoy_shift WHERE text = ?")
+                .unwrap(),
+            db,
+        };
+        shifting.db.warm_plans();
+        shifting.bump.warm(&mut shifting.db);
+        shifting.read.warm(&mut shifting.db);
+        shifting
+    }
+
+    fn apply(&mut self, op: &ShiftOp) -> DbResult<Vec<ssa_minidb::ExecOutcome>> {
+        let db = &mut self.db;
+        match *op {
+            ShiftOp::Fire => db.run("INSERT INTO Query_shift VALUES (1)"),
+            ShiftOp::AddDecoy => db.run(
+                "CREATE TABLE Decoy_shift (text TEXT, bid INT);
+                 INSERT INTO Decoy_shift VALUES ('boot', 50), ('boot', 60)",
+            ),
+            ShiftOp::DropDecoy => db.run("DROP TABLE Decoy_shift"),
+            ShiftOp::Bump(word, delta) => {
+                self.bump.execute(db, &Params::new().push(delta).push(word))
+            }
+            ShiftOp::Read(word) => self.read.execute(db, &Params::new().push(word)),
+            ShiftOp::ReadDecoy(word) => self.read_decoy.execute(db, &Params::new().push(word)),
+        }
+    }
+
+    fn keywords(&mut self) -> Vec<Row> {
+        self.db
+            .query("SELECT text, bid FROM Keywords_shift")
+            .unwrap()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every step matches the oracle, and the memoised probes of
+    /// `Keywords_shift` keep taking its index after each shift.
+    #[test]
+    fn position_shifts_match_forced_scan(ops in proptest::collection::vec(shift_op(), 1..24)) {
+        let mut auto = Shifting::new(PlannerMode::Auto);
+        let mut scan = Shifting::new(PlannerMode::ForceScan);
+        for op in &ops {
+            let hits = auto.db.planner_stats().index_hits;
+            prop_assert_eq!(auto.apply(op), scan.apply(op), "op: {:?}", op);
+            prop_assert_eq!(auto.keywords(), scan.keywords(), "after: {:?}", op);
+            if matches!(op, ShiftOp::Bump(..) | ShiftOp::Read(_)) {
+                prop_assert_eq!(
+                    auto.db.planner_stats().index_hits - hits, 1,
+                    "{:?} must probe the index of Keywords_shift", op
+                );
+            }
+        }
+    }
+}
+
+/// The trigger's in-flight statements, after `CREATE TABLE Aaa_shift`
+/// moved `Keywords_shift` from the first position to the second and `DROP`
+/// moved it back, updated `Keywords_shift` and nothing else.
+#[test]
+fn a_shift_inside_a_trigger_body_updates_the_right_table() {
+    let mut auto = Shifting::new(PlannerMode::Auto);
+    auto.apply(&ShiftOp::AddDecoy).unwrap();
+    auto.apply(&ShiftOp::Fire).unwrap();
+    assert_eq!(
+        auto.keywords(),
+        vec![
+            vec![Value::Text("boot".into()), Value::Int(2)],
+            vec![Value::Text("shoe".into()), Value::Int(4)],
+            vec![Value::Text("boot".into()), Value::Int(4)],
+        ]
+    );
+    assert_eq!(
+        auto.db.query("SELECT bid FROM Decoy_shift").unwrap(),
+        vec![vec![Value::Int(50)], vec![Value::Int(60)]]
+    );
+    assert!(auto.db.table("Aaa_shift").is_err());
+}
