@@ -441,8 +441,8 @@ struct BatchScratch {
     /// The inverse of `assignment`, parallel to the bidders and rewritten
     /// only where a solve moved somebody (at most `2k` entries).
     adv_to_slot: Vec<Option<usize>>,
-    /// Parallel to the bidders and all zero between auctions: `charges`
-    /// scattered for the duration of one program notification.
+    /// All zero between auctions: `charges` scattered for the duration of
+    /// one program notification, and empty until the first one.
     price_by_adv: Vec<Money>,
     phases: PhaseStats,
 }
@@ -713,7 +713,6 @@ impl<B: Bidder> AuctionEngine<B> {
         }
         self.bids.push(BidsTable::empty());
         self.scratch.adv_to_slot.push(None);
-        self.scratch.price_by_adv.push(Money::ZERO);
     }
 
     /// The bidders, in row order.
@@ -853,9 +852,9 @@ impl<B: Bidder> AuctionEngine<B> {
 
         // Step 4a: weights. With warm starts enabled and a source that
         // reflects the held tables, repair only the rows whose table
-        // changed (the Section IV-B adjustment lists guarantee few do
-        // between consecutive auctions); the repair, plus an in-order base
-        // re-sum when a base value moved, is bit-identical to a rebuild.
+        // changed (step 3 asked only programs, targeted and written rows);
+        // the repair, plus an in-order base re-sum when a base value moved,
+        // is bit-identical to a rebuild.
         let warm = self.config.warm_start;
         let k = self.clicks.num_slots();
         let repair = warm && self.scratch.filled;
@@ -1107,10 +1106,10 @@ where
 }
 
 /// Notifies every program (the rows in `programs`) of its slot, click,
-/// purchase, and charge. `price_by_adv` is an all-zero scratch that holds
-/// `charges` scattered for the duration of the call, so the per-program
-/// lookup is O(1) rather than a scan of the charge list (which under
-/// pay-your-bid pricing can cover every advertiser).
+/// purchase, and charge. `price_by_adv` is an all-zero scratch, sized to
+/// the bidders here, that holds `charges` scattered for the duration of the
+/// call, so the per-program lookup is O(1) rather than a scan of the charge
+/// list (which under pay-your-bid pricing can cover every advertiser).
 #[allow(clippy::too_many_arguments)] // the auction facts plus one scratch
 fn notify_programs<B: Bidder>(
     bidders: &mut [B],
@@ -1120,11 +1119,12 @@ fn notify_programs<B: Bidder>(
     clicked: &[bool],
     purchased: &[bool],
     charges: &[(usize, Money)],
-    price_by_adv: &mut [Money],
+    price_by_adv: &mut Vec<Money>,
 ) {
     if programs.is_empty() {
         return;
     }
+    price_by_adv.resize(bidders.len(), Money::ZERO);
     for &(adv, m) in charges {
         price_by_adv[adv] = m;
     }

@@ -28,7 +28,7 @@
 //! [`marketplace::Marketplace`] — the one market type — owning registered
 //! advertisers, per-keyword campaigns, and one persistent engine+solver
 //! per keyword, with a typed query-serving API and an incremental update
-//! API backed by the Section IV-B [`logical`] adjustment lists.
+//! API that rewrites one campaign and its bidder in place.
 //! `AuctionEngine` remains the documented low-level escape hatch.
 //!
 //! For multi-core serving,
@@ -58,7 +58,6 @@ pub mod codec;
 pub mod engine;
 pub mod heavyweight;
 pub mod journal;
-pub mod logical;
 pub mod marketplace;
 pub mod pricing;
 pub mod prob;

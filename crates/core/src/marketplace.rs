@@ -8,16 +8,17 @@
 //! clock, an optional mutation journal ([`crate::journal`]), and one
 //! *keyword book* per keyword: that keyword's campaigns (each a
 //! [`BidsTable`] bidding program — or an arbitrary [`Bidder`] — plus
-//! click/purchase models), its persistent [`AuctionEngine`]+solver, its
-//! logical bid index, and its own user-action RNG stream. Queries are
-//! served through a typed API ([`Marketplace::serve`] /
-//! [`Marketplace::serve_batch`], built on [`AuctionEngine::run_batch`]) and
-//! bids are changed through an incremental update API
-//! ([`Marketplace::update_bid`], [`Marketplace::pause_campaign`],
-//! [`Marketplace::set_roi_target`]) that routes through the Section IV-B
-//! logical-update machinery ([`crate::logical::AdjustmentList`]) instead of
-//! rebuilding bidder vectors. Every operation is defined once and indexes
-//! the keyword's book directly.
+//! click/purchase models), its persistent [`AuctionEngine`]+solver, and its
+//! own user-action RNG stream. Queries are served through a typed API
+//! ([`Marketplace::serve`] / [`Marketplace::serve_batch`], built on
+//! [`AuctionEngine::run_batch`]) and bids are changed through an
+//! incremental update API ([`Marketplace::update_bid`],
+//! [`Marketplace::pause_campaign`], [`Marketplace::set_roi_target`]) that
+//! rewrites the campaign and its one bidder in place, never rebuilding
+//! bidder vectors. A per-click bid lives only in its campaign; the control
+//! plane's [`Marketplace::current_bid`] and [`Marketplace::top_bids`] read
+//! it from there. Every operation is defined once and indexes the keyword's
+//! book directly.
 //!
 //! [`AuctionEngine`] remains the documented low-level escape hatch for
 //! callers that want to assemble a single-keyword auction by hand.
@@ -78,7 +79,7 @@
 //! let report = market.serve_batch(&requests).expect("keywords in range");
 //! assert_eq!(report.total.auctions, 64);
 //!
-//! // Incremental update: O(log n) on the keyword's logical bid index, no
+//! // Incremental update: one write to the campaign and its bidder, no
 //! // engine rebuild, no other keyword touched.
 //! market.update_bid(c1, Money::from_cents(5)).expect("per-click campaign");
 //! assert_eq!(market.current_bid(c1).unwrap(), Money::from_cents(5));
@@ -87,7 +88,6 @@
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use crate::engine::{AuctionEngine, AuctionReport, BatchReport, EngineConfig, WdMethod};
 use crate::journal::{MutationJournal, MutationRecord};
-use crate::logical::AdjustmentList;
 use crate::pricing::PricingScheme;
 use crate::prob::{ClickModel, PurchaseModel};
 use crate::sharded::shard_of_keyword;
@@ -191,9 +191,9 @@ pub enum MarketError {
     /// The campaign supplied no click model and the marketplace was built
     /// without [`MarketplaceBuilder::default_click_probs`].
     MissingClickModel,
-    /// The campaign runs a custom bidding program, so the per-click
-    /// incremental update API does not apply; pause it or re-register it
-    /// instead.
+    /// The campaign is not per-click (it runs a custom bidding program or
+    /// a fixed table), so the per-click incremental update API does not
+    /// apply; pause it or re-register it instead.
     NotIncremental(CampaignId),
     /// Bids must be non-negative.
     NegativeBid(Money),
@@ -214,6 +214,15 @@ pub enum MarketError {
     NoKeywords,
     /// A sharded marketplace needs at least one shard.
     NoShards,
+    /// A [`MarketState`] handed to [`Marketplace::from_state`] does not
+    /// carry exactly one RNG stream per keyword: a market restored with a
+    /// stream missing would serve different clicks.
+    RngStreams {
+        /// Keywords the state's configuration declares.
+        keywords: usize,
+        /// RNG streams the state carries.
+        streams: usize,
+    },
 }
 
 impl std::fmt::Display for MarketError {
@@ -246,7 +255,7 @@ impl std::fmt::Display for MarketError {
             ),
             MarketError::NotIncremental(id) => write!(
                 f,
-                "campaign {}/{} runs a custom bidding program; \
+                "campaign {}/{} is not per-click; \
                  the per-click incremental update API does not apply",
                 id.keyword, id.index
             ),
@@ -266,6 +275,10 @@ impl std::fmt::Display for MarketError {
             MarketError::NoSlots => f.write_str("a marketplace needs at least one slot"),
             MarketError::NoKeywords => f.write_str("a marketplace needs at least one keyword"),
             MarketError::NoShards => f.write_str("a sharded marketplace needs at least one shard"),
+            MarketError::RngStreams { keywords, streams } => write!(
+                f,
+                "a market state carries {streams} RNG streams for {keywords} keywords"
+            ),
         }
     }
 }
@@ -488,12 +501,35 @@ enum CampaignKind {
     Program,
 }
 
-/// Campaign metadata. The campaign's click and purchase probabilities are
-/// not here: they are its row of the keyword engine's models, and its click
-/// row is shared with its advertiser's other campaigns when they are equal.
+impl CampaignKind {
+    /// A per-click campaign's effective bid, paused or not: the nominal bid
+    /// capped at `click_value / roi_target` (never negative). `None` for
+    /// fixed tables and programs.
+    fn effective_bid(self) -> Option<Money> {
+        let CampaignKind::PerClick {
+            nominal,
+            click_value,
+            roi_target,
+        } = self
+        else {
+            return None;
+        };
+        let capped = match roi_target {
+            Some(target) => nominal.min(Money::from_cents(
+                (click_value.as_f64() / target).floor() as i64
+            )),
+            None => nominal,
+        };
+        Some(capped.max(Money::ZERO))
+    }
+}
+
+/// Campaign metadata; its id is the book's keyword and its position in the
+/// book. Its click and purchase probabilities are its row of the keyword
+/// engine's models, and its click row is shared with its advertiser's other
+/// campaigns when they are equal.
 #[derive(Debug)]
 struct Campaign {
-    id: CampaignId,
     advertiser: AdvertiserHandle,
     kind: CampaignKind,
     paused: bool,
@@ -569,16 +605,13 @@ impl std::fmt::Debug for CampaignBidder {
 
 /// Everything the marketplace holds for one keyword: campaign metadata, the
 /// persistent engine (bidders, probability models, solver and matrix
-/// buffers), and the logical bid index.
+/// buffers), and the keyword's RNG stream.
 #[derive(Debug)]
 struct KeywordBook {
     campaigns: Vec<Campaign>,
     /// Built by the keyword's first campaign and grown in place by every
     /// later one; `None` exactly while `campaigns` is empty.
     engine: Option<AuctionEngine<CampaignBidder>>,
-    /// Sorted per-click bids (cents) of unpaused per-click campaigns — the
-    /// Section IV-B adjustment list backing `update_bid` / `top_bids`.
-    index: AdjustmentList,
     /// The keyword's own user-action RNG stream, seeded purely from
     /// `(market seed, keyword)` ([`keyword_stream_seed`]), so a keyword's
     /// outcome stream does not depend on which other keywords were queried
@@ -591,7 +624,6 @@ impl KeywordBook {
         KeywordBook {
             campaigns: Vec::new(),
             engine: None,
-            index: AdjustmentList::default(),
             rng,
         }
     }
@@ -656,7 +688,8 @@ impl KeywordBook {
                         roi_target,
                     } = campaign.kind
                     else {
-                        return Err(MarketError::NotDurable(campaign.id));
+                        let id = CampaignId::from_parts(keyword, row);
+                        return Err(MarketError::NotDurable(id));
                     };
                     Ok(CampaignView {
                         keyword,
@@ -1139,20 +1172,17 @@ impl Marketplace {
 
     /// Rebuilds a marketplace from a [`Marketplace::capture_state`]
     /// capture; see there for the bit-identity guarantee. The restored
-    /// marketplace has no journal attached.
-    ///
-    /// # Panics
-    ///
-    /// If `state` does not carry exactly one RNG stream per keyword: a
-    /// market restored with a stream missing would serve different clicks.
-    /// `ssa_durable` refuses such a snapshot before it gets here.
+    /// marketplace has no journal attached. A state that does not carry
+    /// exactly one RNG stream per keyword is rejected with
+    /// [`MarketError::RngStreams`].
     pub fn from_state(state: &MarketState) -> Result<Self, MarketError> {
         let mut market = Self::from_config(&state.config)?;
-        assert_eq!(
-            state.rng_states.len(),
-            market.books.len(),
-            "a market state carries one RNG stream per keyword"
-        );
+        if state.rng_states.len() != market.books.len() {
+            return Err(MarketError::RngStreams {
+                keywords: market.books.len(),
+                streams: state.rng_states.len(),
+            });
+        }
         for name in &state.advertisers {
             market.register_advertiser(name.clone());
         }
@@ -1446,15 +1476,12 @@ impl Marketplace {
                 targeting.clone(),
             );
         book.campaigns.push(Campaign {
-            id,
             advertiser,
             kind,
             paused: false,
             targeting,
         });
-        if matches!(kind, CampaignKind::PerClick { .. }) {
-            self.refresh_per_click(id);
-        }
+        self.refresh_bidder(id);
         if let Some(parts) = journalled {
             self.record(&MutationRecord::AddCampaign {
                 advertiser: advertiser.index() as u64,
@@ -1516,9 +1543,9 @@ impl Marketplace {
 
     /// Sets a per-click campaign's bid.
     ///
-    /// `O(log n)` on the keyword's logical bid index plus a write to the
-    /// campaign's bidder that marks its row for re-evaluation — the engine,
-    /// its solver scratch, and the other campaigns are untouched.
+    /// `O(1)`: a write to the campaign and to its bidder that marks its row
+    /// for re-evaluation — the engine, its solver scratch, and the other
+    /// campaigns are untouched.
     pub fn update_bid(&mut self, id: CampaignId, bid: Money) -> Result<(), MarketError> {
         self.check_campaign(id)?;
         if !bid.is_positive() && bid != Money::ZERO {
@@ -1528,7 +1555,7 @@ impl Marketplace {
             CampaignKind::PerClick { nominal, .. } => *nominal = bid,
             _ => return Err(MarketError::NotIncremental(id)),
         }
-        self.refresh_per_click(id);
+        self.refresh_bidder(id);
         self.record(&MutationRecord::UpdateBid {
             keyword: id.keyword as u64,
             index: id.index as u64,
@@ -1557,7 +1584,7 @@ impl Marketplace {
             CampaignKind::PerClick { roi_target, .. } => *roi_target = target,
             _ => return Err(MarketError::NotIncremental(id)),
         }
-        self.refresh_per_click(id);
+        self.refresh_bidder(id);
         self.record(&MutationRecord::SetRoiTarget {
             keyword: id.keyword as u64,
             index: id.index as u64,
@@ -1590,72 +1617,62 @@ impl Marketplace {
 
     fn set_paused(&mut self, id: CampaignId, paused: bool) -> Result<(), MarketError> {
         self.check_campaign(id)?;
-        let book = &mut self.books[id.keyword];
-        book.campaigns[id.index].paused = paused;
-        if matches!(book.campaigns[id.index].kind, CampaignKind::PerClick { .. }) {
-            self.refresh_per_click(id);
-        } else {
-            book.bidder_mut(id.index).paused = paused;
-        }
+        self.books[id.keyword].campaigns[id.index].paused = paused;
+        self.refresh_bidder(id);
         Ok(())
     }
 
-    /// A per-click campaign's current *effective* bid (nominal bid after
-    /// the ROI cap; [`Money::ZERO`] while paused), read from the logical
-    /// bid index.
+    /// A per-click campaign's current *effective* bid: its nominal bid
+    /// after the ROI cap, [`Money::ZERO`] while paused.
+    /// [`MarketError::NotIncremental`] for a fixed-table or program
+    /// campaign.
     pub fn current_bid(&self, id: CampaignId) -> Result<Money, MarketError> {
         self.check_campaign(id)?;
-        let book = &self.books[id.keyword];
-        match book.campaigns[id.index].kind {
-            CampaignKind::PerClick { .. } => Ok(book
-                .index
-                .bid(id.index)
-                .map(Money::from_cents)
-                .unwrap_or(Money::ZERO)),
-            _ => Err(MarketError::NotIncremental(id)),
+        let campaign = &self.books[id.keyword].campaigns[id.index];
+        match campaign.kind.effective_bid() {
+            Some(_) if campaign.paused => Ok(Money::ZERO),
+            Some(bid) => Ok(bid),
+            None => Err(MarketError::NotIncremental(id)),
         }
     }
 
-    /// The highest effective per-click bids on a keyword, descending — a
-    /// direct read of the keyword's logical bid index.
+    /// The `limit` highest effective bids of a keyword's unpaused per-click
+    /// campaigns (paused, fixed-table and program campaigns are absent):
+    /// bid descending, and among equal bids the later-registered campaign
+    /// (higher [`CampaignId::index`]) first.
     pub fn top_bids(
         &self,
         keyword: usize,
         limit: usize,
     ) -> Result<Vec<(CampaignId, Money)>, MarketError> {
         let keyword = self.check_keyword(keyword)?;
-        let book = &self.books[keyword];
-        Ok(book
-            .index
-            .iter_desc()
-            .take(limit)
-            .map(|(index, cents)| (book.campaigns[index].id, Money::from_cents(cents)))
-            .collect())
+        let mut bids: Vec<(CampaignId, Money)> = self.books[keyword]
+            .campaigns
+            .iter()
+            .enumerate()
+            .filter(|(_, campaign)| !campaign.paused)
+            .filter_map(|(index, campaign)| {
+                let bid = campaign.kind.effective_bid()?;
+                Some((CampaignId { keyword, index }, bid))
+            })
+            .collect();
+        // One keyword: ids compare by index.
+        bids.sort_unstable_by_key(|&(id, bid)| std::cmp::Reverse((bid, id)));
+        bids.truncate(limit);
+        Ok(bids)
     }
 
-    /// Recomputes a per-click campaign's effective bid and pushes it into
-    /// both views: the keyword's [`AdjustmentList`] (remove + insert,
-    /// `O(log n)`) and the campaign's bidder, whose row the engine
+    /// Writes a campaign's pause flag and, if it is per-click, its
+    /// recomputed effective bid to its bidder, whose row the engine
     /// re-evaluates at the keyword's next auction.
-    fn refresh_per_click(&mut self, id: CampaignId) {
+    fn refresh_bidder(&mut self, id: CampaignId) {
         let book = &mut self.books[id.keyword];
         let campaign = &book.campaigns[id.index];
-        let CampaignKind::PerClick {
-            nominal,
-            click_value,
-            roi_target,
-        } = campaign.kind
-        else {
-            unreachable!("refresh_per_click called on a non-per-click campaign");
-        };
-        let paused = campaign.paused;
-        let effective = effective_bid(nominal, click_value, roi_target);
-        book.index.remove(id.index);
-        if !paused {
-            book.index.insert(id.index, effective.cents());
-        }
+        let (effective, paused) = (campaign.kind.effective_bid(), campaign.paused);
         let bidder = book.bidder_mut(id.index);
-        bidder.source = BidSource::PerClick(effective);
+        if let Some(bid) = effective {
+            bidder.source = BidSource::PerClick(bid);
+        }
         bidder.paused = paused;
     }
 
@@ -1885,18 +1902,6 @@ fn check_roi_target(target: f64) -> Result<(), MarketError> {
     }
 }
 
-/// Effective per-click bid: the nominal bid capped at `click_value /
-/// roi_target` (never negative).
-fn effective_bid(nominal: Money, click_value: Money, roi_target: Option<f64>) -> Money {
-    let capped = match roi_target {
-        Some(target) => nominal.min(Money::from_cents(
-            (click_value.as_f64() / target).floor() as i64
-        )),
-        None => nominal,
-    };
-    capped.max(Money::ZERO)
-}
-
 /// Maps an engine [`AuctionReport`] (local bidder indexes) to the typed
 /// [`AuctionResponse`] (campaign ids and advertiser handles).
 fn respond(
@@ -1905,10 +1910,10 @@ fn respond(
     time: u64,
     report: AuctionReport,
 ) -> AuctionResponse {
+    let id = |index| CampaignId { keyword, index };
     let mut placements = Vec::with_capacity(report.assignment.num_assigned());
     for (j, local) in report.assignment.slot_to_adv.iter().enumerate() {
         let Some(local) = *local else { continue };
-        let campaign = &campaigns[local];
         let charge = report
             .charges
             .iter()
@@ -1917,8 +1922,8 @@ fn respond(
             .unwrap_or(Money::ZERO);
         placements.push(Placement {
             slot: SlotId::from_index0(j),
-            campaign: campaign.id,
-            advertiser: campaign.advertiser,
+            campaign: id(local),
+            advertiser: campaigns[local].advertiser,
             clicked: report.clicked[j],
             purchased: report.purchased[j],
             charge,
@@ -1927,7 +1932,7 @@ fn respond(
     let charges = report
         .charges
         .iter()
-        .map(|(local, m)| (campaigns[*local].id, *m))
+        .map(|(local, m)| (id(*local), *m))
         .collect();
     AuctionResponse {
         keyword,
@@ -2161,9 +2166,75 @@ mod tests {
                 got: 2
             })
         );
+        assert!(
+            MarketError::NotIncremental(t)
+                .to_string()
+                .contains("is not per-click"),
+            "a fixed table is not a custom program"
+        );
         // Errors are std errors with readable messages.
         let err: Box<dyn std::error::Error> = Box::new(MarketError::MissingClickModel);
         assert!(err.to_string().contains("click"));
+    }
+
+    #[test]
+    fn top_bids_breaks_ties_to_the_later_campaign() {
+        let mut market = Marketplace::builder()
+            .slots(1)
+            .default_click_probs(vec![0.5])
+            .build()
+            .expect("valid configuration");
+        let a = market.register_advertiser("a");
+        let per_click = |cents| CampaignSpec::per_click(Money::from_cents(cents));
+        let mut add = |spec| market.add_campaign(a, 0, spec).expect("accepted");
+        let c0 = add(per_click(7));
+        let c1 = add(per_click(9));
+        let table = add(CampaignSpec::table(BidsTable::single_feature(
+            Money::from_cents(50),
+        )));
+        let c3 = add(per_click(7));
+        let c4 = add(per_click(9));
+        let c5 = add(per_click(7));
+        market.pause_campaign(c5).expect("known campaign");
+        let cents = Money::from_cents;
+        assert_eq!(
+            market.top_bids(0, usize::MAX).unwrap(),
+            vec![
+                (c4, cents(9)),
+                (c1, cents(9)),
+                (c3, cents(7)),
+                (c0, cents(7))
+            ],
+            "bid descending, ties to the higher index, paused and table absent"
+        );
+        assert_eq!(
+            market.top_bids(0, 3).unwrap(),
+            vec![(c4, cents(9)), (c1, cents(9)), (c3, cents(7))]
+        );
+        assert_eq!(market.top_bids(0, 0).unwrap(), vec![]);
+        assert_eq!(market.current_bid(c5).unwrap(), Money::ZERO);
+        assert_eq!(
+            market.current_bid(table),
+            Err(MarketError::NotIncremental(table))
+        );
+    }
+
+    #[test]
+    fn a_state_without_one_rng_stream_per_keyword_is_a_typed_error() {
+        let (live, _) = populated(3, 1);
+        let good = live.capture_state().expect("per-click campaigns only");
+        for streams in [0, 2, 4] {
+            let mut state = good.clone();
+            state.rng_states.resize(streams, [1, 2, 3, 4]);
+            assert_eq!(
+                Marketplace::from_state(&state).err(),
+                Some(MarketError::RngStreams {
+                    keywords: 3,
+                    streams
+                })
+            );
+        }
+        assert!(Marketplace::from_state(&good).is_ok());
     }
 
     #[test]

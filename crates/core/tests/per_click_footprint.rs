@@ -1,14 +1,19 @@
 //! Resident footprint of a per-click campaign.
 //!
-//! A per-click campaign owns, once each: its metadata, its bidder (a bid in
-//! cents), its pointer to a row of click probabilities, the one-row table
-//! the engine holds for it (inline, no allocation), its no-slot value, and
-//! its entry in the keyword's logical bid index. It owns no purchase row
-//! (it never purchases), no row of a revenue matrix (the default engine
-//! keeps each slot's few best rows instead of all of them), and — the
-//! paper's outcome model, and every population this repo generates — no
-//! click row of its own: its advertiser brings the same 15 probabilities to
-//! all 10 keywords, and the market stores them once for all of them.
+//! A per-click campaign owns, once each: its metadata (advertiser, nominal
+//! bid, click value, ROI target, pause flag, targeting pointer), its bidder
+//! (the effective bid in cents), its pointer to a row of click
+//! probabilities, the one-row table the engine holds for it (inline, no
+//! allocation), and its no-slot value. Its bid is stored in the campaign
+//! and nowhere else: there is no sorted bid index beside the book, and no
+//! stored campaign id (an id is the keyword and the campaign's position).
+//! It owns no purchase row (it never purchases), no row of a revenue matrix
+//! (the default engine keeps each slot's few best rows instead of all of
+//! them), no program-notification scratch (only engines with programs size
+//! one), and — the paper's outcome model, and every population this repo
+//! generates — no click row of its own: its advertiser brings the same 15
+//! probabilities to all 10 keywords, and the market stores them once for
+//! all of them.
 //! `per_click_footprint_distinct` prices the worst case, a different row
 //! on every keyword.
 //!
@@ -28,9 +33,10 @@ fn a_per_click_campaign_costs_one_copy_of_everything() {
             falling(0.2 + 0.7 * (adv + 1) as f64 / (ADVERTISERS + 1) as f64)
         });
     assert!(
-        per_campaign <= 360.0,
-        "a per-click campaign costs {per_campaign:.0} B resident, 360 B allowed \
-         (≈ 430 B with a click row and a heap-allocated table per campaign; \
+        per_campaign <= 250.0,
+        "a per-click campaign costs {per_campaign:.0} B resident, 250 B allowed \
+         (≈ 300 B with a sorted bid index beside the book and a stored id; \
+         ≈ 430 B with a click row and a heap-allocated table per campaign; \
          563 B with its row of a revenue matrix; 1 340 B when probabilities \
          were stored twice and tables three times)"
     );

@@ -616,9 +616,10 @@ impl From<&MarketError> for ErrorCode {
             // wire protocol cannot submit one, but the mapping must be
             // total.
             MarketError::NotDurable(_) => ErrorCode::Unsupported,
-            MarketError::NoSlots | MarketError::NoKeywords | MarketError::NoShards => {
-                ErrorCode::InvalidConfig
-            }
+            MarketError::NoSlots
+            | MarketError::NoKeywords
+            | MarketError::NoShards
+            | MarketError::RngStreams { .. } => ErrorCode::InvalidConfig,
         }
     }
 }
@@ -1073,6 +1074,21 @@ mod tests {
                 tag: 250,
             })
         );
+    }
+
+    #[test]
+    fn configuration_errors_map_to_invalid_config() {
+        for err in [
+            MarketError::NoSlots,
+            MarketError::NoKeywords,
+            MarketError::NoShards,
+            MarketError::RngStreams {
+                keywords: 3,
+                streams: 2,
+            },
+        ] {
+            assert_eq!(ErrorCode::from(&err), ErrorCode::InvalidConfig, "{err:?}");
+        }
     }
 
     #[test]

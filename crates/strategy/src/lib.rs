@@ -10,10 +10,7 @@
 //!   agree bid-for-bid;
 //! * [`logical`] — adjustment lists: sorted bid lists whose members all
 //!   move by the same amount per auction, so one `O(1)` update to a shared
-//!   adjustment variable replaces `n` individual bid updates (the data
-//!   structures themselves live in `ssa_core::logical`, shared with the
-//!   `Marketplace` facade's incremental-update API, and are re-exported
-//!   here unchanged);
+//!   adjustment variable replaces `n` individual bid updates;
 //! * [`population`] — a population of ROI bidders maintained *entirely*
 //!   through logical updates and critical-value triggers (the RHTALU
 //!   evaluation path of Section V), plus the naive full-evaluation twin it
@@ -22,8 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use ssa_core::logical;
-
+pub mod logical;
 pub mod population;
 pub mod roi;
 pub mod sqlroi;

@@ -10,14 +10,8 @@
 //! moves every member at once and the sorted order is preserved ("all
 //! programs in the list adjust their bids by the same amount").
 //! [`LogicalBids`] bundles the increment, decrement, and constant lists for
-//! one keyword.
-//!
-//! This module lives in `ssa_core` (rather than `ssa_strategy`, which
-//! re-exports it) because it is shared by two layers: the strategy crate's
-//! `LogicalRoiPopulation` maintains whole ROI populations through these
-//! lists, and the [`crate::marketplace`] facade routes its incremental bid
-//! updates (`update_bid`, pause/resume) through a per-keyword
-//! [`AdjustmentList`] instead of rebuilding bidder vectors.
+//! one keyword; [`crate::LogicalRoiPopulation`] maintains whole ROI
+//! populations through them.
 
 use std::collections::{BTreeSet, HashMap};
 

@@ -190,8 +190,8 @@ impl MarketSimulation {
     }
 
     /// Current bid (cents) of advertiser `adv` on `keyword`: read from the
-    /// shared strategy state, or from the marketplace's bid index for the
-    /// static population.
+    /// shared strategy state, or for the static population the campaign's
+    /// effective bid ([`Marketplace::current_bid`], zero while paused).
     pub fn bid_of(&self, adv: usize, keyword: usize) -> i64 {
         match self.programs.get(adv) {
             Some(shared) => {

@@ -5,7 +5,7 @@
 //! keywords ("shoes" and "running"), and the market serves a query stream
 //! while bids change incrementally between auctions — the facade-level view
 //! of the paper's system (campaign registration, typed query serving,
-//! logical bid updates). For the raw single-auction engine underneath, see
+//! incremental bid updates). For the raw single-auction engine underneath, see
 //! `examples/quickstart.rs`.
 //!
 //! ```text
@@ -75,8 +75,8 @@ fn main() {
     println!("serving 6 queries with GSP pricing…\n");
     for (round, &keyword) in [0usize, 0, 1, 0, 1, 0].iter().enumerate() {
         // Incremental updates between auctions: after two rounds ClickShop
-        // lowers its bid and BrandHouse pauses its campaign — O(log n) on
-        // the keyword's logical bid index, no engine rebuild.
+        // lowers its bid and BrandHouse pauses its campaign — one write to
+        // each campaign and its bidder, no engine rebuild.
         if round == 2 {
             market
                 .update_bid(shoes_campaign, Money::from_cents(6))
@@ -106,7 +106,7 @@ fn main() {
         println!("  realised revenue: {}\n", response.realized_revenue);
     }
 
-    // The logical bid index answers serving-side questions directly.
+    // The keyword's book answers serving-side questions directly.
     let top = market.top_bids(0, 3).expect("known keyword");
     println!("top per-click bids on {:?} now:", keywords[0]);
     for (campaign, bid) in top {

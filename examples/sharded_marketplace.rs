@@ -88,8 +88,8 @@ fn main() {
         report.total.auctions, report.chunks, report.total.clicks, report.total.realized_revenue,
     );
 
-    // Incremental updates go straight to the keyword's book: O(log n) on
-    // its logical bid index, every other keyword untouched.
+    // Incremental updates go straight to the keyword's book: one write to
+    // the campaign and its bidder, every other keyword untouched.
     market
         .update_bid(campaigns[0], Money::from_cents(1))
         .expect("per-click campaign");

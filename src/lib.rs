@@ -37,7 +37,7 @@
 //! The public serving surface is the [`marketplace::Marketplace`], the
 //! one market type: a long-lived service owning registered advertisers,
 //! the clock, an optional journal, and one book per keyword (campaigns,
-//! persistent engine+solver, logical bid index, RNG stream). Shards are a
+//! persistent engine+solver, RNG stream). Shards are a
 //! partition of those books that only `serve_batch` looks at. Below it, winner
 //! determination is unified behind [`matching::WdSolver`]: each method (H,
 //! RH, parallel RH, LP) is a solver struct with persistent scratch,
@@ -47,8 +47,8 @@
 //!                    marketplace::Marketplace
 //!      register_advertiser / add_campaign        update_bid / pause /
 //!      serve(QueryRequest) / serve_batch         set_roi_target
-//!                 │ one persistent engine              │ logical::
-//!                 ▼ per keyword                        ▼ AdjustmentList
+//!                 │ one persistent engine              │ the campaign
+//!                 ▼ per keyword                        ▼ + its bidder, O(1)
 //!        core::AuctionEngine   workload::Simulation (reference for
 //!        (run_auction / run_batch / stream)   Figures 12/13 and RHTALU)
 //!                    ┌──────┴────────┐
@@ -82,7 +82,7 @@
 //! solver scratch — go to a [`std::thread::scope`] worker and the
 //! per-chunk [`core::BatchReport`]s are merged in stream order. `serve`,
 //! the control plane (`add_campaign`, `update_bid`, `pause_campaign`,
-//! `set_roi_target` index the keyword's book directly: `O(log n)`, no
+//! `set_roi_target` index the keyword's book directly: `O(1)`, no
 //! cross-shard locking), state capture and the journal are the same code
 //! at every shard count, and `build()` is `build_sharded(1)`.
 //!
@@ -145,8 +145,8 @@
 //! let response = market.serve(QueryRequest::new(0)).expect("keyword 0 exists");
 //! assert_eq!(response.placements.len(), 2);
 //!
-//! // Incremental updates route through the logical bid index — no engine
-//! // rebuild, O(log n) per change.
+//! // Incremental updates rewrite the campaign and its bidder in place — no
+//! // engine rebuild, O(1) per change.
 //! market.update_bid(c, Money::from_cents(5)).expect("per-click campaign");
 //! market.pause_campaign(c).expect("known campaign");
 //! let response = market.serve(QueryRequest::new(0)).expect("keyword 0 exists");
@@ -471,7 +471,7 @@
 //! [`marketplace::Marketplace::set_journal`]). A crash can tear at
 //! most the final record; recovery ([`durable::recover`]) truncates the
 //! torn tail, replays snapshot ∘ log, and returns a marketplace whose
-//! stored bids, top-bid indexes, and *future auction outcomes* are
+//! stored bids, top-bid books, and *future auction outcomes* are
 //! bit-identical to the pre-crash instance — property-tested across
 //! every byte-level truncation point and shard counts 1/2/4. Floats
 //! travel as raw IEEE-754 bits end to end, so "bit-identical" is meant
