@@ -48,8 +48,8 @@ pipeline instead of printing figures. Any of --method, --strategy,
 of the scenario and they compose freely (a combination a layer cannot
 express — programs over the wire or under a journal — fails with that
 layer's error):
-  --method <m>    winner determination: lp | h | rh | rhp:<threads>
-                  (default rh; see --list-methods)
+  --method <m>    winner determination: lp | h | rh (default rh; see
+                  --list-methods)
   --strategy <s>  population: every advertiser a keyword-local Figure 5 ROI
                   program (Section II-B) instead of a static per-click bid —
                   native Rust (native) or SQL on prepared, planned
@@ -89,9 +89,7 @@ layer's error):
 const METHODS: &str = "\
 lp        winner-determination linear program, network simplex (Section III-B)
 h         Hungarian algorithm on the full bipartite graph (Section III-D)
-rh        reduced bipartite graph (Section III-E)
-rhp:<t>   rh with parallel tree aggregation over <t> threads (Section III-E;
-          the thread count is required — bare rhp is rejected)";
+rh        reduced bipartite graph (Section III-E)";
 
 /// Flags that carry a value.
 const VALUE_FLAGS: [&str; 6] = [

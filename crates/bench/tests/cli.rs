@@ -1,5 +1,5 @@
 //! CLI contract tests for the `reproduce` binary: the typed-error paths
-//! (`--method rhp` without threads, `--shards 0`, `--load 0`, …), the
+//! (an unknown `--method`, `--shards 0`, `--load 0`, …), the
 //! sharded load-generator happy path, and the single-run flags composing
 //! (what a layer cannot express fails with that layer's error).
 
@@ -47,15 +47,16 @@ fn assert_usage_error(args: &[&str], needle: &str) {
     assert!(err.contains("Usage:"), "args {args:?}: no usage in {err:?}");
 }
 
+/// The retired parallel reduction (`rhp`, `rhp:<threads>`) is an unknown
+/// method like any other, named back as it was typed.
 #[test]
-fn bare_rhp_is_a_clear_error_not_a_silent_default() {
-    assert_usage_error(&["--method", "rhp"], "needs an explicit thread count");
-}
-
-#[test]
-fn rhp_zero_threads_is_a_clear_error() {
-    assert_usage_error(&["--method", "rhp:0"], "thread count must be positive");
-    assert_usage_error(&["--method", "rhp:many"], "invalid thread count");
+fn an_unknown_method_is_named_as_typed() {
+    for typed in ["rhp", "rhp:2", "FOO"] {
+        assert_usage_error(
+            &["--method", typed],
+            &format!("unknown winner-determination method \"{typed}\""),
+        );
+    }
 }
 
 #[test]

@@ -6,12 +6,10 @@
 //! * [`AuctionEngine::run_auction`] — the single-auction convenience path;
 //!   it runs the same in-place hot step as the batched paths and
 //!   materialises a fully-owned [`AuctionReport`] from the scratch buffers.
-//! * [`AuctionEngine::run_batch`] / [`AuctionEngine::stream`] — the hot
-//!   path. The engine owns its solver and preallocated weight, assignment
-//!   and charge buffers; each auction updates them in place, so a batch
-//!   performs **no per-auction allocation** after warm-up. `run_batch`
-//!   aggregates into a [`BatchReport`]; `stream` lazily materialises
-//!   per-auction reports.
+//! * [`AuctionEngine::run_batch`] — the hot path. The engine owns its
+//!   solver and preallocated weight, assignment and charge buffers; each
+//!   auction updates them in place, so a batch performs **no per-auction
+//!   allocation** after warm-up, and aggregates into a [`BatchReport`].
 //!
 //! # Evaluate only what changed
 //!
@@ -67,7 +65,7 @@
 //!
 //! Configurations that read whole columns keep the dense matrix, allocated
 //! only while one of them is in force: `h` and `lp` solve on all `n` rows,
-//! `rhp` scans them on its threads, [`EngineConfig::pruned`] keeps every
+//! [`EngineConfig::pruned`] keeps every
 //! weight tie at a column's floor, and VCG re-solves the market without
 //! each winner. [`AuctionEngine::config`] is a public field; when its
 //! method, pruning or pricing change, the next auction lays the weight
@@ -84,8 +82,8 @@ use rand::Rng;
 use ssa_bidlang::targeting::{CompiledTargeting, UserAttrs};
 use ssa_bidlang::{AdvertiserView, BidsTable, Money, SlotId};
 use ssa_matching::{
-    Assignment, HungarianSolver, ParallelReducedSolver, PrunedSolver, ReducedSolver, RetainedOrder,
-    RevenueMatrix, WdSolver,
+    Assignment, HungarianSolver, PrunedSolver, ReducedSolver, RetainedOrder, RevenueMatrix,
+    WdSolver,
 };
 use ssa_simplex::NetworkSimplexSolver;
 use std::sync::Arc;
@@ -139,8 +137,8 @@ impl EngineQuery for (usize, &UserAttrs) {
     }
 }
 
-/// Which winner-determination algorithm the engine runs (the four methods
-/// of Section V, minus the program-evaluation reductions which live in the
+/// Which winner-determination algorithm the engine runs (the methods of
+/// Section V, minus the program-evaluation reductions which live in the
 /// workload harness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WdMethod {
@@ -151,9 +149,6 @@ pub enum WdMethod {
     Hungarian,
     /// Method RH: the Section III-E reduced bipartite graph.
     Reduced,
-    /// Method RH with the Section III-E parallel tree aggregation, using
-    /// the given number of threads.
-    ReducedParallel(usize),
 }
 
 impl WdMethod {
@@ -165,54 +160,36 @@ impl WdMethod {
             WdMethod::Lp => Box::new(NetworkSimplexSolver::new()),
             WdMethod::Hungarian => Box::new(HungarianSolver::new()),
             WdMethod::Reduced => Box::new(ReducedSolver::new()),
-            WdMethod::ReducedParallel(threads) => Box::new(ParallelReducedSolver::new(threads)),
         }
     }
 }
 
 impl std::fmt::Display for WdMethod {
-    /// The CLI names: `lp`, `h`, `rh`, and `rhp:<threads>`.
+    /// The CLI names: `lp`, `h` and `rh`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WdMethod::Lp => f.write_str("lp"),
-            WdMethod::Hungarian => f.write_str("h"),
-            WdMethod::Reduced => f.write_str("rh"),
-            WdMethod::ReducedParallel(threads) => write!(f, "rhp:{threads}"),
-        }
+        f.write_str(match self {
+            WdMethod::Lp => "lp",
+            WdMethod::Hungarian => "h",
+            WdMethod::Reduced => "rh",
+        })
     }
 }
 
 /// Error returned when parsing a [`WdMethod`] from its CLI name fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseMethodError {
-    /// The name matched none of `lp`, `h`, `rh`, `rhp:<threads>`.
+    /// The name matched none of `lp`, `h`, `rh`; carries the name as the
+    /// caller spelled it.
     UnknownMethod(String),
-    /// `rhp:<threads>` carried a suffix that is not an unsigned integer.
-    InvalidThreadCount(String),
-    /// Bare `rhp` (no `:threads` suffix) — the parallel reduction's
-    /// degree of parallelism must be explicit, not silently defaulted.
-    MissingThreadCount,
-    /// `rhp:0` — the parallel reduction needs at least one thread.
-    ZeroThreads,
 }
 
 impl std::fmt::Display for ParseMethodError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseMethodError::UnknownMethod(name) => write!(
-                f,
-                "unknown winner-determination method {name:?} \
-                 (expected lp, h, rh, or rhp:<threads>)"
-            ),
-            ParseMethodError::InvalidThreadCount(raw) => {
-                write!(f, "invalid thread count in {raw:?}")
-            }
-            ParseMethodError::MissingThreadCount => f.write_str(
-                "method \"rhp\" needs an explicit thread count: \
-                 write rhp:<threads>, e.g. rhp:4",
-            ),
-            ParseMethodError::ZeroThreads => f.write_str("thread count must be positive"),
-        }
+        let ParseMethodError::UnknownMethod(name) = self;
+        write!(
+            f,
+            "unknown winner-determination method {name:?} (expected lp, h or rh)"
+        )
     }
 }
 
@@ -221,33 +198,14 @@ impl std::error::Error for ParseMethodError {}
 impl std::str::FromStr for WdMethod {
     type Err = ParseMethodError;
 
-    /// Parses `lp`, `h`, `rh`, or `rhp:<threads>`, case-insensitively.
-    ///
-    /// Bare `rhp` is rejected with
-    /// [`ParseMethodError::MissingThreadCount`]: the parallel method's
-    /// thread count is part of its identity (it is what Figure 12's RHP
-    /// curves vary), so it must be spelled out rather than silently
-    /// defaulted.
+    /// Parses `lp`, `h`, `rh` (or the long names `hungarian`, `reduced`),
+    /// case-insensitively.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
-        match lower.as_str() {
+        match s.to_ascii_lowercase().as_str() {
             "lp" => Ok(WdMethod::Lp),
             "h" | "hungarian" => Ok(WdMethod::Hungarian),
             "rh" | "reduced" => Ok(WdMethod::Reduced),
-            "rhp" => Err(ParseMethodError::MissingThreadCount),
-            other => {
-                if let Some(threads) = other.strip_prefix("rhp:") {
-                    let threads: usize = threads
-                        .parse()
-                        .map_err(|_| ParseMethodError::InvalidThreadCount(s.to_string()))?;
-                    if threads == 0 {
-                        return Err(ParseMethodError::ZeroThreads);
-                    }
-                    Ok(WdMethod::ReducedParallel(threads))
-                } else {
-                    Err(ParseMethodError::UnknownMethod(other.to_string()))
-                }
-            }
+            _ => Err(ParseMethodError::UnknownMethod(s.to_string())),
         }
     }
 }
@@ -541,10 +499,9 @@ enum WeightSource {
         candidates: Vec<usize>,
     },
     /// Every configuration that reads whole columns: `h` and `lp` solve on
-    /// all `n` rows, `rhp` scans them on its threads, the pruned wrapper
-    /// keeps every tie at a column's floor, and VCG re-solves the market
-    /// without each winner. The `n × k` matrix exists only while one of
-    /// these is configured.
+    /// all `n` rows, the pruned wrapper keeps every tie at a column's
+    /// floor, and VCG re-solves the market without each winner. The `n × k`
+    /// matrix exists only while one of these is configured.
     Dense {
         matrix: RevenueMatrix,
         solver: Box<dyn WdSolver>,
@@ -1048,61 +1005,6 @@ impl<B: Bidder> AuctionEngine<B> {
         report.phases = self.scratch.phases;
         report
     }
-
-    /// Lazily runs one auction per query yielded by `queries` through the
-    /// persistent pipeline, materialising an [`AuctionReport`] per auction.
-    /// The pipeline state (matrix, solver scratch) is still reused; only
-    /// the yielded reports allocate.
-    pub fn stream<'a, R: Rng, I>(
-        &'a mut self,
-        queries: I,
-        rng: &'a mut R,
-    ) -> AuctionStream<'a, B, R, I::IntoIter>
-    where
-        I: IntoIterator,
-        I::Item: EngineQuery,
-    {
-        self.ensure_source();
-        AuctionStream {
-            engine: self,
-            rng,
-            queries: queries.into_iter(),
-        }
-    }
-}
-
-/// Iterator over batched auctions; see [`AuctionEngine::stream`].
-pub struct AuctionStream<'a, B: Bidder, R: Rng, I: Iterator> {
-    engine: &'a mut AuctionEngine<B>,
-    rng: &'a mut R,
-    queries: I,
-}
-
-impl<B: Bidder, R: Rng, I: Iterator> Iterator for AuctionStream<'_, B, R, I>
-where
-    I::Item: EngineQuery,
-{
-    type Item = AuctionReport;
-
-    fn next(&mut self) -> Option<AuctionReport> {
-        let query = self.queries.next()?;
-        let expected_revenue = self
-            .engine
-            .hot_step(query.keyword(), query.attrs(), self.rng);
-        let scratch = &self.engine.scratch;
-        Some(AuctionReport {
-            assignment: scratch.assignment.clone(),
-            expected_revenue,
-            clicked: scratch.clicked.clone(),
-            purchased: scratch.purchased.clone(),
-            charges: scratch.charges.clone(),
-            realized_revenue: scratch.charges.iter().map(|(_, m)| *m).sum(),
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.queries.size_hint()
-    }
 }
 
 /// Notifies every program (the rows in `programs`) of its slot, click,
@@ -1258,12 +1160,7 @@ mod tests {
     fn all_methods_agree_on_expected_revenue() {
         let mut rng = StdRng::seed_from_u64(42);
         let mut reference = None;
-        for method in [
-            WdMethod::Lp,
-            WdMethod::Hungarian,
-            WdMethod::Reduced,
-            WdMethod::ReducedParallel(2),
-        ] {
+        for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
             let mut engine = basic_engine(method, PricingScheme::PayYourBid);
             let report = engine.run_auction(0, &mut rng);
             match reference {
@@ -1315,8 +1212,8 @@ mod tests {
         let report = engine.run_batch(&[0, 0, 0], &mut rng);
         assert_eq!(report.auctions, 3);
         assert_eq!(engine.now(), 4);
-        let streamed: Vec<_> = engine.stream([0usize, 0], &mut rng).collect();
-        assert_eq!(streamed.len(), 2);
+        engine.run_auction(0, &mut rng);
+        engine.run_auction(0, &mut rng);
         assert_eq!(engine.now(), 6);
     }
 
@@ -1324,12 +1221,7 @@ mod tests {
     fn batch_matches_looped_run_auction() {
         // Identical RNG streams ⇒ the aggregated batch must equal the sum
         // of per-call reports, for every method and pricing scheme.
-        for method in [
-            WdMethod::Lp,
-            WdMethod::Hungarian,
-            WdMethod::Reduced,
-            WdMethod::ReducedParallel(2),
-        ] {
+        for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
             for pricing in [
                 PricingScheme::PayYourBid,
                 PricingScheme::Gsp,
@@ -1366,22 +1258,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn stream_reports_match_run_auction_reports() {
-        let queries = [0usize; 10];
-        let mut loop_rng = StdRng::seed_from_u64(5);
-        let mut loop_engine = basic_engine(WdMethod::Reduced, PricingScheme::Gsp);
-        let expected: Vec<_> = queries
-            .iter()
-            .map(|&kw| loop_engine.run_auction(kw, &mut loop_rng))
-            .collect();
-
-        let mut stream_rng = StdRng::seed_from_u64(5);
-        let mut stream_engine = basic_engine(WdMethod::Reduced, PricingScheme::Gsp);
-        let got: Vec<_> = stream_engine.stream(queries, &mut stream_rng).collect();
-        assert_eq!(got, expected);
     }
 
     #[test]
@@ -1465,27 +1341,10 @@ mod tests {
 
     #[test]
     fn wd_method_display_round_trips() {
-        for method in [
-            WdMethod::Lp,
-            WdMethod::Hungarian,
-            WdMethod::Reduced,
-            WdMethod::ReducedParallel(7),
-        ] {
+        for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
             assert_eq!(method.to_string().parse::<WdMethod>(), Ok(method));
         }
-        assert_eq!(
-            "rhp".parse::<WdMethod>(),
-            Err(ParseMethodError::MissingThreadCount)
-        );
         assert_eq!("Hungarian".parse(), Ok(WdMethod::Hungarian));
-        assert_eq!(
-            "rhp:0".parse::<WdMethod>(),
-            Err(ParseMethodError::ZeroThreads)
-        );
-        assert_eq!(
-            "rhp:many".parse::<WdMethod>(),
-            Err(ParseMethodError::InvalidThreadCount("rhp:many".into()))
-        );
         assert_eq!(
             "simplex".parse::<WdMethod>(),
             Err(ParseMethodError::UnknownMethod("simplex".into()))
@@ -1497,9 +1356,21 @@ mod tests {
         let err: Box<dyn std::error::Error> =
             Box::new("nope".parse::<WdMethod>().expect_err("must fail"));
         assert!(err.to_string().contains("nope"));
-        assert!(ParseMethodError::ZeroThreads
+    }
+
+    #[test]
+    fn parse_method_error_reports_the_name_as_typed() {
+        for typed in ["FOO", "Simplex", "RH:2"] {
+            assert_eq!(
+                typed.parse::<WdMethod>(),
+                Err(ParseMethodError::UnknownMethod(typed.into()))
+            );
+        }
+        assert!("FOO"
+            .parse::<WdMethod>()
+            .unwrap_err()
             .to_string()
-            .contains("positive"));
+            .contains("\"FOO\""));
     }
 
     #[test]

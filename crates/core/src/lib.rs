@@ -19,10 +19,9 @@
 //! trait: [`AuctionEngine`] owns a solver with persistent scratch and the
 //! weights it reads — on the default `rh` path each slot's few best rows,
 //! kept current from the bids that changed; for methods that read whole
-//! columns a preallocated revenue matrix — and the batched entry points
-//! ([`AuctionEngine::run_batch`], [`AuctionEngine::stream`]) update them in
-//! place: no per-auction matrix allocation on the hot path (see the
-//! [`engine`] module docs).
+//! columns a preallocated revenue matrix — and the batched entry point
+//! ([`AuctionEngine::run_batch`]) updates them in place: no per-auction
+//! matrix allocation on the hot path (see the [`engine`] module docs).
 //!
 //! Above the engine sits the [`marketplace`]: a long-lived
 //! [`marketplace::Marketplace`] — the one market type — owning registered
@@ -69,8 +68,8 @@ pub mod state;
 pub use bidder::{Bidder, BidderOutcome, QueryContext, TableBidder};
 pub use codec::CodecError;
 pub use engine::{
-    AuctionEngine, AuctionReport, AuctionStream, BatchReport, EngineConfig, EngineQuery,
-    ParseMethodError, PhaseStats, WdMethod,
+    AuctionEngine, AuctionReport, BatchReport, EngineConfig, EngineQuery, ParseMethodError,
+    PhaseStats, WdMethod,
 };
 pub use heavyweight::{solve_heavyweight, HeavyweightInstance, HeavyweightSolution};
 pub use journal::{MutationJournal, MutationRecord, Reply};

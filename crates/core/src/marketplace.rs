@@ -1998,12 +1998,7 @@ mod tests {
 
     #[test]
     fn paused_campaigns_are_never_displayed() {
-        for method in [
-            WdMethod::Lp,
-            WdMethod::Hungarian,
-            WdMethod::Reduced,
-            WdMethod::ReducedParallel(2),
-        ] {
+        for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
             let mut market = Marketplace::builder()
                 .slots(2)
                 .keywords(1)

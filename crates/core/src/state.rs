@@ -29,9 +29,7 @@
 //! have been registered with. So campaigns + clock + RNG positions pin down
 //! every future auction outcome exactly.
 
-use crate::codec::{
-    put_bool, put_f64_vec, put_opt, put_pair_vec, put_u32, put_u64, CodecError, Reader,
-};
+use crate::codec::{put_bool, put_f64_vec, put_opt, put_pair_vec, put_u64, CodecError, Reader};
 use crate::engine::WdMethod;
 use crate::marketplace::MarketError;
 use crate::pricing::PricingScheme;
@@ -69,15 +67,13 @@ impl MarketConfigState {
         put_u64(buf, self.slots as u64);
         put_u64(buf, self.keywords as u64);
         put_u64(buf, self.seed);
-        match self.method {
-            WdMethod::Lp => buf.push(0),
-            WdMethod::Hungarian => buf.push(1),
-            WdMethod::Reduced => buf.push(2),
-            WdMethod::ReducedParallel(threads) => {
-                buf.push(3);
-                put_u32(buf, threads as u32);
-            }
-        }
+        // Tag 3 was the retired parallel reduction (`rhp`, followed by a
+        // `u32` thread count): reserved, never reassigned.
+        buf.push(match self.method {
+            WdMethod::Lp => 0,
+            WdMethod::Hungarian => 1,
+            WdMethod::Reduced => 2,
+        });
         buf.push(match self.pricing {
             PricingScheme::PayYourBid => 0,
             PricingScheme::Gsp => 1,
@@ -100,7 +96,6 @@ impl MarketConfigState {
                 0 => WdMethod::Lp,
                 1 => WdMethod::Hungarian,
                 2 => WdMethod::Reduced,
-                3 => WdMethod::ReducedParallel(r.u32("method threads")? as usize),
                 tag => {
                     return Err(CodecError::UnknownTag {
                         what: "method",

@@ -17,7 +17,7 @@ fn config() -> MarketConfigState {
         slots: 3,
         keywords: 11,
         seed: 42,
-        method: WdMethod::ReducedParallel(2),
+        method: WdMethod::Hungarian,
         pricing: PricingScheme::Gsp,
         shards: 4,
         pruned: true,
@@ -255,6 +255,14 @@ fn hostile_bodies_are_typed_errors() {
             CodecError::UnknownTag {
                 what: "method",
                 tag: 4,
+            },
+        ),
+        (
+            "Configure with method tag 3, the retired rhp: reserved, never reassigned",
+            bytes(&[&[0], &[0; 24], &[3], &2u32.to_le_bytes(), &[1]]),
+            CodecError::UnknownTag {
+                what: "method",
+                tag: 3,
             },
         ),
         (

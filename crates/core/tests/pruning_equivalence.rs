@@ -25,12 +25,7 @@ use ssa_core::{MarketplaceBuilder, WdMethod};
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 
-const METHODS: [WdMethod; 4] = [
-    WdMethod::Lp,
-    WdMethod::Hungarian,
-    WdMethod::Reduced,
-    WdMethod::ReducedParallel(2),
-];
+const METHODS: [WdMethod; 3] = [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced];
 
 /// A random marketplace population plus a random query stream (the
 /// `sharding.rs` scenario, reused for the pruning/warm-start axes).
@@ -51,7 +46,7 @@ struct Scenario {
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (1usize..=9, 1usize..=3, 0u64..10_000, 0usize..4).prop_map(
+    (1usize..=9, 1usize..=3, 0u64..10_000, 0usize..METHODS.len()).prop_map(
         |(num_keywords, num_slots, seed, method_idx)| {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut next = move |m: u64| {
@@ -209,7 +204,7 @@ proptest! {
 }
 
 /// Deterministic sweep at the issue's advertiser counts: n ∈ {5, 50, 500},
-/// all four methods, pruned+warm versus unpruned cold through `serve` and
+/// all three methods, pruned+warm versus unpruned cold through `serve` and
 /// `serve_batch`, and the pruned run's phase stats must show the solver
 /// saw fewer candidates than n once n clears the per-slot floor size.
 #[test]
@@ -380,7 +375,7 @@ struct MixedScenario {
 const MIXED_ADVERTISERS: usize = 6;
 
 fn arb_mixed() -> impl Strategy<Value = MixedScenario> {
-    (1usize..=4, 1usize..=3, 0u64..10_000, 0usize..4).prop_map(
+    (1usize..=4, 1usize..=3, 0u64..10_000, 0usize..METHODS.len()).prop_map(
         |(num_keywords, num_slots, seed, method_idx)| {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut next = move |m: u64| {

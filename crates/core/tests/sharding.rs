@@ -30,7 +30,7 @@ struct Scenario {
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (1usize..=9, 1usize..=3, 0u64..10_000, 0usize..4).prop_map(
+    (1usize..=9, 1usize..=3, 0u64..10_000, 0usize..3).prop_map(
         |(num_keywords, num_slots, seed, method_idx)| {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut next = move |m: u64| {
@@ -39,12 +39,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 state ^= state << 17;
                 state % m
             };
-            let method = [
-                WdMethod::Lp,
-                WdMethod::Hungarian,
-                WdMethod::Reduced,
-                WdMethod::ReducedParallel(2),
-            ][method_idx];
+            let method = [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced][method_idx];
             let num_advertisers = 1 + next(4) as usize;
             let mut campaigns = Vec::new();
             for adv in 0..num_advertisers {

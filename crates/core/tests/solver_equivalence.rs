@@ -1,5 +1,5 @@
-//! Cross-method equivalence: on random workloads, all four [`WdSolver`]
-//! implementations (LP / H / RH / RH-parallel) must produce assignments
+//! Cross-method equivalence: on random workloads, all three [`WdSolver`]
+//! implementations (LP / H / RH) must produce assignments
 //! with equal expected revenue (within LP tolerance), valid structure, and
 //! self-consistent bookkeeping — and a *reused* solver must keep agreeing
 //! auction after auction, which is what the batched pipeline relies on.
@@ -42,17 +42,12 @@ fn arb_market() -> impl Strategy<Value = (Vec<BidsTable>, ClickModel, PurchaseMo
     })
 }
 
-const METHODS: [WdMethod; 4] = [
-    WdMethod::Lp,
-    WdMethod::Hungarian,
-    WdMethod::Reduced,
-    WdMethod::ReducedParallel(2),
-];
+const METHODS: [WdMethod; 3] = [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All four solver implementations agree on the winner-determination
+    /// All three solver implementations agree on the winner-determination
     /// objective (expected revenue) of a random market.
     #[test]
     fn all_wd_solvers_agree_on_expected_revenue(

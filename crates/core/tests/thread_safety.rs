@@ -11,7 +11,7 @@
 
 use ssa_core::marketplace::{AuctionResponse, CampaignSpec, MarketBatchReport, Marketplace};
 use ssa_core::{AuctionEngine, BatchReport, SqlProgramBidder, TableBidder};
-use ssa_matching::{HungarianSolver, ParallelReducedSolver, ReducedSolver, WdSolver};
+use ssa_matching::{HungarianSolver, ReducedSolver, WdSolver};
 use ssa_simplex::NetworkSimplexSolver;
 
 fn assert_send<T: Send>() {}
@@ -39,7 +39,6 @@ fn marketplaces_are_send() {
 fn every_wd_solver_is_send() {
     assert_send::<HungarianSolver>();
     assert_send::<ReducedSolver>();
-    assert_send::<ParallelReducedSolver>();
     assert_send::<NetworkSimplexSolver>();
     // The trait-object form engines actually hold: `WdSolver: Send` is a
     // supertrait bound, so the box is Send without an explicit `+ Send`.

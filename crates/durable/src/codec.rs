@@ -205,7 +205,7 @@ mod tests {
                 slots: 3,
                 keywords: 11,
                 seed: 42,
-                method: WdMethod::ReducedParallel(2),
+                method: WdMethod::Hungarian,
                 pricing: PricingScheme::Gsp,
                 shards: 4,
                 pruned: true,

@@ -15,9 +15,9 @@
 //! A snapshot is written to a `.tmp` sibling and renamed into place, so a
 //! crash mid-write leaves at most a stray `.tmp` (ignored on load) and
 //! never a half-visible snapshot. [`load_latest`] walks candidates newest
-//! first and skips any that fail validation, so a damaged newest snapshot
-//! degrades to the previous one (whose WAL suffix still exists until the
-//! *next* successful snapshot compacts it).
+//! first and skips any whose header or checksum fails, so a damaged newest
+//! snapshot degrades to the previous one (whose WAL suffix still exists
+//! until the *next* successful snapshot compacts it).
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
@@ -139,33 +139,29 @@ fn write_tmp(
 }
 
 /// Loads the newest snapshot that validates, as
-/// `(state, last_seq, file_bytes)`. Invalid candidates are skipped;
+/// `(state, last_seq, file_bytes)`. Damaged candidates are skipped;
 /// version mismatches are reported as errors (the operator must migrate,
-/// not silently lose the checkpoint).
+/// not silently lose the checkpoint), and so is a checksum-valid body that
+/// does not decode — it is not crash damage but bytes this build refuses
+/// (a retired method tag, say), and falling back past it would lose them.
 pub(crate) fn load_latest(dir: &Path) -> Result<Option<(MarketState, u64, u64)>, DurableError> {
     for (seq, path) in list_snapshots(dir)? {
         let bytes = fs::read(&path)?;
-        match validate(&bytes, seq) {
-            Ok(state) => return Ok(Some((state, seq, bytes.len() as u64))),
-            Err(DurableError::Version {
-                what,
-                found,
-                expected,
-            }) => {
-                return Err(DurableError::Version {
-                    what,
-                    found,
-                    expected,
-                })
-            }
+        let body = match checked_body(&bytes, seq) {
+            Ok(body) => body,
+            Err(err @ DurableError::Version { .. }) => return Err(err),
             // Damaged snapshot: fall back to the next-newest candidate.
             Err(_) => continue,
-        }
+        };
+        let state = decode_state(body)
+            .map_err(|err| DurableError::Corrupt(format!("{}: {err}", path.display())))?;
+        return Ok(Some((state, seq, bytes.len() as u64)));
     }
     Ok(None)
 }
 
-fn validate(bytes: &[u8], expected_seq: u64) -> Result<MarketState, DurableError> {
+/// The body of a snapshot file whose header and checksum hold.
+fn checked_body(bytes: &[u8], expected_seq: u64) -> Result<&[u8], DurableError> {
     if bytes.len() < HEADER_LEN {
         return Err(DurableError::Corrupt("snapshot shorter than header".into()));
     }
@@ -197,7 +193,7 @@ fn validate(bytes: &[u8], expected_seq: u64) -> Result<MarketState, DurableError
     if crc32(body) != crc {
         return Err(DurableError::Corrupt("snapshot checksum mismatch".into()));
     }
-    decode_state(body).map_err(DurableError::Codec)
+    Ok(body)
 }
 
 #[cfg(test)]

@@ -760,4 +760,70 @@ mod tests {
         assert_eq!(back.capture_state().unwrap(), good);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// Method tag 3 was the retired parallel reduction (`rhp`, followed by
+    /// a `u32` thread count): reserved, never reassigned. A snapshot or a
+    /// `Configure` record carrying it passes its checksum, so recovery
+    /// refuses it as corruption — it neither skips it as crash damage nor
+    /// panics.
+    #[test]
+    fn the_retired_method_tag_is_corruption_in_a_snapshot_and_in_the_log() {
+        let state = Marketplace::builder()
+            .slots(1)
+            .keywords(1)
+            .build()
+            .unwrap()
+            .capture_state()
+            .unwrap();
+        // A configuration's method byte follows slots, keywords and seed.
+        let retire = |config: &[u8]| {
+            assert_eq!(config[24], 2, "rh's tag");
+            [&config[..24], &[3], &2u32.to_le_bytes(), &config[25..]].concat()
+        };
+        let expect_corrupt = |dir: &Path, what: &str| match recover(dir) {
+            Err(DurableError::Corrupt(msg)) => {
+                assert!(msg.contains("unknown method tag 0x03"), "{what}: {msg}")
+            }
+            other => panic!("{what}: expected a refusal, got {other:?}"),
+        };
+
+        let dir = temp_dir("retired-snapshot");
+        std::fs::create_dir_all(&dir).unwrap();
+        snapshot::write_snapshot(&dir, 1, &state, FsyncPolicy::Off).unwrap();
+        let (_, path) = snapshot::list_snapshots(&dir).unwrap().remove(0);
+        // A 28-byte header (magic, version, last_seq, body_len, crc32),
+        // then the body, which opens with the configuration.
+        let file = std::fs::read(&path).unwrap();
+        let body = retire(&file[28..]);
+        let header = [
+            &file[..20],
+            &(body.len() as u32).to_le_bytes(),
+            &crate::codec::crc32(&body).to_le_bytes(),
+        ]
+        .concat();
+        std::fs::write(&path, [header, body].concat()).unwrap();
+        expect_corrupt(&dir, "snapshot");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let dir = temp_dir("retired-configure");
+        std::fs::create_dir_all(&dir).unwrap();
+        drop(wal::WalWriter::create(&dir, 1).unwrap());
+        let mut op = Vec::new();
+        MutationRecord::Configure(state.config).encode_into(&mut op);
+        // A frame is payload_len, crc32, then the payload: seq and the
+        // operation body (its tag, then the configuration).
+        let payload = [&1u64.to_le_bytes()[..], &op[..1], &retire(&op[1..])].concat();
+        let frame = [
+            &(payload.len() as u32).to_le_bytes()[..],
+            &crate::codec::crc32(&payload).to_le_bytes(),
+            &payload,
+        ]
+        .concat();
+        let segment = wal::segment_path(&dir, 1);
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes.extend_from_slice(&frame);
+        std::fs::write(&segment, bytes).unwrap();
+        expect_corrupt(&dir, "configure record");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

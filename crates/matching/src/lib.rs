@@ -14,9 +14,9 @@
 //! * [`retained`] — [`RetainedOrder`]: each slot's best rows kept current
 //!   one changed row at a time, from which [`ReducedSolver`] is handed its
 //!   candidates without an `n × k` matrix or a selection pass.
-//! * [`parallel`] — the binary-tree aggregation networks of Section III-E:
-//!   a simulated tree network (verifies the `O(k log n)` combining depth)
-//!   and a real multi-threaded implementation.
+//! * [`parallel`] — the binary-tree aggregation networks of Section III-E,
+//!   simulated: [`parallel::tree_top_k`] verifies the `O(k log n)`
+//!   combining depth. It is a check on the paper's claim, not a solver.
 //! * [`threshold`] — the Fagin–Lotem–Naor threshold algorithm used in
 //!   Section IV-A to find the top-k bidders per slot without scanning all
 //!   advertisers, over incrementally-maintained sorted parameter indexes.
@@ -53,7 +53,6 @@ pub mod topk;
 pub use hungarian::{max_weight_assignment, HungarianSolver};
 pub use matrix::{Assignment, RevenueMatrix, EXCLUDED};
 pub use ordered::OrderedF64;
-pub use parallel::ParallelReducedSolver;
 pub use pruned::PrunedSolver;
 pub use reduced::{reduced_assignment, reduced_candidates, ReducedSolution, ReducedSolver};
 pub use retained::RetainedOrder;

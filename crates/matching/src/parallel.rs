@@ -1,4 +1,4 @@
-//! Parallel top-k aggregation (Section III-E).
+//! Parallel top-k aggregation (Section III-E), simulated.
 //!
 //! The paper proposes `k` binary-tree networks of height `O(log n)`: leaf
 //! `i` of tree `j` holds the expected revenue of advertiser `i` in slot `j`,
@@ -6,21 +6,12 @@
 //! roots feed the union into the Hungarian algorithm. Total parallel time
 //! `O(k log n + k⁵)`.
 //!
-//! Two implementations are provided:
-//!
-//! * [`tree_top_k`] — a sequential *simulation* of the tree networks that
-//!   also reports the tree depth and number of combine steps, so tests can
-//!   check the `O(log n)` claim;
-//! * [`threaded_top_k`] / [`threaded_reduced_assignment`] — a real
-//!   multi-threaded version ("we can mix sequential processing with parallel
-//!   processing by running more than one program sequentially on each
-//!   machine, computing the top k bids, and then aggregating").
+//! [`tree_top_k`] is a sequential *simulation* of the tree networks that
+//! also reports the tree depth and number of combine steps, so tests can
+//! check the `O(log n)` claim. It is not a serving path: the engine's `rh`
+//! reads its candidates off [`crate::RetainedOrder`] without any scan.
 
-use crate::hungarian::{max_weight_assignment, HungarianSolver};
-use crate::matrix::{Assignment, RevenueMatrix};
-use crate::reduced::ReducedSolution;
-use crate::solver::WdSolver;
-use crate::topk::TopK;
+use crate::matrix::RevenueMatrix;
 
 /// Statistics from a simulated tree-network aggregation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,142 +95,9 @@ pub fn tree_top_k(matrix: &RevenueMatrix, k: usize) -> (Vec<Vec<(usize, f64)>>, 
     (results, stats)
 }
 
-/// Multi-threaded top-k per slot: advertisers are split into `threads`
-/// chunks, each chunk computes local per-slot top-k heaps, and the partial
-/// results are merged. This realises the paper's mixed
-/// sequential/parallel scheme with `p` machines:
-/// `O((n/p) k log k + k log p)`.
-pub fn threaded_top_k(matrix: &RevenueMatrix, k: usize, threads: usize) -> Vec<Vec<(usize, f64)>> {
-    let n = matrix.num_advertisers();
-    let slots = matrix.num_slots();
-    let threads = threads.max(1).min(n.max(1));
-    let chunk = n.div_ceil(threads);
-
-    let partials: Vec<Vec<Vec<(usize, f64)>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let lo = (t * chunk).min(n);
-            let hi = ((t + 1) * chunk).min(n);
-            let matrix_ref = &matrix;
-            handles.push(scope.spawn(move || {
-                let mut collectors: Vec<TopK> = (0..slots).map(|_| TopK::new(k)).collect();
-                for (slot, collector) in collectors.iter_mut().enumerate() {
-                    for (adv, &w) in matrix_ref.column(slot)[lo..hi].iter().enumerate() {
-                        collector.offer(lo + adv, w);
-                    }
-                }
-                collectors
-                    .into_iter()
-                    .map(TopK::into_sorted_desc)
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("top-k worker panicked"))
-            .collect()
-    });
-
-    // Root merge: fold the partial lists per slot.
-    (0..slots)
-        .map(|slot| {
-            partials
-                .iter()
-                .map(|p| p[slot].as_slice())
-                .fold(Vec::new(), |acc, list| merge_top_k(&acc, list, k))
-        })
-        .collect()
-}
-
-/// Method **RH** with threaded top-k aggregation as a reusable
-/// [`WdSolver`]: the candidate list, reduced sub-matrix, and inner
-/// Hungarian scratch persist across calls. The per-thread partial heaps are
-/// still allocated inside each scoped worker (they live on other threads),
-/// so this solver trades a little allocation for wall-clock parallelism on
-/// large `n` — exactly the paper's mixed sequential/parallel scheme.
-#[derive(Debug, Clone)]
-pub struct ParallelReducedSolver {
-    threads: usize,
-    candidates: Vec<usize>,
-    sub: RevenueMatrix,
-    sub_out: Assignment,
-    inner: HungarianSolver,
-}
-
-impl ParallelReducedSolver {
-    /// Creates a solver that fans the selection pass out over `threads`
-    /// workers (clamped to at least one).
-    pub fn new(threads: usize) -> Self {
-        ParallelReducedSolver {
-            threads: threads.max(1),
-            candidates: Vec::new(),
-            sub: RevenueMatrix::zeros(0, 1),
-            sub_out: Assignment::default(),
-            inner: HungarianSolver::new(),
-        }
-    }
-
-    /// Number of selection workers.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl WdSolver for ParallelReducedSolver {
-    fn name(&self) -> &'static str {
-        "reduced-parallel"
-    }
-
-    fn solve(&mut self, matrix: &RevenueMatrix, out: &mut Assignment) {
-        let k = matrix.num_slots();
-        let per_slot = threaded_top_k(matrix, k, self.threads);
-        self.candidates.clear();
-        self.candidates
-            .extend(per_slot.into_iter().flatten().map(|(id, _)| id));
-        self.candidates.sort_unstable();
-        self.candidates.dedup();
-        matrix.restrict_advertisers_into(&self.candidates, &mut self.sub);
-        self.inner.solve(&self.sub, &mut self.sub_out);
-        out.reset(k);
-        out.total_weight = self.sub_out.total_weight;
-        for (j, local) in self.sub_out.slot_to_adv.iter().enumerate() {
-            out.slot_to_adv[j] = local.map(|l| self.candidates[l]);
-        }
-    }
-
-    fn last_candidates(&self) -> Option<usize> {
-        Some(self.candidates.len())
-    }
-}
-
-/// The fully parallel winner determination of Section III-E: threaded
-/// per-slot top-k, candidate union, Hungarian on the reduced graph.
-/// One-shot convenience over [`ParallelReducedSolver`].
-pub fn threaded_reduced_assignment(matrix: &RevenueMatrix, threads: usize) -> ReducedSolution {
-    let k = matrix.num_slots();
-    let per_slot = threaded_top_k(matrix, k, threads);
-    let mut candidates: Vec<usize> = per_slot.into_iter().flatten().map(|(id, _)| id).collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-    let sub = matrix.restrict_advertisers(&candidates);
-    let sub_assignment = max_weight_assignment(&sub);
-    ReducedSolution {
-        assignment: Assignment {
-            slot_to_adv: sub_assignment
-                .slot_to_adv
-                .iter()
-                .map(|o| o.map(|local| candidates[local]))
-                .collect(),
-            total_weight: sub_assignment.total_weight,
-        },
-        candidates,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduced::reduced_assignment;
     use crate::topk::top_k_indices;
 
     fn pseudorandom_matrix(n: usize, k: usize, seed: u64) -> RevenueMatrix {
@@ -282,37 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_direct_top_k() {
-        let m = pseudorandom_matrix(101, 3, 7);
-        for threads in [1, 2, 4, 16, 200] {
-            let got = threaded_top_k(&m, 3, threads);
-            assert_eq!(got, top_k_indices(&m, 3), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn threaded_reduced_equals_sequential_reduced() {
-        let m = pseudorandom_matrix(64, 5, 99);
-        let seq = reduced_assignment(&m);
-        let par = threaded_reduced_assignment(&m, 4);
-        assert_eq!(par.assignment.total_weight, seq.assignment.total_weight);
-        assert_eq!(par.candidates, seq.candidates);
-    }
-
-    #[test]
-    fn parallel_solver_matches_one_shot() {
-        let mut solver = ParallelReducedSolver::new(3);
-        assert_eq!(solver.threads(), 3);
-        let mut out = Assignment::empty(1);
-        for (n, k, seed) in [(40, 4, 1u64), (9, 2, 2), (40, 4, 3)] {
-            let m = pseudorandom_matrix(n, k, seed);
-            solver.solve(&m, &mut out);
-            let one_shot = threaded_reduced_assignment(&m, 3);
-            assert_eq!(out, one_shot.assignment, "n={n} k={k}");
-        }
-    }
-
-    #[test]
     fn single_advertiser_tree() {
         let m = pseudorandom_matrix(1, 2, 3);
         let (tree, stats) = tree_top_k(&m, 2);
@@ -321,9 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_market_threaded() {
+    fn empty_market_tree() {
         let m = RevenueMatrix::zeros(0, 2);
-        let got = threaded_top_k(&m, 2, 4);
-        assert_eq!(got, vec![Vec::new(), Vec::new()]);
+        let (tree, stats) = tree_top_k(&m, 2);
+        assert_eq!(tree, vec![Vec::new(), Vec::new()]);
+        assert_eq!(stats.depth, 0);
     }
 }

@@ -12,9 +12,10 @@
 //!
 //! * [`HungarianSolver`](crate::hungarian::HungarianSolver) — method **H**;
 //! * [`ReducedSolver`](crate::reduced::ReducedSolver) — method **RH**;
-//! * [`ParallelReducedSolver`](crate::parallel::ParallelReducedSolver) —
-//!   method **RH** with threaded top-k aggregation;
 //! * `NetworkSimplexSolver` (in `ssa_simplex`) — method **LP**.
+//!
+//! The parallel tree aggregation of Section III-E is no solver here:
+//! [`crate::parallel`] simulates it to check its depth.
 //!
 //! The free functions ([`crate::max_weight_assignment`],
 //! [`crate::reduced_assignment`], …) remain as one-shot conveniences; they
@@ -89,7 +90,6 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<HungarianSolver>();
         assert_send::<crate::reduced::ReducedSolver>();
-        assert_send::<crate::parallel::ParallelReducedSolver>();
         assert_send::<BoxedWdSolver>();
     }
 

@@ -53,7 +53,7 @@ Options:
   --warmup <n>         Unmeasured warm-up queries (default: the preset's)
   --connections <n>    Concurrent connections in throughput mode (default 4)
   --seed <n>           Workload seed (default: the preset's, 4242)
-  --method <m>         Winner determination: lp | h | rh | rhp:<threads> (default rh)
+  --method <m>         Winner determination: lp | h | rh (default rh)
   --pricing <p>        Pricing: pay-your-bid | gsp | vcg (default gsp)
   --shards <n>         Shard count the server should run (default 4)
   --workload <w>       Query stream shape: uniform | zipf:<s> | flash | churn

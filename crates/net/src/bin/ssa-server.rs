@@ -36,7 +36,7 @@ Options:
   --slots <n>          Slots per results page (default 15)
   --keywords <n>       Keyword universe size (default 10)
   --seed <n>           Marketplace RNG seed (default 42)
-  --method <m>         Winner determination: lp | h | rh | rhp:<threads> (default rh)
+  --method <m>         Winner determination: lp | h | rh (default rh)
   --pricing <p>        Pricing: pay-your-bid | gsp | vcg (default gsp)
   --pruned             Enable top-k pruned winner determination
   --admission <n>      Data-plane requests queued-or-in-flight per shard lane (default 256)

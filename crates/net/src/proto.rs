@@ -946,7 +946,7 @@ mod tests {
                 slots: 15,
                 keywords: 10,
                 seed: 42,
-                method: WdMethod::ReducedParallel(4),
+                method: WdMethod::Lp,
                 pricing: PricingScheme::Gsp,
                 shards: 4,
                 pruned: true,
@@ -1072,6 +1072,35 @@ mod tests {
             Err(ProtoError::UnknownTag {
                 what: "response",
                 tag: 250,
+            })
+        );
+    }
+
+    /// Method tag 3 was the retired parallel reduction (`rhp`, followed by
+    /// a `u32` thread count): reserved, never reassigned, and refused.
+    #[test]
+    fn a_configure_with_the_retired_method_tag_is_refused() {
+        let payload = Request::Configure(MarketConfig {
+            slots: 2,
+            keywords: 3,
+            seed: 1,
+            method: WdMethod::Reduced,
+            pricing: PricingScheme::Gsp,
+            shards: 1,
+            pruned: false,
+            warm_start: true,
+            default_click_probs: None,
+            default_purchase_probs: None,
+        })
+        .encode();
+        // The method byte follows the request tag, slots, keywords and seed.
+        assert_eq!(payload[25], 2, "rh's tag");
+        let retired = [&payload[..25], &[3], &4u32.to_le_bytes(), &payload[26..]].concat();
+        assert_eq!(
+            Request::decode(&retired),
+            Err(ProtoError::UnknownTag {
+                what: "method",
+                tag: 3,
             })
         );
     }

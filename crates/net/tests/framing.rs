@@ -22,7 +22,6 @@ fn arb_method() -> BoxedStrategy<WdMethod> {
         Just(WdMethod::Lp),
         Just(WdMethod::Hungarian),
         Just(WdMethod::Reduced),
-        (1usize..8).prop_map(WdMethod::ReducedParallel),
     ]
     .boxed()
 }

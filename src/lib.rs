@@ -40,8 +40,8 @@
 //! persistent engine+solver, RNG stream). Shards are a
 //! partition of those books that only `serve_batch` looks at. Below it, winner
 //! determination is unified behind [`matching::WdSolver`]: each method (H,
-//! RH, parallel RH, LP) is a solver struct with persistent scratch,
-//! constructed from a [`core::WdMethod`] via `WdMethod::new_solver()`:
+//! RH, LP) is a solver struct with persistent scratch, constructed from a
+//! [`core::WdMethod`] via `WdMethod::new_solver()`:
 //!
 //! ```text
 //!                    marketplace::Marketplace
@@ -50,21 +50,20 @@
 //!                 │ one persistent engine              │ the campaign
 //!                 ▼ per keyword                        ▼ + its bidder, O(1)
 //!        core::AuctionEngine   workload::Simulation (reference for
-//!        (run_auction / run_batch / stream)   Figures 12/13 and RHTALU)
+//!        (run_auction / run_batch)   Figures 12/13 and RHTALU)
 //!                    ┌──────┴────────┐
 //!                 WdMethod::new_solver()
-//!        ▲            ▲            ▲              ▲
-//!  HungarianSolver ReducedSolver ParallelReduced- NetworkSimplexSolver
-//!  (method H)      (method RH)   Solver (RH ∥)    (method LP, ssa_simplex)
-//!        ▲            ▲            ▲              ▲
-//!        └────────────┴─────┬──────┴──────────────┘
+//!        ▲            ▲              ▲
+//!  HungarianSolver ReducedSolver  NetworkSimplexSolver
+//!  (method H)      (method RH)    (method LP, ssa_simplex)
+//!        ▲            ▲              ▲
+//!        └────────────┼──────────────┘
 //!                ssa_matching::WdSolver
 //!       solve(&mut self, &RevenueMatrix, &mut Assignment)
 //! ```
 //!
-//! The batched entry points ([`core::AuctionEngine::run_batch`] and
-//! [`core::AuctionEngine::stream`]) reuse one solver and one weight source
-//! across the whole batch — per-slot top lists on the default `rh` path,
+//! The batched entry point ([`core::AuctionEngine::run_batch`]) reuses one
+//! solver and one weight source across the whole batch — per-slot top lists on the default `rh` path,
 //! a revenue matrix refilled in place by [`core::revenue_matrix_into`] for
 //! the methods that read whole columns (see "Solver hot path" below) — so
 //! there is no per-auction matrix allocation.
@@ -368,7 +367,7 @@
 //!   counted with every other evaluated cell in
 //!   [`core::PhaseStats`]`::{cells_evaluated, rescans}`; at least `k + 1`
 //!   writes must each take a row off one list between two rescans. `h`,
-//!   `lp`, `rhp:<t>`, pruning and VCG read whole columns and keep the
+//!   `lp`, pruning and VCG read whole columns and keep the
 //!   dense matrix, allocated only while one of them is configured;
 //!   changing `AuctionEngine::config` (or
 //!   [`marketplace::Marketplace::set_method`] / `set_pricing` /

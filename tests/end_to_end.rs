@@ -53,12 +53,7 @@ fn random_engine(
 fn all_wd_methods_agree_across_engines() {
     for seed in [1u64, 2, 3] {
         let mut reference: Option<f64> = None;
-        for method in [
-            WdMethod::Lp,
-            WdMethod::Hungarian,
-            WdMethod::Reduced,
-            WdMethod::ReducedParallel(3),
-        ] {
+        for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
             let mut engine = random_engine(25, 4, seed, method, PricingScheme::PayYourBid);
             let mut rng = StdRng::seed_from_u64(seed);
             let report = engine.run_auction(0, &mut rng);
