@@ -1,7 +1,9 @@
 //! The bidder abstraction: anything that can react to a query with a Bids
 //! table (Section I-B's "program evaluation" step).
 
+use ssa_bidlang::targeting::CompiledTargeting;
 use ssa_bidlang::{BidsTable, Money, SlotId};
+use std::sync::Arc;
 
 /// What a bidding program sees when an auction starts: the read-only shared
 /// variables of Section II-B.
@@ -64,6 +66,14 @@ pub trait Bidder {
     fn is_standing(&self) -> bool {
         false
     }
+
+    /// The matcher deciding which queries this bidder bids on (`None`, the
+    /// default: every query); it must not change over the bidder's life.
+    /// The engine visits a targeted bidder at every auction, and on a query
+    /// the matcher rejects holds an empty table for it without asking it.
+    fn targeting(&self) -> Option<&CompiledTargeting> {
+        None
+    }
 }
 
 /// The simplest bidder: a fixed Bids table, independent of the query.
@@ -71,12 +81,17 @@ pub trait Bidder {
 pub struct TableBidder {
     /// The table submitted at every auction.
     pub bids: BidsTable,
+    /// The queries it bids on ([`Bidder::targeting`]; `None`: every query).
+    pub targeting: Option<Arc<CompiledTargeting>>,
 }
 
 impl TableBidder {
     /// Wraps a fixed table.
     pub fn new(bids: BidsTable) -> Self {
-        TableBidder { bids }
+        TableBidder {
+            bids,
+            targeting: None,
+        }
     }
 
     /// A classical single-feature (per-click) bidder.
@@ -92,6 +107,10 @@ impl Bidder for TableBidder {
 
     fn is_standing(&self) -> bool {
         true
+    }
+
+    fn targeting(&self) -> Option<&CompiledTargeting> {
+        self.targeting.as_deref()
     }
 }
 

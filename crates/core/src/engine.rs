@@ -22,9 +22,9 @@
 //!   bidder mutably, which is what lets the engine trust the table it
 //!   holds. It is never notified of outcomes.
 //! * a **program** (any other bidder) is evaluated at every auction and told
-//!   every outcome; a bidder with a targeting matcher is visited at every
-//!   auction too, since the query decides whether it bids. Both are reached
-//!   through index lists of just those rows.
+//!   every outcome; a bidder with a targeting matcher ([`Bidder::targeting`])
+//!   is visited at every auction too, since the query decides whether it
+//!   bids. Both are reached through index lists of just those rows.
 //!
 //! Each re-evaluated table replaces the one the engine held and is compared
 //! with it, so a write that leaves the table equal dirties nothing. With
@@ -49,10 +49,11 @@
 //! its weights are kept from the previous solve for rows that were
 //! candidates then and evaluated for the newcomers, and
 //! [`ReducedSolver::solve_candidates`] runs the Hungarian step on it. GSP
-//! reads each slot's runner-up off the slot's list. Assignments, charges and
-//! expected revenues are bit-identical to solving and pricing on the dense
-//! matrix ([`ReducedSolver`]'s [`WdSolver::solve`] and
-//! [`gsp_prices_into`], which remain as the oracles).
+//! reads each slot's runner-up off the slot's list, and who sits where off
+//! a 2-byte slot index per row. Assignments, charges and expected revenues
+//! are bit-identical to solving and pricing on the dense matrix
+//! ([`ReducedSolver`]'s [`WdSolver::solve`] and [`gsp_prices_into`], which
+//! remain as the oracles).
 //!
 //! Rows leaving a list shorten it. When a list with unlisted rows behind it
 //! drops below `k + 1`, the order is rebuilt by streaming every row through
@@ -79,14 +80,13 @@ use crate::pricing::{
 use crate::prob::{ClickModel, IntoClickRow, PurchaseModel};
 use crate::revenue::{revenue_matrix_into, row_weights_into, NoSlotValues};
 use rand::Rng;
-use ssa_bidlang::targeting::{CompiledTargeting, UserAttrs};
+use ssa_bidlang::targeting::UserAttrs;
 use ssa_bidlang::{AdvertiserView, BidsTable, Money, SlotId};
 use ssa_matching::{
     Assignment, HungarianSolver, PrunedSolver, ReducedSolver, RetainedOrder, RevenueMatrix,
     WdSolver,
 };
 use ssa_simplex::NetworkSimplexSolver;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A query as the engine sees it: a keyword plus typed user attributes.
@@ -377,7 +377,7 @@ impl BatchReport {
 }
 
 /// Hot-path scratch reused across batched auctions.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BatchScratch {
     /// Rows whose table changed in the current auction's evaluation.
     changed: Vec<usize>,
@@ -397,8 +397,9 @@ struct BatchScratch {
     charges: Vec<(usize, Money)>,
     prices: Vec<SlotPrice>,
     /// The inverse of `assignment`, parallel to the bidders and rewritten
-    /// only where a solve moved somebody (at most `2k` entries).
-    adv_to_slot: Vec<Option<usize>>,
+    /// only where a solve moved somebody (at most `2k` entries): each row's
+    /// slot index, or [`UNSEATED`]. Read through [`seat`].
+    adv_to_slot: Vec<u16>,
     /// All zero between auctions: `charges` scattered for the duration of
     /// one program notification, and empty until the first one.
     price_by_adv: Vec<Money>,
@@ -408,19 +409,8 @@ struct BatchScratch {
 impl BatchScratch {
     fn new(num_slots: usize) -> Self {
         BatchScratch {
-            changed: Vec::new(),
-            filled: false,
-            solved: false,
-            base: NoSlotValues::default(),
             row: vec![0.0; num_slots],
-            assignment: Assignment::default(),
-            clicked: Vec::new(),
-            purchased: Vec::new(),
-            charges: Vec::new(),
-            prices: Vec::new(),
-            adv_to_slot: Vec::new(),
-            price_by_adv: Vec::new(),
-            phases: PhaseStats::default(),
+            ..BatchScratch::default()
         }
     }
 }
@@ -441,12 +431,6 @@ pub struct AuctionEngine<B: Bidder> {
     source: WeightSource,
     /// The configuration `source` was laid out for.
     laid: EngineConfig,
-    /// Per-bidder targeting matchers, parallel to `bidders` (`None` =
-    /// untargeted; an empty vector = no bidder targets). A bidder whose
-    /// matcher rejects the query's attributes is EXCLUDED before the
-    /// matrix fill: its program is not evaluated and it contributes an
-    /// empty bid table, exactly like a paused campaign.
-    targeting: Vec<Option<Arc<CompiledTargeting>>>,
     /// The last table each bidder produced, parallel to `bidders`.
     bids: Vec<BidsTable>,
     /// Rows evaluated at every auction, ascending: programs, and standing
@@ -550,13 +534,13 @@ fn rebuild_order(
     base.resum();
 }
 
-/// Bidder `row`'s targeting matcher, if it has one (`targeting` is empty
-/// while no bidder targets).
-fn matcher_of(
-    targeting: &[Option<Arc<CompiledTargeting>>],
-    row: usize,
-) -> Option<&CompiledTargeting> {
-    targeting.get(row).and_then(|t| t.as_deref())
+/// `adv_to_slot`'s entry for a row no slot seats.
+const UNSEATED: u16 = u16::MAX;
+
+/// The slot row `adv` holds, read off the assignment's inverse map.
+fn seat(adv_to_slot: &[u16], adv: usize) -> Option<usize> {
+    let slot = adv_to_slot[adv];
+    (slot != UNSEATED).then_some(usize::from(slot))
 }
 
 /// Asks one bidder for its table — an empty one, without running it, when
@@ -564,12 +548,11 @@ fn matcher_of(
 /// table the engine kept from the last time. Returns whether the two differ.
 fn evaluate<B: Bidder>(
     bidder: &mut B,
-    matcher: Option<&CompiledTargeting>,
     ctx: &QueryContext,
     attrs: &UserAttrs,
     held: &mut BidsTable,
 ) -> bool {
-    let table = if matcher.is_some_and(|t| !t.matches(attrs)) {
+    let table = if bidder.targeting().is_some_and(|t| !t.matches(attrs)) {
         BidsTable::empty()
     } else {
         bidder.on_query(ctx)
@@ -579,9 +562,9 @@ fn evaluate<B: Bidder>(
 }
 
 impl<B: Bidder> AuctionEngine<B> {
-    /// Builds an engine over untargeted bidders; model dimensions must
-    /// match the bidder count. More bidders (targeted or not) can join
-    /// later through [`AuctionEngine::push_bidder`].
+    /// Builds an engine over `bidders`; model dimensions must match the
+    /// bidder count, and the slots number fewer than 65 535. More bidders
+    /// can join later through [`AuctionEngine::push_bidder`].
     pub fn new(
         bidders: Vec<B>,
         clicks: ClickModel,
@@ -592,6 +575,7 @@ impl<B: Bidder> AuctionEngine<B> {
         let n = bidders.len();
         assert_eq!(clicks.num_advertisers(), n);
         assert_eq!(purchases.num_advertisers(), n);
+        assert!(clicks.num_slots() < usize::from(UNSEATED));
         let scratch = BatchScratch::new(clicks.num_slots());
         let source = WeightSource::for_config(config, clicks.num_slots());
         let mut engine = AuctionEngine {
@@ -603,7 +587,6 @@ impl<B: Bidder> AuctionEngine<B> {
             time: 0,
             source,
             laid: config,
-            targeting: Vec::new(),
             bids: Vec::with_capacity(n),
             every_auction: Vec::new(),
             programs: Vec::new(),
@@ -618,13 +601,12 @@ impl<B: Bidder> AuctionEngine<B> {
     }
 
     /// Adds a bidder (it becomes row [`AuctionEngine::bidders`]`.len()`)
-    /// with its per-slot click probabilities, its per-slot purchase
-    /// probabilities (`None`: it never purchases) and, optionally, a
-    /// targeting matcher compiled by the caller — the engine never parses
-    /// targeting text. The models grow by one row; nothing is rebuilt, and
-    /// the tables the engine holds for the other bidders stay valid. The
-    /// next auction lays the revenue matrix out for the new bidder count
-    /// and solves.
+    /// with its per-slot click probabilities and its per-slot purchase
+    /// probabilities (`None`: it never purchases); a targeting matcher, if
+    /// any, comes with the bidder ([`Bidder::targeting`]). The models grow
+    /// by one row; nothing is rebuilt, and the tables the engine holds for
+    /// the other bidders stay valid. The next auction lays the revenue
+    /// matrix out for the new bidder count and solves.
     ///
     /// Click probabilities given as an `Arc<[f64]>` are held, not copied
     /// (see [`IntoClickRow`]): engines that are handed the same row — one
@@ -635,17 +617,12 @@ impl<B: Bidder> AuctionEngine<B> {
         bidder: B,
         click_probs: impl IntoClickRow,
         purchase_probs: Option<&[(f64, f64)]>,
-        targeting: Option<Arc<CompiledTargeting>>,
     ) {
         let row = self.bidders.len();
         self.clicks.push_row(click_probs);
         match purchase_probs {
             Some(probs) => self.purchases.push_row(probs),
             None => self.purchases.push_never(),
-        }
-        if targeting.is_some() || !self.targeting.is_empty() {
-            self.targeting.resize(row, None);
-            self.targeting.push(targeting);
         }
         self.bidders.push(bidder);
         self.enlist(row);
@@ -661,7 +638,7 @@ impl<B: Bidder> AuctionEngine<B> {
         if !standing {
             self.programs.push(row);
         }
-        if !standing || matcher_of(&self.targeting, row).is_some() {
+        if !standing || self.bidders[row].targeting().is_some() {
             self.every_auction.push(row);
             self.rows.push(RowState::EveryAuction);
         } else {
@@ -669,7 +646,7 @@ impl<B: Bidder> AuctionEngine<B> {
             self.rows.push(RowState::Written);
         }
         self.bids.push(BidsTable::empty());
-        self.scratch.adv_to_slot.push(None);
+        self.scratch.adv_to_slot.push(UNSEATED);
     }
 
     /// The bidders, in row order.
@@ -787,20 +764,13 @@ impl<B: Bidder> AuctionEngine<B> {
         let t_eval = Instant::now();
         self.scratch.changed.clear();
         for &i in &self.every_auction {
-            let matcher = matcher_of(&self.targeting, i);
-            if evaluate(
-                &mut self.bidders[i],
-                matcher,
-                &ctx,
-                attrs,
-                &mut self.bids[i],
-            ) {
+            if evaluate(&mut self.bidders[i], &ctx, attrs, &mut self.bids[i]) {
                 self.scratch.changed.push(i);
             }
         }
         for i in self.written.drain(..) {
             self.rows[i] = RowState::Current;
-            if evaluate(&mut self.bidders[i], None, &ctx, attrs, &mut self.bids[i]) {
+            if evaluate(&mut self.bidders[i], &ctx, attrs, &mut self.bids[i]) {
                 self.scratch.changed.push(i);
             }
         }
@@ -893,7 +863,7 @@ impl<B: Bidder> AuctionEngine<B> {
             // `adv_to_slot` follows the assignment: forget the seats the
             // solve is about to take away, then record the ones it gives.
             for adv in self.scratch.assignment.slot_to_adv.iter().flatten() {
-                self.scratch.adv_to_slot[*adv] = None;
+                self.scratch.adv_to_slot[*adv] = UNSEATED;
             }
             let considered = match &mut self.source {
                 WeightSource::Lists {
@@ -922,7 +892,8 @@ impl<B: Bidder> AuctionEngine<B> {
             };
             for (j, adv) in self.scratch.assignment.slot_to_adv.iter().enumerate() {
                 if let Some(i) = adv {
-                    self.scratch.adv_to_slot[*i] = Some(j);
+                    // Below `UNSEATED`: `new` bounds the slots.
+                    self.scratch.adv_to_slot[*i] = j as u16;
                 }
             }
             self.scratch.solved = true;
@@ -1017,7 +988,7 @@ fn notify_programs<B: Bidder>(
     bidders: &mut [B],
     programs: &[usize],
     ctx: &QueryContext,
-    adv_to_slot: &[Option<usize>],
+    adv_to_slot: &[u16],
     clicked: &[bool],
     purchased: &[bool],
     charges: &[(usize, Money)],
@@ -1031,15 +1002,15 @@ fn notify_programs<B: Bidder>(
         price_by_adv[adv] = m;
     }
     for &i in programs {
-        let slot = adv_to_slot[i].map(SlotId::from_index0);
-        let (c, p) = match adv_to_slot[i] {
+        let slot = seat(adv_to_slot, i);
+        let (c, p) = match slot {
             Some(j) => (clicked[j], purchased[j]),
             None => (false, false),
         };
         bidders[i].on_outcome(
             ctx,
             &BidderOutcome {
-                slot,
+                slot: slot.map(SlotId::from_index0),
                 clicked: c,
                 purchased: p,
                 price: price_by_adv[i],
@@ -1061,19 +1032,20 @@ fn compute_charges_into(
     bids: &[BidsTable],
     source: &WeightSource,
     assignment: &Assignment,
-    adv_to_slot: &[Option<usize>],
+    adv_to_slot: &[u16],
     clicked: &[bool],
     purchased: &[bool],
     prices: &mut Vec<SlotPrice>,
     out: &mut Vec<(usize, Money)>,
 ) {
     out.clear();
+    let seated = |adv| seat(adv_to_slot, adv).is_some();
     match pricing {
         PricingScheme::PayYourBid => {
             // Everyone pays their realised OR-bid (unplaced advertisers
             // can owe money on negated-slot formulas).
             out.extend(bids.iter().enumerate().filter_map(|(i, table)| {
-                let view = match adv_to_slot[i] {
+                let view = match seat(adv_to_slot, i) {
                     Some(j) => AdvertiserView {
                         slot: Some(SlotId::from_index0(j)),
                         clicked: clicked[j],
@@ -1097,12 +1069,12 @@ fn compute_charges_into(
                             .expect("a winner is a candidate")
                     },
                     assignment,
-                    adv_to_slot,
+                    seated,
                     &p_click,
                     prices,
                 ),
                 WeightSource::Dense { matrix, .. } => {
-                    gsp_prices_into(matrix, assignment, adv_to_slot, &p_click, prices)
+                    gsp_prices_into(matrix, assignment, seated, &p_click, prices)
                 }
             }
             out.extend(

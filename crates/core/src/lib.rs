@@ -26,8 +26,8 @@
 //! Above the engine sits the [`marketplace`]: a long-lived
 //! [`marketplace::Marketplace`] — the one market type — owning registered
 //! advertisers, per-keyword campaigns, and one persistent engine+solver
-//! per keyword, with a typed query-serving API and an incremental update
-//! API that rewrites one campaign and its bidder in place.
+//! per keyword (whose bidders are its campaigns), with a typed serving API
+//! and an incremental update API that rewrites one campaign in place.
 //! `AuctionEngine` remains the documented low-level escape hatch.
 //!
 //! For multi-core serving,
@@ -76,7 +76,7 @@ pub use journal::{MutationJournal, MutationRecord, Reply};
 pub use marketplace::{
     keyword_stream_seed, AdvertiserHandle, AuctionResponse, CampaignId, CampaignSpec,
     MarketBatchReport, MarketError, MarketSnapshot, Marketplace, MarketplaceBuilder, Placement,
-    QueryRequest,
+    QueryRequest, MAX_KEYWORDS, MAX_SHARDS, MAX_SLOTS,
 };
 pub use pricing::{ParsePricingError, PricingScheme, SlotPrice};
 pub use prob::{ClickModel, IntoClickRow, PurchaseModel, SeparableClickModel};

@@ -6,18 +6,20 @@
 //! auctions. [`Marketplace`] is that surface. It owns the build
 //! configuration, the advertiser roster ([`AdvertiserHandle`]), the global
 //! clock, an optional mutation journal ([`crate::journal`]), and one
-//! *keyword book* per keyword: that keyword's campaigns (each a
-//! [`BidsTable`] bidding program — or an arbitrary [`Bidder`] — plus
-//! click/purchase models), its persistent [`AuctionEngine`]+solver, and its
-//! own user-action RNG stream. Queries are served through a typed API
-//! ([`Marketplace::serve`] / [`Marketplace::serve_batch`], built on
-//! [`AuctionEngine::run_batch`]) and bids are changed through an
-//! incremental update API ([`Marketplace::update_bid`],
-//! [`Marketplace::pause_campaign`], [`Marketplace::set_roi_target`]) that
-//! rewrites the campaign and its one bidder in place, never rebuilding
-//! bidder vectors. A per-click bid lives only in its campaign; the control
-//! plane's [`Marketplace::current_bid`] and [`Marketplace::top_bids`] read
-//! it from there. Every operation is defined once and indexes the keyword's
+//! *keyword book* per keyword: its persistent [`AuctionEngine`]+solver and
+//! its own user-action RNG stream. A campaign is one record, stored once as
+//! the engine's bidder: advertiser, pause flag, targeting matcher, and a
+//! per-click bid, a fixed [`BidsTable`] or any [`Bidder`] program; its
+//! click/purchase probabilities are its row of the engine's models. Queries
+//! are served through a typed API ([`Marketplace::serve`] /
+//! [`Marketplace::serve_batch`], built on [`AuctionEngine::run_batch`]) and
+//! bids are changed through an incremental update API
+//! ([`Marketplace::update_bid`], [`Marketplace::pause_campaign`],
+//! [`Marketplace::set_roi_target`]) that rewrites the record in place
+//! through [`AuctionEngine::bidder_mut`], which marks its row dirty: a
+//! per-click campaign derives its one-row table only when the engine next
+//! asks. [`Marketplace::current_bid`] and [`Marketplace::top_bids`] read the
+//! same record. Every operation is defined once and indexes the keyword's
 //! book directly.
 //!
 //! [`AuctionEngine`] remains the documented low-level escape hatch for
@@ -79,8 +81,8 @@
 //! let report = market.serve_batch(&requests).expect("keywords in range");
 //! assert_eq!(report.total.auctions, 64);
 //!
-//! // Incremental update: one write to the campaign and its bidder, no
-//! // engine rebuild, no other keyword touched.
+//! // Incremental update: one write to the campaign, no engine rebuild, no
+//! // other keyword touched.
 //! market.update_bid(c1, Money::from_cents(5)).expect("per-click campaign");
 //! assert_eq!(market.current_bid(c1).unwrap(), Money::from_cents(5));
 //! ```
@@ -214,6 +216,12 @@ pub enum MarketError {
     NoKeywords,
     /// A sharded marketplace needs at least one shard.
     NoShards,
+    /// More slots than [`MAX_SLOTS`]; carries the count asked for.
+    TooManySlots(usize),
+    /// More keywords than [`MAX_KEYWORDS`]; carries the count asked for.
+    TooManyKeywords(usize),
+    /// More shards than [`MAX_SHARDS`]; carries the count asked for.
+    TooManyShards(usize),
     /// A [`MarketState`] handed to [`Marketplace::from_state`] does not
     /// carry exactly one RNG stream per keyword: a market restored with a
     /// stream missing would serve different clicks.
@@ -275,6 +283,18 @@ impl std::fmt::Display for MarketError {
             MarketError::NoSlots => f.write_str("a marketplace needs at least one slot"),
             MarketError::NoKeywords => f.write_str("a marketplace needs at least one keyword"),
             MarketError::NoShards => f.write_str("a sharded marketplace needs at least one shard"),
+            MarketError::TooManySlots(n) => {
+                write!(f, "a marketplace has at most {MAX_SLOTS} slots, not {n}")
+            }
+            MarketError::TooManyKeywords(n) => {
+                write!(
+                    f,
+                    "a marketplace has at most {MAX_KEYWORDS} keywords, not {n}"
+                )
+            }
+            MarketError::TooManyShards(n) => {
+                write!(f, "a marketplace has at most {MAX_SHARDS} shards, not {n}")
+            }
             MarketError::RngStreams { keywords, streams } => write!(
                 f,
                 "a market state carries {streams} RNG streams for {keywords} keywords"
@@ -489,93 +509,88 @@ impl std::fmt::Debug for CampaignSpec {
 // Internal campaign state.
 // ---------------------------------------------------------------------------
 
-/// Mutable per-campaign bid state (the part the incremental API touches).
-#[derive(Debug, Clone, Copy)]
+/// What a campaign bids while it is not paused.
 enum CampaignKind {
+    /// A per-click bid: the nominal bid, capped by the ROI target at
+    /// `click_value / roi_target`. The update API writes these fields; the
+    /// one-row table is derived when the engine asks for it — after a write
+    /// — and the engine keeps the only copy.
     PerClick {
         nominal: Money,
         click_value: Money,
         roi_target: Option<f64>,
     },
-    Table,
-    Program,
-}
-
-impl CampaignKind {
-    /// A per-click campaign's effective bid, paused or not: the nominal bid
-    /// capped at `click_value / roi_target` (never negative). `None` for
-    /// fixed tables and programs.
-    fn effective_bid(self) -> Option<Money> {
-        let CampaignKind::PerClick {
-            nominal,
-            click_value,
-            roi_target,
-        } = self
-        else {
-            return None;
-        };
-        let capped = match roi_target {
-            Some(target) => nominal.min(Money::from_cents(
-                (click_value.as_f64() / target).floor() as i64
-            )),
-            None => nominal,
-        };
-        Some(capped.max(Money::ZERO))
-    }
-}
-
-/// Campaign metadata; its id is the book's keyword and its position in the
-/// book. Its click and purchase probabilities are its row of the keyword
-/// engine's models, and its click row is shared with its advertiser's other
-/// campaigns when they are equal.
-#[derive(Debug)]
-struct Campaign {
-    advertiser: AdvertiserHandle,
-    kind: CampaignKind,
-    paused: bool,
-    /// Compiled targeting matcher (`None` = the campaign bids on every
-    /// query). Shared via `Arc` with the keyword's engine and with every
-    /// campaign of the market registered with the same text; the retained
-    /// [`CompiledTargeting::source`] is what state capture and the mutation
-    /// journal serialize.
-    targeting: Option<Arc<CompiledTargeting>>,
-}
-
-/// What a [`CampaignBidder`] bids when it is not paused.
-enum BidSource {
-    /// The effective per-click bid, rewritten by the incremental update
-    /// API. The one-row table is built when the engine asks for it — after
-    /// a write — and the engine keeps the only copy.
-    PerClick(Money),
-    /// A fixed table, boxed so that a per-click campaign's bidder is not
-    /// sized for an inline table row (32 rather than 40 bytes).
+    /// A fixed table, boxed so that a per-click campaign's record is not
+    /// sized for an inline table row.
     Table(Box<BidsTable>),
     /// A bidding program, run at every auction.
     Program(Box<dyn Bidder + Send>),
 }
 
-/// The engine-side representation of a campaign. A paused campaign submits
-/// an empty table, which winner determination treats as
-/// [`ssa_matching::EXCLUDED`] — it can never be displayed.
-struct CampaignBidder {
-    source: BidSource,
+/// One campaign, stored once: the keyword book holds it as the keyword
+/// engine's bidder. Its id is the book's keyword and its row in the engine.
+/// Its click and purchase probabilities are its row of the engine's models,
+/// and its click row is shared with its advertiser's other campaigns when
+/// they are equal. A paused campaign submits an empty table, which winner
+/// determination treats as [`ssa_matching::EXCLUDED`] — it can never be
+/// displayed.
+struct Campaign {
+    advertiser: AdvertiserHandle,
     paused: bool,
+    /// Compiled targeting matcher (`None` = the campaign bids on every
+    /// query), which the engine reads through [`Bidder::targeting`]. Shared
+    /// via `Arc` with every campaign of the market registered with the same
+    /// text; the retained [`CompiledTargeting::source`] is what state
+    /// capture and the mutation journal serialize.
+    targeting: Option<Arc<CompiledTargeting>>,
+    kind: CampaignKind,
 }
 
-impl Bidder for CampaignBidder {
+/// A per-click bid after the ROI cap: `nominal` capped at
+/// `click_value / roi_target`, never negative.
+fn capped_bid(nominal: Money, click_value: Money, roi_target: Option<f64>) -> Money {
+    let capped = match roi_target {
+        Some(target) => nominal.min(Money::from_cents(
+            (click_value.as_f64() / target).floor() as i64
+        )),
+        None => nominal,
+    };
+    capped.max(Money::ZERO)
+}
+
+impl Campaign {
+    /// A per-click campaign's effective bid, paused or not ([`capped_bid`]).
+    /// `None` for fixed tables and programs.
+    fn effective_bid(&self) -> Option<Money> {
+        match self.kind {
+            CampaignKind::PerClick {
+                nominal,
+                click_value,
+                roi_target,
+            } => Some(capped_bid(nominal, click_value, roi_target)),
+            _ => None,
+        }
+    }
+}
+
+impl Bidder for Campaign {
     fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
         if self.paused {
             return BidsTable::empty();
         }
-        match &mut self.source {
-            BidSource::PerClick(bid) => BidsTable::single_feature(*bid),
-            BidSource::Table(table) => BidsTable::clone(table),
-            BidSource::Program(p) => p.on_query(ctx),
+        match &mut self.kind {
+            CampaignKind::PerClick {
+                nominal,
+                click_value,
+                roi_target,
+            } => BidsTable::single_feature(capped_bid(*nominal, *click_value, *roi_target)),
+            CampaignKind::Table(table) => BidsTable::clone(table),
+            CampaignKind::Program(p) => p.on_query(ctx),
         }
     }
 
     fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
-        if let BidSource::Program(p) = &mut self.source {
+        if let CampaignKind::Program(p) = &mut self.kind {
             if !self.paused {
                 p.on_outcome(ctx, outcome);
             }
@@ -585,33 +600,38 @@ impl Bidder for CampaignBidder {
     /// Per-click and fixed-table campaigns change only through the update
     /// API, which writes through [`AuctionEngine::bidder_mut`].
     fn is_standing(&self) -> bool {
-        !matches!(self.source, BidSource::Program(_))
+        !matches!(self.kind, CampaignKind::Program(_))
+    }
+
+    fn targeting(&self) -> Option<&CompiledTargeting> {
+        self.targeting.as_deref()
     }
 }
 
-impl std::fmt::Debug for CampaignBidder {
+impl std::fmt::Debug for Campaign {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let source = match &self.source {
-            BidSource::PerClick(_) => "per-click",
-            BidSource::Table(_) => "table",
-            BidSource::Program(_) => "custom",
+        let kind = match &self.kind {
+            CampaignKind::PerClick { nominal, .. } => format!("per-click {nominal}"),
+            CampaignKind::Table(t) => format!("table[{} rows]", t.len()),
+            CampaignKind::Program(_) => "custom program".to_string(),
         };
-        f.debug_struct("CampaignBidder")
+        f.debug_struct("Campaign")
+            .field("advertiser", &self.advertiser)
             .field("paused", &self.paused)
-            .field("source", &source)
-            .finish_non_exhaustive()
+            .field("kind", &kind)
+            .field("targeting", &self.targeting.as_ref().map(|t| t.source()))
+            .finish()
     }
 }
 
-/// Everything the marketplace holds for one keyword: campaign metadata, the
-/// persistent engine (bidders, probability models, solver and matrix
+/// Everything the marketplace holds for one keyword: the persistent engine
+/// (the campaigns as its bidders, probability models, solver and matrix
 /// buffers), and the keyword's RNG stream.
 #[derive(Debug)]
 struct KeywordBook {
-    campaigns: Vec<Campaign>,
     /// Built by the keyword's first campaign and grown in place by every
-    /// later one; `None` exactly while `campaigns` is empty.
-    engine: Option<AuctionEngine<CampaignBidder>>,
+    /// later one; `None` exactly while the keyword has no campaigns.
+    engine: Option<AuctionEngine<Campaign>>,
     /// The keyword's own user-action RNG stream, seeded purely from
     /// `(market seed, keyword)` ([`keyword_stream_seed`]), so a keyword's
     /// outcome stream does not depend on which other keywords were queried
@@ -621,16 +641,18 @@ struct KeywordBook {
 
 impl KeywordBook {
     fn new(rng: StdRng) -> Self {
-        KeywordBook {
-            campaigns: Vec::new(),
-            engine: None,
-            rng,
-        }
+        KeywordBook { engine: None, rng }
     }
 
-    /// Write access to a registered campaign's bidder, through the engine's
-    /// dirty-marking accessor.
-    fn bidder_mut(&mut self, index: usize) -> &mut CampaignBidder {
+    /// The keyword's campaigns in registration order: the engine's bidders.
+    fn campaigns(&self) -> &[Campaign] {
+        self.engine.as_ref().map_or(&[], AuctionEngine::bidders)
+    }
+
+    /// Write access to a registered campaign, through the engine's
+    /// dirty-marking accessor: the engine asks it for its table again at
+    /// the keyword's next auction.
+    fn bidder_mut(&mut self, index: usize) -> &mut Campaign {
         self.engine
             .as_mut()
             .expect("a registered campaign has an engine")
@@ -652,7 +674,7 @@ impl KeywordBook {
         };
         engine.set_time(time - 1);
         let report = engine.run_auction((keyword, attrs), &mut self.rng);
-        respond(&self.campaigns, keyword, time, report)
+        respond(engine.bidders(), keyword, time, report)
     }
 
     /// Serves a run of consecutive queries on this book's keyword as one
@@ -673,12 +695,13 @@ impl KeywordBook {
     }
 
     /// The durable state of every campaign on this book's keyword, in
-    /// registration order, borrowed from the book and the engine's models;
+    /// registration order, borrowed from the engine's bidders and models;
     /// [`MarketError::NotDurable`] for a campaign that is not per-click.
     fn views(&self, keyword: usize) -> impl Iterator<Item = Result<CampaignView<'_>, MarketError>> {
         // A keyword without an engine has no campaigns.
         self.engine.iter().flat_map(move |engine| {
-            self.campaigns
+            engine
+                .bidders()
                 .iter()
                 .enumerate()
                 .map(move |(row, campaign)| {
@@ -842,6 +865,20 @@ pub struct MarketBatchReport {
 // Builder.
 // ---------------------------------------------------------------------------
 
+/// The most ad slots a marketplace takes. A results page shows a handful
+/// (Section V's has 15), and a keyword engine keeps each campaign's slot as
+/// a 2-byte index.
+pub const MAX_SLOTS: usize = 1 << 10;
+const _: () = assert!(MAX_SLOTS < u16::MAX as usize);
+
+/// The most keywords a marketplace takes: every keyword's book (about a
+/// kilobyte) is built with the market, before any campaign arrives.
+pub const MAX_KEYWORDS: usize = 1 << 16;
+
+/// The most shards a marketplace takes: a shard's keywords are served by
+/// one worker thread per [`Marketplace::serve_batch`].
+pub const MAX_SHARDS: usize = 1 << 10;
+
 /// Configures and constructs a [`Marketplace`]; obtained from
 /// [`Marketplace::builder`].
 #[derive(Debug, Clone)]
@@ -945,7 +982,10 @@ impl MarketplaceBuilder {
 
     /// Validates the configuration and constructs the marketplace with its
     /// keywords partitioned across `num_shards` shards (see the
-    /// [module docs](crate::marketplace)).
+    /// [module docs](crate::marketplace)). Slot, keyword and shard counts
+    /// above [`MAX_SLOTS`], [`MAX_KEYWORDS`] and [`MAX_SHARDS`] are refused
+    /// before anything is allocated for them; more shards than keywords is
+    /// fine.
     pub fn build_sharded(self, num_shards: usize) -> Result<Marketplace, MarketError> {
         if num_shards == 0 {
             return Err(MarketError::NoShards);
@@ -955,6 +995,15 @@ impl MarketplaceBuilder {
         }
         if self.num_keywords == 0 {
             return Err(MarketError::NoKeywords);
+        }
+        if num_shards > MAX_SHARDS {
+            return Err(MarketError::TooManyShards(num_shards));
+        }
+        if self.num_slots > MAX_SLOTS {
+            return Err(MarketError::TooManySlots(self.num_slots));
+        }
+        if self.num_keywords > MAX_KEYWORDS {
+            return Err(MarketError::TooManyKeywords(self.num_keywords));
         }
         if let Some(probs) = &self.default_click_probs {
             validate_click_probs(probs, self.num_slots)?;
@@ -1264,7 +1313,7 @@ impl Marketplace {
     /// Number of campaigns registered on a keyword.
     pub fn num_campaigns(&self, keyword: usize) -> Result<usize, MarketError> {
         self.check_keyword(keyword)?;
-        Ok(self.books[keyword].campaigns.len())
+        Ok(self.books[keyword].campaigns().len())
     }
 
     /// The winner-determination method every keyword engine runs.
@@ -1336,7 +1385,7 @@ impl Marketplace {
 
     /// Total campaigns registered across every keyword.
     pub fn num_campaigns_total(&self) -> usize {
-        self.books.iter().map(|b| b.campaigns.len()).sum()
+        self.books.iter().map(|b| b.campaigns().len()).sum()
     }
 
     /// A point-in-time summary of market shape and progress.
@@ -1365,7 +1414,7 @@ impl Marketplace {
     fn check_campaign(&self, id: CampaignId) -> Result<(), MarketError> {
         self.check_keyword(id.keyword)
             .map_err(|_| MarketError::UnknownCampaign(id))?;
-        if id.index < self.books[id.keyword].campaigns.len() {
+        if id.index < self.books[id.keyword].campaigns().len() {
             Ok(())
         } else {
             Err(MarketError::UnknownCampaign(id))
@@ -1399,7 +1448,7 @@ impl Marketplace {
         let journalled = if self.journal.is_some() {
             let next = CampaignId {
                 keyword,
-                index: self.books[keyword].campaigns.len(),
+                index: self.books[keyword].campaigns().len(),
             };
             Some(
                 spec.per_click_parts()
@@ -1442,20 +1491,18 @@ impl Marketplace {
         let book = &mut self.books[keyword];
         let id = CampaignId {
             keyword,
-            index: book.campaigns.len(),
+            index: book.campaigns().len(),
         };
-        let (kind, source) = match spec.program {
-            ProgramSpec::PerClick(bid) => (
-                CampaignKind::PerClick {
-                    nominal: bid,
-                    click_value: spec.click_value,
-                    roi_target: spec.roi_target,
-                },
-                BidSource::PerClick(Money::ZERO), // set by the refresh below
-            ),
-            ProgramSpec::Table(table) => (CampaignKind::Table, BidSource::Table(Box::new(table))),
-            ProgramSpec::Program(program) => (CampaignKind::Program, BidSource::Program(program)),
+        let kind = match spec.program {
+            ProgramSpec::PerClick(bid) => CampaignKind::PerClick {
+                nominal: bid,
+                click_value: spec.click_value,
+                roi_target: spec.roi_target,
+            },
+            ProgramSpec::Table(table) => CampaignKind::Table(Box::new(table)),
+            ProgramSpec::Program(program) => CampaignKind::Program(program),
         };
+        // A new standing row is asked for its table at the next auction.
         book.engine
             .get_or_insert_with(|| {
                 AuctionEngine::new(
@@ -1467,21 +1514,15 @@ impl Marketplace {
                 )
             })
             .push_bidder(
-                CampaignBidder {
-                    source,
+                Campaign {
+                    advertiser,
                     paused: false,
+                    targeting,
+                    kind,
                 },
                 click_row,
                 purchase_probs,
-                targeting.clone(),
             );
-        book.campaigns.push(Campaign {
-            advertiser,
-            kind,
-            paused: false,
-            targeting,
-        });
-        self.refresh_bidder(id);
         if let Some(parts) = journalled {
             self.record(&MutationRecord::AddCampaign {
                 advertiser: advertiser.index() as u64,
@@ -1530,32 +1571,31 @@ impl Marketplace {
     /// The advertiser owning a campaign.
     pub fn campaign_advertiser(&self, id: CampaignId) -> Result<AdvertiserHandle, MarketError> {
         self.check_campaign(id)?;
-        Ok(self.books[id.keyword].campaigns[id.index].advertiser)
+        Ok(self.books[id.keyword].campaigns()[id.index].advertiser)
     }
 
     /// Whether a campaign is currently paused.
     pub fn is_paused(&self, id: CampaignId) -> Result<bool, MarketError> {
         self.check_campaign(id)?;
-        Ok(self.books[id.keyword].campaigns[id.index].paused)
+        Ok(self.books[id.keyword].campaigns()[id.index].paused)
     }
 
     // -- incremental update API --------------------------------------------
 
     /// Sets a per-click campaign's bid.
     ///
-    /// `O(1)`: a write to the campaign and to its bidder that marks its row
-    /// for re-evaluation — the engine, its solver scratch, and the other
+    /// `O(1)`: one write to the campaign, which marks its row for
+    /// re-evaluation — the engine, its solver scratch, and the other
     /// campaigns are untouched.
     pub fn update_bid(&mut self, id: CampaignId, bid: Money) -> Result<(), MarketError> {
         self.check_campaign(id)?;
         if !bid.is_positive() && bid != Money::ZERO {
             return Err(MarketError::NegativeBid(bid));
         }
-        match &mut self.books[id.keyword].campaigns[id.index].kind {
+        match &mut self.books[id.keyword].bidder_mut(id.index).kind {
             CampaignKind::PerClick { nominal, .. } => *nominal = bid,
             _ => return Err(MarketError::NotIncremental(id)),
         }
-        self.refresh_bidder(id);
         self.record(&MutationRecord::UpdateBid {
             keyword: id.keyword as u64,
             index: id.index as u64,
@@ -1580,11 +1620,10 @@ impl Marketplace {
         if let Some(t) = target {
             check_roi_target(t)?;
         }
-        match &mut self.books[id.keyword].campaigns[id.index].kind {
+        match &mut self.books[id.keyword].bidder_mut(id.index).kind {
             CampaignKind::PerClick { roi_target, .. } => *roi_target = target,
             _ => return Err(MarketError::NotIncremental(id)),
         }
-        self.refresh_bidder(id);
         self.record(&MutationRecord::SetRoiTarget {
             keyword: id.keyword as u64,
             index: id.index as u64,
@@ -1617,8 +1656,7 @@ impl Marketplace {
 
     fn set_paused(&mut self, id: CampaignId, paused: bool) -> Result<(), MarketError> {
         self.check_campaign(id)?;
-        self.books[id.keyword].campaigns[id.index].paused = paused;
-        self.refresh_bidder(id);
+        self.books[id.keyword].bidder_mut(id.index).paused = paused;
         Ok(())
     }
 
@@ -1628,8 +1666,8 @@ impl Marketplace {
     /// campaign.
     pub fn current_bid(&self, id: CampaignId) -> Result<Money, MarketError> {
         self.check_campaign(id)?;
-        let campaign = &self.books[id.keyword].campaigns[id.index];
-        match campaign.kind.effective_bid() {
+        let campaign = &self.books[id.keyword].campaigns()[id.index];
+        match campaign.effective_bid() {
             Some(_) if campaign.paused => Ok(Money::ZERO),
             Some(bid) => Ok(bid),
             None => Err(MarketError::NotIncremental(id)),
@@ -1647,12 +1685,12 @@ impl Marketplace {
     ) -> Result<Vec<(CampaignId, Money)>, MarketError> {
         let keyword = self.check_keyword(keyword)?;
         let mut bids: Vec<(CampaignId, Money)> = self.books[keyword]
-            .campaigns
+            .campaigns()
             .iter()
             .enumerate()
             .filter(|(_, campaign)| !campaign.paused)
             .filter_map(|(index, campaign)| {
-                let bid = campaign.kind.effective_bid()?;
+                let bid = campaign.effective_bid()?;
                 Some((CampaignId { keyword, index }, bid))
             })
             .collect();
@@ -1660,20 +1698,6 @@ impl Marketplace {
         bids.sort_unstable_by_key(|&(id, bid)| std::cmp::Reverse((bid, id)));
         bids.truncate(limit);
         Ok(bids)
-    }
-
-    /// Writes a campaign's pause flag and, if it is per-click, its
-    /// recomputed effective bid to its bidder, whose row the engine
-    /// re-evaluates at the keyword's next auction.
-    fn refresh_bidder(&mut self, id: CampaignId) {
-        let book = &mut self.books[id.keyword];
-        let campaign = &book.campaigns[id.index];
-        let (effective, paused) = (campaign.kind.effective_bid(), campaign.paused);
-        let bidder = book.bidder_mut(id.index);
-        if let Some(bid) = effective {
-            bidder.source = BidSource::PerClick(bid);
-        }
-        bidder.paused = paused;
     }
 
     // -- query serving ------------------------------------------------------
@@ -2364,6 +2388,90 @@ mod tests {
         );
     }
 
+    /// A configuration too large to build is refused before anything is
+    /// allocated for it — one `Configure` frame used to abort the process.
+    #[test]
+    fn oversized_configurations_are_typed_errors() {
+        let huge = 1usize << 40;
+        for (built, want, message) in [
+            (
+                builder(4).slots(MAX_SLOTS + 1).build(),
+                MarketError::TooManySlots(MAX_SLOTS + 1),
+                "a marketplace has at most 1024 slots, not 1025",
+            ),
+            (
+                builder(huge).build(),
+                MarketError::TooManyKeywords(huge),
+                "a marketplace has at most 65536 keywords, not 1099511627776",
+            ),
+            (
+                builder(4).build_sharded(huge),
+                MarketError::TooManyShards(huge),
+                "a marketplace has at most 1024 shards, not 1099511627776",
+            ),
+        ] {
+            let err = built.expect_err("oversized");
+            assert_eq!(err, want);
+            assert_eq!(err.to_string(), message);
+        }
+        // The bounds themselves build, and more shards than keywords is fine.
+        let most_slots = Marketplace::builder().slots(MAX_SLOTS).build();
+        assert_eq!(most_slots.expect("valid").num_slots(), MAX_SLOTS);
+        let most_shards = builder(2).build_sharded(MAX_SHARDS).expect("valid");
+        assert_eq!(most_shards.num_shards(), MAX_SHARDS);
+    }
+
+    /// A campaign is one record, the keyword engine's bidder: the per-click
+    /// fields share their enum's tag with the boxed table and program, so a
+    /// per-click campaign pays for no table row.
+    #[test]
+    fn a_campaign_record_is_at_most_56_bytes() {
+        let size = std::mem::size_of::<Campaign>();
+        assert!(size <= 56, "a campaign record is {size} bytes, 56 allowed");
+    }
+
+    /// Writes that leave a campaign's effective bid where it was keep the
+    /// next auction warm: the record derives its table only when the engine
+    /// asks after a write, and the engine finds it equal to the one it holds.
+    #[test]
+    fn writes_that_leave_the_effective_bid_unchanged_keep_the_next_auction_warm() {
+        let cents = Money::from_cents;
+        let mut market = Marketplace::builder()
+            .slots(2)
+            .default_click_probs(vec![0.8, 0.4])
+            .build()
+            .expect("valid configuration");
+        let a = market.register_advertiser("a");
+        // A 40¢ bid capped at 60¢ / 2.0 = 30¢.
+        let capped = CampaignSpec::per_click(cents(40))
+            .click_value(cents(60))
+            .roi_target(2.0);
+        let capped = market.add_campaign(a, 0, capped).expect("accepted");
+        let plain = CampaignSpec::per_click(cents(10));
+        let plain = market.add_campaign(a, 0, plain).expect("accepted");
+        let serve = |market: &mut Marketplace| {
+            let report = market.serve_batch(&[QueryRequest::new(0)]);
+            let phases = report.expect("in range").total.phases;
+            (phases.solves, phases.warm_solves, phases.rescans)
+        };
+        assert_eq!(serve(&mut market), (1, 0, 0), "the first auction solves");
+        let warm = (0, 1, 0);
+
+        market.update_bid(capped, cents(50)).expect("per-click");
+        assert_eq!(serve(&mut market), warm, "raised above the cap");
+        market.update_bid(plain, cents(10)).expect("per-click");
+        assert_eq!(serve(&mut market), warm, "rewritten unchanged");
+        market.pause_campaign(plain).expect("known campaign");
+        market.resume_campaign(plain).expect("known campaign");
+        assert_eq!(serve(&mut market), warm, "paused and resumed");
+        assert_eq!(market.current_bid(capped).unwrap(), cents(30));
+        assert_eq!(market.current_bid(plain).unwrap(), cents(10));
+
+        // A write that moves an effective bid does solve.
+        market.update_bid(capped, cents(20)).expect("per-click");
+        assert_eq!(serve(&mut market), (1, 0, 0));
+    }
+
     #[test]
     fn build_is_one_shard() {
         let market = builder(4).build().expect("valid");
@@ -2589,7 +2697,7 @@ mod tests {
             engine.clicks().row(id.index)
         };
         let matcher = |id: CampaignId| {
-            let campaign = &book(id).campaigns[id.index];
+            let campaign = &book(id).campaigns()[id.index];
             campaign.targeting.as_ref().expect("targeted")
         };
         let [a0, a1, b0, b1, c0, c1] = *ids;

@@ -97,31 +97,31 @@ pub fn gsp_prices(
 ) -> Vec<SlotPrice> {
     let assigned = assignment.adv_to_slot(matrix.num_advertisers());
     let mut prices = Vec::new();
-    gsp_prices_into(matrix, assignment, &assigned, p_click, &mut prices);
+    let seated = |adv: usize| assigned[adv].is_some();
+    gsp_prices_into(matrix, assignment, seated, p_click, &mut prices);
     prices
 }
 
-/// In-place variant of [`gsp_prices`] for the batched pipeline: takes the
-/// advertiser-to-slot map (`assignment.adv_to_slot`, which hot paths
-/// already maintain as scratch) and writes into `prices` (cleared first),
-/// so pricing performs no per-auction allocation.
+/// In-place variant of [`gsp_prices`] for the batched pipeline: takes
+/// `seated(adv)`, whether the assignment seats row `adv` (which hot paths
+/// answer from the inverse map they already maintain as scratch), and
+/// writes into `prices` (cleared first), so pricing performs no
+/// per-auction allocation.
 pub fn gsp_prices_into(
     matrix: &RevenueMatrix,
     assignment: &Assignment,
-    assigned: &[Option<usize>],
+    seated: impl Fn(usize) -> bool,
     p_click: &dyn Fn(usize, usize) -> f64,
     prices: &mut Vec<SlotPrice>,
 ) {
     let n = matrix.num_advertisers();
-    debug_assert_eq!(assigned.len(), n, "adv_to_slot map must cover all rows");
     prices.clear();
     for (slot, winner) in assignment.slot_to_adv.iter().enumerate() {
         let Some(winner) = *winner else { continue };
         // Best losing expected revenue for this slot.
         let mut runner_up = 0.0f64;
-        #[allow(clippy::needless_range_loop)] // `adv` indexes matrix and assignment
         for adv in 0..n {
-            if assigned[adv].is_none() {
+            if !seated(adv) {
                 let w = matrix.get(adv, slot);
                 if w.is_finite() && w > runner_up {
                     runner_up = w;
@@ -157,7 +157,7 @@ pub fn gsp_prices_from_order_into(
     order: &RetainedOrder,
     weight: &dyn Fn(usize, usize) -> f64,
     assignment: &Assignment,
-    assigned: &[Option<usize>],
+    seated: impl Fn(usize) -> bool,
     p_click: &dyn Fn(usize, usize) -> f64,
     prices: &mut Vec<SlotPrice>,
 ) {
@@ -167,7 +167,7 @@ pub fn gsp_prices_from_order_into(
         let runner_up = order
             .top(slot)
             .iter()
-            .find(|(adv, _)| assigned[*adv].is_none())
+            .find(|(adv, _)| !seated(*adv))
             .map_or(0.0, |&(_, w)| if w > 0.0 { w } else { 0.0 });
         prices.push(SlotPrice {
             slot,
@@ -307,11 +307,12 @@ mod tests {
                 let p_click = |adv: usize, slot: usize| [0.5, 0.0, 0.25][(adv + slot) % 3];
                 let want = gsp_prices(&matrix, &assignment, &p_click);
                 let mut got = Vec::new();
+                let assigned = assignment.adv_to_slot(n);
                 gsp_prices_from_order_into(
                     &order,
                     &|adv, slot| matrix.get(adv, slot),
                     &assignment,
-                    &assignment.adv_to_slot(n),
+                    |adv| assigned[adv].is_some(),
                     &p_click,
                     &mut got,
                 );

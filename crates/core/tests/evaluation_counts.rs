@@ -36,13 +36,14 @@ impl Calls {
     }
 }
 
-/// A per-click bidder that counts its calls and is standing or a program
-/// as told.
+/// A per-click bidder that counts its calls, is standing or a program as
+/// told, and may target.
 #[derive(Debug)]
 struct Counting {
     cents: i64,
     standing: bool,
     calls: Calls,
+    targeting: Option<Arc<CompiledTargeting>>,
 }
 
 impl Counting {
@@ -52,8 +53,16 @@ impl Counting {
             cents,
             standing,
             calls: calls.clone(),
+            targeting: None,
         };
         (bidder, calls)
+    }
+
+    fn targeted(self, matcher: Arc<CompiledTargeting>) -> Self {
+        Counting {
+            targeting: Some(matcher),
+            ..self
+        }
     }
 }
 
@@ -69,6 +78,10 @@ impl Bidder for Counting {
 
     fn is_standing(&self) -> bool {
         self.standing
+    }
+
+    fn targeting(&self) -> Option<&CompiledTargeting> {
+        self.targeting.as_deref()
     }
 }
 
@@ -123,7 +136,7 @@ fn a_standing_bidder_is_asked_once_per_write_and_never_told() {
     // ones already there are not asked again.
     let (c, c_calls) = Counting::new(5, true);
     engine.config.warm_start = true;
-    engine.push_bidder(c, &CLICKS, None, None);
+    engine.push_bidder(c, &CLICKS, None);
     let grown = engine.run_batch(&[0usize; 2], &mut rng);
     assert_eq!(
         (a_calls.asked(), b_calls.asked(), c_calls.asked()),
@@ -145,15 +158,11 @@ fn a_program_is_asked_at_every_auction_it_is_matched() {
     let (program, program_calls) = Counting::new(20, false);
     let mut engine = engine_of(vec![standing, program]);
     // A targeted program and a targeted standing bidder join later.
-    let mobile = || {
-        Some(Arc::new(
-            CompiledTargeting::parse("device = 'mobile'").unwrap(),
-        ))
-    };
+    let mobile = || Arc::new(CompiledTargeting::parse("device = 'mobile'").unwrap());
     let (targeted, targeted_calls) = Counting::new(30, false);
     let (fixed, fixed_calls) = Counting::new(40, true);
-    engine.push_bidder(targeted, &CLICKS, None, mobile());
-    engine.push_bidder(fixed, &CLICKS, None, mobile());
+    engine.push_bidder(targeted.targeted(mobile()), &CLICKS, None);
+    engine.push_bidder(fixed.targeted(mobile()), &CLICKS, None);
 
     let mut rng = StdRng::seed_from_u64(2);
     let mobile_user = UserAttrs::new().set_str("device", "mobile");
@@ -294,12 +303,12 @@ fn big_engine(stream: &mut Stream, targeted: usize) -> (AuctionEngine<TableBidde
     );
     let mobile = Arc::new(CompiledTargeting::parse("device = 'mobile'").unwrap());
     for row in open..N {
-        engine.push_bidder(
-            TableBidder::new(per_click(cents[row])),
-            &probs[row],
-            None,
-            Some(mobile.clone()),
-        );
+        let targeting = Some(mobile.clone());
+        let bidder = TableBidder {
+            targeting,
+            ..TableBidder::new(per_click(cents[row]))
+        };
+        engine.push_bidder(bidder, &probs[row], None);
     }
     (engine, cents)
 }

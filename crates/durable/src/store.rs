@@ -761,6 +761,60 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A checksum-valid `Configure` record whose market is too large to
+    /// build is a typed refusal at recovery, not an allocation that aborts
+    /// the process.
+    #[test]
+    fn an_oversized_configure_record_is_a_typed_error_at_recovery() {
+        use ssa_core::{MarketError, MAX_SLOTS};
+        let config = Marketplace::builder()
+            .slots(2)
+            .build()
+            .unwrap()
+            .capture_state()
+            .unwrap()
+            .config;
+        let huge = 1usize << 40;
+        for (oversized, want) in [
+            (
+                MarketConfigState {
+                    slots: MAX_SLOTS + 1,
+                    ..config.clone()
+                },
+                MarketError::TooManySlots(MAX_SLOTS + 1),
+            ),
+            (
+                MarketConfigState {
+                    keywords: huge,
+                    ..config.clone()
+                },
+                MarketError::TooManyKeywords(huge),
+            ),
+            (
+                MarketConfigState {
+                    shards: huge,
+                    ..config.clone()
+                },
+                MarketError::TooManyShards(huge),
+            ),
+        ] {
+            let dir = temp_dir("oversized");
+            let (_, dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
+            dur.log_configure(&oversized).unwrap();
+            drop(dur);
+            for result in [
+                recover(&dir).map(drop),
+                Durability::open(&dir, FsyncPolicy::Off, 0).map(drop),
+            ] {
+                match result {
+                    Err(DurableError::Market(err)) => assert_eq!(err, want),
+                    other => panic!("{want:?}: expected a refusal, got {other:?}"),
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     /// Method tag 3 was the retired parallel reduction (`rhp`, followed by
     /// a `u32` thread count): reserved, never reassigned. A snapshot or a
     /// `Configure` record carrying it passes its checksum, so recovery

@@ -619,6 +619,9 @@ impl From<&MarketError> for ErrorCode {
             MarketError::NoSlots
             | MarketError::NoKeywords
             | MarketError::NoShards
+            | MarketError::TooManySlots(_)
+            | MarketError::TooManyKeywords(_)
+            | MarketError::TooManyShards(_)
             | MarketError::RngStreams { .. } => ErrorCode::InvalidConfig,
         }
     }
@@ -1111,6 +1114,9 @@ mod tests {
             MarketError::NoSlots,
             MarketError::NoKeywords,
             MarketError::NoShards,
+            MarketError::TooManySlots(1 << 20),
+            MarketError::TooManyKeywords(1 << 40),
+            MarketError::TooManyShards(1 << 40),
             MarketError::RngStreams {
                 keywords: 3,
                 streams: 2,

@@ -331,6 +331,30 @@ fn malformed_requests_keep_their_error_codes_and_messages() {
             ErrorCode::InvalidConfig,
             "a sharded marketplace needs at least one shard",
         ),
+        (
+            Request::Configure(MarketConfig {
+                slots: 1 << 20,
+                ..market_config.clone()
+            }),
+            ErrorCode::InvalidConfig,
+            "a marketplace has at most 1024 slots, not 1048576",
+        ),
+        (
+            Request::Configure(MarketConfig {
+                keywords: 1 << 40,
+                ..market_config.clone()
+            }),
+            ErrorCode::InvalidConfig,
+            "a marketplace has at most 65536 keywords, not 1099511627776",
+        ),
+        (
+            Request::Configure(MarketConfig {
+                shards: 1 << 40,
+                ..market_config.clone()
+            }),
+            ErrorCode::InvalidConfig,
+            "a marketplace has at most 1024 shards, not 1099511627776",
+        ),
     ];
     let before = client.stats().expect("stats");
     for (request, code, message) in cases {
@@ -367,6 +391,10 @@ fn malformed_requests_keep_their_error_codes_and_messages() {
             before.auctions
         )
     );
+    // And the server is still up: an oversized Configure is refused, not a
+    // process abort.
+    client.ping().expect("ping after the refusals");
+    client.serve(0).expect("serve after the refusals");
 
     client.shutdown_server().expect("graceful shutdown");
     server.join();

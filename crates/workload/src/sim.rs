@@ -250,7 +250,7 @@ impl Simulation {
                 gsp_prices_into(
                     &self.matrix,
                     &self.assignment,
-                    &self.adv_to_slot,
+                    |adv| self.adv_to_slot[adv].is_some(),
                     &|adv, slot| clicks.p_click(adv, SlotId::from_index0(slot)),
                     &mut self.prices,
                 );
@@ -319,7 +319,7 @@ impl Simulation {
         gsp_prices_into(
             &self.matrix,
             &self.local_assignment,
-            &self.adv_to_slot,
+            |ci| self.adv_to_slot[ci].is_some(),
             &|ci, slot| clicks.p_click(candidates[ci], SlotId::from_index0(slot)),
             &mut self.prices,
         );

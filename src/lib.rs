@@ -339,11 +339,11 @@
 //!   dirty-marking accessor every marketplace update (`update_bid`,
 //!   `pause_campaign`, `resume_campaign`, `set_roi_target`) goes through.
 //!   The bidder vector is private, so there is no other way to mutate a
-//!   bidder. SQL and closure *programs*, and campaigns with a targeting
-//!   matcher, are visited at every auction through index lists of just
-//!   those rows, and only programs are told outcomes. A re-evaluated table
-//!   is swapped in and compared with the one it replaces, so a write that
-//!   leaves it equal dirties nothing.
+//!   bidder. SQL and closure *programs*, and bidders with a targeting
+//!   matcher ([`core::Bidder::targeting`]), are visited at every auction
+//!   through index lists of just those rows, and only programs are told
+//!   outcomes. A re-evaluated table is swapped in and compared with the one
+//!   it replaces, so a write that leaves it equal dirties nothing.
 //! * **Warm starts** (`EngineConfig::warm_start`, default on) — the
 //!   engine recomputes only the weights of rows whose table changed, and
 //!   skips the solve entirely when none did; solvers are deterministic, so
@@ -359,8 +359,9 @@
 //!   `ssa_core::revenue::row_weights_into`, shared with the dense fill).
 //!   The reduced graph is the union of the lists' top `k`, solved by
 //!   [`matching::ReducedSolver::solve_candidates`]; GSP reads each slot's
-//!   runner-up off its list. Outcomes are bit-identical to solving and
-//!   pricing on the dense matrix, which [`core::revenue_matrix`],
+//!   runner-up off its list, and who is seated off a 2-byte slot index per
+//!   row. Outcomes are bit-identical to solving and pricing on the dense
+//!   matrix, which [`core::revenue_matrix`],
 //!   `ReducedSolver::solve` and `gsp_prices` remain the oracles for. When
 //!   a list with unlisted rows behind it drops below `k + 1`, the order is
 //!   rebuilt from every row — a *rescan*, `n × k` weight evaluations,
@@ -377,15 +378,16 @@
 //!   [`core::ClickModel`] and [`core::PurchaseModel`] grow a row at a time
 //!   and live in the keyword's engine from its first `add_campaign`
 //!   ([`core::AuctionEngine::push_bidder`] appends to a warm engine rather
-//!   than rebuilding it); the campaign book holds no second copy, state
-//!   capture reads the models, and a campaign that never purchases stores
+//!   than rebuilding it). A campaign is one record — the engine's bidder is
+//!   the campaign — so nothing about it is stored twice; state capture
+//!   reads the models, and a campaign that never purchases stores
 //!   no purchase row (captured as explicit zeros, so snapshots do not
 //!   change). Click rows are `Arc<[f64]>`: an advertiser's campaigns whose
 //!   rows are bit for bit equal share one across keywords (and across
 //!   `from_state` and journal replay), a targeting text is compiled once
 //!   per market, and a one-row [`bidlang::BidsTable`] is stored inline. A
-//!   per-click campaign at 15 slots costs ≈ 302 B resident (≈ 430 B
-//!   unshared); one whose row differs on every keyword, ≈ 430 B.
+//!   per-click campaign at 15 slots costs ≈ 162 B resident (≈ 209 B while
+//!   it was stored twice); one whose row differs on every keyword, ≈ 290 B.
 //! * **Slot-major matrix layout** — [`matching::RevenueMatrix`] stores
 //!   `data[slot * n + adv]`, so the per-slot column scans of the solvers
 //!   (and the pruning floor pass) walk contiguous memory.
