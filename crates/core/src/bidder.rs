@@ -3,6 +3,7 @@
 
 use ssa_bidlang::targeting::CompiledTargeting;
 use ssa_bidlang::{BidsTable, Money, SlotId};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// What a bidding program sees when an auction starts: the read-only shared
@@ -53,18 +54,17 @@ pub trait Bidder {
     /// ignore.
     fn on_outcome(&mut self, _ctx: &QueryContext, _outcome: &BidderOutcome) {}
 
-    /// Whether this bidder's table is a *standing* bid: a function of the
+    /// A *standing* bidder's table: `Some` when it is a function of the
     /// bidder's own fields alone — not of the query, the clock or past
-    /// outcomes — so it can change only when somebody writes to the bidder.
-    /// The engine asks a standing bidder for its table once, keeps it, and
-    /// asks again only after a write through
-    /// [`crate::AuctionEngine::bidder_mut`]; it never notifies it of
-    /// outcomes. Everything else (the default) is a *program*: evaluated at
-    /// every auction and told every outcome.
-    ///
-    /// The answer must not change over the bidder's life.
-    fn is_standing(&self) -> bool {
-        false
+    /// outcomes — so it can change only through a write
+    /// ([`crate::AuctionEngine::bidder_mut`]). The engine reads it here
+    /// whenever it needs it and holds no copy; it never asks a standing
+    /// bidder through [`Bidder::on_query`] or notifies it of outcomes.
+    /// `None` (the default) is a *program*: asked at every auction and told
+    /// every outcome. Whether the answer is `Some` must not change over the
+    /// bidder's life.
+    fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
+        None
     }
 
     /// The matcher deciding which queries this bidder bids on (`None`, the
@@ -105,8 +105,8 @@ impl Bidder for TableBidder {
         self.bids.clone()
     }
 
-    fn is_standing(&self) -> bool {
-        true
+    fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
+        Some(Cow::Borrowed(&self.bids))
     }
 
     fn targeting(&self) -> Option<&CompiledTargeting> {
@@ -131,7 +131,7 @@ mod tests {
             BidsTable::single_feature(Money::from_cents(7))
         );
         assert_eq!(b.on_query(&ctx), b.bids);
-        assert!(b.is_standing());
+        assert_eq!(b.standing_table().as_deref(), Some(&b.bids));
         b.on_outcome(&ctx, &BidderOutcome::lost()); // default no-op
     }
 }

@@ -13,21 +13,21 @@
 //!
 //! # Evaluate only what changed
 //!
-//! The engine keeps the last table every bidder produced and does work per
-//! auction in proportion to what can have changed since:
+//! The engine does work per auction in proportion to what can have changed
+//! since the last one, and holds a table only for what it cannot re-derive:
 //!
-//! * a **standing** bidder ([`Bidder::is_standing`]: a fixed table, a
-//!   per-click campaign) is asked for its table once and again only after a
-//!   write through [`AuctionEngine::bidder_mut`] — the one way to reach a
-//!   bidder mutably, which is what lets the engine trust the table it
-//!   holds. It is never notified of outcomes.
-//! * a **program** (any other bidder) is evaluated at every auction and told
-//!   every outcome; a bidder with a targeting matcher ([`Bidder::targeting`])
-//!   is visited at every auction too, since the query decides whether it
-//!   bids. Both are reached through index lists of just those rows.
+//! * a **standing** bidder ([`Bidder::standing_table`] is `Some`: a fixed
+//!   table, a per-click campaign) is read, never asked or told an outcome:
+//!   the engine keeps no copy of its table. [`AuctionEngine::bidder_mut`],
+//!   the one way to reach a bidder mutably, keeps the table from before
+//!   the first write since the last auction for the next one to compare.
+//! * a **program** (`None`) is asked at every auction and told every
+//!   outcome; a bidder with a targeting matcher ([`Bidder::targeting`]) is
+//!   evaluated at every auction too, since the query decides whether it
+//!   bids. The engine holds the last table of just these rows and compares
+//!   each evaluation with it.
 //!
-//! Each re-evaluated table replaces the one the engine held and is compared
-//! with it, so a write that leaves the table equal dirties nothing. With
+//! Either way a write that leaves a table equal dirties nothing. With
 //! [`EngineConfig::warm_start`] only the changed rows' weights are
 //! recomputed, and an auction in which no table changed skips the solve
 //! outright. Every hot step is instrumented with per-phase wall-clock
@@ -41,7 +41,7 @@
 //! engine therefore holds **no `n × k` revenue matrix**. It keeps a
 //! [`RetainedOrder`]: per slot, the best `k + 1` to `2(k + 1)` rows under
 //! the solver's own ranking, and a floor no unlisted row ranks above. A
-//! changed row's `k` weights are recomputed from its held table
+//! changed row's `k` weights are recomputed from its table
 //! ([`row_weights_into`]) and the row re-ranked; an unlisted row that stays
 //! under the floor costs one compare per slot. The reduced graph is the
 //! union of the lists' top `k` — exactly
@@ -70,15 +70,15 @@
 //! weight tie at a column's floor, and VCG re-solves the market without
 //! each winner. [`AuctionEngine::config`] is a public field; when its
 //! method, pruning or pricing change, the next auction lays the weight
-//! source out for the new configuration, fills it from the held tables and
-//! solves.
+//! source out for the new configuration, fills it from every row's table
+//! and solves.
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use crate::pricing::{
     gsp_prices_from_order_into, gsp_prices_into, vcg_prices, PricingScheme, SlotPrice,
 };
 use crate::prob::{ClickModel, IntoClickRow, PurchaseModel};
-use crate::revenue::{revenue_matrix_into, row_weights_into, NoSlotValues};
+use crate::revenue::{row_weights_into, NoSlotValues};
 use rand::Rng;
 use ssa_bidlang::targeting::UserAttrs;
 use ssa_bidlang::{AdvertiserView, BidsTable, Money, SlotId};
@@ -87,6 +87,7 @@ use ssa_matching::{
     WdSolver,
 };
 use ssa_simplex::NetworkSimplexSolver;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// A query as the engine sees it: a keyword plus typed user attributes.
@@ -381,8 +382,8 @@ impl BatchReport {
 struct BatchScratch {
     /// Rows whose table changed in the current auction's evaluation.
     changed: Vec<usize>,
-    /// The weight source and `base` reflect the engine's `bids`, so the
-    /// warm-start path may repair only the rows whose table changed.
+    /// The weight source and `base` reflect the tables of the last auction,
+    /// so the warm-start path may repair only the rows whose table changed.
     /// Cleared when the bidder count grows or the source is laid out anew.
     filled: bool,
     /// `assignment` is the current solver's output for the weights as they
@@ -418,8 +419,8 @@ impl BatchScratch {
 /// The auction engine over a population of bidders.
 #[derive(Debug)]
 pub struct AuctionEngine<B: Bidder> {
-    /// The bidders. Private: a standing bidder's table is trusted between
-    /// writes, so writes go through [`AuctionEngine::bidder_mut`].
+    /// The bidders. Private: a standing bidder's table changes only with a
+    /// write, so writes go through [`AuctionEngine::bidder_mut`].
     bidders: Vec<B>,
     clicks: ClickModel,
     purchases: PurchaseModel,
@@ -431,31 +432,43 @@ pub struct AuctionEngine<B: Bidder> {
     source: WeightSource,
     /// The configuration `source` was laid out for.
     laid: EngineConfig,
-    /// The last table each bidder produced, parallel to `bidders`.
-    bids: Vec<BidsTable>,
     /// Rows evaluated at every auction, ascending: programs, and standing
     /// bidders with a targeting matcher.
     every_auction: Vec<usize>,
+    /// Parallel to `every_auction`, the only tables held ([`table_of`]).
+    held: Vec<BidsTable>,
     /// Rows of programs, ascending: the bidders told every outcome.
     programs: Vec<usize>,
-    /// The [`RowState::Written`] rows, each once.
-    written: Vec<usize>,
-    /// How each bidder's held table is kept current, parallel to `bidders`.
+    /// The [`RowState::Written`] rows, each once, with its prior table.
+    written: Vec<(usize, BidsTable)>,
+    /// Where each bidder's table is found, parallel to `bidders`.
     rows: Vec<RowState>,
     scratch: BatchScratch,
 }
 
-/// How the engine keeps the table it holds for one bidder current.
+/// Where the engine finds one bidder's table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RowState {
-    /// A program, or a bidder with a targeting matcher: evaluated at every
-    /// auction (listed in `every_auction`).
+    /// A program, or a bidder with a targeting matcher: listed in
+    /// `every_auction`, its table in `held`.
     EveryAuction,
-    /// A standing untargeted bidder whose held table is current.
+    /// A standing untargeted bidder not written to since the last auction.
     Current,
-    /// A standing untargeted bidder added or written to since it was last
-    /// asked (listed in `written`): asked again at the next auction.
+    /// A standing untargeted bidder written to since then (in `written`).
     Written,
+}
+
+/// Row `i`'s table: held if it is evaluated at every auction, else read.
+fn table_of<'a, B: Bidder>(
+    bidders: &'a [B],
+    every_auction: &[usize],
+    held: &'a [BidsTable],
+    i: usize,
+) -> Cow<'a, BidsTable> {
+    match every_auction.binary_search(&i) {
+        Ok(at) => Cow::Borrowed(&held[at]),
+        Err(_) => bidders[i].standing_table().unwrap_or_default(),
+    }
 }
 
 /// The solver a config asks for: the method's own solver, optionally
@@ -511,27 +524,29 @@ impl WeightSource {
             }
         }
     }
-}
 
-/// Rebuilds the retained order and the no-slot values from every held
-/// table: the cold start, and the rescan after a list ran short.
-fn rebuild_order(
-    order: &mut RetainedOrder,
-    bids: &[BidsTable],
-    clicks: &ClickModel,
-    purchases: &PurchaseModel,
-    row: &mut [f64],
-    base: &mut NoSlotValues,
-) {
-    order.clear();
-    base.base.clear();
-    base.base.reserve_exact(bids.len());
-    for (i, table) in bids.iter().enumerate() {
-        base.base
-            .push(row_weights_into(table, i, clicks, purchases, row));
-        order.update(i, row);
+    /// Empties the source for a rebuild from all `n` rows: the cold start,
+    /// and the rescan after a list ran short.
+    fn clear(&mut self, n: usize, k: usize) {
+        match self {
+            WeightSource::Lists { order, solver, .. } => {
+                order.clear();
+                solver.forget_rows();
+            }
+            WeightSource::Dense { matrix, .. } => matrix.reshape(n, k),
+        }
     }
-    base.resum();
+
+    /// Puts row `i`'s newly evaluated weights in.
+    fn set_row(&mut self, i: usize, row: &[f64]) {
+        match self {
+            WeightSource::Lists { order, solver, .. } => {
+                order.update(i, row);
+                solver.replace_row(i, row);
+            }
+            WeightSource::Dense { matrix, .. } => matrix.set_row(i, row),
+        }
+    }
 }
 
 /// `adv_to_slot`'s entry for a row no slot seats.
@@ -543,19 +558,19 @@ fn seat(adv_to_slot: &[u16], adv: usize) -> Option<usize> {
     (slot != UNSEATED).then_some(usize::from(slot))
 }
 
-/// Asks one bidder for its table — an empty one, without running it, when
-/// its targeting rejects the query — and puts the answer in `held`, the
-/// table the engine kept from the last time. Returns whether the two differ.
+/// One bidder's table at this auction — empty, without running it, when its
+/// targeting rejects the query, else read or, for a program, asked — put in
+/// `held`, the table kept from the last time. Returns whether they differ.
 fn evaluate<B: Bidder>(
     bidder: &mut B,
     ctx: &QueryContext,
     attrs: &UserAttrs,
     held: &mut BidsTable,
 ) -> bool {
-    let table = if bidder.targeting().is_some_and(|t| !t.matches(attrs)) {
-        BidsTable::empty()
-    } else {
-        bidder.on_query(ctx)
+    let table = match bidder.standing_table().map(Cow::into_owned) {
+        _ if bidder.targeting().is_some_and(|t| !t.matches(attrs)) => BidsTable::empty(),
+        Some(table) => table,
+        None => bidder.on_query(ctx),
     };
     let replaced = std::mem::replace(held, table);
     replaced != *held
@@ -587,8 +602,8 @@ impl<B: Bidder> AuctionEngine<B> {
             time: 0,
             source,
             laid: config,
-            bids: Vec::with_capacity(n),
             every_auction: Vec::new(),
+            held: Vec::new(),
             programs: Vec::new(),
             written: Vec::new(),
             rows: Vec::with_capacity(n),
@@ -604,9 +619,8 @@ impl<B: Bidder> AuctionEngine<B> {
     /// with its per-slot click probabilities and its per-slot purchase
     /// probabilities (`None`: it never purchases); a targeting matcher, if
     /// any, comes with the bidder ([`Bidder::targeting`]). The models grow
-    /// by one row; nothing is rebuilt, and the tables the engine holds for
-    /// the other bidders stay valid. The next auction lays the revenue
-    /// matrix out for the new bidder count and solves.
+    /// by one row; nothing is rebuilt until the next auction, which lays
+    /// the weight source out for the new bidder count and solves.
     ///
     /// Click probabilities given as an `Arc<[f64]>` are held, not copied
     /// (see [`IntoClickRow`]): engines that are handed the same row — one
@@ -630,22 +644,22 @@ impl<B: Bidder> AuctionEngine<B> {
     }
 
     /// Gives bidder `row`, the next one without them, its per-row engine
-    /// state: an empty held table (it has not been asked yet) and its place
-    /// on the lists the hot step walks.
+    /// state: its place on the lists the hot step walks (with an empty held
+    /// table: it has not been evaluated yet).
     fn enlist(&mut self, row: usize) {
         debug_assert_eq!(row, self.rows.len());
-        let standing = self.bidders[row].is_standing();
+        let bidder = &self.bidders[row];
+        let standing = bidder.standing_table().is_some();
         if !standing {
             self.programs.push(row);
         }
-        if !standing || self.bidders[row].targeting().is_some() {
+        if !standing || bidder.targeting().is_some() {
             self.every_auction.push(row);
+            self.held.push(BidsTable::empty());
             self.rows.push(RowState::EveryAuction);
         } else {
-            self.written.push(row);
-            self.rows.push(RowState::Written);
+            self.rows.push(RowState::Current);
         }
-        self.bids.push(BidsTable::empty());
         self.scratch.adv_to_slot.push(UNSEATED);
     }
 
@@ -654,15 +668,15 @@ impl<B: Bidder> AuctionEngine<B> {
         &self.bidders
     }
 
-    /// Mutable access to one bidder — the only one there is. It records
-    /// that the bidder may have been written to, so a standing bidder is
-    /// asked for its table again at the next auction (and only then; if the
-    /// table comes back equal, the auction is as warm as if nobody had
-    /// asked).
+    /// Mutable access to one bidder — the only one there is. It keeps a
+    /// standing bidder's table from before the first write since the last
+    /// auction; if the next auction finds the table equal to it, that
+    /// auction is as warm as if nobody had written.
     pub fn bidder_mut(&mut self, row: usize) -> &mut B {
         if self.rows[row] == RowState::Current {
             self.rows[row] = RowState::Written;
-            self.written.push(row);
+            let before = self.bidders[row].standing_table().unwrap_or_default();
+            self.written.push((row, before.into_owned()));
         }
         &mut self.bidders[row]
     }
@@ -709,7 +723,7 @@ impl<B: Bidder> AuctionEngine<B> {
 
     /// `config` is a public field: whenever its method, pruning or pricing
     /// differ from what the weight source was laid out for, lay a fresh one
-    /// out for them. The next auction fills it from the held tables and
+    /// out for them. The next auction fills it from every row's table and
     /// solves — a different solver may break ties differently, so the
     /// retained assignment no longer counts as this one's output.
     fn ensure_source(&mut self) {
@@ -759,18 +773,18 @@ impl<B: Bidder> AuctionEngine<B> {
         // bidder whose targeting rejects the query's attributes is not run:
         // its empty table makes it an EXCLUDED row for winner
         // determination, the same mechanism paused campaigns use); a
-        // standing bidder only after a write. Every other table is the one
-        // the engine already holds.
+        // written standing bidder's table is compared with the one it had
+        // before the write. No other table can have changed.
         let t_eval = Instant::now();
         self.scratch.changed.clear();
-        for &i in &self.every_auction {
-            if evaluate(&mut self.bidders[i], &ctx, attrs, &mut self.bids[i]) {
+        for (&i, held) in self.every_auction.iter().zip(&mut self.held) {
+            if evaluate(&mut self.bidders[i], &ctx, attrs, held) {
                 self.scratch.changed.push(i);
             }
         }
-        for i in self.written.drain(..) {
+        for (i, before) in self.written.drain(..) {
             self.rows[i] = RowState::Current;
-            if evaluate(&mut self.bidders[i], &ctx, attrs, &mut self.bids[i]) {
+            if *self.bidders[i].standing_table().unwrap_or_default() != before {
                 self.scratch.changed.push(i);
             }
         }
@@ -778,75 +792,53 @@ impl<B: Bidder> AuctionEngine<B> {
         self.scratch.phases.program_eval_ns += (t_fill - t_eval).as_nanos() as u64;
 
         // Step 4a: weights. With warm starts enabled and a source that
-        // reflects the held tables, repair only the rows whose table
-        // changed (step 3 asked only programs, targeted and written rows);
-        // the repair, plus an in-order base re-sum when a base value moved,
-        // is bit-identical to a rebuild.
+        // reflects the last auction's tables, repair only the rows whose
+        // table changed (step 3 looked only at programs, targeted and
+        // written rows); the repair, plus an in-order base re-sum when a
+        // base value moved, is bit-identical to a rebuild from every row.
         let warm = self.config.warm_start;
-        let k = self.clicks.num_slots();
+        let (n, k) = (self.bidders.len(), self.clicks.num_slots());
         let repair = warm && self.scratch.filled;
         let unchanged = repair && self.scratch.changed.is_empty();
         let evaluated = if repair {
             self.scratch.changed.len()
         } else {
-            self.bids.len()
+            n
         };
         self.scratch.phases.cells_evaluated += (evaluated * k) as u64;
+        let (clicks, purchases, row) = (&self.clicks, &self.purchases, &mut self.scratch.row);
         if repair {
             let mut resum = false;
             for &i in &self.scratch.changed {
-                let base = row_weights_into(
-                    &self.bids[i],
-                    i,
-                    &self.clicks,
-                    &self.purchases,
-                    &mut self.scratch.row,
-                );
+                let table = table_of(&self.bidders, &self.every_auction, &self.held, i);
+                let base = row_weights_into(&table, i, clicks, purchases, row);
                 resum |= self.scratch.base.set(i, base);
-                match &mut self.source {
-                    WeightSource::Lists { order, solver, .. } => {
-                        order.update(i, &self.scratch.row);
-                        solver.replace_row(i, &self.scratch.row);
-                    }
-                    WeightSource::Dense { matrix, .. } => matrix.set_row(i, &self.scratch.row),
-                }
+                self.source.set_row(i, row);
             }
             if resum {
                 self.scratch.base.resum();
             }
         }
-        match &mut self.source {
-            WeightSource::Lists { order, solver, .. } => {
-                // A list that ran short is rebuilt from every row — the
-                // time the matrix used to buy, paid only when it is needed.
-                let rescan = repair && order.underflowed();
-                if rescan {
-                    self.scratch.phases.rescans += 1;
-                    self.scratch.phases.cells_evaluated += (self.bids.len() * k) as u64;
-                }
-                if rescan || !repair {
-                    rebuild_order(
-                        order,
-                        &self.bids,
-                        &self.clicks,
-                        &self.purchases,
-                        &mut self.scratch.row,
-                        &mut self.scratch.base,
-                    );
-                    solver.forget_rows();
-                }
+        // A list that ran short is rebuilt from every row — the time the
+        // matrix used to buy, paid only when it is needed.
+        let rescan = repair
+            && matches!(&self.source, WeightSource::Lists { order, .. } if order.underflowed());
+        if rescan {
+            self.scratch.phases.rescans += 1;
+            self.scratch.phases.cells_evaluated += (n * k) as u64;
+        }
+        if rescan || !repair {
+            self.source.clear(n, k);
+            let base = &mut self.scratch.base;
+            base.base.clear();
+            base.base.reserve_exact(n);
+            for i in 0..n {
+                let table = table_of(&self.bidders, &self.every_auction, &self.held, i);
+                base.base
+                    .push(row_weights_into(&table, i, clicks, purchases, row));
+                self.source.set_row(i, row);
             }
-            WeightSource::Dense { matrix, .. } => {
-                if !repair {
-                    revenue_matrix_into(
-                        &self.bids,
-                        &self.clicks,
-                        &self.purchases,
-                        matrix,
-                        &mut self.scratch.base,
-                    );
-                }
-            }
+            base.resum();
         }
         self.scratch.filled = true;
         let t_solve = Instant::now();
@@ -876,7 +868,8 @@ impl<B: Bidder> AuctionEngine<B> {
                     // were not candidates a solve ago: matrix-fill work.
                     let t_lay = Instant::now();
                     let asked = solver.load_candidates(k, candidates, |i, row| {
-                        row_weights_into(&self.bids[i], i, &self.clicks, &self.purchases, row);
+                        let table = table_of(&self.bidders, &self.every_auction, &self.held, i);
+                        row_weights_into(&table, i, &self.clicks, &self.purchases, row);
                     });
                     self.scratch.phases.cells_evaluated += (asked * k) as u64;
                     laying_ns = t_lay.elapsed().as_nanos() as u64;
@@ -927,7 +920,7 @@ impl<B: Bidder> AuctionEngine<B> {
         compute_charges_into(
             self.config.pricing,
             &self.clicks,
-            &self.bids,
+            (0..n).map(|i| table_of(&self.bidders, &self.every_auction, &self.held, i)),
             &self.source,
             &self.scratch.assignment,
             &self.scratch.adv_to_slot,
@@ -1022,14 +1015,14 @@ fn notify_programs<B: Bidder>(
     }
 }
 
-/// Computes the per-advertiser charges for one auction into `out`
-/// (cleared first). `adv_to_slot` is the assignment's inverse map and
-/// `prices` a reusable scratch for the GSP slot prices.
+/// Computes the per-advertiser charges for one auction into `out` (cleared
+/// first). Pay-your-bid reads every row's `tables`; `adv_to_slot` is the
+/// assignment's inverse map and `prices` a scratch for GSP slot prices.
 #[allow(clippy::too_many_arguments)] // the auction facts plus two sinks
-fn compute_charges_into(
+fn compute_charges_into<'a>(
     pricing: PricingScheme,
     clicks: &ClickModel,
-    bids: &[BidsTable],
+    tables: impl Iterator<Item = Cow<'a, BidsTable>>,
     source: &WeightSource,
     assignment: &Assignment,
     adv_to_slot: &[u16],
@@ -1044,7 +1037,7 @@ fn compute_charges_into(
         PricingScheme::PayYourBid => {
             // Everyone pays their realised OR-bid (unplaced advertisers
             // can owe money on negated-slot formulas).
-            out.extend(bids.iter().enumerate().filter_map(|(i, table)| {
+            out.extend(tables.enumerate().filter_map(|(i, table)| {
                 let view = match seat(adv_to_slot, i) {
                     Some(j) => AdvertiserView {
                         slot: Some(SlotId::from_index0(j)),

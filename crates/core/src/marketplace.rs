@@ -16,10 +16,11 @@
 //! bids are changed through an incremental update API
 //! ([`Marketplace::update_bid`], [`Marketplace::pause_campaign`],
 //! [`Marketplace::set_roi_target`]) that rewrites the record in place
-//! through [`AuctionEngine::bidder_mut`], which marks its row dirty: a
-//! per-click campaign derives its one-row table only when the engine next
-//! asks. [`Marketplace::current_bid`] and [`Marketplace::top_bids`] read the
-//! same record. Every operation is defined once and indexes the keyword's
+//! through [`AuctionEngine::bidder_mut`], which marks its row written: the
+//! engine holds no table for a per-click or fixed-table campaign and reads
+//! it off the record ([`Bidder::standing_table`]) whenever it needs it.
+//! [`Marketplace::current_bid`] and [`Marketplace::top_bids`] read the same
+//! record. Every operation is defined once and indexes the keyword's
 //! book directly.
 //!
 //! [`AuctionEngine`] remains the documented low-level escape hatch for
@@ -99,6 +100,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssa_bidlang::targeting::{CompiledTargeting, TargetParseError, UserAttrs};
 use ssa_bidlang::{BidsTable, Money, SlotId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -513,8 +515,8 @@ impl std::fmt::Debug for CampaignSpec {
 enum CampaignKind {
     /// A per-click bid: the nominal bid, capped by the ROI target at
     /// `click_value / roi_target`. The update API writes these fields; the
-    /// one-row table is derived when the engine asks for it — after a write
-    /// — and the engine keeps the only copy.
+    /// one-row table is derived from them whenever the engine reads it
+    /// ([`Bidder::standing_table`]) and is stored nowhere.
     PerClick {
         nominal: Money,
         click_value: Money,
@@ -575,17 +577,9 @@ impl Campaign {
 
 impl Bidder for Campaign {
     fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
-        if self.paused {
-            return BidsTable::empty();
-        }
         match &mut self.kind {
-            CampaignKind::PerClick {
-                nominal,
-                click_value,
-                roi_target,
-            } => BidsTable::single_feature(capped_bid(*nominal, *click_value, *roi_target)),
-            CampaignKind::Table(table) => BidsTable::clone(table),
-            CampaignKind::Program(p) => p.on_query(ctx),
+            CampaignKind::Program(p) if !self.paused => p.on_query(ctx),
+            _ => self.standing_table().unwrap_or_default().into_owned(),
         }
     }
 
@@ -598,9 +592,18 @@ impl Bidder for Campaign {
     }
 
     /// Per-click and fixed-table campaigns change only through the update
-    /// API, which writes through [`AuctionEngine::bidder_mut`].
-    fn is_standing(&self) -> bool {
-        !matches!(self.kind, CampaignKind::Program(_))
+    /// API, which writes through [`AuctionEngine::bidder_mut`]: a per-click
+    /// campaign derives its one-row table here, a fixed table is lent, and
+    /// a paused campaign submits an empty one.
+    fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
+        match (&self.kind, self.effective_bid()) {
+            (CampaignKind::Program(_), _) => None,
+            _ if self.paused => Some(Cow::Owned(BidsTable::empty())),
+            (CampaignKind::Table(table), _) => Some(Cow::Borrowed(table)),
+            (CampaignKind::PerClick { .. }, bid) => {
+                bid.map(|bid| Cow::Owned(BidsTable::single_feature(bid)))
+            }
+        }
     }
 
     fn targeting(&self) -> Option<&CompiledTargeting> {
@@ -650,13 +653,20 @@ impl KeywordBook {
     }
 
     /// Write access to a registered campaign, through the engine's
-    /// dirty-marking accessor: the engine asks it for its table again at
-    /// the keyword's next auction.
+    /// accessor: the keyword's next auction compares a standing campaign's
+    /// table with the one it had before the write.
     fn bidder_mut(&mut self, index: usize) -> &mut Campaign {
         self.engine
             .as_mut()
             .expect("a registered campaign has an engine")
             .bidder_mut(index)
+    }
+
+    /// [`KeywordBook::bidder_mut`]'s view of a per-click campaign's bidding
+    /// fields; `None`, and no write recorded, for any other kind.
+    fn per_click_mut(&mut self, index: usize) -> Option<&mut CampaignKind> {
+        self.campaigns()[index].effective_bid()?;
+        Some(&mut self.bidder_mut(index).kind)
     }
 
     /// Serves one query on this book's keyword as the auction with
@@ -1502,7 +1512,7 @@ impl Marketplace {
             ProgramSpec::Table(table) => CampaignKind::Table(Box::new(table)),
             ProgramSpec::Program(program) => CampaignKind::Program(program),
         };
-        // A new standing row is asked for its table at the next auction.
+        // The next auction reads every row, the new one included.
         book.engine
             .get_or_insert_with(|| {
                 AuctionEngine::new(
@@ -1592,8 +1602,8 @@ impl Marketplace {
         if !bid.is_positive() && bid != Money::ZERO {
             return Err(MarketError::NegativeBid(bid));
         }
-        match &mut self.books[id.keyword].bidder_mut(id.index).kind {
-            CampaignKind::PerClick { nominal, .. } => *nominal = bid,
+        match self.books[id.keyword].per_click_mut(id.index) {
+            Some(CampaignKind::PerClick { nominal, .. }) => *nominal = bid,
             _ => return Err(MarketError::NotIncremental(id)),
         }
         self.record(&MutationRecord::UpdateBid {
@@ -1620,8 +1630,8 @@ impl Marketplace {
         if let Some(t) = target {
             check_roi_target(t)?;
         }
-        match &mut self.books[id.keyword].bidder_mut(id.index).kind {
-            CampaignKind::PerClick { roi_target, .. } => *roi_target = target,
+        match self.books[id.keyword].per_click_mut(id.index) {
+            Some(CampaignKind::PerClick { roi_target, .. }) => *roi_target = target,
             _ => return Err(MarketError::NotIncremental(id)),
         }
         self.record(&MutationRecord::SetRoiTarget {
@@ -2431,8 +2441,8 @@ mod tests {
     }
 
     /// Writes that leave a campaign's effective bid where it was keep the
-    /// next auction warm: the record derives its table only when the engine
-    /// asks after a write, and the engine finds it equal to the one it holds.
+    /// next auction warm: the engine keeps the record's table from before
+    /// the first write and finds the table after the writes equal to it.
     #[test]
     fn writes_that_leave_the_effective_bid_unchanged_keep_the_next_auction_warm() {
         let cents = Money::from_cents;

@@ -18,7 +18,7 @@
 //! The marketplace is deterministic apart from the user-action RNG
 //! streams, and every marketplace draws those streams *per keyword*
 //! (see [`crate::marketplace::keyword_stream_seed`]).
-//! The tables an engine holds for its campaigns, its revenue matrix,
+//! The tables an engine holds for its programs, its revenue matrix,
 //! solver scratch, and warm-start state are pure execution state — a
 //! restored market re-derives them at each keyword's next auction and
 //! reproduces the same auctions bit for bit (the repository's

@@ -1,11 +1,13 @@
 //! Who is asked for a table, and when.
 //!
-//! The engine keeps the last table every bidder produced. A *standing*
-//! bidder ([`Bidder::is_standing`]) is asked once and then only after a
-//! write through [`AuctionEngine::bidder_mut`]; a *program* is asked at
-//! every auction it is matched and not paused, and told every outcome. The
-//! counters here are on the bidders themselves, so they count calls the
-//! engine actually made.
+//! A *standing* bidder ([`Bidder::standing_table`] is `Some`) is read, not
+//! asked: the engine holds no copy of its table, reads it off the bidder
+//! when it needs it, and re-solves after a write through
+//! [`AuctionEngine::bidder_mut`] only if the write changed it — it never
+//! calls [`Bidder::on_query`] on it. A *program* is asked at every auction
+//! it is matched and not paused, and told every outcome. The counters here
+//! are on the bidders themselves, so they count calls the engine actually
+//! made.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,6 +18,7 @@ use ssa_core::{
     AuctionEngine, Bidder, BidderOutcome, ClickModel, CompiledTargeting, EngineConfig,
     PurchaseModel, QueryContext,
 };
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,8 +39,10 @@ impl Calls {
     }
 }
 
-/// A per-click bidder that counts its calls, is standing or a program as
-/// told, and may target.
+/// A per-click bidder that counts the engine's questions and
+/// notifications, is standing (its table is read through
+/// [`Bidder::standing_table`], so it is never asked) or a program as told,
+/// and may target.
 #[derive(Debug)]
 struct Counting {
     cents: i64,
@@ -66,18 +71,24 @@ impl Counting {
     }
 }
 
+impl Counting {
+    fn table(&self) -> BidsTable {
+        BidsTable::single_feature(Money::from_cents(self.cents))
+    }
+}
+
 impl Bidder for Counting {
     fn on_query(&mut self, _ctx: &QueryContext) -> BidsTable {
         self.calls.asked.fetch_add(1, Ordering::Relaxed);
-        BidsTable::single_feature(Money::from_cents(self.cents))
+        self.table()
     }
 
     fn on_outcome(&mut self, _ctx: &QueryContext, _outcome: &BidderOutcome) {
         self.calls.told.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn is_standing(&self) -> bool {
-        self.standing
+    fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
+        self.standing.then(|| Cow::Owned(self.table()))
     }
 
     fn targeting(&self) -> Option<&CompiledTargeting> {
@@ -99,57 +110,50 @@ fn engine_of(bidders: Vec<Counting>) -> AuctionEngine<Counting> {
 }
 
 #[test]
-fn a_standing_bidder_is_asked_once_per_write_and_never_told() {
+fn a_standing_bidder_is_read_not_asked_and_never_told() {
     let (a, a_calls) = Counting::new(10, true);
     let (b, b_calls) = Counting::new(20, true);
     let mut engine = engine_of(vec![a, b]);
     let mut rng = StdRng::seed_from_u64(1);
 
-    // The first auction asks everybody once; unchanged auctions nobody.
+    // The first auction reads everybody and solves; unchanged auctions
+    // are warm.
     let first = engine.run_batch(&[0usize; 5], &mut rng);
-    assert_eq!((a_calls.asked(), b_calls.asked()), (1, 1));
     assert_eq!((first.phases.solves, first.phases.warm_solves), (1, 4));
 
-    // A write that changes the table: that bidder is asked once, at the
-    // next auction, and the auction solves.
+    // A write that changes the table: the next auction solves.
     engine.bidder_mut(0).cents = 30;
     let changed = engine.run_batch(&[0usize; 3], &mut rng);
-    assert_eq!((a_calls.asked(), b_calls.asked()), (2, 1));
     assert_eq!((changed.phases.solves, changed.phases.warm_solves), (1, 2));
 
-    // Two writes before one auction are one question; a write of the value
-    // already there is a question whose answer dirties nothing.
+    // Two writes before one auction are compared as one; writes that end
+    // on the value already there dirty nothing.
     engine.bidder_mut(1).cents = 25;
     engine.bidder_mut(1).cents = 20;
     let same = engine.run_batch(&[0usize; 3], &mut rng);
-    assert_eq!((a_calls.asked(), b_calls.asked()), (2, 2));
     assert_eq!((same.phases.solves, same.phases.warm_solves), (0, 3));
 
-    // With warm starts off every auction refills and solves — from the
-    // tables the engine holds: nobody is asked.
+    // With warm starts off every auction refills from every row and
+    // solves.
     engine.config.warm_start = false;
     let cold = engine.run_batch(&[0usize; 3], &mut rng);
-    assert_eq!((a_calls.asked(), b_calls.asked()), (2, 2));
     assert_eq!((cold.phases.solves, cold.phases.warm_solves), (3, 0));
 
-    // A bidder added to the warm engine is asked at the next auction; the
-    // ones already there are not asked again.
+    // A bidder added to the warm engine is read at the next auction.
     let (c, c_calls) = Counting::new(5, true);
     engine.config.warm_start = true;
     engine.push_bidder(c, &CLICKS, None);
     let grown = engine.run_batch(&[0usize; 2], &mut rng);
-    assert_eq!(
-        (a_calls.asked(), b_calls.asked(), c_calls.asked()),
-        (2, 2, 1)
-    );
     assert_eq!((grown.phases.solves, grown.phases.warm_solves), (1, 1));
     assert_eq!(grown.filled_slots, 4, "three bidders, two slots");
 
-    assert_eq!(
-        (a_calls.told(), b_calls.told(), c_calls.told()),
-        (0, 0, 0),
-        "standing bidders do not listen"
-    );
+    for calls in [&a_calls, &b_calls, &c_calls] {
+        assert_eq!(
+            (calls.asked(), calls.told()),
+            (0, 0),
+            "standing bidders are read, not asked, and do not listen"
+        );
+    }
 }
 
 #[test]
@@ -186,7 +190,6 @@ fn a_program_is_asked_at_every_auction_it_is_matched() {
             "auction {auction}"
         );
     }
-    assert_eq!(standing_calls.asked(), 1);
     assert_eq!(
         program_calls.asked(),
         4,
@@ -198,9 +201,9 @@ fn a_program_is_asked_at_every_auction_it_is_matched() {
         "a targeted program: matched auctions"
     );
     assert_eq!(
-        fixed_calls.asked(),
-        2,
-        "a targeted standing bidder likewise"
+        (standing_calls.asked(), fixed_calls.asked()),
+        (0, 0),
+        "a standing bidder is read, targeted or not"
     );
     // Programs hear every outcome, matched or not; standing bidders none.
     assert_eq!(program_calls.told(), 4);

@@ -80,6 +80,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// The `N`-byte header or frame field at `bytes[at..]`, read behind a
+/// length check by every caller: past the end it is zeros, not a panic.
+pub(crate) fn field<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let field = bytes.get(at..).and_then(<[u8]>::first_chunk);
+    field.copied().unwrap_or([0; N])
+}
+
 // ---------------------------------------------------------------------------
 // MarketState (snapshot body).
 // ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ use std::fs::{self, File};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{crc32, decode_state, encode_state, Crc32};
+use crate::codec::{crc32, decode_state, encode_state, field, Crc32};
 use crate::{DurableError, FsyncPolicy, WAL_VERSION};
 use ssa_core::{MarketState, StateSource};
 
@@ -168,7 +168,7 @@ fn checked_body(bytes: &[u8], expected_seq: u64) -> Result<&[u8], DurableError> 
     if bytes[..8] != SNAPSHOT_MAGIC {
         return Err(DurableError::Corrupt("snapshot bad magic".into()));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let version = u32::from_le_bytes(field(bytes, 8));
     if version != WAL_VERSION {
         return Err(DurableError::Version {
             what: "snapshot",
@@ -176,14 +176,14 @@ fn checked_body(bytes: &[u8], expected_seq: u64) -> Result<&[u8], DurableError> 
             expected: WAL_VERSION,
         });
     }
-    let last_seq = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    let last_seq = u64::from_le_bytes(field(bytes, 12));
     if last_seq != expected_seq {
         return Err(DurableError::Corrupt(
             "snapshot header seq disagrees with file name".into(),
         ));
     }
-    let body_len = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
+    let body_len = u32::from_le_bytes(field(bytes, 20)) as usize;
+    let crc = u32::from_le_bytes(field(bytes, 24));
     if bytes.len() - HEADER_LEN != body_len {
         return Err(DurableError::Corrupt(
             "snapshot body length mismatch".into(),

@@ -32,7 +32,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::crc32;
+use crate::codec::{crc32, field};
 use crate::{DurableError, WAL_VERSION};
 use ssa_core::codec::put_u64;
 use ssa_core::MutationRecord;
@@ -165,7 +165,7 @@ fn scan_segment(
     if bytes[..8] != WAL_MAGIC {
         return Err(DurableError::Corrupt(format!("{display}: bad magic")));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let version = u32::from_le_bytes(field(bytes, 8));
     if version != WAL_VERSION {
         return Err(DurableError::Version {
             what: "WAL segment",
@@ -173,7 +173,7 @@ fn scan_segment(
             expected: WAL_VERSION,
         });
     }
-    let first_seq = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    let first_seq = u64::from_le_bytes(field(bytes, 12));
     if first_seq != segment.first_seq {
         return Err(DurableError::Corrupt(format!(
             "{display}: header first_seq {first_seq} disagrees with file name"
@@ -197,8 +197,8 @@ fn scan_segment(
         if remaining < 8 {
             return Ok((pos as u64, true));
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+        let len = u32::from_le_bytes(field(bytes, pos));
+        let crc = u32::from_le_bytes(field(bytes, pos + 4));
         if !(9..=MAX_PAYLOAD_LEN).contains(&len) || remaining - 8 < len as usize {
             return Ok((pos as u64, true));
         }
@@ -206,7 +206,7 @@ fn scan_segment(
         if crc32(payload) != crc {
             return Ok((pos as u64, true));
         }
-        let seq = u64::from_le_bytes(payload[..8].try_into().unwrap());
+        let seq = u64::from_le_bytes(field(payload, 0));
         if seq != expected {
             return Err(DurableError::Corrupt(format!(
                 "{display}: record seq {seq} where {expected} was expected"

@@ -64,7 +64,7 @@
 //!
 //! The batched entry point ([`core::AuctionEngine::run_batch`]) reuses one
 //! solver and one weight source across the whole batch — per-slot top lists on the default `rh` path,
-//! a revenue matrix refilled in place by [`core::revenue_matrix_into`] for
+//! a revenue matrix refilled in place (as [`core::revenue_matrix_into`] fills one) for
 //! the methods that read whole columns (see "Solver hot path" below) — so
 //! there is no per-auction matrix allocation.
 //! [`marketplace::Marketplace::serve_batch`] sits on top: it splits a
@@ -329,27 +329,23 @@
 //!   (a dominated row's augmenting pass can re-route *tied* winners), so
 //!   outcomes are bit-identical — property-tested across all four
 //!   methods, sharded and not.
-//! * **Standing vs. evaluated bidders** — the engine keeps the last table
-//!   every bidder produced and evaluates only what can have changed. A
-//!   bidder declares through the provided method
-//!   [`core::Bidder::is_standing`] whether its table is a function of its
-//!   own fields alone: a [`core::TableBidder`] and a per-click or
-//!   fixed-table campaign are *standing* — asked once, and again only after
-//!   a write through [`core::AuctionEngine::bidder_mut`], the
-//!   dirty-marking accessor every marketplace update (`update_bid`,
-//!   `pause_campaign`, `resume_campaign`, `set_roi_target`) goes through.
-//!   The bidder vector is private, so there is no other way to mutate a
-//!   bidder. SQL and closure *programs*, and bidders with a targeting
-//!   matcher ([`core::Bidder::targeting`]), are visited at every auction
-//!   through index lists of just those rows, and only programs are told
-//!   outcomes. A re-evaluated table is swapped in and compared with the one
-//!   it replaces, so a write that leaves it equal dirties nothing.
+//! * **Standing vs. evaluated bidders** — a bidder whose table is a
+//!   function of its own fields alone returns it from the provided method
+//!   [`core::Bidder::standing_table`]: a [`core::TableBidder`] and a
+//!   per-click or fixed-table campaign are *standing*, read — never asked —
+//!   and their tables held nowhere but in the bidder. The engine holds a
+//!   table only for SQL and closure *programs* and bidders with a
+//!   targeting matcher ([`core::Bidder::targeting`]), the rows it
+//!   evaluates at every auction; only programs are told outcomes. The
+//!   bidder vector is private: [`core::AuctionEngine::bidder_mut`], which
+//!   every marketplace update goes through, keeps a standing table from
+//!   before its first write, so a write that leaves it equal dirties
+//!   nothing.
 //! * **Warm starts** (`EngineConfig::warm_start`, default on) — the
 //!   engine recomputes only the weights of rows whose table changed, and
 //!   skips the solve entirely when none did; solvers are deterministic, so
 //!   the previous assignment *is* the solution. With warm starts off,
-//!   every auction recomputes every weight from the held tables and
-//!   solves.
+//!   every auction recomputes every weight and solves.
 //! * **Solve and price from per-slot order** — on the default
 //!   configuration (method `rh`, unpruned, GSP or pay-your-bid) the engine
 //!   holds no `n × k` revenue matrix. It keeps a
@@ -386,8 +382,9 @@
 //!   rows are bit for bit equal share one across keywords (and across
 //!   `from_state` and journal replay), a targeting text is compiled once
 //!   per market, and a one-row [`bidlang::BidsTable`] is stored inline. A
-//!   per-click campaign at 15 slots costs ≈ 162 B resident (≈ 209 B while
-//!   it was stored twice); one whose row differs on every keyword, ≈ 290 B.
+//!   per-click campaign at 15 slots costs ≈ 113 B resident (≈ 162 B while
+//!   the engine held a copy of its table); one whose row differs on every
+//!   keyword, ≈ 245 B.
 //! * **Slot-major matrix layout** — [`matching::RevenueMatrix`] stores
 //!   `data[slot * n + adv]`, so the per-slot column scans of the solvers
 //!   (and the pruning floor pass) walk contiguous memory.
