@@ -434,9 +434,12 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
                     // The programmed populations are defined (and
                     // equivalence-tested) under GSP settlement.
                     scenario.pricing = PricingScheme::Gsp;
-                    let mut built =
-                        programmed_sharded_market(&workload, scenario.method, strategy, shards)?;
-                    built.market.set_pruned(scenario.pruned);
+                    let config = EngineConfig {
+                        method: scenario.method,
+                        pruned: scenario.pruned,
+                        ..EngineConfig::default()
+                    };
+                    let built = programmed_sharded_market(&workload, config, strategy, shards)?;
                     handles = built.handles;
                     built.market
                 }

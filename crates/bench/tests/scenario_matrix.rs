@@ -8,11 +8,10 @@
 
 use ssa_bench::{run, MethodRun, Population, Scenario, ScenarioError, Stream};
 use ssa_core::marketplace::{MarketError, QueryRequest};
-use ssa_core::{Marketplace, WdMethod};
+use ssa_core::{EngineConfig, Marketplace, WdMethod};
 use ssa_net::{Client, Server, ServerConfig, ServerHandle};
 use ssa_workload::{
-    programmed_market, programmed_sharded_market, SectionVConfig, SectionVWorkload, Strategy,
-    WorkloadShape,
+    programmed_sharded_market, SectionVConfig, SectionVWorkload, Strategy, WorkloadShape,
 };
 use std::path::PathBuf;
 
@@ -363,31 +362,33 @@ fn method_run_json_shape() {
 fn pruned_warm_programmed_serving_matches_unpruned_cold() {
     // The acceptance bar for the solver fast path: pruned + warm-started
     // serving of the programmed workload (native and sql) is
-    // bit-identical to the unpruned cold solve, unsharded and at 1 and 4
-    // shards.
+    // bit-identical to the unpruned cold solve, at 1 and 4 shards, both
+    // with `rh` on its lists and with `h` on the pruned dense matrix.
     let workload = SectionVWorkload::generate(SectionVConfig::paper(40, 4242));
     let keywords = workload.config.num_keywords.max(1);
     let requests: Vec<QueryRequest> = (0..24).map(|i| QueryRequest::new(i % keywords)).collect();
-    for strategy in [Strategy::Native, Strategy::Sql] {
-        let mut cold = programmed_market(&workload, WdMethod::Reduced, strategy);
-        cold.market.set_pruned(false);
-        cold.market.set_warm_start(false);
-        let want = cold.market.serve_batch(&requests).expect("in range");
-
-        let mut fast = programmed_market(&workload, WdMethod::Reduced, strategy);
-        fast.market.set_pruned(true);
-        fast.market.set_warm_start(true);
-        let got = fast.market.serve_batch(&requests).expect("in range");
-        assert_eq!(got, want, "{strategy} unsharded");
-
-        for shards in [1, 4] {
-            let mut sharded =
-                programmed_sharded_market(&workload, WdMethod::Reduced, strategy, shards)
+    for method in [WdMethod::Reduced, WdMethod::Hungarian] {
+        let cold = EngineConfig {
+            method,
+            pruned: false,
+            warm_start: false,
+            ..EngineConfig::default()
+        };
+        let fast = EngineConfig {
+            pruned: true,
+            warm_start: true,
+            ..cold
+        };
+        for strategy in [Strategy::Native, Strategy::Sql] {
+            let mut twin =
+                programmed_sharded_market(&workload, cold, strategy, 1).expect("valid shard count");
+            let want = twin.market.serve_batch(&requests).expect("in range");
+            for shards in [1, 4] {
+                let mut sharded = programmed_sharded_market(&workload, fast, strategy, shards)
                     .expect("valid shard count");
-            sharded.market.set_pruned(true);
-            sharded.market.set_warm_start(true);
-            let got = sharded.market.serve_batch(&requests).expect("in range");
-            assert_eq!(got, want, "{strategy} shards={shards}");
+                let got = sharded.market.serve_batch(&requests).expect("in range");
+                assert_eq!(got, want, "{method} {strategy} shards={shards}");
+            }
         }
     }
 }

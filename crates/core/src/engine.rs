@@ -36,8 +36,8 @@
 //! # Solve and price from per-slot order
 //!
 //! Section III-E needs, of all `n` bidders, each slot's top `k`; GSP needs
-//! one more, the best row an assignment of `k` left out. On the default
-//! configuration — method `rh`, unpruned, GSP or pay-your-bid pricing — the
+//! one more, the best row an assignment of `k` left out. With method `rh`
+//! under GSP or pay-your-bid pricing — the default, pruned or not — the
 //! engine therefore holds **no `n × k` revenue matrix**. It keeps a
 //! [`RetainedOrder`]: per slot, the best `k + 1` to `2(k + 1)` rows under
 //! the solver's own ranking, and a floor no unlisted row ranks above. A
@@ -64,14 +64,11 @@
 //! [`AuctionEngine::push_bidder`], and runs at every auction when
 //! `warm_start` is off.
 //!
-//! Configurations that read whole columns keep the dense matrix, allocated
-//! only while one of them is in force: `h` and `lp` solve on all `n` rows,
-//! [`EngineConfig::pruned`] keeps every
-//! weight tie at a column's floor, and VCG re-solves the market without
-//! each winner. [`AuctionEngine::config`] is a public field; when its
-//! method, pruning or pricing change, the next auction lays the weight
-//! source out for the new configuration, fills it from every row's table
-//! and solves.
+//! Configurations that read whole columns keep the dense matrix: `h` and
+//! `lp` solve on all `n` rows, and VCG re-solves the market without each
+//! winner; there [`EngineConfig::pruned`] wraps the solver in one that
+//! keeps every weight tie at a column's floor. The configuration is fixed
+//! when the engine is built, and so is the weight source it asks for.
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use crate::pricing::{
@@ -218,11 +215,13 @@ pub struct EngineConfig {
     pub method: WdMethod,
     /// Pricing rule.
     pub pricing: PricingScheme,
-    /// Wrap the solver in the Section III-E top-k
-    /// [`ssa_matching::PrunedSolver`]: winner determination
-    /// runs on the union of each slot's top-k bidders (ties at the floor
-    /// kept), which is bit-identical to the full solve but touches
-    /// `O(k²)` rather than `n` advertisers when bids are dispersed.
+    /// Wrap a dense solver (`h`, `lp`, or any method under VCG) in the
+    /// Section III-E top-k [`ssa_matching::PrunedSolver`]: winner
+    /// determination runs on the union of each slot's top-k bidders (ties
+    /// at the floor kept), which is bit-identical to the full solve but
+    /// touches `O(k²)` rather than `n` advertisers when bids are dispersed.
+    /// `rh` under GSP or pay-your-bid already solves on that union, so
+    /// there it changes nothing.
     pub pruned: bool,
     /// Skip the matrix refill and solve entirely when no bidder's table
     /// changed since the engine's previous auction (the previous
@@ -382,13 +381,11 @@ impl BatchReport {
 struct BatchScratch {
     /// Rows whose table changed in the current auction's evaluation.
     changed: Vec<usize>,
-    /// The weight source and `base` reflect the tables of the last auction,
-    /// so the warm-start path may repair only the rows whose table changed.
-    /// Cleared when the bidder count grows or the source is laid out anew.
+    /// The weight source, `base` and `assignment` reflect the tables of the
+    /// last auction, so the warm-start path may repair only the rows whose
+    /// table changed, and an auction in which none did may skip the solve
+    /// outright. Cleared when the bidder count grows.
     filled: bool,
-    /// `assignment` is the current solver's output for the weights as they
-    /// stand, so an unchanged auction may skip the solve outright.
-    solved: bool,
     base: NoSlotValues,
     /// One row of weights, one per slot, on its way into the source.
     row: Vec<f64>,
@@ -424,14 +421,12 @@ pub struct AuctionEngine<B: Bidder> {
     bidders: Vec<B>,
     clicks: ClickModel,
     purchases: PurchaseModel,
-    /// Configuration.
-    pub config: EngineConfig,
+    /// Fixed at construction, with the weight source it asks for.
+    config: EngineConfig,
     /// Keyword universe size, surfaced to bidders.
     pub num_keywords: usize,
     time: u64,
     source: WeightSource,
-    /// The configuration `source` was laid out for.
-    laid: EngineConfig,
     /// Rows evaluated at every auction, ascending: programs, and standing
     /// bidders with a targeting matcher.
     every_auction: Vec<usize>,
@@ -485,10 +480,10 @@ fn build_solver(config: EngineConfig) -> Box<dyn WdSolver> {
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // one per engine, and the large variant is the default
 enum WeightSource {
-    /// `rh`, unpruned, under GSP or pay-your-bid — the default: no matrix.
-    /// Each slot's best rows are kept current from the rows that changed,
-    /// the reduced graph is read off them, and GSP finds its runner-up
-    /// there too.
+    /// `rh` under GSP or pay-your-bid, pruned or not — the default: no
+    /// matrix. Each slot's best rows are kept current from the rows that
+    /// changed, the reduced graph is read off them, and GSP finds its
+    /// runner-up there too.
     Lists {
         order: RetainedOrder,
         solver: ReducedSolver,
@@ -496,9 +491,8 @@ enum WeightSource {
         candidates: Vec<usize>,
     },
     /// Every configuration that reads whole columns: `h` and `lp` solve on
-    /// all `n` rows, the pruned wrapper keeps every tie at a column's
-    /// floor, and VCG re-solves the market without each winner. The `n × k`
-    /// matrix exists only while one of these is configured.
+    /// all `n` rows, and VCG re-solves the market without each winner. The
+    /// `n × k` matrix exists only in an engine built with one of these.
     Dense {
         matrix: RevenueMatrix,
         solver: Box<dyn WdSolver>,
@@ -508,10 +502,7 @@ enum WeightSource {
 impl WeightSource {
     /// An empty source of the kind `config` needs.
     fn for_config(config: EngineConfig, num_slots: usize) -> Self {
-        if config.method == WdMethod::Reduced
-            && !config.pruned
-            && config.pricing != PricingScheme::Vickrey
-        {
+        if config.method == WdMethod::Reduced && config.pricing != PricingScheme::Vickrey {
             WeightSource::Lists {
                 order: RetainedOrder::new(num_slots),
                 solver: ReducedSolver::new(),
@@ -601,7 +592,6 @@ impl<B: Bidder> AuctionEngine<B> {
             num_keywords,
             time: 0,
             source,
-            laid: config,
             every_auction: Vec::new(),
             held: Vec::new(),
             programs: Vec::new(),
@@ -691,14 +681,8 @@ impl<B: Bidder> AuctionEngine<B> {
         &self.purchases
     }
 
-    /// The auction clock (number of auctions run).
-    pub fn time(&self) -> u64 {
-        self.time
-    }
-
     /// The auction clock (number of auctions run, across both single and
-    /// batched paths). Alias of [`AuctionEngine::time`] with the
-    /// conventional name.
+    /// batched paths).
     pub fn now(&self) -> u64 {
         self.time
     }
@@ -711,31 +695,6 @@ impl<B: Bidder> AuctionEngine<B> {
         self.time = time;
     }
 
-    /// The persistent solver the batched path dispatches to, rebuilt lazily
-    /// whenever the configuration changes.
-    pub fn solver_name(&mut self) -> &'static str {
-        self.ensure_source();
-        match &self.source {
-            WeightSource::Lists { solver, .. } => solver.name(),
-            WeightSource::Dense { solver, .. } => solver.name(),
-        }
-    }
-
-    /// `config` is a public field: whenever its method, pruning or pricing
-    /// differ from what the weight source was laid out for, lay a fresh one
-    /// out for them. The next auction fills it from every row's table and
-    /// solves — a different solver may break ties differently, so the
-    /// retained assignment no longer counts as this one's output.
-    fn ensure_source(&mut self) {
-        let (now, then) = (self.config, self.laid);
-        if (now.method, now.pruned, now.pricing) != (then.method, then.pruned, then.pricing) {
-            self.source = WeightSource::for_config(now, self.clicks.num_slots());
-            self.laid = now;
-            self.scratch.filled = false;
-            self.scratch.solved = false;
-        }
-    }
-
     /// Runs one complete auction for a query (a bare keyword index or
     /// anything else implementing [`EngineQuery`]).
     ///
@@ -744,7 +703,6 @@ impl<B: Bidder> AuctionEngine<B> {
     /// scratch allocation), then materialises an owned [`AuctionReport`]
     /// from the scratch buffers — the only allocation this path adds.
     pub fn run_auction<Q: EngineQuery, R: Rng>(&mut self, query: Q, rng: &mut R) -> AuctionReport {
-        self.ensure_source();
         let expected_revenue = self.hot_step(query.keyword(), query.attrs(), rng);
         let scratch = &self.scratch;
         AuctionReport {
@@ -844,12 +802,12 @@ impl<B: Bidder> AuctionEngine<B> {
         let t_solve = Instant::now();
         self.scratch.phases.matrix_fill_ns += (t_solve - t_fill).as_nanos() as u64;
 
-        // Step 4b: winner determination. Unchanged weights with a valid
-        // previous assignment need no solve: solvers are deterministic
-        // functions of the weights and draw no randomness, so the retained
-        // assignment is exactly what a fresh solve would produce.
+        // Step 4b: winner determination. Unchanged weights need no solve:
+        // solvers are deterministic functions of the weights and draw no
+        // randomness, so the retained assignment is exactly what a fresh
+        // solve would produce.
         let mut laying_ns = 0;
-        if unchanged && self.scratch.solved {
+        if unchanged {
             self.scratch.phases.warm_solves += 1;
         } else {
             // `adv_to_slot` follows the assignment: forget the seats the
@@ -889,7 +847,6 @@ impl<B: Bidder> AuctionEngine<B> {
                     self.scratch.adv_to_slot[*i] = j as u16;
                 }
             }
-            self.scratch.solved = true;
             self.scratch.phases.solves += 1;
             self.scratch.phases.candidates += considered as u64;
         }
@@ -954,7 +911,6 @@ impl<B: Bidder> AuctionEngine<B> {
     /// never clones a query: attributes are read through
     /// [`EngineQuery::attrs`] by reference.
     pub fn run_batch<Q: EngineQuery, R: Rng>(&mut self, queries: &[Q], rng: &mut R) -> BatchReport {
-        self.ensure_source();
         self.scratch.phases = PhaseStats::default();
         let mut report = BatchReport::default();
         for query in queries {
@@ -1161,11 +1117,9 @@ mod tests {
     fn time_advances_and_bidders_notified() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut engine = basic_engine(WdMethod::Hungarian, PricingScheme::Vickrey);
-        assert_eq!(engine.time(), 0);
         assert_eq!(engine.now(), 0);
         engine.run_auction(0, &mut rng);
         engine.run_auction(0, &mut rng);
-        assert_eq!(engine.time(), 2);
         assert_eq!(engine.now(), 2);
     }
 
@@ -1221,85 +1175,6 @@ mod tests {
                     expected,
                     "{method:?}/{pricing:?}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn method_change_rebuilds_the_batched_solver() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut engine = basic_engine(WdMethod::Reduced, PricingScheme::Gsp);
-        assert_eq!(engine.solver_name(), "reduced");
-        let a = engine.run_batch(&[0, 0], &mut rng).expected_revenue / 2.0;
-        engine.config.method = WdMethod::Lp;
-        assert_eq!(engine.solver_name(), "network-simplex");
-        let b = engine.run_batch(&[0, 0], &mut rng).expected_revenue / 2.0;
-        assert!((a - b).abs() < 1e-9, "objective must not depend on method");
-    }
-
-    /// `config` is a public field. Whatever is flipped on a warm engine —
-    /// to a configuration that needs the dense matrix, and back to the
-    /// lists — the next auctions are those of an engine built that way over
-    /// the same bids: the weight source is laid out anew and the retained
-    /// assignment is not reused.
-    #[test]
-    fn reconfiguring_a_warm_engine_matches_one_built_that_way() {
-        let rh = EngineConfig::default();
-        let others = [
-            EngineConfig {
-                pricing: PricingScheme::Vickrey,
-                ..rh
-            },
-            EngineConfig {
-                method: WdMethod::Hungarian,
-                ..rh
-            },
-            EngineConfig { pruned: true, ..rh },
-            EngineConfig {
-                pricing: PricingScheme::PayYourBid,
-                ..rh
-            },
-        ];
-        let (n, k) = (40usize, 3usize);
-        let build = |cents: &[i64], config| {
-            AuctionEngine::new(
-                cents
-                    .iter()
-                    .map(|&c| TableBidder::per_click(Money::from_cents(c)))
-                    .collect(),
-                ClickModel::from_fn(n, k, |i, j| 0.9 / (1 + (i * 7 + j * 3) % 5) as f64),
-                PurchaseModel::never(n, k),
-                1,
-                config,
-            )
-        };
-        for other in others {
-            let mut cents: Vec<i64> = (0..n).map(|i| ((i * 37) % 23) as i64).collect();
-            let mut engine = build(&cents, rh);
-            let mut rng = StdRng::seed_from_u64(11);
-            engine.run_batch(&[0usize; 3], &mut rng);
-            for (step, config) in [other, rh, other, rh].into_iter().enumerate() {
-                // On even steps a bid moves as well; on odd ones the flip
-                // alone must bring the solve about.
-                if step % 2 == 0 {
-                    let row = (step * 11 + 5) % n;
-                    cents[row] = 30 + step as i64;
-                    engine.bidder_mut(row).bids =
-                        BidsTable::single_feature(Money::from_cents(cents[row]));
-                }
-                engine.config = config;
-                let mut twin = build(&cents, config);
-                let mut twin_rng = rng.clone();
-                let first = engine.run_batch(&[0usize], &mut rng);
-                assert_eq!(first, twin.run_batch(&[0usize], &mut twin_rng));
-                assert_eq!((first.phases.solves, first.phases.warm_solves), (1, 0));
-                for _ in 0..2 {
-                    assert_eq!(
-                        engine.run_auction(0, &mut rng),
-                        twin.run_auction(0, &mut twin_rng),
-                        "{other:?}, step {step}"
-                    );
-                }
             }
         }
     }

@@ -23,6 +23,12 @@
 //! record. Every operation is defined once and indexes the keyword's
 //! book directly.
 //!
+//! How a market solves and prices — method, pricing rule, pruning, warm
+//! starts — is fixed when it is built. [`Marketplace::configure`], the
+//! journalled `Configure` operation, is the one way to change it: it
+//! replaces the market with a fresh build, so a recovered market replays
+//! exactly the configuration that was served.
+//!
 //! [`AuctionEngine`] remains the documented low-level escape hatch for
 //! callers that want to assemble a single-keyword auction by hand.
 //!
@@ -145,11 +151,6 @@ impl CampaignId {
     /// [`MarketError::UnknownCampaign`] by every API taking one, so
     /// round-tripping ids through this constructor is safe.
     pub fn from_parts(keyword: usize, index: usize) -> Self {
-        CampaignId { keyword, index }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn new(keyword: usize, index: usize) -> Self {
         CampaignId { keyword, index }
     }
 
@@ -893,28 +894,22 @@ pub const MAX_SHARDS: usize = 1 << 10;
 /// [`Marketplace::builder`].
 #[derive(Debug, Clone)]
 pub struct MarketplaceBuilder {
-    method: WdMethod,
-    pricing: PricingScheme,
+    /// What every keyword engine is built with.
+    config: EngineConfig,
     num_slots: usize,
     num_keywords: usize,
     seed: u64,
-    pruned: bool,
-    warm_start: bool,
     default_click_probs: Option<Vec<f64>>,
     default_purchase_probs: Option<Vec<(f64, f64)>>,
 }
 
 impl Default for MarketplaceBuilder {
     fn default() -> Self {
-        let engine_defaults = EngineConfig::default();
         MarketplaceBuilder {
-            method: WdMethod::Reduced,
-            pricing: PricingScheme::Gsp,
+            config: EngineConfig::default(),
             num_slots: 1,
             num_keywords: 1,
             seed: 0,
-            pruned: engine_defaults.pruned,
-            warm_start: engine_defaults.warm_start,
             default_click_probs: None,
             default_purchase_probs: None,
         }
@@ -924,13 +919,13 @@ impl Default for MarketplaceBuilder {
 impl MarketplaceBuilder {
     /// Winner-determination method (default: [`WdMethod::Reduced`]).
     pub fn method(mut self, method: WdMethod) -> Self {
-        self.method = method;
+        self.config.method = method;
         self
     }
 
     /// Pricing rule (default: [`PricingScheme::Gsp`]).
     pub fn pricing(mut self, pricing: PricingScheme) -> Self {
-        self.pricing = pricing;
+        self.config.pricing = pricing;
         self
     }
 
@@ -954,11 +949,11 @@ impl MarketplaceBuilder {
         self
     }
 
-    /// Run winner determination through the Section III-E top-k
+    /// Run dense winner determination through the Section III-E top-k
     /// [`ssa_matching::PrunedSolver`] (default: off). Bit-identical
     /// outcomes; see [`EngineConfig::pruned`].
     pub fn pruned(mut self, enabled: bool) -> Self {
-        self.pruned = enabled;
+        self.config.pruned = enabled;
         self
     }
 
@@ -966,7 +961,7 @@ impl MarketplaceBuilder {
     /// keyword's previous auction (default: on). Bit-identical outcomes;
     /// see [`EngineConfig::warm_start`].
     pub fn warm_start(mut self, enabled: bool) -> Self {
-        self.warm_start = enabled;
+        self.config.warm_start = enabled;
         self
     }
 
@@ -1022,12 +1017,7 @@ impl MarketplaceBuilder {
             validate_purchase_probs(probs, self.num_slots)?;
         }
         Ok(Marketplace {
-            config: EngineConfig {
-                method: self.method,
-                pricing: self.pricing,
-                pruned: self.pruned,
-                warm_start: self.warm_start,
-            },
+            config: self.config,
             num_slots: self.num_slots,
             num_shards,
             advertisers: Vec::new(),
@@ -1110,6 +1100,8 @@ pub struct MarketSnapshot {
 /// [module docs](crate::marketplace) for the full picture.
 #[derive(Debug)]
 pub struct Marketplace {
+    /// What every keyword engine is built with; changed only by
+    /// [`Marketplace::configure`], which builds a new market.
     config: EngineConfig,
     num_slots: usize,
     /// How many partitions `serve_batch` may spread the books over.
@@ -1324,68 +1316,6 @@ impl Marketplace {
     pub fn num_campaigns(&self, keyword: usize) -> Result<usize, MarketError> {
         self.check_keyword(keyword)?;
         Ok(self.books[keyword].campaigns().len())
-    }
-
-    /// The winner-determination method every keyword engine runs.
-    pub fn method(&self) -> WdMethod {
-        self.config.method
-    }
-
-    /// The pricing rule in force.
-    pub fn pricing(&self) -> PricingScheme {
-        self.config.pricing
-    }
-
-    /// Whether winner determination runs through the top-k
-    /// [`ssa_matching::PrunedSolver`].
-    pub fn pruned(&self) -> bool {
-        self.config.pruned
-    }
-
-    /// Whether unchanged auctions skip the matrix refill and solve.
-    pub fn warm_start(&self) -> bool {
-        self.config.warm_start
-    }
-
-    /// Rewrites the engine configuration of every keyword engine, built
-    /// and future. An engine notices at its next auction and lays its
-    /// weight source out for the new configuration.
-    fn reconfigure(&mut self, change: impl Fn(&mut EngineConfig)) {
-        change(&mut self.config);
-        for book in &mut self.books {
-            if let Some(engine) = &mut book.engine {
-                change(&mut engine.config);
-            }
-        }
-    }
-
-    /// Enables or disables top-k pruned winner determination on every
-    /// keyword engine (built and future). Outcomes are bit-identical either
-    /// way; only the solve cost changes.
-    pub fn set_pruned(&mut self, enabled: bool) {
-        self.reconfigure(|config| config.pruned = enabled);
-    }
-
-    /// Enables or disables warm-started assignments on every keyword engine
-    /// (built and future). Outcomes are bit-identical either way.
-    pub fn set_warm_start(&mut self, enabled: bool) {
-        self.reconfigure(|config| config.warm_start = enabled);
-    }
-
-    /// Switches the winner-determination method of every keyword engine
-    /// (built and future), from the next auction on. Unlike
-    /// [`Marketplace::set_pruned`] this can change outcomes — methods may
-    /// break revenue ties differently — and it is not a journalled
-    /// mutation: a durable deployment reconfigures by rebuilding the market.
-    pub fn set_method(&mut self, method: WdMethod) {
-        self.reconfigure(|config| config.method = method);
-    }
-
-    /// Switches the pricing rule of every keyword engine (built and
-    /// future), from the next auction on. Charges change with it; like
-    /// [`Marketplace::set_method`], not a journalled mutation.
-    pub fn set_pricing(&mut self, pricing: PricingScheme) {
-        self.reconfigure(|config| config.pricing = pricing);
     }
 
     /// The global market clock: total auctions served.
@@ -2304,7 +2234,7 @@ mod tests {
             assert_eq!(r, t);
         }
         // Pausing a SQL campaign excludes it like any other program.
-        let id = CampaignId::new(0, 0);
+        let id = CampaignId::from_parts(0, 0);
         sql.pause_campaign(id).expect("known campaign");
         let r = sql.serve(QueryRequest::new(0)).expect("valid keyword");
         assert!(r.placements.iter().all(|p| p.campaign != id));
@@ -2565,7 +2495,7 @@ mod tests {
             m.serve_batch(&[QueryRequest::new(0), QueryRequest::new(44)]),
             Err(MarketError::UnknownKeyword { keyword: 44, .. })
         ));
-        let ghost = CampaignId::new(99, 0);
+        let ghost = CampaignId::from_parts(99, 0);
         assert_eq!(
             m.update_bid(ghost, Money::ZERO),
             Err(MarketError::UnknownCampaign(ghost))

@@ -98,14 +98,14 @@ impl Bidder for Counting {
 
 const CLICKS: [f64; 2] = [0.6, 0.3];
 
-fn engine_of(bidders: Vec<Counting>) -> AuctionEngine<Counting> {
+fn engine_of(bidders: Vec<Counting>, config: EngineConfig) -> AuctionEngine<Counting> {
     let n = bidders.len();
     AuctionEngine::new(
         bidders,
         ClickModel::from_fn(n, 2, |_, j| CLICKS[j]),
         PurchaseModel::never(n, 2),
         1,
-        EngineConfig::default(),
+        config,
     )
 }
 
@@ -113,7 +113,7 @@ fn engine_of(bidders: Vec<Counting>) -> AuctionEngine<Counting> {
 fn a_standing_bidder_is_read_not_asked_and_never_told() {
     let (a, a_calls) = Counting::new(10, true);
     let (b, b_calls) = Counting::new(20, true);
-    let mut engine = engine_of(vec![a, b]);
+    let mut engine = engine_of(vec![a, b], EngineConfig::default());
     let mut rng = StdRng::seed_from_u64(1);
 
     // The first auction reads everybody and solves; unchanged auctions
@@ -133,21 +133,26 @@ fn a_standing_bidder_is_read_not_asked_and_never_told() {
     let same = engine.run_batch(&[0usize; 3], &mut rng);
     assert_eq!((same.phases.solves, same.phases.warm_solves), (0, 3));
 
-    // With warm starts off every auction refills from every row and
-    // solves.
-    engine.config.warm_start = false;
-    let cold = engine.run_batch(&[0usize; 3], &mut rng);
-    assert_eq!((cold.phases.solves, cold.phases.warm_solves), (3, 0));
-
     // A bidder added to the warm engine is read at the next auction.
     let (c, c_calls) = Counting::new(5, true);
-    engine.config.warm_start = true;
     engine.push_bidder(c, &CLICKS, None);
     let grown = engine.run_batch(&[0usize; 2], &mut rng);
     assert_eq!((grown.phases.solves, grown.phases.warm_solves), (1, 1));
     assert_eq!(grown.filled_slots, 4, "three bidders, two slots");
 
-    for calls in [&a_calls, &b_calls, &c_calls] {
+    // An engine built with warm starts off refills from every row and
+    // solves at every auction.
+    let (d, d_calls) = Counting::new(10, true);
+    let (e, e_calls) = Counting::new(20, true);
+    let cold_config = EngineConfig {
+        warm_start: false,
+        ..EngineConfig::default()
+    };
+    let mut cold_engine = engine_of(vec![d, e], cold_config);
+    let cold = cold_engine.run_batch(&[0usize; 3], &mut rng);
+    assert_eq!((cold.phases.solves, cold.phases.warm_solves), (3, 0));
+
+    for calls in [&a_calls, &b_calls, &c_calls, &d_calls, &e_calls] {
         assert_eq!(
             (calls.asked(), calls.told()),
             (0, 0),
@@ -160,7 +165,7 @@ fn a_standing_bidder_is_read_not_asked_and_never_told() {
 fn a_program_is_asked_at_every_auction_it_is_matched() {
     let (standing, standing_calls) = Counting::new(10, true);
     let (program, program_calls) = Counting::new(20, false);
-    let mut engine = engine_of(vec![standing, program]);
+    let mut engine = engine_of(vec![standing, program], EngineConfig::default());
     // A targeted program and a targeted standing bidder join later.
     let mobile = || Arc::new(CompiledTargeting::parse("device = 'mobile'").unwrap());
     let (targeted, targeted_calls) = Counting::new(30, false);
@@ -282,7 +287,11 @@ fn per_click(cents: i64) -> BidsTable {
 /// advertiser × slot, so every slot ranks them differently and the reduced
 /// graph has several dozen rows. The last `targeted` of them bid for mobile
 /// visitors only.
-fn big_engine(stream: &mut Stream, targeted: usize) -> (AuctionEngine<TableBidder>, Vec<i64>) {
+fn big_engine(
+    stream: &mut Stream,
+    targeted: usize,
+    config: EngineConfig,
+) -> (AuctionEngine<TableBidder>, Vec<i64>) {
     let cents: Vec<i64> = (0..N).map(|_| 1 + stream.below(50) as i64).collect();
     let probs: Vec<Vec<f64>> = (0..N)
         .map(|_| {
@@ -302,7 +311,7 @@ fn big_engine(stream: &mut Stream, targeted: usize) -> (AuctionEngine<TableBidde
         ClickModel::from_rows(&probs[..open]),
         PurchaseModel::never(open, K),
         1,
-        EngineConfig::default(),
+        config,
     );
     let mobile = Arc::new(CompiledTargeting::parse("device = 'mobile'").unwrap());
     for row in open..N {
@@ -333,8 +342,8 @@ fn serve_both(
 fn an_auction_evaluates_the_changed_rows_and_the_newcomers_and_matches_the_dense_oracle() {
     const TARGETED: usize = 100;
     let mut stream = Stream(0x5EED_CAFE);
-    let (solo, cents) = big_engine(&mut Stream(7), TARGETED);
-    let (tallied, _) = big_engine(&mut Stream(7), TARGETED);
+    let (solo, cents) = big_engine(&mut Stream(7), TARGETED, EngineConfig::default());
+    let (tallied, _) = big_engine(&mut Stream(7), TARGETED, EngineConfig::default());
     let mut engines = [solo, tallied];
     let mut rngs = [StdRng::seed_from_u64(5), StdRng::seed_from_u64(5)];
     let mobile = UserAttrs::new().set_str("device", "mobile");
@@ -435,21 +444,51 @@ fn an_auction_evaluates_the_changed_rows_and_the_newcomers_and_matches_the_dense
     assert_eq!(rescans, 0);
 }
 
+/// The exact cost counters of a tally: everything but the timings.
+fn counters(p: &PhaseStats) -> [u64; 5] {
+    [
+        p.solves,
+        p.warm_solves,
+        p.candidates,
+        p.cells_evaluated,
+        p.rescans,
+    ]
+}
+
 /// The `engine-solve` benchmark's traffic: one bid write, then one auction.
 /// Exact counts of a seeded stream, printed for the `perf-smoke` CI job.
+/// `rh` with pruning on serves the same stream off the same lists: its
+/// counters are the unpruned engine's, auction by auction.
 #[test]
 fn a_write_then_serve_stream_evaluates_a_few_rows_an_auction_and_rescans_rarely() {
     const AUCTIONS: u64 = 6_000;
     let mut stream = Stream(0xB1D_5EED);
-    let (mut engine, _) = big_engine(&mut Stream(11), 0);
+    let pruned = EngineConfig {
+        pruned: true,
+        ..EngineConfig::default()
+    };
+    let (mut engine, _) = big_engine(&mut Stream(11), 0, EngineConfig::default());
+    let (mut pruned_engine, _) = big_engine(&mut Stream(11), 0, pruned);
     let mut rng = StdRng::seed_from_u64(9);
+    let mut pruned_rng = rng.clone();
     engine.run_batch(&[0usize], &mut rng);
+    pruned_engine.run_batch(&[0usize], &mut pruned_rng);
 
     let mut total = PhaseStats::default();
-    for _ in 0..AUCTIONS {
+    for auction in 0..AUCTIONS {
         let row = stream.below(N);
-        engine.bidder_mut(row).bids = per_click(1 + stream.below(60) as i64);
-        let phases = engine.run_batch(&[0usize], &mut rng).phases;
+        let bids = per_click(1 + stream.below(60) as i64);
+        engine.bidder_mut(row).bids = bids.clone();
+        pruned_engine.bidder_mut(row).bids = bids;
+        let report = engine.run_batch(&[0usize], &mut rng);
+        let pruned_report = pruned_engine.run_batch(&[0usize], &mut pruned_rng);
+        assert_eq!(pruned_report, report, "auction {auction}");
+        let phases = report.phases;
+        assert_eq!(
+            counters(&pruned_report.phases),
+            counters(&phases),
+            "auction {auction}: pruned `rh` left the lists"
+        );
         if phases.rescans == 0 {
             assert!(phases.cells_evaluated < (N * K) as u64, "never n × k");
         }

@@ -295,14 +295,14 @@ fn pruned_warm_matches_unpruned_cold_at_issue_sizes() {
 // dirty-marking accessor. The property below drives every such write —
 // `update_bid` (new values, rewrites of the current value, writes to paused
 // campaigns), `pause`/`resume`, `set_roi_target`, queries that flip a
-// targeted campaign between matched and unmatched, `add_campaign` on a warm
-// keyword, `set_warm_start`/`set_pruned` toggles, and `set_method`/
-// `set_pricing` flips that move a warm engine between its matrix-free and
-// dense weight sources — and holds the market to two standards: every
-// response and every `top_bids` read equals those of a twin that refills and
-// solves at every auction, and the number of solves it skipped equals the
-// number of auctions the test's own shadow of the campaign book says nothing
-// changed for.
+// targeted campaign between matched and unmatched, and `add_campaign` on a
+// warm keyword — under a method, pricing rule and pruning flag drawn once per
+// scenario, so both the matrix-free and the dense weight sources are driven.
+// It holds the market to two standards: every response and every `top_bids`
+// read equals those of an unpruned twin built with the same method and
+// pricing that refills and solves at every auction, and the number of solves
+// it skipped equals the number of auctions the test's own shadow of the
+// campaign book says nothing changed for.
 
 use ssa_bidlang::targeting::UserAttrs;
 use ssa_bidlang::BidsTable;
@@ -350,10 +350,6 @@ enum Op {
         target: Option<f64>,
     },
     Add(NewCampaign),
-    WarmStart(bool),
-    Pruned(bool),
-    Method(WdMethod),
-    Pricing(PricingScheme),
 }
 
 const PRICINGS: [PricingScheme; 3] = [
@@ -368,6 +364,9 @@ struct MixedScenario {
     num_slots: usize,
     seed: u64,
     method: WdMethod,
+    pricing: PricingScheme,
+    /// Whether the market under test is built pruned (its twin never is).
+    pruned: bool,
     campaigns: Vec<NewCampaign>,
     ops: Vec<Op>,
 }
@@ -400,7 +399,7 @@ fn arb_mixed() -> impl Strategy<Value = MixedScenario> {
                 let any = |next: &mut dyn FnMut(u64) -> u64, n: usize| next(n as u64) as usize;
                 let updatable: Vec<usize> =
                     (0..per_click.len()).filter(|&c| per_click[c]).collect();
-                let op = match next(16) {
+                let op = match next(14) {
                     0 | 1 if !updatable.is_empty() => Op::UpdateBid {
                         campaign: updatable[any(&mut next, updatable.len())],
                         cents: next(12) as i64,
@@ -423,16 +422,6 @@ fn arb_mixed() -> impl Strategy<Value = MixedScenario> {
                         per_click.push(!added.fixed_table);
                         Op::Add(added)
                     }
-                    7 => match next(4) {
-                        0 => Op::WarmStart(false),
-                        1 => Op::WarmStart(true),
-                        2 => Op::Pruned(false),
-                        _ => Op::Pruned(true),
-                    },
-                    8 => match next(2) {
-                        0 => Op::Method(METHODS[any(&mut next, METHODS.len())]),
-                        _ => Op::Pricing(PRICINGS[any(&mut next, PRICINGS.len())]),
-                    },
                     _ => Op::Serve {
                         keyword: next(num_keywords as u64) as usize,
                         mobile: next(3) > 0,
@@ -440,11 +429,16 @@ fn arb_mixed() -> impl Strategy<Value = MixedScenario> {
                 };
                 ops.push(op);
             }
+            // One configuration for the whole stream.
+            let pricing = PRICINGS[next(PRICINGS.len() as u64) as usize];
+            let pruned = next(2) == 0;
             MixedScenario {
                 num_keywords,
                 num_slots,
                 seed,
                 method: METHODS[method_idx],
+                pricing,
+                pruned,
                 campaigns,
                 ops,
             }
@@ -496,11 +490,9 @@ fn register(market: &mut Marketplace, handles: &[AdvertiserHandle], c: &NewCampa
         .expect("campaign accepted")
 }
 
-/// Runs the scenario. `twin` ignores the warm-start and pruning toggles (it
-/// is built cold and unpruned and stays so) but follows method and pricing
-/// flips, which outcomes depend on; `tallied` serves through `serve_batch`
-/// of one query instead of `serve`.
-fn drive(market: &mut Marketplace, s: &MixedScenario, twin: bool, tallied: bool) -> Run {
+/// Runs the scenario. `tallied` serves through `serve_batch` of one query
+/// instead of `serve`.
+fn drive(market: &mut Marketplace, s: &MixedScenario, tallied: bool) -> Run {
     let handles: Vec<AdvertiserHandle> = (0..MIXED_ADVERTISERS)
         .map(|adv| market.register_advertiser(format!("adv-{adv}")))
         .collect();
@@ -571,26 +563,6 @@ fn drive(market: &mut Marketplace, s: &MixedScenario, twin: bool, tallied: bool)
                 ids.push((id, c.cents));
                 Some(id)
             }
-            Op::WarmStart(enabled) => {
-                if !twin {
-                    market.set_warm_start(*enabled);
-                }
-                None
-            }
-            Op::Pruned(enabled) => {
-                if !twin {
-                    market.set_pruned(*enabled);
-                }
-                None
-            }
-            Op::Method(method) => {
-                market.set_method(*method);
-                None
-            }
-            Op::Pricing(pricing) => {
-                market.set_pricing(*pricing);
-                None
-            }
         };
         if let Some(id) = touched {
             run.books.push(book(market, id.keyword()));
@@ -603,9 +575,8 @@ fn drive(market: &mut Marketplace, s: &MixedScenario, twin: bool, tallied: bool)
 
 /// The test's own account of the campaign book: how many auctions of the
 /// stream found every campaign on their keyword bidding exactly what it bid
-/// at the keyword's previous auction, under the same method, pruning and
-/// pricing, with warm starts on — the auctions whose solve must have been
-/// skipped, and no others.
+/// at the keyword's previous auction — with warm starts on, the auctions
+/// whose solve must have been skipped, and no others.
 fn expected_warm_solves(s: &MixedScenario) -> u64 {
     #[derive(Clone)]
     struct Shadow {
@@ -640,11 +611,8 @@ fn expected_warm_solves(s: &MixedScenario) -> u64 {
         paused: false,
     };
     let mut book: Vec<Shadow> = s.campaigns.iter().map(shadow_of).collect();
-    // Per keyword: the tables of its previous auction and the method,
-    // pruning flag and pricing its weight source was laid out for.
-    type Laid = (WdMethod, bool, PricingScheme);
-    let mut previous: Vec<Option<(Vec<Option<i64>>, Laid)>> = vec![None; s.num_keywords];
-    let (mut warm_start, mut laid) = (true, (s.method, false, PricingScheme::Gsp));
+    // Per keyword: the tables of its previous auction.
+    let mut previous: Vec<Option<Vec<Option<i64>>>> = vec![None; s.num_keywords];
     let mut warm_solves = 0;
     for op in &s.ops {
         match op {
@@ -657,8 +625,8 @@ fn expected_warm_solves(s: &MixedScenario) -> u64 {
                 if now.is_empty() {
                     continue; // no campaigns, no engine, no solve to skip
                 }
-                let auction = Some((now, laid));
-                if warm_start && previous[*keyword] == auction {
+                let auction = Some(now);
+                if previous[*keyword] == auction {
                     warm_solves += 1;
                 }
                 previous[*keyword] = auction;
@@ -669,10 +637,6 @@ fn expected_warm_solves(s: &MixedScenario) -> u64 {
             Op::Resume { campaign } => book[*campaign].paused = false,
             Op::SetRoi { campaign, target } => book[*campaign].roi = *target,
             Op::Add(c) => book.push(shadow_of(c)),
-            Op::WarmStart(enabled) => warm_start = *enabled,
-            Op::Pruned(enabled) => laid.1 = *enabled,
-            Op::Method(method) => laid.0 = *method,
-            Op::Pricing(pricing) => laid.2 = *pricing,
         }
     }
     warm_solves
@@ -684,6 +648,7 @@ fn mixed_builder(s: &MixedScenario) -> MarketplaceBuilder {
         .keywords(s.num_keywords)
         .seed(s.seed)
         .method(s.method)
+        .pricing(s.pricing)
         .default_click_probs((0..s.num_slots).map(|j| 0.8 / (j + 1) as f64).collect())
         .default_purchase_probs(
             (0..s.num_slots)
@@ -700,13 +665,13 @@ proptest! {
     #[test]
     fn mixed_writes_match_a_cold_twin_and_skip_exactly_the_unchanged_auctions(s in arb_mixed()) {
         let mut cold = mixed_builder(&s).warm_start(false).build().expect("valid");
-        let want = drive(&mut cold, &s, true, false);
+        let want = drive(&mut cold, &s, false);
         prop_assert_eq!(want.warm_solves, 0);
         let want_warm = expected_warm_solves(&s);
 
         for tallied in [false, true] {
-            let mut market = mixed_builder(&s).build().expect("valid");
-            let got = drive(&mut market, &s, false, tallied);
+            let mut market = mixed_builder(&s).pruned(s.pruned).build().expect("valid");
+            let got = drive(&mut market, &s, tallied);
             prop_assert_eq!(&got.tallies, &want.tallies, "unsharded, tallied={}", tallied);
             prop_assert_eq!(&got.books, &want.books, "unsharded, tallied={}", tallied);
             if tallied {
@@ -715,8 +680,11 @@ proptest! {
                 prop_assert_eq!(&got.responses, &want.responses, "unsharded");
             }
             for shards in SHARD_COUNTS {
-                let mut market = mixed_builder(&s).build_sharded(shards).expect("valid");
-                let got = drive(&mut market, &s, false, tallied);
+                let mut market = mixed_builder(&s)
+                    .pruned(s.pruned)
+                    .build_sharded(shards)
+                    .expect("valid");
+                let got = drive(&mut market, &s, tallied);
                 prop_assert_eq!(&got.tallies, &want.tallies, "shards={}, tallied={}", shards, tallied);
                 prop_assert_eq!(&got.books, &want.books, "shards={}, tallied={}", shards, tallied);
                 if tallied {

@@ -393,6 +393,7 @@ mod tests {
     use super::*;
     use ssa_bidlang::Money;
     use ssa_core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
+    use ssa_core::{PricingScheme, WdMethod};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -522,11 +523,14 @@ mod tests {
         let mut market = fresh_market(&dur, 2);
         populate(&mut market);
         serve_n(&mut market, 10);
-        // What the serving layer does on a Configure request.
+        // What the serving layer does on a Configure request: the one way
+        // to change how a market solves and prices.
         let mut config = market.capture_state().unwrap().config;
         (config.slots, config.keywords, config.seed, config.shards) = (1, 3, 7, 1);
+        (config.method, config.pricing, config.pruned) =
+            (WdMethod::Lp, PricingScheme::Vickrey, true);
         config.default_click_probs = None;
-        market.configure(config).unwrap();
+        market.configure(config.clone()).unwrap();
         let a = market.register_advertiser("fresh");
         market
             .add_campaign(
@@ -543,7 +547,9 @@ mod tests {
 
         let (recovered, _dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
         let (back, _) = recovered.expect("state persisted");
-        assert_eq!(back.capture_state().unwrap(), live_state);
+        let back_state = back.capture_state().unwrap();
+        assert_eq!(back_state, live_state);
+        assert_eq!(back_state.config, config);
         assert_eq!(back.num_keywords(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -114,7 +114,6 @@ impl<S: WdSolver> WdSolver for PrunedSolver<S> {
         match self.inner.name() {
             "hungarian" => "pruned-hungarian",
             "reduced" => "pruned-reduced",
-            "reduced-parallel" => "pruned-reduced-parallel",
             "network-simplex" => "pruned-network-simplex",
             _ => "pruned",
         }

@@ -30,7 +30,7 @@
 use crate::config::SectionVWorkload;
 use ssa_bidlang::{BidsTable, Money, SlotId};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
-use ssa_core::{Bidder, BidderOutcome, PricingScheme, QueryContext, SqlProgramBidder, WdMethod};
+use ssa_core::{Bidder, BidderOutcome, EngineConfig, QueryContext, SqlProgramBidder, WdMethod};
 use ssa_minidb::{Params, Prepared, NO_PARAMS};
 use ssa_strategy::{KeywordEntry, RoiBidder};
 use std::fmt;
@@ -368,29 +368,37 @@ pub struct ProgrammedMarket {
 }
 
 /// Builds the programmed Section II-B population on a one-shard
-/// [`Marketplace`].
+/// [`Marketplace`] running `method` under GSP.
 pub fn programmed_market(
     workload: &SectionVWorkload,
     method: WdMethod,
     strategy: Strategy,
 ) -> ProgrammedMarket {
-    programmed_sharded_market(workload, method, strategy, 1)
+    let config = EngineConfig {
+        method,
+        ..EngineConfig::default()
+    };
+    programmed_sharded_market(workload, config, strategy, 1)
         .expect("Section V configuration is valid")
 }
 
 /// Builds the programmed Section II-B population on a [`Marketplace`]
-/// with `shards` shards.
+/// with `shards` shards, every keyword engine built with `config`. The
+/// population is defined under GSP settlement; `config.pricing` is
+/// normally left at that default.
 pub fn programmed_sharded_market(
     workload: &SectionVWorkload,
-    method: WdMethod,
+    config: EngineConfig,
     strategy: Strategy,
     shards: usize,
 ) -> Result<ProgrammedMarket, MarketError> {
     let mut market = Marketplace::builder()
         .slots(workload.config.num_slots)
         .keywords(workload.config.num_keywords)
-        .method(method)
-        .pricing(PricingScheme::Gsp)
+        .method(config.method)
+        .pricing(config.pricing)
+        .pruned(config.pruned)
+        .warm_start(config.warm_start)
         .seed(workload.config.seed ^ 0x5EC7_10B2)
         .build_sharded(shards)?;
     let mut handles = Vec::with_capacity(workload.bidders.len() * workload.config.num_keywords);
@@ -497,9 +505,10 @@ mod tests {
     fn sql_population_is_bit_identical_to_native_when_sharded() {
         let w = workload();
         let mut native =
-            programmed_sharded_market(&w, WdMethod::Reduced, Strategy::Native, 3).expect("valid");
-        let mut sql =
-            programmed_sharded_market(&w, WdMethod::Reduced, Strategy::Sql, 3).expect("valid");
+            programmed_sharded_market(&w, EngineConfig::default(), Strategy::Native, 3)
+                .expect("valid");
+        let mut sql = programmed_sharded_market(&w, EngineConfig::default(), Strategy::Sql, 3)
+            .expect("valid");
         let mut unsharded = programmed_market(&w, WdMethod::Reduced, Strategy::Sql);
         let mut served = 0;
         for round in 0..2 {
@@ -535,10 +544,10 @@ mod tests {
         let w = workload();
         for shards in [1usize, 4] {
             let mut indexed =
-                programmed_sharded_market(&w, WdMethod::Reduced, Strategy::Sql, shards)
+                programmed_sharded_market(&w, EngineConfig::default(), Strategy::Sql, shards)
                     .expect("valid");
             let mut scanning =
-                programmed_sharded_market(&w, WdMethod::Reduced, Strategy::Sql, shards)
+                programmed_sharded_market(&w, EngineConfig::default(), Strategy::Sql, shards)
                     .expect("valid");
             for handle in &scanning.handles {
                 handle.set_planner_mode(PlannerMode::ForceScan);

@@ -321,8 +321,10 @@
 //!   them so a regression names the phase that slowed down. Timings are
 //!   excluded from report equality — two runs compare on outcomes.
 //! * **Top-k pruning** ([`marketplace::MarketplaceBuilder::pruned`],
-//!   `EngineConfig::pruned`) — [`matching::PrunedSolver`] wraps any inner
-//!   solver: with `k` slots, only advertisers reaching a per-slot top-k
+//!   `EngineConfig::pruned`) — [`matching::PrunedSolver`] wraps a dense
+//!   solver (`h`, `lp`, or any method under VCG; `rh` under GSP or
+//!   pay-your-bid already solves on its lists' top-k union and ignores
+//!   the flag): with `k` slots, only advertisers reaching a per-slot top-k
 //!   floor can win, so it solves the candidate submatrix instead of all
 //!   `n` rows. Ties at the floor are kept, candidate reindexing is
 //!   monotone, and duplicate candidate rows force a full-matrix fallback
@@ -346,9 +348,9 @@
 //!   skips the solve entirely when none did; solvers are deterministic, so
 //!   the previous assignment *is* the solution. With warm starts off,
 //!   every auction recomputes every weight and solves.
-//! * **Solve and price from per-slot order** — on the default
-//!   configuration (method `rh`, unpruned, GSP or pay-your-bid) the engine
-//!   holds no `n × k` revenue matrix. It keeps a
+//! * **Solve and price from per-slot order** — with method `rh` under GSP
+//!   or pay-your-bid (the default, pruned or not) the engine holds no
+//!   `n × k` revenue matrix. It keeps a
 //!   [`matching::RetainedOrder`]: per slot, the best `k + 1` to `2(k + 1)`
 //!   rows in the solver's ranking and a floor no unlisted row ranks above,
 //!   repaired from the rows whose table changed (one row formula,
@@ -364,12 +366,11 @@
 //!   counted with every other evaluated cell in
 //!   [`core::PhaseStats`]`::{cells_evaluated, rescans}`; at least `k + 1`
 //!   writes must each take a row off one list between two rescans. `h`,
-//!   `lp`, pruning and VCG read whole columns and keep the
-//!   dense matrix, allocated only while one of them is configured;
-//!   changing `AuctionEngine::config` (or
-//!   [`marketplace::Marketplace::set_method`] / `set_pricing` /
-//!   `set_pruned`) on a warm engine lays the weight source out anew at the
-//!   next auction.
+//!   `lp` and VCG read whole columns and keep the dense matrix, allocated
+//!   only in an engine built with one of them. An engine's configuration
+//!   is fixed at construction; a market changes it only through the
+//!   journalled `Configure` ([`marketplace::Marketplace::configure`]),
+//!   which rebuilds the market.
 //! * **One copy of what campaigns share** —
 //!   [`core::ClickModel`] and [`core::PurchaseModel`] grow a row at a time
 //!   and live in the keyword's engine from its first `add_campaign`
