@@ -172,55 +172,47 @@ fn bench_sql_programs(c: &mut Criterion) {
 
 /// The minidb query pipeline itself, isolated from the marketplace: a
 /// prepared equality-probe `SELECT` against one table at 10²–10⁴ rows,
-/// once on the planned pipeline (hash-index probe) and once on the
-/// forced-scan reference interpreter. The indexed rows should be flat in
-/// the table size while the scan rows grow linearly — that widening gap
-/// is what the planner tentpole buys SQL bidding programs.
+/// answered by a hash-index probe. The rows should be flat in the table
+/// size — that is what the planner buys SQL bidding programs.
 fn bench_minidb_query(c: &mut Criterion) {
-    use ssa_minidb::{Database, Params, PlannerMode};
+    use ssa_minidb::{Database, Params};
     let mut group = c.benchmark_group("minidb_query");
     group.sample_size(10);
     for rows in [100usize, 1_000, 10_000] {
-        for (label, mode) in [
-            ("indexed", PlannerMode::Auto),
-            ("forced_scan", PlannerMode::ForceScan),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("eq_probe/{label}"), rows),
-                &rows,
-                |b, &rows| {
-                    let mut db = Database::new();
-                    db.set_planner_mode(mode);
-                    db.run("CREATE TABLE Keywords (text TEXT, bid INT)")
-                        .expect("static DDL");
-                    let mut insert = db
-                        .prepare("INSERT INTO Keywords VALUES (?, ?)")
-                        .expect("static statement");
-                    for i in 0..rows {
-                        insert
-                            .execute(
-                                &mut db,
-                                &Params::new().push(format!("kw{i}")).push(i as i64),
-                            )
-                            .expect("typed row");
+        group.bench_with_input(
+            BenchmarkId::new("eq_probe/indexed", rows),
+            &rows,
+            |b, &rows| {
+                let mut db = Database::new();
+                db.run("CREATE TABLE Keywords (text TEXT, bid INT)")
+                    .expect("static DDL");
+                let mut insert = db
+                    .prepare("INSERT INTO Keywords VALUES (?, ?)")
+                    .expect("static statement");
+                for i in 0..rows {
+                    insert
+                        .execute(
+                            &mut db,
+                            &Params::new().push(format!("kw{i}")).push(i as i64),
+                        )
+                        .expect("typed row");
+                }
+                let mut select = db
+                    .prepare("SELECT bid FROM Keywords WHERE text = ?")
+                    .expect("static statement");
+                // 64 probes spread across the key space per iteration.
+                let keys: Vec<String> =
+                    (0..64).map(|i| format!("kw{}", (i * 997) % rows)).collect();
+                b.iter(|| {
+                    for key in &keys {
+                        let hits = select
+                            .query(&mut db, &Params::new().push(key.as_str()))
+                            .expect("probe is valid");
+                        std::hint::black_box(hits);
                     }
-                    let mut select = db
-                        .prepare("SELECT bid FROM Keywords WHERE text = ?")
-                        .expect("static statement");
-                    // 64 probes spread across the key space per iteration.
-                    let keys: Vec<String> =
-                        (0..64).map(|i| format!("kw{}", (i * 997) % rows)).collect();
-                    b.iter(|| {
-                        for key in &keys {
-                            let hits = select
-                                .query(&mut db, &Params::new().push(key.as_str()))
-                                .expect("probe is valid");
-                            std::hint::black_box(hits);
-                        }
-                    })
-                },
-            );
-        }
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -229,56 +221,47 @@ fn bench_minidb_query(c: &mut Criterion) {
 /// the marketplace: the Figure 5 ROI program's full per-auction statement
 /// stream (shared-variable writes, DELETE, the INSERT that fires the
 /// `bid` trigger, the bids read-back, then the `settle` trigger) on the
-/// planned pipeline versus the forced-scan reference interpreter. The
-/// campaign tables hold ~1 row each, so index probes cannot win on row
-/// count — this measures the planned path's *fixed* per-statement cost,
-/// which must stay at or below the interpreter's for `--strategy sql`
-/// runs to benefit from the planner on realistic per-campaign state.
+/// planned pipeline. The campaign tables hold ~1 row each, so index
+/// probes cannot win on row count — this measures the planned path's
+/// *fixed* per-statement cost on realistic per-campaign state.
 fn bench_sqlprog_round(c: &mut Criterion) {
     use ssa_bidlang::{Money, SlotId};
     use ssa_core::{Bidder, BidderOutcome, QueryContext, SqlProgramBidder};
-    use ssa_minidb::PlannerMode;
     use ssa_workload::sql::{roi_params, ROI_PROGRAM, ROI_TABLES};
 
     let mut group = c.benchmark_group("sqlprog_round");
     group.sample_size(20);
-    for (label, mode) in [
-        ("planned", PlannerMode::Auto),
-        ("forced_scan", PlannerMode::ForceScan),
-    ] {
-        group.bench_function(BenchmarkId::new("roi_fig5", label), |b| {
-            let mut program =
-                SqlProgramBidder::new(ROI_TABLES, ROI_PROGRAM, &roi_params(25, 5, 1.5, 0.5))
-                    .expect("Figure 5 program loads");
-            program.db_mut().set_planner_mode(mode);
-            let won = BidderOutcome {
-                slot: Some(SlotId::new(1)),
-                clicked: true,
-                purchased: false,
-                price: Money::from_cents(7),
-            };
-            let lost = BidderOutcome::lost();
-            let mut time = 0u64;
-            b.iter(|| {
-                for _ in 0..64 {
-                    time += 1;
-                    let ctx = QueryContext {
-                        time,
-                        keyword: 0,
-                        num_keywords: 1,
-                    };
-                    let bids = program.on_query(&ctx);
-                    std::hint::black_box(&bids);
-                    program.on_outcome(&ctx, if time.is_multiple_of(3) { &won } else { &lost });
-                }
-            });
-            assert!(
-                program.last_error().is_none(),
-                "program hit an error: {:?}",
-                program.last_error()
-            );
+    group.bench_function(BenchmarkId::new("roi_fig5", "planned"), |b| {
+        let mut program =
+            SqlProgramBidder::new(ROI_TABLES, ROI_PROGRAM, &roi_params(25, 5, 1.5, 0.5))
+                .expect("Figure 5 program loads");
+        let won = BidderOutcome {
+            slot: Some(SlotId::new(1)),
+            clicked: true,
+            purchased: false,
+            price: Money::from_cents(7),
+        };
+        let lost = BidderOutcome::lost();
+        let mut time = 0u64;
+        b.iter(|| {
+            for _ in 0..64 {
+                time += 1;
+                let ctx = QueryContext {
+                    time,
+                    keyword: 0,
+                    num_keywords: 1,
+                };
+                let bids = program.on_query(&ctx);
+                std::hint::black_box(&bids);
+                program.on_outcome(&ctx, if time.is_multiple_of(3) { &won } else { &lost });
+            }
         });
-    }
+        assert!(
+            program.last_error().is_none(),
+            "program hit an error: {:?}",
+            program.last_error()
+        );
+    });
     group.finish();
 }
 

@@ -1,7 +1,8 @@
 //! Compiled expressions: the `Expr` tree lowered to a flat op sequence.
 //!
-//! The interpreter in [`crate::exec`] walks the AST for every row; this
-//! module lowers an expression **once** — resolving every column reference
+//! The reference interpreter minidb's tests check the planner against
+//! walks the AST for every row; this module lowers an expression **once**
+//! — resolving every column reference
 //! to a `(scope depth, column offset)` pair against the statically known
 //! scope stack — into a postfix op sequence evaluated by a small stack
 //! machine with no name resolution and no AST recursion (scalar subqueries,

@@ -1,4 +1,5 @@
-//! The statement interpreter.
+//! The database: its state, catalog, triggers, DDL and host API. Every
+//! other statement runs on the planned executor ([`crate::plan`]).
 //!
 //! Semantics notes (all deliberate, see crate docs):
 //!
@@ -12,10 +13,10 @@
 //!   limit to keep programs non-recursive (Section II-B requires bidding
 //!   programs to be "simple SQL updates without recursion").
 
-use crate::ast::{AggFunc, CmpOp, ColumnRef, Expr, Select, SelectItem, Statement};
+use crate::ast::Statement;
 use crate::error::{DbError, DbResult};
-use crate::plan::{self, ExplainLine, PlannedScript, PlannerCounters, PlannerMode};
-use crate::prepared::{Params, Prepared, NO_PARAMS};
+use crate::plan::{self, ExplainLine, PlannedScript, PlannerCounters};
+use crate::prepared::{Prepared, NO_PARAMS};
 use crate::script::{CatalogShape, Script};
 use crate::table::{Row, Schema, Table};
 use crate::value::Value;
@@ -23,7 +24,7 @@ use crate::vars::Vars;
 use std::sync::Arc;
 
 /// Maximum depth of trigger-initiated statement nesting.
-const MAX_TRIGGER_DEPTH: usize = 16;
+pub(crate) const MAX_TRIGGER_DEPTH: usize = 16;
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,7 +52,7 @@ pub(crate) struct TriggerDef {
     /// The body as parsed inside the defining script — the same `Arc` in
     /// every database that ran that script, plan cache included. It also
     /// carries the trigger's name and table.
-    body: Arc<Script>,
+    pub(crate) body: Arc<Script>,
     /// Owner-local memo of the planned body. Living inside `Database`, it
     /// needs no lock: repeat firings revalidate one version number and go.
     /// The body's shared plan cache stays the source of truth that
@@ -93,9 +94,8 @@ pub struct Database {
     pub(crate) shape: Arc<CatalogShape>,
     /// Rows and indexes of each table of `shape`, in its order.
     pub(crate) tables: Vec<Table>,
-    triggers: Vec<TriggerDef>,
+    pub(crate) triggers: Vec<TriggerDef>,
     pub(crate) vars: Vars,
-    pub(crate) mode: PlannerMode,
     /// Every shape this database has had since the empty one, which keeps
     /// their ids interned: coming back to a shape (a table dropped and
     /// recreated as it was) comes back to its id whether or not another
@@ -116,14 +116,13 @@ impl Default for Database {
 }
 
 impl Database {
-    /// Creates an empty database in [`PlannerMode::Auto`].
+    /// Creates an empty database.
     pub fn new() -> Self {
         Database {
             shape: CatalogShape::empty(),
             tables: Vec::new(),
             triggers: Vec::new(),
             vars: Vars::default(),
-            mode: PlannerMode::Auto,
             shapes: Vec::new(),
             ddl_epoch: 0,
             counters: PlannerCounters::default(),
@@ -154,58 +153,57 @@ impl Database {
 
     /// Runs a single-`SELECT` script and returns its rows.
     pub fn query(&mut self, sql: &str) -> DbResult<Vec<Row>> {
-        let mut outcomes = self.run(sql)?;
-        match (outcomes.len(), outcomes.pop()) {
-            (1, Some(ExecOutcome::Rows(rows))) => Ok(rows),
+        single_select(self.run(sql)?)
+    }
+
+    /// Executes one pre-parsed statement (with no parameters bound). The
+    /// statement is lowered through the planner; plans from this entry
+    /// point are transient — [`Database::prepare`] caches them.
+    pub fn execute(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
+        let plan = plan::plan_statement(self, stmt);
+        self.ensure_plan_indexes(&plan.index_reqs);
+        self.exec_planned(stmt, &plan, 0, NO_PARAMS)
+    }
+
+    /// Runs a DDL statement — `CREATE TABLE`, `DROP TABLE` or `CREATE
+    /// TRIGGER` — which moves the catalog and has no plan of its own. Any
+    /// other statement is refused with a parse error: it belongs to the
+    /// planner.
+    pub(crate) fn exec_ddl(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
+        match stmt {
+            Statement::CreateTable { name, columns } => {
+                let schema = Schema::try_new(columns.iter().cloned())?;
+                self.create_table(name, schema)?;
+                Ok(ExecOutcome::Created)
+            }
+            Statement::DropTable { name } => {
+                let pos = self.table_position(name)?;
+                self.tables.remove(pos);
+                self.triggers.retain(|t| !t.body.is_trigger_on(name));
+                let shape = self.shape.without_table(pos);
+                self.enter_shape(shape);
+                Ok(ExecOutcome::Dropped)
+            }
+            Statement::CreateTrigger { name, table, body } => {
+                if self.triggers.iter().any(|t| t.body.is_trigger_named(name)) {
+                    return Err(DbError::TriggerExists(name.clone()));
+                }
+                self.table_position(table)?;
+                let body = if body.is_trigger_named(name) && body.is_trigger_on(table) {
+                    Arc::clone(body)
+                } else {
+                    // A statement assembled around another trigger's body.
+                    Arc::new(Script::trigger_body(name, table, body.to_vec()))
+                };
+                self.triggers.reserve_exact(1);
+                self.triggers.push(TriggerDef { body, ready: None });
+                Ok(ExecOutcome::Created)
+            }
             _ => Err(DbError::Parse {
-                message: "query expects exactly one SELECT statement".to_string(),
+                message: "not a DDL statement".to_string(),
                 position: 0,
             }),
         }
-    }
-
-    /// Executes one pre-parsed statement (with no parameters bound).
-    pub fn execute(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
-        self.execute_with_params(stmt, NO_PARAMS)
-    }
-
-    /// Executes one pre-parsed statement with a parameter binding
-    /// environment. Under [`PlannerMode::Auto`] the statement is lowered
-    /// through the planner (plans from this entry point are transient; use
-    /// [`Database::prepare`] to cache them); under
-    /// [`PlannerMode::ForceScan`] it runs on the interpreter.
-    pub(crate) fn execute_with_params(
-        &mut self,
-        stmt: &Statement,
-        params: &Params,
-    ) -> DbResult<ExecOutcome> {
-        if self.mode == PlannerMode::ForceScan {
-            self.execute_at_depth(stmt, 0, params)
-        } else {
-            let plan = plan::plan_statement(self, stmt);
-            self.ensure_plan_indexes(&plan.index_reqs);
-            self.exec_planned(stmt, &plan, 0, params)
-        }
-    }
-
-    /// Interpreter entry point for the forced-scan oracle path.
-    pub(crate) fn execute_interpreted(
-        &mut self,
-        stmt: &Statement,
-        params: &Params,
-    ) -> DbResult<ExecOutcome> {
-        self.execute_at_depth(stmt, 0, params)
-    }
-
-    /// Executes a DDL statement from the planned path (DDL always runs on
-    /// the interpreter, which moves the catalog shape).
-    pub(crate) fn execute_ddl(
-        &mut self,
-        stmt: &Statement,
-        depth: usize,
-        params: &Params,
-    ) -> DbResult<ExecOutcome> {
-        self.execute_at_depth(stmt, depth, params)
     }
 
     /// Sets a host scalar variable (e.g. `amtSpent`, `time`); names are
@@ -250,11 +248,6 @@ impl Database {
         self.shape
             .position(name)
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
-    /// The spelling and contents of the table at `pos`.
-    pub(crate) fn table_at(&self, pos: usize) -> (&str, &Table) {
-        (&self.shape.tables()[pos].display, &self.tables[pos])
     }
 
     /// Moves to `shape` after a table was created or dropped, `tables`
@@ -303,153 +296,7 @@ impl Database {
         names
     }
 
-    // ---- execution internals ----------------------------------------------
-
-    fn execute_at_depth(
-        &mut self,
-        stmt: &Statement,
-        depth: usize,
-        params: &Params,
-    ) -> DbResult<ExecOutcome> {
-        match stmt {
-            Statement::CreateTable { name, columns } => {
-                let schema = Schema::try_new(columns.iter().cloned())?;
-                self.create_table(name, schema)?;
-                Ok(ExecOutcome::Created)
-            }
-            Statement::DropTable { name } => {
-                let pos = self.table_position(name)?;
-                self.tables.remove(pos);
-                self.triggers.retain(|t| !t.body.is_trigger_on(name));
-                let shape = self.shape.without_table(pos);
-                self.enter_shape(shape);
-                Ok(ExecOutcome::Dropped)
-            }
-            Statement::CreateTrigger { name, table, body } => {
-                if self.triggers.iter().any(|t| t.body.is_trigger_named(name)) {
-                    return Err(DbError::TriggerExists(name.clone()));
-                }
-                self.table_position(table)?;
-                let body = if body.is_trigger_named(name) && body.is_trigger_on(table) {
-                    Arc::clone(body)
-                } else {
-                    // A statement assembled around another trigger's body.
-                    Arc::new(Script::trigger_body(name, table, body.to_vec()))
-                };
-                self.triggers.reserve_exact(1);
-                self.triggers.push(TriggerDef { body, ready: None });
-                Ok(ExecOutcome::Created)
-            }
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => {
-                let inserted = self.exec_insert(table, columns.as_deref(), rows, depth, params)?;
-                Ok(ExecOutcome::Inserted(inserted))
-            }
-            Statement::Update {
-                table,
-                sets,
-                where_clause,
-            } => {
-                let updated = self.exec_update(table, sets, where_clause.as_ref(), params)?;
-                Ok(ExecOutcome::Updated(updated))
-            }
-            Statement::Delete {
-                table,
-                where_clause,
-            } => {
-                let deleted = self.exec_delete(table, where_clause.as_ref(), params)?;
-                Ok(ExecOutcome::Deleted(deleted))
-            }
-            Statement::Select(select) => {
-                let rows = Evaluator::global(self, params).run_select(select)?;
-                Ok(ExecOutcome::Rows(rows))
-            }
-            Statement::If { arms, else_block } => {
-                for (cond, block) in arms {
-                    if Evaluator::global(self, params).eval_predicate(cond)? {
-                        return self.exec_block(block, depth, params);
-                    }
-                }
-                if let Some(block) = else_block {
-                    return self.exec_block(block, depth, params);
-                }
-                Ok(ExecOutcome::Done)
-            }
-            Statement::SetVar { name, value } => {
-                let v = Evaluator::global(self, params).eval(value)?;
-                self.vars.set_named(name, v);
-                Ok(ExecOutcome::Done)
-            }
-            Statement::Explain(inner) => {
-                Ok(ExecOutcome::Explain(plan::explain_statement(self, inner)?))
-            }
-        }
-    }
-
-    fn exec_block(
-        &mut self,
-        block: &[Statement],
-        depth: usize,
-        params: &Params,
-    ) -> DbResult<ExecOutcome> {
-        for stmt in block {
-            self.execute_at_depth(stmt, depth, params)?;
-        }
-        Ok(ExecOutcome::Done)
-    }
-
-    fn exec_insert(
-        &mut self,
-        table: &str,
-        columns: Option<&[String]>,
-        rows: &[Vec<Expr>],
-        depth: usize,
-        params: &Params,
-    ) -> DbResult<usize> {
-        let pos = self.table_position(table)?;
-        // Evaluate before mutating (expressions may read other tables).
-        let mut materialised: Vec<Row> = Vec::with_capacity(rows.len());
-        {
-            let evaluator = Evaluator::global(self, params);
-            let schema = self.tables[pos].schema();
-            for exprs in rows {
-                let mut values = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    values.push(evaluator.eval(e)?);
-                }
-                let row = match columns {
-                    None => values,
-                    Some(cols) => {
-                        if cols.len() != values.len() {
-                            return Err(DbError::Arity {
-                                expected: cols.len(),
-                                got: values.len(),
-                            });
-                        }
-                        let mut full = vec![Value::Null; schema.len()];
-                        for (col, v) in cols.iter().zip(values) {
-                            let idx = schema
-                                .index_of(col)
-                                .ok_or_else(|| DbError::NoSuchColumn(col.clone()))?;
-                            full[idx] = v;
-                        }
-                        full
-                    }
-                };
-                materialised.push(row);
-            }
-        }
-        let count = materialised.len();
-        let t = &mut self.tables[pos];
-        for row in materialised {
-            t.insert(row)?;
-        }
-        self.fire_triggers(pos, depth)?;
-        Ok(count)
-    }
+    // ---- trigger firing ---------------------------------------------------
 
     /// Fires the `AFTER INSERT` triggers of the table at `pos`.
     pub(crate) fn fire_triggers(&mut self, pos: usize, depth: usize) -> DbResult<()> {
@@ -457,22 +304,6 @@ impl Database {
             return Err(DbError::TriggerDepthExceeded);
         }
         let table = &*self.shape.tables()[pos].display;
-        if self.mode == PlannerMode::ForceScan {
-            let fired: Vec<Arc<Script>> = self
-                .triggers
-                .iter()
-                .filter(|t| t.body.is_trigger_on(table))
-                .map(|t| Arc::clone(&t.body))
-                .collect();
-            for body in fired {
-                // Stored trigger bodies never see the firing statement's
-                // parameters — host scalar variables are their channel.
-                for stmt in body.iter() {
-                    self.execute_at_depth(stmt, depth + 1, NO_PARAMS)?;
-                }
-            }
-            return Ok(());
-        }
         // Snapshot the firing set up front: bodies may themselves create or
         // drop triggers, so we never touch `self.triggers` while executing.
         // A valid memo is cloned as is; a miss carries the trigger's slot
@@ -502,6 +333,8 @@ impl Database {
                     ready
                 }
             };
+            // Stored trigger bodies never see the firing statement's
+            // parameters — host scalar variables are their channel.
             let body = ready.body.iter().zip(ready.planned.plans());
             self.exec_planned_seq(body, depth + 1, NO_PARAMS, |_| ())?;
         }
@@ -512,12 +345,8 @@ impl Database {
     /// or adopts the plan another database of the same catalog shape
     /// already lowered for the same body — and materialises the indexes
     /// those plans request. Campaign hosts call this once after installing
-    /// a bidding program, so the first auction pays no planning cost. A
-    /// no-op under [`PlannerMode::ForceScan`].
+    /// a bidding program, so the first auction pays no planning cost.
     pub fn warm_plans(&mut self) {
-        if self.mode == PlannerMode::ForceScan {
-            return;
-        }
         for slot in 0..self.triggers.len() {
             let trigger = &self.triggers[slot];
             if trigger.ready_at(self.catalog_version()).is_none() {
@@ -533,377 +362,17 @@ impl Database {
         let planned = self.cached_script(&body);
         Arc::new(ReadyTrigger { body, planned })
     }
-
-    fn exec_update(
-        &mut self,
-        table: &str,
-        sets: &[crate::ast::SetClause],
-        where_clause: Option<&Expr>,
-        params: &Params,
-    ) -> DbResult<usize> {
-        let pos = self.table_position(table)?;
-        // Phase 1 (immutable): find matching rows, compute new values
-        // against the snapshot.
-        let mut planned: Vec<(usize, Vec<(usize, Value)>)> = Vec::new();
-        {
-            let (display, t) = self.table_at(pos);
-            let schema = t.schema();
-            let set_indices: Vec<usize> = sets
-                .iter()
-                .map(|s| {
-                    schema
-                        .index_of(&s.column)
-                        .ok_or_else(|| DbError::NoSuchColumn(s.column.clone()))
-                })
-                .collect::<DbResult<_>>()?;
-            for (ridx, row) in t.rows().iter().enumerate() {
-                PlannerCounters::bump(&self.counters.rows_scanned, 1);
-                let evaluator = Evaluator::with_row(self, display, None, schema, row, params);
-                let matches = match where_clause {
-                    None => true,
-                    Some(p) => evaluator.eval_predicate(p)?,
-                };
-                if !matches {
-                    continue;
-                }
-                let mut assignments = Vec::with_capacity(sets.len());
-                for (set, &cidx) in sets.iter().zip(&set_indices) {
-                    assignments.push((cidx, evaluator.eval(&set.value)?));
-                }
-                planned.push((ridx, assignments));
-            }
-        }
-        // Phase 2 (mutable): apply.
-        let count = planned.len();
-        let t = &mut self.tables[pos];
-        for (ridx, assignments) in planned {
-            for (cidx, value) in assignments {
-                t.set_cell(ridx, cidx, value)?;
-            }
-        }
-        Ok(count)
-    }
-
-    fn exec_delete(
-        &mut self,
-        table: &str,
-        where_clause: Option<&Expr>,
-        params: &Params,
-    ) -> DbResult<usize> {
-        let pos = self.table_position(table)?;
-        let mut doomed: Vec<usize> = Vec::new();
-        {
-            let (display, t) = self.table_at(pos);
-            for (ridx, row) in t.rows().iter().enumerate() {
-                PlannerCounters::bump(&self.counters.rows_scanned, 1);
-                let evaluator = Evaluator::with_row(self, display, None, t.schema(), row, params);
-                let matches = match where_clause {
-                    None => true,
-                    Some(p) => evaluator.eval_predicate(p)?,
-                };
-                if matches {
-                    doomed.push(ridx);
-                }
-            }
-        }
-        let count = doomed.len();
-        self.tables[pos].delete_rows(&doomed);
-        Ok(count)
-    }
 }
 
-/// One table-row scope for name resolution.
-struct RowScope<'a> {
-    name: &'a str,
-    alias: Option<&'a str>,
-    schema: &'a Schema,
-    row: &'a [Value],
-}
-
-/// Expression evaluator over a database plus a stack of row scopes
-/// (outermost first) and the statement's parameter bindings.
-struct Evaluator<'a> {
-    db: &'a Database,
-    scopes: Vec<RowScope<'a>>,
-    params: &'a Params,
-}
-
-impl<'a> Evaluator<'a> {
-    fn global(db: &'a Database, params: &'a Params) -> Self {
-        Evaluator {
-            db,
-            scopes: Vec::new(),
-            params,
-        }
-    }
-
-    fn with_row(
-        db: &'a Database,
-        name: &'a str,
-        alias: Option<&'a str>,
-        schema: &'a Schema,
-        row: &'a [Value],
-        params: &'a Params,
-    ) -> Self {
-        Evaluator {
-            db,
-            scopes: vec![RowScope {
-                name,
-                alias,
-                schema,
-                row,
-            }],
-            params,
-        }
-    }
-
-    fn resolve_column(&self, cref: &ColumnRef) -> DbResult<Value> {
-        match &cref.qualifier {
-            Some(q) => {
-                for scope in self.scopes.iter().rev() {
-                    // SQL scoping: an alias *replaces* the table name — a
-                    // scope with `FROM Keywords K` answers to `K` only, so
-                    // that an outer `Keywords.x` reference skips past it
-                    // (needed by self-join-style correlated subqueries).
-                    let matches = match scope.alias {
-                        Some(a) => a.eq_ignore_ascii_case(q),
-                        None => scope.name.eq_ignore_ascii_case(q),
-                    };
-                    if matches {
-                        let idx = scope
-                            .schema
-                            .index_of(&cref.column)
-                            .ok_or_else(|| DbError::NoSuchColumn(format!("{q}.{}", cref.column)))?;
-                        return Ok(scope.row[idx].clone());
-                    }
-                }
-                Err(DbError::NoSuchColumn(format!("{q}.{}", cref.column)))
-            }
-            None => {
-                for scope in self.scopes.iter().rev() {
-                    if let Some(idx) = scope.schema.index_of(&cref.column) {
-                        return Ok(scope.row[idx].clone());
-                    }
-                }
-                self.db
-                    .vars
-                    .find(&cref.column)
-                    .cloned()
-                    .ok_or_else(|| DbError::NoSuchColumn(cref.column.clone()))
-            }
-        }
-    }
-
-    fn eval(&self, expr: &Expr) -> DbResult<Value> {
-        match expr {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(p) => self.params.resolve(p),
-            Expr::Column(cref) => self.resolve_column(cref),
-            Expr::Arith(a, op, b) => self.eval(a)?.arith(*op, &self.eval(b)?),
-            Expr::Neg(inner) => match self.eval(inner)? {
-                Value::Int(v) => v.checked_neg().map(Value::Int).ok_or(DbError::Overflow),
-                Value::Float(v) => Ok(Value::Float(-v)),
-                Value::Null => Ok(Value::Null),
-                other => Err(DbError::Type(format!("cannot negate {other}"))),
-            },
-            Expr::Cmp(a, op, b) => {
-                let left = self.eval(a)?;
-                let right = self.eval(b)?;
-                match left.compare(&right)? {
-                    None => Ok(Value::Null),
-                    Some(ord) => {
-                        let result = match op {
-                            CmpOp::Eq => ord.is_eq(),
-                            CmpOp::Neq => ord.is_ne(),
-                            CmpOp::Lt => ord.is_lt(),
-                            CmpOp::Le => ord.is_le(),
-                            CmpOp::Gt => ord.is_gt(),
-                            CmpOp::Ge => ord.is_ge(),
-                        };
-                        Ok(Value::Bool(result))
-                    }
-                }
-            }
-            Expr::And(a, b) => {
-                let left = self.eval_truth(a)?;
-                let right = self.eval_truth(b)?;
-                // Kleene AND.
-                Ok(match (left, right) {
-                    (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                    (Some(true), Some(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                })
-            }
-            Expr::Or(a, b) => {
-                let left = self.eval_truth(a)?;
-                let right = self.eval_truth(b)?;
-                Ok(match (left, right) {
-                    (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                })
-            }
-            Expr::Not(inner) => Ok(match self.eval_truth(inner)? {
-                Some(b) => Value::Bool(!b),
-                None => Value::Null,
-            }),
-            Expr::Subquery(select) => self.eval_scalar_subquery(select),
-        }
-    }
-
-    fn eval_truth(&self, expr: &Expr) -> DbResult<Option<bool>> {
-        match self.eval(expr)? {
-            Value::Bool(b) => Ok(Some(b)),
-            Value::Null => Ok(None),
-            other => Err(DbError::Type(format!("expected a condition, got {other}"))),
-        }
-    }
-
-    /// Predicate position: NULL is not a match.
-    fn eval_predicate(&self, expr: &Expr) -> DbResult<bool> {
-        Ok(self.eval_truth(expr)?.unwrap_or(false))
-    }
-
-    fn eval_scalar_subquery(&self, select: &Select) -> DbResult<Value> {
-        let mut rows = self.run_select(select)?;
-        match rows.len() {
-            0 => Ok(Value::Null),
-            1 => {
-                let row = rows.pop().expect("checked length");
-                if row.len() != 1 {
-                    Err(DbError::NonScalarSubquery)
-                } else {
-                    Ok(row.into_iter().next().expect("checked length"))
-                }
-            }
-            _ => Err(DbError::NonScalarSubquery),
-        }
-    }
-
-    fn run_select(&self, select: &Select) -> DbResult<Vec<Row>> {
-        let (display, table) = self.db.table_at(self.db.table_position(&select.from)?);
-        let schema = table.schema();
-
-        let has_agg = select
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Agg(..)));
-        if has_agg
-            && select
-                .items
-                .iter()
-                .any(|i| !matches!(i, SelectItem::Agg(..)))
-        {
-            return Err(DbError::Type(
-                "cannot mix aggregates with plain columns (no GROUP BY)".to_string(),
-            ));
-        }
-
-        let mut matched: Vec<&[Value]> = Vec::new();
-        for row in table.rows() {
-            PlannerCounters::bump(&self.db.counters.rows_scanned, 1);
-            let inner = self.child_scope(display, select.alias.as_deref(), schema, row);
-            let ok = match &select.where_clause {
-                None => true,
-                Some(p) => inner.eval_predicate(p)?,
-            };
-            if ok {
-                matched.push(row);
-            }
-        }
-
-        if has_agg {
-            let mut out = Vec::with_capacity(select.items.len());
-            for item in &select.items {
-                let SelectItem::Agg(func, inner_expr) = item else {
-                    unreachable!("checked homogeneous aggregates");
-                };
-                out.push(self.eval_aggregate(
-                    *func,
-                    inner_expr.as_ref(),
-                    display,
-                    select.alias.as_deref(),
-                    schema,
-                    &matched,
-                )?);
-            }
-            return Ok(vec![out]);
-        }
-
-        let mut rows_out = Vec::with_capacity(matched.len());
-        for row in matched {
-            let inner = self.child_scope(display, select.alias.as_deref(), schema, row);
-            let mut out = Vec::new();
-            for item in &select.items {
-                match item {
-                    SelectItem::Star => out.extend(row.iter().cloned()),
-                    SelectItem::Expr(e) => out.push(inner.eval(e)?),
-                    SelectItem::Agg(..) => unreachable!("handled above"),
-                }
-            }
-            rows_out.push(out);
-        }
-        Ok(rows_out)
-    }
-
-    fn child_scope(
-        &self,
-        name: &'a str,
-        alias: Option<&'a str>,
-        schema: &'a Schema,
-        row: &'a [Value],
-    ) -> Evaluator<'a>
-    where
-        'a: 'a,
-    {
-        let mut scopes: Vec<RowScope<'a>> = Vec::with_capacity(self.scopes.len() + 1);
-        for s in &self.scopes {
-            scopes.push(RowScope {
-                name: s.name,
-                alias: s.alias,
-                schema: s.schema,
-                row: s.row,
-            });
-        }
-        scopes.push(RowScope {
-            name,
-            alias,
-            schema,
-            row,
-        });
-        Evaluator {
-            db: self.db,
-            scopes,
-            params: self.params,
-        }
-    }
-
-    fn eval_aggregate(
-        &self,
-        func: AggFunc,
-        inner: Option<&Expr>,
-        name: &'a str,
-        alias: Option<&'a str>,
-        schema: &'a Schema,
-        rows: &[&'a [Value]],
-    ) -> DbResult<Value> {
-        // COUNT(*) counts rows without evaluating anything.
-        if func == AggFunc::Count && inner.is_none() {
-            return Ok(Value::Int(rows.len() as i64));
-        }
-        let expr = inner
-            .ok_or_else(|| DbError::Type("only COUNT accepts '*' as its argument".to_string()))?;
-        let mut values = Vec::with_capacity(rows.len());
-        for row in rows {
-            let scope = self.child_scope(name, alias, schema, row);
-            let v = scope.eval(expr)?;
-            if !v.is_null() {
-                values.push(v);
-            }
-        }
-        // The fold itself is shared with the planned executor so the two
-        // paths cannot diverge on aggregate semantics.
-        plan::fold_aggregate(func, values)
+/// The rows of a script that is exactly one `SELECT`: what
+/// [`Database::query`] and [`Prepared::query`] return.
+pub(crate) fn single_select(mut outcomes: Vec<ExecOutcome>) -> DbResult<Vec<Row>> {
+    match (outcomes.len(), outcomes.pop()) {
+        (1, Some(ExecOutcome::Rows(rows))) => Ok(rows),
+        _ => Err(DbError::Parse {
+            message: "query expects exactly one SELECT statement".to_string(),
+            position: 0,
+        }),
     }
 }
 

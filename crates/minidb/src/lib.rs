@@ -13,7 +13,7 @@
 //!   `SELECT` with aggregates (`MAX`/`MIN`/`SUM`/`COUNT`/`AVG`), scalar
 //!   subqueries (correlated on the row being updated), and
 //!   `IF/ELSEIF/ELSE/ENDIF` blocks,
-//! * an [`exec`] interpreter with snapshot semantics for updates and
+//! * a planned executor ([`plan`]) with snapshot semantics for updates and
 //!   `AFTER INSERT` trigger firing,
 //! * host-visible scalar variables (`amtSpent`, `time`,
 //!   `targetSpendRate`, …) that the auction engine sets before each run,
@@ -45,14 +45,15 @@
 //!    postfix op sequence over [`Value`]s, so the per-row hot loop never
 //!    recurses through the AST.
 //!
-//! The planned pipeline is the one production path: every [`Database`]
-//! starts in [`PlannerMode::Auto`]. It is bit-for-bit equivalent to the
-//! reference interpreter — same rows, same errors, same trigger side
-//! effects — which `tests/planner_equivalence.rs` checks property-style.
-//! The interpreter stays as that oracle: tests and benches select it by
-//! name with [`Database::set_planner_mode`]`(`[`PlannerMode::ForceScan`]`)`.
-//! Read [`Database::planner_stats`] for `index_hits` / `rows_scanned` /
-//! `plans_cached` counters.
+//! The planned pipeline is the one executor: every statement a
+//! [`Database`] or [`Prepared`] runs, and every trigger firing, goes
+//! through it, and there is no mode to switch. It is bit-for-bit
+//! equivalent to a tree-walking interpreter that scans every table — same
+//! rows, same errors, same trigger side effects — which the crate's
+//! planner-equivalence unit tests check property-style. That interpreter
+//! is test code: it is compiled only into this crate's test build, where
+//! tests call it by name as their oracle. Read [`Database::planner_stats`]
+//! for `index_hits` / `rows_scanned` / `plans_cached` counters.
 //!
 //! ## Compile once per text
 //!
@@ -124,7 +125,9 @@ mod index;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+mod planner_equivalence;
 pub mod prepared;
+mod reference;
 pub mod script;
 pub mod table;
 pub mod value;
@@ -132,7 +135,7 @@ mod vars;
 
 pub use error::{DbError, DbResult};
 pub use exec::{Database, ExecOutcome};
-pub use plan::{ExplainAccess, ExplainLine, PlannerMode, PlannerStats};
+pub use plan::{ExplainAccess, ExplainLine, PlannerStats};
 pub use prepared::{Params, Prepared, NO_PARAMS};
 pub use script::{interned_scripts, Script};
 pub use table::{Column, Row, Schema, Table};

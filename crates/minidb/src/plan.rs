@@ -1,8 +1,7 @@
 //! Query planning: logical → physical plans, secondary-index selection,
-//! and the planned executor.
-//!
-//! [`crate::exec`] keeps the reference tree-walking interpreter; this module
-//! adds the layered pipeline in front of it:
+//! and the planned executor — the one executor every statement other than
+//! DDL runs on ([`crate::exec`] holds the database and its DDL). The
+//! pipeline is layered:
 //!
 //! 1. **Logical plan** — `plan_statement` lowers a parsed [`Statement`]
 //!    once: the target table is resolved to its catalog position, every column
@@ -32,11 +31,12 @@
 //!
 //! **Equivalence guarantee**: for every script, the planned executor
 //! produces bit-identical outcomes — rows, errors, trigger effects, and
-//! final table contents — to the interpreter with
-//! [`PlannerMode::ForceScan`]. The planner only emits an index probe when
-//! it can prove the remaining conjuncts cannot raise an error the scan
-//! would have surfaced on a row the probe skips; probes whose key type
-//! does not match the column fall back to a scan at run time.
+//! final table contents — to a tree-walking interpreter that scans every
+//! table, the reference minidb's own tests hold it to (it is compiled into
+//! test builds only). The planner only emits an index probe when it can
+//! prove the remaining conjuncts cannot raise an error the scan would have
+//! surfaced on a row the probe skips; probes whose key type does not match
+//! the column fall back to a scan at run time.
 
 use crate::ast::{AggFunc, CmpOp, Expr, Select, SelectItem, Statement};
 use crate::compile::{
@@ -55,27 +55,15 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
-// Modes, counters, and versions.
+// Counters and versions.
 // ---------------------------------------------------------------------------
-
-/// How the engine chooses physical access paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannerMode {
-    /// Plan statements, use secondary indexes where eligible (default).
-    Auto,
-    /// Bypass planning entirely: every statement runs on the reference
-    /// tree-walking interpreter with full table scans. The oracle that
-    /// equivalence tests and benches select by name through
-    /// [`Database::set_planner_mode`]; nothing in production sets it.
-    ForceScan,
-}
 
 /// Monotonic planner counters for one [`Database`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlannerStats {
     /// Number of statement executions answered by an index probe.
     pub index_hits: u64,
-    /// Rows examined by full-scan access paths (both engines count).
+    /// Rows examined by full-scan access paths.
     pub rows_scanned: u64,
     /// Statement plans memoised for this database by their owners
     /// (prepared handles, triggers). Plans adopted from a database of the
@@ -194,7 +182,8 @@ pub(crate) struct StmtPlan {
 
 #[derive(Debug)]
 enum PlanKind {
-    /// DDL executes on the interpreter (and moves the catalog shape).
+    /// DDL runs unplanned through `Database::exec_ddl` (and moves the
+    /// catalog shape).
     Ddl,
     /// Planning already diagnosed the statement's first runtime error.
     Raise(DbError),
@@ -559,12 +548,6 @@ fn plan_access(
         };
     };
     let full = compile_expr(pred, db, scopes);
-    if db.mode == PlannerMode::ForceScan {
-        return AccessPlan {
-            kind: AccessKind::Scan,
-            full_pred: Some(full),
-        };
-    }
     let mut conjuncts = Vec::new();
     flatten_and(pred, &mut conjuncts);
     for i in 0..conjuncts.len() {
@@ -1204,7 +1187,7 @@ impl Database {
         // Indexes were materialised when the plan was built or adopted
         // (cached_script, or the replan above) — execution only probes them.
         match &plan.kind {
-            PlanKind::Ddl => self.execute_ddl(source, depth, params),
+            PlanKind::Ddl => self.exec_ddl(source),
             PlanKind::Raise(e) => Err(e.clone()),
             PlanKind::Explain(lines) => Ok(ExecOutcome::Explain(lines.clone())),
             PlanKind::SetVar { name, value, .. } => {
@@ -1390,18 +1373,6 @@ impl Database {
             plans_cached: self.counters.plans_cached.get(),
         }
     }
-
-    /// Switches between the planned pipeline and the forced-scan
-    /// interpreter. Both produce bit-identical results; the toggle exists
-    /// for equivalence tests and overhead measurements.
-    pub fn set_planner_mode(&mut self, mode: PlannerMode) {
-        self.mode = mode;
-    }
-
-    /// The active [`PlannerMode`].
-    pub fn planner_mode(&self) -> PlannerMode {
-        self.mode
-    }
 }
 
 #[cfg(test)]
@@ -1410,9 +1381,8 @@ mod tests {
     use crate::exec::ExecOutcome;
     use crate::value::Value;
 
-    fn seeded(mode: PlannerMode) -> Database {
+    fn seeded() -> Database {
         let mut db = Database::new();
-        db.set_planner_mode(mode);
         db.run("CREATE TABLE Keywords (Text TEXT, Bid INT)")
             .unwrap();
         for (t, b) in [("boot", 4), ("shoe", 7), ("boot", 9), ("sock", 1)] {
@@ -1424,7 +1394,7 @@ mod tests {
 
     #[test]
     fn mixed_case_references_share_one_index() {
-        let mut db = seeded(PlannerMode::Auto);
+        let mut db = seeded();
         // Same logical query under three casings of the table and column.
         let spellings = [
             "SELECT Bid FROM Keywords WHERE Text = 'boot'",
@@ -1462,7 +1432,7 @@ mod tests {
 
     #[test]
     fn explain_does_not_execute_or_cache() {
-        let mut db = seeded(PlannerMode::Auto);
+        let mut db = seeded();
         db.run(
             "CREATE TRIGGER bump AFTER INSERT ON Keywords { \
              UPDATE Keywords SET Bid = Bid + 1 WHERE Text = 'boot' }",
@@ -1500,12 +1470,16 @@ mod tests {
                       INSERT INTO Stats VALUES (3, 1.5);\
                       INSERT INTO Stats VALUES (4, 2.5)";
         let mut auto = Database::new();
-        auto.set_planner_mode(PlannerMode::Auto);
         let mut scan = Database::new();
-        scan.set_planner_mode(PlannerMode::ForceScan);
-        assert_eq!(auto.run(script).unwrap(), scan.run(script).unwrap());
+        assert_eq!(
+            auto.run(script).unwrap(),
+            scan.run_reference(script).unwrap()
+        );
         let probe = "SELECT word, bid FROM Keywords WHERE word = 'boot'";
-        assert_eq!(auto.query(probe).unwrap(), scan.query(probe).unwrap());
+        assert_eq!(
+            auto.query(probe).unwrap(),
+            scan.query_reference(probe).unwrap()
+        );
         assert_eq!(
             auto.query(probe).unwrap()[0][1],
             Value::Int(13),
@@ -1518,14 +1492,17 @@ mod tests {
             "UPDATE Keywords SET bid = bid + 'x' WHERE word = 'boot'",
             "SELECT * FROM Nowhere WHERE a = 1",
         ] {
-            assert_eq!(auto.run(bad), scan.run(bad), "statement: {bad}");
+            assert_eq!(auto.run(bad), scan.run_reference(bad), "statement: {bad}");
         }
-        assert_eq!(auto.query(probe).unwrap(), scan.query(probe).unwrap());
+        assert_eq!(
+            auto.query(probe).unwrap(),
+            scan.query_reference(probe).unwrap()
+        );
     }
 
     #[test]
     fn prepared_plans_are_cached_once() {
-        let mut db = seeded(PlannerMode::Auto);
+        let mut db = seeded();
         let mut stmt = db
             .prepare("SELECT Bid FROM Keywords WHERE Text = ?")
             .unwrap();
@@ -1547,21 +1524,21 @@ mod tests {
         // Float key probing an INT column: the index cannot answer, so the
         // planned path falls back to a scan and must agree with the
         // interpreter (numeric equality across Int/Float is true).
-        let mut auto = seeded(PlannerMode::Auto);
-        let mut scan = seeded(PlannerMode::ForceScan);
+        let mut auto = seeded();
+        let mut scan = seeded();
         let float_key = "SELECT Text FROM Keywords WHERE Bid = 4.0";
-        assert_eq!(auto.run(float_key), scan.run(float_key));
+        assert_eq!(auto.run(float_key), scan.run_reference(float_key));
         assert_eq!(auto.query(float_key).unwrap().len(), 1);
         // Int key probing a TEXT column: both engines raise the same error.
         let bad_key = "SELECT Text FROM Keywords WHERE Text = 3";
         let a = auto.run(bad_key);
         assert!(a.is_err());
-        assert_eq!(a, scan.run(bad_key));
+        assert_eq!(a, scan.run_reference(bad_key));
     }
 
     #[test]
     fn ddl_invalidates_stale_plans() {
-        let mut db = seeded(PlannerMode::Auto);
+        let mut db = seeded();
         let mut stmt = db
             .prepare("SELECT Bid FROM Keywords WHERE Text = ?")
             .unwrap();

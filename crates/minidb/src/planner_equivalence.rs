@@ -1,18 +1,104 @@
+#![cfg(test)]
 //! Planner equivalence: the planned, indexed, compiled pipeline must be
-//! bit-for-bit identical to the forced-scan reference interpreter —
-//! same rows, same errors (including partial side effects of failing
-//! statements), and same trigger effects — over random tables, rows, and
-//! statements.
+//! bit-for-bit identical to the reference interpreter (`crate::reference`),
+//! which scans every table — same rows, same errors (including partial
+//! side effects of failing statements), and same trigger effects — over
+//! random tables, rows, and statements.
 //!
-//! Each case builds two databases with identical contents, pins one to
-//! [`PlannerMode::Auto`] and the other to [`PlannerMode::ForceScan`], runs
-//! the same random script on both, and compares every statement outcome
-//! plus the full table state after each step.
+//! Each case builds two databases with identical contents, drives one
+//! through the production entry points and the other through their
+//! reference twins (`Engine`), runs the same random script on both, and
+//! compares every statement outcome plus the full table state after each
+//! step.
 
-use proptest::prelude::*;
-use ssa_minidb::{
-    Database, DbResult, ExplainAccess, Params, PlannerMode, Prepared, Row, Value, NO_PARAMS,
+use crate::{
+    Database, DbResult, ExecOutcome, ExplainAccess, Params, Prepared, Row, Table, Value, ValueType,
+    NO_PARAMS,
 };
+use proptest::prelude::*;
+use std::ops::Deref;
+
+/// The executor a test database is driven through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    /// The production entry points: `run`, `insert`, `Prepared::execute`.
+    Planned,
+    /// Their reference twins on the interpreter.
+    Reference,
+}
+
+/// A database and the engine every mutating call on it goes through.
+/// Read-only calls reach the database through `Deref`; there is no
+/// `DerefMut`, so a reference database cannot be handed to a production
+/// entry point by accident.
+struct Driven {
+    db: Database,
+    engine: Engine,
+}
+
+impl Deref for Driven {
+    type Target = Database;
+
+    fn deref(&self) -> &Database {
+        &self.db
+    }
+}
+
+impl Driven {
+    fn new(engine: Engine) -> Driven {
+        Driven {
+            db: Database::new(),
+            engine,
+        }
+    }
+
+    fn run(&mut self, sql: &str) -> DbResult<Vec<ExecOutcome>> {
+        match self.engine {
+            Engine::Planned => self.db.run(sql),
+            Engine::Reference => self.db.run_reference(sql),
+        }
+    }
+
+    fn query(&mut self, sql: &str) -> DbResult<Vec<Row>> {
+        match self.engine {
+            Engine::Planned => self.db.query(sql),
+            Engine::Reference => self.db.query_reference(sql),
+        }
+    }
+
+    fn insert(&mut self, table: &str, row: Row) -> DbResult<()> {
+        match self.engine {
+            Engine::Planned => self.db.insert(table, row),
+            Engine::Reference => self.db.insert_reference(table, row),
+        }
+    }
+
+    fn execute(&mut self, stmt: &mut Prepared, params: &Params) -> DbResult<Vec<ExecOutcome>> {
+        match self.engine {
+            Engine::Planned => stmt.execute(&mut self.db, params),
+            Engine::Reference => stmt.execute_reference(&mut self.db, params),
+        }
+    }
+
+    fn query_prepared(&mut self, stmt: &mut Prepared, params: &Params) -> DbResult<Vec<Row>> {
+        match self.engine {
+            Engine::Planned => stmt.query(&mut self.db, params),
+            Engine::Reference => stmt.query_reference(&mut self.db, params),
+        }
+    }
+
+    /// Plans the trigger bodies and `stmts` ahead of the first execution,
+    /// the way a campaign host does at registration. The interpreter has
+    /// nothing to plan.
+    fn warm(&mut self, stmts: &mut [&mut Prepared]) {
+        if self.engine == Engine::Planned {
+            self.db.warm_plans();
+            for stmt in stmts {
+                stmt.warm(&mut self.db);
+            }
+        }
+    }
+}
 
 /// A nullable row for the test table `t (k INT, w TEXT, f FLOAT)`.
 ///
@@ -33,9 +119,8 @@ fn trow() -> impl Strategy<Value = TRow> {
     )
 }
 
-fn seeded(rows: &[TRow], mode: PlannerMode) -> Database {
-    let mut db = Database::new();
-    db.set_planner_mode(mode);
+fn seeded(rows: &[TRow], engine: Engine) -> Driven {
+    let mut db = Driven::new(engine);
     db.run("CREATE TABLE t (k INT, w TEXT, f FLOAT)").unwrap();
     for (k, w, f) in rows {
         let k = k.map_or("NULL".to_string(), |v| v.to_string());
@@ -47,7 +132,7 @@ fn seeded(rows: &[TRow], mode: PlannerMode) -> Database {
     db
 }
 
-fn dump(db: &mut Database) -> Vec<Row> {
+fn dump(db: &mut Driven) -> Vec<Row> {
     db.query("SELECT k, w, f FROM t").unwrap()
 }
 
@@ -97,14 +182,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Every statement of a random script produces the same outcome (rows
-    /// or typed error) and leaves the same table state in both modes.
+    /// or typed error) and leaves the same table state on both engines.
     #[test]
     fn scripts_match_forced_scan(
         rows in proptest::collection::vec(trow(), 0..16),
         script in proptest::collection::vec(stmt(), 1..8),
     ) {
-        let mut auto = seeded(&rows, PlannerMode::Auto);
-        let mut scan = seeded(&rows, PlannerMode::ForceScan);
+        let mut auto = seeded(&rows, Engine::Planned);
+        let mut scan = seeded(&rows, Engine::Reference);
         for sql in &script {
             prop_assert_eq!(auto.run(sql), scan.run(sql), "statement: {}", sql);
             prop_assert_eq!(dump(&mut auto), dump(&mut scan), "state after: {}", sql);
@@ -123,12 +208,12 @@ proptest! {
             UPDATE t SET f = f + (SELECT COUNT(*) FROM t WHERE w = 'boot') \
             WHERE k = 1; \
             DELETE FROM t WHERE w = 'gone' }";
-        let mut auto = seeded(&rows, PlannerMode::Auto);
-        let mut scan = seeded(&rows, PlannerMode::ForceScan);
+        let mut auto = seeded(&rows, Engine::Planned);
+        let mut scan = seeded(&rows, Engine::Reference);
         prop_assert_eq!(auto.run(trigger), scan.run(trigger));
-        // Plan ahead of time on the Auto side only — warming must be
+        // Plan ahead of time on the planned side only — warming must be
         // invisible in the results.
-        auto.warm_plans();
+        auto.warm(&mut []);
         for &(k, w) in &inserts {
             let sql = format!("INSERT INTO t VALUES ({k}, '{w}', 1.5)");
             prop_assert_eq!(auto.run(&sql), scan.run(&sql), "statement: {}", sql);
@@ -145,17 +230,17 @@ proptest! {
         rows in proptest::collection::vec(trow(), 0..16),
         keys in proptest::collection::vec(-3i64..4, 1..6),
     ) {
-        let mut auto = seeded(&rows, PlannerMode::Auto);
-        let mut scan = seeded(&rows, PlannerMode::ForceScan);
+        let mut auto = seeded(&rows, Engine::Planned);
+        let mut scan = seeded(&rows, Engine::Reference);
         let sql = "UPDATE t SET f = f * 2 WHERE k = ?; \
                    SELECT w, f FROM t WHERE k = ?";
         let mut p_auto = auto.prepare(sql).unwrap();
         let mut p_scan = scan.prepare(sql).unwrap();
         for &key in &keys {
-            let params = ssa_minidb::Params::new().push(key).push(key);
+            let params = Params::new().push(key).push(key);
             prop_assert_eq!(
-                p_auto.execute(&mut auto, &params),
-                p_scan.execute(&mut scan, &params),
+                auto.execute(&mut p_auto, &params),
+                scan.execute(&mut p_scan, &params),
                 "key: {}", key
             );
         }
@@ -163,17 +248,15 @@ proptest! {
     }
 }
 
-/// `EXPLAIN` inside a script plans but never executes — in either mode.
+/// `EXPLAIN` inside a script plans but never executes.
 #[test]
 fn explain_is_inert_in_both_modes() {
-    for mode in [PlannerMode::Auto, PlannerMode::ForceScan] {
-        let mut db = seeded(&[(Some(1), Some("boot"), Some(2))], mode);
-        let before = dump(&mut db);
-        db.run("EXPLAIN UPDATE t SET k = 99 WHERE w = 'boot'")
-            .unwrap();
-        db.run("EXPLAIN DELETE FROM t WHERE k = 1").unwrap();
-        assert_eq!(dump(&mut db), before, "mode {mode:?} executed an EXPLAIN");
-    }
+    let mut db = seeded(&[(Some(1), Some("boot"), Some(2))], Engine::Planned);
+    let before = dump(&mut db);
+    db.run("EXPLAIN UPDATE t SET k = 99 WHERE w = 'boot'")
+        .unwrap();
+    db.run("EXPLAIN DELETE FROM t WHERE k = 1").unwrap();
+    assert_eq!(dump(&mut db), before, "an EXPLAIN executed");
 }
 
 /// Mixed-case table/column spellings resolve to the same index and the
@@ -184,8 +267,8 @@ fn mixed_case_spellings_agree() {
         (Some(1), Some("boot"), Some(1)),
         (Some(2), Some("BOOT"), Some(2)),
     ];
-    let mut auto = seeded(&rows, PlannerMode::Auto);
-    let mut scan = seeded(&rows, PlannerMode::ForceScan);
+    let mut auto = seeded(&rows, Engine::Planned);
+    let mut scan = seeded(&rows, Engine::Reference);
     for sql in [
         "SELECT K FROM T WHERE W = 'boot'",
         "SELECT k FROM t WHERE w = 'BOOT'",
@@ -229,7 +312,7 @@ fn program(tag: &str) -> String {
 /// One campaign: a database built from `program(tag)` plus its host
 /// statements, the way `SqlProgramBidder` drives a program.
 struct Campaign {
-    db: Database,
+    db: Driven,
     /// Held, like a campaign host holds it, so the next campaign of the
     /// same text installs these trigger bodies instead of parsing its own.
     _program: Prepared,
@@ -239,19 +322,16 @@ struct Campaign {
 }
 
 impl Campaign {
-    fn new(tag: &str, mode: PlannerMode, bid: i64, max: i64) -> Campaign {
-        let mut db = Database::new();
-        db.set_planner_mode(mode);
+    fn new(tag: &str, engine: Engine, bid: i64, max: i64) -> Campaign {
+        let mut db = Driven::new(engine);
         let params = Params::new().bind("bid", bid).bind("max", max);
         let mut program = db.prepare(&program(tag)).unwrap();
-        program.execute(&mut db, &params).unwrap();
+        db.execute(&mut program, &params).unwrap();
         let query_table = format!("Query{tag}");
         let mut clear = db.prepare(&format!("DELETE FROM {query_table}")).unwrap();
         let mut read = db.prepare(&format!("SELECT * FROM Bids{tag}")).unwrap();
         // Plan (or adopt) everything at registration, like a campaign host.
-        db.warm_plans();
-        clear.warm(&mut db);
-        read.warm(&mut db);
+        db.warm(&mut [&mut clear, &mut read]);
         Campaign {
             db,
             _program: program,
@@ -263,9 +343,9 @@ impl Campaign {
 
     /// One auction round; `Err` carries the first failing statement's error.
     fn round(&mut self) -> DbResult<Vec<Row>> {
-        self.clear.execute(&mut self.db, NO_PARAMS)?;
+        self.db.execute(&mut self.clear, NO_PARAMS)?;
         self.db.insert(&self.query_table, vec![Value::Int(0)])?;
-        self.read.query(&mut self.db, NO_PARAMS)
+        self.db.query_prepared(&mut self.read, NO_PARAMS)
     }
 
     fn keywords(&mut self, tag: &str) -> Vec<Row> {
@@ -285,11 +365,11 @@ fn databases_sharing_one_script_match_their_oracles() {
     let params = [(1, 4), (3, 3), (0, 9), (-2, 1)];
     let mut autos: Vec<Campaign> = params
         .iter()
-        .map(|&(bid, max)| Campaign::new(tag, PlannerMode::Auto, bid, max))
+        .map(|&(bid, max)| Campaign::new(tag, Engine::Planned, bid, max))
         .collect();
     let mut scans: Vec<Campaign> = params
         .iter()
-        .map(|&(bid, max)| Campaign::new(tag, PlannerMode::ForceScan, bid, max))
+        .map(|&(bid, max)| Campaign::new(tag, Engine::Reference, bid, max))
         .collect();
     for sibling in &autos[1..] {
         assert!(
@@ -335,20 +415,17 @@ fn a_sibling_whose_ddl_diverges_replans_alone() {
            INSERT INTO Bids{tag} VALUES ('Click', 7, 'reshaped');
          }}"
     );
-    let build = |mode, diverge: bool| {
-        let mut campaign = Campaign::new(tag, mode, 1, 5);
+    let build = |engine, diverge: bool| {
+        let mut campaign = Campaign::new(tag, engine, 1, 5);
         if diverge {
             campaign.db.run(&reshape).unwrap();
         }
         campaign
     };
-    let mut stayers = [
-        build(PlannerMode::Auto, false),
-        build(PlannerMode::Auto, false),
-    ];
-    let mut stayer_oracle = build(PlannerMode::ForceScan, false);
-    let mut sibling = build(PlannerMode::Auto, true);
-    let mut sibling_oracle = build(PlannerMode::ForceScan, true);
+    let mut stayers = [build(Engine::Planned, false), build(Engine::Planned, false)];
+    let mut stayer_oracle = build(Engine::Reference, false);
+    let mut sibling = build(Engine::Planned, true);
+    let mut sibling_oracle = build(Engine::Reference, true);
 
     // Two rounds of the stayers alone; the second (the activation table is
     // no longer empty) sets the pace their counters move at.
@@ -489,9 +566,9 @@ fn recreating_a_table_behaves_the_same_with_or_without_a_sibling() {
          }}"
     );
     // Rows and counters after each of four rounds.
-    let run = |mode, with_sibling: bool| {
-        let _sibling = with_sibling.then(|| Campaign::new(tag, PlannerMode::Auto, 1, 5));
-        let mut campaign = Campaign::new(tag, mode, 1, 5);
+    let run = |engine, with_sibling: bool| {
+        let _sibling = with_sibling.then(|| Campaign::new(tag, Engine::Planned, 1, 5));
+        let mut campaign = Campaign::new(tag, engine, 1, 5);
         campaign.db.run(&recreate).unwrap();
         let rounds: Vec<_> = (0..4)
             .map(|_| (campaign.round(), campaign.db.planner_stats()))
@@ -500,9 +577,9 @@ fn recreating_a_table_behaves_the_same_with_or_without_a_sibling() {
     };
     // One at a time: any live database of the shape, the oracle included,
     // would be a sibling to the others.
-    let oracle = run(PlannerMode::ForceScan, false);
-    let alone = run(PlannerMode::Auto, false);
-    let accompanied = run(PlannerMode::Auto, true);
+    let oracle = run(Engine::Reference, false);
+    let alone = run(Engine::Planned, false);
+    let accompanied = run(Engine::Planned, true);
     assert_eq!(alone, accompanied);
     for (planned, interpreted) in alone.iter().zip(&oracle) {
         assert_eq!(planned.0, interpreted.0);
@@ -571,16 +648,15 @@ fn shift_op() -> impl Strategy<Value = ShiftOp> {
 
 /// A database of the shift schema and its memoised host statements.
 struct Shifting {
-    db: Database,
+    db: Driven,
     bump: Prepared,
     read: Prepared,
     read_decoy: Prepared,
 }
 
 impl Shifting {
-    fn new(mode: PlannerMode) -> Shifting {
-        let mut db = Database::new();
-        db.set_planner_mode(mode);
+    fn new(engine: Engine) -> Shifting {
+        let mut db = Driven::new(engine);
         db.run(SHIFT_SETUP).unwrap();
         let mut shifting = Shifting {
             bump: db
@@ -594,13 +670,13 @@ impl Shifting {
                 .unwrap(),
             db,
         };
-        shifting.db.warm_plans();
-        shifting.bump.warm(&mut shifting.db);
-        shifting.read.warm(&mut shifting.db);
+        shifting
+            .db
+            .warm(&mut [&mut shifting.bump, &mut shifting.read]);
         shifting
     }
 
-    fn apply(&mut self, op: &ShiftOp) -> DbResult<Vec<ssa_minidb::ExecOutcome>> {
+    fn apply(&mut self, op: &ShiftOp) -> DbResult<Vec<ExecOutcome>> {
         let db = &mut self.db;
         match *op {
             ShiftOp::Fire => db.run("INSERT INTO Query_shift VALUES (1)"),
@@ -610,10 +686,10 @@ impl Shifting {
             ),
             ShiftOp::DropDecoy => db.run("DROP TABLE Decoy_shift"),
             ShiftOp::Bump(word, delta) => {
-                self.bump.execute(db, &Params::new().push(delta).push(word))
+                db.execute(&mut self.bump, &Params::new().push(delta).push(word))
             }
-            ShiftOp::Read(word) => self.read.execute(db, &Params::new().push(word)),
-            ShiftOp::ReadDecoy(word) => self.read_decoy.execute(db, &Params::new().push(word)),
+            ShiftOp::Read(word) => db.execute(&mut self.read, &Params::new().push(word)),
+            ShiftOp::ReadDecoy(word) => db.execute(&mut self.read_decoy, &Params::new().push(word)),
         }
     }
 
@@ -631,8 +707,8 @@ proptest! {
     /// `Keywords_shift` keep taking its index after each shift.
     #[test]
     fn position_shifts_match_forced_scan(ops in proptest::collection::vec(shift_op(), 1..24)) {
-        let mut auto = Shifting::new(PlannerMode::Auto);
-        let mut scan = Shifting::new(PlannerMode::ForceScan);
+        let mut auto = Shifting::new(Engine::Planned);
+        let mut scan = Shifting::new(Engine::Reference);
         for op in &ops {
             let hits = auto.db.planner_stats().index_hits;
             prop_assert_eq!(auto.apply(op), scan.apply(op), "op: {:?}", op);
@@ -652,7 +728,7 @@ proptest! {
 /// moved it back, updated `Keywords_shift` and nothing else.
 #[test]
 fn a_shift_inside_a_trigger_body_updates_the_right_table() {
-    let mut auto = Shifting::new(PlannerMode::Auto);
+    let mut auto = Shifting::new(Engine::Planned);
     auto.apply(&ShiftOp::AddDecoy).unwrap();
     auto.apply(&ShiftOp::Fire).unwrap();
     assert_eq!(
@@ -668,4 +744,109 @@ fn a_shift_inside_a_trigger_body_updates_the_right_table() {
         vec![vec![Value::Int(50)], vec![Value::Int(60)]]
     );
     assert!(auto.db.table("Aaa_shift").is_err());
+}
+
+// ---------------------------------------------------------------------------
+// The oracle itself.
+// ---------------------------------------------------------------------------
+
+/// Statements that parse fine but stress lowering — deep-but-legal
+/// predicates, unknown columns discovered at plan time, type-confused
+/// index keys, and `EXPLAIN` stacked on itself — come back as the same
+/// `Ok` or typed error from the reference as from the planner, never a
+/// panic, and leave both engines usable.
+#[test]
+fn hostile_lowering_is_a_typed_error_on_the_reference() {
+    let deep_pred = format!("SELECT * FROM t WHERE a = 1 {}", "AND a = 1 ".repeat(2_000));
+    let cases = [
+        deep_pred.as_str(),
+        "UPDATE t SET ghost = 1 WHERE a = 1",
+        "SELECT * FROM t WHERE ghost = 1",
+        "SELECT * FROM t WHERE a = ghost",
+        "INSERT INTO t (ghost) VALUES (1)",
+        "SELECT * FROM t WHERE a = 'word'",
+        "SELECT * FROM t WHERE a = 1.0 AND a = 'word'",
+        "SELECT * FROM t WHERE a = (SELECT 'word' FROM t)",
+        "EXPLAIN EXPLAIN EXPLAIN SELECT * FROM t WHERE a = 1",
+        "EXPLAIN SELECT ghost FROM t",
+        "EXPLAIN UPDATE nowhere SET a = 1",
+        "EXPLAIN IF 1 = 1 THEN UPDATE t SET a = 2 WHERE a = 1; ENDIF",
+    ];
+    let mut planned = Driven::new(Engine::Planned);
+    let mut reference = Driven::new(Engine::Reference);
+    for db in [&mut planned, &mut reference] {
+        db.run("CREATE TABLE t (a INT)").unwrap();
+        db.run("INSERT INTO t VALUES (1), (0)").unwrap();
+    }
+    for sql in cases {
+        assert_eq!(planned.run(sql), reference.run(sql), "statement: {sql:?}");
+        assert_eq!(
+            planned.query("SELECT COUNT(*) FROM t"),
+            reference.query("SELECT COUNT(*) FROM t"),
+            "state after {sql:?}"
+        );
+    }
+}
+
+/// The number of columns of `table` that carry a hash index.
+fn indexed_columns(table: &Table) -> usize {
+    let columns = table.schema().columns().iter().enumerate();
+    columns
+        .filter(|(col, column)| {
+            let key = match column.ty {
+                ValueType::Int => Value::Int(0),
+                ValueType::Text => Value::Text(String::new()),
+                ValueType::Float | ValueType::Bool => return false,
+            };
+            table.index_lookup(*col, &key).is_some()
+        })
+        .count()
+}
+
+/// The reference is independent of the planner: a script that fires a
+/// trigger, a host insert and a prepared statement, all run through the
+/// reference entry points, memoise no plan, probe no index and build none.
+/// The same script on the production entry points does all three — had the
+/// reference's trigger firing gone through the planner, the equivalence
+/// suite above would compare the planner with itself.
+#[test]
+fn the_reference_never_plans() {
+    let setup = "
+        CREATE TABLE Query_ref (kw INT);
+        CREATE TABLE Keywords_ref (text TEXT, bid INT);
+        INSERT INTO Keywords_ref VALUES ('boot', 1), ('shoe', 2);
+        CREATE TRIGGER bid_ref AFTER INSERT ON Query_ref {
+          UPDATE Keywords_ref SET bid = bid + 1 WHERE text = 'boot';
+        };
+        INSERT INTO Query_ref VALUES (1)";
+    let boot = "SELECT bid FROM Keywords_ref WHERE text = 'boot'";
+    let mut planned = Driven::new(Engine::Planned);
+    let mut reference = Driven::new(Engine::Reference);
+    let mut bump = planned
+        .prepare("UPDATE Keywords_ref SET bid = bid + ? WHERE text = ?")
+        .unwrap();
+    for db in [&mut planned, &mut reference] {
+        db.run(setup).unwrap();
+        db.insert("Query_ref", vec![Value::Int(2)]).unwrap();
+        db.execute(&mut bump, &Params::new().push(10).push("boot"))
+            .unwrap();
+    }
+    assert_eq!(planned.query(boot), Ok(vec![vec![Value::Int(13)]]));
+    assert_eq!(reference.query(boot), planned.query(boot));
+
+    let stats = reference.planner_stats();
+    assert_eq!(stats.plans_cached, 0, "the reference memoised a plan");
+    assert_eq!(stats.index_hits, 0, "the reference probed an index");
+    assert!(stats.rows_scanned > 0);
+    let indexes = |db: &Database| -> usize {
+        let tables = db.table_names().into_iter();
+        tables
+            .map(|name| indexed_columns(db.table(name).unwrap()))
+            .sum()
+    };
+    assert_eq!(indexes(&reference), 0, "the reference built an index");
+
+    let stats = planned.planner_stats();
+    assert!(stats.plans_cached > 0 && stats.index_hits > 0);
+    assert!(indexes(&planned) > 0);
 }

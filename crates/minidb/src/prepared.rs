@@ -6,7 +6,8 @@
 //! the standard fix: [`Database::prepare`] parses a script once into a
 //! [`Prepared`] plan; each execution binds a fresh [`Params`] set — `?`
 //! positional placeholders bound in order, `:name` placeholders bound by
-//! name — and runs the stored AST directly.
+//! name — and runs the script's plan, lowered once and memoised in the
+//! handle.
 //!
 //! ```
 //! use ssa_minidb::{Database, Params, Value};
@@ -36,8 +37,8 @@
 
 use crate::ast::{ParamRef, Statement};
 use crate::error::{DbError, DbResult};
-use crate::exec::{Database, ExecOutcome};
-use crate::plan::{PlannedScript, PlannerMode};
+use crate::exec::{single_select, Database, ExecOutcome};
+use crate::plan::PlannedScript;
 use crate::script::Script;
 use crate::table::Row;
 use crate::value::Value;
@@ -155,7 +156,7 @@ impl Prepared {
 
     /// Validates `params` against the script's placeholder signature:
     /// exact positional arity, every named placeholder bound.
-    fn check(&self, params: &Params) -> DbResult<()> {
+    pub(crate) fn check(&self, params: &Params) -> DbResult<()> {
         if params.positional_len() != self.positional_params() {
             return Err(DbError::ParamArity {
                 expected: self.positional_params(),
@@ -168,28 +169,34 @@ impl Prepared {
         Ok(())
     }
 
-    /// Points this handle's memo at the planned script for `db`: kept when
-    /// it is still valid for `db`'s catalog shape, else refilled from the
-    /// script's shared plan cache (planning if no database has yet). Either
-    /// way `db` ends up with the indexes the plan probes — a shape-equal
-    /// database is not necessarily the one the memo was filled against.
-    fn plan_for(&mut self, db: &mut Database) {
-        match &self.planned {
+    /// Points the memo at the planned script of `script` for `db` and
+    /// returns it: the memo is kept when it is still valid for `db`'s
+    /// catalog shape, else refilled from the script's shared plan cache
+    /// (planning if no database has yet). Either way `db` ends up with the
+    /// indexes the plan probes — a shape-equal database is not necessarily
+    /// the one the memo was filled against. Takes the handle's fields apart
+    /// so the caller can keep reading the script while the plan is
+    /// borrowed.
+    fn plan_for<'m>(
+        memo: &'m mut Option<Arc<PlannedScript>>,
+        script: &Script,
+        db: &mut Database,
+    ) -> &'m PlannedScript {
+        let planned = match memo.take() {
             Some(planned) if planned.version() == db.catalog_version() => {
                 db.ensure_plan_indexes(planned.index_reqs());
+                planned
             }
-            _ => self.planned = Some(db.cached_script(&self.script)),
-        }
+            _ => db.cached_script(script),
+        };
+        memo.insert(planned)
     }
 
     /// Plans the script against `db` now (adopting the plan another
     /// database of the same catalog shape already lowered, if one did) and
     /// builds the indexes it probes, so the first execution pays neither.
-    /// A no-op under [`PlannerMode::ForceScan`].
     pub fn warm(&mut self, db: &mut Database) {
-        if db.planner_mode() != PlannerMode::ForceScan {
-            self.plan_for(db);
-        }
+        Self::plan_for(&mut self.planned, &self.script, db);
     }
 
     /// Executes the script against `db` with `params` bound; returns one
@@ -203,26 +210,14 @@ impl Prepared {
     /// shape, not that `db` is where its indexes were built.
     pub fn execute(&mut self, db: &mut Database, params: &Params) -> DbResult<Vec<ExecOutcome>> {
         self.check(params)?;
-        if db.planner_mode() == PlannerMode::ForceScan {
-            let interpret = |stmt| db.execute_interpreted(stmt, params);
-            return self.script.iter().map(interpret).collect();
-        }
-        self.plan_for(db);
-        let planned = self.planned.as_deref().expect("memoised by plan_for");
+        let planned = Self::plan_for(&mut self.planned, &self.script, db);
         db.execute_planned_script(&self.script, planned, params)
     }
 
     /// Runs a single-`SELECT` prepared script and returns its rows (the
     /// prepared twin of [`Database::query`]).
     pub fn query(&mut self, db: &mut Database, params: &Params) -> DbResult<Vec<Row>> {
-        let mut outcomes = self.execute(db, params)?;
-        match (outcomes.len(), outcomes.pop()) {
-            (1, Some(ExecOutcome::Rows(rows))) => Ok(rows),
-            _ => Err(DbError::Parse {
-                message: "query expects exactly one SELECT statement".to_string(),
-                position: 0,
-            }),
-        }
+        single_select(self.execute(db, params)?)
     }
 }
 

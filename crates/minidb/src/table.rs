@@ -24,16 +24,6 @@ pub struct Schema {
 pub type Row = Vec<Value>;
 
 impl Schema {
-    /// Builds a schema from `(name, type)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate column names (case-insensitive); use
-    /// [`Schema::try_new`] for names that are not known to be distinct.
-    pub fn new<I: IntoIterator<Item = (String, ValueType)>>(cols: I) -> Self {
-        Schema::try_new(cols).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Builds a schema from `(name, type)` pairs, or
     /// [`DbError::DuplicateColumn`] if two names are equal ignoring case.
     pub fn try_new<I: IntoIterator<Item = (String, ValueType)>>(cols: I) -> DbResult<Self> {
@@ -239,11 +229,12 @@ mod tests {
     use super::*;
 
     fn schema() -> Schema {
-        Schema::new(vec![
+        Schema::try_new(vec![
             ("name".to_string(), ValueType::Text),
             ("bid".to_string(), ValueType::Int),
             ("roi".to_string(), ValueType::Float),
         ])
+        .unwrap()
     }
 
     #[test]
@@ -256,12 +247,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate column")]
+    #[should_panic(expected = "DuplicateColumn(\"A\")")]
     fn duplicate_columns_rejected() {
-        Schema::new(vec![
+        Schema::try_new(vec![
             ("a".to_string(), ValueType::Int),
             ("A".to_string(), ValueType::Int),
-        ]);
+        ])
+        .unwrap();
     }
 
     #[test]
@@ -314,7 +306,7 @@ mod tests {
 
     #[test]
     fn delete_rows_in_reverse() {
-        let mut t = Table::new(Schema::new(vec![("v".to_string(), ValueType::Int)]));
+        let mut t = Table::new(Schema::try_new(vec![("v".to_string(), ValueType::Int)]).unwrap());
         for i in 0..5 {
             t.insert(vec![Value::Int(i)]).unwrap();
         }

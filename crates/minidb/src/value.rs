@@ -44,17 +44,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value's type, or `None` for NULL.
-    pub fn value_type(&self) -> Option<ValueType> {
-        match self {
-            Value::Int(_) => Some(ValueType::Int),
-            Value::Float(_) => Some(ValueType::Float),
-            Value::Text(_) => Some(ValueType::Text),
-            Value::Bool(_) => Some(ValueType::Bool),
-            Value::Null => None,
-        }
-    }
-
     /// `true` if the value is NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

@@ -1,8 +1,10 @@
 //! The Section V experiment expressed on the marketplace service API.
 //!
-//! [`MarketSimulation`] is the one marketplace driver: it registers a
-//! Section V population on a [`Marketplace`] of the requested shard count
-//! and serves the workload's query stream through `serve_batch`. The
+//! [`MarketSimulation`] registers a Section V population on a
+//! [`Marketplace`] of the requested shard count and serves the workload's
+//! query stream through `serve_batch`. It exists for equivalence checks —
+//! the shared-ROI comparison with the legacy path and the shard-invariance
+//! tests below; `reproduce` runs go through `ssa_bench::run`. The
 //! population is chosen by [`MarketPopulation`]:
 //!
 //! * [`MarketPopulation::SharedRoi`] — the facade-native port of

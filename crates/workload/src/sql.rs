@@ -12,9 +12,8 @@
 //!   SQL dialect and executed by [`SqlProgramBidder`] on prepared
 //!   statements (parse once at registration, bind-and-run per auction),
 //!   with ROI settlement done entirely inside SQL by an `Outcome`
-//!   trigger. This is the one production SQL path; the forced-scan
-//!   interpreter is reachable only through
-//!   [`ProgramHandle::set_planner_mode`], as a test and bench oracle.
+//!   trigger, on minidb's planned executor — the one SQL executor it
+//!   ships.
 //!
 //! The two populations are proven **bit-identical** — same reports,
 //! same clicks, same charges, and same per-campaign bid trajectories —
@@ -301,16 +300,6 @@ impl ProgramHandle {
         self.sql().map(|p| p.program.planner_stats())
     }
 
-    /// Switches the program's database between the planned pipeline and
-    /// the forced-scan interpreter (no-op for native programs). The two
-    /// modes are bit-identical; tests and benches select the interpreter
-    /// here, by name, as the oracle.
-    pub fn set_planner_mode(&self, mode: ssa_minidb::PlannerMode) {
-        if let Some(mut p) = self.sql() {
-            p.program.db_mut().set_planner_mode(mode);
-        }
-    }
-
     /// Access paths the program's database would use for `sql`, or `None`
     /// for native programs. Read-only: planning for `EXPLAIN` must not
     /// perturb program state (see the RNG-invariance test).
@@ -500,7 +489,8 @@ mod tests {
     }
 
     /// The same equivalence through the sharded serving layer, plus
-    /// shard-invariance of the SQL population itself.
+    /// shard-invariance of the SQL population itself, with the index path
+    /// taken on both sides.
     #[test]
     fn sql_population_is_bit_identical_to_native_when_sharded() {
         let w = workload();
@@ -532,48 +522,9 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The planned, indexed, compiled pipeline is a pure performance
-    /// change: flipping every program database to the forced-scan
-    /// interpreter produces bit-identical reports and stored bids, on one
-    /// shard and on four.
-    #[test]
-    fn indexed_pipeline_matches_forced_scan_across_shard_counts() {
-        use ssa_minidb::PlannerMode;
-        let w = workload();
-        for shards in [1usize, 4] {
-            let mut indexed =
-                programmed_sharded_market(&w, EngineConfig::default(), Strategy::Sql, shards)
-                    .expect("valid");
-            let mut scanning =
-                programmed_sharded_market(&w, EngineConfig::default(), Strategy::Sql, shards)
-                    .expect("valid");
-            for handle in &scanning.handles {
-                handle.set_planner_mode(PlannerMode::ForceScan);
-            }
-            let mut served = 0;
-            for round in 0..2 {
-                let batch = requests(&w, served, 40);
-                served += batch.len();
-                let indexed_report = indexed.market.serve_batch(&batch).expect("valid keywords");
-                let scanning_report = scanning.market.serve_batch(&batch).expect("valid keywords");
-                assert_eq!(
-                    indexed_report, scanning_report,
-                    "planner modes diverged at {shards} shards, round {round}"
-                );
-                for adv in 0..w.bidders.len() {
-                    for kw in 0..w.config.num_keywords {
-                        assert_eq!(indexed.bid_of(adv, kw), scanning.bid_of(adv, kw));
-                    }
-                }
-            }
-            // The indexed side really took the index path.
-            let stats = indexed.handles[0].planner_stats().expect("sql program");
-            assert!(
-                stats.index_hits > 0,
-                "expected index probes at {shards} shards, got {stats:?}"
-            );
+        for population in [&sql, &unsharded] {
+            let stats = population.handles[0].planner_stats().expect("sql program");
+            assert!(stats.index_hits > 0, "expected index probes, got {stats:?}");
         }
     }
 

@@ -20,8 +20,9 @@
 //!   pricing, the heavyweight model (Sections III-A/E/F) — plus the
 //!   [`marketplace`] service facade;
 //! * [`workload`] — the Section V experimental workload, the four-method
-//!   reference simulation, the one marketplace driver `MarketSimulation`,
-//!   the `Scenario` description of a single-run experiment, and the
+//!   reference simulation, `MarketSimulation` (the shared-ROI population
+//!   on a marketplace, which the equivalence tests drive), the `Scenario`
+//!   description of a single-run experiment, and the
 //!   hostile-world generator (Zipf / flash-crowd / churn query shapes,
 //!   defective targeting sources);
 //! * [`net`] — the TCP serving front-end: a framed wire protocol over
@@ -97,13 +98,11 @@
 //! strategy), whose semantics depend on global event order. See
 //! `examples/sharded_marketplace.rs` for a runnable tour.
 //!
-//! ## One scenario, one driver, one runner
+//! ## One scenario, one runner
 //!
 //! The paper's evaluation is one experiment, and every serving layer is a
-//! dimension of it. `workload::MarketSimulation` is the one marketplace
-//! driver (shared-ROI programs on one shard ≡ the legacy reference, or
-//! static per-click bids at any shard count). `workload::Scenario`
-//! describes a single run, one field per `reproduce` flag:
+//! dimension of it. `workload::Scenario` describes a single run, one field
+//! per `reproduce` flag:
 //!
 //! | field | flag | |
 //! |---|---|---|
@@ -115,9 +114,13 @@
 //! | `method`, `pruned` | `--method`, `--pruned` | winner determination |
 //! | `advertisers`, `auctions`, `warmup`, `seed` | `--quick`, `--load` | the `Scenario::quick()` / `full()` presets |
 //!
-//! `ssa_bench::run` serves it with bit-identical outcomes along every
-//! execution-strategy dimension; what a layer cannot express (programs
-//! over the wire or under a journal) is that layer's typed error.
+//! `ssa_bench::run` is the one runner: it serves every `reproduce` run,
+//! with bit-identical outcomes along every execution-strategy dimension;
+//! what a layer cannot express (programs over the wire or under a
+//! journal) is that layer's typed error. `workload::MarketSimulation` is
+//! not a second runner: it drives only the shared-ROI equivalence against
+//! the legacy reference (`tests/marketplace.rs`) and its own
+//! shard-invariance tests.
 //!
 //! ## Quickstart: the `Marketplace` facade
 //!
@@ -203,8 +206,9 @@
 //! `ssa_workload::sql` builds every Section V advertiser as a
 //! keyword-local Figure 5 ROI program — native Rust or SQL — and proves
 //! the two populations bit-identical through `serve_batch`, sharded and
-//! not (`reproduce --strategy <native|sql>` measures the interpreter's
-//! overhead; see `examples/sql_campaign.rs` for a runnable tour).
+//! not (`reproduce --strategy <native|sql>` measures SQL programs on the
+//! planned executor against their native twins; see
+//! `examples/sql_campaign.rs` for a runnable tour).
 //!
 //! ## Query planning and compiled triggers
 //!
@@ -226,12 +230,12 @@
 //! execution; DDL moves a database to another shape and transparently
 //! replans for it alone.
 //!
-//! Planned + indexed + compiled execution is the one production SQL
-//! path, held to an equivalence guarantee: it is bit-identical to the
-//! reference tree-walking interpreter, which tests and benches select by
-//! name ([`minidb::Database::set_planner_mode`]) as the oracle of a
-//! proptest equivalence suite and of the `native|sql` Section V workload
-//! check.
+//! Planned + indexed + compiled execution is the one SQL executor the
+//! library ships, held to an equivalence guarantee: it is bit-identical to
+//! a tree-walking interpreter that scans every table, which is compiled
+//! only into minidb's own test build, where a proptest equivalence suite
+//! calls it by name as the oracle. The `native|sql` Section V workload
+//! check holds the SQL population to its native twin, bit for bit.
 //! [`minidb::Database::explain`] (and the `EXPLAIN` statement) report
 //! the chosen access path without executing — provably without
 //! disturbing RNG or trigger state — and planner counters
