@@ -148,10 +148,11 @@ fn shared_programs_are_small_identical_and_leave_nothing_behind() {
     let per_program_kb = (resident_kb() - before) / PROGRAMS as f64;
     println!("{{\"metric\":\"sql_program_footprint_kb\",\"programs\":{PROGRAMS},\"value\":{per_program_kb:.2}}}");
     assert!(
-        per_program_kb <= 3.0,
-        "a Figure 5 program costs {per_program_kb:.1} KB resident, 3 KB allowed \
+        per_program_kb <= 1.5,
+        "a Figure 5 program costs {per_program_kb:.1} KB resident, 1.5 KB allowed \
          (30.8 KB before scripts and plans were shared, 4.4 KB while each \
-         database kept its own catalog and variable names)"
+         database kept its own catalog and variable names, 1.9 KB while a \
+         table held a heap row per row and a hash index)"
     );
     assert_eq!(interned_scripts(), 5, "2 000 programs, still five texts");
     assert!(programs[PROGRAMS - 1].db().shares_triggers_with(first.db()));
@@ -163,10 +164,11 @@ fn shared_programs_are_small_identical_and_leave_nothing_behind() {
     let served_kb = (resident_kb() - before) / PROGRAMS as f64;
     println!("{{\"metric\":\"sql_program_served_footprint_kb\",\"programs\":{PROGRAMS},\"value\":{served_kb:.2}}}");
     assert!(
-        served_kb <= 3.5,
+        served_kb <= 2.0,
         "a Figure 5 program that served 20 auctions and a click costs \
-         {served_kb:.1} KB resident, 3.5 KB allowed (≈ 5.6 KB while each \
-         database kept its own catalog and variable names)"
+         {served_kb:.1} KB resident, 2 KB allowed (≈ 5.6 KB while each \
+         database kept its own catalog and variable names, ≈ 2.7 KB while a \
+         table held a heap row per row and a hash index)"
     );
     assert_eq!(interned_scripts(), 5, "serving interns no script");
     assert!(programs[PROGRAMS - 1].db().shares_triggers_with(first.db()));

@@ -72,7 +72,7 @@ pub(crate) enum Op {
 /// A compiled expression: a postfix op sequence, plus a pre-classified
 /// evaluation shape so the (very common) tiny expressions — a lone leaf, or
 /// `leaf ⊕ leaf` — skip the stack machine entirely.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct CompiledExpr {
     ops: Vec<Op>,
     shape: Shape,
@@ -81,7 +81,7 @@ pub(crate) struct CompiledExpr {
 /// Static evaluation shape of an op sequence. Fast shapes evaluate in
 /// exactly the stack machine's order (left leaf, right leaf, combine) so
 /// values *and errors* are bit-identical to the general path.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum Shape {
     /// One push op: the expression is a single leaf.
     Leaf,
@@ -94,7 +94,6 @@ enum Shape {
     /// `[leaf, leaf, Arith(op)]`.
     ArithLeaves(ArithOp),
     /// Anything else: run the stack machine.
-    #[default]
     General,
 }
 
@@ -117,11 +116,57 @@ fn classify(ops: &[Op]) -> Shape {
     }
 }
 
-impl CompiledExpr {
-    fn from_ops(ops: Vec<Op>) -> Self {
-        let shape = classify(&ops);
-        CompiledExpr { ops, shape }
+/// How many operands `op` pops, and how many values it pushes.
+fn stack_effect(op: &Op) -> (usize, usize) {
+    match op {
+        Op::PushLiteral(_)
+        | Op::PushParam(_)
+        | Op::PushColumn { .. }
+        | Op::PushVar { .. }
+        | Op::Subquery(_)
+        // A `Raise` stands where a value would be pushed; nothing after it runs.
+        | Op::Raise(_) => (0, 1),
+        Op::Neg | Op::Truth | Op::NotK => (1, 1),
+        Op::Arith(_) | Op::Cmp(_) | Op::AndK | Op::OrK => (2, 1),
     }
+}
+
+impl CompiledExpr {
+    /// Wraps an op sequence after checking its stack effect: no op pops
+    /// below the depth the expression started at, and exactly one value is
+    /// left. That is the invariant every pop of the general path rests on.
+    fn from_ops(ops: Vec<Op>) -> DbResult<Self> {
+        let unbalanced = || {
+            DbError::Type("internal error: a compiled expression must leave one value".to_string())
+        };
+        let mut depth = 0usize;
+        for op in &ops {
+            let (pops, pushes) = stack_effect(op);
+            depth = depth.checked_sub(pops).ok_or_else(unbalanced)? + pushes;
+        }
+        if depth != 1 {
+            return Err(unbalanced());
+        }
+        let shape = classify(&ops);
+        Ok(CompiledExpr { ops, shape })
+    }
+
+    /// An expression that raises `e` when evaluated — what a lowering that
+    /// failed its stack check compiles to instead of a panic.
+    fn raising(e: DbError) -> Self {
+        CompiledExpr {
+            ops: vec![Op::Raise(e)],
+            shape: Shape::General,
+        }
+    }
+}
+
+/// Pops one operand. [`CompiledExpr::from_ops`] verified that no op pops
+/// below the depth its expression started at, so the stack never runs dry
+/// here; the fallback only keeps release builds total.
+fn pop(stack: &mut Vec<Value>) -> Value {
+    debug_assert!(!stack.is_empty(), "from_ops verified the stack depth");
+    stack.pop().unwrap_or(Value::Null)
 }
 
 /// Evaluates a push op directly to its value (fast-shape path).
@@ -309,12 +354,12 @@ impl CompiledExpr {
                     None => return Err(DbError::NoSuchColumn(display.clone())),
                 },
                 Op::Arith(op) => {
-                    let rhs = cx.stack.pop().expect("compiled arith has two operands");
-                    let lhs = cx.stack.pop().expect("compiled arith has two operands");
+                    let rhs = pop(&mut cx.stack);
+                    let lhs = pop(&mut cx.stack);
                     cx.stack.push(lhs.arith(*op, &rhs)?);
                 }
                 Op::Neg => {
-                    let v = cx.stack.pop().expect("compiled neg has an operand");
+                    let v = pop(&mut cx.stack);
                     cx.stack.push(match v {
                         Value::Int(i) => {
                             i.checked_neg().map(Value::Int).ok_or(DbError::Overflow)?
@@ -325,15 +370,15 @@ impl CompiledExpr {
                     });
                 }
                 Op::Cmp(op) => {
-                    let rhs = cx.stack.pop().expect("compiled cmp has two operands");
-                    let lhs = cx.stack.pop().expect("compiled cmp has two operands");
+                    let rhs = pop(&mut cx.stack);
+                    let lhs = pop(&mut cx.stack);
                     cx.stack.push(match lhs.compare(&rhs)? {
                         None => Value::Null,
                         Some(ord) => Value::Bool(cmp_holds(*op, ord)),
                     });
                 }
                 Op::Truth => {
-                    let v = cx.stack.pop().expect("compiled truth has an operand");
+                    let v = pop(&mut cx.stack);
                     match v {
                         Value::Bool(_) | Value::Null => cx.stack.push(v),
                         other => {
@@ -342,17 +387,17 @@ impl CompiledExpr {
                     }
                 }
                 Op::AndK => {
-                    let rhs = cx.stack.pop().expect("compiled AND has two operands");
-                    let lhs = cx.stack.pop().expect("compiled AND has two operands");
+                    let rhs = pop(&mut cx.stack);
+                    let lhs = pop(&mut cx.stack);
                     cx.stack.push(kleene_and(&lhs, &rhs));
                 }
                 Op::OrK => {
-                    let rhs = cx.stack.pop().expect("compiled OR has two operands");
-                    let lhs = cx.stack.pop().expect("compiled OR has two operands");
+                    let rhs = pop(&mut cx.stack);
+                    let lhs = pop(&mut cx.stack);
                     cx.stack.push(kleene_or(&lhs, &rhs));
                 }
                 Op::NotK => {
-                    let v = cx.stack.pop().expect("compiled NOT has an operand");
+                    let v = pop(&mut cx.stack);
                     cx.stack.push(match v {
                         Value::Bool(b) => Value::Bool(!b),
                         _ => Value::Null,
@@ -360,15 +405,12 @@ impl CompiledExpr {
                 }
                 Op::Subquery(select) => {
                     let mut rows = run_planned_select(select, cx)?;
-                    let v = match rows.len() {
-                        0 => Value::Null,
-                        1 => {
-                            let row = rows.pop().expect("checked length");
-                            if row.len() != 1 {
-                                return Err(DbError::NonScalarSubquery);
-                            }
-                            row.into_iter().next().expect("checked length")
-                        }
+                    let v = match rows.as_mut_slice() {
+                        [] => Value::Null,
+                        [row] => match row.as_mut_slice() {
+                            [v] => std::mem::replace(v, Value::Null),
+                            _ => return Err(DbError::NonScalarSubquery),
+                        },
                         _ => return Err(DbError::NonScalarSubquery),
                     };
                     cx.stack.push(v);
@@ -376,10 +418,7 @@ impl CompiledExpr {
                 Op::Raise(e) => return Err(e.clone()),
             }
         }
-        Ok(cx
-            .stack
-            .pop()
-            .expect("a compiled expression leaves exactly one value"))
+        Ok(pop(&mut cx.stack))
     }
 
     /// Predicate position: NULL (and only NULL) is "no match"; any
@@ -469,7 +508,7 @@ pub(crate) fn resolve_static(cref: &ColumnRef, scopes: &[CScope<'_>]) -> Resolut
 pub(crate) fn compile_expr(expr: &Expr, db: &Database, scopes: &[CScope<'_>]) -> CompiledExpr {
     let mut ops = Vec::new();
     emit(expr, db, scopes, &mut ops);
-    CompiledExpr::from_ops(ops)
+    CompiledExpr::from_ops(ops).unwrap_or_else(CompiledExpr::raising)
 }
 
 /// Lowers a list of conjuncts into one Kleene-AND chain (the planner's
@@ -488,7 +527,7 @@ pub(crate) fn compile_conjunction(
             ops.push(Op::AndK);
         }
     }
-    CompiledExpr::from_ops(ops)
+    CompiledExpr::from_ops(ops).unwrap_or_else(CompiledExpr::raising)
 }
 
 fn emit(expr: &Expr, db: &Database, scopes: &[CScope<'_>], ops: &mut Vec<Op>) {
@@ -642,5 +681,37 @@ pub(crate) fn scope_independent(expr: &Expr, scopes: &[CScope<'_>], scan_depth: 
         }
         Expr::Not(inner) | Expr::Neg(inner) => scope_independent(inner, scopes, scan_depth),
         Expr::Subquery(_) => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lit(i: i64) -> Op {
+        Op::PushLiteral(Value::Int(i))
+    }
+
+    #[test]
+    fn from_ops_rejects_unbalanced_sequences() {
+        // Pops below the starting depth.
+        assert!(CompiledExpr::from_ops(vec![lit(1), Op::Arith(ArithOp::Add)]).is_err());
+        assert!(CompiledExpr::from_ops(vec![Op::Neg, lit(1)]).is_err());
+        // Leaves nothing, or more than one value.
+        assert!(CompiledExpr::from_ops(Vec::new()).is_err());
+        assert!(CompiledExpr::from_ops(vec![lit(1), lit(2)]).is_err());
+        // Balanced sequences pass, a `Raise` standing in for a value.
+        assert!(CompiledExpr::from_ops(vec![lit(1), lit(2), Op::Arith(ArithOp::Add)]).is_ok());
+        let missing = Op::Raise(DbError::NoSuchColumn("x".to_string()));
+        assert!(CompiledExpr::from_ops(vec![missing, lit(2), Op::Cmp(CmpOp::Eq)]).is_ok());
+    }
+
+    #[test]
+    fn a_rejected_sequence_compiles_to_an_error_not_a_panic() {
+        let db = Database::new();
+        let params = Params::new();
+        let mut cx = EvalCx::new(&db, &params);
+        let bad = CompiledExpr::from_ops(vec![Op::NotK]).unwrap_or_else(CompiledExpr::raising);
+        assert!(matches!(bad.eval(&mut cx), Err(DbError::Type(_))));
     }
 }

@@ -1,4 +1,4 @@
-//! Secondary hash indexes over table columns.
+//! Secondary indexes over table columns: one sorted array per index.
 //!
 //! An index maps the value of one `INT` or `TEXT` column to the (ascending)
 //! row indices holding that value. Indexes are *derived* state: they are
@@ -8,97 +8,134 @@
 //!
 //! Two invariants keep the index path bit-identical to a full scan:
 //!
-//! * posting lists are kept **sorted ascending**, so rows come back in scan
-//!   order;
+//! * entries are kept **sorted by (key, row)**, so a key's rows are one
+//!   contiguous run that comes back in scan order;
 //! * NULL cells are **not indexed** — a NULL never equals anything under
 //!   three-valued logic, so an equality probe must not return it.
 //!
-//! The map is keyed by the column's native type (`i64` or `String`) rather
-//! than a boxed key enum, so an equality probe borrows the probe value —
-//! no allocation on the lookup path, which bidding-program triggers hit
-//! several times per auction. Keys are hashed with FNV-1a: the keys are
-//! machine integers and short keyword strings, where FNV beats the
-//! collision-resistant default hasher and table data is not adversarial.
+//! The index is two parallel vectors — keys in the column's native type
+//! (`i64` or `String`) and row ids — rather than a hash map with a posting
+//! list per key: a bidding program's tables hold one or two rows, where a
+//! sorted array is the most compact main-memory index (Lehman & Carey,
+//! VLDB 1986) and its linear update cost never shows. A probe borrows the
+//! probe value and binary-searches, so the lookup path allocates nothing.
 
-use crate::table::Row;
 use crate::value::{Value, ValueType};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::borrow::Borrow;
+use std::ops::Range;
 
-/// FNV-1a, the classic multiply-xor hash. Quality is ample for posting
-/// maps keyed by row values; speed on 8-byte ints and short strings is the
-/// point.
-#[derive(Debug, Clone, Copy)]
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
+/// Keys and row ids in two parallel vectors, sorted by `(key, row)`.
+#[derive(Debug, Clone, Default)]
+struct Sorted<K> {
+    keys: Vec<K>,
+    rows: Vec<usize>,
 }
 
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
+impl<K: Ord> Sorted<K> {
+    /// The positions holding `key`.
+    fn range<Q: Ord + ?Sized>(&self, key: &Q) -> Range<usize>
+    where
+        K: Borrow<Q>,
+    {
+        let start = self.keys.partition_point(|k| k.borrow() < key);
+        let len = self.keys[start..].partition_point(|k| k.borrow() == key);
+        start..start + len
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        let mut hash = self.0;
-        for &byte in bytes {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    fn lookup<Q: Ord + ?Sized>(&self, key: &Q) -> &[usize]
+    where
+        K: Borrow<Q>,
+    {
+        &self.rows[self.range(key)]
+    }
+
+    /// Adds `(key, ridx)` at its sorted position.
+    fn insert(&mut self, key: K, ridx: usize) {
+        let range = self.range(&key);
+        let at = range.start + self.rows[range].partition_point(|&r| r < ridx);
+        if self.keys.capacity() == 0 {
+            // Indexed tables mostly hold one row: no spare slots.
+            self.keys.reserve_exact(1);
+            self.rows.reserve_exact(1);
         }
-        self.0 = hash;
+        self.keys.insert(at, key);
+        self.rows.insert(at, ridx);
+    }
+
+    /// Removes `(key, ridx)` if present.
+    fn remove<Q: Ord + ?Sized>(&mut self, key: &Q, ridx: usize)
+    where
+        K: Borrow<Q>,
+    {
+        let range = self.range(key);
+        if let Ok(at) = self.rows[range.clone()].binary_search(&ridx) {
+            self.keys.remove(range.start + at);
+            self.rows.remove(range.start + at);
+        }
+    }
+
+    /// Drops the entries of the rows at `sorted_doomed` and shifts every
+    /// survivor down by the number of deletions below it, in one pass.
+    /// The shift is monotone, so `(key, row)` order survives it.
+    fn delete(&mut self, sorted_doomed: &[usize]) {
+        let mut kept = 0;
+        for at in 0..self.rows.len() {
+            if let Err(shift) = sorted_doomed.binary_search(&self.rows[at]) {
+                self.rows[kept] = self.rows[at] - shift;
+                self.keys.swap(kept, at);
+                kept += 1;
+            }
+        }
+        self.keys.truncate(kept);
+        self.rows.truncate(kept);
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.rows.clear();
     }
 }
 
-/// Build-hasher handle for FNV-keyed posting maps.
-type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
-
-type FnvMap<K> = HashMap<K, Vec<usize>, FnvBuildHasher>;
-
-/// The postings keyed by the indexed column's native type. Only exact-type
+/// The entries keyed by the indexed column's native type. Only exact-type
 /// matches are indexed: an `INT` column indexes `Value::Int` cells, a
 /// `TEXT` column `Value::Text` cells. (Mixed numeric equality like
 /// `Int(2) = Float(2.0)` is true under the engine's comparison rules,
 /// which is exactly why the planner falls back to a scan whenever the
 /// probe key's type is not the column's type.)
 #[derive(Debug, Clone)]
-enum KeyMap {
-    /// Postings of an `INT` column.
-    Int(FnvMap<i64>),
-    /// Postings of a `TEXT` column.
-    Text(FnvMap<String>),
+enum Keyed {
+    /// Entries of an `INT` column.
+    Int(Sorted<i64>),
+    /// Entries of a `TEXT` column.
+    Text(Sorted<String>),
 }
 
-impl KeyMap {
-    fn for_type(ty: ValueType) -> Option<KeyMap> {
-        match ty {
-            ValueType::Int => Some(KeyMap::Int(FnvMap::default())),
-            ValueType::Text => Some(KeyMap::Text(FnvMap::default())),
-            ValueType::Float | ValueType::Bool => None,
-        }
-    }
-}
-
-/// A hash index on one column: value → sorted row indices.
+/// A sorted-array index on one column: value → ascending row indices.
 #[derive(Debug, Clone)]
-pub(crate) struct HashIndex {
+pub(crate) struct SortedIndex {
     col: usize,
-    map: KeyMap,
+    keyed: Keyed,
 }
 
-impl HashIndex {
-    /// Builds an index over the existing rows. `ty` must be `INT` or
-    /// `TEXT`; the planner never requests a float index (float equality is
-    /// not probe-stable).
-    pub(crate) fn build(col: usize, ty: ValueType, rows: &[Row]) -> Self {
-        let map = KeyMap::for_type(ty).expect("only INT and TEXT columns are indexable");
-        let mut index = HashIndex { col, map };
-        for (ridx, row) in rows.iter().enumerate() {
+impl SortedIndex {
+    /// Builds an index over the existing rows, or `None` when `ty` is not
+    /// indexable: only `INT` and `TEXT` equality is (float equality is not
+    /// probe-stable).
+    pub(crate) fn build<'r>(
+        col: usize,
+        ty: ValueType,
+        rows: impl Iterator<Item = &'r [Value]>,
+    ) -> Option<Self> {
+        let keyed = match ty {
+            ValueType::Int => Keyed::Int(Sorted::default()),
+            ValueType::Text => Keyed::Text(Sorted::default()),
+            ValueType::Float | ValueType::Bool => return None,
+        };
+        let mut index = SortedIndex { col, keyed };
+        for (ridx, row) in rows.enumerate() {
             index.note_insert(ridx, row);
         }
-        index
+        Some(index)
     }
 
     /// The indexed column ordinal.
@@ -110,106 +147,71 @@ impl HashIndex {
     /// probe value's type is not the column's type (caller must scan).
     /// Borrows the probe value — the serving path allocates nothing here.
     pub(crate) fn lookup(&self, key: &Value) -> Option<&[usize]> {
-        let postings = match (&self.map, key) {
-            (KeyMap::Int(map), Value::Int(i)) => map.get(i),
-            (KeyMap::Text(map), Value::Text(s)) => map.get(s.as_str()),
-            _ => return None,
-        };
-        Some(postings.map(|v| v.as_slice()).unwrap_or(&[]))
+        match (&self.keyed, key) {
+            (Keyed::Int(sorted), Value::Int(i)) => Some(sorted.lookup(i)),
+            (Keyed::Text(sorted), Value::Text(s)) => Some(sorted.lookup(s.as_str())),
+            _ => None,
+        }
     }
 
     /// Maintains the index after `row` was appended at `ridx`.
     pub(crate) fn note_insert(&mut self, ridx: usize, row: &[Value]) {
-        // Appended rows have the largest index so far: pushing keeps the
-        // posting list sorted.
-        match (&mut self.map, &row[self.col]) {
-            (KeyMap::Int(map), Value::Int(i)) => map.entry(*i).or_default().push(ridx),
-            (KeyMap::Text(map), Value::Text(s)) => map.entry(s.clone()).or_default().push(ridx),
-            _ => {}
-        }
+        self.link(&row[self.col], ridx);
     }
 
     /// Maintains the index after row `ridx`'s indexed cell changed from
     /// `old` to `new`. Call only when the mutated column is this one.
     pub(crate) fn note_set_cell(&mut self, ridx: usize, old: &Value, new: &Value) {
-        match (&mut self.map, old) {
-            (KeyMap::Int(map), Value::Int(i)) => unlink(map, i, ridx),
-            (KeyMap::Text(map), Value::Text(s)) => unlink(map, s.as_str(), ridx),
+        match (&mut self.keyed, old) {
+            (Keyed::Int(sorted), Value::Int(i)) => sorted.remove(i, ridx),
+            (Keyed::Text(sorted), Value::Text(s)) => sorted.remove(s.as_str(), ridx),
             _ => {}
         }
-        match (&mut self.map, new) {
-            (KeyMap::Int(map), Value::Int(i)) => link(map.entry(*i).or_default(), ridx),
-            (KeyMap::Text(map), Value::Text(s)) => link(map.entry(s.clone()).or_default(), ridx),
-            _ => {}
-        }
+        self.link(new, ridx);
     }
 
     /// Maintains the index before the rows at `sorted_doomed` (ascending,
-    /// deduplicated) are removed: deleted postings vanish, survivors shift
+    /// deduplicated) are removed: their entries vanish, survivors shift
     /// down by the number of deletions below them.
     pub(crate) fn note_delete(&mut self, sorted_doomed: &[usize]) {
-        let remap = |postings: &mut Vec<usize>| {
-            postings.retain_mut(|ridx| match sorted_doomed.binary_search(ridx) {
-                Ok(_) => false,
-                Err(shift) => {
-                    *ridx -= shift;
-                    true
-                }
-            });
-            !postings.is_empty()
-        };
-        match &mut self.map {
-            KeyMap::Int(map) => map.retain(|_, postings| remap(postings)),
-            KeyMap::Text(map) => map.retain(|_, postings| remap(postings)),
+        match &mut self.keyed {
+            Keyed::Int(sorted) => sorted.delete(sorted_doomed),
+            Keyed::Text(sorted) => sorted.delete(sorted_doomed),
         }
     }
 
     /// Maintains the index after all rows were removed.
     pub(crate) fn note_clear(&mut self) {
-        match &mut self.map {
-            KeyMap::Int(map) => map.clear(),
-            KeyMap::Text(map) => map.clear(),
+        match &mut self.keyed {
+            Keyed::Int(sorted) => sorted.clear(),
+            Keyed::Text(sorted) => sorted.clear(),
         }
     }
 
-    /// Total indexed postings (test introspection).
+    /// Indexes `value` at row `ridx` if it has the column's exact type.
+    fn link(&mut self, value: &Value, ridx: usize) {
+        match (&mut self.keyed, value) {
+            (Keyed::Int(sorted), Value::Int(i)) => sorted.insert(*i, ridx),
+            (Keyed::Text(sorted), Value::Text(s)) => sorted.insert(s.clone(), ridx),
+            _ => {}
+        }
+    }
+
+    /// Total indexed entries (test introspection).
     #[cfg(test)]
-    fn postings_len(&self) -> usize {
-        match &self.map {
-            KeyMap::Int(map) => map.values().map(Vec::len).sum(),
-            KeyMap::Text(map) => map.values().map(Vec::len).sum(),
+    fn entries(&self) -> usize {
+        match &self.keyed {
+            Keyed::Int(sorted) => sorted.rows.len(),
+            Keyed::Text(sorted) => sorted.rows.len(),
         }
-    }
-}
-
-/// Removes `ridx` from the posting list under `key` (if present), dropping
-/// the map entry when the list empties.
-fn unlink<K, Q>(map: &mut FnvMap<K>, key: &Q, ridx: usize)
-where
-    K: std::borrow::Borrow<Q> + Eq + std::hash::Hash,
-    Q: Eq + std::hash::Hash + ?Sized,
-{
-    let Some(postings) = map.get_mut(key) else {
-        return;
-    };
-    if let Ok(at) = postings.binary_search(&ridx) {
-        postings.remove(at);
-    }
-    if postings.is_empty() {
-        map.remove(key);
-    }
-}
-
-/// Inserts `ridx` into a sorted posting list (idempotent).
-fn link(postings: &mut Vec<usize>, ridx: usize) {
-    if let Err(at) = postings.binary_search(&ridx) {
-        postings.insert(at, ridx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::{Row, Schema, Table};
+    use proptest::prelude::*;
 
     fn rows() -> Vec<Row> {
         vec![
@@ -220,26 +222,32 @@ mod tests {
         ]
     }
 
+    fn build(col: usize, ty: ValueType) -> SortedIndex {
+        SortedIndex::build(col, ty, rows().iter().map(Vec::as_slice)).unwrap()
+    }
+
     #[test]
     fn build_and_lookup() {
-        let idx = HashIndex::build(0, ValueType::Int, &rows());
+        let idx = build(0, ValueType::Int);
         assert_eq!(idx.lookup(&Value::Int(5)), Some(&[0, 2][..]));
         assert_eq!(idx.lookup(&Value::Int(7)), Some(&[1][..]));
         assert_eq!(idx.lookup(&Value::Int(9)), Some(&[][..]));
         // Type-mismatched probes (and NULL) are unanswerable.
         assert_eq!(idx.lookup(&Value::Float(5.0)), None);
         assert_eq!(idx.lookup(&Value::Null), None);
+        // Float and Bool columns are not indexable at all.
+        let floats = SortedIndex::build(0, ValueType::Float, rows().iter().map(Vec::as_slice));
+        assert!(floats.is_none());
     }
 
     #[test]
     fn nulls_are_not_indexed() {
-        let idx = HashIndex::build(0, ValueType::Int, &rows());
-        assert_eq!(idx.postings_len(), 3);
+        assert_eq!(build(0, ValueType::Int).entries(), 3);
     }
 
     #[test]
     fn set_cell_moves_postings() {
-        let mut idx = HashIndex::build(0, ValueType::Int, &rows());
+        let mut idx = build(0, ValueType::Int);
         idx.note_set_cell(0, &Value::Int(5), &Value::Int(7));
         assert_eq!(idx.lookup(&Value::Int(5)), Some(&[2][..]));
         assert_eq!(idx.lookup(&Value::Int(7)), Some(&[0, 1][..]));
@@ -250,7 +258,7 @@ mod tests {
 
     #[test]
     fn delete_remaps_survivors() {
-        let mut idx = HashIndex::build(0, ValueType::Int, &rows());
+        let mut idx = build(0, ValueType::Int);
         // Delete rows 0 and 1: old row 2 becomes row 0.
         idx.note_delete(&[0, 1]);
         assert_eq!(idx.lookup(&Value::Int(5)), Some(&[0][..]));
@@ -259,20 +267,118 @@ mod tests {
 
     #[test]
     fn text_index() {
-        let idx = HashIndex::build(1, ValueType::Text, &rows());
+        let idx = build(1, ValueType::Text);
         assert_eq!(idx.lookup(&Value::Text("c".into())), Some(&[2][..]));
         assert_eq!(idx.lookup(&Value::Int(1)), None);
     }
 
-    #[test]
-    fn fnv_distinguishes_lengths_and_prefixes() {
-        let hash = |bytes: &[u8]| {
-            let mut h = FnvHasher::default();
-            h.write(bytes);
-            h.finish()
-        };
-        assert_ne!(hash(b""), hash(b"\0"));
-        assert_ne!(hash(b"kw1"), hash(b"kw10"));
-        assert_ne!(hash(b"kw1"), hash(b"kw2"));
+    /// One table mutation; keys come from a small domain (`None` is NULL)
+    /// so duplicates are common.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(Option<u8>, Option<u8>),
+        SetCell(usize, usize, Option<u8>),
+        Delete(Vec<usize>),
+        Clear,
+    }
+
+    /// Keys are drawn from `0..KEYS`; `KEYS` itself is never stored.
+    const KEYS: u8 = 4;
+
+    fn key() -> impl Strategy<Value = Option<u8>> {
+        proptest::option::of(0..KEYS)
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (key(), key()).prop_map(|(i, t)| Op::Insert(i, t)),
+            4 => (0..8usize, 0..2usize, key()).prop_map(|(r, c, k)| Op::SetCell(r, c, k)),
+            2 => proptest::collection::vec(0..8usize, 0..4).prop_map(Op::Delete),
+            1 => Just(Op::Clear),
+        ]
+    }
+
+    /// The cell value of key `k` in column `col` (0 = INT, 1 = TEXT).
+    fn cell(col: usize, k: Option<u8>) -> Value {
+        match (col, k) {
+            (_, None) => Value::Null,
+            (0, Some(k)) => Value::Int(i64::from(k)),
+            (_, Some(k)) => Value::Text(format!("kw{k}")),
+        }
+    }
+
+    fn apply(table: &mut Table, op: &Op) {
+        match op {
+            Op::Insert(i, t) => table.insert(vec![cell(0, *i), cell(1, *t)]).unwrap(),
+            Op::SetCell(row, col, k) => {
+                if !table.is_empty() {
+                    let row = row % table.len();
+                    table.set_cell(row, *col, cell(*col, *k)).unwrap();
+                }
+            }
+            Op::Delete(picks) => {
+                let mut doomed: Vec<usize> = picks
+                    .iter()
+                    .filter(|_| !table.is_empty())
+                    .map(|p| p % table.len())
+                    .collect();
+                doomed.sort_unstable();
+                doomed.dedup();
+                table.delete_rows(&doomed);
+            }
+            Op::Clear => table.clear(),
+        }
+    }
+
+    /// Every present key and one absent key probe to exactly the rows a
+    /// scan finds; probes of another type are unanswerable.
+    fn assert_index_matches_scan(table: &Table) {
+        for col in 0..2 {
+            for k in 0..=KEYS {
+                let key = cell(col, Some(k));
+                let scanned: Vec<usize> = table
+                    .rows()
+                    .enumerate()
+                    .filter(|(_, row)| row[col] == key)
+                    .map(|(ridx, _)| ridx)
+                    .collect();
+                assert_eq!(
+                    table.index_lookup(col, &key),
+                    Some(scanned.as_slice()),
+                    "column {col}, key {key}"
+                );
+            }
+            assert_eq!(table.index_lookup(col, &Value::Float(1.0)), None);
+            assert_eq!(table.index_lookup(col, &Value::Null), None);
+            assert_eq!(table.index_lookup(col, &cell(1 - col, Some(1))), None);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The index is a cache of the scan: after every mutation, built
+        /// before or after the first rows arrive.
+        #[test]
+        fn index_lookup_equals_scan(
+            before in proptest::collection::vec(op(), 0..6),
+            after in proptest::collection::vec(op(), 1..40),
+        ) {
+            let schema = Schema::try_new(vec![
+                ("i".to_string(), ValueType::Int),
+                ("t".to_string(), ValueType::Text),
+            ])
+            .unwrap();
+            let mut table = Table::new(schema);
+            for op in &before {
+                apply(&mut table, op);
+            }
+            prop_assert!(table.ensure_index(0) && table.ensure_index(1));
+            assert_index_matches_scan(&table);
+            for op in &after {
+                apply(&mut table, op);
+                assert_index_matches_scan(&table);
+            }
+        }
     }
 }

@@ -32,7 +32,8 @@
 //!    trigger body is lowered once into a plan ([`plan`] module) and cached
 //!    in the parsed [`Script`], which every database running the same text
 //!    shares (see "Compile once per text" below).
-//! 2. **Secondary hash indexes** — [`Table`] maintains hash indexes on
+//! 2. **Flat tables, sorted-array indexes** — a [`Table`] keeps its cells
+//!    in one row-major vector and maintains sorted-array indexes on
 //!    `INT`/`TEXT` columns incrementally through every `INSERT`, `UPDATE`,
 //!    and `DELETE`. Indexes are created on demand by the planner the first
 //!    time a plan needs one.

@@ -11,7 +11,7 @@
 //! 2. **Physical plan** — a tiny planner picks the access path per
 //!    table scan: an equality conjunct `col = key` over an `INT`/`TEXT`
 //!    column whose key is row-independent becomes an
-//!    `AccessKind::IndexEq` probe against a hash index
+//!    `AccessKind::IndexEq` probe against a sorted-array index
 //!    (`crate::index`); anything else stays a full scan.
 //! 3. **Execution** — [`Database`] methods here run the planned form,
 //!    creating requested indexes on demand (maintained incrementally by
@@ -949,7 +949,7 @@ fn for_each_match<'a>(
             };
             PlannerCounters::bump(&db.counters.index_hits, 1);
             for &ridx in postings {
-                let row = table.rows()[ridx].as_slice();
+                let row = table.row(ridx);
                 cx.scopes.push(row);
                 let ok = match residual {
                     None => Ok(true),
@@ -975,9 +975,8 @@ fn scan_matches<'a>(
     on_match: &mut impl FnMut(&mut EvalCx<'a>, usize, &'a [Value]) -> DbResult<()>,
 ) -> DbResult<()> {
     let db = cx.db;
-    for (ridx, row) in table.rows().iter().enumerate() {
+    for (ridx, row) in table.rows().enumerate() {
         PlannerCounters::bump(&db.counters.rows_scanned, 1);
-        let row = row.as_slice();
         cx.scopes.push(row);
         let ok = match pred {
             None => Ok(true),

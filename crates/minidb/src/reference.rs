@@ -215,7 +215,7 @@ impl Database {
                         .ok_or_else(|| DbError::NoSuchColumn(s.column.clone()))
                 })
                 .collect::<DbResult<_>>()?;
-            for (ridx, row) in t.rows().iter().enumerate() {
+            for (ridx, row) in t.rows().enumerate() {
                 PlannerCounters::bump(&self.counters.rows_scanned, 1);
                 let evaluator = Evaluator::with_row(self, display, None, schema, row, params);
                 let matches = match where_clause {
@@ -253,7 +253,7 @@ impl Database {
         let mut doomed: Vec<usize> = Vec::new();
         {
             let (display, t) = self.table_at(pos);
-            for (ridx, row) in t.rows().iter().enumerate() {
+            for (ridx, row) in t.rows().enumerate() {
                 PlannerCounters::bump(&self.counters.rows_scanned, 1);
                 let evaluator = Evaluator::with_row(self, display, None, t.schema(), row, params);
                 let matches = match where_clause {

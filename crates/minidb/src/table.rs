@@ -1,7 +1,7 @@
 //! Tables, schemas, and rows.
 
 use crate::error::{DbError, DbResult};
-use crate::index::HashIndex;
+use crate::index::SortedIndex;
 use crate::value::{Value, ValueType};
 use std::sync::Arc;
 
@@ -71,19 +71,45 @@ impl Schema {
 /// [`crate::Database`] holds the one of the catalog shape it was created
 /// in, so databases that ran the same DDL keep one copy of their column
 /// lists.
+///
+/// The rows live in one row-major vector of cells, the schema giving the
+/// row width, so a table costs one allocation however many rows it holds.
+/// The first insert reserves exactly one row — a bidding program's tables
+/// mostly stay at one — and [`Table::clear`] keeps the capacity, so a
+/// table cleared and refilled every auction allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     schema: Arc<Schema>,
-    rows: Vec<Row>,
-    indexes: Vec<HashIndex>,
+    /// Row `r` is `cells[r * arity..(r + 1) * arity]`.
+    cells: Vec<Value>,
+    /// The row count, which a zero-column table cannot read off `cells`.
+    len: usize,
+    indexes: Vec<SortedIndex>,
 }
 
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         // Indexes are a cache over (schema, rows): two tables with the same
         // data are equal no matter which access paths have been exercised.
-        self.schema == other.schema && self.rows == other.rows
+        self.schema == other.schema && self.len == other.len && self.cells == other.cells
     }
+}
+
+/// Checks `value` against `col`'s type, widening an INT bound for a FLOAT
+/// column so later reads are uniform.
+fn fit(value: &mut Value, col: &Column) -> DbResult<()> {
+    if !value.conforms_to(col.ty) {
+        return Err(DbError::Type(format!(
+            "value {value} does not fit column {} ({})",
+            col.name, col.ty
+        )));
+    }
+    if col.ty == ValueType::Float {
+        if let Value::Int(i) = value {
+            *value = Value::Float(*i as f64);
+        }
+    }
+    Ok(())
 }
 
 impl Table {
@@ -96,7 +122,8 @@ impl Table {
     pub(crate) fn with_schema(schema: Arc<Schema>) -> Self {
         Table {
             schema,
-            rows: Vec::new(),
+            cells: Vec::new(),
+            len: 0,
             indexes: Vec::new(),
         }
     }
@@ -106,19 +133,26 @@ impl Table {
         &self.schema
     }
 
-    /// All rows.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// Row `ridx`'s cells, aligned with the schema. Panics if `ridx` is
+    /// not below [`Table::len`].
+    pub fn row(&self, ridx: usize) -> &[Value] {
+        let arity = self.schema.len();
+        &self.cells[ridx * arity..(ridx + 1) * arity]
+    }
+
+    /// All rows in order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
+        (0..self.len).map(|ridx| self.row(ridx))
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// `true` if there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Inserts a row after checking arity and types.
@@ -129,24 +163,18 @@ impl Table {
                 got: row.len(),
             });
         }
-        let mut coerced = row;
-        for (value, col) in coerced.iter_mut().zip(self.schema.columns()) {
-            if !value.conforms_to(col.ty) {
-                return Err(DbError::Type(format!(
-                    "value {value} does not fit column {} ({})",
-                    col.name, col.ty
-                )));
-            }
-            // Widen INT into FLOAT columns eagerly so later reads are uniform.
-            if col.ty == ValueType::Float {
-                if let Value::Int(i) = value {
-                    *value = Value::Float(*i as f64);
-                }
-            }
+        let mut row = row;
+        for (value, col) in row.iter_mut().zip(self.schema.columns()) {
+            fit(value, col)?;
         }
-        self.rows.push(coerced);
-        let ridx = self.rows.len() - 1;
-        let row = &self.rows[ridx];
+        if self.cells.capacity() == 0 {
+            self.cells.reserve_exact(row.len());
+        }
+        let start = self.cells.len();
+        self.cells.extend(row);
+        let ridx = self.len;
+        self.len += 1;
+        let row = &self.cells[start..];
         for index in &mut self.indexes {
             index.note_insert(ridx, row);
         }
@@ -155,21 +183,11 @@ impl Table {
 
     /// Mutable access for the executor (indices come from a prior scan).
     pub(crate) fn set_cell(&mut self, row: usize, col: usize, value: Value) -> DbResult<()> {
-        let col_def = &self.schema.columns()[col];
         let mut value = value;
-        if !value.conforms_to(col_def.ty) {
-            return Err(DbError::Type(format!(
-                "value {value} does not fit column {} ({})",
-                col_def.name, col_def.ty
-            )));
-        }
-        if col_def.ty == ValueType::Float {
-            if let Value::Int(i) = value {
-                value = Value::Float(i as f64);
-            }
-        }
-        let old = std::mem::replace(&mut self.rows[row][col], value);
-        let new = &self.rows[row][col];
+        fit(&mut value, &self.schema.columns()[col])?;
+        let at = row * self.schema.len() + col;
+        let old = std::mem::replace(&mut self.cells[at], value);
+        let new = &self.cells[at];
         for index in &mut self.indexes {
             if index.column() == col {
                 index.note_set_cell(row, &old, new);
@@ -179,19 +197,25 @@ impl Table {
     }
 
     /// Removes the rows at the given (sorted ascending, deduplicated)
-    /// indices.
+    /// indices, compacting the survivors in one pass.
     pub(crate) fn delete_rows(&mut self, sorted_indices: &[usize]) {
         for index in &mut self.indexes {
             index.note_delete(sorted_indices);
         }
-        for &idx in sorted_indices.iter().rev() {
-            self.rows.remove(idx);
-        }
+        let arity = self.schema.len();
+        let mut at = 0;
+        self.cells.retain(|_| {
+            let keep = sorted_indices.binary_search(&(at / arity)).is_err();
+            at += 1;
+            keep
+        });
+        self.len -= sorted_indices.len();
     }
 
-    /// Removes all rows.
+    /// Removes all rows, keeping the capacity.
     pub fn clear(&mut self) {
-        self.rows.clear();
+        self.cells.clear();
+        self.len = 0;
         for index in &mut self.indexes {
             index.note_clear();
         }
@@ -205,10 +229,11 @@ impl Table {
             return true;
         }
         let ty = self.schema.columns()[col].ty;
-        if !matches!(ty, ValueType::Int | ValueType::Text) {
+        let Some(index) = SortedIndex::build(col, ty, self.rows()) else {
             return false;
-        }
-        self.indexes.push(HashIndex::build(col, ty, &self.rows));
+        };
+        self.indexes.reserve_exact(1);
+        self.indexes.push(index);
         true
     }
 
@@ -262,7 +287,7 @@ mod tests {
         t.insert(vec!["boot".into(), Value::Int(5), Value::Int(2)])
             .unwrap();
         // INT widened into the FLOAT column.
-        assert_eq!(t.rows()[0][2], Value::Float(2.0));
+        assert_eq!(t.row(0)[2], Value::Float(2.0));
         let err = t.insert(vec![Value::Int(1), Value::Int(5), Value::Float(2.0)]);
         assert!(matches!(err, Err(DbError::Type(_))));
         let err = t.insert(vec!["x".into()]);
@@ -311,7 +336,7 @@ mod tests {
             t.insert(vec![Value::Int(i)]).unwrap();
         }
         t.delete_rows(&[1, 3]);
-        let left: Vec<i64> = t.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let left: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(left, vec![0, 2, 4]);
     }
 }

@@ -106,7 +106,7 @@ proptest! {
 
         let left = by_string.table("t").unwrap();
         let right = by_prepared.table("t").unwrap();
-        prop_assert_eq!(left.rows(), right.rows());
+        prop_assert_eq!(left.rows().collect::<Vec<_>>(), right.rows().collect::<Vec<_>>());
     }
 
     /// Float parameters: binding the value parsed from the literal text is

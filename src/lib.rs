@@ -217,11 +217,11 @@
 //! installation) lowers each statement once: columns become row offsets
 //! and every predicate/SET/projection expression compiles to a flat
 //! op-sequence evaluated without AST recursion. Equality-probed
-//! `INT`/`TEXT` columns get secondary hash indexes, built on demand by a
-//! tiny planner that chooses index-lookup vs scan per statement and
-//! maintained incrementally on every mutation (posting lists stay in
-//! scan order; NULLs are never indexed, matching three-valued
-//! equality). Scripts are parsed once per distinct *text* and planned
+//! `INT`/`TEXT` columns get secondary sorted-array indexes, built on
+//! demand by a tiny planner that chooses index-lookup vs scan per
+//! statement and maintained incrementally on every mutation (entries stay
+//! sorted by key and row, so rows come back in scan order; NULLs are never
+//! indexed, matching three-valued equality). Scripts are parsed once per distinct *text* and planned
 //! once per text and catalog *shape* (tables, column names and types),
 //! process-wide: the thousands of campaign databases running one program
 //! share its parsed scripts, trigger bodies and plans, and own only their
