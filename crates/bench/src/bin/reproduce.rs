@@ -1,11 +1,11 @@
-//! Regenerates every figure of the paper's evaluation (and the
-//! illustrative tables) as text output, or — in single-run mode — serves
-//! one `ssa_bench::Scenario` and reports its throughput.
+//! Regenerates the paper's evaluation figures, its illustrative tables
+//! and the design ablations as text output, or — in single-run mode —
+//! serves one `ssa_bench::Scenario` and reports its throughput.
 //!
 //! Usage:
 //!
 //! ```text
-//! reproduce [fig12|fig13|tables|all] [--quick]
+//! reproduce [fig12|fig13|ablations|tables|all] [--quick]
 //! reproduce [--method <m>] [--strategy <s>] [--workload <w>] [--targeted]
 //!           [--shards <n>] [--load <q>] [--pruned] [--durable]
 //!           [--server <host:port>] [--json] [--quick]
@@ -18,29 +18,38 @@
 //! sets one `Scenario` field and the flags compose freely; a combination a
 //! layer cannot express is that layer's typed error.
 
-use ssa_bench::{format_table, measure_series, MethodRun, Population, Scenario, ScenarioError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use ssa_bench::{format_table, ms_per_auction, MethodRun, Population, Scenario, ScenarioError};
 use ssa_bidlang::{BidsTable, Formula, Money, SlotId};
-use ssa_core::prob::ClickModel;
+use ssa_core::heavyweight::{solve_heavyweight, HeavyweightInstance, PatternClickModel};
+use ssa_core::prob::{ClickModel, PurchaseModel};
 use ssa_core::sharded::parse_shards;
 use ssa_core::WdMethod;
-use ssa_matching::{reduced_assignment, RevenueMatrix};
-use ssa_workload::{Method, Strategy, Stream, WorkloadShape};
+use ssa_matching::threshold::{threshold_top_k, IndexedSource, MaintainedIndex};
+use ssa_matching::{max_weight_assignment, reduced_assignment, top_k_indices, RevenueMatrix};
+use ssa_strategy::{LogicalRoiPopulation, NaiveRoiPopulation, RoiPopulation};
+use ssa_workload::{Method, SectionVConfig, SectionVWorkload, Strategy, Stream, WorkloadShape};
+use std::hint::black_box;
 use std::process::exit;
+use std::time::Instant;
 
 const USAGE: &str = "\
 reproduce — regenerate the paper's figures as text output
 
-Usage: reproduce [fig12|fig13|tables|all] [--quick]
+Usage: reproduce [fig12|fig13|ablations|tables|all] [--quick]
        reproduce [--method <m>] [--strategy <s>] [--workload <w>] [--targeted]
                  [--shards <n>] [--load <q>] [--pruned] [--durable]
                  [--server <host:port>] [--json] [--quick]
        reproduce --list-methods
 
 Targets:
-  fig12    winner-determination time per auction (LP/H/RH/RHTALU, k = 15)
-  fig13    RH vs RHTALU at larger advertiser counts
-  tables   the illustrative tables of Figures 1-11
-  all      everything above (default)
+  fig12      winner-determination time per auction (LP/H/RH/RHTALU, k = 15)
+  fig13      RH vs RHTALU at larger advertiser counts
+  ablations  A1 reduction vs k, A2 top-k selection, A3 logical updates,
+             A4 heavyweight threads (mean of 10 runs after one warm-up)
+  tables     the illustrative tables of Figures 1-11
+  all        everything above (default)
 
 Single-run mode serves one scenario through the marketplace's serve_batch
 pipeline instead of printing figures. Any of --method, --strategy,
@@ -80,7 +89,7 @@ layer's error):
                   outcomes; --shards sets the server-side shard count
   --json          emit one machine-readable JSON object per line
   --quick         the quick preset (250 advertisers, 50 auctions) instead of
-                  the full one (1000, 200); for figures, smaller sweeps
+                  the full one (1000, 200); for other targets, smaller sweeps
 
   --list-methods  print the accepted --method names with their paper
                   sections, then exit
@@ -119,27 +128,35 @@ fn main() {
         println!("{METHODS}");
         return;
     }
-    let method = value_flag(&args, "--method", str::parse::<WdMethod>);
-    let shards = value_flag(&args, "--shards", parse_shards);
-    let load = value_flag(&args, "--load", parse_load);
-    let strategy = value_flag(&args, "--strategy", str::parse::<Strategy>);
-    let server = value_flag(&args, "--server", ssa_net::parse_addr);
-    let workload = value_flag(&args, "--workload", str::parse::<WorkloadShape>);
-    // Walk the arguments once: reject unknown flags and find the first
-    // positional target (skipping the value-carrying flags' values).
+    // Walk the arguments once: reject unknown flags, a second positional
+    // target and a value flag given twice; collect each value flag's value.
     let mut target: Option<&str> = None;
-    let mut skip_value = false;
-    for a in &args {
-        if skip_value {
-            skip_value = false;
-        } else if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_value = true;
+    let mut values: Vec<(&str, &str)> = Vec::new();
+    let mut walk = args.iter().map(String::as_str);
+    while let Some(a) = walk.next() {
+        if VALUE_FLAGS.contains(&a) {
+            let Some(value) = walk.next() else {
+                usage_error(&format!("{a} requires a value"));
+            };
+            if values.iter().any(|&(flag, _)| flag == a) {
+                usage_error(&format!("{a} given more than once"));
+            }
+            values.push((a, value));
         } else if !a.starts_with('-') {
-            target.get_or_insert(a.as_str());
-        } else if !SWITCHES.contains(&a.as_str()) {
+            if let Some(first) = target {
+                usage_error(&format!("unexpected argument {a:?} after target {first:?}"));
+            }
+            target = Some(a);
+        } else if !SWITCHES.contains(&a) {
             usage_error(&format!("unknown option {a:?}"));
         }
     }
+    let method = value_flag(&values, "--method", str::parse::<WdMethod>);
+    let shards = value_flag(&values, "--shards", parse_shards);
+    let load = value_flag(&values, "--load", parse_load);
+    let strategy = value_flag(&values, "--strategy", str::parse::<Strategy>);
+    let server = value_flag(&values, "--server", ssa_net::parse_addr);
+    let workload = value_flag(&values, "--workload", str::parse::<WorkloadShape>);
     let switch = |name: &str| args.iter().any(|a| a == name);
     let (quick, json, pruned) = (switch("--quick"), switch("--json"), switch("--pruned"));
     let (durable, targeted) = (switch("--durable"), switch("--targeted"));
@@ -162,11 +179,13 @@ fn main() {
         match target.unwrap_or("all") {
             "fig12" => fig12(quick),
             "fig13" => fig13(quick),
+            "ablations" => ablations(quick),
             "tables" => tables(),
             "all" => {
                 tables();
                 fig12(quick);
                 fig13(quick);
+                ablations(quick);
             }
             other => usage_error(&format!("unknown target {other:?}")),
         }
@@ -244,18 +263,14 @@ fn parse_load(s: &str) -> Result<usize, String> {
     })
 }
 
-/// Extracts `<flag> <value>` from the argument list, if present, running
-/// the flag's typed parser on the value; a missing or unparsable value is
-/// a usage error.
+/// Runs `flag`'s typed parser on its value among the walked `(flag,
+/// value)` pairs, if it was given; an unparsable value is a usage error.
 fn value_flag<T, E: std::fmt::Display>(
-    args: &[String],
+    values: &[(&str, &str)],
     flag: &str,
     parse: impl Fn(&str) -> Result<T, E>,
 ) -> Option<T> {
-    let pos = args.iter().position(|a| a == flag)?;
-    let Some(value) = args.get(pos + 1) else {
-        usage_error(&format!("{flag} requires a value"));
-    };
+    let &(_, value) = values.iter().find(|&&(f, _)| f == flag)?;
     Some(parse(value).unwrap_or_else(|e| usage_error(&e.to_string())))
 }
 
@@ -338,53 +353,186 @@ fn print_run(run: &MethodRun) {
 /// Figure 12: time per auction for LP / H / RH / RHTALU, k = 15 slots,
 /// averaged over 100 auctions, advertiser counts up to 5000.
 fn fig12(quick: bool) {
-    let counts: Vec<usize> = if quick {
-        vec![250, 500, 1000]
+    let counts: &[usize] = if quick {
+        &[250, 500, 1000]
     } else {
-        vec![500, 1000, 1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000]
+        &[500, 1000, 1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000]
     };
-    let auctions = if quick { 20 } else { 100 };
-    let methods = Method::ALL;
-    let series: Vec<_> = methods
-        .iter()
-        .map(|&m| measure_series(m, &counts, auctions, auctions / 10 + 1, 4242))
-        .collect();
-    print!(
-        "{}",
-        format_table(
-            "Figure 12 — Winner Determination Performance (ms per auction, k = 15)",
-            &methods,
-            &series,
-        )
+    figure(
+        "Figure 12 — Winner Determination Performance (ms per auction, k = 15)",
+        &Method::ALL,
+        counts,
+        if quick { 20 } else { 100 },
+        4242,
     );
-    println!();
 }
 
 /// Figure 13: RH vs RHTALU, averaged over 1000 auctions, up to 20000
 /// advertisers.
 fn fig13(quick: bool) {
-    let counts: Vec<usize> = if quick {
-        vec![1000, 2000, 4000]
+    let counts: &[usize] = if quick {
+        &[1000, 2000, 4000]
     } else {
-        vec![
+        &[
             2000, 4000, 6000, 8000, 10000, 12000, 14000, 16000, 18000, 20000,
         ]
     };
-    let auctions = if quick { 50 } else { 1000 };
-    let methods = [Method::Rh, Method::Rhtalu];
-    let series: Vec<_> = methods
-        .iter()
-        .map(|&m| measure_series(m, &counts, auctions, auctions / 10 + 1, 4243))
-        .collect();
-    print!(
-        "{}",
-        format_table(
-            "Figure 13 — Reducing Program Evaluation (ms per auction, k = 15)",
-            &methods,
-            &series,
-        )
+    figure(
+        "Figure 13 — Reducing Program Evaluation (ms per auction, k = 15)",
+        &[Method::Rh, Method::Rhtalu],
+        counts,
+        if quick { 50 } else { 1000 },
+        4243,
     );
-    println!();
+}
+
+/// Prints one figure: each method's mean milliseconds per auction at each
+/// advertiser count, over `auctions` auctions after a tenth as many.
+fn figure(title: &str, methods: &[Method], counts: &[usize], auctions: usize, seed: u64) {
+    let labels: Vec<&str> = methods.iter().map(|m| m.label()).collect();
+    let warmup = auctions / 10 + 1;
+    print_table(title, "n", &labels, counts, |n| {
+        methods
+            .iter()
+            .map(|&m| ms_per_auction(m, n, auctions, warmup, seed))
+            .collect()
+    });
+}
+
+/// The design ablations, each cell a [`mean_ms`]: A1 the full Hungarian vs
+/// the reduced graph across k, A2 three ways to find each slot's top k, A3
+/// every ROI program evaluated per auction vs logical updates, A4 the 2^k
+/// heavyweight solver on one thread vs eight.
+fn ablations(quick: bool) {
+    let n = if quick { 500 } else { 3000 };
+    print_table(
+        &format!("A1 — Reduced graph vs full Hungarian (ms per solve, n = {n})"),
+        "k",
+        &["hungarian_full", "reduced"],
+        &[2, 5, 10, 15, 20, 25][..if quick { 4 } else { 6 }],
+        |k| {
+            let matrix = random_matrix(n, k, 42 + k as u64);
+            let full = mean_ms(|| max_weight_assignment(&matrix));
+            vec![full, mean_ms(|| reduced_assignment(&matrix))]
+        },
+    );
+
+    let (n, k) = (if quick { 2_000 } else { 20_000 }, 15);
+    let matrix = random_matrix(n, k, 7);
+    let full_sort = mean_ms(|| {
+        (0..k)
+            .map(|j| {
+                let mut col: Vec<(usize, f64)> = (0..n).map(|i| (i, matrix.get(i, j))).collect();
+                col.sort_by(|a, b| b.1.total_cmp(&a.1));
+                col.truncate(k);
+                col
+            })
+            .collect::<Vec<_>>()
+    });
+    let heaps = mean_ms(|| top_k_indices(&matrix, k));
+    // The threshold algorithm over pre-sorted weight and bid indexes.
+    let weight_indexes: Vec<MaintainedIndex> = (0..k)
+        .map(|j| MaintainedIndex::new((0..n).map(|i| matrix.get(i, j)).collect()))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(12);
+    let bid_index = MaintainedIndex::new((0..n).map(|_| rng.gen_range(0.0..50.0)).collect());
+    let threshold = mean_ms(|| {
+        weight_indexes
+            .iter()
+            .map(|w| {
+                let source = IndexedSource::new(vec![w, &bid_index]);
+                threshold_top_k(&source, &|v: &[f64]| v[0] * v[1], k).0
+            })
+            .collect::<Vec<_>>()
+    });
+    print_table(
+        &format!("A2 — Per-slot top-k selection (ms per selection, k = {k})"),
+        "n",
+        &["full_sort_per_slot", "bounded_heaps", "threshold_algorithm"],
+        &[n],
+        |_| vec![full_sort, heaps, threshold],
+    );
+
+    print_table(
+        "A3 — Logical updates (ms per auction's program adjustments)",
+        "n",
+        &["naive_eval", "logical_updates"],
+        if quick { &[500] } else { &[2000, 10000] },
+        |n| {
+            let bidders = SectionVWorkload::generate(SectionVConfig::paper(n, 99)).bidders;
+            let naive = auction_ms(NaiveRoiPopulation::new(&bidders));
+            vec![naive, auction_ms(LogicalRoiPopulation::new(&bidders))]
+        },
+    );
+
+    print_table(
+        "A4 — Heavyweight 2^k solver (ms per solve, n = 60)",
+        "k",
+        &["sequential", "threaded_8"],
+        &[4, 8, 10][..if quick { 2 } else { 3 }],
+        |k| {
+            // Every third advertiser heavy; lightweights lose clicks as
+            // more heavyweights show.
+            let clicks = PatternClickModel::from_fn(60, k, |adv, slot, pattern| {
+                let base = 0.8 / (1.0 + slot as f64) / (1.0 + (adv % 7) as f64 * 0.1);
+                if adv % 3 == 0 {
+                    return base;
+                }
+                base * (1.0 - 0.03 * pattern.count() as f64).max(0.1)
+            });
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            let instance = HeavyweightInstance {
+                is_heavy: (0..60).map(|i| i % 3 == 0).collect(),
+                clicks,
+                purchases: PurchaseModel::never(60, k),
+                bids: (0..60)
+                    .map(|_| BidsTable::single_feature(Money::from_cents(rng.gen_range(1..=50))))
+                    .collect(),
+            };
+            let sequential = mean_ms(|| solve_heavyweight(&instance, 1));
+            vec![sequential, mean_ms(|| solve_heavyweight(&instance, 8))]
+        },
+    );
+}
+
+/// Mean milliseconds per call of `routine` over 10 timed calls, after one
+/// untimed warm-up call.
+fn mean_ms<O>(mut routine: impl FnMut() -> O) -> f64 {
+    black_box(routine());
+    let start = Instant::now();
+    for _ in 0..10 {
+        black_box(routine());
+    }
+    ssa_bench::ms(start.elapsed()) / 10.0
+}
+
+/// [`mean_ms`] of one auction's program adjustments on `population`, the
+/// auctions cycling through the Section V workload's ten keywords.
+fn auction_ms(mut population: impl RoiPopulation) -> f64 {
+    let mut t = 0;
+    mean_ms(|| {
+        t += 1;
+        population.begin_auction(t % 10)
+    })
+}
+
+/// An `n × k` revenue matrix of seeded uniform draws in `[0, 100)`.
+fn random_matrix(n: usize, k: usize, seed: u64) -> RevenueMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    RevenueMatrix::from_fn(n, k, |_, _| rng.gen_range(0.0..100.0))
+}
+
+/// Prints a timing table through [`format_table`], one row of `row(key)`
+/// per key, then a blank line.
+fn print_table(
+    title: &str,
+    key: &str,
+    labels: &[&str],
+    keys: &[usize],
+    row: impl Fn(usize) -> Vec<f64>,
+) {
+    let rows: Vec<_> = keys.iter().map(|&k| (k, row(k))).collect();
+    println!("{}", format_table(title, key, labels, &rows));
 }
 
 /// Figures 1–11: the paper's illustrative tables, regenerated from the

@@ -1,11 +1,11 @@
 //! # ssa-bench — the experiment harness
 //!
 //! Shared plumbing for regenerating the paper's figures: the `reproduce`
-//! binary prints the numeric series behind Figures 12 and 13 (plus the
-//! illustrative tables of Figures 1–11), and the Criterion benches measure
-//! the same code paths with statistical rigour.
+//! binary prints the illustrative tables of Figures 1–11 and times the
+//! series behind Figures 12 and 13 and the design ablations, printing
+//! each timing table through [`format_table`].
 //!
-//! There are two entry points. [`measure_series`] times the legacy
+//! There are two entry points. [`ms_per_auction`] times the legacy
 //! reference `Simulation` (the only home of RHTALU) for the figures.
 //! [`run`] serves one [`Scenario`] — population × stream × transport ×
 //! durability × shards — on the marketplace and returns a [`MethodRun`];
@@ -18,7 +18,7 @@
 
 use ssa_bidlang::Money;
 use ssa_core::marketplace::{CampaignId, MarketError, Marketplace, QueryRequest};
-use ssa_core::{AuctionEngine, BatchReport, EngineConfig, PricingScheme, TableBidder};
+use ssa_core::{BatchReport, EngineConfig, PricingScheme};
 use ssa_durable::{Durability, DurableError, FsyncPolicy, RecoveryReport};
 use ssa_minidb::PlannerStats;
 use ssa_net::server::build_market;
@@ -32,96 +32,38 @@ use std::fmt;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// One measured point of a figure series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesPoint {
-    /// Number of advertisers.
-    pub n: usize,
-    /// Average time per auction in milliseconds.
-    pub ms_per_auction: f64,
+/// Times `method` on the Section V workload of `n` advertisers: the mean
+/// milliseconds per auction over `auctions` auctions, after `warmup`
+/// untimed ones. One figure cell.
+pub fn ms_per_auction(method: Method, n: usize, auctions: usize, warmup: usize, seed: u64) -> f64 {
+    let workload = SectionVWorkload::generate(SectionVConfig::paper(n, seed));
+    let mut sim = Simulation::new(workload, method);
+    sim.run_timed(warmup);
+    ms(sim.run_timed(auctions)) / auctions as f64
 }
 
-/// Measures `method` on the Section V workload for each advertiser count,
-/// averaging over `auctions` auctions per point (after `warmup` auctions).
-pub fn measure_series(
-    method: Method,
-    advertiser_counts: &[usize],
-    auctions: usize,
-    warmup: usize,
-    seed: u64,
-) -> Vec<SeriesPoint> {
-    advertiser_counts
-        .iter()
-        .map(|&n| {
-            let workload = SectionVWorkload::generate(SectionVConfig::paper(n, seed));
-            let mut sim = Simulation::new(workload, method);
-            sim.run_timed(warmup);
-            let elapsed = sim.run_timed(auctions);
-            SeriesPoint {
-                n,
-                ms_per_auction: elapsed.as_secs_f64() * 1000.0 / auctions as f64,
-            }
-        })
-        .collect()
-}
-
-/// Formats a set of series as the aligned text table the `reproduce`
-/// binary prints.
-pub fn format_table(title: &str, methods: &[Method], series: &[Vec<SeriesPoint>]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "# {title}").expect("infallible");
-    write!(out, "{:>8}", "n").expect("infallible");
-    for m in methods {
-        write!(out, " {:>12}", m.label()).expect("infallible");
+/// Formats rows of timings as the aligned text table the `reproduce`
+/// binary prints: a `# title` line, a header of the `key` column's name
+/// and the value columns' `labels`, then one line per row — its key, then
+/// its values to four decimals under their labels.
+pub fn format_table(title: &str, key: &str, labels: &[&str], rows: &[(usize, Vec<f64>)]) -> String {
+    let width = |label: &str| label.len().max(12);
+    let mut out = format!("# {title}\n{key:>8}");
+    for label in labels {
+        out += &format!(" {label:>w$}", w = width(label));
     }
-    writeln!(out).expect("infallible");
-    let points = series.first().map(|s| s.len()).unwrap_or(0);
-    for row in 0..points {
-        write!(out, "{:>8}", series[0][row].n).expect("infallible");
-        for s in series {
-            write!(out, " {:>12.4}", s[row].ms_per_auction).expect("infallible");
+    for (row_key, values) in rows {
+        out += &format!("\n{row_key:>8}");
+        for (value, label) in values.iter().zip(labels) {
+            out += &format!(" {value:>w$.4}", w = width(label));
         }
-        writeln!(out).expect("infallible");
     }
-    out
+    out + "\n"
 }
 
 /// Pretty-prints a duration in ms for logging.
 pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1000.0
-}
-
-/// Builds an [`AuctionEngine`] over a Section V population: per-click
-/// [`TableBidder`]s with the workload's initial bids, the paper's
-/// 15-slot click model, no purchases.
-///
-/// This is the low-level escape hatch under the marketplace [`run`]
-/// serves on, kept for benches that measure the raw engine pipeline.
-pub fn section_v_engine(n: usize, seed: u64, config: EngineConfig) -> AuctionEngine<TableBidder> {
-    let workload = SectionVWorkload::generate(SectionVConfig::paper(n, seed));
-    let bidders: Vec<TableBidder> = workload
-        .bidders
-        .iter()
-        .map(|b| {
-            let cents = b
-                .keywords
-                .iter()
-                .map(|&(_, bid, _)| bid)
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            TableBidder::per_click(Money::from_cents(cents))
-        })
-        .collect();
-    let num_keywords = workload.config.num_keywords;
-    AuctionEngine::new(
-        bidders,
-        workload.clicks,
-        workload.purchases,
-        num_keywords,
-        config,
-    )
 }
 
 /// Outcome of [`run`]: the machine-readable record behind `reproduce
@@ -540,22 +482,25 @@ mod tests {
 
     #[test]
     fn series_measure_smoke() {
-        let pts = measure_series(Method::Rh, &[30, 60], 5, 1, 3);
-        assert_eq!(pts.len(), 2);
-        assert!(pts.iter().all(|p| p.ms_per_auction > 0.0));
-        assert_eq!(pts[0].n, 30);
+        for n in [30, 60] {
+            assert!(ms_per_auction(Method::Rh, n, 5, 1, 3) > 0.0);
+        }
     }
 
     #[test]
     fn table_format() {
-        let pts = vec![vec![SeriesPoint {
-            n: 100,
-            ms_per_auction: 1.5,
-        }]];
-        let t = format_table("Fig X", &[Method::Rh], &pts);
-        assert!(t.contains("Fig X"));
-        assert!(t.contains("RH"));
-        assert!(t.contains("100"));
-        assert!(t.contains("1.5000"));
+        let t = format_table(
+            "Fig X",
+            "n",
+            &["RH", "logical_updates"],
+            &[(100, vec![1.5, 0.25]), (2000, vec![12.0, 3.0])],
+        );
+        assert_eq!(
+            t,
+            "# Fig X\n\
+             \x20      n           RH logical_updates\n\
+             \x20    100       1.5000          0.2500\n\
+             \x20   2000      12.0000          3.0000\n"
+        );
     }
 }

@@ -392,3 +392,49 @@ fn shard_count_absent_or_given_reports_the_same_outcomes() {
     assert!(sharded.contains("\"shards\":4"), "{sharded}");
     assert_eq!(outcomes_of(&unsharded), outcomes_of(&sharded));
 }
+
+#[test]
+fn a_second_target_is_a_usage_error() {
+    assert_usage_error(
+        &["tables", "bogus"],
+        "unexpected argument \"bogus\" after target \"tables\"",
+    );
+}
+
+#[test]
+fn a_repeated_value_flag_is_a_usage_error() {
+    assert_usage_error(
+        &["--method", "h", "--method", "lp", "--json", "--quick"],
+        "--method given more than once",
+    );
+}
+
+#[test]
+fn ablations_print_four_titled_tables_with_their_columns() {
+    let out = reproduce(&["ablations", "--quick"]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let tables: Vec<&str> = stdout.split("\n\n").filter(|t| !t.is_empty()).collect();
+    let expected: [(&str, &[&str]); 4] = [
+        ("# A1 ", &["hungarian_full", "reduced"]),
+        (
+            "# A2 ",
+            &["full_sort_per_slot", "bounded_heaps", "threshold_algorithm"],
+        ),
+        ("# A3 ", &["naive_eval", "logical_updates"]),
+        ("# A4 ", &["sequential", "threaded_8"]),
+    ];
+    assert_eq!(tables.len(), expected.len(), "stdout: {stdout}");
+    for (table, (title, columns)) in tables.iter().zip(expected) {
+        let mut lines = table.lines();
+        let title_line = lines.next().unwrap_or_default();
+        assert!(title_line.starts_with(title), "table {table:?}");
+        let header: Vec<&str> = lines
+            .next()
+            .unwrap_or_default()
+            .split_whitespace()
+            .collect();
+        assert_eq!(&header[1..], columns, "table {table:?}");
+        assert!(lines.next().is_some(), "table {table:?} has no rows");
+    }
+}

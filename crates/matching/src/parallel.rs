@@ -51,7 +51,7 @@ fn merge_top_k(a: &[(usize, f64)], b: &[(usize, f64)], k: usize) -> Vec<(usize, 
 ///
 /// Functionally identical to [`crate::topk::top_k_indices`]; the value of
 /// this function is the faithful simulation of the paper's aggregation
-/// topology (used by tests and the ablation benches).
+/// topology (used by tests).
 pub fn tree_top_k(matrix: &RevenueMatrix, k: usize) -> (Vec<Vec<(usize, f64)>>, TreeStats) {
     let slots = matrix.num_slots();
     let n = matrix.num_advertisers();

@@ -16,8 +16,8 @@
 //!
 //! [`Simulation`] runs complete auctions under any of the four Section V
 //! methods ([`Method::Lp`], [`Method::H`], [`Method::Rh`],
-//! [`Method::Rhtalu`]) and is what both the Criterion benches and the
-//! `reproduce` binary drive. [`MarketSimulation`] is the same experiment
+//! [`Method::Rhtalu`]) and is what the `reproduce` binary's Figures 12
+//! and 13 drive. [`MarketSimulation`] is the same experiment
 //! expressed on the marketplace service API (advertisers, campaigns,
 //! `serve_batch` on a `Marketplace`): with the shared-ROI
 //! population on one shard it is equivalent to the legacy path for the
