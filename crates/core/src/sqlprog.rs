@@ -47,22 +47,21 @@
 //! # One compiled program, many campaigns
 //!
 //! Registering the same `tables`/`program` text for another campaign costs
-//! that campaign's rows, indexes and variable values and nothing else: the
-//! scripts are interned by [`ssa_minidb`] (parsed once per distinct text,
-//! and every program holds its two, so a text stays compiled while any
-//! campaign runs it),
-//! the installed triggers are the bodies inside the interned script, names
-//! included, the three host statements above are prepared from fixed texts,
-//! the catalog — table names and column lists — is the interned *shape*
-//! all programs built from one `tables` script have in common, every
-//! lowered plan is stamped with that shape, and variable names (`time`,
-//! `keyword`, `price`, …) are interned once per process. A Figure 5
-//! program costs about 1.4 KB resident when built and 1.75 KB once it has
-//! served auctions (`tests/sqlprog_footprint.rs`). [`SqlProgramBidder::new`]
-//! also plans (or adopts) all of it — trigger bodies and host statements —
-//! so registration, not the first auction, pays for planning. None of this
-//! is visible in behaviour: a program whose trigger reshapes its own
-//! tables simply stops sharing plans and keeps working.
+//! that campaign's rows, indexes and variable values, 16 bytes a value, and
+//! nothing else: the scripts are interned by [`ssa_minidb`] (parsed once
+//! per distinct text, and every program holds its two, so a text stays
+//! compiled while any campaign runs it), the installed triggers are the
+//! bodies inside the interned script, names included, the three host
+//! statements above are prepared from fixed texts, the catalog — table
+//! names and column lists — is the interned *shape* all programs built
+//! from one `tables` script have in common, every lowered plan is stamped
+//! with that shape, and the variable names (`time`, `price`, …) are one
+//! interned list. A Figure 5 program costs about 0.97 KB resident built
+//! and 1.17 KB once it has served (`tests/sqlprog_footprint.rs`).
+//! [`SqlProgramBidder::new`] plans (or adopts) all of it — trigger bodies
+//! and host statements — so registration, not the first auction, pays for
+//! planning. None of this is visible in behaviour: a program whose trigger
+//! reshapes its own tables simply stops sharing plans and keeps working.
 //!
 //! A program that errors mid-auction (type error, overflow, deleted
 //! tables, …) submits **no bids** from that auction on: defective
@@ -72,7 +71,7 @@
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use ssa_bidlang::{parse_formula, BidsTable, Formula, Money};
-use ssa_minidb::{Database, DbError, Params, Prepared, Value, NO_PARAMS};
+use ssa_minidb::{Database, DbError, Params, Prepared, Text, Value, NO_PARAMS};
 use std::fmt;
 
 /// Why a pair of scripts could not be assembled into a
@@ -147,9 +146,9 @@ pub struct SqlProgramBidder {
     /// small, stable set of formulas (Figure 5 emits one), so a linear
     /// search beats a hash map's buckets; parsing each text once keeps the
     /// hot path free of the formula parser.
-    formulas: Vec<(String, Formula)>,
+    formulas: Vec<(Text, Formula)>,
     /// First execution error, if any; once set the program bids nothing.
-    error: Option<DbError>,
+    error: Option<Box<DbError>>,
 }
 
 impl SqlProgramBidder {
@@ -244,7 +243,7 @@ impl SqlProgramBidder {
     /// program stops bidding (it submits empty tables) but stays
     /// registered.
     pub fn last_error(&self) -> Option<&DbError> {
-        self.error.as_ref()
+        self.error.as_deref()
     }
 
     /// Runs one auction round: publish shared variables, fire the Query
@@ -271,7 +270,7 @@ impl SqlProgramBidder {
                 )));
             }
             let text = row[0].as_text()?;
-            let formula = match self.formulas.iter().find(|(seen, _)| seen == text) {
+            let formula = match self.formulas.iter().find(|(seen, _)| seen.as_str() == text) {
                 Some((_, f)) => f.clone(),
                 None => {
                     let parsed = parse_formula(text)
@@ -279,7 +278,7 @@ impl SqlProgramBidder {
                     if self.formulas.capacity() == 0 {
                         self.formulas.reserve_exact(1);
                     }
-                    self.formulas.push((text.to_string(), parsed.clone()));
+                    self.formulas.push((Text::from(text), parsed.clone()));
                     parsed
                 }
             };
@@ -322,7 +321,7 @@ impl Bidder for SqlProgramBidder {
         match self.round(ctx) {
             Ok(bids) => bids,
             Err(e) => {
-                self.error = Some(e);
+                self.error = Some(Box::new(e));
                 BidsTable::empty()
             }
         }
@@ -333,7 +332,7 @@ impl Bidder for SqlProgramBidder {
             return;
         }
         if let Err(e) = self.settle(outcome) {
-            self.error = Some(e);
+            self.error = Some(Box::new(e));
         }
     }
 }
@@ -578,8 +577,10 @@ mod tests {
     #[test]
     fn a_program_record_is_pinned_at_its_size() {
         // 312 B while a `has_outcome` flag restated `clear_outcome` and the
-        // formulas sat in a hash map; they are a vector of pairs now.
-        assert_eq!(std::mem::size_of::<SqlProgramBidder>(), 280);
+        // formulas sat in a hash map; they are a vector of pairs now. 280 B
+        // while the error sat inline and the database kept a vector of
+        // every catalog shape it had been through.
+        assert_eq!(std::mem::size_of::<SqlProgramBidder>(), 232);
     }
 
     #[test]

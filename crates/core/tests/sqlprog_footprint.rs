@@ -4,7 +4,7 @@
 //! from the text — parsed scripts, trigger bodies, lowered plans, the
 //! catalog of table names and column lists, variable names — through
 //! `ssa_minidb`'s interners; each `SqlProgramBidder` owns only its rows,
-//! indexes and variable values. This file pins that down from outside:
+//! indexes and variable values, 16 bytes a value. This file pins that down from outside:
 //! resident memory per program, freshly built and after it has served
 //! auctions, pointer identity of what is shared, and that the script
 //! interner — which holds only weak references — empties when the programs
@@ -23,88 +23,19 @@
 
 #![cfg(target_os = "linux")]
 
-use ssa_bidlang::{Money, SlotId};
-use ssa_core::{Bidder, BidderOutcome, QueryContext, SqlProgramBidder};
-use ssa_minidb::{interned_scripts, Database, Params};
+#[path = "support/figure5.rs"]
+mod figure5;
 
-/// The keyword-local Figure 5 program (`ssa_workload::sql::ROI_TABLES` /
-/// `ROI_PROGRAM`, which this crate cannot depend on).
-const TABLES: &str = "
-CREATE TABLE Query (kw INT);
-CREATE TABLE Outcome (clicked INT);
-CREATE TABLE Keywords (text TEXT, formula TEXT, maxbid INT, roi FLOAT, bid INT, relevance FLOAT);
-CREATE TABLE Bids (formula TEXT, value INT);
-INSERT INTO Keywords VALUES ('kw', 'Click', :value, :roi, :bid, 1.0);
-INSERT INTO Bids VALUES ('Click', 0);
-SET amtSpent = 0.0;
-SET spent = 0.0;
-SET valueGained = 0.0;
-SET clickValue = :value;
-SET targetSpendRate = :rate;
-";
-
-const PROGRAM: &str = "
-CREATE TRIGGER bid AFTER INSERT ON Query
-{
-  IF amtSpent / time < targetSpendRate THEN
-    UPDATE Keywords
-    SET bid = bid + 1
-    WHERE roi = ( SELECT MAX( K.roi ) FROM Keywords K )
-      AND relevance > 0
-      AND bid < maxbid;
-  ELSEIF amtSpent / time > targetSpendRate THEN
-    UPDATE Keywords
-    SET bid = bid - 1
-    WHERE roi = ( SELECT MIN( K.roi ) FROM Keywords K )
-      AND relevance > 0
-      AND bid > 0;
-  ENDIF;
-
-  UPDATE Bids
-  SET value =
-    ( SELECT SUM( K.bid )
-      FROM Keywords K
-      WHERE K.relevance > 0.7
-        AND K.formula = Bids.formula );
-}
-
-CREATE TRIGGER settle AFTER INSERT ON Outcome
-{
-  IF clicked = 1 AND price > 0 THEN
-    SET spent = spent + price;
-    SET valueGained = valueGained + clickValue;
-    SET amtSpent = amtSpent + price;
-    UPDATE Keywords SET roi = valueGained / spent;
-  ENDIF;
-}
-";
-
-fn program(i: i64) -> SqlProgramBidder {
-    let params = Params::new()
-        .bind("value", 20 + i % 30)
-        .bind("bid", 1 + i % 7)
-        .bind("roi", 1.0 + (i % 5) as f64 * 0.25)
-        .bind("rate", 0.5 + (i % 3) as f64);
-    SqlProgramBidder::new(TABLES, PROGRAM, &params).expect("the Figure 5 program is well-formed")
-}
+use figure5::{click, ctx, program};
+use ssa_core::{Bidder, SqlProgramBidder};
+use ssa_minidb::{interned_scripts, Database};
 
 /// Twenty auctions on one keyword, then a clicked first slot to settle.
 fn serve(program: &mut SqlProgramBidder) {
-    let ctx = |time| QueryContext {
-        time,
-        keyword: 0,
-        num_keywords: 1,
-    };
     for time in 1..=20 {
         assert!(!program.on_query(&ctx(time)).is_empty(), "the program bids");
     }
-    let click = BidderOutcome {
-        slot: Some(SlotId::new(1)),
-        clicked: true,
-        purchased: false,
-        price: Money::from_cents(3),
-    };
-    program.on_outcome(&ctx(20), &click);
+    program.on_outcome(&ctx(20), &click());
     assert!(program.last_error().is_none());
 }
 
@@ -148,11 +79,12 @@ fn shared_programs_are_small_identical_and_leave_nothing_behind() {
     let per_program_kb = (resident_kb() - before) / PROGRAMS as f64;
     println!("{{\"metric\":\"sql_program_footprint_kb\",\"programs\":{PROGRAMS},\"value\":{per_program_kb:.2}}}");
     assert!(
-        per_program_kb <= 1.5,
-        "a Figure 5 program costs {per_program_kb:.1} KB resident, 1.5 KB allowed \
+        per_program_kb <= 1.1,
+        "a Figure 5 program costs {per_program_kb:.2} KB resident, 1.1 KB allowed \
          (30.8 KB before scripts and plans were shared, 4.4 KB while each \
          database kept its own catalog and variable names, 1.9 KB while a \
-         table held a heap row per row and a hash index)"
+         table held a heap row per row and a hash index, 1.38 KB while a \
+         value took 24 bytes and each database kept its variable names)"
     );
     assert_eq!(interned_scripts(), 5, "2 000 programs, still five texts");
     assert!(programs[PROGRAMS - 1].db().shares_triggers_with(first.db()));
@@ -164,11 +96,12 @@ fn shared_programs_are_small_identical_and_leave_nothing_behind() {
     let served_kb = (resident_kb() - before) / PROGRAMS as f64;
     println!("{{\"metric\":\"sql_program_served_footprint_kb\",\"programs\":{PROGRAMS},\"value\":{served_kb:.2}}}");
     assert!(
-        served_kb <= 2.0,
+        served_kb <= 1.25,
         "a Figure 5 program that served 20 auctions and a click costs \
-         {served_kb:.1} KB resident, 2 KB allowed (≈ 5.6 KB while each \
+         {served_kb:.2} KB resident, 1.25 KB allowed (≈ 5.6 KB while each \
          database kept its own catalog and variable names, ≈ 2.7 KB while a \
-         table held a heap row per row and a hash index)"
+         table held a heap row per row and a hash index, ≈ 1.75 KB while a \
+         value took 24 bytes and each database kept its variable names)"
     );
     assert_eq!(interned_scripts(), 5, "serving interns no script");
     assert!(programs[PROGRAMS - 1].db().shares_triggers_with(first.db()));

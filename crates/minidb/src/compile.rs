@@ -179,7 +179,8 @@ fn leaf_value(op: &Op, cx: &EvalCx<'_>) -> DbResult<Value> {
             Some(v) => Ok(v.clone()),
             None => Err(DbError::NoSuchColumn(display.clone())),
         },
-        _ => unreachable!("classify only marks push ops as leaves"),
+        // Never reached: `classify` marks only the push ops above as leaves.
+        other => Err(DbError::Type(format!("not a leaf operand: {other:?}"))),
     }
 }
 

@@ -18,7 +18,7 @@ use crate::error::{DbError, DbResult};
 use crate::plan::{self, ExplainLine, PlannedScript, PlannerCounters};
 use crate::prepared::{Prepared, NO_PARAMS};
 use crate::script::{CatalogShape, Script};
-use crate::table::{Row, Schema, Table};
+use crate::table::{push_exact, Row, Schema, Table};
 use crate::value::Value;
 use crate::vars::Vars;
 use std::sync::Arc;
@@ -82,26 +82,26 @@ struct ReadyTrigger {
 
 /// An in-memory database: tables, triggers, and host scalar variables.
 ///
-/// What a database owns is its *state*: rows, indexes, variable values.
-/// Everything else is shared with every other database that ran the same
-/// text over the same catalog shape (see [`crate::script`]): the catalog —
-/// table names, spellings, column lists — is the interned shape, parsed
-/// trigger bodies (names included) and lowered plans live in the scripts,
-/// and variable names are interned once per process.
+/// What a database owns is its *state*: rows, indexes, variable values,
+/// 16 bytes a value. Everything else is shared with every database that
+/// ran the same text over the same catalog shape ([`crate::script`]): the
+/// catalog — table names, spellings, column lists — is the interned shape,
+/// parsed trigger bodies (names included) and lowered plans live in the
+/// scripts, and the list of variable names is interned once per process.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The catalog: which tables exist and what their columns are.
     pub(crate) shape: Arc<CatalogShape>,
     /// Rows and indexes of each table of `shape`, in its order.
     pub(crate) tables: Vec<Table>,
-    pub(crate) triggers: Vec<TriggerDef>,
+    pub(crate) triggers: Box<[TriggerDef]>,
     pub(crate) vars: Vars,
-    /// Every shape this database has had since the empty one, which keeps
-    /// their ids interned: coming back to a shape (a table dropped and
-    /// recreated as it was) comes back to its id whether or not another
-    /// database still has it, so what this database replans depends on its
-    /// own history alone.
-    shapes: Vec<Arc<CatalogShape>>,
+    /// With `shape` and its parents, every shape this database has had,
+    /// which keeps their ids interned: coming back to a shape (a table
+    /// dropped and recreated as it was) comes back to its id whether or not
+    /// another database still has it, so what this database replans depends
+    /// on its own history alone. Empty while the catalog only grew.
+    detours: Box<[Arc<CatalogShape>]>,
     /// `CREATE TABLE`s and `DROP TABLE`s executed here. How plans in flight
     /// notice DDL that ended on their own shape id — see
     /// [`Database::exec_planned_seq`].
@@ -121,9 +121,9 @@ impl Database {
         Database {
             shape: CatalogShape::empty(),
             tables: Vec::new(),
-            triggers: Vec::new(),
+            triggers: Box::default(),
             vars: Vars::default(),
-            shapes: Vec::new(),
+            detours: Box::default(),
             ddl_epoch: 0,
             counters: PlannerCounters::default(),
         }
@@ -179,7 +179,9 @@ impl Database {
             Statement::DropTable { name } => {
                 let pos = self.table_position(name)?;
                 self.tables.remove(pos);
-                self.triggers.retain(|t| !t.body.is_trigger_on(name));
+                let mut kept = std::mem::take(&mut self.triggers).into_vec();
+                kept.retain(|t| !t.body.is_trigger_on(name));
+                self.triggers = kept.into_boxed_slice();
                 let shape = self.shape.without_table(pos);
                 self.enter_shape(shape);
                 Ok(ExecOutcome::Dropped)
@@ -195,8 +197,7 @@ impl Database {
                     // A statement assembled around another trigger's body.
                     Arc::new(Script::trigger_body(name, table, body.to_vec()))
                 };
-                self.triggers.reserve_exact(1);
-                self.triggers.push(TriggerDef { body, ready: None });
+                push_exact(&mut self.triggers, TriggerDef { body, ready: None });
                 Ok(ExecOutcome::Created)
             }
             _ => Err(DbError::Parse {
@@ -256,11 +257,11 @@ impl Database {
     /// revalidates old plans, but not the indexes the dropped table took
     /// with it — refilling the memo from the plan cache rebuilds them.
     fn enter_shape(&mut self, shape: Arc<CatalogShape>) {
-        if !self.shapes.iter().any(|seen| Arc::ptr_eq(seen, &shape)) {
-            self.shapes.reserve_exact(1);
-            self.shapes.push(Arc::clone(&shape));
+        let left = std::mem::replace(&mut self.shape, shape);
+        let is_left = |seen: &Arc<CatalogShape>| Arc::ptr_eq(seen, &left);
+        if !self.shape.parent.as_ref().is_some_and(is_left) && !self.detours.iter().any(is_left) {
+            push_exact(&mut self.detours, left);
         }
-        self.shape = shape;
         self.ddl_epoch += 1;
         for trigger in &mut self.triggers {
             trigger.ready = None;
@@ -607,6 +608,22 @@ mod tests {
             Err(DbError::DuplicateColumn("A".to_string()))
         );
         assert!(db.table_names().is_empty());
+    }
+
+    #[test]
+    fn a_catalog_that_only_grew_keeps_its_history_in_its_shape() {
+        let mut db = Database::new();
+        db.run("CREATE TABLE exec_test_a (x INT); CREATE TABLE exec_test_b (y INT)")
+            .unwrap();
+        assert!(db.detours.is_empty());
+        let grown = Arc::clone(&db.shape);
+        let first = Arc::clone(grown.parent.as_ref().unwrap());
+        db.run("DROP TABLE exec_test_b").unwrap();
+        assert!(Arc::ptr_eq(&db.shape, &first), "back to the first shape");
+        assert_eq!(db.detours.len(), 1, "the grown shape is not its child");
+        db.run("CREATE TABLE exec_test_b (y INT)").unwrap();
+        assert!(Arc::ptr_eq(&db.shape, &grown), "and to the grown one");
+        assert_eq!(db.detours.len(), 1);
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //!   three-valued logic, so an equality probe must not return it.
 //!
 //! The index is two parallel vectors — keys in the column's native type
-//! (`i64` or `String`) and row ids — rather than a hash map with a posting
+//! (`i64` or [`Text`]) and row ids — rather than a hash map with a posting
 //! list per key: a bidding program's tables hold one or two rows, where a
 //! sorted array is the most compact main-memory index (Lehman & Carey,
 //! VLDB 1986) and its linear update cost never shows. A probe borrows the
 //! probe value and binary-searches, so the lookup path allocates nothing.
 
-use crate::value::{Value, ValueType};
-use std::borrow::Borrow;
+use crate::value::{Text, Value, ValueType};
 use std::ops::Range;
 
 /// Keys and row ids in two parallel vectors, sorted by `(key, row)`.
@@ -33,19 +32,13 @@ struct Sorted<K> {
 
 impl<K: Ord> Sorted<K> {
     /// The positions holding `key`.
-    fn range<Q: Ord + ?Sized>(&self, key: &Q) -> Range<usize>
-    where
-        K: Borrow<Q>,
-    {
-        let start = self.keys.partition_point(|k| k.borrow() < key);
-        let len = self.keys[start..].partition_point(|k| k.borrow() == key);
+    fn range(&self, key: &K) -> Range<usize> {
+        let start = self.keys.partition_point(|k| k < key);
+        let len = self.keys[start..].partition_point(|k| k == key);
         start..start + len
     }
 
-    fn lookup<Q: Ord + ?Sized>(&self, key: &Q) -> &[usize]
-    where
-        K: Borrow<Q>,
-    {
+    fn lookup(&self, key: &K) -> &[usize] {
         &self.rows[self.range(key)]
     }
 
@@ -63,10 +56,7 @@ impl<K: Ord> Sorted<K> {
     }
 
     /// Removes `(key, ridx)` if present.
-    fn remove<Q: Ord + ?Sized>(&mut self, key: &Q, ridx: usize)
-    where
-        K: Borrow<Q>,
-    {
+    fn remove(&mut self, key: &K, ridx: usize) {
         let range = self.range(key);
         if let Ok(at) = self.rows[range.clone()].binary_search(&ridx) {
             self.keys.remove(range.start + at);
@@ -107,7 +97,7 @@ enum Keyed {
     /// Entries of an `INT` column.
     Int(Sorted<i64>),
     /// Entries of a `TEXT` column.
-    Text(Sorted<String>),
+    Text(Sorted<Text>),
 }
 
 /// A sorted-array index on one column: value → ascending row indices.
@@ -149,7 +139,7 @@ impl SortedIndex {
     pub(crate) fn lookup(&self, key: &Value) -> Option<&[usize]> {
         match (&self.keyed, key) {
             (Keyed::Int(sorted), Value::Int(i)) => Some(sorted.lookup(i)),
-            (Keyed::Text(sorted), Value::Text(s)) => Some(sorted.lookup(s.as_str())),
+            (Keyed::Text(sorted), Value::Text(s)) => Some(sorted.lookup(s)),
             _ => None,
         }
     }
@@ -164,7 +154,7 @@ impl SortedIndex {
     pub(crate) fn note_set_cell(&mut self, ridx: usize, old: &Value, new: &Value) {
         match (&mut self.keyed, old) {
             (Keyed::Int(sorted), Value::Int(i)) => sorted.remove(i, ridx),
-            (Keyed::Text(sorted), Value::Text(s)) => sorted.remove(s.as_str(), ridx),
+            (Keyed::Text(sorted), Value::Text(s)) => sorted.remove(s, ridx),
             _ => {}
         }
         self.link(new, ridx);
@@ -298,12 +288,15 @@ mod tests {
         ]
     }
 
-    /// The cell value of key `k` in column `col` (0 = INT, 1 = TEXT).
+    /// The cell value of key `k` in column `col` (0 = INT, 1 = TEXT). Odd
+    /// TEXT keys are longer than a text stores inline, and sort between
+    /// the even ones, so each index holds both kinds in one order.
     fn cell(col: usize, k: Option<u8>) -> Value {
         match (col, k) {
             (_, None) => Value::Null,
             (0, Some(k)) => Value::Int(i64::from(k)),
-            (_, Some(k)) => Value::Text(format!("kw{k}")),
+            (_, Some(k)) if k % 2 == 0 => Value::from(format!("kw{k}")),
+            (_, Some(k)) => Value::from(format!("kw{k}, past the inline length")),
         }
     }
 

@@ -6,7 +6,8 @@
 //! auction begins". This crate is the from-scratch substrate that executes
 //! those programs: an in-memory relational engine with
 //!
-//! * typed [`Value`]s (integers, floats, text, booleans, NULL),
+//! * typed 16-byte [`Value`]s (integers, floats, [`Text`] stored inline up
+//!   to 14 bytes, booleans, NULL),
 //! * [`Table`]s with named, typed columns,
 //! * a SQL-dialect [`parser`] covering `CREATE TABLE`, `CREATE TRIGGER …
 //!   AFTER INSERT ON … { … }`, `INSERT`, `UPDATE … SET … WHERE`, `DELETE`,
@@ -60,8 +61,8 @@
 //!
 //! A marketplace runs one bidding program for thousands of campaigns, each
 //! in a [`Database`] of its own. What a database owns is its state — rows,
-//! indexes, variable values; everything derived from SQL *text* is compiled
-//! or interned once and shared ([`script`] module):
+//! indexes, variable values, each value 16 bytes; everything derived from
+//! SQL *text* is compiled or interned once and shared ([`script`] module):
 //!
 //! * **Script interning** — [`Database::prepare`] and [`Database::run`]
 //!   resolve their text through a process-wide table of weak references. A
@@ -85,9 +86,9 @@
 //!   shapes it has been through interned, so what it replans follows from
 //!   its own DDL history, never from which other databases exist.
 //! * **Shared names** — trigger names live in the shared trigger bodies,
-//!   and variable names are interned once per process: a database's
-//!   variables are a small vector of (shared name, value) pairs, so setting
-//!   or reading one it already has allocates nothing.
+//!   and variable names, and the ordered list of them a database has set,
+//!   are interned once per process: a database holds that list and one
+//!   value per name, so setting or reading one it has allocates nothing.
 //! * **Indexes stay private** — a database that adopts a plan a sibling
 //!   lowered still builds the indexes that plan probes on its own tables.
 //!
@@ -117,6 +118,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod ast;
 mod compile;
@@ -140,4 +143,4 @@ pub use plan::{ExplainAccess, ExplainLine, PlannerStats};
 pub use prepared::{Params, Prepared, NO_PARAMS};
 pub use script::{interned_scripts, Script};
 pub use table::{Column, Row, Schema, Table};
-pub use value::{Value, ValueType};
+pub use value::{Text, Value, ValueType};

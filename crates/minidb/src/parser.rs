@@ -39,9 +39,10 @@ pub fn parse_script(input: &str) -> DbResult<Vec<Statement>> {
 /// Parses exactly one statement.
 pub fn parse_statement(input: &str) -> DbResult<Statement> {
     let mut statements = parse_script(input)?;
-    match statements.len() {
-        1 => Ok(statements.pop().expect("checked length")),
-        n => Err(DbError::Parse {
+    let n = statements.len();
+    match statements.pop() {
+        Some(statement) if n == 1 => Ok(statement),
+        _ => Err(DbError::Parse {
             message: format!("expected exactly one statement, found {n}"),
             position: 0,
         }),
@@ -635,7 +636,7 @@ impl Parser {
             }
             Some(TokenKind::Str(s)) => {
                 self.index += 1;
-                Ok(Expr::Literal(Value::Text(s)))
+                Ok(Expr::Literal(Value::Text(s.into())))
             }
             Some(TokenKind::Keyword(k)) if k.eq_ignore_ascii_case("NULL") => {
                 self.index += 1;

@@ -502,15 +502,14 @@ pub(crate) fn plan_select(db: &Database, select: &Select, outer: &[CScope<'_>]) 
             select
                 .items
                 .iter()
-                .map(|item| {
-                    let SelectItem::Agg(func, inner) = item else {
-                        unreachable!("checked homogeneous aggregates");
-                    };
-                    match (func, inner) {
-                        (AggFunc::Count, None) => PAgg::CountStar,
-                        (_, None) => PAgg::StarError,
-                        (f, Some(e)) => PAgg::Over(*f, compile_expr(e, db, &scopes)),
+                // Every item is an aggregate: mixing was refused above.
+                .filter_map(|item| match item {
+                    SelectItem::Agg(AggFunc::Count, None) => Some(PAgg::CountStar),
+                    SelectItem::Agg(_, None) => Some(PAgg::StarError),
+                    SelectItem::Agg(f, Some(e)) => {
+                        Some(PAgg::Over(*f, compile_expr(e, db, &scopes)))
                     }
+                    SelectItem::Star | SelectItem::Expr(_) => None,
                 })
                 .collect(),
         )
@@ -519,10 +518,11 @@ pub(crate) fn plan_select(db: &Database, select: &Select, outer: &[CScope<'_>]) 
             select
                 .items
                 .iter()
-                .map(|item| match item {
-                    SelectItem::Star => PItem::Star,
-                    SelectItem::Expr(e) => PItem::Expr(compile_expr(e, db, &scopes)),
-                    SelectItem::Agg(..) => unreachable!("handled above"),
+                // No item is an aggregate: `has_agg` is false.
+                .filter_map(|item| match item {
+                    SelectItem::Star => Some(PItem::Star),
+                    SelectItem::Expr(e) => Some(PItem::Expr(compile_expr(e, db, &scopes))),
+                    SelectItem::Agg(..) => None,
                 })
                 .collect(),
         )

@@ -795,7 +795,7 @@ fn indexed_columns(table: &Table) -> usize {
         .filter(|(col, column)| {
             let key = match column.ty {
                 ValueType::Int => Value::Int(0),
-                ValueType::Text => Value::Text(String::new()),
+                ValueType::Text => Value::Text(String::new().into()),
                 ValueType::Float | ValueType::Bool => return false,
             };
             table.index_lookup(*col, &key).is_some()

@@ -356,6 +356,9 @@ pub(crate) struct CatalogShape {
     key: Arc<str>,
     /// Sorted by [`CatalogTable::key`].
     tables: Vec<CatalogTable>,
+    /// The shape this one was first interned from by adding a table, kept
+    /// alive by it: a catalog that only ever grew holds its whole history.
+    pub(crate) parent: Option<Arc<CatalogShape>>,
 }
 
 /// One table of a [`CatalogShape`].
@@ -370,8 +373,8 @@ pub(crate) struct CatalogTable {
 
 impl CatalogShape {
     /// Interns the shape of a catalog listing `tables` as `(display name,
-    /// columns)` in catalog-key order.
-    fn intern(tables: &[(&str, &Arc<Schema>)]) -> Arc<CatalogShape> {
+    /// columns)` in catalog-key order, with `parent` if it is new.
+    fn intern(tables: &[(&str, &Arc<Schema>)], parent: Option<&Arc<Self>>) -> Arc<Self> {
         use std::fmt::Write;
         // `{:?}` escapes quotes, so the rendering is injective whatever the
         // names contain (host-side `create_table` takes arbitrary strings).
@@ -399,6 +402,7 @@ impl CatalogShape {
                     schema: Arc::clone(schema),
                 })
                 .collect(),
+            parent: parent.cloned(),
         })
     }
 
@@ -409,28 +413,28 @@ impl CatalogShape {
     /// be empty.
     pub(crate) fn empty() -> Arc<CatalogShape> {
         static EMPTY: std::sync::LazyLock<Arc<CatalogShape>> =
-            std::sync::LazyLock::new(|| CatalogShape::intern(&[]));
+            std::sync::LazyLock::new(|| CatalogShape::intern(&[], None));
         Arc::clone(&EMPTY)
     }
 
     /// This shape plus a table `display` of `schema` at `pos`, the slot a
     /// failed [`CatalogShape::search`] for `display` returned.
     pub(crate) fn with_table(
-        &self,
+        self: &Arc<Self>,
         pos: usize,
         display: &str,
         schema: &Arc<Schema>,
     ) -> Arc<CatalogShape> {
         let mut listing = self.listing();
         listing.insert(pos, (display, schema));
-        CatalogShape::intern(&listing)
+        CatalogShape::intern(&listing, Some(self))
     }
 
     /// This shape without the table at `pos`.
     pub(crate) fn without_table(&self, pos: usize) -> Arc<CatalogShape> {
         let mut listing = self.listing();
         listing.remove(pos);
-        CatalogShape::intern(&listing)
+        CatalogShape::intern(&listing, None)
     }
 
     fn listing(&self) -> Vec<(&str, &Arc<Schema>)> {

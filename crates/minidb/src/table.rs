@@ -76,23 +76,32 @@ impl Schema {
 /// row width, so a table costs one allocation however many rows it holds.
 /// The first insert reserves exactly one row — a bidding program's tables
 /// mostly stay at one — and [`Table::clear`] keeps the capacity, so a
-/// table cleared and refilled every auction allocates nothing.
+/// table cleared and refilled every auction allocates nothing. The record
+/// is 48 bytes: the row count is read off the cells.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     schema: Arc<Schema>,
-    /// Row `r` is `cells[r * arity..(r + 1) * arity]`.
+    /// Row `r` is `cells[r * stride..r * stride + arity]`. The stride is
+    /// the arity, except that a zero-column table stores one NULL per row
+    /// so its row count can still be read off `cells`.
     cells: Vec<Value>,
-    /// The row count, which a zero-column table cannot read off `cells`.
-    len: usize,
-    indexes: Vec<SortedIndex>,
+    indexes: Box<[SortedIndex]>,
 }
 
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         // Indexes are a cache over (schema, rows): two tables with the same
         // data are equal no matter which access paths have been exercised.
-        self.schema == other.schema && self.len == other.len && self.cells == other.cells
+        self.schema == other.schema && self.cells == other.cells
     }
+}
+
+/// Appends `item` to a slice kept exactly as long as what it holds.
+pub(crate) fn push_exact<T>(slice: &mut Box<[T]>, item: T) {
+    let mut items = std::mem::take(slice).into_vec();
+    items.reserve_exact(1);
+    items.push(item);
+    *slice = items.into_boxed_slice();
 }
 
 /// Checks `value` against `col`'s type, widening an INT bound for a FLOAT
@@ -123,9 +132,13 @@ impl Table {
         Table {
             schema,
             cells: Vec::new(),
-            len: 0,
-            indexes: Vec::new(),
+            indexes: Box::default(),
         }
+    }
+
+    /// How many cells a row takes in `cells`.
+    fn stride(&self) -> usize {
+        self.schema.len().max(1)
     }
 
     /// The table's schema.
@@ -136,23 +149,23 @@ impl Table {
     /// Row `ridx`'s cells, aligned with the schema. Panics if `ridx` is
     /// not below [`Table::len`].
     pub fn row(&self, ridx: usize) -> &[Value] {
-        let arity = self.schema.len();
-        &self.cells[ridx * arity..(ridx + 1) * arity]
+        let start = ridx * self.stride();
+        &self.cells[start..start + self.schema.len()]
     }
 
     /// All rows in order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
-        (0..self.len).map(|ridx| self.row(ridx))
+        (0..self.len()).map(|ridx| self.row(ridx))
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.len
+        self.cells.len() / self.stride()
     }
 
     /// `true` if there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cells.is_empty()
     }
 
     /// Inserts a row after checking arity and types.
@@ -168,12 +181,12 @@ impl Table {
             fit(value, col)?;
         }
         if self.cells.capacity() == 0 {
-            self.cells.reserve_exact(row.len());
+            self.cells.reserve_exact(self.stride());
         }
+        let ridx = self.len();
         let start = self.cells.len();
-        self.cells.extend(row);
-        let ridx = self.len;
-        self.len += 1;
+        let placeholder = row.is_empty().then_some(Value::Null);
+        self.cells.extend(row.into_iter().chain(placeholder));
         let row = &self.cells[start..];
         for index in &mut self.indexes {
             index.note_insert(ridx, row);
@@ -185,7 +198,7 @@ impl Table {
     pub(crate) fn set_cell(&mut self, row: usize, col: usize, value: Value) -> DbResult<()> {
         let mut value = value;
         fit(&mut value, &self.schema.columns()[col])?;
-        let at = row * self.schema.len() + col;
+        let at = row * self.stride() + col;
         let old = std::mem::replace(&mut self.cells[at], value);
         let new = &self.cells[at];
         for index in &mut self.indexes {
@@ -202,20 +215,18 @@ impl Table {
         for index in &mut self.indexes {
             index.note_delete(sorted_indices);
         }
-        let arity = self.schema.len();
+        let stride = self.stride();
         let mut at = 0;
         self.cells.retain(|_| {
-            let keep = sorted_indices.binary_search(&(at / arity)).is_err();
+            let keep = sorted_indices.binary_search(&(at / stride)).is_err();
             at += 1;
             keep
         });
-        self.len -= sorted_indices.len();
     }
 
     /// Removes all rows, keeping the capacity.
     pub fn clear(&mut self) {
         self.cells.clear();
-        self.len = 0;
         for index in &mut self.indexes {
             index.note_clear();
         }
@@ -232,8 +243,7 @@ impl Table {
         let Some(index) = SortedIndex::build(col, ty, self.rows()) else {
             return false;
         };
-        self.indexes.reserve_exact(1);
-        self.indexes.push(index);
+        push_exact(&mut self.indexes, index);
         true
     }
 
@@ -327,6 +337,28 @@ mod tests {
         assert_eq!(t.index_lookup(1, &Value::Int(1)), Some(&[][..]));
         // Equality ignores derived index state.
         assert_eq!(t, Table::new(schema()));
+    }
+
+    #[test]
+    fn a_table_record_is_pinned_at_48_bytes() {
+        // 64 B while it kept a row count beside the cells and its indexes
+        // in a vector.
+        assert_eq!(std::mem::size_of::<Table>(), 48);
+    }
+
+    #[test]
+    fn a_zero_column_table_counts_its_rows() {
+        let mut t = Table::new(Schema::default());
+        for _ in 0..3 {
+            t.insert(Vec::new()).unwrap();
+        }
+        assert_eq!(t.len(), 3);
+        assert!(t.rows().all(<[Value]>::is_empty));
+        t.delete_rows(&[0, 2]);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.row(0), &[] as &[Value]);
+        t.clear();
+        assert!(t.is_empty());
     }
 
     #[test]

@@ -28,7 +28,93 @@ impl fmt::Display for ValueType {
     }
 }
 
-/// A dynamically-typed SQL value.
+/// The text of a [`Value::Text`] in 16 bytes: up to [`Text::INLINE`] bytes
+/// in place, longer text behind one thin heap pointer, so cloning,
+/// comparing or indexing a short text (a bidding program's formulas and
+/// keywords) allocates nothing. It compares, orders and displays like its
+/// [`Text::as_str`].
+#[derive(Clone, PartialEq, Eq)]
+pub struct Text(Repr);
+
+/// Inline exactly when the text fits, so equal texts have equal
+/// representations. Inline, the first `len` bytes are the text copied
+/// whole from a `&str`, and the rest are zero.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    Inline(u8, [u8; Text::INLINE]),
+    Heap(Box<Box<str>>),
+}
+
+impl Text {
+    /// The longest text, in bytes, stored without a heap allocation.
+    pub const INLINE: usize = 14;
+
+    /// The text as a string slice.
+    pub fn as_str(&self) -> &str {
+        // The bytes are always a whole `&str`: the fallback never runs.
+        std::str::from_utf8(self.as_bytes()).unwrap_or_default()
+    }
+
+    /// The text's UTF-8 bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(len, bytes) => bytes.get(..usize::from(*len)).unwrap_or_default(),
+            Repr::Heap(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for Text {
+    fn from(text: &str) -> Text {
+        let mut bytes = [0; Text::INLINE];
+        match bytes.get_mut(..text.len()) {
+            Some(head) => {
+                head.copy_from_slice(text.as_bytes());
+                Text(Repr::Inline(text.len() as u8, bytes)) // it fit: len <= 14
+            }
+            None => Text(Repr::Heap(Box::new(text.into()))),
+        }
+    }
+}
+
+impl From<String> for Text {
+    fn from(text: String) -> Text {
+        Text::from(text.as_str())
+    }
+}
+
+impl Default for Text {
+    fn default() -> Self {
+        Text::from("")
+    }
+}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Byte order, which is `str`'s order.
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+/// A dynamically-typed SQL value, 16 bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Integer.
@@ -36,7 +122,7 @@ pub enum Value {
     /// Float.
     Float(f64),
     /// Text.
-    Text(String),
+    Text(Text),
     /// Boolean.
     Bool(bool),
     /// SQL NULL.
@@ -69,7 +155,7 @@ impl Value {
     /// Text view.
     pub fn as_text(&self) -> DbResult<&str> {
         match self {
-            Value::Text(s) => Ok(s),
+            Value::Text(s) => Ok(s.as_str()),
             other => Err(DbError::Type(format!("expected TEXT, got {other}"))),
         }
     }
@@ -236,12 +322,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
-        Value::Text(v.to_string())
+        Value::Text(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::Text(v)
+        Value::Text(v.into())
     }
 }
 impl From<bool> for Value {
@@ -253,6 +339,7 @@ impl From<bool> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn numeric_coercion() {
@@ -373,5 +460,92 @@ mod tests {
         assert_eq!(Value::Text("a".into()).to_string(), "'a'");
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Int(-3).to_string(), "-3");
+    }
+
+    #[test]
+    fn a_value_is_pinned_at_16_bytes() {
+        // 24 B while `Value::Text` held a `String`.
+        assert_eq!(std::mem::size_of::<Text>(), 16);
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
+
+    /// `true` if `text`'s bytes live inside the `Text` itself.
+    fn stored_inline(text: &Text) -> bool {
+        let at = text.as_bytes().as_ptr() as usize;
+        let own = text as *const Text as usize;
+        (own..own + std::mem::size_of::<Text>()).contains(&at)
+    }
+
+    /// `Text` agrees with `str` on everything it exposes, and is inline
+    /// exactly when the text fits.
+    fn assert_text_is_str(a: &str, b: &str) {
+        for (text, from_string) in [
+            (a, Text::from(a.to_string())),
+            (b, Text::from(b.to_string())),
+        ] {
+            let from_str = Text::from(text);
+            assert_eq!(from_str.as_str(), text);
+            assert_eq!(from_str, from_string);
+            assert_eq!(
+                stored_inline(&from_str),
+                text.len() <= Text::INLINE,
+                "{text:?}"
+            );
+            assert_eq!(from_str.to_string(), text);
+            assert_eq!(
+                format!("{from_str:>20}|{from_str:?}"),
+                format!("{text:>20}|{text:?}")
+            );
+            assert_eq!(
+                Value::Text(from_str.clone()).to_string(),
+                format!("'{text}'")
+            );
+            assert_eq!(Value::Text(from_str).as_text().unwrap(), text);
+        }
+        let (ta, tb) = (Text::from(a), Text::from(b));
+        assert_eq!(ta == tb, a == b, "{a:?} = {b:?}");
+        assert_eq!(ta.cmp(&tb), a.cmp(b), "{a:?} <=> {b:?}");
+        assert_eq!(
+            Value::Text(ta).compare(&Value::Text(tb)).unwrap(),
+            Some(a.cmp(b))
+        );
+    }
+
+    #[test]
+    fn text_round_trips_at_the_inline_boundary() {
+        let cases = [
+            "",
+            "Click",
+            "abcdefghijklmn",  // 14 bytes: the longest inline text
+            "abcdefghijklmno", // 15 bytes: the shortest heap text
+            "abcdefghijk€",    // 14 bytes, the last char 3 bytes wide
+            "abcdefghijklm€",  // 16 bytes, a char straddling byte 14
+            "abcdefghijklmé",  // 15 bytes, a char straddling byte 14
+            "abcdefghijkl😀",  // 16 bytes, a 4-byte char across byte 14
+        ];
+        for a in cases {
+            for b in cases {
+                assert_text_is_str(a, b);
+            }
+        }
+        assert_eq!(Text::default(), Text::from(""));
+    }
+
+    /// Chars one to four bytes wide, so generated texts cross the inline
+    /// length on and off a char boundary.
+    const ALPHABET: [char; 7] = ['a', 'b', 'z', ' ', 'é', '€', '😀'];
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..ALPHABET.len(), 0..12)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn text_behaves_like_str(a in text(), b in text()) {
+            assert_text_is_str(&a, &b);
+        }
     }
 }

@@ -130,7 +130,7 @@ impl SqlRoiBidder {
         db.run("CREATE TABLE Bids (formula TEXT, value INT)")
             .unwrap();
         let names: Vec<Value> = (0..keywords.len())
-            .map(|i| Value::Text(format!("kw{i}")))
+            .map(|i| Value::from(format!("kw{i}")))
             .collect();
         let mut seed_keyword = db
             .prepare("INSERT INTO Keywords VALUES (?, 'Click', ?, ?, ?, 0.0)")
