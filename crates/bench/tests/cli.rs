@@ -152,6 +152,26 @@ fn sql_runs_take_the_planned_path_whatever_the_environment() {
     assert!(index_hits > 0, "{json}");
 }
 
+/// The quick SQL run, pinned: its outcome fields, the summed planner
+/// counters of its program databases and the weight cells its auctions
+/// evaluated. How minidb shares scripts, triggers and catalog shapes
+/// between those databases must move none of them.
+#[test]
+fn the_quick_sql_run_reports_its_pinned_outcomes_and_counters() {
+    let out = reproduce(&["--strategy", "sql", "--json", "--quick"]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let json = stdout_of(&out);
+    for key in [
+        "\"planner\":{\"index_hits\":14000,\"rows_scanned\":79446,\"plans_cached\":47500}",
+        "\"clicks\":405",
+        "\"realized_revenue_cents\":14819",
+        "\"expected_revenue_cents\":16978.28",
+        "\"cells_evaluated\":142245",
+    ] {
+        assert!(json.contains(key), "missing {key} in {json}");
+    }
+}
+
 #[test]
 fn native_and_sql_strategies_report_identical_outcomes() {
     // The equivalence claim, visible at the CLI surface: same clicks and

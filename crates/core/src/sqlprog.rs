@@ -27,6 +27,12 @@
 //!   TRIGGER … AFTER INSERT ON Query { … }` (and, if settlement matters,
 //!   a second trigger on `Outcome`).
 //!
+//! Programs are "simple SQL updates without recursion and side-effects": a
+//! trigger body either script installs may hold only `UPDATE`, `DELETE`,
+//! `SET`, `IF` and `SELECT`, or [`SqlProgramBidder::new`] refuses it before
+//! running anything ([`SqlProgramError::Contract`]). Triggers fire only on
+//! `INSERT`, so no trigger fires another.
+//!
 //! Per auction the host (the marketplace engine) then:
 //!
 //! 1. sets the shared variables `time` (the global auction clock) and
@@ -51,17 +57,16 @@
 //! nothing else: the scripts are interned by [`ssa_minidb`] (parsed once
 //! per distinct text, and every program holds its two, so a text stays
 //! compiled while any campaign runs it), the installed triggers are the
-//! bodies inside the interned script, names included, the three host
+//! ones the interned script owns, names included, the three host
 //! statements above are prepared from fixed texts, the catalog — table
 //! names and column lists — is the interned *shape* all programs built
-//! from one `tables` script have in common, every lowered plan is stamped
-//! with that shape, and the variable names (`time`, `price`, …) are one
-//! interned list. A Figure 5 program costs about 0.97 KB resident built
-//! and 1.17 KB once it has served (`tests/sqlprog_footprint.rs`).
+//! from one `tables` script have in common, every lowered plan holds that
+//! shape, and the variable names (`time`, `price`, …) are one interned
+//! list. A Figure 5 program costs about 0.95 KB resident built and 1.16 KB
+//! once it has served (`tests/sqlprog_footprint.rs`).
 //! [`SqlProgramBidder::new`] plans (or adopts) all of it — trigger bodies
 //! and host statements — so registration, not the first auction, pays for
-//! planning. None of this is visible in behaviour: a program whose trigger
-//! reshapes its own tables simply stops sharing plans and keeps working.
+//! planning.
 //!
 //! A program that errors mid-auction (type error, overflow, deleted
 //! tables, …) submits **no bids** from that auction on: defective
@@ -71,6 +76,7 @@
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use ssa_bidlang::{parse_formula, BidsTable, Formula, Money};
+use ssa_minidb::ast::Statement;
 use ssa_minidb::{Database, DbError, Params, Prepared, Text, Value, NO_PARAMS};
 use std::fmt;
 
@@ -95,6 +101,13 @@ pub enum SqlProgramError {
         /// Columns it was declared with.
         got: usize,
     },
+    /// A trigger body breaks the program contract (module docs).
+    Contract {
+        /// The refused statement, e.g. `INSERT INTO Log`.
+        statement: String,
+        /// Why it is refused.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SqlProgramError {
@@ -112,6 +125,7 @@ impl fmt::Display for SqlProgramError {
                 f,
                 "Bids must have at least two columns (formula, value), found {got}"
             ),
+            SqlProgramError::Contract { statement, reason } => write!(f, "{statement}: {reason}"),
         }
     }
 }
@@ -152,54 +166,38 @@ pub struct SqlProgramBidder {
 }
 
 impl SqlProgramBidder {
-    /// Assembles a program: runs `tables` (with `params` bound through the
+    /// Assembles a program: checks the triggers of both scripts against
+    /// the program contract, runs `tables` (with `params` bound through the
     /// prepared-statement layer), then `program`, then validates the host
     /// protocol's table contract.
     pub fn new(tables: &str, program: &str, params: &Params) -> Result<Self, SqlProgramError> {
         let mut db = Database::new();
         let mut tables = db.prepare(tables)?;
-        tables.execute(&mut db, params)?;
         let mut program = db.prepare(program)?;
+        check_contract(tables.statements(), None)?;
+        check_contract(program.statements(), None)?;
+        tables.execute(&mut db, params)?;
         program.execute(&mut db, NO_PARAMS)?;
-        let query_cols = db
-            .table("Query")
-            .map_err(|_| SqlProgramError::MissingTable("Query"))?
-            .schema()
-            .len();
-        if query_cols != 1 {
-            return Err(SqlProgramError::ActivationArity {
-                table: "Query",
-                got: query_cols,
-            });
-        }
-        let bids_cols = db
-            .table("Bids")
-            .map_err(|_| SqlProgramError::MissingTable("Bids"))?
-            .schema()
-            .len();
-        if bids_cols < 2 {
-            return Err(SqlProgramError::BidsArity { got: bids_cols });
-        }
-        let has_outcome = match db.table("Outcome") {
-            Ok(t) => {
-                let got = t.schema().len();
-                if got != 1 {
-                    return Err(SqlProgramError::ActivationArity {
-                        table: "Outcome",
-                        got,
-                    });
-                }
-                true
-            }
-            Err(_) => false,
+        let columns = |table| db.table(table).map(|t| t.schema().len());
+        // `Query` and `Outcome` hold one activation value, if they exist.
+        let activation = |table: &'static str| match columns(table) {
+            Ok(got) if got != 1 => Err(SqlProgramError::ActivationArity { table, got }),
+            found => Ok(found.is_ok()),
         };
+        if !activation("Query")? {
+            return Err(SqlProgramError::MissingTable("Query"));
+        }
+        match columns("Bids") {
+            Err(_) => return Err(SqlProgramError::MissingTable("Bids")),
+            Ok(got) if got < 2 => return Err(SqlProgramError::BidsArity { got }),
+            Ok(_) => {}
+        }
+        let has_outcome = activation("Outcome")?;
         let mut read_bids = db.prepare("SELECT * FROM Bids")?;
         let mut clear_query = db.prepare("DELETE FROM Query")?;
-        let mut clear_outcome = if has_outcome {
-            Some(db.prepare("DELETE FROM Outcome")?)
-        } else {
-            None
-        };
+        let mut clear_outcome = has_outcome
+            .then(|| db.prepare("DELETE FROM Outcome"))
+            .transpose()?;
         // Lower every trigger body and host statement to a plan (and build
         // the indexes those plans ask for) now, so registration — not the
         // first auction — pays for planning. For every program after the
@@ -260,9 +258,9 @@ impl SqlProgramBidder {
         let rows = self.read_bids.query(&mut self.db, NO_PARAMS)?;
         let mut bids = Vec::with_capacity(rows.len());
         for row in rows {
-            // Re-check the row shape on every read: a trigger body may
-            // legally DROP and recreate Bids, and a defective program must
-            // surface a typed error (and bid nothing), never a panic.
+            // Re-check the row shape on every read: the host can reshape
+            // Bids through `db_mut`, and a defective program must surface
+            // a typed error (and bid nothing), never a panic.
             if row.len() < 2 {
                 return Err(DbError::Type(format!(
                     "Bids rows need (formula, value), found {} column(s)",
@@ -311,6 +309,40 @@ impl SqlProgramBidder {
         }
         self.db.insert("Outcome", vec![Value::Int(clicked)])
     }
+}
+
+/// Refuses, as [`SqlProgramError::Contract`], any statement but UPDATE,
+/// DELETE, SET, IF and SELECT in the body of a trigger `statements` install
+/// (`IF` blocks included); `trigger` names the body being walked, if any.
+fn check_contract(statements: &[Statement], trigger: Option<&str>) -> Result<(), SqlProgramError> {
+    for stmt in statements {
+        if let Statement::If { arms, else_block } = stmt {
+            for block in arms.iter().map(|(_, block)| block).chain(else_block) {
+                check_contract(block, trigger)?;
+            }
+            continue;
+        }
+        let Some(trigger) = trigger else {
+            if let Statement::CreateTrigger { name, body, .. } = stmt {
+                check_contract(body, Some(name))?;
+            }
+            continue;
+        };
+        let statement = match stmt {
+            Statement::Insert { table, .. } => format!("INSERT INTO {table}"),
+            Statement::CreateTable { name, .. } => format!("CREATE TABLE {name}"),
+            Statement::DropTable { name } => format!("DROP TABLE {name}"),
+            Statement::CreateTrigger { name, .. } => format!("CREATE TRIGGER {name}"),
+            Statement::Explain(_) => "EXPLAIN".to_string(),
+            Statement::Update { .. } | Statement::Delete { .. } | Statement::Select(_) => continue,
+            Statement::SetVar { .. } | Statement::If { .. } => continue,
+        };
+        let reason = format!(
+            "the body of trigger {trigger} may hold only UPDATE, DELETE, SET, IF and SELECT"
+        );
+        return Err(SqlProgramError::Contract { statement, reason });
+    }
+    Ok(())
 }
 
 impl Bidder for SqlProgramBidder {
@@ -477,9 +509,8 @@ mod tests {
 
     #[test]
     fn a_program_that_reshapes_bids_errors_instead_of_panicking() {
-        // Trigger bodies may legally contain DDL; a program that drops and
-        // recreates Bids with too few columns must surface a typed error
-        // (and bid nothing), not crash the serving thread.
+        // A trigger body that would drop and recreate Bids with too few
+        // columns is refused at registration, before either script runs.
         let tables = "
             CREATE TABLE Query (kw INT);
             CREATE TABLE Bids (formula TEXT, value INT);
@@ -493,10 +524,60 @@ mod tests {
               INSERT INTO Bids VALUES ('Click');
             }
         ";
-        let mut b = SqlProgramBidder::new(tables, program, &Params::new()).unwrap();
+        assert_eq!(
+            SqlProgramBidder::new(tables, program, &Params::new()).unwrap_err(),
+            SqlProgramError::Contract {
+                statement: "DROP TABLE Bids".to_string(),
+                reason: "the body of trigger sabotage may hold only \
+                         UPDATE, DELETE, SET, IF and SELECT"
+                    .to_string(),
+            }
+        );
+        // The host can still reshape Bids: a typed error, no bids, no panic.
+        let mut b = SqlProgramBidder::new(tables, "", &Params::new()).unwrap();
+        b.db_mut()
+            .run("DROP TABLE Bids; CREATE TABLE Bids (formula TEXT)")
+            .unwrap();
+        b.db_mut().run("INSERT INTO Bids VALUES ('Click')").unwrap();
         assert!(b.on_query(&ctx(1)).is_empty());
         assert!(matches!(b.last_error(), Some(DbError::Type(_))));
         assert!(b.on_query(&ctx(2)).is_empty(), "stays excluded");
+    }
+
+    #[test]
+    fn a_trigger_that_grows_its_own_table_is_refused_at_registration() {
+        let tables = "
+            CREATE TABLE Query (kw INT);
+            CREATE TABLE Bids (formula TEXT, value INT);
+            CREATE TABLE Log (t INT, n INT);
+            INSERT INTO Bids VALUES ('Click', 5);
+        ";
+        let probe = "
+            CREATE TRIGGER bid AFTER INSERT ON Query
+            {
+              INSERT INTO Log VALUES (time, 0);
+              UPDATE Log SET n = n + 1;
+              UPDATE Bids SET value = value + 1;
+            }
+        ";
+        let err = SqlProgramBidder::new(tables, probe, &Params::new()).unwrap_err();
+        assert!(
+            matches!(&err, SqlProgramError::Contract { statement, .. } if statement == "INSERT INTO Log")
+        );
+        assert!(err.to_string().starts_with("INSERT INTO Log: "), "{err}");
+        // Behind IF blocks, in either script, it is found all the same.
+        let hidden = "
+            IF 1 = 1 THEN
+              CREATE TRIGGER bid AFTER INSERT ON Query
+              { IF time > 0 THEN INSERT INTO Log VALUES (time, 0); ENDIF; }
+            ENDIF
+        ";
+        for (tables, program) in [(tables, hidden), (&format!("{tables} {hidden}"), "")] {
+            assert!(matches!(
+                SqlProgramBidder::new(tables, program, &Params::new()),
+                Err(SqlProgramError::Contract { statement, .. }) if statement == "INSERT INTO Log"
+            ));
+        }
     }
 
     #[test]
@@ -579,8 +660,9 @@ mod tests {
         // 312 B while a `has_outcome` flag restated `clear_outcome` and the
         // formulas sat in a hash map; they are a vector of pairs now. 280 B
         // while the error sat inline and the database kept a vector of
-        // every catalog shape it had been through.
-        assert_eq!(std::mem::size_of::<SqlProgramBidder>(), 232);
+        // every catalog shape it had been through. 232 B while the database
+        // kept its detours.
+        assert_eq!(std::mem::size_of::<SqlProgramBidder>(), 216);
     }
 
     #[test]

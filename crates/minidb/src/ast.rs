@@ -1,8 +1,6 @@
 //! Abstract syntax for the SQL dialect.
 
-use crate::script::Script;
 use crate::value::{ArithOp, Value, ValueType};
-use std::sync::Arc;
 
 /// A possibly-qualified column reference (`bid`, `K.roi`, `Bids.formula`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,10 +141,8 @@ pub enum Statement {
         name: String,
         /// Watched table.
         table: String,
-        /// Statements run after each insert. Installing the trigger
-        /// stores this very `Arc`, so every database that runs the
-        /// defining script shares one body and one plan cache.
-        body: Arc<Script>,
+        /// Statements run after each insert.
+        body: Vec<Statement>,
     },
     /// `INSERT INTO table [(cols)] VALUES (exprs), …`
     Insert {

@@ -17,7 +17,7 @@ use crate::ast::Statement;
 use crate::error::{DbError, DbResult};
 use crate::plan::{self, ExplainLine, PlannedScript, PlannerCounters};
 use crate::prepared::{Prepared, NO_PARAMS};
-use crate::script::{CatalogShape, Script};
+use crate::script::{CatalogShape, Script, Trigger};
 use crate::table::{push_exact, Row, Schema, Table};
 use crate::value::Value;
 use crate::vars::Vars;
@@ -49,23 +49,20 @@ pub enum ExecOutcome {
 
 #[derive(Debug, Clone)]
 pub(crate) struct TriggerDef {
-    /// The body as parsed inside the defining script — the same `Arc` in
-    /// every database that ran that script, plan cache included. It also
-    /// carries the trigger's name and table.
-    pub(crate) body: Arc<Script>,
+    /// The trigger its defining script owns — the same `Arc` in every
+    /// database that ran that script, body and plan cache included.
+    pub(crate) trigger: Arc<Trigger>,
     /// Owner-local memo of the planned body. Living inside `Database`, it
-    /// needs no lock: repeat firings revalidate one version number and go.
-    /// The body's shared plan cache stays the source of truth that
-    /// `warm_plans` and firings after DDL refill this memo from.
+    /// needs no lock: repeat firings compare one pointer and go. The body's
+    /// shared plan cache stays the source of truth that `warm_plans` and
+    /// firings after DDL refill this memo from.
     ready: Option<Arc<ReadyTrigger>>,
 }
 
 impl TriggerDef {
-    /// The memo, if it was planned at catalog shape `version`.
-    fn ready_at(&self, version: u64) -> Option<&Arc<ReadyTrigger>> {
-        self.ready
-            .as_ref()
-            .filter(|ready| ready.planned.version() == version)
+    /// The memo, if it was planned at `db`'s catalog shape.
+    fn ready_in(&self, db: &Database) -> Option<&Arc<ReadyTrigger>> {
+        self.ready.as_ref().filter(|ready| ready.planned.fits(db))
     }
 }
 
@@ -76,7 +73,7 @@ impl TriggerDef {
 /// population — alone.
 #[derive(Debug)]
 struct ReadyTrigger {
-    body: Arc<Script>,
+    trigger: Arc<Trigger>,
     planned: Arc<PlannedScript>,
 }
 
@@ -84,10 +81,10 @@ struct ReadyTrigger {
 ///
 /// What a database owns is its *state*: rows, indexes, variable values,
 /// 16 bytes a value. Everything else is shared with every database that
-/// ran the same text over the same catalog shape ([`crate::script`]): the
+/// ran the same text over the same catalog shape (`script.rs`): the
 /// catalog — table names, spellings, column lists — is the interned shape,
-/// parsed trigger bodies (names included) and lowered plans live in the
-/// scripts, and the list of variable names is interned once per process.
+/// triggers (names and bodies) and lowered plans live in the scripts, and
+/// the list of variable names is interned once per process.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The catalog: which tables exist and what their columns are.
@@ -96,14 +93,8 @@ pub struct Database {
     pub(crate) tables: Vec<Table>,
     pub(crate) triggers: Box<[TriggerDef]>,
     pub(crate) vars: Vars,
-    /// With `shape` and its parents, every shape this database has had,
-    /// which keeps their ids interned: coming back to a shape (a table
-    /// dropped and recreated as it was) comes back to its id whether or not
-    /// another database still has it, so what this database replans depends
-    /// on its own history alone. Empty while the catalog only grew.
-    detours: Box<[Arc<CatalogShape>]>,
     /// `CREATE TABLE`s and `DROP TABLE`s executed here. How plans in flight
-    /// notice DDL that ended on their own shape id — see
+    /// notice DDL that ended on their own shape — see
     /// [`Database::exec_planned_seq`].
     pub(crate) ddl_epoch: u64,
     pub(crate) counters: PlannerCounters,
@@ -123,7 +114,6 @@ impl Database {
             tables: Vec::new(),
             triggers: Box::default(),
             vars: Vars::default(),
-            detours: Box::default(),
             ddl_epoch: 0,
             counters: PlannerCounters::default(),
         }
@@ -133,14 +123,19 @@ impl Database {
     ///
     /// The text is resolved through the script interner, so it is parsed
     /// only if no [`Prepared`] of the same text is alive in the process.
-    /// Nothing holds *this* call's script once it returns, and its
-    /// statements are planned afresh every time. Callers on a hot path —
+    /// Nothing holds *this* call's script once it returns: its statements
+    /// are planned afresh every time, and the triggers it creates are this
+    /// database's own. Callers on a hot path —
     /// and hosts installing one program in many databases — should
     /// [`Database::prepare`] once and execute the returned [`Prepared`]
     /// plan instead.
     pub fn run(&mut self, sql: &str) -> DbResult<Vec<ExecOutcome>> {
         let script = Script::intern(sql)?;
-        script.iter().map(|stmt| self.execute(stmt)).collect()
+        script
+            .statements
+            .iter()
+            .map(|stmt| self.execute(stmt))
+            .collect()
     }
 
     /// Resolves a script to a [`Prepared`] plan whose `?`/`:name`
@@ -160,16 +155,21 @@ impl Database {
     /// statement is lowered through the planner; plans from this entry
     /// point are transient — [`Database::prepare`] caches them.
     pub fn execute(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
-        let plan = plan::plan_statement(self, stmt);
+        let plan = plan::plan_statement(self, stmt, &[]);
         self.ensure_plan_indexes(&plan.index_reqs);
         self.exec_planned(stmt, &plan, 0, NO_PARAMS)
     }
 
     /// Runs a DDL statement — `CREATE TABLE`, `DROP TABLE` or `CREATE
-    /// TRIGGER` — which moves the catalog and has no plan of its own. Any
-    /// other statement is refused with a parse error: it belongs to the
-    /// planner.
-    pub(crate) fn exec_ddl(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
+    /// TRIGGER` — which moves the catalog and has no plan of its own. A
+    /// `CREATE TRIGGER` installs `shared`, its script's trigger, if given,
+    /// and a trigger of this database's own otherwise. Any other statement
+    /// is refused with a parse error: it belongs to the planner.
+    pub(crate) fn exec_ddl(
+        &mut self,
+        stmt: &Statement,
+        shared: Option<&Arc<Trigger>>,
+    ) -> DbResult<ExecOutcome> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::try_new(columns.iter().cloned())?;
@@ -180,24 +180,25 @@ impl Database {
                 let pos = self.table_position(name)?;
                 self.tables.remove(pos);
                 let mut kept = std::mem::take(&mut self.triggers).into_vec();
-                kept.retain(|t| !t.body.is_trigger_on(name));
+                kept.retain(|t| !t.trigger.is_on(name));
                 self.triggers = kept.into_boxed_slice();
                 let shape = self.shape.without_table(pos);
                 self.enter_shape(shape);
                 Ok(ExecOutcome::Dropped)
             }
             Statement::CreateTrigger { name, table, body } => {
-                if self.triggers.iter().any(|t| t.body.is_trigger_named(name)) {
+                if self.triggers.iter().any(|t| t.trigger.is_named(name)) {
                     return Err(DbError::TriggerExists(name.clone()));
                 }
                 self.table_position(table)?;
-                let body = if body.is_trigger_named(name) && body.is_trigger_on(table) {
-                    Arc::clone(body)
-                } else {
-                    // A statement assembled around another trigger's body.
-                    Arc::new(Script::trigger_body(name, table, body.to_vec()))
+                let trigger = shared
+                    .cloned()
+                    .unwrap_or_else(|| Arc::new(Trigger::new(name, table, body)));
+                let def = TriggerDef {
+                    trigger,
+                    ready: None,
                 };
-                push_exact(&mut self.triggers, TriggerDef { body, ready: None });
+                push_exact(&mut self.triggers, def);
                 Ok(ExecOutcome::Created)
             }
             _ => Err(DbError::Parse {
@@ -239,11 +240,6 @@ impl Database {
         Ok(())
     }
 
-    /// The id of the catalog's shape; what plans are validated against.
-    pub(crate) fn catalog_version(&self) -> u64 {
-        self.shape.id()
-    }
-
     /// The position of the table called `name` (in any case).
     pub(crate) fn table_position(&self, name: &str) -> DbResult<usize> {
         self.shape
@@ -252,16 +248,13 @@ impl Database {
     }
 
     /// Moves to `shape` after a table was created or dropped, `tables`
-    /// already holding one entry per table of it. Trigger memos go too: a shape this
-    /// database had before (a table dropped and recreated as it was)
-    /// revalidates old plans, but not the indexes the dropped table took
-    /// with it — refilling the memo from the plan cache rebuilds them.
+    /// already holding one entry per table of it. Trigger memos go too: a
+    /// shape this database had before (a table dropped and recreated as it
+    /// was) revalidates the plans that held it, but not the indexes the
+    /// dropped table took with it — refilling the memo from the plan cache
+    /// rebuilds them.
     fn enter_shape(&mut self, shape: Arc<CatalogShape>) {
-        let left = std::mem::replace(&mut self.shape, shape);
-        let is_left = |seen: &Arc<CatalogShape>| Arc::ptr_eq(seen, &left);
-        if !self.shape.parent.as_ref().is_some_and(is_left) && !self.detours.iter().any(is_left) {
-            push_exact(&mut self.detours, left);
-        }
+        self.shape = shape;
         self.ddl_epoch += 1;
         for trigger in &mut self.triggers {
             trigger.ready = None;
@@ -277,7 +270,7 @@ impl Database {
         !self.triggers.is_empty()
             && self.triggers.len() == other.triggers.len()
             && self.triggers.iter().zip(&other.triggers).all(|(a, b)| {
-                Arc::ptr_eq(&a.body, &b.body)
+                Arc::ptr_eq(&a.trigger, &b.trigger)
                     && matches!((&a.ready, &b.ready), (Some(a), Some(b))
                         if Arc::ptr_eq(&a.planned, &b.planned))
             })
@@ -308,26 +301,26 @@ impl Database {
         // Snapshot the firing set up front: bodies may themselves create or
         // drop triggers, so we never touch `self.triggers` while executing.
         // A valid memo is cloned as is; a miss carries the trigger's slot
-        // and body so the memo can be refilled when its turn comes (by then
-        // an earlier body may have rewritten the trigger list under us).
-        type Fired = Result<Arc<ReadyTrigger>, (usize, Arc<Script>)>;
+        // so the memo can be refilled when its turn comes (by then an
+        // earlier body may have rewritten the trigger list under us).
+        type Fired = Result<Arc<ReadyTrigger>, (usize, Arc<Trigger>)>;
         let fired: Vec<Fired> = self
             .triggers
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.body.is_trigger_on(table))
-            .map(|(slot, t)| match t.ready_at(self.catalog_version()) {
+            .filter(|(_, t)| t.trigger.is_on(table))
+            .map(|(slot, t)| match t.ready_in(self) {
                 Some(ready) => Ok(Arc::clone(ready)),
-                None => Err((slot, Arc::clone(&t.body))),
+                None => Err((slot, Arc::clone(&t.trigger))),
             })
             .collect();
         for fired in fired {
             let ready = match fired {
                 Ok(ready) => ready,
-                Err((slot, body)) => {
-                    let ready = self.ready_trigger(body);
+                Err((slot, trigger)) => {
+                    let ready = self.ready_trigger(trigger);
                     if let Some(t) = self.triggers.get_mut(slot) {
-                        if Arc::ptr_eq(&t.body, &ready.body) {
+                        if Arc::ptr_eq(&t.trigger, &ready.trigger) {
                             t.ready = Some(Arc::clone(&ready));
                         }
                     }
@@ -336,7 +329,12 @@ impl Database {
             };
             // Stored trigger bodies never see the firing statement's
             // parameters — host scalar variables are their channel.
-            let body = ready.body.iter().zip(ready.planned.plans());
+            let body = ready
+                .trigger
+                .body
+                .statements
+                .iter()
+                .zip(ready.planned.plans());
             self.exec_planned_seq(body, depth + 1, NO_PARAMS, |_| ())?;
         }
         Ok(())
@@ -349,19 +347,19 @@ impl Database {
     /// a bidding program, so the first auction pays no planning cost.
     pub fn warm_plans(&mut self) {
         for slot in 0..self.triggers.len() {
-            let trigger = &self.triggers[slot];
-            if trigger.ready_at(self.catalog_version()).is_none() {
-                let body = Arc::clone(&trigger.body);
-                self.triggers[slot].ready = Some(self.ready_trigger(body));
+            let def = &self.triggers[slot];
+            if def.ready_in(self).is_none() {
+                let trigger = Arc::clone(&def.trigger);
+                self.triggers[slot].ready = Some(self.ready_trigger(trigger));
             }
         }
     }
 
-    /// Pairs a trigger body with its plan for the current catalog shape
+    /// Pairs a trigger with its body's plan for the current catalog shape
     /// (lowered now, or adopted), building the indexes the plan probes.
-    fn ready_trigger(&mut self, body: Arc<Script>) -> Arc<ReadyTrigger> {
-        let planned = self.cached_script(&body);
-        Arc::new(ReadyTrigger { body, planned })
+    fn ready_trigger(&mut self, trigger: Arc<Trigger>) -> Arc<ReadyTrigger> {
+        let planned = self.cached_script(&trigger.body);
+        Arc::new(ReadyTrigger { trigger, planned })
     }
 }
 
@@ -611,19 +609,36 @@ mod tests {
     }
 
     #[test]
-    fn a_catalog_that_only_grew_keeps_its_history_in_its_shape() {
+    fn a_catalog_keeps_its_parents_and_a_plan_keeps_its_shape() {
+        // A catalog that only grew holds every shape on its way.
         let mut db = Database::new();
-        db.run("CREATE TABLE exec_test_a (x INT); CREATE TABLE exec_test_b (y INT)")
-            .unwrap();
-        assert!(db.detours.is_empty());
-        let grown = Arc::clone(&db.shape);
-        let first = Arc::clone(grown.parent.as_ref().unwrap());
-        db.run("DROP TABLE exec_test_b").unwrap();
-        assert!(Arc::ptr_eq(&db.shape, &first), "back to the first shape");
-        assert_eq!(db.detours.len(), 1, "the grown shape is not its child");
+        db.run("CREATE TABLE exec_test_a (x INT)").unwrap();
+        let first = Arc::clone(&db.shape);
         db.run("CREATE TABLE exec_test_b (y INT)").unwrap();
-        assert!(Arc::ptr_eq(&db.shape, &grown), "and to the grown one");
-        assert_eq!(db.detours.len(), 1);
+        let parent_of = |shape: &CatalogShape| shape._parent.as_ref().map(Arc::as_ptr);
+        assert_eq!(parent_of(&db.shape), Some(Arc::as_ptr(&first)));
+        assert_eq!(parent_of(&first), Some(Arc::as_ptr(&CatalogShape::empty())));
+
+        // A memoised plan holds the shape it was lowered at: with no other
+        // database of that shape alive, dropping the table and creating it
+        // again as it was comes back to that very shape, and nothing is
+        // replanned. (A `Weak` keeps the allocation, so the address cannot
+        // be reused by another shape, without keeping the shape alive.)
+        let mut db = Database::new();
+        db.run("CREATE TABLE exec_test_kept (x INT)").unwrap();
+        let mut read = db.prepare("SELECT x FROM exec_test_kept").unwrap();
+        read.execute(&mut db, NO_PARAMS).unwrap();
+        let lowered_at = Arc::downgrade(&db.shape);
+        let plans = db.planner_stats().plans_cached;
+        db.run("DROP TABLE exec_test_kept").unwrap();
+        db.run("CREATE TABLE exec_test_kept (x INT)").unwrap();
+        assert_eq!(lowered_at.as_ptr(), Arc::as_ptr(&db.shape));
+        db.run("INSERT INTO exec_test_kept VALUES (7)").unwrap();
+        assert_eq!(
+            read.query(&mut db, NO_PARAMS).unwrap(),
+            vec![vec![Value::Int(7)]]
+        );
+        assert_eq!(db.planner_stats().plans_cached, plans);
     }
 
     #[test]

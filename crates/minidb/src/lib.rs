@@ -29,10 +29,10 @@
 //!
 //! Execution is layered, not interpreted from the AST on every run:
 //!
-//! 1. **Logical lowering** — each statement of a [`Prepared`] script or
-//!    trigger body is lowered once into a plan ([`plan`] module) and cached
-//!    in the parsed [`Script`], which every database running the same text
-//!    shares (see "Compile once per text" below).
+//! 1. **Logical lowering** — the [`parser`] outputs plain data ([`ast`]);
+//!    each statement of a [`Prepared`] script or trigger body is lowered
+//!    once into a plan ([`plan`] module), cached in a script every database
+//!    running the same text shares (see "Compile once per text" below).
 //! 2. **Flat tables, sorted-array indexes** — a [`Table`] keeps its cells
 //!    in one row-major vector and maintains sorted-array indexes on
 //!    `INT`/`TEXT` columns incrementally through every `INSERT`, `UPDATE`,
@@ -62,29 +62,28 @@
 //! A marketplace runs one bidding program for thousands of campaigns, each
 //! in a [`Database`] of its own. What a database owns is its state — rows,
 //! indexes, variable values, each value 16 bytes; everything derived from
-//! SQL *text* is compiled or interned once and shared ([`script`] module):
+//! SQL *text* is compiled or interned once and shared (`script.rs`):
 //!
 //! * **Script interning** — [`Database::prepare`] and [`Database::run`]
 //!   resolve their text through a process-wide table of weak references. A
 //!   text that a [`Prepared`] handle still holds is not parsed again: the
-//!   caller gets the same statements and the same plan cache. `CREATE
-//!   TRIGGER` stores the body straight out of the defining script's AST,
-//!   so every database that executed one defining script fires one body —
-//!   a host installing a program in many databases prepares it once and
-//!   keeps the handle. The table never keeps a script alive and drops an
-//!   entry with its last holder, so one-off statements cannot grow it
+//!   caller gets the same statements and the same plan cache. The script
+//!   owns a shared trigger per `CREATE TRIGGER` in it, so every database
+//!   that executed one prepared defining script fires one body — a host
+//!   installing a program in many databases prepares it once and keeps the
+//!   handle. The table never keeps a script alive and drops an entry with
+//!   its last holder, so one-off statements cannot grow it
 //!   ([`interned_scripts`] counts it).
 //! * **A shared catalog** — the catalog's *shape* (its tables, their
 //!   spelling, column names and types: all that planning reads) is
 //!   interned, and a database holds it plus one table of rows and indexes
-//!   per entry, in the shape's order. Plans are stamped not with a
-//!   per-database version but with the shape's id, and name tables by
+//!   per entry, in the shape's order. A plan holds the shape it was lowered
+//!   at, runs where that shape is the database's, and names tables by
 //!   position in it. Databases that ran the same DDL validate the same
 //!   planned script; one whose DDL diverges (a trigger that recreates a
-//!   table with other columns, say) gets another id and replans alone,
-//!   without disturbing the others' memoised plans. A database keeps the
-//!   shapes it has been through interned, so what it replans follows from
-//!   its own DDL history, never from which other databases exist.
+//!   table with other columns, say) moves to another shape and replans
+//!   alone. A plan keeps its shape alive, so a database coming back to a
+//!   catalog it had finds the plans valid again, whoever else exists.
 //! * **Shared names** — trigger names live in the shared trigger bodies,
 //!   and variable names, and the ordered list of them a database has set,
 //!   are interned once per process: a database holds that list and one
@@ -132,7 +131,7 @@ pub mod plan;
 mod planner_equivalence;
 pub mod prepared;
 mod reference;
-pub mod script;
+mod script;
 pub mod table;
 pub mod value;
 mod vars;
@@ -141,6 +140,6 @@ pub use error::{DbError, DbResult};
 pub use exec::{Database, ExecOutcome};
 pub use plan::{ExplainAccess, ExplainLine, PlannerStats};
 pub use prepared::{Params, Prepared, NO_PARAMS};
-pub use script::{interned_scripts, Script};
+pub use script::interned_scripts;
 pub use table::{Column, Row, Schema, Table};
 pub use value::{Text, Value, ValueType};

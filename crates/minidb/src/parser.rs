@@ -5,9 +5,7 @@ use crate::ast::{
 };
 use crate::error::{DbError, DbResult};
 use crate::lexer::{tokenize, Token, TokenKind};
-use crate::script::Script;
 use crate::value::{ArithOp, Value, ValueType};
-use std::sync::Arc;
 
 /// Maximum combined statement/expression nesting depth. Bidding programs
 /// come from untrusted advertisers; unbounded recursive descent would let
@@ -253,7 +251,6 @@ impl Parser {
                 }
             }
             self.in_trigger_body = outer;
-            let body = Arc::new(Script::trigger_body(&name, &table, body));
             Ok(Statement::CreateTrigger { name, table, body })
         } else {
             Err(self.error("expected TABLE or TRIGGER after CREATE"))

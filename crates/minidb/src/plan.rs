@@ -18,16 +18,16 @@
 //!    [`crate::table::Table`] afterwards) and updating
 //!    [`PlannerStats`] counters.
 //!
-//! Plans are stamped with the id of the catalog *shape* they were lowered
-//! against (`crate::script::CatalogShape`: tables, column names and
-//! types — all that planning reads). Databases that ran the same DDL carry
-//! the same id and share one planned script per script text; `CREATE
-//! TABLE`/`DROP TABLE` moves a database to another id, and a plan stamped
-//! with a different id is transparently replanned, so cached plans never
-//! observe a renamed schema. Because a shape id fixes the catalog's table
-//! list, a plan names its tables by their position in it: a database holds
-//! its tables in the shape's order, and a plan runs only where its stamp
-//! matches the catalog.
+//! A plan holds the catalog *shape* it was lowered at
+//! (`crate::script::CatalogShape`: tables, column names and types — all
+//! that planning reads), and is valid exactly where that `Arc` is the
+//! database's shape. Databases that ran the same DDL hold the same shape
+//! and share one planned script per script text; `CREATE TABLE`/`DROP
+//! TABLE` moves a database to another shape, and a plan lowered at a
+//! different one is transparently replanned, so cached plans never observe
+//! a renamed schema. Because a shape fixes the catalog's table list, a plan
+//! names its tables by their position in it: a database holds its tables
+//! in the shape's order.
 //!
 //! **Equivalence guarantee**: for every script, the planned executor
 //! produces bit-identical outcomes — rows, errors, trigger effects, and
@@ -47,7 +47,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{Database, ExecOutcome};
 use crate::parser::parse_script;
 use crate::prepared::Params;
-use crate::script::{CatalogShape, Script};
+use crate::script::{CatalogShape, Script, Trigger};
 use crate::table::{Row, Table};
 use crate::value::{ArithOp, Value, ValueType};
 use crate::vars::VarName;
@@ -55,7 +55,7 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
-// Counters and versions.
+// Counters and planned scripts.
 // ---------------------------------------------------------------------------
 
 /// Monotonic planner counters for one [`Database`].
@@ -93,11 +93,12 @@ impl PlannerCounters {
 /// A whole script (prepared statement list or trigger body) planned at one
 /// catalog shape. Caching the script as a unit means executing it costs a
 /// single lock acquisition and `Arc` bump, not one per statement — the
-/// per-statement `version` check in [`Database::exec_planned`] still
-/// catches DDL executed mid-script.
+/// per-statement shape check in [`Database::exec_planned`] still catches
+/// DDL executed mid-script.
 #[derive(Debug)]
 pub(crate) struct PlannedScript {
-    version: u64,
+    /// The shape the script was lowered at, kept alive by it.
+    shape: Arc<CatalogShape>,
     /// Stored inline (not `Arc`-boxed per statement): the script is the
     /// sharing unit, and one contiguous allocation keeps the serving path's
     /// cold-cache footprint down.
@@ -114,11 +115,11 @@ impl PlannedScript {
         &self.plans
     }
 
-    /// The catalog shape id the script was planned at. Owners that memoise
-    /// a script (prepared statements, trigger definitions) revalidate
-    /// against the database's catalog shape before reusing it.
-    pub(crate) fn version(&self) -> u64 {
-        self.version
+    /// `true` if the script was lowered at `db`'s catalog shape. Owners
+    /// that memoise a script (prepared statements, trigger definitions)
+    /// check this before reusing it.
+    pub(crate) fn fits(&self, db: &Database) -> bool {
+        Arc::ptr_eq(&self.shape, &db.shape)
     }
 
     /// The indexes the script's plans probe.
@@ -170,11 +171,11 @@ pub struct ExplainLine {
 // Plan structures.
 // ---------------------------------------------------------------------------
 
-/// A fully lowered statement: the catalog shape id it was planned against,
-/// the executable form, and the indexes it wants materialised.
+/// A fully lowered statement: the catalog shape it was planned at, the
+/// executable form, and the indexes it wants materialised.
 #[derive(Debug)]
 pub(crate) struct StmtPlan {
-    version: u64,
+    shape: Arc<CatalogShape>,
     kind: PlanKind,
     /// `(table position, column ordinal)` pairs this plan probes.
     pub(crate) index_reqs: Vec<(usize, usize)>,
@@ -182,9 +183,11 @@ pub(crate) struct StmtPlan {
 
 #[derive(Debug)]
 enum PlanKind {
-    /// DDL runs unplanned through `Database::exec_ddl` (and moves the
-    /// catalog shape).
-    Ddl,
+    /// DDL runs unplanned through `Database::exec_ddl` (and may move the
+    /// catalog shape), whatever shape it was planned at. A `CREATE
+    /// TRIGGER`'s carries the shared trigger it installs, if its script has
+    /// one.
+    Ddl(Option<Arc<Trigger>>),
     /// Planning already diagnosed the statement's first runtime error.
     Raise(DbError),
     Insert(PlannedInsert),
@@ -207,13 +210,13 @@ enum PlanKind {
 
 #[derive(Debug)]
 struct PlannedBlock {
-    /// Source + plan pairs; nested plans revalidate their version at
+    /// Source + plan pairs; nested plans revalidate their shape at
     /// execution (DDL earlier in the block may have invalidated them).
     stmts: Vec<(Statement, StmtPlan)>,
 }
 
-// A `table` field below is a position in the catalog shape the plan is
-// stamped with; plans execute only on a database of that shape.
+// A `table` field below is a position in the catalog shape the plan was
+// lowered at; plans execute only on a database of that shape.
 
 #[derive(Debug)]
 struct PlannedInsert {
@@ -312,25 +315,32 @@ enum AccessKind {
 // ---------------------------------------------------------------------------
 
 /// Lowers one statement against the current catalog. Pure: reads the
-/// database, never mutates it (no index creation, no counters).
-pub(crate) fn plan_statement(db: &Database, stmt: &Statement) -> StmtPlan {
-    let kind = plan_kind(db, stmt);
+/// database, never mutates it (no index creation, no counters). A `CREATE
+/// TRIGGER` installs the matching one of `triggers`, its script's shared
+/// ones.
+pub(crate) fn plan_statement(
+    db: &Database,
+    stmt: &Statement,
+    triggers: &[Arc<Trigger>],
+) -> StmtPlan {
+    let kind = plan_kind(db, stmt, triggers);
     let mut reqs = Vec::new();
     collect_reqs_kind(&kind, &mut reqs);
     reqs.sort();
     reqs.dedup();
     StmtPlan {
-        version: db.catalog_version(),
+        shape: Arc::clone(&db.shape),
         kind,
         index_reqs: reqs,
     }
 }
 
-fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
+fn plan_kind(db: &Database, stmt: &Statement, triggers: &[Arc<Trigger>]) -> PlanKind {
     match stmt {
-        Statement::CreateTable { .. }
-        | Statement::DropTable { .. }
-        | Statement::CreateTrigger { .. } => PlanKind::Ddl,
+        Statement::CreateTable { .. } | Statement::DropTable { .. } => PlanKind::Ddl(None),
+        Statement::CreateTrigger { name, table, body } => {
+            PlanKind::Ddl(triggers.iter().find(|t| t.is(name, table, body)).cloned())
+        }
         Statement::Insert {
             table,
             columns,
@@ -434,9 +444,9 @@ fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
         Statement::If { arms, else_block } => PlanKind::If {
             arms: arms
                 .iter()
-                .map(|(cond, block)| (compile_expr(cond, db, &[]), plan_block(db, block)))
+                .map(|(cond, block)| (compile_expr(cond, db, &[]), plan_block(db, block, triggers)))
                 .collect(),
-            else_block: else_block.as_ref().map(|b| plan_block(db, b)),
+            else_block: else_block.as_ref().map(|b| plan_block(db, b, triggers)),
         },
         Statement::SetVar { name, value } => PlanKind::SetVar {
             name: VarName::intern(name),
@@ -450,11 +460,11 @@ fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
     }
 }
 
-fn plan_block(db: &Database, block: &[Statement]) -> PlannedBlock {
+fn plan_block(db: &Database, block: &[Statement], triggers: &[Arc<Trigger>]) -> PlannedBlock {
     PlannedBlock {
         stmts: block
             .iter()
-            .map(|s| (s.clone(), plan_statement(db, s)))
+            .map(|s| (s.clone(), plan_statement(db, s, triggers)))
             .collect(),
     }
 }
@@ -639,7 +649,7 @@ fn eq_probe<'e>(
 
 fn collect_reqs_kind(kind: &PlanKind, out: &mut Vec<(usize, usize)>) {
     match kind {
-        PlanKind::Ddl | PlanKind::Raise(_) | PlanKind::Explain(_) => {}
+        PlanKind::Ddl(_) | PlanKind::Raise(_) | PlanKind::Explain(_) => {}
         PlanKind::Insert(pi) => {
             for prow in &pi.rows {
                 for ce in &prow.exprs {
@@ -724,7 +734,7 @@ fn collect_reqs_expr(ce: &CompiledExpr, out: &mut Vec<(usize, usize)>) {
 /// Plans `stmt` and renders the chosen access paths. Pure (`&Database`):
 /// never creates an index, caches a plan, or bumps a counter.
 pub(crate) fn explain_statement(db: &Database, stmt: &Statement) -> DbResult<Vec<ExplainLine>> {
-    let plan = plan_statement(db, stmt);
+    let plan = plan_statement(db, stmt, &[]);
     let mut render = Render {
         shape: &db.shape,
         out: Vec::new(),
@@ -760,7 +770,7 @@ impl Render<'_> {
 
     fn kind(&mut self, kind: &PlanKind) -> DbResult<()> {
         match kind {
-            PlanKind::Ddl => self.line("DDL".to_string(), ExplainAccess::None),
+            PlanKind::Ddl(_) => self.line("DDL".to_string(), ExplainAccess::None),
             PlanKind::Raise(e) => return Err(e.clone()),
             PlanKind::Explain(lines) => self.out.extend(lines.iter().cloned()),
             PlanKind::SetVar { display, value, .. } => {
@@ -1077,11 +1087,12 @@ impl Database {
         let planned = {
             let mut guard = lock_cache(&script.plans);
             match &*guard {
-                Some(planned) if planned.version == self.catalog_version() => Arc::clone(planned),
+                Some(planned) if planned.fits(self) => Arc::clone(planned),
                 _ => {
                     let plans: Vec<StmtPlan> = script
+                        .statements
                         .iter()
-                        .map(|stmt| plan_statement(self, stmt))
+                        .map(|stmt| plan_statement(self, stmt, &script.triggers))
                         .collect();
                     let mut index_reqs: Vec<(usize, usize)> = plans
                         .iter()
@@ -1090,7 +1101,7 @@ impl Database {
                     index_reqs.sort();
                     index_reqs.dedup();
                     let planned = Arc::new(PlannedScript {
-                        version: self.catalog_version(),
+                        shape: Arc::clone(&self.shape),
                         plans,
                         index_reqs,
                     });
@@ -1109,7 +1120,7 @@ impl Database {
     /// Executes a whole pre-planned script: the lock-free fast path for
     /// owners that memoise their [`PlannedScript`] (see
     /// [`crate::Prepared::execute`]). The caller has already revalidated
-    /// the script's version; the per-statement check in
+    /// the script's shape; the per-statement check in
     /// [`Database::exec_planned`] still catches DDL executed mid-script.
     pub(crate) fn execute_planned_script(
         &mut self,
@@ -1128,7 +1139,7 @@ impl Database {
     ///
     /// DDL run along the way — by an earlier statement or a trigger it
     /// fired — may drop a table and recreate it as it was. The catalog is
-    /// then back at the shape the remaining plans are stamped with, so they
+    /// then back at the shape the remaining plans hold, so they
     /// stay valid, but the indexes they probe went with the old table: once
     /// this database's DDL count has moved, each remaining statement gets
     /// its indexes re-ensured first.
@@ -1141,7 +1152,7 @@ impl Database {
     ) -> DbResult<()> {
         let epoch = self.ddl_epoch;
         for (stmt, plan) in planned {
-            if self.ddl_epoch != epoch && plan.version == self.catalog_version() {
+            if self.ddl_epoch != epoch && Arc::ptr_eq(&plan.shape, &self.shape) {
                 self.ensure_plan_indexes(&plan.index_reqs);
             }
             outcome(self.exec_planned(stmt, plan, depth, params)?);
@@ -1150,7 +1161,8 @@ impl Database {
     }
 
     /// Executes a statement against a plan, transparently replanning when
-    /// the catalog has moved since the plan was built.
+    /// the catalog has moved since the plan was built (DDL has no plan to
+    /// go stale).
     pub(crate) fn exec_planned(
         &mut self,
         source: &Statement,
@@ -1158,8 +1170,8 @@ impl Database {
         depth: usize,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
-        if plan.version != self.catalog_version() {
-            let fresh = plan_statement(self, source);
+        if !Arc::ptr_eq(&plan.shape, &self.shape) && !matches!(plan.kind, PlanKind::Ddl(_)) {
+            let fresh = plan_statement(self, source, &[]);
             self.ensure_plan_indexes(&fresh.index_reqs);
             return self.exec_plan_kind(source, &fresh, depth, params);
         }
@@ -1186,7 +1198,7 @@ impl Database {
         // Indexes were materialised when the plan was built or adopted
         // (cached_script, or the replan above) — execution only probes them.
         match &plan.kind {
-            PlanKind::Ddl => self.exec_ddl(source),
+            PlanKind::Ddl(trigger) => self.exec_ddl(source, trigger.as_ref()),
             PlanKind::Raise(e) => Err(e.clone()),
             PlanKind::Explain(lines) => Ok(ExecOutcome::Explain(lines.clone())),
             PlanKind::SetVar { name, value, .. } => {

@@ -108,10 +108,10 @@ impl Params {
 /// `Send + Sync`, so prepared plans migrate with their owners across shard
 /// worker threads.
 ///
-/// The parsed script is interned by its text (see [`crate::script`]): two
-/// handles prepared from the same text — on the same database or on
-/// different ones — share one statement list and one plan cache for as long
-/// as either is alive.
+/// The parsed script is interned by its text (crate docs, "Compile once
+/// per text"): two handles prepared from the same text — on the same
+/// database or on different ones — share one statement list and one plan
+/// cache for as long as either is alive.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     script: Arc<Script>,
@@ -132,19 +132,19 @@ impl Prepared {
 
     /// Number of positional (`?`) placeholders in the script.
     pub fn positional_params(&self) -> usize {
-        self.script.positional_params()
+        self.script.positional
     }
 
     /// Names of the `:name` placeholders in the script (lowercased,
     /// sorted, deduplicated).
     pub fn named_params(&self) -> &[String] {
-        self.script.named_params()
+        &self.script.named
     }
 
     /// The parsed statements (for hosts that want to execute them one at a
-    /// time through [`Database::execute`]-style paths).
+    /// time through [`Database::execute`]-style paths, or to inspect them).
     pub fn statements(&self) -> &[Statement] {
-        self.script.statements()
+        &self.script.statements
     }
 
     /// `true` if both handles hold the very same interned script — one
@@ -183,7 +183,7 @@ impl Prepared {
         db: &mut Database,
     ) -> &'m PlannedScript {
         let planned = match memo.take() {
-            Some(planned) if planned.version() == db.catalog_version() => {
+            Some(planned) if planned.fits(db) => {
                 db.ensure_plan_indexes(planned.index_reqs());
                 planned
             }
@@ -204,14 +204,14 @@ impl Prepared {
     ///
     /// Takes `&mut self` to memoise the planned script in this handle:
     /// repeat executions — the auction serving path — take no lock and
-    /// touch no reference count. They compare one shape id and check that
-    /// `db` has each index the plan probes (a table lookup per index; most
-    /// statements probe none): a valid memo says the plan fits `db`'s
+    /// touch no reference count. They compare one shape pointer and check
+    /// that `db` has each index the plan probes (a table lookup per index;
+    /// most statements probe none): a valid memo says the plan fits `db`'s
     /// shape, not that `db` is where its indexes were built.
     pub fn execute(&mut self, db: &mut Database, params: &Params) -> DbResult<Vec<ExecOutcome>> {
         self.check(params)?;
         let planned = Self::plan_for(&mut self.planned, &self.script, db);
-        db.execute_planned_script(&self.script, planned, params)
+        db.execute_planned_script(&self.script.statements, planned, params)
     }
 
     /// Runs a single-`SELECT` prepared script and returns its rows (the

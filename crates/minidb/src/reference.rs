@@ -18,7 +18,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{single_select, Database, ExecOutcome, MAX_TRIGGER_DEPTH};
 use crate::plan::{self, PlannerCounters};
 use crate::prepared::{Params, Prepared, NO_PARAMS};
-use crate::script::Script;
+use crate::script::{Script, Trigger};
 use crate::table::{Row, Schema, Table};
 use crate::value::Value;
 use std::sync::Arc;
@@ -28,6 +28,7 @@ impl Database {
     pub(crate) fn run_reference(&mut self, sql: &str) -> DbResult<Vec<ExecOutcome>> {
         let script = Script::intern(sql)?;
         script
+            .statements
             .iter()
             .map(|stmt| self.interpret(stmt, 0, NO_PARAMS))
             .collect()
@@ -59,7 +60,7 @@ impl Database {
         match stmt {
             Statement::CreateTable { .. }
             | Statement::DropTable { .. }
-            | Statement::CreateTrigger { .. } => self.exec_ddl(stmt),
+            | Statement::CreateTrigger { .. } => self.exec_ddl(stmt, None),
             Statement::Insert {
                 table,
                 columns,
@@ -179,14 +180,14 @@ impl Database {
             return Err(DbError::TriggerDepthExceeded);
         }
         let table = &*self.shape.tables()[pos].display;
-        let fired: Vec<Arc<Script>> = self
+        let fired: Vec<Arc<Trigger>> = self
             .triggers
             .iter()
-            .filter(|t| t.body.is_trigger_on(table))
-            .map(|t| Arc::clone(&t.body))
+            .filter(|t| t.trigger.is_on(table))
+            .map(|t| Arc::clone(&t.trigger))
             .collect();
-        for body in fired {
-            for stmt in body.iter() {
+        for trigger in fired {
+            for stmt in &trigger.body.statements {
                 self.interpret(stmt, depth + 1, NO_PARAMS)?;
             }
         }

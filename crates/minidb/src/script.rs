@@ -1,10 +1,11 @@
-//! Parsed scripts, compiled once per distinct text.
+//! Scripts, compiled once per distinct text.
 //!
 //! A marketplace runs the same bidding program for thousands of campaigns.
 //! Everything the engine derives from a program's *text* — the statement
-//! list, its placeholder signature, the lowered plan — is identical for all
-//! of them, so it lives in one [`Script`] that every database running the
-//! text shares:
+//! list (plain data, [`crate::ast`]), its placeholder signature, the
+//! triggers it installs, the lowered plan — is identical for all of them,
+//! so it lives in one [`Script`] that every database running the text
+//! shares:
 //!
 //! * [`crate::Database::prepare`] and [`crate::Database::run`] resolve SQL
 //!   text to its `Arc<Script>` through a process-wide table of [`Weak`]
@@ -12,10 +13,10 @@
 //!   never parsed again; a text nobody holds any more costs nothing — its
 //!   entry is removed when the last handle drops, so one-off statements
 //!   cannot grow the table.
-//! * A `CREATE TRIGGER` body is a nested [`Script`] inside its defining
-//!   script's AST, carrying the trigger's name and table. Installing the
-//!   trigger stores that very `Arc`, so all databases that executed one
-//!   defining script fire one shared body through one shared plan cache.
+//! * Each `CREATE TRIGGER` among its statements becomes a shared
+//!   [`Trigger`] whose body is a [`Script`] too; the statement's plan
+//!   installs that very `Arc`, so all databases that executed one defining
+//!   script fire one shared body through one shared plan cache.
 //!
 //! Holding a [`crate::Prepared`] is the one way to keep a text compiled: a
 //! host that installs the same program in many databases prepares it,
@@ -26,8 +27,8 @@
 //! — tables, their spelling, column names and types, all that planning
 //! reads — is interned too, and it *is* the catalog: a database holds its
 //! shape and, per table, only rows and indexes. Databases that ran the same
-//! DDL hold the same shape, and a plan is reused wherever the shape ids
-//! match.
+//! DDL hold the same `Arc<CatalogShape>`, and a plan, which holds the shape
+//! it was lowered at, is reused wherever that `Arc` is the database's.
 
 use crate::ast::{Expr, ParamRef, Select, SelectItem, Statement};
 use crate::error::DbResult;
@@ -36,7 +37,6 @@ use crate::plan::PlanCache;
 use crate::table::Schema;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 // ---------------------------------------------------------------------------
@@ -127,62 +127,58 @@ pub fn interned_scripts() -> usize {
     SCRIPTS.len()
 }
 
-/// A parsed script — a whole SQL text, or one `CREATE TRIGGER` body — with
-/// everything derived from the text alone: the statements, the placeholder
-/// signature, and the cache of the plan lowered from them. Immutable and
-/// shared by every database that runs the text; dereferences to its
-/// statements.
+/// A script — a whole SQL text, or one trigger's body — with everything
+/// derived from its statements alone: the placeholder signature, the
+/// triggers it installs, and the cache of the plan lowered from it.
+/// Immutable and shared by every database that runs the text.
 #[derive(Debug)]
-pub struct Script {
-    statements: Vec<Statement>,
+pub(crate) struct Script {
+    pub(crate) statements: Vec<Statement>,
     /// Number of `?` placeholders.
-    positional: usize,
+    pub(crate) positional: usize,
     /// Names of `:name` placeholders (lowercased, sorted, deduplicated).
-    named: Vec<String>,
+    pub(crate) named: Vec<String>,
+    /// What the `CREATE TRIGGER`s among the statements install, in
+    /// statement order.
+    pub(crate) triggers: Vec<Arc<Trigger>>,
     /// The lowered plan, filled on first execution by whichever database
     /// gets there first and revalidated against each database's catalog
     /// shape.
     pub(crate) plans: PlanCache,
-    origin: Origin,
+    /// The text the script is interned under; `None` for a trigger body.
+    key: Option<Arc<str>>,
 }
 
-/// Where a [`Script`] came from.
+/// `CREATE TRIGGER name AFTER INSERT ON table { body }`, shared by every
+/// database that installs it: they read its names from here rather than
+/// keeping copies.
 #[derive(Debug)]
-enum Origin {
-    /// A whole text, interned under it.
-    Text(Arc<str>),
-    /// The body of `CREATE TRIGGER name AFTER INSERT ON table` (both names
-    /// lowercase). It lives inside its defining script's AST instead of the
-    /// interner, and every database that installs it reads the trigger's
-    /// names from here rather than keeping copies.
-    Trigger { name: Box<str>, table: Box<str> },
+pub(crate) struct Trigger {
+    /// Lowercase.
+    name: Box<str>,
+    /// Lowercase.
+    table: Box<str>,
+    pub(crate) body: Script,
 }
 
-impl Script {
-    fn new(statements: Vec<Statement>, origin: Origin) -> Script {
-        let mut positional = 0usize;
-        let mut named = BTreeSet::new();
+impl From<Vec<Statement>> for Script {
+    fn from(statements: Vec<Statement>) -> Script {
+        let mut derived = Derived::default();
         for stmt in &statements {
-            collect_statement_params(stmt, &mut positional, &mut named);
+            derived.statement(stmt);
         }
         Script {
             statements,
-            positional,
-            named: named.into_iter().collect(),
+            positional: derived.positional,
+            named: derived.named.into_iter().collect(),
+            triggers: derived.triggers,
             plans: Mutex::new(None),
-            origin,
+            key: None,
         }
     }
+}
 
-    /// Wraps the statements of `CREATE TRIGGER name AFTER INSERT ON table`.
-    pub(crate) fn trigger_body(name: &str, table: &str, statements: Vec<Statement>) -> Script {
-        let origin = Origin::Trigger {
-            name: name.to_ascii_lowercase().into(),
-            table: table.to_ascii_lowercase().into(),
-        };
-        Script::new(statements, origin)
-    }
-
+impl Script {
     /// Resolves `sql` to its shared script, parsing it only if no live
     /// script of the same text exists. Text that fails to parse is never
     /// interned.
@@ -193,139 +189,115 @@ impl Script {
         // Parse outside the table's lock: concurrent `run`s of different
         // texts must not serialise on it.
         let statements = parse_script(sql)?;
-        Ok(SCRIPTS.insert_with(sql, |key| Script::new(statements, Origin::Text(key))))
-    }
-
-    /// `true` if this is the body of a trigger called `name`
-    /// (case-insensitively).
-    pub(crate) fn is_trigger_named(&self, name: &str) -> bool {
-        matches!(&self.origin, Origin::Trigger { name: own, .. } if own.eq_ignore_ascii_case(name))
-    }
-
-    /// `true` if this is the body of a trigger on `table` (case-insensitively).
-    pub(crate) fn is_trigger_on(&self, table: &str) -> bool {
-        matches!(&self.origin, Origin::Trigger { table: own, .. } if own.eq_ignore_ascii_case(table))
-    }
-
-    /// The parsed statements, in script order.
-    pub fn statements(&self) -> &[Statement] {
-        &self.statements
-    }
-
-    pub(crate) fn positional_params(&self) -> usize {
-        self.positional
-    }
-
-    pub(crate) fn named_params(&self) -> &[String] {
-        &self.named
+        Ok(SCRIPTS.insert_with(sql, |key| {
+            let mut script = Script::from(statements);
+            script.key = Some(key);
+            script
+        }))
     }
 }
 
 impl Drop for Script {
     fn drop(&mut self) {
-        if let Origin::Text(key) = &self.origin {
+        if let Some(key) = &self.key {
             SCRIPTS.forget(key, self);
         }
     }
 }
 
-impl std::ops::Deref for Script {
-    type Target = [Statement];
+impl Trigger {
+    pub(crate) fn new(name: &str, table: &str, body: &[Statement]) -> Trigger {
+        Trigger {
+            name: name.to_ascii_lowercase().into(),
+            table: table.to_ascii_lowercase().into(),
+            body: Script::from(body.to_vec()),
+        }
+    }
 
-    fn deref(&self) -> &[Statement] {
-        &self.statements
+    /// `true` if this trigger is called `name` (case-insensitively).
+    pub(crate) fn is_named(&self, name: &str) -> bool {
+        self.name.eq_ignore_ascii_case(name)
+    }
+
+    /// `true` if this trigger watches `table` (case-insensitively).
+    pub(crate) fn is_on(&self, table: &str) -> bool {
+        self.table.eq_ignore_ascii_case(table)
+    }
+
+    /// `true` if this is what `CREATE TRIGGER name AFTER INSERT ON table {
+    /// body }` installs.
+    pub(crate) fn is(&self, name: &str, table: &str, body: &[Statement]) -> bool {
+        self.is_named(name) && self.is_on(table) && self.body.statements == body
     }
 }
 
-/// Scripts compare by their statements: the plan cache is derived state.
-impl PartialEq for Script {
-    fn eq(&self, other: &Self) -> bool {
-        self.statements == other.statements
-    }
+/// What [`Script::from`] derives from the statements in one walk.
+#[derive(Default)]
+struct Derived {
+    positional: usize,
+    named: BTreeSet<String>,
+    triggers: Vec<Arc<Trigger>>,
 }
 
-fn collect_statement_params(
-    stmt: &Statement,
-    positional: &mut usize,
-    named: &mut BTreeSet<String>,
-) {
-    let mut on_expr = |e: &Expr| collect_expr_params(e, positional, named);
-    match stmt {
-        Statement::CreateTable { .. } | Statement::DropTable { .. } => {}
-        Statement::CreateTrigger { .. } => {
+impl Derived {
+    fn statement(&mut self, stmt: &Statement) {
+        match stmt {
+            Statement::CreateTable { .. } | Statement::DropTable { .. } => {}
             // Trigger bodies cannot contain parameters (the parser rejects
-            // them), so there is nothing to collect.
-        }
-        Statement::Insert { rows, .. } => {
-            for row in rows {
-                for e in row {
-                    on_expr(e);
+            // them), so a trigger adds only itself.
+            Statement::CreateTrigger { name, table, body } => {
+                self.triggers
+                    .push(Arc::new(Trigger::new(name, table, body)));
+            }
+            Statement::Insert { rows, .. } => rows.iter().flatten().for_each(|e| self.expr(e)),
+            Statement::Update {
+                sets, where_clause, ..
+            } => {
+                sets.iter().for_each(|s| self.expr(&s.value));
+                where_clause.iter().for_each(|w| self.expr(w));
+            }
+            Statement::Delete { where_clause, .. } => {
+                where_clause.iter().for_each(|w| self.expr(w))
+            }
+            Statement::Select(select) => self.select(select),
+            Statement::If { arms, else_block } => {
+                for (cond, block) in arms {
+                    self.expr(cond);
+                    block.iter().for_each(|s| self.statement(s));
                 }
+                else_block.iter().flatten().for_each(|s| self.statement(s));
             }
-        }
-        Statement::Update {
-            sets, where_clause, ..
-        } => {
-            for s in sets {
-                on_expr(&s.value);
-            }
-            if let Some(w) = where_clause {
-                on_expr(w);
-            }
-        }
-        Statement::Delete { where_clause, .. } => {
-            if let Some(w) = where_clause {
-                on_expr(w);
-            }
-        }
-        Statement::Select(select) => collect_select_params(select, positional, named),
-        Statement::If { arms, else_block } => {
-            for (cond, block) in arms {
-                collect_expr_params(cond, positional, named);
-                for s in block {
-                    collect_statement_params(s, positional, named);
-                }
-            }
-            if let Some(block) = else_block {
-                for s in block {
-                    collect_statement_params(s, positional, named);
-                }
-            }
-        }
-        Statement::SetVar { value, .. } => on_expr(value),
-        Statement::Explain(_) => {
-            // EXPLAIN only plans its inner statement — parameters are never
-            // resolved, so they contribute nothing to the binding signature.
+            Statement::SetVar { value, .. } => self.expr(value),
+            // EXPLAIN only plans its inner statement: parameters are never
+            // resolved and triggers never installed.
+            Statement::Explain(_) => {}
         }
     }
-}
 
-fn collect_select_params(select: &Select, positional: &mut usize, named: &mut BTreeSet<String>) {
-    for item in &select.items {
-        match item {
-            SelectItem::Expr(e) => collect_expr_params(e, positional, named),
-            SelectItem::Agg(_, Some(e)) => collect_expr_params(e, positional, named),
-            SelectItem::Agg(_, None) | SelectItem::Star => {}
+    fn select(&mut self, select: &Select) {
+        for item in &select.items {
+            match item {
+                SelectItem::Expr(e) | SelectItem::Agg(_, Some(e)) => self.expr(e),
+                SelectItem::Agg(_, None) | SelectItem::Star => {}
+            }
         }
+        select.where_clause.iter().for_each(|w| self.expr(w));
     }
-    if let Some(w) = &select.where_clause {
-        collect_expr_params(w, positional, named);
-    }
-}
 
-fn collect_expr_params(expr: &Expr, positional: &mut usize, named: &mut BTreeSet<String>) {
-    match expr {
-        Expr::Literal(_) | Expr::Column(_) => {}
-        Expr::Param(ParamRef::Positional(i)) => *positional = (*positional).max(i + 1),
-        Expr::Param(ParamRef::Named(n)) => {
-            named.insert(n.clone());
+    fn expr(&mut self, expr: &Expr) {
+        match expr {
+            Expr::Literal(_) | Expr::Column(_) => {}
+            Expr::Param(ParamRef::Positional(i)) => self.positional = self.positional.max(i + 1),
+            Expr::Param(ParamRef::Named(n)) => {
+                self.named.insert(n.clone());
+            }
+            Expr::Arith(a, _, b) | Expr::Cmp(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                self.expr(a);
+                self.expr(b);
+            }
+            Expr::Not(inner) | Expr::Neg(inner) => self.expr(inner),
+            Expr::Subquery(select) => self.select(select),
         }
-        Expr::Arith(a, _, b) | Expr::Cmp(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-            collect_expr_params(a, positional, named);
-            collect_expr_params(b, positional, named);
-        }
-        Expr::Not(inner) | Expr::Neg(inner) => collect_expr_params(inner, positional, named),
-        Expr::Subquery(select) => collect_select_params(select, positional, named),
     }
 }
 
@@ -342,23 +314,24 @@ static SHAPES: std::sync::LazyLock<WeakInterner<CatalogShape>> =
 /// database and everything about a table except its rows and indexes; a
 /// database holds its shape plus one [`crate::Table`] of rows and indexes
 /// per entry of [`CatalogShape::tables`], in the same order, so a plan
-/// stamped with a shape's id names tables by position.
+/// lowered at a shape names tables by position.
 ///
-/// Shapes are interned, so two databases that ran the same DDL carry the
-/// same [`CatalogShape::id`] and validate the same planned script, while a
-/// database whose DDL diverges gets another id and replans on its own. Ids
-/// are minted from a counter and never reused: a shape that died and was
-/// interned again gets a fresh id, which merely invalidates plans stamped
-/// with the old one.
+/// Shapes are interned, so two databases that ran the same DDL hold the
+/// same `Arc` and validate the same planned script, while a database whose
+/// DDL diverges holds another and replans on its own. A plan holds the
+/// shape it was lowered at: while the plan lives, a database that comes
+/// back to that catalog (a table dropped and recreated as it was) comes
+/// back to that very `Arc`, and the plan is valid again.
 #[derive(Debug)]
 pub(crate) struct CatalogShape {
-    id: u64,
     key: Arc<str>,
     /// Sorted by [`CatalogTable::key`].
     tables: Vec<CatalogTable>,
     /// The shape this one was first interned from by adding a table, kept
-    /// alive by it: a catalog that only ever grew holds its whole history.
-    pub(crate) parent: Option<Arc<CatalogShape>>,
+    /// alive by it: a catalog that only ever grew holds its whole history,
+    /// so the next database running the same DDL finds every shape on the
+    /// way interned.
+    pub(crate) _parent: Option<Arc<CatalogShape>>,
 }
 
 /// One table of a [`CatalogShape`].
@@ -389,10 +362,7 @@ impl CatalogShape {
         if let Some(live) = SHAPES.get(&key) {
             return live;
         }
-        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         SHAPES.insert_with(&key, |key| CatalogShape {
-            // Relaxed: the id publishes nothing but itself.
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             key,
             tables: tables
                 .iter()
@@ -402,15 +372,13 @@ impl CatalogShape {
                     schema: Arc::clone(schema),
                 })
                 .collect(),
-            parent: parent.cloned(),
+            _parent: parent.cloned(),
         })
     }
 
     /// The shape of a catalog with no tables, where every database starts.
-    /// Pinned for the life of the process: scripts that begin with DDL are
-    /// planned against it, and it would otherwise die (and come back under
-    /// a new id, invalidating those plans) whenever no database happens to
-    /// be empty.
+    /// Pinned for the life of the process, so creating a database costs a
+    /// reference count rather than an interner lookup.
     pub(crate) fn empty() -> Arc<CatalogShape> {
         static EMPTY: std::sync::LazyLock<Arc<CatalogShape>> =
             std::sync::LazyLock::new(|| CatalogShape::intern(&[], None));
@@ -460,11 +428,6 @@ impl CatalogShape {
     /// The tables, in catalog-key order.
     pub(crate) fn tables(&self) -> &[CatalogTable] {
         &self.tables
-    }
-
-    /// The id plans are stamped with and databases compare against.
-    pub(crate) fn id(&self) -> u64 {
-        self.id
     }
 }
 

@@ -226,9 +226,9 @@
 //! process-wide: the thousands of campaign databases running one program
 //! share its parsed scripts, trigger bodies and plans, and own only their
 //! rows, variables and indexes. Owners — prepared statements and trigger
-//! bodies — memoise their planned script and revalidate one shape id per
-//! execution; DDL moves a database to another shape and transparently
-//! replans for it alone.
+//! bodies — memoise their planned script, which holds the shape it was
+//! lowered at, and compare one shape pointer per execution; DDL moves a
+//! database to another shape and transparently replans for it alone.
 //!
 //! Planned + indexed + compiled execution is the one SQL executor the
 //! library ships, held to an equivalence guarantee: it is bit-identical to
