@@ -5,8 +5,9 @@
 //! series behind Figures 12 and 13 and the design ablations, printing
 //! each timing table through [`format_table`].
 //!
-//! There are two entry points. [`ms_per_auction`] times the legacy
-//! reference `Simulation` (the only home of RHTALU) for the figures.
+//! There are two entry points. [`ms_per_auction`] times one figure cell:
+//! LP, H or RH served by the marketplace (`MarketSimulation`), or RHTALU
+//! on its reference `Simulation`.
 //! [`run`] serves one [`Scenario`] — population × stream × transport ×
 //! durability × shards — on the marketplace and returns a [`MethodRun`];
 //! every single-run `reproduce` flag is one `Scenario` field, and the
@@ -18,28 +19,47 @@
 
 use ssa_bidlang::Money;
 use ssa_core::marketplace::{CampaignId, MarketError, Marketplace, QueryRequest};
-use ssa_core::{BatchReport, EngineConfig, PricingScheme};
+use ssa_core::{BatchReport, EngineConfig, PricingScheme, WdMethod};
 use ssa_durable::{Durability, DurableError, FsyncPolicy, RecoveryReport};
 use ssa_minidb::PlannerStats;
 use ssa_net::server::build_market;
 use ssa_net::{available_cores, market_config_for, populate_remote, Client, NetError};
 use ssa_workload::{
-    programmed_sharded_market, ChurnAction, ChurnEvent, Method, ProgramHandle, SectionVConfig,
-    SectionVWorkload, ShardSkew, Simulation, Strategy,
+    programmed_sharded_market, ChurnAction, ChurnEvent, MarketSimulation, ProgramHandle,
+    SectionVConfig, SectionVWorkload, ShardSkew, Simulation, Strategy,
 };
 pub use ssa_workload::{Population, Scenario, Stream};
 use std::fmt;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// Times `method` on the Section V workload of `n` advertisers: the mean
-/// milliseconds per auction over `auctions` auctions, after `warmup`
-/// untimed ones. One figure cell.
-pub fn ms_per_auction(method: Method, n: usize, auctions: usize, warmup: usize, seed: u64) -> f64 {
+/// Times one Figure 12/13 series on the Section V workload of `n`
+/// advertisers — `method` served by the marketplace, or `None` for RHTALU
+/// on the reference `Simulation` — as the mean milliseconds per auction
+/// over `auctions` auctions, after `warmup` untimed ones. One figure cell.
+pub fn ms_per_auction(
+    method: Option<WdMethod>,
+    n: usize,
+    auctions: usize,
+    warmup: usize,
+    seed: u64,
+) -> Result<f64, MarketError> {
     let workload = SectionVWorkload::generate(SectionVConfig::paper(n, seed));
-    let mut sim = Simulation::new(workload, method);
-    sim.run_timed(warmup);
-    ms(sim.run_timed(auctions)) / auctions as f64
+    let elapsed = match method {
+        Some(method) => {
+            let mut sim = MarketSimulation::new(workload, method)?;
+            sim.run_auctions(warmup)?;
+            let start = Instant::now();
+            sim.run_auctions(auctions)?;
+            start.elapsed()
+        }
+        None => {
+            let mut sim = Simulation::new(workload);
+            sim.run_timed(warmup);
+            sim.run_timed(auctions)
+        }
+    };
+    Ok(ms(elapsed) / auctions as f64)
 }
 
 /// Formats rows of timings as the aligned text table the `reproduce`
@@ -483,7 +503,9 @@ mod tests {
     #[test]
     fn series_measure_smoke() {
         for n in [30, 60] {
-            assert!(ms_per_auction(Method::Rh, n, 5, 1, 3) > 0.0);
+            for method in [Some(WdMethod::Reduced), None] {
+                assert!(ms_per_auction(method, n, 5, 1, 3).expect("valid") > 0.0);
+            }
         }
     }
 

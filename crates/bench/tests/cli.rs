@@ -458,3 +458,54 @@ fn ablations_print_four_titled_tables_with_their_columns() {
         assert!(lines.next().is_some(), "table {table:?} has no rows");
     }
 }
+
+#[test]
+fn figures_12_and_13_print_their_titled_series() {
+    let figures: [(&str, &str, &[&str], [&str; 3]); 2] = [
+        (
+            "fig12",
+            "# Figure 12 — Winner Determination Performance",
+            &["LP", "H", "RH", "RHTALU"],
+            ["250", "500", "1000"],
+        ),
+        (
+            "fig13",
+            "# Figure 13 — Reducing Program Evaluation",
+            &["RH", "RHTALU"],
+            ["1000", "2000", "4000"],
+        ),
+    ];
+    for (target, title, columns, keys) in figures {
+        let out = reproduce(&[target, "--quick"]);
+        assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+        let stdout = stdout_of(&out);
+        let mut lines = stdout.lines().filter(|l| !l.is_empty());
+        assert!(
+            lines.next().unwrap_or_default().starts_with(title),
+            "{stdout}"
+        );
+        let header: Vec<&str> = lines
+            .next()
+            .unwrap_or_default()
+            .split_whitespace()
+            .collect();
+        assert_eq!(header, [&["n"][..], columns].concat(), "{stdout}");
+        let rows: Vec<Vec<&str>> = lines.map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(rows.iter().map(|r| r[0]).collect::<Vec<_>>(), keys);
+        for row in &rows {
+            let cells: Vec<f64> = row[1..]
+                .iter()
+                .map(|c| c.parse().expect("a numeric cell"))
+                .collect();
+            assert_eq!(cells.len(), columns.len(), "row {row:?}");
+            assert!(
+                cells.iter().all(|c| c.is_finite() && *c > 0.0),
+                "row {row:?}"
+            );
+            // LP, the one general-purpose solver, is the slowest method.
+            if target == "fig12" {
+                assert!(cells[1..].iter().all(|c| *c < cells[0]), "row {row:?}");
+            }
+        }
+    }
+}

@@ -71,12 +71,6 @@ pub struct NaiveRoiPopulation {
 }
 
 impl NaiveRoiPopulation {
-    /// Bid of `program` on an arbitrary keyword (the twin of
-    /// [`LogicalRoiPopulation::bid_on`]).
-    pub fn bid_on(&self, program: ProgramId, keyword: usize) -> i64 {
-        self.bidders[program].keywords[keyword].bid
-    }
-
     /// Builds the population.
     pub fn new(params: &[RoiBidderParams]) -> Self {
         let bidders = params

@@ -14,16 +14,14 @@
 //! * a slight generalisation of generalised second pricing charges
 //!   advertisers who receive clicks.
 //!
-//! [`Simulation`] runs complete auctions under any of the four Section V
-//! methods ([`Method::Lp`], [`Method::H`], [`Method::Rh`],
-//! [`Method::Rhtalu`]) and is what the `reproduce` binary's Figures 12
-//! and 13 drive. [`MarketSimulation`] is the same experiment
-//! expressed on the marketplace service API (advertisers, campaigns,
-//! `serve_batch` on a `Marketplace`): with the shared-ROI
-//! population on one shard it is equivalent to the legacy path for the
-//! full-matrix methods, and with the static per-click population it is
-//! shard-count-invariant. Both draw user actions from the same
-//! per-keyword RNG streams as the reference.
+//! Figures 12 and 13 compare four methods. [`MarketSimulation`] serves
+//! the experiment on the marketplace service API (advertisers, campaigns,
+//! `serve_batch` on a one-shard `Marketplace`, every advertiser a live
+//! Figure 5 program shared across its keywords) under LP, H or RH.
+//! [`Simulation`] is the RHTALU path — threshold-algorithm selection over
+//! logically updated bids, then the Hungarian algorithm on the candidates —
+//! and the independent reference the marketplace is held to auction for
+//! auction. Both draw user actions from the same per-keyword RNG streams.
 //!
 //! [`SectionVWorkload::campaigns`] is the one source of the static
 //! per-click population every harness registers, and [`scenario`] the one
@@ -52,9 +50,9 @@ pub use hostile::{
     defective_targeting_sources, nearest_rank, ChurnAction, ChurnEvent, ChurnPlan,
     ParseWorkloadError, ShardSkew, WorkloadShape,
 };
-pub use market::{MarketPopulation, MarketSimulation, SharedRoiProgram};
+pub use market::{MarketSimulation, SharedRoiProgram};
 pub use scenario::{Population, Scenario, Stream};
-pub use sim::{Method, Simulation, SimulationStats};
+pub use sim::{Simulation, SimulationStats};
 pub use sql::{
     programmed_market, programmed_sharded_market, ParseStrategyError, ProgramHandle,
     ProgrammedMarket, Strategy,

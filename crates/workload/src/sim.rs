@@ -1,4 +1,4 @@
-//! The four-method auction simulation of Section V.
+//! The RHTALU reference simulation of Section V.
 
 use crate::config::SectionVWorkload;
 use rand::rngs::StdRng;
@@ -6,39 +6,9 @@ use rand::{Rng, SeedableRng};
 use ssa_bidlang::{Money, SlotId};
 use ssa_core::pricing::{gsp_prices_into, SlotPrice};
 use ssa_matching::threshold::{threshold_top_k, MaintainedIndex, TaSource};
-use ssa_matching::{Assignment, HungarianSolver, ReducedSolver, RevenueMatrix, WdSolver};
-use ssa_simplex::NetworkSimplexSolver;
-use ssa_strategy::{LogicalRoiPopulation, NaiveRoiPopulation, RoiPopulation};
+use ssa_matching::{Assignment, HungarianSolver, RevenueMatrix, WdSolver};
+use ssa_strategy::{LogicalRoiPopulation, RoiPopulation};
 use std::time::{Duration, Instant};
-
-/// The four winner-determination / program-evaluation methods compared in
-/// Figures 12 and 13.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Linear program solved with the (network) simplex method.
-    Lp,
-    /// Hungarian algorithm on the full bipartite graph.
-    H,
-    /// Reduced bipartite graph (Section III-E).
-    Rh,
-    /// Reduced graph + threshold algorithm + logical updates (Section IV).
-    Rhtalu,
-}
-
-impl Method {
-    /// All four methods, in the paper's order.
-    pub const ALL: [Method; 4] = [Method::Lp, Method::H, Method::Rh, Method::Rhtalu];
-
-    /// Label used in the figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            Method::Lp => "LP",
-            Method::H => "H",
-            Method::Rh => "RH",
-            Method::Rhtalu => "RHTALU",
-        }
-    }
-}
 
 /// Aggregate counters for a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -51,15 +21,12 @@ pub struct SimulationStats {
     pub clicks: u64,
     /// Realised GSP revenue (cents).
     pub charged_cents: i64,
-    /// Total candidates surviving the reduction (RH / RHTALU).
+    /// Total candidates the threshold algorithm selected ([`Simulation`]
+    /// only).
     pub candidates: u64,
-    /// Sorted accesses performed by the threshold algorithm (RHTALU).
+    /// Sorted accesses performed by the threshold algorithm ([`Simulation`]
+    /// only).
     pub ta_sorted_accesses: u64,
-}
-
-enum Population {
-    Naive(NaiveRoiPopulation),
-    Logical(LogicalRoiPopulation),
 }
 
 /// A [`TaSource`] over one slot: list 0 is the static click-probability
@@ -106,75 +73,56 @@ pub fn ta_aggregation(values: &[f64]) -> f64 {
     values.iter().product()
 }
 
-/// One full Section V simulation under a fixed method.
+/// The Section V simulation under RHTALU: per auction, logical updates
+/// advance every ROI program, the threshold algorithm selects each slot's
+/// best k+1 advertisers, the Hungarian algorithm solves the candidate
+/// sub-problem, and GSP prices it. It is the reference the marketplace
+/// ([`crate::MarketSimulation`]) is held to under LP, H and RH, and the
+/// RHTALU column of Figures 12 and 13.
 ///
-/// The simulation is the hot path the Figure 12/13 measurements drive, so
-/// it is built on the reusable-[`WdSolver`] pipeline: the revenue matrix,
-/// assignment, candidate list, price buffers, and solver scratch persist
-/// across auctions and are refilled in place. The full-matrix methods
-/// allocate nothing per auction after warm-up; RHTALU's
-/// threshold-algorithm selection still returns fresh top-k lists.
+/// The candidate matrix, assignment and price buffers persist across
+/// auctions and are refilled in place; the threshold algorithm still
+/// returns fresh top-k lists.
 pub struct Simulation {
     /// The generated workload.
     pub workload: SectionVWorkload,
-    method: Method,
-    population: Population,
-    /// Static per-slot click-probability indexes (RHTALU only).
+    population: LogicalRoiPopulation,
+    /// Static per-slot click-probability indexes.
     w_indexes: Vec<MaintainedIndex>,
     /// One user-action RNG stream per keyword, seeded exactly like the
     /// marketplace's ([`ssa_core::keyword_stream_seed`]), so the
-    /// marketplace driver reproduces this reference click for click.
+    /// marketplace reproduces this reference click for click.
     rngs: Vec<StdRng>,
     auction_idx: usize,
-    /// Persistent solver for the full-matrix methods (LP / H / RH); RHTALU
-    /// runs its own threshold-algorithm selection in front of `hungarian`.
-    solver: Option<Box<dyn WdSolver>>,
-    /// Hungarian scratch for the RHTALU candidate sub-problem.
     hungarian: HungarianSolver,
-    /// Reused revenue (or candidate sub-) matrix.
+    /// Reused candidate revenue matrix.
     matrix: RevenueMatrix,
-    /// Reused assignment buffer (global advertiser ids).
+    /// Reused candidate-local assignment.
     assignment: Assignment,
-    /// Reused candidate-local assignment buffer (RHTALU only).
-    local_assignment: Assignment,
-    /// Reused RHTALU candidate ids.
+    /// Reused candidate ids (global advertiser ids, ascending).
     candidates: Vec<usize>,
-    /// Reused advertiser→slot inverse map for pricing.
-    adv_to_slot: Vec<Option<usize>>,
-    /// Reused GSP slot-price buffer.
+    /// Reused "candidate holds a slot" flags for pricing.
+    seated: Vec<bool>,
+    /// Reused GSP slot-price buffer (candidate-local winners).
     prices: Vec<SlotPrice>,
     /// Counters.
     pub stats: SimulationStats,
 }
 
 impl Simulation {
-    /// Builds a simulation for the workload and method.
-    pub fn new(workload: SectionVWorkload, method: Method) -> Self {
+    /// Builds the simulation for the workload.
+    pub fn new(workload: SectionVWorkload) -> Self {
         let n = workload.config.num_advertisers;
         let k = workload.config.num_slots;
-        let population = match method {
-            Method::Rhtalu => Population::Logical(LogicalRoiPopulation::new(&workload.bidders)),
-            _ => Population::Naive(NaiveRoiPopulation::new(&workload.bidders)),
-        };
-        let w_indexes = if method == Method::Rhtalu {
-            (0..k)
-                .map(|j| {
-                    MaintainedIndex::new(
-                        (0..n)
-                            .map(|i| workload.clicks.p_click(i, SlotId::from_index0(j)))
-                            .collect(),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let solver: Option<Box<dyn WdSolver>> = match method {
-            Method::Lp => Some(Box::new(NetworkSimplexSolver::new())),
-            Method::H => Some(Box::new(HungarianSolver::new())),
-            Method::Rh => Some(Box::new(ReducedSolver::new())),
-            Method::Rhtalu => None,
-        };
+        let w_indexes = (0..k)
+            .map(|j| {
+                MaintainedIndex::new(
+                    (0..n)
+                        .map(|i| workload.clicks.p_click(i, SlotId::from_index0(j)))
+                        .collect(),
+                )
+            })
+            .collect();
         let rngs = (0..workload.config.num_keywords)
             .map(|keyword| {
                 StdRng::seed_from_u64(ssa_core::keyword_stream_seed(
@@ -184,37 +132,26 @@ impl Simulation {
             })
             .collect();
         Simulation {
+            population: LogicalRoiPopulation::new(&workload.bidders),
             workload,
-            method,
-            population,
             w_indexes,
             rngs,
             auction_idx: 0,
-            solver,
             hungarian: HungarianSolver::new(),
             matrix: RevenueMatrix::zeros(0, k.max(1)),
             assignment: Assignment::default(),
-            local_assignment: Assignment::default(),
             candidates: Vec::new(),
-            adv_to_slot: Vec::new(),
+            seated: Vec::new(),
             prices: Vec::new(),
             stats: SimulationStats::default(),
         }
     }
 
-    /// The method being simulated.
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
     /// Current bid (cents) of `program` on `keyword` — exposed so the
-    /// facade-equivalence tests can compare strategy state bid-for-bid
-    /// against [`crate::MarketSimulation`].
+    /// equivalence tests can compare strategy state bid-for-bid against
+    /// [`crate::MarketSimulation`].
     pub fn bid_of(&self, program: usize, keyword: usize) -> i64 {
-        match &self.population {
-            Population::Naive(p) => p.bid_on(program, keyword),
-            Population::Logical(p) => p.bid_on(program, keyword),
-        }
+        self.population.bid_on(program, keyword)
     }
 
     /// Runs one complete auction (program evaluation, winner determination,
@@ -225,71 +162,14 @@ impl Simulation {
             self.workload.query_stream[self.auction_idx % self.workload.query_stream.len()];
         self.auction_idx += 1;
         let k = self.workload.config.num_slots;
+        self.population.begin_auction(keyword);
 
-        // Program evaluation.
-        match &mut self.population {
-            Population::Naive(p) => p.begin_auction(keyword),
-            Population::Logical(p) => p.begin_auction(keyword),
-        };
-
-        // Winner determination.
-        let (candidates, objective) = match self.method {
-            Method::Lp | Method::H | Method::Rh => {
-                let Population::Naive(pop) = &self.population else {
-                    unreachable!("naive methods use the naive population")
-                };
-                let clicks = &self.workload.clicks;
-                let n = pop.len();
-                self.matrix.fill_from_fn(n, k, |i, j| {
-                    clicks.p_click(i, SlotId::from_index0(j)) * pop.bid(i) as f64
-                });
-                let solver = self.solver.as_mut().expect("naive methods own a solver");
-                solver.solve(&self.matrix, &mut self.assignment);
-                let objective = self.assignment.total_weight;
-                fill_adv_to_slot(&self.assignment, n, &mut self.adv_to_slot);
-                gsp_prices_into(
-                    &self.matrix,
-                    &self.assignment,
-                    |adv| self.adv_to_slot[adv].is_some(),
-                    &|adv, slot| clicks.p_click(adv, SlotId::from_index0(slot)),
-                    &mut self.prices,
-                );
-                // Every advertiser was considered: candidates = n.
-                let assignment = std::mem::take(&mut self.assignment);
-                let prices = std::mem::take(&mut self.prices);
-                self.settle(keyword, &assignment, &prices);
-                self.assignment = assignment;
-                self.prices = prices;
-                (n, objective)
-            }
-            Method::Rhtalu => {
-                let (candidates, accesses) = self.solve_rhtalu(keyword);
-                self.stats.ta_sorted_accesses += accesses;
-                (candidates, self.assignment.total_weight)
-            }
-        };
-
-        self.stats.auctions += 1;
-        self.stats.total_expected_revenue += objective;
-        self.stats.candidates += candidates as u64;
-        objective
-    }
-
-    /// RHTALU path: threshold-algorithm selection over logical bid lists,
-    /// then the reduced-graph Hungarian, then GSP within the candidate set.
-    /// Leaves the global-id assignment in `self.assignment` and returns the
-    /// candidate count plus TA sorted accesses.
-    fn solve_rhtalu(&mut self, keyword: usize) -> (usize, u64) {
-        let k = self.workload.config.num_slots;
-        let Population::Logical(pop) = &self.population else {
-            unreachable!("RHTALU uses the logical population")
-        };
+        // Threshold-algorithm selection over the logical bid lists.
         self.candidates.clear();
-        let mut accesses = 0u64;
-        for j in 0..k {
+        for w_index in &self.w_indexes {
             let source = TaSlotSource {
-                w_index: &self.w_indexes[j],
-                population: pop,
+                w_index,
+                population: &self.population,
                 keyword,
             };
             // Top k+1 rather than top k: the winner determination needs k,
@@ -297,80 +177,59 @@ impl Simulation {
             // per slot, and with at most k advertisers assigned the
             // (k+1)-deep list always contains one.
             let (top, instr) = threshold_top_k(&source, &ta_aggregation, k + 1);
-            accesses += instr.sorted_accesses as u64;
+            self.stats.ta_sorted_accesses += instr.sorted_accesses as u64;
             self.candidates.extend(top.into_iter().map(|(id, _)| id));
         }
         self.candidates.sort_unstable();
         self.candidates.dedup();
 
+        // The reduced-graph Hungarian, then GSP within the candidate set.
         let clicks = &self.workload.clicks;
-        let candidates = &self.candidates;
+        let (candidates, population) = (&self.candidates, &self.population);
         self.matrix.fill_from_fn(candidates.len(), k, |ci, j| {
             let adv = candidates[ci];
-            clicks.p_click(adv, SlotId::from_index0(j)) * pop.bid_on(adv, keyword) as f64
+            clicks.p_click(adv, SlotId::from_index0(j)) * population.bid_on(adv, keyword) as f64
         });
-        self.hungarian
-            .solve(&self.matrix, &mut self.local_assignment);
-        fill_adv_to_slot(
-            &self.local_assignment,
-            candidates.len(),
-            &mut self.adv_to_slot,
-        );
+        self.hungarian.solve(&self.matrix, &mut self.assignment);
+        self.seated.clear();
+        self.seated.resize(candidates.len(), false);
+        for &ci in self.assignment.slot_to_adv.iter().flatten() {
+            self.seated[ci] = true;
+        }
         gsp_prices_into(
             &self.matrix,
-            &self.local_assignment,
-            |ci| self.adv_to_slot[ci].is_some(),
+            &self.assignment,
+            |ci| self.seated[ci],
             &|ci, slot| clicks.p_click(candidates[ci], SlotId::from_index0(slot)),
             &mut self.prices,
         );
-        // Map back to global ids (assignment and prices alike).
-        self.assignment.reset(k);
-        self.assignment.total_weight = self.local_assignment.total_weight;
-        for (j, local) in self.local_assignment.slot_to_adv.iter().enumerate() {
-            self.assignment.slot_to_adv[j] = local.map(|ci| candidates[ci]);
-        }
-        for p in &mut self.prices {
-            p.winner = candidates[p.winner];
-        }
-        let num_candidates = candidates.len();
-        let assignment = std::mem::take(&mut self.assignment);
-        let prices = std::mem::take(&mut self.prices);
-        self.settle(keyword, &assignment, &prices);
-        self.assignment = assignment;
-        self.prices = prices;
-        (num_candidates, accesses)
-    }
 
-    /// Samples user actions and feeds GSP charges back into the strategies.
-    fn settle(
-        &mut self,
-        keyword: usize,
-        assignment: &Assignment,
-        prices: &[ssa_core::pricing::SlotPrice],
-    ) {
-        let clicks = &self.workload.clicks;
-        for (j, adv) in assignment.slot_to_adv.iter().enumerate() {
-            let Some(adv) = *adv else { continue };
-            let p = clicks.p_click(adv, SlotId::from_index0(j));
-            if self.rngs[keyword].gen::<f64>() >= p {
+        // Sample user actions and feed GSP charges back into the strategies.
+        for (j, ci) in self.assignment.slot_to_adv.iter().enumerate() {
+            let Some(ci) = *ci else { continue };
+            let adv = candidates[ci];
+            if self.rngs[keyword].gen::<f64>() >= clicks.p_click(adv, SlotId::from_index0(j)) {
                 continue;
             }
             self.stats.clicks += 1;
-            let per_click = prices
+            let per_click = self
+                .prices
                 .iter()
-                .find(|sp| sp.winner == adv)
-                .map(|sp| sp.amount)
-                .unwrap_or(0.0);
+                .find(|sp| sp.winner == ci)
+                .map_or(0.0, |sp| sp.amount);
             let price = Money::from_f64_rounded(per_click);
             if price.is_positive() {
                 self.stats.charged_cents += price.cents();
                 let value = self.workload.bidders[adv].keywords[keyword].0 as f64;
-                match &mut self.population {
-                    Population::Naive(pop) => pop.record_click(adv, price, value),
-                    Population::Logical(pop) => pop.record_click(adv, price, value),
-                }
+                self.population.record_click(adv, price, value);
             }
         }
+
+        let objective = self.assignment.total_weight;
+        self.stats.auctions += 1;
+        self.stats.total_expected_revenue += objective;
+        self.stats.candidates += candidates.len() as u64;
+        objective
     }
 
     /// Runs `auctions` auctions, returning the elapsed wall-clock time.
@@ -383,22 +242,12 @@ impl Simulation {
     }
 }
 
-/// Refills `out` with the advertiser→slot inverse of `assignment` over `n`
-/// advertisers, reusing the buffer.
-fn fill_adv_to_slot(assignment: &Assignment, n: usize, out: &mut Vec<Option<usize>>) {
-    out.clear();
-    out.resize(n, None);
-    for (j, adv) in assignment.slot_to_adv.iter().enumerate() {
-        if let Some(i) = adv {
-            out[*i] = Some(j);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{SectionVConfig, SectionVWorkload};
+    use crate::MarketSimulation;
+    use ssa_core::WdMethod;
 
     fn workload(n: usize, seed: u64) -> SectionVWorkload {
         SectionVWorkload::generate(SectionVConfig {
@@ -409,34 +258,40 @@ mod tests {
         })
     }
 
-    /// All four methods produce the same winner-determination objective on
-    /// the very first auction (identical fresh state).
+    fn market(n: usize, seed: u64, method: WdMethod) -> MarketSimulation {
+        MarketSimulation::new(workload(n, seed), method).expect("valid Section V market")
+    }
+
+    /// LP, H and RH on the marketplace produce the RHTALU reference's
+    /// winner-determination objective on the very first auction
+    /// (identical fresh state).
     #[test]
     fn methods_agree_on_first_auction_objective() {
-        let mut objectives = Vec::new();
-        for method in Method::ALL {
-            let mut sim = Simulation::new(workload(60, 11), method);
-            objectives.push(sim.run_auction());
-        }
-        for pair in objectives.windows(2) {
+        let reference = Simulation::new(workload(60, 11)).run_auction();
+        for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
+            let objective = market(60, 11, method)
+                .run_auctions(1)
+                .expect("in range")
+                .total_expected_revenue;
             assert!(
-                (pair[0] - pair[1]).abs() < 1e-6,
-                "objectives diverge: {objectives:?}"
+                (objective - reference).abs() < 1e-6,
+                "{method}: {objective} vs RHTALU {reference}"
             );
         }
     }
 
-    /// RH and RHTALU agree auction after auction: same objective every
-    /// round even as strategies evolve through clicks and charges (the RNG
-    /// streams are identical, and ties in GSP pricing resolve identically
-    /// because the candidate set always contains every positive-weight
-    /// competitor for each slot... asserted here empirically).
+    /// RH on the marketplace and RHTALU agree auction after auction: same
+    /// objective every round even as strategies evolve through clicks and
+    /// charges (the RNG streams are identical, and GSP pricing agrees
+    /// because the k+1-deep selection always holds each slot's best
+    /// unassigned competitor).
     #[test]
     fn rh_and_rhtalu_agree_over_time() {
-        let mut rh = Simulation::new(workload(40, 5), Method::Rh);
-        let mut ta = Simulation::new(workload(40, 5), Method::Rhtalu);
+        let mut rh = market(40, 5, WdMethod::Reduced);
+        let mut ta = Simulation::new(workload(40, 5));
         for auction in 0..120 {
-            let a = rh.run_auction();
+            let before = rh.stats.total_expected_revenue;
+            let a = rh.run_auctions(1).expect("in range").total_expected_revenue - before;
             let b = ta.run_auction();
             assert!(
                 (a - b).abs() < 1e-6,
@@ -447,11 +302,10 @@ mod tests {
         assert_eq!(rh.stats.charged_cents, ta.stats.charged_cents);
     }
 
-    /// The reduction bounds candidates by k² while the naive methods look
-    /// at all n advertisers.
+    /// The reduction bounds candidates by k(k+1) per auction, far below n.
     #[test]
     fn candidate_counts() {
-        let mut ta = Simulation::new(workload(80, 2), Method::Rhtalu);
+        let mut ta = Simulation::new(workload(80, 2));
         for _ in 0..10 {
             ta.run_auction();
         }
@@ -461,16 +315,12 @@ mod tests {
             "candidates per auction = {per_auction}"
         );
         assert!(ta.stats.ta_sorted_accesses > 0);
-
-        let mut h = Simulation::new(workload(80, 2), Method::H);
-        h.run_auction();
-        assert_eq!(h.stats.candidates, 80);
     }
 
     /// Revenue statistics accumulate sensibly.
     #[test]
     fn stats_accumulate() {
-        let mut sim = Simulation::new(workload(50, 9), Method::Rh);
+        let mut sim = Simulation::new(workload(50, 9));
         let d = sim.run_timed(30);
         assert_eq!(sim.stats.auctions, 30);
         assert!(sim.stats.total_expected_revenue > 0.0);

@@ -19,9 +19,10 @@
 //! * [`core`] — the auction engine: probability models, expected revenue,
 //!   pricing, the heavyweight model (Sections III-A/E/F) — plus the
 //!   [`marketplace`] service facade;
-//! * [`workload`] — the Section V experimental workload, the four-method
-//!   reference simulation, `MarketSimulation` (the shared-ROI population
-//!   on a marketplace, which the equivalence tests drive), the `Scenario`
+//! * [`workload`] — the Section V experimental workload,
+//!   `MarketSimulation` (the shared-ROI population on a marketplace, which
+//!   Figures 12/13 time under LP / H / RH), the RHTALU reference
+//!   `Simulation` it is held to, the `Scenario`
 //!   description of a single-run experiment, and the
 //!   hostile-world generator (Zipf / flash-crowd / churn query shapes,
 //!   defective targeting sources);
@@ -50,8 +51,8 @@
 //!      serve(QueryRequest) / serve_batch         set_roi_target
 //!                 │ one persistent engine              │ the campaign
 //!                 ▼ per keyword                        ▼ + its bidder, O(1)
-//!        core::AuctionEngine   workload::Simulation (reference for
-//!        (run_auction / run_batch)   Figures 12/13 and RHTALU)
+//!        core::AuctionEngine   workload::Simulation (RHTALU only:
+//!        (run_auction / run_batch)   the reference and Figs 12/13's column)
 //!                    ┌──────┴────────┐
 //!                 WdMethod::new_solver()
 //!        ▲            ▲              ▲
@@ -117,10 +118,10 @@
 //! `ssa_bench::run` is the one runner: it serves every `reproduce` run,
 //! with bit-identical outcomes along every execution-strategy dimension;
 //! what a layer cannot express (programs over the wire or under a
-//! journal) is that layer's typed error. `workload::MarketSimulation` is
-//! not a second runner: it drives only the shared-ROI equivalence against
-//! the legacy reference (`tests/marketplace.rs`) and its own
-//! shard-invariance tests.
+//! journal) is that layer's typed error. Figures 12 and 13 time LP / H /
+//! RH on `workload::MarketSimulation` (shared-ROI programs on a one-shard
+//! marketplace) and RHTALU on `workload::Simulation`, the reference the
+//! equivalence tests (`tests/marketplace.rs`) hold the marketplace to.
 //!
 //! ## Quickstart: the `Marketplace` facade
 //!

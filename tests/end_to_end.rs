@@ -6,7 +6,7 @@ use sponsored_search::bidlang::{BidsTable, Formula, Money, SlotId};
 use sponsored_search::core::pricing::PricingScheme;
 use sponsored_search::core::prob::{ClickModel, PurchaseModel, SeparableClickModel};
 use sponsored_search::core::{AuctionEngine, EngineConfig, TableBidder, WdMethod};
-use sponsored_search::workload::{Method, SectionVConfig, SectionVWorkload, Simulation};
+use sponsored_search::workload::{MarketSimulation, SectionVConfig, SectionVWorkload, Simulation};
 
 fn random_engine(
     n: usize,
@@ -125,55 +125,75 @@ fn separable_case_matches_sort_allocation() {
     assert_eq!(report.assignment.slot_to_adv, sorted);
 }
 
+/// The marketplace under LP, H and RH tracks the RHTALU reference
+/// `Simulation` on `config`: the same winner-determination objective on
+/// every one of `auctions` auctions, then the same clicks, charges and
+/// evolved bids.
+fn assert_marketplace_tracks_rhtalu(config: SectionVConfig, auctions: usize) {
+    for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
+        let mut market = MarketSimulation::new(SectionVWorkload::generate(config), method)
+            .expect("Section V configuration is valid");
+        let mut reference = Simulation::new(SectionVWorkload::generate(config));
+        for auction in 0..auctions {
+            let before = market.stats.total_expected_revenue;
+            let objective = market
+                .run_auctions(1)
+                .expect("in range")
+                .total_expected_revenue
+                - before;
+            let rhtalu = reference.run_auction();
+            assert!(
+                (objective - rhtalu).abs() < 1e-6,
+                "auction {auction}: {method} objective {objective} != RHTALU objective {rhtalu}"
+            );
+        }
+        assert_eq!(market.stats.clicks, reference.stats.clicks, "{method}");
+        assert_eq!(
+            market.stats.charged_cents, reference.stats.charged_cents,
+            "{method}"
+        );
+        for adv in 0..config.num_advertisers {
+            for keyword in 0..config.num_keywords {
+                assert_eq!(
+                    market.bid_of(adv, keyword),
+                    reference.bid_of(adv, keyword),
+                    "{method}: bid diverged for advertiser {adv} keyword {keyword}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn simulation_methods_agree_long_run() {
-    // RH and RHTALU stay in lockstep over hundreds of auctions (shared RNG
-    // stream, identical GSP charges thanks to the k+1-deep selection).
-    let config = SectionVConfig {
-        num_advertisers: 60,
-        num_slots: 6,
-        num_keywords: 5,
-        seed: 2024,
-    };
-    let mut rh = Simulation::new(SectionVWorkload::generate(config), Method::Rh);
-    let mut ta = Simulation::new(SectionVWorkload::generate(config), Method::Rhtalu);
-    for auction in 0..300 {
-        let a = rh.run_auction();
-        let b = ta.run_auction();
-        assert!(
-            (a - b).abs() < 1e-6,
-            "divergence at auction {auction}: {a} vs {b}"
-        );
-    }
-    assert_eq!(rh.stats.charged_cents, ta.stats.charged_cents);
-    assert_eq!(rh.stats.clicks, ta.stats.clicks);
+    // The marketplace's methods and RHTALU stay in lockstep over hundreds
+    // of auctions (shared RNG stream, identical GSP charges thanks to the
+    // k+1-deep selection).
+    assert_marketplace_tracks_rhtalu(
+        SectionVConfig {
+            num_advertisers: 60,
+            num_slots: 6,
+            num_keywords: 5,
+            seed: 2024,
+        },
+        300,
+    );
 }
 
 #[test]
 fn all_four_paper_methods_agree_on_shared_workload() {
-    // LP, H, RH and RHTALU run over the *same* generated Section V
-    // workload and must report the same winner-determination objective on
-    // every auction of the stream.
-    let config = SectionVConfig {
-        num_advertisers: 40,
-        num_slots: 5,
-        num_keywords: 4,
-        seed: 7171,
-    };
-    let mut sims: Vec<Simulation> = Method::ALL
-        .iter()
-        .map(|&m| Simulation::new(SectionVWorkload::generate(config), m))
-        .collect();
-    for auction in 0..40 {
-        let objectives: Vec<f64> = sims.iter_mut().map(|s| s.run_auction()).collect();
-        let reference = objectives[0];
-        for (method, obj) in Method::ALL.iter().zip(&objectives) {
-            assert!(
-                (obj - reference).abs() < 1e-6,
-                "auction {auction}: {method:?} objective {obj} != LP objective {reference}"
-            );
-        }
-    }
+    // LP, H and RH on the marketplace and RHTALU on the reference run over
+    // the *same* generated Section V workload and must report the same
+    // winner-determination objective on every auction of the stream.
+    assert_marketplace_tracks_rhtalu(
+        SectionVConfig {
+            num_advertisers: 40,
+            num_slots: 5,
+            num_keywords: 4,
+            seed: 7171,
+        },
+        40,
+    );
 }
 
 #[test]

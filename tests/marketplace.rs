@@ -1,7 +1,7 @@
 //! The `Marketplace` facade end to end: Section V equivalence against the
-//! legacy `Simulation` path, and property tests showing the incremental
-//! update API is indistinguishable from re-registering campaigns from
-//! scratch.
+//! RHTALU reference `Simulation`, and property tests showing the
+//! incremental update API is indistinguishable from re-registering
+//! campaigns from scratch.
 
 use proptest::prelude::*;
 use sponsored_search::bidlang::Money;
@@ -9,20 +9,55 @@ use sponsored_search::core::marketplace::{
     CampaignSpec, Marketplace, MarketplaceBuilder, QueryRequest,
 };
 use sponsored_search::core::WdMethod;
-use sponsored_search::workload::{
-    MarketPopulation, MarketSimulation, Method, SectionVConfig, SectionVWorkload, Simulation,
-};
+use sponsored_search::workload::{MarketSimulation, SectionVConfig, SectionVWorkload, Simulation};
 
-/// The facade-native port of the legacy experiment: shared-ROI programs
-/// on one shard.
+/// The Section V experiment on the marketplace: shared-ROI programs on one
+/// shard.
 fn roi_facade(workload: SectionVWorkload, method: WdMethod) -> MarketSimulation {
-    MarketSimulation::new(workload, method, MarketPopulation::SharedRoi, 1)
-        .expect("Section V configuration is valid")
+    MarketSimulation::new(workload, method).expect("Section V configuration is valid")
+}
+
+/// The RHTALU reference after `auctions` auctions of `config`.
+fn reference(config: SectionVConfig, auctions: usize) -> Simulation {
+    let mut reference = Simulation::new(SectionVWorkload::generate(config));
+    for _ in 0..auctions {
+        reference.run_auction();
+    }
+    reference
+}
+
+/// `facade` ran the same auctions as `reference`: the same aggregate
+/// revenue, clicks and charges, and the same evolved strategy state.
+fn assert_matches_reference(facade: &MarketSimulation, reference: &Simulation, label: &str) {
+    assert_eq!(facade.stats.auctions, reference.stats.auctions, "{label}");
+    assert_eq!(facade.stats.clicks, reference.stats.clicks, "{label}");
+    assert_eq!(
+        facade.stats.charged_cents, reference.stats.charged_cents,
+        "{label}"
+    );
+    assert!(
+        (facade.stats.total_expected_revenue - reference.stats.total_expected_revenue).abs() < 1e-6,
+        "{label}: facade {} vs reference {}",
+        facade.stats.total_expected_revenue,
+        reference.stats.total_expected_revenue
+    );
+    // Every advertiser's bid on every keyword is identical after all the
+    // clicks, charges, and ROI adjustments.
+    let config = reference.workload.config;
+    for adv in 0..config.num_advertisers {
+        for keyword in 0..config.num_keywords {
+            assert_eq!(
+                facade.bid_of(adv, keyword),
+                reference.bid_of(adv, keyword),
+                "{label}: bid diverged for advertiser {adv} keyword {keyword}"
+            );
+        }
+    }
 }
 
 /// `Marketplace::serve_batch` over the Section V workload produces the same
 /// aggregate revenue, clicks, charges — and the same evolved strategy state
-/// — as the pre-existing `Simulation` path, for every full-matrix method.
+/// — as the RHTALU reference `Simulation`, for every marketplace method.
 #[test]
 fn serve_batch_matches_legacy_simulation_on_section_v() {
     let config = SectionVConfig {
@@ -31,56 +66,18 @@ fn serve_batch_matches_legacy_simulation_on_section_v() {
         num_keywords: 4,
         seed: 20_08,
     };
-    for (legacy_method, facade_method) in [
-        (Method::Lp, WdMethod::Lp),
-        (Method::H, WdMethod::Hungarian),
-        (Method::Rh, WdMethod::Reduced),
-    ] {
-        let auctions = 250;
-        let mut legacy = Simulation::new(SectionVWorkload::generate(config), legacy_method);
-        for _ in 0..auctions {
-            legacy.run_auction();
-        }
-        let mut facade = roi_facade(SectionVWorkload::generate(config), facade_method);
-        facade.run_auctions(auctions);
-
-        assert_eq!(
-            facade.stats.auctions, legacy.stats.auctions,
-            "{legacy_method:?}"
-        );
-        assert_eq!(
-            facade.stats.clicks, legacy.stats.clicks,
-            "{legacy_method:?}"
-        );
-        assert_eq!(
-            facade.stats.charged_cents, legacy.stats.charged_cents,
-            "{legacy_method:?}"
-        );
-        assert!(
-            (facade.stats.total_expected_revenue - legacy.stats.total_expected_revenue).abs()
-                < 1e-6,
-            "{legacy_method:?}: facade {} vs legacy {}",
-            facade.stats.total_expected_revenue,
-            legacy.stats.total_expected_revenue
-        );
-        // The evolved strategy state agrees bid-for-bid: every advertiser's
-        // bid on every keyword is identical after 250 auctions of clicks,
-        // charges, and ROI adjustments.
-        for adv in 0..config.num_advertisers {
-            for keyword in 0..config.num_keywords {
-                assert_eq!(
-                    facade.bid_of(adv, keyword),
-                    legacy.bid_of(adv, keyword),
-                    "{legacy_method:?}: bid diverged for advertiser {adv} keyword {keyword}"
-                );
-            }
-        }
+    let auctions = 250;
+    let reference = reference(config, auctions);
+    for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
+        let mut facade = roi_facade(SectionVWorkload::generate(config), method);
+        facade.run_auctions(auctions).expect("in range");
+        assert_matches_reference(&facade, &reference, &method.to_string());
     }
 }
 
 /// A facade driven one `serve` at a time equals one driven by `serve_batch`
 /// — the typed single-query API and the chunked batch API are the same
-/// pipeline.
+/// pipeline — and both equal the RHTALU reference.
 #[test]
 fn single_serve_equals_serve_batch_on_section_v() {
     let config = SectionVConfig {
@@ -89,19 +86,24 @@ fn single_serve_equals_serve_batch_on_section_v() {
         num_keywords: 3,
         seed: 99,
     };
-    let workload = SectionVWorkload::generate(config);
-    let mut one_by_one = roi_facade(workload.clone(), WdMethod::Reduced);
-    let mut batched = roi_facade(workload, WdMethod::Reduced);
-    for _ in 0..60 {
-        one_by_one.run_auctions(1);
+    let reference = reference(config, 60);
+    for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
+        let workload = SectionVWorkload::generate(config);
+        let mut one_by_one = roi_facade(workload.clone(), method);
+        let mut batched = roi_facade(workload, method);
+        for _ in 0..60 {
+            one_by_one.run_auctions(1).expect("in range");
+        }
+        batched.run_auctions(60).expect("in range");
+        assert_eq!(one_by_one.stats.clicks, batched.stats.clicks);
+        assert_eq!(one_by_one.stats.charged_cents, batched.stats.charged_cents);
+        assert!(
+            (one_by_one.stats.total_expected_revenue - batched.stats.total_expected_revenue).abs()
+                < 1e-6
+        );
+        assert_matches_reference(&one_by_one, &reference, &format!("{method} one by one"));
+        assert_matches_reference(&batched, &reference, &format!("{method} batched"));
     }
-    batched.run_auctions(60);
-    assert_eq!(one_by_one.stats.clicks, batched.stats.clicks);
-    assert_eq!(one_by_one.stats.charged_cents, batched.stats.charged_cents);
-    assert!(
-        (one_by_one.stats.total_expected_revenue - batched.stats.total_expected_revenue).abs()
-            < 1e-6
-    );
 }
 
 // ---------------------------------------------------------------------------
