@@ -8,7 +8,7 @@
 //! reproduce [fig12|fig13|ablations|tables|all] [--quick]
 //! reproduce [--method <m>] [--strategy <s>] [--workload <w>] [--targeted]
 //!           [--shards <n>] [--load <q>] [--pruned] [--durable]
-//!           [--server <host:port>] [--json] [--quick]
+//!           [--server <host:port>] [--json] [--footprint] [--quick]
 //! ```
 //!
 //! `--quick` shrinks advertiser counts and auction counts so the whole run
@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssa_bench::{format_table, ms_per_auction, MethodRun, Population, Scenario, ScenarioError};
 use ssa_bidlang::{BidsTable, Formula, Money, SlotId};
+use ssa_core::footprint::Ledger;
 use ssa_core::heavyweight::{solve_heavyweight, HeavyweightInstance, PatternClickModel};
 use ssa_core::prob::{ClickModel, PurchaseModel};
 use ssa_core::sharded::parse_shards;
@@ -40,7 +41,7 @@ reproduce — regenerate the paper's figures as text output
 Usage: reproduce [fig12|fig13|ablations|tables|all] [--quick]
        reproduce [--method <m>] [--strategy <s>] [--workload <w>] [--targeted]
                  [--shards <n>] [--load <q>] [--pruned] [--durable]
-                 [--server <host:port>] [--json] [--quick]
+                 [--server <host:port>] [--json] [--footprint] [--quick]
        reproduce --list-methods
 
 Targets:
@@ -88,6 +89,10 @@ layer's error):
                   over the wire protocol instead of in process — bit-identical
                   outcomes; --shards sets the server-side shard count
   --json          emit one machine-readable JSON object per line
+  --footprint     after the run, print the market's memory ledger, largest
+                  line first: bytes in use, bytes reserved and allocations
+                  per component (one {\"metric\":\"footprint\",...} object
+                  per line with --json, else a table); in process only
   --quick         the quick preset (250 advertisers, 50 auctions) instead of
                   the full one (1000, 200); for other targets, smaller sweeps
 
@@ -111,7 +116,14 @@ const VALUE_FLAGS: [&str; 6] = [
 ];
 
 /// Flags that stand alone.
-const SWITCHES: [&str; 5] = ["--quick", "--json", "--pruned", "--durable", "--targeted"];
+const SWITCHES: [&str; 6] = [
+    "--quick",
+    "--json",
+    "--pruned",
+    "--durable",
+    "--targeted",
+    "--footprint",
+];
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}\n{USAGE}");
@@ -160,12 +172,13 @@ fn main() {
     let switch = |name: &str| args.iter().any(|a| a == name);
     let (quick, json, pruned) = (switch("--quick"), switch("--json"), switch("--pruned"));
     let (durable, targeted) = (switch("--durable"), switch("--targeted"));
+    let footprint = switch("--footprint");
     // --strategy/--workload/--targeted imply single-run mode with the rh
     // default method.
     let single_run = method.is_some() || strategy.is_some() || workload.is_some() || targeted;
     if !single_run {
-        if json {
-            usage_error("--json requires --method or --strategy");
+        if json || footprint {
+            usage_error("--json/--footprint require --method or --strategy");
         }
         if shards.is_some() || load.is_some() || pruned {
             usage_error("--shards/--load/--pruned require --method or --strategy");
@@ -195,6 +208,9 @@ fn main() {
         usage_error(&format!(
             "--method/--strategy cannot be combined with target {target:?}"
         ));
+    }
+    if footprint && server.is_some() {
+        usage_error("--footprint weighs an in-process market: drop --server");
     }
     if strategy.is_some() && targeted {
         usage_error("--strategy and --targeted both choose the population: give one");
@@ -232,13 +248,19 @@ fn main() {
         std::fs::remove_dir_all(dir).ok();
     }
     match outcome {
-        Ok(run) if json => {
-            println!("{}", run.to_json());
-            if let Some(recovery) = &run.recovery {
-                println!("{}", recovery.to_json());
+        Ok(run) => {
+            if json {
+                println!("{}", run.to_json());
+                if let Some(recovery) = &run.recovery {
+                    println!("{}", recovery.to_json());
+                }
+            } else {
+                print_run(&run);
+            }
+            if let Some(ledger) = run.footprint.as_ref().filter(|_| footprint) {
+                print_footprint(ledger, json);
             }
         }
-        Ok(run) => print_run(&run),
         // The environment failing is a runtime error; a scenario no layer
         // can express is a usage error.
         Err(e @ (ScenarioError::Net { .. } | ScenarioError::Durable(_))) => {
@@ -272,6 +294,40 @@ fn value_flag<T, E: std::fmt::Display>(
 ) -> Option<T> {
     let &(_, value) = values.iter().find(|&&(f, _)| f == flag)?;
     Some(parse(value).unwrap_or_else(|e| usage_error(&e.to_string())))
+}
+
+/// Prints a market's memory ledger, the most bytes in use first: one JSON
+/// object per line, or a table with a total.
+fn print_footprint(ledger: &Ledger, json: bool) {
+    let lines = ledger.largest_first();
+    if json {
+        for (rank, (component, heap)) in lines.iter().enumerate() {
+            println!(
+                "{{\"metric\":\"footprint\",\"rank\":{},\"component\":\"{}\",\
+                 \"in_use_bytes\":{},\"reserved_bytes\":{},\"allocations\":{}}}",
+                rank + 1,
+                component.name(),
+                heap.in_use,
+                heap.reserved,
+                heap.allocations
+            );
+        }
+        return;
+    }
+    println!("# memory ledger, largest line first");
+    println!(
+        "{:>24} {:>12} {:>12} {:>12}",
+        "component", "in use (B)", "reserved (B)", "allocations"
+    );
+    let named = lines
+        .iter()
+        .map(|(component, heap)| (component.name(), heap));
+    for (name, heap) in named.chain([("total", &ledger.total())]) {
+        println!(
+            "{name:>24} {:>12} {:>12} {:>12}",
+            heap.in_use, heap.reserved, heap.allocations
+        );
+    }
 }
 
 /// Prints the human-readable form of a single run.

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 use ssa_bidlang::Money;
+use ssa_core::footprint::Ledger;
 use ssa_core::marketplace::{CampaignId, MarketError, Marketplace, QueryRequest};
 use ssa_core::{BatchReport, EngineConfig, PricingScheme, WdMethod};
 use ssa_durable::{Durability, DurableError, FsyncPolicy, RecoveryReport};
@@ -115,6 +116,9 @@ pub struct MethodRun {
     /// snapshot is taken, so `wal_records` counts every journalled
     /// operation of the run.
     pub recovery: Option<RecoveryReport>,
+    /// The market's memory ledger after the timed auctions; `None` for a
+    /// market behind a socket.
+    pub footprint: Option<Ledger>,
 }
 
 impl MethodRun {
@@ -465,6 +469,10 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
         _ => None,
     };
     let planner = planner_totals(&handles);
+    let footprint = match &backend {
+        Backend::Local(market) => Some(market.footprint()),
+        Backend::Wire { .. } => None,
+    };
     Ok(MethodRun {
         slots: section.num_slots,
         cores: available_cores(),
@@ -479,6 +487,7 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
         report,
         planner,
         recovery,
+        footprint,
         scenario,
     })
 }

@@ -367,6 +367,70 @@ fn sharded_load_generator_emits_json() {
     }
 }
 
+/// The value of `key` in a flat JSON object line.
+fn field<'a>(json: &'a str, key: &str) -> &'a str {
+    let at = json
+        .find(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no {key} in {json}"));
+    let value = &json[at + key.len() + 3..];
+    value[..value.find([',', '}']).expect("closed object")].trim_matches('"')
+}
+
+/// `--footprint` appends the market's memory ledger after the run: with
+/// `--json` one object per component, the most bytes in use first; in
+/// text, a table with a total. A per-click market's records and rows are
+/// on it, and nobody purchases, so its purchase index holds nothing.
+#[test]
+fn footprint_prints_the_ledger_largest_line_first() {
+    let out = reproduce(&["--method", "rh", "--json", "--quick", "--footprint"]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let mut lines = stdout.lines();
+    let run = lines.next().expect("the run's line");
+    assert_eq!(field(run, "method"), "rh");
+    let ledger: Vec<(String, u64)> = lines
+        .enumerate()
+        .map(|(at, line)| {
+            assert_eq!(field(line, "metric"), "footprint", "{line}");
+            assert_eq!(field(line, "rank"), (at + 1).to_string(), "{line}");
+            let reserved: u64 = field(line, "reserved_bytes").parse().expect("a count");
+            let in_use: u64 = field(line, "in_use_bytes").parse().expect("a count");
+            assert!(in_use <= reserved, "{line}");
+            field(line, "allocations").parse::<u64>().expect("a count");
+            (field(line, "component").to_string(), in_use)
+        })
+        .collect();
+    assert_eq!(ledger.len(), 16, "{stdout}");
+    assert!(
+        ledger.windows(2).all(|pair| pair[0].1 >= pair[1].1),
+        "{stdout}"
+    );
+    let in_use = |name: &str| {
+        let line = ledger.iter().find(|(component, _)| component == name);
+        line.unwrap_or_else(|| panic!("no {name} line in {stdout}"))
+            .1
+    };
+    assert!(in_use("campaign records") > 0 && in_use("click rows") > 0);
+    assert_eq!(in_use("purchase index"), 0);
+
+    let out = reproduce(&["--method", "rh", "--quick", "--footprint"]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let text = stdout_of(&out);
+    let table = text
+        .split("# memory ledger, largest line first\n")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no ledger table in {text}"));
+    let rows: Vec<&str> = table.lines().collect();
+    assert_eq!(rows.len(), 1 + 16 + 1, "header, lines, total: {table}");
+    assert!(rows[0].contains("in use (B)") && rows[17].trim_start().starts_with("total"));
+
+    assert_usage_error(&["--footprint"], "--json/--footprint require --method");
+    assert_usage_error(
+        &["--method", "rh", "--server", "127.0.0.1:1", "--footprint"],
+        "--footprint weighs an in-process market",
+    );
+}
+
 #[test]
 fn formerly_forbidden_flag_combinations_compose() {
     // A hostile stream under a journal, on a targeted population.

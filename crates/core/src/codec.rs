@@ -198,10 +198,8 @@ impl<'a> Reader<'a> {
     }
 
     fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
-        Ok(self
-            .take(N, what)?
-            .try_into()
-            .expect("take returned exactly N bytes"))
+        let bytes = self.take(N, what)?;
+        bytes.try_into().map_err(|_| CodecError::Truncated { what })
     }
 
     /// Reads one byte.

@@ -71,6 +71,7 @@
 //! when the engine is built, and so is the weight source it asks for.
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
+use crate::footprint::{Accountant, Component, HeapUse};
 use crate::pricing::{
     gsp_prices_from_order_into, gsp_prices_into, vcg_prices, PricingScheme, SlotPrice,
 };
@@ -681,6 +682,48 @@ impl<B: Bidder> AuctionEngine<B> {
         &self.purchases
     }
 
+    /// Enters the engine's heap in `ledger`: its bidder vector (not what
+    /// the bidders point to), models, weight source, scratch and row lists.
+    pub(crate) fn account(&self, ledger: &mut Accountant) {
+        ledger.add(Component::CampaignRecords, HeapUse::of_vec(&self.bidders));
+        self.clicks.account(ledger);
+        self.purchases.account(ledger);
+        match &self.source {
+            WeightSource::Lists {
+                order,
+                solver,
+                candidates,
+            } => {
+                ledger.add(Component::RetainedOrder, order.heap_use());
+                ledger.add(
+                    Component::Solver,
+                    solver.heap_use() + HeapUse::of_vec(candidates),
+                );
+            }
+            WeightSource::Dense { matrix, .. } => {
+                ledger.add(Component::Solver, matrix.heap_use());
+            }
+        }
+        let scratch = &self.scratch;
+        ledger.add(Component::NoSlotBase, HeapUse::of_vec(&scratch.base.base));
+        let batch = HeapUse::of_vec(&scratch.changed)
+            + HeapUse::of_vec(&scratch.row)
+            + HeapUse::of_vec(&scratch.assignment.slot_to_adv)
+            + HeapUse::of_vec(&scratch.clicked)
+            + HeapUse::of_vec(&scratch.purchased)
+            + HeapUse::of_vec(&scratch.charges)
+            + HeapUse::of_vec(&scratch.prices)
+            + HeapUse::of_vec(&scratch.adv_to_slot)
+            + HeapUse::of_vec(&scratch.price_by_adv);
+        ledger.add(Component::BatchScratch, batch);
+        let rows = HeapUse::of_vec(&self.rows)
+            + HeapUse::of_vec(&self.every_auction)
+            + HeapUse::of_vec(&self.programs);
+        ledger.add(Component::RowLists, rows);
+        let held = HeapUse::of_vec(&self.held) + HeapUse::of_vec(&self.written);
+        ledger.add(Component::HeldTables, held);
+    }
+
     /// The auction clock (number of auctions run, across both single and
     /// batched paths).
     pub fn now(&self) -> u64 {
@@ -974,7 +1017,11 @@ fn notify_programs<B: Bidder>(
 /// Computes the per-advertiser charges for one auction into `out` (cleared
 /// first). Pay-your-bid reads every row's `tables`; `adv_to_slot` is the
 /// assignment's inverse map and `prices` a scratch for GSP slot prices.
+// Invariants: GSP on the lists prices winners, and every winner is a
+// candidate of the reduced graph it was seated from; an engine priced by
+// VCG is laid out dense (`WeightSource::for_config`).
 #[allow(clippy::too_many_arguments)] // the auction facts plus two sinks
+#[allow(clippy::expect_used, clippy::unreachable)]
 fn compute_charges_into<'a>(
     pricing: PricingScheme,
     clicks: &ClickModel,

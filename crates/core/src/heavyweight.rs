@@ -193,11 +193,11 @@ fn solve_pattern(
             pattern_expected_revenue(instance, adv, slot, pattern) - base[adv] + FILL_BONUS
         });
         let ha = max_weight_assignment(&hm);
-        if ha.num_assigned() < heavy_slots.len() {
-            return None; // could not fill all heavy slots
-        }
         for (hj, adv_local) in ha.slot_to_adv.iter().enumerate() {
-            let adv = heavies[adv_local.expect("all heavy slots filled")];
+            let Some(local) = *adv_local else {
+                return None; // could not fill all heavy slots
+            };
+            let adv = heavies[local];
             slot_to_adv[heavy_slots[hj]] = Some(adv);
             let slot = SlotId::from_index0(heavy_slots[hj]);
             heavy_total += pattern_expected_revenue(instance, adv, slot, pattern) - base[adv];
@@ -230,6 +230,10 @@ fn solve_pattern(
 
 /// Exact winner determination for the heavyweight model: enumerate all
 /// `2^k` patterns (optionally across `threads` threads) and keep the best.
+/// A worker's panic resumes on the caller's thread.
+// Invariant: the empty pattern designates no heavy slot, so it is always
+// feasible and `best` is never `None`.
+#[allow(clippy::expect_used)]
 pub fn solve_heavyweight(instance: &HeavyweightInstance, threads: usize) -> HeavyweightSolution {
     let k = instance.clicks.num_slots();
     assert_eq!(instance.is_heavy.len(), instance.bids.len());
@@ -256,7 +260,10 @@ pub fn solve_heavyweight(instance: &HeavyweightInstance, threads: usize) -> Heav
                 .collect();
             handles
                 .into_iter()
-                .filter_map(|h| h.join().expect("pattern worker panicked"))
+                .filter_map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .max_by(|a, b| a.expected_revenue.total_cmp(&b.expected_revenue))
         })
     };
@@ -266,6 +273,9 @@ pub fn solve_heavyweight(instance: &HeavyweightInstance, threads: usize) -> Heav
 /// Brute-force reference: enumerate every assignment, derive its induced
 /// pattern, and score it. Exponential; for validation only (`n ≤ 6`,
 /// `k ≤ 3`).
+// Invariant: the assignment leaving every slot empty is always scored, so
+// `best` is never `None`.
+#[allow(clippy::expect_used)]
 pub fn brute_force_heavyweight(instance: &HeavyweightInstance) -> HeavyweightSolution {
     let n = instance.is_heavy.len();
     let k = instance.clicks.num_slots();

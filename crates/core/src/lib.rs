@@ -51,10 +51,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod bidder;
 pub mod codec;
 pub mod engine;
+pub mod footprint;
 pub mod heavyweight;
 pub mod journal;
 pub mod marketplace;

@@ -7,9 +7,10 @@
 //! configuration, the advertiser roster ([`AdvertiserHandle`]), the global
 //! clock, an optional mutation journal ([`crate::journal`]), and one
 //! *keyword book* per keyword: its persistent [`AuctionEngine`]+solver and
-//! its own user-action RNG stream. A campaign is one record, stored once as
-//! the engine's bidder: advertiser, pause flag, targeting matcher, and a
-//! per-click bid, a fixed [`BidsTable`] or any [`Bidder`] program; its
+//! its own user-action RNG stream. A campaign is one 32-byte record, stored
+//! once as the engine's bidder: advertiser, pause flag, and a per-click bid
+//! or a program pointer inline; a targeted campaign or a fixed
+//! [`BidsTable`] is one pointer to a box that holds the rest. Its
 //! click/purchase probabilities are its row of the engine's models. Queries
 //! are served through a typed API ([`Marketplace::serve`] /
 //! [`Marketplace::serve_batch`], built on [`AuctionEngine::run_batch`]) and
@@ -96,9 +97,10 @@
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use crate::engine::{AuctionEngine, AuctionReport, BatchReport, EngineConfig, WdMethod};
+use crate::footprint::{self, Accountant, Component, HeapUse, Ledger};
 use crate::journal::{MutationJournal, MutationRecord};
 use crate::pricing::PricingScheme;
-use crate::prob::{ClickModel, PurchaseModel};
+use crate::prob::{account_click_row, ClickModel, PurchaseModel};
 use crate::sharded::shard_of_keyword;
 use crate::sqlprog::{SqlProgramBidder, SqlProgramError};
 use crate::state::{CampaignView, MarketConfigState, MarketState, StateSource};
@@ -108,6 +110,7 @@ use ssa_bidlang::targeting::{CompiledTargeting, TargetParseError, UserAttrs};
 use ssa_bidlang::{BidsTable, Money, SlotId};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -173,7 +176,8 @@ impl CampaignId {
 /// Typed error surface of the [`Marketplace`] API.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MarketError {
-    /// The handle does not name a registered advertiser.
+    /// The handle does not name a registered advertiser, or names one
+    /// past the `u32` range a campaign record holds.
     UnknownAdvertiser(AdvertiserHandle),
     /// The keyword index is outside the configured keyword universe.
     UnknownKeyword {
@@ -512,22 +516,76 @@ impl std::fmt::Debug for CampaignSpec {
 // Internal campaign state.
 // ---------------------------------------------------------------------------
 
+/// A per-click campaign's bidding fields: the nominal bid, capped by the
+/// ROI target at `click_value / roi_target`. The update API writes them;
+/// the one-row table is derived from them whenever the engine reads it
+/// ([`Bidder::standing_table`]) and is stored nowhere.
+#[derive(Debug, Clone, Copy)]
+struct PerClick {
+    nominal: Money,
+    click_value: Money,
+    /// The ROI target's bits. [`check_roi_target`] admits only finite
+    /// targets above zero, whose bits are never 0, so `None` costs no
+    /// extra word and a target reads back exactly as it was set.
+    roi_target: Option<NonZeroU64>,
+}
+
+impl PerClick {
+    fn new(nominal: Money, click_value: Money, roi_target: Option<f64>) -> Self {
+        let mut bid = PerClick {
+            nominal,
+            click_value,
+            roi_target: None,
+        };
+        bid.set_roi_target(roi_target);
+        bid
+    }
+
+    fn roi_target(&self) -> Option<f64> {
+        self.roi_target.map(|bits| f64::from_bits(bits.get()))
+    }
+
+    /// Sets a target [`check_roi_target`] admitted, or clears it.
+    fn set_roi_target(&mut self, target: Option<f64>) {
+        self.roi_target = target.and_then(|t| NonZeroU64::new(t.to_bits()));
+    }
+
+    /// The effective bid, paused or not ([`capped_bid`]).
+    fn effective_bid(&self) -> Money {
+        capped_bid(self.nominal, self.click_value, self.roi_target())
+    }
+}
+
 /// What a campaign bids while it is not paused.
 enum CampaignKind {
-    /// A per-click bid: the nominal bid, capped by the ROI target at
-    /// `click_value / roi_target`. The update API writes these fields; the
-    /// one-row table is derived from them whenever the engine reads it
-    /// ([`Bidder::standing_table`]) and is stored nowhere.
-    PerClick {
-        nominal: Money,
-        click_value: Money,
-        roi_target: Option<f64>,
-    },
-    /// A fixed table, boxed so that a per-click campaign's record is not
-    /// sized for an inline table row.
-    Table(Box<BidsTable>),
+    PerClick(PerClick),
+    /// A fixed table.
+    Table(BidsTable),
     /// A bidding program, run at every auction.
     Program(Box<dyn Bidder + Send>),
+}
+
+/// Who owns a campaign, and whether it is paused: the part every campaign
+/// has, 8 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Owner {
+    /// The advertiser's registration index; [`Marketplace::add_campaign`]
+    /// refuses one past `u32::MAX`.
+    advertiser: u32,
+    paused: bool,
+}
+
+/// A campaign [`Campaign`] does not hold inline: a targeted campaign of any
+/// kind, or a fixed table.
+struct BoxedCampaign {
+    owner: Owner,
+    /// Compiled targeting matcher (`None` = the campaign bids on every
+    /// query), which the engine reads through [`Bidder::targeting`]. Shared
+    /// via `Arc` with every campaign of the market registered with the same
+    /// text; the retained [`CompiledTargeting::source`] is what state
+    /// capture and the mutation journal serialize.
+    targeting: Option<Arc<CompiledTargeting>>,
+    kind: CampaignKind,
 }
 
 /// One campaign, stored once: the keyword book holds it as the keyword
@@ -537,16 +595,15 @@ enum CampaignKind {
 /// they are equal. A paused campaign submits an empty table, which winner
 /// determination treats as [`ssa_matching::EXCLUDED`] — it can never be
 /// displayed.
-struct Campaign {
-    advertiser: AdvertiserHandle,
-    paused: bool,
-    /// Compiled targeting matcher (`None` = the campaign bids on every
-    /// query), which the engine reads through [`Bidder::targeting`]. Shared
-    /// via `Arc` with every campaign of the market registered with the same
-    /// text; the retained [`CompiledTargeting::source`] is what state
-    /// capture and the mutation journal serialize.
-    targeting: Option<Arc<CompiledTargeting>>,
-    kind: CampaignKind,
+///
+/// 32 bytes: an untargeted per-click campaign — owner, nominal bid, click
+/// value and ROI target — and an untargeted program — owner and program
+/// pointer — are held inline, and the enum's tag sits in the niche of the
+/// pause flag. Every other campaign is one pointer to a [`BoxedCampaign`].
+enum Campaign {
+    PerClick(Owner, PerClick),
+    Program(Owner, Box<dyn Bidder + Send>),
+    Boxed(Box<BoxedCampaign>),
 }
 
 /// A per-click bid after the ROI cap: `nominal` capped at
@@ -562,33 +619,147 @@ fn capped_bid(nominal: Money, click_value: Money, roi_target: Option<f64>) -> Mo
 }
 
 impl Campaign {
+    /// A new, unpaused campaign, inline when its shape allows.
+    fn new(advertiser: u32, targeting: Option<Arc<CompiledTargeting>>, kind: CampaignKind) -> Self {
+        let owner = Owner {
+            advertiser,
+            paused: false,
+        };
+        match (targeting, kind) {
+            (None, CampaignKind::PerClick(bid)) => Campaign::PerClick(owner, bid),
+            (None, CampaignKind::Program(program)) => Campaign::Program(owner, program),
+            (targeting, kind) => Campaign::Boxed(Box::new(BoxedCampaign {
+                owner,
+                targeting,
+                kind,
+            })),
+        }
+    }
+
+    fn owner(&self) -> &Owner {
+        match self {
+            Campaign::PerClick(owner, _) | Campaign::Program(owner, _) => owner,
+            Campaign::Boxed(boxed) => &boxed.owner,
+        }
+    }
+
+    fn advertiser(&self) -> AdvertiserHandle {
+        AdvertiserHandle(self.owner().advertiser as usize)
+    }
+
+    fn paused(&self) -> bool {
+        self.owner().paused
+    }
+
+    fn owner_mut(&mut self) -> &mut Owner {
+        match self {
+            Campaign::PerClick(owner, _) | Campaign::Program(owner, _) => owner,
+            Campaign::Boxed(boxed) => &mut boxed.owner,
+        }
+    }
+
+    fn shared_targeting(&self) -> Option<&Arc<CompiledTargeting>> {
+        match self {
+            Campaign::Boxed(boxed) => boxed.targeting.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// A per-click campaign's bidding fields; `None` for fixed tables and
+    /// programs.
+    fn per_click(&self) -> Option<&PerClick> {
+        match self {
+            Campaign::PerClick(_, bid) => Some(bid),
+            Campaign::Boxed(boxed) => match &boxed.kind {
+                CampaignKind::PerClick(bid) => Some(bid),
+                _ => None,
+            },
+            Campaign::Program(..) => None,
+        }
+    }
+
+    fn per_click_mut(&mut self) -> Option<&mut PerClick> {
+        match self {
+            Campaign::PerClick(_, bid) => Some(bid),
+            Campaign::Boxed(boxed) => match &mut boxed.kind {
+                CampaignKind::PerClick(bid) => Some(bid),
+                _ => None,
+            },
+            Campaign::Program(..) => None,
+        }
+    }
+
+    /// A fixed-table campaign's table.
+    fn table(&self) -> Option<&BidsTable> {
+        match self {
+            Campaign::Boxed(boxed) => match &boxed.kind {
+                CampaignKind::Table(table) => Some(table),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// The program of an unpaused program campaign.
+    fn running_program(&mut self) -> Option<&mut (dyn Bidder + Send)> {
+        match self {
+            Campaign::Program(owner, program) if !owner.paused => Some(program.as_mut()),
+            Campaign::Boxed(boxed) => match &mut boxed.kind {
+                CampaignKind::Program(program) if !boxed.owner.paused => Some(program.as_mut()),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// A per-click campaign's effective bid, paused or not ([`capped_bid`]).
     /// `None` for fixed tables and programs.
     fn effective_bid(&self) -> Option<Money> {
-        match self.kind {
-            CampaignKind::PerClick {
-                nominal,
-                click_value,
-                roi_target,
-            } => Some(capped_bid(nominal, click_value, roi_target)),
-            _ => None,
+        self.per_click().map(PerClick::effective_bid)
+    }
+
+    /// Enters what the record points to: its box, its program's own
+    /// record, its matcher unless an earlier campaign did.
+    fn account(&self, ledger: &mut Accountant) {
+        let boxed = match self {
+            Campaign::PerClick(..) => return,
+            Campaign::Program(_, program) => {
+                let record = HeapUse::of_bytes(std::mem::size_of_val(&**program));
+                return ledger.add(Component::Programs, record);
+            }
+            Campaign::Boxed(boxed) => boxed,
+        };
+        let record = HeapUse::of_bytes(std::mem::size_of::<BoxedCampaign>());
+        ledger.add(Component::BoxedCampaigns, record);
+        if let CampaignKind::Program(program) = &boxed.kind {
+            let record = HeapUse::of_bytes(std::mem::size_of_val(&**program));
+            ledger.add(Component::Programs, record);
+        }
+        if let Some(matcher) = &boxed.targeting {
+            account_matcher(ledger, matcher);
         }
     }
 }
 
+/// Enters a targeting matcher — its record and source text — unless an
+/// earlier holder did.
+fn account_matcher(ledger: &mut Accountant, matcher: &Arc<CompiledTargeting>) {
+    ledger.add_shared(Component::TargetingMatchers, matcher, |matcher| {
+        HeapUse::of_bytes(matcher.source().len())
+    });
+}
+
 impl Bidder for Campaign {
     fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
-        match &mut self.kind {
-            CampaignKind::Program(p) if !self.paused => p.on_query(ctx),
-            _ => self.standing_table().unwrap_or_default().into_owned(),
+        match self.running_program() {
+            Some(program) => program.on_query(ctx),
+            None => self.standing_table().unwrap_or_default().into_owned(),
         }
     }
 
     fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
-        if let CampaignKind::Program(p) = &mut self.kind {
-            if !self.paused {
-                p.on_outcome(ctx, outcome);
-            }
+        if let Some(program) = self.running_program() {
+            program.on_outcome(ctx, outcome);
         }
     }
 
@@ -597,33 +768,32 @@ impl Bidder for Campaign {
     /// campaign derives its one-row table here, a fixed table is lent, and
     /// a paused campaign submits an empty one.
     fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
-        match (&self.kind, self.effective_bid()) {
-            (CampaignKind::Program(_), _) => None,
-            _ if self.paused => Some(Cow::Owned(BidsTable::empty())),
-            (CampaignKind::Table(table), _) => Some(Cow::Borrowed(table)),
-            (CampaignKind::PerClick { .. }, bid) => {
-                bid.map(|bid| Cow::Owned(BidsTable::single_feature(bid)))
-            }
-        }
+        let table = match (self.per_click(), self.table()) {
+            (None, None) => return None, // a program
+            _ if self.paused() => Cow::Owned(BidsTable::empty()),
+            (Some(bid), _) => Cow::Owned(BidsTable::single_feature(bid.effective_bid())),
+            (None, Some(table)) => Cow::Borrowed(table),
+        };
+        Some(table)
     }
 
     fn targeting(&self) -> Option<&CompiledTargeting> {
-        self.targeting.as_deref()
+        self.shared_targeting().map(Arc::as_ref)
     }
 }
 
 impl std::fmt::Debug for Campaign {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.kind {
-            CampaignKind::PerClick { nominal, .. } => format!("per-click {nominal}"),
-            CampaignKind::Table(t) => format!("table[{} rows]", t.len()),
-            CampaignKind::Program(_) => "custom program".to_string(),
+        let kind = match (self.per_click(), self.table()) {
+            (Some(bid), _) => format!("per-click {}", bid.nominal),
+            (None, Some(t)) => format!("table[{} rows]", t.len()),
+            (None, None) => "custom program".to_string(),
         };
         f.debug_struct("Campaign")
-            .field("advertiser", &self.advertiser)
-            .field("paused", &self.paused)
+            .field("advertiser", &self.advertiser())
+            .field("paused", &self.paused())
             .field("kind", &kind)
-            .field("targeting", &self.targeting.as_ref().map(|t| t.source()))
+            .field("targeting", &self.shared_targeting().map(|t| t.source()))
             .finish()
     }
 }
@@ -651,23 +821,6 @@ impl KeywordBook {
     /// The keyword's campaigns in registration order: the engine's bidders.
     fn campaigns(&self) -> &[Campaign] {
         self.engine.as_ref().map_or(&[], AuctionEngine::bidders)
-    }
-
-    /// Write access to a registered campaign, through the engine's
-    /// accessor: the keyword's next auction compares a standing campaign's
-    /// table with the one it had before the write.
-    fn bidder_mut(&mut self, index: usize) -> &mut Campaign {
-        self.engine
-            .as_mut()
-            .expect("a registered campaign has an engine")
-            .bidder_mut(index)
-    }
-
-    /// [`KeywordBook::bidder_mut`]'s view of a per-click campaign's bidding
-    /// fields; `None`, and no write recorded, for any other kind.
-    fn per_click_mut(&mut self, index: usize) -> Option<&mut CampaignKind> {
-        self.campaigns()[index].effective_bid()?;
-        Some(&mut self.bidder_mut(index).kind)
     }
 
     /// Serves one query on this book's keyword as the auction with
@@ -716,25 +869,20 @@ impl KeywordBook {
                 .iter()
                 .enumerate()
                 .map(move |(row, campaign)| {
-                    let CampaignKind::PerClick {
-                        nominal,
-                        click_value,
-                        roi_target,
-                    } = campaign.kind
-                    else {
+                    let Some(bid) = campaign.per_click() else {
                         let id = CampaignId::from_parts(keyword, row);
                         return Err(MarketError::NotDurable(id));
                     };
                     Ok(CampaignView {
                         keyword,
-                        advertiser: campaign.advertiser.index(),
-                        bid_cents: nominal.cents(),
-                        click_value_cents: click_value.cents(),
-                        roi_target,
+                        advertiser: campaign.advertiser().index(),
+                        bid_cents: bid.nominal.cents(),
+                        click_value_cents: bid.click_value.cents(),
+                        roi_target: bid.roi_target(),
                         click_probs: engine.clicks().row(row),
                         purchase_probs: engine.purchases().stored_row(row),
-                        paused: campaign.paused,
-                        targeting: campaign.targeting.as_ref().map(|t| t.source()),
+                        paused: campaign.paused(),
+                        targeting: campaign.shared_targeting().map(|t| t.source()),
                     })
                 })
         })
@@ -1340,6 +1488,49 @@ impl Marketplace {
         }
     }
 
+    /// What the market holds on the heap, by component: a walk of the
+    /// books and their engines that runs only when called (see
+    /// [`crate::footprint`]).
+    pub fn footprint(&self) -> Ledger {
+        let mut ledger = Accountant::default();
+        ledger.add(Component::KeywordBooks, HeapUse::of_vec(&self.books));
+        for engine in self.books.iter().filter_map(|book| book.engine.as_ref()) {
+            engine.account(&mut ledger);
+            for campaign in engine.bidders() {
+                campaign.account(&mut ledger);
+            }
+        }
+        let names = self.advertisers.iter().map(footprint::of_string).sum();
+        ledger.add(
+            Component::AdvertiserNames,
+            HeapUse::of_vec(&self.advertisers) + names,
+        );
+        ledger.add(
+            Component::ClickRowPointers,
+            HeapUse::of_vec(&self.click_rows),
+        );
+        for row in self
+            .click_rows
+            .iter()
+            .flatten()
+            .chain(&self.default_click_probs)
+        {
+            account_click_row(&mut ledger, row);
+        }
+        let texts = self.matchers.keys().map(footprint::of_string).sum();
+        ledger.add(
+            Component::TargetingMatchers,
+            footprint::of_map(&self.matchers) + texts,
+        );
+        for matcher in self.matchers.values() {
+            account_matcher(&mut ledger, matcher);
+        }
+        if let Some(probs) = &self.default_purchase_probs {
+            ledger.add(Component::PurchaseRows, HeapUse::of_vec(probs));
+        }
+        ledger.finish()
+    }
+
     fn check_keyword(&self, keyword: usize) -> Result<usize, MarketError> {
         if keyword < self.books.len() {
             Ok(keyword)
@@ -1397,9 +1588,11 @@ impl Marketplace {
         } else {
             None
         };
-        if advertiser.0 >= self.advertisers.len() {
-            return Err(MarketError::UnknownAdvertiser(advertiser));
-        }
+        // A campaign record holds its advertiser in 32 bits.
+        let owner = u32::try_from(advertiser.0)
+            .ok()
+            .filter(|_| advertiser.0 < self.advertisers.len())
+            .ok_or(MarketError::UnknownAdvertiser(advertiser))?;
         let click_row = self.click_row(advertiser, spec.click_probs.as_deref())?;
         // `None`: purchases never happen.
         let purchase_probs = spec
@@ -1434,12 +1627,10 @@ impl Marketplace {
             index: book.campaigns().len(),
         };
         let kind = match spec.program {
-            ProgramSpec::PerClick(bid) => CampaignKind::PerClick {
-                nominal: bid,
-                click_value: spec.click_value,
-                roi_target: spec.roi_target,
-            },
-            ProgramSpec::Table(table) => CampaignKind::Table(Box::new(table)),
+            ProgramSpec::PerClick(bid) => {
+                CampaignKind::PerClick(PerClick::new(bid, spec.click_value, spec.roi_target))
+            }
+            ProgramSpec::Table(table) => CampaignKind::Table(table),
             ProgramSpec::Program(program) => CampaignKind::Program(program),
         };
         // The next auction reads every row, the new one included.
@@ -1454,12 +1645,7 @@ impl Marketplace {
                 )
             })
             .push_bidder(
-                Campaign {
-                    advertiser,
-                    paused: false,
-                    targeting,
-                    kind,
-                },
+                Campaign::new(owner, targeting, kind),
                 click_row,
                 purchase_probs,
             );
@@ -1511,13 +1697,13 @@ impl Marketplace {
     /// The advertiser owning a campaign.
     pub fn campaign_advertiser(&self, id: CampaignId) -> Result<AdvertiserHandle, MarketError> {
         self.check_campaign(id)?;
-        Ok(self.books[id.keyword].campaigns()[id.index].advertiser)
+        Ok(self.books[id.keyword].campaigns()[id.index].advertiser())
     }
 
     /// Whether a campaign is currently paused.
     pub fn is_paused(&self, id: CampaignId) -> Result<bool, MarketError> {
         self.check_campaign(id)?;
-        Ok(self.books[id.keyword].campaigns()[id.index].paused)
+        Ok(self.books[id.keyword].campaigns()[id.index].paused())
     }
 
     // -- incremental update API --------------------------------------------
@@ -1532,10 +1718,7 @@ impl Marketplace {
         if !bid.is_positive() && bid != Money::ZERO {
             return Err(MarketError::NegativeBid(bid));
         }
-        match self.books[id.keyword].per_click_mut(id.index) {
-            Some(CampaignKind::PerClick { nominal, .. }) => *nominal = bid,
-            _ => return Err(MarketError::NotIncremental(id)),
-        }
+        self.per_click_mut(id)?.nominal = bid;
         self.record(&MutationRecord::UpdateBid {
             keyword: id.keyword as u64,
             index: id.index as u64,
@@ -1560,10 +1743,7 @@ impl Marketplace {
         if let Some(t) = target {
             check_roi_target(t)?;
         }
-        match self.books[id.keyword].per_click_mut(id.index) {
-            Some(CampaignKind::PerClick { roi_target, .. }) => *roi_target = target,
-            _ => return Err(MarketError::NotIncremental(id)),
-        }
+        self.per_click_mut(id)?.set_roi_target(target);
         self.record(&MutationRecord::SetRoiTarget {
             keyword: id.keyword as u64,
             index: id.index as u64,
@@ -1595,9 +1775,35 @@ impl Marketplace {
     }
 
     fn set_paused(&mut self, id: CampaignId, paused: bool) -> Result<(), MarketError> {
-        self.check_campaign(id)?;
-        self.books[id.keyword].bidder_mut(id.index).paused = paused;
+        self.campaign_mut(id)?.owner_mut().paused = paused;
         Ok(())
+    }
+
+    /// Write access to a registered campaign, through its engine's
+    /// accessor: the keyword's next auction compares a standing campaign's
+    /// table with the one it had before the write.
+    fn campaign_mut(&mut self, id: CampaignId) -> Result<&mut Campaign, MarketError> {
+        self.check_campaign(id)?;
+        let engine = self.books[id.keyword].engine.as_mut();
+        let engine = engine.ok_or(MarketError::UnknownCampaign(id))?;
+        Ok(engine.bidder_mut(id.index))
+    }
+
+    /// [`Marketplace::campaign_mut`]'s view of a per-click campaign's
+    /// bidding fields; [`MarketError::NotIncremental`], and no write
+    /// recorded, for any other kind.
+    fn per_click_mut(&mut self, id: CampaignId) -> Result<&mut PerClick, MarketError> {
+        self.check_campaign(id)?;
+        if self.books[id.keyword].campaigns()[id.index]
+            .per_click()
+            .is_none()
+        {
+            return Err(MarketError::NotIncremental(id));
+        }
+        let campaign = self.campaign_mut(id)?;
+        campaign
+            .per_click_mut()
+            .ok_or(MarketError::NotIncremental(id))
     }
 
     /// A per-click campaign's current *effective* bid: its nominal bid
@@ -1608,7 +1814,7 @@ impl Marketplace {
         self.check_campaign(id)?;
         let campaign = &self.books[id.keyword].campaigns()[id.index];
         match campaign.effective_bid() {
-            Some(_) if campaign.paused => Ok(Money::ZERO),
+            Some(_) if campaign.paused() => Ok(Money::ZERO),
             Some(bid) => Ok(bid),
             None => Err(MarketError::NotIncremental(id)),
         }
@@ -1628,7 +1834,7 @@ impl Marketplace {
             .campaigns()
             .iter()
             .enumerate()
-            .filter(|(_, campaign)| !campaign.paused)
+            .filter(|(_, campaign)| !campaign.paused())
             .filter_map(|(index, campaign)| {
                 let bid = campaign.effective_bid()?;
                 Some((CampaignId { keyword, index }, bid))
@@ -1713,7 +1919,7 @@ impl Marketplace {
                 .map(|c| self.books[c.keyword].serve_run(c.requests, c.start_time))
                 .collect()
         } else {
-            self.fan_out(&chunks)
+            self.fan_out(&chunks)?
         };
 
         let mut out = MarketBatchReport {
@@ -1737,9 +1943,10 @@ impl Marketplace {
 
     /// Runs `chunks` with one scoped worker per shard that has any, each
     /// holding the disjoint `&mut` books of its shard, and returns the
-    /// reports in chunk order.
-    fn fan_out(&mut self, chunks: &[Chunk]) -> Vec<BatchReport> {
-        let num_shards = self.num_shards;
+    /// reports in chunk order. A worker's panic resumes on the caller's
+    /// thread.
+    fn fan_out(&mut self, chunks: &[Chunk]) -> Result<Vec<BatchReport>, MarketError> {
+        let (num_shards, num_keywords) = (self.num_shards, self.books.len());
         let mut shards: Vec<ShardWork> = (0..num_shards).map(|_| ShardWork::default()).collect();
         for (keyword, book) in self.books.iter_mut().enumerate() {
             shards[shard_of_keyword(keyword, num_shards)]
@@ -1760,24 +1967,32 @@ impl Marketplace {
                     scope.spawn(move || {
                         let serve = |at: usize| {
                             let chunk = &chunks[at];
+                            // A shard holds the books of its keywords.
                             let book = shard
                                 .books
                                 .binary_search_by_key(&chunk.keyword, |(keyword, _)| *keyword)
-                                .expect("a shard holds the books of its keywords");
+                                .map_err(|_| MarketError::UnknownKeyword {
+                                    keyword: chunk.keyword,
+                                    num_keywords,
+                                })?;
                             let book = &mut shard.books[book].1;
-                            (at, book.serve_run(chunk.requests, chunk.start_time))
+                            Ok((at, book.serve_run(chunk.requests, chunk.start_time)))
                         };
-                        shard.chunks.iter().copied().map(serve).collect::<Vec<_>>()
+                        shard.chunks.iter().copied().map(serve).collect()
                     })
                 })
                 .collect();
             for worker in workers {
-                for (at, report) in worker.join().expect("shard worker panicked") {
+                let served: Result<Vec<_>, MarketError> = match worker.join() {
+                    Ok(served) => served,
+                    Err(panic) => std::panic::resume_unwind(panic),
+                };
+                for (at, report) in served? {
                     reports[at] = report;
                 }
             }
-        });
-        reports
+            Ok(reports)
+        })
     }
 }
 
@@ -1887,7 +2102,7 @@ fn respond(
         placements.push(Placement {
             slot: SlotId::from_index0(j),
             campaign: id(local),
-            advertiser: campaigns[local].advertiser,
+            advertiser: campaigns[local].advertiser(),
             clicked: report.clicked[j],
             purchased: report.purchased[j],
             charge,
@@ -2361,13 +2576,63 @@ mod tests {
         assert_eq!(most_shards.num_shards(), MAX_SHARDS);
     }
 
-    /// A campaign is one record, the keyword engine's bidder: the per-click
-    /// fields share their enum's tag with the boxed table and program, so a
-    /// per-click campaign pays for no table row.
+    /// A campaign is one record, the keyword engine's bidder: an untargeted
+    /// per-click campaign or program is held inline, the enum's tag sits in
+    /// the pause flag's niche, and everything else is one pointer.
     #[test]
-    fn a_campaign_record_is_at_most_56_bytes() {
+    fn a_campaign_record_is_32_bytes() {
         let size = std::mem::size_of::<Campaign>();
-        assert!(size <= 56, "a campaign record is {size} bytes, 56 allowed");
+        assert_eq!(
+            size, 32,
+            "a campaign record is {size} bytes, 32 pinned \
+             (56 B while targeting and the kind enum sat in every record)"
+        );
+    }
+
+    /// The ledger enters what campaigns share once, by pointer: one
+    /// advertiser's click row on ten keywords is one allocation (and eleven
+    /// pointers: one per engine row, one for the advertiser), and a
+    /// targeting text's matcher is one however many campaigns use it.
+    #[test]
+    fn a_click_row_shared_by_ten_keywords_is_counted_once() {
+        let mut market = Marketplace::builder()
+            .slots(2)
+            .keywords(10)
+            .build()
+            .expect("valid configuration");
+        let a = market.register_advertiser("a");
+        for keyword in 0..10 {
+            let spec = CampaignSpec::per_click(Money::from_cents(5)).click_probs(vec![0.5, 0.25]);
+            market.add_campaign(a, keyword, spec).expect("accepted");
+        }
+        let ledger = market.footprint();
+        let rows = ledger.get(Component::ClickRows);
+        assert_eq!((rows.allocations, rows.in_use), (1, 16 + 2 * 8));
+        assert_eq!(ledger.get(Component::ClickRowPointers).in_use, 11 * 16);
+        assert_eq!(ledger.get(Component::CampaignRecords).in_use, 10 * 32);
+        assert_eq!(ledger.get(Component::BoxedCampaigns), HeapUse::default());
+        assert_eq!(ledger.get(Component::PurchaseIndex), HeapUse::default());
+
+        // A different row is one more; a shared matcher is entered once.
+        let b = market.register_advertiser("b");
+        for keyword in 0..2 {
+            let spec = CampaignSpec::per_click(Money::from_cents(5))
+                .click_probs(vec![0.5, 0.125])
+                .targeting("device = 'mobile'");
+            market.add_campaign(b, keyword, spec).expect("accepted");
+        }
+        let ledger = market.footprint();
+        assert_eq!(ledger.get(Component::ClickRows).allocations, 2);
+        let boxed = std::mem::size_of::<BoxedCampaign>();
+        assert_eq!(ledger.get(Component::BoxedCampaigns).in_use, 2 * boxed);
+        let text = "device = 'mobile'".len();
+        let matcher = 16 + std::mem::size_of::<CompiledTargeting>() + text;
+        let map = footprint::of_map(&market.matchers);
+        assert_eq!(
+            ledger.get(Component::TargetingMatchers).in_use,
+            map.in_use + text + matcher
+        );
+        assert_eq!(ledger.total(), ledger.lines().map(|(_, heap)| heap).sum());
     }
 
     /// Writes that leave a campaign's effective bid where it was keep the
@@ -2638,7 +2903,7 @@ mod tests {
         };
         let matcher = |id: CampaignId| {
             let campaign = &book(id).campaigns()[id.index];
-            campaign.targeting.as_ref().expect("targeted")
+            campaign.shared_targeting().expect("targeted")
         };
         let [a0, a1, b0, b1, c0, c1] = *ids;
         assert!(

@@ -20,10 +20,17 @@
 //! costs its 16-byte pointer and its allocation's 16-byte header on top of
 //! its `k` entries. An advertiser that never purchases — the pure
 //! click-auction setting — costs [`PurchaseModel`] no per-slot storage at
-//! all.
+//! all, and while nobody in the model purchases, no entry of a row index
+//! either.
 
+use crate::footprint::{Accountant, Component, HeapUse};
 use ssa_bidlang::SlotId;
 use std::sync::Arc;
+
+/// Enters a click row in `ledger` unless an earlier holder did.
+pub(crate) fn account_click_row(ledger: &mut Accountant, row: &Arc<[f64]>) {
+    ledger.add_shared(Component::ClickRows, row, |_| HeapUse::default());
+}
 
 /// Per-advertiser, per-slot click probabilities.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,6 +114,14 @@ impl ClickModel {
             );
         }
         self.rows.push(row);
+    }
+
+    /// Enters the model's row pointers and, each once, its rows.
+    pub(crate) fn account(&self, ledger: &mut Accountant) {
+        ledger.add(Component::ClickRowPointers, HeapUse::of_vec(&self.rows));
+        for row in &self.rows {
+            account_click_row(ledger, row);
+        }
     }
 
     /// Builds a model from explicit rows.
@@ -245,13 +260,19 @@ impl SeparableClickModel {
 /// probability depends on whether the ad was clicked and on the slot).
 ///
 /// Stored sparsely: only advertisers with some non-zero probability own a
-/// per-slot row. In the pure click-auction setting — every production
-/// population so far — the model is one word per advertiser.
+/// per-slot row, and the per-advertiser index of those rows exists only
+/// once one does. In the pure click-auction setting — every production
+/// population so far — the model is two words, whatever the advertiser
+/// count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PurchaseModel {
     k: usize,
+    /// Number of advertisers.
+    n: usize,
     /// Per advertiser: index of its row in `rows` (in units of `k`), or
-    /// [`NEVER`] for an advertiser that never purchases.
+    /// [`NEVER`] for an advertiser that never purchases. Empty while no
+    /// advertiser purchases; the first one that does writes `NEVER` for
+    /// every advertiser before it.
     row_of: Vec<u32>,
     /// `(p | click, p | no click)`, row-major over the stored rows.
     rows: Vec<(f64, f64)>,
@@ -267,7 +288,8 @@ impl PurchaseModel {
     pub fn never(n: usize, k: usize) -> Self {
         PurchaseModel {
             k,
-            row_of: vec![NEVER; n],
+            n,
+            row_of: Vec::new(),
             rows: Vec::new(),
         }
     }
@@ -308,18 +330,24 @@ impl PurchaseModel {
         // A row that is not all zeros has an entry, so `k > 0` here.
         let index = u32::try_from(self.rows.len() / self.k).unwrap_or(NEVER);
         assert_ne!(index, NEVER, "more than 2^32 - 2 purchasing advertisers");
+        self.row_of.resize(self.n, NEVER);
         self.row_of.push(index);
+        self.n += 1;
         self.rows.extend_from_slice(row);
     }
 
     /// Appends an advertiser that never purchases.
     pub fn push_never(&mut self) {
-        self.row_of.push(NEVER);
+        if !self.row_of.is_empty() {
+            self.row_of.push(NEVER);
+        }
+        self.n += 1;
     }
 
     /// Advertiser `adv`'s row as stored; `None` if it never purchases.
     pub(crate) fn stored_row(&self, adv: usize) -> Option<&[(f64, f64)]> {
-        match self.row_of[adv] {
+        debug_assert!(adv < self.n, "advertiser {adv} of {}", self.n);
+        match self.row_of.get(adv).copied().unwrap_or(NEVER) {
             NEVER => None,
             index => {
                 let start = index as usize * self.k;
@@ -355,7 +383,13 @@ impl PurchaseModel {
 
     /// Number of advertisers.
     pub fn num_advertisers(&self) -> usize {
-        self.row_of.len()
+        self.n
+    }
+
+    /// Enters the model's row index and rows.
+    pub(crate) fn account(&self, ledger: &mut Accountant) {
+        ledger.add(Component::PurchaseIndex, HeapUse::of_vec(&self.row_of));
+        ledger.add(Component::PurchaseRows, HeapUse::of_vec(&self.rows));
     }
 }
 
@@ -473,6 +507,30 @@ mod tests {
         assert_eq!(purchases.row(0), vec![(0.0, 0.0); 2]);
         assert_eq!(purchases.row(1), vec![(0.5, 0.25), (0.0, 0.0)]);
         assert!(purchases.row(4)[0].1.is_sign_negative());
+    }
+
+    /// The pure click-auction setting costs no per-advertiser storage: the
+    /// row index appears with the first advertiser that purchases.
+    #[test]
+    fn a_model_without_purchases_holds_no_per_advertiser_storage() {
+        let mut purchases = PurchaseModel::never(3, 2);
+        for _ in 0..997 {
+            purchases.push_never();
+        }
+        assert_eq!(purchases.num_advertisers(), 1000);
+        assert_eq!(purchases.row_of.capacity(), 0);
+        assert_eq!(purchases.rows.capacity(), 0);
+        assert_eq!(purchases.row(999), vec![(0.0, 0.0); 2]);
+        assert_eq!(purchases.p_purchase(0, SlotId::new(1), true), 0.0);
+
+        purchases.push_row(&[(0.5, 0.25), (0.0, 0.0)]);
+        purchases.push_never();
+        assert_eq!(purchases.num_advertisers(), 1002);
+        assert_eq!(purchases.row_of.len(), 1002);
+        assert!(purchases.row_of[..1000].iter().all(|&at| at == NEVER));
+        assert_eq!(purchases.row_of[1000..], [0, NEVER]);
+        assert_eq!(purchases.row(1000), vec![(0.5, 0.25), (0.0, 0.0)]);
+        assert_eq!(purchases.row(1001), vec![(0.0, 0.0); 2]);
     }
 
     #[test]

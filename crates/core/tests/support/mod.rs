@@ -1,54 +1,55 @@
-//! The market both per-click footprint binaries measure, on the shape of
-//! the `engine-solve` benchmark market: 2 000 advertisers with one per-click
-//! campaign on each of 10 keywords, 15 slots, and every keyword served
-//! twice, so the engines, per-slot lists and solver scratch exist. Each
-//! binary is one `#[test]` because resident set size is process-wide.
-//! Linux-only: it is read from `/proc/self/status`.
+//! The market the footprint tests weigh, on the shape of the `engine-solve`
+//! benchmark market: advertisers with one per-click campaign on each of 10
+//! keywords, 15 slots, and every keyword served twice, so the engines,
+//! per-slot lists and solver scratch exist. Each test binary uses the part
+//! it needs.
+
+#![allow(dead_code)]
 
 use ssa_bidlang::Money;
+use ssa_core::footprint::Ledger;
 use ssa_core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
 
 pub const SLOTS: usize = 15;
 pub const KEYWORDS: usize = 10;
+/// Advertisers of the per-campaign footprint tests.
 pub const ADVERTISERS: usize = 2_000;
 pub const CAMPAIGNS: usize = ADVERTISERS * KEYWORDS;
 
-/// Resident set size of this process in bytes (`VmRSS`).
-fn resident_bytes() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let kb: f64 = status
-        .lines()
-        .find_map(|line| line.strip_prefix("VmRSS:"))
-        .and_then(|rest| rest.trim().strip_suffix("kB"))
-        .and_then(|kb| kb.trim().parse().ok())
-        .expect("VmRSS line in /proc/self/status");
-    kb * 1024.0
-}
-
-/// Builds and serves the market, with campaign `(advertiser, keyword)`
-/// bringing the click probabilities `click_probs` returns, and returns the
-/// resident bytes per campaign after printing them as one JSON line named
-/// `metric` (the line the `perf-smoke` CI job appends to
-/// `bench-report.json`).
-pub fn resident_bytes_per_campaign(
+/// Builds and serves the per-campaign market, with campaign
+/// `(advertiser, keyword)` bringing the click probabilities `click_probs`
+/// returns, and returns its ledger's bytes in use per campaign after
+/// printing them as one JSON line named `metric` (the line the
+/// `perf-smoke` CI job appends to `bench-report.json`).
+pub fn ledger_bytes_per_campaign(
     metric: &str,
     click_probs: impl Fn(usize, usize) -> Vec<f64>,
 ) -> f64 {
-    // A market too small to weigh anything first, so the code every
-    // campaign runs is resident before the reading: a debug build's is
-    // ≈ 350 KB more than a release build's.
-    drop(served_market(SLOTS, &click_probs));
-    let before = resident_bytes();
-    let market = served_market(ADVERTISERS, &click_probs);
-    let per_campaign = (resident_bytes() - before) / CAMPAIGNS as f64;
-    println!("{{\"metric\":\"{metric}\",\"campaigns\":{CAMPAIGNS},\"value\":{per_campaign:.0}}}");
+    let market = served_market(ADVERTISERS, click_probs);
     assert_eq!(market.num_campaigns_total(), CAMPAIGNS);
+    let ledger = market.footprint();
+    print_ledger(&ledger);
+    let per_campaign = ledger.total().in_use as f64 / CAMPAIGNS as f64;
+    println!("{{\"metric\":\"{metric}\",\"campaigns\":{CAMPAIGNS},\"value\":{per_campaign:.1}}}");
     per_campaign
+}
+
+/// The ledger's lines, largest first, for the test log.
+pub fn print_ledger(ledger: &Ledger) {
+    for (component, heap) in ledger.largest_first() {
+        println!(
+            "{:>24}: {:>10} B in use, {:>10} B reserved, {:>6} allocations",
+            component.name(),
+            heap.in_use,
+            heap.reserved,
+            heap.allocations
+        );
+    }
 }
 
 /// `advertisers` advertisers with a campaign on every keyword, every
 /// keyword served twice.
-fn served_market(
+pub fn served_market(
     advertisers: usize,
     click_probs: impl Fn(usize, usize) -> Vec<f64>,
 ) -> Marketplace {
@@ -78,6 +79,12 @@ fn served_market(
         }
     }
     market
+}
+
+/// The click probabilities advertiser `adv` of `advertisers` brings to
+/// every keyword: its quality falls with the slot.
+pub fn advertiser_row(adv: usize, advertisers: usize) -> Vec<f64> {
+    falling(0.2 + 0.7 * (adv + 1) as f64 / (advertisers + 1) as f64)
 }
 
 /// Click probabilities falling with the slot from `quality` in slot 1.

@@ -15,6 +15,7 @@
 //!   constant number of times per slot, which is exactly what the
 //!   reduced-graph method of Section III-E avoids.
 
+use crate::heap::HeapUse;
 use crate::matrix::{Assignment, RevenueMatrix, EXCLUDED};
 use crate::solver::WdSolver;
 
@@ -36,6 +37,16 @@ impl HungarianSolver {
     /// Creates a solver with empty scratch buffers (they grow on first use).
     pub fn new() -> Self {
         HungarianSolver::default()
+    }
+
+    /// The heap the solver's scratch holds.
+    pub(crate) fn heap_use(&self) -> HeapUse {
+        HeapUse::of_vec(&self.u)
+            + HeapUse::of_vec(&self.v)
+            + HeapUse::of_vec(&self.matched_row)
+            + HeapUse::of_vec(&self.way)
+            + HeapUse::of_vec(&self.minv)
+            + HeapUse::of_vec(&self.used)
     }
 
     /// Resizes every scratch vector for a `k`-slot, `cols`-column instance

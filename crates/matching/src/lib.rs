@@ -25,6 +25,8 @@
 //!   floor so the pruned solve stays bit-identical to the unpruned one.
 //! * [`exhaustive`] — brute-force reference solvers used to validate
 //!   optimality in tests.
+//! * [`heap`] — [`HeapUse`], the heap bytes a solver's state holds, which
+//!   memory ledgers read off [`RetainedOrder`] and [`ReducedSolver`].
 //! * [`solver`] — the [`WdSolver`] trait: every method above as a reusable
 //!   solver object with persistent scratch buffers, the interface the
 //!   batched auction pipeline in `ssa_core` is built on.
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod exhaustive;
+pub mod heap;
 pub mod hungarian;
 pub mod matrix;
 pub mod ordered;
@@ -50,6 +53,7 @@ pub mod solver;
 pub mod threshold;
 pub mod topk;
 
+pub use heap::HeapUse;
 pub use hungarian::{max_weight_assignment, HungarianSolver};
 pub use matrix::{Assignment, RevenueMatrix, EXCLUDED};
 pub use ordered::OrderedF64;

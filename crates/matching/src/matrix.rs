@@ -1,6 +1,7 @@
 //! The expected-revenue matrix and assignment types shared by all winner
 //! determination methods.
 
+use crate::heap::HeapUse;
 use std::fmt;
 
 /// Sentinel weight marking an advertiser–slot pair that must never be
@@ -74,6 +75,11 @@ impl RevenueMatrix {
     #[inline]
     pub fn num_slots(&self) -> usize {
         self.k
+    }
+
+    /// The heap the matrix holds: its cells, spare capacity included.
+    pub fn heap_use(&self) -> HeapUse {
+        HeapUse::of_vec(&self.data)
     }
 
     /// The weight of assigning slot `j` to advertiser `i`.

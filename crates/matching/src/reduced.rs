@@ -10,6 +10,7 @@
 //! reduced bipartite graph costs `O(k⁵)` after an `O(n k log k)` selection
 //! pass — linear in the number of advertisers.
 
+use crate::heap::HeapUse;
 use crate::hungarian::HungarianSolver;
 use crate::matrix::{Assignment, RevenueMatrix};
 use crate::solver::WdSolver;
@@ -83,6 +84,20 @@ impl ReducedSolver {
             sub_out: Assignment::default(),
             inner: HungarianSolver::new(),
         }
+    }
+
+    /// The heap the solver's scratch holds: its collectors, the reduced
+    /// graph being read and the one being laid out, and the inner solver's
+    /// buffers.
+    pub fn heap_use(&self) -> HeapUse {
+        HeapUse::of_vec(&self.collectors)
+            + self.collectors.iter().map(TopK::heap_use).sum()
+            + HeapUse::of_vec(&self.candidates)
+            + self.sub.heap_use()
+            + self.next_sub.heap_use()
+            + HeapUse::of_vec(&self.row)
+            + HeapUse::of_vec(&self.sub_out.slot_to_adv)
+            + self.inner.heap_use()
     }
 
     /// The candidate set of the most recent solve (sorted ascending

@@ -21,6 +21,7 @@
 //!
 //! [`TopK`]: crate::topk::TopK
 
+use crate::heap::HeapUse;
 use crate::matrix::EXCLUDED;
 use std::cmp::Ordering;
 
@@ -151,6 +152,19 @@ impl RetainedOrder {
             list.admit((row, weight), cap, &mut self.listed);
             self.floor_weights[slot] = list.floor.map_or(EXCLUDED, |floor| floor.1);
         }
+    }
+
+    /// The heap the order holds: its lists, their floors and the per-row
+    /// listing counts.
+    pub fn heap_use(&self) -> HeapUse {
+        HeapUse::of_vec(&self.lists)
+            + self
+                .lists
+                .iter()
+                .map(|list| HeapUse::of_vec(&list.entries))
+                .sum()
+            + HeapUse::of_vec(&self.floor_weights)
+            + HeapUse::of_vec(&self.listed)
     }
 
     /// Whether some list no longer holds its column's top `k + 1`: rows

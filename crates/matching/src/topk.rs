@@ -5,6 +5,7 @@
 //! most k". [`TopK`] is that heap; [`top_k_indices`] applies it to every
 //! column of a revenue matrix.
 
+use crate::heap::HeapUse;
 use crate::matrix::{RevenueMatrix, EXCLUDED};
 use crate::ordered::OrderedF64;
 use std::cmp::Reverse;
@@ -27,6 +28,16 @@ impl TopK {
         TopK {
             capacity: k,
             heap: BinaryHeap::with_capacity(k + 1),
+        }
+    }
+
+    /// The heap the collector holds.
+    pub(crate) fn heap_use(&self) -> HeapUse {
+        let size = std::mem::size_of::<Reverse<(OrderedF64, Reverse<usize>)>>();
+        HeapUse {
+            in_use: self.heap.len() * size,
+            reserved: self.heap.capacity() * size,
+            allocations: usize::from(self.heap.capacity() > 0),
         }
     }
 
