@@ -27,11 +27,12 @@
 //!   TRIGGER … AFTER INSERT ON Query { … }` (and, if settlement matters,
 //!   a second trigger on `Outcome`).
 //!
-//! Programs are "simple SQL updates without recursion and side-effects": a
-//! trigger body either script installs may hold only `UPDATE`, `DELETE`,
-//! `SET`, `IF` and `SELECT`, or [`SqlProgramBidder::new`] refuses it before
-//! running anything ([`SqlProgramError::Contract`]). Triggers fire only on
-//! `INSERT`, so no trigger fires another.
+//! Programs are "simple SQL updates without recursion and side-effects":
+//! that is minidb's parse rule. A trigger body may hold only `UPDATE`,
+//! `DELETE`, `SET`, `IF` and `SELECT`, so [`SqlProgramBidder::new`] refuses
+//! a script installing any other before running anything, with
+//! [`DbError::TriggerBody`] naming the statement and the trigger. Triggers
+//! fire only on `INSERT`, so no trigger fires another.
 //!
 //! Per auction the host (the marketplace engine) then:
 //!
@@ -76,7 +77,6 @@
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use ssa_bidlang::{parse_formula, BidsTable, Formula, Money};
-use ssa_minidb::ast::Statement;
 use ssa_minidb::{Database, DbError, Params, Prepared, Text, Value, NO_PARAMS};
 use std::fmt;
 
@@ -101,13 +101,6 @@ pub enum SqlProgramError {
         /// Columns it was declared with.
         got: usize,
     },
-    /// A trigger body breaks the program contract (module docs).
-    Contract {
-        /// The refused statement, e.g. `INSERT INTO Log`.
-        statement: String,
-        /// Why it is refused.
-        reason: String,
-    },
 }
 
 impl fmt::Display for SqlProgramError {
@@ -125,7 +118,6 @@ impl fmt::Display for SqlProgramError {
                 f,
                 "Bids must have at least two columns (formula, value), found {got}"
             ),
-            SqlProgramError::Contract { statement, reason } => write!(f, "{statement}: {reason}"),
         }
     }
 }
@@ -166,16 +158,14 @@ pub struct SqlProgramBidder {
 }
 
 impl SqlProgramBidder {
-    /// Assembles a program: checks the triggers of both scripts against
-    /// the program contract, runs `tables` (with `params` bound through the
-    /// prepared-statement layer), then `program`, then validates the host
-    /// protocol's table contract.
+    /// Assembles a program: parses both scripts (which refuses a trigger
+    /// body breaking the program contract), runs `tables` (with `params`
+    /// bound through the prepared-statement layer), then `program`, then
+    /// validates the host protocol's table contract.
     pub fn new(tables: &str, program: &str, params: &Params) -> Result<Self, SqlProgramError> {
         let mut db = Database::new();
         let mut tables = db.prepare(tables)?;
         let mut program = db.prepare(program)?;
-        check_contract(tables.statements(), None)?;
-        check_contract(program.statements(), None)?;
         tables.execute(&mut db, params)?;
         program.execute(&mut db, NO_PARAMS)?;
         let columns = |table| db.table(table).map(|t| t.schema().len());
@@ -309,40 +299,6 @@ impl SqlProgramBidder {
         }
         self.db.insert("Outcome", vec![Value::Int(clicked)])
     }
-}
-
-/// Refuses, as [`SqlProgramError::Contract`], any statement but UPDATE,
-/// DELETE, SET, IF and SELECT in the body of a trigger `statements` install
-/// (`IF` blocks included); `trigger` names the body being walked, if any.
-fn check_contract(statements: &[Statement], trigger: Option<&str>) -> Result<(), SqlProgramError> {
-    for stmt in statements {
-        if let Statement::If { arms, else_block } = stmt {
-            for block in arms.iter().map(|(_, block)| block).chain(else_block) {
-                check_contract(block, trigger)?;
-            }
-            continue;
-        }
-        let Some(trigger) = trigger else {
-            if let Statement::CreateTrigger { name, body, .. } = stmt {
-                check_contract(body, Some(name))?;
-            }
-            continue;
-        };
-        let statement = match stmt {
-            Statement::Insert { table, .. } => format!("INSERT INTO {table}"),
-            Statement::CreateTable { name, .. } => format!("CREATE TABLE {name}"),
-            Statement::DropTable { name } => format!("DROP TABLE {name}"),
-            Statement::CreateTrigger { name, .. } => format!("CREATE TRIGGER {name}"),
-            Statement::Explain(_) => "EXPLAIN".to_string(),
-            Statement::Update { .. } | Statement::Delete { .. } | Statement::Select(_) => continue,
-            Statement::SetVar { .. } | Statement::If { .. } => continue,
-        };
-        let reason = format!(
-            "the body of trigger {trigger} may hold only UPDATE, DELETE, SET, IF and SELECT"
-        );
-        return Err(SqlProgramError::Contract { statement, reason });
-    }
-    Ok(())
 }
 
 impl Bidder for SqlProgramBidder {
@@ -510,7 +466,8 @@ mod tests {
     #[test]
     fn a_program_that_reshapes_bids_errors_instead_of_panicking() {
         // A trigger body that would drop and recreate Bids with too few
-        // columns is refused at registration, before either script runs.
+        // columns is refused as minidb parses it, at registration, before
+        // either script runs.
         let tables = "
             CREATE TABLE Query (kw INT);
             CREATE TABLE Bids (formula TEXT, value INT);
@@ -526,12 +483,11 @@ mod tests {
         ";
         assert_eq!(
             SqlProgramBidder::new(tables, program, &Params::new()).unwrap_err(),
-            SqlProgramError::Contract {
+            SqlProgramError::Db(DbError::TriggerBody {
+                trigger: "sabotage".to_string(),
                 statement: "DROP TABLE Bids".to_string(),
-                reason: "the body of trigger sabotage may hold only \
-                         UPDATE, DELETE, SET, IF and SELECT"
-                    .to_string(),
-            }
+                position: program.find("DROP").unwrap(),
+            })
         );
         // The host can still reshape Bids: a typed error, no bids, no panic.
         let mut b = SqlProgramBidder::new(tables, "", &Params::new()).unwrap();
@@ -561,10 +517,16 @@ mod tests {
             }
         ";
         let err = SqlProgramBidder::new(tables, probe, &Params::new()).unwrap_err();
+        assert!(matches!(
+            &err,
+            SqlProgramError::Db(DbError::TriggerBody { trigger, statement, .. })
+                if trigger == "bid" && statement == "INSERT INTO Log"
+        ));
         assert!(
-            matches!(&err, SqlProgramError::Contract { statement, .. } if statement == "INSERT INTO Log")
+            err.to_string()
+                .starts_with("SQL program rejected: INSERT INTO Log at byte "),
+            "{err}"
         );
-        assert!(err.to_string().starts_with("INSERT INTO Log: "), "{err}");
         // Behind IF blocks, in either script, it is found all the same.
         let hidden = "
             IF 1 = 1 THEN
@@ -575,7 +537,8 @@ mod tests {
         for (tables, program) in [(tables, hidden), (&format!("{tables} {hidden}"), "")] {
             assert!(matches!(
                 SqlProgramBidder::new(tables, program, &Params::new()),
-                Err(SqlProgramError::Contract { statement, .. }) if statement == "INSERT INTO Log"
+                Err(SqlProgramError::Db(DbError::TriggerBody { trigger, statement, .. }))
+                    if trigger == "bid" && statement == "INSERT INTO Log"
             ));
         }
     }
@@ -620,9 +583,9 @@ mod tests {
     #[test]
     fn duplicate_column_names_are_refused_at_registration() {
         // Column names are case-insensitive, so `a` and `A` collide. Both
-        // scripts are parsed when the program registers, so a trigger body
-        // that would create such a table is refused there too, long before
-        // it could fire on a serving thread.
+        // scripts are parsed when the program registers, so a `program`
+        // script that would create such a table is refused there too,
+        // before either script runs.
         let duplicate = SqlProgramError::Db(DbError::DuplicateColumn("A".to_string()));
         let tables = "
             CREATE TABLE Query (kw INT);
@@ -634,8 +597,8 @@ mod tests {
             duplicate
         );
         let program = "
-            CREATE TRIGGER bid AFTER INSERT ON Query
-            { CREATE TABLE Scratch (a INT, A INT); }
+            CREATE TABLE Scratch (a INT, A INT);
+            CREATE TRIGGER bid AFTER INSERT ON Query { UPDATE Bids SET value = 1; }
         ";
         assert_eq!(
             SqlProgramBidder::new(TABLES, program, &Params::new().bind("start", 1)).unwrap_err(),

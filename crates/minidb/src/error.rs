@@ -64,8 +64,19 @@ pub enum DbError {
         /// Values supplied.
         got: usize,
     },
-    /// Trigger recursion exceeded the depth limit.
-    TriggerDepthExceeded,
+    /// A `CREATE TRIGGER` body holds a statement other than `UPDATE`,
+    /// `DELETE`, `SET`, `IF` and `SELECT` (Section II-B: bidding programs
+    /// are "simple SQL updates without recursion and side-effects"), so no
+    /// trigger can insert, fire another or change the catalog.
+    TriggerBody {
+        /// The trigger whose body holds it.
+        trigger: String,
+        /// The refused statement, named by its leading words (e.g.
+        /// `INSERT INTO Log`).
+        statement: String,
+        /// Byte offset of the statement in the input.
+        position: usize,
+    },
 }
 
 impl fmt::Display for DbError {
@@ -102,7 +113,15 @@ impl fmt::Display for DbError {
             DbError::Arity { expected, got } => {
                 write!(f, "expected {expected} values, got {got}")
             }
-            DbError::TriggerDepthExceeded => write!(f, "trigger recursion too deep"),
+            DbError::TriggerBody {
+                trigger,
+                statement,
+                position,
+            } => write!(
+                f,
+                "{statement} at byte {position}: the body of trigger {trigger} \
+                 may hold only UPDATE, DELETE, SET, IF and SELECT"
+            ),
         }
     }
 }

@@ -9,9 +9,11 @@
 //!   Figure 5 program, whose `WHERE roi = (SELECT MAX(K.roi) FROM Keywords
 //!   K)` subquery scans the very table being updated.
 //! * Predicates use three-valued logic; a NULL predicate does not match.
-//! * `AFTER INSERT` triggers fire once per inserted row batch, with a depth
-//!   limit to keep programs non-recursive (Section II-B requires bidding
-//!   programs to be "simple SQL updates without recursion").
+//! * `AFTER INSERT` triggers fire once per inserted row batch. A trigger
+//!   body holds only `UPDATE`, `DELETE`, `SET`, `IF` and `SELECT` (the
+//!   parser refuses anything else), so a firing never fires another:
+//!   Section II-B requires bidding programs to be "simple SQL updates
+//!   without recursion".
 
 use crate::ast::Statement;
 use crate::error::{DbError, DbResult};
@@ -22,9 +24,6 @@ use crate::table::{push_exact, Row, Schema, Table};
 use crate::value::Value;
 use crate::vars::Vars;
 use std::sync::Arc;
-
-/// Maximum depth of trigger-initiated statement nesting.
-pub(crate) const MAX_TRIGGER_DEPTH: usize = 16;
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,13 +150,13 @@ impl Database {
         single_select(self.run(sql)?)
     }
 
-    /// Executes one pre-parsed statement (with no parameters bound). The
+    /// Executes one parsed statement (with no parameters bound). The
     /// statement is lowered through the planner; plans from this entry
     /// point are transient — [`Database::prepare`] caches them.
-    pub fn execute(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
+    pub(crate) fn execute(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
         let plan = plan::plan_statement(self, stmt, &[]);
         self.ensure_plan_indexes(&plan.index_reqs);
-        self.exec_planned(stmt, &plan, 0, NO_PARAMS)
+        self.exec_planned(stmt, &plan, NO_PARAMS)
     }
 
     /// Runs a DDL statement — `CREATE TABLE`, `DROP TABLE` or `CREATE
@@ -280,7 +279,7 @@ impl Database {
     pub fn insert(&mut self, table: &str, row: Row) -> DbResult<()> {
         let pos = self.table_position(table)?;
         self.tables[pos].insert(row)?;
-        self.fire_triggers(pos, 0)
+        self.fire_triggers(pos)
     }
 
     /// Names of all tables (display form), sorted.
@@ -292,38 +291,22 @@ impl Database {
 
     // ---- trigger firing ---------------------------------------------------
 
-    /// Fires the `AFTER INSERT` triggers of the table at `pos`.
-    pub(crate) fn fire_triggers(&mut self, pos: usize, depth: usize) -> DbResult<()> {
-        if depth >= MAX_TRIGGER_DEPTH {
-            return Err(DbError::TriggerDepthExceeded);
-        }
-        let table = &*self.shape.tables()[pos].display;
-        // Snapshot the firing set up front: bodies may themselves create or
-        // drop triggers, so we never touch `self.triggers` while executing.
-        // A valid memo is cloned as is; a miss carries the trigger's slot
-        // so the memo can be refilled when its turn comes (by then an
-        // earlier body may have rewritten the trigger list under us).
-        type Fired = Result<Arc<ReadyTrigger>, (usize, Arc<Trigger>)>;
-        let fired: Vec<Fired> = self
-            .triggers
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.trigger.is_on(table))
-            .map(|(slot, t)| match t.ready_in(self) {
-                Some(ready) => Ok(Arc::clone(ready)),
-                None => Err((slot, Arc::clone(&t.trigger))),
-            })
-            .collect();
-        for fired in fired {
-            let ready = match fired {
-                Ok(ready) => ready,
-                Err((slot, trigger)) => {
+    /// Fires the `AFTER INSERT` triggers of the table at `pos`. A body
+    /// cannot insert or run DDL, so it neither fires a trigger nor changes
+    /// the trigger list or the catalog: the loop walks `self.triggers` in
+    /// place, and a memo missing at this shape is refilled in its slot.
+    pub(crate) fn fire_triggers(&mut self, pos: usize) -> DbResult<()> {
+        for slot in 0..self.triggers.len() {
+            let def = &self.triggers[slot];
+            if !def.trigger.is_on(&self.shape.tables()[pos].display) {
+                continue;
+            }
+            let ready = match def.ready_in(self) {
+                Some(ready) => Arc::clone(ready),
+                None => {
+                    let trigger = Arc::clone(&def.trigger);
                     let ready = self.ready_trigger(trigger);
-                    if let Some(t) = self.triggers.get_mut(slot) {
-                        if Arc::ptr_eq(&t.trigger, &ready.trigger) {
-                            t.ready = Some(Arc::clone(&ready));
-                        }
-                    }
+                    self.triggers[slot].ready = Some(Arc::clone(&ready));
                     ready
                 }
             };
@@ -335,7 +318,7 @@ impl Database {
                 .statements
                 .iter()
                 .zip(ready.planned.plans());
-            self.exec_planned_seq(body, depth + 1, NO_PARAMS, |_| ())?;
+            self.exec_planned_seq(body, NO_PARAMS, |_| ())?;
         }
         Ok(())
     }
@@ -508,12 +491,21 @@ mod tests {
 
     #[test]
     fn trigger_recursion_capped() {
+        // A body that would fire its own trigger is refused as it is
+        // parsed: nothing is installed, and inserting fires nothing.
         let mut db = Database::new();
         db.run("CREATE TABLE a (n INT)").unwrap();
-        db.run("CREATE TRIGGER loopy AFTER INSERT ON a { INSERT INTO a VALUES (1); }")
-            .unwrap();
-        let err = db.run("INSERT INTO a VALUES (0)").unwrap_err();
-        assert_eq!(err, DbError::TriggerDepthExceeded);
+        let sql = "CREATE TRIGGER loopy AFTER INSERT ON a { INSERT INTO a VALUES (1); }";
+        assert_eq!(
+            db.run(sql),
+            Err(DbError::TriggerBody {
+                trigger: "loopy".to_string(),
+                statement: "INSERT INTO a".to_string(),
+                position: sql.find("INSERT INTO").unwrap(),
+            })
+        );
+        db.run("INSERT INTO a VALUES (0)").unwrap();
+        assert_eq!(db.table("a").unwrap().len(), 1);
     }
 
     #[test]
@@ -593,7 +585,6 @@ mod tests {
             db.run("CREATE TABLE t (a INT, A INT)"),
             Err(DbError::DuplicateColumn("A".to_string()))
         );
-        // The parser never builds such a statement; a host can.
         let assembled = Statement::CreateTable {
             name: "t".to_string(),
             columns: vec![

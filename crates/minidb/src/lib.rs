@@ -9,11 +9,17 @@
 //! * typed 16-byte [`Value`]s (integers, floats, [`Text`] stored inline up
 //!   to 14 bytes, booleans, NULL),
 //! * [`Table`]s with named, typed columns,
-//! * a SQL-dialect [`parser`] covering `CREATE TABLE`, `CREATE TRIGGER …
-//!   AFTER INSERT ON … { … }`, `INSERT`, `UPDATE … SET … WHERE`, `DELETE`,
+//! * a SQL dialect covering `CREATE TABLE`, `CREATE TRIGGER … AFTER
+//!   INSERT ON … { … }`, `INSERT`, `UPDATE … SET … WHERE`, `DELETE`,
 //!   `SELECT` with aggregates (`MAX`/`MIN`/`SUM`/`COUNT`/`AVG`), scalar
 //!   subqueries (correlated on the row being updated), and
-//!   `IF/ELSEIF/ELSE/ENDIF` blocks,
+//!   `IF/ELSEIF/ELSE/ENDIF` blocks. SQL text is the only input: the parser
+//!   and its statement tree are private,
+//! * trigger bodies that are the paper's bidding programs: the parser
+//!   refuses any statement in a `CREATE TRIGGER` body other than `UPDATE`,
+//!   `DELETE`, `SET`, `IF` and `SELECT` (`IF` blocks included) with
+//!   [`DbError::TriggerBody`], so a trigger never inserts, never fires
+//!   another trigger and never changes the catalog,
 //! * a planned executor ([`plan`]) with snapshot semantics for updates and
 //!   `AFTER INSERT` trigger firing,
 //! * host-visible scalar variables (`amtSpent`, `time`,
@@ -29,10 +35,11 @@
 //!
 //! Execution is layered, not interpreted from the AST on every run:
 //!
-//! 1. **Logical lowering** — the [`parser`] outputs plain data ([`ast`]);
-//!    each statement of a [`Prepared`] script or trigger body is lowered
-//!    once into a plan ([`plan`] module), cached in a script every database
-//!    running the same text shares (see "Compile once per text" below).
+//! 1. **Logical lowering** — the parser outputs a plain-data statement
+//!    tree; each statement of a [`Prepared`] script or trigger body is
+//!    lowered once into a plan ([`plan`] module), cached in a script every
+//!    database running the same text shares (see "Compile once per text"
+//!    below).
 //! 2. **Flat tables, sorted-array indexes** — a [`Table`] keeps its cells
 //!    in one row-major vector and maintains sorted-array indexes on
 //!    `INT`/`TEXT` columns incrementally through every `INSERT`, `UPDATE`,
@@ -49,7 +56,10 @@
 //!
 //! The planned pipeline is the one executor: every statement a
 //! [`Database`] or [`Prepared`] runs, and every trigger firing, goes
-//! through it, and there is no mode to switch. It is bit-for-bit
+//! through it, and there is no mode to switch. A firing runs its body's
+//! memoised plan in place: since a body cannot insert or run DDL, it
+//! neither fires another trigger nor moves the catalog or the trigger list
+//! under the firing. The planned pipeline is bit-for-bit
 //! equivalent to a tree-walking interpreter that scans every table — same
 //! rows, same errors, same trigger side effects — which the crate's
 //! planner-equivalence unit tests check property-style. That interpreter
@@ -80,7 +90,7 @@
 //!   per entry, in the shape's order. A plan holds the shape it was lowered
 //!   at, runs where that shape is the database's, and names tables by
 //!   position in it. Databases that ran the same DDL validate the same
-//!   planned script; one whose DDL diverges (a trigger that recreates a
+//!   planned script; one whose DDL diverges (a script that recreates a
 //!   table with other columns, say) moves to another shape and replans
 //!   alone. A plan keeps its shape alive, so a database coming back to a
 //!   catalog it had finds the plans valid again, whoever else exists.
@@ -120,13 +130,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
-pub mod ast;
+mod ast;
 mod compile;
 pub mod error;
 pub mod exec;
 mod index;
-pub mod lexer;
-pub mod parser;
+mod lexer;
+mod parser;
 pub mod plan;
 mod planner_equivalence;
 pub mod prepared;

@@ -10,10 +10,10 @@ use crate::value::{ArithOp, Value, ValueType};
 /// Maximum combined statement/expression nesting depth. Bidding programs
 /// come from untrusted advertisers; unbounded recursive descent would let
 /// `((((…` or deeply nested `IF`s overflow the parser stack.
-pub const MAX_PARSE_DEPTH: usize = 64;
+pub(crate) const MAX_PARSE_DEPTH: usize = 64;
 
 /// Parses a script of one or more `;`-separated statements.
-pub fn parse_script(input: &str) -> DbResult<Vec<Statement>> {
+pub(crate) fn parse_script(input: &str) -> DbResult<Vec<Statement>> {
     let tokens = tokenize(input)?;
     let mut p = Parser {
         tokens,
@@ -21,7 +21,7 @@ pub fn parse_script(input: &str) -> DbResult<Vec<Statement>> {
         input_len: input.len(),
         depth: 0,
         positional: 0,
-        in_trigger_body: false,
+        trigger: None,
     };
     let mut statements = Vec::new();
     loop {
@@ -34,19 +34,6 @@ pub fn parse_script(input: &str) -> DbResult<Vec<Statement>> {
     Ok(statements)
 }
 
-/// Parses exactly one statement.
-pub fn parse_statement(input: &str) -> DbResult<Statement> {
-    let mut statements = parse_script(input)?;
-    let n = statements.len();
-    match statements.pop() {
-        Some(statement) if n == 1 => Ok(statement),
-        _ => Err(DbError::Parse {
-            message: format!("expected exactly one statement, found {n}"),
-            position: 0,
-        }),
-    }
-}
-
 struct Parser {
     tokens: Vec<Token>,
     index: usize,
@@ -55,11 +42,11 @@ struct Parser {
     depth: usize,
     /// Positional (`?`) parameters seen so far, in statement order.
     positional: usize,
-    /// Inside a `CREATE TRIGGER` body. Stored bodies run long after the
-    /// creating statement's parameters are gone, so placeholders in them
-    /// are rejected at parse time instead of failing when the trigger
-    /// eventually fires.
-    in_trigger_body: bool,
+    /// The trigger whose body is being parsed, if any. A body holds only
+    /// `UPDATE`, `DELETE`, `SET`, `IF` and `SELECT`, and no placeholder:
+    /// it runs long after the creating statement's parameters are gone.
+    /// Both are refused here rather than when the trigger fires.
+    trigger: Option<String>,
 }
 
 impl Parser {
@@ -177,6 +164,15 @@ impl Parser {
     }
 
     fn parse_statement_at_depth(&mut self) -> DbResult<Statement> {
+        if let Some(trigger) = &self.trigger {
+            if let Some(statement) = self.refused_in_body() {
+                return Err(DbError::TriggerBody {
+                    trigger: trigger.clone(),
+                    statement,
+                    position: self.position(),
+                });
+            }
+        }
         match self.peek() {
             Some(TokenKind::Keyword(k)) => match k.to_ascii_uppercase().as_str() {
                 "CREATE" => self.parse_create(),
@@ -199,6 +195,30 @@ impl Parser {
             }
             _ => Err(self.error("expected a statement")),
         }
+    }
+
+    /// The statement starting here, named by its leading words (`INSERT
+    /// INTO Log`, `DROP TABLE Bids`, `EXPLAIN`), if a trigger body may not
+    /// hold it: `INSERT`, `CREATE`, `DROP` and `EXPLAIN` are refused before
+    /// they are parsed, so the error names the rule, not some flaw in the
+    /// refused statement.
+    fn refused_in_body(&self) -> Option<String> {
+        let lead = match self.peek()? {
+            TokenKind::Ident(word) if word.eq_ignore_ascii_case("EXPLAIN") => {
+                return Some("EXPLAIN".to_string())
+            }
+            TokenKind::Keyword(k) => k.to_ascii_uppercase(),
+            _ => return None,
+        };
+        if !matches!(lead.as_str(), "INSERT" | "CREATE" | "DROP") {
+            return None;
+        }
+        let mut words = vec![lead];
+        if let Some(TokenKind::Keyword(k)) = self.peek_at(1) {
+            words.push(k.to_ascii_uppercase());
+            words.extend(self.peek_at(2).and_then(ident_like));
+        }
+        Some(words.join(" "))
     }
 
     fn parse_create(&mut self) -> DbResult<Statement> {
@@ -231,26 +251,20 @@ impl Parser {
             let table = self.expect_ident()?;
             self.expect_symbol('{')?;
             let mut body = Vec::new();
-            let outer = std::mem::replace(&mut self.in_trigger_body, true);
+            // A body cannot hold a `CREATE TRIGGER`, so there is no outer
+            // trigger to restore; an error abandons the whole parse.
+            self.trigger = Some(name.clone());
             loop {
                 self.skip_semicolons();
                 if self.eat_symbol('}') {
                     break;
                 }
                 if self.at_end() {
-                    self.in_trigger_body = outer;
                     return Err(self.error("unterminated trigger body"));
                 }
-                let statement = self.parse_statement();
-                match statement {
-                    Ok(s) => body.push(s),
-                    Err(e) => {
-                        self.in_trigger_body = outer;
-                        return Err(e);
-                    }
-                }
+                body.push(self.parse_statement()?);
             }
-            self.in_trigger_body = outer;
+            self.trigger = None;
             Ok(Statement::CreateTrigger { name, table, body })
         } else {
             Err(self.error("expected TABLE or TRIGGER after CREATE"))
@@ -602,7 +616,7 @@ impl Parser {
     fn parse_primary(&mut self) -> DbResult<Expr> {
         match self.peek().cloned() {
             Some(TokenKind::Question) => {
-                if self.in_trigger_body {
+                if self.trigger.is_some() {
                     return Err(self.error(
                         "parameters are not allowed in trigger bodies \
                          (use host variables for per-firing values)",
@@ -614,7 +628,7 @@ impl Parser {
                 Ok(Expr::Param(ParamRef::Positional(i)))
             }
             Some(TokenKind::NamedParam(name)) => {
-                if self.in_trigger_body {
+                if self.trigger.is_some() {
                     return Err(self.error(
                         "parameters are not allowed in trigger bodies \
                          (use host variables for per-firing values)",
@@ -718,6 +732,19 @@ fn agg_from_keyword(k: &str) -> Option<AggFunc> {
 mod tests {
     use super::*;
 
+    /// Parses exactly one statement.
+    fn parse_statement(input: &str) -> DbResult<Statement> {
+        let mut statements = parse_script(input)?;
+        let n = statements.len();
+        match statements.pop() {
+            Some(statement) if n == 1 => Ok(statement),
+            _ => Err(DbError::Parse {
+                message: format!("expected exactly one statement, found {n}"),
+                position: 0,
+            }),
+        }
+    }
+
     #[test]
     fn create_table() {
         let s = parse_statement("CREATE TABLE Keywords (text TEXT, bid INT, roi FLOAT)").unwrap();
@@ -736,15 +763,11 @@ mod tests {
 
     #[test]
     fn duplicate_column_names_are_rejected() {
-        for sql in [
-            "CREATE TABLE X (a INT, A INT)",
-            "CREATE TRIGGER t AFTER INSERT ON q { CREATE TABLE X (b TEXT, c INT, B FLOAT) }",
-        ] {
-            assert!(
-                matches!(parse_statement(sql), Err(DbError::DuplicateColumn(_))),
-                "{sql} accepted"
-            );
-        }
+        let sql = "CREATE TABLE X (a INT, A INT)";
+        assert!(
+            matches!(parse_statement(sql), Err(DbError::DuplicateColumn(_))),
+            "{sql} accepted"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! DDL runs on ([`crate::exec`] holds the database and its DDL). The
 //! pipeline is layered:
 //!
-//! 1. **Logical plan** — `plan_statement` lowers a parsed [`Statement`]
+//! 1. **Logical plan** — `plan_statement` lowers a parsed statement
 //!    once: the target table is resolved to its catalog position, every column
 //!    reference to a `(scope depth, offset)` pair, every expression to a
 //!    flat compiled op sequence (`crate::compile`), and parameter slots
@@ -1130,15 +1130,16 @@ impl Database {
     ) -> DbResult<Vec<ExecOutcome>> {
         let mut outcomes = Vec::with_capacity(statements.len());
         let planned = statements.iter().zip(script.plans());
-        self.exec_planned_seq(planned, 0, params, |outcome| outcomes.push(outcome))?;
+        self.exec_planned_seq(planned, params, |outcome| outcomes.push(outcome))?;
         Ok(outcomes)
     }
 
     /// Executes planned statements in order: a prepared script, a trigger
     /// body, an `IF` block.
     ///
-    /// DDL run along the way — by an earlier statement or a trigger it
-    /// fired — may drop a table and recreate it as it was. The catalog is
+    /// DDL run along the way by an earlier statement of a script (a
+    /// trigger body runs none) may drop a table and recreate it as it was.
+    /// The catalog is
     /// then back at the shape the remaining plans hold, so they
     /// stay valid, but the indexes they probe went with the old table: once
     /// this database's DDL count has moved, each remaining statement gets
@@ -1146,7 +1147,6 @@ impl Database {
     pub(crate) fn exec_planned_seq<'p>(
         &mut self,
         planned: impl Iterator<Item = (&'p Statement, &'p StmtPlan)>,
-        depth: usize,
         params: &Params,
         mut outcome: impl FnMut(ExecOutcome),
     ) -> DbResult<()> {
@@ -1155,7 +1155,7 @@ impl Database {
             if self.ddl_epoch != epoch && Arc::ptr_eq(&plan.shape, &self.shape) {
                 self.ensure_plan_indexes(&plan.index_reqs);
             }
-            outcome(self.exec_planned(stmt, plan, depth, params)?);
+            outcome(self.exec_planned(stmt, plan, params)?);
         }
         Ok(())
     }
@@ -1167,15 +1167,14 @@ impl Database {
         &mut self,
         source: &Statement,
         plan: &StmtPlan,
-        depth: usize,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
         if !Arc::ptr_eq(&plan.shape, &self.shape) && !matches!(plan.kind, PlanKind::Ddl(_)) {
             let fresh = plan_statement(self, source, &[]);
             self.ensure_plan_indexes(&fresh.index_reqs);
-            return self.exec_plan_kind(source, &fresh, depth, params);
+            return self.exec_plan_kind(source, &fresh, params);
         }
-        self.exec_plan_kind(source, plan, depth, params)
+        self.exec_plan_kind(source, plan, params)
     }
 
     /// Builds the indexes `reqs` name, positions taken at this database's
@@ -1192,7 +1191,6 @@ impl Database {
         &mut self,
         source: &Statement,
         plan: &StmtPlan,
-        depth: usize,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
         // Indexes were materialised when the plan was built or adopted
@@ -1216,11 +1214,11 @@ impl Database {
                         cond.eval_predicate(&mut cx)?
                     };
                     if hit {
-                        return self.exec_planned_block(block, depth, params);
+                        return self.exec_planned_block(block, params);
                     }
                 }
                 if let Some(block) = else_block {
-                    return self.exec_planned_block(block, depth, params);
+                    return self.exec_planned_block(block, params);
                 }
                 Ok(ExecOutcome::Done)
             }
@@ -1231,7 +1229,7 @@ impl Database {
                 };
                 Ok(ExecOutcome::Rows(rows))
             }
-            PlanKind::Insert(pi) => self.exec_planned_insert(pi, depth, params),
+            PlanKind::Insert(pi) => self.exec_planned_insert(pi, params),
             PlanKind::Update(pu) => self.exec_planned_update(pu, params),
             PlanKind::Delete(pd) => self.exec_planned_delete(pd, params),
         }
@@ -1240,18 +1238,16 @@ impl Database {
     fn exec_planned_block(
         &mut self,
         block: &PlannedBlock,
-        depth: usize,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
         let planned = block.stmts.iter().map(|(stmt, plan)| (stmt, plan));
-        self.exec_planned_seq(planned, depth, params, |_| ())?;
+        self.exec_planned_seq(planned, params, |_| ())?;
         Ok(ExecOutcome::Done)
     }
 
     fn exec_planned_insert(
         &mut self,
         pi: &PlannedInsert,
-        depth: usize,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
         // Evaluate before mutating (expressions may read other tables),
@@ -1283,7 +1279,7 @@ impl Database {
         for row in materialised {
             t.insert(row)?;
         }
-        self.fire_triggers(pi.table, depth)?;
+        self.fire_triggers(pi.table)?;
         Ok(ExecOutcome::Inserted(count))
     }
 

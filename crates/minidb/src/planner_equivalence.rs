@@ -319,6 +319,10 @@ struct Campaign {
     clear: Prepared,
     read: Prepared,
     query_table: String,
+    /// A memoised script run every round right after the activation row
+    /// fired the program: DDL and inserts, which a trigger body may not
+    /// hold, in flight between the program's plans and the host's read.
+    reshape: Option<Prepared>,
 }
 
 impl Campaign {
@@ -338,6 +342,7 @@ impl Campaign {
             clear,
             read,
             query_table,
+            reshape: None,
         }
     }
 
@@ -345,6 +350,9 @@ impl Campaign {
     fn round(&mut self) -> DbResult<Vec<Row>> {
         self.db.execute(&mut self.clear, NO_PARAMS)?;
         self.db.insert(&self.query_table, vec![Value::Int(0)])?;
+        if let Some(reshape) = &mut self.reshape {
+            self.db.execute(reshape, NO_PARAMS)?;
+        }
         self.db.query_prepared(&mut self.read, NO_PARAMS)
     }
 
@@ -402,23 +410,21 @@ fn databases_sharing_one_script_match_their_oracles() {
     }
 }
 
-/// A sibling whose trigger reshapes `Bids` (another column list) leaves the
+/// A sibling whose rounds reshape `Bids` (another column list) leaves the
 /// shared catalog shape: it replans, alone, and the databases that stayed
 /// keep their results, their plans and their counters' pace.
 #[test]
 fn a_sibling_whose_ddl_diverges_replans_alone() {
     let tag = "_diverge";
     let reshape = format!(
-        "CREATE TRIGGER reshape AFTER INSERT ON Query{tag} {{
-           DROP TABLE Bids{tag};
-           CREATE TABLE Bids{tag} (formula TEXT, value INT, note TEXT);
-           INSERT INTO Bids{tag} VALUES ('Click', 7, 'reshaped');
-         }}"
+        "DROP TABLE Bids{tag};
+         CREATE TABLE Bids{tag} (formula TEXT, value INT, note TEXT);
+         INSERT INTO Bids{tag} VALUES ('Click', 7, 'reshaped');"
     );
     let build = |engine, diverge: bool| {
         let mut campaign = Campaign::new(tag, engine, 1, 5);
         if diverge {
-            campaign.db.run(&reshape).unwrap();
+            campaign.reshape = Some(campaign.db.prepare(&reshape).unwrap());
         }
         campaign
     };
@@ -549,27 +555,25 @@ fn an_adopted_plan_still_gets_its_indexes() {
     assert_eq!(third.planner_stats().rows_scanned, scanned_before);
 }
 
-/// A trigger that drops a table and recreates it as it was brings the
-/// database back to a catalog shape — and shape id — it had before, with
-/// the table's indexes gone. What the database does next (the access paths
-/// of the statements still in flight, what it replans) must be the same
-/// whether or not a sibling database has that shape too.
+/// A memoised script that drops a table and recreates it as it was brings
+/// the database back to a catalog shape it had before, with the table's
+/// indexes gone. What the database does next (the access paths of the
+/// statements still in flight, what it replans) must be the same whether
+/// or not a sibling database has that shape too.
 #[test]
 fn recreating_a_table_behaves_the_same_with_or_without_a_sibling() {
     let tag = "_recreate";
     let recreate = format!(
-        "CREATE TRIGGER recreate AFTER INSERT ON Query{tag} {{
-           DROP TABLE Bids{tag};
-           CREATE TABLE Bids{tag} (formula TEXT, value INT);
-           INSERT INTO Bids{tag} VALUES ('Click', 0), ('Purchase', 0);
-           UPDATE Bids{tag} SET value = 9 WHERE formula = 'Click';
-         }}"
+        "DROP TABLE Bids{tag};
+         CREATE TABLE Bids{tag} (formula TEXT, value INT);
+         INSERT INTO Bids{tag} VALUES ('Click', 0), ('Purchase', 0);
+         UPDATE Bids{tag} SET value = 9 WHERE formula = 'Click';"
     );
     // Rows and counters after each of four rounds.
     let run = |engine, with_sibling: bool| {
         let _sibling = with_sibling.then(|| Campaign::new(tag, Engine::Planned, 1, 5));
         let mut campaign = Campaign::new(tag, engine, 1, 5);
-        campaign.db.run(&recreate).unwrap();
+        campaign.reshape = Some(campaign.db.prepare(&recreate).unwrap());
         let rounds: Vec<_> = (0..4)
             .map(|_| (campaign.round(), campaign.db.planner_stats()))
             .collect();
@@ -604,28 +608,29 @@ fn recreating_a_table_behaves_the_same_with_or_without_a_sibling() {
 // Position shifts: plans name tables by their position in the catalog shape
 // they were lowered at. DDL that moves a table's position — a table created
 // whose name sorts before it, or dropped from before it — must never let a
-// memoised plan, or one in flight inside a trigger body, touch the table
-// that now sits where its own used to.
+// memoised plan, or one in flight after such DDL in its own script, touch
+// the table that now sits where its own used to.
 // ---------------------------------------------------------------------------
 
 /// `Aaa_shift` and `Decoy_shift` sort before `Keywords_shift` and have its
 /// very columns: a stale position would not fail, it would quietly read or
 /// write the wrong rows.
 const SHIFT_SETUP: &str = "
-    CREATE TABLE Query_shift (kw INT);
     CREATE TABLE Keywords_shift (text TEXT, bid INT);
-    INSERT INTO Keywords_shift VALUES ('boot', 1), ('shoe', 2), ('boot', 3);
-    CREATE TRIGGER shift_in_flight AFTER INSERT ON Query_shift {
-      CREATE TABLE Aaa_shift (text TEXT, bid INT);
-      INSERT INTO Aaa_shift VALUES ('boot', 100), ('shoe', 200);
-      UPDATE Keywords_shift SET bid = bid + 1 WHERE text = 'boot';
-      DROP TABLE Aaa_shift;
-      UPDATE Keywords_shift SET bid = bid * 2 WHERE text = 'shoe';
-    }";
+    INSERT INTO Keywords_shift VALUES ('boot', 1), ('shoe', 2), ('boot', 3);";
+
+/// Shifts `Keywords_shift`'s position and back between its own statements;
+/// run as a memoised script, so its plans are in flight across the shifts.
+const SHIFT_IN_FLIGHT: &str = "
+    CREATE TABLE Aaa_shift (text TEXT, bid INT);
+    INSERT INTO Aaa_shift VALUES ('boot', 100), ('shoe', 200);
+    UPDATE Keywords_shift SET bid = bid + 1 WHERE text = 'boot';
+    DROP TABLE Aaa_shift;
+    UPDATE Keywords_shift SET bid = bid * 2 WHERE text = 'shoe';";
 
 #[derive(Debug, Clone)]
 enum ShiftOp {
-    /// Insert into `Query_shift`: the trigger shifts positions mid-body.
+    /// Run [`SHIFT_IN_FLIGHT`]: positions shift mid-script.
     Fire,
     AddDecoy,
     DropDecoy,
@@ -649,6 +654,7 @@ fn shift_op() -> impl Strategy<Value = ShiftOp> {
 /// A database of the shift schema and its memoised host statements.
 struct Shifting {
     db: Driven,
+    shift: Prepared,
     bump: Prepared,
     read: Prepared,
     read_decoy: Prepared,
@@ -659,6 +665,7 @@ impl Shifting {
         let mut db = Driven::new(engine);
         db.run(SHIFT_SETUP).unwrap();
         let mut shifting = Shifting {
+            shift: db.prepare(SHIFT_IN_FLIGHT).unwrap(),
             bump: db
                 .prepare("UPDATE Keywords_shift SET bid = bid + ? WHERE text = ?")
                 .unwrap(),
@@ -672,14 +679,14 @@ impl Shifting {
         };
         shifting
             .db
-            .warm(&mut [&mut shifting.bump, &mut shifting.read]);
+            .warm(&mut [&mut shifting.shift, &mut shifting.bump, &mut shifting.read]);
         shifting
     }
 
     fn apply(&mut self, op: &ShiftOp) -> DbResult<Vec<ExecOutcome>> {
         let db = &mut self.db;
         match *op {
-            ShiftOp::Fire => db.run("INSERT INTO Query_shift VALUES (1)"),
+            ShiftOp::Fire => db.execute(&mut self.shift, NO_PARAMS),
             ShiftOp::AddDecoy => db.run(
                 "CREATE TABLE Decoy_shift (text TEXT, bid INT);
                  INSERT INTO Decoy_shift VALUES ('boot', 50), ('boot', 60)",
@@ -723,11 +730,11 @@ proptest! {
     }
 }
 
-/// The trigger's in-flight statements, after `CREATE TABLE Aaa_shift`
+/// The script's in-flight statements, after `CREATE TABLE Aaa_shift`
 /// moved `Keywords_shift` from the first position to the second and `DROP`
 /// moved it back, updated `Keywords_shift` and nothing else.
 #[test]
-fn a_shift_inside_a_trigger_body_updates_the_right_table() {
+fn a_shift_inside_a_memoised_script_updates_the_right_table() {
     let mut auto = Shifting::new(Engine::Planned);
     auto.apply(&ShiftOp::AddDecoy).unwrap();
     auto.apply(&ShiftOp::Fire).unwrap();
@@ -785,6 +792,32 @@ fn hostile_lowering_is_a_typed_error_on_the_reference() {
             reference.query("SELECT COUNT(*) FROM t"),
             "state after {sql:?}"
         );
+    }
+}
+
+#[path = "../tests/support/refused_bodies.rs"]
+mod refused_bodies;
+
+/// A trigger body holding anything but `UPDATE`, `DELETE`, `SET`, `IF` and
+/// `SELECT` is refused by the parser both engines share: the reference
+/// returns the very error the planned engine does and runs nothing either
+/// (`tests/trigger_bodies.rs` checks the planned side in full).
+#[test]
+fn refused_trigger_bodies_fail_alike_on_the_reference() {
+    use refused_bodies::{refused_bodies, CREATED_FIRST, SETUP, TRIGGER};
+    for case in refused_bodies() {
+        let refused = Err(crate::DbError::TriggerBody {
+            trigger: TRIGGER.to_string(),
+            statement: case.statement.to_string(),
+            position: case.position,
+        });
+        let mut planned = Driven::new(Engine::Planned);
+        let mut reference = Driven::new(Engine::Reference);
+        for db in [&mut planned, &mut reference] {
+            db.run(SETUP).unwrap();
+            assert_eq!(db.run(&case.sql), refused, "{:?}: {}", db.engine, case.sql);
+            assert!(db.table(CREATED_FIRST).is_err());
+        }
     }
 }
 

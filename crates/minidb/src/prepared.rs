@@ -35,7 +35,7 @@
 //! host scalar variables are the channel for values shared with
 //! triggers.
 
-use crate::ast::{ParamRef, Statement};
+use crate::ast::ParamRef;
 use crate::error::{DbError, DbResult};
 use crate::exec::{single_select, Database, ExecOutcome};
 use crate::plan::PlannedScript;
@@ -141,9 +141,9 @@ impl Prepared {
         &self.script.named
     }
 
-    /// The parsed statements (for hosts that want to execute them one at a
-    /// time through [`Database::execute`]-style paths, or to inspect them).
-    pub fn statements(&self) -> &[Statement] {
+    /// The parsed statements.
+    #[cfg(test)]
+    pub(crate) fn statements(&self) -> &[crate::ast::Statement] {
         &self.script.statements
     }
 

@@ -15,10 +15,10 @@
 
 use crate::ast::{AggFunc, CmpOp, ColumnRef, Expr, Select, SelectItem, SetClause, Statement};
 use crate::error::{DbError, DbResult};
-use crate::exec::{single_select, Database, ExecOutcome, MAX_TRIGGER_DEPTH};
+use crate::exec::{single_select, Database, ExecOutcome};
 use crate::plan::{self, PlannerCounters};
 use crate::prepared::{Params, Prepared, NO_PARAMS};
-use crate::script::{Script, Trigger};
+use crate::script::Script;
 use crate::table::{Row, Schema, Table};
 use crate::value::Value;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ impl Database {
         script
             .statements
             .iter()
-            .map(|stmt| self.interpret(stmt, 0, NO_PARAMS))
+            .map(|stmt| self.interpret(stmt, NO_PARAMS))
             .collect()
     }
 
@@ -43,7 +43,7 @@ impl Database {
     pub(crate) fn insert_reference(&mut self, table: &str, row: Row) -> DbResult<()> {
         let pos = self.table_position(table)?;
         self.tables[pos].insert(row)?;
-        self.fire_reference_triggers(pos, 0)
+        self.fire_reference_triggers(pos)
     }
 
     /// The spelling and contents of the table at `pos`.
@@ -51,12 +51,7 @@ impl Database {
         (&self.shape.tables()[pos].display, &self.tables[pos])
     }
 
-    fn interpret(
-        &mut self,
-        stmt: &Statement,
-        depth: usize,
-        params: &Params,
-    ) -> DbResult<ExecOutcome> {
+    fn interpret(&mut self, stmt: &Statement, params: &Params) -> DbResult<ExecOutcome> {
         match stmt {
             Statement::CreateTable { .. }
             | Statement::DropTable { .. }
@@ -66,8 +61,7 @@ impl Database {
                 columns,
                 rows,
             } => {
-                let inserted =
-                    self.interpret_insert(table, columns.as_deref(), rows, depth, params)?;
+                let inserted = self.interpret_insert(table, columns.as_deref(), rows, params)?;
                 Ok(ExecOutcome::Inserted(inserted))
             }
             Statement::Update {
@@ -92,11 +86,11 @@ impl Database {
             Statement::If { arms, else_block } => {
                 for (cond, block) in arms {
                     if Evaluator::global(self, params).eval_predicate(cond)? {
-                        return self.interpret_block(block, depth, params);
+                        return self.interpret_block(block, params);
                     }
                 }
                 if let Some(block) = else_block {
-                    return self.interpret_block(block, depth, params);
+                    return self.interpret_block(block, params);
                 }
                 Ok(ExecOutcome::Done)
             }
@@ -111,14 +105,9 @@ impl Database {
         }
     }
 
-    fn interpret_block(
-        &mut self,
-        block: &[Statement],
-        depth: usize,
-        params: &Params,
-    ) -> DbResult<ExecOutcome> {
+    fn interpret_block(&mut self, block: &[Statement], params: &Params) -> DbResult<ExecOutcome> {
         for stmt in block {
-            self.interpret(stmt, depth, params)?;
+            self.interpret(stmt, params)?;
         }
         Ok(ExecOutcome::Done)
     }
@@ -128,7 +117,6 @@ impl Database {
         table: &str,
         columns: Option<&[String]>,
         rows: &[Vec<Expr>],
-        depth: usize,
         params: &Params,
     ) -> DbResult<usize> {
         let pos = self.table_position(table)?;
@@ -169,26 +157,21 @@ impl Database {
         for row in materialised {
             t.insert(row)?;
         }
-        self.fire_reference_triggers(pos, depth)?;
+        self.fire_reference_triggers(pos)?;
         Ok(count)
     }
 
     /// Fires the `AFTER INSERT` triggers of the table at `pos` on the
-    /// interpreter: no trigger memo is read or filled.
-    fn fire_reference_triggers(&mut self, pos: usize, depth: usize) -> DbResult<()> {
-        if depth >= MAX_TRIGGER_DEPTH {
-            return Err(DbError::TriggerDepthExceeded);
-        }
-        let table = &*self.shape.tables()[pos].display;
-        let fired: Vec<Arc<Trigger>> = self
-            .triggers
-            .iter()
-            .filter(|t| t.trigger.is_on(table))
-            .map(|t| Arc::clone(&t.trigger))
-            .collect();
-        for trigger in fired {
-            for stmt in &trigger.body.statements {
-                self.interpret(stmt, depth + 1, NO_PARAMS)?;
+    /// interpreter: no trigger memo is read or filled. A body changes
+    /// neither the trigger list nor the catalog, so they are walked in
+    /// place.
+    fn fire_reference_triggers(&mut self, pos: usize) -> DbResult<()> {
+        for slot in 0..self.triggers.len() {
+            let trigger = Arc::clone(&self.triggers[slot].trigger);
+            if trigger.is_on(&self.shape.tables()[pos].display) {
+                for stmt in &trigger.body.statements {
+                    self.interpret(stmt, NO_PARAMS)?;
+                }
             }
         }
         Ok(())
@@ -284,7 +267,7 @@ impl Prepared {
         self.check(params)?;
         self.statements()
             .iter()
-            .map(|stmt| db.interpret(stmt, 0, params))
+            .map(|stmt| db.interpret(stmt, params))
             .collect()
     }
 

@@ -82,8 +82,65 @@ fn hostile_lowering_is_a_typed_error() {
     }
 }
 
+/// One trigger-body statement of each kind, and whether a body may hold
+/// it (Section II-B: `UPDATE`, `DELETE`, `SET`, `IF` and `SELECT` only).
+fn body_statement() -> impl Strategy<Value = (&'static str, bool)> {
+    prop_oneof![
+        Just(("UPDATE t SET a = a + 1 WHERE a > 0", true)),
+        Just(("DELETE FROM t WHERE a < 0", true)),
+        Just(("SET x = x + 1", true)),
+        Just(("SELECT MAX(a) FROM t", true)),
+        Just(("IF x > 1 THEN UPDATE t SET a = 0; ENDIF", true)),
+        Just(("INSERT INTO t VALUES (1)", false)),
+        Just(("CREATE TABLE u (b INT)", false)),
+        Just(("DROP TABLE t", false)),
+        Just((
+            "CREATE TRIGGER inner AFTER INSERT ON t { SET x = 1; }",
+            false
+        )),
+        Just(("EXPLAIN SELECT a FROM t", false)),
+    ]
+}
+
+/// Where in the body a statement sits: directly, or in an `IF`, `ELSEIF`,
+/// `ELSE` or nested `IF` block.
+const PLACEMENTS: [&str; 5] = [
+    "{s};",
+    "IF x > 0 THEN {s}; ENDIF;",
+    "IF x > 0 THEN SET x = 0; ELSEIF x < 0 THEN {s}; ENDIF;",
+    "IF x > 0 THEN SET x = 0; ELSE {s}; ENDIF;",
+    "IF x > 0 THEN IF x > 1 THEN {s}; ENDIF; ENDIF;",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Trigger bodies drawn from every statement kind, at every `IF`
+    /// depth: the script parses exactly when every statement conforms,
+    /// and otherwise is the typed refusal — never a panic.
+    #[test]
+    fn trigger_bodies_parse_exactly_when_they_conform(
+        statements in proptest::collection::vec(
+            (body_statement(), 0..PLACEMENTS.len()),
+            0..6,
+        ),
+    ) {
+        let body: String = statements
+            .iter()
+            .map(|((text, _), placement)| PLACEMENTS[*placement].replace("{s}", text))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let sql = format!("CREATE TRIGGER fuzz AFTER INSERT ON t {{ {body} }}");
+        let conforms = statements.iter().all(|((_, ok), _)| *ok);
+        match Database::new().prepare(&sql) {
+            Ok(_) => prop_assert!(conforms, "accepted: {}", sql),
+            Err(DbError::TriggerBody { trigger, .. }) => {
+                prop_assert!(!conforms, "refused: {}", sql);
+                prop_assert_eq!(trigger, "fuzz");
+            }
+            Err(other) => prop_assert!(false, "{} failed with {:?}", sql, other),
+        }
+    }
 
     /// Arbitrary byte soup: `run` returns Ok or Err but never panics.
     #[test]

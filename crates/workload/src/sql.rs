@@ -27,7 +27,7 @@
 //! move-the-program-in flavour of the same machinery.
 
 use crate::config::SectionVWorkload;
-use ssa_bidlang::{BidsTable, Money, SlotId};
+use ssa_bidlang::{BidsTable, Money};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
 use ssa_core::{Bidder, BidderOutcome, EngineConfig, QueryContext, SqlProgramBidder, WdMethod};
 use ssa_minidb::{Params, Prepared, NO_PARAMS};
@@ -391,24 +391,13 @@ pub fn programmed_sharded_market(
         .seed(workload.config.seed ^ 0x5EC7_10B2)
         .build_sharded(shards)?;
     let mut handles = Vec::with_capacity(workload.bidders.len() * workload.config.num_keywords);
-    for (i, params) in workload.bidders.iter().enumerate() {
-        let advertiser = market.register_advertiser(format!("advertiser-{i}"));
-        let click_probs: Vec<f64> = (0..workload.config.num_slots)
-            .map(|j| workload.clicks.p_click(i, SlotId::from_index0(j)))
-            .collect();
-        for (keyword, &(value, bid, roi)) in params.keywords.iter().enumerate() {
-            let (program, handle) =
-                make_program(strategy, value, bid, roi, params.target_spend_rate);
-            market
-                .add_campaign(
-                    advertiser,
-                    keyword,
-                    CampaignSpec::program(program).click_probs(click_probs.clone()),
-                )
-                .expect("Section II-B campaign is valid");
-            handles.push(handle);
-        }
-    }
+    workload.populate_with(&mut market, false, |campaign| {
+        let params = &workload.bidders[campaign.advertiser];
+        let (value, bid, roi) = params.keywords[campaign.keyword];
+        let (program, handle) = make_program(strategy, value, bid, roi, params.target_spend_rate);
+        handles.push(handle);
+        CampaignSpec::program(program).click_probs(campaign.click_probs)
+    })?;
     Ok(ProgrammedMarket {
         market,
         handles,
