@@ -74,11 +74,108 @@
 //! programs are excluded from the matching rather than taking the
 //! marketplace down. The first error is retained in
 //! [`SqlProgramBidder::last_error`] for diagnosis.
+//!
+//! # Figure 5, written once
+//!
+//! The paper's worked example lives here as text: [`ROI_BID_TRIGGER`] is
+//! Figure 5's bid trigger, and [`ROI_TABLES`] / [`ROI_PROGRAM`] /
+//! [`roi_params`] are the keyword-local program the Section II-B
+//! population registers (`ssa_workload::sql` re-exports them). The
+//! multi-keyword program `ssa_strategy::SqlRoiBidder` runs is the same bid
+//! trigger with a per-keyword settlement trigger of its own.
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use ssa_bidlang::{parse_formula, BidsTable, Formula, Money};
 use ssa_minidb::{Database, DbError, Params, Prepared, Text, Value, NO_PARAMS};
 use std::fmt;
+
+// Figure 5's bid trigger, line 11's comparison corrected to `>`. A macro,
+// not a const, so that `concat!` can build `ROI_PROGRAM` from this one
+// spelling.
+macro_rules! figure5_bid_trigger {
+    () => {
+        "
+CREATE TRIGGER bid AFTER INSERT ON Query
+{
+  IF amtSpent / time < targetSpendRate THEN
+    UPDATE Keywords
+    SET bid = bid + 1
+    WHERE roi = ( SELECT MAX( K.roi ) FROM Keywords K )
+      AND relevance > 0
+      AND bid < maxbid;
+  ELSEIF amtSpent / time > targetSpendRate THEN
+    UPDATE Keywords
+    SET bid = bid - 1
+    WHERE roi = ( SELECT MIN( K.roi ) FROM Keywords K )
+      AND relevance > 0
+      AND bid > 0;
+  ENDIF;
+
+  UPDATE Bids
+  SET value =
+    ( SELECT SUM( K.bid )
+      FROM Keywords K
+      WHERE K.relevance > 0.7
+        AND K.formula = Bids.formula );
+}
+"
+    };
+}
+
+/// Figure 5's bid trigger: on each `Query` row, move the bid of the
+/// max-ROI (underspending) or min-ROI (overspending) relevant keyword by
+/// one cent, then emit the sum of the relevant keywords' bids per formula.
+/// It reads the shared variables `amtSpent`, `time` and `targetSpendRate`.
+pub const ROI_BID_TRIGGER: &str = figure5_bid_trigger!();
+
+/// The keyword-local Figure 5 schema/state script. One `Keywords` row
+/// (relevance pinned to 1 — the campaign only ever sees queries on its own
+/// keyword), the `Bids` emission table, and the advertiser's running spend
+/// state as host variables. All numeric initial state is bound through
+/// `:value` / `:bid` / `:roi` / `:rate` parameters — exact, never
+/// string-formatted.
+pub const ROI_TABLES: &str = "
+CREATE TABLE Query (kw INT);
+CREATE TABLE Outcome (clicked INT);
+CREATE TABLE Keywords (text TEXT, formula TEXT, maxbid INT, roi FLOAT, bid INT, relevance FLOAT);
+CREATE TABLE Bids (formula TEXT, value INT);
+INSERT INTO Keywords VALUES ('kw', 'Click', :value, :roi, :bid, 1.0);
+INSERT INTO Bids VALUES ('Click', 0);
+SET amtSpent = 0.0;
+SET spent = 0.0;
+SET valueGained = 0.0;
+SET clickValue = :value;
+SET targetSpendRate = :rate;
+";
+
+/// The keyword-local Figure 5 program: [`ROI_BID_TRIGGER`] plus a
+/// settlement trigger that keeps the ROI statistic entirely in SQL —
+/// mirroring, operation for operation, what the native `RoiBidder`
+/// computes in Rust, charged clicks only.
+pub const ROI_PROGRAM: &str = concat!(
+    figure5_bid_trigger!(),
+    "
+CREATE TRIGGER settle AFTER INSERT ON Outcome
+{
+  IF clicked = 1 AND price > 0 THEN
+    SET spent = spent + price;
+    SET valueGained = valueGained + clickValue;
+    SET amtSpent = amtSpent + price;
+    UPDATE Keywords SET roi = valueGained / spent;
+  ENDIF;
+}
+"
+);
+
+/// Binds one (advertiser, keyword) pair's initial state for
+/// [`ROI_TABLES`].
+pub fn roi_params(value: i64, bid: i64, roi: f64, rate: f64) -> Params {
+    Params::new()
+        .bind("value", value)
+        .bind("bid", bid)
+        .bind("roi", roi)
+        .bind("rate", rate)
+}
 
 /// Why a pair of scripts could not be assembled into a
 /// [`SqlProgramBidder`].

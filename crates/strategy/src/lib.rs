@@ -5,8 +5,10 @@
 //!
 //! * [`roi`] — a native Rust implementation of the paper's Figure 5
 //!   "Equalize ROI" program, exposed as a [`ssa_core::Bidder`];
-//! * [`sqlroi`] — the *same* strategy executed as an actual SQL bidding
-//!   program by the [`ssa_minidb`] engine; integration tests prove the two
+//! * [`sqlroi`] — the *same* strategy as an actual SQL bidding program on
+//!   the production host, [`ssa_core::SqlProgramBidder`]: Figure 5's bid
+//!   trigger as the marketplace runs it plus a per-keyword settlement
+//!   trigger, with no host of its own; integration tests prove the two
 //!   agree bid-for-bid;
 //! * [`logical`] — adjustment lists: sorted bid lists whose members all
 //!   move by the same amount per auction, so one `O(1)` update to a shared
@@ -18,6 +20,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod logical;
 pub mod population;

@@ -147,6 +147,7 @@ impl LogicalBids {
     }
 
     /// Unregisters a program, returning `(bid, kind)`.
+    #[allow(clippy::expect_used)] // invariant: `insert`/`remove` keep `kind_of` and the lists in step
     pub fn remove(&mut self, program: ProgramId) -> Option<(i64, ListKind)> {
         let kind = self.kind_of.remove(&program)?;
         let bid = self.lists[slot(kind)]
@@ -155,13 +156,15 @@ impl LogicalBids {
         Some((bid, kind))
     }
 
-    /// Moves a program to another list, preserving its effective bid.
-    pub fn migrate(&mut self, program: ProgramId, to: ListKind) {
+    /// Moves a program to another list, preserving its effective bid, and
+    /// returns that bid; `None` (and no change) for an unknown program.
+    pub fn migrate(&mut self, program: ProgramId, to: ListKind) -> Option<i64> {
         if self.kind_of.get(&program) == Some(&to) {
-            return;
+            return self.bid(program);
         }
-        let (bid, _) = self.remove(program).expect("unknown program");
+        let (bid, _) = self.remove(program)?;
         self.insert(program, bid, to);
+        Some(bid)
     }
 
     /// The single logical update for one auction: increment list +1,
@@ -275,11 +278,14 @@ mod tests {
         assert_eq!(lb.bid(1), Some(8));
         assert_eq!(lb.bid(2), Some(10));
         // Migrating to Constant freezes the effective bid.
-        lb.migrate(1, ListKind::Constant);
+        assert_eq!(lb.migrate(1, ListKind::Constant), Some(8));
         lb.tick();
         assert_eq!(lb.bid(1), Some(8));
         assert_eq!(lb.bid(0), Some(13));
         assert_eq!(lb.kind(1), Some(ListKind::Constant));
+        // An unknown program is an answer, not a panic, and moves nothing.
+        assert_eq!(lb.migrate(7, ListKind::Increment), None);
+        assert_eq!((lb.len(), lb.kind(7)), (3, None));
     }
 
     #[test]
@@ -314,7 +320,7 @@ mod tests {
     fn migrate_to_same_list_is_noop() {
         let mut lb = LogicalBids::new();
         lb.insert(0, 4, ListKind::Increment);
-        lb.migrate(0, ListKind::Increment);
+        assert_eq!(lb.migrate(0, ListKind::Increment), Some(4));
         assert_eq!(lb.bid(0), Some(4));
     }
 }

@@ -35,6 +35,17 @@ pub struct RoiBidderParams {
     pub target_spend_rate: f64,
 }
 
+/// The live strategy a parameter set describes (`maxbid` = click value).
+impl From<&RoiBidderParams> for RoiBidder {
+    fn from(params: &RoiBidderParams) -> Self {
+        let entries = params
+            .keywords
+            .iter()
+            .map(|&(v, b, r)| KeywordEntry::new(v, b, r));
+        RoiBidder::new(entries.collect(), params.target_spend_rate)
+    }
+}
+
 /// Common interface of the two evaluation strategies.
 pub trait RoiPopulation {
     /// Number of programs.
@@ -73,20 +84,8 @@ pub struct NaiveRoiPopulation {
 impl NaiveRoiPopulation {
     /// Builds the population.
     pub fn new(params: &[RoiBidderParams]) -> Self {
-        let bidders = params
-            .iter()
-            .map(|p| {
-                RoiBidder::new(
-                    p.keywords
-                        .iter()
-                        .map(|&(v, b, r)| KeywordEntry::new(v, b, r))
-                        .collect(),
-                    p.target_spend_rate,
-                )
-            })
-            .collect();
         NaiveRoiPopulation {
-            bidders,
+            bidders: params.iter().map(RoiBidder::from).collect(),
             time: 0,
             current_keyword: 0,
         }
@@ -127,40 +126,12 @@ impl RoiPopulation for NaiveRoiPopulation {
 // Logical updates.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct KwState {
-    maxbid: i64,
-    roi: f64,
-    value_gained: f64,
-    spent: f64,
-}
-
-#[derive(Debug, Clone)]
-struct ProgramState {
-    target: f64,
-    amt_spent: f64,
-    keywords: Vec<KwState>,
-}
-
-impl ProgramState {
-    fn max_roi(&self) -> f64 {
-        self.keywords
-            .iter()
-            .map(|k| k.roi)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-    fn min_roi(&self) -> f64 {
-        self.keywords
-            .iter()
-            .map(|k| k.roi)
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
 /// The logical-updates evaluation path.
 #[derive(Debug, Clone)]
 pub struct LogicalRoiPopulation {
-    programs: Vec<ProgramState>,
+    /// Each program's Figure 5 state. Its bids live in `per_keyword`; the
+    /// entries' own `bid` fields keep their initial values.
+    programs: Vec<RoiBidder>,
     per_keyword: Vec<LogicalBids>,
     // (due time, program) — min-heap.
     time_triggers: BinaryHeap<Reverse<(u64, ProgramId)>>,
@@ -184,23 +155,7 @@ impl LogicalRoiPopulation {
             params.iter().all(|p| p.keywords.len() == num_keywords),
             "all programs must cover the same keyword universe"
         );
-        let programs: Vec<ProgramState> = params
-            .iter()
-            .map(|p| ProgramState {
-                target: p.target_spend_rate,
-                amt_spent: 0.0,
-                keywords: p
-                    .keywords
-                    .iter()
-                    .map(|&(value, _bid, roi)| KwState {
-                        maxbid: value,
-                        roi,
-                        value_gained: 0.0,
-                        spent: 0.0,
-                    })
-                    .collect(),
-            })
-            .collect();
+        let programs: Vec<RoiBidder> = params.iter().map(RoiBidder::from).collect();
         let mut per_keyword: Vec<LogicalBids> =
             (0..num_keywords).map(|_| LogicalBids::new()).collect();
         // Bids are registered as Constant until the first auction
@@ -235,6 +190,7 @@ impl LogicalRoiPopulation {
     }
 
     /// Bid of `program` on an arbitrary keyword.
+    #[allow(clippy::expect_used)] // invariant: every program is registered on every keyword
     pub fn bid_on(&self, program: ProgramId, keyword: usize) -> i64 {
         self.per_keyword[keyword]
             .bid(program)
@@ -245,9 +201,9 @@ impl LogicalRoiPopulation {
         let p = &self.programs[pid];
         let rate = p.amt_spent / time as f64;
         let kw = &p.keywords[keyword];
-        if rate < p.target && kw.roi == p.max_roi() && bid < kw.maxbid {
+        if rate < p.target_spend_rate && kw.roi == p.max_roi() && bid < kw.maxbid {
             ListKind::Increment
-        } else if rate > p.target && kw.roi == p.min_roi() && bid > 0 {
+        } else if rate > p.target_spend_rate && kw.roi == p.min_roi() && bid > 0 {
             ListKind::Decrement
         } else {
             ListKind::Constant
@@ -256,6 +212,7 @@ impl LogicalRoiPopulation {
 
     /// Re-derives every keyword membership of `pid` from ground truth and
     /// schedules the triggers implied by the new state.
+    #[allow(clippy::expect_used)] // invariant: as for `bid_on`
     fn reclassify(&mut self, pid: ProgramId, time: u64) {
         self.reclassifications += 1;
         for q in 0..self.per_keyword.len() {
@@ -279,11 +236,11 @@ impl LogicalRoiPopulation {
         // programs change with time (their rate sinks as time grows).
         let p = &self.programs[pid];
         let rate = p.amt_spent / time as f64;
-        if rate >= p.target && p.target > 0.0 {
+        if rate >= p.target_spend_rate && p.target_spend_rate > 0.0 {
             // First integer t > time with amt_spent / t ≤ target. The floor
             // is a conservative (never late) estimate; firing early is safe
             // because reclassification recomputes ground truth.
-            let raw = (p.amt_spent / p.target).floor() as u64;
+            let raw = (p.amt_spent / p.target_spend_rate).floor() as u64;
             let due = raw.max(time + 1);
             self.time_triggers.push(Reverse((due, pid)));
         }
@@ -342,17 +299,7 @@ impl RoiPopulation for LogicalRoiPopulation {
     }
 
     fn record_click(&mut self, program: ProgramId, price: Money, value: f64) {
-        let q = self.current_keyword;
-        {
-            let p = &mut self.programs[program];
-            let kw = &mut p.keywords[q];
-            kw.spent += price.as_f64();
-            kw.value_gained += value;
-            if kw.spent > 0.0 {
-                kw.roi = kw.value_gained / kw.spent;
-            }
-            p.amt_spent += price.as_f64();
-        }
+        self.programs[program].record_click(self.current_keyword, price, value);
         let time = self.time;
         self.reclassify(program, time);
     }

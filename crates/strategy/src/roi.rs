@@ -63,7 +63,6 @@ pub struct RoiBidder {
     pub target_spend_rate: f64,
     /// Total amount spent so far (cents).
     pub amt_spent: f64,
-    last_keyword: usize,
 }
 
 impl RoiBidder {
@@ -74,19 +73,19 @@ impl RoiBidder {
             keywords,
             target_spend_rate,
             amt_spent: 0.0,
-            last_keyword: 0,
         }
     }
 
     /// The max-ROI value over all keywords (Figure 5's scalar subquery).
-    fn max_roi(&self) -> f64 {
+    pub(crate) fn max_roi(&self) -> f64 {
         self.keywords
             .iter()
             .map(|k| k.roi)
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    fn min_roi(&self) -> f64 {
+    /// The min-ROI value over all keywords.
+    pub(crate) fn min_roi(&self) -> f64 {
         self.keywords
             .iter()
             .map(|k| k.roi)
@@ -130,18 +129,21 @@ impl RoiBidder {
     }
 }
 
+/// As a campaign program the strategy settles the way every Figure 5
+/// flavour does — the keyword-local programs, the SQL `settle` trigger and
+/// the RHTALU simulation: a click is recorded only when it was charged,
+/// and on the keyword the auction was for (`ctx.keyword`).
 impl Bidder for RoiBidder {
     fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
-        self.last_keyword = ctx.keyword;
         let bid = self.adjust_and_bid(ctx.keyword, ctx.time);
         let formula = self.keywords[ctx.keyword].formula.clone();
-        BidsTable::new(vec![(formula, Money::from_cents(bid))])
+        BidsTable::new([(formula, Money::from_cents(bid))])
     }
 
-    fn on_outcome(&mut self, _ctx: &QueryContext, outcome: &BidderOutcome) {
-        if outcome.clicked {
-            let value = self.keywords[self.last_keyword].click_value as f64;
-            self.record_click(self.last_keyword, outcome.price, value);
+    fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
+        if outcome.clicked && outcome.price.is_positive() {
+            let value = self.keywords[ctx.keyword].click_value as f64;
+            self.record_click(ctx.keyword, outcome.price, value);
         }
     }
 }
@@ -242,6 +244,36 @@ mod tests {
             },
         );
         assert_eq!(b.amt_spent, 3.0);
+    }
+
+    #[test]
+    fn bidder_trait_settles_charged_clicks_on_the_queried_keyword() {
+        let mut b = bidder();
+        let click = |cents| BidderOutcome {
+            slot: Some(ssa_bidlang::SlotId::new(1)),
+            clicked: true,
+            purchased: false,
+            price: Money::from_cents(cents),
+        };
+        let on = |keyword| QueryContext {
+            time: 10,
+            keyword,
+            num_keywords: 2,
+        };
+        // A zero-priced click settles nothing: no spend, no value, no ROI.
+        let before = b.clone();
+        b.on_outcome(&on(1), &click(0));
+        assert_eq!(b, before);
+        // A charged click settles the keyword the auction was for, even
+        // when the bidder's last query was on another.
+        b.on_query(&on(0));
+        let queried = b.keywords[0].clone();
+        b.on_outcome(&on(1), &click(4));
+        assert_eq!(b.amt_spent, 4.0);
+        assert_eq!(b.keywords[0], queried);
+        let settled = &b.keywords[1];
+        assert_eq!((settled.spent, settled.value_gained), (4.0, 6.0));
+        assert!((settled.roi - 1.5).abs() < 1e-12);
     }
 
     #[test]

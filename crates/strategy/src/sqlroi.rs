@@ -1,51 +1,49 @@
-//! The Figure 5 strategy executed as a real SQL bidding program.
+//! The Figure 5 strategy as a real SQL bidding program, on the production
+//! host.
 //!
-//! [`SqlRoiBidder`] owns a private [`Database`] holding the advertiser's
-//! `Keywords` and `Bids` tables plus the trigger program, exactly as
-//! Section II-B prescribes ("the bidding program can be stored with its
-//! private tables to improve locality"). The host engine plays the search
-//! provider: before each auction it sets the shared variables and the
-//! per-keyword relevance, inserts into `Query` to fire the trigger, and
-//! reads the resulting `Bids` table.
-//!
-//! Every host-side statement is **prepared once** at construction
-//! ([`Database::prepare`]) and executed with bound parameters per round —
-//! no SQL text is formatted or re-parsed on the auction hot path, and ROI
-//! floats reach the database bit-exact instead of through string
-//! interpolation.
-//!
-//! Integration tests assert that this bidder and the native
-//! [`crate::RoiBidder`] emit identical bids over long auction sequences.
+//! [`SqlRoiBidder`] is one [`SqlProgramBidder`] — the host the marketplace
+//! and the `program-sql` population run — over the advertiser's private
+//! `Keywords` and `Bids` tables, with two triggers: `bid`, the very text of
+//! [`ssa_core::sqlprog::ROI_BID_TRIGGER`], and `settle`, which keeps each
+//! keyword's spend, value and ROI, plus `amtSpent`, in SQL exactly as
+//! [`crate::RoiBidder::record_click`] does in Rust. The provider's own
+//! steps, through [`SqlProgramBidder::db_mut`], are the relevance write
+//! before a round and publishing the clicked `keyword` and its
+//! `clickValue` before settling. Every value is bound, never formatted into
+//! SQL, so ROI floats stay bit-exact; integration tests hold the bidder to
+//! the native [`crate::RoiBidder`] bid for bid.
 
-use ssa_bidlang::{BidsTable, Money};
-use ssa_core::{Bidder, BidderOutcome, QueryContext};
-use ssa_minidb::{Database, DbError, Params, Prepared, Value, NO_PARAMS};
+use ssa_bidlang::Money;
+use ssa_core::sqlprog::ROI_BID_TRIGGER;
+use ssa_core::{Bidder, BidderOutcome, QueryContext, SqlProgramBidder, SqlProgramError};
+use ssa_minidb::{DbError, Params, Prepared, Value};
 use std::fmt;
 
-/// Figure 5 (line 11's comparison corrected to `>`).
-const PROGRAM: &str = "
-CREATE TRIGGER bid AFTER INSERT ON Query
-{
-  IF amtSpent / time < targetSpendRate THEN
-    UPDATE Keywords
-    SET bid = bid + 1
-    WHERE roi = ( SELECT MAX( K.roi ) FROM Keywords K )
-      AND relevance > 0
-      AND bid < maxbid;
-  ELSEIF amtSpent / time > targetSpendRate THEN
-    UPDATE Keywords
-    SET bid = bid - 1
-    WHERE roi = ( SELECT MIN( K.roi ) FROM Keywords K )
-      AND relevance > 0
-      AND bid > 0;
-  ENDIF;
+/// The multi-keyword schema and spend state; one [`KEYWORD_ROW`] per
+/// keyword follows it.
+const TABLES: &str = "
+CREATE TABLE Query (kw INT);
+CREATE TABLE Outcome (clicked INT);
+CREATE TABLE Keywords (kw INT, formula TEXT, maxbid INT, roi FLOAT, bid INT, relevance FLOAT, spent FLOAT, gained FLOAT);
+CREATE TABLE Bids (formula TEXT, value INT);
+INSERT INTO Bids VALUES ('Click', 0);
+SET amtSpent = 0.0;
+SET targetSpendRate = :rate;
+";
 
-  UPDATE Bids
-  SET value =
-    ( SELECT SUM( K.bid )
-      FROM Keywords K
-      WHERE K.relevance > 0.7
-        AND K.formula = Bids.formula );
+/// One keyword's row, bound as (index, click value = `maxbid`, ROI, bid).
+const KEYWORD_ROW: &str = "INSERT INTO Keywords VALUES (?, 'Click', ?, ?, ?, 0.0, 0.0, 0.0);\n";
+
+/// Per-keyword ROI settlement of a click on `keyword` worth `clickValue`.
+const SETTLE: &str = "
+CREATE TRIGGER settle AFTER INSERT ON Outcome
+{
+  IF clicked = 1 THEN
+    UPDATE Keywords SET spent = spent + price, gained = gained + clickValue
+    WHERE kw = keyword;
+    UPDATE Keywords SET roi = gained / spent WHERE kw = keyword AND spent > 0;
+    SET amtSpent = amtSpent + price;
+  ENDIF;
 }
 ";
 
@@ -90,114 +88,83 @@ impl From<DbError> for SqlRoiError {
 }
 
 /// A bidder whose strategy runs inside the SQL engine.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SqlRoiBidder {
-    db: Database,
-    /// Prepared host statements (parse once, run every round).
-    clear_query: Prepared,
-    reset_relevance: Prepared,
-    raise_relevance: Prepared,
-    read_bid: Prepared,
+    program: SqlProgramBidder,
+    /// The provider's relevance write: 1 for the bound keyword, 0
+    /// elsewhere.
+    relevance: Prepared,
+    /// One keyword's stored bid.
     read_stored: Prepared,
-    write_roi: Prepared,
-    /// Keyword key values (`'kw{i}'`), precomputed so rounds bind instead
-    /// of formatting.
-    names: Vec<Value>,
-    /// Click value per keyword (cents); the provider-maintained statistic
-    /// used to update ROI.
-    click_values: Vec<i64>,
-    target_spend_rate: f64,
-    amt_spent: f64,
-    value_gained: Vec<f64>,
-    spent_per_keyword: Vec<f64>,
-    last_keyword: usize,
+    /// Keywords the bidder was built with.
+    keywords: usize,
 }
 
 impl SqlRoiBidder {
-    /// Creates the bidder's private database.
+    /// Assembles the bidder's program.
     ///
     /// `keywords[i] = (click_value, initial_bid, initial_roi)`; the formula
     /// for every keyword is `Click` and `maxbid = click_value`, mirroring
     /// [`crate::roi::KeywordEntry::new`].
+    // Invariant: every script is static text and every value is bound.
+    #[allow(clippy::expect_used)]
     pub fn new(keywords: &[(i64, i64, f64)], target_spend_rate: f64) -> Self {
-        let mut db = Database::new();
-        db.run("CREATE TABLE Query (q TEXT)").unwrap();
-        db.run(
-            "CREATE TABLE Keywords (text TEXT, formula TEXT, maxbid INT, roi FLOAT, bid INT, \
-             relevance FLOAT)",
-        )
-        .unwrap();
-        db.run("CREATE TABLE Bids (formula TEXT, value INT)")
-            .unwrap();
-        let names: Vec<Value> = (0..keywords.len())
-            .map(|i| Value::from(format!("kw{i}")))
-            .collect();
-        let mut seed_keyword = db
-            .prepare("INSERT INTO Keywords VALUES (?, 'Click', ?, ?, ?, 0.0)")
-            .expect("static statement parses");
-        for (name, (value, bid, roi)) in names.iter().zip(keywords) {
-            seed_keyword
-                .execute(
-                    &mut db,
-                    &Params::new()
-                        .push(name.clone())
-                        .push(*value)
-                        .push(*roi)
-                        .push(*bid),
-                )
-                .unwrap();
+        Self::assemble(keywords, target_spend_rate).expect("the Figure 5 program is well-formed")
+    }
+
+    fn assemble(
+        keywords: &[(i64, i64, f64)],
+        target_spend_rate: f64,
+    ) -> Result<Self, SqlProgramError> {
+        let tables = format!("{TABLES}{}", KEYWORD_ROW.repeat(keywords.len()));
+        let mut params = Params::new().bind("rate", target_spend_rate);
+        for (kw, &(value, bid, roi)) in keywords.iter().enumerate() {
+            params = params.push(kw as i64).push(value).push(roi).push(bid);
         }
-        db.insert("Bids", vec!["Click".into(), Value::Int(0)])
-            .unwrap();
-        db.run(PROGRAM).unwrap();
-        let clear_query = db
-            .prepare("DELETE FROM Query")
-            .expect("static statement parses");
-        let reset_relevance = db
-            .prepare("UPDATE Keywords SET relevance = 0.0")
-            .expect("static statement parses");
-        let raise_relevance = db
-            .prepare("UPDATE Keywords SET relevance = 1.0 WHERE text = ?")
-            .expect("static statement parses");
-        let read_bid = db
-            .prepare("SELECT value FROM Bids WHERE formula = 'Click'")
-            .expect("static statement parses");
-        let read_stored = db
-            .prepare("SELECT bid FROM Keywords WHERE text = ?")
-            .expect("static statement parses");
-        let write_roi = db
-            .prepare("UPDATE Keywords SET roi = :roi WHERE text = :kw")
-            .expect("static statement parses");
-        // Plan the Query trigger now and build the indexes it wants (the
-        // per-round host statements key on `Keywords.text` too), so no
-        // auction pays planning or index-build cost.
-        db.warm_plans();
-        SqlRoiBidder {
-            db,
-            clear_query,
-            reset_relevance,
-            raise_relevance,
-            read_bid,
+        let program = [ROI_BID_TRIGGER, SETTLE].concat();
+        let mut program = SqlProgramBidder::new(&tables, &program, &params)?;
+        let db = program.db_mut();
+        let mut relevance = db.prepare(
+            "UPDATE Keywords SET relevance = 0.0; UPDATE Keywords SET relevance = 1.0 WHERE kw = ?",
+        )?;
+        let mut read_stored = db.prepare("SELECT bid FROM Keywords WHERE kw = ?")?;
+        // Plan now, so no round pays planning or index-build cost.
+        relevance.warm(db);
+        read_stored.warm(db);
+        Ok(SqlRoiBidder {
+            program,
+            relevance,
             read_stored,
-            write_roi,
-            names,
-            click_values: keywords.iter().map(|(v, _, _)| *v).collect(),
-            target_spend_rate,
-            amt_spent: 0.0,
-            value_gained: vec![0.0; keywords.len()],
-            spent_per_keyword: vec![0.0; keywords.len()],
-            last_keyword: 0,
+            keywords: keywords.len(),
+        })
+    }
+
+    /// The `kw` key of a keyword in the bidder's universe.
+    fn key(&self, keyword: usize) -> Result<Value, SqlRoiError> {
+        if keyword < self.keywords {
+            Ok(Value::Int(keyword as i64))
+        } else {
+            Err(SqlRoiError::UnknownKeyword {
+                keyword,
+                count: self.keywords,
+            })
         }
     }
 
-    fn name(&self, keyword: usize) -> Result<Value, SqlRoiError> {
-        self.names
-            .get(keyword)
-            .cloned()
-            .ok_or(SqlRoiError::UnknownKeyword {
-                keyword,
-                count: self.names.len(),
-            })
+    fn context(&self, keyword: usize, time: u64) -> QueryContext {
+        QueryContext {
+            time,
+            keyword,
+            num_keywords: self.keywords,
+        }
+    }
+
+    /// The program's first error, if any (it bids nothing from then on).
+    fn check(&self) -> Result<(), SqlRoiError> {
+        match self.program.last_error() {
+            Some(e) => Err(SqlRoiError::Db(e.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Runs one auction round inside the database and returns the bid (in
@@ -208,80 +175,54 @@ impl SqlRoiBidder {
     /// would abort the program with a division-by-zero error instead of
     /// bidding.
     pub fn run_round(&mut self, keyword: usize, time: u64) -> Result<i64, SqlRoiError> {
-        let name = self.name(keyword)?;
-        // Provider-maintained shared variables (Section II-B).
-        self.db.set_var("amtSpent", Value::Float(self.amt_spent));
-        self.db.set_var("time", Value::Int(time.max(1) as i64));
-        self.db
-            .set_var("targetSpendRate", Value::Float(self.target_spend_rate));
-        // Relevance: 1 for the query keyword, 0 elsewhere.
-        self.reset_relevance.execute(&mut self.db, NO_PARAMS)?;
-        self.raise_relevance
-            .execute(&mut self.db, &Params::new().push(name))?;
-        // The activation table is host-managed scratch: clear it so a
-        // long-lived bidder's memory stays flat across rounds.
-        self.clear_query.execute(&mut self.db, NO_PARAMS)?;
-        self.db.insert("Query", vec!["q".into()])?;
-        let rows = self.read_bid.query(&mut self.db, NO_PARAMS)?;
-        let row = rows.first().ok_or(SqlRoiError::MissingBidRow)?;
-        Ok(row[0].as_int()?)
+        let key = self.key(keyword)?;
+        self.relevance
+            .execute(self.program.db_mut(), &Params::new().push(key))?;
+        let bids = self.program.on_query(&self.context(keyword, time.max(1)));
+        self.check()?;
+        let row = bids.rows().first().ok_or(SqlRoiError::MissingBidRow)?;
+        Ok(row.value.cents())
     }
 
     /// The current stored bid for a keyword (reads the private table).
     pub fn stored_bid(&mut self, keyword: usize) -> Result<i64, SqlRoiError> {
-        let name = self.name(keyword)?;
+        let key = self.key(keyword)?;
         let rows = self
             .read_stored
-            .query(&mut self.db, &Params::new().push(name))?;
+            .query(self.program.db_mut(), &Params::new().push(key))?;
         let row = rows.first().ok_or(SqlRoiError::MissingBidRow)?;
         Ok(row[0].as_int()?)
     }
 
-    /// Provider-side ROI bookkeeping after a click. The updated ROI is
-    /// bound as a parameter — bit-exact, no float-to-text round trip.
+    /// Provider-side ROI bookkeeping after a click charged `price` and
+    /// worth `value` to the advertiser: the `settle` trigger does it in
+    /// SQL, with `value` bound bit-exact.
     pub fn record_click(
         &mut self,
         keyword: usize,
         price: Money,
         value: f64,
     ) -> Result<(), SqlRoiError> {
-        let name = self.name(keyword)?;
-        self.spent_per_keyword[keyword] += price.as_f64();
-        self.value_gained[keyword] += value;
-        self.amt_spent += price.as_f64();
-        if self.spent_per_keyword[keyword] > 0.0 {
-            let roi = self.value_gained[keyword] / self.spent_per_keyword[keyword];
-            self.write_roi.execute(
-                &mut self.db,
-                &Params::new().bind("roi", roi).bind("kw", name),
-            )?;
-        }
-        Ok(())
+        let key = self.key(keyword)?;
+        let db = self.program.db_mut();
+        db.set_var("keyword", key);
+        db.set_var("clickValue", Value::Float(value));
+        // The settlement reads neither the clock nor the slot.
+        let click = BidderOutcome {
+            slot: None,
+            clicked: true,
+            purchased: false,
+            price,
+        };
+        self.program.on_outcome(&self.context(keyword, 0), &click);
+        self.check()
     }
 
     /// Planner counters of the private database: shows whether rounds ran
     /// on index probes (`index_hits`) or scans (`rows_scanned`), and that
     /// plan caching converged (`plans_cached` stops growing).
     pub fn planner_stats(&self) -> ssa_minidb::PlannerStats {
-        self.db.planner_stats()
-    }
-}
-
-impl Bidder for SqlRoiBidder {
-    fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
-        self.last_keyword = ctx.keyword;
-        let bid = self
-            .run_round(ctx.keyword, ctx.time)
-            .expect("Figure 5 program runs on its own schema");
-        BidsTable::single_feature(Money::from_cents(bid))
-    }
-
-    fn on_outcome(&mut self, _ctx: &QueryContext, outcome: &BidderOutcome) {
-        if outcome.clicked {
-            let value = self.click_values[self.last_keyword] as f64;
-            self.record_click(self.last_keyword, outcome.price, value)
-                .expect("Figure 5 bookkeeping runs on its own schema");
-        }
+        self.program.planner_stats()
     }
 }
 
@@ -335,6 +276,33 @@ mod tests {
     }
 
     #[test]
+    fn settle_trigger_keeps_the_native_bookkeeping() {
+        let spec = [(5i64, 4i64, 2.0f64), (6, 8, 1.0)];
+        let mut sql = SqlRoiBidder::new(&spec, 1.0);
+        let mut native = RoiBidder::new(
+            spec.iter()
+                .map(|&(v, b, r)| KeywordEntry::new(v, b, r))
+                .collect(),
+            1.0,
+        );
+        // Zero-priced clicks included: `record_click` settles what it is
+        // given, in SQL as in Rust.
+        for (kw, cents, value) in [(1, 3, 7.5), (0, 0, 5.0), (1, 2, 0.25), (0, 4, 5.0)] {
+            let price = Money::from_cents(cents);
+            sql.record_click(kw, price, value)
+                .expect("in-range keyword");
+            native.record_click(kw, price, value);
+        }
+        let db = sql.program.db_mut();
+        let rows = db.query("SELECT spent, gained, roi FROM Keywords").unwrap();
+        for (row, entry) in rows.iter().zip(&native.keywords) {
+            let floats: Vec<f64> = row.iter().map(|v| v.as_f64().unwrap()).collect();
+            assert_eq!(floats, [entry.spent, entry.value_gained, entry.roi]);
+        }
+        assert_eq!(db.var("amtSpent"), Some(&Value::Float(native.amt_spent)));
+    }
+
+    #[test]
     fn stored_bid_visible() {
         let mut sql = SqlRoiBidder::new(&[(5, 4, 2.0)], 1.0);
         assert_eq!(sql.stored_bid(0).unwrap(), 4);
@@ -383,9 +351,9 @@ mod tests {
         // Regression: an empty Bids table is an error value, not an
         // `rows[0][0]` panic.
         let mut gutted = SqlRoiBidder::new(&[(5, 4, 2.0)], 1.0);
-        gutted.db.run("DELETE FROM Bids").unwrap();
+        gutted.program.db_mut().run("DELETE FROM Bids").unwrap();
         assert_eq!(gutted.run_round(0, 1), Err(SqlRoiError::MissingBidRow));
-        gutted.db.run("DELETE FROM Keywords").unwrap();
+        gutted.program.db_mut().run("DELETE FROM Keywords").unwrap();
         assert_eq!(gutted.stored_bid(0), Err(SqlRoiError::MissingBidRow));
     }
 }

@@ -16,8 +16,9 @@
 //!
 //! Figures 12 and 13 compare four methods. [`MarketSimulation`] serves
 //! the experiment on the marketplace service API (advertisers, campaigns,
-//! `serve_batch` on a one-shard `Marketplace`, every advertiser a live
-//! Figure 5 program shared across its keywords) under LP, H or RH.
+//! `serve_batch` on a one-shard `Marketplace`, every advertiser one live
+//! native Figure 5 strategy, `ssa_strategy::RoiBidder`, that all its
+//! keywords' campaigns forward to) under LP, H or RH.
 //! [`Simulation`] is the RHTALU path — threshold-algorithm selection over
 //! logically updated bids, then the Hungarian algorithm on the candidates —
 //! and the independent reference the marketplace is held to auction for
@@ -50,7 +51,7 @@ pub use hostile::{
     defective_targeting_sources, nearest_rank, ChurnAction, ChurnEvent, ChurnPlan,
     ParseWorkloadError, ShardSkew, WorkloadShape,
 };
-pub use market::{MarketSimulation, SharedRoiProgram};
+pub use market::MarketSimulation;
 pub use scenario::{Population, Scenario, Stream};
 pub use sim::{Simulation, SimulationStats};
 pub use sql::{

@@ -6,8 +6,11 @@
 //! and all of an advertiser's campaigns share one [`RoiBidder`] (the
 //! Figure 5 strategy couples keywords through the advertiser-level
 //! spending rate and max/min ROI, so per-campaign state would not be
-//! faithful). Figures 12 and 13 time it under LP, H and RH, and under
-//! each it matches the RHTALU reference [`crate::Simulation`] auction for
+//! faithful). Each campaign is the crate's `SharedProgram` forwarder over
+//! that one strategy, and `RoiBidder`'s own [`ssa_core::Bidder`] impl
+//! settles a charged click on the queried keyword, the reference
+//! simulation's rule. Figures 12 and 13 time it under LP, H and RH, and
+//! under each it matches the RHTALU reference [`crate::Simulation`] auction for
 //! auction: same bids, same allocations, same sampled clicks,
 //! same GSP charges — the integration tests assert it. Shared strategy
 //! state observes cross-keyword event order, so this population is **not**
@@ -16,57 +19,11 @@
 
 use crate::config::SectionVWorkload;
 use crate::sim::SimulationStats;
-use ssa_bidlang::{BidsTable, Money};
+use crate::sql::SharedProgram;
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace, QueryRequest};
-use ssa_core::{Bidder, BidderOutcome, PricingScheme, QueryContext, WdMethod};
-use ssa_strategy::{KeywordEntry, RoiBidder};
+use ssa_core::{PricingScheme, WdMethod};
+use ssa_strategy::RoiBidder;
 use std::sync::{Arc, Mutex};
-
-/// A campaign bidding program that shares one [`RoiBidder`] across all of
-/// an advertiser's per-keyword campaigns.
-///
-/// On a query it applies the Figure 5 adjustment for the queried keyword at
-/// the global market time and emits the resulting single-row click bid; on
-/// a charged click it feeds spend and value back into the shared strategy
-/// state — mirroring the reference simulation's settlement rule (zero-priced
-/// clicks are not recorded).
-///
-/// The shared state lives behind an [`Arc`]`<`[`Mutex`]`>` so the program
-/// satisfies the `Send` bound campaign programs carry (campaigns must be
-/// able to migrate to shard worker threads). Note that *sharing* strategy
-/// state across keywords makes the program order-sensitive: it is exactly
-/// the kind of cross-keyword-coupled bidder whose results are not
-/// shard-invariant, so the Section V ROI experiment runs on one shard
-/// (see `ssa_core::marketplace`'s module docs).
-pub struct SharedRoiProgram {
-    shared: Arc<Mutex<RoiBidder>>,
-}
-
-impl SharedRoiProgram {
-    /// Wraps a shared strategy handle.
-    pub fn new(shared: Arc<Mutex<RoiBidder>>) -> Self {
-        SharedRoiProgram { shared }
-    }
-}
-
-impl Bidder for SharedRoiProgram {
-    fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
-        let bid = self
-            .shared
-            .lock()
-            .expect("ROI strategy state poisoned")
-            .adjust_and_bid(ctx.keyword, ctx.time);
-        BidsTable::single_feature(Money::from_cents(bid))
-    }
-
-    fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
-        if outcome.clicked && outcome.price.is_positive() {
-            let mut shared = self.shared.lock().expect("ROI strategy state poisoned");
-            let value = shared.keywords[ctx.keyword].click_value as f64;
-            shared.record_click(ctx.keyword, outcome.price, value);
-        }
-    }
-}
 
 /// The Section V workload running on the marketplace service API.
 pub struct MarketSimulation {
@@ -99,22 +56,11 @@ impl MarketSimulation {
         let programs: Vec<Arc<Mutex<RoiBidder>>> = workload
             .bidders
             .iter()
-            .map(|params| {
-                let keywords = params
-                    .keywords
-                    .iter()
-                    .map(|&(value, bid, roi)| KeywordEntry::new(value, bid, roi))
-                    .collect();
-                Arc::new(Mutex::new(RoiBidder::new(
-                    keywords,
-                    params.target_spend_rate,
-                )))
-            })
+            .map(|params| Arc::new(Mutex::new(RoiBidder::from(params))))
             .collect();
         workload.populate_with(&mut market, false, |campaign| {
             let shared = Arc::clone(&programs[campaign.advertiser]);
-            CampaignSpec::program(Box::new(SharedRoiProgram::new(shared)))
-                .click_probs(campaign.click_probs)
+            CampaignSpec::program(Box::new(SharedProgram(shared))).click_probs(campaign.click_probs)
         })?;
         Ok(MarketSimulation {
             workload,

@@ -18,8 +18,8 @@
 //! The two populations are proven **bit-identical** — same reports,
 //! same clicks, same charges, and same per-campaign bid trajectories —
 //! through `serve_batch`, on one shard and on several (the programs
-//! here are keyword-local, unlike the cross-keyword-coupled
-//! [`crate::SharedRoiProgram`], so shard-invariance applies).
+//! here are keyword-local, unlike the cross-keyword-coupled advertisers of
+//! [`crate::MarketSimulation`], so shard-invariance applies).
 //!
 //! Campaign programs are registered behind shared handles
 //! ([`ProgramHandle`]) so tests can read each program's live bid back out
@@ -27,10 +27,10 @@
 //! move-the-program-in flavour of the same machinery.
 
 use crate::config::SectionVWorkload;
-use ssa_bidlang::{BidsTable, Money};
+use ssa_bidlang::BidsTable;
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
 use ssa_core::{Bidder, BidderOutcome, EngineConfig, QueryContext, SqlProgramBidder, WdMethod};
-use ssa_minidb::{Params, Prepared, NO_PARAMS};
+use ssa_minidb::{Prepared, NO_PARAMS};
 use ssa_strategy::{KeywordEntry, RoiBidder};
 use std::fmt;
 use std::str::FromStr;
@@ -89,82 +89,18 @@ impl FromStr for Strategy {
     }
 }
 
-/// The keyword-local Figure 5 schema/state script. One `Keywords` row
-/// (relevance pinned to 1 — the campaign only ever sees queries on its own
-/// keyword), the `Bids` emission table, and the advertiser's running spend
-/// state as host variables. All numeric initial state is bound through
-/// `:value` / `:bid` / `:roi` / `:rate` parameters — exact, never
-/// string-formatted.
-pub const ROI_TABLES: &str = "
-CREATE TABLE Query (kw INT);
-CREATE TABLE Outcome (clicked INT);
-CREATE TABLE Keywords (text TEXT, formula TEXT, maxbid INT, roi FLOAT, bid INT, relevance FLOAT);
-CREATE TABLE Bids (formula TEXT, value INT);
-INSERT INTO Keywords VALUES ('kw', 'Click', :value, :roi, :bid, 1.0);
-INSERT INTO Bids VALUES ('Click', 0);
-SET amtSpent = 0.0;
-SET spent = 0.0;
-SET valueGained = 0.0;
-SET clickValue = :value;
-SET targetSpendRate = :rate;
-";
-
-/// The keyword-local Figure 5 program: the paper's bid trigger (line 11
-/// corrected to `>`) plus a settlement trigger that keeps the ROI
-/// statistic entirely in SQL — mirroring, operation for operation, what
-/// the native `RoiBidder` computes in Rust.
-pub const ROI_PROGRAM: &str = "
-CREATE TRIGGER bid AFTER INSERT ON Query
-{
-  IF amtSpent / time < targetSpendRate THEN
-    UPDATE Keywords
-    SET bid = bid + 1
-    WHERE roi = ( SELECT MAX( K.roi ) FROM Keywords K )
-      AND relevance > 0
-      AND bid < maxbid;
-  ELSEIF amtSpent / time > targetSpendRate THEN
-    UPDATE Keywords
-    SET bid = bid - 1
-    WHERE roi = ( SELECT MIN( K.roi ) FROM Keywords K )
-      AND relevance > 0
-      AND bid > 0;
-  ENDIF;
-
-  UPDATE Bids
-  SET value =
-    ( SELECT SUM( K.bid )
-      FROM Keywords K
-      WHERE K.relevance > 0.7
-        AND K.formula = Bids.formula );
-}
-
-CREATE TRIGGER settle AFTER INSERT ON Outcome
-{
-  IF clicked = 1 AND price > 0 THEN
-    SET spent = spent + price;
-    SET valueGained = valueGained + clickValue;
-    SET amtSpent = amtSpent + price;
-    UPDATE Keywords SET roi = valueGained / spent;
-  ENDIF;
-}
-";
-
-/// Binds one (advertiser, keyword) pair's initial state for
-/// [`ROI_TABLES`].
-pub fn roi_params(value: i64, bid: i64, roi: f64, rate: f64) -> Params {
-    Params::new()
-        .bind("value", value)
-        .bind("bid", bid)
-        .bind("roi", roi)
-        .bind("rate", rate)
-}
+// Figure 5's keyword-local texts and their parameter binder, written once
+// in `ssa_core::sqlprog`.
+pub use ssa_core::sqlprog::{roi_params, ROI_PROGRAM, ROI_TABLES};
 
 // ---------------------------------------------------------------------------
 // The two program flavours.
 // ---------------------------------------------------------------------------
 
 /// The native twin of the SQL program: a single-keyword Figure 5 ROI
-/// strategy addressed by whatever global keyword its campaign serves.
+/// strategy addressed by whatever global keyword its campaign serves. It
+/// bids and settles through [`RoiBidder`]'s own [`Bidder`] impl, on its
+/// keyword 0.
 #[derive(Debug)]
 pub struct LocalRoiProgram {
     roi: RoiBidder,
@@ -187,17 +123,12 @@ impl LocalRoiProgram {
 
 impl Bidder for LocalRoiProgram {
     fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
-        let bid = self.roi.adjust_and_bid(0, ctx.time);
-        BidsTable::single_feature(Money::from_cents(bid))
+        self.roi.on_query(&QueryContext { keyword: 0, ..*ctx })
     }
 
-    fn on_outcome(&mut self, _ctx: &QueryContext, outcome: &BidderOutcome) {
-        // Settlement rule shared by every flavour (and the legacy
-        // simulation): zero-priced clicks are not recorded.
-        if outcome.clicked && outcome.price.is_positive() {
-            let value = self.roi.keywords[0].click_value as f64;
-            self.roi.record_click(0, outcome.price, value);
-        }
+    fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
+        self.roi
+            .on_outcome(&QueryContext { keyword: 0, ..*ctx }, outcome)
     }
 }
 
@@ -248,10 +179,13 @@ impl Bidder for PreparedSqlProgram {
 // Shared handles and the population builders.
 // ---------------------------------------------------------------------------
 
-/// Forwards the [`Bidder`] trait through a shared handle so the test
-/// harness can keep a window into a program after it moves into the
-/// marketplace (and across shard threads — hence [`Mutex`], not `RefCell`).
-struct SharedProgram<B>(Arc<Mutex<B>>);
+/// Forwards the [`Bidder`] trait through a shared handle so the harness can
+/// keep a window into a program after it moves into the marketplace (and
+/// across shard threads — hence [`Mutex`], not `RefCell`). Several
+/// campaigns may share one program: [`crate::MarketSimulation`] registers
+/// one `SharedProgram<RoiBidder>` per (advertiser, keyword) pair over the
+/// advertiser's one strategy.
+pub(crate) struct SharedProgram<B>(pub(crate) Arc<Mutex<B>>);
 
 impl<B: Bidder + Send> Bidder for SharedProgram<B> {
     fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
