@@ -102,18 +102,6 @@ impl Formula {
         }
     }
 
-    /// Collects the distinct predicates of the formula in first-occurrence
-    /// order.
-    pub fn predicates(&self) -> Vec<Predicate> {
-        let mut out = Vec::new();
-        self.for_each_predicate(&mut |p| {
-            if !out.contains(&p) {
-                out.push(p);
-            }
-        });
-        out
-    }
-
     /// `true` if the formula mentions any `HeavyInSlot` predicate, i.e.
     /// requires the Section III-F heavyweight machinery.
     pub fn mentions_heavy(&self) -> bool {
@@ -305,12 +293,6 @@ mod tests {
         assert_eq!(h.to_string(), "(Purchase ∨ Click) ∧ Slot2");
         let n = !(Formula::click() | Formula::purchase());
         assert_eq!(n.to_string(), "¬(Click ∨ Purchase)");
-    }
-
-    #[test]
-    fn predicates_deduplicated_in_order() {
-        let f = (Formula::click() & Formula::purchase()) | Formula::click();
-        assert_eq!(f.predicates(), vec![Predicate::Click, Predicate::Purchase]);
     }
 
     #[test]

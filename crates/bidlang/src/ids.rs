@@ -1,48 +1,9 @@
-//! Strongly-typed identifiers for advertisers and slots.
+//! The strongly-typed slot identifier.
 //!
 //! Slots are numbered **1-based** to match the paper's `Slot1 … Slotk`
 //! notation; [`SlotId::index0`] converts to a zero-based array index.
 
 use std::fmt;
-
-/// Identifier of an advertiser (zero-based, dense).
-///
-/// Advertiser ids index directly into the engine's per-advertiser arrays, so
-/// they are expected to be dense in `0..n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AdvertiserId(pub u32);
-
-impl AdvertiserId {
-    /// Creates an advertiser id from a zero-based index.
-    #[inline]
-    pub fn new(index: u32) -> Self {
-        AdvertiserId(index)
-    }
-
-    /// Returns the zero-based index as `usize` for array indexing.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for AdvertiserId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "adv{}", self.0)
-    }
-}
-
-impl From<u32> for AdvertiserId {
-    fn from(v: u32) -> Self {
-        AdvertiserId(v)
-    }
-}
-
-impl From<usize> for AdvertiserId {
-    fn from(v: usize) -> Self {
-        AdvertiserId(u32::try_from(v).expect("advertiser index exceeds u32"))
-    }
-}
 
 /// Identifier of an advertising slot, **1-based** like the paper's `Slotj`.
 ///
@@ -63,6 +24,9 @@ impl SlotId {
     }
 
     /// Creates a slot id from a zero-based index.
+    // Invariant: every slot index comes from a page of at most
+    // `ssa_core::MAX_SLOTS` (1 024) slots, far below `u16::MAX`.
+    #[allow(clippy::expect_used)]
     #[inline]
     pub fn from_index0(index: usize) -> Self {
         SlotId(u16::try_from(index + 1).expect("slot index exceeds u16"))
@@ -118,13 +82,5 @@ mod tests {
         assert!(SlotId::new(1).is_above(SlotId::new(2)));
         assert!(!SlotId::new(2).is_above(SlotId::new(2)));
         assert!(!SlotId::new(3).is_above(SlotId::new(2)));
-    }
-
-    #[test]
-    fn advertiser_id_conversions() {
-        let a = AdvertiserId::from(7usize);
-        assert_eq!(a.index(), 7);
-        assert_eq!(a, AdvertiserId::new(7));
-        assert_eq!(a.to_string(), "adv7");
     }
 }

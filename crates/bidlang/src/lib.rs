@@ -38,19 +38,24 @@
 //! The crate also contains:
 //!
 //! * a text [`parser`] for formulas (`"Click & Slot1 | Purchase"`),
-//! * [`dependence`] analysis implementing Definition 1 (*m*-dependent events),
-//! * the [`two_dependent`] module reproducing the Theorem 3 reduction from
-//!   maximum weighted feedback arc set, together with brute-force solvers used
-//!   to validate it,
 //! * a [`targeting`] expression language over typed user attributes
 //!   (`geo = 'us' and segment in ('sports', 'autos')`), compiled once per
 //!   campaign to an allocation-free bytecode matcher.
+//!
+//! Definition 1's 1-dependence is syntactic in this language: a formula's
+//! event is 1-dependent exactly when it mentions no heavyweight predicate,
+//! which [`Formula::mentions_heavy`] answers. The crate's property tests
+//! hold that answer to an explicit dependence-set analysis, and reproduce
+//! Theorem 3's reduction from maximum weighted feedback arc set to
+//! 2-dependent bids with brute-force and local-search solvers; both live in
+//! the tests (`tests/support/`), not in the shipped crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod bids;
-pub mod dependence;
 pub mod formula;
 pub mod ids;
 pub mod money;
@@ -58,14 +63,12 @@ pub mod outcome;
 pub mod parser;
 pub mod predicate;
 pub mod targeting;
-pub mod two_dependent;
 
 pub use bids::{BidRow, BidsTable};
-pub use dependence::{dependence_set, is_one_dependent, Dependence};
 pub use formula::Formula;
-pub use ids::{AdvertiserId, SlotId};
+pub use ids::SlotId;
 pub use money::Money;
-pub use outcome::{AdvertiserView, HeavyPattern, Outcome};
+pub use outcome::{AdvertiserView, HeavyPattern};
 pub use parser::{parse_formula, ParseError, ParseErrorKind};
 pub use predicate::Predicate;
 pub use targeting::{

@@ -55,12 +55,6 @@ impl Money {
         self.0 > 0
     }
 
-    /// Saturating subtraction clamped at zero; useful for budget updates.
-    #[inline]
-    pub fn saturating_sub_at_zero(self, rhs: Money) -> Money {
-        Money((self.0 - rhs.0).max(0))
-    }
-
     /// The larger of two amounts.
     #[inline]
     pub fn max(self, other: Money) -> Money {
@@ -163,10 +157,6 @@ mod tests {
     fn sum_and_clamps() {
         let total: Money = [1, 2, 3].iter().map(|&c| Money::from_cents(c)).sum();
         assert_eq!(total.cents(), 6);
-        assert_eq!(
-            Money::from_cents(5).saturating_sub_at_zero(Money::from_cents(9)),
-            Money::ZERO
-        );
         assert_eq!(Money::from_cents(5).max(Money::from_cents(9)).cents(), 9);
         assert_eq!(Money::from_cents(5).min(Money::from_cents(9)).cents(), 5);
     }

@@ -1,12 +1,12 @@
-//! Auction outcomes: who got which slot, who was clicked, who converted.
+//! Auction outcomes as one advertiser sees them.
 //!
-//! An [`Outcome`] is the global description the paper quantifies over ("the
-//! set of all possible outcomes that describe which slot was allocated to
-//! which advertiser together with which advertisers received clicks and
-//! purchases", Section III-A). An [`AdvertiserView`] is the per-advertiser
-//! projection that a [`crate::Formula`] is evaluated against.
+//! The paper quantifies over "the set of all possible outcomes that
+//! describe which slot was allocated to which advertiser together with
+//! which advertisers received clicks and purchases" (Section III-A). An
+//! [`AdvertiserView`] is the per-advertiser projection of such an outcome
+//! that a [`crate::Formula`] is evaluated against.
 
-use crate::ids::{AdvertiserId, SlotId};
+use crate::ids::SlotId;
 use crate::predicate::Predicate;
 
 /// Bitmask of which slots are occupied by heavyweight advertisers
@@ -94,88 +94,6 @@ impl AdvertiserView {
     }
 }
 
-/// A complete auction outcome over `n` advertisers and `k` slots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Outcome {
-    /// `slot_of[i]` is the slot assigned to advertiser `i` (dense ids).
-    pub slot_of: Vec<Option<SlotId>>,
-    /// `clicked[i]`: did advertiser `i` receive a click?
-    pub clicked: Vec<bool>,
-    /// `purchased[i]`: did advertiser `i` receive a purchase?
-    pub purchased: Vec<bool>,
-    /// Heavyweight pattern of the page (Section III-F), if modelled.
-    pub heavy_pattern: Option<HeavyPattern>,
-}
-
-impl Outcome {
-    /// An outcome where nobody is placed, clicked, or converted.
-    pub fn empty(n: usize) -> Self {
-        Outcome {
-            slot_of: vec![None; n],
-            clicked: vec![false; n],
-            purchased: vec![false; n],
-            heavy_pattern: None,
-        }
-    }
-
-    /// Builds an outcome from an allocation `assignment[j] = advertiser in
-    /// slot j+1` with no clicks or purchases yet.
-    pub fn from_assignment(n: usize, assignment: &[Option<AdvertiserId>]) -> Self {
-        let mut out = Outcome::empty(n);
-        for (j, adv) in assignment.iter().enumerate() {
-            if let Some(a) = adv {
-                debug_assert!(
-                    out.slot_of[a.index()].is_none(),
-                    "advertiser assigned twice"
-                );
-                out.slot_of[a.index()] = Some(SlotId::from_index0(j));
-            }
-        }
-        out
-    }
-
-    /// Number of advertisers covered by this outcome.
-    pub fn num_advertisers(&self) -> usize {
-        self.slot_of.len()
-    }
-
-    /// Projects the outcome onto a single advertiser.
-    pub fn view(&self, adv: AdvertiserId) -> AdvertiserView {
-        let i = adv.index();
-        AdvertiserView {
-            slot: self.slot_of[i],
-            clicked: self.clicked[i],
-            purchased: self.purchased[i],
-            heavy_pattern: self.heavy_pattern,
-        }
-    }
-
-    /// The advertiser occupying a slot, if any. O(n) scan; intended for tests
-    /// and small outcomes.
-    pub fn occupant(&self, slot: SlotId) -> Option<AdvertiserId> {
-        self.slot_of
-            .iter()
-            .position(|s| *s == Some(slot))
-            .map(AdvertiserId::from)
-    }
-
-    /// Checks the paper's allocation restriction: no advertiser holds more
-    /// than one slot and no slot holds more than one advertiser.
-    ///
-    /// The first half is structural (`slot_of` is a function); this validates
-    /// the second half.
-    pub fn is_valid_allocation(&self, k: u16) -> bool {
-        let mut seen = vec![false; usize::from(k)];
-        for s in self.slot_of.iter().flatten() {
-            if s.position() > k || seen[s.index0()] {
-                return false;
-            }
-            seen[s.index0()] = true;
-        }
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,32 +107,6 @@ mod tests {
         assert_eq!(p.count(), 2);
         assert_eq!(p.with(SlotId::new(2)).count(), 3);
         assert_eq!(HeavyPattern::all(3).count(), 8);
-    }
-
-    #[test]
-    fn from_assignment_and_views() {
-        let assignment = [Some(AdvertiserId::new(2)), None, Some(AdvertiserId::new(0))];
-        let out = Outcome::from_assignment(4, &assignment);
-        assert_eq!(out.slot_of[2], Some(SlotId::new(1)));
-        assert_eq!(out.slot_of[0], Some(SlotId::new(3)));
-        assert_eq!(out.slot_of[1], None);
-        assert_eq!(out.occupant(SlotId::new(1)), Some(AdvertiserId::new(2)));
-        assert_eq!(out.occupant(SlotId::new(2)), None);
-        let v = out.view(AdvertiserId::new(2));
-        assert_eq!(v.slot, Some(SlotId::new(1)));
-        assert!(!v.clicked);
-    }
-
-    #[test]
-    fn validity() {
-        let mut out = Outcome::empty(3);
-        out.slot_of[0] = Some(SlotId::new(1));
-        out.slot_of[1] = Some(SlotId::new(1));
-        assert!(!out.is_valid_allocation(2));
-        out.slot_of[1] = Some(SlotId::new(2));
-        assert!(out.is_valid_allocation(2));
-        out.slot_of[2] = Some(SlotId::new(3));
-        assert!(!out.is_valid_allocation(2)); // slot beyond k
     }
 
     #[test]

@@ -93,9 +93,9 @@ impl<'a> Lexer<'a> {
         self.skip_ws();
         let start = self.pos;
         let rest = self.rest();
-        if rest.is_empty() {
+        let Some(first) = rest.chars().next() else {
             return Ok(None);
-        }
+        };
         // Single-char / symbol tokens first.
         for (sym, tok) in [
             ("∧", Token::And),
@@ -124,10 +124,7 @@ impl<'a> Lexer<'a> {
             .last()
             .unwrap_or(0);
         if word_len == 0 {
-            return Err(self.error(format!(
-                "unexpected character {:?}",
-                rest.chars().next().expect("nonempty")
-            )));
+            return Err(self.error(format!("unexpected character {first:?}")));
         }
         let word = &rest[..word_len];
         self.pos += word_len;
@@ -388,9 +385,15 @@ mod tests {
         assert!(parse_formula("Gadget").is_err());
         assert!(parse_formula("Click Click").is_err());
         assert!(parse_formula("Slot99999999").is_err());
-        let err = parse_formula("Click @ Purchase").unwrap_err();
-        assert!(err.message.contains("unexpected character"));
-        assert_eq!(err.position, 6);
+        for (input, position) in [
+            ("Click @ Purchase", 6),
+            ("Slot1 | Clické", 13),
+            ("Click & ∅", 8),
+        ] {
+            let err = parse_formula(input).unwrap_err();
+            assert!(err.message.contains("unexpected character"), "{input:?}");
+            assert_eq!(err.position, position, "{input:?}");
+        }
     }
 
     #[test]

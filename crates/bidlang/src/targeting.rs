@@ -262,25 +262,16 @@ pub enum TargetExpr {
 /// One comparison under the module's semantics: missing key ⇒ false,
 /// `=`/`!=` need matching types, ordered operators need two integers.
 fn compare(have: Option<&AttrValue>, op: CmpOp, want: &AttrValue) -> bool {
+    use AttrValue::{Int, Str};
     let Some(have) = have else { return false };
-    match op {
-        CmpOp::Eq => have == want,
-        CmpOp::Ne => {
-            matches!(
-                (have, want),
-                (AttrValue::Int(_), AttrValue::Int(_)) | (AttrValue::Str(_), AttrValue::Str(_))
-            ) && have != want
-        }
-        CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => match (have, want) {
-            (AttrValue::Int(a), AttrValue::Int(b)) => match op {
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-                _ => unreachable!(),
-            },
-            _ => false,
-        },
+    match (op, have, want) {
+        (CmpOp::Eq, _, _) => have == want,
+        (CmpOp::Ne, Int(_), Int(_)) | (CmpOp::Ne, Str(_), Str(_)) => have != want,
+        (CmpOp::Lt, Int(a), Int(b)) => a < b,
+        (CmpOp::Le, Int(a), Int(b)) => a <= b,
+        (CmpOp::Gt, Int(a), Int(b)) => a > b,
+        (CmpOp::Ge, Int(a), Int(b)) => a >= b,
+        _ => false,
     }
 }
 
@@ -382,9 +373,9 @@ impl<'a> Lexer<'a> {
         self.skip_ws();
         let start = self.pos;
         let rest = self.rest();
-        if rest.is_empty() {
+        let Some(first) = rest.chars().next() else {
             return Ok(None);
-        }
+        };
         // Multi-char operators before their single-char prefixes.
         for (sym, tok) in [
             ("!=", Token::Op(CmpOp::Ne)),
@@ -404,9 +395,9 @@ impl<'a> Lexer<'a> {
         }
         // Quoted string literals ('…' or "…"; no escapes — attribute
         // values are plain codes and segments).
-        if let Some(quote) = rest.chars().next().filter(|c| *c == '\'' || *c == '"') {
+        if matches!(first, '\'' | '"') {
             let body = &rest[1..];
-            let Some(end) = body.find(quote) else {
+            let Some(end) = body.find(first) else {
                 return Err(self.error("unterminated string literal"));
             };
             self.pos += 1 + end + 1;
@@ -437,10 +428,7 @@ impl<'a> Lexer<'a> {
             .last()
             .unwrap_or(0);
         if word_len == 0 {
-            return Err(self.error(format!(
-                "unexpected character {:?}",
-                rest.chars().next().expect("nonempty")
-            )));
+            return Err(self.error(format!("unexpected character {first:?}")));
         }
         let word = &rest[..word_len];
         self.pos += word_len;
@@ -941,10 +929,13 @@ mod tests {
             let err = CompiledTargeting::parse(src).expect_err(src);
             assert_eq!(err.kind, ParseErrorKind::Syntax, "{src:?}");
         }
-        let err = CompiledTargeting::parse("geo ~ 'us'").unwrap_err();
-        assert_eq!(err.position, 4);
-        let display: Box<dyn std::error::Error> = Box::new(err);
-        assert!(display.to_string().contains("byte 4"));
+        for (src, position) in [("geo ~ 'us'", 4), ("gé = 'us'", 1), ("age < ٣", 6)] {
+            let err = CompiledTargeting::parse(src).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::Syntax, "{src:?}");
+            assert_eq!(err.position, position, "{src:?}");
+            let display: Box<dyn std::error::Error> = Box::new(err);
+            assert!(display.to_string().contains(&format!("byte {position}")));
+        }
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Property-based tests for the bidding language.
 
+mod support;
+
 use proptest::prelude::*;
-use ssa_bidlang::two_dependent::{
+use ssa_bidlang::{
+    parse_formula, AdvertiserView, BidsTable, Formula, HeavyPattern, Money, Predicate, SlotId,
+};
+use support::dependence::{dependence_set, is_one_dependent};
+use support::two_dependent::{
     bids_revenue, encode_digraph, ordering_revenue, solve_exact, solve_local_search,
     WeightedDigraph,
 };
-use ssa_bidlang::{
-    dependence_set, is_one_dependent, parse_formula, AdvertiserId, AdvertiserView, BidsTable,
-    Formula, HeavyPattern, Money, Predicate, SlotId,
-};
+use support::AdvertiserId;
 
 const MAX_SLOTS: u16 = 5;
 

@@ -6,7 +6,7 @@
 //! 1-dependent events; Theorem 3 shows it is APX-hard already for
 //! 2-dependent events.
 //!
-//! For the formula language of this crate the analysis is syntactic:
+//! For the formula language of `ssa_bidlang` the analysis is syntactic:
 //!
 //! * `Slotj` / `Click` / `Purchase` predicates concern only the *owning*
 //!   advertiser, so any combination of them is 1-dependent (the paper's
@@ -16,8 +16,8 @@
 //!   tractable through the Section III-F pattern decomposition, which this
 //!   analysis flags via [`Dependence::AllAdvertisers`].
 
-use crate::formula::Formula;
-use crate::ids::AdvertiserId;
+use super::AdvertiserId;
+use ssa_bidlang::Formula;
 use std::collections::BTreeSet;
 
 /// The set of advertisers whose placement an event's probability can depend
@@ -83,7 +83,7 @@ pub fn is_one_dependent(formula: &Formula) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::SlotId;
+    use ssa_bidlang::SlotId;
 
     #[test]
     fn own_outcome_formulas_are_one_dependent() {

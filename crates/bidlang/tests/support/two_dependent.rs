@@ -17,8 +17,8 @@
 //! * [`solve_local_search`] — a swap/replace local-search heuristic, the
 //!   practical fallback the hardness result motivates.
 
-use crate::ids::{AdvertiserId, SlotId};
-use crate::money::Money;
+use super::AdvertiserId;
+use ssa_bidlang::{Money, SlotId};
 
 /// A bid of `value` on the event `E_{bidder > other}`: the bidder is placed
 /// in some slot, and `other` is either in a strictly lower slot or unplaced.
@@ -78,11 +78,6 @@ impl WeightedDigraph {
         self.weights.len()
     }
 
-    /// `true` if the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
     /// Sets the weight of arc `(from, to)`.
     ///
     /// # Panics
@@ -93,11 +88,6 @@ impl WeightedDigraph {
         assert_ne!(from, to, "self-loops are not expressible as above-bids");
         assert!(w >= Money::ZERO, "arc weights must be non-negative");
         self.weights[from.index()][to.index()] = w;
-    }
-
-    /// The weight of arc `(from, to)`.
-    pub fn weight(&self, from: AdvertiserId, to: AdvertiserId) -> Money {
-        self.weights[from.index()][to.index()]
     }
 }
 

@@ -14,9 +14,6 @@
 //! * [`retained`] — [`RetainedOrder`]: each slot's best rows kept current
 //!   one changed row at a time, from which [`ReducedSolver`] is handed its
 //!   candidates without an `n × k` matrix or a selection pass.
-//! * [`parallel`] — the binary-tree aggregation networks of Section III-E,
-//!   simulated: [`parallel::tree_top_k`] verifies the `O(k log n)`
-//!   combining depth. It is a check on the paper's claim, not a solver.
 //! * [`threshold`] — the Fagin–Lotem–Naor threshold algorithm used in
 //!   Section IV-A to find the top-k bidders per slot without scanning all
 //!   advertisers, over incrementally-maintained sorted parameter indexes.
@@ -31,6 +28,10 @@
 //!   solver object with persistent scratch buffers, the interface the
 //!   batched auction pipeline in `ssa_core` is built on.
 //!
+//! The binary-tree aggregation networks of Section III-E are no module
+//! here: the crate's property tests simulate them (`tests/support/`) to
+//! check the `O(k log n)` combining depth against [`top_k_indices`].
+//!
 //! Weights are `f64` expected revenues. The sentinel [`EXCLUDED`]
 //! (`f64::NEG_INFINITY`) marks advertiser–slot pairs that must not be
 //! matched; all other weights must be finite. Matchings are *partial*: a slot
@@ -39,13 +40,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod exhaustive;
 pub mod heap;
 pub mod hungarian;
 pub mod matrix;
 pub mod ordered;
-pub mod parallel;
 pub mod pruned;
 pub mod reduced;
 pub mod retained;

@@ -60,8 +60,8 @@ impl SlotList {
         }
         self.entries.insert(at, entry);
         listed[entry.0] += 1;
-        if self.entries.len() > cap {
-            let dropped = self.entries.pop().expect("longer than cap");
+        if let Some(&dropped) = self.entries.get(cap) {
+            self.entries.truncate(cap);
             listed[dropped.0] -= 1;
             self.floor = Some(dropped);
         }

@@ -14,8 +14,8 @@
 //! * [`ReducedSolver`](crate::reduced::ReducedSolver) — method **RH**;
 //! * `NetworkSimplexSolver` (in `ssa_simplex`) — method **LP**.
 //!
-//! The parallel tree aggregation of Section III-E is no solver here:
-//! [`crate::parallel`] simulates it to check its depth.
+//! The parallel tree aggregation of Section III-E is no solver here: the
+//! crate's property tests simulate it to check its depth.
 //!
 //! The free functions ([`crate::max_weight_assignment`],
 //! [`crate::reduced_assignment`], …) remain as one-shot conveniences; they

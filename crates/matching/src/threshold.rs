@@ -100,8 +100,8 @@ pub fn threshold_top_k<S: TaSource + ?Sized>(
         instr.depth += 1;
         // Threshold: the best score any unseen object could still achieve.
         if last_seen.iter().all(Option::is_some) {
-            for (slot, v) in scratch.iter_mut().zip(&last_seen) {
-                *slot = v.expect("checked above");
+            for (slot, v) in scratch.iter_mut().zip(last_seen.iter().flatten()) {
+                *slot = *v;
             }
             let tau = agg(&scratch);
             if let Some(floor) = top.current_floor() {

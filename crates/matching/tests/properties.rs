@@ -1,13 +1,15 @@
 //! Property-based tests for the winner-determination algorithms.
 
+mod support;
+
 use proptest::prelude::*;
 use ssa_matching::exhaustive::brute_force_assignment;
-use ssa_matching::parallel::tree_top_k;
 use ssa_matching::threshold::{threshold_top_k, IndexedSource, MaintainedIndex};
 use ssa_matching::{
     max_weight_assignment, reduced_assignment, reduced_candidates, top_k_indices, RetainedOrder,
     RevenueMatrix, EXCLUDED,
 };
+use support::parallel::tree_top_k;
 
 /// A small matrix with optional excluded entries.
 fn arb_matrix(max_n: usize, max_k: usize) -> impl Strategy<Value = RevenueMatrix> {

@@ -9,9 +9,9 @@
 //! [`tree_top_k`] is a sequential *simulation* of the tree networks that
 //! also reports the tree depth and number of combine steps, so tests can
 //! check the `O(log n)` claim. It is not a serving path: the engine's `rh`
-//! reads its candidates off [`crate::RetainedOrder`] without any scan.
+//! reads its candidates off `ssa_matching::RetainedOrder` without any scan.
 
-use crate::matrix::RevenueMatrix;
+use ssa_matching::{RevenueMatrix, EXCLUDED};
 
 /// Statistics from a simulated tree-network aggregation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,7 @@ fn merge_top_k(a: &[(usize, f64)], b: &[(usize, f64)], k: usize) -> Vec<(usize, 
 /// Simulates the `j`-th binary-tree network for every slot `j`, returning
 /// each slot's top-k list plus tree statistics.
 ///
-/// Functionally identical to [`crate::topk::top_k_indices`]; the value of
+/// Functionally identical to [`ssa_matching::top_k_indices`]; the value of
 /// this function is the faithful simulation of the paper's aggregation
 /// topology (used by tests).
 pub fn tree_top_k(matrix: &RevenueMatrix, k: usize) -> (Vec<Vec<(usize, f64)>>, TreeStats) {
@@ -65,7 +65,7 @@ pub fn tree_top_k(matrix: &RevenueMatrix, k: usize) -> (Vec<Vec<(usize, f64)>>, 
         let mut level: Vec<Vec<(usize, f64)>> = (0..n)
             .map(|i| {
                 let w = matrix.get(i, slot);
-                if w == crate::matrix::EXCLUDED {
+                if w == EXCLUDED {
                     Vec::new()
                 } else {
                     vec![(i, w)]
@@ -98,7 +98,7 @@ pub fn tree_top_k(matrix: &RevenueMatrix, k: usize) -> (Vec<Vec<(usize, f64)>>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topk::top_k_indices;
+    use ssa_matching::top_k_indices;
 
     fn pseudorandom_matrix(n: usize, k: usize, seed: u64) -> RevenueMatrix {
         let mut state = seed | 1;

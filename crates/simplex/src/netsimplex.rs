@@ -73,18 +73,12 @@ pub struct NetworkSimplexSolver {
     dfs_stack: Vec<usize>,
     cycle_from_sink: Vec<(usize, bool)>,
     cycle_from_source: Vec<(usize, bool)>,
-    stats: NetworkSimplexStats,
 }
 
 impl NetworkSimplexSolver {
     /// Creates a solver with empty scratch buffers (they grow on first use).
     pub fn new() -> Self {
         NetworkSimplexSolver::default()
-    }
-
-    /// Statistics of the most recent solve.
-    pub fn last_stats(&self) -> NetworkSimplexStats {
-        self.stats
     }
 
     /// Solves winner determination for `matrix` into `out`, returning run
@@ -98,10 +92,10 @@ impl NetworkSimplexSolver {
         let k = matrix.num_slots();
         self.n = n;
         self.k = k;
-        self.stats = NetworkSimplexStats::default();
+        let mut stats = NetworkSimplexStats::default();
         out.reset(k);
         if n == 0 {
-            return self.stats;
+            return stats;
         }
 
         self.basis.clear();
@@ -112,24 +106,24 @@ impl NetworkSimplexSolver {
         // Generous safety cap; the solver has always terminated far below
         // it.
         let max_pivots = 1000 + 64 * (n + k);
-        while self.stats.pivots < max_pivots {
+        while stats.pivots < max_pivots {
             let bland = degenerate_streak >= BLAND_TRIGGER;
             let Some((s, t)) = self.entering_arc(matrix, bland) else {
                 break; // optimal
             };
-            self.stats.pivots += 1;
+            stats.pivots += 1;
             if bland {
-                self.stats.bland_pivots += 1;
+                stats.bland_pivots += 1;
             }
             if self.pivot(matrix, s, t) {
                 degenerate_streak = 0;
             } else {
-                self.stats.degenerate_pivots += 1;
+                stats.degenerate_pivots += 1;
                 degenerate_streak += 1;
             }
         }
         assert!(
-            self.stats.pivots < max_pivots,
+            stats.pivots < max_pivots,
             "network simplex exceeded the pivot cap — anti-cycling failure"
         );
 
@@ -156,7 +150,7 @@ impl NetworkSimplexSolver {
                 out.total_weight += matrix.get(*i, j);
             }
         }
-        self.stats
+        stats
     }
 
     fn sink_node(&self, t: usize) -> usize {
@@ -332,6 +326,10 @@ impl NetworkSimplexSolver {
                 }
             }
         }
+        // Invariant: the entering arc is not in the tree, so the tree path
+        // from `sink_node` back to `source_node` has an arc, and its first
+        // one runs from a sink to a source: it is backward.
+        #[allow(clippy::expect_used)]
         let leaving = leaving.expect("bipartite cycle must contain a backward arc");
         debug_assert!(theta >= 0);
 
@@ -466,8 +464,7 @@ mod tests {
     #[test]
     fn reused_solver_matches_fresh_across_sizes() {
         // One persistent solver over a stream of differently-sized
-        // instances must agree with a fresh solve (and its stats accessor
-        // must report the latest run).
+        // instances must agree with a fresh solve, statistics included.
         let mut solver = NetworkSimplexSolver::new();
         let mut out = Assignment::empty(1);
         let mut state = 0xFACEu64;
@@ -481,7 +478,6 @@ mod tests {
             let (fresh, fresh_stats) = network_simplex_assignment(&m);
             assert_eq!(out, fresh, "n={n} k={k}");
             assert_eq!(stats, fresh_stats, "n={n} k={k}");
-            assert_eq!(solver.last_stats(), stats);
         }
     }
 

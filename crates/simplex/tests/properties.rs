@@ -1,9 +1,12 @@
 //! Property tests: LP ≡ network simplex ≡ Hungarian, and Chvátal
 //! integrality of the assignment LP.
 
+mod support;
+
 use proptest::prelude::*;
 use ssa_matching::{max_weight_assignment, RevenueMatrix, EXCLUDED};
-use ssa_simplex::{assignment_lp, network_simplex_assignment, solve_assignment_lp};
+use ssa_simplex::network_simplex_assignment;
+use support::lp::{assignment_lp, solve_assignment_lp};
 
 fn arb_matrix(max_n: usize, max_k: usize) -> impl Strategy<Value = RevenueMatrix> {
     (1..=max_n, 1..=max_k).prop_flat_map(|(n, k)| {

@@ -7,7 +7,7 @@
 //! cliques of a perfect graph), so the LP relaxation *is* winner
 //! determination. Tests in this module verify integrality empirically.
 
-use crate::tableau::{LinearProgram, LpError, LpSolution};
+use super::tableau::{LinearProgram, LpError, LpSolution};
 use ssa_matching::{Assignment, RevenueMatrix, EXCLUDED};
 
 /// An assignment LP together with the variable bookkeeping needed to map a

@@ -4,7 +4,7 @@
 //! basis is feasible and no phase-1 is needed — the assignment LP always has
 //! this shape). Deliberately the *straightforward* implementation: dense
 //! tableau, full-row pivots. Correctness over speed; the scalable LP path is
-//! [`crate::netsimplex`].
+//! `ssa_simplex::netsimplex`.
 
 use std::fmt;
 

@@ -5,15 +5,13 @@
 //! arXiv:0809.0116). This umbrella crate re-exports the workspace members:
 //!
 //! * [`bidlang`] — the multi-feature bidding language (formulas over
-//!   `Slotj` / `Click` / `Purchase`, OR-bid tables, 2-dependent events)
-//!   and the typed attribute-targeting expression language
-//!   ([`bidlang::targeting`]);
+//!   `Slotj` / `Click` / `Purchase`, OR-bid tables) and the typed
+//!   attribute-targeting expression language ([`bidlang::targeting`]);
 //! * [`minidb`] — the SQL engine that executes bidding programs
 //!   (Section II-B);
 //! * [`matching`] — Hungarian matching, the reduced-graph method, the
-//!   threshold algorithm, parallel aggregation (Sections III & IV-A);
-//! * [`simplex`] — the LP formulation and solvers (tableau + network
-//!   simplex);
+//!   threshold algorithm (Sections III & IV-A);
+//! * [`simplex`] — the network simplex solver of method LP;
 //! * [`strategy`] — the ROI-equalising heuristic (native and SQL) and
 //!   logical updates (Sections II-C & IV-B);
 //! * [`core`] — the auction engine: probability models, expected revenue,
