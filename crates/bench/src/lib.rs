@@ -19,15 +19,15 @@
 
 use ssa_bidlang::Money;
 use ssa_core::footprint::Ledger;
-use ssa_core::marketplace::{CampaignId, MarketError, Marketplace, QueryRequest};
-use ssa_core::{BatchReport, EngineConfig, PricingScheme, WdMethod};
+use ssa_core::marketplace::{MarketError, Marketplace, QueryRequest};
+use ssa_core::{journal, BatchReport, EngineConfig, MutationRecord, PricingScheme, WdMethod};
 use ssa_durable::{Durability, DurableError, FsyncPolicy, RecoveryReport};
 use ssa_minidb::PlannerStats;
 use ssa_net::server::build_market;
-use ssa_net::{available_cores, market_config_for, populate_remote, Client, NetError};
+use ssa_net::{available_cores, market_config_for, populate_remote, Client, NetError, Request};
 use ssa_workload::{
-    programmed_sharded_market, ChurnAction, ChurnEvent, MarketSimulation, ProgramHandle,
-    SectionVConfig, SectionVWorkload, ShardSkew, Simulation, Strategy,
+    programmed_sharded_market, MarketSimulation, ProgramHandle, SectionVConfig, SectionVWorkload,
+    ShardSkew, Simulation, Strategy,
 };
 pub use ssa_workload::{Population, Scenario, Stream};
 use std::fmt;
@@ -308,28 +308,18 @@ impl Backend {
         }
     }
 
-    /// Applies one churn event. The plan's coordinates are generated
+    /// Applies one churn operation. The plan's coordinates are generated
     /// within the population's bounds, so a refusal is a harness bug
     /// surfaced as the layer's error.
-    fn churn(&mut self, event: &ChurnEvent) -> Result<(), ScenarioError> {
-        let id = CampaignId::from_parts(event.keyword, event.index);
+    fn apply(&mut self, op: MutationRecord) -> Result<(), ScenarioError> {
         match self {
-            Backend::Local(market) => match event.action {
-                ChurnAction::Exhaust => market.pause_campaign(id),
-                ChurnAction::Return => market.resume_campaign(id),
-                ChurnAction::Rebid { bid_cents } => {
-                    market.update_bid(id, Money::from_cents(bid_cents))
-                }
-            }
-            .map_err(ScenarioError::Market),
-            Backend::Wire { client, server } => match event.action {
-                ChurnAction::Exhaust => client.pause_campaign(id),
-                ChurnAction::Return => client.resume_campaign(id),
-                ChurnAction::Rebid { bid_cents } => {
-                    client.update_bid(id, Money::from_cents(bid_cents))
-                }
-            }
-            .map_err(ScenarioError::net(*server)),
+            Backend::Local(market) => journal::apply(market, op)
+                .map(drop)
+                .map_err(ScenarioError::Market),
+            Backend::Wire { client, server } => client
+                .request(&Request::from(op))
+                .map(drop)
+                .map_err(ScenarioError::net(*server)),
         }
     }
 }
@@ -438,7 +428,7 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
     let start = Instant::now();
     let mut report = BatchReport::default();
     let mut served = 0;
-    let mut events = plan.events.iter().peekable();
+    let mut events = plan.events.into_iter().peekable();
     while served < scenario.auctions {
         let until = events.peek().map_or(scenario.auctions, |e| {
             e.after_query.clamp(served, scenario.auctions)
@@ -448,7 +438,7 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
             served = until;
         }
         while let Some(event) = events.next_if(|e| e.after_query <= served) {
-            backend.churn(event)?;
+            backend.apply(event.op)?;
         }
     }
     let elapsed = start.elapsed();

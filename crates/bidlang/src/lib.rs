@@ -42,6 +42,11 @@
 //!   (`geo = 'us' and segment in ('sports', 'autos')`), compiled once per
 //!   campaign to an allocation-free bytecode matcher.
 //!
+//! Both languages are the same Boolean grammar over different atoms, and
+//! one depth-bounded recursive descent in [`parser`] parses both: a
+//! syntax error or nesting past [`parser::MAX_NESTING_DEPTH`] is one
+//! [`ParseError`] in either.
+//!
 //! Definition 1's 1-dependence is syntactic in this language: a formula's
 //! event is 1-dependent exactly when it mentions no heavyweight predicate,
 //! which [`Formula::mentions_heavy`] answers. The crate's property tests
@@ -71,6 +76,4 @@ pub use money::Money;
 pub use outcome::{AdvertiserView, HeavyPattern};
 pub use parser::{parse_formula, ParseError, ParseErrorKind};
 pub use predicate::Predicate;
-pub use targeting::{
-    parse_targeting, AttrValue, CompiledTargeting, TargetExpr, TargetParseError, UserAttrs,
-};
+pub use targeting::{parse_targeting, AttrValue, CompiledTargeting, TargetExpr, UserAttrs};

@@ -1,22 +1,27 @@
-//! A small text parser for bid formulas.
+//! The crate's one parser for Boolean expressions, and the bid-formula
+//! language that runs on it.
 //!
-//! Grammar (precedence low → high): `or := and ('|' and)*`,
-//! `and := unary ('&' unary)*`, `unary := '!' unary | atom`,
-//! `atom := 'Click' | 'Purchase' | 'SlotN' | 'HeavySlotN' | 'true' | 'false'
-//! | '(' or ')'`.
+//! Bid formulas and [`crate::targeting`] expressions share one grammar of
+//! connectives (precedence low → high): `or := and (OR and)*`,
+//! `and := unary (AND unary)*`, `unary := NOT unary | '(' or ')' | atom`.
+//! One recursive descent parses it for both languages, bounded at
+//! [`MAX_NESTING_DEPTH`], and both report a [`ParseError`]. A language
+//! brings only its lexer, which spells the connectives, and its atoms.
 //!
-//! Both ASCII (`& | !`) and the paper's mathematical connectives
-//! (`∧ ∨ ¬`) are accepted, as are the spellings `AND`/`OR`/`NOT`
-//! (case-insensitive) used by the SQL-flavoured bidding programs.
+//! Formula atoms are `'Click' | 'Purchase' | 'SlotN' | 'HeavySlotN' |
+//! 'true' | 'false'`. Both ASCII (`& | !`) and the paper's mathematical
+//! connectives (`∧ ∨ ¬`) are accepted, as are the spellings
+//! `AND`/`OR`/`NOT` (case-insensitive) used by the SQL-flavoured bidding
+//! programs.
 
 use crate::formula::Formula;
 use crate::ids::SlotId;
 use std::fmt;
 
-/// Maximum formula nesting depth. Formulas arrive from untrusted
-/// advertiser programs; unbounded `(((…` or `!!!…` chains would otherwise
-/// overflow the recursive-descent parser's stack.
-pub const MAX_FORMULA_DEPTH: usize = 64;
+/// Maximum nesting depth of a formula or a targeting expression. Both
+/// arrive from untrusted advertisers; unbounded `(((…` or `!!!…` chains
+/// would otherwise overflow the recursive descent's stack.
+pub const MAX_NESTING_DEPTH: usize = 64;
 
 /// What kind of parse failure occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,11 +29,11 @@ pub enum ParseErrorKind {
     /// Malformed input (bad token, missing operand, trailing input, …).
     #[default]
     Syntax,
-    /// Nesting exceeded [`MAX_FORMULA_DEPTH`].
+    /// Nesting exceeded [`MAX_NESTING_DEPTH`].
     TooDeep,
 }
 
-/// Error produced when a formula string cannot be parsed.
+/// Error produced when a formula or a targeting source cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable description of what went wrong.
@@ -39,6 +44,17 @@ pub struct ParseError {
     pub kind: ParseErrorKind,
 }
 
+impl ParseError {
+    /// A [`ParseErrorKind::Syntax`] error at byte `position`.
+    pub(crate) fn syntax(message: impl Into<String>, position: usize) -> Self {
+        ParseError {
+            message: message.into(),
+            position,
+            kind: ParseErrorKind::Syntax,
+        }
+    }
+}
+
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "parse error at byte {}: {}", self.position, self.message)
@@ -46,6 +62,199 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// A Boolean language the shared descent parses: its token type with the
+/// five tokens that spell the connectives and parentheses, its lexer, and
+/// its atoms.
+pub(crate) trait Grammar: Sized {
+    /// What the lexer yields.
+    type Token: Clone + PartialEq;
+    /// What the parser builds.
+    type Expr;
+    const AND: Self::Token;
+    const OR: Self::Token;
+    const NOT: Self::Token;
+    const LPAREN: Self::Token;
+    const RPAREN: Self::Token;
+
+    /// Lexes one token at the cursor, which stands on a non-space
+    /// character.
+    fn token(lexer: &mut Lexer<'_>) -> Result<Self::Token, ParseError>;
+
+    /// Parses one atom at the parser's next token, which is neither `NOT`
+    /// nor `(`.
+    fn atom(parser: &mut Parser<Self>) -> Result<Self::Expr, ParseError>;
+
+    /// The connectives' constructors.
+    fn and(lhs: Self::Expr, rhs: Self::Expr) -> Self::Expr;
+    fn or(lhs: Self::Expr, rhs: Self::Expr) -> Self::Expr;
+    fn not(inner: Self::Expr) -> Self::Expr;
+}
+
+/// A cursor over the source text; a language's [`Grammar::token`]
+/// advances it past one token.
+pub(crate) struct Lexer<'a> {
+    input: &'a str,
+    pub(crate) pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// The input not lexed yet.
+    pub(crate) fn rest(&self) -> &'a str {
+        &self.input[self.pos..]
+    }
+
+    /// A syntax error at the cursor.
+    pub(crate) fn error(&self, message: impl Into<String>) -> ParseError {
+        ParseError::syntax(message, self.pos)
+    }
+
+    /// Consumes the first of `symbols` the rest of the input starts with.
+    pub(crate) fn symbol<T, const N: usize>(&mut self, symbols: [(&str, T); N]) -> Option<T> {
+        let rest = self.rest();
+        let (symbol, token) = symbols.into_iter().find(|(s, _)| rest.starts_with(s))?;
+        self.pos += symbol.len();
+        Some(token)
+    }
+
+    /// Consumes the word of ASCII letters, digits and `_` at the cursor;
+    /// an error if the cursor stands on any other character.
+    pub(crate) fn word(&mut self) -> Result<&'a str, ParseError> {
+        let rest = self.rest();
+        let len = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        match rest.chars().next() {
+            Some(first) if len == 0 => Err(self.error(format!("unexpected character {first:?}"))),
+            _ => {
+                self.pos += len;
+                Ok(&rest[..len])
+            }
+        }
+    }
+}
+
+/// The recursive descent over one language's tokens.
+pub(crate) struct Parser<G: Grammar> {
+    tokens: Vec<(G::Token, usize)>,
+    index: usize,
+    input_len: usize,
+    /// Current nesting depth.
+    depth: usize,
+}
+
+impl<G: Grammar> Parser<G> {
+    /// Byte offset of the next token; the input's length at the end.
+    pub(crate) fn position(&self) -> usize {
+        self.tokens
+            .get(self.index)
+            .map_or(self.input_len, |(_, p)| *p)
+    }
+
+    /// Consumes the next token.
+    pub(crate) fn advance(&mut self) -> Option<G::Token> {
+        let t = self.tokens.get(self.index).map(|(t, _)| t.clone());
+        if t.is_some() {
+            self.index += 1;
+        }
+        t
+    }
+
+    /// A syntax error at the next token.
+    pub(crate) fn syntax(&self, message: impl Into<String>) -> ParseError {
+        ParseError::syntax(message, self.position())
+    }
+
+    /// Consumes the next token if it is `token`.
+    fn eat(&mut self, token: &G::Token) -> bool {
+        let hit = self.tokens.get(self.index).is_some_and(|(t, _)| t == token);
+        self.index += usize::from(hit);
+        hit
+    }
+
+    /// Enters one nesting level; errors once [`MAX_NESTING_DEPTH`] is hit.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING_DEPTH {
+            Err(ParseError {
+                message: format!("nesting deeper than {MAX_NESTING_DEPTH} levels"),
+                position: self.position(),
+                kind: ParseErrorKind::TooDeep,
+            })
+        } else {
+            Ok(())
+        }
+    }
+
+    fn parse_or(&mut self) -> Result<G::Expr, ParseError> {
+        self.descend()?;
+        let or = self.parse_or_at_depth();
+        self.depth -= 1;
+        or
+    }
+
+    fn parse_or_at_depth(&mut self) -> Result<G::Expr, ParseError> {
+        let mut lhs = self.parse_and()?;
+        while self.eat(&G::OR) {
+            lhs = G::or(lhs, self.parse_and()?);
+        }
+        Ok(lhs)
+    }
+
+    fn parse_and(&mut self) -> Result<G::Expr, ParseError> {
+        let mut lhs = self.parse_unary()?;
+        while self.eat(&G::AND) {
+            lhs = G::and(lhs, self.parse_unary()?);
+        }
+        Ok(lhs)
+    }
+
+    fn parse_unary(&mut self) -> Result<G::Expr, ParseError> {
+        if self.eat(&G::NOT) {
+            self.descend()?;
+            let inner = self.parse_unary();
+            self.depth -= 1;
+            return Ok(G::not(inner?));
+        }
+        if self.eat(&G::LPAREN) {
+            let inner = self.parse_or()?;
+            return match self.advance() {
+                Some(t) if t == G::RPAREN => Ok(inner),
+                _ => Err(self.syntax("expected ')'")),
+            };
+        }
+        G::atom(self)
+    }
+}
+
+/// Parses `input` in language `G`: lexes it whole, runs the descent, and
+/// refuses trailing input.
+pub(crate) fn parse<G: Grammar>(input: &str) -> Result<G::Expr, ParseError> {
+    let mut lexer = Lexer { input, pos: 0 };
+    let mut tokens = Vec::new();
+    loop {
+        lexer.pos = input.len() - lexer.rest().trim_start().len();
+        if lexer.pos == input.len() {
+            break;
+        }
+        let start = lexer.pos;
+        tokens.push((G::token(&mut lexer)?, start));
+    }
+    let mut parser = Parser::<G> {
+        tokens,
+        index: 0,
+        input_len: input.len(),
+        depth: 0,
+    };
+    let expr = parser.parse_or()?;
+    if parser.index != parser.tokens.len() {
+        return Err(parser.syntax("trailing input after expression"));
+    }
+    Ok(expr)
+}
+
+/// The bid-formula language.
+struct Formulas;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Token {
@@ -62,42 +271,18 @@ enum Token {
     False,
 }
 
-struct Lexer<'a> {
-    input: &'a str,
-    pos: usize,
-}
+impl Grammar for Formulas {
+    type Token = Token;
+    type Expr = Formula;
+    const AND: Token = Token::And;
+    const OR: Token = Token::Or;
+    const NOT: Token = Token::Not;
+    const LPAREN: Token = Token::LParen;
+    const RPAREN: Token = Token::RParen;
 
-impl<'a> Lexer<'a> {
-    fn new(input: &'a str) -> Self {
-        Lexer { input, pos: 0 }
-    }
-
-    fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-            position: self.pos,
-            kind: ParseErrorKind::Syntax,
-        }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        let trimmed = self.rest().trim_start();
-        self.pos = self.input.len() - trimmed.len();
-    }
-
-    fn next_token(&mut self) -> Result<Option<(Token, usize)>, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        let rest = self.rest();
-        let Some(first) = rest.chars().next() else {
-            return Ok(None);
-        };
-        // Single-char / symbol tokens first.
-        for (sym, tok) in [
+    fn token(lexer: &mut Lexer<'_>) -> Result<Token, ParseError> {
+        let start = lexer.pos;
+        if let Some(token) = lexer.symbol([
             ("∧", Token::And),
             ("∨", Token::Or),
             ("¬", Token::Not),
@@ -110,26 +295,12 @@ impl<'a> Lexer<'a> {
             ("!", Token::Not),
             ("(", Token::LParen),
             (")", Token::RParen),
-        ] {
-            if let Some(stripped) = rest.strip_prefix(sym) {
-                self.pos = self.input.len() - stripped.len();
-                return Ok(Some((tok, start)));
-            }
+        ]) {
+            return Ok(token);
         }
-        // Identifier tokens.
-        let word_len = rest
-            .char_indices()
-            .take_while(|(_, c)| c.is_ascii_alphanumeric() || *c == '_')
-            .map(|(i, c)| i + c.len_utf8())
-            .last()
-            .unwrap_or(0);
-        if word_len == 0 {
-            return Err(self.error(format!("unexpected character {first:?}")));
-        }
-        let word = &rest[..word_len];
-        self.pos += word_len;
+        let word = lexer.word()?;
         let lower = word.to_ascii_lowercase();
-        let tok = match lower.as_str() {
+        Ok(match lower.as_str() {
             "and" => Token::And,
             "or" => Token::Or,
             "not" => Token::Not,
@@ -143,145 +314,52 @@ impl<'a> Lexer<'a> {
                 } else if let Some(num) = lower.strip_prefix("slot") {
                     Token::Slot(parse_slot_number(num, start)?)
                 } else {
-                    return Err(ParseError {
-                        message: format!("unknown identifier {word:?}"),
-                        position: start,
-                        kind: ParseErrorKind::Syntax,
-                    });
+                    return Err(ParseError::syntax(
+                        format!("unknown identifier {word:?}"),
+                        start,
+                    ));
                 }
             }
-        };
-        Ok(Some((tok, start)))
-    }
-}
-
-fn parse_slot_number(digits: &str, position: usize) -> Result<u16, ParseError> {
-    let n: u16 = digits.parse().map_err(|_| ParseError {
-        message: format!("invalid slot number {digits:?}"),
-        position,
-        kind: ParseErrorKind::Syntax,
-    })?;
-    if n == 0 {
-        return Err(ParseError {
-            message: "slot numbers are 1-based".to_string(),
-            position,
-            kind: ParseErrorKind::Syntax,
-        });
-    }
-    Ok(n)
-}
-
-struct Parser {
-    tokens: Vec<(Token, usize)>,
-    index: usize,
-    input_len: usize,
-    /// Current recursive-descent nesting depth.
-    depth: usize,
-}
-
-impl Parser {
-    /// Enters one nesting level; errors once [`MAX_FORMULA_DEPTH`] is hit.
-    fn descend(&mut self) -> Result<(), ParseError> {
-        self.depth += 1;
-        if self.depth > MAX_FORMULA_DEPTH {
-            Err(ParseError {
-                message: format!("formula nesting deeper than {MAX_FORMULA_DEPTH} levels"),
-                position: self.position(),
-                kind: ParseErrorKind::TooDeep,
-            })
-        } else {
-            Ok(())
-        }
+        })
     }
 
-    fn ascend(&mut self) {
-        self.depth -= 1;
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.index).map(|(t, _)| t)
-    }
-
-    fn position(&self) -> usize {
-        self.tokens
-            .get(self.index)
-            .map(|(_, p)| *p)
-            .unwrap_or(self.input_len)
-    }
-
-    fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.index).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.index += 1;
-        }
-        t
-    }
-
-    fn parse_or(&mut self) -> Result<Formula, ParseError> {
-        self.descend()?;
-        let or = self.parse_or_at_depth();
-        self.ascend();
-        or
-    }
-
-    fn parse_or_at_depth(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == Some(&Token::Or) {
-            self.advance();
-            let rhs = self.parse_and()?;
-            lhs = lhs | rhs;
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.parse_unary()?;
-        while self.peek() == Some(&Token::And) {
-            self.advance();
-            let rhs = self.parse_unary()?;
-            lhs = lhs & rhs;
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<Formula, ParseError> {
-        if self.peek() == Some(&Token::Not) {
-            self.advance();
-            self.descend()?;
-            let inner = self.parse_unary();
-            self.ascend();
-            return Ok(!inner?);
-        }
-        self.parse_atom()
-    }
-
-    fn parse_atom(&mut self) -> Result<Formula, ParseError> {
-        let position = self.position();
-        match self.advance() {
+    fn atom(parser: &mut Parser<Self>) -> Result<Formula, ParseError> {
+        let position = parser.position();
+        match parser.advance() {
             Some(Token::Click) => Ok(Formula::click()),
             Some(Token::Purchase) => Ok(Formula::purchase()),
             Some(Token::Slot(n)) => Ok(Formula::slot(SlotId::new(n))),
             Some(Token::HeavySlot(n)) => Ok(Formula::heavy_in_slot(SlotId::new(n))),
             Some(Token::True) => Ok(Formula::True),
             Some(Token::False) => Ok(Formula::False),
-            Some(Token::LParen) => {
-                let inner = self.parse_or()?;
-                match self.advance() {
-                    Some(Token::RParen) => Ok(inner),
-                    _ => Err(ParseError {
-                        message: "expected ')'".to_string(),
-                        position: self.position(),
-                        kind: ParseErrorKind::Syntax,
-                    }),
-                }
-            }
-            other => Err(ParseError {
-                message: format!("expected a predicate, found {other:?}"),
+            other => Err(ParseError::syntax(
+                format!("expected a predicate, found {other:?}"),
                 position,
-                kind: ParseErrorKind::Syntax,
-            }),
+            )),
         }
     }
+
+    fn and(lhs: Formula, rhs: Formula) -> Formula {
+        lhs & rhs
+    }
+
+    fn or(lhs: Formula, rhs: Formula) -> Formula {
+        lhs | rhs
+    }
+
+    fn not(inner: Formula) -> Formula {
+        !inner
+    }
+}
+
+fn parse_slot_number(digits: &str, position: usize) -> Result<u16, ParseError> {
+    let n: u16 = digits
+        .parse()
+        .map_err(|_| ParseError::syntax(format!("invalid slot number {digits:?}"), position))?;
+    if n == 0 {
+        return Err(ParseError::syntax("slot numbers are 1-based", position));
+    }
+    Ok(n)
 }
 
 /// Parses a formula from text.
@@ -295,26 +373,7 @@ impl Parser {
 /// );
 /// ```
 pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
-    let mut lexer = Lexer::new(input);
-    let mut tokens = Vec::new();
-    while let Some(tok) = lexer.next_token()? {
-        tokens.push(tok);
-    }
-    let mut parser = Parser {
-        tokens,
-        index: 0,
-        input_len: input.len(),
-        depth: 0,
-    };
-    let formula = parser.parse_or()?;
-    if parser.index != parser.tokens.len() {
-        return Err(ParseError {
-            message: "trailing input after formula".to_string(),
-            position: parser.position(),
-            kind: ParseErrorKind::Syntax,
-        });
-    }
-    Ok(formula)
+    parse::<Formulas>(input)
 }
 
 #[cfg(test)]
@@ -392,6 +451,12 @@ mod tests {
         ] {
             let err = parse_formula(input).unwrap_err();
             assert!(err.message.contains("unexpected character"), "{input:?}");
+            assert_eq!(err.position, position, "{input:?}");
+        }
+        // Targeting syntax is no formula syntax.
+        for (input, position) in [("geo = 'us'", 0), ("Slot1 in (1)", 6), ("Click = 1", 6)] {
+            let err = parse_formula(input).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::Syntax, "{input:?}");
             assert_eq!(err.position, position, "{input:?}");
         }
     }

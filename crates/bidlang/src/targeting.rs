@@ -11,21 +11,24 @@
 //!     and not age < 21
 //! ```
 //!
-//! Grammar (precedence low → high): `or := and ('or' and)*`,
-//! `and := unary ('and' unary)*`, `unary := 'not' unary | primary`,
-//! `primary := '(' or ')' | comparison`,
-//! `comparison := key (= != < <= > >=) value | key 'in' '(' value, … ')'`.
-//! Values are integer literals or quoted strings. Like the formula
-//! [`crate::parser`], the recursive-descent parser enforces
-//! [`MAX_TARGETING_DEPTH`] so hostile `(((…` / `not not not …` sources
-//! from untrusted advertisers fail with a typed
-//! [`ParseErrorKind::TooDeep`] instead of overflowing the stack.
+//! The connectives are the bid formulas' Boolean grammar, spelled only
+//! `and`, `or`, `not` and `( … )`, and the crate's one recursive descent
+//! ([`crate::parser`]) parses both languages. Hostile `(((…` / `not not
+//! not …` sources from untrusted advertisers fail with a typed
+//! [`TooDeep`](crate::ParseErrorKind::TooDeep) at [`MAX_NESTING_DEPTH`]
+//! instead of overflowing the stack, and every error is a [`ParseError`].
+//! A targeting atom is a comparison,
+//! `key (= != < <= > >=) value | key 'in' '(' value, … ')'`, against an
+//! integer literal or a quoted string.
 //!
 //! Expressions are parsed once per campaign into a [`TargetExpr`] AST and
 //! compiled to a [`CompiledTargeting`] postfix bytecode program; the hot
 //! serve path only ever runs [`CompiledTargeting::matches`] — a
 //! fixed-size-stack bytecode loop with no allocation, no recursion, and
-//! no re-parsing per auction.
+//! no re-parsing per auction. Nothing on the way recurses once per link
+//! of a flat `and`/`or` chain — parsing, compiling, matching, nor dropping
+//! the AST — so a chain of any length that fits a frame registers on a
+//! thread's default stack.
 //!
 //! # Semantics
 //!
@@ -36,18 +39,14 @@
 //! * Ordered comparisons (`<`, `<=`, `>`, `>=`) hold only between two
 //!   integers; strings never order.
 
-use crate::parser::ParseErrorKind;
+use crate::parser::{parse, Grammar, Lexer, ParseError, Parser, MAX_NESTING_DEPTH};
 use std::fmt;
 
-/// Maximum targeting-expression nesting depth; see
-/// [`crate::parser::MAX_FORMULA_DEPTH`] for the rationale.
-pub const MAX_TARGETING_DEPTH: usize = 64;
-
 /// Stack slots the bytecode evaluator reserves. Parsing bounds nesting at
-/// [`MAX_TARGETING_DEPTH`], and the evaluation stack of a postfix program
+/// [`MAX_NESTING_DEPTH`], and the evaluation stack of a postfix program
 /// never exceeds the expression's nesting depth plus one (left-deep
 /// operator chains — the only unbounded shape — evaluate in two slots).
-const EVAL_STACK: usize = MAX_TARGETING_DEPTH + 2;
+const EVAL_STACK: usize = MAX_NESTING_DEPTH + 2;
 
 // ---------------------------------------------------------------------------
 // Attribute values and the per-query attribute bag.
@@ -293,38 +292,40 @@ impl TargetExpr {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Parse errors.
-// ---------------------------------------------------------------------------
-
-/// Error produced when a targeting source cannot be parsed. Mirrors the
-/// formula parser's [`crate::parser::ParseError`] shape: message, byte
-/// position, and a [`ParseErrorKind`] separating plain syntax errors from
-/// the hostile-nesting depth limit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TargetParseError {
-    /// Human-readable description of what went wrong.
-    pub message: String,
-    /// Byte offset in the input at which the error occurred.
-    pub position: usize,
-    /// Failure category (syntax vs. the nesting depth limit).
-    pub kind: ParseErrorKind,
-}
-
-impl fmt::Display for TargetParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "targeting parse error at byte {}: {}",
-            self.position, self.message
-        )
+impl Drop for TargetExpr {
+    /// Frees the tree through an explicit stack: the compiler's drop glue
+    /// recurses once per node, and a flat `and` chain parses into a
+    /// left-deep tree as deep as the chain is long.
+    fn drop(&mut self) {
+        let mut detached = Vec::new();
+        detach_children(self, &mut detached);
+        while let Some(mut node) = detached.pop() {
+            detach_children(&mut node, &mut detached);
+        }
     }
 }
 
-impl std::error::Error for TargetParseError {}
+/// Moves `expr`'s connective children onto `detached`, leaving empty
+/// leaves in their place, so dropping `expr` recurses no further.
+fn detach_children(expr: &mut TargetExpr, detached: &mut Vec<TargetExpr>) {
+    let children = match expr {
+        TargetExpr::And(a, b) | TargetExpr::Or(a, b) => [Some(a), Some(b)],
+        TargetExpr::Not(a) => [Some(a), None],
+        TargetExpr::Cmp { .. } | TargetExpr::In { .. } => return,
+    };
+    for child in children.into_iter().flatten() {
+        if !matches!(**child, TargetExpr::Cmp { .. } | TargetExpr::In { .. }) {
+            let leaf = TargetExpr::In {
+                key: String::new(),
+                values: Vec::new(),
+            };
+            detached.push(std::mem::replace(&mut **child, leaf));
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
-// Lexer.
+// The targeting language on the crate's shared descent.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq)]
@@ -342,42 +343,21 @@ enum Token {
     Str(String),
 }
 
-struct Lexer<'a> {
-    input: &'a str,
-    pos: usize,
-}
+/// The targeting language.
+struct Targeting;
 
-impl<'a> Lexer<'a> {
-    fn new(input: &'a str) -> Self {
-        Lexer { input, pos: 0 }
-    }
+impl Grammar for Targeting {
+    type Token = Token;
+    type Expr = TargetExpr;
+    const AND: Token = Token::And;
+    const OR: Token = Token::Or;
+    const NOT: Token = Token::Not;
+    const LPAREN: Token = Token::LParen;
+    const RPAREN: Token = Token::RParen;
 
-    fn error(&self, message: impl Into<String>) -> TargetParseError {
-        TargetParseError {
-            message: message.into(),
-            position: self.pos,
-            kind: ParseErrorKind::Syntax,
-        }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        let trimmed = self.rest().trim_start();
-        self.pos = self.input.len() - trimmed.len();
-    }
-
-    fn next_token(&mut self) -> Result<Option<(Token, usize)>, TargetParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        let rest = self.rest();
-        let Some(first) = rest.chars().next() else {
-            return Ok(None);
-        };
+    fn token(lexer: &mut Lexer<'_>) -> Result<Token, ParseError> {
         // Multi-char operators before their single-char prefixes.
-        for (sym, tok) in [
+        if let Some(token) = lexer.symbol([
             ("!=", Token::Op(CmpOp::Ne)),
             ("<=", Token::Op(CmpOp::Le)),
             (">=", Token::Op(CmpOp::Ge)),
@@ -387,25 +367,22 @@ impl<'a> Lexer<'a> {
             ("(", Token::LParen),
             (")", Token::RParen),
             (",", Token::Comma),
-        ] {
-            if let Some(stripped) = rest.strip_prefix(sym) {
-                self.pos = self.input.len() - stripped.len();
-                return Ok(Some((tok, start)));
-            }
+        ]) {
+            return Ok(token);
         }
+        let rest = lexer.rest();
         // Quoted string literals ('…' or "…"; no escapes — attribute
         // values are plain codes and segments).
-        if matches!(first, '\'' | '"') {
+        if let Some(quote @ ('\'' | '"')) = rest.chars().next() {
             let body = &rest[1..];
-            let Some(end) = body.find(first) else {
-                return Err(self.error("unterminated string literal"));
+            let Some(end) = body.find(quote) else {
+                return Err(lexer.error("unterminated string literal"));
             };
-            self.pos += 1 + end + 1;
-            return Ok(Some((Token::Str(body[..end].to_string()), start)));
+            lexer.pos += 1 + end + 1;
+            return Ok(Token::Str(body[..end].to_string()));
         }
         // Integer literals (optionally negative).
-        let negative = rest.starts_with('-');
-        let digits_at = usize::from(negative);
+        let digits_at = usize::from(rest.starts_with('-'));
         let digit_len = rest[digits_at..]
             .find(|c: char| !c.is_ascii_digit())
             .unwrap_or(rest.len() - digits_at);
@@ -413,179 +390,73 @@ impl<'a> Lexer<'a> {
             let text = &rest[..digits_at + digit_len];
             let n: i64 = text
                 .parse()
-                .map_err(|_| self.error(format!("invalid integer literal {text:?}")))?;
-            self.pos += text.len();
-            return Ok(Some((Token::Int(n), start)));
+                .map_err(|_| lexer.error(format!("invalid integer literal {text:?}")))?;
+            lexer.pos += text.len();
+            return Ok(Token::Int(n));
         }
-        if negative {
-            return Err(self.error("unexpected character '-'"));
-        }
-        // Identifiers and word operators.
-        let word_len = rest
-            .char_indices()
-            .take_while(|(_, c)| c.is_ascii_alphanumeric() || *c == '_')
-            .map(|(i, c)| i + c.len_utf8())
-            .last()
-            .unwrap_or(0);
-        if word_len == 0 {
-            return Err(self.error(format!("unexpected character {first:?}")));
-        }
-        let word = &rest[..word_len];
-        self.pos += word_len;
-        let tok = match word.to_ascii_lowercase().as_str() {
+        // Identifiers and word operators (a lone '-' is no word).
+        let word = lexer.word()?;
+        Ok(match word.to_ascii_lowercase().as_str() {
             "and" => Token::And,
             "or" => Token::Or,
             "not" => Token::Not,
             "in" => Token::In,
             _ => Token::Ident(word.to_string()),
-        };
-        Ok(Some((tok, start)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parser.
-// ---------------------------------------------------------------------------
-
-struct Parser {
-    tokens: Vec<(Token, usize)>,
-    index: usize,
-    input_len: usize,
-    /// Current recursive-descent nesting depth.
-    depth: usize,
-}
-
-impl Parser {
-    /// Enters one nesting level; errors once [`MAX_TARGETING_DEPTH`] is
-    /// hit.
-    fn descend(&mut self) -> Result<(), TargetParseError> {
-        self.depth += 1;
-        if self.depth > MAX_TARGETING_DEPTH {
-            Err(TargetParseError {
-                message: format!("targeting nesting deeper than {MAX_TARGETING_DEPTH} levels"),
-                position: self.position(),
-                kind: ParseErrorKind::TooDeep,
-            })
-        } else {
-            Ok(())
-        }
+        })
     }
 
-    fn ascend(&mut self) {
-        self.depth -= 1;
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.index).map(|(t, _)| t)
-    }
-
-    fn position(&self) -> usize {
-        self.tokens
-            .get(self.index)
-            .map(|(_, p)| *p)
-            .unwrap_or(self.input_len)
-    }
-
-    fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.index).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.index += 1;
-        }
-        t
-    }
-
-    fn syntax(&self, message: impl Into<String>) -> TargetParseError {
-        TargetParseError {
-            message: message.into(),
-            position: self.position(),
-            kind: ParseErrorKind::Syntax,
-        }
-    }
-
-    fn parse_or(&mut self) -> Result<TargetExpr, TargetParseError> {
-        self.descend()?;
-        let or = self.parse_or_at_depth();
-        self.ascend();
-        or
-    }
-
-    fn parse_or_at_depth(&mut self) -> Result<TargetExpr, TargetParseError> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == Some(&Token::Or) {
-            self.advance();
-            let rhs = self.parse_and()?;
-            lhs = TargetExpr::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<TargetExpr, TargetParseError> {
-        let mut lhs = self.parse_unary()?;
-        while self.peek() == Some(&Token::And) {
-            self.advance();
-            let rhs = self.parse_unary()?;
-            lhs = TargetExpr::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<TargetExpr, TargetParseError> {
-        if self.peek() == Some(&Token::Not) {
-            self.advance();
-            self.descend()?;
-            let inner = self.parse_unary();
-            self.ascend();
-            return Ok(TargetExpr::Not(Box::new(inner?)));
-        }
-        self.parse_primary()
-    }
-
-    fn parse_primary(&mut self) -> Result<TargetExpr, TargetParseError> {
-        if self.peek() == Some(&Token::LParen) {
-            self.advance();
-            let inner = self.parse_or()?;
-            return match self.advance() {
-                Some(Token::RParen) => Ok(inner),
-                _ => Err(self.syntax("expected ')'")),
-            };
-        }
-        let key = match self.advance() {
+    fn atom(parser: &mut Parser<Self>) -> Result<TargetExpr, ParseError> {
+        let key = match parser.advance() {
             Some(Token::Ident(key)) => key,
-            other => return Err(self.syntax(format!("expected an attribute key, found {other:?}"))),
+            other => {
+                return Err(parser.syntax(format!("expected an attribute key, found {other:?}")))
+            }
         };
-        match self.advance() {
+        match parser.advance() {
             Some(Token::Op(op)) => {
-                let value = self.parse_value()?;
+                let value = parse_value(parser)?;
                 Ok(TargetExpr::Cmp { key, op, value })
             }
             Some(Token::In) => {
-                if self.advance() != Some(Token::LParen) {
-                    return Err(self.syntax("expected '(' after 'in'"));
+                if parser.advance() != Some(Token::LParen) {
+                    return Err(parser.syntax("expected '(' after 'in'"));
                 }
-                let mut values = vec![self.parse_value()?];
+                let mut values = vec![parse_value(parser)?];
                 loop {
-                    match self.advance() {
-                        Some(Token::Comma) => values.push(self.parse_value()?),
+                    match parser.advance() {
+                        Some(Token::Comma) => values.push(parse_value(parser)?),
                         Some(Token::RParen) => break,
-                        _ => return Err(self.syntax("expected ',' or ')' in value list")),
+                        _ => return Err(parser.syntax("expected ',' or ')' in value list")),
                     }
                 }
                 Ok(TargetExpr::In { key, values })
             }
-            other => Err(self.syntax(format!(
+            other => Err(parser.syntax(format!(
                 "expected a comparison operator or 'in' after {key:?}, found {other:?}"
             ))),
         }
     }
 
-    fn parse_value(&mut self) -> Result<AttrValue, TargetParseError> {
-        match self.advance() {
-            Some(Token::Int(n)) => Ok(AttrValue::Int(n)),
-            Some(Token::Str(s)) => Ok(AttrValue::Str(s)),
-            other => Err(self.syntax(format!(
-                "expected an integer or quoted string literal, found {other:?}"
-            ))),
-        }
+    fn and(lhs: TargetExpr, rhs: TargetExpr) -> TargetExpr {
+        TargetExpr::And(Box::new(lhs), Box::new(rhs))
+    }
+
+    fn or(lhs: TargetExpr, rhs: TargetExpr) -> TargetExpr {
+        TargetExpr::Or(Box::new(lhs), Box::new(rhs))
+    }
+
+    fn not(inner: TargetExpr) -> TargetExpr {
+        TargetExpr::Not(Box::new(inner))
+    }
+}
+
+fn parse_value(parser: &mut Parser<Targeting>) -> Result<AttrValue, ParseError> {
+    match parser.advance() {
+        Some(Token::Int(n)) => Ok(AttrValue::Int(n)),
+        Some(Token::Str(s)) => Ok(AttrValue::Str(s)),
+        other => Err(parser.syntax(format!(
+            "expected an integer or quoted string literal, found {other:?}"
+        ))),
     }
 }
 
@@ -599,23 +470,8 @@ impl Parser {
 /// assert!(!expr.matches(&UserAttrs::new().geo("us").device("tv")));
 /// assert!(!expr.matches(&UserAttrs::new()));
 /// ```
-pub fn parse_targeting(input: &str) -> Result<TargetExpr, TargetParseError> {
-    let mut lexer = Lexer::new(input);
-    let mut tokens = Vec::new();
-    while let Some(tok) = lexer.next_token()? {
-        tokens.push(tok);
-    }
-    let mut parser = Parser {
-        tokens,
-        index: 0,
-        input_len: input.len(),
-        depth: 0,
-    };
-    let expr = parser.parse_or()?;
-    if parser.index != parser.tokens.len() {
-        return Err(parser.syntax("trailing input after expression"));
-    }
-    Ok(expr)
+pub fn parse_targeting(input: &str) -> Result<TargetExpr, ParseError> {
+    parse::<Targeting>(input)
 }
 
 // ---------------------------------------------------------------------------
@@ -646,7 +502,7 @@ enum TargetOp {
 /// Compiled once per campaign at registration; the per-auction cost is
 /// one pass of [`CompiledTargeting::matches`] — an allocation-free,
 /// recursion-free stack loop whose depth the parser's
-/// [`MAX_TARGETING_DEPTH`] bounds.
+/// [`MAX_NESTING_DEPTH`] bounds.
 ///
 /// ```
 /// use ssa_bidlang::targeting::{CompiledTargeting, UserAttrs};
@@ -704,7 +560,7 @@ fn emit(expr: &TargetExpr, ops: &mut Vec<TargetOp>) {
 
 impl CompiledTargeting {
     /// Parses and compiles a targeting source in one step.
-    pub fn parse(source: &str) -> Result<Self, TargetParseError> {
+    pub fn parse(source: &str) -> Result<Self, ParseError> {
         let expr = parse_targeting(source)?;
         Ok(CompiledTargeting::compile(&expr, source))
     }
@@ -785,6 +641,7 @@ impl CompiledTargeting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::ParseErrorKind;
 
     fn attrs() -> UserAttrs {
         UserAttrs::new()
@@ -886,14 +743,30 @@ mod tests {
     fn long_flat_chains_evaluate_in_constant_stack() {
         // Left-deep chains are the unbounded shape the fixed-size stack
         // must absorb: 10k conjuncts parse at depth 1 and evaluate fine.
-        let src = (0..10_000)
-            .map(|i| format!("age != {}", i + 1000))
-            .collect::<Vec<_>>()
-            .join(" and ");
-        let t = CompiledTargeting::parse(&src).expect("flat chains are not deep");
+        let chain = |terms: usize| {
+            (0..terms)
+                .map(|i| format!("age != {}", i + 1000))
+                .collect::<Vec<_>>()
+                .join(" and ")
+        };
+        let t = CompiledTargeting::parse(&chain(10_000)).expect("flat chains are not deep");
         assert!(t.matches(&UserAttrs::new().set_int("age", 7)));
         assert!(!t.matches(&UserAttrs::new().set_int("age", 1500)));
         assert!(!t.matches(&UserAttrs::new()), "missing key fails !=");
+        // Parsing, compiling and dropping the AST never recurse per link
+        // either: 100k conjuncts fit the 2 MiB stack of a thread started
+        // with `std::thread::spawn`, such as a server's executor.
+        let src = chain(100_000);
+        let matched = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let t = CompiledTargeting::parse(&src).expect("flat chains are not deep");
+                t.matches(&UserAttrs::new().set_int("age", 7))
+            })
+            .expect("spawn")
+            .join()
+            .expect("a 100k-term chain fits a 2 MiB stack");
+        assert!(matched);
     }
 
     #[test]
@@ -929,7 +802,16 @@ mod tests {
             let err = CompiledTargeting::parse(src).expect_err(src);
             assert_eq!(err.kind, ParseErrorKind::Syntax, "{src:?}");
         }
-        for (src, position) in [("geo ~ 'us'", 4), ("gé = 'us'", 1), ("age < ٣", 6)] {
+        for (src, position) in [
+            ("geo ~ 'us'", 4),
+            ("gé = 'us'", 1),
+            ("age < ٣", 6),
+            // Formula syntax is no targeting syntax.
+            ("geo = 'us' & age >= 21", 11),
+            ("geo = 'us' ∧ age >= 21", 11),
+            ("!geo = 'us'", 0),
+            ("true", 4),
+        ] {
             let err = CompiledTargeting::parse(src).unwrap_err();
             assert_eq!(err.kind, ParseErrorKind::Syntax, "{src:?}");
             assert_eq!(err.position, position, "{src:?}");

@@ -86,5 +86,5 @@ pub use prob::{ClickModel, IntoClickRow, PurchaseModel, SeparableClickModel};
 pub use revenue::{expected_revenue, revenue_matrix, revenue_matrix_into, NoSlotValues};
 pub use sharded::{parse_shards, shard_of_keyword, ParseShardsError, ShardedMarketplace};
 pub use sqlprog::{SqlProgramBidder, SqlProgramError};
-pub use ssa_bidlang::targeting::{AttrValue, CompiledTargeting, TargetParseError, UserAttrs};
+pub use ssa_bidlang::targeting::{AttrValue, CompiledTargeting, UserAttrs};
 pub use state::{CampaignState, CampaignView, MarketConfigState, MarketState, StateSource};

@@ -106,8 +106,8 @@ use crate::sqlprog::{SqlProgramBidder, SqlProgramError};
 use crate::state::{CampaignView, MarketConfigState, MarketState, StateSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ssa_bidlang::targeting::{CompiledTargeting, TargetParseError, UserAttrs};
-use ssa_bidlang::{BidsTable, Money, SlotId};
+use ssa_bidlang::targeting::{CompiledTargeting, UserAttrs};
+use ssa_bidlang::{BidsTable, Money, ParseError, SlotId};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::num::NonZeroU64;
@@ -211,7 +211,7 @@ pub enum MarketError {
     /// The campaign's targeting expression does not parse (syntax error or
     /// hostile nesting past the depth limit). Registration is rejected as a
     /// whole; nothing about the market changes.
-    InvalidTargeting(TargetParseError),
+    InvalidTargeting(ParseError),
     /// The campaign runs a custom bidding program or fixed table, which
     /// cannot be serialized by the durability layer; the operation was
     /// rejected because a mutation journal is attached (or a state capture

@@ -1,14 +1,17 @@
 //! Property tests for the framing + proto layers: every message type
 //! round-trips bit-exactly, and hostile inputs (truncations, oversized
 //! length prefixes, unknown tags, random bytes) produce typed errors —
-//! never a panic, never an attacker-sized allocation.
+//! never a panic, never an attacker-sized allocation — and a frame the
+//! codec accepts never takes the server down.
 
 use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
 
+use ssa_bidlang::Money;
 use ssa_core::{AttrValue, MutationRecord, PricingScheme, ShardedMarketplace, UserAttrs, WdMethod};
 use ssa_durable::{Durability, FsyncPolicy};
+use ssa_net::client::Client;
 use ssa_net::frame::{
     encode_frame, read_frame, FrameError, FrameKind, HEADER_TAIL, MAX_FRAME, PROTO_VERSION,
 };
@@ -16,6 +19,7 @@ use ssa_net::proto::{
     BatchSummary, ErrorCode, MarketConfig, ProtoError, Request, Response, ServerStats, WireAuction,
     WirePlacement,
 };
+use ssa_net::server::{Server, ServerConfig};
 
 fn arb_method() -> BoxedStrategy<WdMethod> {
     prop_oneof![
@@ -522,6 +526,41 @@ fn executed_requests_journal_their_own_payloads() {
     }
     let payloads: Vec<Vec<u8>> = script.iter().map(Request::encode).collect();
     assert_eq!(wal.bodies(), payloads);
+}
+
+/// A flat `and` chain of 100 000 comparisons is a valid targeting source
+/// of ≈ 1.4 MB, well under `MAX_FRAME`. The server registers it on its
+/// executor thread, whose stack is the 2 MiB default, and keeps answering.
+#[test]
+fn a_long_targeting_chain_registers_and_the_server_answers() {
+    let market = ssa_core::Marketplace::builder()
+        .slots(1)
+        .keywords(1)
+        .default_click_probs(vec![0.1])
+        .build()
+        .expect("valid marketplace");
+    let server = Server::bind("127.0.0.1:0", market, ServerConfig::default())
+        .expect("bind")
+        .spawn();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let advertiser = client.register_advertiser("chain").expect("register");
+    let source = vec!["age >= 21"; 100_000].join(" and ");
+    assert!((source.len() as u64) < u64::from(MAX_FRAME));
+    let id = client
+        .add_targeted_campaign(
+            advertiser,
+            0,
+            Money::from_cents(5),
+            Money::from_cents(10),
+            None,
+            None,
+            Some(source),
+        )
+        .expect("the chain registers");
+    assert_eq!((id.keyword(), id.index()), (0, 0));
+    client.ping().expect("the server still answers");
+    client.shutdown_server().expect("graceful shutdown");
+    server.join();
 }
 
 /// The count guard exercised at the exact boundary: a ServeBatch whose

@@ -30,7 +30,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ssa_core::shard_of_keyword;
+use ssa_core::{shard_of_keyword, MutationRecord};
 use std::fmt;
 use std::str::FromStr;
 
@@ -181,39 +181,34 @@ impl WorkloadShape {
         let rounds = (queries / 16).clamp(1, 64);
         for round in 0..rounds {
             let at = round * queries / rounds;
-            let keyword = rng.gen_range(0..kw);
-            let index = rng.gen_range(0..campaigns_per_keyword);
+            let keyword = rng.gen_range(0..kw) as u64;
+            let index = rng.gen_range(0..campaigns_per_keyword) as u64;
             match round % 3 {
                 // Budget exhausted: the campaign stops bidding mid-run…
                 0 => {
                     events.push(ChurnEvent {
                         after_query: at,
-                        keyword,
-                        index,
-                        action: ChurnAction::Exhaust,
+                        op: MutationRecord::PauseCampaign { keyword, index },
                     });
                     // …and returns once its (notional) budget refills.
-                    let back = at + (queries - at) / 2;
                     events.push(ChurnEvent {
-                        after_query: back,
-                        keyword,
-                        index,
-                        action: ChurnAction::Return,
+                        after_query: at + (queries - at) / 2,
+                        op: MutationRecord::ResumeCampaign { keyword, index },
                     });
                 }
+                // The advertiser re-bids mid-run.
                 1 => events.push(ChurnEvent {
                     after_query: at,
-                    keyword,
-                    index,
-                    action: ChurnAction::Rebid {
+                    op: MutationRecord::UpdateBid {
+                        keyword,
+                        index,
                         bid_cents: rng.gen_range(1..=50),
                     },
                 }),
+                // A return whether or not it paused (resume is idempotent).
                 _ => events.push(ChurnEvent {
                     after_query: at,
-                    keyword,
-                    index,
-                    action: ChurnAction::Return,
+                    op: MutationRecord::ResumeCampaign { keyword, index },
                 }),
             }
         }
@@ -223,36 +218,19 @@ impl WorkloadShape {
 }
 
 /// One control-plane mutation of a [`ChurnPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnEvent {
     /// Apply the event once this many queries of the stream have been
     /// served.
     pub after_query: usize,
-    /// Keyword coordinate of the campaign.
-    pub keyword: usize,
-    /// Registration index of the campaign within its keyword.
-    pub index: usize,
-    /// What happens to it.
-    pub action: ChurnAction,
-}
-
-/// The kind of churn applied to a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChurnAction {
-    /// Budget exhausted: pause the campaign.
-    Exhaust,
-    /// The advertiser returns: resume it (a no-op if it never paused —
-    /// resume is idempotent).
-    Return,
-    /// The advertiser re-bids mid-run.
-    Rebid {
-        /// The new bid, in cents.
-        bid_cents: i64,
-    },
+    /// The operation: a [`MutationRecord::PauseCampaign`] (budget
+    /// exhausted), a [`MutationRecord::ResumeCampaign`] (the advertiser
+    /// returns) or a [`MutationRecord::UpdateBid`] (a mid-run re-bid).
+    pub op: MutationRecord,
 }
 
 /// A seeded, sorted sequence of [`ChurnEvent`]s.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChurnPlan {
     /// The events, sorted by [`ChurnEvent::after_query`].
     pub events: Vec<ChurnEvent>,
@@ -491,20 +469,27 @@ mod tests {
             .windows(2)
             .all(|w| w[0].after_query <= w[1].after_query));
         for e in &plan.events {
-            assert!(
-                e.keyword < 10 && e.index < 40 && e.after_query <= 512,
-                "{e:?}"
-            );
-            if let ChurnAction::Rebid { bid_cents } = e.action {
-                assert!(bid_cents > 0);
-            }
+            let (keyword, index) = match e.op {
+                MutationRecord::PauseCampaign { keyword, index }
+                | MutationRecord::ResumeCampaign { keyword, index } => (keyword, index),
+                MutationRecord::UpdateBid {
+                    keyword,
+                    index,
+                    bid_cents,
+                } => {
+                    assert!(bid_cents > 0);
+                    (keyword, index)
+                }
+                ref other => panic!("churn pauses, resumes or re-bids, not {other:?}"),
+            };
+            assert!(keyword < 10 && index < 40 && e.after_query <= 512, "{e:?}");
         }
         // Every exhaustion has a later return for the same campaign.
         for e in &plan.events {
-            if e.action == ChurnAction::Exhaust {
+            if let MutationRecord::PauseCampaign { keyword, index } = e.op {
                 assert!(
-                    plan.events.iter().any(|r| r.action == ChurnAction::Return
-                        && (r.keyword, r.index) == (e.keyword, e.index)
+                    plan.events.iter().any(|r| r.op
+                        == MutationRecord::ResumeCampaign { keyword, index }
                         && r.after_query >= e.after_query),
                     "no return for {e:?}"
                 );

@@ -48,8 +48,8 @@ pub mod sql;
 
 pub use config::{SectionVCampaign, SectionVConfig, SectionVWorkload, MARKET_SEED_TAG};
 pub use hostile::{
-    defective_targeting_sources, nearest_rank, ChurnAction, ChurnEvent, ChurnPlan,
-    ParseWorkloadError, ShardSkew, WorkloadShape,
+    defective_targeting_sources, nearest_rank, ChurnEvent, ChurnPlan, ParseWorkloadError,
+    ShardSkew, WorkloadShape,
 };
 pub use market::MarketSimulation;
 pub use scenario::{Population, Scenario, Stream};

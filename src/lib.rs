@@ -517,14 +517,17 @@
 //!     and not age < 21
 //! ```
 //!
-//! The source parses once at registration into a
+//! The source parses once at registration, on bid formulas' own
+//! depth-bounded descent ([`bidlang::parser`]), into a
 //! [`bidlang::targeting::TargetExpr`] AST and compiles to a postfix
 //! bytecode program ([`bidlang::targeting::CompiledTargeting`]); the
 //! serve hot path runs a fixed-stack bytecode loop — no allocation, no
-//! recursion, no re-parsing per auction. A campaign whose expression
-//! rejects the query's attributes is excluded from the matching (a
-//! zero-revenue row the reduced method then drops, visible as a smaller
-//! `avg_candidates`). Three guarantees hold:
+//! recursion, no re-parsing per auction. Registration does not recurse
+//! per link of a flat `and`/`or` chain either, so a chain of any length
+//! that fits a frame cannot overflow a server's executor stack. A
+//! campaign whose expression rejects the query's attributes is excluded
+//! from the matching (a zero-revenue row the reduced method then drops,
+//! visible as a smaller `avg_candidates`). Three guarantees hold:
 //!
 //! * **Untargeted markets ignore attributes bit-for-bit** — serving any
 //!   attribute bag to a market with no targeting anywhere is
@@ -533,7 +536,8 @@
 //!   `tests/targeting.rs`).
 //! * **Hostile sources fail typed** — defective expressions (unbalanced
 //!   parens, depth bombs, type confusion) are rejected at registration
-//!   with [`marketplace::MarketError::InvalidTargeting`] in process and
+//!   with a [`bidlang::ParseError`] in
+//!   [`marketplace::MarketError::InvalidTargeting`] in process and
 //!   [`net::ErrorCode::InvalidTargeting`] over the wire, leaving the
 //!   market untouched.
 //! * **Missing means no** — an absent attribute fails every comparison
