@@ -45,7 +45,8 @@
 //! Both languages are the same Boolean grammar over different atoms, and
 //! one depth-bounded recursive descent in [`parser`] parses both: a
 //! syntax error or nesting past [`parser::MAX_NESTING_DEPTH`] is one
-//! [`ParseError`] in either.
+//! [`ParseError`] in either, and so is a formula of more than
+//! [`parser::MAX_FORMULA_ATOMS`] atoms.
 //!
 //! Definition 1's 1-dependence is syntactic in this language: a formula's
 //! event is 1-dependent exactly when it mentions no heavyweight predicate,

@@ -12,7 +12,7 @@
 //! 'true' | 'false'`. Both ASCII (`& | !`) and the paper's mathematical
 //! connectives (`∧ ∨ ¬`) are accepted, as are the spellings
 //! `AND`/`OR`/`NOT` (case-insensitive) used by the SQL-flavoured bidding
-//! programs.
+//! programs. A formula holds at most [`MAX_FORMULA_ATOMS`] atoms.
 
 use crate::formula::Formula;
 use crate::ids::SlotId;
@@ -23,13 +23,24 @@ use std::fmt;
 /// would otherwise overflow the recursive descent's stack.
 pub const MAX_NESTING_DEPTH: usize = 64;
 
+/// Maximum number of atoms in one bid formula. A flat chain such as
+/// `Click & Click & …` parses without nesting, but it builds a [`Formula`]
+/// tree one level deep per atom, which is then cloned, compared, evaluated
+/// and dropped recursively: an unbounded chain would overflow the stack
+/// of whichever thread touches it. At this bound every one of those walks
+/// runs on a 2 MiB thread. Targeting expressions are not bounded this way:
+/// their compiled programs and their trees' drop do not recurse.
+pub const MAX_FORMULA_ATOMS: usize = 1024;
+
 /// What kind of parse failure occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParseErrorKind {
     /// Malformed input (bad token, missing operand, trailing input, …).
     #[default]
     Syntax,
-    /// Nesting exceeded [`MAX_NESTING_DEPTH`].
+    /// Nesting exceeded [`MAX_NESTING_DEPTH`], or a formula held more
+    /// than [`MAX_FORMULA_ATOMS`] atoms (its tree nests one level deeper
+    /// per atom of a flat chain).
     TooDeep,
 }
 
@@ -71,6 +82,8 @@ pub(crate) trait Grammar: Sized {
     type Token: Clone + PartialEq;
     /// What the parser builds.
     type Expr;
+    /// The most atoms one expression may hold.
+    const MAX_ATOMS: usize = usize::MAX;
     const AND: Self::Token;
     const OR: Self::Token;
     const NOT: Self::Token;
@@ -141,6 +154,8 @@ pub(crate) struct Parser<G: Grammar> {
     input_len: usize,
     /// Current nesting depth.
     depth: usize,
+    /// Atoms parsed so far.
+    atoms: usize,
 }
 
 impl<G: Grammar> Parser<G> {
@@ -223,6 +238,14 @@ impl<G: Grammar> Parser<G> {
                 _ => Err(self.syntax("expected ')'")),
             };
         }
+        self.atoms += 1;
+        if self.atoms > G::MAX_ATOMS {
+            return Err(ParseError {
+                message: format!("more than {} atoms", G::MAX_ATOMS),
+                position: self.position(),
+                kind: ParseErrorKind::TooDeep,
+            });
+        }
         G::atom(self)
     }
 }
@@ -245,6 +268,7 @@ pub(crate) fn parse<G: Grammar>(input: &str) -> Result<G::Expr, ParseError> {
         index: 0,
         input_len: input.len(),
         depth: 0,
+        atoms: 0,
     };
     let expr = parser.parse_or()?;
     if parser.index != parser.tokens.len() {
@@ -274,6 +298,7 @@ enum Token {
 impl Grammar for Formulas {
     type Token = Token;
     type Expr = Formula;
+    const MAX_ATOMS: usize = MAX_FORMULA_ATOMS;
     const AND: Token = Token::And;
     const OR: Token = Token::Or;
     const NOT: Token = Token::Not;
@@ -362,7 +387,8 @@ fn parse_slot_number(digits: &str, position: usize) -> Result<u16, ParseError> {
     Ok(n)
 }
 
-/// Parses a formula from text.
+/// Parses a formula from text; more than [`MAX_FORMULA_ATOMS`] atoms are
+/// refused as [`ParseErrorKind::TooDeep`].
 ///
 /// ```
 /// use ssa_bidlang::{parse_formula, Formula, SlotId};
@@ -488,6 +514,40 @@ mod tests {
             parse_formula("Click &").unwrap_err().kind,
             ParseErrorKind::Syntax
         );
+    }
+
+    /// A flat chain nests its tree one level per atom, and every walk of a
+    /// `Formula` recurses: the cap keeps each one inside a 2 MiB thread,
+    /// and a chain past it is refused at its 1 025th atom, so no deeper
+    /// tree is ever built. Without the cap the 100 000-term chain aborts
+    /// the test binary with a stack overflow.
+    #[test]
+    fn formula_chains_are_bounded() {
+        let chain = |terms: usize| vec!["Click"; terms].join(" & ");
+        let on_small_stack = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let err = parse_formula(&chain(100_000)).expect_err("past the cap");
+                assert_eq!(err.kind, ParseErrorKind::TooDeep);
+                assert!(err.message.contains("1024 atoms"), "{err}");
+                assert_eq!(err.position, MAX_FORMULA_ATOMS * "Click & ".len());
+
+                let source = chain(MAX_FORMULA_ATOMS);
+                let formula = parse_formula(&source).expect("at the cap");
+                let copy = formula.clone();
+                assert_eq!(copy, formula);
+                let view = crate::AdvertiserView {
+                    slot: Some(SlotId::new(1)),
+                    clicked: true,
+                    purchased: false,
+                    heavy_pattern: None,
+                };
+                assert!(formula.eval(&view));
+                assert!(!formula.eval(&crate::AdvertiserView::unplaced()));
+                drop((formula, copy));
+            })
+            .expect("spawn");
+        on_small_stack.join().expect("no stack overflow");
     }
 
     #[test]

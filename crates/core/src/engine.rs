@@ -72,10 +72,11 @@
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use crate::footprint::{Accountant, Component, HeapUse};
+use crate::marketplace::MarketError;
 use crate::pricing::{
     gsp_prices_from_order_into, gsp_prices_into, vcg_prices, PricingScheme, SlotPrice,
 };
-use crate::prob::{ClickModel, IntoClickRow, PurchaseModel};
+use crate::prob::{ClickModel, ClickRowId, ClickRows, ClickTable, PurchaseModel};
 use crate::revenue::{row_weights_into, NoSlotValues};
 use rand::Rng;
 use ssa_bidlang::targeting::UserAttrs;
@@ -613,18 +614,35 @@ impl<B: Bidder> AuctionEngine<B> {
     /// by one row; nothing is rebuilt until the next auction, which lays
     /// the weight source out for the new bidder count and solves.
     ///
-    /// Click probabilities given as an `Arc<[f64]>` are held, not copied
-    /// (see [`IntoClickRow`]): engines that are handed the same row — one
-    /// advertiser's campaigns on several keywords — share one copy of it.
-    /// A borrowed slice becomes a row of its own.
+    /// The click probabilities become a row of the engine's own table
+    /// ([`ClickModel::push_row`]); a row it refuses adds no bidder.
     pub fn push_bidder(
         &mut self,
         bidder: B,
-        click_probs: impl IntoClickRow,
+        click_probs: &[f64],
+        purchase_probs: Option<&[(f64, f64)]>,
+    ) -> Result<(), MarketError> {
+        self.clicks.push_row(click_probs)?;
+        self.push(bidder, purchase_probs);
+        Ok(())
+    }
+
+    /// [`AuctionEngine::push_bidder`] for an engine inside a marketplace:
+    /// the bidder's click row is `click_row` in the market's table, which
+    /// the market passes to every run.
+    pub(crate) fn push_bidder_with_row(
+        &mut self,
+        bidder: B,
+        click_row: ClickRowId,
         purchase_probs: Option<&[(f64, f64)]>,
     ) {
+        self.clicks.push_id(click_row);
+        self.push(bidder, purchase_probs);
+    }
+
+    /// Adds a bidder whose click row the click model already has.
+    fn push(&mut self, bidder: B, purchase_probs: Option<&[(f64, f64)]>) {
         let row = self.bidders.len();
-        self.clicks.push_row(click_probs);
         match purchase_probs {
             Some(probs) => self.purchases.push_row(probs),
             None => self.purchases.push_never(),
@@ -672,7 +690,8 @@ impl<B: Bidder> AuctionEngine<B> {
         &mut self.bidders[row]
     }
 
-    /// Click probability model (one row per bidder).
+    /// Click probability model (one row id per bidder). Inside a
+    /// marketplace its ids name rows of the market's table, not its own.
     pub fn clicks(&self) -> &ClickModel {
         &self.clicks
     }
@@ -746,7 +765,19 @@ impl<B: Bidder> AuctionEngine<B> {
     /// scratch allocation), then materialises an owned [`AuctionReport`]
     /// from the scratch buffers — the only allocation this path adds.
     pub fn run_auction<Q: EngineQuery, R: Rng>(&mut self, query: Q, rng: &mut R) -> AuctionReport {
-        let expected_revenue = self.hot_step(query.keyword(), query.attrs(), rng);
+        self.run_auction_in(None, query, rng)
+    }
+
+    /// [`AuctionEngine::run_auction`], reading click rows from `shared` —
+    /// a marketplace's table, which its engines' ids name — if given, else
+    /// from the engine's own.
+    pub(crate) fn run_auction_in<Q: EngineQuery, R: Rng>(
+        &mut self,
+        shared: Option<&ClickTable>,
+        query: Q,
+        rng: &mut R,
+    ) -> AuctionReport {
+        let expected_revenue = self.hot_step(shared, query.keyword(), query.attrs(), rng);
         let scratch = &self.scratch;
         AuctionReport {
             assignment: scratch.assignment.clone(),
@@ -758,10 +789,18 @@ impl<B: Bidder> AuctionEngine<B> {
         }
     }
 
-    /// Runs one auction entirely inside the persistent scratch buffers.
-    /// Returns the auction's expected revenue; all other outcomes are left
-    /// in `self.scratch` for the caller to aggregate or materialise.
-    fn hot_step<R: Rng>(&mut self, keyword: usize, attrs: &UserAttrs, rng: &mut R) -> f64 {
+    /// Runs one auction entirely inside the persistent scratch buffers,
+    /// reading click rows from `shared` if given, else from the engine's
+    /// own table. Returns the auction's expected revenue; all other
+    /// outcomes are left in `self.scratch` for the caller to aggregate or
+    /// materialise.
+    fn hot_step<R: Rng>(
+        &mut self,
+        shared: Option<&ClickTable>,
+        keyword: usize,
+        attrs: &UserAttrs,
+        rng: &mut R,
+    ) -> f64 {
         self.time += 1;
         let ctx = QueryContext {
             time: self.time,
@@ -807,7 +846,11 @@ impl<B: Bidder> AuctionEngine<B> {
             n
         };
         self.scratch.phases.cells_evaluated += (evaluated * k) as u64;
-        let (clicks, purchases, row) = (&self.clicks, &self.purchases, &mut self.scratch.row);
+        let clicks = match shared {
+            Some(table) => self.clicks.rows_in(table),
+            None => self.clicks.rows(),
+        };
+        let (purchases, row) = (&self.purchases, &mut self.scratch.row);
         if repair {
             let mut resum = false;
             for &i in &self.scratch.changed {
@@ -870,7 +913,7 @@ impl<B: Bidder> AuctionEngine<B> {
                     let t_lay = Instant::now();
                     let asked = solver.load_candidates(k, candidates, |i, row| {
                         let table = table_of(&self.bidders, &self.every_auction, &self.held, i);
-                        row_weights_into(&table, i, &self.clicks, &self.purchases, row);
+                        row_weights_into(&table, i, clicks, &self.purchases, row);
                     });
                     self.scratch.phases.cells_evaluated += (asked * k) as u64;
                     laying_ns = t_lay.elapsed().as_nanos() as u64;
@@ -906,7 +949,7 @@ impl<B: Bidder> AuctionEngine<B> {
         for (j, adv) in self.scratch.assignment.slot_to_adv.iter().enumerate() {
             let Some(adv) = *adv else { continue };
             let slot = SlotId::from_index0(j);
-            let clicked = rng.gen::<f64>() < self.clicks.p_click(adv, slot);
+            let clicked = rng.gen::<f64>() < clicks.p_click(adv, slot);
             self.scratch.clicked[j] = clicked;
             // Mirrors `run_auction`: zero-probability purchases draw nothing.
             let p_buy = self.purchases.p_purchase(adv, slot, clicked);
@@ -919,7 +962,7 @@ impl<B: Bidder> AuctionEngine<B> {
         // Step 6: pricing into the reused charge/price buffers.
         compute_charges_into(
             self.config.pricing,
-            &self.clicks,
+            clicks,
             (0..n).map(|i| table_of(&self.bidders, &self.every_auction, &self.held, i)),
             &self.source,
             &self.scratch.assignment,
@@ -954,10 +997,22 @@ impl<B: Bidder> AuctionEngine<B> {
     /// never clones a query: attributes are read through
     /// [`EngineQuery::attrs`] by reference.
     pub fn run_batch<Q: EngineQuery, R: Rng>(&mut self, queries: &[Q], rng: &mut R) -> BatchReport {
+        self.run_batch_in(None, queries, rng)
+    }
+
+    /// [`AuctionEngine::run_batch`], reading click rows from `shared` — a
+    /// marketplace's table, which its engines' ids name — if given, else
+    /// from the engine's own.
+    pub(crate) fn run_batch_in<Q: EngineQuery, R: Rng>(
+        &mut self,
+        shared: Option<&ClickTable>,
+        queries: &[Q],
+        rng: &mut R,
+    ) -> BatchReport {
         self.scratch.phases = PhaseStats::default();
         let mut report = BatchReport::default();
         for query in queries {
-            let expected = self.hot_step(query.keyword(), query.attrs(), rng);
+            let expected = self.hot_step(shared, query.keyword(), query.attrs(), rng);
             report.auctions += 1;
             report.expected_revenue += expected;
             report.filled_slots += self.scratch.assignment.num_assigned() as u64;
@@ -1024,7 +1079,7 @@ fn notify_programs<B: Bidder>(
 #[allow(clippy::expect_used, clippy::unreachable)]
 fn compute_charges_into<'a>(
     pricing: PricingScheme,
-    clicks: &ClickModel,
+    clicks: ClickRows<'_>,
     tables: impl Iterator<Item = Cow<'a, BidsTable>>,
     source: &WeightSource,
     assignment: &Assignment,
@@ -1109,7 +1164,8 @@ mod tests {
             TableBidder::per_click(Money::from_cents(20)),
             TableBidder::per_click(Money::from_cents(5)),
         ];
-        let clicks = ClickModel::from_fn(3, 2, |i, j| 0.8 / ((i + 1) as f64) / ((j + 1) as f64));
+        let clicks =
+            ClickModel::from_fn(3, 2, |i, j| 0.8 / ((i + 1) as f64) / ((j + 1) as f64)).unwrap();
         let purchases = PurchaseModel::never(3, 2);
         AuctionEngine::new(
             bidders,
@@ -1268,7 +1324,7 @@ mod tests {
             Money::from_cents(3),
         )]));
         let strong = TableBidder::per_click(Money::from_cents(50));
-        let clicks = ClickModel::from_fn(2, 1, |_, _| 1.0);
+        let clicks = ClickModel::from_fn(2, 1, |_, _| 1.0).unwrap();
         let purchases = PurchaseModel::never(2, 1);
         let mut engine = AuctionEngine::new(
             vec![brand, strong],

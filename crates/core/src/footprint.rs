@@ -4,10 +4,10 @@
 //! book's [`AuctionEngine`](crate::AuctionEngine), and enters every buffer
 //! it finds under one [`Component`]. Each line carries the bytes in use
 //! (lengths), the bytes reserved (capacities) and the allocation count
-//! ([`HeapUse`]). What several owners share through an `Arc` — an
-//! advertiser's click row on each of its keywords, a targeting matcher — is
-//! entered once, by pointer. The walk runs only when asked for: serving
-//! pays nothing for the ledger.
+//! ([`HeapUse`]). What several owners share is entered once: a targeting
+//! matcher held through an `Arc`, by pointer, and the click rows, which the
+//! market stores in one table and its engines name by id. The walk runs
+//! only when asked for: serving pays nothing for the ledger.
 //!
 //! Not counted: allocator overhead, what a bidding program holds beyond its
 //! own record (a SQL program's database is inside the one
@@ -39,12 +39,12 @@ pub enum Component {
     /// Bidding programs' own records; what they hold beyond that is not
     /// visible from the market.
     Programs,
-    /// Click-probability rows, each allocation once however many models
-    /// share it.
+    /// Click-probability rows: the market's one table, each row stored
+    /// once however many campaigns name it.
     ClickRows,
-    /// Pointers to click rows: one per campaign in its engine's click
+    /// 4-byte ids of click rows: one per campaign in its engine's click
     /// model, and one per advertiser for the row it registered last.
-    ClickRowPointers,
+    ClickRowIds,
     /// The purchase models' per-campaign row index.
     PurchaseIndex,
     /// The purchase models' per-slot probabilities, and the market's
@@ -81,7 +81,7 @@ impl Component {
         Component::BoxedCampaigns,
         Component::Programs,
         Component::ClickRows,
-        Component::ClickRowPointers,
+        Component::ClickRowIds,
         Component::PurchaseIndex,
         Component::PurchaseRows,
         Component::RetainedOrder,
@@ -102,7 +102,7 @@ impl Component {
             Component::BoxedCampaigns => "boxed campaigns",
             Component::Programs => "programs",
             Component::ClickRows => "click rows",
-            Component::ClickRowPointers => "click row pointers",
+            Component::ClickRowIds => "click row ids",
             Component::PurchaseIndex => "purchase index",
             Component::PurchaseRows => "purchase rows",
             Component::RetainedOrder => "retained order",

@@ -82,7 +82,7 @@ pub use marketplace::{
     QueryRequest, MAX_KEYWORDS, MAX_SHARDS, MAX_SLOTS,
 };
 pub use pricing::{ParsePricingError, PricingScheme, SlotPrice};
-pub use prob::{ClickModel, IntoClickRow, PurchaseModel, SeparableClickModel};
+pub use prob::{ClickModel, ClickRows, PurchaseModel, SeparableClickModel};
 pub use revenue::{expected_revenue, revenue_matrix, revenue_matrix_into, NoSlotValues};
 pub use sharded::{parse_shards, shard_of_keyword, ParseShardsError, ShardedMarketplace};
 pub use sqlprog::{SqlProgramBidder, SqlProgramError};

@@ -5,13 +5,17 @@
 //! of keyword queries and absorbs incremental bid-program updates between
 //! auctions. [`Marketplace`] is that surface. It owns the build
 //! configuration, the advertiser roster ([`AdvertiserHandle`]), the global
-//! clock, an optional mutation journal ([`crate::journal`]), and one
-//! *keyword book* per keyword: its persistent [`AuctionEngine`]+solver and
-//! its own user-action RNG stream. A campaign is one 32-byte record, stored
+//! clock, an optional mutation journal ([`crate::journal`]), one click
+//! table of every click row its campaigns use, and one *keyword book* per
+//! keyword: its persistent [`AuctionEngine`]+solver and its own
+//! user-action RNG stream. A campaign is one 32-byte record, stored
 //! once as the engine's bidder: advertiser, pause flag, and a per-click bid
 //! or a program pointer inline; a targeted campaign or a fixed
-//! [`BidsTable`] is one pointer to a box that holds the rest. Its
-//! click/purchase probabilities are its row of the engine's models. Queries
+//! [`BidsTable`] is one pointer to a box that holds the rest. Its purchase
+//! probabilities are its row of the engine's purchase model; its click
+//! probabilities are a 4-byte id in the engine's click model, naming a row
+//! of the market's table, which the market passes to the engine wherever
+//! it reads them. Queries
 //! are served through a typed API ([`Marketplace::serve`] /
 //! [`Marketplace::serve_batch`], built on [`AuctionEngine::run_batch`]) and
 //! bids are changed through an incremental update API
@@ -100,7 +104,7 @@ use crate::engine::{AuctionEngine, AuctionReport, BatchReport, EngineConfig, WdM
 use crate::footprint::{self, Accountant, Component, HeapUse, Ledger};
 use crate::journal::{MutationJournal, MutationRecord};
 use crate::pricing::PricingScheme;
-use crate::prob::{account_click_row, ClickModel, PurchaseModel};
+use crate::prob::{ClickModel, ClickRowId, ClickTable, PurchaseModel};
 use crate::sharded::shard_of_keyword;
 use crate::sqlprog::{SqlProgramBidder, SqlProgramError};
 use crate::state::{CampaignView, MarketConfigState, MarketState, StateSource};
@@ -197,6 +201,9 @@ pub enum MarketError {
     },
     /// A probability fell outside `[0, 1]`.
     InvalidProbability(f64),
+    /// A click table already holds as many rows as its 4-byte ids can
+    /// name.
+    ClickTableFull,
     /// The campaign supplied no click model and the marketplace was built
     /// without [`MarketplaceBuilder::default_click_probs`].
     MissingClickModel,
@@ -264,6 +271,9 @@ impl std::fmt::Display for MarketError {
             ),
             MarketError::InvalidProbability(p) => {
                 write!(f, "probability {p} outside [0, 1]")
+            }
+            MarketError::ClickTableFull => {
+                write!(f, "a click table holds at most {} rows", u32::MAX)
             }
             MarketError::MissingClickModel => f.write_str(
                 "campaign supplied no click probabilities and no default click model is configured",
@@ -824,8 +834,14 @@ impl KeywordBook {
     }
 
     /// Serves one query on this book's keyword as the auction with
-    /// (1-based) global time `time`.
-    fn serve_at(&mut self, keyword: usize, attrs: &UserAttrs, time: u64) -> AuctionResponse {
+    /// (1-based) global time `time`, reading click rows from `clicks`.
+    fn serve_at(
+        &mut self,
+        clicks: &ClickTable,
+        keyword: usize,
+        attrs: &UserAttrs,
+        time: u64,
+    ) -> AuctionResponse {
         let Some(engine) = self.engine.as_mut() else {
             return AuctionResponse {
                 keyword,
@@ -837,7 +853,7 @@ impl KeywordBook {
             };
         };
         engine.set_time(time - 1);
-        let report = engine.run_auction((keyword, attrs), &mut self.rng);
+        let report = engine.run_auction_in(Some(clicks), (keyword, attrs), &mut self.rng);
         respond(engine.bidders(), keyword, time, report)
     }
 
@@ -847,7 +863,12 @@ impl KeywordBook {
     /// campaign-less keyword serves `requests.len()` empty pages without
     /// touching any engine. The requests are borrowed straight from the
     /// caller's slice — attributes are never cloned on this path.
-    fn serve_run(&mut self, requests: &[QueryRequest], start_time: u64) -> BatchReport {
+    fn serve_run(
+        &mut self,
+        clicks: &ClickTable,
+        requests: &[QueryRequest],
+        start_time: u64,
+    ) -> BatchReport {
         let Some(engine) = self.engine.as_mut() else {
             return BatchReport {
                 auctions: requests.len() as u64,
@@ -855,13 +876,18 @@ impl KeywordBook {
             };
         };
         engine.set_time(start_time);
-        engine.run_batch(requests, &mut self.rng)
+        engine.run_batch_in(Some(clicks), requests, &mut self.rng)
     }
 
     /// The durable state of every campaign on this book's keyword, in
-    /// registration order, borrowed from the engine's bidders and models;
+    /// registration order, borrowed from the engine's bidders and models
+    /// and the market's click rows;
     /// [`MarketError::NotDurable`] for a campaign that is not per-click.
-    fn views(&self, keyword: usize) -> impl Iterator<Item = Result<CampaignView<'_>, MarketError>> {
+    fn views<'a>(
+        &'a self,
+        keyword: usize,
+        clicks: &'a ClickTable,
+    ) -> impl Iterator<Item = Result<CampaignView<'a>, MarketError>> {
         // A keyword without an engine has no campaigns.
         self.engine.iter().flat_map(move |engine| {
             engine
@@ -879,7 +905,7 @@ impl KeywordBook {
                         bid_cents: bid.nominal.cents(),
                         click_value_cents: bid.click_value.cents(),
                         roi_target: bid.roi_target(),
-                        click_probs: engine.clicks().row(row),
+                        click_probs: clicks.row(engine.clicks().id(row)),
                         purchase_probs: engine.purchases().stored_row(row),
                         paused: campaign.paused(),
                         targeting: campaign.shared_targeting().map(|t| t.source()),
@@ -1158,9 +1184,11 @@ impl MarketplaceBuilder {
         if self.num_keywords > MAX_KEYWORDS {
             return Err(MarketError::TooManyKeywords(self.num_keywords));
         }
-        if let Some(probs) = &self.default_click_probs {
-            validate_click_probs(probs, self.num_slots)?;
-        }
+        let mut clicks = ClickTable::new(self.num_slots);
+        let default_click_row = match &self.default_click_probs {
+            Some(probs) => Some(clicks.insert(probs)?),
+            None => None,
+        };
         if let Some(probs) = &self.default_purchase_probs {
             validate_purchase_probs(probs, self.num_slots)?;
         }
@@ -1169,6 +1197,7 @@ impl MarketplaceBuilder {
             num_slots: self.num_slots,
             num_shards,
             advertisers: Vec::new(),
+            clicks,
             click_rows: Vec::new(),
             matchers: HashMap::new(),
             books: (0..self.num_keywords)
@@ -1176,7 +1205,7 @@ impl MarketplaceBuilder {
                     KeywordBook::new(StdRng::seed_from_u64(keyword_stream_seed(self.seed, kw)))
                 })
                 .collect(),
-            default_click_probs: self.default_click_probs.map(Arc::from),
+            default_click_row,
             default_purchase_probs: self.default_purchase_probs,
             seed: self.seed,
             clock: 0,
@@ -1185,7 +1214,9 @@ impl MarketplaceBuilder {
     }
 }
 
-fn validate_click_probs(probs: &[f64], num_slots: usize) -> Result<(), MarketError> {
+/// Checks a click row: one probability per slot, each in `[0, 1]`. Called
+/// by [`ClickTable::insert`], the one way a row enters a table.
+pub(crate) fn validate_click_probs(probs: &[f64], num_slots: usize) -> Result<(), MarketError> {
     if probs.len() != num_slots {
         return Err(MarketError::ModelDimension {
             expected: num_slots,
@@ -1255,17 +1286,21 @@ pub struct Marketplace {
     /// How many partitions `serve_batch` may spread the books over.
     num_shards: usize,
     advertisers: Vec<String>,
+    /// Every click row a campaign or the builder default registered, each
+    /// once; the keyword engines hold ids into it, and every call that
+    /// reads probabilities is handed it.
+    clicks: ClickTable,
     /// Parallel to `advertisers`: the click row each advertiser's latest
     /// campaign registered, handed to its next campaign whose row is bit
     /// for bit the same (see [`Marketplace::click_row`]).
-    click_rows: Vec<Option<Arc<[f64]>>>,
+    click_rows: Vec<Option<ClickRowId>>,
     /// One compiled matcher per distinct targeting text, shared by every
     /// campaign registered with that text.
     matchers: HashMap<String, Arc<CompiledTargeting>>,
     /// One book per keyword, indexed by keyword.
     books: Vec<KeywordBook>,
     /// The row every campaign without click probabilities of its own shares.
-    default_click_probs: Option<Arc<[f64]>>,
+    default_click_row: Option<ClickRowId>,
     default_purchase_probs: Option<Vec<(f64, f64)>>,
     /// The builder seed, retained so a state capture can reproduce the
     /// build (per-keyword RNG streams are seeded from it).
@@ -1505,18 +1540,8 @@ impl Marketplace {
             Component::AdvertiserNames,
             HeapUse::of_vec(&self.advertisers) + names,
         );
-        ledger.add(
-            Component::ClickRowPointers,
-            HeapUse::of_vec(&self.click_rows),
-        );
-        for row in self
-            .click_rows
-            .iter()
-            .flatten()
-            .chain(&self.default_click_probs)
-        {
-            account_click_row(&mut ledger, row);
-        }
+        ledger.add(Component::ClickRowIds, HeapUse::of_vec(&self.click_rows));
+        self.clicks.account(&mut ledger);
         let texts = self.matchers.keys().map(footprint::of_string).sum();
         ledger.add(
             Component::TargetingMatchers,
@@ -1563,9 +1588,12 @@ impl Marketplace {
     ///
     /// What campaigns have in common is stored once: a campaign whose click
     /// probabilities are bit for bit those its advertiser's latest campaign
-    /// registered (or the builder default) shares that row, and a targeting
-    /// text is compiled on its first use and its matcher shared by every
-    /// later campaign with the same text.
+    /// registered (or the builder default) gets that row's id, any other
+    /// row is appended to the market's click table (which refuses a wrong
+    /// length or a probability outside `[0, 1]`), and a targeting text is
+    /// compiled on its first use and its matcher shared by every later
+    /// campaign with the same text. The engine stores the campaign's 4-byte
+    /// row id, not the row.
     pub fn add_campaign(
         &mut self,
         advertiser: AdvertiserHandle,
@@ -1593,7 +1621,6 @@ impl Marketplace {
             .ok()
             .filter(|_| advertiser.0 < self.advertisers.len())
             .ok_or(MarketError::UnknownAdvertiser(advertiser))?;
-        let click_row = self.click_row(advertiser, spec.click_probs.as_deref())?;
         // `None`: purchases never happen.
         let purchase_probs = spec
             .purchase_probs
@@ -1612,14 +1639,25 @@ impl Marketplace {
                 return Err(MarketError::NegativeBid(*bid));
             }
         }
-        // The last validation, and the first change: a text's first use
-        // enters its matcher in `matchers`.
         let targeting = match spec.targeting.as_deref() {
-            Some(source) => Some(shared_matcher(&mut self.matchers, source)?),
+            Some(source) => Some(matcher_for(&self.matchers, source)?),
             None => None,
         };
+        // The last validation, and the first change: a row the market does
+        // not hold yet enters its table.
+        let click_row = Marketplace::click_row(
+            &mut self.clicks,
+            self.click_rows[advertiser.0],
+            self.default_click_row,
+            spec.click_probs.as_deref(),
+        )?;
+        if let (Some(source), Some(matcher)) = (spec.targeting, &targeting) {
+            self.matchers
+                .entry(source)
+                .or_insert_with(|| matcher.clone());
+        }
 
-        self.click_rows[advertiser.0] = Some(click_row.clone());
+        self.click_rows[advertiser.0] = Some(click_row);
         let (config, num_slots, num_keywords) = (self.config, self.num_slots, self.books.len());
         let book = &mut self.books[keyword];
         let id = CampaignId {
@@ -1644,7 +1682,7 @@ impl Marketplace {
                     config,
                 )
             })
-            .push_bidder(
+            .push_bidder_with_row(
                 Campaign::new(owner, targeting, kind),
                 click_row,
                 purchase_probs,
@@ -1664,34 +1702,33 @@ impl Marketplace {
         Ok(id)
     }
 
-    /// The click row a campaign of `advertiser` registers: the builder
-    /// default when the campaign brings no probabilities; otherwise the row
-    /// the advertiser's latest campaign registered, or the default, when
-    /// `probs` is bit for bit the same (so `0.0` and `-0.0` differ, and a
-    /// captured row reads back exactly as it was supplied); otherwise a new
-    /// row.
+    /// The click row a campaign registers in the market's table `clicks`:
+    /// the builder `default` when the campaign brings no probabilities;
+    /// otherwise the row its advertiser's `latest` campaign registered, or
+    /// the default, when `probs` is bit for bit the same (so `0.0` and
+    /// `-0.0` differ, and a captured row reads back exactly as it was
+    /// supplied); otherwise a new row, which [`ClickTable::insert`] checks.
     fn click_row(
-        &self,
-        advertiser: AdvertiserHandle,
+        clicks: &mut ClickTable,
+        latest: Option<ClickRowId>,
+        default: Option<ClickRowId>,
         probs: Option<&[f64]>,
-    ) -> Result<Arc<[f64]>, MarketError> {
+    ) -> Result<ClickRowId, MarketError> {
         let Some(probs) = probs else {
-            return self
-                .default_click_probs
-                .clone()
-                .ok_or(MarketError::MissingClickModel);
+            return default.ok_or(MarketError::MissingClickModel);
         };
-        validate_click_probs(probs, self.num_slots)?;
-        let same = |row: &&Arc<[f64]>| {
-            row.iter()
-                .zip(probs)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+        let same = |id: &ClickRowId| {
+            let row = clicks.row(*id);
+            row.len() == probs.len()
+                && row
+                    .iter()
+                    .zip(probs)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
         };
-        Ok(self.click_rows[advertiser.0]
-            .iter()
-            .chain(&self.default_click_probs)
-            .find(same)
-            .map_or_else(|| Arc::from(probs), Arc::clone))
+        match latest.into_iter().chain(default).find(same) {
+            Some(id) => Ok(id),
+            None => clicks.insert(probs),
+        }
     }
 
     /// The advertiser owning a campaign.
@@ -1854,7 +1891,8 @@ impl Marketplace {
     pub fn serve(&mut self, request: QueryRequest) -> Result<AuctionResponse, MarketError> {
         let keyword = self.check_keyword(request.keyword)?;
         self.clock += 1;
-        let response = self.books[keyword].serve_at(keyword, &request.attrs, self.clock);
+        let response =
+            self.books[keyword].serve_at(&self.clicks, keyword, &request.attrs, self.clock);
         if self.journal.is_some() {
             self.record(&MutationRecord::Serve {
                 keyword: keyword as u64,
@@ -1916,7 +1954,7 @@ impl Marketplace {
         let reports: Vec<BatchReport> = if one_shard {
             chunks
                 .iter()
-                .map(|c| self.books[c.keyword].serve_run(c.requests, c.start_time))
+                .map(|c| self.books[c.keyword].serve_run(&self.clicks, c.requests, c.start_time))
                 .collect()
         } else {
             self.fan_out(&chunks)?
@@ -1942,11 +1980,12 @@ impl Marketplace {
     }
 
     /// Runs `chunks` with one scoped worker per shard that has any, each
-    /// holding the disjoint `&mut` books of its shard, and returns the
-    /// reports in chunk order. A worker's panic resumes on the caller's
-    /// thread.
+    /// holding the disjoint `&mut` books of its shard and reading the one
+    /// click table through a shared borrow, and returns the reports in
+    /// chunk order. A worker's panic resumes on the caller's thread.
     fn fan_out(&mut self, chunks: &[Chunk]) -> Result<Vec<BatchReport>, MarketError> {
         let (num_shards, num_keywords) = (self.num_shards, self.books.len());
+        let clicks = &self.clicks;
         let mut shards: Vec<ShardWork> = (0..num_shards).map(|_| ShardWork::default()).collect();
         for (keyword, book) in self.books.iter_mut().enumerate() {
             shards[shard_of_keyword(keyword, num_shards)]
@@ -1976,7 +2015,7 @@ impl Marketplace {
                                     num_keywords,
                                 })?;
                             let book = &mut shard.books[book].1;
-                            Ok((at, book.serve_run(chunk.requests, chunk.start_time)))
+                            Ok((at, book.serve_run(clicks, chunk.requests, chunk.start_time)))
                         };
                         shard.chunks.iter().copied().map(serve).collect()
                     })
@@ -2028,7 +2067,9 @@ impl StateSource for Marketplace {
             shards: self.num_shards,
             pruned: self.config.pruned,
             warm_start: self.config.warm_start,
-            default_click_probs: self.default_click_probs.as_deref().map(<[f64]>::to_vec),
+            default_click_probs: self
+                .default_click_row
+                .map(|id| self.clicks.row(id).to_vec()),
             default_purchase_probs: self.default_purchase_probs.clone(),
         }
     }
@@ -2045,7 +2086,7 @@ impl StateSource for Marketplace {
         self.books
             .iter()
             .enumerate()
-            .flat_map(|(keyword, book)| book.views(keyword))
+            .flat_map(|(keyword, book)| book.views(keyword, &self.clicks))
     }
 
     fn clock(&self) -> u64 {
@@ -2057,20 +2098,19 @@ impl StateSource for Marketplace {
     }
 }
 
-/// The compiled matcher of targeting text `source` in a market's
-/// `matchers`: parsed on the text's first use, the same `Arc` on every
-/// later one.
-fn shared_matcher(
-    matchers: &mut HashMap<String, Arc<CompiledTargeting>>,
+/// The compiled matcher of targeting text `source`: the one in a market's
+/// `matchers` if the text was used before, else parsed now (the caller
+/// enters it once the campaign is accepted).
+fn matcher_for(
+    matchers: &HashMap<String, Arc<CompiledTargeting>>,
     source: &str,
 ) -> Result<Arc<CompiledTargeting>, MarketError> {
     if let Some(matcher) = matchers.get(source) {
         return Ok(matcher.clone());
     }
-    let matcher =
-        Arc::new(CompiledTargeting::parse(source).map_err(MarketError::InvalidTargeting)?);
-    matchers.insert(source.to_owned(), matcher.clone());
-    Ok(matcher)
+    CompiledTargeting::parse(source)
+        .map(Arc::new)
+        .map_err(MarketError::InvalidTargeting)
 }
 
 fn check_roi_target(target: f64) -> Result<(), MarketError> {
@@ -2589,10 +2629,10 @@ mod tests {
         );
     }
 
-    /// The ledger enters what campaigns share once, by pointer: one
-    /// advertiser's click row on ten keywords is one allocation (and eleven
-    /// pointers: one per engine row, one for the advertiser), and a
-    /// targeting text's matcher is one however many campaigns use it.
+    /// The ledger enters what campaigns share once: one advertiser's click
+    /// row on ten keywords is one flat row of the market's table (and
+    /// eleven 4-byte ids: one per engine row, one for the advertiser), and
+    /// a targeting text's matcher is one however many campaigns use it.
     #[test]
     fn a_click_row_shared_by_ten_keywords_is_counted_once() {
         let mut market = Marketplace::builder()
@@ -2607,13 +2647,16 @@ mod tests {
         }
         let ledger = market.footprint();
         let rows = ledger.get(Component::ClickRows);
-        assert_eq!((rows.allocations, rows.in_use), (1, 16 + 2 * 8));
-        assert_eq!(ledger.get(Component::ClickRowPointers).in_use, 11 * 16);
+        // Was 16 + 2 * 8 (the row behind an `Arc`'s counts) and 11 * 16
+        // (a pointer per engine row and advertiser) before rows had ids.
+        assert_eq!((rows.allocations, rows.in_use), (1, 2 * 8));
+        assert_eq!(ledger.get(Component::ClickRowIds).in_use, 11 * 4);
         assert_eq!(ledger.get(Component::CampaignRecords).in_use, 10 * 32);
         assert_eq!(ledger.get(Component::BoxedCampaigns), HeapUse::default());
         assert_eq!(ledger.get(Component::PurchaseIndex), HeapUse::default());
 
-        // A different row is one more; a shared matcher is entered once.
+        // A different row is one more in the same buffer; a shared matcher
+        // is entered once.
         let b = market.register_advertiser("b");
         for keyword in 0..2 {
             let spec = CampaignSpec::per_click(Money::from_cents(5))
@@ -2622,7 +2665,8 @@ mod tests {
             market.add_campaign(b, keyword, spec).expect("accepted");
         }
         let ledger = market.footprint();
-        assert_eq!(ledger.get(Component::ClickRows).allocations, 2);
+        let rows = ledger.get(Component::ClickRows);
+        assert_eq!((rows.allocations, rows.in_use), (1, 2 * 2 * 8));
         let boxed = std::mem::size_of::<BoxedCampaign>();
         assert_eq!(ledger.get(Component::BoxedCampaigns).in_use, 2 * boxed);
         let text = "device = 'mobile'".len();
@@ -2894,33 +2938,31 @@ mod tests {
         ]
     }
 
-    /// Holds `market` to what [`register_sharers`] shares: by pointer.
+    /// Holds `market` to what [`register_sharers`] shares: click rows by
+    /// id, matchers by pointer.
     fn assert_shared(market: &Marketplace, ids: &[CampaignId; 6], how: &str) {
         let book = |id: CampaignId| &market.books[id.keyword];
         let row = |id: CampaignId| {
             let engine = book(id).engine.as_ref().expect("registered");
-            engine.clicks().row(id.index)
+            engine.clicks().id(id.index)
         };
         let matcher = |id: CampaignId| {
             let campaign = &book(id).campaigns()[id.index];
             campaign.shared_targeting().expect("targeted")
         };
         let [a0, a1, b0, b1, c0, c1] = *ids;
+        assert_eq!(row(a0), row(a1), "{how}: one advertiser, one row");
+        assert_ne!(row(b0), row(b1), "{how}: 0.0 and -0.0 differ");
         assert!(
-            std::ptr::eq(row(a0), row(a1)),
-            "{how}: one advertiser, one row"
-        );
-        assert!(
-            !std::ptr::eq(row(b0), row(b1)),
-            "{how}: 0.0 and -0.0 differ"
-        );
-        assert!(
-            row(b1)[0].is_sign_negative(),
+            market.clicks.row(row(b1))[0].is_sign_negative(),
             "{how}: -0.0 kept as supplied"
         );
-        let default = market.default_click_probs.as_deref().expect("configured");
-        assert!(std::ptr::eq(row(c0), default), "{how}: the default row");
-        assert!(std::ptr::eq(row(c1), default), "{how}: the default row");
+        let default = market.default_click_row.expect("configured");
+        assert_eq!(row(c0), default, "{how}: the default row");
+        assert_eq!(row(c1), default, "{how}: the default row");
+        // The default, one row for a0/a1 and one each for b0 and b1.
+        let rows = market.footprint().get(Component::ClickRows).in_use;
+        assert_eq!(rows, 4 * 2 * 8, "{how}: each row stored once");
         for id in [a1, b0, b1] {
             assert!(Arc::ptr_eq(matcher(a0), matcher(id)), "{how}: one matcher");
         }
@@ -2950,6 +2992,60 @@ mod tests {
         }
         assert_shared(&replayed, &ids, "journal replay");
         assert_eq!(replayed.capture_state().unwrap(), state);
+    }
+
+    /// Rows registered after a keyword's engine was built and served — the
+    /// market's table growing and its buffer moving under engines that
+    /// hold only ids — read back bit for bit on a 2-shard market's worker
+    /// threads and in its capture, as on a one-shard twin.
+    #[test]
+    fn click_rows_registered_after_serving_read_back_on_every_shard() {
+        let build = |shards| {
+            Marketplace::builder()
+                .slots(3)
+                .keywords(4)
+                .seed(11)
+                .default_click_probs(vec![0.5, 0.25, 0.125])
+                .build_sharded(shards)
+                .expect("valid configuration")
+        };
+        let (mut sharded, mut twin) = (build(2), build(1));
+        // Both shards own keywords, so each batch runs on two workers.
+        assert!((0..4).any(|keyword| sharded.shard_of(keyword) != sharded.shard_of(0)));
+        let requests: Vec<QueryRequest> = (0..40).map(|i| QueryRequest::new(i % 4)).collect();
+        // Distinct rows, -0.0 among them, so nothing is shared by accident.
+        let row = |round: usize, keyword: usize| -> Vec<f64> {
+            let top = 0.9 - 0.005 * (round * 4 + keyword) as f64;
+            vec![top, top / 2.0, if keyword == 3 { -0.0 } else { 0.0 }]
+        };
+        let mut registered = Vec::new();
+        for round in 0..40 {
+            for market in [&mut sharded, &mut twin] {
+                let advertiser = market.register_advertiser(format!("a{round}"));
+                for keyword in 0..4 {
+                    let bid = Money::from_cents((5 + round * 3 + keyword) as i64 % 40);
+                    let spec = CampaignSpec::per_click(bid).click_probs(row(round, keyword));
+                    market
+                        .add_campaign(advertiser, keyword, spec)
+                        .expect("accepted");
+                }
+            }
+            registered.extend((0..4).map(|keyword| row(round, keyword)));
+            let served = sharded.serve_batch(&requests).expect("in range");
+            assert_eq!(served, twin.serve_batch(&requests).expect("in range"));
+            assert_eq!(served.chunks, 40);
+        }
+        // The default and one row per campaign, 3 slots of 8 bytes each.
+        let rows = sharded.footprint().get(Component::ClickRows).in_use;
+        assert_eq!(rows, (1 + registered.len()) * 3 * 8);
+        let (state, twin_state) = (sharded.capture_state(), twin.capture_state());
+        let (state, twin_state) = (state.expect("durable"), twin_state.expect("durable"));
+        assert_eq!(state.campaigns, twin_state.campaigns);
+        let bits = |probs: &[f64]| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for campaign in &state.campaigns {
+            let expected = &registered[campaign.advertiser * 4 + campaign.keyword];
+            assert_eq!(bits(&campaign.click_probs), bits(expected));
+        }
     }
 
     #[test]

@@ -13,62 +13,129 @@
 //!
 //! Both models grow one advertiser at a time ([`ClickModel::push_row`],
 //! [`PurchaseModel::push_row`]), so a new advertiser appends a row instead
-//! of rebuilding the model. A click row is an `Arc<[f64]>`: the model
-//! holds a pointer, and whoever pushes a row it already holds — the
-//! marketplace does, for an advertiser's campaigns on every keyword —
-//! stores its probabilities once for all of them. A row nobody shares
-//! costs its 16-byte pointer and its allocation's 16-byte header on top of
-//! its `k` entries. An advertiser that never purchases — the pure
+//! of rebuilding the model. Click rows live in a click table: each row
+//! stored once, as `k` contiguous probabilities in one flat buffer, and
+//! named by a 4-byte id. A [`ClickModel`] is one id per advertiser. A
+//! standalone model owns a table of its own; an engine inside a
+//! [`Marketplace`](crate::Marketplace) holds only ids, into the one table
+//! the market owns and passes to every call that reads probabilities, so
+//! an advertiser's row is stored once for its campaigns on every keyword.
+//! The table's insert is the only way a row enters, and it refuses a row
+//! of the wrong length or with a probability outside `[0, 1]` as a typed
+//! [`MarketError`]. An advertiser that never purchases — the pure
 //! click-auction setting — costs [`PurchaseModel`] no per-slot storage at
 //! all, and while nobody in the model purchases, no entry of a row index
 //! either.
 
 use crate::footprint::{Accountant, Component, HeapUse};
+use crate::marketplace::{validate_click_probs, MarketError};
 use ssa_bidlang::SlotId;
-use std::sync::Arc;
+use std::num::NonZeroU32;
 
-/// Enters a click row in `ledger` unless an earlier holder did.
-pub(crate) fn account_click_row(ledger: &mut Accountant, row: &Arc<[f64]>) {
-    ledger.add_shared(Component::ClickRows, row, |_| HeapUse::default());
+/// The name of a row in a [`ClickTable`]: four bytes, whatever the slot
+/// count, and `Option<ClickRowId>` is four bytes too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClickRowId(NonZeroU32);
+
+impl ClickRowId {
+    /// The row's position in its table, from 0.
+    #[inline]
+    fn index(self) -> usize {
+        (self.0.get() - 1) as usize
+    }
 }
 
-/// Per-advertiser, per-slot click probabilities.
+/// Click-probability rows over `k` slots, each stored once, flat: row `r`
+/// is entries `r·k .. (r+1)·k` of one buffer. Rows are appended and never
+/// change, so an id stays valid for the table's life.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ClickTable {
+    k: usize,
+    /// Rows stored; counted apart from `probs` so a zero-slot table counts
+    /// its rows too.
+    len: usize,
+    probs: Vec<f64>,
+}
+
+impl ClickTable {
+    /// An empty table of rows over `num_slots` slots.
+    pub(crate) fn new(num_slots: usize) -> Self {
+        ClickTable {
+            k: num_slots,
+            len: 0,
+            probs: Vec::new(),
+        }
+    }
+
+    /// Appends `row` and returns its id: the one way a row enters a table.
+    /// A row without one entry per slot is refused as
+    /// [`MarketError::ModelDimension`], a probability outside `[0, 1]` as
+    /// [`MarketError::InvalidProbability`], and a row past the 4-byte ids'
+    /// range as [`MarketError::ClickTableFull`]; a refused row leaves the
+    /// table as it was.
+    pub(crate) fn insert(&mut self, row: &[f64]) -> Result<ClickRowId, MarketError> {
+        validate_click_probs(row, self.k)?;
+        let id = u32::try_from(self.len + 1)
+            .ok()
+            .and_then(NonZeroU32::new)
+            .ok_or(MarketError::ClickTableFull)?;
+        self.probs.extend_from_slice(row);
+        self.len += 1;
+        Ok(ClickRowId(id))
+    }
+
+    /// The row `id` names.
+    #[inline]
+    pub(crate) fn row(&self, id: ClickRowId) -> &[f64] {
+        let start = id.index() * self.k;
+        &self.probs[start..start + self.k]
+    }
+
+    /// Number of slots a row covers.
+    pub(crate) fn num_slots(&self) -> usize {
+        self.k
+    }
+
+    /// Enters the table's one buffer.
+    pub(crate) fn account(&self, ledger: &mut Accountant) {
+        ledger.add(Component::ClickRows, HeapUse::of_vec(&self.probs));
+    }
+}
+
+/// Per-advertiser, per-slot click probabilities: one 4-byte row id per
+/// advertiser.
+///
+/// A standalone model ([`ClickModel::from_fn`], [`ClickModel::from_rows`],
+/// [`ClickModel::push_row`]) owns the table its ids name, one row per
+/// advertiser. A model inside a [`Marketplace`](crate::Marketplace)'s
+/// keyword engine owns an empty one: its ids name rows of the market's
+/// table, which the market passes in wherever the engine reads them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClickModel {
-    k: usize,
-    /// One row per advertiser, each possibly shared with other models.
-    rows: Vec<Arc<[f64]>>,
+    /// What a standalone model's ids name; empty inside a market.
+    table: ClickTable,
+    ids: Vec<ClickRowId>,
 }
 
-/// A click row as [`ClickModel::push_row`] takes it: an `Arc<[f64]>` is
-/// kept as it is (shared with whoever else holds it), a borrowed slice is
-/// copied into a row of its own.
-pub trait IntoClickRow {
-    /// The row as the model stores it.
-    fn into_click_row(self) -> Arc<[f64]>;
+/// A model's rows as an auction reads them: its ids, resolved in the table
+/// they name.
+#[derive(Debug, Clone, Copy)]
+pub struct ClickRows<'a> {
+    table: &'a ClickTable,
+    ids: &'a [ClickRowId],
 }
 
-impl IntoClickRow for Arc<[f64]> {
-    fn into_click_row(self) -> Arc<[f64]> {
-        self
+impl<'a> ClickRows<'a> {
+    /// Advertiser `adv`'s per-slot probabilities.
+    #[inline]
+    pub fn row(&self, adv: usize) -> &'a [f64] {
+        self.table.row(self.ids[adv])
     }
-}
 
-impl IntoClickRow for &[f64] {
-    fn into_click_row(self) -> Arc<[f64]> {
-        Arc::from(self)
-    }
-}
-
-impl IntoClickRow for &Vec<f64> {
-    fn into_click_row(self) -> Arc<[f64]> {
-        Arc::from(self.as_slice())
-    }
-}
-
-impl<const K: usize> IntoClickRow for &[f64; K] {
-    fn into_click_row(self) -> Arc<[f64]> {
-        Arc::from(self.as_slice())
+    /// P(click | advertiser `adv` in `slot`).
+    #[inline]
+    pub fn p_click(&self, adv: usize, slot: SlotId) -> f64 {
+        self.row(adv)[slot.index0()]
     }
 }
 
@@ -77,81 +144,104 @@ impl ClickModel {
     /// [`ClickModel::push_row`].
     pub fn empty(k: usize) -> Self {
         ClickModel {
-            k,
-            rows: Vec::new(),
+            table: ClickTable::new(k),
+            ids: Vec::new(),
         }
     }
 
-    /// Builds a model from a function of `(advertiser, slot)` indexes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability is outside `[0, 1]`.
-    pub fn from_fn(n: usize, k: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+    /// Builds a model from a function of `(advertiser, slot)` indexes; the
+    /// first probability outside `[0, 1]` is refused as
+    /// [`MarketError::InvalidProbability`].
+    pub fn from_fn(
+        n: usize,
+        k: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Result<Self, MarketError> {
         let mut model = ClickModel::empty(k);
-        model.rows.reserve_exact(n);
+        model.table.probs.reserve_exact(n * k);
+        model.ids.reserve_exact(n);
+        let mut row = Vec::with_capacity(k);
         for i in 0..n {
-            model.push_row((0..k).map(|j| f(i, j)).collect::<Arc<[f64]>>());
+            row.clear();
+            row.extend((0..k).map(|j| f(i, j)));
+            model.push_row(&row)?;
         }
-        model
+        Ok(model)
     }
 
-    /// Appends the next advertiser's per-slot click probabilities. A
-    /// shared row is stored as the same allocation, not copied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row does not have one entry per slot or any
-    /// probability is outside `[0, 1]`.
-    pub fn push_row(&mut self, row: impl IntoClickRow) {
-        let row = row.into_click_row();
-        assert_eq!(row.len(), self.k, "click row must cover every slot");
-        for (j, &v) in row.iter().enumerate() {
-            assert!(
-                (0.0..=1.0).contains(&v),
-                "p_click({},{j}) = {v} out of range",
-                self.rows.len()
-            );
+    /// Builds a model from explicit rows, one per advertiser, over as many
+    /// slots as the first row has entries.
+    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self, MarketError> {
+        let k = rows.first().map_or(0, Vec::len);
+        let mut model = ClickModel::empty(k);
+        for row in rows {
+            model.push_row(row)?;
         }
-        self.rows.push(row);
+        Ok(model)
     }
 
-    /// Enters the model's row pointers and, each once, its rows.
+    /// Appends the next advertiser's per-slot click probabilities as a row
+    /// of the model's own table. A row without one entry per slot is
+    /// refused as [`MarketError::ModelDimension`], a probability outside
+    /// `[0, 1]` as [`MarketError::InvalidProbability`], and either leaves
+    /// the model as it was.
+    pub fn push_row(&mut self, row: &[f64]) -> Result<(), MarketError> {
+        let id = self.table.insert(row)?;
+        self.ids.push(id);
+        Ok(())
+    }
+
+    /// Appends an advertiser whose row is `id` in the table the model's
+    /// holder reads it from.
+    pub(crate) fn push_id(&mut self, id: ClickRowId) {
+        self.ids.push(id);
+    }
+
+    /// Advertiser `adv`'s row id.
+    pub(crate) fn id(&self, adv: usize) -> ClickRowId {
+        self.ids[adv]
+    }
+
+    /// The model's rows, resolved in its own table.
+    pub fn rows(&self) -> ClickRows<'_> {
+        self.rows_in(&self.table)
+    }
+
+    /// The model's rows, resolved in `table`.
+    pub(crate) fn rows_in<'a>(&'a self, table: &'a ClickTable) -> ClickRows<'a> {
+        ClickRows {
+            table,
+            ids: &self.ids,
+        }
+    }
+
+    /// Enters the model's ids and its own table.
     pub(crate) fn account(&self, ledger: &mut Accountant) {
-        ledger.add(Component::ClickRowPointers, HeapUse::of_vec(&self.rows));
-        for row in &self.rows {
-            account_click_row(ledger, row);
-        }
-    }
-
-    /// Builds a model from explicit rows.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let n = rows.len();
-        let k = rows.first().map(|r| r.len()).unwrap_or(0);
-        ClickModel::from_fn(n, k, |i, j| rows[i][j])
+        ledger.add(Component::ClickRowIds, HeapUse::of_vec(&self.ids));
+        self.table.account(ledger);
     }
 
     /// Number of advertisers.
     pub fn num_advertisers(&self) -> usize {
-        self.rows.len()
+        self.ids.len()
     }
 
     /// Number of slots.
     pub fn num_slots(&self) -> usize {
-        self.k
+        self.table.num_slots()
     }
 
     /// P(click | advertiser `i` in slot `j`). An unplaced ad is never
     /// clicked.
     #[inline]
     pub fn p_click(&self, adv: usize, slot: SlotId) -> f64 {
-        self.rows[adv][slot.index0()]
+        self.rows().p_click(adv, slot)
     }
 
     /// Raw row access for hot loops.
     #[inline]
     pub fn row(&self, adv: usize) -> &[f64] {
-        &self.rows[adv]
+        self.rows().row(adv)
     }
 
     /// Checks the separability condition: the matrix factors into
@@ -163,12 +253,13 @@ impl ClickModel {
     /// largest magnitude, so a row or column of zeros is never the one
     /// everything is compared against.
     pub fn is_separable(&self, tol: f64) -> bool {
-        if self.rows.len() < 2 || self.k < 2 {
+        let (n, k) = (self.num_advertisers(), self.num_slots());
+        if n < 2 || k < 2 {
             return true;
         }
         let (mut r, mut c, mut p_rc) = (0, 0, 0.0f64);
-        for (i, row) in self.rows.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
+        for i in 0..n {
+            for (j, &v) in self.row(i).iter().enumerate() {
                 if v.abs() > p_rc.abs() {
                     (r, c, p_rc) = (i, j, v);
                 }
@@ -177,19 +268,31 @@ impl ClickModel {
         if p_rc == 0.0 {
             return true; // the zero matrix
         }
-        self.rows
-            .iter()
-            .all(|row| (0..self.k).all(|j| (row[j] * p_rc - row[c] * self.rows[r][j]).abs() <= tol))
+        let pivot_row = self.row(r);
+        (0..n).all(|i| {
+            let row = self.row(i);
+            (0..k).all(|j| (row[j] * p_rc - row[c] * pivot_row[j]).abs() <= tol)
+        })
     }
 
     /// The paper's Figure 7 non-separable example (Nike/Adidas × 2 slots).
     pub fn figure7() -> Self {
-        ClickModel::from_rows(&[vec![0.7, 0.4], vec![0.6, 0.3]])
+        ClickModel::paper_figure(&[[0.7, 0.4], [0.6, 0.3]])
     }
 
     /// The paper's Figure 8 separable example.
     pub fn figure8() -> Self {
-        ClickModel::from_rows(&[vec![0.8, 0.4], vec![0.6, 0.3]])
+        ClickModel::paper_figure(&[[0.8, 0.4], [0.6, 0.3]])
+    }
+
+    /// A model of the paper's constant two-slot rows.
+    #[allow(clippy::expect_used)] // constant rows of two probabilities in [0, 1]
+    fn paper_figure(rows: &[[f64; 2]]) -> Self {
+        let mut model = ClickModel::empty(2);
+        for row in rows {
+            model.push_row(row).expect("the paper's probabilities");
+        }
+        model
     }
 }
 
@@ -218,8 +321,10 @@ impl SeparableClickModel {
         }
     }
 
-    /// Expands into the general matrix form.
-    pub fn to_click_model(&self) -> ClickModel {
+    /// Expands into the general matrix form; a product outside `[0, 1]`
+    /// (a factor changed since [`SeparableClickModel::new`]) is refused as
+    /// [`MarketError::InvalidProbability`].
+    pub fn to_click_model(&self) -> Result<ClickModel, MarketError> {
         ClickModel::from_fn(
             self.advertiser_factors.len(),
             self.slot_factors.len(),
@@ -406,35 +511,48 @@ mod tests {
     #[test]
     fn a_zero_row_or_column_does_not_make_a_model_separable() {
         // Row 0 / column 0 of zeros: every minor through (0, 0) is 0 = 0.
-        let zero_row = ClickModel::from_rows(&[vec![0.0, 0.0], vec![0.5, 0.1], vec![0.1, 0.5]]);
+        let zero_row =
+            ClickModel::from_rows(&[vec![0.0, 0.0], vec![0.5, 0.1], vec![0.1, 0.5]]).unwrap();
         assert!(!zero_row.is_separable(1e-9));
-        let zero_column = ClickModel::from_rows(&[vec![0.0, 0.5, 0.1], vec![0.0, 0.2, 0.9]]);
+        let zero_column =
+            ClickModel::from_rows(&[vec![0.0, 0.5, 0.1], vec![0.0, 0.2, 0.9]]).unwrap();
         assert!(!zero_column.is_separable(1e-9));
         // Zeros that do factor still do.
-        let factored = ClickModel::from_rows(&[vec![0.0, 0.0], vec![0.4, 0.2], vec![0.2, 0.1]]);
+        let factored =
+            ClickModel::from_rows(&[vec![0.0, 0.0], vec![0.4, 0.2], vec![0.2, 0.1]]).unwrap();
         assert!(factored.is_separable(1e-9));
-        assert!(ClickModel::from_fn(3, 2, |_, _| 0.0).is_separable(1e-9));
+        assert!(ClickModel::from_fn(3, 2, |_, _| 0.0)
+            .unwrap()
+            .is_separable(1e-9));
     }
 
     #[test]
     fn pushed_shared_rows_are_stored_once() {
-        let row: Arc<[f64]> = Arc::from([0.7, 0.4].as_slice());
+        // A model's rows are one flat buffer, one row per push; the market
+        // shares a row by handing several models the same id.
+        let mut table = ClickTable::new(2);
+        let shared = table.insert(&[0.7, 0.4]).unwrap();
         let mut clicks = ClickModel::empty(2);
-        clicks.push_row(row.clone());
-        clicks.push_row(row.clone());
-        clicks.push_row(&[0.7, 0.4]);
-        assert!(std::ptr::eq(clicks.row(0), clicks.row(1)));
-        assert!(std::ptr::eq(clicks.row(0), &*row));
-        assert!(!std::ptr::eq(clicks.row(0), clicks.row(2)));
-        assert_eq!(clicks.row(0), clicks.row(2));
-        assert_eq!(Arc::strong_count(&row), 3);
+        clicks.push_id(shared);
+        clicks.push_id(shared);
+        assert_eq!(table.len, 1);
+        let rows = clicks.rows_in(&table);
+        assert!(std::ptr::eq(rows.row(0), rows.row(1)));
+        assert_eq!(rows.row(1), &[0.7, 0.4]);
+        assert_eq!(std::mem::size_of::<ClickRowId>(), 4);
+        assert_eq!(std::mem::size_of::<Option<ClickRowId>>(), 4);
+
+        let own = ClickModel::from_rows(&[vec![0.7, 0.4], vec![0.7, 0.4]]).unwrap();
+        assert_eq!(own.table.len, 2);
+        assert_eq!(own.table.probs, [0.7, 0.4, 0.7, 0.4]);
+        assert_eq!(own.row(0), own.row(1));
     }
 
     #[test]
     fn separable_expansion_matches_figure8() {
         // Figure 8 factors: advertisers 4 and 3, slots 0.2 and 0.1.
         let s = SeparableClickModel::new(vec![4.0, 3.0], vec![0.2, 0.1]);
-        let expanded = s.to_click_model();
+        let expanded = s.to_click_model().unwrap();
         let reference = ClickModel::figure8();
         for i in 0..2 {
             for j in 1..=2u16 {
@@ -463,10 +581,30 @@ mod tests {
         assert_eq!(alloc, vec![None, None]);
     }
 
+    /// A row enters only through the table's insert, which refuses a bad
+    /// probability as a typed error, without a panic and without a trace.
     #[test]
-    #[should_panic(expected = "out of range")]
     fn click_probabilities_validated() {
-        let _ = ClickModel::from_rows(&[vec![1.5]]);
+        assert_eq!(
+            ClickModel::from_rows(&[vec![1.5]]),
+            Err(MarketError::InvalidProbability(1.5))
+        );
+        let mut clicks = ClickModel::figure7();
+        assert_eq!(
+            clicks.push_row(&[0.5, 1.5]),
+            Err(MarketError::InvalidProbability(1.5))
+        );
+        assert_eq!(clicks, ClickModel::figure7());
+        let nan = ClickModel::from_fn(2, 2, |i, _| if i == 1 { f64::NAN } else { 0.5 });
+        assert!(matches!(nan, Err(MarketError::InvalidProbability(p)) if p.is_nan()));
+        let separable = SeparableClickModel {
+            advertiser_factors: vec![4.0],
+            slot_factors: vec![0.5],
+        };
+        assert_eq!(
+            separable.to_click_model(),
+            Err(MarketError::InvalidProbability(2.0))
+        );
     }
 
     #[test]
@@ -482,8 +620,8 @@ mod tests {
     #[test]
     fn models_grow_one_advertiser_at_a_time() {
         let mut clicks = ClickModel::empty(2);
-        clicks.push_row(&[0.7, 0.4]);
-        clicks.push_row(&[0.6, 0.3]);
+        clicks.push_row(&[0.7, 0.4]).unwrap();
+        clicks.push_row(&[0.6, 0.3]).unwrap();
         assert_eq!(clicks, ClickModel::figure7());
         assert_eq!(clicks.row(1), &[0.6, 0.3]);
 
@@ -534,14 +672,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cover every slot")]
     fn pushed_rows_must_cover_every_slot() {
-        ClickModel::empty(2).push_row(&[0.5]);
+        let mut clicks = ClickModel::empty(2);
+        let short = MarketError::ModelDimension {
+            expected: 2,
+            got: 1,
+        };
+        assert_eq!(clicks.push_row(&[0.5]), Err(short.clone()));
+        assert_eq!(clicks, ClickModel::empty(2));
+        assert_eq!(
+            ClickModel::from_rows(&[vec![0.5, 0.5], vec![0.5]]),
+            Err(short)
+        );
     }
 
     #[test]
     fn degenerate_models_are_separable() {
-        assert!(ClickModel::from_rows(&[vec![0.5, 0.2]]).is_separable(1e-12));
-        assert!(ClickModel::from_rows(&[vec![0.5], vec![0.1]]).is_separable(1e-12));
+        assert!(ClickModel::from_rows(&[vec![0.5, 0.2]])
+            .unwrap()
+            .is_separable(1e-12));
+        assert!(ClickModel::from_rows(&[vec![0.5], vec![0.1]])
+            .unwrap()
+            .is_separable(1e-12));
     }
 }

@@ -18,23 +18,35 @@
 //! simply mean "better left unplaced", which the matching solvers honour by
 //! leaving slots empty.
 
-use crate::prob::{ClickModel, PurchaseModel};
+use crate::prob::{ClickModel, ClickRows, PurchaseModel};
 use ssa_bidlang::{AdvertiserView, BidsTable, SlotId};
 use ssa_matching::RevenueMatrix;
 
 /// Expected revenue from assigning `slot` to advertiser `adv` under the
 /// click/purchase models, assuming the advertiser pays what it bids.
-// Inlined into the per-row loops, where the advertiser's model rows and
-// table are loop invariants: a full fill runs a quarter faster for it.
-#[inline]
 pub fn expected_revenue(
     bids: &BidsTable,
     adv: usize,
     slot: SlotId,
-    clicks: &ClickModel,
+    clicks: ClickRows<'_>,
     purchases: &PurchaseModel,
 ) -> f64 {
-    let p_click = clicks.p_click(adv, slot);
+    slot_revenue(bids, adv, slot, clicks.p_click(adv, slot), purchases)
+}
+
+/// [`expected_revenue`] with the advertiser's click probability in `slot`
+/// already read.
+// Inlined into the per-row loop, where the advertiser's click row, model
+// rows and table are loop invariants: a full fill runs a quarter faster
+// for it.
+#[inline]
+fn slot_revenue(
+    bids: &BidsTable,
+    adv: usize,
+    slot: SlotId,
+    p_click: f64,
+    purchases: &PurchaseModel,
+) -> f64 {
     let mut total = 0.0;
     for clicked in [false, true] {
         let p_c = if clicked { p_click } else { 1.0 - p_click };
@@ -113,7 +125,7 @@ impl NoSlotValues {
 pub fn row_weights_into(
     bids: &BidsTable,
     adv: usize,
-    clicks: &ClickModel,
+    clicks: ClickRows<'_>,
     purchases: &PurchaseModel,
     weights: &mut [f64],
 ) -> f64 {
@@ -121,8 +133,10 @@ pub fn row_weights_into(
     if bids.is_empty() {
         weights.fill(ssa_matching::EXCLUDED);
     } else {
-        for (j, weight) in weights.iter_mut().enumerate() {
-            *weight = expected_revenue(bids, adv, SlotId::from_index0(j), clicks, purchases) - base;
+        let click_row = clicks.row(adv);
+        for (j, (weight, &p_click)) in weights.iter_mut().zip(click_row).enumerate() {
+            let slot = SlotId::from_index0(j);
+            *weight = slot_revenue(bids, adv, slot, p_click, purchases) - base;
         }
     }
     base
@@ -165,6 +179,7 @@ pub fn revenue_matrix_into(
     matrix.reshape(n, k);
     no_slot.base.clear();
     let mut row = vec![0.0; k];
+    let clicks = clicks.rows();
     for (i, table) in bids.iter().enumerate() {
         no_slot
             .base
@@ -190,14 +205,14 @@ mod tests {
         no_slot: &mut NoSlotValues,
     ) -> bool {
         let mut row = vec![0.0; matrix.num_slots()];
-        let base = row_weights_into(bids, adv, &models.0, &models.1, &mut row);
+        let base = row_weights_into(bids, adv, models.0.rows(), &models.1, &mut row);
         matrix.set_row(adv, &row);
         no_slot.set(adv, base)
     }
 
     fn uniform_models(n: usize, k: usize, p: f64) -> (ClickModel, PurchaseModel) {
         (
-            ClickModel::from_fn(n, k, |_, _| p),
+            ClickModel::from_fn(n, k, |_, _| p).unwrap(),
             PurchaseModel::never(n, k),
         )
     }
@@ -205,13 +220,15 @@ mod tests {
     #[test]
     fn single_feature_expected_revenue_is_p_times_bid() {
         let bids = BidsTable::single_feature(Money::from_cents(10));
-        let clicks = ClickModel::from_rows(&[vec![0.3, 0.1]]);
+        let clicks = ClickModel::from_rows(&[vec![0.3, 0.1]]).unwrap();
         let purchases = PurchaseModel::never(1, 2);
         assert!(
-            (expected_revenue(&bids, 0, SlotId::new(1), &clicks, &purchases) - 3.0).abs() < 1e-12
+            (expected_revenue(&bids, 0, SlotId::new(1), clicks.rows(), &purchases) - 3.0).abs()
+                < 1e-12
         );
         assert!(
-            (expected_revenue(&bids, 0, SlotId::new(2), &clicks, &purchases) - 1.0).abs() < 1e-12
+            (expected_revenue(&bids, 0, SlotId::new(2), clicks.rows(), &purchases) - 1.0).abs()
+                < 1e-12
         );
     }
 
@@ -220,13 +237,13 @@ mod tests {
         // Pay 5 on Purchase, 2 on Slot1∨Slot2 (slot events are certain given
         // the assignment).
         let bids = BidsTable::figure3();
-        let clicks = ClickModel::from_rows(&[vec![0.5, 0.5, 0.5]]);
+        let clicks = ClickModel::from_rows(&[vec![0.5, 0.5, 0.5]]).unwrap();
         let purchases = PurchaseModel::from_fn(1, 3, |_, _| (0.4, 0.0));
         // Slot 1: P(purchase) = 0.5·0.4 = 0.2 → 5·0.2 + 2 = 3.
-        let r1 = expected_revenue(&bids, 0, SlotId::new(1), &clicks, &purchases);
+        let r1 = expected_revenue(&bids, 0, SlotId::new(1), clicks.rows(), &purchases);
         assert!((r1 - 3.0).abs() < 1e-12, "r1 = {r1}");
         // Slot 3: no slot bonus → 5·0.2 = 1.
-        let r3 = expected_revenue(&bids, 0, SlotId::new(3), &clicks, &purchases);
+        let r3 = expected_revenue(&bids, 0, SlotId::new(3), clicks.rows(), &purchases);
         assert!((r3 - 1.0).abs() < 1e-12, "r3 = {r3}");
     }
 
@@ -241,7 +258,7 @@ mod tests {
             ),
             (Formula::purchase(), Money::from_cents(3)),
         ]);
-        let clicks = ClickModel::from_rows(&[vec![0.25, 0.6]]);
+        let clicks = ClickModel::from_rows(&[vec![0.25, 0.6]]).unwrap();
         let purchases = PurchaseModel::from_fn(1, 2, |_, j| (0.5 / (j + 1) as f64, 0.125));
         for j in 1..=2u16 {
             let slot = SlotId::new(j);
@@ -261,7 +278,7 @@ mod tests {
                     manual += p * bids.payment(&view).as_f64();
                 }
             }
-            let fast = expected_revenue(&bids, 0, slot, &clicks, &purchases);
+            let fast = expected_revenue(&bids, 0, slot, clicks.rows(), &purchases);
             assert!((fast - manual).abs() < 1e-12);
         }
     }
@@ -294,7 +311,7 @@ mod tests {
             BidsTable::single_feature(Money::from_cents(10)),
             BidsTable::single_feature(Money::from_cents(20)),
         ];
-        let clicks = ClickModel::from_rows(&[vec![0.8, 0.4], vec![0.6, 0.3]]);
+        let clicks = ClickModel::from_rows(&[vec![0.8, 0.4], vec![0.6, 0.3]]).unwrap();
         let purchases = PurchaseModel::never(2, 2);
         let (matrix, base) = revenue_matrix(&bids, &clicks, &purchases);
         assert_eq!(matrix.num_advertisers(), 2);

@@ -102,7 +102,7 @@ fn engine_of(bidders: Vec<Counting>, config: EngineConfig) -> AuctionEngine<Coun
     let n = bidders.len();
     AuctionEngine::new(
         bidders,
-        ClickModel::from_fn(n, 2, |_, j| CLICKS[j]),
+        ClickModel::from_fn(n, 2, |_, j| CLICKS[j]).unwrap(),
         PurchaseModel::never(n, 2),
         1,
         config,
@@ -135,7 +135,7 @@ fn a_standing_bidder_is_read_not_asked_and_never_told() {
 
     // A bidder added to the warm engine is read at the next auction.
     let (c, c_calls) = Counting::new(5, true);
-    engine.push_bidder(c, &CLICKS, None);
+    engine.push_bidder(c, &CLICKS, None).unwrap();
     let grown = engine.run_batch(&[0usize; 2], &mut rng);
     assert_eq!((grown.phases.solves, grown.phases.warm_solves), (1, 1));
     assert_eq!(grown.filled_slots, 4, "three bidders, two slots");
@@ -170,8 +170,12 @@ fn a_program_is_asked_at_every_auction_it_is_matched() {
     let mobile = || Arc::new(CompiledTargeting::parse("device = 'mobile'").unwrap());
     let (targeted, targeted_calls) = Counting::new(30, false);
     let (fixed, fixed_calls) = Counting::new(40, true);
-    engine.push_bidder(targeted.targeted(mobile()), &CLICKS, None);
-    engine.push_bidder(fixed.targeted(mobile()), &CLICKS, None);
+    engine
+        .push_bidder(targeted.targeted(mobile()), &CLICKS, None)
+        .unwrap();
+    engine
+        .push_bidder(fixed.targeted(mobile()), &CLICKS, None)
+        .unwrap();
 
     let mut rng = StdRng::seed_from_u64(2);
     let mobile_user = UserAttrs::new().set_str("device", "mobile");
@@ -308,7 +312,7 @@ fn big_engine(
             .iter()
             .map(|&c| TableBidder::new(per_click(c)))
             .collect(),
-        ClickModel::from_rows(&probs[..open]),
+        ClickModel::from_rows(&probs[..open]).unwrap(),
         PurchaseModel::never(open, K),
         1,
         config,
@@ -320,7 +324,7 @@ fn big_engine(
             targeting,
             ..TableBidder::new(per_click(cents[row]))
         };
-        engine.push_bidder(bidder, &probs[row], None);
+        engine.push_bidder(bidder, &probs[row], None).unwrap();
     }
     (engine, cents)
 }
@@ -532,7 +536,7 @@ fn a_list_that_runs_short_is_rebuilt_from_every_row() {
             (0..n)
                 .map(|i| TableBidder::new(per_click(100 - i as i64)))
                 .collect(),
-            ClickModel::from_fn(n, k, |_, j| 0.5 / (j + 1) as f64),
+            ClickModel::from_fn(n, k, |_, j| 0.5 / (j + 1) as f64).unwrap(),
             PurchaseModel::never(n, k),
             1,
             EngineConfig {

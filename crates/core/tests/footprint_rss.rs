@@ -4,10 +4,11 @@
 //! says are in use match what building the market adds to the resident
 //! set, within an eighth of the ledger either way. The residue is what
 //! the ledger does not count: the allocator's per-allocation overhead on
-//! ≈ 10 400 small allocations (click rows, advertiser names) and the
-//! buffers vectors left behind as they grew, which stay resident. It reads
-//! ≈ +0.4 MB on a 4.1 MB ledger (≈ +10 %) in debug and release builds
-//! alike. One `#[test]`, because resident set size is process-wide.
+//! ≈ 5 400 small allocations (advertiser names) and the buffers vectors
+//! left behind as they grew, which stay resident. It reads ≈ +0.29 MB on a
+//! 3.4 MB ledger (≈ +8 %) in debug and release builds alike; it read
+//! ≈ +0.4 MB on 4.1 MB while each click row was an allocation of its own.
+//! One `#[test]`, because resident set size is process-wide.
 //! Linux-only: it is read from `/proc/self/status`.
 
 #![cfg(target_os = "linux")]

@@ -4,24 +4,25 @@
 //!
 //! A per-click campaign owns, once each: its 32-byte record, which is the
 //! keyword engine's bidder (advertiser, pause flag, nominal bid, click
-//! value, ROI target, all inline), its 16-byte pointer to a row of click
-//! probabilities, its 8-byte no-slot value, its 2-byte slot index and its
-//! 1-byte row state. Its bid is stored in the record and nowhere else: no
-//! one-row table held by the engine (the engine derives it from the record
-//! when it needs it), no effective bid copied into a second bidder, no
-//! sorted bid index beside the book, and no stored campaign id (an id is
-//! the keyword and the campaign's position). It owns no targeting pointer
-//! (a targeted campaign's record points to a box that holds one), no purchase
-//! row and no entry of a purchase index (nobody in the market purchases),
-//! no row of a revenue matrix (the default engine keeps each slot's few
-//! best rows instead of all of them), no program-notification scratch (only
-//! engines with programs size one), and — the paper's outcome model, and
-//! every population this repo generates — no click row of its own: its
-//! advertiser brings the same 15 probabilities to all 10 keywords, and the
-//! market stores them once for all of them. The figure also spreads what
-//! the market holds once — names, lists, solver scratch — over the
-//! campaigns. `per_click_footprint_distinct` prices the worst case, a
-//! different row on every keyword.
+//! value, ROI target, all inline), the 4-byte id of its row of click
+//! probabilities in the market's one click table, its 8-byte no-slot value,
+//! its 2-byte slot index and its 1-byte row state. Its bid is stored in the
+//! record and nowhere else: no one-row table held by the engine (the engine
+//! derives it from the record when it needs it), no effective bid copied
+//! into a second bidder, no sorted bid index beside the book, and no stored
+//! campaign id (an id is the keyword and the campaign's position). It owns
+//! no targeting pointer (a targeted campaign's record points to a box that
+//! holds one), no purchase row and no entry of a purchase index (nobody in
+//! the market purchases), no row of a revenue matrix (the default engine
+//! keeps each slot's few best rows instead of all of them), no
+//! program-notification scratch (only engines with programs size one), and
+//! — the paper's outcome model, and every population this repo generates —
+//! no click row of its own: its advertiser brings the same 15 probabilities
+//! to all 10 keywords, and the market stores them once for all of them,
+//! flat, with no allocation of their own. The figure also spreads what the
+//! market holds once — names, lists, solver scratch — over the campaigns.
+//! `per_click_footprint_distinct` prices the worst case, a different row on
+//! every keyword.
 //!
 //! The run prints the ledger and one JSON line
 //! (`per_click_campaign_footprint_bytes`) that the `perf-smoke` CI job
@@ -38,9 +39,10 @@ fn a_per_click_campaign_costs_one_copy_of_everything() {
             advertiser_row(adv, ADVERTISERS)
         });
     assert!(
-        per_campaign <= 88.0,
-        "a per-click campaign holds {per_campaign:.1} B in the ledger, 88 B allowed \
-         (≈ 115 B with a 56-byte record and a purchase index of every row; \
+        per_campaign <= 73.0,
+        "a per-click campaign holds {per_campaign:.1} B in the ledger, 73 B allowed \
+         (87.0 B, 88 allowed, with a 16-byte pointer per campaign to an `Arc` row; \
+         ≈ 115 B with a 56-byte record and a purchase index of every row; \
          when read off resident memory, 135 B allowed and ≈ 113 B measured; \
          ≈ 162 B with the engine holding a copy of every standing table; \
          ≈ 209 B with the campaign stored twice; \

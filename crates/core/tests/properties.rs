@@ -128,7 +128,7 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let n = bids_cents.len();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let clicks = ClickModel::from_fn(n, k, |_, _| rng.gen_range(0.0..1.0));
+        let clicks = ClickModel::from_fn(n, k, |_, _| rng.gen_range(0.0..1.0)).unwrap();
         let purchases = PurchaseModel::never(n, k);
         let tables: Vec<BidsTable> = bids_cents
             .iter()

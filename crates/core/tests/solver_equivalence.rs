@@ -36,7 +36,7 @@ fn arb_market() -> impl Strategy<Value = (Vec<BidsTable>, ClickModel, PurchaseMo
                 }
             })
             .collect();
-        let clicks = ClickModel::from_fn(n, k, |_, _| 0.05 + 0.9 * next());
+        let clicks = ClickModel::from_fn(n, k, |_, _| 0.05 + 0.9 * next()).unwrap();
         let purchases = PurchaseModel::from_fn(n, k, |_, _| (0.4 * next(), 0.05 * next()));
         (bids, clicks, purchases)
     })

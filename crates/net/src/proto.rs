@@ -607,6 +607,8 @@ impl From<&MarketError> for ErrorCode {
             MarketError::UnknownCampaign(_) => ErrorCode::UnknownCampaign,
             MarketError::ModelDimension { .. } => ErrorCode::ModelDimension,
             MarketError::InvalidProbability(_) => ErrorCode::InvalidProbability,
+            // A valid row the market has no 4-byte id left for.
+            MarketError::ClickTableFull => ErrorCode::Unsupported,
             MarketError::MissingClickModel => ErrorCode::MissingClickModel,
             MarketError::NotIncremental(_) => ErrorCode::NotIncremental,
             MarketError::NegativeBid(_) => ErrorCode::NegativeBid,

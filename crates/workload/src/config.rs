@@ -152,7 +152,8 @@ impl SectionVWorkload {
             let hi = 0.9 - j as f64 * width;
             let lo = hi - width;
             rng.gen_range(lo..hi)
-        });
+        })
+        .expect("every draw lies in [0.1, 0.9]");
         let purchases = PurchaseModel::never(n, k);
 
         // Queries at a constant rate, keyword uniform.

@@ -49,7 +49,8 @@ fn main() {
 
     let clicks = ClickModel::from_fn(4, k as usize, |i, j| {
         [0.5, 0.45, 0.4, 0.35][i] * [1.0, 0.7, 0.5, 0.4][j]
-    });
+    })
+    .expect("probabilities in [0, 1]");
     let purchases = PurchaseModel::never(4, k as usize);
 
     let mut engine = AuctionEngine::new(

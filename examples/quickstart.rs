@@ -47,7 +47,8 @@ fn main() {
 
     // Click probabilities per advertiser and slot (slot 1 is better), and
     // purchase probabilities conditional on a click.
-    let clicks = ClickModel::from_rows(&[vec![0.30, 0.18], vec![0.22, 0.12], vec![0.25, 0.15]]);
+    let clicks = ClickModel::from_rows(&[vec![0.30, 0.18], vec![0.22, 0.12], vec![0.25, 0.15]])
+        .expect("probabilities in [0, 1]");
     let purchases = PurchaseModel::from_fn(3, 2, |adv, _| {
         // ConversionCo's landing page converts well.
         if adv == 1 {

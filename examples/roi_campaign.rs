@@ -46,7 +46,8 @@ fn main() {
     let clicks = ClickModel::from_fn(n, k, |_, j| {
         let hi = 0.9 - j as f64 * 0.2;
         rng.gen_range((hi - 0.2)..hi)
-    });
+    })
+    .expect("probabilities in [0, 1]");
     let purchases = PurchaseModel::never(n, k);
 
     let mut engine = AuctionEngine::new(

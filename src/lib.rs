@@ -261,7 +261,7 @@
 //!     TableBidder::per_click(Money::from_cents(10)),
 //!     TableBidder::per_click(Money::from_cents(20)),
 //! ];
-//! let clicks = ClickModel::from_rows(&[vec![0.8, 0.4], vec![0.6, 0.3]]);
+//! let clicks = ClickModel::from_rows(&[vec![0.8, 0.4], vec![0.6, 0.3]]).unwrap();
 //! let purchases = PurchaseModel::never(2, 2);
 //! let mut engine = AuctionEngine::new(
 //!     bidders,
@@ -295,7 +295,7 @@
 //!     TableBidder::per_click(Money::from_cents(10)),
 //!     TableBidder::per_click(Money::from_cents(20)),
 //! ];
-//! let clicks = ClickModel::from_rows(&[vec![0.8, 0.4], vec![0.6, 0.3]]);
+//! let clicks = ClickModel::from_rows(&[vec![0.8, 0.4], vec![0.6, 0.3]]).unwrap();
 //! let mut engine = AuctionEngine::new(
 //!     bidders,
 //!     clicks,
@@ -382,13 +382,14 @@
 //!   the campaign — so nothing about it is stored twice; state capture
 //!   reads the models, and a campaign that never purchases stores
 //!   no purchase row (captured as explicit zeros, so snapshots do not
-//!   change). Click rows are `Arc<[f64]>`: an advertiser's campaigns whose
-//!   rows are bit for bit equal share one across keywords (and across
-//!   `from_state` and journal replay), a targeting text is compiled once
-//!   per market, and a one-row [`bidlang::BidsTable`] is stored inline. A
-//!   per-click campaign at 15 slots costs ≈ 113 B resident (≈ 162 B while
-//!   the engine held a copy of its table); one whose row differs on every
-//!   keyword, ≈ 245 B.
+//!   change). Click rows live once each in the market's flat click
+//!   table, and a [`core::ClickModel`] names them by 4-byte ids: an
+//!   advertiser's campaigns whose rows are bit for bit equal share one
+//!   across keywords (and across `from_state` and journal replay), a
+//!   targeting text is compiled once per market, and a one-row
+//!   [`bidlang::BidsTable`] is stored inline. A per-click campaign at 15
+//!   slots holds 72.2 B of the market's ledger (87.0 B while rows were
+//!   `Arc`s); one whose row differs on every keyword, 180.2 B.
 //! * **Slot-major matrix layout** — [`matching::RevenueMatrix`] stores
 //!   `data[slot * n + adv]`, so the per-slot column scans of the solvers
 //!   (and the pruning floor pass) walk contiguous memory.

@@ -34,7 +34,8 @@ fn random_engine(
             TableBidder::new(table)
         })
         .collect();
-    let clicks = ClickModel::from_fn(n, k, |_, j| rng.gen_range(0.05..0.9) / (1 + j) as f64);
+    let clicks =
+        ClickModel::from_fn(n, k, |_, j| rng.gen_range(0.05..0.9) / (1 + j) as f64).unwrap();
     let purchases = PurchaseModel::from_fn(n, k, |_, _| (rng.gen_range(0.0..0.5), 0.0));
     AuctionEngine::new(
         bidders,
@@ -108,7 +109,7 @@ fn separable_case_matches_sort_allocation() {
         .collect();
     let mut engine = AuctionEngine::new(
         bidders,
-        sep.to_click_model(),
+        sep.to_click_model().unwrap(),
         PurchaseModel::never(5, 3),
         1,
         EngineConfig {

@@ -98,7 +98,7 @@ proptest! {
         let k = K as usize;
         let mut rng = StdRng::seed_from_u64(seed);
         use rand::Rng;
-        let clicks = ClickModel::from_fn(n, k, |_, _| rng.gen_range(0.0..1.0));
+        let clicks = ClickModel::from_fn(n, k, |_, _| rng.gen_range(0.0..1.0)).unwrap();
         let purchases = PurchaseModel::from_fn(n, k, |_, _| {
             (rng.gen_range(0.0..1.0), rng.gen_range(0.0..0.3))
         });
@@ -137,7 +137,7 @@ proptest! {
         ] {
             let mut rng = StdRng::seed_from_u64(seed);
             use rand::Rng;
-            let clicks = ClickModel::from_fn(n, k, |_, _| rng.gen_range(0.0..1.0));
+            let clicks = ClickModel::from_fn(n, k, |_, _| rng.gen_range(0.0..1.0)).unwrap();
             let purchases = PurchaseModel::never(n, k);
             let bidders: Vec<TableBidder> =
                 tables.iter().cloned().map(TableBidder::new).collect();
