@@ -66,7 +66,8 @@ pub enum Component {
     /// The tables an engine holds for every-auction rows and for written
     /// rows until the next auction.
     HeldTables,
-    /// The keyword books themselves, with their RNG streams.
+    /// The keyword books themselves, with their RNG streams, and each
+    /// keyword's boxed engine.
     KeywordBooks,
     /// Advertiser names.
     AdvertiserNames,

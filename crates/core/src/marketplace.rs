@@ -808,14 +808,41 @@ impl std::fmt::Debug for Campaign {
     }
 }
 
+/// Advertiser names end to end in one buffer: a name costs its bytes and
+/// one offset, not a `String` and an allocation of its own.
+#[derive(Debug, Default)]
+struct Names {
+    text: String,
+    /// Where each name starts in `text`, in registration order.
+    starts: Vec<usize>,
+}
+
+impl Names {
+    fn push(&mut self, name: &str) {
+        self.starts.push(self.text.len());
+        self.text.push_str(name);
+    }
+
+    fn get(&self, index: usize) -> Option<&str> {
+        let start = *self.starts.get(index)?;
+        let end = self.starts.get(index + 1).copied();
+        self.text.get(start..end.unwrap_or(self.text.len()))
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
+        (0..self.starts.len()).map(|index| self.get(index).unwrap_or_default())
+    }
+}
+
 /// Everything the marketplace holds for one keyword: the persistent engine
 /// (the campaigns as its bidders, probability models, solver and matrix
 /// buffers), and the keyword's RNG stream.
 #[derive(Debug)]
 struct KeywordBook {
     /// Built by the keyword's first campaign and grown in place by every
-    /// later one; `None` exactly while the keyword has no campaigns.
-    engine: Option<AuctionEngine<Campaign>>,
+    /// later one; `None` exactly while the keyword has no campaigns. Boxed,
+    /// so a keyword without campaigns costs a pointer, not an engine.
+    engine: Option<Box<AuctionEngine<Campaign>>>,
     /// The keyword's own user-action RNG stream, seeded purely from
     /// `(market seed, keyword)` ([`keyword_stream_seed`]), so a keyword's
     /// outcome stream does not depend on which other keywords were queried
@@ -830,7 +857,7 @@ impl KeywordBook {
 
     /// The keyword's campaigns in registration order: the engine's bidders.
     fn campaigns(&self) -> &[Campaign] {
-        self.engine.as_ref().map_or(&[], AuctionEngine::bidders)
+        self.engine.as_deref().map_or(&[], AuctionEngine::bidders)
     }
 
     /// Serves one query on this book's keyword as the auction with
@@ -1196,7 +1223,7 @@ impl MarketplaceBuilder {
             config: self.config,
             num_slots: self.num_slots,
             num_shards,
-            advertisers: Vec::new(),
+            advertisers: Names::default(),
             clicks,
             click_rows: Vec::new(),
             matchers: HashMap::new(),
@@ -1285,7 +1312,8 @@ pub struct Marketplace {
     num_slots: usize,
     /// How many partitions `serve_batch` may spread the books over.
     num_shards: usize,
-    advertisers: Vec<String>,
+    /// Registered advertisers' names, by handle.
+    advertisers: Names,
     /// Every click row a campaign or the builder default registered, each
     /// once; the keyword engines hold ids into it, and every call that
     /// reads probabilities is handed it.
@@ -1364,7 +1392,7 @@ impl Marketplace {
         }
         Ok(MarketState {
             config: self.config(),
-            advertisers: self.advertisers.clone(),
+            advertisers: self.advertisers.iter().map(str::to_string).collect(),
             campaigns,
             clock: self.clock,
             rng_states: self.rng_states().collect(),
@@ -1462,27 +1490,24 @@ impl Marketplace {
     /// owns it.
     pub fn register_advertiser(&mut self, name: impl Into<String>) -> AdvertiserHandle {
         let name = name.into();
+        self.advertisers.push(&name);
         if self.journal.is_some() {
-            self.advertisers.push(name.clone());
             self.record(&MutationRecord::RegisterAdvertiser { name });
-        } else {
-            self.advertisers.push(name);
         }
         self.click_rows.push(None);
-        AdvertiserHandle(self.advertisers.len() - 1)
+        AdvertiserHandle(self.advertisers.starts.len() - 1)
     }
 
     /// The display name an advertiser registered under.
     pub fn advertiser_name(&self, advertiser: AdvertiserHandle) -> Result<&str, MarketError> {
         self.advertisers
             .get(advertiser.0)
-            .map(String::as_str)
             .ok_or(MarketError::UnknownAdvertiser(advertiser))
     }
 
     /// Number of registered advertisers.
     pub fn num_advertisers(&self) -> usize {
-        self.advertisers.len()
+        self.advertisers.starts.len()
     }
 
     /// Number of ad slots per results page.
@@ -1514,7 +1539,7 @@ impl Marketplace {
     /// A point-in-time summary of market shape and progress.
     pub fn snapshot(&self) -> MarketSnapshot {
         MarketSnapshot {
-            advertisers: self.advertisers.len(),
+            advertisers: self.advertisers.starts.len(),
             campaigns: self.num_campaigns_total(),
             keywords: self.books.len(),
             slots: self.num_slots,
@@ -1529,16 +1554,20 @@ impl Marketplace {
     pub fn footprint(&self) -> Ledger {
         let mut ledger = Accountant::default();
         ledger.add(Component::KeywordBooks, HeapUse::of_vec(&self.books));
-        for engine in self.books.iter().filter_map(|book| book.engine.as_ref()) {
+        for engine in self.books.iter().filter_map(|book| book.engine.as_deref()) {
+            ledger.add(
+                Component::KeywordBooks,
+                HeapUse::of_bytes(std::mem::size_of_val(engine)),
+            );
             engine.account(&mut ledger);
             for campaign in engine.bidders() {
                 campaign.account(&mut ledger);
             }
         }
-        let names = self.advertisers.iter().map(footprint::of_string).sum();
         ledger.add(
             Component::AdvertiserNames,
-            HeapUse::of_vec(&self.advertisers) + names,
+            HeapUse::of_vec(&self.advertisers.starts)
+                + footprint::of_string(&self.advertisers.text),
         );
         ledger.add(Component::ClickRowIds, HeapUse::of_vec(&self.click_rows));
         self.clicks.account(&mut ledger);
@@ -1619,7 +1648,7 @@ impl Marketplace {
         // A campaign record holds its advertiser in 32 bits.
         let owner = u32::try_from(advertiser.0)
             .ok()
-            .filter(|_| advertiser.0 < self.advertisers.len())
+            .filter(|_| advertiser.0 < self.advertisers.starts.len())
             .ok_or(MarketError::UnknownAdvertiser(advertiser))?;
         // `None`: purchases never happen.
         let purchase_probs = spec
@@ -1674,13 +1703,13 @@ impl Marketplace {
         // The next auction reads every row, the new one included.
         book.engine
             .get_or_insert_with(|| {
-                AuctionEngine::new(
+                Box::new(AuctionEngine::new(
                     Vec::new(),
                     ClickModel::empty(num_slots),
                     PurchaseModel::never(0, num_slots),
                     num_keywords,
                     config,
-                )
+                ))
             })
             .push_bidder_with_row(
                 Campaign::new(owner, targeting, kind),
@@ -2075,7 +2104,7 @@ impl StateSource for Marketplace {
     }
 
     fn advertisers(&self) -> impl ExactSizeIterator<Item = &str> {
-        self.advertisers.iter().map(String::as_str)
+        self.advertisers.iter()
     }
 
     fn campaign_count(&self) -> usize {
@@ -2629,6 +2658,23 @@ mod tests {
         );
     }
 
+    /// A keyword without campaigns holds no engine: a market built at
+    /// `MAX_KEYWORDS` costs a pointer and an RNG stream per keyword (about
+    /// 1.1 KB each while the engine sat inline in the book).
+    #[test]
+    fn an_empty_keyword_costs_no_engine() {
+        let market = Marketplace::builder()
+            .keywords(MAX_KEYWORDS)
+            .build()
+            .expect("valid configuration");
+        let books = market.footprint().get(Component::KeywordBooks).in_use;
+        let per_keyword = books / MAX_KEYWORDS;
+        assert!(
+            per_keyword <= 64,
+            "an empty keyword costs {per_keyword} B on the keyword books line, at most 64 allowed"
+        );
+    }
+
     /// The ledger enters what campaigns share once: one advertiser's click
     /// row on ten keywords is one flat row of the market's table (and
     /// eleven 4-byte ids: one per engine row, one for the advertiser), and
@@ -3079,9 +3125,9 @@ mod tests {
             assert_eq!(m.num_advertisers(), 2);
             let c = m.register_advertiser("late");
             assert_eq!(m.advertiser_name(c).unwrap(), "late");
-            // One `String` per registration, whatever the shard count.
+            // One name per registration, whatever the shard count.
             assert_eq!(m.snapshot().advertisers, 3);
-            assert_eq!(m.advertisers, ["a", "b", "late"]);
+            assert!(m.advertisers.iter().eq(["a", "b", "late"]));
             // The new advertiser can open campaigns on any shard's keywords.
             for kw in 0..6 {
                 m.add_campaign(c, kw, CampaignSpec::per_click(Money::from_cents(2)))

@@ -4,9 +4,12 @@
 //! says are in use match what building the market adds to the resident
 //! set, within an eighth of the ledger either way. The residue is what
 //! the ledger does not count: the allocator's per-allocation overhead on
-//! ≈ 5 400 small allocations (advertiser names) and the buffers vectors
-//! left behind as they grew, which stay resident. It reads ≈ +0.29 MB on a
-//! 3.4 MB ledger (≈ +8 %) in debug and release builds alike; it read
+//! ≈ 415 allocations and the buffers vectors left behind as they grew,
+//! which stay resident. It reads ≈ +0.30–0.37 MB on a 3.32 MB ledger
+//! (9–11 %), debug or release, with the harness capturing output or not.
+//! While each advertiser name was an allocation of its own (≈ 5 400
+//! allocations) it read +0.29 MB with `--nocapture` but +0.42 MB (12.4 %,
+//! less than a page inside the bound) under the default capture; it read
 //! ≈ +0.4 MB on 4.1 MB while each click row was an allocation of its own.
 //! One `#[test]`, because resident set size is process-wide.
 //! Linux-only: it is read from `/proc/self/status`.

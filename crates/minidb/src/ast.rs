@@ -185,8 +185,4 @@ pub enum Statement {
         /// New value.
         value: Expr,
     },
-    /// `EXPLAIN stmt` — plans the inner statement without executing it and
-    /// returns the chosen physical access paths
-    /// ([`crate::ExecOutcome::Explain`]).
-    Explain(Box<Statement>),
 }

@@ -432,8 +432,8 @@ impl CompiledExpr {
         }
     }
 
-    /// The planned subqueries embedded in this expression (for explain
-    /// rendering and index-requirement collection).
+    /// The planned subqueries embedded in this expression (for
+    /// index-requirement collection).
     pub(crate) fn subqueries(&self) -> impl Iterator<Item = &PlannedSelect> {
         self.ops.iter().filter_map(|op| match op {
             Op::Subquery(s) => Some(&**s),

@@ -17,7 +17,7 @@
 
 use crate::ast::Statement;
 use crate::error::{DbError, DbResult};
-use crate::plan::{self, ExplainLine, PlannedScript, PlannerCounters};
+use crate::plan::{self, PlannedScript, PlannerCounters};
 use crate::prepared::{Prepared, NO_PARAMS};
 use crate::script::{CatalogShape, Script, Trigger};
 use crate::table::{push_exact, Row, Schema, Table};
@@ -42,8 +42,6 @@ pub enum ExecOutcome {
     Rows(Vec<Row>),
     /// A control statement (`IF`, `SET`) completed.
     Done,
-    /// Access paths chosen for an `EXPLAIN`ed statement (nothing ran).
-    Explain(Vec<ExplainLine>),
 }
 
 #[derive(Debug, Clone)]

@@ -48,8 +48,8 @@
 //! 3. **Access-path planning** — a tiny planner turns `WHERE col = key`
 //!    into an index lookup when it can prove the result (including errors)
 //!    is identical to a scan; everything else stays a full scan.
-//!    [`Database::explain`] (SQL: `EXPLAIN <stmt>`) reports the chosen
-//!    access path without executing anything.
+//!    [`Database::planner_stats`] counts the choices as they run: index
+//!    probes, rows scanned and plans cached.
 //! 4. **Compiled predicates** — expressions are compiled to a flat
 //!    postfix op sequence over [`Value`]s, so the per-row hot loop never
 //!    recurses through the AST.
@@ -148,7 +148,7 @@ mod vars;
 
 pub use error::{DbError, DbResult};
 pub use exec::{Database, ExecOutcome};
-pub use plan::{ExplainAccess, ExplainLine, PlannerStats};
+pub use plan::PlannerStats;
 pub use prepared::{Params, Prepared, NO_PARAMS};
 pub use script::interned_scripts;
 pub use table::{Column, Row, Schema, Table};

@@ -45,7 +45,6 @@ use crate::compile::{
 };
 use crate::error::{DbError, DbResult};
 use crate::exec::{Database, ExecOutcome};
-use crate::parser::parse_script;
 use crate::prepared::Params;
 use crate::script::{CatalogShape, Script, Trigger};
 use crate::table::{Row, Table};
@@ -141,33 +140,6 @@ fn lock_cache(cache: &PlanCache) -> std::sync::MutexGuard<'_, Option<Arc<Planned
 }
 
 // ---------------------------------------------------------------------------
-// Explain surface.
-// ---------------------------------------------------------------------------
-
-/// The physical access path a plan line uses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExplainAccess {
-    /// The operation reads no table (INSERT, SET, IF, DDL).
-    None,
-    /// Every row of the table is scanned.
-    FullScan,
-    /// A hash-index equality probe on the named column.
-    IndexLookup {
-        /// Canonical (schema-cased) name of the probed column.
-        column: String,
-    },
-}
-
-/// One line of `EXPLAIN` output: an operation plus its access path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExplainLine {
-    /// Operation description, e.g. `SELECT FROM Keywords`.
-    pub op: String,
-    /// Chosen access path.
-    pub access: ExplainAccess,
-}
-
-// ---------------------------------------------------------------------------
 // Plan structures.
 // ---------------------------------------------------------------------------
 
@@ -200,12 +172,8 @@ enum PlanKind {
     },
     SetVar {
         name: Arc<VarName>,
-        /// The spelling `EXPLAIN` shows.
-        display: String,
         value: CompiledExpr,
     },
-    /// `EXPLAIN stmt`: the rendered plan of the inner statement.
-    Explain(Vec<ExplainLine>),
 }
 
 #[derive(Debug)]
@@ -306,7 +274,6 @@ enum AccessKind {
         /// Remaining conjuncts (all statically infallible), evaluated on
         /// each probed row.
         residual: Option<CompiledExpr>,
-        column_display: String,
     },
 }
 
@@ -450,12 +417,7 @@ fn plan_kind(db: &Database, stmt: &Statement, triggers: &[Arc<Trigger>]) -> Plan
         },
         Statement::SetVar { name, value } => PlanKind::SetVar {
             name: VarName::intern(name),
-            display: name.clone(),
             value: compile_expr(value, db, &[]),
-        },
-        Statement::Explain(inner) => match explain_statement(db, inner) {
-            Ok(lines) => PlanKind::Explain(lines),
-            Err(e) => PlanKind::Raise(e),
         },
     }
 }
@@ -561,8 +523,7 @@ fn plan_access(
     let mut conjuncts = Vec::new();
     flatten_and(pred, &mut conjuncts);
     for i in 0..conjuncts.len() {
-        let Some((col, key_expr, column_display)) = eq_probe(conjuncts[i], scopes, scan_depth)
-        else {
+        let Some((col, key_expr)) = eq_probe(conjuncts[i], scopes, scan_depth) else {
             continue;
         };
         // Rows the probe skips never evaluate the residual conjuncts, so
@@ -590,7 +551,6 @@ fn plan_access(
                 col,
                 key: compile_expr(key_expr, db, scopes),
                 residual,
-                column_display,
             },
             full_pred: Some(full),
         };
@@ -612,13 +572,12 @@ fn flatten_and<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
 
 /// Checks whether a conjunct has the shape `col = key` (either side) with
 /// `col` an indexable column of the scanned table and `key` independent of
-/// the scanned row. Returns the column ordinal, the key expression, and
-/// the column's canonical (schema-cased) name.
+/// the scanned row. Returns the column ordinal and the key expression.
 fn eq_probe<'e>(
     conjunct: &'e Expr,
     scopes: &[CScope<'_>],
     scan_depth: usize,
-) -> Option<(usize, &'e Expr, String)> {
+) -> Option<(usize, &'e Expr)> {
     let Expr::Cmp(l, CmpOp::Eq, r) = conjunct else {
         return None;
     };
@@ -637,7 +596,7 @@ fn eq_probe<'e>(
             continue;
         }
         if scope_independent(key_side, scopes, scan_depth) {
-            return Some((col, key_side, column.name.clone()));
+            return Some((col, key_side));
         }
     }
     None
@@ -649,7 +608,7 @@ fn eq_probe<'e>(
 
 fn collect_reqs_kind(kind: &PlanKind, out: &mut Vec<(usize, usize)>) {
     match kind {
-        PlanKind::Ddl(_) | PlanKind::Raise(_) | PlanKind::Explain(_) => {}
+        PlanKind::Ddl(_) | PlanKind::Raise(_) => {}
         PlanKind::Insert(pi) => {
             for prow in &pi.rows {
                 for ce in &prow.exprs {
@@ -724,156 +683,6 @@ fn collect_reqs_access(table: usize, access: &AccessPlan, out: &mut Vec<(usize, 
 fn collect_reqs_expr(ce: &CompiledExpr, out: &mut Vec<(usize, usize)>) {
     for sub in ce.subqueries() {
         collect_reqs_select(sub, out);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Explain rendering.
-// ---------------------------------------------------------------------------
-
-/// Plans `stmt` and renders the chosen access paths. Pure (`&Database`):
-/// never creates an index, caches a plan, or bumps a counter.
-pub(crate) fn explain_statement(db: &Database, stmt: &Statement) -> DbResult<Vec<ExplainLine>> {
-    let plan = plan_statement(db, stmt, &[]);
-    let mut render = Render {
-        shape: &db.shape,
-        out: Vec::new(),
-    };
-    render.kind(&plan.kind)?;
-    Ok(render.out)
-}
-
-fn access_of(access: &AccessPlan) -> ExplainAccess {
-    match &access.kind {
-        AccessKind::Scan => ExplainAccess::FullScan,
-        AccessKind::IndexEq { column_display, .. } => ExplainAccess::IndexLookup {
-            column: column_display.clone(),
-        },
-    }
-}
-
-/// `EXPLAIN` output under construction, with the catalog shape the plan
-/// was lowered at (which names the plan's table positions).
-struct Render<'a> {
-    shape: &'a CatalogShape,
-    out: Vec<ExplainLine>,
-}
-
-impl Render<'_> {
-    fn line(&mut self, op: String, access: ExplainAccess) {
-        self.out.push(ExplainLine { op, access });
-    }
-
-    fn table(&self, pos: usize) -> &str {
-        &self.shape.tables()[pos].display
-    }
-
-    fn kind(&mut self, kind: &PlanKind) -> DbResult<()> {
-        match kind {
-            PlanKind::Ddl(_) => self.line("DDL".to_string(), ExplainAccess::None),
-            PlanKind::Raise(e) => return Err(e.clone()),
-            PlanKind::Explain(lines) => self.out.extend(lines.iter().cloned()),
-            PlanKind::SetVar { display, value, .. } => {
-                self.line(format!("SET {display}"), ExplainAccess::None);
-                self.expr_subqueries(value)?;
-            }
-            PlanKind::If { arms, else_block } => {
-                self.line("IF".to_string(), ExplainAccess::None);
-                for (cond, block) in arms {
-                    self.expr_subqueries(cond)?;
-                    for (_, plan) in &block.stmts {
-                        self.kind(&plan.kind)?;
-                    }
-                }
-                if let Some(block) = else_block {
-                    for (_, plan) in &block.stmts {
-                        self.kind(&plan.kind)?;
-                    }
-                }
-            }
-            PlanKind::Insert(pi) => {
-                self.line(
-                    format!("INSERT INTO {}", self.table(pi.table)),
-                    ExplainAccess::None,
-                );
-                for prow in &pi.rows {
-                    for ce in &prow.exprs {
-                        self.expr_subqueries(ce)?;
-                    }
-                }
-            }
-            PlanKind::Update(pu) => {
-                self.line(
-                    format!("UPDATE {}", self.table(pu.table)),
-                    access_of(&pu.access),
-                );
-                self.access_subqueries(&pu.access)?;
-                for (_, ce) in &pu.sets {
-                    self.expr_subqueries(ce)?;
-                }
-            }
-            PlanKind::Delete(pd) => {
-                self.line(
-                    format!("DELETE FROM {}", self.table(pd.table)),
-                    access_of(&pd.access),
-                );
-                self.access_subqueries(&pd.access)?;
-            }
-            PlanKind::Select(ps) => self.select(ps, "SELECT")?,
-        }
-        Ok(())
-    }
-
-    fn select(&mut self, ps: &PlannedSelect, label: &str) -> DbResult<()> {
-        if let Some(e) = &ps.error {
-            return Err(e.clone());
-        }
-        self.line(
-            format!("{label} FROM {}", self.table(ps.table)),
-            access_of(&ps.access),
-        );
-        self.access_subqueries(&ps.access)?;
-        match &ps.proj {
-            Proj::Rows(items) => {
-                for item in items {
-                    if let PItem::Expr(ce) = item {
-                        self.expr_subqueries(ce)?;
-                    }
-                }
-            }
-            Proj::Aggs(aggs) => {
-                for agg in aggs {
-                    if let PAgg::Over(_, ce) = agg {
-                        self.expr_subqueries(ce)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn access_subqueries(&mut self, access: &AccessPlan) -> DbResult<()> {
-        match &access.kind {
-            AccessKind::Scan => {
-                if let Some(p) = &access.full_pred {
-                    self.expr_subqueries(p)?;
-                }
-            }
-            AccessKind::IndexEq { key, residual, .. } => {
-                self.expr_subqueries(key)?;
-                if let Some(r) = residual {
-                    self.expr_subqueries(r)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn expr_subqueries(&mut self, ce: &CompiledExpr) -> DbResult<()> {
-        for sub in ce.subqueries() {
-            self.select(sub, "SUBQUERY SELECT")?;
-        }
-        Ok(())
     }
 }
 
@@ -1198,7 +1007,6 @@ impl Database {
         match &plan.kind {
             PlanKind::Ddl(trigger) => self.exec_ddl(source, trigger.as_ref()),
             PlanKind::Raise(e) => Err(e.clone()),
-            PlanKind::Explain(lines) => Ok(ExecOutcome::Explain(lines.clone())),
             PlanKind::SetVar { name, value, .. } => {
                 let v = {
                     let mut cx = EvalCx::new(&*self, params);
@@ -1337,41 +1145,6 @@ impl Database {
 
     // ---- public planner API ----------------------------------------------
 
-    /// Plans every statement of `sql` and returns the chosen physical
-    /// access paths without executing anything.
-    ///
-    /// Introspection is pure: it takes `&self`, creates no indexes, caches
-    /// no plans, and bumps no counters — serve paths draw identical RNG
-    /// streams whether or not an explain call happens between auctions.
-    /// The same output is available through SQL as `EXPLAIN <stmt>`
-    /// ([`ExecOutcome::Explain`]).
-    ///
-    /// ```
-    /// use ssa_minidb::{Database, ExplainAccess};
-    ///
-    /// let mut db = Database::new();
-    /// db.run("CREATE TABLE Keywords (text TEXT, bid INT)").unwrap();
-    /// db.run("INSERT INTO Keywords VALUES ('boot', 4)").unwrap();
-    ///
-    /// let lines = db.explain("SELECT bid FROM Keywords WHERE text = 'boot'").unwrap();
-    /// assert_eq!(lines[0].op, "SELECT FROM Keywords");
-    /// assert_eq!(
-    ///     lines[0].access,
-    ///     ExplainAccess::IndexLookup { column: "text".into() }
-    /// );
-    ///
-    /// let lines = db.explain("SELECT bid FROM Keywords WHERE bid > 2").unwrap();
-    /// assert_eq!(lines[0].access, ExplainAccess::FullScan);
-    /// ```
-    pub fn explain(&self, sql: &str) -> DbResult<Vec<ExplainLine>> {
-        let statements = parse_script(sql)?;
-        let mut lines = Vec::new();
-        for stmt in &statements {
-            lines.extend(explain_statement(self, stmt)?);
-        }
-        Ok(lines)
-    }
-
     /// Current planner counters (monotonic since the database was created).
     pub fn planner_stats(&self) -> PlannerStats {
         PlannerStats {
@@ -1411,15 +1184,6 @@ mod tests {
         let before = db.planner_stats();
         let mut results = Vec::new();
         for sql in spellings {
-            // Explain reports the canonical, schema-cased column every time.
-            let lines = db.explain(sql).unwrap();
-            assert_eq!(
-                lines[0].access,
-                ExplainAccess::IndexLookup {
-                    column: "Text".into()
-                },
-                "spelling {sql:?} must plan an index probe"
-            );
             results.push(db.query(sql).unwrap());
         }
         assert_eq!(results[0], results[1]);
@@ -1435,35 +1199,6 @@ mod tests {
             after.rows_scanned, before.rows_scanned,
             "index probes must not scan"
         );
-    }
-
-    #[test]
-    fn explain_does_not_execute_or_cache() {
-        let mut db = seeded();
-        db.run(
-            "CREATE TRIGGER bump AFTER INSERT ON Keywords { \
-             UPDATE Keywords SET Bid = Bid + 1 WHERE Text = 'boot' }",
-        )
-        .unwrap();
-        let rows_before = db.query("SELECT Text, Bid FROM Keywords").unwrap();
-        let stats_before = db.planner_stats();
-        for sql in [
-            "EXPLAIN SELECT * FROM Keywords WHERE Text = 'boot'",
-            "EXPLAIN INSERT INTO Keywords VALUES ('new', 1)",
-            "EXPLAIN UPDATE Keywords SET Bid = 0 WHERE Bid = 4",
-            "EXPLAIN DELETE FROM Keywords WHERE Text = 'sock'",
-        ] {
-            let out = db.run(sql).unwrap();
-            assert!(matches!(out[0], ExecOutcome::Explain(_)));
-        }
-        // Nothing ran: no rows changed, no trigger fired, no counters moved.
-        assert_eq!(
-            db.query("SELECT Text, Bid FROM Keywords").unwrap(),
-            rows_before
-        );
-        let stats_after = db.planner_stats();
-        assert_eq!(stats_after.index_hits, stats_before.index_hits);
-        assert_eq!(stats_after.plans_cached, stats_before.plans_cached);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! `insert_reference`, and `Prepared::execute_reference` and
 //! `query_reference`, are the twins of the production entry points. The
 //! triggers an insert fires run here too. DDL has one home,
-//! `Database::exec_ddl`, which both executors call; `EXPLAIN` renders the
-//! planner's choice without executing anything, as in production.
+//! `Database::exec_ddl`, which both executors call.
 
 use crate::ast::{AggFunc, CmpOp, ColumnRef, Expr, Select, SelectItem, SetClause, Statement};
 use crate::error::{DbError, DbResult};
@@ -98,9 +97,6 @@ impl Database {
                 let v = Evaluator::global(self, params).eval(value)?;
                 self.vars.set_named(name, v);
                 Ok(ExecOutcome::Done)
-            }
-            Statement::Explain(inner) => {
-                Ok(ExecOutcome::Explain(plan::explain_statement(self, inner)?))
             }
         }
     }

@@ -268,9 +268,6 @@ impl Derived {
                 else_block.iter().flatten().for_each(|s| self.statement(s));
             }
             Statement::SetVar { value, .. } => self.expr(value),
-            // EXPLAIN only plans its inner statement: parameters are never
-            // resolved and triggers never installed.
-            Statement::Explain(_) => {}
         }
     }
 

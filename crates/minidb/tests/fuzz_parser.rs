@@ -99,6 +99,7 @@ fn body_statement() -> impl Strategy<Value = (&'static str, bool)> {
             false
         )),
         Just(("EXPLAIN SELECT a FROM t", false)),
+        Just(("VACUUM t", false)),
     ]
 }
 

@@ -123,7 +123,7 @@ impl SectionVWorkload {
                     let fix = rng.gen_range(0..kw);
                     values[fix] = rng.gen_range(1..=50);
                 }
-                let max_value = *values.iter().max().expect("kw ≥ 1");
+                let max_value = values.iter().copied().max().unwrap_or(0);
                 // Target rates U(1, max value).
                 let target_spend_rate = if max_value > 1 {
                     rng.gen_range(1.0..max_value as f64)
@@ -148,6 +148,8 @@ impl SectionVWorkload {
         // [0.1, 0.9] split into k intervals; slot j (1-based) gets the j-th
         // highest. p(i, j) uniform within slot j's interval.
         let width = 0.8 / k as f64;
+        // Invariant: every draw lies in [0.1, 0.9], a valid probability.
+        #[allow(clippy::expect_used)]
         let clicks = ClickModel::from_fn(n, k, |_, j| {
             let hi = 0.9 - j as f64 * width;
             let lo = hi - width;

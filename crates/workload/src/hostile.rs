@@ -128,6 +128,8 @@ impl WorkloadShape {
                         Some(*acc)
                     })
                     .collect();
+                // Invariant: `kw` is at least 1, so the CDF has a last entry.
+                #[allow(clippy::expect_used)]
                 let total = *cdf.last().expect("kw >= 1");
                 // A seeded rotation decouples "hot" from "keyword 0" so
                 // the hot set exercises different shards per seed.

@@ -19,7 +19,7 @@
 
 use crate::config::SectionVWorkload;
 use crate::sim::SimulationStats;
-use crate::sql::SharedProgram;
+use crate::sql::{lock_program, SharedProgram};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace, QueryRequest};
 use ssa_core::{PricingScheme, WdMethod};
 use ssa_strategy::RoiBidder;
@@ -97,11 +97,7 @@ impl MarketSimulation {
     /// Current bid (cents) of advertiser `adv` on `keyword`, read from the
     /// shared strategy state.
     pub fn bid_of(&self, adv: usize, keyword: usize) -> i64 {
-        self.programs[adv]
-            .lock()
-            .expect("ROI strategy state poisoned")
-            .keywords[keyword]
-            .bid
+        lock_program(&self.programs[adv]).keywords[keyword].bid
     }
 }
 

@@ -41,6 +41,9 @@ pub struct TaSlotSource<'a> {
     pub keyword: usize,
 }
 
+// Invariant: the threshold algorithm asks only for the lists
+// `num_lists` reports.
+#[allow(clippy::unreachable)]
 impl TaSource for TaSlotSource<'_> {
     fn num_lists(&self) -> usize {
         2

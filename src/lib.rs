@@ -235,12 +235,10 @@
 //! only into minidb's own test build, where a proptest equivalence suite
 //! calls it by name as the oracle. The `native|sql` Section V workload
 //! check holds the SQL population to its native twin, bit for bit.
-//! [`minidb::Database::explain`] (and the `EXPLAIN` statement) report
-//! the chosen access path without executing — provably without
-//! disturbing RNG or trigger state — and planner counters
-//! (`index_hits`, `rows_scanned`, `plans_cached`) flow through
-//! `reproduce --strategy sql --json` so CI tracks whether the index
-//! path actually served.
+//! The planner's choices are watched through its counters
+//! ([`minidb::Database::planner_stats`]: `index_hits`, `rows_scanned`,
+//! `plans_cached`), which flow through `reproduce --strategy sql --json`
+//! so CI tracks whether the index path actually served.
 //!
 //! ## Low-level escape hatch: driving `AuctionEngine` by hand
 //!
@@ -388,8 +386,9 @@
 //!   across keywords (and across `from_state` and journal replay), a
 //!   targeting text is compiled once per market, and a one-row
 //!   [`bidlang::BidsTable`] is stored inline. A per-click campaign at 15
-//!   slots holds 72.2 B of the market's ledger (87.0 B while rows were
-//!   `Arc`s); one whose row differs on every keyword, 180.2 B.
+//!   slots holds 70.6 B of the market's ledger (87.0 B while rows were
+//!   `Arc`s, 72.2 B while each advertiser name was a `String`); one whose
+//!   row differs on every keyword, 178.6 B.
 //! * **Slot-major matrix layout** — [`matching::RevenueMatrix`] stores
 //!   `data[slot * n + adv]`, so the per-slot column scans of the solvers
 //!   (and the pruning floor pass) walk contiguous memory.
