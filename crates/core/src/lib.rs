@@ -39,9 +39,9 @@
 //! guarantee).
 //!
 //! Campaigns can be *SQL bidding programs* (Section II-B): [`sqlprog`]
-//! packages a script pair (schema + triggers, executed by the embedded
-//! `ssa_minidb` engine through its prepared-statement layer) as a
-//! [`Bidder`], registered via
+//! compiles a script pair (schema + triggers, executed by the embedded
+//! `ssa_minidb` engine) once as a [`SqlProgram`], and runs it per campaign
+//! as a [`Bidder`], registered via
 //! [`marketplace::CampaignSpec::sql_program`].
 //!
 //! The Section III-F heavyweight/lightweight extension lives in
@@ -85,6 +85,6 @@ pub use pricing::{ParsePricingError, PricingScheme, SlotPrice};
 pub use prob::{ClickModel, ClickRows, PurchaseModel, SeparableClickModel};
 pub use revenue::{expected_revenue, revenue_matrix, revenue_matrix_into, NoSlotValues};
 pub use sharded::{parse_shards, shard_of_keyword, ParseShardsError, ShardedMarketplace};
-pub use sqlprog::{SqlProgramBidder, SqlProgramError};
+pub use sqlprog::{SqlProgram, SqlProgramBidder, SqlProgramError};
 pub use ssa_bidlang::targeting::{AttrValue, CompiledTargeting, UserAttrs};
 pub use state::{CampaignState, CampaignView, MarketConfigState, MarketState, StateSource};

@@ -106,7 +106,7 @@ use crate::journal::{MutationJournal, MutationRecord};
 use crate::pricing::PricingScheme;
 use crate::prob::{ClickModel, ClickRowId, ClickTable, PurchaseModel};
 use crate::sharded::shard_of_keyword;
-use crate::sqlprog::{SqlProgramBidder, SqlProgramError};
+use crate::sqlprog::{SqlProgram, SqlProgramBidder, SqlProgramError};
 use crate::state::{CampaignView, MarketConfigState, MarketState, StateSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -389,34 +389,34 @@ impl CampaignSpec {
         CampaignSpec::new(ProgramSpec::Program(bidder))
     }
 
-    /// A Section II-B **SQL bidding program**: `tables` sets up the
-    /// program's private schema/state and `program` installs its triggers,
-    /// both executed by the embedded [`ssa_minidb`] engine under the host
-    /// protocol documented at [`crate::sqlprog`]. The scripts are parsed
-    /// once at registration (prepared statements thereafter); a program
-    /// that errors at auction time is excluded from the matching rather
-    /// than taking serving down.
+    /// A Section II-B **SQL bidding program**: one campaign running
+    /// `program`, compiled once by [`SqlProgram::compile`] from its
+    /// `tables` and `program` scripts, with its own initial state bound
+    /// from `params`, under the host protocol documented at
+    /// [`crate::sqlprog`]. A program that errors at auction time is
+    /// excluded from the matching rather than taking serving down.
     ///
     /// ```
     /// use ssa_core::marketplace::CampaignSpec;
+    /// use ssa_core::SqlProgram;
     /// use ssa_minidb::Params;
     ///
-    /// let spec = CampaignSpec::sql_program(
-    ///     "CREATE TRIGGER bid AFTER INSERT ON Query
-    ///      { UPDATE Bids SET value = value + 1; }",
+    /// let program = SqlProgram::compile(
     ///     "CREATE TABLE Query (kw INT);
     ///      CREATE TABLE Bids (formula TEXT, value INT);
     ///      INSERT INTO Bids VALUES ('Click', :start);",
-    ///     &Params::new().bind("start", 10),
+    ///     "CREATE TRIGGER bid AFTER INSERT ON Query
+    ///      { UPDATE Bids SET value = value + 1; }",
     /// )
     /// .expect("well-formed program");
+    /// let spec = CampaignSpec::sql_program(&program, &Params::new().bind("start", 10))
+    ///     .expect("the parameters fit the program");
     /// ```
     pub fn sql_program(
-        program: &str,
-        tables: &str,
+        program: &SqlProgram,
         params: &ssa_minidb::Params,
     ) -> Result<Self, SqlProgramError> {
-        let bidder = SqlProgramBidder::new(tables, program, params)?;
+        let bidder = SqlProgramBidder::new(program, params)?;
         Ok(CampaignSpec::new(ProgramSpec::Program(Box::new(bidder))))
     }
 
@@ -2493,14 +2493,15 @@ mod tests {
                 .expect("valid configuration");
             let a = market.register_advertiser("a");
             let spec = if sql {
-                CampaignSpec::sql_program(
-                    "",
+                let program = SqlProgram::compile(
                     "CREATE TABLE Query (kw INT); \
                      CREATE TABLE Bids (formula TEXT, value INT); \
                      INSERT INTO Bids VALUES ('Click', :bid);",
-                    &ssa_minidb::Params::new().bind("bid", 25),
+                    "",
                 )
-                .expect("well-formed program")
+                .expect("well-formed program");
+                CampaignSpec::sql_program(&program, &ssa_minidb::Params::new().bind("bid", 25))
+                    .expect("the parameters fit the program")
             } else {
                 CampaignSpec::per_click(Money::from_cents(25))
             };

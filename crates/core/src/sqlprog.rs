@@ -4,9 +4,10 @@
 //! core of the system: advertisers submit "simple SQL updates without
 //! recursion and side-effects", activated by triggers when an auction
 //! begins, reading provider-maintained shared variables and emitting a
-//! Bids table. [`SqlProgramBidder`] is that contract executed for real by
-//! the [`ssa_minidb`] engine, packaged as a [`crate::Bidder`] so a SQL
-//! program can be registered on a [`crate::marketplace::Marketplace`] via
+//! Bids table. [`SqlProgram`] is such a program compiled once, and
+//! [`SqlProgramBidder`] one campaign running it on the [`ssa_minidb`]
+//! engine, packaged as a [`crate::Bidder`] so a SQL program can be
+//! registered on a [`crate::marketplace::Marketplace`] via
 //! [`crate::marketplace::CampaignSpec::sql_program`] like any other
 //! campaign — and migrate to shard worker threads (`SqlProgramBidder` is
 //! `Send`).
@@ -19,17 +20,20 @@
 //!   single-column `Query` table (the trigger activation channel) and a
 //!   `Bids` table whose first two columns are the formula text and the bid
 //!   value in cents. An optional single-column `Outcome` table opts into
-//!   post-auction settlement notifications. The script is executed once at
-//!   construction through the prepared-statement layer, so `?`/`:name`
-//!   placeholders in it are bound from the `params` argument — numeric
-//!   initial state round-trips exactly instead of being string-formatted.
+//!   post-auction settlement notifications. Its DDL runs once, when the
+//!   program compiles, so it must come before the data statements and stay
+//!   outside `IF` blocks: the catalog cannot depend on a campaign's
+//!   parameters. The data statements (`INSERT`, `SET`, …) run once per
+//!   campaign, with `?`/`:name` placeholders bound from the campaign's
+//!   `params` — numeric initial state round-trips exactly instead of being
+//!   string-formatted.
 //! * **`program`** — the bidding program proper, normally `CREATE
 //!   TRIGGER … AFTER INSERT ON Query { … }` (and, if settlement matters,
 //!   a second trigger on `Outcome`).
 //!
 //! Programs are "simple SQL updates without recursion and side-effects":
 //! that is minidb's parse rule. A trigger body may hold only `UPDATE`,
-//! `DELETE`, `SET`, `IF` and `SELECT`, so [`SqlProgramBidder::new`] refuses
+//! `DELETE`, `SET`, `IF` and `SELECT`, so [`SqlProgram::compile`] refuses
 //! a script installing any other before running anything, with
 //! [`DbError::TriggerBody`] naming the statement and the trigger. Triggers
 //! fire only on `INSERT`, so no trigger fires another.
@@ -53,21 +57,20 @@
 //!
 //! # One compiled program, many campaigns
 //!
-//! Registering the same `tables`/`program` text for another campaign costs
-//! that campaign's rows, indexes and variable values, 16 bytes a value, and
-//! nothing else: the scripts are interned by [`ssa_minidb`] (parsed once
-//! per distinct text, and every program holds its two, so a text stays
-//! compiled while any campaign runs it), the installed triggers are the
-//! ones the interned script owns, names included, the three host
-//! statements above are prepared from fixed texts, the catalog — table
-//! names and column lists — is the interned *shape* all programs built
-//! from one `tables` script have in common, every lowered plan holds that
-//! shape, and the variable names (`time`, `price`, …) are one interned
-//! list. A Figure 5 program costs about 0.95 KB resident built and 1.16 KB
-//! once it has served (`tests/sqlprog_footprint.rs`).
-//! [`SqlProgramBidder::new`] plans (or adopts) all of it — trigger bodies
-//! and host statements — so registration, not the first auction, pays for
-//! planning.
+//! [`SqlProgram::compile`] does everything that depends only on the two
+//! texts, once: it parses them, runs their DDL into one template catalog
+//! (an [`ssa_minidb::Template`]), checks the host protocol above on it, and
+//! lowers the scripts' data statements, every trigger body and the three
+//! host statements against it, with the variable names (`time`, `price`,
+//! …) fixed in the catalog. Its holder — a population builder registering
+//! thousands of campaigns — keeps the value and passes it to
+//! [`SqlProgramBidder::new`] per campaign. A campaign then costs its rows,
+//! indexes and variable values, 16 bytes a value, and nothing else: it
+//! runs the `tables` data statements with its own parameters on the plans
+//! lowered once and shares everything else through the `Arc`s the program
+//! hands out. A Figure 5 program costs about 0.9 KB resident built and
+//! 1.1 KB once it has served (`tests/sqlprog_footprint.rs`), and
+//! registration, not the first auction, builds the indexes its plans probe.
 //!
 //! A program that errors mid-auction (type error, overflow, deleted
 //! tables, …) submits **no bids** from that auction on: defective
@@ -86,7 +89,7 @@
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use ssa_bidlang::{parse_formula, BidsTable, Formula, Money};
-use ssa_minidb::{Database, DbError, Params, Prepared, Text, Value, NO_PARAMS};
+use ssa_minidb::{Database, DbError, Params, Prepared, Template, Text, Value, NO_PARAMS};
 use std::fmt;
 
 // Figure 5's bid trigger, line 11's comparison corrected to `>`. A macro,
@@ -177,11 +180,12 @@ pub fn roi_params(value: i64, bid: i64, roi: f64, rate: f64) -> Params {
         .bind("rate", rate)
 }
 
-/// Why a pair of scripts could not be assembled into a
-/// [`SqlProgramBidder`].
+/// Why a pair of scripts could not be compiled into a [`SqlProgram`], or a
+/// campaign instantiated from one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SqlProgramError {
-    /// A script failed to parse or execute.
+    /// A script failed to parse or execute, or its DDL could depend on
+    /// its data ([`DbError::DdlAfterData`]).
     Db(DbError),
     /// The `tables` script did not create a required table.
     MissingTable(&'static str),
@@ -227,45 +231,40 @@ impl From<DbError> for SqlProgramError {
     }
 }
 
-/// A Section II-B SQL bidding program executing inside its own private
-/// [`Database`], speaking the host protocol described in the
-/// [module docs](crate::sqlprog).
-pub struct SqlProgramBidder {
-    db: Database,
-    /// The `tables` and `program` scripts. Nothing executes them again;
-    /// they are held so the next campaign registering the same texts finds
-    /// them still interned — and installs these very trigger bodies —
-    /// instead of parsing its own.
-    _scripts: [Prepared; 2],
-    /// `SELECT` of the first two Bids columns — prepared once.
-    read_bids: Prepared,
-    /// Clears the activation tables between auctions so a long-lived
-    /// campaign's memory stays flat (prepared once each).
-    clear_query: Prepared,
-    /// `Some` exactly when the program opted into settlement via an
-    /// `Outcome` table.
-    clear_outcome: Option<Prepared>,
-    /// Formula text → parsed formula, in first-seen order. Programs emit a
-    /// small, stable set of formulas (Figure 5 emits one), so a linear
-    /// search beats a hash map's buckets; parsing each text once keeps the
-    /// hot path free of the formula parser.
-    formulas: Vec<(Text, Formula)>,
-    /// First execution error, if any; once set the program bids nothing.
-    error: Option<Box<DbError>>,
+/// The variables the host sets, in the order it sets them: named in every
+/// compiled program's catalog, so no campaign grows a catalog of its own.
+const HOST_VARIABLES: [&str; 6] = ["time", "keyword", "slot", "clicked", "purchased", "price"];
+
+/// A Section II-B SQL bidding program compiled once: the template every
+/// campaign's database is instantiated from, and the host statements,
+/// lowered at its catalog. See the [module docs](crate::sqlprog).
+#[derive(Debug)]
+pub struct SqlProgram {
+    template: Template,
+    host: HostStatements,
 }
 
-impl SqlProgramBidder {
-    /// Assembles a program: parses both scripts (which refuses a trigger
-    /// body breaking the program contract), runs `tables` (with `params`
-    /// bound through the prepared-statement layer), then `program`, then
-    /// validates the host protocol's table contract.
-    pub fn new(tables: &str, program: &str, params: &Params) -> Result<Self, SqlProgramError> {
-        let mut db = Database::new();
-        let mut tables = db.prepare(tables)?;
-        let mut program = db.prepare(program)?;
-        tables.execute(&mut db, params)?;
-        program.execute(&mut db, NO_PARAMS)?;
-        let columns = |table| db.table(table).map(|t| t.schema().len());
+/// The host's statements, lowered once per program; each campaign runs
+/// clones of them.
+#[derive(Debug, Clone)]
+struct HostStatements {
+    /// `SELECT` of the Bids table.
+    read_bids: Prepared,
+    /// Clears the activation tables between auctions, so a campaign's
+    /// memory stays flat; `clear_outcome` exists if `Outcome` does.
+    clear_query: Prepared,
+    clear_outcome: Option<Prepared>,
+}
+
+impl SqlProgram {
+    /// Compiles a program: parses both scripts (which refuses a trigger
+    /// body breaking the program contract), runs their DDL into one
+    /// catalog, validates the host protocol's table contract on it, and
+    /// lowers the data statements, the trigger bodies and the host
+    /// statements against it.
+    pub fn compile(tables: &str, program: &str) -> Result<Self, SqlProgramError> {
+        let template = Template::compile(&[tables, program], &HOST_VARIABLES)?;
+        let columns = |table| template.table(table).map(|t| t.schema().len());
         // `Query` and `Outcome` hold one activation value, if they exist.
         let activation = |table: &'static str| match columns(table) {
             Ok(got) if got != 1 => Err(SqlProgramError::ActivationArity { table, got }),
@@ -279,29 +278,53 @@ impl SqlProgramBidder {
             Ok(got) if got < 2 => return Err(SqlProgramError::BidsArity { got }),
             Ok(_) => {}
         }
-        let has_outcome = activation("Outcome")?;
-        let mut read_bids = db.prepare("SELECT * FROM Bids")?;
-        let mut clear_query = db.prepare("DELETE FROM Query")?;
-        let mut clear_outcome = has_outcome
-            .then(|| db.prepare("DELETE FROM Outcome"))
-            .transpose()?;
-        // Lower every trigger body and host statement to a plan (and build
-        // the indexes those plans ask for) now, so registration — not the
-        // first auction — pays for planning. For every program after the
-        // first of its text and schema this adopts the plans already there.
-        db.warm_plans();
-        for statement in [&mut read_bids, &mut clear_query]
-            .into_iter()
-            .chain(&mut clear_outcome)
-        {
+        let host = HostStatements {
+            read_bids: template.prepare("SELECT * FROM Bids")?,
+            clear_query: template.prepare("DELETE FROM Query")?,
+            clear_outcome: (activation("Outcome")?)
+                .then(|| template.prepare("DELETE FROM Outcome"))
+                .transpose()?,
+        };
+        Ok(SqlProgram { template, host })
+    }
+
+    /// Prepares a host statement at the program's catalog: the handle, and
+    /// every clone of it, runs in any campaign's database without lowering
+    /// again.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared, DbError> {
+        self.template.prepare(sql)
+    }
+}
+
+/// A Section II-B SQL bidding program executing inside its own private
+/// [`Database`], speaking the host protocol described in the
+/// [module docs](crate::sqlprog).
+pub struct SqlProgramBidder {
+    db: Database,
+    host: HostStatements,
+    /// Formula text → parsed formula, in first-seen order. Programs emit a
+    /// small, stable set of formulas (Figure 5 emits one), so a linear
+    /// search beats a hash map's buckets; parsing each text once keeps the
+    /// hot path free of the formula parser.
+    formulas: Vec<(Text, Formula)>,
+    /// First execution error, if any; once set the program bids nothing.
+    error: Option<Box<DbError>>,
+}
+
+impl SqlProgramBidder {
+    /// One campaign running `program`: a database instantiated from it,
+    /// whose `tables` data statements ran with `params` bound, and the
+    /// indexes its host statements probe built.
+    pub fn new(program: &SqlProgram, params: &Params) -> Result<Self, SqlProgramError> {
+        let mut db = program.template.instantiate(params)?;
+        let mut host = program.host.clone();
+        let statements = [&mut host.read_bids, &mut host.clear_query].into_iter();
+        for statement in statements.chain(&mut host.clear_outcome) {
             statement.warm(&mut db);
         }
         Ok(SqlProgramBidder {
             db,
-            _scripts: [tables, program],
-            read_bids,
-            clear_query,
-            clear_outcome,
+            host,
             formulas: Vec::new(),
             error: None,
         })
@@ -339,10 +362,10 @@ impl SqlProgramBidder {
         // Each auction starts from a clean activation table: the trigger
         // sees exactly one fresh Query row, and a campaign serving millions
         // of auctions does not accumulate rows.
-        self.clear_query.execute(&mut self.db, NO_PARAMS)?;
+        self.host.clear_query.execute(&mut self.db, NO_PARAMS)?;
         self.db
             .insert("Query", vec![Value::Int(ctx.keyword as i64)])?;
-        let rows = self.read_bids.query(&mut self.db, NO_PARAMS)?;
+        let rows = self.host.read_bids.query(&mut self.db, NO_PARAMS)?;
         let mut bids = Vec::with_capacity(rows.len());
         for row in rows {
             // Re-check the row shape on every read: the host can reshape
@@ -391,7 +414,7 @@ impl SqlProgramBidder {
         self.db
             .set_var("purchased", Value::Int(i64::from(outcome.purchased)));
         self.db.set_var("price", Value::Int(outcome.price.cents()));
-        if let Some(clear) = &mut self.clear_outcome {
+        if let Some(clear) = &mut self.host.clear_outcome {
             clear.execute(&mut self.db, NO_PARAMS)?;
         }
         self.db.insert("Outcome", vec![Value::Int(clicked)])
@@ -413,7 +436,7 @@ impl Bidder for SqlProgramBidder {
     }
 
     fn on_outcome(&mut self, _ctx: &QueryContext, outcome: &BidderOutcome) {
-        if self.clear_outcome.is_none() || self.error.is_some() {
+        if self.host.clear_outcome.is_none() || self.error.is_some() {
             return;
         }
         if let Err(e) = self.settle(outcome) {
@@ -426,7 +449,7 @@ impl fmt::Debug for SqlProgramBidder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SqlProgramBidder")
             .field("tables", &self.db.table_names())
-            .field("has_outcome", &self.clear_outcome.is_some())
+            .field("has_outcome", &self.host.clear_outcome.is_some())
             .field("error", &self.error)
             .finish_non_exhaustive()
     }
@@ -450,6 +473,14 @@ mod tests {
         }
     ";
 
+    fn build(
+        tables: &str,
+        program: &str,
+        params: &Params,
+    ) -> Result<SqlProgramBidder, SqlProgramError> {
+        SqlProgramBidder::new(&SqlProgram::compile(tables, program)?, params)
+    }
+
     fn ctx(time: u64) -> QueryContext {
         QueryContext {
             time,
@@ -460,8 +491,7 @@ mod tests {
 
     #[test]
     fn fires_the_trigger_and_reads_bids() {
-        let mut b =
-            SqlProgramBidder::new(TABLES, PROGRAM, &Params::new().bind("start", 7)).unwrap();
+        let mut b = build(TABLES, PROGRAM, &Params::new().bind("start", 7)).unwrap();
         let bids = b.on_query(&ctx(1));
         assert_eq!(bids.len(), 1);
         assert_eq!(bids.rows()[0].formula, Formula::click());
@@ -476,8 +506,7 @@ mod tests {
             CREATE TRIGGER bid AFTER INSERT ON Query
             { UPDATE Bids SET value = time * 10 + keyword; }
         ";
-        let mut b =
-            SqlProgramBidder::new(TABLES, program, &Params::new().bind("start", 0)).unwrap();
+        let mut b = build(TABLES, program, &Params::new().bind("start", 0)).unwrap();
         let bids = b.on_query(&QueryContext {
             time: 4,
             keyword: 2,
@@ -504,7 +533,7 @@ mod tests {
               ENDIF;
             }
         ";
-        let mut b = SqlProgramBidder::new(tables, program, &Params::new()).unwrap();
+        let mut b = build(tables, program, &Params::new()).unwrap();
         b.on_query(&ctx(1));
         b.on_outcome(
             &ctx(1),
@@ -535,7 +564,7 @@ mod tests {
             CREATE TRIGGER bid AFTER INSERT ON Query
             { UPDATE Bids SET value = value / (3 - time); }
         ";
-        let mut b = SqlProgramBidder::new(tables, program, &Params::new()).unwrap();
+        let mut b = build(tables, program, &Params::new()).unwrap();
         assert_eq!(b.on_query(&ctx(1)).len(), 1); // 6 / 2 = 3
         assert_eq!(b.on_query(&ctx(2)).len(), 1); // 3 / 1 = 3
         assert!(b.on_query(&ctx(3)).is_empty(), "division by zero");
@@ -551,7 +580,7 @@ mod tests {
             CREATE TABLE Bids (formula TEXT, value INT);
             INSERT INTO Bids VALUES ('Click', 5);
         ";
-        let mut b = SqlProgramBidder::new(tables, "", &Params::new()).unwrap();
+        let mut b = build(tables, "", &Params::new()).unwrap();
         for t in 1..=50 {
             b.on_query(&ctx(t));
             b.on_outcome(&ctx(t), &BidderOutcome::lost());
@@ -579,7 +608,7 @@ mod tests {
             }
         ";
         assert_eq!(
-            SqlProgramBidder::new(tables, program, &Params::new()).unwrap_err(),
+            build(tables, program, &Params::new()).unwrap_err(),
             SqlProgramError::Db(DbError::TriggerBody {
                 trigger: "sabotage".to_string(),
                 statement: "DROP TABLE Bids".to_string(),
@@ -587,7 +616,7 @@ mod tests {
             })
         );
         // The host can still reshape Bids: a typed error, no bids, no panic.
-        let mut b = SqlProgramBidder::new(tables, "", &Params::new()).unwrap();
+        let mut b = build(tables, "", &Params::new()).unwrap();
         b.db_mut()
             .run("DROP TABLE Bids; CREATE TABLE Bids (formula TEXT)")
             .unwrap();
@@ -613,7 +642,7 @@ mod tests {
               UPDATE Bids SET value = value + 1;
             }
         ";
-        let err = SqlProgramBidder::new(tables, probe, &Params::new()).unwrap_err();
+        let err = build(tables, probe, &Params::new()).unwrap_err();
         assert!(matches!(
             &err,
             SqlProgramError::Db(DbError::TriggerBody { trigger, statement, .. })
@@ -633,7 +662,7 @@ mod tests {
         ";
         for (tables, program) in [(tables, hidden), (&format!("{tables} {hidden}"), "")] {
             assert!(matches!(
-                SqlProgramBidder::new(tables, program, &Params::new()),
+                build(tables, program, &Params::new()),
                 Err(SqlProgramError::Db(DbError::TriggerBody { trigger, statement, .. }))
                     if trigger == "bid" && statement == "INSERT INTO Log"
             ));
@@ -643,7 +672,7 @@ mod tests {
     #[test]
     fn protocol_violations_are_typed_errors() {
         assert_eq!(
-            SqlProgramBidder::new(
+            build(
                 "CREATE TABLE Bids (formula TEXT, value INT)",
                 "",
                 &Params::new()
@@ -652,15 +681,14 @@ mod tests {
             SqlProgramError::MissingTable("Query")
         );
         assert_eq!(
-            SqlProgramBidder::new("CREATE TABLE Query (a INT, b INT)", "", &Params::new())
-                .unwrap_err(),
+            build("CREATE TABLE Query (a INT, b INT)", "", &Params::new()).unwrap_err(),
             SqlProgramError::ActivationArity {
                 table: "Query",
                 got: 2
             }
         );
         assert_eq!(
-            SqlProgramBidder::new(
+            build(
                 "CREATE TABLE Query (kw INT); CREATE TABLE Bids (formula TEXT)",
                 "",
                 &Params::new()
@@ -669,7 +697,7 @@ mod tests {
             SqlProgramError::BidsArity { got: 1 }
         );
         assert!(matches!(
-            SqlProgramBidder::new("CREATE SOMETHING", "", &Params::new()),
+            build("CREATE SOMETHING", "", &Params::new()),
             Err(SqlProgramError::Db(DbError::Parse { .. }))
         ));
         // Error text is readable.
@@ -689,18 +717,45 @@ mod tests {
             CREATE TABLE Bids (formula TEXT, value INT);
             CREATE TABLE Stats (a INT, A INT);
         ";
-        assert_eq!(
-            SqlProgramBidder::new(tables, "", &Params::new()).unwrap_err(),
-            duplicate
-        );
+        assert_eq!(build(tables, "", &Params::new()).unwrap_err(), duplicate);
         let program = "
             CREATE TABLE Scratch (a INT, A INT);
             CREATE TRIGGER bid AFTER INSERT ON Query { UPDATE Bids SET value = 1; }
         ";
         assert_eq!(
-            SqlProgramBidder::new(TABLES, program, &Params::new().bind("start", 1)).unwrap_err(),
+            build(TABLES, program, &Params::new().bind("start", 1)).unwrap_err(),
             duplicate
         );
+    }
+
+    #[test]
+    fn a_catalog_that_could_depend_on_the_parameters_is_refused_at_compile_time() {
+        // The DDL runs once, for every campaign: DDL under IF, or after a
+        // data statement of its script, could give campaigns different
+        // catalogs, and is refused before any campaign exists.
+        let refused = |statement: &str| {
+            Err(SqlProgramError::Db(DbError::DdlAfterData {
+                statement: statement.to_string(),
+            }))
+        };
+        let under_if = format!("{TABLES} IF :start > 0 THEN CREATE TABLE Extra (a INT); ENDIF;");
+        assert_eq!(
+            SqlProgram::compile(&under_if, PROGRAM).map(drop),
+            refused("CREATE TABLE Extra")
+        );
+        let after_data = format!("{TABLES} CREATE TABLE Extra (a INT);");
+        assert_eq!(
+            SqlProgram::compile(&after_data, PROGRAM).map(drop),
+            refused("CREATE TABLE Extra")
+        );
+        // The program script may create triggers after the tables' data,
+        // but not drop what that data filled.
+        let dropping = format!("DROP TABLE Bids; {PROGRAM}");
+        assert_eq!(
+            SqlProgram::compile(TABLES, &dropping).map(drop),
+            refused("DROP TABLE Bids")
+        );
+        assert!(SqlProgram::compile(TABLES, PROGRAM).is_ok());
     }
 
     #[test]
@@ -710,7 +765,7 @@ mod tests {
             CREATE TABLE Bids (formula TEXT, value INT);
             INSERT INTO Bids VALUES ('NotAFormula!!', 5);
         ";
-        let mut b = SqlProgramBidder::new(tables, "", &Params::new()).unwrap();
+        let mut b = build(tables, "", &Params::new()).unwrap();
         assert!(b.on_query(&ctx(1)).is_empty());
         assert!(matches!(b.last_error(), Some(DbError::Type(_))));
     }
@@ -721,8 +776,10 @@ mod tests {
         // formulas sat in a hash map; they are a vector of pairs now. 280 B
         // while the error sat inline and the database kept a vector of
         // every catalog shape it had been through. 232 B while the database
-        // kept its detours.
-        assert_eq!(std::mem::size_of::<SqlProgramBidder>(), 216);
+        // kept its detours. 216 B while the record held its two scripts to
+        // keep their texts interned and the database its DDL count and an
+        // `Arc` to a shared list of variable names.
+        assert_eq!(std::mem::size_of::<SqlProgramBidder>(), 168);
     }
 
     #[test]
@@ -733,8 +790,7 @@ mod tests {
             CREATE TRIGGER bid AFTER INSERT ON Query
             { UPDATE Bids SET value = value - 10; }
         ";
-        let mut b =
-            SqlProgramBidder::new(TABLES, program, &Params::new().bind("start", 5)).unwrap();
+        let mut b = build(TABLES, program, &Params::new().bind("start", 5)).unwrap();
         assert!(b.on_query(&ctx(1)).is_empty());
         assert!(matches!(b.last_error(), Some(DbError::Type(_))));
         assert!(b.on_query(&ctx(2)).is_empty(), "stays excluded");

@@ -17,7 +17,7 @@ use std::cell::Cell;
 #[path = "support/figure5.rs"]
 mod figure5;
 
-use figure5::{click, ctx, program};
+use figure5::{click, compiled, ctx, program};
 use ssa_core::Bidder;
 
 /// The system allocator, counting what the current thread allocates while
@@ -75,7 +75,7 @@ fn allocations(f: impl FnOnce()) -> u64 {
 fn a_served_program_allocates_a_pinned_number_of_times() {
     const WARM_UP: u64 = 20;
     const ROUNDS: u64 = 1_000;
-    let mut program = program(0);
+    let mut program = program(&compiled(), 0);
     for time in 1..=WARM_UP {
         assert!(!program.on_query(&ctx(time)).is_empty(), "the program bids");
         program.on_outcome(&ctx(time), &click());

@@ -1,19 +1,19 @@
-//! Footprint and boundedness of shared SQL bidding programs.
+//! Footprint of SQL bidding programs compiled once and run by many
+//! campaigns.
 //!
-//! Campaigns that register the same program text share everything derived
-//! from the text — parsed scripts, trigger bodies, lowered plans, the
-//! catalog of table names and column lists, variable names — through
-//! `ssa_minidb`'s interners; each `SqlProgramBidder` owns only its rows,
-//! indexes and variable values, 16 bytes a value. This file pins that down from outside:
-//! resident memory per program, freshly built and after it has served
-//! auctions, pointer identity of what is shared, and that the script
-//! interner — which holds only weak references — empties when the programs
-//! go and cannot be grown by one-off statements.
+//! A `SqlProgram` is compiled once — parsed scripts, trigger bodies,
+//! lowered plans, the catalog of table names, column lists and variable
+//! names — and every `SqlProgramBidder` instantiated from it shares that
+//! through `Arc`s and owns only its rows, indexes and variable values, 16
+//! bytes a value. This file pins that down from outside: resident memory
+//! per campaign, freshly built and after it has served auctions, pointer
+//! identity of the catalog the campaigns share, and that campaigns keep
+//! serving after the program value is dropped — what they share, they
+//! hold.
 //!
-//! It is a test binary of its own, and one `#[test]`, because both things
-//! it measures are process-wide: resident set size and the interner's
-//! entry count. Linux-only: resident memory is read from
-//! `/proc/self/status`.
+//! It is a test binary of its own, and one `#[test]`, because what it
+//! measures is process-wide: resident set size. Linux-only: resident memory
+//! is read from `/proc/self/status`.
 //!
 //! The run prints two JSON lines (`sql_program_footprint_kb` for a freshly
 //! built program, `sql_program_served_footprint_kb` for one that has served
@@ -26,9 +26,8 @@
 #[path = "support/figure5.rs"]
 mod figure5;
 
-use figure5::{click, ctx, program};
+use figure5::{click, compiled, ctx, program};
 use ssa_core::{Bidder, SqlProgramBidder};
-use ssa_minidb::{interned_scripts, Database};
 
 /// Twenty auctions on one keyword, then a clicked first slot to settle.
 fn serve(program: &mut SqlProgramBidder) {
@@ -52,29 +51,34 @@ fn resident_kb() -> f64 {
 
 #[test]
 fn shared_programs_are_small_identical_and_leave_nothing_behind() {
-    assert_eq!(interned_scripts(), 0, "nothing is interned at start");
-
-    // -- Sharing: two programs from one text are one compiled program. ----
-    let first = program(0);
-    let second = program(1);
-    assert!(
-        first.db().shares_triggers_with(second.db()),
-        "trigger bodies and planned scripts must be pointer-identical"
-    );
+    // -- Sharing: every campaign holds the program's catalog. -------------
+    let compiled = compiled();
+    let first = program(&compiled, 0);
+    let second = program(&compiled, 1);
+    // Every table of a campaign has the very schema of the program's
+    // catalog.
+    let shares_the_catalog = |a: &SqlProgramBidder, b: &SqlProgramBidder| {
+        let schema = |campaign: &SqlProgramBidder, table| {
+            let table = campaign.db().table(table).expect("a program table");
+            table.schema() as *const _
+        };
+        ["Query", "Outcome", "Keywords", "Bids"]
+            .iter()
+            .all(|table| schema(a, table) == schema(b, table))
+    };
+    assert!(shares_the_catalog(&first, &second));
     assert_eq!(
-        second.planner_stats().plans_cached,
-        first.planner_stats().plans_cached,
-        "adopted plans count like lowered ones: the counters do not tell who compiled"
+        second.planner_stats(),
+        first.planner_stats(),
+        "campaigns of one program count alike"
     );
-    // Tables script, program script, three host statements.
-    assert_eq!(interned_scripts(), 5);
 
-    // -- Footprint: what one more program of a known text costs. ----------
+    // -- Footprint: what one more campaign of a compiled program costs. ---
     const PROGRAMS: usize = 2_000;
     let mut programs = Vec::with_capacity(PROGRAMS);
     let before = resident_kb();
     for i in 0..PROGRAMS {
-        programs.push(program(i as i64));
+        programs.push(program(&compiled, i as i64));
     }
     let per_program_kb = (resident_kb() - before) / PROGRAMS as f64;
     println!("{{\"metric\":\"sql_program_footprint_kb\",\"programs\":{PROGRAMS},\"value\":{per_program_kb:.2}}}");
@@ -86,10 +90,11 @@ fn shared_programs_are_small_identical_and_leave_nothing_behind() {
          table held a heap row per row and a hash index, 1.38 KB while a \
          value took 24 bytes and each database kept its variable names)"
     );
-    assert_eq!(interned_scripts(), 5, "2 000 programs, still five texts");
-    assert!(programs[PROGRAMS - 1].db().shares_triggers_with(first.db()));
+    assert!(shares_the_catalog(&first, &programs[PROGRAMS - 1]));
 
     // -- Served: what the programs hold once they have run auctions. ------
+    // The compiled program goes first: the campaigns hold what they share.
+    drop(compiled);
     for program in &mut programs {
         serve(program);
     }
@@ -103,26 +108,8 @@ fn shared_programs_are_small_identical_and_leave_nothing_behind() {
          table held a heap row per row and a hash index, ≈ 1.75 KB while a \
          value took 24 bytes and each database kept its variable names)"
     );
-    assert_eq!(interned_scripts(), 5, "serving interns no script");
-    assert!(programs[PROGRAMS - 1].db().shares_triggers_with(first.db()));
-
-    // -- Boundedness: the interner holds no program alive. ----------------
-    drop(programs);
-    drop(second);
-    assert_eq!(interned_scripts(), 5, "one program still holds the texts");
-    drop(first);
-    assert_eq!(
-        interned_scripts(),
-        0,
-        "the last program of a text takes its interned scripts with it"
+    assert!(
+        shares_the_catalog(&first, &programs[PROGRAMS - 1]),
+        "serving keeps the shared catalog"
     );
-
-    // One-off texts — the shape of a peer sending a distinct statement
-    // every time — come and go without leaving entries.
-    let db = Database::new();
-    for i in 0..10_000 {
-        let one_off = format!("UPDATE Keywords SET bid = bid + 1 WHERE bid < {i}");
-        drop(db.prepare(&one_off).expect("statement parses"));
-    }
-    assert_eq!(interned_scripts(), 0, "one-off texts must not accumulate");
 }

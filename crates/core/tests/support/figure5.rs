@@ -4,18 +4,23 @@
 
 use ssa_bidlang::{Money, SlotId};
 use ssa_core::sqlprog::{roi_params, ROI_PROGRAM, ROI_TABLES};
-use ssa_core::{BidderOutcome, QueryContext, SqlProgramBidder};
+use ssa_core::{BidderOutcome, QueryContext, SqlProgram, SqlProgramBidder};
 
-/// The `i`-th program: its parameters vary with `i`, its text does not.
-pub fn program(i: i64) -> SqlProgramBidder {
+/// The Figure 5 program, compiled once for all its campaigns.
+pub fn compiled() -> SqlProgram {
+    SqlProgram::compile(ROI_TABLES, ROI_PROGRAM).expect("the Figure 5 program is well-formed")
+}
+
+/// The `i`-th campaign of `compiled`: its parameters vary with `i`, its
+/// text does not.
+pub fn program(compiled: &SqlProgram, i: i64) -> SqlProgramBidder {
     let params = roi_params(
         20 + i % 30,
         1 + i % 7,
         1.0 + (i % 5) as f64 * 0.25,
         0.5 + (i % 3) as f64,
     );
-    SqlProgramBidder::new(ROI_TABLES, ROI_PROGRAM, &params)
-        .expect("the Figure 5 program is well-formed")
+    SqlProgramBidder::new(compiled, &params).expect("the parameters fit the program")
 }
 
 /// An auction at `time` on the program's one keyword.

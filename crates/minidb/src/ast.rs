@@ -186,3 +186,80 @@ pub enum Statement {
         value: Expr,
     },
 }
+
+/// A node of a statement tree, as [`Statement::visit`] reaches it.
+pub(crate) enum Node<'a> {
+    Statement(&'a Statement),
+    Expr(&'a Expr),
+}
+
+impl Statement {
+    /// `true` for `CREATE TABLE`, `DROP TABLE` and `CREATE TRIGGER`: the
+    /// statements that change the catalog or the trigger list rather than
+    /// data.
+    pub(crate) fn is_ddl(&self) -> bool {
+        matches!(
+            self,
+            Statement::CreateTable { .. }
+                | Statement::DropTable { .. }
+                | Statement::CreateTrigger { .. }
+        )
+    }
+
+    /// Calls `f` on this statement, on the statements of its `IF` blocks,
+    /// and on every expression among them, subqueries included, parents
+    /// before children. A trigger body is not visited: it is a script of its
+    /// own.
+    pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        f(Node::Statement(self));
+        match self {
+            Statement::CreateTable { .. }
+            | Statement::DropTable { .. }
+            | Statement::CreateTrigger { .. } => {}
+            Statement::Insert { rows, .. } => rows.iter().flatten().for_each(|e| e.visit(f)),
+            Statement::Update {
+                sets, where_clause, ..
+            } => {
+                sets.iter().for_each(|s| s.value.visit(f));
+                where_clause.iter().for_each(|w| w.visit(f));
+            }
+            Statement::Delete { where_clause, .. } => where_clause.iter().for_each(|w| w.visit(f)),
+            Statement::Select(select) => select.visit(f),
+            Statement::If { arms, else_block } => {
+                for (cond, block) in arms {
+                    cond.visit(f);
+                    block.iter().for_each(|s| s.visit(f));
+                }
+                else_block.iter().flatten().for_each(|s| s.visit(f));
+            }
+            Statement::SetVar { value, .. } => value.visit(f),
+        }
+    }
+}
+
+impl Select {
+    fn visit<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        for item in &self.items {
+            match item {
+                SelectItem::Expr(e) | SelectItem::Agg(_, Some(e)) => e.visit(f),
+                SelectItem::Agg(_, None) | SelectItem::Star => {}
+            }
+        }
+        self.where_clause.iter().for_each(|w| w.visit(f));
+    }
+}
+
+impl Expr {
+    fn visit<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        f(Node::Expr(self));
+        match self {
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {}
+            Expr::Arith(a, _, b) | Expr::Cmp(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                a.visit(f);
+                b.visit(f);
+            }
+            Expr::Not(inner) | Expr::Neg(inner) => inner.visit(f),
+            Expr::Subquery(select) => select.visit(f),
+        }
+    }
+}

@@ -21,8 +21,6 @@ use crate::plan::{run_planned_select, PlannedSelect};
 use crate::prepared::Params;
 use crate::table::Schema;
 use crate::value::{ArithOp, Value, ValueType};
-use crate::vars::VarName;
-use std::sync::Arc;
 
 /// One op of the expression stack machine.
 #[derive(Debug)]
@@ -41,10 +39,11 @@ pub(crate) enum Op {
     },
     /// Push a host scalar variable (the unqualified-name fallback).
     PushVar {
-        /// The interned name: looking it up is a pointer comparison per
-        /// variable the database holds.
-        name: Arc<VarName>,
-        /// Original spelling, for the `NoSuchColumn` error.
+        /// The variable's slot in the catalog the expression was lowered
+        /// at.
+        slot: usize,
+        /// Original spelling, for the `NoSuchColumn` error of an unset
+        /// variable.
         display: String,
     },
     /// Pop two, apply arithmetic, push.
@@ -161,81 +160,79 @@ impl CompiledExpr {
     }
 }
 
-/// Pops one operand. [`CompiledExpr::from_ops`] verified that no op pops
-/// below the depth its expression started at, so the stack never runs dry
-/// here; the fallback only keeps release builds total.
-fn pop(stack: &mut Vec<Value>) -> Value {
-    debug_assert!(!stack.is_empty(), "from_ops verified the stack depth");
-    stack.pop().unwrap_or(Value::Null)
-}
-
 /// Evaluates a push op directly to its value (fast-shape path).
 fn leaf_value(op: &Op, cx: &EvalCx<'_>) -> DbResult<Value> {
     match op {
         Op::PushLiteral(v) => Ok(v.clone()),
         Op::PushParam(p) => cx.params.resolve(p),
         Op::PushColumn { depth, col } => Ok(cx.scopes[*depth][*col].clone()),
-        Op::PushVar { name, display } => match cx.db.vars.get(name) {
-            Some(v) => Ok(v.clone()),
-            None => Err(DbError::NoSuchColumn(display.clone())),
+        Op::PushVar { slot, display } => match cx.db.vars.get(*slot) {
+            Some(Some(v)) => Ok(v.clone()),
+            // Never set here: the error a name nobody set raises.
+            _ => Err(DbError::NoSuchColumn(display.clone())),
         },
         // Never reached: `classify` marks only the push ops above as leaves.
         other => Err(DbError::Type(format!("not a leaf operand: {other:?}"))),
     }
 }
 
-/// Row scopes live inline up to this nesting depth; real statements nest a
-/// scan inside at most a couple of subqueries, so the spill vector stays
-/// empty (and unallocated) in practice.
-const INLINE_SCOPES: usize = 8;
+/// Entries an [`InlineStack`] holds without a heap allocation. Real
+/// statements nest a scan inside at most a couple of subqueries and push a
+/// handful of operands, so the spill vector stays empty (and unallocated)
+/// in practice.
+const INLINE: usize = 8;
 
-/// The stack of row slices in scope (outermost first, matching the depths
-/// baked into `PushColumn`). Inline storage keeps the serving path free of
-/// a per-statement heap allocation — a lifetime-parameterised `Vec` cannot
-/// join the thread-local pool the value stack uses.
-pub(crate) struct ScopeStack<'a> {
+/// A stack stored inline up to [`INLINE`] entries, spilling to the heap
+/// beyond: the row scopes and operand values an evaluation holds, kept
+/// without a per-statement heap allocation on the serving path.
+pub(crate) struct InlineStack<T> {
     len: usize,
-    inline: [&'a [Value]; INLINE_SCOPES],
-    spill: Vec<&'a [Value]>,
+    inline: [T; INLINE],
+    spill: Vec<T>,
 }
 
-impl<'a> ScopeStack<'a> {
+impl<T: Default> InlineStack<T> {
     fn new() -> Self {
-        ScopeStack {
+        InlineStack {
             len: 0,
-            inline: [&[]; INLINE_SCOPES],
+            inline: std::array::from_fn(|_| T::default()),
             spill: Vec::new(),
         }
     }
 
-    /// Pushes the row entering scope (a scan or subquery descending).
-    pub(crate) fn push(&mut self, row: &'a [Value]) {
-        if self.len < INLINE_SCOPES {
-            self.inline[self.len] = row;
+    pub(crate) fn push(&mut self, value: T) {
+        if self.len < INLINE {
+            self.inline[self.len] = value;
         } else {
-            self.spill.push(row);
+            self.spill.push(value);
         }
         self.len += 1;
     }
 
-    /// Pops the innermost scope.
-    pub(crate) fn pop(&mut self) {
-        debug_assert!(self.len > 0, "scope stack underflow");
-        self.len -= 1;
-        if self.len >= INLINE_SCOPES {
-            self.spill.pop();
+    /// Pops the top entry. [`CompiledExpr::from_ops`] verified that no op
+    /// pops below the depth its expression started at, and scopes pop what
+    /// they pushed, so the stack never runs dry; the default only keeps
+    /// release builds total.
+    pub(crate) fn pop(&mut self) -> T {
+        debug_assert!(self.len > 0, "stack underflow");
+        let Some(len) = self.len.checked_sub(1) else {
+            return T::default();
+        };
+        self.len = len;
+        match self.inline.get_mut(len) {
+            Some(slot) => std::mem::take(slot),
+            None => self.spill.pop().unwrap_or_default(),
         }
     }
 }
 
-impl std::ops::Index<usize> for ScopeStack<'_> {
-    type Output = [Value];
+impl<T> std::ops::Index<usize> for InlineStack<T> {
+    type Output = T;
 
-    fn index(&self, depth: usize) -> &[Value] {
-        if depth < INLINE_SCOPES {
-            self.inline[depth]
-        } else {
-            self.spill[depth - INLINE_SCOPES]
+    fn index(&self, depth: usize) -> &T {
+        match self.inline.get(depth) {
+            Some(entry) => entry,
+            None => &self.spill[depth - INLINE],
         }
     }
 }
@@ -243,21 +240,12 @@ impl std::ops::Index<usize> for ScopeStack<'_> {
 /// The runtime context compiled expressions evaluate in: the database (for
 /// variables, subquery tables, and counters), the statement's parameter
 /// bindings, the scope stack of row slices (outermost first, matching the
-/// depths baked into `PushColumn`), and a reusable value stack.
+/// depths baked into `PushColumn`), and the operand stack.
 pub(crate) struct EvalCx<'a> {
     pub(crate) db: &'a Database,
     pub(crate) params: &'a Params,
-    pub(crate) scopes: ScopeStack<'a>,
-    stack: Vec<Value>,
-}
-
-// One warm value stack per thread: statements execute back to back (a few
-// hundred thousand per serving run), and paying a fresh heap allocation for
-// every statement's stack dominated the planned path's fixed cost. The pool
-// holds at most one buffer; a nested context (none exist today, but the
-// take/put protocol tolerates them) simply starts cold.
-thread_local! {
-    static STACK_POOL: std::cell::Cell<Vec<Value>> = const { std::cell::Cell::new(Vec::new()) };
+    pub(crate) scopes: InlineStack<&'a [Value]>,
+    stack: InlineStack<Value>,
 }
 
 impl<'a> EvalCx<'a> {
@@ -265,17 +253,9 @@ impl<'a> EvalCx<'a> {
         EvalCx {
             db,
             params,
-            scopes: ScopeStack::new(),
-            stack: STACK_POOL.with(std::cell::Cell::take),
+            scopes: InlineStack::new(),
+            stack: InlineStack::new(),
         }
-    }
-}
-
-impl Drop for EvalCx<'_> {
-    fn drop(&mut self) {
-        let mut stack = std::mem::take(&mut self.stack);
-        stack.clear();
-        STACK_POOL.with(|pool| pool.set(stack));
     }
 }
 
@@ -331,10 +311,12 @@ impl CompiledExpr {
                 lhs.arith(op, &rhs)
             }
             Shape::General => {
-                let base = cx.stack.len();
+                let base = cx.stack.len;
                 let result = self.eval_inner(cx);
                 if result.is_err() {
-                    cx.stack.truncate(base);
+                    while cx.stack.len > base {
+                        cx.stack.pop();
+                    }
                 }
                 result
             }
@@ -350,17 +332,17 @@ impl CompiledExpr {
                     cx.stack.push(v);
                 }
                 Op::PushColumn { depth, col } => cx.stack.push(cx.scopes[*depth][*col].clone()),
-                Op::PushVar { name, display } => match cx.db.vars.get(name) {
-                    Some(v) => cx.stack.push(v.clone()),
-                    None => return Err(DbError::NoSuchColumn(display.clone())),
-                },
+                Op::PushVar { .. } => {
+                    let v = leaf_value(op, cx)?;
+                    cx.stack.push(v);
+                }
                 Op::Arith(op) => {
-                    let rhs = pop(&mut cx.stack);
-                    let lhs = pop(&mut cx.stack);
+                    let rhs = cx.stack.pop();
+                    let lhs = cx.stack.pop();
                     cx.stack.push(lhs.arith(*op, &rhs)?);
                 }
                 Op::Neg => {
-                    let v = pop(&mut cx.stack);
+                    let v = cx.stack.pop();
                     cx.stack.push(match v {
                         Value::Int(i) => {
                             i.checked_neg().map(Value::Int).ok_or(DbError::Overflow)?
@@ -371,15 +353,15 @@ impl CompiledExpr {
                     });
                 }
                 Op::Cmp(op) => {
-                    let rhs = pop(&mut cx.stack);
-                    let lhs = pop(&mut cx.stack);
+                    let rhs = cx.stack.pop();
+                    let lhs = cx.stack.pop();
                     cx.stack.push(match lhs.compare(&rhs)? {
                         None => Value::Null,
                         Some(ord) => Value::Bool(cmp_holds(*op, ord)),
                     });
                 }
                 Op::Truth => {
-                    let v = pop(&mut cx.stack);
+                    let v = cx.stack.pop();
                     match v {
                         Value::Bool(_) | Value::Null => cx.stack.push(v),
                         other => {
@@ -388,17 +370,17 @@ impl CompiledExpr {
                     }
                 }
                 Op::AndK => {
-                    let rhs = pop(&mut cx.stack);
-                    let lhs = pop(&mut cx.stack);
+                    let rhs = cx.stack.pop();
+                    let lhs = cx.stack.pop();
                     cx.stack.push(kleene_and(&lhs, &rhs));
                 }
                 Op::OrK => {
-                    let rhs = pop(&mut cx.stack);
-                    let lhs = pop(&mut cx.stack);
+                    let rhs = cx.stack.pop();
+                    let lhs = cx.stack.pop();
                     cx.stack.push(kleene_or(&lhs, &rhs));
                 }
                 Op::NotK => {
-                    let v = pop(&mut cx.stack);
+                    let v = cx.stack.pop();
                     cx.stack.push(match v {
                         Value::Bool(b) => Value::Bool(!b),
                         _ => Value::Null,
@@ -419,7 +401,7 @@ impl CompiledExpr {
                 Op::Raise(e) => return Err(e.clone()),
             }
         }
-        Ok(pop(&mut cx.stack))
+        Ok(cx.stack.pop())
     }
 
     /// Predicate position: NULL (and only NULL) is "no match"; any
@@ -537,10 +519,15 @@ fn emit(expr: &Expr, db: &Database, scopes: &[CScope<'_>], ops: &mut Vec<Op>) {
         Expr::Param(p) => ops.push(Op::PushParam(p.clone())),
         Expr::Column(cref) => match resolve_static(cref, scopes) {
             Resolution::Cell { depth, col } => ops.push(Op::PushColumn { depth, col }),
-            Resolution::Var(name) => ops.push(Op::PushVar {
-                name: VarName::intern(&name),
-                display: name,
-            }),
+            Resolution::Var(name) => match db.shape.vars.slot(&name) {
+                Some(slot) => ops.push(Op::PushVar {
+                    slot,
+                    display: name,
+                }),
+                // No variable of that name in this catalog: reading it fails
+                // here exactly as reading an unset one does.
+                None => ops.push(Op::Raise(DbError::NoSuchColumn(name))),
+            },
             Resolution::Missing(display) => ops.push(Op::Raise(DbError::NoSuchColumn(display))),
         },
         Expr::Arith(a, op, b) => {

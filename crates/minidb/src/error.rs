@@ -77,6 +77,14 @@ pub enum DbError {
         /// Byte offset of the statement in the input.
         position: usize,
     },
+    /// DDL a [`crate::Template`] cannot run once, ahead of its scripts'
+    /// data statements: inside an `IF` block, after a data statement of its
+    /// own script, or — `CREATE TABLE`, `DROP TABLE` — of an earlier one.
+    DdlAfterData {
+        /// The refused statement, named by its leading words (e.g.
+        /// `CREATE TABLE Log`).
+        statement: String,
+    },
 }
 
 impl fmt::Display for DbError {
@@ -121,6 +129,11 @@ impl fmt::Display for DbError {
                 f,
                 "{statement} at byte {position}: the body of trigger {trigger} \
                  may hold only UPDATE, DELETE, SET, IF and SELECT"
+            ),
+            DbError::DdlAfterData { statement } => write!(
+                f,
+                "{statement}: a compiled program runs its DDL once, before its data \
+                 statements, so DDL must come first and stay outside IF"
             ),
         }
     }

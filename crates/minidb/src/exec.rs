@@ -17,12 +17,11 @@
 
 use crate::ast::Statement;
 use crate::error::{DbError, DbResult};
-use crate::plan::{self, PlannedScript, PlannerCounters};
+use crate::plan::{PlannedScript, PlannerCounters, StmtPlan};
 use crate::prepared::{Prepared, NO_PARAMS};
 use crate::script::{CatalogShape, Script, Trigger};
 use crate::table::{push_exact, Row, Schema, Table};
 use crate::value::Value;
-use crate::vars::Vars;
 use std::sync::Arc;
 
 /// Result of executing one statement.
@@ -44,103 +43,79 @@ pub enum ExecOutcome {
     Done,
 }
 
+/// An installed trigger — the same `Arc` in every instance of the template
+/// that installed it — and the memo of its planned body.
 #[derive(Debug, Clone)]
 pub(crate) struct TriggerDef {
-    /// The trigger its defining script owns — the same `Arc` in every
-    /// database that ran that script, body and plan cache included.
     pub(crate) trigger: Arc<Trigger>,
-    /// Owner-local memo of the planned body. Living inside `Database`, it
-    /// needs no lock: repeat firings compare one pointer and go. The body's
-    /// shared plan cache stays the source of truth that `warm_plans` and
-    /// firings after DDL refill this memo from.
-    ready: Option<Arc<ReadyTrigger>>,
+    /// The planned body, valid where its catalog is the database's. An
+    /// instance starts with its template's, so firing it plans nothing.
+    pub(crate) planned: Option<Arc<PlannedScript>>,
 }
 
 impl TriggerDef {
-    /// The memo, if it was planned at `db`'s catalog shape.
-    fn ready_in(&self, db: &Database) -> Option<&Arc<ReadyTrigger>> {
-        self.ready.as_ref().filter(|ready| ready.planned.fits(db))
+    /// Lowers the body at `db`'s catalog, building the indexes it probes,
+    /// unless the memo fits it already.
+    fn plan_in(&mut self, db: &mut Database) {
+        if !self
+            .planned
+            .as_ref()
+            .is_some_and(|planned| planned.fits(db))
+        {
+            self.planned = Some(db.plan_script(&self.trigger.body));
+        }
     }
-}
 
-/// What one firing executes. The body and its plan are shared by every
-/// database running the program; this pairing sits behind a database-local
-/// `Arc`, so the per-firing clone bumps a count only this database's thread
-/// touches and leaves the shared counts — one cache line for a whole
-/// population — alone.
-#[derive(Debug)]
-struct ReadyTrigger {
-    trigger: Arc<Trigger>,
-    planned: Arc<PlannedScript>,
+    /// The body's statements paired with their memoised plans.
+    fn body(&self) -> impl Iterator<Item = (&Statement, &StmtPlan)> {
+        let plans = self.planned.iter().flat_map(|planned| planned.plans());
+        self.trigger.body.statements.iter().zip(plans)
+    }
 }
 
 /// An in-memory database: tables, triggers, and host scalar variables.
 ///
 /// What a database owns is its *state*: rows, indexes, variable values,
-/// 16 bytes a value. Everything else is shared with every database that
-/// ran the same text over the same catalog shape (`script.rs`): the
-/// catalog — table names, spellings, column lists — is the interned shape,
-/// triggers (names and bodies) and lowered plans live in the scripts, and
-/// the list of variable names is interned once per process.
-#[derive(Debug, Clone)]
+/// 16 bytes a value. Everything else it shares with the other instances of
+/// the [`crate::Template`] it came from: the catalog — table names,
+/// spellings, column lists, variable names — is the template's, and so are
+/// the triggers (names and bodies) and the plans lowered for them.
+#[derive(Debug, Clone, Default)]
 pub struct Database {
-    /// The catalog: which tables exist and what their columns are.
+    /// The catalog: which tables exist and what their columns are, and
+    /// which variables there are.
     pub(crate) shape: Arc<CatalogShape>,
     /// Rows and indexes of each table of `shape`, in its order.
     pub(crate) tables: Vec<Table>,
     pub(crate) triggers: Box<[TriggerDef]>,
-    pub(crate) vars: Vars,
-    /// `CREATE TABLE`s and `DROP TABLE`s executed here. How plans in flight
-    /// notice DDL that ended on their own shape — see
-    /// [`Database::exec_planned_seq`].
-    pub(crate) ddl_epoch: u64,
+    /// The value of each variable of `shape`, by slot; `None` until set.
+    pub(crate) vars: Box<[Option<Value>]>,
     pub(crate) counters: PlannerCounters,
-}
-
-impl Default for Database {
-    fn default() -> Self {
-        Database::new()
-    }
 }
 
 impl Database {
     /// Creates an empty database.
     pub fn new() -> Self {
-        Database {
-            shape: CatalogShape::empty(),
-            tables: Vec::new(),
-            triggers: Box::default(),
-            vars: Vars::default(),
-            ddl_epoch: 0,
-            counters: PlannerCounters::default(),
-        }
+        Database::default()
     }
 
     /// Parses and executes a script; returns one outcome per statement.
     ///
-    /// The text is resolved through the script interner, so it is parsed
-    /// only if no [`Prepared`] of the same text is alive in the process.
-    /// Nothing holds *this* call's script once it returns: its statements
-    /// are planned afresh every time, and the triggers it creates are this
-    /// database's own. Callers on a hot path —
-    /// and hosts installing one program in many databases — should
-    /// [`Database::prepare`] once and execute the returned [`Prepared`]
-    /// plan instead.
+    /// The text is parsed and lowered on every call. Hot paths should
+    /// [`Database::prepare`] once instead, and hosts installing one program
+    /// in many databases compile it once as a [`crate::Template`].
     pub fn run(&mut self, sql: &str) -> DbResult<Vec<ExecOutcome>> {
-        let script = Script::intern(sql)?;
-        script
-            .statements
-            .iter()
-            .map(|stmt| self.execute(stmt))
-            .collect()
+        let script = Script::parse(sql)?;
+        let planned = PlannedScript::lower(self, &script);
+        self.ensure_plan_indexes(&planned.index_reqs);
+        self.execute_planned_script(&script.statements, &planned, NO_PARAMS)
     }
 
-    /// Resolves a script to a [`Prepared`] plan whose `?`/`:name`
+    /// Parses a script into a [`Prepared`] plan whose `?`/`:name`
     /// placeholders are bound per execution — see [`crate::prepared`]. The
-    /// text is parsed at most once while any handle prepared from it is
-    /// alive, whichever database prepared it.
+    /// handle lowers the script on its first execution and keeps the plan.
     pub fn prepare(&self, sql: &str) -> DbResult<Prepared> {
-        Prepared::parse(sql)
+        Ok(Prepared::new(Script::parse(sql)?, None))
     }
 
     /// Runs a single-`SELECT` script and returns its rows.
@@ -148,29 +123,27 @@ impl Database {
         single_select(self.run(sql)?)
     }
 
-    /// Executes one parsed statement (with no parameters bound). The
-    /// statement is lowered through the planner; plans from this entry
-    /// point are transient — [`Database::prepare`] caches them.
-    pub(crate) fn execute(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
-        let plan = plan::plan_statement(self, stmt, &[]);
-        self.ensure_plan_indexes(&plan.index_reqs);
-        self.exec_planned(stmt, &plan, NO_PARAMS)
-    }
-
     /// Runs a DDL statement — `CREATE TABLE`, `DROP TABLE` or `CREATE
-    /// TRIGGER` — which moves the catalog and has no plan of its own. A
-    /// `CREATE TRIGGER` installs `shared`, its script's trigger, if given,
-    /// and a trigger of this database's own otherwise. Any other statement
-    /// is refused with a parse error: it belongs to the planner.
-    pub(crate) fn exec_ddl(
-        &mut self,
-        stmt: &Statement,
-        shared: Option<&Arc<Trigger>>,
-    ) -> DbResult<ExecOutcome> {
+    /// TRIGGER` — which has no plan of its own. A table created or dropped
+    /// gives the database a catalog of its own: every plan lowered at the
+    /// old one stops fitting and is lowered again where it next runs. Any
+    /// other statement is refused with a parse error: it belongs to the
+    /// planner.
+    pub(crate) fn exec_ddl(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::try_new(columns.iter().cloned())?;
-                self.create_table(name, schema)?;
+                let pos = match self.shape.search(name) {
+                    Ok(_) => return Err(DbError::TableExists(name.to_string())),
+                    Err(pos) => pos,
+                };
+                let shape = self.shape.with_table(pos, name, schema);
+                self.tables.reserve_exact(1);
+                self.tables.insert(
+                    pos,
+                    Table::with_schema(Arc::clone(&shape.tables()[pos].schema)),
+                );
+                self.shape = Arc::new(shape);
                 Ok(ExecOutcome::Created)
             }
             Statement::DropTable { name } => {
@@ -179,8 +152,7 @@ impl Database {
                 let mut kept = std::mem::take(&mut self.triggers).into_vec();
                 kept.retain(|t| !t.trigger.is_on(name));
                 self.triggers = kept.into_boxed_slice();
-                let shape = self.shape.without_table(pos);
-                self.enter_shape(shape);
+                self.shape = Arc::new(self.shape.without_table(pos));
                 Ok(ExecOutcome::Dropped)
             }
             Statement::CreateTrigger { name, table, body } => {
@@ -188,12 +160,9 @@ impl Database {
                     return Err(DbError::TriggerExists(name.clone()));
                 }
                 self.table_position(table)?;
-                let trigger = shared
-                    .cloned()
-                    .unwrap_or_else(|| Arc::new(Trigger::new(name, table, body)));
                 let def = TriggerDef {
-                    trigger,
-                    ready: None,
+                    trigger: Arc::new(Trigger::new(name, table, body)),
+                    planned: None,
                 };
                 push_exact(&mut self.triggers, def);
                 Ok(ExecOutcome::Created)
@@ -205,36 +174,9 @@ impl Database {
         }
     }
 
-    /// Sets a host scalar variable (e.g. `amtSpent`, `time`); names are
-    /// case-insensitive. Overwriting a variable allocates nothing.
-    pub fn set_var(&mut self, name: &str, value: Value) {
-        self.vars.set_named(name, value);
-    }
-
-    /// Reads a host scalar variable.
-    pub fn var(&self, name: &str) -> Option<&Value> {
-        self.vars.find(name)
-    }
-
     /// Host access to a table.
     pub fn table(&self, name: &str) -> DbResult<&Table> {
         Ok(&self.tables[self.table_position(name)?])
-    }
-
-    /// Host-side table creation.
-    pub fn create_table(&mut self, name: &str, schema: Schema) -> DbResult<()> {
-        let pos = match self.shape.search(name) {
-            Ok(_) => return Err(DbError::TableExists(name.to_string())),
-            Err(pos) => pos,
-        };
-        let shape = self.shape.with_table(pos, name, &Arc::new(schema));
-        self.tables.reserve_exact(1);
-        self.tables.insert(
-            pos,
-            Table::with_schema(Arc::clone(&shape.tables()[pos].schema)),
-        );
-        self.enter_shape(shape);
-        Ok(())
     }
 
     /// The position of the table called `name` (in any case).
@@ -242,35 +184,6 @@ impl Database {
         self.shape
             .position(name)
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
-    /// Moves to `shape` after a table was created or dropped, `tables`
-    /// already holding one entry per table of it. Trigger memos go too: a
-    /// shape this database had before (a table dropped and recreated as it
-    /// was) revalidates the plans that held it, but not the indexes the
-    /// dropped table took with it — refilling the memo from the plan cache
-    /// rebuilds them.
-    fn enter_shape(&mut self, shape: Arc<CatalogShape>) {
-        self.shape = shape;
-        self.ddl_epoch += 1;
-        for trigger in &mut self.triggers {
-            trigger.ready = None;
-        }
-    }
-
-    /// `true` if both databases fire the very same compiled triggers: the
-    /// same number of them (at least one), each pair one shared body and
-    /// one shared planned script. Databases that installed one program text
-    /// over one catalog shape do; a diagnostic for tests of that sharing,
-    /// which is otherwise invisible.
-    pub fn shares_triggers_with(&self, other: &Database) -> bool {
-        !self.triggers.is_empty()
-            && self.triggers.len() == other.triggers.len()
-            && self.triggers.iter().zip(&other.triggers).all(|(a, b)| {
-                Arc::ptr_eq(&a.trigger, &b.trigger)
-                    && matches!((&a.ready, &b.ready), (Some(a), Some(b))
-                        if Arc::ptr_eq(&a.planned, &b.planned))
-            })
     }
 
     /// Host-side insert; fires `AFTER INSERT` triggers like SQL inserts do.
@@ -291,56 +204,37 @@ impl Database {
 
     /// Fires the `AFTER INSERT` triggers of the table at `pos`. A body
     /// cannot insert or run DDL, so it neither fires a trigger nor changes
-    /// the trigger list or the catalog: the loop walks `self.triggers` in
-    /// place, and a memo missing at this shape is refilled in its slot.
+    /// the trigger list or the tables: the list is set aside while it
+    /// fires — moved, so no reference count shared with the template is
+    /// touched — and a memo that does not fit is refilled in its slot.
     pub(crate) fn fire_triggers(&mut self, pos: usize) -> DbResult<()> {
-        for slot in 0..self.triggers.len() {
-            let def = &self.triggers[slot];
+        let mut triggers = std::mem::take(&mut self.triggers);
+        let fired = self.fire(&mut triggers, pos);
+        self.triggers = triggers;
+        fired
+    }
+
+    fn fire(&mut self, triggers: &mut [TriggerDef], pos: usize) -> DbResult<()> {
+        for def in triggers {
             if !def.trigger.is_on(&self.shape.tables()[pos].display) {
                 continue;
             }
-            let ready = match def.ready_in(self) {
-                Some(ready) => Arc::clone(ready),
-                None => {
-                    let trigger = Arc::clone(&def.trigger);
-                    let ready = self.ready_trigger(trigger);
-                    self.triggers[slot].ready = Some(Arc::clone(&ready));
-                    ready
-                }
-            };
+            def.plan_in(self);
             // Stored trigger bodies never see the firing statement's
             // parameters — host scalar variables are their channel.
-            let body = ready
-                .trigger
-                .body
-                .statements
-                .iter()
-                .zip(ready.planned.plans());
-            self.exec_planned_seq(body, NO_PARAMS, |_| ())?;
+            self.exec_planned_seq(def.body(), NO_PARAMS, |_| ())?;
         }
         Ok(())
     }
 
-    /// Plans every stored trigger body now (instead of on first firing) —
-    /// or adopts the plan another database of the same catalog shape
-    /// already lowered for the same body — and materialises the indexes
-    /// those plans request. Campaign hosts call this once after installing
-    /// a bidding program, so the first auction pays no planning cost.
-    pub fn warm_plans(&mut self) {
-        for slot in 0..self.triggers.len() {
-            let def = &self.triggers[slot];
-            if def.ready_in(self).is_none() {
-                let trigger = Arc::clone(&def.trigger);
-                self.triggers[slot].ready = Some(self.ready_trigger(trigger));
-            }
+    /// Plans every stored trigger body now (instead of on first firing)
+    /// and materialises the indexes those plans request.
+    pub(crate) fn warm_plans(&mut self) {
+        let mut triggers = std::mem::take(&mut self.triggers);
+        for def in triggers.iter_mut() {
+            def.plan_in(self);
         }
-    }
-
-    /// Pairs a trigger with its body's plan for the current catalog shape
-    /// (lowered now, or adopted), building the indexes the plan probes.
-    fn ready_trigger(&mut self, trigger: Arc<Trigger>) -> Arc<ReadyTrigger> {
-        let planned = self.cached_script(&trigger.body);
-        Arc::new(ReadyTrigger { trigger, planned })
+        self.triggers = triggers;
     }
 }
 
@@ -591,43 +485,37 @@ mod tests {
             ],
         };
         assert_eq!(
-            db.execute(&assembled),
+            db.exec_ddl(&assembled),
             Err(DbError::DuplicateColumn("A".to_string()))
         );
         assert!(db.table_names().is_empty());
     }
 
     #[test]
-    fn a_catalog_keeps_its_parents_and_a_plan_keeps_its_shape() {
-        // A catalog that only grew holds every shape on its way.
-        let mut db = Database::new();
-        db.run("CREATE TABLE exec_test_a (x INT)").unwrap();
-        let first = Arc::clone(&db.shape);
-        db.run("CREATE TABLE exec_test_b (y INT)").unwrap();
-        let parent_of = |shape: &CatalogShape| shape._parent.as_ref().map(Arc::as_ptr);
-        assert_eq!(parent_of(&db.shape), Some(Arc::as_ptr(&first)));
-        assert_eq!(parent_of(&first), Some(Arc::as_ptr(&CatalogShape::empty())));
-
-        // A memoised plan holds the shape it was lowered at: with no other
-        // database of that shape alive, dropping the table and creating it
-        // again as it was comes back to that very shape, and nothing is
-        // replanned. (A `Weak` keeps the allocation, so the address cannot
-        // be reused by another shape, without keeping the shape alive.)
+    fn a_plan_fits_only_the_catalog_it_was_lowered_at() {
+        // A memoised plan holds the catalog it was lowered at and runs
+        // where that `Arc` is the database's. A table dropped and created
+        // again as it was is a new catalog: the memo is lowered again, once,
+        // and reads the new table.
         let mut db = Database::new();
         db.run("CREATE TABLE exec_test_kept (x INT)").unwrap();
         let mut read = db.prepare("SELECT x FROM exec_test_kept").unwrap();
         read.execute(&mut db, NO_PARAMS).unwrap();
-        let lowered_at = Arc::downgrade(&db.shape);
+        let lowered_at = Arc::clone(&db.shape);
         let plans = db.planner_stats().plans_cached;
+        read.execute(&mut db, NO_PARAMS).unwrap();
+        assert_eq!(db.planner_stats().plans_cached, plans);
         db.run("DROP TABLE exec_test_kept").unwrap();
         db.run("CREATE TABLE exec_test_kept (x INT)").unwrap();
-        assert_eq!(lowered_at.as_ptr(), Arc::as_ptr(&db.shape));
+        assert!(!Arc::ptr_eq(&lowered_at, &db.shape));
         db.run("INSERT INTO exec_test_kept VALUES (7)").unwrap();
-        assert_eq!(
-            read.query(&mut db, NO_PARAMS).unwrap(),
-            vec![vec![Value::Int(7)]]
-        );
-        assert_eq!(db.planner_stats().plans_cached, plans);
+        for _ in 0..2 {
+            assert_eq!(
+                read.query(&mut db, NO_PARAMS).unwrap(),
+                vec![vec![Value::Int(7)]]
+            );
+        }
+        assert_eq!(db.planner_stats().plans_cached, plans + 1);
     }
 
     #[test]

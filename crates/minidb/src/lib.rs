@@ -26,7 +26,10 @@
 //!   `targetSpendRate`, …) that the auction engine sets before each run,
 //! * a [`prepared`] statement layer ([`Database::prepare`] → [`Prepared`]
 //!   plus [`Params`] binding of `?`/`:name` placeholders) so hot paths
-//!   parse each program once and run it many times.
+//!   parse each program once and run it many times,
+//! * a compile step ([`Template::compile`] → [`Template::instantiate`]) so
+//!   a program installed in many databases is parsed, run as DDL and
+//!   planned once.
 //!
 //! The paper's Figure 5 "Equalize ROI" program runs unmodified (up to the
 //! obvious typo on its line 11 — see `tests/figure5.rs`).
@@ -37,9 +40,9 @@
 //!
 //! 1. **Logical lowering** — the parser outputs a plain-data statement
 //!    tree; each statement of a [`Prepared`] script or trigger body is
-//!    lowered once into a plan ([`plan`] module), cached in a script every
-//!    database running the same text shares (see "Compile once per text"
-//!    below).
+//!    lowered once into a plan ([`plan`] module) and memoised by its owner —
+//!    for a compiled program, once for every database running it (see
+//!    "Compile once per program" below).
 //! 2. **Flat tables, sorted-array indexes** — a [`Table`] keeps its cells
 //!    in one row-major vector and maintains sorted-array indexes on
 //!    `INT`/`TEXT` columns incrementally through every `INSERT`, `UPDATE`,
@@ -67,48 +70,28 @@
 //! tests call it by name as their oracle. Read [`Database::planner_stats`]
 //! for `index_hits` / `rows_scanned` / `plans_cached` counters.
 //!
-//! ## Compile once per text
+//! ## Compile once per program
 //!
 //! A marketplace runs one bidding program for thousands of campaigns, each
 //! in a [`Database`] of its own. What a database owns is its state — rows,
-//! indexes, variable values, each value 16 bytes; everything derived from
-//! SQL *text* is compiled or interned once and shared (`script.rs`):
+//! indexes, variable values, each value 16 bytes. Everything derived from
+//! the program's text is compiled once into a [`Template`] its owner holds:
+//! [`Template::compile`] parses the scripts, runs their DDL into one
+//! catalog (tables, column names and types, and the names of the variables
+//! the program and its host use: all that planning reads), and lowers every
+//! data statement and trigger body against it. Every database
+//! [`Template::instantiate`] makes holds that catalog, those triggers and
+//! those plans by `Arc`, and builds the indexes the plans probe on its own
+//! tables; [`Template::prepare`] lowers a host statement at the same
+//! catalog, so one handle, cloned, runs in every instance.
 //!
-//! * **Script interning** — [`Database::prepare`] and [`Database::run`]
-//!   resolve their text through a process-wide table of weak references. A
-//!   text that a [`Prepared`] handle still holds is not parsed again: the
-//!   caller gets the same statements and the same plan cache. The script
-//!   owns a shared trigger per `CREATE TRIGGER` in it, so every database
-//!   that executed one prepared defining script fires one body — a host
-//!   installing a program in many databases prepares it once and keeps the
-//!   handle. The table never keeps a script alive and drops an entry with
-//!   its last holder, so one-off statements cannot grow it
-//!   ([`interned_scripts`] counts it).
-//! * **A shared catalog** — the catalog's *shape* (its tables, their
-//!   spelling, column names and types: all that planning reads) is
-//!   interned, and a database holds it plus one table of rows and indexes
-//!   per entry, in the shape's order. A plan holds the shape it was lowered
-//!   at, runs where that shape is the database's, and names tables by
-//!   position in it. Databases that ran the same DDL validate the same
-//!   planned script; one whose DDL diverges (a script that recreates a
-//!   table with other columns, say) moves to another shape and replans
-//!   alone. A plan keeps its shape alive, so a database coming back to a
-//!   catalog it had finds the plans valid again, whoever else exists.
-//! * **Shared names** — trigger names live in the shared trigger bodies,
-//!   and variable names, and the ordered list of them a database has set,
-//!   are interned once per process: a database holds that list and one
-//!   value per name, so setting or reading one it has allocates nothing.
-//! * **Indexes stay private** — a database that adopts a plan a sibling
-//!   lowered still builds the indexes that plan probes on its own tables.
-//!
-//! Each owner (a [`Prepared`] handle, a trigger inside a database) memoises
-//! the planned script it last ran, so the serving path takes no lock and
-//! touches no shared reference count. Sharing is invisible in
-//! [`Database::planner_stats`]: `plans_cached` counts the statement plans a
-//! database's owners memoised, lowered here or adopted alike, so a
-//! database reports the same numbers with or without siblings
-//! ([`Database::shares_triggers_with`] and
-//! [`Prepared::shares_script_with`] are how to see the sharing).
+//! A database that moves its own catalog — DDL run through
+//! [`Database::run`], or a variable set for the first time — takes a
+//! catalog of its own and replans alone. An ad-hoc [`Database::run`] or
+//! [`Database::prepare`] parses per call and lowers per handle; there is no
+//! process-wide state. Owners (a [`Prepared`] handle, a trigger inside a
+//! database) memoise the planned script they last ran, so the serving path
+//! takes no lock and touches no shared reference count.
 //!
 //! ```
 //! use ssa_minidb::Database;
@@ -143,6 +126,7 @@ pub mod prepared;
 mod reference;
 mod script;
 pub mod table;
+mod template;
 pub mod value;
 mod vars;
 
@@ -150,6 +134,6 @@ pub use error::{DbError, DbResult};
 pub use exec::{Database, ExecOutcome};
 pub use plan::PlannerStats;
 pub use prepared::{Params, Prepared, NO_PARAMS};
-pub use script::interned_scripts;
 pub use table::{Column, Row, Schema, Table};
+pub use template::Template;
 pub use value::{Text, Value, ValueType};

@@ -19,15 +19,16 @@
 //!    [`PlannerStats`] counters.
 //!
 //! A plan holds the catalog *shape* it was lowered at
-//! (`crate::script::CatalogShape`: tables, column names and types — all
-//! that planning reads), and is valid exactly where that `Arc` is the
-//! database's shape. Databases that ran the same DDL hold the same shape
-//! and share one planned script per script text; `CREATE TABLE`/`DROP
-//! TABLE` moves a database to another shape, and a plan lowered at a
-//! different one is transparently replanned, so cached plans never observe
-//! a renamed schema. Because a shape fixes the catalog's table list, a plan
-//! names its tables by their position in it: a database holds its tables
-//! in the shape's order.
+//! (`crate::script::CatalogShape`: tables, column names and types,
+//! variable names — all that planning reads), and is valid exactly where
+//! that `Arc` is the database's shape. The instances of one
+//! [`crate::Template`] hold its shape, so the plans lowered once for it run
+//! in all of them; `CREATE TABLE`/`DROP TABLE`, or a variable set for the
+//! first time, gives a database a shape of its own, and a plan lowered at
+//! another one is transparently replanned, so cached plans never observe a
+//! renamed schema. Because a shape fixes the catalog's table and variable
+//! lists, a plan names tables and variables by their position in them: a
+//! database holds its tables and variable values in the shape's order.
 //!
 //! **Equivalence guarantee**: for every script, the planned executor
 //! produces bit-identical outcomes — rows, errors, trigger effects, and
@@ -46,12 +47,11 @@ use crate::compile::{
 use crate::error::{DbError, DbResult};
 use crate::exec::{Database, ExecOutcome};
 use crate::prepared::Params;
-use crate::script::{CatalogShape, Script, Trigger};
+use crate::script::{CatalogShape, Script};
 use crate::table::{Row, Table};
 use crate::value::{ArithOp, Value, ValueType};
-use crate::vars::VarName;
 use std::cell::Cell;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Counters and planned scripts.
@@ -64,10 +64,10 @@ pub struct PlannerStats {
     pub index_hits: u64,
     /// Rows examined by full-scan access paths.
     pub rows_scanned: u64,
-    /// Statement plans memoised for this database by their owners
-    /// (prepared handles, triggers). Plans adopted from a database of the
-    /// same catalog shape count like plans lowered here, so the number does
-    /// not depend on which other databases exist.
+    /// Statement plans lowered for this database's owners (prepared
+    /// handles, triggers) and memoised by them. An instance of a
+    /// [`crate::Template`] starts at the count of plans its template
+    /// lowered for it: its setup statements and trigger bodies.
     pub plans_cached: u64,
 }
 
@@ -90,10 +90,10 @@ impl PlannerCounters {
 }
 
 /// A whole script (prepared statement list or trigger body) planned at one
-/// catalog shape. Caching the script as a unit means executing it costs a
-/// single lock acquisition and `Arc` bump, not one per statement — the
-/// per-statement shape check in [`Database::exec_planned`] still catches
-/// DDL executed mid-script.
+/// catalog shape. Memoising the script as a unit means executing it costs
+/// one shape comparison, not one per statement — the per-statement shape
+/// check in [`Database::exec_planned`] still catches DDL executed
+/// mid-script.
 #[derive(Debug)]
 pub(crate) struct PlannedScript {
     /// The shape the script was lowered at, kept alive by it.
@@ -103,12 +103,33 @@ pub(crate) struct PlannedScript {
     /// cold-cache footprint down.
     plans: Vec<StmtPlan>,
     /// Every `(table position, column ordinal)` the script's plans probe,
-    /// sorted and deduplicated: what a database adopting this script must
+    /// sorted and deduplicated: what a database running this script must
     /// index.
-    index_reqs: Vec<(usize, usize)>,
+    pub(crate) index_reqs: Vec<(usize, usize)>,
 }
 
 impl PlannedScript {
+    /// Lowers `script` against `db`'s catalog. Pure: builds no index and
+    /// counts nothing.
+    pub(crate) fn lower(db: &Database, script: &Script) -> PlannedScript {
+        let plans: Vec<StmtPlan> = script
+            .statements
+            .iter()
+            .map(|stmt| plan_statement(db, stmt))
+            .collect();
+        let mut index_reqs: Vec<(usize, usize)> = plans
+            .iter()
+            .flat_map(|p| p.index_reqs.iter().copied())
+            .collect();
+        index_reqs.sort();
+        index_reqs.dedup();
+        PlannedScript {
+            shape: Arc::clone(&db.shape),
+            plans,
+            index_reqs,
+        }
+    }
+
     /// The statement plans, in script order.
     pub(crate) fn plans(&self) -> &[StmtPlan] {
         &self.plans
@@ -120,23 +141,6 @@ impl PlannedScript {
     pub(crate) fn fits(&self, db: &Database) -> bool {
         Arc::ptr_eq(&self.shape, &db.shape)
     }
-
-    /// The indexes the script's plans probe.
-    pub(crate) fn index_reqs(&self) -> &[(usize, usize)] {
-        &self.index_reqs
-    }
-}
-
-/// A script's plan cache (it lives in the [`Script`]), shared by every
-/// database that runs the script's text. It holds the most recently lowered
-/// plan; the lock is taken only when an owner's private memo misses — once
-/// per owner in the steady state — never on the serving path.
-pub(crate) type PlanCache = Mutex<Option<Arc<PlannedScript>>>;
-
-fn lock_cache(cache: &PlanCache) -> std::sync::MutexGuard<'_, Option<Arc<PlannedScript>>> {
-    cache
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 // ---------------------------------------------------------------------------
@@ -156,10 +160,8 @@ pub(crate) struct StmtPlan {
 #[derive(Debug)]
 enum PlanKind {
     /// DDL runs unplanned through `Database::exec_ddl` (and may move the
-    /// catalog shape), whatever shape it was planned at. A `CREATE
-    /// TRIGGER`'s carries the shared trigger it installs, if its script has
-    /// one.
-    Ddl(Option<Arc<Trigger>>),
+    /// catalog shape), whatever shape it was planned at.
+    Ddl,
     /// Planning already diagnosed the statement's first runtime error.
     Raise(DbError),
     Insert(PlannedInsert),
@@ -171,7 +173,10 @@ enum PlanKind {
         else_block: Option<PlannedBlock>,
     },
     SetVar {
-        name: Arc<VarName>,
+        name: String,
+        /// The variable's slot in the catalog's names; `None` if it is set
+        /// here for the first time.
+        slot: Option<usize>,
         value: CompiledExpr,
     },
 }
@@ -282,15 +287,9 @@ enum AccessKind {
 // ---------------------------------------------------------------------------
 
 /// Lowers one statement against the current catalog. Pure: reads the
-/// database, never mutates it (no index creation, no counters). A `CREATE
-/// TRIGGER` installs the matching one of `triggers`, its script's shared
-/// ones.
-pub(crate) fn plan_statement(
-    db: &Database,
-    stmt: &Statement,
-    triggers: &[Arc<Trigger>],
-) -> StmtPlan {
-    let kind = plan_kind(db, stmt, triggers);
+/// database, never mutates it (no index creation, no counters).
+fn plan_statement(db: &Database, stmt: &Statement) -> StmtPlan {
+    let kind = plan_kind(db, stmt);
     let mut reqs = Vec::new();
     collect_reqs_kind(&kind, &mut reqs);
     reqs.sort();
@@ -302,12 +301,11 @@ pub(crate) fn plan_statement(
     }
 }
 
-fn plan_kind(db: &Database, stmt: &Statement, triggers: &[Arc<Trigger>]) -> PlanKind {
+fn plan_kind(db: &Database, stmt: &Statement) -> PlanKind {
     match stmt {
-        Statement::CreateTable { .. } | Statement::DropTable { .. } => PlanKind::Ddl(None),
-        Statement::CreateTrigger { name, table, body } => {
-            PlanKind::Ddl(triggers.iter().find(|t| t.is(name, table, body)).cloned())
-        }
+        Statement::CreateTable { .. }
+        | Statement::DropTable { .. }
+        | Statement::CreateTrigger { .. } => PlanKind::Ddl,
         Statement::Insert {
             table,
             columns,
@@ -411,22 +409,23 @@ fn plan_kind(db: &Database, stmt: &Statement, triggers: &[Arc<Trigger>]) -> Plan
         Statement::If { arms, else_block } => PlanKind::If {
             arms: arms
                 .iter()
-                .map(|(cond, block)| (compile_expr(cond, db, &[]), plan_block(db, block, triggers)))
+                .map(|(cond, block)| (compile_expr(cond, db, &[]), plan_block(db, block)))
                 .collect(),
-            else_block: else_block.as_ref().map(|b| plan_block(db, b, triggers)),
+            else_block: else_block.as_ref().map(|b| plan_block(db, b)),
         },
         Statement::SetVar { name, value } => PlanKind::SetVar {
-            name: VarName::intern(name),
+            name: name.clone(),
+            slot: db.shape.vars.slot(name),
             value: compile_expr(value, db, &[]),
         },
     }
 }
 
-fn plan_block(db: &Database, block: &[Statement], triggers: &[Arc<Trigger>]) -> PlannedBlock {
+fn plan_block(db: &Database, block: &[Statement]) -> PlannedBlock {
     PlannedBlock {
         stmts: block
             .iter()
-            .map(|s| (s.clone(), plan_statement(db, s, triggers)))
+            .map(|s| (s.clone(), plan_statement(db, s)))
             .collect(),
     }
 }
@@ -608,7 +607,7 @@ fn eq_probe<'e>(
 
 fn collect_reqs_kind(kind: &PlanKind, out: &mut Vec<(usize, usize)>) {
     match kind {
-        PlanKind::Ddl(_) | PlanKind::Raise(_) => {}
+        PlanKind::Ddl | PlanKind::Raise(_) => {}
         PlanKind::Insert(pi) => {
             for prow in &pi.rows {
                 for ce in &prow.exprs {
@@ -768,23 +767,31 @@ fn for_each_match<'a>(
             };
             PlannerCounters::bump(&db.counters.index_hits, 1);
             for &ridx in postings {
-                let row = table.row(ridx);
-                cx.scopes.push(row);
-                let ok = match residual {
-                    None => Ok(true),
-                    Some(r) => r.eval_predicate(cx),
-                };
-                let result = match ok {
-                    Ok(true) => on_match(cx, ridx, row),
-                    Ok(false) => Ok(()),
-                    Err(e) => Err(e),
-                };
-                cx.scopes.pop();
-                result?;
+                match_row(cx, ridx, table.row(ridx), residual.as_ref(), &mut on_match)?;
             }
             Ok(())
         }
     }
+}
+
+/// Calls `on_match` on `row` if `pred` accepts it, the row's scope pushed
+/// on `cx` meanwhile.
+#[inline]
+fn match_row<'a>(
+    cx: &mut EvalCx<'a>,
+    ridx: usize,
+    row: &'a [Value],
+    pred: Option<&CompiledExpr>,
+    on_match: &mut impl FnMut(&mut EvalCx<'a>, usize, &'a [Value]) -> DbResult<()>,
+) -> DbResult<()> {
+    cx.scopes.push(row);
+    let result = match pred.map_or(Ok(true), |p| p.eval_predicate(cx)) {
+        Ok(true) => on_match(cx, ridx, row),
+        Ok(false) => Ok(()),
+        Err(e) => Err(e),
+    };
+    cx.scopes.pop();
+    result
 }
 
 fn scan_matches<'a>(
@@ -796,18 +803,7 @@ fn scan_matches<'a>(
     let db = cx.db;
     for (ridx, row) in table.rows().enumerate() {
         PlannerCounters::bump(&db.counters.rows_scanned, 1);
-        cx.scopes.push(row);
-        let ok = match pred {
-            None => Ok(true),
-            Some(p) => p.eval_predicate(cx),
-        };
-        let result = match ok {
-            Ok(true) => on_match(cx, ridx, row),
-            Ok(false) => Ok(()),
-            Err(e) => Err(e),
-        };
-        cx.scopes.pop();
-        result?;
+        match_row(cx, ridx, row, pred, on_match)?;
     }
     Ok(())
 }
@@ -886,51 +882,20 @@ pub(crate) fn run_planned_select<'a>(
 }
 
 impl Database {
-    /// Fetches the whole-script plan for this database's catalog shape from
-    /// the script's shared cache — lowering and caching it if no database
-    /// of this shape has yet — and builds the indexes it probes. A hit may
-    /// be a plan some *other* database lowered, so the indexes are checked
-    /// on both paths. Owners memoise the result; in the steady state this
-    /// runs once per owner.
-    pub(crate) fn cached_script(&mut self, script: &Script) -> Arc<PlannedScript> {
-        let planned = {
-            let mut guard = lock_cache(&script.plans);
-            match &*guard {
-                Some(planned) if planned.fits(self) => Arc::clone(planned),
-                _ => {
-                    let plans: Vec<StmtPlan> = script
-                        .statements
-                        .iter()
-                        .map(|stmt| plan_statement(self, stmt, &script.triggers))
-                        .collect();
-                    let mut index_reqs: Vec<(usize, usize)> = plans
-                        .iter()
-                        .flat_map(|p| p.index_reqs.iter().copied())
-                        .collect();
-                    index_reqs.sort();
-                    index_reqs.dedup();
-                    let planned = Arc::new(PlannedScript {
-                        shape: Arc::clone(&self.shape),
-                        plans,
-                        index_reqs,
-                    });
-                    *guard = Some(Arc::clone(&planned));
-                    planned
-                }
-            }
-        };
-        // Counted whether lowered here or adopted: what a database reports
-        // must not depend on which other databases exist.
+    /// Lowers `script` at this database's catalog for an owner to memoise,
+    /// counts its plans and builds the indexes they probe.
+    pub(crate) fn plan_script(&mut self, script: &Script) -> Arc<PlannedScript> {
+        let planned = PlannedScript::lower(self, script);
         PlannerCounters::bump(&self.counters.plans_cached, planned.plans.len() as u64);
         self.ensure_plan_indexes(&planned.index_reqs);
-        planned
+        Arc::new(planned)
     }
 
-    /// Executes a whole pre-planned script: the lock-free fast path for
-    /// owners that memoise their [`PlannedScript`] (see
-    /// [`crate::Prepared::execute`]). The caller has already revalidated
-    /// the script's shape; the per-statement check in
-    /// [`Database::exec_planned`] still catches DDL executed mid-script.
+    /// Executes a whole pre-planned script: the fast path for owners that
+    /// memoise their [`PlannedScript`] (see [`crate::Prepared::execute`]).
+    /// The caller has already revalidated the script's shape; the
+    /// per-statement check in [`Database::exec_planned`] still catches DDL
+    /// executed mid-script.
     pub(crate) fn execute_planned_script(
         &mut self,
         statements: &[Statement],
@@ -945,25 +910,13 @@ impl Database {
 
     /// Executes planned statements in order: a prepared script, a trigger
     /// body, an `IF` block.
-    ///
-    /// DDL run along the way by an earlier statement of a script (a
-    /// trigger body runs none) may drop a table and recreate it as it was.
-    /// The catalog is
-    /// then back at the shape the remaining plans hold, so they
-    /// stay valid, but the indexes they probe went with the old table: once
-    /// this database's DDL count has moved, each remaining statement gets
-    /// its indexes re-ensured first.
     pub(crate) fn exec_planned_seq<'p>(
         &mut self,
         planned: impl Iterator<Item = (&'p Statement, &'p StmtPlan)>,
         params: &Params,
         mut outcome: impl FnMut(ExecOutcome),
     ) -> DbResult<()> {
-        let epoch = self.ddl_epoch;
         for (stmt, plan) in planned {
-            if self.ddl_epoch != epoch && Arc::ptr_eq(&plan.shape, &self.shape) {
-                self.ensure_plan_indexes(&plan.index_reqs);
-            }
             outcome(self.exec_planned(stmt, plan, params)?);
         }
         Ok(())
@@ -978,8 +931,8 @@ impl Database {
         plan: &StmtPlan,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
-        if !Arc::ptr_eq(&plan.shape, &self.shape) && !matches!(plan.kind, PlanKind::Ddl(_)) {
-            let fresh = plan_statement(self, source, &[]);
+        if !Arc::ptr_eq(&plan.shape, &self.shape) && !matches!(plan.kind, PlanKind::Ddl) {
+            let fresh = plan_statement(self, source);
             self.ensure_plan_indexes(&fresh.index_reqs);
             return self.exec_plan_kind(source, &fresh, params);
         }
@@ -1002,17 +955,21 @@ impl Database {
         plan: &StmtPlan,
         params: &Params,
     ) -> DbResult<ExecOutcome> {
-        // Indexes were materialised when the plan was built or adopted
-        // (cached_script, or the replan above) — execution only probes them.
+        // Indexes were materialised when the plan was lowered or its memo
+        // checked (plan_script, or the replan above) — execution only
+        // probes them.
         match &plan.kind {
-            PlanKind::Ddl(trigger) => self.exec_ddl(source, trigger.as_ref()),
+            PlanKind::Ddl => self.exec_ddl(source),
             PlanKind::Raise(e) => Err(e.clone()),
-            PlanKind::SetVar { name, value, .. } => {
+            PlanKind::SetVar { name, slot, value } => {
                 let v = {
                     let mut cx = EvalCx::new(&*self, params);
                     value.eval(&mut cx)?
                 };
-                self.vars.set(name, v);
+                match slot {
+                    Some(slot) => self.vars[*slot] = Some(v),
+                    None => self.set_var(name, v),
+                }
                 Ok(ExecOutcome::Done)
             }
             PlanKind::If { arms, else_block } => {

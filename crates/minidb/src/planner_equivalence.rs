@@ -11,11 +11,14 @@
 //! compares every statement outcome plus the full table state after each
 //! step.
 
+use crate::exec::TriggerDef;
 use crate::{
-    Database, DbResult, ExecOutcome, Params, Prepared, Row, Table, Value, ValueType, NO_PARAMS,
+    Database, DbResult, ExecOutcome, Params, Prepared, Row, Table, Template, Value, ValueType,
+    NO_PARAMS,
 };
 use proptest::prelude::*;
 use std::ops::Deref;
+use std::sync::Arc;
 
 /// The executor a test database is driven through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,37 +276,66 @@ fn mixed_case_spellings_agree() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharing and isolation: databases that run one script text share the
-// parsed script and its plans, and still behave as if each had its own.
+// Sharing and isolation: databases instantiated from one compiled program
+// share its catalog, triggers and plans, and still behave as if each had
+// its own.
 // ---------------------------------------------------------------------------
 
-/// A small bidding program over tables suffixed with `tag`: each test takes
-/// its own tag — its own texts and catalog shape — so what it asserts about
-/// pointer-shared scripts and plans is its own doing, not a concurrently
-/// running test's.
-fn program(tag: &str) -> String {
-    format!(
-        "CREATE TABLE Query{tag} (kw INT);
-         CREATE TABLE Keywords{tag} (text TEXT, bid INT, maxbid INT);
-         CREATE TABLE Bids{tag} (formula TEXT, value INT);
-         INSERT INTO Keywords{tag} VALUES ('boot', :bid, :max), ('shoe', :bid + 1, :max);
-         INSERT INTO Bids{tag} VALUES ('Click', 0);
-         CREATE TRIGGER bid{tag} AFTER INSERT ON Query{tag} {{
-           UPDATE Keywords{tag} SET bid = bid + 1 WHERE text = 'boot' AND bid < maxbid;
-           UPDATE Bids{tag} SET value =
-             (SELECT SUM(K.bid) FROM Keywords{tag} K WHERE K.text = 'boot')
-           WHERE formula = 'Click';
-         }}"
-    )
+/// A small bidding program over tables suffixed with `tag`, as its two
+/// scripts: the tables and their initial state, then the trigger.
+fn program(tag: &str) -> [String; 2] {
+    [
+        format!(
+            "CREATE TABLE Query{tag} (kw INT);
+             CREATE TABLE Keywords{tag} (text TEXT, bid INT, maxbid INT);
+             CREATE TABLE Bids{tag} (formula TEXT, value INT);
+             INSERT INTO Keywords{tag} VALUES ('boot', :bid, :max), ('shoe', :bid + 1, :max);
+             INSERT INTO Bids{tag} VALUES ('Click', 0);"
+        ),
+        format!(
+            "CREATE TRIGGER bid{tag} AFTER INSERT ON Query{tag} {{
+               UPDATE Keywords{tag} SET bid = bid + 1 WHERE text = 'boot' AND bid < maxbid;
+               UPDATE Bids{tag} SET value =
+                 (SELECT SUM(K.bid) FROM Keywords{tag} K WHERE K.text = 'boot')
+               WHERE formula = 'Click';
+             }}"
+        ),
+    ]
 }
 
-/// One campaign: a database built from `program(tag)` plus its host
-/// statements, the way `SqlProgramBidder` drives a program.
+/// `program(tag)` compiled once, with the host statements a campaign runs
+/// prepared at its catalog, the way `SqlProgramBidder` compiles a program.
+struct Compiled {
+    tag: String,
+    scripts: [String; 2],
+    template: Template,
+    clear: Prepared,
+    read: Prepared,
+}
+
+impl Compiled {
+    fn new(tag: &str) -> Compiled {
+        let scripts = program(tag);
+        let template = Template::compile(&[&scripts[0], &scripts[1]], &[]).unwrap();
+        Compiled {
+            tag: tag.to_string(),
+            clear: template
+                .prepare(&format!("DELETE FROM Query{tag}"))
+                .unwrap(),
+            read: template
+                .prepare(&format!("SELECT * FROM Bids{tag}"))
+                .unwrap(),
+            scripts,
+            template,
+        }
+    }
+}
+
+/// One campaign: an instance of a compiled program — for the oracle, a
+/// database that ran the program's scripts on the interpreter — plus
+/// clones of its host statements.
 struct Campaign {
     db: Driven,
-    /// Held, like a campaign host holds it, so the next campaign of the
-    /// same text installs these trigger bodies instead of parsing its own.
-    _program: Prepared,
     clear: Prepared,
     read: Prepared,
     query_table: String,
@@ -314,22 +346,28 @@ struct Campaign {
 }
 
 impl Campaign {
-    fn new(tag: &str, engine: Engine, bid: i64, max: i64) -> Campaign {
-        let mut db = Driven::new(engine);
+    fn new(compiled: &Compiled, engine: Engine, bid: i64, max: i64) -> Campaign {
         let params = Params::new().bind("bid", bid).bind("max", max);
-        let mut program = db.prepare(&program(tag)).unwrap();
-        db.execute(&mut program, &params).unwrap();
-        let query_table = format!("Query{tag}");
-        let mut clear = db.prepare(&format!("DELETE FROM {query_table}")).unwrap();
-        let mut read = db.prepare(&format!("SELECT * FROM Bids{tag}")).unwrap();
-        // Plan (or adopt) everything at registration, like a campaign host.
+        let db = match engine {
+            Engine::Planned => compiled.template.instantiate(&params).unwrap(),
+            Engine::Reference => {
+                let mut db = Database::new();
+                for (sql, params) in compiled.scripts.iter().zip([&params, NO_PARAMS]) {
+                    let script = db.prepare(sql).unwrap();
+                    script.execute_reference(&mut db, params).unwrap();
+                }
+                db
+            }
+        };
+        let mut db = Driven { db, engine };
+        let (mut clear, mut read) = (compiled.clear.clone(), compiled.read.clone());
+        // Build the indexes at registration, like a campaign host.
         db.warm(&mut [&mut clear, &mut read]);
         Campaign {
             db,
-            _program: program,
             clear,
             read,
-            query_table,
+            query_table: format!("Query{}", compiled.tag),
             reshape: None,
         }
     }
@@ -351,34 +389,44 @@ impl Campaign {
     }
 }
 
-/// N databases built from one script with different bound parameters,
+/// `true` if both databases fire the very same compiled triggers: the same
+/// number of them (at least one), each pair one body and one planned
+/// script.
+fn fire_one_program(a: &Database, b: &Database) -> bool {
+    let planned = |def: &TriggerDef| def.planned.as_ref().map(Arc::as_ptr);
+    !a.triggers.is_empty()
+        && a.triggers.len() == b.triggers.len()
+        && a.triggers.iter().zip(&b.triggers).all(|(a, b)| {
+            Arc::ptr_eq(&a.trigger, &b.trigger) && planned(a).is_some() && planned(a) == planned(b)
+        })
+}
+
+/// N instances of one compiled program with different bound parameters,
 /// driven interleaved: each is bit-identical to its own forced-scan oracle,
-/// all of them fire the plans the first lowered, and their counters cannot
-/// tell who lowered and who adopted.
+/// all of them fire the plans the template lowered, and their counters
+/// move alike.
 #[test]
 fn databases_sharing_one_script_match_their_oracles() {
-    let tag = "_shared";
+    let compiled = Compiled::new("_shared");
+    let tag = &compiled.tag;
     let params = [(1, 4), (3, 3), (0, 9), (-2, 1)];
     let mut autos: Vec<Campaign> = params
         .iter()
-        .map(|&(bid, max)| Campaign::new(tag, Engine::Planned, bid, max))
+        .map(|&(bid, max)| Campaign::new(&compiled, Engine::Planned, bid, max))
         .collect();
     let mut scans: Vec<Campaign> = params
         .iter()
-        .map(|&(bid, max)| Campaign::new(tag, Engine::Reference, bid, max))
+        .map(|&(bid, max)| Campaign::new(&compiled, Engine::Reference, bid, max))
         .collect();
     for sibling in &autos[1..] {
         assert!(
-            autos[0].db.shares_triggers_with(&sibling.db),
-            "a sibling adopts the plans the first database lowered"
+            fire_one_program(&autos[0].db, &sibling.db),
+            "instances fire the plans the template lowered"
         );
-        assert_eq!(
-            sibling.db.planner_stats(),
-            autos[0].db.planner_stats(),
-            "adopting must count like lowering"
-        );
+        assert_eq!(sibling.db.planner_stats(), autos[0].db.planner_stats());
     }
-    assert!(!autos[0].db.shares_triggers_with(&scans[0].db));
+    assert!(autos[0].db.planner_stats().plans_cached > 0);
+    assert!(!fire_one_program(&autos[0].db, &scans[0].db));
     for round in 0..6 {
         for (auto, scan) in autos.iter_mut().zip(&mut scans) {
             assert_eq!(auto.round(), scan.round(), "round {round}");
@@ -393,8 +441,9 @@ fn databases_sharing_one_script_match_their_oracles() {
         assert_eq!(
             stats.plans_cached,
             autos[0].db.planner_stats().plans_cached,
-            "database {i} planned more or less than the one that lowered"
+            "database {i} planned more or less than its siblings"
         );
+        assert!(fire_one_program(&autos[0].db, &auto.db));
     }
 }
 
@@ -403,14 +452,15 @@ fn databases_sharing_one_script_match_their_oracles() {
 /// keep their results, their plans and their counters' pace.
 #[test]
 fn a_sibling_whose_ddl_diverges_replans_alone() {
-    let tag = "_diverge";
+    let compiled = Compiled::new("_diverge");
+    let tag = &compiled.tag;
     let reshape = format!(
         "DROP TABLE Bids{tag};
          CREATE TABLE Bids{tag} (formula TEXT, value INT, note TEXT);
          INSERT INTO Bids{tag} VALUES ('Click', 7, 'reshaped');"
     );
     let build = |engine, diverge: bool| {
-        let mut campaign = Campaign::new(tag, engine, 1, 5);
+        let mut campaign = Campaign::new(&compiled, engine, 1, 5);
         if diverge {
             campaign.reshape = Some(campaign.db.prepare(&reshape).unwrap());
         }
@@ -441,8 +491,8 @@ fn a_sibling_whose_ddl_diverges_replans_alone() {
     let sibling_plans = sibling.db.planner_stats().plans_cached;
     for round in 0..4 {
         // The sibling's round drops and recreates Bids, so everything it
-        // runs — the host statements' texts are shared with the stayers —
-        // is replanned for the shapes it passes through.
+        // runs — the trigger and the host statements it shares with the
+        // stayers — is replanned for the catalogs it passes through.
         assert_eq!(sibling.round(), sibling_oracle.round(), "round {round}");
         assert_eq!(sibling.keywords(tag), sibling_oracle.keywords(tag));
 
@@ -466,72 +516,60 @@ fn a_sibling_whose_ddl_diverges_replans_alone() {
         }
     }
     assert!(sibling.db.planner_stats().plans_cached > sibling_plans);
-    assert!(stayers[0].db.shares_triggers_with(&stayers[1].db));
+    assert!(fire_one_program(&stayers[0].db, &stayers[1].db));
     assert_eq!(sibling.round().unwrap()[0].len(), 3, "the reshaped Bids");
 }
 
-/// A database that adopts a plan another database lowered builds its own
-/// indexes: it takes the index path and returns its own rows.
+/// Instances running a handle lowered once at their template's catalog each
+/// build the indexes it probes on their own tables: each takes the index
+/// path and returns its own rows, those of its oracle.
 #[test]
 fn an_adopted_plan_still_gets_its_indexes() {
-    let build = |bids: &[i64]| {
-        let mut db = Database::new();
-        db.run("CREATE TABLE Adopted (text TEXT, bid INT)").unwrap();
-        let mut insert = db.prepare("INSERT INTO Adopted VALUES (?, ?)").unwrap();
+    let template = Template::compile(&["CREATE TABLE Adopted (text TEXT, bid INT)"], &[]).unwrap();
+    let mut insert = template
+        .prepare("INSERT INTO Adopted VALUES (?, ?)")
+        .unwrap();
+    let sql = "SELECT bid FROM Adopted WHERE text = ?";
+    let mut lowered = template.prepare(sql).unwrap();
+    let boot = Params::new().push("boot");
+    // An instance, and an oracle of the same rows on the interpreter.
+    let mut build = |bids: &[i64]| {
+        let mut db = template.instantiate(NO_PARAMS).unwrap();
+        let mut oracle = Driven::new(Engine::Reference);
+        oracle
+            .run("CREATE TABLE Adopted (text TEXT, bid INT)")
+            .unwrap();
         for (i, bid) in bids.iter().enumerate() {
             let word = if i % 2 == 0 { "boot" } else { "shoe" };
-            insert
-                .execute(&mut db, &Params::new().push(word).push(*bid))
-                .unwrap();
+            let row = Params::new().push(word).push(*bid);
+            insert.execute(&mut db, &row).unwrap();
+            oracle.execute(&mut insert, &row).unwrap();
         }
-        db
+        (db, oracle)
     };
-    let sql = "SELECT bid FROM Adopted WHERE text = ?";
-    let boot = Params::new().push("boot");
-
-    let mut first = build(&[1, 2, 3]);
-    let built = first.planner_stats().plans_cached;
-    let mut lowered = first.prepare(sql).unwrap();
-    assert_eq!(
-        lowered.query(&mut first, &boot).unwrap(),
-        vec![vec![Value::Int(1)], vec![Value::Int(3)]]
-    );
-    let lowering_counted = first.planner_stats().plans_cached - built;
-    assert!(lowering_counted > 0);
-
-    // A second database of the same shape, through a handle of its own.
-    let mut second = build(&[10, 20, 30, 40, 50]);
-    let planned_before = second.planner_stats().plans_cached;
-    let mut adopted = second.prepare(sql).unwrap();
-    assert!(adopted.shares_script_with(&lowered));
-    let scanned_before = second.planner_stats().rows_scanned;
-    assert_eq!(
-        adopted.query(&mut second, &boot).unwrap(),
-        vec![
-            vec![Value::Int(10)],
-            vec![Value::Int(30)],
-            vec![Value::Int(50)]
-        ]
-    );
-    let stats = second.planner_stats();
-    assert_eq!(
-        stats.plans_cached - planned_before,
-        lowering_counted,
-        "adopting counts like lowering"
-    );
-    assert_eq!(stats.index_hits, 1, "the adopted plan must probe, not scan");
-    assert_eq!(stats.rows_scanned, scanned_before);
-
-    // A third, through the *first* database's handle: its memo is valid for
-    // the shape, and the index still gets built where the handle now runs.
-    let mut third = build(&[7, 8]);
-    let scanned_before = third.planner_stats().rows_scanned;
-    assert_eq!(
-        lowered.query(&mut third, &boot).unwrap(),
-        vec![vec![Value::Int(7)]]
-    );
-    assert_eq!(third.planner_stats().index_hits, 1);
-    assert_eq!(third.planner_stats().rows_scanned, scanned_before);
+    // Each instance through a clone of the handle, then a third through the
+    // handle itself: the plans are never lowered again, and every instance
+    // probes an index of its own.
+    for (i, bids) in [&[1, 2, 3][..], &[10, 20, 30, 40, 50], &[7, 8]]
+        .into_iter()
+        .enumerate()
+    {
+        let (mut db, mut oracle) = build(bids);
+        let before = db.planner_stats();
+        let mut handle = if i < 2 { lowered.clone() } else { lowered };
+        let rows = handle.query(&mut db, &boot).unwrap();
+        assert_eq!(rows, oracle.query_prepared(&mut handle, &boot).unwrap());
+        assert_eq!(rows.len(), bids.len().div_ceil(2));
+        let after = db.planner_stats();
+        assert_eq!(after.plans_cached, before.plans_cached, "nothing lowered");
+        assert_eq!(
+            after.index_hits - before.index_hits,
+            1,
+            "a probe, not a scan"
+        );
+        assert_eq!(after.rows_scanned, before.rows_scanned);
+        lowered = handle;
+    }
 }
 
 /// A memoised script that drops a table and recreates it as it was brings
@@ -541,7 +579,8 @@ fn an_adopted_plan_still_gets_its_indexes() {
 /// or not a sibling database has that shape too.
 #[test]
 fn recreating_a_table_behaves_the_same_with_or_without_a_sibling() {
-    let tag = "_recreate";
+    let compiled = Compiled::new("_recreate");
+    let tag = &compiled.tag;
     let recreate = format!(
         "DROP TABLE Bids{tag};
          CREATE TABLE Bids{tag} (formula TEXT, value INT);
@@ -550,8 +589,8 @@ fn recreating_a_table_behaves_the_same_with_or_without_a_sibling() {
     );
     // Rows and counters after each of four rounds.
     let run = |engine, with_sibling: bool| {
-        let _sibling = with_sibling.then(|| Campaign::new(tag, Engine::Planned, 1, 5));
-        let mut campaign = Campaign::new(tag, engine, 1, 5);
+        let _sibling = with_sibling.then(|| Campaign::new(&compiled, Engine::Planned, 1, 5));
+        let mut campaign = Campaign::new(&compiled, engine, 1, 5);
         campaign.reshape = Some(campaign.db.prepare(&recreate).unwrap());
         let rounds: Vec<_> = (0..4)
             .map(|_| (campaign.round(), campaign.db.planner_stats()))
@@ -736,36 +775,37 @@ fn a_shift_inside_a_memoised_script_updates_the_right_table() {
 // The oracle itself.
 // ---------------------------------------------------------------------------
 
-/// Statements that parse fine but stress lowering — deep-but-legal
-/// predicates, unknown columns discovered at plan time, type-confused
-/// index keys, and `EXPLAIN` stacked on itself — come back as the same
-/// `Ok` or typed error from the reference as from the planner, never a
-/// panic, and leave both engines usable.
+#[path = "../tests/support/hostile_lowering.rs"]
+mod hostile_lowering;
+
+/// Statements that parse — inside the parser's nesting limit, which the
+/// test asserts — but stress lowering: scalar subqueries nested just inside
+/// that limit, long `AND` chains mixing index-eligible equalities with
+/// unknown columns, unknown columns discovered at plan time, type-confused
+/// index keys, and `IF` arms holding failing statements. They come back as
+/// the same `Ok` or typed error from the reference as from the planner,
+/// never a panic, and leave both engines usable.
 #[test]
 fn hostile_lowering_is_a_typed_error_on_the_reference() {
-    let deep_pred = format!("SELECT * FROM t WHERE a = 1 {}", "AND a = 1 ".repeat(2_000));
-    let cases = [
-        deep_pred.as_str(),
-        "UPDATE t SET ghost = 1 WHERE a = 1",
-        "SELECT * FROM t WHERE ghost = 1",
-        "SELECT * FROM t WHERE a = ghost",
-        "INSERT INTO t (ghost) VALUES (1)",
-        "SELECT * FROM t WHERE a = 'word'",
-        "SELECT * FROM t WHERE a = 1.0 AND a = 'word'",
-        "SELECT * FROM t WHERE a = (SELECT 'word' FROM t)",
-        "EXPLAIN EXPLAIN EXPLAIN SELECT * FROM t WHERE a = 1",
-        "EXPLAIN SELECT ghost FROM t",
-        "EXPLAIN UPDATE nowhere SET a = 1",
-        "EXPLAIN IF 1 = 1 THEN UPDATE t SET a = 2 WHERE a = 1; ENDIF",
-    ];
     let mut planned = Driven::new(Engine::Planned);
     let mut reference = Driven::new(Engine::Reference);
     for db in [&mut planned, &mut reference] {
-        db.run("CREATE TABLE t (a INT)").unwrap();
+        db.run("CREATE TABLE t (a INT); CREATE TABLE e (a INT)")
+            .unwrap();
         db.run("INSERT INTO t VALUES (1), (0)").unwrap();
     }
-    for sql in cases {
-        assert_eq!(planned.run(sql), reference.run(sql), "statement: {sql:?}");
+    for sql in hostile_lowering::hostile_lowering_cases() {
+        let outcome = planned.run(&sql);
+        assert!(
+            !matches!(
+                outcome,
+                Err(crate::DbError::Parse { .. }
+                    | crate::DbError::Lex { .. }
+                    | crate::DbError::NestingTooDeep { .. })
+            ),
+            "{outcome:?}: {sql:?} never reached lowering"
+        );
+        assert_eq!(outcome, reference.run(&sql), "statement: {sql:?}");
         assert_eq!(
             planned.query("SELECT COUNT(*) FROM t"),
             reference.query("SELECT COUNT(*) FROM t"),

@@ -7,7 +7,9 @@
 //! [`Prepared`] plan; each execution binds a fresh [`Params`] set — `?`
 //! positional placeholders bound in order, `:name` placeholders bound by
 //! name — and runs the script's plan, lowered once and memoised in the
-//! handle.
+//! handle. A handle from [`crate::Template::prepare`] comes lowered at the
+//! template's catalog, so it and its clones run in every instance of the
+//! template without lowering again.
 //!
 //! ```
 //! use ssa_minidb::{Database, Params, Value};
@@ -47,7 +49,7 @@ use std::sync::Arc;
 /// Values bound to a prepared statement's parameters for one execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Params {
-    positional: Vec<Value>,
+    pub(crate) positional: Vec<Value>,
     named: Vec<(String, Value)>,
 }
 
@@ -84,11 +86,6 @@ impl Params {
         self
     }
 
-    /// Number of positional values bound.
-    pub fn positional_len(&self) -> usize {
-        self.positional.len()
-    }
-
     /// Resolves a parameter reference.
     pub(crate) fn resolve(&self, param: &ParamRef) -> DbResult<Value> {
         match param {
@@ -104,41 +101,25 @@ impl Params {
 }
 
 /// A script parsed once and executable many times with fresh parameter
-/// bindings. Created by [`Database::prepare`]; cheap to clone and
-/// `Send + Sync`, so prepared plans migrate with their owners across shard
-/// worker threads.
-///
-/// The parsed script is interned by its text (crate docs, "Compile once
-/// per text"): two handles prepared from the same text — on the same
-/// database or on different ones — share one statement list and one plan
-/// cache for as long as either is alive.
+/// bindings. Created by [`Database::prepare`] or
+/// [`crate::Template::prepare`]; cheap to clone and `Send + Sync`, so
+/// prepared plans migrate with their owners across shard worker threads.
+/// Clones share the parsed script and the plan memoised at the time.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     script: Arc<Script>,
-    /// This handle's private memo of the planned script — revalidated
-    /// against the database's catalog shape on every execution, so the
-    /// serving hot path takes no lock at all. (The script's shared plan
-    /// cache is what the memo is refilled from.)
+    /// This handle's memo of the planned script — revalidated against the
+    /// database's catalog shape on every execution and lowered again where
+    /// it does not fit.
     planned: Option<Arc<PlannedScript>>,
 }
 
 impl Prepared {
-    pub(crate) fn parse(sql: &str) -> DbResult<Prepared> {
-        Ok(Prepared {
-            script: Script::intern(sql)?,
-            planned: None,
-        })
-    }
-
-    /// Number of positional (`?`) placeholders in the script.
-    pub fn positional_params(&self) -> usize {
-        self.script.positional
-    }
-
-    /// Names of the `:name` placeholders in the script (lowercased,
-    /// sorted, deduplicated).
-    pub fn named_params(&self) -> &[String] {
-        &self.script.named
+    pub(crate) fn new(script: Script, planned: Option<Arc<PlannedScript>>) -> Prepared {
+        Prepared {
+            script: Arc::new(script),
+            planned,
+        }
     }
 
     /// The parsed statements.
@@ -147,36 +128,18 @@ impl Prepared {
         &self.script.statements
     }
 
-    /// `true` if both handles hold the very same interned script — one
-    /// statement list and one plan cache — which handles prepared from one
-    /// text while either is alive always do.
-    pub fn shares_script_with(&self, other: &Prepared) -> bool {
-        Arc::ptr_eq(&self.script, &other.script)
-    }
-
-    /// Validates `params` against the script's placeholder signature:
-    /// exact positional arity, every named placeholder bound.
+    /// Validates `params` against the script's placeholder signature.
     pub(crate) fn check(&self, params: &Params) -> DbResult<()> {
-        if params.positional_len() != self.positional_params() {
-            return Err(DbError::ParamArity {
-                expected: self.positional_params(),
-                got: params.positional_len(),
-            });
-        }
-        for name in self.named_params() {
-            params.resolve(&ParamRef::Named(name.clone()))?;
-        }
-        Ok(())
+        self.script.check(params)
     }
 
     /// Points the memo at the planned script of `script` for `db` and
     /// returns it: the memo is kept when it is still valid for `db`'s
-    /// catalog shape, else refilled from the script's shared plan cache
-    /// (planning if no database has yet). Either way `db` ends up with the
-    /// indexes the plan probes — a shape-equal database is not necessarily
-    /// the one the memo was filled against. Takes the handle's fields apart
-    /// so the caller can keep reading the script while the plan is
-    /// borrowed.
+    /// catalog shape, else lowered again. Either way `db` ends up with the
+    /// indexes the plan probes — a database of the memo's catalog (another
+    /// instance of one template) is not necessarily the one whose indexes
+    /// were built. Takes the handle's fields apart so the caller can keep
+    /// reading the script while the plan is borrowed.
     fn plan_for<'m>(
         memo: &'m mut Option<Arc<PlannedScript>>,
         script: &Script,
@@ -184,17 +147,17 @@ impl Prepared {
     ) -> &'m PlannedScript {
         let planned = match memo.take() {
             Some(planned) if planned.fits(db) => {
-                db.ensure_plan_indexes(planned.index_reqs());
+                db.ensure_plan_indexes(&planned.index_reqs);
                 planned
             }
-            _ => db.cached_script(script),
+            _ => db.plan_script(script),
         };
         memo.insert(planned)
     }
 
-    /// Plans the script against `db` now (adopting the plan another
-    /// database of the same catalog shape already lowered, if one did) and
-    /// builds the indexes it probes, so the first execution pays neither.
+    /// Plans the script against `db` now, unless its memo fits `db`'s
+    /// catalog, and builds the indexes it probes, so the first execution
+    /// pays neither.
     pub fn warm(&mut self, db: &mut Database) {
         Self::plan_for(&mut self.planned, &self.script, db);
     }
@@ -237,8 +200,8 @@ mod tests {
         let p = db
             .prepare("INSERT INTO t VALUES (?, :name, ?); SELECT a FROM t WHERE b = :name")
             .unwrap();
-        assert_eq!(p.positional_params(), 2);
-        assert_eq!(p.named_params(), ["name".to_string()]);
+        assert_eq!(p.script.positional, 2);
+        assert_eq!(p.script.named, ["name".to_string()]);
         assert_eq!(p.statements().len(), 2);
     }
 
@@ -341,7 +304,7 @@ mod tests {
                  INSERT INTO u VALUES (?)",
             )
             .unwrap();
-        assert_eq!(mixed.positional_params(), 1);
+        assert_eq!(mixed.script.positional, 1);
         mixed.execute(&mut db, &Params::new().push(4)).unwrap();
         assert_eq!(db.query("SELECT n FROM Log").unwrap()[0][0], Value::Int(10));
     }

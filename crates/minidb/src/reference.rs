@@ -15,9 +15,9 @@
 use crate::ast::{AggFunc, CmpOp, ColumnRef, Expr, Select, SelectItem, SetClause, Statement};
 use crate::error::{DbError, DbResult};
 use crate::exec::{single_select, Database, ExecOutcome};
+use crate::parser::parse_script;
 use crate::plan::{self, PlannerCounters};
 use crate::prepared::{Params, Prepared, NO_PARAMS};
-use crate::script::Script;
 use crate::table::{Row, Schema, Table};
 use crate::value::Value;
 use std::sync::Arc;
@@ -25,9 +25,7 @@ use std::sync::Arc;
 impl Database {
     /// The reference twin of [`Database::run`].
     pub(crate) fn run_reference(&mut self, sql: &str) -> DbResult<Vec<ExecOutcome>> {
-        let script = Script::intern(sql)?;
-        script
-            .statements
+        parse_script(sql)?
             .iter()
             .map(|stmt| self.interpret(stmt, NO_PARAMS))
             .collect()
@@ -54,7 +52,7 @@ impl Database {
         match stmt {
             Statement::CreateTable { .. }
             | Statement::DropTable { .. }
-            | Statement::CreateTrigger { .. } => self.exec_ddl(stmt, None),
+            | Statement::CreateTrigger { .. } => self.exec_ddl(stmt),
             Statement::Insert {
                 table,
                 columns,
@@ -95,7 +93,7 @@ impl Database {
             }
             Statement::SetVar { name, value } => {
                 let v = Evaluator::global(self, params).eval(value)?;
-                self.vars.set_named(name, v);
+                self.set_var(name, v);
                 Ok(ExecOutcome::Done)
             }
         }
@@ -347,8 +345,7 @@ impl<'a> Evaluator<'a> {
                     }
                 }
                 self.db
-                    .vars
-                    .find(&cref.column)
+                    .var(&cref.column)
                     .cloned()
                     .ok_or_else(|| DbError::NoSuchColumn(cref.column.clone()))
             }

@@ -114,8 +114,8 @@ impl fmt::Display for Text {
     }
 }
 
-/// A dynamically-typed SQL value, 16 bytes.
-#[derive(Debug, Clone, PartialEq)]
+/// A dynamically-typed SQL value, 16 bytes; NULL by default.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     /// Integer.
     Int(i64),
@@ -126,6 +126,7 @@ pub enum Value {
     /// Boolean.
     Bool(bool),
     /// SQL NULL.
+    #[default]
     Null,
 }
 
@@ -467,6 +468,8 @@ mod tests {
         // 24 B while `Value::Text` held a `String`.
         assert_eq!(std::mem::size_of::<Text>(), 16);
         assert_eq!(std::mem::size_of::<Value>(), 16);
+        // A variable slot: unset or a value, in the value's 16 bytes.
+        assert_eq!(std::mem::size_of::<Option<Value>>(), 16);
     }
 
     /// `true` if `text`'s bytes live inside the `Text` itself.

@@ -1,198 +1,116 @@
 //! Host scalar variables (`amtSpent`, `time`, `targetSpendRate`, …).
 //!
-//! Every campaign database of a program sets the same handful of names in
-//! the same order, so a name is interned once per process ([`VarName`],
-//! through a table of weak references like the script interner's), and so
-//! is the ordered list of names ([`VarList`]). A database holds that list
-//! and a value per name, by position. The names a plan reads are interned
-//! when it is lowered, which makes a lookup from a plan one pointer
-//! comparison per variable and lets a database set a name it already has
-//! without allocating.
+//! A variable's name belongs to the catalog ([`crate::script::CatalogShape`]):
+//! a database holds one value slot per name, and a plan reads a variable by
+//! its slot, so setting or reading one the catalog names allocates nothing.
+//! A name set for the first time gives the database a catalog of its own; a
+//! [`crate::Template`] names every variable its scripts and host use, so
+//! its instances never do. Reading a slot never set raises `NoSuchColumn`,
+//! as reading a name nobody set does.
 
-use crate::script::WeakInterner;
+use crate::exec::Database;
 use crate::table::push_exact;
 use crate::value::Value;
-use std::sync::{Arc, LazyLock, Mutex, PoisonError, Weak};
+use std::sync::Arc;
 
-static NAMES: LazyLock<WeakInterner<VarName>> = LazyLock::new(WeakInterner::new);
+/// The variable names of a catalog, lowercase, in slot order.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct VarNames(Box<[Box<str>]>);
 
-/// A lowercase variable name, interned: while any holder keeps a name alive
-/// there is exactly one `VarName` of that text, so two holders compare
-/// equal if and only if their `Arc`s are the same.
-#[derive(Debug)]
-pub(crate) struct VarName {
-    text: Arc<str>,
-}
+impl VarNames {
+    /// The slot of `name` in any case.
+    pub(crate) fn slot(&self, name: &str) -> Option<usize> {
+        self.0.iter().position(|own| own.eq_ignore_ascii_case(name))
+    }
 
-impl VarName {
-    /// The interned name for `name` in any case.
-    pub(crate) fn intern(name: &str) -> Arc<VarName> {
-        let lower = name.to_ascii_lowercase();
-        if let Some(live) = NAMES.get(&lower) {
-            return live;
+    /// These names followed by those of `names` that are new, in order.
+    pub(crate) fn with<'n>(&self, names: impl IntoIterator<Item = &'n str>) -> VarNames {
+        let mut all = self.0.to_vec();
+        for name in names {
+            if !all.iter().any(|own| own.eq_ignore_ascii_case(name)) {
+                all.push(name.to_ascii_lowercase().into());
+            }
         }
-        NAMES.insert_with(&lower, |text| VarName { text })
-    }
-
-    fn as_str(&self) -> &str {
-        &self.text
+        VarNames(all.into_boxed_slice())
     }
 }
 
-impl Drop for VarName {
-    fn drop(&mut self) {
-        NAMES.forget(&self.text, self);
-    }
-}
-
-/// The names a database has set, in order: a node of a process-wide tree
-/// rooted at the empty list, each edge appending one name. A node holds its
-/// parent and, weakly, its children, so the lists on the way to one in use
-/// stay alive and the next database taking the same steps allocates none.
-#[derive(Debug, Default)]
-struct VarList {
-    names: Box<[Arc<VarName>]>,
-    _parent: Option<Arc<VarList>>,
-    children: Mutex<Vec<Weak<VarList>>>,
-}
-
-impl VarList {
-    /// The list with no names, where every database starts: pinned, so
-    /// starting a database allocates nothing.
-    fn empty() -> Arc<VarList> {
-        static EMPTY: LazyLock<Arc<VarList>> = LazyLock::new(Arc::default);
-        Arc::clone(&EMPTY)
+impl Database {
+    /// Sets a host scalar variable (e.g. `amtSpent`, `time`); names are
+    /// case-insensitive. Overwriting a variable the catalog names allocates
+    /// nothing.
+    pub fn set_var(&mut self, name: &str, value: Value) {
+        let slot = match self.shape.vars.slot(name) {
+            Some(slot) => slot,
+            None => {
+                self.declare_vars([name]);
+                self.vars.len() - 1
+            }
+        };
+        self.vars[slot] = Some(value);
     }
 
-    /// This list with `name` appended.
-    fn with(self: &Arc<Self>, name: Arc<VarName>) -> Arc<VarList> {
-        // Each critical section leaves the vector whole: poison means nothing.
-        let mut children = self.children.lock().unwrap_or_else(PoisonError::into_inner);
-        let appends =
-            |child: &Arc<VarList>| child.names.last().is_some_and(|n| Arc::ptr_eq(n, &name));
-        if let Some(live) = children.iter().filter_map(Weak::upgrade).find(appends) {
-            return live;
+    /// Reads a host scalar variable.
+    pub fn var(&self, name: &str) -> Option<&Value> {
+        self.vars.get(self.shape.vars.slot(name)?)?.as_ref()
+    }
+
+    /// Adds those of `names` the catalog lacks to it, unset.
+    pub(crate) fn declare_vars<'n>(&mut self, names: impl IntoIterator<Item = &'n str>) {
+        let vars = self.shape.vars.with(names);
+        while self.vars.len() < vars.0.len() {
+            push_exact(&mut self.vars, None);
         }
-        children.retain(|child| child.strong_count() > 0);
-        let names = self.names.iter().chain([&name]).cloned().collect();
-        let child = Arc::new(VarList {
-            names,
-            _parent: Some(Arc::clone(self)),
-            children: Mutex::default(),
-        });
-        children.push(Arc::downgrade(&child));
-        child
-    }
-
-    /// The position of an interned name.
-    fn position(&self, name: &Arc<VarName>) -> Option<usize> {
-        self.names.iter().position(|own| Arc::ptr_eq(own, name))
-    }
-
-    /// The position of `name` in any case.
-    fn find(&self, name: &str) -> Option<usize> {
-        self.names
-            .iter()
-            .position(|own| own.as_str().eq_ignore_ascii_case(name))
-    }
-}
-
-/// One database's variables: the shared list of their names, and the value
-/// of each by position. Sized to what it holds: a program sets its
-/// variables once and then only overwrites them.
-#[derive(Debug, Clone)]
-pub(crate) struct Vars {
-    names: Arc<VarList>,
-    values: Box<[Value]>,
-}
-
-impl Default for Vars {
-    fn default() -> Self {
-        Vars {
-            names: VarList::empty(),
-            values: Box::default(),
-        }
-    }
-}
-
-impl Vars {
-    /// The value of an interned name.
-    pub(crate) fn get(&self, name: &Arc<VarName>) -> Option<&Value> {
-        self.values.get(self.names.position(name)?)
-    }
-
-    /// The value of `name` in any case.
-    pub(crate) fn find(&self, name: &str) -> Option<&Value> {
-        self.values.get(self.names.find(name)?)
-    }
-
-    /// Sets an interned name.
-    pub(crate) fn set(&mut self, name: &Arc<VarName>, value: Value) {
-        match self.names.position(name) {
-            Some(at) => self.values[at] = value,
-            None => self.push(Arc::clone(name), value),
-        }
-    }
-
-    /// Sets `name` in any case; interns it only if this database has not
-    /// set it before.
-    pub(crate) fn set_named(&mut self, name: &str, value: Value) {
-        match self.names.find(name) {
-            Some(at) => self.values[at] = value,
-            None => self.push(VarName::intern(name), value),
-        }
-    }
-
-    fn push(&mut self, name: Arc<VarName>, value: Value) {
-        self.names = self.names.with(name);
-        push_exact(&mut self.values, value);
+        self.shape = Arc::new(self.shape.with_vars(vars));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_name_per_text_while_held() {
-        let a = VarName::intern("vars_test_Spent");
-        let b = VarName::intern("VARS_TEST_SPENT");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.as_str(), "vars_test_spent");
-    }
+    use crate::{Template, NO_PARAMS};
 
     #[test]
     fn interned_and_spelled_lookups_agree() {
-        let name = VarName::intern("vars_test_time");
-        let mut vars = Vars::default();
-        vars.set_named("Vars_Test_Time", Value::Int(1));
-        assert_eq!(vars.get(&name), Some(&Value::Int(1)));
-        vars.set(&name, Value::Int(2));
-        assert_eq!(vars.find("VARS_TEST_TIME"), Some(&Value::Int(2)));
-        assert_eq!(vars.values.len(), 1);
-        assert_eq!(vars.find("vars_test_other"), None);
+        // The host sets a variable by name, a plan reads it by slot: they
+        // agree, and overwriting keeps the slot and the catalog, so the
+        // memoised plan stays valid.
+        let mut db = Database::new();
+        db.run("CREATE TABLE t (a INT); INSERT INTO t VALUES (0)")
+            .unwrap();
+        db.set_var("Vars_Test_Time", Value::Int(1));
+        let mut read = db.prepare("SELECT vars_test_time FROM t").unwrap();
+        assert_eq!(read.query(&mut db, NO_PARAMS).unwrap(), [[Value::Int(1)]]);
+        let plans = db.planner_stats().plans_cached;
+        db.run("SET VARS_TEST_TIME = vars_test_time + 1").unwrap();
+        assert_eq!(read.query(&mut db, NO_PARAMS).unwrap(), [[Value::Int(2)]]);
+        assert_eq!(
+            db.planner_stats().plans_cached,
+            plans,
+            "the memo still fits"
+        );
+        assert_eq!(db.var("VARS_TEST_TIME"), Some(&Value::Int(2)));
+        assert_eq!(db.vars.len(), 1);
+        assert_eq!(db.var("vars_test_other"), None);
     }
 
     #[test]
     fn databases_setting_the_same_names_share_one_list() {
-        let mut a = Vars::default();
-        let mut b = Vars::default();
-        for vars in [&mut a, &mut b] {
-            vars.set_named("vars_test_x", Value::Int(1));
-            vars.set_named("vars_test_y", Value::Int(2));
-        }
-        assert!(Arc::ptr_eq(&a.names, &b.names));
-        b.set_named("vars_test_y", Value::Int(3));
+        let template = Template::compile(&["SET x = 1; SET y = 2"], &["host"]).unwrap();
+        let mut a = template.instantiate(NO_PARAMS).unwrap();
+        let mut b = template.instantiate(NO_PARAMS).unwrap();
+        assert!(Arc::ptr_eq(&a.shape, &b.shape));
+        b.set_var("Y", Value::Int(3));
+        b.set_var("host", Value::Int(4));
         assert!(
-            Arc::ptr_eq(&a.names, &b.names),
+            Arc::ptr_eq(&a.shape, &b.shape),
             "overwriting keeps the list"
         );
-        assert_eq!(a.find("vars_test_y"), Some(&Value::Int(2)));
-        // Another order is another list.
-        let mut c = Vars::default();
-        c.set_named("vars_test_y", Value::Int(2));
-        c.set_named("vars_test_x", Value::Int(1));
-        assert!(!Arc::ptr_eq(&a.names, &c.names));
-        assert_eq!(c.find("vars_test_x"), Some(&Value::Int(1)));
+        assert_eq!(a.var("y"), Some(&Value::Int(2)));
+        assert_eq!(a.var("host"), None, "named, never set");
+        // A name the template lacks makes the list the database's own.
+        a.set_var("z", Value::Int(5));
+        assert!(!Arc::ptr_eq(&a.shape, &b.shape));
+        assert_eq!((a.var("z"), b.var("z")), (Some(&Value::Int(5)), None));
     }
 }

@@ -3,15 +3,13 @@
 //! enforced: a body may hold only `UPDATE`, `DELETE`, `SET`, `IF` and
 //! `SELECT`. Anything else, at any `IF` depth, is a typed error naming the
 //! statement and the trigger, raised before the script runs any of its
-//! statements and before its text is interned.
-//!
-//! One test in its own binary: `interned_scripts` counts process-wide.
+//! statements.
 
 #[path = "support/refused_bodies.rs"]
 mod refused_bodies;
 
 use refused_bodies::{refused_bodies, CREATED_FIRST, SETUP, TRIGGER};
-use ssa_minidb::{interned_scripts, Database, DbError};
+use ssa_minidb::{Database, DbError};
 
 #[test]
 fn a_trigger_body_holds_only_updates_deletes_sets_ifs_and_selects() {
@@ -25,7 +23,6 @@ fn a_trigger_body_holds_only_updates_deletes_sets_ifs_and_selects() {
         };
         let mut db = Database::new();
         db.run(SETUP).unwrap();
-        let interned = interned_scripts();
         assert_eq!(db.run(&case.sql), Err(refused.clone()), "run: {}", case.sql);
         assert_eq!(
             db.prepare(&case.sql).err(),
@@ -33,7 +30,6 @@ fn a_trigger_body_holds_only_updates_deletes_sets_ifs_and_selects() {
             "prepare: {}",
             case.sql
         );
-        assert_eq!(interned_scripts(), interned, "interned: {}", case.sql);
         assert!(db.table(CREATED_FIRST).is_err(), "ran: {}", case.sql);
         assert_eq!(db.table_names(), ["Log"]);
         // Nothing was installed: an insert fires no trigger.

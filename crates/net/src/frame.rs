@@ -167,12 +167,18 @@ pub fn write_frame(
     Ok(())
 }
 
+/// The most payload bytes [`read_frame`] reserves ahead of their arrival:
+/// a peer that announces a large frame and then stalls or hangs up holds at
+/// most this much of the reader's memory, not the announced length.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Reads one frame from `r`.
 ///
 /// Returns `Ok(None)` on a clean EOF *before* the first length byte (the
 /// peer closed between frames); any other truncation is
 /// `Err(FrameError::Io(UnexpectedEof))`. The length prefix is validated
-/// against [`MAX_FRAME`] before the payload buffer is allocated.
+/// against [`MAX_FRAME`] before any payload is read, and the payload buffer
+/// grows with the bytes that arrive.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<RawFrame>, FrameError> {
     let mut len_bytes = [0u8; 4];
     match read_exact_or_eof(r, &mut len_bytes)? {
@@ -197,8 +203,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<RawFrame>, FrameError> {
     }
     let kind = FrameKind::from_byte(head[1])?;
     let request_id = u64::from_le_bytes(head[2..10].try_into().expect("8 bytes"));
-    let mut payload = vec![0u8; (len - HEADER_TAIL) as usize];
-    r.read_exact(&mut payload)?;
+    // A frame no larger than a chunk costs one allocation of its length.
+    let len = (len - HEADER_TAIL) as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(FrameError::Io(io::ErrorKind::UnexpectedEof));
+    }
     Ok(Some(RawFrame {
         kind,
         request_id,

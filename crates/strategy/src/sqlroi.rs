@@ -15,7 +15,9 @@
 
 use ssa_bidlang::Money;
 use ssa_core::sqlprog::ROI_BID_TRIGGER;
-use ssa_core::{Bidder, BidderOutcome, QueryContext, SqlProgramBidder, SqlProgramError};
+use ssa_core::{
+    Bidder, BidderOutcome, QueryContext, SqlProgram, SqlProgramBidder, SqlProgramError,
+};
 use ssa_minidb::{DbError, Params, Prepared, Value};
 use std::fmt;
 
@@ -121,8 +123,10 @@ impl SqlRoiBidder {
         for (kw, &(value, bid, roi)) in keywords.iter().enumerate() {
             params = params.push(kw as i64).push(value).push(roi).push(bid);
         }
-        let program = [ROI_BID_TRIGGER, SETTLE].concat();
-        let mut program = SqlProgramBidder::new(&tables, &program, &params)?;
+        // The table text depends on the keyword count, so each bidder
+        // compiles its own program.
+        let compiled = SqlProgram::compile(&tables, &[ROI_BID_TRIGGER, SETTLE].concat())?;
+        let mut program = SqlProgramBidder::new(&compiled, &params)?;
         let db = program.db_mut();
         let mut relevance = db.prepare(
             "UPDATE Keywords SET relevance = 0.0; UPDATE Keywords SET relevance = 1.0 WHERE kw = ?",

@@ -9,11 +9,11 @@
 //!   (advertiser, keyword) pair, run as native Rust
 //!   ([`ssa_strategy::RoiBidder`] state under the hood);
 //! * [`Strategy::Sql`] — the *same* program written in the Section II-B
-//!   SQL dialect and executed by [`SqlProgramBidder`] on prepared
-//!   statements (parse once at registration, bind-and-run per auction),
-//!   with ROI settlement done entirely inside SQL by an `Outcome`
-//!   trigger, on minidb's planned executor — the one SQL executor it
-//!   ships.
+//!   SQL dialect, compiled once per population ([`CompiledRoi`]) and
+//!   executed per campaign by [`SqlProgramBidder`] (bind-and-run per
+//!   auction), with ROI settlement done entirely inside SQL by an
+//!   `Outcome` trigger, on minidb's planned executor — the one SQL
+//!   executor it ships.
 //!
 //! The two populations are proven **bit-identical** — same reports,
 //! same clicks, same charges, and same per-campaign bid trajectories —
@@ -29,7 +29,10 @@
 use crate::config::SectionVWorkload;
 use ssa_bidlang::BidsTable;
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
-use ssa_core::{Bidder, BidderOutcome, EngineConfig, QueryContext, SqlProgramBidder, WdMethod};
+use ssa_core::{
+    Bidder, BidderOutcome, EngineConfig, QueryContext, SqlProgram, SqlProgramBidder,
+    SqlProgramError, WdMethod,
+};
 use ssa_minidb::{Prepared, NO_PARAMS};
 use ssa_strategy::{KeywordEntry, RoiBidder};
 use std::fmt;
@@ -132,31 +135,53 @@ impl Bidder for LocalRoiProgram {
     }
 }
 
-/// The prepared flavour as the harness registers it: the Figure 5 program
-/// as a [`SqlProgramBidder`], plus the harness's own prepared read of the
-/// stored bid (checks read every program's bid, so that read must not parse
-/// SQL text per call).
+/// Figure 5 compiled once for a whole population: [`ROI_TABLES`] and
+/// [`ROI_PROGRAM`] as one [`SqlProgram`], and the harness's read of a
+/// campaign's stored bid, lowered at its catalog and cloned per campaign.
+#[derive(Debug)]
+pub struct CompiledRoi {
+    program: SqlProgram,
+    read_bid: Prepared,
+}
+
+impl CompiledRoi {
+    /// Compiles the program and its read.
+    // Invariant: both texts are constants that compile (this module's
+    // tests build them).
+    #[allow(clippy::expect_used)]
+    pub fn compile() -> Self {
+        let compiled = SqlProgram::compile(ROI_TABLES, ROI_PROGRAM).and_then(|program| {
+            let read_bid = program.prepare("SELECT bid FROM Keywords")?;
+            Ok(CompiledRoi { program, read_bid })
+        });
+        compiled.expect("the Figure 5 ROI program is well-formed")
+    }
+}
+
+/// The prepared flavour as the harness registers it: a campaign of the
+/// Figure 5 program as a [`SqlProgramBidder`], plus the harness's own
+/// prepared read of the stored bid (checks read every program's bid, so
+/// that read must not parse SQL text per call).
 pub struct PreparedSqlProgram {
     program: SqlProgramBidder,
     read_bid: Prepared,
 }
 
 impl PreparedSqlProgram {
-    /// Assembles [`ROI_TABLES`] and [`ROI_PROGRAM`] with one (advertiser,
-    /// keyword) pair's initial state bound.
-    // Invariant: both texts are constants that parse and fit each other
-    // (this module's tests build them), and binding values cannot make a
-    // well-formed program ill-formed.
-    #[allow(clippy::expect_used)]
-    pub fn new(value: i64, bid: i64, roi: f64, rate: f64) -> Self {
-        let program =
-            SqlProgramBidder::new(ROI_TABLES, ROI_PROGRAM, &roi_params(value, bid, roi, rate))
-                .expect("the Figure 5 ROI program is well-formed");
-        let read_bid = program
-            .db()
-            .prepare("SELECT bid FROM Keywords")
-            .expect("static statement parses");
-        PreparedSqlProgram { program, read_bid }
+    /// A campaign of `compiled` with one (advertiser, keyword) pair's
+    /// initial state bound.
+    pub fn new(
+        compiled: &CompiledRoi,
+        value: i64,
+        bid: i64,
+        roi: f64,
+        rate: f64,
+    ) -> Result<Self, SqlProgramError> {
+        let params = roi_params(value, bid, roi, rate);
+        Ok(PreparedSqlProgram {
+            program: SqlProgramBidder::new(&compiled.program, &params)?,
+            read_bid: compiled.read_bid.clone(),
+        })
     }
 
     /// The program's current stored bid (cents).
@@ -255,25 +280,30 @@ impl fmt::Debug for ProgramHandle {
     }
 }
 
-/// Builds one campaign program of the requested flavour, returning the
-/// boxed bidder for registration plus the inspection handle.
+/// Builds one campaign program — a campaign of `compiled`, or the native
+/// twin when there is none — returning the boxed bidder for registration
+/// plus the inspection handle.
+// Invariant: the Figure 5 program takes any values its parameters bind.
+#[allow(clippy::expect_used)]
 fn make_program(
-    strategy: Strategy,
+    compiled: Option<&CompiledRoi>,
     value: i64,
     bid: i64,
     roi: f64,
     rate: f64,
 ) -> (Box<dyn Bidder + Send>, ProgramHandle) {
-    match strategy {
-        Strategy::Native => {
+    match compiled {
+        None => {
             let h = Arc::new(Mutex::new(LocalRoiProgram::new(value, bid, roi, rate)));
             (
                 Box::new(SharedProgram(Arc::clone(&h))),
                 ProgramHandle::Native(h),
             )
         }
-        Strategy::Sql => {
-            let h = Arc::new(Mutex::new(PreparedSqlProgram::new(value, bid, roi, rate)));
+        Some(compiled) => {
+            let program = PreparedSqlProgram::new(compiled, value, bid, roi, rate)
+                .expect("the Figure 5 ROI program takes its parameters");
+            let h = Arc::new(Mutex::new(program));
             (
                 Box::new(SharedProgram(Arc::clone(&h))),
                 ProgramHandle::Sql(h),
@@ -335,10 +365,13 @@ pub fn programmed_sharded_market(
         .seed(workload.config.seed ^ 0x5EC7_10B2)
         .build_sharded(shards)?;
     let mut handles = Vec::with_capacity(workload.bidders.len() * workload.config.num_keywords);
+    // Every SQL campaign runs the one program, compiled here, once.
+    let compiled = (strategy == Strategy::Sql).then(CompiledRoi::compile);
     workload.populate_with(&mut market, false, |campaign| {
         let params = &workload.bidders[campaign.advertiser];
         let (value, bid, roi) = params.keywords[campaign.keyword];
-        let (program, handle) = make_program(strategy, value, bid, roi, params.target_spend_rate);
+        let rate = params.target_spend_rate;
+        let (program, handle) = make_program(compiled.as_ref(), value, bid, roi, rate);
         handles.push(handle);
         CampaignSpec::program(program).click_probs(campaign.click_probs)
     })?;

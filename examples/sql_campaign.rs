@@ -1,10 +1,12 @@
 //! SQL bidding programs as first-class campaigns (Section II-B).
 //!
 //! An advertiser hands the marketplace a real *SQL bidding program* — a
-//! schema, initial state, and triggers — via
-//! `CampaignSpec::sql_program`. The embedded `ssa_minidb` engine parses
-//! the program once at registration (prepared statements thereafter);
-//! each auction the marketplace sets the shared `time`/`keyword`
+//! schema, initial state, and triggers. `SqlProgram::compile` compiles it
+//! once — the embedded `ssa_minidb` engine parses both scripts, runs their
+//! DDL and lowers every statement — and `CampaignSpec::sql_program` runs a
+//! campaign of it with its own initial state; a host registering many
+//! campaigns of one program holds the compiled value and passes it to
+//! each. Each auction the marketplace sets the shared `time`/`keyword`
 //! variables, fires the program's `Query` trigger, reads its `Bids`
 //! table, and after settlement fires the `Outcome` trigger — so the whole
 //! strategy, ROI bookkeeping included, lives inside SQL.
@@ -17,6 +19,7 @@
 //! ```
 
 use sponsored_search::bidlang::Money;
+use sponsored_search::core::SqlProgram;
 use sponsored_search::marketplace::{CampaignSpec, Marketplace, QueryRequest};
 use sponsored_search::minidb::Params;
 
@@ -80,22 +83,22 @@ fn main() {
     let rival_a = market.register_advertiser("StaticShoes");
     let rival_b = market.register_advertiser("BudgetBoots");
 
+    // The program, compiled once; a host with many campaigns of it keeps
+    // this value and instantiates every campaign from it.
+    let program = SqlProgram::compile(TABLES, PROGRAM).expect("well-formed bidding program");
+
     // The SQL campaign: click value 20¢, starting bid 3¢, initial ROI 1.5,
     // target spend rate 2¢ per auction.
+    let params = Params::new()
+        .bind("value", 20)
+        .bind("bid", 3)
+        .bind("roi", 1.5)
+        .bind("rate", 2.0);
     let sql_campaign = market
         .add_campaign(
             programmed,
             0,
-            CampaignSpec::sql_program(
-                PROGRAM,
-                TABLES,
-                &Params::new()
-                    .bind("value", 20)
-                    .bind("bid", 3)
-                    .bind("roi", 1.5)
-                    .bind("rate", 2.0),
-            )
-            .expect("well-formed bidding program"),
+            CampaignSpec::sql_program(&program, &params).expect("the parameters fit the program"),
         )
         .expect("campaign accepted");
 

@@ -158,11 +158,11 @@
 //!
 //! The paper's expressive core: advertisers submit *SQL bidding programs*
 //! — schema, state, and triggers — and the provider runs them when
-//! auctions begin. [`marketplace::CampaignSpec::sql_program`] registers
-//! one as a first-class campaign: the embedded [`minidb`] engine parses
-//! both scripts once at registration and runs them thereafter through its
-//! prepared-statement layer ([`minidb::Database::prepare`] /
-//! [`minidb::Params`] binding — no SQL text on the auction hot path).
+//! auctions begin. [`core::SqlProgram::compile`] compiles one once — the
+//! embedded [`minidb`] engine parses both scripts, runs their DDL and
+//! lowers every statement — and [`marketplace::CampaignSpec::sql_program`]
+//! registers a first-class campaign of it, its initial state bound through
+//! [`minidb::Params`] (no SQL text on the auction hot path).
 //! Per auction the marketplace sets the shared `time`/`keyword`
 //! variables, fires the program's `Query` trigger, submits its `Bids`
 //! table, and (if the program declares an `Outcome` table) reports
@@ -173,6 +173,7 @@
 //! error for diagnosis).
 //!
 //! ```
+//! use sponsored_search::core::SqlProgram;
 //! use sponsored_search::marketplace::{CampaignSpec, Marketplace, QueryRequest};
 //! use sponsored_search::minidb::Params;
 //!
@@ -182,21 +183,18 @@
 //!     .build()
 //!     .expect("valid configuration");
 //! let adv = market.register_advertiser("programmed.example");
-//! market
-//!     .add_campaign(
-//!         adv,
-//!         0,
-//!         CampaignSpec::sql_program(
-//!             "CREATE TRIGGER bid AFTER INSERT ON Query
-//!              { UPDATE Bids SET value = value + 1; }",
-//!             "CREATE TABLE Query (kw INT);
-//!              CREATE TABLE Bids (formula TEXT, value INT);
-//!              INSERT INTO Bids VALUES ('Click', :start);",
-//!             &Params::new().bind("start", 10),
-//!         )
-//!         .expect("well-formed program"),
-//!     )
-//!     .expect("campaign accepted");
+//! // Compiled once; every campaign of the program shares it.
+//! let program = SqlProgram::compile(
+//!     "CREATE TABLE Query (kw INT);
+//!      CREATE TABLE Bids (formula TEXT, value INT);
+//!      INSERT INTO Bids VALUES ('Click', :start);",
+//!     "CREATE TRIGGER bid AFTER INSERT ON Query
+//!      { UPDATE Bids SET value = value + 1; }",
+//! )
+//! .expect("well-formed program");
+//! let spec = CampaignSpec::sql_program(&program, &Params::new().bind("start", 10))
+//!     .expect("the parameters fit the program");
+//! market.add_campaign(adv, 0, spec).expect("campaign accepted");
 //! let response = market.serve(QueryRequest::new(0)).expect("keyword 0 exists");
 //! assert_eq!(response.placements.len(), 1); // bid 11¢ on the first auction
 //! ```
@@ -212,22 +210,24 @@
 //! ## Query planning and compiled triggers
 //!
 //! Below the prepared-statement surface, [`minidb`] executes through an
-//! explicit logical → physical plan split. `prepare` (and trigger
-//! installation) lowers each statement once: columns become row offsets
+//! explicit logical → physical plan split. A prepared statement or
+//! trigger body is lowered once: columns become row offsets
 //! and every predicate/SET/projection expression compiles to a flat
 //! op-sequence evaluated without AST recursion. Equality-probed
 //! `INT`/`TEXT` columns get secondary sorted-array indexes, built on
 //! demand by a tiny planner that chooses index-lookup vs scan per
 //! statement and maintained incrementally on every mutation (entries stay
 //! sorted by key and row, so rows come back in scan order; NULLs are never
-//! indexed, matching three-valued equality). Scripts are parsed once per distinct *text* and planned
-//! once per text and catalog *shape* (tables, column names and types),
-//! process-wide: the thousands of campaign databases running one program
-//! share its parsed scripts, trigger bodies and plans, and own only their
-//! rows, variables and indexes. Owners — prepared statements and trigger
-//! bodies — memoise their planned script, which holds the shape it was
-//! lowered at, and compare one shape pointer per execution; DDL moves a
-//! database to another shape and transparently replans for it alone.
+//! indexed, matching three-valued equality). A program is compiled once per
+//! *program* ([`minidb::Template`]): its DDL runs once into one catalog
+//! (tables, column names and types, variable names), and its statements
+//! are lowered once against it, so the thousands of campaign databases
+//! instantiated from it share its catalog, trigger bodies and plans, and
+//! own only their rows, variables and indexes. There is no process-wide
+//! state. Owners — prepared statements and trigger bodies — memoise their
+//! planned script, which holds the catalog it was lowered at, and compare
+//! one pointer per execution; DDL gives a database a catalog of its own
+//! and transparently replans for it alone.
 //!
 //! Planned + indexed + compiled execution is the one SQL executor the
 //! library ships, held to an equivalence guarantee: it is bit-identical to
