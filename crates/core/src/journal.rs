@@ -3,21 +3,26 @@
 //!
 //! Everything that changes a [`Marketplace`] across a process
 //! boundary — a request arriving over the wire, a record replayed from the
-//! write-ahead log — is one `MutationRecord`, executed by one [`apply`].
+//! write-ahead log or restored from a snapshot — is one `MutationRecord`,
+//! executed by one [`apply`].
 //!
-//! # One body, two envelopes
+//! # One body, three envelopes
 //!
 //! [`MutationRecord::encode_into`] writes `tag u8 ++ fields` through
-//! [`crate::codec`]. Those bytes are the operation *body*, and both
-//! transports carry them verbatim:
+//! [`crate::codec`]. Those bytes are the operation *body*, and every
+//! transport carries them verbatim:
 //!
 //! ```text
-//! WAL record    = len u32 ++ crc32 u32 ++ seq u64 ++ body     (ssa_durable)
-//! request frame = len u32 ++ version ++ kind ++ id u64 ++ body (ssa_net)
+//! WAL record      = len u32 ++ crc32 u32 ++ seq u64 ++ body     (ssa_durable)
+//! snapshot record = len u32 ++ body                             (ssa_durable)
+//! request frame   = len u32 ++ version ++ kind ++ id u64 ++ body (ssa_net)
 //! ```
 //!
+//! A snapshot is a compacted log ([`crate::state`]): its records are
+//! [`Marketplace::compacted_log`], and recovery applies them here.
+//!
 //! Tags 0–8 and every field layout are the on-disk format (`WAL_VERSION`
-//! 2, pinned by the golden fixture); the wire shares the tag space, with
+//! 3, pinned by the golden fixture); the wire shares the tag space, with
 //! its read-only requests numbered after the operations.
 //!
 //! Adding a field to an operation — `Serve`, say — therefore touches: the
@@ -148,7 +153,7 @@ pub enum MutationRecord {
     },
 }
 
-// The operation tag table. These numbers are on disk (`WAL_VERSION` 2) and
+// The operation tag table. These numbers are on disk (`WAL_VERSION` 3) and
 // on the wire; a new operation takes the next number free in both.
 const TAG_CONFIGURE: u8 = 0;
 const TAG_REGISTER: u8 = 1;

@@ -87,4 +87,4 @@ pub use revenue::{expected_revenue, revenue_matrix, revenue_matrix_into, NoSlotV
 pub use sharded::{parse_shards, shard_of_keyword, ParseShardsError, ShardedMarketplace};
 pub use sqlprog::{SqlProgram, SqlProgramBidder, SqlProgramError};
 pub use ssa_bidlang::targeting::{AttrValue, CompiledTargeting, UserAttrs};
-pub use state::{CampaignState, CampaignView, MarketConfigState, MarketState, StateSource};
+pub use state::{MarketConfigState, MarketState};

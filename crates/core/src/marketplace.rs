@@ -107,7 +107,7 @@ use crate::pricing::PricingScheme;
 use crate::prob::{ClickModel, ClickRowId, ClickTable, PurchaseModel};
 use crate::sharded::shard_of_keyword;
 use crate::sqlprog::{SqlProgram, SqlProgramBidder, SqlProgramError};
-use crate::state::{CampaignView, MarketConfigState, MarketState, StateSource};
+use crate::state::{MarketConfigState, MarketState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssa_bidlang::targeting::{CompiledTargeting, UserAttrs};
@@ -905,41 +905,6 @@ impl KeywordBook {
         engine.set_time(start_time);
         engine.run_batch_in(Some(clicks), requests, &mut self.rng)
     }
-
-    /// The durable state of every campaign on this book's keyword, in
-    /// registration order, borrowed from the engine's bidders and models
-    /// and the market's click rows;
-    /// [`MarketError::NotDurable`] for a campaign that is not per-click.
-    fn views<'a>(
-        &'a self,
-        keyword: usize,
-        clicks: &'a ClickTable,
-    ) -> impl Iterator<Item = Result<CampaignView<'a>, MarketError>> {
-        // A keyword without an engine has no campaigns.
-        self.engine.iter().flat_map(move |engine| {
-            engine
-                .bidders()
-                .iter()
-                .enumerate()
-                .map(move |(row, campaign)| {
-                    let Some(bid) = campaign.per_click() else {
-                        let id = CampaignId::from_parts(keyword, row);
-                        return Err(MarketError::NotDurable(id));
-                    };
-                    Ok(CampaignView {
-                        keyword,
-                        advertiser: campaign.advertiser().index(),
-                        bid_cents: bid.nominal.cents(),
-                        click_value_cents: bid.click_value.cents(),
-                        roi_target: bid.roi_target(),
-                        click_probs: clicks.row(engine.clicks().id(row)),
-                        purchase_probs: engine.purchases().stored_row(row),
-                        paused: campaign.paused(),
-                        targeting: campaign.shared_targeting().map(|t| t.source()),
-                    })
-                })
-        })
-    }
 }
 
 /// The 64-bit SplitMix finaliser: a cheap, stable bijective mixer used for
@@ -1376,24 +1341,100 @@ impl Marketplace {
 
     // -- durable state capture ----------------------------------------------
 
-    /// Captures the marketplace's complete durable state: configuration,
-    /// advertisers, per-click campaign book, clock, and the exact position
-    /// of every keyword's RNG stream. [`MarketError::NotDurable`] if any
-    /// campaign runs a custom program or fixed table.
+    /// The build configuration: what a `Configure` operation carries and
+    /// [`Marketplace::from_config`] builds this market's empty twin from.
+    pub fn config(&self) -> MarketConfigState {
+        MarketConfigState {
+            slots: self.num_slots,
+            keywords: self.books.len(),
+            seed: self.seed,
+            method: self.config.method,
+            pricing: self.config.pricing,
+            shards: self.num_shards,
+            pruned: self.config.pruned,
+            warm_start: self.config.warm_start,
+            default_click_probs: self
+                .default_click_row
+                .map(|id| self.clicks.row(id).to_vec()),
+            default_purchase_probs: self.default_purchase_probs.clone(),
+        }
+    }
+
+    /// The compacted log after its `Configure`, in [`MarketState::records`]'s
+    /// order: applied to a [`Marketplace::from_config`] build of
+    /// [`Marketplace::config`], it rebuilds this campaign book. Each
+    /// `AddCampaign` carries the nominal bid, the current ROI target and
+    /// every model explicitly (a campaign that never purchases, one
+    /// `(0.0, 0.0)` per slot), so no builder default is resolved again.
+    /// [`MarketError::NotDurable`] for a campaign that is not per-click.
+    pub fn compacted_log(&self) -> impl Iterator<Item = Result<MutationRecord, MarketError>> + '_ {
+        let advertisers = self
+            .advertisers
+            .iter()
+            .map(|name| Ok(MutationRecord::RegisterAdvertiser { name: name.into() }));
+        // A keyword without an engine has no campaigns.
+        let engines = self.books.iter().enumerate();
+        let engines =
+            engines.filter_map(|(keyword, book)| Some((keyword, book.engine.as_deref()?)));
+        let campaigns = engines.flat_map(move |(keyword, engine)| {
+            (0..engine.bidders().len())
+                .flat_map(move |index| self.campaign_records(engine, CampaignId { keyword, index }))
+        });
+        advertisers.chain(campaigns)
+    }
+
+    /// One campaign's part of [`Marketplace::compacted_log`]: its
+    /// `AddCampaign`, then its `PauseCampaign` if it is paused.
+    fn campaign_records(
+        &self,
+        engine: &AuctionEngine<Campaign>,
+        id: CampaignId,
+    ) -> impl Iterator<Item = Result<MutationRecord, MarketError>> {
+        let campaign = &engine.bidders()[id.index];
+        let (keyword, index) = (id.keyword as u64, id.index as u64);
+        let add = campaign
+            .per_click()
+            .ok_or(MarketError::NotDurable(id))
+            .map(|bid| {
+                let click_probs = self.clicks.row(engine.clicks().id(id.index));
+                let purchase_probs = match engine.purchases().stored_row(id.index) {
+                    Some(stored) => stored.to_vec(),
+                    None => vec![(0.0, 0.0); click_probs.len()],
+                };
+                MutationRecord::AddCampaign {
+                    advertiser: campaign.advertiser().index() as u64,
+                    keyword,
+                    bid_cents: bid.nominal.cents(),
+                    click_value_cents: bid.click_value.cents(),
+                    roi_target: bid.roi_target(),
+                    click_probs: Some(click_probs.to_vec()),
+                    purchase_probs: Some(purchase_probs),
+                    targeting: campaign.shared_targeting().map(|t| t.source().into()),
+                }
+            });
+        let pause = MutationRecord::PauseCampaign { keyword, index };
+        std::iter::once(add).chain(campaign.paused().then_some(Ok(pause)))
+    }
+
+    /// Each keyword's RNG stream position, indexed by keyword: with the
+    /// clock, what a snapshot holds beside [`Marketplace::compacted_log`].
+    pub fn rng_states(&self) -> impl ExactSizeIterator<Item = [u64; 4]> + '_ {
+        self.books.iter().map(|book| book.rng.state())
+    }
+
+    /// Captures the marketplace's complete durable state as a value: its
+    /// configuration, [`Marketplace::compacted_log`], clock, and the exact
+    /// position of every keyword's RNG stream. [`MarketError::NotDurable`]
+    /// if any campaign runs a custom program or fixed table.
     ///
     /// [`Marketplace::from_state`] rebuilds a marketplace from the capture
     /// that serves **bit-identical** auctions from the next query on (held
     /// tables, revenue matrices and solver scratch are execution state and
     /// are re-derived with identical outcomes).
     pub fn capture_state(&self) -> Result<MarketState, MarketError> {
-        let mut campaigns = Vec::with_capacity(self.campaign_count());
-        for campaign in self.campaigns() {
-            campaigns.push(campaign?.to_state());
-        }
         Ok(MarketState {
             config: self.config(),
-            advertisers: self.advertisers.iter().map(str::to_string).collect(),
-            campaigns,
+            records: self.compacted_log().collect::<Result<_, _>>()?,
             clock: self.clock,
             rng_states: self.rng_states().collect(),
         })
@@ -1433,38 +1474,23 @@ impl Marketplace {
     }
 
     /// Rebuilds a marketplace from a [`Marketplace::capture_state`]
-    /// capture; see there for the bit-identity guarantee. The restored
+    /// capture; see there for the bit-identity guarantee. Builds
+    /// [`Marketplace::from_config`], applies each record through
+    /// [`crate::journal::apply`] — where every operation is validated — and
+    /// then restores the clock and the RNG positions. The restored
     /// marketplace has no journal attached. A state that does not carry
     /// exactly one RNG stream per keyword is rejected with
     /// [`MarketError::RngStreams`].
     pub fn from_state(state: &MarketState) -> Result<Self, MarketError> {
         let mut market = Self::from_config(&state.config)?;
+        for record in &state.records {
+            crate::journal::apply(&mut market, record.clone())?;
+        }
         if state.rng_states.len() != market.books.len() {
             return Err(MarketError::RngStreams {
                 keywords: market.books.len(),
                 streams: state.rng_states.len(),
             });
-        }
-        for name in &state.advertisers {
-            market.register_advertiser(name.clone());
-        }
-        for campaign in &state.campaigns {
-            let parts = PerClickParts {
-                bid: Money::from_cents(campaign.bid_cents),
-                click_value: Money::from_cents(campaign.click_value_cents),
-                roi_target: campaign.roi_target,
-                click_probs: Some(campaign.click_probs.clone()),
-                purchase_probs: Some(campaign.purchase_probs.clone()),
-                targeting: campaign.targeting.clone(),
-            };
-            let id = market.add_campaign(
-                AdvertiserHandle::from_index(campaign.advertiser),
-                campaign.keyword,
-                parts.into(),
-            )?;
-            if campaign.paused {
-                market.pause_campaign(id)?;
-            }
         }
         market.clock = state.clock;
         for (book, rng_state) in market.books.iter_mut().zip(&state.rng_states) {
@@ -2081,50 +2107,6 @@ struct Chunk<'a> {
     requests: &'a [QueryRequest],
     /// Global clock value before the chunk's first query.
     start_time: u64,
-}
-
-/// The live marketplace read in place: what [`Marketplace::capture_state`]
-/// copies, without the copy.
-impl StateSource for Marketplace {
-    fn config(&self) -> MarketConfigState {
-        MarketConfigState {
-            slots: self.num_slots,
-            keywords: self.books.len(),
-            seed: self.seed,
-            method: self.config.method,
-            pricing: self.config.pricing,
-            shards: self.num_shards,
-            pruned: self.config.pruned,
-            warm_start: self.config.warm_start,
-            default_click_probs: self
-                .default_click_row
-                .map(|id| self.clicks.row(id).to_vec()),
-            default_purchase_probs: self.default_purchase_probs.clone(),
-        }
-    }
-
-    fn advertisers(&self) -> impl ExactSizeIterator<Item = &str> {
-        self.advertisers.iter()
-    }
-
-    fn campaign_count(&self) -> usize {
-        self.num_campaigns_total()
-    }
-
-    fn campaigns(&self) -> impl Iterator<Item = Result<CampaignView<'_>, MarketError>> {
-        self.books
-            .iter()
-            .enumerate()
-            .flat_map(|(keyword, book)| book.views(keyword, &self.clicks))
-    }
-
-    fn clock(&self) -> u64 {
-        self.clock
-    }
-
-    fn rng_states(&self) -> impl ExactSizeIterator<Item = [u64; 4]> {
-        self.books.iter().map(|book| book.rng.state())
-    }
 }
 
 /// The compiled matcher of targeting text `source`: the one in a market's
@@ -3087,12 +3069,23 @@ mod tests {
         assert_eq!(rows, (1 + registered.len()) * 3 * 8);
         let (state, twin_state) = (sharded.capture_state(), twin.capture_state());
         let (state, twin_state) = (state.expect("durable"), twin_state.expect("durable"));
-        assert_eq!(state.campaigns, twin_state.campaigns);
+        assert_eq!(state.records, twin_state.records);
         let bits = |probs: &[f64]| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        for campaign in &state.campaigns {
-            let expected = &registered[campaign.advertiser * 4 + campaign.keyword];
-            assert_eq!(bits(&campaign.click_probs), bits(expected));
+        let mut campaigns = 0;
+        for record in &state.records {
+            if let MutationRecord::AddCampaign {
+                advertiser,
+                keyword,
+                click_probs: Some(probs),
+                ..
+            } = record
+            {
+                let expected = &registered[*advertiser as usize * 4 + *keyword as usize];
+                assert_eq!(bits(probs), bits(expected));
+                campaigns += 1;
+            }
         }
+        assert_eq!(campaigns, registered.len());
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! The snapshot body encoding and the CRC that guards every record.
+//! The snapshot body's framing and the CRC that guards every record.
 //!
 //! A WAL record's payload is `seq u64` followed by the operation body
 //! [`ssa_core::MutationRecord::encode_into`] writes — the same bytes a
 //! request frame carries on the wire, so this crate owns no operation
-//! codec. What it does own is the [`MarketState`] snapshot body, written
-//! with the same [`ssa_core::codec`] primitives (little-endian, `f64` as
-//! raw bits, counts checked before allocation), and [`crc32`].
+//! codec. A snapshot body is those bodies too: the market's compacted log,
+//! each record behind a length, then a trailer with the clock and the RNG
+//! positions (see `encode_body`). This module owns that framing and
+//! [`crc32`].
 
 use std::io::{self, Write};
+use std::iter;
 
 use crate::DurableError;
-use ssa_core::codec::{
-    put_bool, put_f64, put_f64_vec, put_i64, put_opt, put_pair_vec, put_string, put_u32, put_u64,
-    CodecError, Reader,
-};
-use ssa_core::{CampaignState, MarketConfigState, MarketState, StateSource};
+use ssa_core::codec::{put_u32, put_u64, CodecError, Reader};
+use ssa_core::{MarketState, Marketplace, MutationRecord};
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected polynomial 0xEDB88320), const-table implementation.
@@ -88,52 +87,38 @@ pub(crate) fn field<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
 }
 
 // ---------------------------------------------------------------------------
-// MarketState (snapshot body).
+// The snapshot body: a compacted log and its trailer.
 // ---------------------------------------------------------------------------
 
-/// Writes a full marketplace checkpoint to `out` as a snapshot body, one
-/// campaign at a time through a small reused buffer: `source` is the live
-/// marketplace (nothing is copied out of it first) or a captured
-/// [`MarketState`], and the bytes are the same.
-pub(crate) fn encode_state(
-    source: &impl StateSource,
-    out: &mut impl Write,
-) -> Result<(), DurableError> {
+/// Writes `market`'s snapshot body to `out`, one record at a time through
+/// a small reused buffer — nothing is copied out of the market first:
+///
+/// ```text
+/// body    = record... ++ trailer
+/// record  = len u32 ++ MutationRecord body    (Configure, then compacted_log)
+/// trailer = 0 u32 ++ clock u64 ++ streams u32 ++ streams × [u64; 4]
+/// ```
+///
+/// No record is empty (each opens with its tag), so a zero length ends the
+/// list; the trailer is not a record, so no client can send it.
+pub(crate) fn encode_body(market: &Marketplace, out: &mut impl Write) -> Result<(), DurableError> {
     fn emit(out: &mut impl Write, buf: &mut Vec<u8>) -> io::Result<()> {
         out.write_all(buf)?;
         buf.clear();
         Ok(())
     }
     let buf = &mut Vec::with_capacity(512);
-    source.config().encode_into(buf);
-    let advertisers = source.advertisers();
-    put_u32(buf, advertisers.len() as u32);
-    for name in advertisers {
-        put_string(buf, name);
+    let configure = MutationRecord::Configure(market.config());
+    for record in iter::once(Ok(configure)).chain(market.compacted_log()) {
+        put_u32(buf, 0);
+        record?.encode_into(buf);
+        let len = buf.len() as u32 - 4;
+        buf[..4].copy_from_slice(&len.to_le_bytes());
         emit(out, buf)?;
     }
-    put_u32(buf, source.campaign_count() as u32);
-    for campaign in source.campaigns() {
-        let c = campaign?;
-        put_u64(buf, c.keyword as u64);
-        put_u64(buf, c.advertiser as u64);
-        put_i64(buf, c.bid_cents);
-        put_i64(buf, c.click_value_cents);
-        put_opt(buf, &c.roi_target, |b, v| put_f64(b, *v));
-        put_f64_vec(buf, c.click_probs);
-        match c.purchase_probs {
-            Some(row) => put_pair_vec(buf, row),
-            None => {
-                put_u32(buf, c.click_probs.len() as u32);
-                buf.resize(buf.len() + 16 * c.click_probs.len(), 0);
-            }
-        }
-        put_bool(buf, c.paused);
-        put_opt(buf, &c.targeting, |b, v| put_string(b, v));
-        emit(out, buf)?;
-    }
-    put_u64(buf, source.clock());
-    let rng_states = source.rng_states();
+    put_u32(buf, 0);
+    put_u64(buf, market.now());
+    let rng_states = market.rng_states();
     put_u32(buf, rng_states.len() as u32);
     for state in rng_states {
         for word in state {
@@ -145,24 +130,37 @@ pub(crate) fn encode_state(
     Ok(())
 }
 
-/// Decodes a snapshot body back into a marketplace checkpoint.
-pub(crate) fn decode_state(bytes: &[u8]) -> Result<MarketState, CodecError> {
-    let mut r = Reader::new(bytes);
-    let config = MarketConfigState::read(&mut r)?;
-    let advertisers = r.vec("advertisers", 4, |r| r.string("advertiser name"))?;
-    let campaigns = r.vec("campaigns", 43, |r| {
-        Ok(CampaignState {
-            keyword: r.u64("campaign keyword")? as usize,
-            advertiser: r.u64("campaign advertiser")? as usize,
-            bid_cents: r.i64("campaign bid")?,
-            click_value_cents: r.i64("campaign click value")?,
-            roi_target: r.opt("campaign roi", |r| r.f64("campaign roi"))?,
-            click_probs: r.f64_vec("campaign click probs")?,
-            purchase_probs: r.pair_vec("campaign purchase probs")?,
-            paused: r.bool("campaign paused")?,
-            targeting: r.opt("campaign targeting", |r| r.string("campaign targeting"))?,
-        })
-    })?;
+/// Decodes a body [`encode_body`] wrote into the [`MarketState`] it holds.
+/// The first record must be `Configure` and every later one
+/// `RegisterAdvertiser`, `AddCampaign` or `PauseCampaign`: any other tag is
+/// refused. Nothing else is checked here, since
+/// [`ssa_core::Marketplace::from_state`] applies the records through
+/// [`ssa_core::journal::apply`], which validates them.
+pub(crate) fn decode_body(bytes: &[u8]) -> Result<MarketState, CodecError> {
+    let (mut rest, mut config, mut records) = (bytes, None, Vec::new());
+    let truncated = |what| CodecError::Truncated { what };
+    loop {
+        let (len, tail) = (rest.split_first_chunk()).ok_or(truncated("snapshot record length"))?;
+        let (record, tail) = (tail.split_at_checked(u32::from_le_bytes(*len) as usize))
+            .ok_or(truncated("snapshot record"))?;
+        rest = tail;
+        let Some(&tag) = record.first() else { break };
+        let what = config
+            .as_ref()
+            .map_or("first snapshot record", |_| "snapshot record");
+        match (MutationRecord::decode(record)?, config.is_some()) {
+            (MutationRecord::Configure(first), false) => config = Some(first),
+            (
+                record @ (MutationRecord::RegisterAdvertiser { .. }
+                | MutationRecord::AddCampaign { .. }
+                | MutationRecord::PauseCampaign { .. }),
+                true,
+            ) => records.push(record),
+            _ => return Err(CodecError::UnknownTag { what, tag }),
+        }
+    }
+    let config = config.ok_or(truncated("snapshot Configure record"))?;
+    let mut r = Reader::new(rest);
     let clock = r.u64("clock")?;
     let rng_states = r.vec("rng states", 32, |r| {
         Ok([
@@ -175,8 +173,7 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<MarketState, CodecError> {
     r.finish()?;
     Ok(MarketState {
         config,
-        advertisers,
-        campaigns,
+        records,
         clock,
         rng_states,
     })
@@ -185,7 +182,8 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<MarketState, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssa_core::{PricingScheme, WdMethod};
+    use ssa_bidlang::Money;
+    use ssa_core::{CampaignSpec, PricingScheme, QueryRequest, WdMethod};
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -200,69 +198,81 @@ mod tests {
         assert_eq!(pieces.finish(), 0xCBF4_3926);
     }
 
-    fn encoded(state: &MarketState) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        encode_state(state, &mut bytes).expect("a Vec takes every write");
-        bytes
+    /// A market whose body holds every record kind a snapshot carries: a
+    /// targeted, paused, purchasing campaign, a ROI-capped one and a
+    /// never-purchasing one, on two of three keywords.
+    fn sample_market() -> Marketplace {
+        let mut market = Marketplace::builder()
+            .slots(1)
+            .keywords(3)
+            .seed(42)
+            .method(WdMethod::Hungarian)
+            .pricing(PricingScheme::Gsp)
+            .default_click_probs(vec![0.3])
+            .build_sharded(2)
+            .expect("valid configuration");
+        let a = market.register_advertiser("a");
+        let b = market.register_advertiser("advertiser-две");
+        let paused = market
+            .add_campaign(
+                b,
+                2,
+                CampaignSpec::per_click(Money::from_cents(99))
+                    .click_value(Money::from_cents(400))
+                    .click_probs(vec![0.1 + 0.2])
+                    .purchase_probs(vec![(1.0 / 3.0, 2.0 / 7.0)])
+                    .targeting("device != 'bot'"),
+            )
+            .expect("accepted");
+        market.pause_campaign(paused).expect("known campaign");
+        let capped = CampaignSpec::per_click(Money::from_cents(50))
+            .roi_target(f64::from_bits(0x3FF0_0000_0000_0001));
+        market.add_campaign(a, 0, capped).expect("accepted");
+        for keyword in [0, 2, 2] {
+            market.serve(QueryRequest::new(keyword)).expect("in range");
+        }
+        market
     }
 
-    fn sample_state() -> MarketState {
-        MarketState {
-            config: MarketConfigState {
-                slots: 3,
-                keywords: 11,
-                seed: 42,
-                method: WdMethod::Hungarian,
-                pricing: PricingScheme::Gsp,
-                shards: 4,
-                pruned: true,
-                warm_start: false,
-                default_click_probs: Some(vec![0.3, 0.2, 0.1]),
-                default_purchase_probs: None,
-            },
-            advertisers: vec!["a".into(), "advertiser-две".into()],
-            campaigns: vec![CampaignState {
-                keyword: 5,
-                advertiser: 1,
-                bid_cents: 99,
-                click_value_cents: 400,
-                roi_target: Some(f64::from_bits(0x3FF0_0000_0000_0001)),
-                click_probs: vec![0.1 + 0.2],
-                purchase_probs: vec![(1.0 / 3.0, 2.0 / 7.0)],
-                paused: true,
-                targeting: Some("device != 'bot'".into()),
-            }],
-            clock: 987,
-            rng_states: vec![[1, 2, 3, 4], [u64::MAX, 0, 7, 9]],
-        }
+    fn encoded(market: &Marketplace) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_body(market, &mut bytes).expect("a Vec takes every write");
+        bytes
     }
 
     #[test]
     fn state_round_trips_preserving_f64_bits() {
-        let state = sample_state();
-        let bytes = encoded(&state);
-        let back = decode_state(&bytes).expect("round trip");
-        assert_eq!(back, state);
-        // PartialEq on f64 would accept -0.0 == 0.0; check raw bits too.
-        assert_eq!(
-            back.campaigns[0].click_probs[0].to_bits(),
-            state.campaigns[0].click_probs[0].to_bits()
-        );
+        let market = sample_market();
+        let back = decode_body(&encoded(&market)).expect("round trip");
+        let want = market.capture_state().expect("per-click campaigns only");
+        assert_eq!(back, want);
+        // PartialEq on f64 would accept -0.0 == 0.0: re-encoding compares
+        // every bit.
+        let mut again = Vec::new();
+        for record in &back.records {
+            record.encode_into(&mut again);
+        }
+        let mut wanted = Vec::new();
+        for record in &want.records {
+            record.encode_into(&mut wanted);
+        }
+        assert_eq!(again, wanted);
+        assert_eq!(back.records.len(), 5, "2 advertisers, 2 campaigns, 1 pause");
     }
 
     #[test]
     fn damaged_snapshot_bodies_fail_cleanly() {
-        let bytes = encoded(&sample_state());
+        let bytes = encoded(&sample_market());
         for len in 0..bytes.len() {
             assert!(
-                decode_state(&bytes[..len]).is_err(),
+                decode_body(&bytes[..len]).is_err(),
                 "prefix of {len} bytes decoded"
             );
         }
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(
-            decode_state(&trailing),
+            decode_body(&trailing),
             Err(CodecError::Trailing { extra: 1 })
         );
     }

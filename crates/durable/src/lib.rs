@@ -25,7 +25,9 @@
 //! │     [len u32][crc32 u32][seq u64 ++ op body]...     <- records
 //! └── snapshot-00000000000000000517.snap
 //!       [magic 8B][version u32][last_seq u64]
-//!       [body_len u32][crc32 u32][MarketState body]
+//!       [body_len u32][crc32 u32]                        <- 28B header
+//!       [len u32][op body]...                            <- compacted log
+//!       [0 u32][clock u64][streams u32][[u64; 4]...]     <- trailer
 //! ```
 //!
 //! An *op body* is one [`ssa_core::MutationRecord`] as
@@ -39,8 +41,15 @@
 //! server executes requests with. A `Configure` record resets the
 //! replayed marketplace to a fresh build of its configuration.
 //!
-//! The header version is [`WAL_VERSION`]. Version 2, the current
-//! format, extended version 1 for typed query targeting: `Serve` /
+//! A snapshot body is a compacted log in the same codec — `Configure`,
+//! then [`ssa_core::Marketplace::compacted_log`] — and a trailer with what
+//! no operation can set, the clock and each keyword's RNG position.
+//! Recovery applies its records through `apply` too, by way of
+//! [`ssa_core::Marketplace::from_state`]; any other kind is corruption.
+//!
+//! The header version is [`WAL_VERSION`], shared by segments and
+//! snapshots. Version 3, the current format, made the snapshot body a
+//! compacted log; version 2 added typed query targeting: `Serve` /
 //! `ServeBatch` records journal the query's attribute bag and
 //! `AddCampaign` carries the campaign's optional targeting source.
 //! Recovery refuses any other version with [`DurableError::Version`]
@@ -64,7 +73,7 @@
 //!   final segment. Recovery truncates it — losing exactly the operations
 //!   that were never acknowledged, never an acknowledged one.
 //! * A snapshot is streamed from the live marketplace into a temp file —
-//!   campaign by campaign through one buffered writer with a running
+//!   record by record through one buffered writer with a running
 //!   checksum, the header's length and checksum filled in last — and
 //!   renamed, so a half-written snapshot is never visible; a damaged one
 //!   falls back to its predecessor.
@@ -140,6 +149,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod codec;
 mod snapshot;
@@ -151,7 +162,6 @@ pub use snapshot::SNAPSHOT_MAGIC;
 pub use store::{recover, Durability, RecoveryReport};
 pub use wal::WAL_MAGIC;
 
-use ssa_core::CodecError;
 use std::str::FromStr;
 
 /// Version stamped into every WAL segment and snapshot header. Bump it
@@ -159,7 +169,7 @@ use std::str::FromStr;
 /// from a different version rather than misreading them. The golden
 /// fixture test (`tests/durable_golden.rs` in the umbrella crate) pins
 /// the format at this version — a deliberate bump regenerates it.
-pub const WAL_VERSION: u32 = 2;
+pub const WAL_VERSION: u32 = 3;
 
 /// What a commit does to make its records durable; see the
 /// [crate docs](self#fsync-trade-offs).
@@ -215,8 +225,6 @@ impl std::fmt::Display for FsyncPolicy {
 pub enum DurableError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// A checksum-valid byte sequence failed to decode.
-    Codec(CodecError),
     /// A WAL segment or snapshot was written by a different format
     /// version.
     Version {
@@ -229,9 +237,10 @@ pub enum DurableError {
     },
     /// The log is damaged in a way a crash cannot explain (bad magic,
     /// sequence gap, mid-log checksum failure, lost snapshot, a
-    /// checksum-valid snapshot without one RNG stream per keyword).
+    /// checksum-valid body that does not decode).
     Corrupt(String),
-    /// Replaying a record against the marketplace failed — the log
+    /// Replaying a record against the marketplace failed, or a snapshot's
+    /// trailer does not fit the market its records built — the log
     /// disagrees with the marketplace's own validation, so the log is
     /// not one this marketplace wrote.
     Market(ssa_core::MarketError),
@@ -241,7 +250,6 @@ impl std::fmt::Display for DurableError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DurableError::Io(err) => write!(f, "durability I/O error: {err}"),
-            DurableError::Codec(err) => write!(f, "durability decode error: {err}"),
             DurableError::Version {
                 what,
                 found,
@@ -260,7 +268,6 @@ impl std::error::Error for DurableError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DurableError::Io(err) => Some(err),
-            DurableError::Codec(err) => Some(err),
             DurableError::Market(err) => Some(err),
             _ => None,
         }
@@ -270,12 +277,6 @@ impl std::error::Error for DurableError {
 impl From<std::io::Error> for DurableError {
     fn from(err: std::io::Error) -> Self {
         DurableError::Io(err)
-    }
-}
-
-impl From<CodecError> for DurableError {
-    fn from(err: CodecError) -> Self {
-        DurableError::Codec(err)
     }
 }
 

@@ -1,5 +1,5 @@
-//! Snapshot files: a full [`ssa_core::MarketState`] checkpoint, written
-//! atomically, covering every WAL record up to its sequence number.
+//! Snapshot files: a compacted log, written atomically, covering every
+//! WAL record up to its sequence number.
 //!
 //! # Layout
 //!
@@ -9,8 +9,13 @@
 //! +------------+-------------+--------------+--------------+-----------+------+
 //! | magic (8B) | version u32 | last_seq u64 | body_len u32 | crc32 u32 | body |
 //! +------------+-------------+--------------+--------------+-----------+------+
-//! body = MarketState encoding (see crate::codec); crc32 covers the body.
+//! body = records ++ trailer (see crate::codec); crc32 covers the body.
 //! ```
+//!
+//! The records are the market's `Configure` and
+//! [`ssa_core::Marketplace::compacted_log`] in the WAL's record codec;
+//! recovery applies them through [`ssa_core::Marketplace::from_state`],
+//! then restores the clock and RNG positions the trailer holds.
 //!
 //! A snapshot is written to a `.tmp` sibling and renamed into place, so a
 //! crash mid-write leaves at most a stray `.tmp` (ignored on load) and
@@ -23,9 +28,9 @@ use std::fs::{self, File};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{crc32, decode_state, encode_state, field, Crc32};
+use crate::codec::{crc32, decode_body, encode_body, field, Crc32};
 use crate::{DurableError, FsyncPolicy, WAL_VERSION};
-use ssa_core::{MarketState, StateSource};
+use ssa_core::{MarketState, Marketplace};
 
 /// First eight bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SSASNAP\0";
@@ -80,19 +85,19 @@ impl Write for BodyWriter {
     }
 }
 
-/// Writes a snapshot of `source` covering WAL records `..= last_seq` and
-/// returns its size in bytes. The body is streamed from `source` — the
-/// live marketplace — straight into the file. Atomic: tmp file + rename,
-/// the tmp file removed again if anything fails.
+/// Writes a snapshot of `market` covering WAL records `..= last_seq` and
+/// returns its size in bytes. The body is streamed from the live market
+/// straight into the file, one record at a time. Atomic: tmp file +
+/// rename, the tmp file removed again if anything fails.
 pub(crate) fn write_snapshot(
     dir: &Path,
     last_seq: u64,
-    source: &impl StateSource,
+    market: &Marketplace,
     policy: FsyncPolicy,
 ) -> Result<u64, DurableError> {
     let path = snapshot_path(dir, last_seq);
     let tmp = path.with_extension("snap.tmp");
-    let written = write_tmp(&tmp, last_seq, source, policy).and_then(|bytes| {
+    let written = write_tmp(&tmp, last_seq, market, policy).and_then(|bytes| {
         fs::rename(&tmp, &path)?;
         if policy == FsyncPolicy::Always {
             // Persist the rename itself (the directory entry).
@@ -109,7 +114,7 @@ pub(crate) fn write_snapshot(
 fn write_tmp(
     tmp: &Path,
     last_seq: u64,
-    source: &impl StateSource,
+    market: &Marketplace,
     policy: FsyncPolicy,
 ) -> Result<u64, DurableError> {
     let mut out = BufWriter::new(File::create(tmp)?);
@@ -123,7 +128,7 @@ fn write_tmp(
         crc: Crc32::new(),
         len: 0,
     };
-    encode_state(source, &mut body)?;
+    encode_body(market, &mut body)?;
     let body_len = u32::try_from(body.len)
         .map_err(|_| io::Error::other("snapshot body exceeds the format's 4 GiB limit"))?;
     let mut file = body.out.into_inner().map_err(|e| e.into_error())?;
@@ -143,7 +148,8 @@ fn write_tmp(
 /// version mismatches are reported as errors (the operator must migrate,
 /// not silently lose the checkpoint), and so is a checksum-valid body that
 /// does not decode — it is not crash damage but bytes this build refuses
-/// (a retired method tag, say), and falling back past it would lose them.
+/// (a retired method tag, say, or a record kind no snapshot holds), and
+/// falling back past it would lose them.
 pub(crate) fn load_latest(dir: &Path) -> Result<Option<(MarketState, u64, u64)>, DurableError> {
     for (seq, path) in list_snapshots(dir)? {
         let bytes = fs::read(&path)?;
@@ -153,7 +159,7 @@ pub(crate) fn load_latest(dir: &Path) -> Result<Option<(MarketState, u64, u64)>,
             // Damaged snapshot: fall back to the next-newest candidate.
             Err(_) => continue,
         };
-        let state = decode_state(body)
+        let state = decode_body(body)
             .map_err(|err| DurableError::Corrupt(format!("{}: {err}", path.display())))?;
         return Ok(Some((state, seq, bytes.len() as u64)));
     }
@@ -199,7 +205,6 @@ fn checked_body(bytes: &[u8], expected_seq: u64) -> Result<&[u8], DurableError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssa_core::{MarketConfigState, PricingScheme, WdMethod};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -213,35 +218,29 @@ mod tests {
         dir
     }
 
-    fn sample_state(seed: u64) -> MarketState {
-        MarketState {
-            config: MarketConfigState {
-                slots: 2,
-                keywords: 3,
-                seed,
-                method: WdMethod::Reduced,
-                pricing: PricingScheme::Gsp,
-                shards: 1,
-                pruned: false,
-                warm_start: false,
-                default_click_probs: None,
-                default_purchase_probs: None,
-            },
-            advertisers: vec!["a".into()],
-            campaigns: vec![],
-            clock: seed * 10,
-            rng_states: vec![[seed, 1, 2, 3]; 3],
-        }
+    fn sample_market(seed: u64) -> Marketplace {
+        let mut market = Marketplace::builder()
+            .slots(2)
+            .keywords(3)
+            .seed(seed)
+            .build()
+            .unwrap();
+        market.register_advertiser("a");
+        market
+    }
+
+    fn state_of(seed: u64) -> MarketState {
+        sample_market(seed).capture_state().unwrap()
     }
 
     #[test]
     fn newest_valid_snapshot_wins() {
         let dir = temp_dir("latest");
-        write_snapshot(&dir, 10, &sample_state(1), FsyncPolicy::Off).unwrap();
-        write_snapshot(&dir, 25, &sample_state(2), FsyncPolicy::Off).unwrap();
+        write_snapshot(&dir, 10, &sample_market(1), FsyncPolicy::Off).unwrap();
+        write_snapshot(&dir, 25, &sample_market(2), FsyncPolicy::Off).unwrap();
         let (state, seq, bytes) = load_latest(&dir).unwrap().unwrap();
         assert_eq!(seq, 25);
-        assert_eq!(state, sample_state(2));
+        assert_eq!(state, state_of(2));
         assert!(bytes > 28);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -249,8 +248,8 @@ mod tests {
     #[test]
     fn damaged_newest_falls_back_to_previous() {
         let dir = temp_dir("fallback");
-        write_snapshot(&dir, 10, &sample_state(1), FsyncPolicy::Off).unwrap();
-        write_snapshot(&dir, 25, &sample_state(2), FsyncPolicy::Off).unwrap();
+        write_snapshot(&dir, 10, &sample_market(1), FsyncPolicy::Off).unwrap();
+        write_snapshot(&dir, 25, &sample_market(2), FsyncPolicy::Off).unwrap();
         let newest = snapshot_path(&dir, 25);
         let mut bytes = fs::read(&newest).unwrap();
         let last = bytes.len() - 1;
@@ -258,7 +257,7 @@ mod tests {
         fs::write(&newest, &bytes).unwrap();
         let (state, seq, _) = load_latest(&dir).unwrap().unwrap();
         assert_eq!(seq, 10);
-        assert_eq!(state, sample_state(1));
+        assert_eq!(state, state_of(1));
         fs::remove_dir_all(&dir).unwrap();
     }
 

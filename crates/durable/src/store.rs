@@ -58,19 +58,7 @@ fn recover_inner(dir: &Path) -> Result<Recovered, DurableError> {
     let start = Instant::now();
     let snap = snapshot::load_latest(dir)?;
     let (mut market, base_seq, snapshot_bytes) = match snap {
-        Some((state, seq, bytes)) => {
-            // A checksum-valid snapshot is not crash damage. One stream per
-            // keyword or no recovery: a market restored with a stream
-            // missing would come up and serve different clicks.
-            if state.rng_states.len() != state.config.keywords {
-                return Err(DurableError::Corrupt(format!(
-                    "snapshot holds {} RNG streams for {} keywords",
-                    state.rng_states.len(),
-                    state.config.keywords
-                )));
-            }
-            (Some(Marketplace::from_state(&state)?), seq, bytes)
-        }
+        Some((state, seq, bytes)) => (Some(Marketplace::from_state(&state)?), seq, bytes),
         None => (None, 0, 0),
     };
     let scan = wal::scan(dir, base_seq)?;
@@ -286,8 +274,9 @@ impl Durability {
     /// segments and snapshots the new snapshot supersedes. Commits the
     /// open group first: a snapshot covers every record journalled so far.
     ///
-    /// The snapshot body is streamed out of `market` as it stands — no
-    /// [`ssa_core::MarketState`] is built.
+    /// The snapshot body is streamed out of `market` as it stands, one
+    /// record of its compacted log at a time: no copy of the campaign book
+    /// is built.
     pub fn snapshot_now(&self, market: &Marketplace) -> Result<(), DurableError> {
         let mut inner = self.lock();
         inner.commit()?;
@@ -358,9 +347,10 @@ impl Durability {
         self.lock().dir.clone()
     }
 
+    // Invariant: a poisoned lock means an append already panicked;
+    // durability is gone either way, so the panic propagates.
+    #[allow(clippy::expect_used)]
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned lock means an append already panicked; durability is
-        // gone either way, so propagate the panic.
         self.inner.lock().expect("durability lock poisoned")
     }
 }
@@ -375,6 +365,10 @@ struct DurableJournal {
 }
 
 impl MutationJournal for DurableJournal {
+    // `MutationJournal::record` returns nothing, so a record the log did
+    // not accept can only fail loudly until ROADMAP item 2(b) gives it a
+    // `Result`.
+    #[allow(clippy::panic)]
     fn record(&mut self, record: &MutationRecord) {
         let mut inner = self.handle.lock();
         inner.stage(record);
@@ -393,7 +387,7 @@ mod tests {
     use super::*;
     use ssa_bidlang::Money;
     use ssa_core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
-    use ssa_core::{PricingScheme, WdMethod};
+    use ssa_core::{MarketState, PricingScheme, WdMethod};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -602,6 +596,47 @@ mod tests {
         market
     }
 
+    /// `state`'s `Configure` and records framed by hand the way a snapshot
+    /// body holds them — each encoded with `MutationRecord::encode_into`
+    /// behind its `u32` length — then the trailer: a zero length, the
+    /// clock, and the counted RNG states.
+    fn body_of(state: &MarketState) -> Vec<u8> {
+        let mut body = Vec::new();
+        let configure = MutationRecord::Configure(state.config.clone());
+        for record in std::iter::once(&configure).chain(&state.records) {
+            let mut op = Vec::new();
+            record.encode_into(&mut op);
+            body.extend_from_slice(&(op.len() as u32).to_le_bytes());
+            body.extend_from_slice(&op);
+        }
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.extend_from_slice(&state.clock.to_le_bytes());
+        body.extend_from_slice(&(state.rng_states.len() as u32).to_le_bytes());
+        for word in state.rng_states.iter().flatten() {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
+        body
+    }
+
+    /// The snapshot file covering `..= last_seq` around `body`: a 28-byte
+    /// header (magic, version, last_seq, body_len, crc32), then the body.
+    fn file_of(last_seq: u64, body: &[u8]) -> Vec<u8> {
+        [
+            &crate::SNAPSHOT_MAGIC[..],
+            &crate::WAL_VERSION.to_le_bytes(),
+            &last_seq.to_le_bytes(),
+            &(body.len() as u32).to_le_bytes(),
+            &crate::crc32(body).to_le_bytes(),
+            body,
+        ]
+        .concat()
+    }
+
+    fn write_body(dir: &Path, last_seq: u64, body: &[u8]) {
+        let path = dir.join(format!("snapshot-{last_seq:020}.snap"));
+        std::fs::write(path, file_of(last_seq, body)).unwrap();
+    }
+
     #[test]
     fn streamed_snapshot_is_the_framed_encoding_of_the_captured_state() {
         for shards in [1, 4] {
@@ -614,20 +649,28 @@ mod tests {
             let (_, path) = snapshot::list_snapshots(&dir).unwrap().remove(0);
             let streamed = std::fs::read(path).unwrap();
 
-            // The same encoder fed the captured copy, framed by hand.
             let state = market.capture_state().unwrap();
-            assert!(state.campaigns.iter().any(|c| c.paused));
-            assert!(state.campaigns.iter().any(|c| c.targeting.is_some()));
-            assert!(state.campaigns.iter().any(|c| c.roi_target.is_some()));
-            let mut body = Vec::new();
-            crate::codec::encode_state(&state, &mut body).unwrap();
-            let mut framed = Vec::new();
-            framed.extend_from_slice(&crate::SNAPSHOT_MAGIC);
-            framed.extend_from_slice(&crate::WAL_VERSION.to_le_bytes());
-            framed.extend_from_slice(&last_seq.to_le_bytes());
-            framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            framed.extend_from_slice(&crate::crc32(&body).to_le_bytes());
-            framed.extend_from_slice(&body);
+            let adds = || {
+                state.records.iter().filter_map(|record| match record {
+                    MutationRecord::AddCampaign {
+                        roi_target,
+                        purchase_probs,
+                        targeting,
+                        ..
+                    } => Some((roi_target, purchase_probs.as_deref(), targeting)),
+                    _ => None,
+                })
+            };
+            let never = |row: &[(f64, f64)]| row.iter().all(|&(c, n)| c == 0.0 && n == 0.0);
+            assert!(adds().any(|(_, _, targeting)| targeting.is_some()));
+            assert!(adds().any(|(roi, _, _)| roi.is_some()));
+            assert!(adds().any(|(_, row, _)| row.is_some_and(|row| !never(row))));
+            assert!(adds().any(|(_, row, _)| row.is_some_and(never)));
+            assert!(adds().all(|(_, row, _)| row.is_some()));
+            let paused = |r: &&MutationRecord| matches!(r, MutationRecord::PauseCampaign { .. });
+            assert_eq!(state.records.iter().filter(paused).count(), 1);
+
+            let framed = file_of(last_seq, &body_of(&state));
             assert_eq!(streamed, framed, "{shards} shards");
 
             drop(dur);
@@ -729,10 +772,12 @@ mod tests {
     }
 
     /// A snapshot that passes its checksum but carries fewer or more RNG
-    /// streams than its keywords is refused at open: restoring it would
-    /// succeed and then serve different clicks.
+    /// streams than its keywords is refused at open, by the one check in
+    /// `Marketplace::from_state`: restoring it would succeed and then serve
+    /// different clicks.
     #[test]
     fn a_snapshot_with_the_wrong_number_of_rng_streams_is_refused() {
+        use ssa_core::MarketError;
         let dir = temp_dir("rngcount");
         let (_, dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
         let mut market = fresh_market(&dur, 2);
@@ -743,25 +788,30 @@ mod tests {
         drop(dur);
         assert_eq!(good.rng_states.len(), 5);
 
-        for (count, message) in [
-            (4, "snapshot holds 4 RNG streams for 5 keywords"),
-            (6, "snapshot holds 6 RNG streams for 5 keywords"),
-        ] {
+        for streams in [4, 6] {
             let mut state = good.clone();
-            state.rng_states.resize(count, [1, 2, 3, 4]);
-            snapshot::write_snapshot(&dir, last_seq, &state, FsyncPolicy::Off).unwrap();
+            state.rng_states.resize(streams, [1, 2, 3, 4]);
+            write_body(&dir, last_seq, &body_of(&state));
             for result in [
                 recover(&dir).map(drop),
                 Durability::open(&dir, FsyncPolicy::Off, 0).map(drop),
             ] {
                 match result {
-                    Err(DurableError::Corrupt(found)) => assert_eq!(found, message),
-                    other => panic!("{count} streams: expected a refusal, got {other:?}"),
+                    Err(DurableError::Market(err)) => {
+                        assert_eq!(
+                            err,
+                            MarketError::RngStreams {
+                                keywords: 5,
+                                streams
+                            }
+                        )
+                    }
+                    other => panic!("{streams} streams: expected a refusal, got {other:?}"),
                 }
             }
         }
         // The consistent state in the same place recovers.
-        snapshot::write_snapshot(&dir, last_seq, &good, FsyncPolicy::Off).unwrap();
+        write_body(&dir, last_seq, &body_of(&good));
         let (back, _) = recover(&dir).unwrap().expect("state persisted");
         assert_eq!(back.capture_state().unwrap(), good);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -847,32 +897,26 @@ mod tests {
             other => panic!("{what}: expected a refusal, got {other:?}"),
         };
 
+        // A `Configure` operation body is its tag, then the configuration.
+        let mut op = Vec::new();
+        MutationRecord::Configure(state.config.clone()).encode_into(&mut op);
+        let retired = [&op[..1], &retire(&op[1..])].concat();
+
+        // A snapshot body opens with that record behind its `u32` length.
         let dir = temp_dir("retired-snapshot");
         std::fs::create_dir_all(&dir).unwrap();
-        snapshot::write_snapshot(&dir, 1, &state, FsyncPolicy::Off).unwrap();
-        let (_, path) = snapshot::list_snapshots(&dir).unwrap().remove(0);
-        // A 28-byte header (magic, version, last_seq, body_len, crc32),
-        // then the body, which opens with the configuration.
-        let file = std::fs::read(&path).unwrap();
-        let body = retire(&file[28..]);
-        let header = [
-            &file[..20],
-            &(body.len() as u32).to_le_bytes(),
-            &crate::codec::crc32(&body).to_le_bytes(),
-        ]
-        .concat();
-        std::fs::write(&path, [header, body].concat()).unwrap();
+        let rest = &body_of(&state)[4 + op.len()..];
+        let length = (retired.len() as u32).to_le_bytes();
+        write_body(&dir, 1, &[&length[..], &retired, rest].concat());
         expect_corrupt(&dir, "snapshot");
         std::fs::remove_dir_all(&dir).unwrap();
 
         let dir = temp_dir("retired-configure");
         std::fs::create_dir_all(&dir).unwrap();
         drop(wal::WalWriter::create(&dir, 1).unwrap());
-        let mut op = Vec::new();
-        MutationRecord::Configure(state.config).encode_into(&mut op);
         // A frame is payload_len, crc32, then the payload: seq and the
-        // operation body (its tag, then the configuration).
-        let payload = [&1u64.to_le_bytes()[..], &op[..1], &retire(&op[1..])].concat();
+        // operation body.
+        let payload = [&1u64.to_le_bytes()[..], &retired].concat();
         let frame = [
             &(payload.len() as u32).to_le_bytes()[..],
             &crate::codec::crc32(&payload).to_le_bytes(),

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use ssa_bidlang::Money;
 use ssa_core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
-use ssa_core::AdvertiserHandle;
+use ssa_core::{AdvertiserHandle, MarketState, MutationRecord};
 use ssa_durable::{recover, Durability, FsyncPolicy};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -317,22 +317,32 @@ fn purchasing_and_never_purchasing_campaigns_round_trip_on_one_keyword() {
                 .map(|(c, n)| (c.to_bits(), n.to_bits()))
                 .collect()
         };
+        // Each campaign's purchase row, as its `AddCampaign` carries it.
+        let rows = |state: &MarketState| -> Vec<Vec<(u64, u64)>> {
+            state
+                .records
+                .iter()
+                .filter_map(|record| match record {
+                    MutationRecord::AddCampaign { purchase_probs, .. } => {
+                        Some(bits(purchase_probs.as_deref().expect("always explicit")))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
         assert_eq!(
-            bits(&want.campaigns[0].purchase_probs),
-            bits(&[(0.5, 0.125), (0.25, 0.0)])
-        );
-        assert_eq!(bits(&want.campaigns[1].purchase_probs), vec![(0, 0); 2]);
-        assert_eq!(
-            bits(&want.campaigns[2].purchase_probs),
-            bits(&[(-0.0, 0.0), (0.0, 0.0)])
+            rows(&want),
+            [
+                bits(&[(0.5, 0.125), (0.25, 0.0)]),
+                vec![(0, 0); 2],
+                bits(&[(-0.0, 0.0), (0.0, 0.0)]),
+            ]
         );
 
         let (mut recovered, _) = recover(&dir).unwrap().expect("records were written");
         let got = recovered.capture_state().unwrap();
         assert_eq!(got, want, "snapshot={snapshot}");
-        for (g, w) in got.campaigns.iter().zip(&want.campaigns) {
-            assert_eq!(bits(&g.purchase_probs), bits(&w.purchase_probs));
-        }
+        assert_eq!(rows(&got), rows(&want));
         for _ in 0..20 {
             assert_eq!(
                 recovered.serve(QueryRequest::new(0)).unwrap(),
@@ -490,6 +500,301 @@ proptest! {
             }
             (want, got) => prop_assert!(false, "presence mismatch: want {:?} got {:?}",
                 want.is_some(), got.is_some()),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// `records` framed as a snapshot body — each encoded with
+/// `MutationRecord::encode_into` behind its `u32` length — then a trailer
+/// (a zero length, the clock, `streams` RNG states) and `extra` bytes.
+fn snapshot_body(records: &[MutationRecord], streams: usize, extra: &[u8]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for record in records {
+        let mut op = Vec::new();
+        record.encode_into(&mut op);
+        body.extend_from_slice(&(op.len() as u32).to_le_bytes());
+        body.extend_from_slice(&op);
+    }
+    body.extend_from_slice(&0u32.to_le_bytes());
+    body.extend_from_slice(&7u64.to_le_bytes());
+    body.extend_from_slice(&(streams as u32).to_le_bytes());
+    for stream in 0..streams as u64 {
+        for word in [stream + 1, 2, 3, 4] {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    body.extend_from_slice(extra);
+    body
+}
+
+/// A fresh directory holding `body` as the snapshot through seq 1, behind
+/// a header with the right magic, version, length and CRC.
+fn snapshot_dir(body: &[u8]) -> PathBuf {
+    let dir = temp_dir("impossible");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = [
+        &ssa_durable::SNAPSHOT_MAGIC[..],
+        &ssa_durable::WAL_VERSION.to_le_bytes(),
+        &1u64.to_le_bytes(),
+        &(body.len() as u32).to_le_bytes(),
+        &ssa_durable::crc32(body).to_le_bytes(),
+        body,
+    ]
+    .concat();
+    std::fs::write(dir.join(format!("snapshot-{:020}.snap", 1)), file).unwrap();
+    dir
+}
+
+/// Snapshot bodies that pass their checksum but describe a market that
+/// cannot exist: each one is a typed error from `recover` and from
+/// `Durability::open` — never a panic, never a market. The decoder refuses
+/// a body that is not a compacted log; `apply`, through `from_state`,
+/// refuses every record a market would not accept; `from_state` refuses a
+/// trailer without one RNG stream per keyword.
+#[test]
+fn checksum_valid_snapshots_of_impossible_markets_are_typed_errors() {
+    use ssa_core::{CampaignId, MarketError};
+    use ssa_durable::DurableError;
+
+    let config = Marketplace::builder()
+        .slots(2)
+        .keywords(3)
+        .seed(5)
+        .build()
+        .unwrap()
+        .config();
+    let configure = MutationRecord::Configure(config);
+    let register = MutationRecord::RegisterAdvertiser { name: "a".into() };
+    // The fields a case edits of one valid campaign.
+    struct Campaign {
+        advertiser: u64,
+        keyword: u64,
+        bid_cents: i64,
+        roi_target: Option<f64>,
+        click_probs: Vec<f64>,
+    }
+    let campaign = |edit: fn(&mut Campaign)| {
+        let mut c = Campaign {
+            advertiser: 0,
+            keyword: 1,
+            bid_cents: 40,
+            roi_target: Some(1.25),
+            click_probs: vec![0.5, 0.25],
+        };
+        edit(&mut c);
+        MutationRecord::AddCampaign {
+            advertiser: c.advertiser,
+            keyword: c.keyword,
+            bid_cents: c.bid_cents,
+            click_value_cents: 90,
+            roi_target: c.roi_target,
+            click_probs: Some(c.click_probs),
+            purchase_probs: Some(vec![(0.0, 0.0); 2]),
+            targeting: None,
+        }
+    };
+    let valid = campaign(|_| {});
+    let serve = MutationRecord::Serve {
+        keyword: 1,
+        attrs: Default::default(),
+    };
+    let update = MutationRecord::UpdateBid {
+        keyword: 1,
+        index: 0,
+        bid_cents: 41,
+    };
+    let pause = |index| MutationRecord::PauseCampaign { keyword: 1, index };
+    let market = |err: &DurableError, want: fn(&MarketError) -> bool| matches!(err, DurableError::Market(err) if want(err));
+    let corrupt = |err: &DurableError, needle: &str| matches!(err, DurableError::Corrupt(msg) if msg.contains(needle));
+
+    // The well-formed body these cases break recovers.
+    let good = [configure.clone(), register.clone(), valid.clone(), pause(0)];
+    let dir = snapshot_dir(&snapshot_body(&good, 3, &[]));
+    let (back, _) = recover(&dir).unwrap().expect("a market");
+    assert!(back.is_paused(CampaignId::from_parts(1, 0)).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+
+    type Check<'a> = Box<dyn Fn(&DurableError) -> bool + 'a>;
+    let cases: Vec<(&str, Vec<u8>, Check)> = vec![
+        (
+            "first record not Configure",
+            snapshot_body(&[register.clone(), configure.clone()], 3, &[]),
+            Box::new(|e| corrupt(e, "unknown first snapshot record tag 0x01")),
+        ),
+        (
+            "second Configure",
+            snapshot_body(&[configure.clone(), configure.clone()], 3, &[]),
+            Box::new(|e| corrupt(e, "unknown snapshot record tag 0x00")),
+        ),
+        (
+            "Serve in the body",
+            snapshot_body(
+                &[configure.clone(), register.clone(), valid.clone(), serve],
+                3,
+                &[],
+            ),
+            Box::new(|e| corrupt(e, "unknown snapshot record tag 0x07")),
+        ),
+        (
+            "UpdateBid in the body",
+            snapshot_body(
+                &[configure.clone(), register.clone(), valid.clone(), update],
+                3,
+                &[],
+            ),
+            Box::new(|e| corrupt(e, "unknown snapshot record tag 0x03")),
+        ),
+        (
+            "unregistered advertiser",
+            snapshot_body(&[configure.clone(), valid.clone()], 3, &[]),
+            Box::new(|e| market(e, |e| matches!(e, MarketError::UnknownAdvertiser(_)))),
+        ),
+        (
+            "keyword out of range",
+            snapshot_body(
+                &[
+                    configure.clone(),
+                    register.clone(),
+                    campaign(|c| c.keyword = 3),
+                ],
+                3,
+                &[],
+            ),
+            Box::new(|e| {
+                market(e, |e| {
+                    matches!(
+                        e,
+                        MarketError::UnknownKeyword {
+                            keyword: 3,
+                            num_keywords: 3
+                        }
+                    )
+                })
+            }),
+        ),
+        (
+            "click row of the wrong length",
+            snapshot_body(
+                &[
+                    configure.clone(),
+                    register.clone(),
+                    campaign(|c| c.click_probs = vec![0.5]),
+                ],
+                3,
+                &[],
+            ),
+            Box::new(|e| {
+                market(e, |e| {
+                    matches!(
+                        e,
+                        MarketError::ModelDimension {
+                            expected: 2,
+                            got: 1
+                        }
+                    )
+                })
+            }),
+        ),
+        (
+            "probability 1.5",
+            snapshot_body(
+                &[
+                    configure.clone(),
+                    register.clone(),
+                    campaign(|c| c.click_probs[0] = 1.5),
+                ],
+                3,
+                &[],
+            ),
+            Box::new(|e| {
+                market(
+                    e,
+                    |e| matches!(e, MarketError::InvalidProbability(p) if *p == 1.5),
+                )
+            }),
+        ),
+        (
+            "NaN ROI target",
+            snapshot_body(
+                &[
+                    configure.clone(),
+                    register.clone(),
+                    campaign(|c| c.roi_target = Some(f64::NAN)),
+                ],
+                3,
+                &[],
+            ),
+            Box::new(|e| {
+                market(
+                    e,
+                    |e| matches!(e, MarketError::InvalidRoiTarget(t) if t.is_nan()),
+                )
+            }),
+        ),
+        (
+            "negative bid",
+            snapshot_body(
+                &[
+                    configure.clone(),
+                    register.clone(),
+                    campaign(|c| c.bid_cents = -1),
+                ],
+                3,
+                &[],
+            ),
+            Box::new(|e| market(e, |e| matches!(e, MarketError::NegativeBid(_)))),
+        ),
+        (
+            "pause of a campaign not in the body",
+            snapshot_body(
+                &[configure.clone(), register.clone(), valid.clone(), pause(1)],
+                3,
+                &[],
+            ),
+            Box::new(|e| market(e, |e| matches!(e, MarketError::UnknownCampaign(_)))),
+        ),
+        (
+            "one RNG stream too few",
+            snapshot_body(&good, 2, &[]),
+            Box::new(|e| {
+                market(e, |e| {
+                    *e == MarketError::RngStreams {
+                        keywords: 3,
+                        streams: 2,
+                    }
+                })
+            }),
+        ),
+        (
+            "one RNG stream too many",
+            snapshot_body(&good, 4, &[]),
+            Box::new(|e| {
+                market(e, |e| {
+                    *e == MarketError::RngStreams {
+                        keywords: 3,
+                        streams: 4,
+                    }
+                })
+            }),
+        ),
+        (
+            "trailing bytes",
+            snapshot_body(&good, 3, &[0]),
+            Box::new(|e| corrupt(e, "1 trailing bytes")),
+        ),
+    ];
+    for (case, body, check) in cases {
+        let dir = snapshot_dir(&body);
+        let results = [
+            recover(&dir).map(|found| found.is_some()),
+            Durability::open(&dir, FsyncPolicy::Off, 0).map(|(found, _)| found.is_some()),
+        ];
+        for result in results {
+            match result {
+                Err(err) => assert!(check(&err), "{case}: the wrong error: {err:?}"),
+                Ok(market) => panic!("{case}: expected a typed error, got market={market}"),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -23,8 +23,6 @@ pub enum DbError {
     NoSuchTable(String),
     /// Unknown column (possibly qualified).
     NoSuchColumn(String),
-    /// Unknown scalar variable.
-    NoSuchVariable(String),
     /// A table with this name already exists.
     TableExists(String),
     /// A trigger with this name already exists.
@@ -98,7 +96,6 @@ impl fmt::Display for DbError {
             }
             DbError::NoSuchTable(t) => write!(f, "no such table: {t}"),
             DbError::NoSuchColumn(c) => write!(f, "no such column: {c}"),
-            DbError::NoSuchVariable(v) => write!(f, "no such variable: {v}"),
             DbError::TableExists(t) => write!(f, "table already exists: {t}"),
             DbError::TriggerExists(t) => write!(f, "trigger already exists: {t}"),
             DbError::DuplicateColumn(c) => write!(f, "duplicate column: {c}"),

@@ -455,7 +455,7 @@
 //!
 //! ```text
 //! data/
-//! ├── snapshot-00000000000000004096.snap   # full MarketState at seq 4096
+//! ├── snapshot-00000000000000004096.snap   # compacted log through seq 4096
 //! └── wal-00000000000000004097.log         # every operation since
 //!
 //! segment  = [magic "SSAWAL\0\0"][version u32][first_seq u64]  (20 bytes)
