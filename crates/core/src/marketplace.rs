@@ -215,6 +215,8 @@ pub enum MarketError {
     NegativeBid(Money),
     /// ROI targets must be finite and strictly positive.
     InvalidRoiTarget(f64),
+    /// A campaign's value per click must be non-negative.
+    NegativeClickValue(Money),
     /// The campaign's targeting expression does not parse (syntax error or
     /// hostile nesting past the depth limit). Registration is rejected as a
     /// whole; nothing about the market changes.
@@ -291,6 +293,7 @@ impl std::fmt::Display for MarketError {
                 id.keyword, id.index
             ),
             MarketError::NegativeBid(m) => write!(f, "bid {m} is negative"),
+            MarketError::NegativeClickValue(m) => write!(f, "click value {m} is negative"),
             MarketError::InvalidRoiTarget(t) => {
                 write!(f, "ROI target {t} must be finite and positive")
             }
@@ -1694,6 +1697,9 @@ impl Marketplace {
                 return Err(MarketError::NegativeBid(*bid));
             }
         }
+        if spec.click_value.cents() < 0 {
+            return Err(MarketError::NegativeClickValue(spec.click_value));
+        }
         let targeting = match spec.targeting.as_deref() {
             Some(source) => Some(matcher_for(&self.matchers, source)?),
             None => None,
@@ -2365,6 +2371,18 @@ mod tests {
             market.set_roi_target(c1, Some(-1.0)),
             Err(MarketError::InvalidRoiTarget(-1.0))
         );
+        // A negative click value is refused before anything changes, and
+        // a zero one (the default) is accepted.
+        let owner = market.register_advertiser("values");
+        let valued = |cents| {
+            CampaignSpec::per_click(Money::from_cents(5)).click_value(Money::from_cents(cents))
+        };
+        assert_eq!(
+            market.add_campaign(owner, 1, valued(-1)),
+            Err(MarketError::NegativeClickValue(Money::from_cents(-1)))
+        );
+        assert_eq!(market.top_bids(1, 8), Ok(Vec::new()));
+        assert!(market.add_campaign(owner, 1, valued(0)).is_ok());
         let a = market.register_advertiser("tables");
         let t = market
             .add_campaign(

@@ -571,6 +571,7 @@ fn checksum_valid_snapshots_of_impossible_markets_are_typed_errors() {
         advertiser: u64,
         keyword: u64,
         bid_cents: i64,
+        click_value_cents: i64,
         roi_target: Option<f64>,
         click_probs: Vec<f64>,
     }
@@ -579,6 +580,7 @@ fn checksum_valid_snapshots_of_impossible_markets_are_typed_errors() {
             advertiser: 0,
             keyword: 1,
             bid_cents: 40,
+            click_value_cents: 90,
             roi_target: Some(1.25),
             click_probs: vec![0.5, 0.25],
         };
@@ -587,7 +589,7 @@ fn checksum_valid_snapshots_of_impossible_markets_are_typed_errors() {
             advertiser: c.advertiser,
             keyword: c.keyword,
             bid_cents: c.bid_cents,
-            click_value_cents: 90,
+            click_value_cents: c.click_value_cents,
             roi_target: c.roi_target,
             click_probs: Some(c.click_probs),
             purchase_probs: Some(vec![(0.0, 0.0); 2]),
@@ -746,6 +748,23 @@ fn checksum_valid_snapshots_of_impossible_markets_are_typed_errors() {
             Box::new(|e| market(e, |e| matches!(e, MarketError::NegativeBid(_)))),
         ),
         (
+            "negative click value",
+            snapshot_body(
+                &[
+                    configure.clone(),
+                    register.clone(),
+                    campaign(|c| c.click_value_cents = -1),
+                ],
+                3,
+                &[],
+            ),
+            Box::new(|e| {
+                market(e, |e| {
+                    *e == MarketError::NegativeClickValue(Money::from_cents(-1))
+                })
+            }),
+        ),
+        (
             "pause of a campaign not in the body",
             snapshot_body(
                 &[configure.clone(), register.clone(), valid.clone(), pause(1)],
@@ -798,4 +817,65 @@ fn checksum_valid_snapshots_of_impossible_markets_are_typed_errors() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A write-ahead log whose records pass their checksums but register a
+/// campaign with a negative click value is a typed error from `recover`
+/// and from `Durability::open`, as the same record is over the wire and in
+/// a snapshot body.
+#[test]
+fn a_logged_negative_click_value_is_a_typed_error() {
+    use ssa_core::MarketError;
+    use ssa_durable::DurableError;
+
+    let config = Marketplace::builder()
+        .slots(2)
+        .keywords(2)
+        .seed(5)
+        .build()
+        .unwrap()
+        .config();
+    let records = [
+        MutationRecord::Configure(config),
+        MutationRecord::RegisterAdvertiser { name: "a".into() },
+        MutationRecord::AddCampaign {
+            advertiser: 0,
+            keyword: 1,
+            bid_cents: 40,
+            click_value_cents: -90,
+            roi_target: None,
+            click_probs: Some(vec![0.5, 0.25]),
+            purchase_probs: None,
+            targeting: None,
+        },
+    ];
+    // One segment from seq 1, framed as `wal.rs` documents it.
+    let mut segment = [
+        &ssa_durable::WAL_MAGIC[..],
+        &ssa_durable::WAL_VERSION.to_le_bytes(),
+        &1u64.to_le_bytes(),
+    ]
+    .concat();
+    for (seq, record) in (1u64..).zip(&records) {
+        let mut payload = seq.to_le_bytes().to_vec();
+        record.encode_into(&mut payload);
+        segment.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        segment.extend_from_slice(&ssa_durable::crc32(&payload).to_le_bytes());
+        segment.extend_from_slice(&payload);
+    }
+    let dir = temp_dir("negative-click-value");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("wal-{:020}.log", 1)), segment).unwrap();
+    let want = MarketError::NegativeClickValue(Money::from_cents(-90));
+    let results = [
+        recover(&dir).map(|found| found.is_some()),
+        Durability::open(&dir, FsyncPolicy::Off, 0).map(|(found, _)| found.is_some()),
+    ];
+    for result in results {
+        match result {
+            Err(DurableError::Market(e)) => assert_eq!(e, want),
+            other => panic!("expected {want:?}, got {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,8 +3,9 @@
 //! Every data-plane request ([`crate::proto::Request::Serve`],
 //! [`crate::proto::Request::ServeBatch`]) must win a slot in its keyword's
 //! shard lane before it may enter the executor queue; the slot is held —
-//! via an RAII [`Ticket`] — until the request has *finished executing*,
-//! so the bound covers queued **and** in-flight work. A full lane refuses
+//! via an RAII [`Ticket`] — until the request's reply has been *written*
+//! to its peer, so the bound covers queued and in-flight work **and** the
+//! replies a slow peer has not taken yet. A full lane refuses
 //! the request immediately with
 //! [`crate::proto::Response::Overloaded`] instead of buffering without
 //! limit: the client gets typed backpressure and a retry hint, the server
@@ -123,7 +124,7 @@ impl Admission {
 }
 
 /// An admitted request's hold on its lanes; dropping it — after the
-/// request executed, or on any error path — releases the slots.
+/// request's reply is written, or on any error path — releases the slots.
 #[derive(Debug)]
 pub struct Ticket {
     admission: Arc<Admission>,

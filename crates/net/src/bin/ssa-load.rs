@@ -25,8 +25,9 @@
 //! in the layers between them.
 //!
 //! Either way the run ends with one `"metric":"net_load"` JSON line
-//! (preset, QPS, p50/p99/max latency, cores, overload count, verification
-//! verdict) on stdout with `--json` and/or appended to `--report <path>`.
+//! (preset, QPS, p50/p99/max latency, cores, overload count, the
+//! population's request count and time, verification verdict) on stdout
+//! with `--json` and/or appended to `--report <path>`.
 
 use std::io::Write as _;
 use std::process::exit;
@@ -238,6 +239,7 @@ impl Options {
         elapsed: Duration,
         latencies: LatencyRecorder,
         overloaded: u64,
+        (populate_ops, populate_ms): (u64, f64),
         verified: Option<bool>,
     ) -> LoadReport {
         LoadReport {
@@ -254,10 +256,22 @@ impl Options {
             elapsed,
             latency: latencies.summary(),
             overloaded,
+            populate_ops,
+            populate_ms,
             cores: available_cores(),
             verified,
             workload: self.scenario.stream.shape(),
         }
+    }
+}
+
+/// Registers the population over `client`, timed: the requests it made and
+/// the milliseconds they took.
+fn populate(client: &mut Client, workload: &SectionVWorkload) -> (u64, f64) {
+    let started = Instant::now();
+    match populate_remote(client, workload, false) {
+        Ok(requests) => (requests, started.elapsed().as_secs_f64() * 1e3),
+        Err(e) => fatal(&format!("population failed: {e}")),
     }
 }
 
@@ -272,13 +286,12 @@ fn connect(addr: std::net::SocketAddr) -> Client {
 fn run_verify(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
     let config = opts.market_config(workload);
     let mut client = connect(opts.addr);
+    let mut populated = (0, 0.0);
     if opts.skip == 0 {
         if let Err(e) = client.configure(&config) {
             fatal(&format!("configure failed: {e}"));
         }
-        if let Err(e) = populate_remote(&mut client, workload, false) {
-            fatal(&format!("population failed: {e}"));
-        }
+        populated = populate(&mut client, workload);
     }
     let mut twin = local_twin(workload, &config);
 
@@ -344,6 +357,7 @@ fn run_verify(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
         elapsed,
         latencies,
         0,
+        populated,
         Some(verified),
     )
 }
@@ -354,9 +368,7 @@ fn run_throughput(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
     if let Err(e) = control.configure(&opts.market_config(workload)) {
         fatal(&format!("configure failed: {e}"));
     }
-    if let Err(e) = populate_remote(&mut control, workload, false) {
-        fatal(&format!("population failed: {e}"));
-    }
+    let populated = populate(&mut control, workload);
 
     // Warm-up: unmeasured, single connection, so engines and solver
     // scratch exist before the clock starts.
@@ -432,6 +444,7 @@ fn run_throughput(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
         elapsed,
         latencies,
         overloaded,
+        populated,
         None,
     )
 }

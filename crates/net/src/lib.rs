@@ -17,11 +17,14 @@
 //! * [`admission`] — bounded per-shard lanes for the data plane; a full
 //!   lane answers [`proto::Response::Overloaded`] with a retry hint
 //!   instead of queueing without bound.
-//! * [`session`] — per-connection identity, counters, and the read-side
-//!   half-close that drives graceful drain.
+//! * [`session`] — per-connection identity, counters, the count of replies
+//!   a session is owed, its write half, and the read-side half-close that
+//!   drives graceful drain.
 //! * [`server`] — accept loop, per-connection reader/writer threads, and
-//!   the single executor thread that owns the
-//!   [`ssa_core::Marketplace`].
+//!   the executor thread. The [`ssa_core::Marketplace`] sits behind one
+//!   lock: the executor takes it for each tick of queued work, and a
+//!   connection's reader takes it to run an idle session's control request
+//!   and write the reply itself. Data-plane requests always queue.
 //! * [`client`] — a blocking typed client, usable single-outstanding or
 //!   pipelined.
 //! * [`load`] — Section V population and replay helpers shared by the

@@ -43,17 +43,21 @@ pub fn market_config_for(
 
 /// Registers the Section V per-click population over the wire (`targeted`
 /// as in [`SectionVWorkload::campaigns`]): the same registrations, in the
-/// same order, as [`SectionVWorkload::populate`] makes in process.
+/// same order, as [`SectionVWorkload::populate`] makes in process. Returns
+/// the number of requests it made, each a one-at-a-time round trip.
 pub fn populate_remote(
     client: &mut Client,
     workload: &SectionVWorkload,
     targeted: bool,
-) -> Result<(), NetError> {
+) -> Result<u64, NetError> {
     let mut handles = Vec::with_capacity(workload.bidders.len());
+    let mut requests = 0;
     for campaign in workload.campaigns(targeted) {
         if campaign.advertiser == handles.len() {
             handles.push(client.register_advertiser(&campaign.advertiser_name())?);
+            requests += 1;
         }
+        requests += 1;
         client.add_targeted_campaign(
             handles[campaign.advertiser],
             campaign.keyword,
@@ -64,7 +68,7 @@ pub fn populate_remote(
             campaign.targeting.map(str::to_string),
         )?;
     }
-    Ok(())
+    Ok(requests)
 }
 
 /// Builds the in-process marketplace a remote server holds after
@@ -174,6 +178,11 @@ pub struct LoadReport {
     pub latency: LatencySummary,
     /// Requests refused with `Overloaded`.
     pub overloaded: u64,
+    /// Requests [`populate_remote`] made (0 when the run did not populate).
+    pub populate_ops: u64,
+    /// Wall-clock time of [`populate_remote`], in milliseconds: the
+    /// control plane's one-at-a-time round trip, times `populate_ops`.
+    pub populate_ms: f64,
     /// Logical cores available to the *client* process.
     pub cores: usize,
     /// Outcome of the bit-exactness check against the local twin:
@@ -209,8 +218,8 @@ impl LoadReport {
                 "\"connections\":{},\"queries\":{},\"warmup\":{},",
                 "\"elapsed_ms\":{:.3},\"qps\":{:.1},\"p50_ms\":{:.3},",
                 "\"p99_ms\":{:.3},\"max_ms\":{:.3},\"mean_ms\":{:.3},",
-                "\"overloaded\":{},\"cores\":{},\"verified\":{},",
-                "\"workload\":{}}}"
+                "\"overloaded\":{},\"populate_ops\":{},\"populate_ms\":{:.3},",
+                "\"cores\":{},\"verified\":{},\"workload\":{}}}"
             ),
             self.preset,
             self.method,
@@ -229,6 +238,8 @@ impl LoadReport {
             self.latency.max_ms,
             self.latency.mean_ms,
             self.overloaded,
+            self.populate_ops,
+            self.populate_ms,
             self.cores,
             verified,
             workload,
@@ -280,6 +291,8 @@ mod tests {
             elapsed: Duration::from_millis(100),
             latency: latencies.summary(),
             overloaded: 0,
+            populate_ops: 2200,
+            populate_ms: 55.5,
             cores: available_cores(),
             verified: Some(true),
             workload: Some(ssa_workload::WorkloadShape::Zipf { s: 1.1 }),
@@ -292,6 +305,8 @@ mod tests {
             "\"p50_ms\":",
             "\"p99_ms\":",
             "\"max_ms\":",
+            "\"populate_ops\":2200",
+            "\"populate_ms\":55.500",
             "\"cores\":",
             "\"verified\":true",
             "\"method\":\"rh\"",

@@ -611,7 +611,10 @@ impl From<&MarketError> for ErrorCode {
             MarketError::ClickTableFull => ErrorCode::Unsupported,
             MarketError::MissingClickModel => ErrorCode::MissingClickModel,
             MarketError::NotIncremental(_) => ErrorCode::NotIncremental,
-            MarketError::NegativeBid(_) => ErrorCode::NegativeBid,
+            // Negative money either way; the code predates the variant.
+            MarketError::NegativeBid(_) | MarketError::NegativeClickValue(_) => {
+                ErrorCode::NegativeBid
+            }
             MarketError::InvalidRoiTarget(_) => ErrorCode::InvalidRoiTarget,
             MarketError::InvalidTargeting(_) => ErrorCode::InvalidTargeting,
             // A non-per-click campaign on a journalled marketplace: the

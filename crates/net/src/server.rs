@@ -1,45 +1,64 @@
 //! The TCP serving front-end: accept loop, per-connection reader/writer
-//! threads, and the single executor thread that owns the marketplace.
+//! threads, and the executor thread that runs queued market work.
 //!
 //! # Threading model
 //!
-//! * **One executor thread** owns the
-//!   [`Marketplace`] outright — no locks on
-//!   market state; requests are serialised through an [`mpsc`] channel and
-//!   executed in submission order. (`serve_batch` still fans out across
-//!   shard worker threads *inside* a request, so multi-core throughput
-//!   comes from batching, exactly as in-process callers get it.)
-//! * **The executor works in ticks**: it blocks for one job, then runs it
-//!   and whatever else is queued — arrivals during the tick included, up
-//!   to a fixed bound — in queue order, each through the same
-//!   [`ssa_core::journal::apply`], until the queue is empty. Memory-only,
-//!   every job is answered as soon as it has run. With a [`Durability`]
-//!   attached the tick is one *commit group*: its records — one per
-//!   operation, queue order = execution order = log order — are staged in
-//!   memory as the jobs run and reach the write-ahead log in one `write`
-//!   and (under `FsyncPolicy::Always`) one `fdatasync`, and only then are
-//!   the tick's replies released. An acknowledgement therefore always
-//!   waits for a sync that covers its record; what a tick saves is every
-//!   sync but one. A one-at-a-time client makes one-record ticks and pays
-//!   one sync each, as before.
-//! * **A commit that fails acknowledges nothing**: every job of the tick
+//! * **One marketplace behind one lock.** The [`Marketplace`] sits in a
+//!   `Mutex`; whoever holds it runs a *group* of requests in order, each
+//!   through the same [`ssa_core::journal::apply`], and commits the group
+//!   (`run_group`). Two threads take it: the executor, for a tick, and a
+//!   connection's reader, for one control request of an idle session.
+//!   (`serve_batch` still fans out across shard worker threads *inside* a
+//!   request, so multi-core throughput comes from batching, exactly as
+//!   in-process callers get it.)
+//! * **The executor works in ticks**: it blocks for one queued job, then
+//!   runs it and whatever else is queued — arrivals during the tick
+//!   included, up to a fixed bound — as one group, until the queue is
+//!   empty.
+//! * **A reader runs an idle session's control request itself.** When a
+//!   request is not data-plane ([`Request::is_data_plane`]) and its
+//!   session owes no reply — none queued, none held for a commit, none
+//!   handed to the writer and not yet written ([`Session::owed`]) — the
+//!   reader takes the lock, runs the request as a one-job group and
+//!   writes the reply to the socket itself. Nothing of that session can
+//!   be overtaken, since every earlier reply is already on the wire, and
+//!   a one-at-a-time round trip skips the executor's and the writer's
+//!   wake-ups. Everything else queues for the executor.
+//! * **Data-plane work always queues**, even for an idle session: a
+//!   reader that ran a `Serve` itself would stop classifying the rest of
+//!   its peer's pipelined burst while the auction ran, and admission
+//!   answers a full lane only as fast as the reader classifies.
+//! * **Commit before acknowledge.** Memory-only, a group's replies are
+//!   released as soon as each has run. With a [`Durability`] attached a
+//!   group is one *commit group*: its records — one per operation, run
+//!   order = log order — are staged in memory and reach the write-ahead
+//!   log in one `write` and (under `FsyncPolicy::Always`) one
+//!   `fdatasync`, and only then are the group's replies released, on
+//!   either path. What a tick saves is every sync but one; a one-at-a-time
+//!   client makes one-record groups and pays one sync each.
+//! * **A commit that fails acknowledges nothing**: every job of the group
 //!   is answered [`ErrorCode::StorageFailed`], and the server begins its
-//!   drain (later ticks fail the same way — the log accepts nothing behind
-//!   a write of unknown extent). A restart recovers the log's whole-record
-//!   prefix: every acknowledged operation, possibly followed by
-//!   unacknowledged ones.
+//!   drain (later groups fail the same way — the log accepts nothing
+//!   behind a write of unknown extent). A restart recovers the log's
+//!   whole-record prefix: every acknowledged operation, possibly followed
+//!   by unacknowledged ones.
 //! * **Per connection**: a reader thread (buffered read → decode → admit
-//!   → submit) and a writer thread (encode → write), joined by a
-//!   per-connection response channel. Responses to pipelined requests
-//!   come back in execution order, each carrying its request id; the
-//!   writer sends everything its channel holds in one `write`, so a
-//!   tick's burst of replies to one peer is one system call. Accepted
-//!   sockets run with `TCP_NODELAY`.
+//!   → run or submit) and a writer thread (encode → write) that drains the
+//!   connection's reply channel; reader and writer write through one lock
+//!   on the write half. Responses to pipelined requests come back in
+//!   request order, each carrying its request id; the writer sends
+//!   everything its channel holds in one `write`, so a tick's burst of
+//!   replies to one peer is one system call. Accepted sockets run with
+//!   `TCP_NODELAY`.
 //! * **Backpressure**: data-plane requests take a bounded
 //!   [`crate::admission`] slot per involved shard before entering the
-//!   executor queue and hold it until they are answered; a full lane is
-//!   answered immediately with [`Response::Overloaded`] — the request is
-//!   never queued.
+//!   executor queue and hold it until their reply is *written*; a full
+//!   lane is answered immediately with [`Response::Overloaded`] — the
+//!   request is never queued. A session is owed at most its admission
+//!   window plus a fixed allowance of replies; at that bound its reader
+//!   stops reading until the writer catches up, so a peer that never
+//!   reads holds a bounded number of replies and the executor never waits
+//!   on it.
 //!
 //! # Graceful shutdown
 //!
@@ -52,15 +71,15 @@
 //! responses; then the threads unwind. In-flight requests are *completed*,
 //! never dropped.
 
-use std::io::{BufReader, Write as _};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use ssa_core::{shard_of_keyword, Marketplace, MutationRecord};
 
-use crate::admission::{Admission, Ticket};
+use crate::admission::{Admission, Ticket, LANES};
 use crate::frame::{read_frame, write_frame, FrameKind, PROTO_VERSION};
 use crate::proto::{ErrorCode, MarketConfig, Request, Response, ServerStats};
 use crate::session::{Session, SessionRegistry};
@@ -69,8 +88,11 @@ use ssa_durable::Durability;
 /// Tunables for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Queued-or-in-flight data-plane requests allowed per shard lane
-    /// before new ones are refused with [`Response::Overloaded`].
+    /// Data-plane requests allowed per shard lane — queued, running, or
+    /// answered but not yet written to their peer — before new ones are
+    /// refused with [`Response::Overloaded`]. A session is owed at most
+    /// this many replies per shard, plus a fixed allowance for control
+    /// requests, before its reader stops reading.
     pub admission_per_shard: usize,
     /// Back-off hint, in milliseconds, attached to every `Overloaded`.
     pub retry_after_ms: u32,
@@ -83,8 +105,10 @@ pub struct ServerConfig {
     /// [`Server::bind`]) and must already have logged the configure
     /// record for a freshly built marketplace
     /// ([`Durability::log_configure`]); `bind` attaches the handle's
-    /// group journal, the executor commits once per tick and snapshots on
-    /// the handle's cadence between ticks. `None` serves memory-only.
+    /// group journal, and whoever holds the market lock — the executor
+    /// for a tick, a reader for an idle session's control request —
+    /// commits once per group and snapshots on the handle's cadence
+    /// between groups. `None` serves memory-only.
     pub durability: Option<Durability>,
 }
 
@@ -99,29 +123,48 @@ impl Default for ServerConfig {
     }
 }
 
-/// One unit of executor work: a decoded request plus everything needed to
-/// answer it. The admission ticket rides along so its lane slots are
-/// released only when the request has been answered.
-struct Job {
-    request_id: u64,
+/// One unit of market work: a decoded request, its session and `to`,
+/// where its reply goes — the connection's writer for a queued job,
+/// nowhere for the one a reader runs and answers itself.
+struct Job<To> {
+    to: To,
     session: Arc<Session>,
+    request_id: u64,
     request: Request,
-    reply: mpsc::Sender<(u64, Response)>,
+    ticket: Option<Ticket>,
+}
+
+/// A reply on its way to its peer. The admission ticket rides along and
+/// drops once the reply is written, so a lane slot bounds a reply's
+/// memory until it has left the process.
+struct Reply {
+    request_id: u64,
+    response: Response,
     _ticket: Option<Ticket>,
 }
+
+/// Where the executor sends a queued job's reply: its connection's writer.
+type Outbox = mpsc::Sender<Reply>;
+
+/// Replies a session may be owed beyond its admission window: room for
+/// the control requests a peer pipelines and the reader's own refusals.
+const CONTROL_REPLIES: usize = 64;
 
 /// State shared by the accept loop, connection threads, and executor.
 struct Shared {
     local_addr: SocketAddr,
+    /// The marketplace; its holder runs a group and commits it.
+    market: Mutex<Marketplace>,
     sessions: Arc<SessionRegistry>,
     admission: Arc<Admission>,
     shutdown: AtomicBool,
     /// Shard count of the *current* marketplace; connection readers route
-    /// admission through it, the executor updates it on `Configure`.
+    /// admission through it, whoever runs a `Configure` updates it.
     num_shards: AtomicUsize,
     /// Requests executed (any plane). Refused requests are counted by
     /// [`Admission::overloaded_count`] instead.
     requests: AtomicU64,
+    admission_per_shard: usize,
     executor_delay: Option<Duration>,
     durability: Option<Durability>,
 }
@@ -148,14 +191,14 @@ impl Shared {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    jobs: mpsc::Sender<Job>,
+    jobs: mpsc::Sender<Job<Outbox>>,
     executor: std::thread::JoinHandle<()>,
 }
 
 impl Server {
-    /// Binds the listener and starts the executor thread that owns
-    /// `market`. The server does not accept connections until
-    /// [`Server::run`] (or [`Server::spawn`]) is called.
+    /// Binds the listener, takes `market` and starts the executor thread.
+    /// The server does not accept connections until [`Server::run`] (or
+    /// [`Server::spawn`]) is called.
     pub fn bind(
         addr: impl ToSocketAddrs,
         mut market: Marketplace,
@@ -171,14 +214,16 @@ impl Server {
             admission: Admission::new(config.admission_per_shard, config.retry_after_ms),
             shutdown: AtomicBool::new(false),
             num_shards: AtomicUsize::new(market.num_shards()),
+            market: Mutex::new(market),
             requests: AtomicU64::new(0),
+            admission_per_shard: config.admission_per_shard.max(1),
             executor_delay: config.executor_delay,
             durability: config.durability,
         });
-        let (jobs, job_rx) = mpsc::channel::<Job>();
+        let (jobs, job_rx) = mpsc::channel();
         let executor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || executor_loop(market, job_rx, &shared))
+            std::thread::spawn(move || executor_loop(job_rx, &shared))
         };
         Ok(Server {
             listener,
@@ -291,107 +336,140 @@ fn begin_shutdown(shared: &Shared) {
     let _ = TcpStream::connect(shared.local_addr);
 }
 
-/// Per-connection reader: decode frames, admit data-plane work, submit
-/// jobs; plus the paired writer thread that serialises responses back out.
+/// Per-connection reader: decode frames, admit data-plane work, run an
+/// idle session's control request or submit the job; plus the paired
+/// writer thread that serialises queued responses back out.
 fn serve_connection(
     stream: TcpStream,
     session: Arc<Session>,
     shared: Arc<Shared>,
-    jobs: mpsc::Sender<Job>,
+    jobs: mpsc::Sender<Job<Outbox>>,
 ) {
-    let (reply_tx, reply_rx) = mpsc::channel::<(u64, Response)>();
+    // The most replies this session may be owed: its admission window on
+    // every lane the market's shards map to at connect, plus the control
+    // allowance. The reader reads nothing more at the bound, so a peer
+    // that never reads holds at most this many replies.
+    let window = shared.admission_per_shard * shared.num_shards.load(Ordering::Relaxed).min(LANES)
+        + CONTROL_REPLIES;
+    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
     let writer = {
-        let mut stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                shared.sessions.unregister(session.id);
-                return;
-            }
-        };
+        let session = Arc::clone(&session);
+        let reader = std::thread::current();
         std::thread::spawn(move || {
             // Everything the channel holds goes out in one write: the
             // replies a tick releases together cost one system call.
+            let mut replies = Vec::new();
             let mut burst = Vec::new();
+            let mut broken = false;
             while let Ok(first) = reply_rx.recv() {
-                for (request_id, response) in std::iter::once(first).chain(reply_rx.try_iter()) {
-                    write_frame(
-                        &mut burst,
-                        FrameKind::Response,
-                        request_id,
-                        &response.encode(),
-                    )
-                    .expect("a Vec takes every write");
+                replies.extend(std::iter::once(first).chain(reply_rx.try_iter()));
+                for reply in &replies {
+                    encode_reply(&mut burst, reply);
                 }
-                if stream.write_all(&burst).is_err() {
-                    break;
-                }
+                // Replies to a peer whose socket failed are still counted
+                // off, so its reader is never parked for good.
+                broken = broken || session.write(&burst).is_err();
                 burst.clear();
+                let written = replies.len();
+                // The tickets drop here, after the write.
+                replies.clear();
+                if session.paid(written) >= window {
+                    reader.unpark();
+                }
             }
         })
     };
 
     // One `read` brings in as many pipelined frames as have arrived.
     let mut reader = BufReader::new(stream);
-    // Clean EOF, mid-frame truncation, or transport error all end the
-    // loop: there is nothing further to decode on this connection.
-    while let Ok(Some(frame)) = read_frame(&mut reader) {
+    let mut direct = Vec::new();
+    loop {
+        while session.owed() >= window {
+            std::thread::park();
+        }
+        // Clean EOF, mid-frame truncation, or transport error all end the
+        // loop: there is nothing further to decode on this connection.
+        let Ok(Some(frame)) = read_frame(&mut reader) else {
+            break;
+        };
         if frame.kind != FrameKind::Request {
             // A response frame sent *to* a server is a peer bug; drop the
             // connection rather than guess.
             break;
         }
         session.note_request();
+        let refuse = |response| {
+            session.owe();
+            let _ = reply_tx.send(Reply {
+                request_id: frame.request_id,
+                response,
+                _ticket: None,
+            });
+        };
         let request = match Request::decode(&frame.payload) {
             Ok(request) => request,
             Err(e) => {
                 // Well-framed but undecodable payload: answer with a typed
                 // failure (the request id is known) and keep the
                 // connection — the peer may just be newer than us.
-                let _ = reply_tx.send((
-                    frame.request_id,
-                    Response::Failed {
-                        code: ErrorCode::Unsupported,
-                        message: e.to_string(),
-                    },
-                ));
+                refuse(Response::Failed {
+                    code: ErrorCode::Unsupported,
+                    message: e.to_string(),
+                });
                 continue;
             }
         };
         if shared.shutdown.load(Ordering::Acquire) {
-            let _ = reply_tx.send((
-                frame.request_id,
-                Response::Failed {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is draining".into(),
-                },
-            ));
+            refuse(Response::Failed {
+                code: ErrorCode::ShuttingDown,
+                message: "server is draining".into(),
+            });
+            continue;
+        }
+        if !request.is_data_plane() && session.owed() == 0 {
+            // Run to completion here: every earlier reply is on the wire,
+            // so this one overtakes nothing.
+            let Ok(mut market) = shared.market.lock() else {
+                break;
+            };
+            let job = Job {
+                to: (),
+                session: Arc::clone(&session),
+                request_id: frame.request_id,
+                request,
+                ticket: None,
+            };
+            run_group(&mut market, [job], &shared, |(), reply| {
+                encode_reply(&mut direct, &reply)
+            });
+            drop(market);
+            if session.write(&direct).is_err() {
+                break;
+            }
+            direct.clear();
             continue;
         }
         let ticket = match shared.shards_of_request(&request) {
             Some(shards) => match shared.admission.try_admit_shards(shards) {
                 Some(ticket) => Some(ticket),
                 None => {
-                    let _ = reply_tx.send((
-                        frame.request_id,
-                        Response::Overloaded {
-                            retry_after_ms: shared.admission.retry_after_ms(),
-                        },
-                    ));
+                    refuse(Response::Overloaded {
+                        retry_after_ms: shared.admission.retry_after_ms(),
+                    });
                     continue;
                 }
             },
             None => None,
         };
-        if jobs
-            .send(Job {
-                request_id: frame.request_id,
-                session: Arc::clone(&session),
-                request,
-                reply: reply_tx.clone(),
-                _ticket: ticket,
-            })
-            .is_err()
-        {
+        session.owe();
+        let job = Job {
+            to: reply_tx.clone(),
+            session: Arc::clone(&session),
+            request_id: frame.request_id,
+            request,
+            ticket,
+        };
+        if jobs.send(job).is_err() {
             break;
         }
     }
@@ -403,13 +481,14 @@ fn serve_connection(
     let _ = writer.join();
 }
 
-/// A reply held back until the commit group its record belongs to is
-/// durable. The ticket rides along: the lane slot frees on release.
-struct Held {
-    reply: mpsc::Sender<(u64, Response)>,
-    request_id: u64,
-    response: Response,
-    _ticket: Option<Ticket>,
+fn encode_reply(out: &mut Vec<u8>, reply: &Reply) {
+    write_frame(
+        out,
+        FrameKind::Response,
+        reply.request_id,
+        &reply.response.encode(),
+    )
+    .expect("a Vec takes every write");
 }
 
 /// Most jobs one tick runs before it commits: the queue is normally empty
@@ -417,68 +496,74 @@ struct Held {
 /// commit — and so everyone's replies — off for longer than this.
 const MAX_TICK: usize = 256;
 
-/// The executor: single owner of the marketplace, draining the job queue
-/// in submission order, a tick at a time, until every sender is gone.
-fn executor_loop(mut market: Marketplace, jobs: mpsc::Receiver<Job>, shared: &Shared) {
-    let mut held: Vec<Held> = Vec::new();
+/// The executor: drains the job queue in submission order, a tick at a
+/// time under the market lock, until every sender is gone.
+fn executor_loop(jobs: mpsc::Receiver<Job<Outbox>>, shared: &Shared) {
     while let Ok(first) = jobs.recv() {
-        for job in std::iter::once(first).chain(jobs.try_iter()).take(MAX_TICK) {
-            if let (Some(delay), true) = (shared.executor_delay, job.request.is_data_plane()) {
-                std::thread::sleep(delay);
+        let Ok(mut market) = shared.market.lock() else {
+            return;
+        };
+        let tick = std::iter::once(first).chain(jobs.try_iter()).take(MAX_TICK);
+        run_group(&mut market, tick, shared, |outbox, reply| {
+            let _ = outbox.send(reply);
+        });
+    }
+}
+
+/// The one commit path: runs `jobs` in order on `market` and commits them
+/// as one group, handing each reply to `release` — as soon as it has run
+/// memory-only, after the commit that covers its record under a
+/// [`Durability`]. The caller holds the market lock throughout, so the
+/// group's records are exactly the ones the commit writes.
+fn run_group<To>(
+    market: &mut Marketplace,
+    jobs: impl IntoIterator<Item = Job<To>>,
+    shared: &Shared,
+    mut release: impl FnMut(To, Reply),
+) {
+    let mut held = Vec::new();
+    for job in jobs {
+        if let (Some(delay), true) = (shared.executor_delay, job.request.is_data_plane()) {
+            std::thread::sleep(delay);
+        }
+        shared.requests.fetch_add(1, Ordering::Relaxed);
+        let reply = Reply {
+            request_id: job.request_id,
+            response: execute(market, job.request, &job.session, shared),
+            _ticket: job.ticket,
+        };
+        match shared.durability {
+            None => release(job.to, reply),
+            Some(_) => held.push((job.to, reply)),
+        }
+    }
+    let Some(durability) = &shared.durability else {
+        return;
+    };
+    match durability.commit() {
+        Ok(()) => {
+            // Only the lock's holder journals, so every reply's record is
+            // at or before the newest one — which the commit covered.
+            debug_assert_eq!(durability.committed_seq(), durability.wal_records());
+            for (to, reply) in held {
+                release(to, reply);
             }
-            shared.requests.fetch_add(1, Ordering::Relaxed);
-            let Job {
-                request_id,
-                session,
-                request,
-                reply,
-                _ticket,
-            } = job;
-            let response = execute(&mut market, request, &session, shared);
-            match &shared.durability {
-                // `_ticket` lives to the end of the iteration: the lane
-                // slot is released only after the request fully executed.
-                None => {
-                    let _ = reply.send((request_id, response));
-                }
-                Some(_) => held.push(Held {
-                    reply,
-                    request_id,
-                    response,
-                    _ticket,
-                }),
+            // Snapshotting needs `&market` while the journal half of the
+            // handle lives inside it, so the trigger sits here, between
+            // groups, under the lock.
+            if let Err(e) = durability.maybe_snapshot(market) {
+                eprintln!("ssa-server: snapshot failed (log continues): {e}");
             }
         }
-        let Some(durability) = &shared.durability else {
-            continue;
-        };
-        match durability.commit() {
-            Ok(()) => {
-                // Only this thread journals, so every reply's record is
-                // at or before the newest one — which the commit covered.
-                debug_assert_eq!(durability.committed_seq(), durability.wal_records());
-                for job in held.drain(..) {
-                    let _ = job.reply.send((job.request_id, job.response));
-                }
-                // Snapshotting needs `&market` while the journal half of
-                // the handle lives inside it, so the trigger sits here —
-                // on the thread that owns the marketplace, between ticks.
-                if let Err(e) = durability.maybe_snapshot(&market) {
-                    eprintln!("ssa-server: snapshot failed (log continues): {e}");
-                }
-            }
-            Err(e) => {
-                eprintln!("ssa-server: write-ahead log commit failed, shutting down: {e}");
-                begin_shutdown(shared);
-                for job in held.drain(..) {
-                    let _ = job.reply.send((
-                        job.request_id,
-                        Response::Failed {
-                            code: ErrorCode::StorageFailed,
-                            message: format!("not made durable, not acknowledged: {e}"),
-                        },
-                    ));
-                }
+        Err(e) => {
+            eprintln!("ssa-server: write-ahead log commit failed, shutting down: {e}");
+            begin_shutdown(shared);
+            for (to, reply) in held {
+                let response = Response::Failed {
+                    code: ErrorCode::StorageFailed,
+                    message: format!("not made durable, not acknowledged: {e}"),
+                };
+                release(to, Reply { response, ..reply });
             }
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! Every accepted connection becomes a [`Session`] with a server-assigned
 //! id (reported in [`crate::proto::Response::Pong`] and usable for
-//! tracing), the peer address, and a request counter. The registry keeps
+//! tracing), the peer address, a request counter, the count of replies it
+//! is owed and the one lock on its write half. The registry keeps
 //! a clone of each connection's [`TcpStream`] so graceful shutdown can
 //! half-close the **read** side of every live connection at once: readers
 //! see EOF and stop producing work, while writer threads keep flushing
@@ -10,9 +11,10 @@
 //! shutdown contract.
 
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One live connection's identity and counters.
 #[derive(Debug)]
@@ -22,7 +24,11 @@ pub struct Session {
     /// Peer address the connection arrived from.
     pub peer: Option<SocketAddr>,
     stream: TcpStream,
+    /// The write half: the connection's writer thread and its reader's
+    /// own replies both write through this one lock.
+    writer: Mutex<TcpStream>,
     requests: AtomicU64,
+    owed: AtomicUsize,
 }
 
 impl Session {
@@ -34,6 +40,32 @@ impl Session {
     /// Bumps the per-session request counter.
     pub fn note_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Replies this session is owed and that are not written yet: queued
+    /// behind the executor, held for a commit, or handed to the writer.
+    /// Zero means every reply to an earlier request is on the wire.
+    pub fn owed(&self) -> usize {
+        self.owed.load(Ordering::Acquire)
+    }
+
+    /// Counts one more reply owed. Only the connection's reader counts
+    /// up, so a reader that reads zero knows it stays zero.
+    pub(crate) fn owe(&self) {
+        self.owed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts `written` owed replies as written; returns the count before.
+    pub(crate) fn paid(&self, written: usize) -> usize {
+        self.owed.fetch_sub(written, Ordering::Release)
+    }
+
+    /// Writes `bytes` whole to the peer under the write-half lock.
+    pub(crate) fn write(&self, bytes: &[u8]) -> std::io::Result<()> {
+        // A writer that panicked mid-write leaves nothing half-updated
+        // behind the lock: the socket is all it guards.
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        writer.write_all(bytes)
     }
 }
 
@@ -55,7 +87,8 @@ impl SessionRegistry {
     /// Registers a freshly accepted connection, assigning its session id
     /// and turning `TCP_NODELAY` on: responses are small and each is
     /// written whole, so waiting to coalesce them only adds latency. The
-    /// registry keeps a clone of the stream for shutdown signalling.
+    /// session keeps two clones of the stream: one for shutdown
+    /// signalling, one as its write half.
     pub fn register(&self, stream: &TcpStream) -> std::io::Result<Arc<Session>> {
         stream.set_nodelay(true)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
@@ -64,7 +97,9 @@ impl SessionRegistry {
             id,
             peer: stream.peer_addr().ok(),
             stream: stream.try_clone()?,
+            writer: Mutex::new(stream.try_clone()?),
             requests: AtomicU64::new(0),
+            owed: AtomicUsize::new(0),
         });
         self.active
             .lock()

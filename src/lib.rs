@@ -422,18 +422,20 @@
 //! bridge arms in `ssa_net::proto`, and nothing else.
 //!
 //! The server ([`net::Server`], shipped as the `ssa-server` binary) keeps
-//! a single executor thread that owns the marketplace; per-connection
-//! reader threads decode and *admit* requests through bounded per-shard
-//! admission lanes ([`net::Admission`]), so a flood of data-plane traffic
-//! degrades into typed `Overloaded { retry_after_ms }` responses instead
-//! of unbounded queueing. Control-plane calls (campaign registration, bid
-//! updates, pause/resume, ROI targets, stats) bypass the data-plane lanes.
-//! Graceful shutdown drains every in-flight request before the socket
-//! closes. The serving contract is the same equivalence guarantee the
-//! sharded marketplace proves in-process: a seeded Section V stream served
-//! over the wire is **bit-identical** to `serve_batch` in process, at any
-//! shard count (`ssa-load --verify` checks exactly this; so does
-//! `reproduce --server <addr>`).
+//! the marketplace behind one lock, run a tick at a time by an executor
+//! thread; a connection's reader runs an idle session's control request
+//! itself, and everything else — every data-plane request included — queues
+//! for the executor. Readers decode and *admit* requests through bounded
+//! per-shard admission lanes ([`net::Admission`]), so a flood of data-plane
+//! traffic degrades into typed `Overloaded { retry_after_ms }` responses
+//! instead of unbounded queueing. Control-plane calls (campaign
+//! registration, bid updates, pause/resume, ROI targets, stats) bypass the
+//! data-plane lanes. Graceful shutdown drains every in-flight request
+//! before the socket closes. The serving contract is the same equivalence
+//! guarantee the sharded marketplace proves in-process: a seeded Section V
+//! stream served over the wire is **bit-identical** to `serve_batch` in
+//! process, at any shard count (`ssa-load --verify` checks exactly this; so
+//! does `reproduce --server <addr>`).
 //!
 //! ```text
 //! cargo run --release --bin ssa-server -- --addr 127.0.0.1:7878
