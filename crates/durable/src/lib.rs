@@ -72,6 +72,8 @@
 //!   short or whose checksum fails, necessarily at the very end of the
 //!   final segment. Recovery truncates it — losing exactly the operations
 //!   that were never acknowledged, never an acknowledged one.
+//! * Under [`FsyncPolicy::Always`] any segment may end in a zero-filled
+//!   reserve (a sparse hole), which recovery reads as its clean end.
 //! * A snapshot is streamed from the live marketplace into a temp file —
 //!   record by record through one buffered writer with a running
 //!   checksum, the header's length and checksum filled in last — and
@@ -176,7 +178,9 @@ pub const WAL_VERSION: u32 = 3;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fdatasync` every commit group before anything in it is
-    /// acknowledged: survives power loss.
+    /// acknowledged: survives power loss. The open segment keeps a
+    /// zero-filled reserve past its last record, so a sync seldom has to
+    /// make a new file size durable as well.
     Always,
     /// Flush every commit group to the OS: survives process death only.
     Off,

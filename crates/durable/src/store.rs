@@ -3,15 +3,17 @@
 //!
 //! One [`Durability`] wraps one log directory. [`Durability::open`]
 //! recovers whatever the directory holds, positions the WAL writer after
-//! the last valid record (truncating a torn tail in place), and hands
-//! back a cloneable handle. [`Durability::journal`] adapts the handle to
-//! the marketplace's [`MutationJournal`] hook, one commit per record;
-//! [`Durability::group_journal`] only stages records, and the caller makes
-//! a whole group of them durable with one [`Durability::commit`] — one
-//! `write`, one `fdatasync` — before acknowledging any of them. The
-//! serving layer calls [`Durability::maybe_snapshot`] between commit
-//! groups, from the same thread that owns the marketplace, so a snapshot
-//! always observes a state that exactly covers every journalled record.
+//! the last valid record (truncating a torn tail or a leftover reserve in
+//! place), and hands back a cloneable handle. [`Durability::journal`]
+//! adapts the handle to the marketplace's [`MutationJournal`] hook, one
+//! commit per record; [`Durability::group_journal`] only stages records,
+//! and the caller makes a whole group of them durable with one
+//! [`Durability::commit`] — one `write`, one `fdatasync` — before
+//! acknowledging any of them (under [`FsyncPolicy::Always`], into the
+//! segment's reserve, which rotation trims). The serving layer calls
+//! [`Durability::maybe_snapshot`] between commit groups, from the same
+//! thread that owns the marketplace, so a snapshot always observes a
+//! state that exactly covers every journalled record.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};

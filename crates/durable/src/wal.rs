@@ -23,10 +23,18 @@
 //! Sequence numbers start at 1 and are contiguous across segment
 //! boundaries. A new segment is opened by snapshot rotation (see
 //! [`crate::store`]), never mid-stream, so **only the final segment can
-//! end in a torn record** — a crash mid-append leaves a short or
-//! checksum-failing tail, which [`scan`] detects and reports as the
-//! truncation point. Anything else (a bad record *before* the tail, a
-//! sequence gap) is corruption, not a crash artifact.
+//! end in a torn record, and any segment may end in a zero-filled
+//! reserve** — a crash mid-append leaves a short or checksum-failing
+//! tail, which [`scan`] detects and reports as the truncation point.
+//! Anything else (a bad record *before* the tail, a sequence gap, a
+//! non-zero byte in a non-final segment's reserve) is corruption, not a
+//! crash artifact.
+//!
+//! The reserve: a syncing writer extends its file past the records by
+//! [`RESERVE_STEP`] at a time (`set_len`, a sparse hole), so a commit's
+//! `fdatasync` seldom has to make a new file size durable. A dropped
+//! writer trims it; after a kill a scan reads the all-zero remainder as
+//! the segment's clean end (a zero length prefix is never a record).
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -43,6 +51,9 @@ pub const WAL_MAGIC: [u8; 8] = *b"SSAWAL\0\0";
 /// Byte length of a segment header (magic + version + first_seq).
 pub(crate) const HEADER_LEN: u64 = 20;
 
+/// How far past its last record a syncing writer extends its file.
+const RESERVE_STEP: u64 = 1 << 20;
+
 /// Upper bound on a single record payload; a corrupt length prefix above
 /// this is treated as a torn tail rather than attempted as an allocation.
 const MAX_PAYLOAD_LEN: u32 = 1 << 28;
@@ -50,6 +61,15 @@ const MAX_PAYLOAD_LEN: u32 = 1 << 28;
 /// Segment file name for the segment whose first record is `first_seq`.
 pub(crate) fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
     dir.join(format!("wal-{first_seq:020}.log"))
+}
+
+/// The header of the segment whose first record is `first_seq`.
+fn header(first_seq: u64) -> [u8; HEADER_LEN as usize] {
+    let mut header = [0u8; HEADER_LEN as usize];
+    header[..8].copy_from_slice(&WAL_MAGIC);
+    header[8..12].copy_from_slice(&WAL_VERSION.to_le_bytes());
+    header[12..].copy_from_slice(&first_seq.to_le_bytes());
+    header
 }
 
 /// One discovered segment file.
@@ -157,10 +177,17 @@ fn scan_segment(
     last_seq: &mut Option<u64>,
 ) -> Result<(u64, bool), DurableError> {
     let display = segment.path.display();
-    if bytes.len() < HEADER_LEN as usize {
-        // A header can only be short if the creating write itself was cut
-        // off; treat the whole segment as torn (no valid records).
-        return Ok((bytes.len() as u64, true));
+    // A header is only short (or cut short ahead of a reserve's zeros) if
+    // the creating write was cut off: the whole segment is torn.
+    let matched = bytes
+        .iter()
+        .zip(header(segment.first_seq))
+        .take_while(|&(&found, want)| found == want)
+        .count();
+    if bytes.len() < HEADER_LEN as usize
+        || (matched < HEADER_LEN as usize && bytes[matched..].iter().all(|&b| b == 0))
+    {
+        return Ok((matched as u64, true));
     }
     if bytes[..8] != WAL_MAGIC {
         return Err(DurableError::Corrupt(format!("{display}: bad magic")));
@@ -190,10 +217,11 @@ fn scan_segment(
         )));
     }
     loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
+        // The file's end, or a writer's reserve past the last record.
+        if bytes[pos..].iter().all(|&b| b == 0) {
             return Ok((pos as u64, false));
         }
+        let remaining = bytes.len() - pos;
         if remaining < 8 {
             return Ok((pos as u64, true));
         }
@@ -237,13 +265,17 @@ fn scan_segment(
 /// Records are *staged* — framed into one reused buffer — and reach the
 /// file together on the next [`WalWriter::commit`], in one `write`: a
 /// commit group of any size costs one system call (plus one `fdatasync`
-/// when it syncs).
+/// when it syncs), and a syncing one keeps the [reserve](self) ahead.
 #[derive(Debug)]
 pub(crate) struct WalWriter {
     file: File,
     path: PathBuf,
     /// Frames staged since the last flush.
     staged: Vec<u8>,
+    /// End of the header and records written so far.
+    written: u64,
+    /// The file's length, the reserve included.
+    len: u64,
     /// Set by the first failed write or sync. What reached the file after
     /// that is unknown (possibly half a record), so nothing more may be
     /// appended behind it: every later commit fails too.
@@ -259,12 +291,8 @@ impl WalWriter {
             .create(true)
             .truncate(true)
             .open(&path)?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        header[..8].copy_from_slice(&WAL_MAGIC);
-        header[8..12].copy_from_slice(&WAL_VERSION.to_le_bytes());
-        header[12..].copy_from_slice(&first_seq.to_le_bytes());
-        file.write_all(&header)?;
-        Ok(WalWriter::over(file, path))
+        file.write_all(&header(first_seq))?;
+        Ok(WalWriter::over(file, path, HEADER_LEN))
     }
 
     /// Reopens an existing segment for appending, first truncating any
@@ -273,14 +301,16 @@ impl WalWriter {
         let mut file = OpenOptions::new().write(true).read(true).open(path)?;
         file.set_len(valid_len)?;
         file.seek(SeekFrom::End(0))?;
-        Ok(WalWriter::over(file, path.to_path_buf()))
+        Ok(WalWriter::over(file, path.to_path_buf(), valid_len))
     }
 
-    fn over(file: File, path: PathBuf) -> WalWriter {
+    fn over(file: File, path: PathBuf, written: u64) -> WalWriter {
         WalWriter {
             file,
             path,
             staged: Vec::new(),
+            written,
+            len: written,
             failed: false,
         }
     }
@@ -307,20 +337,32 @@ impl WalWriter {
 
     /// Writes every staged record to the OS in one `write` (surviving a
     /// process kill) and, with `sync`, forces them to stable storage
-    /// (`fdatasync`, surviving power loss).
+    /// (`fdatasync`, surviving power loss), first renewing the reserve.
     pub(crate) fn commit(&mut self, sync: bool) -> io::Result<()> {
         if self.failed {
             return Err(io::Error::other(
                 "an earlier write-ahead log write failed; the log accepts no more records",
             ));
         }
-        let mut result = self.file.write_all(&self.staged);
-        if sync && result.is_ok() {
-            result = self.file.sync_data();
-        }
+        let result = self.write_staged(sync);
         self.failed = result.is_err();
         self.staged.clear();
         result
+    }
+
+    fn write_staged(&mut self, sync: bool) -> io::Result<()> {
+        let end = self.written + self.staged.len() as u64;
+        if sync && end > self.len {
+            let len = end.next_multiple_of(RESERVE_STEP);
+            self.file.set_len(len)?;
+            self.len = len;
+        }
+        self.file.write_all(&self.staged)?;
+        self.written = end;
+        if sync {
+            self.file.sync_data()?;
+        }
+        Ok(())
     }
 
     /// The segment file this writer appends to.
@@ -333,6 +375,16 @@ impl WalWriter {
     pub(crate) fn break_descriptor(&mut self) -> io::Result<()> {
         self.file = File::open(&self.path)?;
         Ok(())
+    }
+}
+
+impl Drop for WalWriter {
+    /// Trims the reserve, best effort; not after a failed commit, whose
+    /// bytes past `written` are unknown.
+    fn drop(&mut self) {
+        if self.len > self.written && !self.failed {
+            let _ = self.file.set_len(self.written);
+        }
     }
 }
 

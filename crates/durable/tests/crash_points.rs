@@ -169,13 +169,14 @@ fn apply_op(market: &mut Marketplace, ids: &mut Vec<ssa_core::CampaignId>, op: &
     }
 }
 
-/// Frame-end byte offsets of every record in a segment image.
+/// Frame-end byte offsets of every record in a segment image. A zero
+/// length prefix is where a syncing writer's zero-filled reserve starts.
 fn record_ends(bytes: &[u8]) -> Vec<usize> {
     let mut ends = Vec::new();
     let mut pos = 20;
     while bytes.len() - pos >= 8 {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        if bytes.len() - pos - 8 < len {
+        if len == 0 || bytes.len() - pos - 8 < len {
             break;
         }
         pos += 8 + len;
@@ -266,7 +267,9 @@ fn twin_of_prefix(s: &Scenario, persisted: usize) -> Marketplace {
 /// journal reach the file in one write, so a crash can cut that write
 /// anywhere. Every cut recovers to a whole-record prefix, never an error,
 /// and reopening the directory for writing resumes at the next sequence
-/// number.
+/// number. The log syncs, so its open segment runs past the records in a
+/// zero-filled reserve, and every crash image keeps it: recovery reads
+/// each cut through the hole.
 #[test]
 fn a_commit_group_cut_anywhere_recovers_a_whole_record_prefix() {
     let s = Scenario {
@@ -316,17 +319,32 @@ fn a_commit_group_cut_anywhere_recovers_a_whole_record_prefix() {
     assert_eq!(dur.wal_records(), records as u64);
     assert_eq!((dur.committed_seq(), dur.syncs()), (records as u64, 2));
     drop(dur);
+    // `market` still holds the group journal, so the segment is open.
     let full = std::fs::read(&segment).unwrap();
     let ends = record_ends(&full);
     assert_eq!(ends.len(), records);
-    assert_eq!(*ends.last().unwrap(), full.len());
+    let last_end = *ends.last().unwrap();
+    assert!(full.len() > last_end);
+    assert!(full[last_end..].iter().all(|&b| b == 0));
 
     let crash_dir = temp_dir("gc");
     std::fs::create_dir_all(&crash_dir).unwrap();
     let crash_file = crash_dir.join(segment.file_name().unwrap());
-    for cut in 0..=full.len() {
+    for cut in 0..=last_end {
         std::fs::write(&crash_file, &full[..cut]).unwrap();
-        let persisted = ends.iter().filter(|&&e| e <= cut).count();
+        // A crash under `Always` leaves the file at its extended length.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&crash_file)
+            .unwrap()
+            .set_len(full.len() as u64)
+            .unwrap();
+        // A record is on disk once what the cut lost of it is zeros: the
+        // hole reads back the same bytes.
+        let persisted = ends
+            .iter()
+            .filter(|&&e| e <= cut || full[cut..e].iter().all(|&b| b == 0))
+            .count();
         let recovered = recover(&crash_dir).expect("a cut group never fails recovery");
         assert_eq!(recovered.is_some(), persisted > 0, "cut {cut}");
         if let Some((got, report)) = recovered {

@@ -217,13 +217,14 @@ fn apply_op(market: &mut Marketplace, ids: &mut Vec<ssa_core::CampaignId>, op: &
     }
 }
 
-/// Frame-end offsets of the records in a segment image.
+/// Frame-end offsets of the records in a segment image. A zero length
+/// prefix is where a syncing writer's zero-filled reserve starts.
 fn record_ends(bytes: &[u8]) -> Vec<usize> {
     let mut ends = Vec::new();
     let mut pos = 20;
     while bytes.len().saturating_sub(pos) >= 8 {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        if bytes.len() - pos - 8 < len {
+        if len == 0 || bytes.len() - pos - 8 < len {
             break;
         }
         pos += 8 + len;
@@ -878,4 +879,380 @@ fn a_logged_negative_click_value_is_a_typed_error() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// How far a syncing writer extends a segment past its records at a time.
+const RESERVE_STEP: usize = 1 << 20;
+
+/// A segment from `first_seq` holding `records`, framed as `wal.rs`
+/// documents it.
+fn segment_of(first_seq: u64, records: &[MutationRecord]) -> Vec<u8> {
+    let mut segment = [
+        &ssa_durable::WAL_MAGIC[..],
+        &ssa_durable::WAL_VERSION.to_le_bytes(),
+        &first_seq.to_le_bytes(),
+    ]
+    .concat();
+    for (seq, record) in (first_seq..).zip(records) {
+        let mut payload = seq.to_le_bytes().to_vec();
+        record.encode_into(&mut payload);
+        segment.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        segment.extend_from_slice(&ssa_durable::crc32(&payload).to_le_bytes());
+        segment.extend_from_slice(&payload);
+    }
+    segment
+}
+
+/// Writes `image` as segment `first_seq` of `dir`. Its trailing zeros
+/// become a hole, as a syncing writer's reserve leaves them.
+fn write_segment(dir: &Path, first_seq: u64, image: &[u8]) -> PathBuf {
+    let path = dir.join(format!("wal-{first_seq:020}.log"));
+    let data = image.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    std::fs::write(&path, &image[..data]).unwrap();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(image.len() as u64)
+        .unwrap();
+    path
+}
+
+/// `bytes` followed by a reserve of zeros.
+fn with_reserve(bytes: &[u8]) -> Vec<u8> {
+    let mut image = bytes.to_vec();
+    image.resize(bytes.len() + RESERVE_STEP, 0);
+    image
+}
+
+/// A configure, an advertiser, a campaign and two queries.
+fn hand_records() -> Vec<MutationRecord> {
+    let config = Marketplace::builder()
+        .slots(2)
+        .keywords(2)
+        .seed(5)
+        .build()
+        .unwrap()
+        .config();
+    let serve = |keyword| MutationRecord::Serve {
+        keyword,
+        attrs: ssa_core::UserAttrs::new(),
+    };
+    vec![
+        MutationRecord::Configure(config),
+        MutationRecord::RegisterAdvertiser { name: "a".into() },
+        MutationRecord::AddCampaign {
+            advertiser: 0,
+            keyword: 1,
+            bid_cents: 40,
+            click_value_cents: 90,
+            roi_target: None,
+            click_probs: Some(vec![0.5, 0.25]),
+            purchase_probs: None,
+            targeting: None,
+        },
+        serve(0),
+        serve(1),
+    ]
+}
+
+/// The market `records` build when applied in order from their configure.
+fn replayed(records: &[MutationRecord]) -> MarketState {
+    let MutationRecord::Configure(config) = &records[0] else {
+        panic!("a log opens with its configure record")
+    };
+    let mut market = Marketplace::from_config(config).unwrap();
+    for record in &records[1..] {
+        ssa_core::journal::apply(&mut market, record.clone()).unwrap();
+    }
+    market.capture_state().unwrap()
+}
+
+/// A final segment that ends in a reserve recovers every record; taking
+/// the directory over trims the file to its last record, and the log
+/// continues at the next sequence number.
+#[test]
+fn a_final_segment_ending_in_a_reserve_recovers_every_record() {
+    let records = hand_records();
+    let dir = temp_dir("reserve-final");
+    std::fs::create_dir_all(&dir).unwrap();
+    let segment = segment_of(1, &records);
+    let path = write_segment(&dir, 1, &with_reserve(&segment));
+
+    let (got, report) = recover(&dir).unwrap().expect("records were written");
+    assert_eq!(report.wal_records, 5);
+    assert_eq!(got.capture_state().unwrap(), replayed(&records));
+
+    let (reopened, dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
+    assert_eq!(
+        std::fs::metadata(&path).unwrap().len(),
+        segment.len() as u64
+    );
+    let mut market = reopened.expect("records were written").0;
+    market.set_journal(dur.journal());
+    market.serve(QueryRequest::new(1)).unwrap();
+    assert_eq!(dur.wal_records(), 6);
+    drop(dur);
+    let (back, report) = recover(&dir).unwrap().expect("records were written");
+    assert_eq!(report.wal_records, 6);
+    assert_eq!(
+        back.capture_state().unwrap(),
+        market.capture_state().unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A torn record followed by a reserve is a torn tail: the whole records
+/// before it recover.
+#[test]
+fn a_torn_record_before_a_reserve_recovers_the_whole_record_prefix() {
+    let records = hand_records();
+    let dir = temp_dir("reserve-torn");
+    std::fs::create_dir_all(&dir).unwrap();
+    let whole = segment_of(1, &records[..4]).len();
+    // The last frame keeps its length, checksum, seq and tag, and loses
+    // its keyword, 1. Had it lost only zeros, the hole would read them
+    // back and the record would be whole.
+    let image = with_reserve(&segment_of(1, &records)[..whole + 17]);
+    write_segment(&dir, 1, &image);
+    for found in [
+        recover(&dir).unwrap(),
+        Durability::open(&dir, FsyncPolicy::Off, 0).unwrap().0,
+    ] {
+        let (got, report) = found.expect("whole records precede the tear");
+        assert_eq!(report.wal_records, 4);
+        assert_eq!(got.capture_state().unwrap(), replayed(&records[..4]));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Snapshot rotation creates the next segment before the old writer
+/// trims its reserve, so a crash between them leaves a non-final segment
+/// ending in zeros: that is a clean end, not corruption. One non-zero
+/// byte in the same place still is.
+#[test]
+fn a_non_final_segment_ending_in_a_reserve_recovers_and_a_byte_in_it_is_corruption() {
+    let records = hand_records();
+    let mut first = with_reserve(&segment_of(1, &records[..3]));
+    let second = segment_of(4, &records[3..]);
+    let dir = temp_dir("reserve-non-final");
+    std::fs::create_dir_all(&dir).unwrap();
+    write_segment(&dir, 1, &first);
+    write_segment(&dir, 4, &second);
+    let (got, report) = recover(&dir).unwrap().expect("records were written");
+    assert_eq!(report.wal_records, 5);
+    assert_eq!(got.capture_state().unwrap(), replayed(&records));
+    let (reopened, _) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
+    assert_eq!(
+        reopened.unwrap().0.capture_state().unwrap(),
+        replayed(&records)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    let at = first.len() - RESERVE_STEP + 4096;
+    first[at] = 1;
+    let dir = temp_dir("reserve-non-final-byte");
+    std::fs::create_dir_all(&dir).unwrap();
+    write_segment(&dir, 1, &first);
+    write_segment(&dir, 4, &second);
+    for result in [
+        recover(&dir).map(|found| found.is_some()),
+        Durability::open(&dir, FsyncPolicy::Off, 0).map(|(found, _)| found.is_some()),
+    ] {
+        match result {
+            Err(ssa_durable::DurableError::Corrupt(_)) => {}
+            other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The records a damage case journals ahead of `s.ops`, one at a time:
+/// two advertisers and two campaigns, so every mutation op has a target.
+fn opening_ops() -> [Op; 4] {
+    let add = |adv, cents| Op::AddCampaign {
+        adv,
+        kw: 0,
+        cents,
+        roi: None,
+    };
+    [
+        Op::Register("adv-1".into()),
+        Op::Register("adv-2".into()),
+        add(0, 40),
+        add(1, 60),
+    ]
+}
+
+/// The ways a damage case breaks one segment image.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// XOR one byte of the header or the records with a non-zero mask.
+    Flip,
+    /// Cut the file anywhere, reserve included.
+    Truncate,
+    /// Raise one record's length prefix and recompute its checksum over
+    /// the longer payload, where the file holds it.
+    Inflate,
+    /// Write a non-zero byte into the reserve.
+    HoleByte,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Segment images a syncing log wrote, reserve included, split into a
+    /// non-final and a final segment at a random record (or left whole),
+    /// then damaged once. `recover` and `Durability::open` each give
+    /// either exactly the whole records ahead of the damage (damage to
+    /// the final segment's records or reserve reads as a torn tail) or a
+    /// typed error (a damaged header, a checksum-valid record that does
+    /// not decode, any damage to a non-final segment short of a cut into
+    /// its reserve).
+    #[test]
+    fn a_damaged_syncing_log_recovers_a_whole_record_prefix_or_a_typed_error(
+        s in arb_scenario(),
+        damage in prop_oneof![
+            Just(Damage::Flip),
+            Just(Damage::Truncate),
+            Just(Damage::Inflate),
+            Just(Damage::HoleByte),
+        ],
+        split in any::<u64>(),
+        non_final in any::<bool>(),
+        at in any::<u64>(),
+    ) {
+        // Journal one record per commit under `Always`, keeping the state
+        // after each: `states[k - 1]` is the market after `k` records.
+        let write_dir = temp_dir("damage-w");
+        let (_, dur) = Durability::open(&write_dir, FsyncPolicy::Always, 0).unwrap();
+        let mut market = build_market(&s, 1);
+        dur.log_configure(&market.capture_state().unwrap().config).unwrap();
+        market.set_journal(dur.journal());
+        let mut states = vec![market.capture_state().unwrap()];
+        let mut ids = Vec::new();
+        for op in opening_ops().iter().chain(&s.ops) {
+            apply_op(&mut market, &mut ids, op);
+            states.push(market.capture_state().unwrap());
+        }
+        // The segment is still open, so it still runs into its reserve.
+        let image = std::fs::read(tail_segment(&write_dir)).unwrap();
+        drop(market);
+        drop(dur);
+        std::fs::remove_dir_all(&write_dir).ok();
+        let ends = record_ends(&image);
+        let n = ends.len();
+        prop_assert_eq!(n, states.len());
+        prop_assert_eq!(image.len() % RESERVE_STEP, 0);
+        prop_assert!(image[ends[n - 1]..].iter().all(|&b| b == 0));
+
+        // Split after record `m` (0: one segment). The final segment of a
+        // split gets its own reserve once it holds a record.
+        let m = (split % (n as u64 + 1)) as usize;
+        let mut segments = Vec::new();
+        if m > 0 {
+            segments.push((1, with_reserve(&image[..ends[m - 1]])));
+            let mut rest = segment_of(m as u64 + 1, &[]);
+            rest.extend_from_slice(&image[ends[m - 1]..ends[n - 1]]);
+            if m < n {
+                rest.resize(RESERVE_STEP, 0);
+            }
+            segments.push((m as u64 + 1, rest));
+        } else {
+            segments.push((1, image.clone()));
+        }
+
+        // Pick the damaged segment: one with records (and a reserve for
+        // `HoleByte`), the non-final one if asked and there is one.
+        let mut target = if non_final { 0 } else { segments.len() - 1 };
+        let records_end = |bytes: &[u8]| record_ends(bytes).last().copied().unwrap_or(20);
+        let (_, bytes) = &segments[target];
+        if records_end(bytes) == bytes.len() {
+            target = 0;
+        }
+        let last = target + 1 == segments.len();
+        let (first_seq, bytes) = &mut segments[target];
+        let local = record_ends(bytes);
+        let end = records_end(bytes);
+        let mask = 1 + (at >> 40) as u8 % 255;
+        // Records of the log ahead of the damage.
+        let ahead = |pos: usize| *first_seq as usize - 1 + local.iter().filter(|&&e| e <= pos).count();
+        // What recovery must find: `Some(records)`, or `None` for an error.
+        let expected = match damage {
+            Damage::Flip => {
+                let pos = (at % end as u64) as usize;
+                bytes[pos] ^= mask;
+                (last && pos >= 20).then(|| ahead(pos))
+            }
+            Damage::Truncate => {
+                // Half the cuts land among the records, half anywhere.
+                let span = if at & 1 == 0 { end } else { bytes.len() };
+                let cut = ((at >> 1) % (span as u64 + 1)) as usize;
+                bytes.truncate(cut);
+                if last {
+                    Some(ahead(cut))
+                } else if cut >= end {
+                    // Only the reserve went: nothing is damaged.
+                    Some(n)
+                } else {
+                    None
+                }
+            }
+            Damage::Inflate => {
+                let j = ((at >> 8) % local.len() as u64) as usize;
+                let pos = if j == 0 { 20 } else { local[j - 1] };
+                let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+                // Half the time past the end of the file.
+                let grow = if at & 1 == 0 { 1 + (at >> 32) as u32 % 64 } else { 2 << 20 };
+                let len = len + grow;
+                bytes[pos..pos + 4].copy_from_slice(&len.to_le_bytes());
+                let whole = bytes.get(pos + 8..pos + 8 + len as usize).map(ssa_durable::crc32);
+                if let Some(crc) = whole {
+                    bytes[pos + 4..pos + 8].copy_from_slice(&crc.to_le_bytes());
+                }
+                // A whole payload under a valid checksum that does not
+                // decode is corruption; a short one is a torn record.
+                (last && whole.is_none()).then(|| ahead(pos))
+            }
+            Damage::HoleByte => {
+                let pos = end + (at % (bytes.len() - end) as u64) as usize;
+                bytes[pos] = mask;
+                last.then(|| ahead(pos))
+            }
+        };
+
+        let dir = temp_dir("damage");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (first_seq, bytes) in &segments {
+            write_segment(&dir, *first_seq, bytes);
+        }
+        let outcomes = [
+            recover(&dir).map(|found| found.map(|(market, report)| (market, report.wal_records))),
+            Durability::open(&dir, FsyncPolicy::Always, 0).map(|(found, dur)| {
+                let found = found.map(|(market, report)| (market, report.wal_records));
+                // The reopened log continues right behind what it recovered.
+                assert_eq!(dur.wal_records(), found.as_ref().map_or(0, |(_, records)| *records));
+                found
+            }),
+        ];
+        for outcome in outcomes {
+            match outcome {
+                Ok(found) => {
+                    let records = found.as_ref().map_or(0, |(_, records)| *records as usize);
+                    prop_assert_eq!(Some(records), expected, "{:?} in segment {}", damage, target);
+                    if let Some((market, _)) = found {
+                        prop_assert_eq!(market.capture_state().unwrap(), states[records - 1].clone());
+                    }
+                }
+                Err(err) => {
+                    prop_assert!(
+                        !matches!(err, ssa_durable::DurableError::Io(_)),
+                        "{:?}: {}", damage, err
+                    );
+                    prop_assert!(expected.is_none(), "{:?} in segment {}: {}", damage, target, err);
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
