@@ -26,7 +26,9 @@
 //! * EOF cleanly between frames is `Ok(None)`; EOF mid-frame is an
 //!   [`FrameError::Io`] with [`std::io::ErrorKind::UnexpectedEof`].
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Protocol version spoken by this build; peers reject anything else.
 /// Version 2 added typed user attributes on `Serve`/`ServeBatch` and the
@@ -197,12 +199,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<RawFrame>, FrameError> {
     }
     let mut head = [0u8; HEADER_TAIL as usize];
     r.read_exact(&mut head)?;
-    let version = head[0];
+    let [version, kind, request_id @ ..] = head;
     if version != PROTO_VERSION {
         return Err(FrameError::Version { got: version });
     }
-    let kind = FrameKind::from_byte(head[1])?;
-    let request_id = u64::from_le_bytes(head[2..10].try_into().expect("8 bytes"));
+    let kind = FrameKind::from_byte(kind)?;
+    let request_id = u64::from_le_bytes(request_id);
     // A frame no larger than a chunk costs one allocation of its length.
     let len = (len - HEADER_TAIL) as usize;
     let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
@@ -236,6 +238,64 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome, F
         }
     }
     Ok(ReadOutcome::Filled)
+}
+
+/// The longest wait for a peer's bytes that still earns a poll: a loopback
+/// round trip and a syncing commit's `fdatasync` (≈ 45–90 µs) both fit.
+const POLL_CAP: Duration = Duration::from_micros(200);
+
+/// How long one end of a one-at-a-time exchange polls for its peer's bytes
+/// before it sleeps in a blocking read: twice its last wait when that wait
+/// was at most [`POLL_CAP`], and nothing otherwise (or at first), so a slow
+/// or remote peer is polled for one exchange only.
+#[derive(Debug, Default)]
+pub(crate) struct PollBudget {
+    budget: Duration,
+    began: Option<Instant>,
+}
+
+impl PollBudget {
+    /// Polls `reader`'s socket for up to the budget unless it holds bytes.
+    pub(crate) fn poll(&mut self, reader: &BufReader<TcpStream>) -> io::Result<()> {
+        if reader.buffer().is_empty() {
+            self.began = Some(Instant::now());
+            if !self.budget.is_zero() {
+                poll_readable(reader.get_ref(), self.budget)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Sets the next budget from the wait the last `poll` began, once the
+    /// read that followed it has its bytes.
+    pub(crate) fn learn(&mut self) {
+        if let Some(waited) = self.began.take().map(|began| began.elapsed()) {
+            self.budget = if waited <= POLL_CAP {
+                waited * 2
+            } else {
+                Duration::ZERO
+            };
+        }
+    }
+}
+
+/// Polls `stream` with a non-blocking `peek` until bytes are readable (EOF
+/// and errors count: the blocking read that follows reports them) or
+/// `budget` runs out, and restores blocking mode. Every `try_clone` of the
+/// stream shares the mode: nothing may write through one meanwhile. It
+/// yields between peeks, so pollers that outnumber the cores do not starve
+/// the threads they wait for. [`PollBudget`] times the whole wait.
+fn poll_readable(stream: &TcpStream, budget: Duration) -> io::Result<()> {
+    use io::ErrorKind::{Interrupted, WouldBlock};
+    let began = Instant::now();
+    stream.set_nonblocking(true)?;
+    while let Err(e) = stream.peek(&mut [0]) {
+        if began.elapsed() >= budget || !matches!(e.kind(), WouldBlock | Interrupted) {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    stream.set_nonblocking(false)
 }
 
 #[cfg(test)]

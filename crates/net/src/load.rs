@@ -75,7 +75,9 @@ pub fn populate_remote(
 /// [`crate::proto::Request::Configure`]\(`config`\) +
 /// [`populate_remote`] of the untargeted population: the oracle for
 /// equivalence checks. Outcomes do not depend on `config.shards`, so the
-/// twin may run any shard count.
+/// twin may run any shard count. Panics on a configuration or population
+/// the marketplace refuses: a twin of a refused one is no oracle.
+#[allow(clippy::expect_used)]
 pub fn local_twin(workload: &SectionVWorkload, config: &MarketConfig) -> Marketplace {
     let mut market = build_market(config).expect("twin configuration is valid");
     workload

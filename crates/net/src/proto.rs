@@ -174,7 +174,9 @@ impl Request {
             Request::Stats => buf.push(TAG_STATS),
             Request::Shutdown => buf.push(TAG_SHUTDOWN),
             // The clone is the price of the flat enum: the operation codec
-            // encodes a `MutationRecord`, and `self` is only borrowed.
+            // encodes a `MutationRecord`, and `self` is only borrowed. The
+            // four wire-only requests are matched above.
+            #[allow(clippy::expect_used)]
             op => MutationRecord::try_from(op.clone())
                 .expect("every other request carries an operation")
                 .encode_into(&mut buf),

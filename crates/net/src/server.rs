@@ -24,6 +24,15 @@
 //!   be overtaken, since every earlier reply is already on the wire, and
 //!   a one-at-a-time round trip skips the executor's and the writer's
 //!   wake-ups. Everything else queues for the executor.
+//! * **A one-at-a-time peer is polled for.** Once a session's last two
+//!   requests both ran on its reader's own path, the reader polls the
+//!   socket (a non-blocking `peek`) for the next request before it sleeps
+//!   in its read, as [`crate::client::Client::request`] does for a
+//!   control reply. The budget is twice the last wait if that was at most
+//!   ≈ 200 µs, else zero, so a slow or remote peer is polled for once. The
+//!   writer's and registry's clones share the non-blocking flag, so the
+//!   reader polls only while [`Session::owed`] is 0 — the writer has
+//!   nothing to write — and restores blocking mode before anything writes.
 //! * **Data-plane work always queues**, even for an idle session: a
 //!   reader that ran a `Serve` itself would stop classifying the rest of
 //!   its peer's pipelined burst while the auction ran, and admission
@@ -80,7 +89,7 @@ use std::time::Duration;
 use ssa_core::{shard_of_keyword, Marketplace, MutationRecord};
 
 use crate::admission::{Admission, Ticket, LANES};
-use crate::frame::{read_frame, write_frame, FrameKind, PROTO_VERSION};
+use crate::frame::{encode_frame, read_frame, FrameKind, PollBudget, PROTO_VERSION};
 use crate::proto::{ErrorCode, MarketConfig, Request, Response, ServerStats};
 use crate::session::{Session, SessionRegistry};
 use ssa_durable::Durability;
@@ -383,15 +392,29 @@ fn serve_connection(
     // One `read` brings in as many pipelined frames as have arrived.
     let mut reader = BufReader::new(stream);
     let mut direct = Vec::new();
+    // Requests in a row (up to two) run on this reader's path: at two the
+    // peer waits for each reply, and the reader polls for the next request.
+    let mut own_runs = 0u8;
+    let mut poll = PollBudget::default();
     loop {
         while session.owed() >= window {
             std::thread::park();
+        }
+        if own_runs == 2 {
+            // Only this thread counts replies up, and the last request ran
+            // here with none owed: the writer has nothing to write.
+            debug_assert_eq!(session.owed(), 0);
+            if poll.poll(&reader).is_err() {
+                break;
+            }
         }
         // Clean EOF, mid-frame truncation, or transport error all end the
         // loop: there is nothing further to decode on this connection.
         let Ok(Some(frame)) = read_frame(&mut reader) else {
             break;
         };
+        poll.learn();
+        let streak = std::mem::take(&mut own_runs);
         if frame.kind != FrameKind::Request {
             // A response frame sent *to* a server is a peer bug; drop the
             // connection rather than guess.
@@ -447,6 +470,7 @@ fn serve_connection(
                 break;
             }
             direct.clear();
+            own_runs = (streak + 1).min(2);
             continue;
         }
         let ticket = match shared.shards_of_request(&request) {
@@ -482,13 +506,11 @@ fn serve_connection(
 }
 
 fn encode_reply(out: &mut Vec<u8>, reply: &Reply) {
-    write_frame(
-        out,
+    out.extend_from_slice(&encode_frame(
         FrameKind::Response,
         reply.request_id,
         &reply.response.encode(),
-    )
-    .expect("a Vec takes every write");
+    ));
 }
 
 /// Most jobs one tick runs before it commits: the queue is normally empty
@@ -622,6 +644,8 @@ fn execute(
             Response::Ack
         }
         op => {
+            // The four wire-only requests are matched above.
+            #[allow(clippy::expect_used)]
             let op =
                 MutationRecord::try_from(op).expect("every other request carries an operation");
             match ssa_core::journal::apply(market, op) {

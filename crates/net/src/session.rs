@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One live connection's identity and counters.
 #[derive(Debug)]
@@ -84,6 +84,12 @@ impl SessionRegistry {
         Arc::new(SessionRegistry::default())
     }
 
+    /// The live sessions. A thread that panicked holding the lock left the
+    /// map whole: each insert and remove is one call.
+    fn active(&self) -> MutexGuard<'_, HashMap<u64, Arc<Session>>> {
+        self.active.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a freshly accepted connection, assigning its session id
     /// and turning `TCP_NODELAY` on: responses are small and each is
     /// written whole, so waiting to coalesce them only adds latency. The
@@ -101,24 +107,18 @@ impl SessionRegistry {
             requests: AtomicU64::new(0),
             owed: AtomicUsize::new(0),
         });
-        self.active
-            .lock()
-            .expect("session registry poisoned")
-            .insert(id, Arc::clone(&session));
+        self.active().insert(id, Arc::clone(&session));
         Ok(session)
     }
 
     /// Removes a closed connection from the registry.
     pub fn unregister(&self, id: u64) {
-        self.active
-            .lock()
-            .expect("session registry poisoned")
-            .remove(&id);
+        self.active().remove(&id);
     }
 
     /// Sessions currently connected.
     pub fn active_count(&self) -> usize {
-        self.active.lock().expect("session registry poisoned").len()
+        self.active().len()
     }
 
     /// Sessions ever accepted.
@@ -131,8 +131,7 @@ impl SessionRegistry {
     /// more, while responses already queued still flush out the write
     /// side. Errors are ignored — a racing disconnect achieves the goal.
     pub fn shutdown_reads(&self) {
-        let sessions = self.active.lock().expect("session registry poisoned");
-        for session in sessions.values() {
+        for session in self.active().values() {
             let _ = session.stream.shutdown(Shutdown::Read);
         }
     }
