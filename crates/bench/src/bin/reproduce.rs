@@ -261,9 +261,13 @@ fn main() {
                 print_footprint(ledger, json);
             }
         }
-        // The environment failing is a runtime error; a scenario no layer
-        // can express is a usage error.
-        Err(e @ (ScenarioError::Net { .. } | ScenarioError::Durable(_))) => {
+        // The environment or a layer failing is a runtime error; a
+        // scenario no layer can express is a usage error.
+        Err(
+            e @ (ScenarioError::Net { .. }
+            | ScenarioError::Durable(_)
+            | ScenarioError::RecoveryDiverged),
+        ) => {
             eprintln!("error: {e}");
             exit(1);
         }

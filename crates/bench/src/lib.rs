@@ -16,6 +16,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 use ssa_bidlang::Money;
 use ssa_core::footprint::Ledger;
@@ -24,7 +26,7 @@ use ssa_core::{journal, BatchReport, EngineConfig, MutationRecord, PricingScheme
 use ssa_durable::{Durability, DurableError, FsyncPolicy, RecoveryReport};
 use ssa_minidb::PlannerStats;
 use ssa_net::server::build_market;
-use ssa_net::{available_cores, market_config_for, populate_remote, Client, NetError, Request};
+use ssa_net::{available_cores, market_config_for, Client, NetError};
 use ssa_workload::{
     programmed_sharded_market, MarketSimulation, ProgramHandle, SectionVConfig, SectionVWorkload,
     ShardSkew, Simulation, Strategy,
@@ -32,6 +34,7 @@ use ssa_workload::{
 pub use ssa_workload::{Population, Scenario, Stream};
 use std::fmt;
 use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Times one Figure 12/13 series on the Section V workload of `n`
@@ -229,6 +232,12 @@ pub enum ScenarioError {
         /// The client-side failure.
         source: Box<NetError>,
     },
+    /// A journalled run was pointed at a directory that already holds a
+    /// store: its recovery check needs the run's own log alone.
+    OccupiedDataDir(PathBuf),
+    /// Recovering the run's own journal did not rebuild the served
+    /// marketplace: a durability bug, not a measurement artefact.
+    RecoveryDiverged,
 }
 
 impl ScenarioError {
@@ -257,6 +266,14 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Durable(e) => write!(f, "durable store failed: {e}"),
             ScenarioError::Net { server, source } => {
                 write!(f, "remote run against {server} failed: {source}")
+            }
+            ScenarioError::OccupiedDataDir(dir) => write!(
+                f,
+                "a journalled run needs an empty data directory; {} holds a store",
+                dir.display()
+            ),
+            ScenarioError::RecoveryDiverged => {
+                f.write_str("recovered marketplace diverged from the served one")
             }
         }
     }
@@ -317,7 +334,7 @@ impl Backend {
                 .map(drop)
                 .map_err(ScenarioError::Market),
             Backend::Wire { client, server } => client
-                .request(&Request::from(op))
+                .apply(op)
                 .map(drop)
                 .map_err(ScenarioError::net(*server)),
         }
@@ -344,13 +361,9 @@ impl Backend {
 /// so every reported number also certifies the recovery path
 /// ([`MethodRun::recovery`]). With `scenario.transport` set, the server is
 /// rebuilt to the run's configuration (`Configure`), so consecutive runs
-/// against one long-lived server are independent.
-///
-/// # Panics
-///
-/// Panics if the journal directory already holds a store, or if the
-/// recovered state diverges from the served one — a durability bug, not a
-/// measurement artefact.
+/// against one long-lived server are independent. Either way the
+/// population is [`SectionVWorkload::records`], applied in process or
+/// pipelined over the wire.
 pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
     let mut scenario = scenario.clone();
     let section = scenario.section_v();
@@ -380,8 +393,10 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
         (Some(server), _) => {
             let net = ScenarioError::net(server);
             let mut client = Client::connect(server).map_err(&net)?;
-            client.configure(&config).map_err(&net)?;
-            populate_remote(&mut client, &workload, targeted).map_err(&net)?;
+            let configure = MutationRecord::Configure(config);
+            client
+                .apply_all(std::iter::once(configure).chain(workload.records(targeted)))
+                .map_err(&net)?;
             Backend::Wire { client, server }
         }
         (None, population) => {
@@ -403,10 +418,9 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
             };
             if let Some(dir) = &scenario.durability {
                 let (recovered, store) = Durability::open(dir, FsyncPolicy::Off, 0)?;
-                assert!(
-                    recovered.is_none(),
-                    "a journalled run needs an empty data directory"
-                );
+                if recovered.is_some() {
+                    return Err(ScenarioError::OccupiedDataDir(dir.clone()));
+                }
                 // A programmed population stops here, with the
                 // marketplace's own `NotDurable`.
                 store.log_configure(&market.capture_state()?.config)?;
@@ -448,12 +462,10 @@ pub fn run(scenario: &Scenario) -> Result<MethodRun, ScenarioError> {
             let dir = store.dir();
             drop(store);
             let (recovered, recovery) =
-                ssa_durable::recover(&dir)?.expect("the run journalled state");
-            assert_eq!(
-                recovered.capture_state()?,
-                market.capture_state()?,
-                "recovered marketplace diverged from the served one"
-            );
+                ssa_durable::recover(&dir)?.ok_or(ScenarioError::RecoveryDiverged)?;
+            if recovered.capture_state()? != market.capture_state()? {
+                return Err(ScenarioError::RecoveryDiverged);
+            }
             Some(recovery)
         }
         _ => None,

@@ -26,18 +26,16 @@
 //!
 //! Either way the run ends with one `"metric":"net_load"` JSON line
 //! (preset, QPS, p50/p99/max latency, cores, overload count, the
-//! population's request count and time, verification verdict) on stdout
+//! population's record count and time, verification verdict) on stdout
 //! with `--json` and/or appended to `--report <path>`.
 
 use std::io::Write as _;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
-use ssa_core::parse_shards;
+use ssa_core::{parse_shards, MutationRecord};
 use ssa_net::client::{Client, NetError};
-use ssa_net::load::{
-    available_cores, local_twin, market_config_for, populate_remote, LatencyRecorder, LoadReport,
-};
+use ssa_net::load::{available_cores, local_twin, market_config_for, LatencyRecorder, LoadReport};
 use ssa_net::MarketConfig;
 use ssa_workload::{Scenario, SectionVWorkload, Stream, WorkloadShape};
 
@@ -265,12 +263,16 @@ impl Options {
     }
 }
 
-/// Registers the population over `client`, timed: the requests it made and
-/// the milliseconds they took.
-fn populate(client: &mut Client, workload: &SectionVWorkload) -> (u64, f64) {
+/// Rebuilds the server's market to `config`, then applies the population's
+/// records over `client`, timed: the records applied and the milliseconds
+/// they took.
+fn populate(client: &mut Client, workload: &SectionVWorkload, config: MarketConfig) -> (u64, f64) {
+    if let Err(e) = client.apply(MutationRecord::Configure(config)) {
+        fatal(&format!("configure failed: {e}"));
+    }
     let started = Instant::now();
-    match populate_remote(client, workload, false) {
-        Ok(requests) => (requests, started.elapsed().as_secs_f64() * 1e3),
+    match client.apply_all(workload.records(false)) {
+        Ok(records) => (records, started.elapsed().as_secs_f64() * 1e3),
         Err(e) => fatal(&format!("population failed: {e}")),
     }
 }
@@ -288,10 +290,7 @@ fn run_verify(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
     let mut client = connect(opts.addr);
     let mut populated = (0, 0.0);
     if opts.skip == 0 {
-        if let Err(e) = client.configure(&config) {
-            fatal(&format!("configure failed: {e}"));
-        }
-        populated = populate(&mut client, workload);
+        populated = populate(&mut client, workload, config.clone());
     }
     let mut twin = local_twin(workload, &config);
 
@@ -365,10 +364,7 @@ fn run_verify(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
 /// Throughput mode: concurrent connections splitting the stream.
 fn run_throughput(opts: &Options, workload: &SectionVWorkload) -> LoadReport {
     let mut control = connect(opts.addr);
-    if let Err(e) = control.configure(&opts.market_config(workload)) {
-        fatal(&format!("configure failed: {e}"));
-    }
-    let populated = populate(&mut control, workload);
+    let populated = populate(&mut control, workload, opts.market_config(workload));
 
     // Warm-up: unmeasured, single connection, so engines and solver
     // scratch exist before the clock starts.

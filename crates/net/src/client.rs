@@ -1,23 +1,31 @@
 //! Blocking client for the `ssa_net` protocol.
 //!
 //! [`Client`] wraps a [`TcpStream`] with the framing + proto layers and a
-//! request-id counter. The typed wrappers ([`Client::serve`],
-//! [`Client::add_campaign`], …) are strictly request/response; pipelining
-//! callers (the load driver, the overload tests) use the split
-//! [`Client::send_request`] / [`Client::read_response`] halves to keep
-//! many requests in flight on one connection.
+//! request-id counter. A market operation is a [`MutationRecord`]:
+//! [`Client::apply`] sends one and waits for its reply, and
+//! [`Client::apply_all`] pipelines a stream of them (a population, a
+//! churn plan) through a sliding window. Reads ([`Client::serve`],
+//! [`Client::top_bids`], [`Client::stats`], …) stay typed and strictly
+//! request/response; pipelining callers (the overload tests) use the
+//! split [`Client::send_request`] / [`Client::read_response`] halves to
+//! keep many requests in flight on one connection.
 
+use std::collections::VecDeque;
 use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use ssa_bidlang::Money;
 use ssa_core::marketplace::{AdvertiserHandle, AuctionResponse, CampaignId};
-use ssa_core::UserAttrs;
+use ssa_core::{MutationRecord, UserAttrs};
 
 use crate::frame::{read_frame, write_frame, FrameError, FrameKind, PollBudget, PROTO_VERSION};
-use crate::proto::{
-    BatchSummary, ErrorCode, MarketConfig, ProtoError, Request, Response, ServerStats,
-};
+use crate::proto::{BatchSummary, ErrorCode, ProtoError, Request, Response, ServerStats};
+use crate::server::CONTROL_REPLIES;
+
+/// Requests [`Client::apply_all`] keeps in flight: the replies a session
+/// may be owed beyond its admission window, so a pipelined stream never
+/// makes the server stop reading.
+const APPLY_WINDOW: usize = CONTROL_REPLIES;
 
 /// Typed failure parsing a `--server <addr>` value: the flag is rejected
 /// with a message, never a panic (contract-tested in `bench/tests/cli.rs`).
@@ -181,15 +189,42 @@ impl Client {
         if !request.is_data_plane() {
             self.poll.poll(&self.stream)?;
         }
-        let (got_id, response) = self.read_response()?;
+        let reply = self.read_response()?;
         self.poll.learn();
-        if got_id != id {
-            return Err(NetError::UnexpectedResponse(response));
-        }
-        match response {
-            Response::Failed { code, message } => Err(NetError::Server { code, message }),
-            Response::Overloaded { retry_after_ms } => Err(NetError::Overloaded { retry_after_ms }),
-            other => Ok(other),
+        answer(id, reply)
+    }
+
+    /// Applies one market operation and returns the server's reply.
+    pub fn apply(&mut self, op: MutationRecord) -> Result<Response, NetError> {
+        self.request(&Request::from(op))
+    }
+
+    /// Applies a stream of operations in order, keeping up to a fixed
+    /// window of them in flight, and returns how many the server applied.
+    /// Every reply is checked in order. On a refusal no further operation
+    /// is sent: the replies already in flight are read (their operations
+    /// were applied), so the connection stays usable, and the first
+    /// refusal is returned.
+    pub fn apply_all(
+        &mut self,
+        ops: impl IntoIterator<Item = MutationRecord>,
+    ) -> Result<u64, NetError> {
+        let mut ops = ops.into_iter();
+        let mut in_flight = VecDeque::with_capacity(APPLY_WINDOW);
+        let mut applied = 0;
+        let mut refused = None;
+        loop {
+            while refused.is_none() && in_flight.len() < APPLY_WINDOW {
+                let Some(op) = ops.next() else { break };
+                in_flight.push_back(self.send_request(&Request::from(op))?);
+            }
+            let Some(id) = in_flight.pop_front() else {
+                return refused.map_or(Ok(applied), Err);
+            };
+            match answer(id, self.read_response()?) {
+                Ok(_) => applied += 1,
+                Err(e) => drop(refused.get_or_insert(e)),
+            }
         }
     }
 
@@ -200,14 +235,6 @@ impl Client {
                 session,
                 proto_version,
             } if proto_version == PROTO_VERSION => Ok(session),
-            other => Err(NetError::UnexpectedResponse(other)),
-        }
-    }
-
-    /// Rebuilds the server's marketplace to `config`.
-    pub fn configure(&mut self, config: &MarketConfig) -> Result<(), NetError> {
-        match self.request(&Request::Configure(config.clone()))? {
-            Response::Ack => Ok(()),
             other => Err(NetError::UnexpectedResponse(other)),
         }
     }
@@ -262,9 +289,11 @@ impl Client {
         }
     }
 
-    /// Registers an advertiser.
+    /// Registers an advertiser. The frozen benchmark package populates
+    /// through this and [`Client::add_targeted_campaign`]; both go once it
+    /// applies records.
     pub fn register_advertiser(&mut self, name: &str) -> Result<AdvertiserHandle, NetError> {
-        match self.request(&Request::RegisterAdvertiser {
+        match self.apply(MutationRecord::RegisterAdvertiser {
             name: name.to_string(),
         })? {
             Response::AdvertiserRegistered { advertiser } => {
@@ -274,31 +303,9 @@ impl Client {
         }
     }
 
-    /// Opens an untargeted per-click campaign.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_campaign(
-        &mut self,
-        advertiser: AdvertiserHandle,
-        keyword: usize,
-        bid: Money,
-        click_value: Money,
-        roi_target: Option<f64>,
-        click_probs: Option<Vec<f64>>,
-    ) -> Result<CampaignId, NetError> {
-        self.add_targeted_campaign(
-            advertiser,
-            keyword,
-            bid,
-            click_value,
-            roi_target,
-            click_probs,
-            None,
-        )
-    }
-
     /// Opens a per-click campaign, optionally with a targeting expression
-    /// source. A malformed or hostile source is rejected server-side with
-    /// [`ErrorCode::InvalidTargeting`] and the campaign is not registered.
+    /// source: an `AddCampaign` record through [`Client::apply`], kept for
+    /// the frozen benchmark package.
     #[allow(clippy::too_many_arguments)]
     pub fn add_targeted_campaign(
         &mut self,
@@ -310,7 +317,7 @@ impl Client {
         click_probs: Option<Vec<f64>>,
         targeting: Option<String>,
     ) -> Result<CampaignId, NetError> {
-        match self.request(&Request::AddCampaign {
+        match self.apply(MutationRecord::AddCampaign {
             advertiser: advertiser.index() as u64,
             keyword: keyword as u64,
             bid_cents: bid.cents(),
@@ -325,40 +332,6 @@ impl Client {
             }
             other => Err(NetError::UnexpectedResponse(other)),
         }
-    }
-
-    /// Sets a per-click campaign's bid.
-    pub fn update_bid(&mut self, id: CampaignId, bid: Money) -> Result<(), NetError> {
-        self.expect_ack(&Request::UpdateBid {
-            keyword: id.keyword() as u64,
-            index: id.index() as u64,
-            bid_cents: bid.cents(),
-        })
-    }
-
-    /// Pauses a campaign.
-    pub fn pause_campaign(&mut self, id: CampaignId) -> Result<(), NetError> {
-        self.expect_ack(&Request::PauseCampaign {
-            keyword: id.keyword() as u64,
-            index: id.index() as u64,
-        })
-    }
-
-    /// Resumes a paused campaign.
-    pub fn resume_campaign(&mut self, id: CampaignId) -> Result<(), NetError> {
-        self.expect_ack(&Request::ResumeCampaign {
-            keyword: id.keyword() as u64,
-            index: id.index() as u64,
-        })
-    }
-
-    /// Sets or clears a campaign's ROI target.
-    pub fn set_roi_target(&mut self, id: CampaignId, target: Option<f64>) -> Result<(), NetError> {
-        self.expect_ack(&Request::SetRoiTarget {
-            keyword: id.keyword() as u64,
-            index: id.index() as u64,
-            target,
-        })
     }
 
     /// The highest effective bids on a keyword, descending.
@@ -394,14 +367,23 @@ impl Client {
 
     /// Asks the server to shut down gracefully.
     pub fn shutdown_server(&mut self) -> Result<(), NetError> {
-        self.expect_ack(&Request::Shutdown)
-    }
-
-    fn expect_ack(&mut self, request: &Request) -> Result<(), NetError> {
-        match self.request(request)? {
+        match self.request(&Request::Shutdown)? {
             Response::Ack => Ok(()),
             other => Err(NetError::UnexpectedResponse(other)),
         }
+    }
+}
+
+/// The reply to request `id`: a reply to another request, `Failed` and
+/// `Overloaded` become typed [`NetError`]s, so callers see only success.
+fn answer(id: u64, (got_id, response): (u64, Response)) -> Result<Response, NetError> {
+    if got_id != id {
+        return Err(NetError::UnexpectedResponse(response));
+    }
+    match response {
+        Response::Failed { code, message } => Err(NetError::Server { code, message }),
+        Response::Overloaded { retry_after_ms } => Err(NetError::Overloaded { retry_after_ms }),
+        other => Ok(other),
     }
 }
 

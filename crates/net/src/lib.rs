@@ -25,10 +25,10 @@
 //!   lock: the executor takes it for each tick of queued work, and a
 //!   connection's reader takes it to run an idle session's control request
 //!   and write the reply itself. Data-plane requests always queue.
-//! * [`client`] — a blocking typed client, usable single-outstanding or
-//!   pipelined.
-//! * [`load`] — Section V population and replay helpers shared by the
-//!   `ssa-load` binary, the bench driver's `--server` path, and the
+//! * [`client`] — a blocking client: market operations go as
+//!   `MutationRecord`s, one at a time or pipelined; reads are typed.
+//! * [`load`] — Section V configuration and verification twins shared by
+//!   the `ssa-load` binary, the bench driver's `--server` path, and the
 //!   equivalence tests; latency recording with p50/p99 reporting.
 //!
 //! The serving contract: a seeded Section V stream served over a socket
@@ -40,10 +40,8 @@
 //!
 //! ```
 //! use ssa_net::client::Client;
-//! use ssa_net::proto::MarketConfig;
 //! use ssa_net::server::{Server, ServerConfig};
-//! use ssa_core::{Marketplace, PricingScheme, WdMethod};
-//! use ssa_bidlang::Money;
+//! use ssa_core::{Marketplace, MutationRecord};
 //!
 //! let market = Marketplace::builder()
 //!     .slots(2)
@@ -57,10 +55,20 @@
 //!     .spawn();
 //!
 //! let mut client = Client::connect(server.addr()).expect("connect");
-//! let advertiser = client.register_advertiser("shoes.example").expect("register");
-//! client
-//!     .add_campaign(advertiser, 1, Money::from_cents(20), Money::from_cents(50), None, None)
-//!     .expect("campaign accepted");
+//! let population = [
+//!     MutationRecord::RegisterAdvertiser { name: "shoes.example".into() },
+//!     MutationRecord::AddCampaign {
+//!         advertiser: 0,
+//!         keyword: 1,
+//!         bid_cents: 20,
+//!         click_value_cents: 50,
+//!         roi_target: None,
+//!         click_probs: None,
+//!         purchase_probs: None,
+//!         targeting: None,
+//!     },
+//! ];
+//! assert_eq!(client.apply_all(population).expect("population accepted"), 2);
 //! let auction = client.serve(1).expect("auction served");
 //! assert_eq!(auction.keyword, 1);
 //!
@@ -85,8 +93,7 @@ pub use admission::Admission;
 pub use client::{parse_addr, Client, NetError, ParseAddrError};
 pub use frame::{FrameError, FrameKind, RawFrame, MAX_FRAME, PROTO_VERSION};
 pub use load::{
-    available_cores, local_twin, market_config_for, populate_remote, LatencyRecorder,
-    LatencySummary, LoadReport,
+    available_cores, local_twin, market_config_for, LatencyRecorder, LatencySummary, LoadReport,
 };
 pub use proto::{
     BatchSummary, ErrorCode, MarketConfig, ProtoError, Request, Response, ServerStats, WireAuction,

@@ -1,19 +1,18 @@
-//! Section V load-driving over the wire: population, verification twins,
-//! and latency reporting for the `ssa-load` binary and the bench driver.
+//! Section V load-driving over the wire: verification twins and latency
+//! reporting for the `ssa-load` binary and the bench driver.
 //!
-//! Both sides of the wire register the same population from the same
-//! source ([`SectionVWorkload::campaigns`]) on a market built from the same
+//! Both sides of the wire build the same population from the same record
+//! stream ([`SectionVWorkload::records`]) on a market built from the same
 //! [`MarketConfig`] ([`market_config_for`]), so a remote marketplace
-//! configured and populated through [`populate_remote`] is bit-for-bit the
-//! market [`local_twin`] builds in process — which is what lets the twin
-//! act as the equivalence oracle for wire-served auctions.
+//! configured and populated through [`crate::Client::apply_all`] is
+//! bit-for-bit the market [`local_twin`] builds in process — which is what
+//! lets the twin act as the equivalence oracle for wire-served auctions.
 
 use std::time::Duration;
 
 use ssa_core::{Marketplace, PricingScheme, WdMethod};
 use ssa_workload::{nearest_rank, SectionVConfig, SectionVWorkload};
 
-use crate::client::{Client, NetError};
 use crate::proto::MarketConfig;
 use crate::server::build_market;
 
@@ -41,39 +40,9 @@ pub fn market_config_for(
     }
 }
 
-/// Registers the Section V per-click population over the wire (`targeted`
-/// as in [`SectionVWorkload::campaigns`]): the same registrations, in the
-/// same order, as [`SectionVWorkload::populate`] makes in process. Returns
-/// the number of requests it made, each a one-at-a-time round trip.
-pub fn populate_remote(
-    client: &mut Client,
-    workload: &SectionVWorkload,
-    targeted: bool,
-) -> Result<u64, NetError> {
-    let mut handles = Vec::with_capacity(workload.bidders.len());
-    let mut requests = 0;
-    for campaign in workload.campaigns(targeted) {
-        if campaign.advertiser == handles.len() {
-            handles.push(client.register_advertiser(&campaign.advertiser_name())?);
-            requests += 1;
-        }
-        requests += 1;
-        client.add_targeted_campaign(
-            handles[campaign.advertiser],
-            campaign.keyword,
-            campaign.bid,
-            campaign.click_value,
-            None,
-            Some(campaign.click_probs),
-            campaign.targeting.map(str::to_string),
-        )?;
-    }
-    Ok(requests)
-}
-
 /// Builds the in-process marketplace a remote server holds after
-/// [`crate::proto::Request::Configure`]\(`config`\) +
-/// [`populate_remote`] of the untargeted population: the oracle for
+/// [`crate::proto::Request::Configure`]\(`config`\) and the untargeted
+/// population's [`SectionVWorkload::records`]: the oracle for
 /// equivalence checks. Outcomes do not depend on `config.shards`, so the
 /// twin may run any shard count. Panics on a configuration or population
 /// the marketplace refuses: a twin of a refused one is no oracle.
@@ -180,10 +149,11 @@ pub struct LoadReport {
     pub latency: LatencySummary,
     /// Requests refused with `Overloaded`.
     pub overloaded: u64,
-    /// Requests [`populate_remote`] made (0 when the run did not populate).
+    /// Population records the server applied (0 when the run did not
+    /// populate).
     pub populate_ops: u64,
-    /// Wall-clock time of [`populate_remote`], in milliseconds: the
-    /// control plane's one-at-a-time round trip, times `populate_ops`.
+    /// Wall-clock time of the population's pipelined
+    /// [`crate::Client::apply_all`], in milliseconds.
     pub populate_ms: f64,
     /// Logical cores available to the *client* process.
     pub cores: usize,

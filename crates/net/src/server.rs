@@ -156,8 +156,9 @@ struct Reply {
 type Outbox = mpsc::Sender<Reply>;
 
 /// Replies a session may be owed beyond its admission window: room for
-/// the control requests a peer pipelines and the reader's own refusals.
-const CONTROL_REPLIES: usize = 64;
+/// the control requests a peer pipelines (`Client::apply_all` keeps at
+/// most this many in flight) and the reader's own refusals.
+pub(crate) const CONTROL_REPLIES: usize = 64;
 
 /// State shared by the accept loop, connection threads, and executor.
 struct Shared {

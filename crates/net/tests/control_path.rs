@@ -16,6 +16,9 @@ use ssa_net::client::{Client, NetError};
 use ssa_net::proto::{ErrorCode, Request, Response};
 use ssa_net::server::{Server, ServerConfig};
 
+mod support;
+use support::{add_campaign, advertiser, campaign, register, update_bid};
+
 const KEYWORDS: usize = 4;
 /// Session A's requests, pipelined in one burst.
 const A_BURST: usize = 24;
@@ -91,18 +94,19 @@ fn run(journalled: bool) {
 
     // Setup, one at a time: advertisers a and b, A's campaign on keyword 0.
     let mut b = Client::connect(server.addr()).expect("connect b");
-    let a_id = b.register_advertiser("a").expect("register a");
-    let b_id = b.register_advertiser("b").expect("register b");
-    let a_campaign = b
-        .add_campaign(
+    let a_id = advertiser(b.apply(register("a")).expect("register a"));
+    let b_id = advertiser(b.apply(register("b")).expect("register b"));
+    let a_campaign = campaign(
+        b.apply(add_campaign(
             a_id,
             0,
             Money::from_cents(30),
             Money::from_cents(90),
             None,
             None,
-        )
-        .expect("a's campaign");
+        ))
+        .expect("a's campaign"),
+    );
     assert_eq!(a_campaign, CampaignId::from_parts(0, 0));
     let mut acknowledged = 3u64;
 
@@ -138,17 +142,18 @@ fn run(journalled: bool) {
     let mut b_campaigns = Vec::new();
     for round in 0..B_ROUNDS {
         let keyword = 2 + round % 2;
-        let id = b
-            .add_campaign(
+        let id = campaign(
+            b.apply(add_campaign(
                 b_id,
                 keyword,
                 Money::from_cents(20),
                 Money::from_cents(80),
                 None,
                 None,
-            )
-            .expect("b's campaign");
-        b.update_bid(id, b_bid(round)).expect("b's bid");
+            ))
+            .expect("b's campaign"),
+        );
+        b.apply(update_bid(id, b_bid(round))).expect("b's bid");
         let book = b.top_bids(keyword, 64).expect("b's read");
         assert!(book.contains(&(id, b_bid(round))), "B reads its own write");
         b_campaigns.push((keyword, id));
@@ -235,15 +240,15 @@ fn a_negative_click_value_is_a_typed_server_error() {
         .expect("bind")
         .spawn();
     let mut client = Client::connect(server.addr()).expect("connect");
-    let advertiser = client.register_advertiser("a").expect("register");
-    match client.add_campaign(
+    let advertiser = advertiser(client.apply(register("a")).expect("register"));
+    match client.apply(add_campaign(
         advertiser,
         1,
         Money::from_cents(10),
         Money::from_cents(-5),
         None,
         None,
-    ) {
+    )) {
         Err(NetError::Server { code, message }) => {
             assert_eq!(code, ErrorCode::NegativeBid);
             assert_eq!(message, "click value -$0.05 is negative");

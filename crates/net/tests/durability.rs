@@ -4,12 +4,15 @@
 //! stays bit-identical to an in-process twin across the restart.
 
 use ssa_bidlang::Money;
-use ssa_core::{QueryRequest, ShardedMarketplace};
+use ssa_core::{MutationRecord, QueryRequest, ShardedMarketplace};
 use ssa_durable::{Durability, FsyncPolicy};
 use ssa_net::client::Client;
 use ssa_net::proto::MarketConfig;
 use ssa_net::server::{build_market, Server, ServerConfig, ServerHandle};
 use std::path::{Path, PathBuf};
+
+mod support;
+use support::{add_campaign, advertiser, campaign, register};
 
 fn temp_dir() -> PathBuf {
     std::env::temp_dir().join(format!("ssa-net-durability-{}", std::process::id()))
@@ -58,19 +61,28 @@ fn boot(dir: &Path, boot_config: &MarketConfig) -> (ServerHandle, Durability) {
 
 /// Drives the same population + queries against a client and the twin.
 fn populate(client: &mut Client, twin: &mut ShardedMarketplace) {
-    let remote_a = client.register_advertiser("a").expect("register");
+    let remote_a = advertiser(client.apply(register("a")).expect("register"));
     let local_a = twin.register_advertiser("a");
     assert_eq!(remote_a.index(), local_a.index());
-    let remote_b = client.register_advertiser("b").expect("register");
+    let remote_b = advertiser(client.apply(register("b")).expect("register"));
     let local_b = twin.register_advertiser("b");
     // The wire-configured market has no default click model, so every
     // campaign carries its own per-slot probabilities.
     let probs = vec![0.55, 0.25];
     for kw in 0..6 {
         let (bid, value) = (Money::from_cents(30 + kw as i64), Money::from_cents(90));
-        let remote_id = client
-            .add_campaign(remote_a, kw, bid, value, None, Some(probs.clone()))
-            .expect("campaign");
+        let remote_id = campaign(
+            client
+                .apply(add_campaign(
+                    remote_a,
+                    kw,
+                    bid,
+                    value,
+                    None,
+                    Some(probs.clone()),
+                ))
+                .expect("campaign"),
+        );
         let local_id = twin
             .add_campaign(
                 local_a,
@@ -82,14 +94,14 @@ fn populate(client: &mut Client, twin: &mut ShardedMarketplace) {
             .expect("campaign");
         assert_eq!(remote_id, local_id);
         client
-            .add_campaign(
+            .apply(add_campaign(
                 remote_b,
                 kw,
                 Money::from_cents(45),
                 Money::from_cents(120),
                 Some(1.3),
                 Some(probs.clone()),
-            )
+            ))
             .expect("campaign");
         twin.add_campaign(
             local_b,
@@ -132,7 +144,9 @@ fn server_restart_recovers_bit_identically() {
 
     let (server, durability) = boot(&dir, &boot_config);
     let mut client = Client::connect(server.addr()).expect("connect");
-    client.configure(&wire_config()).expect("configure");
+    client
+        .apply(MutationRecord::Configure(wire_config()))
+        .expect("configure");
     let mut twin = build_market(&wire_config()).expect("twin");
     populate(&mut client, &mut twin);
     serve_both(&mut client, &mut twin, 60);

@@ -8,7 +8,6 @@ use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
 
-use ssa_bidlang::Money;
 use ssa_core::{AttrValue, MutationRecord, PricingScheme, ShardedMarketplace, UserAttrs, WdMethod};
 use ssa_durable::{Durability, FsyncPolicy};
 use ssa_net::client::Client;
@@ -20,6 +19,9 @@ use ssa_net::proto::{
     WirePlacement,
 };
 use ssa_net::server::{Server, ServerConfig};
+
+mod support;
+use support::{advertiser, campaign, register};
 
 fn arb_method() -> BoxedStrategy<WdMethod> {
     prop_oneof![
@@ -543,20 +545,23 @@ fn a_long_targeting_chain_registers_and_the_server_answers() {
         .expect("bind")
         .spawn();
     let mut client = Client::connect(server.addr()).expect("connect");
-    let advertiser = client.register_advertiser("chain").expect("register");
+    let advertiser = advertiser(client.apply(register("chain")).expect("register"));
     let source = vec!["age >= 21"; 100_000].join(" and ");
     assert!((source.len() as u64) < u64::from(MAX_FRAME));
-    let id = client
-        .add_targeted_campaign(
-            advertiser,
-            0,
-            Money::from_cents(5),
-            Money::from_cents(10),
-            None,
-            None,
-            Some(source),
-        )
-        .expect("the chain registers");
+    let id = campaign(
+        client
+            .apply(MutationRecord::AddCampaign {
+                advertiser: advertiser.index() as u64,
+                keyword: 0,
+                bid_cents: 5,
+                click_value_cents: 10,
+                roi_target: None,
+                click_probs: None,
+                purchase_probs: None,
+                targeting: Some(source),
+            })
+            .expect("the chain registers"),
+    );
     assert_eq!((id.keyword(), id.index()), (0, 0));
     client.ping().expect("the server still answers");
     client.shutdown_server().expect("graceful shutdown");

@@ -8,11 +8,14 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ssa_bidlang::Money;
-use ssa_core::UserAttrs;
+use ssa_core::{MutationRecord, UserAttrs};
 use ssa_durable::{Durability, FsyncPolicy};
 use ssa_net::client::{Client, NetError};
 use ssa_net::proto::{ErrorCode, Request, Response};
 use ssa_net::server::{Server, ServerConfig, ServerHandle};
+
+mod support;
+use support::{add_campaign, advertiser, register};
 
 const KEYWORDS: usize = 4;
 
@@ -57,18 +60,18 @@ fn boot(dir: &std::path::Path, executor_delay: Option<Duration>) -> (ServerHandl
 fn populate(client: &mut Client) -> u64 {
     let mut acknowledged = 0;
     for (name, cents) in [("a", 40), ("b", 55)] {
-        let advertiser = client.register_advertiser(name).expect("register");
+        let advertiser = advertiser(client.apply(register(name)).expect("register"));
         acknowledged += 1;
         for kw in 0..KEYWORDS {
             client
-                .add_campaign(
+                .apply(add_campaign(
                     advertiser,
                     kw,
                     Money::from_cents(cents + kw as i64),
                     Money::from_cents(120),
                     None,
                     None,
-                )
+                ))
                 .expect("campaign");
             acknowledged += 1;
         }
@@ -142,6 +145,46 @@ fn requests_in_flight_together_share_a_sync_and_one_at_a_time_do_not() {
         .expect("state persisted");
     assert_eq!(report.wal_records, acknowledged);
     assert_eq!(recovered.now(), (KEYWORDS + 2 * window) as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A control-only stream pipelined through `Client::apply_all` still pays
+/// one sync per record: its session never owes a reply, so the reader
+/// runs and commits each record itself before it reads the next. Item
+/// 28(b) of the roadmap (a reader-run request stages its record and waits
+/// for the next sync) is the change that may move this count.
+#[test]
+fn a_windowed_control_only_stream_syncs_once_per_record() {
+    let dir = temp_dir("control-window");
+    let (server, durability) = boot(&dir, None);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut records = vec![MutationRecord::RegisterAdvertiser { name: "a".into() }];
+    records.extend(
+        (0..KEYWORDS as u64).map(|keyword| MutationRecord::AddCampaign {
+            advertiser: 0,
+            keyword,
+            bid_cents: 40,
+            click_value_cents: 120,
+            roi_target: None,
+            click_probs: None,
+            purchase_probs: None,
+            targeting: None,
+        }),
+    );
+    records.extend((0..150).map(|i| MutationRecord::UpdateBid {
+        keyword: i % KEYWORDS as u64,
+        index: 0,
+        bid_cents: 41 + i as i64,
+    }));
+    let count = records.len() as u64;
+
+    let before = durability.syncs();
+    assert_eq!(client.apply_all(records).expect("stream applied"), count);
+    assert_eq!(durability.syncs() - before, count);
+    assert_eq!(durability.wal_records(), 1 + count);
+
+    client.shutdown_server().expect("graceful shutdown");
+    server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -10,6 +10,9 @@ use ssa_net::client::{Client, NetError};
 use ssa_net::proto::{Request, Response};
 use ssa_net::server::{Server, ServerConfig, ServerHandle};
 
+mod support;
+use support::{add_campaign, advertiser, register};
+
 /// One keyword, one slot: every data-plane request lands on the same
 /// admission lane, so the saturation arithmetic is exact.
 fn spawn_tiny_server(config: ServerConfig) -> ServerHandle {
@@ -26,16 +29,16 @@ fn spawn_tiny_server(config: ServerConfig) -> ServerHandle {
 }
 
 fn populate_one_campaign(client: &mut Client) {
-    let advertiser = client.register_advertiser("overloader").expect("register");
+    let advertiser = advertiser(client.apply(register("overloader")).expect("register"));
     client
-        .add_campaign(
+        .apply(add_campaign(
             advertiser,
             0,
             Money::from_cents(30),
             Money::from_cents(90),
             None,
             None,
-        )
+        ))
         .expect("campaign accepted");
 }
 

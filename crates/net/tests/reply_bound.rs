@@ -23,6 +23,9 @@ use ssa_net::frame::{read_frame, write_frame, FrameKind};
 use ssa_net::proto::{Request, Response};
 use ssa_net::server::{Server, ServerConfig};
 
+mod support;
+use support::{add_campaign, advertiser, register};
+
 /// The system allocator, tracking the bytes live in the whole process.
 struct Counting;
 
@@ -98,18 +101,18 @@ fn a_peer_that_never_reads_holds_a_bounded_number_of_replies() {
     .expect("bind")
     .spawn();
     let mut healthy = Client::connect(server.addr()).expect("connect");
-    let advertiser = healthy.register_advertiser("a").expect("register");
+    let advertiser = advertiser(healthy.apply(register("a")).expect("register"));
     for keyword in 0..KEYWORDS {
         for cents in [20, 30] {
             healthy
-                .add_campaign(
+                .apply(add_campaign(
                     advertiser,
                     keyword,
                     Money::from_cents(cents),
                     Money::from_cents(90),
                     None,
                     None,
-                )
+                ))
                 .expect("campaign");
         }
     }

@@ -5,13 +5,25 @@
 
 use ssa_bidlang::Money;
 use ssa_core::marketplace::QueryRequest;
-use ssa_core::{CampaignId, PricingScheme, WdMethod};
+use ssa_core::{CampaignId, MutationRecord, PricingScheme, WdMethod};
 use ssa_net::client::Client;
 use ssa_net::load::{local_twin, market_config_for};
 use ssa_net::proto::BatchSummary;
 use ssa_net::server::{Server, ServerConfig, ServerHandle};
-use ssa_net::{populate_remote, MarketConfig};
+use ssa_net::MarketConfig;
 use ssa_workload::{SectionVConfig, SectionVWorkload};
+
+mod support;
+use support::update_bid;
+
+/// Rebuilds the server's market to `config` and applies the untargeted
+/// Section V population, pipelined.
+fn configure_and_populate(client: &mut Client, workload: &SectionVWorkload, config: &MarketConfig) {
+    let configure = MutationRecord::Configure(config.clone());
+    client
+        .apply_all(std::iter::once(configure).chain(workload.records(false)))
+        .expect("configure and populate");
+}
 
 fn small_config() -> SectionVConfig {
     SectionVConfig {
@@ -45,8 +57,7 @@ fn setup(
         market_config_for(config, WdMethod::Reduced, PricingScheme::Gsp, shards, false);
     let server = spawn_server();
     let mut client = Client::connect(server.addr()).expect("connect");
-    client.configure(&market_config).expect("configure");
-    populate_remote(&mut client, &workload, false).expect("populate");
+    configure_and_populate(&mut client, &workload, &market_config);
     (server, client, workload, market_config)
 }
 
@@ -66,23 +77,39 @@ fn wire_serves_match_in_process_with_mid_stream_mutations() {
                 // Raise one campaign's bid on both sides.
                 let id = CampaignId::from_parts(keyword, 3);
                 let bid = Money::from_cents(4_200);
-                client.update_bid(id, bid).expect("remote update_bid");
+                client
+                    .apply(update_bid(id, bid))
+                    .expect("remote update_bid");
                 twin.update_bid(id, bid).expect("local update_bid");
             }
             100 => {
                 // Pause a campaign and give another an ROI target.
                 let paused = CampaignId::from_parts(keyword, 0);
-                client.pause_campaign(paused).expect("remote pause");
+                client
+                    .apply(MutationRecord::PauseCampaign {
+                        keyword: keyword as u64,
+                        index: 0,
+                    })
+                    .expect("remote pause");
                 twin.pause_campaign(paused).expect("local pause");
                 let targeted = CampaignId::from_parts(keyword, 5);
                 client
-                    .set_roi_target(targeted, Some(1.5))
+                    .apply(MutationRecord::SetRoiTarget {
+                        keyword: keyword as u64,
+                        index: 5,
+                        target: Some(1.5),
+                    })
                     .expect("remote roi");
                 twin.set_roi_target(targeted, Some(1.5)).expect("local roi");
             }
             180 => {
                 let resumed = CampaignId::from_parts(keyword, 0);
-                client.resume_campaign(resumed).expect("remote resume");
+                client
+                    .apply(MutationRecord::ResumeCampaign {
+                        keyword: keyword as u64,
+                        index: 0,
+                    })
+                    .expect("remote resume");
                 twin.resume_campaign(resumed).expect("local resume");
             }
             _ => {}
@@ -166,8 +193,7 @@ fn reconfigure_resets_to_a_reproducible_market() {
         .collect();
 
     // Rebuild + repopulate: the same auctions come out again.
-    client.configure(&market_config).expect("reconfigure");
-    populate_remote(&mut client, &workload, false).expect("repopulate");
+    configure_and_populate(&mut client, &workload, &market_config);
     for (i, &kw) in stream.iter().enumerate() {
         let again = client.serve(kw).expect("second pass");
         assert_eq!(again, first[i], "replay diverged at query {i}");

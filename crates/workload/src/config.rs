@@ -5,6 +5,7 @@ use rand::{Rng, SeedableRng};
 use ssa_bidlang::{Money, SlotId};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
 use ssa_core::prob::{ClickModel, PurchaseModel};
+use ssa_core::{journal, MutationRecord};
 use ssa_strategy::RoiBidderParams;
 
 /// The harnesses' marketplace-seed convention: a Section V market is
@@ -72,17 +73,6 @@ impl SectionVCampaign {
     /// The display name the owning advertiser registers under.
     pub fn advertiser_name(&self) -> String {
         format!("advertiser-{}", self.advertiser)
-    }
-
-    /// The campaign as an in-process registration.
-    pub fn spec(self) -> CampaignSpec {
-        let spec = CampaignSpec::per_click(self.bid)
-            .click_value(self.click_value)
-            .click_probs(self.click_probs);
-        match self.targeting {
-            Some(source) => spec.targeting(source),
-            None => spec,
-        }
     }
 }
 
@@ -176,9 +166,8 @@ impl SectionVWorkload {
     /// carry [`MOBILE_ONLY`], so desktop queries exclude half the
     /// population before the matrix fill.
     ///
-    /// This is the one population source: the in-process
-    /// [`SectionVWorkload::populate`] and the wire-side populate both
-    /// consume it, so they cannot drift apart.
+    /// This is the one population source: [`SectionVWorkload::records`]
+    /// spells it as the market operations every driver applies.
     pub fn campaigns(&self, targeted: bool) -> impl Iterator<Item = SectionVCampaign> + '_ {
         self.bidders.iter().enumerate().flat_map(move |(i, b)| {
             let click_probs: Vec<f64> = (0..self.config.num_slots)
@@ -198,10 +187,40 @@ impl SectionVWorkload {
         })
     }
 
-    /// Registers [`SectionVWorkload::campaigns`] on `market`, each
-    /// advertiser once, ahead of its first campaign.
+    /// The population as the operations that build it: each advertiser's
+    /// `RegisterAdvertiser` just before its first `AddCampaign`, in
+    /// [`SectionVWorkload::campaigns`] order. An advertiser is named by its
+    /// registration index, so the stream builds the population on a market
+    /// with no advertisers yet — in process through
+    /// [`journal::apply`] ([`SectionVWorkload::populate`]), or over the wire.
+    pub fn records(&self, targeted: bool) -> impl Iterator<Item = MutationRecord> + '_ {
+        let mut registered = 0;
+        self.campaigns(targeted).flat_map(move |campaign| {
+            let register = (campaign.advertiser == registered).then(|| {
+                registered += 1;
+                MutationRecord::RegisterAdvertiser {
+                    name: campaign.advertiser_name(),
+                }
+            });
+            let add = MutationRecord::AddCampaign {
+                advertiser: campaign.advertiser as u64,
+                keyword: campaign.keyword as u64,
+                bid_cents: campaign.bid.cents(),
+                click_value_cents: campaign.click_value.cents(),
+                roi_target: None,
+                click_probs: Some(campaign.click_probs),
+                purchase_probs: None,
+                targeting: campaign.targeting.map(String::from),
+            };
+            register.into_iter().chain([add])
+        })
+    }
+
+    /// Applies [`SectionVWorkload::records`] to `market`, which must have
+    /// no advertisers yet.
     pub fn populate(&self, market: &mut Marketplace, targeted: bool) -> Result<(), MarketError> {
-        self.populate_with(market, targeted, SectionVCampaign::spec)
+        self.records(targeted)
+            .try_for_each(|op| journal::apply(market, op).map(drop))
     }
 
     /// [`SectionVWorkload::populate`] with the registration of each
@@ -270,6 +289,43 @@ mod tests {
         }
         // Query stream covers keywords.
         assert!(w.query_stream.iter().all(|&q| q < 10));
+    }
+
+    /// The record stream builds the market the direct registrations
+    /// build: each advertiser, then its campaigns as per-click specs.
+    #[test]
+    fn records_build_the_market_direct_registrations_build() {
+        let w = SectionVWorkload::generate(SectionVConfig::paper(12, 5));
+        let market = || {
+            Marketplace::builder()
+                .slots(w.config.num_slots)
+                .keywords(w.config.num_keywords)
+                .seed(w.config.market_seed())
+                .build()
+                .unwrap()
+        };
+        for targeted in [false, true] {
+            let mut applied = market();
+            w.populate(&mut applied, targeted).unwrap();
+            let mut direct = market();
+            w.populate_with(&mut direct, targeted, |c| {
+                let spec = CampaignSpec::per_click(c.bid)
+                    .click_value(c.click_value)
+                    .click_probs(c.click_probs);
+                match c.targeting {
+                    Some(source) => spec.targeting(source),
+                    None => spec,
+                }
+            })
+            .unwrap();
+            let state = applied.capture_state().unwrap();
+            assert_eq!(
+                state,
+                direct.capture_state().unwrap(),
+                "targeted {targeted}"
+            );
+            assert_eq!(state.records.len(), 12 * (1 + 10));
+        }
     }
 
     #[test]

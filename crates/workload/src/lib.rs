@@ -25,7 +25,9 @@
 //! auction. Both draw user actions from the same per-keyword RNG streams.
 //!
 //! [`SectionVWorkload::campaigns`] is the one source of the static
-//! per-click population every harness registers, and [`scenario`] the one
+//! per-click population, and [`SectionVWorkload::records`] spells it as the
+//! one stream of market operations every harness applies — in process,
+//! over the wire, or journalled. [`scenario`] is the one
 //! description of a single-run experiment ([`Scenario`]: population,
 //! stream, transport, durability, shards, sizes) with its quick and full
 //! presets — shared by the `reproduce` runner and the `ssa-load` driver

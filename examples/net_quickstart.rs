@@ -3,21 +3,22 @@
 //!
 //! An `ssa_net::Server` is booted in-process on an ephemeral port, then a
 //! `Client` drives the whole marketplace lifecycle over the framed wire
-//! protocol: configure the market, register advertisers and campaigns,
-//! serve single auctions and a batched stream, mutate bids mid-stream,
-//! inspect the bid book and server counters — and finally the same run is
-//! replayed on an in-process `ShardedMarketplace` to demonstrate the
-//! serving contract: the wire changes the transport, never the auctions.
+//! protocol: configure the market, apply the population as one pipelined
+//! stream of `MutationRecord`s, serve single auctions and a batched
+//! stream, mutate bids mid-stream, inspect the bid book and server
+//! counters — and finally the same records and queries are replayed on an
+//! in-process `ShardedMarketplace` through `journal::apply` to demonstrate
+//! the serving contract: the wire changes the transport, never the
+//! auctions.
 //!
 //! ```text
 //! cargo run --example net_quickstart
 //! ```
 
-use sponsored_search::bidlang::Money;
 use sponsored_search::core::pricing::PricingScheme;
 use sponsored_search::core::sharded::ShardedMarketplace;
-use sponsored_search::core::WdMethod;
-use sponsored_search::marketplace::{CampaignSpec, Marketplace, MarketplaceBuilder};
+use sponsored_search::core::{journal, MutationRecord, WdMethod};
+use sponsored_search::marketplace::{Marketplace, MarketplaceBuilder};
 use sponsored_search::net::{Client, MarketConfig, Server, ServerConfig};
 
 const KEYWORDS: usize = 4;
@@ -45,10 +46,11 @@ fn main() {
     let mut client = Client::connect(server.addr()).expect("connect");
     client.ping().expect("server is alive");
 
-    // Control plane: rebuild the market to a known shape, then populate
-    // it — every call is a framed request with a typed response.
+    // Control plane: every market operation is a `MutationRecord`, the
+    // same value the write-ahead log stores. Rebuild the market to a known
+    // shape, then apply the population as one pipelined stream.
     client
-        .configure(&MarketConfig {
+        .apply(MutationRecord::Configure(MarketConfig {
             slots: 2,
             keywords: KEYWORDS,
             seed: SEED,
@@ -59,40 +61,34 @@ fn main() {
             warm_start: true,
             default_click_probs: None,
             default_purchase_probs: None,
-        })
+        }))
         .expect("reconfigure");
-    let athletics = client
-        .register_advertiser("Athletics Inc")
-        .expect("register");
-    let runners = client
-        .register_advertiser("Runner's Hub")
-        .expect("register");
-    let brand = client.register_advertiser("BrandHouse").expect("register");
-    let mut campaigns = Vec::new();
-    for keyword in 0..KEYWORDS {
+    let mut population: Vec<MutationRecord> = ["Athletics Inc", "Runner's Hub", "BrandHouse"]
+        .into_iter()
+        .map(|name| MutationRecord::RegisterAdvertiser { name: name.into() })
+        .collect();
+    for keyword in 0..KEYWORDS as u64 {
         // Three bidders on two slots keeps GSP's runner-up price live, so
         // realized revenue is non-trivial.
-        for (advertiser, cents) in [
-            (athletics, 10 + keyword as i64),
-            (runners, 14 - keyword as i64),
-            (brand, 7),
-        ] {
-            campaigns.push(
-                client
-                    .add_campaign(
-                        advertiser,
-                        keyword,
-                        Money::from_cents(cents),
-                        Money::from_cents(3 * cents),
-                        None,
-                        // The wire-configured market has no default click
-                        // model; campaigns carry their own curves.
-                        Some(vec![0.4, 0.25]),
-                    )
-                    .expect("campaign accepted"),
-            );
+        for (advertiser, cents) in [(0, 10 + keyword as i64), (1, 14 - keyword as i64), (2, 7)] {
+            population.push(MutationRecord::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents: cents,
+                click_value_cents: 3 * cents,
+                roi_target: None,
+                // The wire-configured market has no default click model;
+                // campaigns carry their own curves.
+                click_probs: Some(vec![0.4, 0.25]),
+                purchase_probs: None,
+                targeting: None,
+            });
         }
     }
+    let applied = client
+        .apply_all(population.clone())
+        .expect("population accepted");
+    println!("population: {applied} records applied");
 
     // Data plane: single auctions...
     let response = client.serve(0).expect("keyword 0 exists");
@@ -112,11 +108,20 @@ fn main() {
         batch.auctions, batch.clicks, batch.realized_cents,
     );
 
-    // Incremental updates land between auctions, same as in process.
-    client
-        .update_bid(campaigns[0], Money::from_cents(1))
-        .expect("per-click campaign");
-    client.pause_campaign(campaigns[3]).expect("known campaign");
+    // Incremental updates land between auctions, same as in process:
+    // Athletics Inc's bid on keyword 0 drops, its keyword-1 campaign pauses.
+    let updates = [
+        MutationRecord::UpdateBid {
+            keyword: 0,
+            index: 0,
+            bid_cents: 1,
+        },
+        MutationRecord::PauseCampaign {
+            keyword: 1,
+            index: 0,
+        },
+    ];
+    client.apply_all(updates.clone()).expect("known campaigns");
     let batch2 = client.serve_batch(&stream).expect("keywords in range");
 
     println!("\ntop of the keyword-0 bid book after the update:");
@@ -132,23 +137,8 @@ fn main() {
     // The serving contract: replay the identical run in process — same
     // config, same population, same stream — and compare outcomes.
     let mut local = builder().build_sharded(SHARDS).expect("valid config");
-    let a = local.register_advertiser("Athletics Inc");
-    let r = local.register_advertiser("Runner's Hub");
-    let b = local.register_advertiser("BrandHouse");
-    let mut local_campaigns = Vec::new();
-    for keyword in 0..KEYWORDS {
-        for (advertiser, cents) in [(a, 10 + keyword as i64), (r, 14 - keyword as i64), (b, 7)] {
-            local_campaigns.push(
-                local
-                    .add_campaign(
-                        advertiser,
-                        keyword,
-                        CampaignSpec::per_click(Money::from_cents(cents))
-                            .click_value(Money::from_cents(3 * cents)),
-                    )
-                    .expect("campaign accepted"),
-            );
-        }
+    for op in population {
+        journal::apply(&mut local, op).expect("population accepted");
     }
     let local_first = local
         .serve(sponsored_search::marketplace::QueryRequest::new(0))
@@ -164,12 +154,9 @@ fn main() {
         local_batch.total.expected_revenue.to_bits()
     );
     assert_eq!(batch.clicks, local_batch.total.clicks);
-    local
-        .update_bid(local_campaigns[0], Money::from_cents(1))
-        .expect("per-click campaign");
-    local
-        .pause_campaign(local_campaigns[3])
-        .expect("known campaign");
+    for op in updates {
+        journal::apply(&mut local, op).expect("known campaigns");
+    }
     let local_batch2 = local.serve_batch(&queries).expect("keywords in range");
     assert_eq!(
         batch2.expected_revenue.to_bits(),

@@ -9,10 +9,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sponsored_search::bidlang::targeting::{AttrValue, CmpOp, CompiledTargeting, TargetExpr};
 use sponsored_search::bidlang::Money;
-use sponsored_search::core::UserAttrs;
+use sponsored_search::core::{MutationRecord, UserAttrs};
 use sponsored_search::durable::{recover, Durability, FsyncPolicy};
-use sponsored_search::marketplace::{CampaignSpec, MarketError, Marketplace, QueryRequest};
-use sponsored_search::net::{Client, ErrorCode, NetError, Server, ServerConfig};
+use sponsored_search::marketplace::{
+    CampaignId, CampaignSpec, MarketError, Marketplace, QueryRequest,
+};
+use sponsored_search::net::{Client, ErrorCode, NetError, Response, Server, ServerConfig};
 use sponsored_search::sharded::ShardedMarketplace;
 use sponsored_search::workload::defective_targeting_sources;
 
@@ -214,21 +216,36 @@ fn targeting_over_the_wire_matches_in_process() {
         .spawn();
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    let remote_adv = client
-        .register_advertiser("mobile-first")
-        .expect("register over the wire");
+    let remote_adv = match client
+        .apply(MutationRecord::RegisterAdvertiser {
+            name: "mobile-first".into(),
+        })
+        .expect("register over the wire")
+    {
+        Response::AdvertiserRegistered { advertiser } => advertiser,
+        other => panic!("expected a registration, got {other:?}"),
+    };
+    // A per-click campaign of that advertiser on keyword 0.
+    let targeted = |bid_cents, click_value_cents, source: String| MutationRecord::AddCampaign {
+        advertiser: remote_adv,
+        keyword: 0,
+        bid_cents,
+        click_value_cents,
+        roi_target: None,
+        click_probs: None,
+        purchase_probs: None,
+        targeting: Some(source),
+    };
     let local_adv = twin.register_advertiser("mobile-first".to_string());
-    let remote_id = client
-        .add_targeted_campaign(
-            remote_adv,
-            0,
-            Money::from_cents(30),
-            Money::from_cents(70),
-            None,
-            None,
-            Some("device = 'mobile'".to_string()),
-        )
-        .expect("targeted campaign registers over the wire");
+    let remote_id = match client
+        .apply(targeted(30, 70, "device = 'mobile'".to_string()))
+        .expect("targeted campaign registers over the wire")
+    {
+        Response::CampaignAdded { keyword, index } => {
+            CampaignId::from_parts(keyword as usize, index as usize)
+        }
+        other => panic!("expected a campaign, got {other:?}"),
+    };
     let local_id = twin
         .add_campaign(
             local_adv,
@@ -265,15 +282,7 @@ fn targeting_over_the_wire_matches_in_process() {
     }
 
     for source in defective_targeting_sources(10, 3) {
-        match client.add_targeted_campaign(
-            remote_adv,
-            0,
-            Money::from_cents(5),
-            Money::from_cents(5),
-            None,
-            None,
-            Some(source.clone()),
-        ) {
+        match client.apply(targeted(5, 5, source.clone())) {
             Err(NetError::Server {
                 code: ErrorCode::InvalidTargeting,
                 ..
