@@ -545,6 +545,11 @@ impl WeightSource {
 /// `adv_to_slot`'s entry for a row no slot seats.
 const UNSEATED: u16 = u16::MAX;
 
+/// A full bidder vector of at least `GROW_PAST` bytes grows to `GROW_TO`
+/// bytes at once ([`AuctionEngine::push`]).
+const GROW_PAST: usize = 16 << 10;
+const GROW_TO: usize = 256 << 10;
+
 /// The slot row `adv` holds, read off the assignment's inverse map.
 fn seat(adv_to_slot: &[u16], adv: usize) -> Option<usize> {
     let slot = adv_to_slot[adv];
@@ -641,11 +646,20 @@ impl<B: Bidder> AuctionEngine<B> {
     }
 
     /// Adds a bidder whose click row the click model already has.
+    ///
+    /// A full bidder vector of [`GROW_PAST`] bytes or more jumps to
+    /// [`GROW_TO`] rather than doubling: every doubling leaves the buffer
+    /// it outgrew resident, while capacity no bidder reaches is never
+    /// touched, wherever the allocator places the buffer.
     fn push(&mut self, bidder: B, purchase_probs: Option<&[(f64, f64)]>) {
         let row = self.bidders.len();
         match purchase_probs {
             Some(probs) => self.purchases.push_row(probs),
             None => self.purchases.push_never(),
+        }
+        let record = std::mem::size_of::<B>().max(1);
+        if row == self.bidders.capacity() && (GROW_PAST..GROW_TO).contains(&(row * record)) {
+            self.bidders.reserve_exact(GROW_TO / record - row);
         }
         self.bidders.push(bidder);
         self.enlist(row);

@@ -34,7 +34,8 @@ pub enum Component {
     /// The engines' bidder vectors: one record per campaign.
     CampaignRecords,
     /// The boxed part of the campaigns a record does not hold inline:
-    /// targeted campaigns and fixed tables.
+    /// programs, targeted campaigns, fixed tables, and per-click campaigns
+    /// with an ROI target or an amount past `u32::MAX` cents.
     BoxedCampaigns,
     /// Bidding programs' own records; what they hold beyond that is not
     /// visible from the market.

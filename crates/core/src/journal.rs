@@ -56,8 +56,8 @@ use crate::codec::{
     CodecError, Reader,
 };
 use crate::marketplace::{
-    AdvertiserHandle, AuctionResponse, CampaignId, MarketBatchReport, MarketError, Marketplace,
-    PerClickParts, QueryRequest,
+    AdvertiserHandle, AuctionResponse, CampaignId, CampaignSpec, MarketBatchReport, MarketError,
+    Marketplace, QueryRequest,
 };
 use crate::state::MarketConfigState;
 use ssa_bidlang::targeting::UserAttrs;
@@ -181,8 +181,7 @@ impl MutationRecord {
                 config.encode_into(buf);
             }
             MutationRecord::RegisterAdvertiser { name } => {
-                buf.push(TAG_REGISTER);
-                put_string(buf, name);
+                LogRecord::RegisterAdvertiser { name }.encode_into(buf);
             }
             MutationRecord::AddCampaign {
                 advertiser,
@@ -193,15 +192,17 @@ impl MutationRecord {
                 click_probs,
                 purchase_probs,
                 targeting,
-            } => {
-                put_head(buf, TAG_ADD_CAMPAIGN, *advertiser, *keyword);
-                put_i64(buf, *bid_cents);
-                put_i64(buf, *click_value_cents);
-                put_opt(buf, roi_target, |b, v| put_f64(b, *v));
-                put_opt(buf, click_probs, |b, v| put_f64_vec(b, v));
-                put_opt(buf, purchase_probs, |b, v| put_pair_vec(b, v));
-                put_opt(buf, targeting, |b, v| put_string(b, v));
+            } => LogRecord::AddCampaign {
+                advertiser: *advertiser,
+                keyword: *keyword,
+                bid_cents: *bid_cents,
+                click_value_cents: *click_value_cents,
+                roi_target: *roi_target,
+                click_probs: click_probs.as_deref(),
+                purchase_probs: purchase_probs.as_deref().map(PurchaseRow::Stored),
+                targeting: targeting.as_deref(),
             }
+            .encode_into(buf),
             MutationRecord::UpdateBid {
                 keyword,
                 index,
@@ -210,8 +211,8 @@ impl MutationRecord {
                 put_head(buf, TAG_UPDATE_BID, *keyword, *index);
                 put_i64(buf, *bid_cents);
             }
-            MutationRecord::PauseCampaign { keyword, index } => {
-                put_head(buf, TAG_PAUSE, *keyword, *index);
+            &MutationRecord::PauseCampaign { keyword, index } => {
+                LogRecord::PauseCampaign { keyword, index }.encode_into(buf);
             }
             MutationRecord::ResumeCampaign { keyword, index } => {
                 put_head(buf, TAG_RESUME, *keyword, *index);
@@ -307,6 +308,116 @@ impl MutationRecord {
     }
 }
 
+/// A record of [`Marketplace::compacted_log`]: its [`MutationRecord`]
+/// namesake, variant for variant and field for field, with names, rows
+/// and targeting texts borrowed from the market, so a snapshot writer
+/// copies nothing. It encodes to its namesake's bytes, and the namesake
+/// encodes through it: there is one codec.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[allow(missing_docs)] // documented on the namesake
+pub enum LogRecord<'a> {
+    RegisterAdvertiser {
+        name: &'a str,
+    },
+    AddCampaign {
+        advertiser: u64,
+        keyword: u64,
+        bid_cents: i64,
+        click_value_cents: i64,
+        roi_target: Option<f64>,
+        click_probs: Option<&'a [f64]>,
+        purchase_probs: Option<PurchaseRow<'a>>,
+        targeting: Option<&'a str>,
+    },
+    PauseCampaign {
+        keyword: u64,
+        index: u64,
+    },
+}
+
+/// Per-slot purchase probabilities, borrowed: a stored row, or
+/// `(0.0, 0.0)` in each of `slots` slots for a campaign that never
+/// purchases.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[allow(missing_docs)]
+pub enum PurchaseRow<'a> {
+    Stored(&'a [(f64, f64)]),
+    Never { slots: usize },
+}
+
+impl LogRecord<'_> {
+    /// Appends the operation body — `tag ++ fields` — to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        match *self {
+            LogRecord::RegisterAdvertiser { name } => {
+                buf.push(TAG_REGISTER);
+                put_string(buf, name);
+            }
+            LogRecord::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                roi_target,
+                click_probs,
+                purchase_probs,
+                targeting,
+            } => {
+                put_head(buf, TAG_ADD_CAMPAIGN, advertiser, keyword);
+                put_i64(buf, bid_cents);
+                put_i64(buf, click_value_cents);
+                put_opt(buf, &roi_target, |b, v| put_f64(b, *v));
+                put_opt(buf, &click_probs, |b, v| put_f64_vec(b, v));
+                put_opt(buf, &purchase_probs, |b, row| match *row {
+                    PurchaseRow::Stored(row) => put_pair_vec(b, row),
+                    PurchaseRow::Never { slots } => {
+                        put_u32(b, slots as u32);
+                        // Two `0.0`s a slot, whose bits are all zero.
+                        b.resize(b.len() + slots * 16, 0);
+                    }
+                });
+                put_opt(buf, &targeting, |b, v| put_string(b, v));
+            }
+            LogRecord::PauseCampaign { keyword, index } => put_head(buf, TAG_PAUSE, keyword, index),
+        }
+    }
+}
+
+impl From<LogRecord<'_>> for MutationRecord {
+    fn from(record: LogRecord<'_>) -> Self {
+        match record {
+            LogRecord::RegisterAdvertiser { name } => {
+                MutationRecord::RegisterAdvertiser { name: name.into() }
+            }
+            LogRecord::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                roi_target,
+                click_probs,
+                purchase_probs,
+                targeting,
+            } => MutationRecord::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                roi_target,
+                click_probs: click_probs.map(<[f64]>::to_vec),
+                purchase_probs: purchase_probs.map(|row| match row {
+                    PurchaseRow::Stored(row) => row.to_vec(),
+                    PurchaseRow::Never { slots } => vec![(0.0, 0.0); slots],
+                }),
+                targeting: targeting.map(String::from),
+            },
+            LogRecord::PauseCampaign { keyword, index } => {
+                MutationRecord::PauseCampaign { keyword, index }
+            }
+        }
+    }
+}
+
 /// A sink for [`MutationRecord`]s; see the [module docs](self).
 ///
 /// `Send` so a journalled marketplace can still move to a serving thread;
@@ -362,19 +473,13 @@ pub fn apply(market: &mut Marketplace, op: MutationRecord) -> Result<Reply, Mark
             purchase_probs,
             targeting,
         } => {
-            let parts = PerClickParts {
-                bid: Money::from_cents(bid_cents),
-                click_value: Money::from_cents(click_value_cents),
-                roi_target,
-                click_probs,
-                purchase_probs,
-                targeting,
-            };
-            Reply::CampaignAdded(market.add_campaign(
-                AdvertiserHandle::from_index(advertiser as usize),
-                keyword as usize,
-                parts.into(),
-            )?)
+            let mut spec = CampaignSpec::per_click(Money::from_cents(bid_cents))
+                .click_value(Money::from_cents(click_value_cents));
+            spec.roi_target = roi_target;
+            (spec.click_probs, spec.purchase_probs) = (click_probs, purchase_probs);
+            spec.targeting = targeting;
+            let advertiser = AdvertiserHandle::from_index(advertiser as usize);
+            Reply::CampaignAdded(market.add_campaign(advertiser, keyword as usize, spec)?)
         }
         MutationRecord::UpdateBid {
             keyword,

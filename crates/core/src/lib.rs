@@ -75,7 +75,7 @@ pub use engine::{
     PhaseStats, WdMethod,
 };
 pub use heavyweight::{solve_heavyweight, HeavyweightInstance, HeavyweightSolution};
-pub use journal::{MutationJournal, MutationRecord, Reply};
+pub use journal::{LogRecord, MutationJournal, MutationRecord, Reply};
 pub use marketplace::{
     keyword_stream_seed, AdvertiserHandle, AuctionResponse, CampaignId, CampaignSpec,
     MarketBatchReport, MarketError, MarketSnapshot, Marketplace, MarketplaceBuilder, Placement,

@@ -8,10 +8,12 @@
 //! clock, an optional mutation journal ([`crate::journal`]), one click
 //! table of every click row its campaigns use, and one *keyword book* per
 //! keyword: its persistent [`AuctionEngine`]+solver and its own
-//! user-action RNG stream. A campaign is one 32-byte record, stored
-//! once as the engine's bidder: advertiser, pause flag, and a per-click bid
-//! or a program pointer inline; a targeted campaign or a fixed
-//! [`BidsTable`] is one pointer to a box that holds the rest. Its purchase
+//! user-action RNG stream. A campaign is one 16-byte record, stored once
+//! as the engine's bidder: advertiser, pause flag, and a per-click bid and
+//! click value in `u32` cents inline; a program is one pointer to a small
+//! box of owner and program, and a targeted campaign, a fixed
+//! [`BidsTable`] or a per-click campaign with an ROI target or a larger
+//! amount is one pointer to a box that holds the rest. Its purchase
 //! probabilities are its row of the engine's purchase model; its click
 //! probabilities are a 4-byte id in the engine's click model, naming a row
 //! of the market's table, which the market passes to the engine wherever
@@ -102,7 +104,7 @@
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
 use crate::engine::{AuctionEngine, AuctionReport, BatchReport, EngineConfig, WdMethod};
 use crate::footprint::{self, Accountant, Component, HeapUse, Ledger};
-use crate::journal::{MutationJournal, MutationRecord};
+use crate::journal::{LogRecord, MutationJournal, MutationRecord, PurchaseRow};
 use crate::pricing::PricingScheme;
 use crate::prob::{ClickModel, ClickRowId, ClickTable, PurchaseModel};
 use crate::sharded::shard_of_keyword;
@@ -351,11 +353,11 @@ enum ProgramSpec {
 /// default to "never" (the pure click-auction setting).
 pub struct CampaignSpec {
     program: ProgramSpec,
-    click_probs: Option<Vec<f64>>,
-    purchase_probs: Option<Vec<(f64, f64)>>,
+    pub(crate) click_probs: Option<Vec<f64>>,
+    pub(crate) purchase_probs: Option<Vec<(f64, f64)>>,
     click_value: Money,
-    roi_target: Option<f64>,
-    targeting: Option<String>,
+    pub(crate) roi_target: Option<f64>,
+    pub(crate) targeting: Option<String>,
 }
 
 impl CampaignSpec {
@@ -465,47 +467,23 @@ impl CampaignSpec {
         self
     }
 
-    /// The journalable pieces of a per-click spec, exactly as supplied
-    /// (`None` for table/program specs, which cannot be serialized): what
-    /// a journalled `add_campaign` records.
-    pub(crate) fn per_click_parts(&self) -> Option<PerClickParts> {
-        match &self.program {
-            ProgramSpec::PerClick(bid) => Some(PerClickParts {
-                bid: *bid,
-                click_value: self.click_value,
-                roi_target: self.roi_target,
-                click_probs: self.click_probs.clone(),
-                purchase_probs: self.purchase_probs.clone(),
-                targeting: self.targeting.clone(),
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// The serializable content of a per-click [`CampaignSpec`]; see
-/// [`CampaignSpec::per_click_parts`].
-pub(crate) struct PerClickParts {
-    pub(crate) bid: Money,
-    pub(crate) click_value: Money,
-    pub(crate) roi_target: Option<f64>,
-    pub(crate) click_probs: Option<Vec<f64>>,
-    pub(crate) purchase_probs: Option<Vec<(f64, f64)>>,
-    pub(crate) targeting: Option<String>,
-}
-
-/// The one place serialized per-click parts (a journalled `AddCampaign`, a
-/// snapshotted campaign) become a [`CampaignSpec`] again.
-impl From<PerClickParts> for CampaignSpec {
-    fn from(parts: PerClickParts) -> Self {
-        CampaignSpec {
-            program: ProgramSpec::PerClick(parts.bid),
-            click_probs: parts.click_probs,
-            purchase_probs: parts.purchase_probs,
-            click_value: parts.click_value,
-            roi_target: parts.roi_target,
-            targeting: parts.targeting,
-        }
+    /// The `AddCampaign` a journalled registration of this spec records,
+    /// exactly as supplied; `None` for table and program specs, which
+    /// cannot be serialized.
+    fn add_record(&self, advertiser: AdvertiserHandle, keyword: usize) -> Option<MutationRecord> {
+        let ProgramSpec::PerClick(bid) = self.program else {
+            return None;
+        };
+        Some(MutationRecord::AddCampaign {
+            advertiser: advertiser.index() as u64,
+            keyword: keyword as u64,
+            bid_cents: bid.cents(),
+            click_value_cents: self.click_value.cents(),
+            roi_target: self.roi_target,
+            click_probs: self.click_probs.clone(),
+            purchase_probs: self.purchase_probs.clone(),
+            targeting: self.targeting.clone(),
+        })
     }
 }
 
@@ -532,7 +510,8 @@ impl std::fmt::Debug for CampaignSpec {
 /// A per-click campaign's bidding fields: the nominal bid, capped by the
 /// ROI target at `click_value / roi_target`. The update API writes them;
 /// the one-row table is derived from them whenever the engine reads it
-/// ([`Bidder::standing_table`]) and is stored nowhere.
+/// ([`Bidder::standing_table`]) and is stored nowhere. A record holds
+/// them in line when they fit ([`PerClick::inline`]), else in its box.
 #[derive(Debug, Clone, Copy)]
 struct PerClick {
     nominal: Money,
@@ -567,6 +546,15 @@ impl PerClick {
     fn effective_bid(&self) -> Money {
         capped_bid(self.nominal, self.click_value, self.roi_target())
     }
+
+    /// The nominal bid and click value in line: only without an ROI
+    /// target, and only while both (validated non-negative) fit in `u32`
+    /// cents.
+    fn inline(&self) -> Option<(u32, u32)> {
+        let cents = |money: Money| u32::try_from(money.cents()).ok();
+        let amounts = (cents(self.nominal)?, cents(self.click_value)?);
+        self.roi_target.is_none().then_some(amounts)
+    }
 }
 
 /// What a campaign bids while it is not paused.
@@ -588,8 +576,15 @@ struct Owner {
     paused: bool,
 }
 
-/// A campaign [`Campaign`] does not hold inline: a targeted campaign of any
-/// kind, or a fixed table.
+/// What an untargeted program's record points to, 24 bytes.
+struct ProgramCampaign {
+    owner: Owner,
+    program: Box<dyn Bidder + Send>,
+}
+
+/// A campaign [`Campaign`] does not hold in line: a targeted campaign of
+/// any kind, a fixed table, or a per-click campaign with an ROI target or
+/// an amount past `u32::MAX` cents.
 struct BoxedCampaign {
     owner: Owner,
     /// Compiled targeting matcher (`None` = the campaign bids on every
@@ -609,13 +604,17 @@ struct BoxedCampaign {
 /// determination treats as [`ssa_matching::EXCLUDED`] — it can never be
 /// displayed.
 ///
-/// 32 bytes: an untargeted per-click campaign — owner, nominal bid, click
-/// value and ROI target — and an untargeted program — owner and program
-/// pointer — are held inline, and the enum's tag sits in the niche of the
-/// pause flag. Every other campaign is one pointer to a [`BoxedCampaign`].
+/// 16 bytes. An untargeted per-click campaign without an ROI target whose
+/// amounts fit in `u32` cents — every campaign a Section V population
+/// registers — is held in line: owner, nominal bid and click value, with
+/// the enum's tag in the niche of the pause flag. An untargeted program is
+/// one pointer to a [`ProgramCampaign`]; every other campaign, one pointer
+/// to a [`BoxedCampaign`] ([`Campaign::set_per_click`] moves a per-click
+/// campaign in and out of its box).
 enum Campaign {
-    PerClick(Owner, PerClick),
-    Program(Owner, Box<dyn Bidder + Send>),
+    /// Owner, nominal bid and click value in cents.
+    PerClick(Owner, u32, u32),
+    Program(Box<ProgramCampaign>),
     Boxed(Box<BoxedCampaign>),
 }
 
@@ -632,27 +631,33 @@ fn capped_bid(nominal: Money, click_value: Money, roi_target: Option<f64>) -> Mo
 }
 
 impl Campaign {
-    /// A new, unpaused campaign, inline when its shape allows.
-    fn new(advertiser: u32, targeting: Option<Arc<CompiledTargeting>>, kind: CampaignKind) -> Self {
-        let owner = Owner {
-            advertiser,
-            paused: false,
-        };
+    /// A campaign's record, in line when its shape allows.
+    fn new(owner: Owner, targeting: Option<Arc<CompiledTargeting>>, kind: CampaignKind) -> Self {
         match (targeting, kind) {
-            (None, CampaignKind::PerClick(bid)) => Campaign::PerClick(owner, bid),
-            (None, CampaignKind::Program(program)) => Campaign::Program(owner, program),
-            (targeting, kind) => Campaign::Boxed(Box::new(BoxedCampaign {
-                owner,
-                targeting,
-                kind,
-            })),
+            (None, CampaignKind::PerClick(bid)) => match bid.inline() {
+                Some((nominal, value)) => Campaign::PerClick(owner, nominal, value),
+                None => Campaign::boxed(owner, None, CampaignKind::PerClick(bid)),
+            },
+            (None, CampaignKind::Program(program)) => {
+                Campaign::Program(Box::new(ProgramCampaign { owner, program }))
+            }
+            (targeting, kind) => Campaign::boxed(owner, targeting, kind),
         }
     }
 
-    fn owner(&self) -> &Owner {
+    fn boxed(owner: Owner, targeting: Option<Arc<CompiledTargeting>>, kind: CampaignKind) -> Self {
+        Campaign::Boxed(Box::new(BoxedCampaign {
+            owner,
+            targeting,
+            kind,
+        }))
+    }
+
+    fn owner(&self) -> Owner {
         match self {
-            Campaign::PerClick(owner, _) | Campaign::Program(owner, _) => owner,
-            Campaign::Boxed(boxed) => &boxed.owner,
+            Campaign::PerClick(owner, ..) => *owner,
+            Campaign::Program(boxed) => boxed.owner,
+            Campaign::Boxed(boxed) => boxed.owner,
         }
     }
 
@@ -666,7 +671,8 @@ impl Campaign {
 
     fn owner_mut(&mut self) -> &mut Owner {
         match self {
-            Campaign::PerClick(owner, _) | Campaign::Program(owner, _) => owner,
+            Campaign::PerClick(owner, ..) => owner,
+            Campaign::Program(boxed) => &mut boxed.owner,
             Campaign::Boxed(boxed) => &mut boxed.owner,
         }
     }
@@ -678,27 +684,43 @@ impl Campaign {
         }
     }
 
-    /// A per-click campaign's bidding fields; `None` for fixed tables and
-    /// programs.
-    fn per_click(&self) -> Option<&PerClick> {
+    /// A per-click campaign's bidding fields, by value; `None` for fixed
+    /// tables and programs.
+    fn per_click(&self) -> Option<PerClick> {
+        let cents = |cents: u32| Money::from_cents(cents.into());
         match self {
-            Campaign::PerClick(_, bid) => Some(bid),
-            Campaign::Boxed(boxed) => match &boxed.kind {
+            Campaign::PerClick(_, nominal, value) => {
+                Some(PerClick::new(cents(*nominal), cents(*value), None))
+            }
+            Campaign::Boxed(boxed) => match boxed.kind {
                 CampaignKind::PerClick(bid) => Some(bid),
                 _ => None,
             },
-            Campaign::Program(..) => None,
+            Campaign::Program(_) => None,
         }
     }
 
-    fn per_click_mut(&mut self) -> Option<&mut PerClick> {
-        match self {
-            Campaign::PerClick(_, bid) => Some(bid),
-            Campaign::Boxed(boxed) => match &mut boxed.kind {
-                CampaignKind::PerClick(bid) => Some(bid),
-                _ => None,
-            },
-            Campaign::Program(..) => None,
+    /// Rewrites a per-click campaign's bidding fields, in line when the
+    /// campaign is untargeted and they fit, else in its box: leaving the
+    /// inline shape costs one box, coming back frees it. Tables and
+    /// programs are left as they are.
+    fn set_per_click(&mut self, bid: PerClick) {
+        match (&mut *self, bid.inline()) {
+            (Campaign::PerClick(_, nominal, value), Some(amounts)) => (*nominal, *value) = amounts,
+            (Campaign::PerClick(owner, ..), None) => {
+                *self = Campaign::boxed(*owner, None, CampaignKind::PerClick(bid));
+            }
+            (Campaign::Boxed(boxed), Some((nominal, value)))
+                if boxed.targeting.is_none() && matches!(boxed.kind, CampaignKind::PerClick(_)) =>
+            {
+                *self = Campaign::PerClick(boxed.owner, nominal, value);
+            }
+            (Campaign::Boxed(boxed), _) => {
+                if let CampaignKind::PerClick(held) = &mut boxed.kind {
+                    *held = bid;
+                }
+            }
+            (Campaign::Program(_), _) => {}
         }
     }
 
@@ -716,7 +738,7 @@ impl Campaign {
     /// The program of an unpaused program campaign.
     fn running_program(&mut self) -> Option<&mut (dyn Bidder + Send)> {
         match self {
-            Campaign::Program(owner, program) if !owner.paused => Some(program.as_mut()),
+            Campaign::Program(boxed) if !boxed.owner.paused => Some(boxed.program.as_mut()),
             Campaign::Boxed(boxed) => match &mut boxed.kind {
                 CampaignKind::Program(program) if !boxed.owner.paused => Some(program.as_mut()),
                 _ => None,
@@ -728,27 +750,27 @@ impl Campaign {
     /// A per-click campaign's effective bid, paused or not ([`capped_bid`]).
     /// `None` for fixed tables and programs.
     fn effective_bid(&self) -> Option<Money> {
-        self.per_click().map(PerClick::effective_bid)
+        self.per_click().map(|bid| bid.effective_bid())
     }
 
     /// Enters what the record points to: its box, its program's own
     /// record, its matcher unless an earlier campaign did.
     fn account(&self, ledger: &mut Accountant) {
-        let boxed = match self {
+        let boxed_size = size_of::<BoxedCampaign>();
+        let (record, program, targeting) = match self {
             Campaign::PerClick(..) => return,
-            Campaign::Program(_, program) => {
-                let record = HeapUse::of_bytes(std::mem::size_of_val(&**program));
-                return ledger.add(Component::Programs, record);
-            }
-            Campaign::Boxed(boxed) => boxed,
+            Campaign::Program(boxed) => (size_of::<ProgramCampaign>(), Some(&boxed.program), None),
+            Campaign::Boxed(boxed) => match &boxed.kind {
+                CampaignKind::Program(p) => (boxed_size, Some(p), boxed.targeting.as_ref()),
+                _ => (boxed_size, None, boxed.targeting.as_ref()),
+            },
         };
-        let record = HeapUse::of_bytes(std::mem::size_of::<BoxedCampaign>());
-        ledger.add(Component::BoxedCampaigns, record);
-        if let CampaignKind::Program(program) = &boxed.kind {
+        ledger.add(Component::BoxedCampaigns, HeapUse::of_bytes(record));
+        if let Some(program) = program {
             let record = HeapUse::of_bytes(std::mem::size_of_val(&**program));
             ledger.add(Component::Programs, record);
         }
-        if let Some(matcher) = &boxed.targeting {
+        if let Some(matcher) = targeting {
             account_matcher(ledger, matcher);
         }
     }
@@ -1369,12 +1391,13 @@ impl Marketplace {
     /// `AddCampaign` carries the nominal bid, the current ROI target and
     /// every model explicitly (a campaign that never purchases, one
     /// `(0.0, 0.0)` per slot), so no builder default is resolved again.
+    /// The records borrow names, rows and targeting texts from the market.
     /// [`MarketError::NotDurable`] for a campaign that is not per-click.
-    pub fn compacted_log(&self) -> impl Iterator<Item = Result<MutationRecord, MarketError>> + '_ {
+    pub fn compacted_log(&self) -> impl Iterator<Item = Result<LogRecord<'_>, MarketError>> + '_ {
         let advertisers = self
             .advertisers
             .iter()
-            .map(|name| Ok(MutationRecord::RegisterAdvertiser { name: name.into() }));
+            .map(|name| Ok(LogRecord::RegisterAdvertiser { name }));
         // A keyword without an engine has no campaigns.
         let engines = self.books.iter().enumerate();
         let engines =
@@ -1388,11 +1411,11 @@ impl Marketplace {
 
     /// One campaign's part of [`Marketplace::compacted_log`]: its
     /// `AddCampaign`, then its `PauseCampaign` if it is paused.
-    fn campaign_records(
-        &self,
-        engine: &AuctionEngine<Campaign>,
+    fn campaign_records<'a>(
+        &'a self,
+        engine: &'a AuctionEngine<Campaign>,
         id: CampaignId,
-    ) -> impl Iterator<Item = Result<MutationRecord, MarketError>> {
+    ) -> impl Iterator<Item = Result<LogRecord<'a>, MarketError>> {
         let campaign = &engine.bidders()[id.index];
         let (keyword, index) = (id.keyword as u64, id.index as u64);
         let add = campaign
@@ -1401,21 +1424,23 @@ impl Marketplace {
             .map(|bid| {
                 let click_probs = self.clicks.row(engine.clicks().id(id.index));
                 let purchase_probs = match engine.purchases().stored_row(id.index) {
-                    Some(stored) => stored.to_vec(),
-                    None => vec![(0.0, 0.0); click_probs.len()],
+                    Some(stored) => PurchaseRow::Stored(stored),
+                    None => PurchaseRow::Never {
+                        slots: click_probs.len(),
+                    },
                 };
-                MutationRecord::AddCampaign {
+                LogRecord::AddCampaign {
                     advertiser: campaign.advertiser().index() as u64,
                     keyword,
                     bid_cents: bid.nominal.cents(),
                     click_value_cents: bid.click_value.cents(),
                     roi_target: bid.roi_target(),
-                    click_probs: Some(click_probs.to_vec()),
+                    click_probs: Some(click_probs),
                     purchase_probs: Some(purchase_probs),
-                    targeting: campaign.shared_targeting().map(|t| t.source().into()),
+                    targeting: campaign.shared_targeting().map(|t| t.source()),
                 }
             });
-        let pause = MutationRecord::PauseCampaign { keyword, index };
+        let pause = LogRecord::PauseCampaign { keyword, index };
         std::iter::once(add).chain(campaign.paused().then_some(Ok(pause)))
     }
 
@@ -1437,7 +1462,9 @@ impl Marketplace {
     pub fn capture_state(&self) -> Result<MarketState, MarketError> {
         Ok(MarketState {
             config: self.config(),
-            records: self.compacted_log().collect::<Result<_, _>>()?,
+            records: (self.compacted_log())
+                .map(|record| record.map(MutationRecord::from))
+                .collect::<Result<_, _>>()?,
             clock: self.clock,
             rng_states: self.rng_states().collect(),
         })
@@ -1668,7 +1695,7 @@ impl Marketplace {
                 index: self.books[keyword].campaigns().len(),
             };
             Some(
-                spec.per_click_parts()
+                spec.add_record(advertiser, keyword)
                     .ok_or(MarketError::NotDurable(next))?,
             )
         } else {
@@ -1678,6 +1705,10 @@ impl Marketplace {
         let owner = u32::try_from(advertiser.0)
             .ok()
             .filter(|_| advertiser.0 < self.advertisers.starts.len())
+            .map(|advertiser| Owner {
+                advertiser,
+                paused: false,
+            })
             .ok_or(MarketError::UnknownAdvertiser(advertiser))?;
         // `None`: purchases never happen.
         let purchase_probs = spec
@@ -1748,17 +1779,8 @@ impl Marketplace {
                 click_row,
                 purchase_probs,
             );
-        if let Some(parts) = journalled {
-            self.record(&MutationRecord::AddCampaign {
-                advertiser: advertiser.index() as u64,
-                keyword: keyword as u64,
-                bid_cents: parts.bid.cents(),
-                click_value_cents: parts.click_value.cents(),
-                roi_target: parts.roi_target,
-                click_probs: parts.click_probs,
-                purchase_probs: parts.purchase_probs,
-                targeting: parts.targeting,
-            });
+        if let Some(record) = journalled {
+            self.record(&record);
         }
         Ok(id)
     }
@@ -1816,7 +1838,7 @@ impl Marketplace {
         if !bid.is_positive() && bid != Money::ZERO {
             return Err(MarketError::NegativeBid(bid));
         }
-        self.per_click_mut(id)?.nominal = bid;
+        self.write_per_click(id, |fields| fields.nominal = bid)?;
         self.record(&MutationRecord::UpdateBid {
             keyword: id.keyword as u64,
             index: id.index as u64,
@@ -1841,7 +1863,7 @@ impl Marketplace {
         if let Some(t) = target {
             check_roi_target(t)?;
         }
-        self.per_click_mut(id)?.set_roi_target(target);
+        self.write_per_click(id, |fields| fields.set_roi_target(target))?;
         self.record(&MutationRecord::SetRoiTarget {
             keyword: id.keyword as u64,
             index: id.index as u64,
@@ -1887,21 +1909,22 @@ impl Marketplace {
         Ok(engine.bidder_mut(id.index))
     }
 
-    /// [`Marketplace::campaign_mut`]'s view of a per-click campaign's
-    /// bidding fields; [`MarketError::NotIncremental`], and no write
-    /// recorded, for any other kind.
-    fn per_click_mut(&mut self, id: CampaignId) -> Result<&mut PerClick, MarketError> {
+    /// Rewrites a per-click campaign's bidding fields through
+    /// [`Marketplace::campaign_mut`]; [`MarketError::NotIncremental`], and
+    /// no write recorded, for any other kind.
+    fn write_per_click(
+        &mut self,
+        id: CampaignId,
+        write: impl FnOnce(&mut PerClick),
+    ) -> Result<(), MarketError> {
         self.check_campaign(id)?;
-        if self.books[id.keyword].campaigns()[id.index]
+        let campaign = &self.books[id.keyword].campaigns()[id.index];
+        let mut fields = campaign
             .per_click()
-            .is_none()
-        {
-            return Err(MarketError::NotIncremental(id));
-        }
-        let campaign = self.campaign_mut(id)?;
-        campaign
-            .per_click_mut()
-            .ok_or(MarketError::NotIncremental(id))
+            .ok_or(MarketError::NotIncremental(id))?;
+        write(&mut fields);
+        self.campaign_mut(id)?.set_per_click(fields);
+        Ok(())
     }
 
     /// A per-click campaign's current *effective* bid: its nominal bid
@@ -2647,16 +2670,17 @@ mod tests {
     }
 
     /// A campaign is one record, the keyword engine's bidder: an untargeted
-    /// per-click campaign or program is held inline, the enum's tag sits in
-    /// the pause flag's niche, and everything else is one pointer.
+    /// per-click campaign without an ROI target whose amounts fit in `u32`
+    /// cents is held in line, the enum's tag sits in the pause flag's
+    /// niche, and everything else is one thin pointer.
     #[test]
-    fn a_campaign_record_is_32_bytes() {
+    fn a_campaign_record_is_16_bytes() {
         let size = std::mem::size_of::<Campaign>();
-        assert_eq!(
-            size, 32,
-            "a campaign record is {size} bytes, 32 pinned \
-             (56 B while targeting and the kind enum sat in every record)"
-        );
+        // 16 B since PR 54 (amounts in `u32` cents, programs boxed); 32 B
+        // from PR 39 to PR 53 (every per-click field and a program's fat
+        // pointer in line); 56 B before (targeting and the kind enum in
+        // every record).
+        assert_eq!(size, 16, "a campaign record is {size} bytes, 16 pinned");
     }
 
     /// A keyword without campaigns holds no engine: a market built at
@@ -2698,7 +2722,8 @@ mod tests {
         // (a pointer per engine row and advertiser) before rows had ids.
         assert_eq!((rows.allocations, rows.in_use), (1, 2 * 8));
         assert_eq!(ledger.get(Component::ClickRowIds).in_use, 11 * 4);
-        assert_eq!(ledger.get(Component::CampaignRecords).in_use, 10 * 32);
+        // 10 * 32 while a record was 32 bytes.
+        assert_eq!(ledger.get(Component::CampaignRecords).in_use, 10 * 16);
         assert_eq!(ledger.get(Component::BoxedCampaigns), HeapUse::default());
         assert_eq!(ledger.get(Component::PurchaseIndex), HeapUse::default());
 

@@ -5,8 +5,13 @@
 //! set, within an eighth of the ledger either way. The residue is what
 //! the ledger does not count: the allocator's per-allocation overhead on
 //! ≈ 415 allocations and the buffers vectors left behind as they grew,
-//! which stay resident. It reads ≈ +0.30–0.37 MB on a 3.32 MB ledger
-//! (9–11 %), debug or release, with the harness capturing output or not.
+//! which stay resident. It reads +130 540 B on a 2.52 MB ledger (5.2 %),
+//! debug or release, with the harness capturing output or not, since a
+//! keyword's campaign vector that fills up past 16 KiB jumps to 256 KiB
+//! instead of doubling. With 16-byte records and doubling it read
+//! +339 436 B (13.4 %, over the bound): ≈ 209 KB of buffers each keyword's
+//! campaign vector outgrew. With 32-byte records it read ≈ +0.30–0.37 MB
+//! on a 3.32 MB ledger (9–11 %).
 //! While each advertiser name was an allocation of its own (≈ 5 400
 //! allocations) it read +0.29 MB with `--nocapture` but +0.42 MB (12.4 %,
 //! less than a page inside the bound) under the default capture; it read

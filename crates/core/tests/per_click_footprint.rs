@@ -2,9 +2,11 @@
 //! ([`ssa_core::footprint`]): deterministic, so the bound is the exact
 //! figure rounded up.
 //!
-//! A per-click campaign owns, once each: its 32-byte record, which is the
-//! keyword engine's bidder (advertiser, pause flag, nominal bid, click
-//! value, ROI target, all inline), the 4-byte id of its row of click
+//! A per-click campaign owns, once each: its 16-byte record, which is the
+//! keyword engine's bidder (advertiser, pause flag, and nominal bid and
+//! click value in `u32` cents, all inline; a campaign with an ROI target
+//! or a larger amount, and every program, costs one more small box, and
+//! this population has none), the 4-byte id of its row of click
 //! probabilities in the market's one click table, its 8-byte no-slot value,
 //! its 2-byte slot index and its 1-byte row state. Its bid is stored in the
 //! record and nowhere else: no one-row table held by the engine (the engine
@@ -39,9 +41,10 @@ fn a_per_click_campaign_costs_one_copy_of_everything() {
             advertiser_row(adv, ADVERTISERS)
         });
     assert!(
-        per_campaign <= 73.0,
-        "a per-click campaign holds {per_campaign:.1} B in the ledger, 73 B allowed \
-         (87.0 B, 88 allowed, with a 16-byte pointer per campaign to an `Arc` row; \
+        per_campaign <= 57.0,
+        "a per-click campaign holds {per_campaign:.1} B in the ledger, 57 B allowed \
+         (70.6 B, 73 allowed, with a 32-byte record; \
+         87.0 B, 88 allowed, with a 16-byte pointer per campaign to an `Arc` row; \
          ≈ 115 B with a 56-byte record and a purchase index of every row; \
          when read off resident memory, 135 B allowed and ≈ 113 B measured; \
          ≈ 162 B with the engine holding a copy of every standing table; \

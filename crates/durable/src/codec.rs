@@ -9,7 +9,6 @@
 //! [`crc32`].
 
 use std::io::{self, Write};
-use std::iter;
 
 use crate::DurableError;
 use ssa_core::codec::{put_u32, put_u64, CodecError, Reader};
@@ -91,7 +90,8 @@ pub(crate) fn field<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
 // ---------------------------------------------------------------------------
 
 /// Writes `market`'s snapshot body to `out`, one record at a time through
-/// a small reused buffer — nothing is copied out of the market first:
+/// a small reused buffer — nothing is copied out of the market, since
+/// every log record borrows what it carries:
 ///
 /// ```text
 /// body    = record... ++ trailer
@@ -107,14 +107,20 @@ pub(crate) fn encode_body(market: &Marketplace, out: &mut impl Write) -> Result<
         buf.clear();
         Ok(())
     }
-    let buf = &mut Vec::with_capacity(512);
-    let configure = MutationRecord::Configure(market.config());
-    for record in iter::once(Ok(configure)).chain(market.compacted_log()) {
-        put_u32(buf, 0);
-        record?.encode_into(buf);
+    /// Fills in the length `put_u32(buf, 0)` held the place of.
+    fn emit_record(out: &mut impl Write, buf: &mut Vec<u8>) -> io::Result<()> {
         let len = buf.len() as u32 - 4;
         buf[..4].copy_from_slice(&len.to_le_bytes());
-        emit(out, buf)?;
+        emit(out, buf)
+    }
+    let buf = &mut Vec::with_capacity(512);
+    put_u32(buf, 0);
+    MutationRecord::Configure(market.config()).encode_into(buf);
+    emit_record(out, buf)?;
+    for record in market.compacted_log() {
+        put_u32(buf, 0);
+        record?.encode_into(buf);
+        emit_record(out, buf)?;
     }
     put_u32(buf, 0);
     put_u64(buf, market.now());

@@ -386,9 +386,9 @@
 //!   across keywords (and across `from_state` and journal replay), a
 //!   targeting text is compiled once per market, and a one-row
 //!   [`bidlang::BidsTable`] is stored inline. A per-click campaign at 15
-//!   slots holds 70.6 B of the market's ledger (87.0 B while rows were
-//!   `Arc`s, 72.2 B while each advertiser name was a `String`); one whose
-//!   row differs on every keyword, 178.6 B.
+//!   slots holds 54.6 B of the market's ledger (70.6 B with a 32-byte
+//!   record, 87.0 B while rows were `Arc`s); one whose row differs on
+//!   every keyword, 162.6 B.
 //! * **Slot-major matrix layout** — [`matching::RevenueMatrix`] stores
 //!   `data[slot * n + adv]`, so the per-slot column scans of the solvers
 //!   (and the pruning floor pass) walk contiguous memory.
