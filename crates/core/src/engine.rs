@@ -5,7 +5,8 @@
 //!
 //! * [`AuctionEngine::run_auction`] — the single-auction convenience path;
 //!   it runs the same in-place hot step as the batched paths and
-//!   materialises a fully-owned [`AuctionReport`] from the scratch buffers.
+//!   materialises a fully-owned [`AuctionReport`] from the scratch buffers
+//!   (a marketplace reads them in place instead).
 //! * [`AuctionEngine::run_batch`] — the hot path. The engine owns its
 //!   solver and preallocated weight, assignment and charge buffers; each
 //!   auction updates them in place, so a batch performs **no per-auction
@@ -260,6 +261,10 @@ pub struct AuctionReport {
     /// Total realised revenue.
     pub realized_revenue: Money,
 }
+
+/// One auction's outcome in local bidder indexes: the assignment, clicks
+/// and purchases per slot, and charges.
+pub(crate) type Outcome<'a> = (&'a Assignment, &'a [bool], &'a [bool], &'a [(usize, Money)]);
 
 /// Per-phase wall-clock tallies and solve diagnostics for a batched run,
 /// following the paper's Section I-B step names: program evaluation,
@@ -779,19 +784,7 @@ impl<B: Bidder> AuctionEngine<B> {
     /// scratch allocation), then materialises an owned [`AuctionReport`]
     /// from the scratch buffers — the only allocation this path adds.
     pub fn run_auction<Q: EngineQuery, R: Rng>(&mut self, query: Q, rng: &mut R) -> AuctionReport {
-        self.run_auction_in(None, query, rng)
-    }
-
-    /// [`AuctionEngine::run_auction`], reading click rows from `shared` —
-    /// a marketplace's table, which its engines' ids name — if given, else
-    /// from the engine's own.
-    pub(crate) fn run_auction_in<Q: EngineQuery, R: Rng>(
-        &mut self,
-        shared: Option<&ClickTable>,
-        query: Q,
-        rng: &mut R,
-    ) -> AuctionReport {
-        let expected_revenue = self.hot_step(shared, query.keyword(), query.attrs(), rng);
+        let expected_revenue = self.hot_step(None, query.keyword(), query.attrs(), rng);
         let scratch = &self.scratch;
         AuctionReport {
             assignment: scratch.assignment.clone(),
@@ -803,12 +796,18 @@ impl<B: Bidder> AuctionEngine<B> {
         }
     }
 
+    /// The last auction [`AuctionEngine::hot_step`] ran, read in place.
+    pub(crate) fn outcome(&self) -> Outcome<'_> {
+        let s = &self.scratch;
+        (&s.assignment, &s.clicked, &s.purchased, &s.charges)
+    }
+
     /// Runs one auction entirely inside the persistent scratch buffers,
     /// reading click rows from `shared` if given, else from the engine's
     /// own table. Returns the auction's expected revenue; all other
     /// outcomes are left in `self.scratch` for the caller to aggregate or
-    /// materialise.
-    fn hot_step<R: Rng>(
+    /// read through [`AuctionEngine::outcome`].
+    pub(crate) fn hot_step<R: Rng>(
         &mut self,
         shared: Option<&ClickTable>,
         keyword: usize,

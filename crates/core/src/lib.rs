@@ -78,8 +78,8 @@ pub use heavyweight::{solve_heavyweight, HeavyweightInstance, HeavyweightSolutio
 pub use journal::{LogRecord, MutationJournal, MutationRecord, Reply};
 pub use marketplace::{
     keyword_stream_seed, AdvertiserHandle, AuctionResponse, CampaignId, CampaignSpec,
-    MarketBatchReport, MarketError, MarketSnapshot, Marketplace, MarketplaceBuilder, Placement,
-    QueryRequest, MAX_KEYWORDS, MAX_SHARDS, MAX_SLOTS,
+    MarketBatchReport, MarketError, Marketplace, MarketplaceBuilder, Placement, QueryRequest,
+    MAX_KEYWORDS, MAX_SHARDS, MAX_SLOTS,
 };
 pub use pricing::{ParsePricingError, PricingScheme, SlotPrice};
 pub use prob::{ClickModel, ClickRows, PurchaseModel, SeparableClickModel};

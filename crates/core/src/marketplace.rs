@@ -102,7 +102,7 @@
 //! ```
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
-use crate::engine::{AuctionEngine, AuctionReport, BatchReport, EngineConfig, WdMethod};
+use crate::engine::{AuctionEngine, BatchReport, EngineConfig, WdMethod};
 use crate::footprint::{self, Accountant, Component, HeapUse, Ledger};
 use crate::journal::{LogRecord, MutationJournal, MutationRecord, PurchaseRow};
 use crate::pricing::PricingScheme;
@@ -240,15 +240,19 @@ pub enum MarketError {
     TooManyKeywords(usize),
     /// More shards than [`MAX_SHARDS`]; carries the count asked for.
     TooManyShards(usize),
-    /// A [`MarketState`] handed to [`Marketplace::from_state`] does not
-    /// carry exactly one RNG stream per keyword: a market restored with a
-    /// stream missing would serve different clicks.
+    /// [`Marketplace::restore_positions`] was not handed exactly one RNG
+    /// stream per keyword: a market restored with a stream missing would
+    /// serve different clicks.
     RngStreams {
-        /// Keywords the state's configuration declares.
+        /// The market's keywords.
         keywords: usize,
-        /// RNG streams the state carries.
+        /// RNG streams handed over.
         streams: usize,
     },
+    /// [`Marketplace::restore_positions`] on a journalled market: the clock
+    /// and RNG positions are not journalled, so its log would replay to
+    /// different auctions.
+    Journalled,
 }
 
 impl std::fmt::Display for MarketError {
@@ -320,6 +324,10 @@ impl std::fmt::Display for MarketError {
             MarketError::RngStreams { keywords, streams } => write!(
                 f,
                 "a market state carries {streams} RNG streams for {keywords} keywords"
+            ),
+            MarketError::Journalled => f.write_str(
+                "a journalled market cannot restore its clock or RNG positions: \
+                 they are not journalled, so its log would replay differently",
             ),
         }
     }
@@ -905,8 +913,8 @@ impl KeywordBook {
             };
         };
         engine.set_time(time - 1);
-        let report = engine.run_auction_in(Some(clicks), (keyword, attrs), &mut self.rng);
-        respond(engine.bidders(), keyword, time, report)
+        let expected_revenue = engine.hot_step(Some(clicks), keyword, attrs, &mut self.rng);
+        respond(engine, keyword, time, expected_revenue)
     }
 
     /// Serves a run of consecutive queries on this book's keyword as one
@@ -1270,26 +1278,6 @@ fn validate_purchase_probs(probs: &[(f64, f64)], num_slots: usize) -> Result<(),
 // The marketplace itself.
 // ---------------------------------------------------------------------------
 
-/// A point-in-time summary of a marketplace's shape and serving progress:
-/// the payload behind an operational `Stats` call (e.g. the network
-/// front-end's stats response). Cheap to produce — counts only, no
-/// per-campaign detail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MarketSnapshot {
-    /// Registered advertisers.
-    pub advertisers: usize,
-    /// Campaigns registered across all keywords.
-    pub campaigns: usize,
-    /// Size of the keyword universe.
-    pub keywords: usize,
-    /// Ad slots per results page.
-    pub slots: usize,
-    /// Shards the keyword universe is partitioned across.
-    pub shards: usize,
-    /// Total auctions served so far (the global market clock).
-    pub auctions: u64,
-}
-
 /// A long-lived sponsored-search marketplace: registered advertisers,
 /// per-keyword campaigns, one persistent engine+solver per keyword, a typed
 /// query-serving API, and an incremental update API. See the
@@ -1455,10 +1443,11 @@ impl Marketplace {
     /// position of every keyword's RNG stream. [`MarketError::NotDurable`]
     /// if any campaign runs a custom program or fixed table.
     ///
-    /// [`Marketplace::from_state`] rebuilds a marketplace from the capture
-    /// that serves **bit-identical** auctions from the next query on (held
-    /// tables, revenue matrices and solver scratch are execution state and
-    /// are re-derived with identical outcomes).
+    /// Its records applied to [`Marketplace::from_config`] through
+    /// [`crate::journal::apply`], then [`Marketplace::restore_positions`],
+    /// rebuild a marketplace that serves **bit-identical** auctions from the
+    /// next query on (held tables, revenue matrices and solver scratch are
+    /// execution state and are re-derived with identical outcomes).
     pub fn capture_state(&self) -> Result<MarketState, MarketError> {
         Ok(MarketState {
             config: self.config(),
@@ -1471,9 +1460,9 @@ impl Marketplace {
     }
 
     /// Builds the empty marketplace `config` describes — the one function
-    /// that turns a configuration into a marketplace (state restore,
-    /// recovery replay and the serving layer's `Configure` all build
-    /// through it). No journal is attached.
+    /// that turns a configuration into a marketplace (recovery replay and
+    /// the serving layer's `Configure` both build through it). No journal
+    /// is attached.
     pub fn from_config(config: &MarketConfigState) -> Result<Self, MarketError> {
         let mut builder = Marketplace::builder()
             .slots(config.slots)
@@ -1503,30 +1492,30 @@ impl Marketplace {
         Ok(())
     }
 
-    /// Rebuilds a marketplace from a [`Marketplace::capture_state`]
-    /// capture; see there for the bit-identity guarantee. Builds
-    /// [`Marketplace::from_config`], applies each record through
-    /// [`crate::journal::apply`] — where every operation is validated — and
-    /// then restores the clock and the RNG positions. The restored
-    /// marketplace has no journal attached. A state that does not carry
-    /// exactly one RNG stream per keyword is rejected with
-    /// [`MarketError::RngStreams`].
-    pub fn from_state(state: &MarketState) -> Result<Self, MarketError> {
-        let mut market = Self::from_config(&state.config)?;
-        for record in &state.records {
-            crate::journal::apply(&mut market, record.clone())?;
+    /// The inverse of [`Marketplace::now`] and [`Marketplace::rng_states`]:
+    /// restores the clock and each keyword's RNG position, which no
+    /// operation sets. Refused, changing nothing, with
+    /// [`MarketError::RngStreams`] unless there is one stream per keyword,
+    /// and with [`MarketError::Journalled`] while a journal is attached.
+    pub fn restore_positions(
+        &mut self,
+        clock: u64,
+        rng_states: &[[u64; 4]],
+    ) -> Result<(), MarketError> {
+        if self.journal.is_some() {
+            return Err(MarketError::Journalled);
         }
-        if state.rng_states.len() != market.books.len() {
+        if rng_states.len() != self.books.len() {
             return Err(MarketError::RngStreams {
-                keywords: market.books.len(),
-                streams: state.rng_states.len(),
+                keywords: self.books.len(),
+                streams: rng_states.len(),
             });
         }
-        market.clock = state.clock;
-        for (book, rng_state) in market.books.iter_mut().zip(&state.rng_states) {
+        self.clock = clock;
+        for (book, rng_state) in self.books.iter_mut().zip(rng_states) {
             book.rng = StdRng::from_state(*rng_state);
         }
-        Ok(market)
+        Ok(())
     }
 
     // -- shape and configuration --------------------------------------------
@@ -1590,18 +1579,6 @@ impl Marketplace {
     /// Total campaigns registered across every keyword.
     pub fn num_campaigns_total(&self) -> usize {
         self.books.iter().map(|b| b.campaigns().len()).sum()
-    }
-
-    /// A point-in-time summary of market shape and progress.
-    pub fn snapshot(&self) -> MarketSnapshot {
-        MarketSnapshot {
-            advertisers: self.advertisers.starts.len(),
-            campaigns: self.num_campaigns_total(),
-            keywords: self.books.len(),
-            slots: self.num_slots,
-            shards: self.num_shards,
-            auctions: self.clock,
-        }
     }
 
     /// What the market holds on the heap, by component: a walk of the
@@ -2161,20 +2138,21 @@ fn check_roi_target(target: f64) -> Result<(), MarketError> {
     }
 }
 
-/// Maps an engine [`AuctionReport`] (local bidder indexes) to the typed
-/// [`AuctionResponse`] (campaign ids and advertiser handles).
+/// Reads the last auction `engine` ran (local bidder indexes) out of its
+/// scratch into the typed [`AuctionResponse`] (campaign ids and advertiser
+/// handles): the response's two vectors are the only allocations.
 fn respond(
-    campaigns: &[Campaign],
+    engine: &AuctionEngine<Campaign>,
     keyword: usize,
     time: u64,
-    report: AuctionReport,
+    expected_revenue: f64,
 ) -> AuctionResponse {
+    let (assignment, clicked, purchased, charges) = engine.outcome();
     let id = |index| CampaignId { keyword, index };
-    let mut placements = Vec::with_capacity(report.assignment.num_assigned());
-    for (j, local) in report.assignment.slot_to_adv.iter().enumerate() {
+    let mut placements = Vec::with_capacity(assignment.num_assigned());
+    for (j, local) in assignment.slot_to_adv.iter().enumerate() {
         let Some(local) = *local else { continue };
-        let charge = report
-            .charges
+        let charge = charges
             .iter()
             .find(|(adv, _)| *adv == local)
             .map(|(_, m)| *m)
@@ -2182,24 +2160,19 @@ fn respond(
         placements.push(Placement {
             slot: SlotId::from_index0(j),
             campaign: id(local),
-            advertiser: campaigns[local].advertiser(),
-            clicked: report.clicked[j],
-            purchased: report.purchased[j],
+            advertiser: engine.bidders()[local].advertiser(),
+            clicked: clicked[j],
+            purchased: purchased[j],
             charge,
         });
     }
-    let charges = report
-        .charges
-        .iter()
-        .map(|(local, m)| (id(*local), *m))
-        .collect();
     AuctionResponse {
         keyword,
         time,
-        expected_revenue: report.expected_revenue,
-        realized_revenue: report.realized_revenue,
+        expected_revenue,
+        realized_revenue: charges.iter().map(|(_, m)| *m).sum(),
         placements,
-        charges,
+        charges: charges.iter().map(|(local, m)| (id(*local), *m)).collect(),
     }
 }
 
@@ -2485,22 +2458,50 @@ mod tests {
         );
     }
 
+    /// What [`Marketplace::restore_positions`] restores.
+    fn positions(market: &Marketplace) -> (u64, Vec<[u64; 4]>) {
+        (market.now(), market.rng_states().collect())
+    }
+
     #[test]
     fn a_state_without_one_rng_stream_per_keyword_is_a_typed_error() {
-        let (live, _) = populated(3, 1);
-        let good = live.capture_state().expect("per-click campaigns only");
+        let (mut live, _) = populated(3, 1);
+        live.serve_batch(&mixed_stream(3, 20)).expect("in range");
+        let (clock, good) = positions(&live);
+        let (mut market, _) = populated(3, 1);
+        let fresh = positions(&market);
         for streams in [0, 2, 4] {
-            let mut state = good.clone();
-            state.rng_states.resize(streams, [1, 2, 3, 4]);
-            assert_eq!(
-                Marketplace::from_state(&state).err(),
-                Some(MarketError::RngStreams {
-                    keywords: 3,
-                    streams
-                })
-            );
+            let mut states = good.clone();
+            states.resize(streams, [1, 2, 3, 4]);
+            let keywords = 3;
+            let refused = Err(MarketError::RngStreams { keywords, streams });
+            assert_eq!(market.restore_positions(clock, &states), refused);
+            assert_eq!(positions(&market), fresh);
         }
-        assert!(Marketplace::from_state(&good).is_ok());
+        market
+            .restore_positions(clock, &good)
+            .expect("one per keyword");
+        assert_eq!(positions(&market), positions(&live));
+    }
+
+    /// The clock and the RNG positions are not journalled: a journalled
+    /// market that moved them would replay its log to different auctions.
+    #[test]
+    fn a_journalled_market_refuses_to_restore_positions() {
+        let (mut market, _) = populated(3, 1);
+        market.serve_batch(&mixed_stream(3, 20)).expect("in range");
+        let before = positions(&market);
+        let journal = VecJournal::default();
+        market.set_journal(Box::new(journal.clone()));
+        let elsewhere = [[1, 2, 3, 4]; 3];
+        let refused = market.restore_positions(0, &elsewhere);
+        assert_eq!(refused, Err(MarketError::Journalled));
+        assert_eq!(positions(&market), before);
+        assert!(journal.0.lock().unwrap().is_empty());
+        // Detached, the same call restores.
+        market.take_journal();
+        market.restore_positions(0, &elsewhere).expect("no journal");
+        assert_eq!(positions(&market), (0, elsewhere.to_vec()));
     }
 
     #[test]
@@ -2797,7 +2798,6 @@ mod tests {
     fn build_is_one_shard() {
         let market = builder(4).build().expect("valid");
         assert_eq!(market.num_shards(), 1);
-        assert_eq!(market.snapshot().shards, 1);
         let (market, _) = populated(16, 5);
         assert_eq!(market.num_shards(), 5);
         for kw in 0..16 {
@@ -2898,6 +2898,17 @@ mod tests {
         }
     }
 
+    /// `state` rebuilt as recovery rebuilds a snapshot: its records applied
+    /// to a fresh build of its configuration, then its positions restored.
+    fn restored(state: &MarketState) -> Marketplace {
+        let mut market = Marketplace::from_config(&state.config).expect("valid configuration");
+        for record in &state.records {
+            crate::journal::apply(&mut market, record.clone()).expect("a captured record");
+        }
+        (market.restore_positions(state.clock, &state.rng_states)).expect("one per keyword");
+        market
+    }
+
     #[test]
     fn capture_state_round_trips_bit_identically() {
         for shards in [1, 2, 4] {
@@ -2909,10 +2920,14 @@ mod tests {
             live.set_roi_target(ids[0], Some(1.5)).unwrap();
 
             let state = live.capture_state().expect("per-click campaigns only");
-            let mut restored = Marketplace::from_state(&state).expect("valid state");
+            let mut restored = restored(&state);
 
+            let shape = |m: &Marketplace| {
+                let counts = (m.num_advertisers(), m.num_campaigns_total());
+                (counts, m.num_keywords(), m.num_slots(), m.num_shards())
+            };
+            assert_eq!(shape(&restored), shape(&live));
             assert_eq!(restored.now(), live.now());
-            assert_eq!(restored.snapshot(), live.snapshot());
             for kw in 0..9 {
                 assert_eq!(
                     restored.top_bids(kw, 8).unwrap(),
@@ -3054,8 +3069,8 @@ mod tests {
         assert_shared(&sharded, &ids, "build_sharded(4)");
 
         let state = live.capture_state().expect("per-click campaigns only");
-        let restored = Marketplace::from_state(&state).expect("valid state");
-        assert_shared(&restored, &ids, "from_state");
+        let restored = restored(&state);
+        assert_shared(&restored, &ids, "restored capture");
         assert_eq!(restored.capture_state().unwrap(), state);
 
         let mut replayed = builder(2).build().expect("valid");
@@ -3163,7 +3178,7 @@ mod tests {
             let c = m.register_advertiser("late");
             assert_eq!(m.advertiser_name(c).unwrap(), "late");
             // One name per registration, whatever the shard count.
-            assert_eq!(m.snapshot().advertisers, 3);
+            assert_eq!(m.num_advertisers(), 3);
             assert!(m.advertisers.iter().eq(["a", "b", "late"]));
             // The new advertiser can open campaigns on any shard's keywords.
             for kw in 0..6 {

@@ -6,10 +6,10 @@
 //! list of [`MutationRecord`]s that rebuilds the campaign book —
 //! [`crate::marketplace::Marketplace::compacted_log`], which `ssa_durable`
 //! streams into a snapshot and `capture_state` collects — plus what no
-//! operation can set, the clock and each keyword's RNG position.
-//! [`crate::marketplace::Marketplace::from_state`] applies the records
-//! through [`crate::journal::apply`], as WAL replay and the server do, then
-//! restores those two.
+//! operation can set, the clock and each keyword's RNG position. A
+//! restore applies the records through [`crate::journal::apply`], as WAL
+//! replay and the server do, then restores those two through
+//! [`crate::marketplace::Marketplace::restore_positions`].
 //!
 //! # Why this is sufficient
 //!

@@ -1,6 +1,7 @@
 //! Heap allocations per operation on the `engine-solve` shape: a
 //! steady-state `update_bid` and `serve`, one snapshot campaign record,
 //! and an `update_bid` that takes a campaign record out of line.
+//! `ssa_durable`'s `recovery_allocations` pins recovery the same way.
 //!
 //! A count is exact and build-independent, so a clone or a scratch vector
 //! that comes back to one of these paths fails here before any timing can
@@ -101,11 +102,11 @@ fn each_operation_allocates_a_pinned_number_of_times() {
     // None: the record is rewritten in line, and the engine's list of
     // written rows keeps its capacity (PR 54 moved nothing here).
     assert_eq!(writes, 0, "allocations in {ROUNDS} steady update_bids");
-    // Six an auction — the report's assignment, clicks, purchases and
-    // charges, the response's placements and charges — less the two
-    // charge vectors of the 16 auctions nobody is charged in (≈ 6 at
-    // PR 40; PR 54 moved nothing here).
-    assert_eq!(serves, 5_968, "allocations in {ROUNDS} steady serves");
+    // Two an auction, the response's placements and charges, read
+    // straight out of the engine's scratch; one in the 16 auctions nobody
+    // is charged in. 5 968 (≈ 6 an auction) while the engine first copied
+    // its assignment, clicks, purchases and charges into a report.
+    assert_eq!(serves, 1_984, "allocations in {ROUNDS} steady serves");
 
     // The snapshot writer's records borrow the market's names and rows.
     // 2 per campaign record from PR 48 to PR 53, while each copied its

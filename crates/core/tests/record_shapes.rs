@@ -18,6 +18,9 @@ use ssa_core::marketplace::{CampaignId, CampaignSpec, Marketplace, QueryRequest}
 use ssa_core::{MarketState, MutationRecord};
 use std::sync::{Arc, Mutex};
 
+#[path = "support/restore.rs"]
+mod restore;
+
 const KEYWORDS: usize = 4;
 const ADVERTISERS: usize = 5;
 /// The advertiser and keyword of the campaign under test.
@@ -98,7 +101,7 @@ fn twin(live: &Marketplace, subject: Subject) -> Marketplace {
         clock: live.now(),
         rng_states: live.rng_states().collect(),
     };
-    Marketplace::from_state(&state).expect("a state the market captured")
+    restore::restored(&state)
 }
 
 /// The compacted log's bytes, record after record.

@@ -7,12 +7,16 @@
 //! Random streams of `update_bid` / `pause_campaign` / `resume_campaign` /
 //! `set_roi_target` (with serves in between) run at one and at four
 //! shards, and a market of per-click campaigns only is then checked again
-//! after `capture_state` → `from_state`.
+//! after `capture_state` and a restore of the capture (its records
+//! replayed, then its clock and RNG positions).
 
 use proptest::prelude::*;
 use ssa_bidlang::{BidsTable, Money};
 use ssa_core::marketplace::{CampaignId, CampaignSpec, MarketError, Marketplace, QueryRequest};
 use ssa_core::TableBidder;
+
+#[path = "support/restore.rs"]
+mod restore;
 
 const KEYWORDS: usize = 4;
 
@@ -212,7 +216,7 @@ proptest! {
             }
             if durable_only {
                 let state = market.capture_state().expect("per-click campaigns only");
-                let restored = Marketplace::from_state(&state).expect("valid state");
+                let restored = restore::restored(&state);
                 check(&restored, &expected, limit, &format!("shards={shards} restored"));
             }
         }

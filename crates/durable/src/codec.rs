@@ -12,7 +12,7 @@ use std::io::{self, Write};
 
 use crate::DurableError;
 use ssa_core::codec::{put_u32, put_u64, CodecError, Reader};
-use ssa_core::{MarketState, Marketplace, MutationRecord};
+use ssa_core::{Marketplace, MutationRecord};
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected polynomial 0xEDB88320), const-table implementation.
@@ -136,36 +136,59 @@ pub(crate) fn encode_body(market: &Marketplace, out: &mut impl Write) -> Result<
     Ok(())
 }
 
-/// Decodes a body [`encode_body`] wrote into the [`MarketState`] it holds.
-/// The first record must be `Configure` and every later one
-/// `RegisterAdvertiser`, `AddCampaign` or `PauseCampaign`: any other tag is
-/// refused. Nothing else is checked here, since
-/// [`ssa_core::Marketplace::from_state`] applies the records through
-/// [`ssa_core::journal::apply`], which validates them.
-pub(crate) fn decode_body(bytes: &[u8]) -> Result<MarketState, CodecError> {
-    let (mut rest, mut config, mut records) = (bytes, None, Vec::new());
+/// Replays a body [`encode_body`] wrote: each record moves into
+/// [`crate::store::replay`] as it is decoded, then the trailer restores the
+/// clock and RNG positions. A record the market takes must also keep
+/// [`Marketplace::compacted_log`]'s order — `Configure`, registrations,
+/// campaigns by ascending keyword with both models, each pause right behind
+/// its campaign — or it is [`DurableError::Corrupt`], as are other kinds
+/// and decode failures; the market's refusals stay its own.
+pub(crate) fn decode_body(bytes: &[u8]) -> Result<Marketplace, DurableError> {
+    let (mut rest, mut market) = (bytes, None);
     let truncated = |what| CodecError::Truncated { what };
+    // The last campaign added, as (keyword, index), and whether the
+    // previous record added it.
+    let (mut last, mut after_add): (Option<(u64, u64)>, bool) = (None, false);
     loop {
         let (len, tail) = (rest.split_first_chunk()).ok_or(truncated("snapshot record length"))?;
         let (record, tail) = (tail.split_at_checked(u32::from_le_bytes(*len) as usize))
             .ok_or(truncated("snapshot record"))?;
         rest = tail;
         let Some(&tag) = record.first() else { break };
-        let what = config
+        let what = market
             .as_ref()
             .map_or("first snapshot record", |_| "snapshot record");
-        match (MutationRecord::decode(record)?, config.is_some()) {
-            (MutationRecord::Configure(first), false) => config = Some(first),
+        let record = MutationRecord::decode(record)?;
+        let pausable = std::mem::take(&mut after_add);
+        let in_order = match (&record, market.is_some()) {
+            (MutationRecord::Configure(_), false) => true,
+            (MutationRecord::RegisterAdvertiser { .. }, true) => last.is_none(),
             (
-                record @ (MutationRecord::RegisterAdvertiser { .. }
-                | MutationRecord::AddCampaign { .. }
-                | MutationRecord::PauseCampaign { .. }),
+                MutationRecord::AddCampaign {
+                    keyword,
+                    click_probs,
+                    purchase_probs,
+                    ..
+                },
                 true,
-            ) => records.push(record),
-            _ => return Err(CodecError::UnknownTag { what, tag }),
+            ) => {
+                let ascending = last.is_none_or(|(previous, _)| previous <= *keyword);
+                let index = last.filter(|&(previous, _)| previous == *keyword);
+                (last, after_add) = (Some((*keyword, index.map_or(0, |(_, i)| i + 1))), true);
+                ascending && click_probs.is_some() && purchase_probs.is_some()
+            }
+            (&MutationRecord::PauseCampaign { keyword, index }, true) => {
+                pausable && last == Some((keyword, index))
+            }
+            _ => return Err(CodecError::UnknownTag { what, tag }.into()),
+        };
+        crate::store::replay(&mut market, record)?;
+        if !in_order {
+            let order = "a record out of the compacted log's order";
+            return Err(DurableError::Corrupt(order.into()));
         }
     }
-    let config = config.ok_or(truncated("snapshot Configure record"))?;
+    let mut market = market.ok_or(truncated("snapshot Configure record"))?;
     let mut r = Reader::new(rest);
     let clock = r.u64("clock")?;
     let rng_states = r.vec("rng states", 32, |r| {
@@ -177,12 +200,8 @@ pub(crate) fn decode_body(bytes: &[u8]) -> Result<MarketState, CodecError> {
         ])
     })?;
     r.finish()?;
-    Ok(MarketState {
-        config,
-        records,
-        clock,
-        rng_states,
-    })
+    market.restore_positions(clock, &rng_states)?;
+    Ok(market)
 }
 
 #[cfg(test)]
@@ -250,6 +269,7 @@ mod tests {
     fn state_round_trips_preserving_f64_bits() {
         let market = sample_market();
         let back = decode_body(&encoded(&market)).expect("round trip");
+        let back = back.capture_state().expect("per-click campaigns only");
         let want = market.capture_state().expect("per-click campaigns only");
         assert_eq!(back, want);
         // PartialEq on f64 would accept -0.0 == 0.0: re-encoding compares
@@ -277,9 +297,11 @@ mod tests {
         }
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert_eq!(
-            decode_body(&trailing),
-            Err(CodecError::Trailing { extra: 1 })
-        );
+        match decode_body(&trailing) {
+            Err(DurableError::Corrupt(msg)) => {
+                assert_eq!(msg, CodecError::Trailing { extra: 1 }.to_string())
+            }
+            other => panic!("expected trailing bytes, got {other:?}"),
+        }
     }
 }

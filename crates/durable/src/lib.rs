@@ -44,8 +44,10 @@
 //! A snapshot body is a compacted log in the same codec — `Configure`,
 //! then [`ssa_core::Marketplace::compacted_log`] — and a trailer with what
 //! no operation can set, the clock and each keyword's RNG position.
-//! Recovery applies its records through `apply` too, by way of
-//! [`ssa_core::Marketplace::from_state`]; any other kind is corruption.
+//! Recovery replays its records through the same step as the WAL's, each
+//! moved into `apply` as it is decoded (a record of any other kind, or out
+//! of the writer's order, is corruption), then restores the trailer with
+//! [`ssa_core::Marketplace::restore_positions`].
 //!
 //! The header version is [`WAL_VERSION`], shared by segments and
 //! snapshots. Version 3, the current format, made the snapshot body a
@@ -281,6 +283,13 @@ impl std::error::Error for DurableError {
 impl From<std::io::Error> for DurableError {
     fn from(err: std::io::Error) -> Self {
         DurableError::Io(err)
+    }
+}
+
+/// A checksum-valid record that does not decode: not crash damage.
+impl From<ssa_core::codec::CodecError> for DurableError {
+    fn from(err: ssa_core::codec::CodecError) -> Self {
+        DurableError::Corrupt(err.to_string())
     }
 }
 

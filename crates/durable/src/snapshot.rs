@@ -14,8 +14,9 @@
 //!
 //! The records are the market's `Configure` and
 //! [`ssa_core::Marketplace::compacted_log`] in the WAL's record codec;
-//! recovery applies them through [`ssa_core::Marketplace::from_state`],
-//! then restores the clock and RNG positions the trailer holds.
+//! recovery replays each as it decodes it, with the step the WAL's records
+//! go through, then restores the clock and RNG positions the trailer holds
+//! ([`ssa_core::Marketplace::restore_positions`]).
 //!
 //! A snapshot is written to a `.tmp` sibling and renamed into place, so a
 //! crash mid-write leaves at most a stray `.tmp` (ignored on load) and
@@ -30,7 +31,7 @@ use std::path::{Path, PathBuf};
 
 use crate::codec::{crc32, decode_body, encode_body, field, Crc32};
 use crate::{DurableError, FsyncPolicy, WAL_VERSION};
-use ssa_core::{MarketState, Marketplace};
+use ssa_core::Marketplace;
 
 /// First eight bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SSASNAP\0";
@@ -143,36 +144,37 @@ fn write_tmp(
     Ok(HEADER_LEN as u64 + body.len)
 }
 
-/// Loads the newest snapshot that validates, as
-/// `(state, last_seq, file_bytes)`. Damaged candidates are skipped;
-/// version mismatches are reported as errors (the operator must migrate,
-/// not silently lose the checkpoint), and so is a checksum-valid body that
-/// does not decode — it is not crash damage but bytes this build refuses
-/// (a retired method tag, say, or a record kind no snapshot holds), and
-/// falling back past it would lose them.
-pub(crate) fn load_latest(dir: &Path) -> Result<Option<(MarketState, u64, u64)>, DurableError> {
+/// Restores the market of the newest snapshot that validates, as
+/// `(market, last_seq, file_bytes)`. A body is read whole and checked
+/// against its checksum before any record of it is applied. Damaged
+/// candidates are skipped; version mismatches are reported as errors (the
+/// operator must migrate, not silently lose the checkpoint), and so is a
+/// checksum-valid body that does not replay — it is not crash damage but
+/// bytes this build refuses (a retired method tag, say, or a record kind
+/// no snapshot holds), and falling back past it would lose them.
+pub(crate) fn load_latest(dir: &Path) -> Result<Option<(Marketplace, u64, u64)>, DurableError> {
     for (seq, path) in list_snapshots(dir)? {
         let bytes = fs::read(&path)?;
-        let body = match checked_body(&bytes, seq) {
-            Ok(body) => body,
-            Err(err @ DurableError::Version { .. }) => return Err(err),
-            // Damaged snapshot: fall back to the next-newest candidate.
-            Err(_) => continue,
+        // A damaged snapshot: fall back to the next-newest candidate.
+        let Some(body) = checked_body(&bytes, seq)? else {
+            continue;
         };
-        let state = decode_body(body)
-            .map_err(|err| DurableError::Corrupt(format!("{}: {err}", path.display())))?;
-        return Ok(Some((state, seq, bytes.len() as u64)));
+        let market = decode_body(body).map_err(|err| match err {
+            DurableError::Corrupt(msg) => {
+                DurableError::Corrupt(format!("{}: {msg}", path.display()))
+            }
+            err => err,
+        })?;
+        return Ok(Some((market, seq, bytes.len() as u64)));
     }
     Ok(None)
 }
 
-/// The body of a snapshot file whose header and checksum hold.
-fn checked_body(bytes: &[u8], expected_seq: u64) -> Result<&[u8], DurableError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(DurableError::Corrupt("snapshot shorter than header".into()));
-    }
-    if bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(DurableError::Corrupt("snapshot bad magic".into()));
+/// The body of a snapshot file whose header and checksum hold, or `None`
+/// for a damaged one; a version this build does not read is an error.
+fn checked_body(bytes: &[u8], expected_seq: u64) -> Result<Option<&[u8]>, DurableError> {
+    if bytes.len() < HEADER_LEN || bytes[..8] != SNAPSHOT_MAGIC {
+        return Ok(None);
     }
     let version = u32::from_le_bytes(field(bytes, 8));
     if version != WAL_VERSION {
@@ -182,24 +184,11 @@ fn checked_body(bytes: &[u8], expected_seq: u64) -> Result<&[u8], DurableError> 
             expected: WAL_VERSION,
         });
     }
-    let last_seq = u64::from_le_bytes(field(bytes, 12));
-    if last_seq != expected_seq {
-        return Err(DurableError::Corrupt(
-            "snapshot header seq disagrees with file name".into(),
-        ));
-    }
-    let body_len = u32::from_le_bytes(field(bytes, 20)) as usize;
-    let crc = u32::from_le_bytes(field(bytes, 24));
-    if bytes.len() - HEADER_LEN != body_len {
-        return Err(DurableError::Corrupt(
-            "snapshot body length mismatch".into(),
-        ));
-    }
     let body = &bytes[HEADER_LEN..];
-    if crc32(body) != crc {
-        return Err(DurableError::Corrupt("snapshot checksum mismatch".into()));
-    }
-    Ok(body)
+    let intact = u64::from_le_bytes(field(bytes, 12)) == expected_seq
+        && u32::from_le_bytes(field(bytes, 20)) as usize == body.len()
+        && u32::from_le_bytes(field(bytes, 24)) == crc32(body);
+    Ok(intact.then_some(body))
 }
 
 #[cfg(test)]
@@ -229,7 +218,7 @@ mod tests {
         market
     }
 
-    fn state_of(seed: u64) -> MarketState {
+    fn state_of(seed: u64) -> ssa_core::MarketState {
         sample_market(seed).capture_state().unwrap()
     }
 
@@ -238,9 +227,9 @@ mod tests {
         let dir = temp_dir("latest");
         write_snapshot(&dir, 10, &sample_market(1), FsyncPolicy::Off).unwrap();
         write_snapshot(&dir, 25, &sample_market(2), FsyncPolicy::Off).unwrap();
-        let (state, seq, bytes) = load_latest(&dir).unwrap().unwrap();
+        let (market, seq, bytes) = load_latest(&dir).unwrap().unwrap();
         assert_eq!(seq, 25);
-        assert_eq!(state, state_of(2));
+        assert_eq!(market.capture_state().unwrap(), state_of(2));
         assert!(bytes > 28);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -255,9 +244,9 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         fs::write(&newest, &bytes).unwrap();
-        let (state, seq, _) = load_latest(&dir).unwrap().unwrap();
+        let (market, seq, _) = load_latest(&dir).unwrap().unwrap();
         assert_eq!(seq, 10);
-        assert_eq!(state, state_of(1));
+        assert_eq!(market.capture_state().unwrap(), state_of(1));
         fs::remove_dir_all(&dir).unwrap();
     }
 

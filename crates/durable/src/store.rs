@@ -56,41 +56,49 @@ struct Recovered {
     tail: Option<wal::Tail>,
 }
 
+/// The one replay step, for a snapshot's records and the WAL's alike: a
+/// `Configure` into an empty slot builds the market, and every other
+/// record is moved into [`ssa_core::journal::apply`] on it.
+pub(crate) fn replay(
+    market: &mut Option<Marketplace>,
+    record: MutationRecord,
+) -> Result<(), DurableError> {
+    match (market.as_mut(), record) {
+        (Some(market), record) => {
+            ssa_core::journal::apply(market, record)?;
+        }
+        (None, MutationRecord::Configure(config)) => {
+            *market = Some(Marketplace::from_config(&config)?)
+        }
+        (None, _) => {
+            return Err(DurableError::Corrupt(
+                "the log's first record is not a configure record".into(),
+            ))
+        }
+    }
+    Ok(())
+}
+
 fn recover_inner(dir: &Path) -> Result<Recovered, DurableError> {
     let start = Instant::now();
-    let snap = snapshot::load_latest(dir)?;
-    let (mut market, base_seq, snapshot_bytes) = match snap {
-        Some((state, seq, bytes)) => (Some(Marketplace::from_state(&state)?), seq, bytes),
+    let (mut market, base_seq, snapshot_bytes) = match snapshot::load_latest(dir)? {
+        Some((market, seq, bytes)) => (Some(market), seq, bytes),
         None => (None, 0, 0),
     };
-    let scan = wal::scan(dir, base_seq)?;
-    if let Some(&(first, _)) = scan.records.first() {
+    let mut wal_records = 0;
+    let scan = wal::scan(dir, base_seq, |seq, record| {
         // The log must resume exactly where the snapshot left off; a gap
         // means records were lost (e.g. the newest snapshot rotted away
         // after its WAL prefix was already compacted).
-        if first != base_seq + 1 {
+        if wal_records == 0 && seq != base_seq + 1 {
             return Err(DurableError::Corrupt(format!(
-                "first WAL record past the snapshot is seq {first}, expected {}",
+                "first WAL record past the snapshot is seq {seq}, expected {}",
                 base_seq + 1
             )));
         }
-    }
-    let wal_records = scan.records.len() as u64;
-    for (seq, op) in scan.records {
-        match (market.as_mut(), op) {
-            (Some(market), op) => {
-                ssa_core::journal::apply(market, op)?;
-            }
-            (None, MutationRecord::Configure(config)) => {
-                market = Some(Marketplace::from_config(&config)?);
-            }
-            (None, _) => {
-                return Err(DurableError::Corrupt(format!(
-                    "record seq {seq} precedes any configure record or snapshot"
-                )))
-            }
-        }
-    }
+        wal_records += 1;
+        replay(&mut market, record)
+    })?;
     let last_seq = scan.last_seq.unwrap_or(base_seq).max(base_seq);
     let report = RecoveryReport {
         wal_records,
@@ -775,8 +783,8 @@ mod tests {
 
     /// A snapshot that passes its checksum but carries fewer or more RNG
     /// streams than its keywords is refused at open, by the one check in
-    /// `Marketplace::from_state`: restoring it would succeed and then serve
-    /// different clicks.
+    /// `Marketplace::restore_positions`: restoring it would succeed and
+    /// then serve different clicks.
     #[test]
     fn a_snapshot_with_the_wrong_number_of_rng_streams_is_refused() {
         use ssa_core::MarketError;

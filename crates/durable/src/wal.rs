@@ -115,12 +115,9 @@ pub(crate) struct Tail {
     pub valid_len: u64,
 }
 
-/// Everything a scan of the log directory learns.
+/// Where a scan of the log directory found the log to end.
 #[derive(Debug)]
 pub(crate) struct ScanOutcome {
-    /// Valid records with sequence number strictly greater than the
-    /// `after_seq` filter, in log order.
-    pub records: Vec<(u64, MutationRecord)>,
     /// Sequence number of the last valid record anywhere in the log
     /// (pre-filter), or `None` for an empty log.
     pub last_seq: Option<u64>,
@@ -130,23 +127,27 @@ pub(crate) struct ScanOutcome {
 }
 
 /// Reads every segment in `dir`, validating checksums and sequence
-/// continuity, and returns the records with `seq > after_seq`.
+/// continuity, and hands each record with `seq > after_seq` to `visit` as
+/// it is decoded, in log order. An error from `visit` ends the scan.
 ///
 /// A torn tail (short frame, oversized length, checksum or decode failure
 /// at the very end of the final segment) is expected after a crash: the
 /// scan stops there and reports the truncation point in
 /// [`ScanOutcome::tail`]. The same damage in a *non-final* position is
 /// corruption and yields [`DurableError::Corrupt`].
-pub(crate) fn scan(dir: &Path, after_seq: u64) -> Result<ScanOutcome, DurableError> {
+pub(crate) fn scan(
+    dir: &Path,
+    after_seq: u64,
+    mut visit: impl FnMut(u64, MutationRecord) -> Result<(), DurableError>,
+) -> Result<ScanOutcome, DurableError> {
     let segments = list_segments(dir)?;
-    let mut records = Vec::new();
     let mut last_seq = None;
     let mut tail = None;
     for (i, segment) in segments.iter().enumerate() {
         let is_last = i + 1 == segments.len();
         let bytes = fs::read(&segment.path)?;
         let (valid_len, torn) =
-            scan_segment(&bytes, segment, after_seq, &mut records, &mut last_seq)?;
+            scan_segment(&bytes, segment, after_seq, &mut visit, &mut last_seq)?;
         if torn && !is_last {
             return Err(DurableError::Corrupt(format!(
                 "{}: torn record in a non-final segment",
@@ -161,11 +162,7 @@ pub(crate) fn scan(dir: &Path, after_seq: u64) -> Result<ScanOutcome, DurableErr
             });
         }
     }
-    Ok(ScanOutcome {
-        records,
-        last_seq,
-        tail,
-    })
+    Ok(ScanOutcome { last_seq, tail })
 }
 
 /// Walks one segment's records. Returns `(valid_len, torn)`.
@@ -173,7 +170,7 @@ fn scan_segment(
     bytes: &[u8],
     segment: &Segment,
     after_seq: u64,
-    records: &mut Vec<(u64, MutationRecord)>,
+    visit: &mut impl FnMut(u64, MutationRecord) -> Result<(), DurableError>,
     last_seq: &mut Option<u64>,
 ) -> Result<(u64, bool), DurableError> {
     let display = segment.path.display();
@@ -254,7 +251,7 @@ fn scan_segment(
         *last_seq = Some(seq);
         expected = seq + 1;
         if seq > after_seq {
-            records.push((seq, op));
+            visit(seq, op)?;
         }
         pos += 8 + len as usize;
     }
@@ -404,6 +401,16 @@ mod tests {
         dir
     }
 
+    /// `scan` with every visited record collected.
+    fn scan_all(dir: &Path, after_seq: u64) -> (ScanOutcome, Vec<(u64, MutationRecord)>) {
+        let mut records = Vec::new();
+        let outcome = scan(dir, after_seq, |seq, op| {
+            records.push((seq, op));
+            Ok(())
+        });
+        (outcome.unwrap(), records)
+    }
+
     /// One record staged and written on its own.
     fn append(w: &mut WalWriter, seq: u64, op: &MutationRecord) {
         w.stage(seq, op);
@@ -425,16 +432,16 @@ mod tests {
             append(&mut w, seq, &serve(seq));
         }
         drop(w);
-        let scan = scan(&dir, 0).unwrap();
+        let (scan, records) = scan_all(&dir, 0);
         assert_eq!(scan.last_seq, Some(5));
-        assert_eq!(scan.records.len(), 5);
-        assert_eq!(scan.records[2], (3, serve(3)));
+        assert_eq!(records.len(), 5);
+        assert_eq!(records[2], (3, serve(3)));
         let tail = scan.tail.unwrap();
         let file_len = fs::metadata(&tail.path).unwrap().len();
         assert_eq!(tail.valid_len, file_len);
         // The filter drops covered records but still validates them.
-        let filtered = super::scan(&dir, 3).unwrap();
-        assert_eq!(filtered.records.len(), 2);
+        let (filtered, records) = scan_all(&dir, 3);
+        assert_eq!(records.len(), 2);
         assert_eq!(filtered.last_seq, Some(5));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -448,7 +455,7 @@ mod tests {
         drop(w);
         let path = segment_path(&dir, 1);
         let full = fs::read(&path).unwrap();
-        let clean = scan(&dir, 0).unwrap();
+        let (clean, _) = scan_all(&dir, 0);
         let valid_after_first = {
             // Reconstruct record 1's frame length: 8-byte header + payload.
             let len = u32::from_le_bytes(full[20..24].try_into().unwrap()) as u64;
@@ -457,8 +464,8 @@ mod tests {
         assert_eq!(clean.tail.unwrap().valid_len, full.len() as u64);
         // Chop the file mid-way through record 2.
         fs::write(&path, &full[..full.len() - 3]).unwrap();
-        let scan = scan(&dir, 0).unwrap();
-        assert_eq!(scan.records.len(), 1);
+        let (scan, records) = scan_all(&dir, 0);
+        assert_eq!(records.len(), 1);
         assert_eq!(scan.last_seq, Some(1));
         let tail = scan.tail.unwrap();
         assert!(tail.valid_len < fs::metadata(&tail.path).unwrap().len());
@@ -481,7 +488,8 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        assert!(matches!(scan(&dir, 0), Err(DurableError::Corrupt(_))));
+        let outcome = scan(&dir, 0, |_, _| Ok(()));
+        assert!(matches!(outcome, Err(DurableError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -495,16 +503,16 @@ mod tests {
         let path = segment_path(&dir, 1);
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 1]).unwrap();
-        let first = scan(&dir, 0).unwrap();
+        let (first, _) = scan_all(&dir, 0);
         let tail = first.tail.unwrap();
         assert!(tail.valid_len < fs::metadata(&tail.path).unwrap().len());
         let mut w = WalWriter::open_tail(&tail.path, tail.valid_len).unwrap();
         // Seq 2 was torn away, so the stream resumes at 2.
         append(&mut w, 2, &serve(7));
         drop(w);
-        let second = scan(&dir, 0).unwrap();
+        let (second, records) = scan_all(&dir, 0);
         assert_eq!(second.last_seq, Some(2));
-        assert_eq!(second.records[1], (2, serve(7)));
+        assert_eq!(records[1], (2, serve(7)));
         let tail = second.tail.unwrap();
         assert_eq!(tail.valid_len, fs::metadata(&tail.path).unwrap().len());
         fs::remove_dir_all(&dir).unwrap();
@@ -520,7 +528,8 @@ mod tests {
         let mut w = WalWriter::create(&dir, 5).unwrap();
         append(&mut w, 5, &serve(1));
         drop(w);
-        assert!(matches!(scan(&dir, 0), Err(DurableError::Corrupt(_))));
+        let outcome = scan(&dir, 0, |_, _| Ok(()));
+        assert!(matches!(outcome, Err(DurableError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -550,9 +550,10 @@ fn snapshot_dir(body: &[u8]) -> PathBuf {
 /// Snapshot bodies that pass their checksum but describe a market that
 /// cannot exist: each one is a typed error from `recover` and from
 /// `Durability::open` — never a panic, never a market. The decoder refuses
-/// a body that is not a compacted log; `apply`, through `from_state`,
-/// refuses every record a market would not accept; `from_state` refuses a
-/// trailer without one RNG stream per keyword.
+/// a body that is not a compacted log; `apply`, which replays each record
+/// as it is decoded, refuses every record a market would not accept;
+/// `restore_positions` refuses a trailer without one RNG stream per
+/// keyword.
 #[test]
 fn checksum_valid_snapshots_of_impossible_markets_are_typed_errors() {
     use ssa_core::{CampaignId, MarketError};
@@ -1254,5 +1255,266 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The golden fixture's snapshot (`tests/fixtures/golden-wal` at the
+/// workspace root).
+const GOLDEN_SNAPSHOT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/fixtures/golden-wal/snapshot-00000000000000000019.snap"
+);
+
+/// A snapshot file's body: the bytes behind its 28-byte header.
+fn body_of_file(path: &Path) -> Vec<u8> {
+    std::fs::read(path).unwrap()[28..].to_vec()
+}
+
+/// A body's records, each one's encoding, and the trailer behind the zero
+/// length that ends them.
+fn split_body(body: &[u8]) -> (Vec<Vec<u8>>, Vec<u8>) {
+    let (mut records, mut pos) = (Vec::new(), 0);
+    loop {
+        let len = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 4;
+        if len == 0 {
+            return (records, body[pos..].to_vec());
+        }
+        records.push(body[pos..pos + len].to_vec());
+        pos += len;
+    }
+}
+
+/// `records` behind their lengths, the zero length, then `trailer`.
+fn join_body<'a>(records: impl IntoIterator<Item = &'a [u8]>, trailer: &[u8]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for record in records {
+        body.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        body.extend_from_slice(record);
+    }
+    body.extend_from_slice(&0u32.to_le_bytes());
+    body.extend_from_slice(trailer);
+    body
+}
+
+/// `market` as its snapshot body: `Configure`, the compacted log, and the
+/// trailer of its clock and RNG positions.
+fn reencoded(market: &Marketplace) -> Vec<u8> {
+    let mut records = vec![Vec::new()];
+    MutationRecord::Configure(market.config()).encode_into(&mut records[0]);
+    for record in market.compacted_log() {
+        let mut bytes = Vec::new();
+        record.unwrap().encode_into(&mut bytes);
+        records.push(bytes);
+    }
+    let mut trailer = market.now().to_le_bytes().to_vec();
+    trailer.extend_from_slice(&(market.num_keywords() as u32).to_le_bytes());
+    for word in market.rng_states().flatten() {
+        trailer.extend_from_slice(&word.to_le_bytes());
+    }
+    join_body(records.iter().map(Vec::as_slice), &trailer)
+}
+
+/// A body the snapshot writer wrote for a scenario's market, with or
+/// without the builder's default models.
+fn written_body(s: &Scenario, defaults: bool) -> Vec<u8> {
+    let dir = temp_dir("written");
+    let (_, dur) = Durability::open(&dir, FsyncPolicy::Off, 0).unwrap();
+    let mut market = build_market(s, 1);
+    dur.log_configure(&market.config()).unwrap();
+    market.set_journal(dur.journal());
+    let mut ids = Vec::new();
+    prologue(&mut market, &mut ids);
+    for op in &s.ops {
+        apply_op(&mut market, &mut ids, op);
+    }
+    dur.snapshot_now(&market).unwrap();
+    let snapshot = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.extension().is_some_and(|ext| ext == "snap"))
+        .unwrap();
+    let body = body_of_file(&snapshot);
+    std::fs::remove_dir_all(&dir).ok();
+    if defaults {
+        return body;
+    }
+    // The writer's body for the same book built without default models:
+    // every campaign carries both of its rows either way.
+    let (mut parts, trailer) = split_body(&body);
+    let Ok(MutationRecord::Configure(mut config)) = MutationRecord::decode(&parts[0]) else {
+        panic!("a body opens with its Configure")
+    };
+    (config.default_click_probs, config.default_purchase_probs) = (None, None);
+    parts[0].clear();
+    MutationRecord::Configure(config).encode_into(&mut parts[0]);
+    join_body(parts.iter().map(Vec::as_slice), &trailer)
+}
+
+/// The ways a damage case breaks one snapshot body; the checksum is
+/// recomputed over the damaged body.
+#[derive(Debug, Clone, Copy)]
+enum BodyDamage {
+    /// XOR one byte with a non-zero mask.
+    Flip,
+    /// Cut the body short.
+    Truncate,
+    /// Raise one length prefix, the list's terminating zero included.
+    Inflate,
+    /// Swap two values of one type: two records (a pause or the last
+    /// registration and its neighbour among them), or two fields of the
+    /// records (a campaign's bid and click value, its advertiser and
+    /// keyword, two campaigns' keywords, a pause's keyword and index, or a
+    /// campaign's model and the configuration's default).
+    Swap,
+}
+
+/// `body` with two values of one type swapped, chosen by `at`.
+fn swapped(body: &[u8], at: u64) -> Vec<u8> {
+    let (parts, trailer) = split_body(body);
+    let mut records: Vec<MutationRecord> = parts
+        .iter()
+        .map(|part| MutationRecord::decode(part).unwrap())
+        .collect();
+    let n = records.len();
+    let pick = |salt: u64, among: &dyn Fn(&MutationRecord) -> bool| {
+        let found: Vec<usize> = (0..n).filter(|&i| among(&records[i])).collect();
+        (!found.is_empty()).then(|| found[(at >> salt) as usize % found.len()])
+    };
+    let is_add = |r: &MutationRecord| matches!(r, MutationRecord::AddCampaign { .. });
+    let is_pause = |r: &MutationRecord| matches!(r, MutationRecord::PauseCampaign { .. });
+    let (i, j) = (pick(8, &|_| true).unwrap(), pick(24, &|_| true).unwrap());
+    let (add, other_add) = (pick(8, &is_add).unwrap(), pick(24, &is_add).unwrap());
+    let MutationRecord::Configure(mut config) = records[0].clone() else {
+        panic!("a body opens with its Configure")
+    };
+    let keyword_of = |r: &MutationRecord| match r {
+        MutationRecord::AddCampaign { keyword, .. } => *keyword,
+        _ => unreachable!("an AddCampaign"),
+    };
+    let other_keyword = keyword_of(&records[other_add]);
+    // A pause, or the last registration: where a neighbour swap crosses
+    // the writer's order.
+    let edges: Vec<usize> = (1..n)
+        .filter(|&k| match (&records[k], records.get(k + 1)) {
+            (MutationRecord::PauseCampaign { .. }, _) => true,
+            (MutationRecord::RegisterAdvertiser { .. }, next) => {
+                !matches!(next, Some(MutationRecord::RegisterAdvertiser { .. }))
+            }
+            _ => false,
+        })
+        .collect();
+    let edge = edges[(at >> 16) as usize % edges.len()];
+    match (at % 8, pick(40, &is_pause)) {
+        (0, _) | (7, None) => records.swap(i, j),
+        (5, _) => {
+            let own = keyword_of(&records[add]);
+            for (k, swapped_in) in [(add, other_keyword), (other_add, own)] {
+                if let MutationRecord::AddCampaign { keyword, .. } = &mut records[k] {
+                    *keyword = swapped_in;
+                }
+            }
+        }
+        (6, _) => records.swap(edge, if edge + 1 < n { edge + 1 } else { edge - 1 }),
+        (7, Some(pause)) => {
+            if let MutationRecord::PauseCampaign { keyword, index } = &mut records[pause] {
+                std::mem::swap(keyword, index);
+            }
+        }
+        (kind, _) => {
+            let MutationRecord::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                click_probs,
+                purchase_probs,
+                ..
+            } = &mut records[add]
+            else {
+                unreachable!("an AddCampaign")
+            };
+            match kind {
+                1 => std::mem::swap(bid_cents, click_value_cents),
+                2 => std::mem::swap(advertiser, keyword),
+                3 => std::mem::swap(click_probs, &mut config.default_click_probs),
+                _ => std::mem::swap(purchase_probs, &mut config.default_purchase_probs),
+            }
+        }
+    }
+    if (3..=4).contains(&(at % 8)) {
+        records[0] = MutationRecord::Configure(config);
+    }
+    let encoded: Vec<Vec<u8>> = records
+        .iter()
+        .map(|record| {
+            let mut bytes = Vec::new();
+            record.encode_into(&mut bytes);
+            bytes
+        })
+        .collect();
+    join_body(encoded.iter().map(Vec::as_slice), &trailer)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// Snapshot bodies the writer wrote — for generated markets, with and
+    /// without the builder's default models, and the golden fixture's — each
+    /// damaged once under a valid checksum. `recover` and
+    /// `Durability::open` each give either a typed error or a market whose
+    /// own snapshot body is the damaged body byte for byte: the decoder
+    /// accepts only what the writer emits, and nothing the market
+    /// normalises on the way in.
+    #[test]
+    fn a_damaged_snapshot_body_recovers_to_itself_or_is_a_typed_error(
+        s in arb_scenario(),
+        source in 0u8..3,
+        damage in prop_oneof![
+            Just(BodyDamage::Flip),
+            Just(BodyDamage::Truncate),
+            Just(BodyDamage::Inflate),
+            Just(BodyDamage::Swap),
+        ],
+        at in any::<u64>(),
+    ) {
+        let mut body = match source {
+            0 => body_of_file(Path::new(GOLDEN_SNAPSHOT)),
+            defaults => written_body(&s, defaults == 1),
+        };
+        match damage {
+            BodyDamage::Flip => {
+                let pos = (at % body.len() as u64) as usize;
+                body[pos] ^= 1 + (at >> 40) as u8 % 255;
+            }
+            BodyDamage::Truncate => body.truncate((at % body.len() as u64) as usize),
+            BodyDamage::Inflate => {
+                let (parts, _) = split_body(&body);
+                let j = ((at >> 8) % (parts.len() as u64 + 1)) as usize;
+                let pos: usize = parts[..j].iter().map(|part| 4 + part.len()).sum();
+                let len = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap());
+                let grow = 1 + (at >> 32) as u32 % 64;
+                body[pos..pos + 4].copy_from_slice(&(len + grow).to_le_bytes());
+            }
+            BodyDamage::Swap => body = swapped(&body, at),
+        }
+        let dir = snapshot_dir(&body);
+        let outcomes = [
+            recover(&dir).map(|found| found.map(|(market, _)| market)),
+            Durability::open(&dir, FsyncPolicy::Off, 0).map(|(found, _)| found.map(|(market, _)| market)),
+        ];
+        std::fs::remove_dir_all(&dir).ok();
+        for outcome in outcomes {
+            match outcome {
+                Ok(market) => {
+                    let market = market.expect("a snapshot holds a market");
+                    prop_assert!(reencoded(&market) == body, "{:?}: recovered a different body", damage);
+                }
+                Err(err) => prop_assert!(
+                    !matches!(err, ssa_durable::DurableError::Io(_)),
+                    "{:?}: {}", damage, err
+                ),
+            }
+        }
     }
 }

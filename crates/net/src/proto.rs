@@ -619,10 +619,10 @@ impl From<&MarketError> for ErrorCode {
             }
             MarketError::InvalidRoiTarget(_) => ErrorCode::InvalidRoiTarget,
             MarketError::InvalidTargeting(_) => ErrorCode::InvalidTargeting,
-            // A non-per-click campaign on a journalled marketplace: the
-            // wire protocol cannot submit one, but the mapping must be
-            // total.
-            MarketError::NotDurable(_) => ErrorCode::Unsupported,
+            // A non-per-click campaign on a journalled marketplace, or a
+            // position restore on one: the wire protocol cannot submit
+            // either, but the mapping must be total.
+            MarketError::NotDurable(_) | MarketError::Journalled => ErrorCode::Unsupported,
             MarketError::NoSlots
             | MarketError::NoKeywords
             | MarketError::NoShards

@@ -618,28 +618,25 @@ fn execute(
                 Err(e) => failed(&e),
             }
         }
-        Request::Stats => {
-            let snapshot = market.snapshot();
-            Response::Stats(ServerStats {
-                advertisers: snapshot.advertisers as u64,
-                campaigns: snapshot.campaigns as u64,
-                keywords: snapshot.keywords as u64,
-                slots: snapshot.slots as u64,
-                shards: snapshot.shards as u64,
-                auctions: snapshot.auctions,
-                sessions: shared.sessions.total_count(),
-                requests: shared.requests.load(Ordering::Relaxed),
-                overloaded: shared.admission.overloaded_count(),
-                wal_records: shared
-                    .durability
-                    .as_ref()
-                    .map_or(0, |durability| durability.wal_records()),
-                snapshot_seq: shared
-                    .durability
-                    .as_ref()
-                    .map_or(0, |durability| durability.snapshot_seq()),
-            })
-        }
+        Request::Stats => Response::Stats(ServerStats {
+            advertisers: market.num_advertisers() as u64,
+            campaigns: market.num_campaigns_total() as u64,
+            keywords: market.num_keywords() as u64,
+            slots: market.num_slots() as u64,
+            shards: market.num_shards() as u64,
+            auctions: market.now(),
+            sessions: shared.sessions.total_count(),
+            requests: shared.requests.load(Ordering::Relaxed),
+            overloaded: shared.admission.overloaded_count(),
+            wal_records: shared
+                .durability
+                .as_ref()
+                .map_or(0, |durability| durability.wal_records()),
+            snapshot_seq: shared
+                .durability
+                .as_ref()
+                .map_or(0, |durability| durability.snapshot_seq()),
+        }),
         Request::Shutdown => {
             begin_shutdown(shared);
             Response::Ack

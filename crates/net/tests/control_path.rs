@@ -204,11 +204,10 @@ fn run(journalled: bool) {
         );
     }
     let stats = b.stats().expect("stats");
-    let snapshot = twin.snapshot();
     assert_eq!(stats.auctions, serves);
-    assert_eq!(stats.auctions, snapshot.auctions);
-    assert_eq!(stats.campaigns, snapshot.campaigns as u64);
-    assert_eq!(stats.advertisers, snapshot.advertisers as u64);
+    assert_eq!(stats.auctions, twin.now());
+    assert_eq!(stats.campaigns, twin.num_campaigns_total() as u64);
+    assert_eq!(stats.advertisers, twin.num_advertisers() as u64);
 
     if let Some(durability) = &durability {
         // The configure record, then one record per acknowledged operation.

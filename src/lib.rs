@@ -383,7 +383,7 @@
 //!   change). Click rows live once each in the market's flat click
 //!   table, and a [`core::ClickModel`] names them by 4-byte ids: an
 //!   advertiser's campaigns whose rows are bit for bit equal share one
-//!   across keywords (and across `from_state` and journal replay), a
+//!   across keywords (and across snapshot and journal replay), a
 //!   targeting text is compiled once per market, and a one-row
 //!   [`bidlang::BidsTable`] is stored inline. A per-click campaign at 15
 //!   slots holds 54.6 B of the market's ledger (70.6 B with a 32-byte
