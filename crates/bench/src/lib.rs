@@ -22,7 +22,7 @@
 use ssa_bidlang::Money;
 use ssa_core::footprint::Ledger;
 use ssa_core::marketplace::{MarketError, Marketplace, QueryRequest};
-use ssa_core::{journal, BatchReport, EngineConfig, MutationRecord, PricingScheme, WdMethod};
+use ssa_core::{BatchReport, EngineConfig, MutationRecord, PricingScheme, WdMethod};
 use ssa_durable::{Durability, DurableError, FsyncPolicy, RecoveryReport};
 use ssa_minidb::PlannerStats;
 use ssa_net::server::build_market;
@@ -330,9 +330,7 @@ impl Backend {
     /// surfaced as the layer's error.
     fn apply(&mut self, op: MutationRecord) -> Result<(), ScenarioError> {
         match self {
-            Backend::Local(market) => journal::apply(market, op)
-                .map(drop)
-                .map_err(ScenarioError::Market),
+            Backend::Local(market) => market.apply(op).map(drop).map_err(ScenarioError::Market),
             Backend::Wire { client, server } => client
                 .apply(op)
                 .map(drop)

@@ -138,6 +138,17 @@ impl EngineQuery for (usize, &UserAttrs) {
     }
 }
 
+/// A `ServeBatch` record's query, served straight off the record.
+impl EngineQuery for (u64, UserAttrs) {
+    fn keyword(&self) -> usize {
+        self.0 as usize
+    }
+
+    fn attrs(&self) -> &UserAttrs {
+        &self.1
+    }
+}
+
 /// Which winner-determination algorithm the engine runs (the methods of
 /// Section V, minus the program-evaluation reductions which live in the
 /// workload harness).

@@ -1,10 +1,9 @@
-//! The one market operation: [`MutationRecord`], its byte codec, the
-//! single [`apply`], and the journal hook that observes it.
+//! The one market operation: [`MutationRecord`], its byte codec, and the
+//! journal hook that observes it.
 //!
-//! Everything that changes a [`Marketplace`] across a process
-//! boundary — a request arriving over the wire, a record replayed from the
-//! write-ahead log or restored from a snapshot — is one `MutationRecord`,
-//! executed by one [`apply`].
+//! Everything that changes a [`Marketplace`] — a typed call, a request off
+//! the wire, a record replayed from the write-ahead log or a snapshot — is
+//! one `MutationRecord`, executed by one [`Marketplace::apply`].
 //!
 //! # One body, three envelopes
 //!
@@ -19,23 +18,23 @@
 //! ```
 //!
 //! A snapshot is a compacted log ([`crate::state`]): its records are
-//! [`Marketplace::compacted_log`], and recovery applies them here.
+//! [`Marketplace::compacted_log`], and recovery applies them.
 //!
 //! Tags 0–8 and every field layout are the on-disk format (`WAL_VERSION`
 //! 3, pinned by the golden fixture); the wire shares the tag space, with
 //! its read-only requests numbered after the operations.
 //!
 //! Adding a field to an operation — `Serve`, say — therefore touches: the
-//! variant here, its arm in `encode_into`, `read` and [`apply`], and
-//! `ssa_net::proto::Request::Serve` with its two bridge arms (the wire
+//! variant here, its arms in `encode_into`, `read` and [`Marketplace::apply`],
+//! and `ssa_net::proto::Request::Serve` with its two bridge arms (the wire
 //! enum stays flat until the benchmark that constructs it can follow).
 //!
 //! # The journal hook
 //!
-//! A [`MutationJournal`] attached via
-//! [`Marketplace::set_journal`] receives one [`MutationRecord`]
-//! *after* every successfully applied control-plane mutation and every
-//! served query. Two properties make this sufficient for exact recovery:
+//! A [`MutationJournal`] attached via [`Marketplace::set_journal`] is
+//! handed each [`MutationRecord`] *after* [`Marketplace::apply`] executed
+//! it: every control-plane mutation and every served query, typed calls
+//! included. Two properties make this sufficient for exact recovery:
 //!
 //! * **Journal-after-apply**: a record is only emitted once the mutation
 //!   succeeded, so a crash between apply and journal loses an operation
@@ -49,25 +48,23 @@
 //!   leaves the RNG streams at the identical positions.
 //!
 //! When no journal is attached the hot serve path pays a single
-//! `Option::is_some` branch and nothing else.
+//! `Option` branch and nothing else.
 
 use crate::codec::{
     put_attrs, put_f64, put_f64_vec, put_i64, put_opt, put_pair_vec, put_string, put_u32, put_u64,
     CodecError, Reader,
 };
-use crate::marketplace::{
-    AdvertiserHandle, AuctionResponse, CampaignId, CampaignSpec, MarketBatchReport, MarketError,
-    Marketplace, QueryRequest,
-};
+use crate::marketplace::{AdvertiserHandle, AuctionResponse, CampaignId, MarketBatchReport};
+#[cfg(doc)]
+use crate::marketplace::{MarketError, Marketplace};
 use crate::state::MarketConfigState;
 use ssa_bidlang::targeting::UserAttrs;
-use ssa_bidlang::Money;
 
 /// One marketplace operation.
 ///
 /// Coordinates (advertiser, keyword, campaign index) are `u64`, the width
-/// they have on disk and on the wire; [`apply`] is where they become
-/// in-memory indexes.
+/// they have on disk and on the wire; [`Marketplace::apply`] is where they
+/// become in-memory indexes.
 ///
 /// Per-click campaigns only (the kind
 /// [`crate::marketplace::CampaignSpec::per_click`] builds): campaigns
@@ -430,7 +427,7 @@ pub trait MutationJournal: Send + std::fmt::Debug {
     fn record(&mut self, record: &MutationRecord);
 }
 
-/// What a successfully [`apply`]d operation answers.
+/// What [`Marketplace::apply`] answers for an operation it executed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// Applied, nothing to return (configure, update, pause, resume, ROI).
@@ -443,77 +440,4 @@ pub enum Reply {
     Served(AuctionResponse),
     /// A query stream's aggregate outcome.
     BatchServed(MarketBatchReport),
-}
-
-/// Executes one operation against a marketplace — the only place an
-/// operation is turned into marketplace calls, for the serving layer and
-/// recovery replay alike. Takes the operation by value so attribute bags,
-/// probability vectors and targeting sources move into the market.
-///
-/// A marketplace with a journal attached journals the operation as usual,
-/// so recovery replays into a journal-free one.
-pub fn apply(market: &mut Marketplace, op: MutationRecord) -> Result<Reply, MarketError> {
-    let campaign =
-        |keyword: u64, index: u64| CampaignId::from_parts(keyword as usize, index as usize);
-    Ok(match op {
-        MutationRecord::Configure(config) => {
-            market.configure(config)?;
-            Reply::Done
-        }
-        MutationRecord::RegisterAdvertiser { name } => {
-            Reply::AdvertiserRegistered(market.register_advertiser(name))
-        }
-        MutationRecord::AddCampaign {
-            advertiser,
-            keyword,
-            bid_cents,
-            click_value_cents,
-            roi_target,
-            click_probs,
-            purchase_probs,
-            targeting,
-        } => {
-            let mut spec = CampaignSpec::per_click(Money::from_cents(bid_cents))
-                .click_value(Money::from_cents(click_value_cents));
-            spec.roi_target = roi_target;
-            (spec.click_probs, spec.purchase_probs) = (click_probs, purchase_probs);
-            spec.targeting = targeting;
-            let advertiser = AdvertiserHandle::from_index(advertiser as usize);
-            Reply::CampaignAdded(market.add_campaign(advertiser, keyword as usize, spec)?)
-        }
-        MutationRecord::UpdateBid {
-            keyword,
-            index,
-            bid_cents,
-        } => {
-            market.update_bid(campaign(keyword, index), Money::from_cents(bid_cents))?;
-            Reply::Done
-        }
-        MutationRecord::PauseCampaign { keyword, index } => {
-            market.pause_campaign(campaign(keyword, index))?;
-            Reply::Done
-        }
-        MutationRecord::ResumeCampaign { keyword, index } => {
-            market.resume_campaign(campaign(keyword, index))?;
-            Reply::Done
-        }
-        MutationRecord::SetRoiTarget {
-            keyword,
-            index,
-            target,
-        } => {
-            market.set_roi_target(campaign(keyword, index), target)?;
-            Reply::Done
-        }
-        MutationRecord::Serve { keyword, attrs } => {
-            Reply::Served(market.serve(QueryRequest::with_attrs(keyword as usize, attrs))?)
-        }
-        MutationRecord::ServeBatch { queries } => {
-            let requests: Vec<QueryRequest> = queries
-                .into_iter()
-                .map(|(keyword, attrs)| QueryRequest::with_attrs(keyword as usize, attrs))
-                .collect();
-            Reply::BatchServed(market.serve_batch(&requests)?)
-        }
-    })
 }

@@ -102,9 +102,9 @@
 //! ```
 
 use crate::bidder::{Bidder, BidderOutcome, QueryContext};
-use crate::engine::{AuctionEngine, BatchReport, EngineConfig, WdMethod};
+use crate::engine::{AuctionEngine, BatchReport, EngineConfig, EngineQuery, WdMethod};
 use crate::footprint::{self, Accountant, Component, HeapUse, Ledger};
-use crate::journal::{LogRecord, MutationJournal, MutationRecord, PurchaseRow};
+use crate::journal::{LogRecord, MutationJournal, MutationRecord, PurchaseRow, Reply};
 use crate::pricing::PricingScheme;
 use crate::prob::{ClickModel, ClickRowId, ClickTable, PurchaseModel};
 use crate::sharded::shard_of_keyword;
@@ -253,6 +253,8 @@ pub enum MarketError {
     /// and RNG positions are not journalled, so its log would replay to
     /// different auctions.
     Journalled,
+    /// [`Marketplace::apply`] answered with another kind's [`Reply`]; it never does.
+    MismatchedReply,
 }
 
 impl std::fmt::Display for MarketError {
@@ -329,6 +331,7 @@ impl std::fmt::Display for MarketError {
                 "a journalled market cannot restore its clock or RNG positions: \
                  they are not journalled, so its log would replay differently",
             ),
+            MarketError::MismatchedReply => f.write_str("an operation got another kind's reply"),
         }
     }
 }
@@ -361,11 +364,11 @@ enum ProgramSpec {
 /// default to "never" (the pure click-auction setting).
 pub struct CampaignSpec {
     program: ProgramSpec,
-    pub(crate) click_probs: Option<Vec<f64>>,
-    pub(crate) purchase_probs: Option<Vec<(f64, f64)>>,
+    click_probs: Option<Vec<f64>>,
+    purchase_probs: Option<Vec<(f64, f64)>>,
     click_value: Money,
-    pub(crate) roi_target: Option<f64>,
-    pub(crate) targeting: Option<String>,
+    roi_target: Option<f64>,
+    targeting: Option<String>,
 }
 
 impl CampaignSpec {
@@ -473,25 +476,6 @@ impl CampaignSpec {
     pub fn targeting(mut self, source: impl Into<String>) -> Self {
         self.targeting = Some(source.into());
         self
-    }
-
-    /// The `AddCampaign` a journalled registration of this spec records,
-    /// exactly as supplied; `None` for table and program specs, which
-    /// cannot be serialized.
-    fn add_record(&self, advertiser: AdvertiserHandle, keyword: usize) -> Option<MutationRecord> {
-        let ProgramSpec::PerClick(bid) = self.program else {
-            return None;
-        };
-        Some(MutationRecord::AddCampaign {
-            advertiser: advertiser.index() as u64,
-            keyword: keyword as u64,
-            bid_cents: bid.cents(),
-            click_value_cents: self.click_value.cents(),
-            roi_target: self.roi_target,
-            click_probs: self.click_probs.clone(),
-            purchase_probs: self.purchase_probs.clone(),
-            targeting: self.targeting.clone(),
-        })
     }
 }
 
@@ -920,23 +904,23 @@ impl KeywordBook {
     /// Serves a run of consecutive queries on this book's keyword as one
     /// [`AuctionEngine::run_batch`] call starting at global time
     /// `start_time` (the clock value *before* the first of the queries). A
-    /// campaign-less keyword serves `requests.len()` empty pages without
-    /// touching any engine. The requests are borrowed straight from the
-    /// caller's slice — attributes are never cloned on this path.
-    fn serve_run(
+    /// campaign-less keyword serves `queries.len()` empty pages without
+    /// touching any engine. The queries are borrowed straight from the
+    /// caller's slice or record — attributes are never cloned on this path.
+    fn serve_run<Q: EngineQuery>(
         &mut self,
         clicks: &ClickTable,
-        requests: &[QueryRequest],
+        queries: &[Q],
         start_time: u64,
     ) -> BatchReport {
         let Some(engine) = self.engine.as_mut() else {
             return BatchReport {
-                auctions: requests.len() as u64,
+                auctions: queries.len() as u64,
                 ..BatchReport::default()
             };
         };
         engine.set_time(start_time);
-        engine.run_batch_in(Some(clicks), requests, &mut self.rng)
+        engine.run_batch_in(Some(clicks), queries, &mut self.rng)
     }
 }
 
@@ -1324,7 +1308,7 @@ impl Marketplace {
         MarketplaceBuilder::default()
     }
 
-    // -- durability hook ----------------------------------------------------
+    // -- durability hook and the one mutation entry ---------------------------
 
     /// Attaches a mutation journal: from now on every successfully applied
     /// control-plane mutation and every served query is reported to it
@@ -1346,10 +1330,85 @@ impl Marketplace {
         self.journal.is_some()
     }
 
-    fn record(&mut self, record: &MutationRecord) {
+    /// Applies one operation: the one way the market changes, for its typed
+    /// methods, the server and recovery alike. Each arm executes on the
+    /// record's own fields, borrowed; once it succeeded, the journal is
+    /// handed `op` itself, at the one site that journals. A refused record
+    /// changes nothing and is not journalled.
+    pub fn apply(&mut self, op: MutationRecord) -> Result<Reply, MarketError> {
+        let reply = match &op {
+            MutationRecord::Configure(config) => {
+                let mut fresh = Self::from_config(config)?;
+                fresh.journal = self.journal.take();
+                *self = fresh;
+                Reply::Done
+            }
+            MutationRecord::RegisterAdvertiser { name } => {
+                self.advertisers.push(name);
+                self.click_rows.push(None);
+                Reply::AdvertiserRegistered(AdvertiserHandle(self.num_advertisers() - 1))
+            }
+            MutationRecord::AddCampaign {
+                advertiser,
+                keyword,
+                bid_cents,
+                click_value_cents,
+                roi_target,
+                click_probs,
+                purchase_probs,
+                targeting,
+            } => {
+                let terms = Terms {
+                    click_probs: click_probs.as_deref(),
+                    purchase_probs: purchase_probs.as_deref(),
+                    click_value: Money::from_cents(*click_value_cents),
+                    roi_target: *roi_target,
+                    targeting: targeting.as_deref(),
+                };
+                let program = ProgramSpec::PerClick(Money::from_cents(*bid_cents));
+                let (advertiser, keyword) =
+                    (AdvertiserHandle(*advertiser as usize), *keyword as usize);
+                Reply::CampaignAdded(self.insert_campaign(advertiser, keyword, program, terms)?)
+            }
+            &MutationRecord::UpdateBid {
+                keyword,
+                index,
+                bid_cents,
+            } => {
+                let bid = Money::from_cents(bid_cents);
+                let id = CampaignId::from_parts(keyword as usize, index as usize);
+                self.write_per_click(id, check_bid(bid), |fields| fields.nominal = bid)?;
+                Reply::Done
+            }
+            &MutationRecord::SetRoiTarget {
+                keyword,
+                index,
+                target,
+            } => {
+                let check = target.map_or(Ok(()), check_roi_target);
+                let id = CampaignId::from_parts(keyword as usize, index as usize);
+                self.write_per_click(id, check, |fields| fields.set_roi_target(target))?;
+                Reply::Done
+            }
+            &MutationRecord::PauseCampaign { keyword, index }
+            | &MutationRecord::ResumeCampaign { keyword, index } => {
+                let paused = matches!(op, MutationRecord::PauseCampaign { .. });
+                let id = CampaignId::from_parts(keyword as usize, index as usize);
+                self.campaign_mut(id)?.owner_mut().paused = paused;
+                Reply::Done
+            }
+            MutationRecord::Serve { keyword, attrs } => {
+                let keyword = self.check_keyword(*keyword as usize)?;
+                self.clock += 1;
+                let book = &mut self.books[keyword];
+                Reply::Served(book.serve_at(&self.clicks, keyword, attrs, self.clock))
+            }
+            MutationRecord::ServeBatch { queries } => Reply::BatchServed(self.run_batch(queries)?),
+        };
         if let Some(journal) = self.journal.as_mut() {
-            journal.record(record);
+            journal.record(&op);
         }
+        Ok(reply)
     }
 
     // -- durable state capture ----------------------------------------------
@@ -1444,7 +1503,7 @@ impl Marketplace {
     /// if any campaign runs a custom program or fixed table.
     ///
     /// Its records applied to [`Marketplace::from_config`] through
-    /// [`crate::journal::apply`], then [`Marketplace::restore_positions`],
+    /// [`Marketplace::apply`], then [`Marketplace::restore_positions`],
     /// rebuild a marketplace that serves **bit-identical** auctions from the
     /// next query on (held tables, revenue matrices and solver scratch are
     /// execution state and are re-derived with identical outcomes).
@@ -1485,11 +1544,7 @@ impl Marketplace {
     /// an attached journal over and journalling the reconfiguration like
     /// any other operation. A rejected configuration changes nothing.
     pub fn configure(&mut self, config: MarketConfigState) -> Result<(), MarketError> {
-        let mut fresh = Self::from_config(&config)?;
-        fresh.journal = self.journal.take();
-        *self = fresh;
-        self.record(&MutationRecord::Configure(config));
-        Ok(())
+        self.apply(MutationRecord::Configure(config)).map(drop)
     }
 
     /// The inverse of [`Marketplace::now`] and [`Marketplace::rng_states`]:
@@ -1534,13 +1589,10 @@ impl Marketplace {
     /// an advertiser can open campaigns on any keyword, whichever shard
     /// owns it.
     pub fn register_advertiser(&mut self, name: impl Into<String>) -> AdvertiserHandle {
-        let name = name.into();
-        self.advertisers.push(&name);
-        if self.journal.is_some() {
-            self.record(&MutationRecord::RegisterAdvertiser { name });
-        }
-        self.click_rows.push(None);
-        AdvertiserHandle(self.advertisers.starts.len() - 1)
+        let handle = AdvertiserHandle(self.num_advertisers());
+        // A registration is never refused, so its handle is the next one.
+        let _ = self.apply(MutationRecord::RegisterAdvertiser { name: name.into() });
+        handle
     }
 
     /// The display name an advertiser registered under.
@@ -1662,22 +1714,48 @@ impl Marketplace {
         keyword: usize,
         spec: CampaignSpec,
     ) -> Result<CampaignId, MarketError> {
-        let keyword = self.check_keyword(keyword)?;
-        // Extract the journalable parts *before* the spec is consumed; a
-        // spec the journal cannot represent is rejected up front so the
-        // market and its journal never diverge.
-        let journalled = if self.journal.is_some() {
-            let next = CampaignId {
-                keyword,
-                index: self.books[keyword].campaigns().len(),
+        let ProgramSpec::PerClick(bid) = spec.program else {
+            // A table or a program is no record: it stays typed.
+            let terms = Terms {
+                click_probs: spec.click_probs.as_deref(),
+                purchase_probs: spec.purchase_probs.as_deref(),
+                click_value: spec.click_value,
+                roi_target: spec.roi_target,
+                targeting: spec.targeting.as_deref(),
             };
-            Some(
-                spec.add_record(advertiser, keyword)
-                    .ok_or(MarketError::NotDurable(next))?,
-            )
-        } else {
-            None
+            return self.insert_campaign(advertiser, keyword, spec.program, terms);
         };
+        let op = MutationRecord::AddCampaign {
+            advertiser: advertiser.0 as u64,
+            keyword: keyword as u64,
+            bid_cents: bid.cents(),
+            click_value_cents: spec.click_value.cents(),
+            roi_target: spec.roi_target,
+            click_probs: spec.click_probs,
+            purchase_probs: spec.purchase_probs,
+            targeting: spec.targeting,
+        };
+        match self.apply(op)? {
+            Reply::CampaignAdded(id) => Ok(id),
+            _ => Err(MarketError::MismatchedReply),
+        }
+    }
+
+    /// Registers a campaign from an `AddCampaign` record, or a typed table or
+    /// program, which a journalled market could not replay and refuses.
+    fn insert_campaign(
+        &mut self,
+        advertiser: AdvertiserHandle,
+        keyword: usize,
+        program: ProgramSpec,
+        terms: Terms<'_>,
+    ) -> Result<CampaignId, MarketError> {
+        let keyword = self.check_keyword(keyword)?;
+        let index = self.books[keyword].campaigns().len();
+        let id = CampaignId { keyword, index };
+        if self.journal.is_some() && !matches!(program, ProgramSpec::PerClick(_)) {
+            return Err(MarketError::NotDurable(id));
+        }
         // A campaign record holds its advertiser in 32 bits.
         let owner = u32::try_from(advertiser.0)
             .ok()
@@ -1688,54 +1766,44 @@ impl Marketplace {
             })
             .ok_or(MarketError::UnknownAdvertiser(advertiser))?;
         // `None`: purchases never happen.
-        let purchase_probs = spec
+        let purchase_probs = terms
             .purchase_probs
-            .as_deref()
             .or(self.default_purchase_probs.as_deref());
         if let Some(probs) = purchase_probs {
             validate_purchase_probs(probs, self.num_slots)?;
         }
-        if let Some(target) = spec.roi_target {
-            check_roi_target(target)?;
-        }
+        terms.roi_target.map_or(Ok(()), check_roi_target)?;
         // Every validation precedes the first change below: a rejected
         // registration leaves the keyword's warm engine untouched.
-        if let ProgramSpec::PerClick(bid) = &spec.program {
-            if !bid.is_positive() && *bid != Money::ZERO {
-                return Err(MarketError::NegativeBid(*bid));
-            }
+        if let ProgramSpec::PerClick(bid) = program {
+            check_bid(bid)?;
         }
-        if spec.click_value.cents() < 0 {
-            return Err(MarketError::NegativeClickValue(spec.click_value));
+        if terms.click_value.cents() < 0 {
+            return Err(MarketError::NegativeClickValue(terms.click_value));
         }
-        let targeting = match spec.targeting.as_deref() {
-            Some(source) => Some(matcher_for(&self.matchers, source)?),
-            None => None,
-        };
+        let targeting = (terms.targeting)
+            .map(|source| matcher_for(&self.matchers, source))
+            .transpose()?;
         // The last validation, and the first change: a row the market does
         // not hold yet enters its table.
         let click_row = Marketplace::click_row(
             &mut self.clicks,
             self.click_rows[advertiser.0],
             self.default_click_row,
-            spec.click_probs.as_deref(),
+            terms.click_probs,
         )?;
-        if let (Some(source), Some(matcher)) = (spec.targeting, &targeting) {
-            self.matchers
-                .entry(source)
-                .or_insert_with(|| matcher.clone());
+        if let (Some(source), Some(matcher)) = (terms.targeting, &targeting) {
+            if !self.matchers.contains_key(source) {
+                self.matchers.insert(source.into(), matcher.clone());
+            }
         }
 
         self.click_rows[advertiser.0] = Some(click_row);
         let (config, num_slots, num_keywords) = (self.config, self.num_slots, self.books.len());
         let book = &mut self.books[keyword];
-        let id = CampaignId {
-            keyword,
-            index: book.campaigns().len(),
-        };
-        let kind = match spec.program {
+        let kind = match program {
             ProgramSpec::PerClick(bid) => {
-                CampaignKind::PerClick(PerClick::new(bid, spec.click_value, spec.roi_target))
+                CampaignKind::PerClick(PerClick::new(bid, terms.click_value, terms.roi_target))
             }
             ProgramSpec::Table(table) => CampaignKind::Table(table),
             ProgramSpec::Program(program) => CampaignKind::Program(program),
@@ -1756,9 +1824,6 @@ impl Marketplace {
                 click_row,
                 purchase_probs,
             );
-        if let Some(record) = journalled {
-            self.record(&record);
-        }
         Ok(id)
     }
 
@@ -1811,17 +1876,12 @@ impl Marketplace {
     /// re-evaluation — the engine, its solver scratch, and the other
     /// campaigns are untouched.
     pub fn update_bid(&mut self, id: CampaignId, bid: Money) -> Result<(), MarketError> {
-        self.check_campaign(id)?;
-        if !bid.is_positive() && bid != Money::ZERO {
-            return Err(MarketError::NegativeBid(bid));
-        }
-        self.write_per_click(id, |fields| fields.nominal = bid)?;
-        self.record(&MutationRecord::UpdateBid {
+        self.apply(MutationRecord::UpdateBid {
             keyword: id.keyword as u64,
             index: id.index as u64,
             bid_cents: bid.cents(),
-        });
-        Ok(())
+        })
+        .map(drop)
     }
 
     /// Sets or clears a per-click campaign's ROI target.
@@ -1836,44 +1896,28 @@ impl Marketplace {
         id: CampaignId,
         target: Option<f64>,
     ) -> Result<(), MarketError> {
-        self.check_campaign(id)?;
-        if let Some(t) = target {
-            check_roi_target(t)?;
-        }
-        self.write_per_click(id, |fields| fields.set_roi_target(target))?;
-        self.record(&MutationRecord::SetRoiTarget {
+        self.apply(MutationRecord::SetRoiTarget {
             keyword: id.keyword as u64,
             index: id.index as u64,
             target,
-        });
-        Ok(())
+        })
+        .map(drop)
     }
 
     /// Pauses a campaign: it stops bidding (and, being excluded from the
     /// matching, can never be displayed) until resumed. Works for every
     /// campaign kind and never rebuilds the engine.
     pub fn pause_campaign(&mut self, id: CampaignId) -> Result<(), MarketError> {
-        self.set_paused(id, true)?;
-        self.record(&MutationRecord::PauseCampaign {
-            keyword: id.keyword as u64,
-            index: id.index as u64,
-        });
-        Ok(())
+        let (keyword, index) = (id.keyword as u64, id.index as u64);
+        self.apply(MutationRecord::PauseCampaign { keyword, index })
+            .map(drop)
     }
 
     /// Resumes a paused campaign.
     pub fn resume_campaign(&mut self, id: CampaignId) -> Result<(), MarketError> {
-        self.set_paused(id, false)?;
-        self.record(&MutationRecord::ResumeCampaign {
-            keyword: id.keyword as u64,
-            index: id.index as u64,
-        });
-        Ok(())
-    }
-
-    fn set_paused(&mut self, id: CampaignId, paused: bool) -> Result<(), MarketError> {
-        self.campaign_mut(id)?.owner_mut().paused = paused;
-        Ok(())
+        let (keyword, index) = (id.keyword as u64, id.index as u64);
+        self.apply(MutationRecord::ResumeCampaign { keyword, index })
+            .map(drop)
     }
 
     /// Write access to a registered campaign, through its engine's
@@ -1887,14 +1931,16 @@ impl Marketplace {
     }
 
     /// Rewrites a per-click campaign's bidding fields through
-    /// [`Marketplace::campaign_mut`]; [`MarketError::NotIncremental`], and
-    /// no write recorded, for any other kind.
+    /// [`Marketplace::campaign_mut`] once it exists and the write passed
+    /// `check`; [`MarketError::NotIncremental`], recording nothing, otherwise.
     fn write_per_click(
         &mut self,
         id: CampaignId,
+        check: Result<(), MarketError>,
         write: impl FnOnce(&mut PerClick),
     ) -> Result<(), MarketError> {
         self.check_campaign(id)?;
+        check?;
         let campaign = &self.books[id.keyword].campaigns()[id.index];
         let mut fields = campaign
             .per_click()
@@ -1950,17 +1996,11 @@ impl Marketplace {
     /// determination, user action, pricing, program notification) on the
     /// calling thread and returns the fully typed outcome.
     pub fn serve(&mut self, request: QueryRequest) -> Result<AuctionResponse, MarketError> {
-        let keyword = self.check_keyword(request.keyword)?;
-        self.clock += 1;
-        let response =
-            self.books[keyword].serve_at(&self.clicks, keyword, &request.attrs, self.clock);
-        if self.journal.is_some() {
-            self.record(&MutationRecord::Serve {
-                keyword: keyword as u64,
-                attrs: request.attrs,
-            });
+        let (keyword, attrs) = (request.keyword as u64, request.attrs);
+        match self.apply(MutationRecord::Serve { keyword, attrs })? {
+            Reply::Served(response) => Ok(response),
+            _ => Err(MarketError::MismatchedReply),
         }
-        Ok(response)
     }
 
     /// Serves a stream of queries through the persistent per-keyword
@@ -1978,35 +2018,51 @@ impl Marketplace {
     /// worker holding that shard's keyword books. Per-chunk reports are
     /// merged **in stream order** either way, so the aggregate — including
     /// the floating-point `expected_revenue` sums — is bit-identical at
-    /// every shard count.
+    /// every shard count. A journalled market copies the stream into the
+    /// record it journals.
     pub fn serve_batch(
         &mut self,
         requests: &[QueryRequest],
     ) -> Result<MarketBatchReport, MarketError> {
-        for request in requests {
-            self.check_keyword(request.keyword)?;
+        if self.journal.is_none() {
+            return self.run_batch(requests);
         }
-        let mut chunks = Vec::new();
+        let queries = requests
+            .iter()
+            .map(|r| (r.keyword as u64, r.attrs.clone()))
+            .collect();
+        match self.apply(MutationRecord::ServeBatch { queries })? {
+            Reply::BatchServed(report) => Ok(report),
+            _ => Err(MarketError::MismatchedReply),
+        }
+    }
+
+    /// The body of [`Marketplace::serve_batch`] and of a `ServeBatch`
+    /// record: serves `queries`, borrowed, in stream order.
+    fn run_batch<Q: EngineQuery + Sync>(
+        &mut self,
+        queries: &[Q],
+    ) -> Result<MarketBatchReport, MarketError> {
+        for query in queries {
+            self.check_keyword(query.keyword())?;
+        }
         let mut time = self.clock;
-        let mut i = 0;
-        while i < requests.len() {
-            let keyword = requests[i].keyword;
-            let mut j = i + 1;
-            while j < requests.len() && requests[j].keyword == keyword {
-                j += 1;
-            }
-            chunks.push(Chunk {
-                keyword,
-                requests: &requests[i..j],
-                start_time: time,
-            });
-            time += (j - i) as u64;
-            i = j;
-        }
+        let chunks: Vec<Chunk<Q>> = (queries.chunk_by(|a, b| a.keyword() == b.keyword()))
+            .map(|run| {
+                let start_time = time;
+                time += run.len() as u64;
+                let keyword = run.first().map_or(0, EngineQuery::keyword);
+                Chunk {
+                    keyword,
+                    queries: run,
+                    start_time,
+                }
+            })
+            .collect();
         self.clock = time;
 
         let num_shards = self.num_shards;
-        let shard = |c: &Chunk| shard_of_keyword(c.keyword, num_shards);
+        let shard = |c: &Chunk<Q>| shard_of_keyword(c.keyword, num_shards);
         let one_shard = num_shards == 1
             || chunks
                 .windows(2)
@@ -2015,7 +2071,7 @@ impl Marketplace {
         let reports: Vec<BatchReport> = if one_shard {
             chunks
                 .iter()
-                .map(|c| self.books[c.keyword].serve_run(&self.clicks, c.requests, c.start_time))
+                .map(|c| self.books[c.keyword].serve_run(&self.clicks, c.queries, c.start_time))
                 .collect()
         } else {
             self.fan_out(&chunks)?
@@ -2030,13 +2086,6 @@ impl Marketplace {
             out.per_keyword[chunk.keyword].absorb(report);
             out.total.absorb(report);
         }
-        if self.journal.is_some() {
-            let queries = requests
-                .iter()
-                .map(|r| (r.keyword as u64, r.attrs.clone()))
-                .collect();
-            self.record(&MutationRecord::ServeBatch { queries });
-        }
         Ok(out)
     }
 
@@ -2044,7 +2093,10 @@ impl Marketplace {
     /// holding the disjoint `&mut` books of its shard and reading the one
     /// click table through a shared borrow, and returns the reports in
     /// chunk order. A worker's panic resumes on the caller's thread.
-    fn fan_out(&mut self, chunks: &[Chunk]) -> Result<Vec<BatchReport>, MarketError> {
+    fn fan_out<Q: EngineQuery + Sync>(
+        &mut self,
+        chunks: &[Chunk<Q>],
+    ) -> Result<Vec<BatchReport>, MarketError> {
         let (num_shards, num_keywords) = (self.num_shards, self.books.len());
         let clicks = &self.clicks;
         let mut shards: Vec<ShardWork> = (0..num_shards).map(|_| ShardWork::default()).collect();
@@ -2076,7 +2128,7 @@ impl Marketplace {
                                     num_keywords,
                                 })?;
                             let book = &mut shard.books[book].1;
-                            Ok((at, book.serve_run(clicks, chunk.requests, chunk.start_time)))
+                            Ok((at, book.serve_run(clicks, chunk.queries, chunk.start_time)))
                         };
                         shard.chunks.iter().copied().map(serve).collect()
                     })
@@ -2105,14 +2157,22 @@ struct ShardWork<'a> {
     chunks: Vec<usize>,
 }
 
-/// One maximal same-keyword run of a request stream: the typed requests
-/// (keyword *and* user attributes) borrowed from the caller's slice.
-#[derive(Debug, Clone, Copy)]
-struct Chunk<'a> {
+/// One maximal same-keyword run of a query stream: the queries (keyword
+/// *and* user attributes) borrowed from the caller's slice or record.
+struct Chunk<'a, Q> {
     keyword: usize,
-    requests: &'a [QueryRequest],
+    queries: &'a [Q],
     /// Global clock value before the chunk's first query.
     start_time: u64,
+}
+
+/// A campaign's terms besides its program, borrowed from a record or spec.
+struct Terms<'a> {
+    click_probs: Option<&'a [f64]>,
+    purchase_probs: Option<&'a [(f64, f64)]>,
+    click_value: Money,
+    roi_target: Option<f64>,
+    targeting: Option<&'a str>,
 }
 
 /// The compiled matcher of targeting text `source`: the one in a market's
@@ -2128,6 +2188,11 @@ fn matcher_for(
     CompiledTargeting::parse(source)
         .map(Arc::new)
         .map_err(MarketError::InvalidTargeting)
+}
+
+fn check_bid(bid: Money) -> Result<(), MarketError> {
+    let valid = bid.is_positive() || bid == Money::ZERO;
+    valid.then_some(()).ok_or(MarketError::NegativeBid(bid))
 }
 
 fn check_roi_target(target: f64) -> Result<(), MarketError> {
@@ -2903,7 +2968,7 @@ mod tests {
     fn restored(state: &MarketState) -> Marketplace {
         let mut market = Marketplace::from_config(&state.config).expect("valid configuration");
         for record in &state.records {
-            crate::journal::apply(&mut market, record.clone()).expect("a captured record");
+            market.apply(record.clone()).expect("a captured record");
         }
         (market.restore_positions(state.clock, &state.rng_states)).expect("one per keyword");
         market
@@ -2981,7 +3046,8 @@ mod tests {
             // Replay the journal into a fresh market of the same build.
             let mut replayed = build();
             for record in journal.0.lock().unwrap().iter() {
-                crate::journal::apply(&mut replayed, record.clone())
+                replayed
+                    .apply(record.clone())
                     .expect("replay applies cleanly");
             }
             assert_eq!(replayed.now(), live.now());
@@ -3075,7 +3141,7 @@ mod tests {
 
         let mut replayed = builder(2).build().expect("valid");
         for record in journal.0.lock().unwrap().iter() {
-            crate::journal::apply(&mut replayed, record.clone()).expect("replays");
+            replayed.apply(record.clone()).expect("replays");
         }
         assert_shared(&replayed, &ids, "journal replay");
         assert_eq!(replayed.capture_state().unwrap(), state);

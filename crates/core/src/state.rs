@@ -7,7 +7,7 @@
 //! [`crate::marketplace::Marketplace::compacted_log`], which `ssa_durable`
 //! streams into a snapshot and `capture_state` collects — plus what no
 //! operation can set, the clock and each keyword's RNG position. A
-//! restore applies the records through [`crate::journal::apply`], as WAL
+//! restore applies the records through `Marketplace::apply`, as WAL
 //! replay and the server do, then restores those two through
 //! [`crate::marketplace::Marketplace::restore_positions`].
 //!

@@ -1,6 +1,8 @@
 //! Heap allocations per operation on the `engine-solve` shape: a
 //! steady-state `update_bid` and `serve`, one snapshot campaign record,
-//! and an `update_bid` that takes a campaign record out of line.
+//! an `update_bid` that takes a campaign record out of line, and
+//! `ServeBatch` and `AddCampaign` records applied with and without a
+//! journal.
 //! `ssa_durable`'s `recovery_allocations` pins recovery the same way.
 //!
 //! A count is exact and build-independent, so a clone or a scratch vector
@@ -16,10 +18,10 @@ mod support;
 
 use ssa_bidlang::Money;
 use ssa_core::marketplace::{CampaignId, QueryRequest};
-use ssa_core::LogRecord;
+use ssa_core::{LogRecord, MutationJournal, MutationRecord, UserAttrs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use support::{advertiser_row, served_market, KEYWORDS};
+use support::{advertiser_row, served_market, KEYWORDS, SLOTS};
 
 /// The `engine-solve` benchmark's advertisers.
 const ADVERTISERS: usize = 5_000;
@@ -147,4 +149,94 @@ fn each_operation_allocates_a_pinned_number_of_times() {
     let (moved, allocations) = counted(|| market.update_bid(id, Money::from_cents(5)));
     moved.expect("per-click campaign");
     assert_eq!(allocations, 0, "allocations moving a record back in line");
+
+    // Records applied as records, on twin markets (ROADMAP 24). A journal
+    // costs the market nothing: `Marketplace::apply` executes on the
+    // record's fields and hands the journal the record itself. Before it
+    // did, the parent of that change read 5 108 allocations in 50
+    // journalled batches (≈ 102 a batch: the queries' attributes moved
+    // into requests and copied back into a fresh record) and 295 in 50
+    // journalled adds (three copies: click row, purchase row, targeting
+    // text), against the same 258 and 145 unjournalled. Of a batch's ≈ 5,
+    // three grow its list of 16 chunks, one holds the chunks' reports and
+    // one the per-keyword totals.
+    let [unjournalled, journalled] = journalled_records();
+    assert_eq!(
+        unjournalled,
+        (258, 145),
+        "allocations in 50 unjournalled records of each kind"
+    );
+    assert_eq!(
+        journalled, unjournalled,
+        "allocations in 50 journalled records of each kind"
+    );
+}
+
+/// A journal that keeps nothing: what journalling costs the market itself.
+#[derive(Debug)]
+struct Discard;
+
+impl MutationJournal for Discard {
+    fn record(&mut self, _: &MutationRecord) {}
+}
+
+/// Records applied as records on two twin markets of the same shape, one
+/// unjournalled and one with a journal that keeps nothing: `RECORDS`
+/// 16-query `ServeBatch`es whose queries carry three attributes each, then
+/// `RECORDS` per-click `AddCampaign`s with a click row, a purchase row and
+/// a targeting text. Each record is built before its count starts, as a
+/// decoded one would be. Returns the allocations of the batches and of the
+/// adds, unjournalled then journalled.
+fn journalled_records() -> [(u64, u64); 2] {
+    const ADVERTISERS: usize = 200;
+    const RECORDS: usize = 50;
+    let batch = |round: usize| MutationRecord::ServeBatch {
+        queries: (0..16)
+            .map(|i| {
+                let attrs = UserAttrs::new()
+                    .geo(if i % 2 == 0 { "us" } else { "de" })
+                    .device("mobile")
+                    .set_int("age", 20 + i as i64);
+                (((round + i) % KEYWORDS) as u64, attrs)
+            })
+            .collect(),
+    };
+    let add = |round: usize| {
+        let advertiser = (round * 37) % ADVERTISERS;
+        MutationRecord::AddCampaign {
+            advertiser: advertiser as u64,
+            keyword: (round % KEYWORDS) as u64,
+            bid_cents: 1 + (round % 50) as i64,
+            click_value_cents: 40,
+            roi_target: None,
+            click_probs: Some(advertiser_row(advertiser, ADVERTISERS)),
+            purchase_probs: Some(vec![(0.1, 0.01); SLOTS]),
+            targeting: Some("geo = 'us' and device = 'mobile'".into()),
+        }
+    };
+    let count = |journal: Option<Discard>| {
+        let mut market = served_market(ADVERTISERS, |adv, _| advertiser_row(adv, ADVERTISERS));
+        if let Some(journal) = journal {
+            market.set_journal(Box::new(journal));
+        }
+        // The first targeted campaign compiles the text, and the next
+        // auctions grow their scratch for it; later campaigns share it.
+        market.apply(add(RECORDS)).expect("campaign accepted");
+        market.apply(batch(RECORDS)).expect("keywords in range");
+        let (mut batches, mut adds) = (0, 0);
+        for round in 0..RECORDS {
+            let record = batch(round);
+            let (served, allocations) = counted(|| market.apply(record));
+            served.expect("keywords in range");
+            batches += allocations;
+        }
+        for round in 0..RECORDS {
+            let record = add(round);
+            let (added, allocations) = counted(|| market.apply(record));
+            added.expect("campaign accepted");
+            adds += allocations;
+        }
+        (batches, adds)
+    };
+    [count(None), count(Some(Discard))]
 }

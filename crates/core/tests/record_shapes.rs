@@ -13,7 +13,7 @@
 
 use ssa_bidlang::Money;
 use ssa_core::footprint::Component;
-use ssa_core::journal::{apply, MutationJournal};
+use ssa_core::journal::MutationJournal;
 use ssa_core::marketplace::{CampaignId, CampaignSpec, Marketplace, QueryRequest};
 use ssa_core::{MarketState, MutationRecord};
 use std::sync::{Arc, Mutex};
@@ -135,7 +135,9 @@ fn check(live: &mut Marketplace, journal: &Journal, id: CampaignId, subject: Sub
 
     let mut recovered = Marketplace::from_config(&live.config()).expect("valid configuration");
     for record in journal.0.lock().expect("journal lock").iter() {
-        apply(&mut recovered, record.clone()).expect("a journalled record applies");
+        recovered
+            .apply(record.clone())
+            .expect("a journalled record applies");
     }
     assert_eq!(
         recovered.capture_state(),

@@ -37,8 +37,8 @@
 //! 8 `ServeBatch`) and the variant's fields. This crate owns no operation
 //! codec: the record body is byte for byte the payload `ssa_net` puts in a
 //! request frame for the same operation — one body, two envelopes — and
-//! recovery replays it through the same [`ssa_core::journal::apply`] the
-//! server executes requests with. A `Configure` record resets the
+//! recovery replays it through the same [`ssa_core::Marketplace::apply`]
+//! the server executes requests with. A `Configure` record resets the
 //! replayed marketplace to a fresh build of its configuration.
 //!
 //! A snapshot body is a compacted log in the same codec — `Configure`,

@@ -58,15 +58,13 @@ struct Recovered {
 
 /// The one replay step, for a snapshot's records and the WAL's alike: a
 /// `Configure` into an empty slot builds the market, and every other
-/// record is moved into [`ssa_core::journal::apply`] on it.
+/// record is moved into [`Marketplace::apply`] on it.
 pub(crate) fn replay(
     market: &mut Option<Marketplace>,
     record: MutationRecord,
 ) -> Result<(), DurableError> {
     match (market.as_mut(), record) {
-        (Some(market), record) => {
-            ssa_core::journal::apply(market, record)?;
-        }
+        (Some(market), record) => market.apply(record).map(drop)?,
         (None, MutationRecord::Configure(config)) => {
             *market = Some(Marketplace::from_config(&config)?)
         }

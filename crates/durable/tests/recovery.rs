@@ -964,7 +964,7 @@ fn replayed(records: &[MutationRecord]) -> MarketState {
     };
     let mut market = Marketplace::from_config(config).unwrap();
     for record in &records[1..] {
-        ssa_core::journal::apply(&mut market, record.clone()).unwrap();
+        market.apply(record.clone()).unwrap();
     }
     market.capture_state().unwrap()
 }

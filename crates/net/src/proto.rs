@@ -16,13 +16,13 @@
 //! the payload of such a request is byte for byte the body the
 //! write-ahead log stores after `len ++ crc ++ seq` for the same
 //! operation, and the server executes it with the same
-//! [`ssa_core::journal::apply`] recovery replays with. The four remaining
-//! requests ([`Request::Ping`], [`Request::TopBids`], [`Request::Stats`],
-//! [`Request::Shutdown`]) read or steer the server, are never journalled,
-//! and take the tags after the operations'. Adding a field to an
-//! operation touches the `MutationRecord` variant and its codec and
-//! `apply` arms in `ssa_core::journal`, then the `Request` variant and its
-//! two bridge arms here — nothing else.
+//! [`ssa_core::Marketplace::apply`] recovery replays with. The four
+//! remaining requests ([`Request::Ping`], [`Request::TopBids`],
+//! [`Request::Stats`], [`Request::Shutdown`]) read or steer the server, are
+//! never journalled, and take the tags after the operations'. Adding a
+//! field to an operation touches the `MutationRecord` variant and its codec
+//! arms in `ssa_core::journal`, its arm in `Marketplace::apply`, then the
+//! `Request` variant and its two bridge arms here — nothing else.
 //!
 //! Payloads use [`ssa_core::codec`]: fixed-width little-endian integers,
 //! `f64` via [`f64::to_bits`] (so expected-revenue values survive the wire
@@ -623,6 +623,7 @@ impl From<&MarketError> for ErrorCode {
             // position restore on one: the wire protocol cannot submit
             // either, but the mapping must be total.
             MarketError::NotDurable(_) | MarketError::Journalled => ErrorCode::Unsupported,
+            MarketError::MismatchedReply => ErrorCode::Unsupported,
             MarketError::NoSlots
             | MarketError::NoKeywords
             | MarketError::NoShards

@@ -5,7 +5,7 @@
 //!
 //! * **One marketplace behind one lock.** The [`Marketplace`] sits in a
 //!   `Mutex`; whoever holds it runs a *group* of requests in order, each
-//!   through the same [`ssa_core::journal::apply`], and commits the group
+//!   through the same [`Marketplace::apply`], and commits the group
 //!   (`run_group`). Two threads take it: the executor, for a tick, and a
 //!   connection's reader, for one control request of an idle session.
 //!   (`serve_batch` still fans out across shard worker threads *inside* a
@@ -593,8 +593,8 @@ fn run_group<To>(
 }
 
 /// Runs one request: the four wire-only ones here, every other through the
-/// bridge into [`ssa_core::journal::apply`] — the same `apply` recovery
-/// replays the write-ahead log with, journalling (a `Configure` included)
+/// bridge into [`Marketplace::apply`] — the same `apply` recovery replays
+/// the write-ahead log with, which journals (a `Configure` included)
 /// through the marketplace's own hook.
 fn execute(
     market: &mut Marketplace,
@@ -646,7 +646,7 @@ fn execute(
             #[allow(clippy::expect_used)]
             let op =
                 MutationRecord::try_from(op).expect("every other request carries an operation");
-            match ssa_core::journal::apply(market, op) {
+            match market.apply(op) {
                 Ok(reply) => {
                     // Only a `Configure` can have changed it; one relaxed
                     // store is cheaper than asking which operation ran.

@@ -4,7 +4,7 @@
 //! and the server holds exactly what the same records build applied one
 //! at a time in process.
 
-use ssa_core::{journal, Marketplace, MarketplaceBuilder, MutationRecord, QueryRequest};
+use ssa_core::{Marketplace, MarketplaceBuilder, MutationRecord, QueryRequest};
 use ssa_net::client::{Client, NetError};
 use ssa_net::proto::ErrorCode;
 use ssa_net::server::{Server, ServerConfig};
@@ -81,7 +81,7 @@ fn a_refused_record_mid_window_is_typed_and_leaves_the_connection_clean() {
     let mut twin = builder().build().expect("valid marketplace");
     let mut refused = 0;
     for op in records {
-        if journal::apply(&mut twin, op).is_err() {
+        if twin.apply(op).is_err() {
             refused += 1;
         }
     }
@@ -145,7 +145,7 @@ fn a_stream_longer_than_the_window_is_applied_in_order() {
 
     let mut twin = builder().build().expect("valid marketplace");
     for op in records {
-        journal::apply(&mut twin, op).expect("twin applies");
+        twin.apply(op).expect("twin applies");
     }
     for keyword in 0..KEYWORDS {
         assert_eq!(

@@ -524,7 +524,7 @@ fn executed_requests_journal_their_own_payloads() {
     market.set_journal(wal.durability.journal());
     for request in &script {
         let op = MutationRecord::try_from(request.clone()).expect("carries an operation");
-        ssa_core::journal::apply(&mut market, op).expect("the script is valid");
+        market.apply(op).expect("the script is valid");
     }
     let payloads: Vec<Vec<u8>> = script.iter().map(Request::encode).collect();
     assert_eq!(wal.bodies(), payloads);

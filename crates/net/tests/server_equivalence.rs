@@ -205,7 +205,7 @@ fn reconfigure_resets_to_a_reproducible_market() {
 
 /// Every operation arm answers a malformed request exactly as the server's
 /// hand-written `execute` arms did before requests ran through the bridge
-/// and `ssa_core::journal::apply`: same [`ErrorCode`], same message. The
+/// and `Marketplace::apply`: same [`ErrorCode`], same message. The
 /// market is the 8-keyword, 5-slot, 25-advertiser Section V one.
 #[test]
 fn malformed_requests_keep_their_error_codes_and_messages() {

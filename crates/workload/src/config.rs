@@ -5,7 +5,7 @@ use rand::{Rng, SeedableRng};
 use ssa_bidlang::{Money, SlotId};
 use ssa_core::marketplace::{CampaignSpec, MarketError, Marketplace};
 use ssa_core::prob::{ClickModel, PurchaseModel};
-use ssa_core::{journal, MutationRecord};
+use ssa_core::MutationRecord;
 use ssa_strategy::RoiBidderParams;
 
 /// The harnesses' marketplace-seed convention: a Section V market is
@@ -192,7 +192,7 @@ impl SectionVWorkload {
     /// [`SectionVWorkload::campaigns`] order. An advertiser is named by its
     /// registration index, so the stream builds the population on a market
     /// with no advertisers yet — in process through
-    /// [`journal::apply`] ([`SectionVWorkload::populate`]), or over the wire.
+    /// [`Marketplace::apply`] ([`SectionVWorkload::populate`]), or by wire.
     pub fn records(&self, targeted: bool) -> impl Iterator<Item = MutationRecord> + '_ {
         let mut registered = 0;
         self.campaigns(targeted).flat_map(move |campaign| {
@@ -220,7 +220,7 @@ impl SectionVWorkload {
     /// no advertisers yet.
     pub fn populate(&self, market: &mut Marketplace, targeted: bool) -> Result<(), MarketError> {
         self.records(targeted)
-            .try_for_each(|op| journal::apply(market, op).map(drop))
+            .try_for_each(|op| market.apply(op).map(drop))
     }
 
     /// [`SectionVWorkload::populate`] with the registration of each

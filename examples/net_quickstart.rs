@@ -7,7 +7,7 @@
 //! stream of `MutationRecord`s, serve single auctions and a batched
 //! stream, mutate bids mid-stream, inspect the bid book and server
 //! counters — and finally the same records and queries are replayed on an
-//! in-process `ShardedMarketplace` through `journal::apply` to demonstrate
+//! in-process `ShardedMarketplace` through `Marketplace::apply` to demonstrate
 //! the serving contract: the wire changes the transport, never the
 //! auctions.
 //!
@@ -17,7 +17,7 @@
 
 use sponsored_search::core::pricing::PricingScheme;
 use sponsored_search::core::sharded::ShardedMarketplace;
-use sponsored_search::core::{journal, MutationRecord, WdMethod};
+use sponsored_search::core::{MutationRecord, WdMethod};
 use sponsored_search::marketplace::{Marketplace, MarketplaceBuilder};
 use sponsored_search::net::{Client, MarketConfig, Server, ServerConfig};
 
@@ -138,7 +138,7 @@ fn main() {
     // config, same population, same stream — and compare outcomes.
     let mut local = builder().build_sharded(SHARDS).expect("valid config");
     for op in population {
-        journal::apply(&mut local, op).expect("population accepted");
+        local.apply(op).expect("population accepted");
     }
     let local_first = local
         .serve(sponsored_search::marketplace::QueryRequest::new(0))
@@ -155,7 +155,7 @@ fn main() {
     );
     assert_eq!(batch.clicks, local_batch.total.clicks);
     for op in updates {
-        journal::apply(&mut local, op).expect("known campaigns");
+        local.apply(op).expect("known campaigns");
     }
     let local_batch2 = local.serve_batch(&queries).expect("keywords in range");
     assert_eq!(

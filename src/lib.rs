@@ -408,8 +408,8 @@
 //! typed [`net::ProtoError`], never a panic or an unbounded allocation.
 //!
 //! A market operation is spelled once: [`core::MutationRecord`], with one
-//! byte codec on [`core::codec`] and one executor,
-//! [`core::journal::apply`]. An operation-carrying [`net::Request`]'s
+//! byte codec on [`core::codec`] and one executor and journalling point,
+//! [`core::Marketplace::apply`]. An operation-carrying [`net::Request`]'s
 //! payload *is* that operation's body — byte for byte what the
 //! write-ahead log stores after `len ++ crc ++ seq` — so the wire and the
 //! log are two envelopes around one body, the server executes requests
@@ -417,9 +417,9 @@
 //! like any other operation. `Request` stays the wire-facing enum (nine
 //! operations plus `Ping`, `TopBids`, `Stats`, `Shutdown`), joined to
 //! `MutationRecord` by one mechanical `TryFrom`/`From` pair; adding a
-//! field to `Serve` touches `MutationRecord::Serve` and its codec and
-//! `apply` arms in `ssa_core::journal`, `Request::Serve` and its two
-//! bridge arms in `ssa_net::proto`, and nothing else.
+//! field to `Serve` touches `MutationRecord::Serve` and its codec arms,
+//! its arm in `Marketplace::apply`, and `Request::Serve` with its two
+//! bridge arms — nothing else.
 //!
 //! The server ([`net::Server`], shipped as the `ssa-server` binary) keeps
 //! the marketplace behind one lock, run a tick at a time by an executor
