@@ -7,8 +7,10 @@
 //! ```text
 //! reproduce [fig12|fig13|ablations|tables|all] [--quick]
 //! reproduce [--method <m>] [--strategy <s>] [--workload <w>] [--targeted]
-//!           [--shards <n>] [--load <q>] [--pruned] [--durable]
-//!           [--server <host:port>] [--json] [--footprint] [--quick]
+//!           [--shards <n>] [--load <q>] [--advertisers <n>] [--pruned]
+//!           [--durable] [--server <host:port> [--connections <n>]
+//!           [--verify [--skip <n>]] [--shutdown]] [--json] [--footprint]
+//!           [--quick]
 //! ```
 //!
 //! `--quick` shrinks advertiser counts and auction counts so the whole run
@@ -20,7 +22,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ssa_bench::{format_table, ms_per_auction, MethodRun, Population, Scenario, ScenarioError};
+use ssa_bench::{
+    format_table, ms_per_auction, Drive, MethodRun, Population, Scenario, ScenarioError,
+};
 use ssa_bidlang::{BidsTable, Formula, Money, SlotId};
 use ssa_core::footprint::Ledger;
 use ssa_core::heavyweight::{solve_heavyweight, HeavyweightInstance, PatternClickModel};
@@ -40,8 +44,10 @@ reproduce — regenerate the paper's figures as text output
 
 Usage: reproduce [fig12|fig13|ablations|tables|all] [--quick]
        reproduce [--method <m>] [--strategy <s>] [--workload <w>] [--targeted]
-                 [--shards <n>] [--load <q>] [--pruned] [--durable]
-                 [--server <host:port>] [--json] [--footprint] [--quick]
+                 [--shards <n>] [--load <q>] [--advertisers <n>] [--pruned]
+                 [--durable] [--server <host:port> [--connections <n>]
+                 [--verify [--skip <n>]] [--shutdown]] [--json] [--footprint]
+                 [--quick]
        reproduce --list-methods
 
 Targets:
@@ -77,6 +83,8 @@ layer's error):
   --shards <n>    serve on n worker shards (n >= 1; default 1, reported as
                   \"shards\":null) — bit-identical outcomes at every count
   --load <q>      serve q timed queries (q >= 1) instead of the preset's
+  --advertisers <n>
+                  n advertisers (n >= 1) instead of the preset's
   --pruned        solve on the union of each slot's top-k bidders (ties
                   kept) — bit-identical outcomes, smaller solves
   --durable       journal every mutation and batch to a write-ahead log (a
@@ -88,6 +96,16 @@ layer's error):
   --server <a>    serve through a running ssa-server at <a> (host:port)
                   over the wire protocol instead of in process — bit-identical
                   outcomes; --shards sets the server-side shard count
+  --connections <n>
+                  with --server: n connections in a closed loop, one query
+                  at a time each; the JSON gains latency percentiles,
+                  overload refusals and the population's records and time
+  --verify        with --server: serve in order over one connection with no
+                  warm-up, each auction and every keyword's top bids compared
+                  bit for bit with an in-process twin; a mismatch exits 1
+  --skip <n>      with --verify: the server already holds the market and
+                  has served the stream's first n queries
+  --shutdown      with --server: ask the server to drain after the run
   --json          emit one machine-readable JSON object per line
   --footprint     after the run, print the market's memory ledger, largest
                   line first: bytes in use, bytes reserved and allocations
@@ -106,23 +124,28 @@ h         Hungarian algorithm on the full bipartite graph (Section III-D)
 rh        reduced bipartite graph (Section III-E)";
 
 /// Flags that carry a value.
-const VALUE_FLAGS: [&str; 6] = [
+const VALUE_FLAGS: [&str; 9] = [
     "--method",
     "--shards",
     "--load",
     "--strategy",
     "--server",
     "--workload",
+    "--advertisers",
+    "--connections",
+    "--skip",
 ];
 
 /// Flags that stand alone.
-const SWITCHES: [&str; 6] = [
+const SWITCHES: [&str; 8] = [
     "--quick",
     "--json",
     "--pruned",
     "--durable",
     "--targeted",
     "--footprint",
+    "--verify",
+    "--shutdown",
 ];
 
 fn usage_error(message: &str) -> ! {
@@ -165,7 +188,12 @@ fn main() {
     }
     let method = value_flag(&values, "--method", str::parse::<WdMethod>);
     let shards = value_flag(&values, "--shards", parse_shards);
-    let load = value_flag(&values, "--load", parse_load);
+    let load = value_flag(&values, "--load", count("load (query count)"));
+    let advertisers = value_flag(&values, "--advertisers", count("advertiser count"));
+    let connections = value_flag(&values, "--connections", count("connection count"));
+    let skip = value_flag(&values, "--skip", |s| {
+        (s.trim().parse::<usize>()).map_err(|_| format!("invalid skip (query count) {s:?}"))
+    });
     let strategy = value_flag(&values, "--strategy", str::parse::<Strategy>);
     let server = value_flag(&values, "--server", ssa_net::parse_addr);
     let workload = value_flag(&values, "--workload", str::parse::<WorkloadShape>);
@@ -173,6 +201,7 @@ fn main() {
     let (quick, json, pruned) = (switch("--quick"), switch("--json"), switch("--pruned"));
     let (durable, targeted) = (switch("--durable"), switch("--targeted"));
     let footprint = switch("--footprint");
+    let (verify, shutdown) = (switch("--verify"), switch("--shutdown"));
     // --strategy/--workload/--targeted imply single-run mode with the rh
     // default method.
     let single_run = method.is_some() || strategy.is_some() || workload.is_some() || targeted;
@@ -188,6 +217,9 @@ fn main() {
         }
         if durable {
             usage_error("--durable requires --method");
+        }
+        if advertisers.is_some() || connections.is_some() || verify || skip.is_some() || shutdown {
+            usage_error("--advertisers/--connections/--verify/--skip/--shutdown require --method");
         }
         match target.unwrap_or("all") {
             "fig12" => fig12(quick),
@@ -215,6 +247,9 @@ fn main() {
     if strategy.is_some() && targeted {
         usage_error("--strategy and --targeted both choose the population: give one");
     }
+    if skip.is_some() && !verify {
+        usage_error("--skip requires --verify");
+    }
 
     // One Scenario field per flag; the dimensions compose.
     let preset = if quick {
@@ -231,12 +266,18 @@ fn main() {
         },
         stream: workload.map_or(Stream::RoundRobin, Stream::Shaped),
         transport: server,
+        drive: Drive {
+            connections,
+            verify: verify.then(|| skip.unwrap_or(0)),
+            shutdown,
+        },
         durability: durable.then(|| {
             std::env::temp_dir().join(format!("ssa-reproduce-durable-{}", std::process::id()))
         }),
         shards,
         method: method.unwrap_or(WdMethod::Reduced),
         pruned,
+        advertisers: advertisers.unwrap_or(preset.advertisers),
         ..preset
     }
     .load(auctions);
@@ -266,7 +307,8 @@ fn main() {
         Err(
             e @ (ScenarioError::Net { .. }
             | ScenarioError::Durable(_)
-            | ScenarioError::RecoveryDiverged),
+            | ScenarioError::RecoveryDiverged
+            | ScenarioError::WireDiverged { .. }),
         ) => {
             eprintln!("error: {e}");
             exit(1);
@@ -278,15 +320,17 @@ fn main() {
     }
 }
 
-/// Parses `--load`: the same positive-count contract as `--shards`
-/// (delegating to `ssa_core::sharded::parse_shards` for the trim / parse /
-/// reject-zero behaviour), with the error text renamed to the flag's noun.
-fn parse_load(s: &str) -> Result<usize, String> {
+/// Parses a positive count: the same contract as `--shards` (delegating
+/// to `ssa_core::sharded::parse_shards` for the trim / parse / reject-zero
+/// behaviour), with the error text naming `noun`.
+fn count(noun: &'static str) -> impl Fn(&str) -> Result<usize, String> {
     use ssa_core::sharded::ParseShardsError;
-    parse_shards(s).map_err(|e| match e {
-        ParseShardsError::Invalid(raw) => format!("invalid load (query count) {raw:?}"),
-        ParseShardsError::Zero => "load (query count) must be positive".to_string(),
-    })
+    move |s| {
+        parse_shards(s).map_err(|e| match e {
+            ParseShardsError::Invalid(raw) => format!("invalid {noun} {raw:?}"),
+            ParseShardsError::Zero => format!("{noun} must be positive"),
+        })
+    }
 }
 
 /// Runs `flag`'s typed parser on its value among the walked `(flag,
@@ -406,6 +450,22 @@ fn print_run(run: &MethodRun) {
         println!(
             "recovery: {} wal records replayed in {:.2} ms ({} snapshot bytes)",
             recovery.wal_records, recovery.replay_ms, recovery.snapshot_bytes,
+        );
+    }
+    if let Some(load) = &run.load {
+        let l = load.latency;
+        let verified = if load.verified { "; verified" } else { "" };
+        println!(
+            "wire: {} connection(s), one query at a time: p50 {:.3} ms, p99 {:.3} ms, \
+             max {:.3} ms, mean {:.3} ms, {} overloaded; population {} records in {:.2} ms{verified}",
+            load.connections,
+            l.p50_ms,
+            l.p99_ms,
+            l.max_ms,
+            l.mean_ms,
+            load.overloaded,
+            load.populate_ops,
+            load.populate_ms,
         );
     }
 }

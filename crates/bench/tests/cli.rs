@@ -176,6 +176,38 @@ fn the_quick_sql_run_reports_its_pinned_outcomes_and_counters() {
     }
 }
 
+/// The solve counters of the quick per-click run and of the quick churn
+/// run, pinned: how many auctions solved, how many of those warm, the
+/// weight cells filled and the candidate rescans. They are counts, not
+/// timings, so debug and release builds read the same. The churn run's
+/// `rescans` is the row a change to rescanning is read against.
+#[test]
+fn the_quick_runs_report_their_pinned_solve_counters() {
+    for (args, counters) in [
+        (
+            &["--method", "rh", "--quick", "--json"][..],
+            [
+                "\"solves\":4,\"warm_solves\":46,",
+                "\"cells_evaluated\":16365,\"rescans\":0}",
+            ],
+        ),
+        (
+            &["--workload", "churn", "--quick", "--json"][..],
+            [
+                "\"solves\":8,\"warm_solves\":42,",
+                "\"cells_evaluated\":20490,\"rescans\":0}",
+            ],
+        ),
+    ] {
+        let out = reproduce(args);
+        assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+        let json = stdout_of(&out);
+        for key in counters {
+            assert!(json.contains(key), "args {args:?}: missing {key} in {json}");
+        }
+    }
+}
+
 #[test]
 fn native_and_sql_strategies_report_identical_outcomes() {
     // The equivalence claim, visible at the CLI surface: same clicks and

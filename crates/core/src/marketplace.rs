@@ -2047,18 +2047,19 @@ impl Marketplace {
             self.check_keyword(query.keyword())?;
         }
         let mut time = self.clock;
-        let chunks: Vec<Chunk<Q>> = (queries.chunk_by(|a, b| a.keyword() == b.keyword()))
-            .map(|run| {
-                let start_time = time;
-                time += run.len() as u64;
-                let keyword = run.first().map_or(0, EngineQuery::keyword);
-                Chunk {
-                    keyword,
-                    queries: run,
-                    start_time,
-                }
-            })
-            .collect();
+        let runs = || queries.chunk_by(|a, b| a.keyword() == b.keyword());
+        // Counted first, so the list is allocated once at its size.
+        let mut chunks: Vec<Chunk<Q>> = Vec::with_capacity(runs().count());
+        chunks.extend(runs().map(|run| {
+            let start_time = time;
+            time += run.len() as u64;
+            let keyword = run.first().map_or(0, EngineQuery::keyword);
+            Chunk {
+                keyword,
+                queries: run,
+                start_time,
+            }
+        }));
         self.clock = time;
 
         let num_shards = self.num_shards;

@@ -157,13 +157,14 @@ fn each_operation_allocates_a_pinned_number_of_times() {
     // journalled batches (≈ 102 a batch: the queries' attributes moved
     // into requests and copied back into a fresh record) and 295 in 50
     // journalled adds (three copies: click row, purchase row, targeting
-    // text), against the same 258 and 145 unjournalled. Of a batch's ≈ 5,
-    // three grow its list of 16 chunks, one holds the chunks' reports and
-    // one the per-keyword totals.
+    // text), against the same 258 and 145 unjournalled. A batch's ≈ 3 are
+    // its list of 16 chunks, the chunks' reports and the per-keyword
+    // totals; the list was grown three times more (258 in 50 batches)
+    // until `run_batch` counted its chunks before allocating the list.
     let [unjournalled, journalled] = journalled_records();
     assert_eq!(
         unjournalled,
-        (258, 145),
+        (158, 145),
         "allocations in 50 unjournalled records of each kind"
     );
     assert_eq!(

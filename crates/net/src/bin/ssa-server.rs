@@ -6,9 +6,9 @@
 //! requests before exiting.
 //!
 //! The initial marketplace comes from the CLI flags; clients usually
-//! replace it anyway with a `Configure` request (the load driver and the
-//! equivalence tests do), so the flags only matter for servers driven by
-//! hand.
+//! replace it anyway with a `Configure` request (`reproduce --server` and
+//! the equivalence tests do), so the flags only matter for servers driven
+//! by hand.
 //!
 //! With `--data-dir` the server journals every mutation and serve to a
 //! write-ahead log in that directory and, on restart, recovers the

@@ -27,14 +27,12 @@
 //!   and write the reply itself. Data-plane requests always queue.
 //! * [`client`] — a blocking client: market operations go as
 //!   `MutationRecord`s, one at a time or pipelined; reads are typed.
-//! * [`load`] — Section V configuration and verification twins shared by
-//!   the `ssa-load` binary, the bench driver's `--server` path, and the
-//!   equivalence tests; latency recording with p50/p99 reporting.
 //!
 //! The serving contract: a seeded Section V stream served over a socket
 //! produces **bit-identical** winners, clicks, and charges to the same
 //! stream served in process through `Marketplace::serve_batch`
-//! (proven in `tests/server_equivalence.rs`).
+//! (proven in `tests/server_equivalence.rs`; `reproduce --server <addr>
+//! --verify` checks a running server against it, query by query).
 //!
 //! # Quickstart
 //!
@@ -84,7 +82,6 @@
 pub mod admission;
 pub mod client;
 pub mod frame;
-pub mod load;
 pub mod proto;
 pub mod server;
 pub mod session;
@@ -92,12 +89,9 @@ pub mod session;
 pub use admission::Admission;
 pub use client::{parse_addr, Client, NetError, ParseAddrError};
 pub use frame::{FrameError, FrameKind, RawFrame, MAX_FRAME, PROTO_VERSION};
-pub use load::{
-    available_cores, local_twin, market_config_for, LatencyRecorder, LatencySummary, LoadReport,
-};
 pub use proto::{
-    BatchSummary, ErrorCode, MarketConfig, ProtoError, Request, Response, ServerStats, WireAuction,
-    WirePlacement,
+    market_config_for, BatchSummary, ErrorCode, MarketConfig, ProtoError, Request, Response,
+    ServerStats, WireAuction, WirePlacement,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use session::{Session, SessionRegistry};

@@ -38,7 +38,8 @@ use ssa_core::codec::{put_bool, put_f64, put_i64, put_string, put_u16, put_u32, 
 use ssa_core::marketplace::{
     AdvertiserHandle, AuctionResponse, CampaignId, MarketBatchReport, MarketError, Placement,
 };
-use ssa_core::{MutationRecord, Reply, UserAttrs};
+use ssa_core::{MutationRecord, PricingScheme, Reply, UserAttrs, WdMethod};
+use ssa_workload::SectionVConfig;
 
 /// Typed payload decode failure: the workspace's one [`CodecError`],
 /// under the name this layer has always exported.
@@ -48,9 +49,33 @@ pub use ssa_core::CodecError as ProtoError;
 
 /// Marketplace configuration carried by [`Request::Configure`]: the server
 /// tears down its marketplace and rebuilds it to this shape, so a client
-/// (the load driver, the equivalence tests) fully controls the market it
+/// (`reproduce --server`, the equivalence tests) fully controls the market it
 /// measures. The same type the write-ahead log and snapshots record.
 pub use ssa_core::MarketConfigState as MarketConfig;
+
+/// The [`MarketConfig`] of the Section V marketplace for a given workload:
+/// same slots/keywords, the workload's derived market seed, caller-chosen
+/// method, pricing, shard count, and solver toggles.
+pub fn market_config_for(
+    config: &SectionVConfig,
+    method: WdMethod,
+    pricing: PricingScheme,
+    shards: usize,
+    pruned: bool,
+) -> MarketConfig {
+    MarketConfig {
+        slots: config.num_slots,
+        keywords: config.num_keywords,
+        seed: config.market_seed(),
+        method,
+        pricing,
+        shards,
+        pruned,
+        warm_start: true,
+        default_click_probs: None,
+        default_purchase_probs: None,
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Requests.

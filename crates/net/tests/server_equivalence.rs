@@ -7,14 +7,14 @@ use ssa_bidlang::Money;
 use ssa_core::marketplace::QueryRequest;
 use ssa_core::{CampaignId, MutationRecord, PricingScheme, WdMethod};
 use ssa_net::client::Client;
-use ssa_net::load::{local_twin, market_config_for};
+use ssa_net::market_config_for;
 use ssa_net::proto::BatchSummary;
 use ssa_net::server::{Server, ServerConfig, ServerHandle};
 use ssa_net::MarketConfig;
 use ssa_workload::{SectionVConfig, SectionVWorkload};
 
 mod support;
-use support::update_bid;
+use support::{local_twin, update_bid};
 
 /// Rebuilds the server's market to `config` and applies the untargeted
 /// Section V population, pipelined.

@@ -4,8 +4,23 @@
 #![allow(dead_code)]
 
 use ssa_bidlang::Money;
-use ssa_core::{AdvertiserHandle, CampaignId, MutationRecord};
-use ssa_net::Response;
+use ssa_core::{AdvertiserHandle, CampaignId, Marketplace, MutationRecord};
+use ssa_net::server::build_market;
+use ssa_net::{MarketConfig, Response};
+use ssa_workload::SectionVWorkload;
+
+/// The in-process marketplace a server holds after
+/// `Request::Configure(config)` and the untargeted population's
+/// `SectionVWorkload::records`: the oracle for equivalence checks.
+/// Outcomes do not depend on `config.shards`, so the twin may run any
+/// shard count.
+pub fn local_twin(workload: &SectionVWorkload, config: &MarketConfig) -> Marketplace {
+    let mut market = build_market(config).expect("twin configuration is valid");
+    workload
+        .populate(&mut market, false)
+        .expect("Section V campaign is valid");
+    market
+}
 
 /// Registers an advertiser named `name`.
 pub fn register(name: &str) -> MutationRecord {

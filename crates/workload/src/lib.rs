@@ -30,13 +30,13 @@
 //! over the wire, or journalled. [`scenario`] is the one
 //! description of a single-run experiment ([`Scenario`]: population,
 //! stream, transport, durability, shards, sizes) with its quick and full
-//! presets — shared by the `reproduce` runner and the `ssa-load` driver
-//! so their rows describe the same scenario.
+//! presets, which the `reproduce` runner serves in process or over the
+//! wire.
 //!
 //! The [`hostile`] module is the evaluation's adversarial counterpart:
 //! Zipf-skewed and flash-crowd query streams, advertiser churn under
 //! load, and defective targeting programs — the [`WorkloadShape`]s behind
-//! `reproduce --workload <shape>` and `ssa-load --workload <shape>`.
+//! `reproduce --workload <shape>`, in process or over the wire.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +56,7 @@ pub use hostile::{
     ShardSkew, WorkloadShape,
 };
 pub use market::MarketSimulation;
-pub use scenario::{Population, Scenario, Stream};
+pub use scenario::{Drive, Population, Scenario, Stream};
 pub use sim::{Simulation, SimulationStats};
 pub use sql::{
     programmed_market, programmed_sharded_market, ParseStrategyError, ProgramHandle,

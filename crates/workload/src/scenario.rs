@@ -4,24 +4,24 @@
 //! one query stream, the method varied — and every way this repository
 //! serves it (in process, sharded, journalled, over the wire) is a
 //! *dimension* of that experiment, not a different experiment. A
-//! [`Scenario`] names a point in that space; `ssa_bench::run` serves it,
-//! and `ssa-load` reads the same value for the population, the stream,
-//! and the [`Scenario::quick`] / [`Scenario::full`] sizes — so an
-//! in-process row, a wire row, and a journalled row of one scenario differ
-//! only in the layer under test, and layer cost falls out by subtraction.
+//! [`Scenario`] names a point in that space and `ssa_bench::run` serves
+//! it, so an in-process row, a wire row, and a journalled row of one
+//! scenario differ only in the layer under test, and layer cost falls out
+//! by subtraction.
 //!
-//! | field | `reproduce` | `ssa-load` |
-//! |---|---|---|
-//! | `population` | `--strategy`, `--targeted` | (per-click) |
-//! | `stream` | `--workload` | `--workload` |
-//! | `transport` | `--server` | `--addr` |
-//! | `durability` | `--durable` | (the server's `--data-dir`) |
-//! | `shards` | `--shards` | `--shards` |
-//! | `method` | `--method` | `--method` |
-//! | `pricing` | (GSP) | `--pricing` |
-//! | `pruned` | `--pruned` | `--pruned` |
-//! | `advertisers`, `seed` | `--quick` | `--quick`, `--advertisers`, `--seed` |
-//! | `auctions`, `warmup` | `--quick`, `--load` | `--quick`, `--queries`, `--warmup` |
+//! | field | `reproduce` |
+//! |---|---|
+//! | `population` | `--strategy`, `--targeted` |
+//! | `stream` | `--workload` |
+//! | `transport` | `--server` |
+//! | `drive` | `--connections`, `--verify`, `--skip`, `--shutdown` |
+//! | `durability` | `--durable` (over the wire: the server's `--data-dir`) |
+//! | `shards` | `--shards` |
+//! | `method` | `--method` |
+//! | `pricing` | (GSP) |
+//! | `pruned` | `--pruned` |
+//! | `advertisers`, `seed` | `--quick`, `--advertisers` |
+//! | `auctions`, `warmup` | `--quick`, `--load` |
 
 use crate::config::SectionVConfig;
 use crate::hostile::{ChurnPlan, WorkloadShape};
@@ -79,6 +79,26 @@ impl Stream {
     }
 }
 
+/// How a wire run's queries reach the server. The default sends
+/// `ServeBatch` requests over one connection; the other settings serve one
+/// request at a time and time each. Every field drives a server, so a run
+/// in process accepts only the default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Drive {
+    /// `Some(n)`: a closed loop — `n` connections split the stream, each
+    /// sending its next request when the last one is answered.
+    pub connections: Option<usize>,
+    /// `Some(skip)`: one connection serves the stream in order and every
+    /// auction is compared bit for bit with an in-process twin, as are the
+    /// keywords' top bids at the end. No warm-up is served. With `skip`
+    /// above 0 the server already holds the market and has served the
+    /// stream's first `skip` queries, which the twin replays before the
+    /// comparison starts.
+    pub verify: Option<usize>,
+    /// Ask the server to drain and stop after the run.
+    pub shutdown: bool,
+}
+
 /// One point in the experiment space: what is served, to whom, through
 /// which layers. See the [module docs](self) for the field ↔ flag table.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,6 +110,8 @@ pub struct Scenario {
     /// `Some(addr)` serves through the `ssa-server` at `addr` over the
     /// wire protocol; `None` serves in process.
     pub transport: Option<SocketAddr>,
+    /// How a wire run drives the server.
+    pub drive: Drive,
     /// `Some(dir)` journals every mutation and batch to a write-ahead log
     /// in `dir` (which must be empty) while the clock runs, then recovers
     /// from it and checks the recovered market against the served one.
@@ -131,6 +153,7 @@ impl Scenario {
             population: Population::PerClick,
             stream: Stream::RoundRobin,
             transport: None,
+            drive: Drive::default(),
             durability: None,
             shards: None,
             method: WdMethod::Reduced,

@@ -26,8 +26,8 @@
 //!   defective targeting sources);
 //! * [`net`] — the TCP serving front-end: a framed wire protocol over
 //!   `std::net`, the `ssa-server` binary wrapping a
-//!   [`marketplace::Marketplace`], and the `ssa-load` latency-reporting
-//!   load driver;
+//!   [`marketplace::Marketplace`], driven by `reproduce --server` (see
+//!   "One scenario, one runner" below);
 //! * [`durable`] — crash recovery: a checksummed write-ahead log of every
 //!   control-plane mutation and serve, periodic snapshots, and
 //!   bit-identical replay.
@@ -108,10 +108,11 @@
 //! | `population` | `--strategy`, `--targeted` | per-click, targeted, or programmed |
 //! | `stream` | `--workload` | round-robin or a hostile shape |
 //! | `transport` | `--server` | in process or over the wire |
+//! | `drive` | `--connections`, `--verify`, `--skip`, `--shutdown` | over the wire: batched, a closed loop, or verified against a twin |
 //! | `durability` | `--durable` | memory only or journalled + recovered |
 //! | `shards` | `--shards` | worker shards |
 //! | `method`, `pruned` | `--method`, `--pruned` | winner determination |
-//! | `advertisers`, `auctions`, `warmup`, `seed` | `--quick`, `--load` | the `Scenario::quick()` / `full()` presets |
+//! | `advertisers`, `auctions`, `warmup`, `seed` | `--quick`, `--advertisers`, `--load` | the `Scenario::quick()` / `full()` presets |
 //!
 //! `ssa_bench::run` is the one runner: it serves every `reproduce` run,
 //! with bit-identical outcomes along every execution-strategy dimension;
@@ -434,13 +435,13 @@
 //! before the socket closes. The serving contract is the same equivalence
 //! guarantee the sharded marketplace proves in-process: a seeded Section V
 //! stream served over the wire is **bit-identical** to `serve_batch` in
-//! process, at any shard count (`ssa-load --verify` checks exactly this; so
-//! does `reproduce --server <addr>`).
+//! process, at any shard count (`reproduce --server <addr> --verify` checks
+//! exactly this, query by query and then each keyword's top bids).
 //!
 //! ```text
 //! cargo run --release --bin ssa-server -- --addr 127.0.0.1:7878
-//! cargo run --release --bin ssa-load -- --addr 127.0.0.1:7878 --quick \
-//!     --report bench-report.json       # QPS + p50/p99/max latency
+//! cargo run --release --bin reproduce -- --method rh --quick \
+//!     --server 127.0.0.1:7878 --connections 4 --json   # p50/p99/max latency
 //! ```
 //!
 //! See `examples/net_quickstart.rs` for the client API end to end.
@@ -501,9 +502,9 @@
 //! `ssa-server --data-dir <dir>` wires this into the TCP front-end
 //! (`--fsync always|off`, `--snapshot-every <n>`); on boot it prints a
 //! `ssa-server recovered wal_records=… snapshot_bytes=… replay_ms=…`
-//! line that the crash-recovery CI job asserts on, and `ssa-load
-//! --verify --skip <n>` replays a workload's tail against the recovered
-//! server to prove the restart lost nothing. See
+//! line that the crash-recovery CI job asserts on, and `reproduce --server
+//! <addr> --verify --skip <n>` replays a workload's tail against the
+//! recovered server to prove the restart lost nothing. See
 //! `examples/durable_restart.rs` for the library-level loop.
 //!
 //! ## Targeting and workload shapes
@@ -590,7 +591,7 @@
 //! ```text
 //! reproduce --workload zipf:1.1 --shards 4 --json   # per-shard skew in the JSON row
 //! reproduce --targeted --shards 2 --json            # candidate drop under targeting
-//! ssa-load --addr <host:port> --workload zipf:1.1   # the same shapes over the wire
+//! reproduce --workload zipf:1.1 --server <host:port>  # the same shapes over the wire
 //! ```
 //!
 //! CI's perf-smoke job tracks both rows on every push. See
@@ -615,7 +616,7 @@ pub use ssa_durable as durable;
 pub use ssa_matching as matching;
 pub use ssa_minidb as minidb;
 /// The TCP serving front-end: framed wire protocol, `Server`/`Client`,
-/// bounded admission, and the load-driver library behind `ssa-load`.
+/// and bounded admission.
 pub use ssa_net as net;
 pub use ssa_simplex as simplex;
 pub use ssa_strategy as strategy;
