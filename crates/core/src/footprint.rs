@@ -41,7 +41,8 @@ pub enum Component {
     /// visible from the market.
     Programs,
     /// Click-probability rows: the market's one table, each row stored
-    /// once however many campaigns name it.
+    /// once however many campaigns name it, and the configured default
+    /// row as supplied.
     ClickRows,
     /// 4-byte ids of click rows: one per campaign in its engine's click
     /// model, and one per advertiser for the row it registered last.

@@ -81,8 +81,8 @@ pub enum MutationRecord {
         name: String,
     },
     /// [`Marketplace::add_campaign`] with a per-click spec, exactly
-    /// as supplied (models left `None` resolve through builder defaults at
-    /// replay, same as at first application).
+    /// as supplied (models left `None` resolve through the configured
+    /// defaults at replay, same as at first application).
     AddCampaign {
         /// Registration index of the advertiser.
         advertiser: u64,

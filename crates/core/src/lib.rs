@@ -28,10 +28,13 @@
 //! advertisers, per-keyword campaigns, and one persistent engine+solver
 //! per keyword (whose bidders are its campaigns), with a typed serving API
 //! and an incremental update API that rewrites one campaign in place.
-//! `AuctionEngine` remains the documented low-level escape hatch.
+//! A market is built from one [`MarketConfigState`] by
+//! [`marketplace::Marketplace::from_config`], the one constructor;
+//! [`marketplace::Marketplace::builder`] writes that value one setter at
+//! a time. `AuctionEngine` remains the documented low-level escape hatch.
 //!
-//! For multi-core serving,
-//! [`marketplace::MarketplaceBuilder::build_sharded`] partitions the
+//! For multi-core serving, a configuration's `shards` count
+//! ([`marketplace::MarketplaceBuilder::build_sharded`]) partitions the
 //! marketplace's keyword books across shards by stable hash
 //! ([`sharded::shard_of_keyword`]) and `serve_batch` fans out over scoped
 //! threads — with bit-identical auction outcomes at every shard count (see

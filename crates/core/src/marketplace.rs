@@ -30,11 +30,16 @@
 //! record. Every operation is defined once and indexes the keyword's
 //! book directly.
 //!
-//! How a market solves and prices — method, pricing rule, pruning, warm
-//! starts — is fixed when it is built. [`Marketplace::configure`], the
-//! journalled `Configure` operation, is the one way to change it: it
-//! replaces the market with a fresh build, so a recovered market replays
-//! exactly the configuration that was served.
+//! A market is built from one value, a [`MarketConfigState`]: its slot
+//! count, keyword universe, shard count and seed, how it solves and
+//! prices — method, pricing rule, pruning, warm starts — and its default
+//! rows. [`Marketplace::from_config`] is the one constructor, the market
+//! keeps the value as supplied ([`Marketplace::config`]), and
+//! [`Marketplace::builder`] only writes one setter at a time. The
+//! configuration is fixed when the market is built.
+//! [`Marketplace::configure`], the journalled `Configure` operation, is the
+//! one way to change it: it replaces the market with a fresh build, so a
+//! recovered market replays exactly the configuration that was served.
 //!
 //! [`AuctionEngine`] remains the documented low-level escape hatch for
 //! callers that want to assemble a single-keyword auction by hand.
@@ -45,8 +50,8 @@
 //! keyword's book — and keyword `k`'s RNG stream is seeded purely from
 //! `(seed, k)` ([`keyword_stream_seed`]). The auctions served on a keyword
 //! therefore depend only on the sub-sequence of queries on that keyword and
-//! their global clock values. A marketplace built with
-//! [`MarketplaceBuilder::build_sharded`]`(n)` uses exactly that: keywords
+//! their global clock values. A marketplace configured with `shards = n`
+//! ([`MarketplaceBuilder::build_sharded`]`(n)`) uses exactly that: keywords
 //! are partitioned into `n` shards by a stable hash
 //! ([`crate::sharded::shard_of_keyword`]), and a [`Marketplace::serve_batch`]
 //! whose stream touches more than one partition hands each partition's
@@ -359,9 +364,10 @@ enum ProgramSpec {
 /// Declarative description of a campaign handed to
 /// [`Marketplace::add_campaign`].
 ///
-/// Per-slot click probabilities default to the builder-level
-/// [`MarketplaceBuilder::default_click_probs`]; purchase probabilities
-/// default to "never" (the pure click-auction setting).
+/// Per-slot click probabilities default to the market's configured
+/// [`MarketConfigState::default_click_probs`]; purchase probabilities
+/// default to its configured row, or to "never" (the pure click-auction
+/// setting).
 pub struct CampaignSpec {
     program: ProgramSpec,
     click_probs: Option<Vec<f64>>,
@@ -1073,30 +1079,13 @@ pub const MAX_KEYWORDS: usize = 1 << 16;
 /// one worker thread per [`Marketplace::serve_batch`].
 pub const MAX_SHARDS: usize = 1 << 10;
 
-/// Configures and constructs a [`Marketplace`]; obtained from
-/// [`Marketplace::builder`].
-#[derive(Debug, Clone)]
+/// Writes a [`MarketConfigState`] one setter at a time; obtained from
+/// [`Marketplace::builder`]. It starts from [`MarketConfigState::default`],
+/// and [`MarketplaceBuilder::build_sharded`] hands what it wrote to
+/// [`Marketplace::from_config`], the one constructor.
+#[derive(Debug, Clone, Default)]
 pub struct MarketplaceBuilder {
-    /// What every keyword engine is built with.
-    config: EngineConfig,
-    num_slots: usize,
-    num_keywords: usize,
-    seed: u64,
-    default_click_probs: Option<Vec<f64>>,
-    default_purchase_probs: Option<Vec<(f64, f64)>>,
-}
-
-impl Default for MarketplaceBuilder {
-    fn default() -> Self {
-        MarketplaceBuilder {
-            config: EngineConfig::default(),
-            num_slots: 1,
-            num_keywords: 1,
-            seed: 0,
-            default_click_probs: None,
-            default_purchase_probs: None,
-        }
-    }
+    config: MarketConfigState,
 }
 
 impl MarketplaceBuilder {
@@ -1114,13 +1103,13 @@ impl MarketplaceBuilder {
 
     /// Number of ad slots per results page (default: 1).
     pub fn slots(mut self, num_slots: usize) -> Self {
-        self.num_slots = num_slots;
+        self.config.slots = num_slots;
         self
     }
 
     /// Size of the keyword universe (default: 1).
     pub fn keywords(mut self, num_keywords: usize) -> Self {
-        self.num_keywords = num_keywords;
+        self.config.keywords = num_keywords;
         self
     }
 
@@ -1128,7 +1117,7 @@ impl MarketplaceBuilder {
     /// purchases): keyword `k` draws from its own stream seeded by
     /// [`keyword_stream_seed`]`(seed, k)`.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
@@ -1151,75 +1140,30 @@ impl MarketplaceBuilder {
     /// Click model applied to campaigns that do not supply their own
     /// [`CampaignSpec::click_probs`].
     pub fn default_click_probs(mut self, probs: Vec<f64>) -> Self {
-        self.default_click_probs = Some(probs);
+        self.config.default_click_probs = Some(probs);
         self
     }
 
     /// Purchase model applied to campaigns that do not supply their own
     /// [`CampaignSpec::purchase_probs`] (default: purchases never happen).
     pub fn default_purchase_probs(mut self, probs: Vec<(f64, f64)>) -> Self {
-        self.default_purchase_probs = Some(probs);
+        self.config.default_purchase_probs = Some(probs);
         self
     }
 
-    /// Validates the configuration and constructs the marketplace on one
-    /// shard: every `serve_batch` runs on the calling thread.
+    /// Builds the marketplace on one shard: every `serve_batch` runs on the
+    /// calling thread.
     pub fn build(self) -> Result<Marketplace, MarketError> {
         self.build_sharded(1)
     }
 
-    /// Validates the configuration and constructs the marketplace with its
-    /// keywords partitioned across `num_shards` shards (see the
-    /// [module docs](crate::marketplace)). Slot, keyword and shard counts
-    /// above [`MAX_SLOTS`], [`MAX_KEYWORDS`] and [`MAX_SHARDS`] are refused
-    /// before anything is allocated for them; more shards than keywords is
-    /// fine.
-    pub fn build_sharded(self, num_shards: usize) -> Result<Marketplace, MarketError> {
-        if num_shards == 0 {
-            return Err(MarketError::NoShards);
-        }
-        if self.num_slots == 0 {
-            return Err(MarketError::NoSlots);
-        }
-        if self.num_keywords == 0 {
-            return Err(MarketError::NoKeywords);
-        }
-        if num_shards > MAX_SHARDS {
-            return Err(MarketError::TooManyShards(num_shards));
-        }
-        if self.num_slots > MAX_SLOTS {
-            return Err(MarketError::TooManySlots(self.num_slots));
-        }
-        if self.num_keywords > MAX_KEYWORDS {
-            return Err(MarketError::TooManyKeywords(self.num_keywords));
-        }
-        let mut clicks = ClickTable::new(self.num_slots);
-        let default_click_row = match &self.default_click_probs {
-            Some(probs) => Some(clicks.insert(probs)?),
-            None => None,
-        };
-        if let Some(probs) = &self.default_purchase_probs {
-            validate_purchase_probs(probs, self.num_slots)?;
-        }
-        Ok(Marketplace {
-            config: self.config,
-            num_slots: self.num_slots,
-            num_shards,
-            advertisers: Names::default(),
-            clicks,
-            click_rows: Vec::new(),
-            matchers: HashMap::new(),
-            books: (0..self.num_keywords)
-                .map(|kw| {
-                    KeywordBook::new(StdRng::seed_from_u64(keyword_stream_seed(self.seed, kw)))
-                })
-                .collect(),
-            default_click_row,
-            default_purchase_probs: self.default_purchase_probs,
-            seed: self.seed,
-            clock: 0,
-            journal: None,
-        })
+    /// Builds the marketplace with its keywords partitioned across
+    /// `num_shards` shards (see the [module docs](crate::marketplace)):
+    /// [`Marketplace::from_config`] of what was written, with `shards`
+    /// set to `num_shards`.
+    pub fn build_sharded(mut self, num_shards: usize) -> Result<Marketplace, MarketError> {
+        self.config.shards = num_shards;
+        Marketplace::from_config(&self.config)
     }
 }
 
@@ -1268,15 +1212,14 @@ fn validate_purchase_probs(probs: &[(f64, f64)], num_slots: usize) -> Result<(),
 /// [module docs](crate::marketplace) for the full picture.
 #[derive(Debug)]
 pub struct Marketplace {
-    /// What every keyword engine is built with; changed only by
-    /// [`Marketplace::configure`], which builds a new market.
-    config: EngineConfig,
-    num_slots: usize,
-    /// How many partitions `serve_batch` may spread the books over.
-    num_shards: usize,
+    /// What the market was built from, as supplied: its shape, seed and
+    /// default rows, and what every keyword engine solves and prices with.
+    /// Changed only by [`Marketplace::configure`], which builds a new
+    /// market.
+    config: MarketConfigState,
     /// Registered advertisers' names, by handle.
     advertisers: Names,
-    /// Every click row a campaign or the builder default registered, each
+    /// Every click row a campaign or the configured default registered, each
     /// once; the keyword engines hold ids into it, and every call that
     /// reads probabilities is handed it.
     clicks: ClickTable,
@@ -1289,12 +1232,9 @@ pub struct Marketplace {
     matchers: HashMap<String, Arc<CompiledTargeting>>,
     /// One book per keyword, indexed by keyword.
     books: Vec<KeywordBook>,
-    /// The row every campaign without click probabilities of its own shares.
+    /// The configured default click row's id in `clicks`: the row every
+    /// campaign without click probabilities of its own shares.
     default_click_row: Option<ClickRowId>,
-    default_purchase_probs: Option<Vec<(f64, f64)>>,
-    /// The builder seed, retained so a state capture can reproduce the
-    /// build (per-keyword RNG streams are seeded from it).
-    seed: u64,
     clock: u64,
     /// Durability hook: receives every applied mutation and served query
     /// (see [`crate::journal`]). `None` — the default — costs the hot
@@ -1413,23 +1353,11 @@ impl Marketplace {
 
     // -- durable state capture ----------------------------------------------
 
-    /// The build configuration: what a `Configure` operation carries and
-    /// [`Marketplace::from_config`] builds this market's empty twin from.
+    /// The configuration this market was built from, as supplied: what a
+    /// `Configure` operation carries and [`Marketplace::from_config`]
+    /// builds this market's empty twin from.
     pub fn config(&self) -> MarketConfigState {
-        MarketConfigState {
-            slots: self.num_slots,
-            keywords: self.books.len(),
-            seed: self.seed,
-            method: self.config.method,
-            pricing: self.config.pricing,
-            shards: self.num_shards,
-            pruned: self.config.pruned,
-            warm_start: self.config.warm_start,
-            default_click_probs: self
-                .default_click_row
-                .map(|id| self.clicks.row(id).to_vec()),
-            default_purchase_probs: self.default_purchase_probs.clone(),
-        }
+        self.config.clone()
     }
 
     /// The compacted log after its `Configure`, in [`MarketState::records`]'s
@@ -1437,7 +1365,7 @@ impl Marketplace {
     /// [`Marketplace::config`], it rebuilds this campaign book. Each
     /// `AddCampaign` carries the nominal bid, the current ROI target and
     /// every model explicitly (a campaign that never purchases, one
-    /// `(0.0, 0.0)` per slot), so no builder default is resolved again.
+    /// `(0.0, 0.0)` per slot), so no configured default is resolved again.
     /// The records borrow names, rows and targeting texts from the market.
     /// [`MarketError::NotDurable`] for a campaign that is not per-click.
     pub fn compacted_log(&self) -> impl Iterator<Item = Result<LogRecord<'_>, MarketError>> + '_ {
@@ -1518,26 +1446,53 @@ impl Marketplace {
         })
     }
 
-    /// Builds the empty marketplace `config` describes — the one function
-    /// that turns a configuration into a marketplace (recovery replay and
-    /// the serving layer's `Configure` both build through it). No journal
-    /// is attached.
+    /// Builds the empty marketplace `config` describes — the one
+    /// constructor: the builder, recovery replay and the serving layer's
+    /// `Configure` all build through it. No journal is attached.
+    ///
+    /// Shard, slot and keyword counts of zero, or above [`MAX_SHARDS`],
+    /// [`MAX_SLOTS`] and [`MAX_KEYWORDS`], are refused before anything is
+    /// allocated for them, in that order; then the default click row, then
+    /// the default purchase row. More shards than keywords is fine.
     pub fn from_config(config: &MarketConfigState) -> Result<Self, MarketError> {
-        let mut builder = Marketplace::builder()
-            .slots(config.slots)
-            .keywords(config.keywords)
-            .seed(config.seed)
-            .method(config.method)
-            .pricing(config.pricing)
-            .pruned(config.pruned)
-            .warm_start(config.warm_start);
-        if let Some(probs) = &config.default_click_probs {
-            builder = builder.default_click_probs(probs.clone());
+        let (shards, slots, keywords) = (config.shards, config.slots, config.keywords);
+        if shards == 0 {
+            return Err(MarketError::NoShards);
         }
+        if slots == 0 {
+            return Err(MarketError::NoSlots);
+        }
+        if keywords == 0 {
+            return Err(MarketError::NoKeywords);
+        }
+        if shards > MAX_SHARDS {
+            return Err(MarketError::TooManyShards(shards));
+        }
+        if slots > MAX_SLOTS {
+            return Err(MarketError::TooManySlots(slots));
+        }
+        if keywords > MAX_KEYWORDS {
+            return Err(MarketError::TooManyKeywords(keywords));
+        }
+        let mut clicks = ClickTable::new(slots);
+        let default_click_row = (config.default_click_probs.as_deref())
+            .map(|probs| clicks.insert(probs))
+            .transpose()?;
         if let Some(probs) = &config.default_purchase_probs {
-            builder = builder.default_purchase_probs(probs.clone());
+            validate_purchase_probs(probs, slots)?;
         }
-        builder.build_sharded(config.shards)
+        let rng = |kw| StdRng::seed_from_u64(keyword_stream_seed(config.seed, kw));
+        Ok(Marketplace {
+            config: config.clone(),
+            advertisers: Names::default(),
+            clicks,
+            click_rows: Vec::new(),
+            matchers: HashMap::new(),
+            books: (0..keywords).map(|kw| KeywordBook::new(rng(kw))).collect(),
+            default_click_row,
+            clock: 0,
+            journal: None,
+        })
     }
 
     /// Replaces this marketplace with a fresh build of `config`, carrying
@@ -1577,12 +1532,12 @@ impl Marketplace {
 
     /// Number of shards the keyword universe is partitioned across.
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.config.shards
     }
 
     /// The shard owning `keyword`; see [`shard_of_keyword`].
     pub fn shard_of(&self, keyword: usize) -> usize {
-        shard_of_keyword(keyword, self.num_shards)
+        shard_of_keyword(keyword, self.config.shards)
     }
 
     /// Registers an advertiser, returning its handle. Handles are global:
@@ -1609,7 +1564,7 @@ impl Marketplace {
 
     /// Number of ad slots per results page.
     pub fn num_slots(&self) -> usize {
-        self.num_slots
+        self.config.slots
     }
 
     /// Size of the keyword universe.
@@ -1664,7 +1619,12 @@ impl Marketplace {
         for matcher in self.matchers.values() {
             account_matcher(&mut ledger, matcher);
         }
-        if let Some(probs) = &self.default_purchase_probs {
+        // The configuration's rows as supplied; the click row is also a
+        // row of the table.
+        if let Some(probs) = &self.config.default_click_probs {
+            ledger.add(Component::ClickRows, HeapUse::of_vec(probs));
+        }
+        if let Some(probs) = &self.config.default_purchase_probs {
             ledger.add(Component::PurchaseRows, HeapUse::of_vec(probs));
         }
         ledger.finish()
@@ -1702,7 +1662,7 @@ impl Marketplace {
     ///
     /// What campaigns have in common is stored once: a campaign whose click
     /// probabilities are bit for bit those its advertiser's latest campaign
-    /// registered (or the builder default) gets that row's id, any other
+    /// registered (or the configured default) gets that row's id, any other
     /// row is appended to the market's click table (which refuses a wrong
     /// length or a probability outside `[0, 1]`), and a targeting text is
     /// compiled on its first use and its matcher shared by every later
@@ -1768,9 +1728,9 @@ impl Marketplace {
         // `None`: purchases never happen.
         let purchase_probs = terms
             .purchase_probs
-            .or(self.default_purchase_probs.as_deref());
+            .or(self.config.default_purchase_probs.as_deref());
         if let Some(probs) = purchase_probs {
-            validate_purchase_probs(probs, self.num_slots)?;
+            validate_purchase_probs(probs, self.config.slots)?;
         }
         terms.roi_target.map_or(Ok(()), check_roi_target)?;
         // Every validation precedes the first change below: a rejected
@@ -1799,7 +1759,21 @@ impl Marketplace {
         }
 
         self.click_rows[advertiser.0] = Some(click_row);
-        let (config, num_slots, num_keywords) = (self.config, self.num_slots, self.books.len());
+        let MarketConfigState {
+            method,
+            pricing,
+            pruned,
+            warm_start,
+            slots: num_slots,
+            ..
+        } = self.config;
+        let config = EngineConfig {
+            method,
+            pricing,
+            pruned,
+            warm_start,
+        };
+        let num_keywords = self.books.len();
         let book = &mut self.books[keyword];
         let kind = match program {
             ProgramSpec::PerClick(bid) => {
@@ -1828,7 +1802,7 @@ impl Marketplace {
     }
 
     /// The click row a campaign registers in the market's table `clicks`:
-    /// the builder `default` when the campaign brings no probabilities;
+    /// the configured `default` when the campaign brings no probabilities;
     /// otherwise the row its advertiser's `latest` campaign registered, or
     /// the default, when `probs` is bit for bit the same (so `0.0` and
     /// `-0.0` differ, and a captured row reads back exactly as it was
@@ -2062,7 +2036,7 @@ impl Marketplace {
         }));
         self.clock = time;
 
-        let num_shards = self.num_shards;
+        let num_shards = self.config.shards;
         let shard = |c: &Chunk<Q>| shard_of_keyword(c.keyword, num_shards);
         let one_shard = num_shards == 1
             || chunks
@@ -2098,7 +2072,7 @@ impl Marketplace {
         &mut self,
         chunks: &[Chunk<Q>],
     ) -> Result<Vec<BatchReport>, MarketError> {
-        let (num_shards, num_keywords) = (self.num_shards, self.books.len());
+        let (num_shards, num_keywords) = (self.config.shards, self.books.len());
         let clicks = &self.clicks;
         let mut shards: Vec<ShardWork> = (0..num_shards).map(|_| ShardWork::default()).collect();
         for (keyword, book) in self.books.iter_mut().enumerate() {
@@ -2471,6 +2445,99 @@ mod tests {
                 got: 2
             })
         );
+        // A refused configuration is the same error through the one
+        // constructor and through the builder. Each case also breaks every
+        // check after its own, so the order is pinned: shards, slots and
+        // keywords of zero, then above their bounds, then the default
+        // click row, then the default purchase row.
+        let (huge, slots2) = (1usize << 40, MarketConfigState::default());
+        let slots2 = MarketConfigState { slots: 2, ..slots2 };
+        let bad_purchase = Some(vec![(0.1, 0.2), (0.3, -0.5)]);
+        let broken = |shards, slots, keywords| MarketConfigState {
+            shards,
+            slots,
+            keywords,
+            default_click_probs: Some(vec![0.5; 3]),
+            default_purchase_probs: Some(vec![(0.1, 0.2)]),
+            ..slots2.clone()
+        };
+        for (config, want) in [
+            (broken(0, 0, 0), MarketError::NoShards),
+            (broken(huge, 0, 0), MarketError::NoSlots),
+            (broken(huge, huge, 0), MarketError::NoKeywords),
+            (
+                broken(MAX_SHARDS + 1, huge, huge),
+                MarketError::TooManyShards(MAX_SHARDS + 1),
+            ),
+            (
+                broken(4, MAX_SLOTS + 1, huge),
+                MarketError::TooManySlots(MAX_SLOTS + 1),
+            ),
+            (
+                broken(4, 2, MAX_KEYWORDS + 1),
+                MarketError::TooManyKeywords(MAX_KEYWORDS + 1),
+            ),
+            (
+                broken(4, 2, 3),
+                MarketError::ModelDimension {
+                    expected: 2,
+                    got: 3,
+                },
+            ),
+            (
+                MarketConfigState {
+                    default_click_probs: Some(vec![0.5, 1.5]),
+                    default_purchase_probs: bad_purchase.clone(),
+                    ..slots2.clone()
+                },
+                MarketError::InvalidProbability(1.5),
+            ),
+            (
+                MarketConfigState {
+                    default_purchase_probs: Some(vec![(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]),
+                    ..slots2.clone()
+                },
+                MarketError::ModelDimension {
+                    expected: 2,
+                    got: 3,
+                },
+            ),
+            (
+                MarketConfigState {
+                    default_purchase_probs: bad_purchase,
+                    ..slots2.clone()
+                },
+                MarketError::InvalidProbability(-0.5),
+            ),
+        ] {
+            let constructed = Marketplace::from_config(&config).err();
+            assert_eq!(constructed, Some(want), "{config:?}");
+            assert_eq!(through_builder(&config).err(), constructed, "{config:?}");
+        }
+        // The market keeps its configuration as supplied, `-0.0` included,
+        // so a `Configure` of it encodes the same bytes.
+        let every = MarketConfigState {
+            slots: 3,
+            keywords: 5,
+            seed: 99,
+            method: WdMethod::Hungarian,
+            pricing: PricingScheme::Vickrey,
+            shards: 4,
+            pruned: true,
+            warm_start: false,
+            default_click_probs: Some(vec![0.5, -0.0, 0.25]),
+            default_purchase_probs: Some(vec![(0.1, -0.0), (0.0, 0.2), (-0.0, 1.0)]),
+        };
+        let bytes = |config: MarketConfigState| {
+            let mut buf = Vec::new();
+            MutationRecord::Configure(config).encode_into(&mut buf);
+            buf
+        };
+        for market in [Marketplace::from_config(&every), through_builder(&every)] {
+            let config = market.expect("valid configuration").config();
+            assert_eq!(config, every);
+            assert_eq!(bytes(config), bytes(every.clone()));
+        }
         assert!(
             MarketError::NotIncremental(t)
                 .to_string()
@@ -2656,6 +2723,25 @@ mod tests {
     }
 
     // -- one market at every shard count --------------------------------------
+
+    /// `config` written setter by setter and built.
+    fn through_builder(config: &MarketConfigState) -> Result<Marketplace, MarketError> {
+        let mut builder = Marketplace::builder()
+            .slots(config.slots)
+            .keywords(config.keywords)
+            .seed(config.seed)
+            .method(config.method)
+            .pricing(config.pricing)
+            .pruned(config.pruned)
+            .warm_start(config.warm_start);
+        if let Some(probs) = &config.default_click_probs {
+            builder = builder.default_click_probs(probs.clone());
+        }
+        if let Some(probs) = &config.default_purchase_probs {
+            builder = builder.default_purchase_probs(probs.clone());
+        }
+        builder.build_sharded(config.shards)
+    }
 
     fn builder(keywords: usize) -> MarketplaceBuilder {
         Marketplace::builder()
@@ -3114,9 +3200,10 @@ mod tests {
         let default = market.default_click_row.expect("configured");
         assert_eq!(row(c0), default, "{how}: the default row");
         assert_eq!(row(c1), default, "{how}: the default row");
-        // The default, one row for a0/a1 and one each for b0 and b1.
+        // The default, one row for a0/a1 and one each for b0 and b1, and
+        // the default as configured.
         let rows = market.footprint().get(Component::ClickRows).in_use;
-        assert_eq!(rows, 4 * 2 * 8, "{how}: each row stored once");
+        assert_eq!(rows, (4 + 1) * 2 * 8, "{how}: each row stored once");
         for id in [a1, b0, b1] {
             assert!(Arc::ptr_eq(matcher(a0), matcher(id)), "{how}: one matcher");
         }
@@ -3189,9 +3276,10 @@ mod tests {
             assert_eq!(served, twin.serve_batch(&requests).expect("in range"));
             assert_eq!(served.chunks, 40);
         }
-        // The default and one row per campaign, 3 slots of 8 bytes each.
+        // The default (in the table and as configured) and one row per
+        // campaign, 3 slots of 8 bytes each.
         let rows = sharded.footprint().get(Component::ClickRows).in_use;
-        assert_eq!(rows, (1 + registered.len()) * 3 * 8);
+        assert_eq!(rows, (2 + registered.len()) * 3 * 8);
         let (state, twin_state) = (sharded.capture_state(), twin.capture_state());
         let (state, twin_state) = (state.expect("durable"), twin_state.expect("durable"));
         assert_eq!(state.records, twin_state.records);

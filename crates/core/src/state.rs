@@ -21,17 +21,20 @@
 //! restored market re-derives them at each keyword's next auction and
 //! reproduces the same auctions bit for bit (the repository's
 //! solver-equivalence guarantee). Each `AddCampaign` carries every model
-//! explicitly, so no builder default is resolved again at restore. So
+//! explicitly, so no configured default is resolved again at restore. So
 //! campaigns + clock + RNG positions pin down every future auction
 //! outcome exactly.
 
 use crate::codec::{put_bool, put_f64_vec, put_opt, put_pair_vec, put_u64, CodecError, Reader};
-use crate::engine::WdMethod;
+use crate::engine::{EngineConfig, WdMethod};
 use crate::journal::MutationRecord;
 use crate::pricing::PricingScheme;
 
-/// The build-time configuration of a marketplace, as needed to
-/// reconstruct it via [`crate::marketplace::MarketplaceBuilder`].
+/// A marketplace's configuration: what
+/// [`crate::marketplace::Marketplace::from_config`] builds a market from,
+/// what the market keeps as supplied, and what a `Configure` operation
+/// carries. [`crate::marketplace::MarketplaceBuilder`] writes one setter
+/// at a time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarketConfigState {
     /// Ad slots per results page.
@@ -50,10 +53,35 @@ pub struct MarketConfigState {
     pub pruned: bool,
     /// Whether unchanged auctions skip the refill + solve.
     pub warm_start: bool,
-    /// Builder-level default click model, if one was configured.
+    /// Click model of campaigns without one of their own, if configured.
     pub default_click_probs: Option<Vec<f64>>,
-    /// Builder-level default purchase model, if one was configured.
+    /// Purchase model of campaigns without one of their own, if configured.
     pub default_purchase_probs: Option<Vec<(f64, f64)>>,
+}
+
+/// One slot, one keyword, one shard and seed 0, [`EngineConfig`]'s
+/// default engine, and no default rows.
+impl Default for MarketConfigState {
+    fn default() -> Self {
+        let EngineConfig {
+            method,
+            pricing,
+            pruned,
+            warm_start,
+        } = EngineConfig::default();
+        MarketConfigState {
+            slots: 1,
+            keywords: 1,
+            seed: 0,
+            method,
+            pricing,
+            shards: 1,
+            pruned,
+            warm_start,
+            default_click_probs: None,
+            default_purchase_probs: None,
+        }
+    }
 }
 
 impl MarketConfigState {

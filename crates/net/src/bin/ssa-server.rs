@@ -5,15 +5,18 @@
 //! ports), and serves until a client sends `Shutdown`, draining in-flight
 //! requests before exiting.
 //!
-//! The initial marketplace comes from the CLI flags; clients usually
-//! replace it anyway with a `Configure` request (`reproduce --server` and
-//! the equivalence tests do), so the flags only matter for servers driven
-//! by hand.
+//! The server starts from [`MarketConfig::default`]'s market: one slot,
+//! one keyword, one shard. The client's first `Configure` request sets the
+//! market's shape — slots, keywords, shards, seed, method, pricing —
+//! as `reproduce --server` and the equivalence tests do; the server takes
+//! no flag for any of it. A connection opened before that `Configure`
+//! sizes its owed-reply window from the one-shard default.
 //!
 //! With `--data-dir` the server journals every mutation and serve to a
 //! write-ahead log in that directory and, on restart, recovers the
-//! persisted marketplace — bit-identical, RNG streams included — instead
-//! of building one from the flags. A `recovered ...` status line goes to
+//! persisted marketplace — bit-identical, RNG streams included — from it;
+//! a fresh directory logs the default configuration as its first
+//! `Configure`. A `recovered ...` status line goes to
 //! stderr (stdout's first line stays the address-discovery contract), and
 //! so does a `durability wal_records=… wal_syncs=…` line once the server
 //! has drained: requests in flight together share an `fdatasync`, so under
@@ -22,7 +25,6 @@
 use std::io::Write as _;
 use std::process::exit;
 
-use ssa_core::{parse_shards, PricingScheme, WdMethod};
 use ssa_durable::{Durability, FsyncPolicy};
 use ssa_net::proto::MarketConfig;
 use ssa_net::server::{build_market, Server, ServerConfig};
@@ -32,13 +34,6 @@ Usage: ssa-server [options]
 
 Options:
   --addr <host:port>   Address to bind (default 127.0.0.1:0; port 0 picks a free port)
-  --shards <n>         Shard count of the initial marketplace (default 1)
-  --slots <n>          Slots per results page (default 15)
-  --keywords <n>       Keyword universe size (default 10)
-  --seed <n>           Marketplace RNG seed (default 42)
-  --method <m>         Winner determination: lp | h | rh (default rh)
-  --pricing <p>        Pricing: pay-your-bid | gsp | vcg (default gsp)
-  --pruned             Enable top-k pruned winner determination
   --admission <n>      Data-plane requests queued-or-in-flight per shard lane (default 256)
   --retry-ms <n>       Back-off hint attached to Overloaded responses (default 10)
   --data-dir <path>    Durability: journal to a write-ahead log in <path> and
@@ -49,6 +44,9 @@ Options:
                        shared by the requests in flight with it)
   --snapshot-every <n> Snapshot + compact the log every <n> records (default
                        10000; 0 disables automatic snapshots)
+
+The market starts with one slot, one keyword and one shard; a client's
+Configure request sets its shape.
 ";
 
 fn usage_error(message: &str) -> ! {
@@ -59,13 +57,6 @@ fn usage_error(message: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:0".to_string();
-    let mut shards = 1usize;
-    let mut slots = 15usize;
-    let mut keywords = 10usize;
-    let mut seed = 42u64;
-    let mut method = WdMethod::Reduced;
-    let mut pricing = PricingScheme::Gsp;
-    let mut pruned = false;
     let mut admission = 256usize;
     let mut retry_ms = 10u32;
     let mut data_dir: Option<std::path::PathBuf> = None;
@@ -84,31 +75,6 @@ fn main() {
         };
         match flag {
             "--addr" => addr = value("--addr"),
-            "--shards" => match parse_shards(&value("--shards")) {
-                Ok(n) => shards = n,
-                Err(e) => usage_error(&e.to_string()),
-            },
-            "--slots" => match value("--slots").parse() {
-                Ok(n) => slots = n,
-                Err(_) => usage_error("--slots expects an unsigned integer"),
-            },
-            "--keywords" => match value("--keywords").parse() {
-                Ok(n) => keywords = n,
-                Err(_) => usage_error("--keywords expects an unsigned integer"),
-            },
-            "--seed" => match value("--seed").parse() {
-                Ok(n) => seed = n,
-                Err(_) => usage_error("--seed expects an unsigned integer"),
-            },
-            "--method" => match value("--method").parse() {
-                Ok(m) => method = m,
-                Err(e) => usage_error(&format!("{e}")),
-            },
-            "--pricing" => match value("--pricing").parse() {
-                Ok(p) => pricing = p,
-                Err(e) => usage_error(&format!("{e}")),
-            },
-            "--pruned" => pruned = true,
             "--admission" => match value("--admission").parse() {
                 Ok(n) if n > 0 => admission = n,
                 _ => usage_error("--admission expects a positive integer"),
@@ -135,58 +101,40 @@ fn main() {
         i += 1;
     }
 
-    let config = MarketConfig {
-        slots,
-        keywords,
-        seed,
-        method,
-        pricing,
-        shards,
-        pruned,
-        warm_start: true,
-        default_click_probs: None,
-        default_purchase_probs: None,
-    };
-
-    let (market, durability) = match &data_dir {
-        None => {
-            let market = match build_market(&config) {
-                Ok(market) => market,
-                Err(e) => usage_error(&format!("invalid marketplace configuration: {e}")),
-            };
-            (market, None)
-        }
-        Some(dir) => {
-            let (recovered, durability) = match Durability::open(dir, fsync, snapshot_every) {
-                Ok(opened) => opened,
-                Err(e) => {
-                    eprintln!("error: cannot open data dir {}: {e}", dir.display());
+    let config = MarketConfig::default();
+    let mut recovered = None;
+    let durability = data_dir.map(|dir| {
+        let (persisted, durability) = match Durability::open(&dir, fsync, snapshot_every) {
+            Ok(opened) => opened,
+            Err(e) => {
+                eprintln!("error: cannot open data dir {}: {e}", dir.display());
+                exit(1);
+            }
+        };
+        match persisted {
+            Some((market, report)) => {
+                // Parsed by the crash-recovery CI job; keep the key=value
+                // fields stable.
+                eprintln!(
+                    "ssa-server recovered wal_records={} snapshot_bytes={} replay_ms={:.3}",
+                    report.wal_records, report.snapshot_bytes, report.replay_ms
+                );
+                recovered = Some(market);
+            }
+            None => {
+                if let Err(e) = durability.log_configure(&config) {
+                    eprintln!("error: cannot write to data dir {}: {e}", dir.display());
                     exit(1);
                 }
-            };
-            let market = match recovered {
-                Some((market, report)) => {
-                    // Parsed by the crash-recovery CI job; keep the
-                    // key=value fields stable.
-                    eprintln!(
-                        "ssa-server recovered wal_records={} snapshot_bytes={} replay_ms={:.3}",
-                        report.wal_records, report.snapshot_bytes, report.replay_ms
-                    );
-                    market
-                }
-                None => {
-                    let market = match build_market(&config) {
-                        Ok(market) => market,
-                        Err(e) => usage_error(&format!("invalid marketplace configuration: {e}")),
-                    };
-                    if let Err(e) = durability.log_configure(&config) {
-                        eprintln!("error: cannot write to data dir {}: {e}", dir.display());
-                        exit(1);
-                    }
-                    market
-                }
-            };
-            (market, Some(durability))
+            }
+        }
+        durability
+    });
+    let market = match recovered.map_or_else(|| build_market(&config), Ok) {
+        Ok(market) => market,
+        Err(e) => {
+            eprintln!("error: cannot build the default marketplace: {e}");
+            exit(1);
         }
     };
 

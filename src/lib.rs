@@ -74,7 +74,8 @@
 //!
 //! ## Scaling out: shards
 //!
-//! [`marketplace::MarketplaceBuilder::build_sharded`]`(N)` partitions the
+//! A configuration's `shards = N` (the builder's
+//! [`marketplace::MarketplaceBuilder::build_sharded`]`(N)`) partitions the
 //! marketplace's keywords over `N` shards by a stable hash
 //! ([`sharded::shard_of_keyword`]); when a `serve_batch` stream touches
 //! more than one shard, each shard's keyword books — campaigns, engines,
@@ -83,7 +84,8 @@
 //! the control plane (`add_campaign`, `update_bid`, `pause_campaign`,
 //! `set_roi_target` index the keyword's book directly: `O(1)`, no
 //! cross-shard locking), state capture and the journal are the same code
-//! at every shard count, and `build()` is `build_sharded(1)`.
+//! at every shard count, and the builder's `build()` is
+//! `build_sharded(1)`.
 //!
 //! Sharding is an execution strategy with a proven equivalence guarantee.
 //! There is one RNG mode: every marketplace draws keyword `k`'s user
@@ -443,6 +445,10 @@
 //! cargo run --release --bin reproduce -- --method rh --quick \
 //!     --server 127.0.0.1:7878 --connections 4 --json   # p50/p99/max latency
 //! ```
+//!
+//! The server starts from the default one-slot, one-keyword market; the
+//! client's `Configure` (which `reproduce --server` sends first) sets the
+//! market's shape.
 //!
 //! See `examples/net_quickstart.rs` for the client API end to end.
 //!
