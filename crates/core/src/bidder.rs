@@ -1,10 +1,7 @@
 //! The bidder abstraction: anything that can react to a query with a Bids
 //! table (Section I-B's "program evaluation" step).
 
-use ssa_bidlang::targeting::CompiledTargeting;
 use ssa_bidlang::{BidsTable, Money, SlotId};
-use std::borrow::Cow;
-use std::sync::Arc;
 
 /// What a bidding program sees when an auction starts: the read-only shared
 /// variables of Section II-B.
@@ -45,7 +42,11 @@ impl BidderOutcome {
     }
 }
 
-/// A bidding program from the engine's point of view.
+/// A bidding program: a campaign's program
+/// ([`crate::marketplace::CampaignSpec::program`]), asked at every auction
+/// on its keyword and told every outcome. Per-click and fixed-table
+/// campaigns are not programs: the market reads their tables off the
+/// campaign.
 pub trait Bidder {
     /// Step 3 of the auction: produce this auction's Bids table.
     fn on_query(&mut self, ctx: &QueryContext) -> BidsTable;
@@ -53,27 +54,6 @@ pub trait Bidder {
     /// Step 6: learn the outcome (slot, click, purchase, price). Default:
     /// ignore.
     fn on_outcome(&mut self, _ctx: &QueryContext, _outcome: &BidderOutcome) {}
-
-    /// A *standing* bidder's table: `Some` when it is a function of the
-    /// bidder's own fields alone — not of the query, the clock or past
-    /// outcomes — so it can change only through a write
-    /// ([`crate::AuctionEngine::bidder_mut`]). The engine reads it here
-    /// whenever it needs it and holds no copy; it never asks a standing
-    /// bidder through [`Bidder::on_query`] or notifies it of outcomes.
-    /// `None` (the default) is a *program*: asked at every auction and told
-    /// every outcome. Whether the answer is `Some` must not change over the
-    /// bidder's life.
-    fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
-        None
-    }
-
-    /// The matcher deciding which queries this bidder bids on (`None`, the
-    /// default: every query); it must not change over the bidder's life.
-    /// The engine visits a targeted bidder at every auction, and on a query
-    /// the matcher rejects holds an empty table for it without asking it.
-    fn targeting(&self) -> Option<&CompiledTargeting> {
-        None
-    }
 }
 
 /// The simplest bidder: a fixed Bids table, independent of the query.
@@ -81,17 +61,12 @@ pub trait Bidder {
 pub struct TableBidder {
     /// The table submitted at every auction.
     pub bids: BidsTable,
-    /// The queries it bids on ([`Bidder::targeting`]; `None`: every query).
-    pub targeting: Option<Arc<CompiledTargeting>>,
 }
 
 impl TableBidder {
     /// Wraps a fixed table.
     pub fn new(bids: BidsTable) -> Self {
-        TableBidder {
-            bids,
-            targeting: None,
-        }
+        TableBidder { bids }
     }
 
     /// A classical single-feature (per-click) bidder.
@@ -103,14 +78,6 @@ impl TableBidder {
 impl Bidder for TableBidder {
     fn on_query(&mut self, _ctx: &QueryContext) -> BidsTable {
         self.bids.clone()
-    }
-
-    fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
-        Some(Cow::Borrowed(&self.bids))
-    }
-
-    fn targeting(&self) -> Option<&CompiledTargeting> {
-        self.targeting.as_deref()
     }
 }
 
@@ -131,7 +98,6 @@ mod tests {
             BidsTable::single_feature(Money::from_cents(7))
         );
         assert_eq!(b.on_query(&ctx), b.bids);
-        assert_eq!(b.standing_table().as_deref(), Some(&b.bids));
         b.on_outcome(&ctx, &BidderOutcome::lost()); // default no-op
     }
 }

@@ -1,37 +1,34 @@
-//! The auction engine: program evaluation → winner determination → user
-//! action → pricing, per Section I-B's six-step flow.
+//! The keyword engine: program evaluation → winner determination → user
+//! action → pricing, per Section I-B's six-step flow, for one keyword of a
+//! [`Marketplace`](crate::Marketplace).
 //!
-//! All execution paths share one persistent auction pipeline:
-//!
-//! * [`AuctionEngine::run_auction`] — the single-auction convenience path;
-//!   it runs the same in-place hot step as the batched paths and
-//!   materialises a fully-owned [`AuctionReport`] from the scratch buffers
-//!   (a marketplace reads them in place instead).
-//! * [`AuctionEngine::run_batch`] — the hot path. The engine owns its
-//!   solver and preallocated weight, assignment and charge buffers; each
-//!   auction updates them in place, so a batch performs **no per-auction
-//!   allocation** after warm-up, and aggregates into a [`BatchReport`].
+//! Each keyword book of a market holds one engine, built empty by the
+//! keyword's first campaign and grown in place by every later one; its
+//! bidders are the campaigns. The market hands every run its click table,
+//! the auction's global time and the keyword's RNG stream, and reads the
+//! outcome in place. The engine owns its solver and preallocated weight,
+//! assignment and charge buffers; each auction updates them in place, so a
+//! run performs **no per-auction allocation** after warm-up, and a batch
+//! aggregates into a [`BatchReport`].
 //!
 //! # Evaluate only what changed
 //!
 //! The engine does work per auction in proportion to what can have changed
 //! since the last one, and holds a table only for what it cannot re-derive:
 //!
-//! * a **standing** bidder ([`Bidder::standing_table`] is `Some`: a fixed
-//!   table, a per-click campaign) is read, never asked or told an outcome:
-//!   the engine keeps no copy of its table. [`AuctionEngine::bidder_mut`],
-//!   the one way to reach a bidder mutably, keeps the table from before
-//!   the first write since the last auction for the next one to compare.
-//! * a **program** (`None`) is asked at every auction and told every
-//!   outcome; a bidder with a targeting matcher ([`Bidder::targeting`]) is
-//!   evaluated at every auction too, since the query decides whether it
-//!   bids. The engine holds the last table of just these rows and compares
-//!   each evaluation with it.
+//! * a **standing** campaign (per-click or a fixed table) is read, never
+//!   asked or told an outcome: the engine keeps no copy of its table. A
+//!   write through the market's update API keeps the table from before the
+//!   first write since the last auction for the next one to compare.
+//! * a **program** is asked at every auction and told every outcome; a
+//!   targeted campaign is evaluated at every auction too, since the query
+//!   decides whether it bids. The engine holds the last table of just these
+//!   rows and compares each evaluation with it.
 //!
 //! Either way a write that leaves a table equal dirties nothing. With
 //! [`EngineConfig::warm_start`] only the changed rows' weights are
 //! recomputed, and an auction in which no table changed skips the solve
-//! outright. Every hot step is instrumented with per-phase wall-clock
+//! outright. Every auction is instrumented with per-phase wall-clock
 //! tallies and exact cost counters ([`PhaseStats`]).
 //!
 //! # Solve and price from per-slot order
@@ -61,9 +58,8 @@
 //! it — a **rescan**, `n × k` weight evaluations, counted in
 //! [`PhaseStats::rescans`]. A rebuild refills every list to `2(k + 1)`, so
 //! at least `k + 1` writes must each take a row off one list between two
-//! rescans. The same rebuild is the cold start, follows
-//! [`AuctionEngine::push_bidder`], and runs at every auction when
-//! `warm_start` is off.
+//! rescans. The same rebuild is the cold start, follows a new campaign,
+//! and runs at every auction when `warm_start` is off.
 //!
 //! Configurations that read whole columns keep the dense matrix: `h` and
 //! `lp` solve on all `n` rows, and VCG re-solves the market without each
@@ -71,13 +67,13 @@
 //! keeps every weight tie at a column's floor. The configuration is fixed
 //! when the engine is built, and so is the weight source it asks for.
 
-use crate::bidder::{Bidder, BidderOutcome, QueryContext};
+use crate::bidder::{BidderOutcome, QueryContext};
 use crate::footprint::{Accountant, Component, HeapUse};
-use crate::marketplace::MarketError;
+use crate::marketplace::Campaign;
 use crate::pricing::{
     gsp_prices_from_order_into, gsp_prices_into, vcg_prices, PricingScheme, SlotPrice,
 };
-use crate::prob::{ClickModel, ClickRowId, ClickRows, ClickTable, PurchaseModel};
+use crate::prob::{ClickRowId, ClickRows, ClickTable, PurchaseModel};
 use crate::revenue::{row_weights_into, NoSlotValues};
 use rand::Rng;
 use ssa_bidlang::targeting::UserAttrs;
@@ -91,51 +87,13 @@ use std::borrow::Cow;
 use std::time::Instant;
 
 /// A query as the engine sees it: a keyword plus typed user attributes.
-///
-/// The engine's run paths are generic over this trait so legacy call
-/// sites passing bare keyword indices (`run_batch(&[0usize, 0], …)`)
-/// compile unchanged — a `usize` is a query with
-/// [`UserAttrs::empty_ref`] attributes — while the marketplace passes
-/// full `QueryRequest`s (which implement this trait) by reference, with
-/// zero clones on the hot path.
-pub trait EngineQuery {
+/// The market passes its `QueryRequest`s and a `ServeBatch` record's
+/// queries by reference, so no query is cloned on the hot path.
+pub(crate) trait EngineQuery {
     /// The keyword index queried.
     fn keyword(&self) -> usize;
     /// The typed user attributes targeting expressions evaluate against.
     fn attrs(&self) -> &UserAttrs;
-}
-
-impl EngineQuery for usize {
-    fn keyword(&self) -> usize {
-        *self
-    }
-
-    fn attrs(&self) -> &UserAttrs {
-        UserAttrs::empty_ref()
-    }
-}
-
-impl<T: EngineQuery + ?Sized> EngineQuery for &T {
-    fn keyword(&self) -> usize {
-        (**self).keyword()
-    }
-
-    fn attrs(&self) -> &UserAttrs {
-        (**self).attrs()
-    }
-}
-
-/// A keyword paired with borrowed attributes — the zero-copy query shape
-/// service facades use when keyword and attributes live in different
-/// places.
-impl EngineQuery for (usize, &UserAttrs) {
-    fn keyword(&self) -> usize {
-        self.0
-    }
-
-    fn attrs(&self) -> &UserAttrs {
-        self.1
-    }
 }
 
 /// A `ServeBatch` record's query, served straight off the record.
@@ -253,24 +211,6 @@ impl Default for EngineConfig {
             warm_start: true,
         }
     }
-}
-
-/// Everything that happened in one auction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuctionReport {
-    /// The winning allocation (`slot_to_adv`).
-    pub assignment: Assignment,
-    /// Expected revenue of the allocation (including no-slot base values).
-    pub expected_revenue: f64,
-    /// Realised clicks per slot (parallel to `assignment.slot_to_adv`).
-    pub clicked: Vec<bool>,
-    /// Realised purchases per slot.
-    pub purchased: Vec<bool>,
-    /// Realised charge per advertiser (only winners are charged under GSP /
-    /// VCG).
-    pub charges: Vec<(usize, Money)>,
-    /// Total realised revenue.
-    pub realized_revenue: Money,
 }
 
 /// One auction's outcome in local bidder indexes: the assignment, clicks
@@ -431,22 +371,24 @@ impl BatchScratch {
     }
 }
 
-/// The auction engine over a population of bidders.
+/// One keyword's auction engine: its campaigns, their click row ids and
+/// purchase rows, and the solver and buffers its auctions reuse.
 #[derive(Debug)]
-pub struct AuctionEngine<B: Bidder> {
-    /// The bidders. Private: a standing bidder's table changes only with a
-    /// write, so writes go through [`AuctionEngine::bidder_mut`].
-    bidders: Vec<B>,
-    clicks: ClickModel,
+pub(crate) struct AuctionEngine {
+    /// The campaigns. Private: a standing campaign's table changes only
+    /// with a write, so writes go through [`AuctionEngine::bidder_mut`].
+    bidders: Vec<Campaign>,
+    /// Each campaign's click row in the market's table, parallel to
+    /// `bidders`.
+    click_rows: Vec<ClickRowId>,
     purchases: PurchaseModel,
     /// Fixed at construction, with the weight source it asks for.
     config: EngineConfig,
-    /// Keyword universe size, surfaced to bidders.
-    pub num_keywords: usize,
-    time: u64,
+    /// Keyword universe size, surfaced to programs.
+    num_keywords: usize,
     source: WeightSource,
-    /// Rows evaluated at every auction, ascending: programs, and standing
-    /// bidders with a targeting matcher.
+    /// Rows evaluated at every auction, ascending: programs, and targeted
+    /// campaigns.
     every_auction: Vec<usize>,
     /// Parallel to `every_auction`, the only tables held ([`table_of`]).
     held: Vec<BidsTable>,
@@ -454,26 +396,27 @@ pub struct AuctionEngine<B: Bidder> {
     programs: Vec<usize>,
     /// The [`RowState::Written`] rows, each once, with its prior table.
     written: Vec<(usize, BidsTable)>,
-    /// Where each bidder's table is found, parallel to `bidders`.
+    /// Where each campaign's table is found, parallel to `bidders`.
     rows: Vec<RowState>,
     scratch: BatchScratch,
 }
 
-/// Where the engine finds one bidder's table.
+/// Where the engine finds one campaign's table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RowState {
-    /// A program, or a bidder with a targeting matcher: listed in
-    /// `every_auction`, its table in `held`.
+    /// A program, or a targeted campaign: listed in `every_auction`, its
+    /// table in `held`.
     EveryAuction,
-    /// A standing untargeted bidder not written to since the last auction.
+    /// A standing untargeted campaign not written to since the last
+    /// auction.
     Current,
-    /// A standing untargeted bidder written to since then (in `written`).
+    /// A standing untargeted campaign written to since then (in `written`).
     Written,
 }
 
 /// Row `i`'s table: held if it is evaluated at every auction, else read.
-fn table_of<'a, B: Bidder>(
-    bidders: &'a [B],
+fn table_of<'a>(
+    bidders: &'a [Campaign],
     every_auction: &[usize],
     held: &'a [BidsTable],
     i: usize,
@@ -561,7 +504,7 @@ impl WeightSource {
 /// `adv_to_slot`'s entry for a row no slot seats.
 const UNSEATED: u16 = u16::MAX;
 
-/// A full bidder vector of at least `GROW_PAST` bytes grows to `GROW_TO`
+/// A full campaign vector of at least `GROW_PAST` bytes grows to `GROW_TO`
 /// bytes at once ([`AuctionEngine::push`]).
 const GROW_PAST: usize = 16 << 10;
 const GROW_TO: usize = 256 << 10;
@@ -572,11 +515,12 @@ fn seat(adv_to_slot: &[u16], adv: usize) -> Option<usize> {
     (slot != UNSEATED).then_some(usize::from(slot))
 }
 
-/// One bidder's table at this auction — empty, without running it, when its
-/// targeting rejects the query, else read or, for a program, asked — put in
-/// `held`, the table kept from the last time. Returns whether they differ.
-fn evaluate<B: Bidder>(
-    bidder: &mut B,
+/// One campaign's table at this auction — empty, without running it, when
+/// its targeting rejects the query, else read or, for a program, asked —
+/// put in `held`, the table kept from the last time. Returns whether they
+/// differ.
+fn evaluate(
+    bidder: &mut Campaign,
     ctx: &QueryContext,
     attrs: &UserAttrs,
     held: &mut BidsTable,
@@ -590,90 +534,50 @@ fn evaluate<B: Bidder>(
     replaced != *held
 }
 
-impl<B: Bidder> AuctionEngine<B> {
-    /// Builds an engine over `bidders`; model dimensions must match the
-    /// bidder count, and the slots number fewer than 65 535. More bidders
-    /// can join later through [`AuctionEngine::push_bidder`].
-    pub fn new(
-        bidders: Vec<B>,
-        clicks: ClickModel,
-        purchases: PurchaseModel,
-        num_keywords: usize,
-        config: EngineConfig,
-    ) -> Self {
-        let n = bidders.len();
-        assert_eq!(clicks.num_advertisers(), n);
-        assert_eq!(purchases.num_advertisers(), n);
-        assert!(clicks.num_slots() < usize::from(UNSEATED));
-        let scratch = BatchScratch::new(clicks.num_slots());
-        let source = WeightSource::for_config(config, clicks.num_slots());
-        let mut engine = AuctionEngine {
-            bidders,
-            clicks,
-            purchases,
+impl AuctionEngine {
+    /// An engine over `num_slots` slots with no campaigns yet. The market
+    /// bounds the slots by [`crate::MAX_SLOTS`], so a slot index fits the
+    /// 2 bytes `adv_to_slot` keeps.
+    pub(crate) fn new(num_slots: usize, num_keywords: usize, config: EngineConfig) -> Self {
+        AuctionEngine {
+            bidders: Vec::new(),
+            click_rows: Vec::new(),
+            purchases: PurchaseModel::never(0, num_slots),
             config,
             num_keywords,
-            time: 0,
-            source,
+            source: WeightSource::for_config(config, num_slots),
             every_auction: Vec::new(),
             held: Vec::new(),
             programs: Vec::new(),
             written: Vec::new(),
-            rows: Vec::with_capacity(n),
-            scratch,
-        };
-        for row in 0..n {
-            engine.enlist(row);
+            rows: Vec::new(),
+            scratch: BatchScratch::new(num_slots),
         }
-        engine
     }
 
-    /// Adds a bidder (it becomes row [`AuctionEngine::bidders`]`.len()`)
-    /// with its per-slot click probabilities and its per-slot purchase
-    /// probabilities (`None`: it never purchases); a targeting matcher, if
-    /// any, comes with the bidder ([`Bidder::targeting`]). The models grow
-    /// by one row; nothing is rebuilt until the next auction, which lays
-    /// the weight source out for the new bidder count and solves.
+    /// Adds a campaign (it becomes row [`AuctionEngine::bidders`]`.len()`)
+    /// whose click probabilities are row `click_row` of the market's table,
+    /// with its per-slot purchase probabilities (`None`: it never
+    /// purchases). Nothing is rebuilt until the next auction, which lays
+    /// the weight source out for the new campaign count and solves.
     ///
-    /// The click probabilities become a row of the engine's own table
-    /// ([`ClickModel::push_row`]); a row it refuses adds no bidder.
-    pub fn push_bidder(
+    /// A full campaign vector of [`GROW_PAST`] bytes or more jumps to
+    /// [`GROW_TO`] rather than doubling: every doubling leaves the buffer
+    /// it outgrew resident, while capacity no campaign reaches is never
+    /// touched, wherever the allocator places the buffer.
+    pub(crate) fn push(
         &mut self,
-        bidder: B,
-        click_probs: &[f64],
-        purchase_probs: Option<&[(f64, f64)]>,
-    ) -> Result<(), MarketError> {
-        self.clicks.push_row(click_probs)?;
-        self.push(bidder, purchase_probs);
-        Ok(())
-    }
-
-    /// [`AuctionEngine::push_bidder`] for an engine inside a marketplace:
-    /// the bidder's click row is `click_row` in the market's table, which
-    /// the market passes to every run.
-    pub(crate) fn push_bidder_with_row(
-        &mut self,
-        bidder: B,
+        bidder: Campaign,
         click_row: ClickRowId,
         purchase_probs: Option<&[(f64, f64)]>,
     ) {
-        self.clicks.push_id(click_row);
-        self.push(bidder, purchase_probs);
-    }
-
-    /// Adds a bidder whose click row the click model already has.
-    ///
-    /// A full bidder vector of [`GROW_PAST`] bytes or more jumps to
-    /// [`GROW_TO`] rather than doubling: every doubling leaves the buffer
-    /// it outgrew resident, while capacity no bidder reaches is never
-    /// touched, wherever the allocator places the buffer.
-    fn push(&mut self, bidder: B, purchase_probs: Option<&[(f64, f64)]>) {
         let row = self.bidders.len();
+        self.click_rows.push(click_row);
         match purchase_probs {
             Some(probs) => self.purchases.push_row(probs),
             None => self.purchases.push_never(),
         }
-        let record = std::mem::size_of::<B>().max(1);
+        let record = std::mem::size_of::<Campaign>();
         if row == self.bidders.capacity() && (GROW_PAST..GROW_TO).contains(&(row * record)) {
             self.bidders.reserve_exact(GROW_TO / record - row);
         }
@@ -682,7 +586,7 @@ impl<B: Bidder> AuctionEngine<B> {
         self.scratch.filled = false;
     }
 
-    /// Gives bidder `row`, the next one without them, its per-row engine
+    /// Gives campaign `row`, the next one without them, its per-row engine
     /// state: its place on the lists the hot step walks (with an empty held
     /// table: it has not been evaluated yet).
     fn enlist(&mut self, row: usize) {
@@ -702,16 +606,16 @@ impl<B: Bidder> AuctionEngine<B> {
         self.scratch.adv_to_slot.push(UNSEATED);
     }
 
-    /// The bidders, in row order.
-    pub fn bidders(&self) -> &[B] {
+    /// The campaigns, in row order.
+    pub(crate) fn bidders(&self) -> &[Campaign] {
         &self.bidders
     }
 
-    /// Mutable access to one bidder — the only one there is. It keeps a
-    /// standing bidder's table from before the first write since the last
+    /// Mutable access to one campaign — the only one there is. It keeps a
+    /// standing campaign's table from before the first write since the last
     /// auction; if the next auction finds the table equal to it, that
     /// auction is as warm as if nobody had written.
-    pub fn bidder_mut(&mut self, row: usize) -> &mut B {
+    pub(crate) fn bidder_mut(&mut self, row: usize) -> &mut Campaign {
         if self.rows[row] == RowState::Current {
             self.rows[row] = RowState::Written;
             let before = self.bidders[row].standing_table().unwrap_or_default();
@@ -720,22 +624,22 @@ impl<B: Bidder> AuctionEngine<B> {
         &mut self.bidders[row]
     }
 
-    /// Click probability model (one row id per bidder). Inside a
-    /// marketplace its ids name rows of the market's table, not its own.
-    pub fn clicks(&self) -> &ClickModel {
-        &self.clicks
+    /// Campaign `row`'s click row in the market's table.
+    pub(crate) fn click_row(&self, row: usize) -> ClickRowId {
+        self.click_rows[row]
     }
 
-    /// Purchase probability model (one row per bidder).
-    pub fn purchases(&self) -> &PurchaseModel {
+    /// Purchase probability model (one row per campaign).
+    pub(crate) fn purchases(&self) -> &PurchaseModel {
         &self.purchases
     }
 
-    /// Enters the engine's heap in `ledger`: its bidder vector (not what
-    /// the bidders point to), models, weight source, scratch and row lists.
+    /// Enters the engine's heap in `ledger`: its campaign vector (not what
+    /// the campaigns point to), click row ids, purchase model, weight
+    /// source, scratch and row lists.
     pub(crate) fn account(&self, ledger: &mut Accountant) {
         ledger.add(Component::CampaignRecords, HeapUse::of_vec(&self.bidders));
-        self.clicks.account(ledger);
+        ledger.add(Component::ClickRowIds, HeapUse::of_vec(&self.click_rows));
         self.purchases.account(ledger);
         match &self.source {
             WeightSource::Lists {
@@ -773,71 +677,37 @@ impl<B: Bidder> AuctionEngine<B> {
         ledger.add(Component::HeldTables, held);
     }
 
-    /// The auction clock (number of auctions run, across both single and
-    /// batched paths).
-    pub fn now(&self) -> u64 {
-        self.time
-    }
-
-    /// Overrides the auction clock. Facade support: a service layer that
-    /// owns several per-keyword engines (e.g. the `Marketplace`) keeps one
-    /// global auction clock and aligns each engine to it before running a
-    /// batch, so bidders observe market time rather than per-engine time.
-    pub fn set_time(&mut self, time: u64) {
-        self.time = time;
-    }
-
-    /// Runs one complete auction for a query (a bare keyword index or
-    /// anything else implementing [`EngineQuery`]).
-    ///
-    /// Runs the same persistent in-place pipeline as
-    /// [`AuctionEngine::run_batch`] (no per-auction matrix or solver
-    /// scratch allocation), then materialises an owned [`AuctionReport`]
-    /// from the scratch buffers — the only allocation this path adds.
-    pub fn run_auction<Q: EngineQuery, R: Rng>(&mut self, query: Q, rng: &mut R) -> AuctionReport {
-        let expected_revenue = self.hot_step(None, query.keyword(), query.attrs(), rng);
-        let scratch = &self.scratch;
-        AuctionReport {
-            assignment: scratch.assignment.clone(),
-            expected_revenue,
-            clicked: scratch.clicked.clone(),
-            purchased: scratch.purchased.clone(),
-            charges: scratch.charges.clone(),
-            realized_revenue: scratch.charges.iter().map(|(_, m)| *m).sum(),
-        }
-    }
-
     /// The last auction [`AuctionEngine::hot_step`] ran, read in place.
     pub(crate) fn outcome(&self) -> Outcome<'_> {
         let s = &self.scratch;
         (&s.assignment, &s.clicked, &s.purchased, &s.charges)
     }
 
-    /// Runs one auction entirely inside the persistent scratch buffers,
-    /// reading click rows from `shared` if given, else from the engine's
-    /// own table. Returns the auction's expected revenue; all other
-    /// outcomes are left in `self.scratch` for the caller to aggregate or
-    /// read through [`AuctionEngine::outcome`].
+    /// Runs one auction, the one with global time `time`, entirely inside
+    /// the persistent scratch buffers, reading click rows from `table`, the
+    /// market's. Returns the auction's expected revenue; all other outcomes
+    /// are left in `self.scratch` for the caller to aggregate or read
+    /// through [`AuctionEngine::outcome`].
     pub(crate) fn hot_step<R: Rng>(
         &mut self,
-        shared: Option<&ClickTable>,
+        table: &ClickTable,
+        time: u64,
         keyword: usize,
         attrs: &UserAttrs,
         rng: &mut R,
     ) -> f64 {
-        self.time += 1;
         let ctx = QueryContext {
-            time: self.time,
+            time,
             keyword,
             num_keywords: self.num_keywords,
         };
 
         // Step 3: program evaluation, of the rows that can have changed.
-        // Programs and targeted bidders are visited at every auction (a
-        // bidder whose targeting rejects the query's attributes is not run:
-        // its empty table makes it an EXCLUDED row for winner
+        // Programs and targeted campaigns are visited at every auction (a
+        // campaign whose targeting rejects the query's attributes is not
+        // run: its empty table makes it an EXCLUDED row for winner
         // determination, the same mechanism paused campaigns use); a
-        // written standing bidder's table is compared with the one it had
+        // written standing campaign's table is compared with the one it had
         // before the write. No other table can have changed.
         let t_eval = Instant::now();
         self.scratch.changed.clear();
@@ -861,7 +731,7 @@ impl<B: Bidder> AuctionEngine<B> {
         // written rows); the repair, plus an in-order base re-sum when a
         // base value moved, is bit-identical to a rebuild from every row.
         let warm = self.config.warm_start;
-        let (n, k) = (self.bidders.len(), self.clicks.num_slots());
+        let (n, k) = (self.bidders.len(), table.num_slots());
         let repair = warm && self.scratch.filled;
         let unchanged = repair && self.scratch.changed.is_empty();
         let evaluated = if repair {
@@ -870,10 +740,7 @@ impl<B: Bidder> AuctionEngine<B> {
             n
         };
         self.scratch.phases.cells_evaluated += (evaluated * k) as u64;
-        let clicks = match shared {
-            Some(table) => self.clicks.rows_in(table),
-            None => self.clicks.rows(),
-        };
+        let clicks = table.rows(&self.click_rows);
         let (purchases, row) = (&self.purchases, &mut self.scratch.row);
         if repair {
             let mut resum = false;
@@ -953,7 +820,7 @@ impl<B: Bidder> AuctionEngine<B> {
             };
             for (j, adv) in self.scratch.assignment.slot_to_adv.iter().enumerate() {
                 if let Some(i) = adv {
-                    // Below `UNSEATED`: `new` bounds the slots.
+                    // Below `UNSEATED`: the market bounds the slots.
                     self.scratch.adv_to_slot[*i] = j as u16;
                 }
             }
@@ -975,7 +842,7 @@ impl<B: Bidder> AuctionEngine<B> {
             let slot = SlotId::from_index0(j);
             let clicked = rng.gen::<f64>() < clicks.p_click(adv, slot);
             self.scratch.clicked[j] = clicked;
-            // Mirrors `run_auction`: zero-probability purchases draw nothing.
+            // A zero-probability purchase draws nothing.
             let p_buy = self.purchases.p_purchase(adv, slot, clicked);
             self.scratch.purchased[j] = p_buy > 0.0 && rng.gen::<f64>() < p_buy;
         }
@@ -999,7 +866,7 @@ impl<B: Bidder> AuctionEngine<B> {
         let t_notify = Instant::now();
         self.scratch.phases.pricing_ns += (t_notify - t_pricing).as_nanos() as u64;
 
-        // Notify the programs (standing bidders do not listen).
+        // Notify the programs (standing campaigns do not listen).
         notify_programs(
             &mut self.bidders,
             &self.programs,
@@ -1016,27 +883,22 @@ impl<B: Bidder> AuctionEngine<B> {
     }
 
     /// Runs one auction per query in `queries` through the persistent
-    /// pipeline, aggregating outcomes. Performs no per-auction
-    /// revenue-matrix (or solver-scratch) allocation after warm-up, and
-    /// never clones a query: attributes are read through
+    /// pipeline, with global times from `start_time + 1` on, reading click
+    /// rows from `table`, and aggregates the outcomes. Performs no
+    /// per-auction revenue-matrix (or solver-scratch) allocation after
+    /// warm-up, and never clones a query: attributes are read through
     /// [`EngineQuery::attrs`] by reference.
-    pub fn run_batch<Q: EngineQuery, R: Rng>(&mut self, queries: &[Q], rng: &mut R) -> BatchReport {
-        self.run_batch_in(None, queries, rng)
-    }
-
-    /// [`AuctionEngine::run_batch`], reading click rows from `shared` — a
-    /// marketplace's table, which its engines' ids name — if given, else
-    /// from the engine's own.
-    pub(crate) fn run_batch_in<Q: EngineQuery, R: Rng>(
+    pub(crate) fn run_batch<Q: EngineQuery, R: Rng>(
         &mut self,
-        shared: Option<&ClickTable>,
+        table: &ClickTable,
         queries: &[Q],
+        start_time: u64,
         rng: &mut R,
     ) -> BatchReport {
         self.scratch.phases = PhaseStats::default();
         let mut report = BatchReport::default();
-        for query in queries {
-            let expected = self.hot_step(shared, query.keyword(), query.attrs(), rng);
+        for (time, query) in (start_time + 1..).zip(queries) {
+            let expected = self.hot_step(table, time, query.keyword(), query.attrs(), rng);
             report.auctions += 1;
             report.expected_revenue += expected;
             report.filled_slots += self.scratch.assignment.num_assigned() as u64;
@@ -1055,8 +917,8 @@ impl<B: Bidder> AuctionEngine<B> {
 /// call, so the per-program lookup is O(1) rather than a scan of the charge
 /// list (which under pay-your-bid pricing can cover every advertiser).
 #[allow(clippy::too_many_arguments)] // the auction facts plus one scratch
-fn notify_programs<B: Bidder>(
-    bidders: &mut [B],
+fn notify_programs(
+    bidders: &mut [Campaign],
     programs: &[usize],
     ctx: &QueryContext,
     adv_to_slot: &[u16],
@@ -1177,46 +1039,48 @@ fn compute_charges_into<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bidder::TableBidder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::marketplace::{CampaignSpec, Marketplace, QueryRequest};
     use ssa_bidlang::{BidsTable, Formula};
 
-    fn basic_engine(method: WdMethod, pricing: PricingScheme) -> AuctionEngine<TableBidder> {
-        let bidders = vec![
-            TableBidder::per_click(Money::from_cents(10)),
-            TableBidder::per_click(Money::from_cents(20)),
-            TableBidder::per_click(Money::from_cents(5)),
-        ];
-        let clicks =
-            ClickModel::from_fn(3, 2, |i, j| 0.8 / ((i + 1) as f64) / ((j + 1) as f64)).unwrap();
-        let purchases = PurchaseModel::never(3, 2);
-        AuctionEngine::new(
-            bidders,
-            clicks,
-            purchases,
-            1,
-            EngineConfig {
-                method,
-                pricing,
-                ..EngineConfig::default()
-            },
-        )
+    /// A one-keyword market over two slots with three per-click campaigns
+    /// (10¢, 20¢ and 5¢) whose click probabilities fall with row and slot.
+    fn basic_market(method: WdMethod, pricing: PricingScheme, seed: u64) -> Marketplace {
+        let mut market = Marketplace::builder()
+            .slots(2)
+            .keywords(1)
+            .seed(seed)
+            .method(method)
+            .pricing(pricing)
+            .build()
+            .expect("valid configuration");
+        let advertiser = market.register_advertiser("a");
+        for (i, cents) in [10, 20, 5].into_iter().enumerate() {
+            let probs = (0..2).map(|j| 0.8 / (i + 1) as f64 / (j + 1) as f64);
+            let spec =
+                CampaignSpec::per_click(Money::from_cents(cents)).click_probs(probs.collect());
+            market.add_campaign(advertiser, 0, spec).expect("accepted");
+        }
+        market
+    }
+
+    fn serve(market: &mut Marketplace) -> crate::AuctionResponse {
+        market
+            .serve(QueryRequest::new(0))
+            .expect("keyword 0 exists")
     }
 
     #[test]
     fn all_methods_agree_on_expected_revenue() {
-        let mut rng = StdRng::seed_from_u64(42);
         let mut reference = None;
         for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
-            let mut engine = basic_engine(method, PricingScheme::PayYourBid);
-            let report = engine.run_auction(0, &mut rng);
+            let mut market = basic_market(method, PricingScheme::PayYourBid, 42);
+            let response = serve(&mut market);
             match reference {
-                None => reference = Some(report.expected_revenue),
+                None => reference = Some(response.expected_revenue),
                 Some(r) => assert!(
-                    (report.expected_revenue - r).abs() < 1e-9,
+                    (response.expected_revenue - r).abs() < 1e-9,
                     "{method:?} disagrees: {} vs {r}",
-                    report.expected_revenue
+                    response.expected_revenue
                 ),
             }
         }
@@ -1224,15 +1088,14 @@ mod tests {
 
     #[test]
     fn realized_gsp_revenue_only_on_clicks() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut engine = basic_engine(WdMethod::Reduced, PricingScheme::Gsp);
+        let mut market = basic_market(WdMethod::Reduced, PricingScheme::Gsp, 7);
         let mut clicked_total = 0usize;
         let mut charged_total = 0usize;
         for _ in 0..200 {
-            let report = engine.run_auction(0, &mut rng);
-            clicked_total += report.clicked.iter().filter(|c| **c).count();
-            charged_total += report.charges.len();
-            for (_, m) in &report.charges {
+            let response = serve(&mut market);
+            clicked_total += response.placements.iter().filter(|p| p.clicked).count();
+            charged_total += response.charges.len();
+            for (_, m) in &response.charges {
                 assert!(m.is_positive());
             }
         }
@@ -1242,54 +1105,55 @@ mod tests {
 
     #[test]
     fn time_advances_and_bidders_notified() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut engine = basic_engine(WdMethod::Hungarian, PricingScheme::Vickrey);
-        assert_eq!(engine.now(), 0);
-        engine.run_auction(0, &mut rng);
-        engine.run_auction(0, &mut rng);
-        assert_eq!(engine.now(), 2);
+        let mut market = basic_market(WdMethod::Hungarian, PricingScheme::Vickrey, 3);
+        assert_eq!(market.now(), 0);
+        serve(&mut market);
+        serve(&mut market);
+        assert_eq!(market.now(), 2);
     }
 
     #[test]
     fn clock_advances_consistently_across_single_and_batched_runs() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut engine = basic_engine(WdMethod::Reduced, PricingScheme::Gsp);
-        engine.run_auction(0, &mut rng);
-        let report = engine.run_batch(&[0, 0, 0], &mut rng);
-        assert_eq!(report.auctions, 3);
-        assert_eq!(engine.now(), 4);
-        engine.run_auction(0, &mut rng);
-        engine.run_auction(0, &mut rng);
-        assert_eq!(engine.now(), 6);
+        let mut market = basic_market(WdMethod::Reduced, PricingScheme::Gsp, 8);
+        serve(&mut market);
+        let queries = [0, 0, 0].map(QueryRequest::new);
+        let report = market.serve_batch(&queries).expect("keyword 0 exists");
+        assert_eq!(report.total.auctions, 3);
+        assert_eq!(market.now(), 4);
+        serve(&mut market);
+        serve(&mut market);
+        assert_eq!(market.now(), 6);
     }
 
     #[test]
     fn batch_matches_looped_run_auction() {
         // Identical RNG streams ⇒ the aggregated batch must equal the sum
-        // of per-call reports, for every method and pricing scheme.
+        // of per-query responses, for every method and pricing scheme.
         for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
             for pricing in [
                 PricingScheme::PayYourBid,
                 PricingScheme::Gsp,
                 PricingScheme::Vickrey,
             ] {
-                let queries = [0usize; 40];
-                let mut loop_rng = StdRng::seed_from_u64(99);
-                let mut loop_engine = basic_engine(method, pricing);
+                let mut one_by_one = basic_market(method, pricing, 99);
                 let mut expected = BatchReport::default();
-                for &kw in &queries {
-                    let r = loop_engine.run_auction(kw, &mut loop_rng);
+                for _ in 0..40 {
+                    let r = serve(&mut one_by_one);
                     expected.auctions += 1;
                     expected.expected_revenue += r.expected_revenue;
-                    expected.filled_slots += r.assignment.num_assigned() as u64;
-                    expected.clicks += r.clicked.iter().filter(|c| **c).count() as u64;
-                    expected.purchases += r.purchased.iter().filter(|p| **p).count() as u64;
+                    expected.filled_slots += r.placements.len() as u64;
+                    expected.clicks += r.placements.iter().filter(|p| p.clicked).count() as u64;
+                    expected.purchases +=
+                        r.placements.iter().filter(|p| p.purchased).count() as u64;
                     expected.realized_revenue += r.realized_revenue;
                 }
 
-                let mut batch_rng = StdRng::seed_from_u64(99);
-                let mut batch_engine = basic_engine(method, pricing);
-                let got = batch_engine.run_batch(&queries, &mut batch_rng);
+                let mut batched = basic_market(method, pricing, 99);
+                let queries: Vec<QueryRequest> = (0..40).map(|_| QueryRequest::new(0)).collect();
+                let got = batched
+                    .serve_batch(&queries)
+                    .expect("keyword 0 exists")
+                    .total;
                 assert!(
                     (got.expected_revenue - expected.expected_revenue).abs() < 1e-6,
                     "{method:?}/{pricing:?}"
@@ -1343,31 +1207,31 @@ mod tests {
     #[test]
     fn pay_your_bid_charges_unplaced_negated_slot_bids() {
         // An advertiser bidding on "not displayed" owes money when losing.
-        let brand = TableBidder::new(BidsTable::new(vec![(
-            Formula::no_slot(1),
-            Money::from_cents(3),
-        )]));
-        let strong = TableBidder::per_click(Money::from_cents(50));
-        let clicks = ClickModel::from_fn(2, 1, |_, _| 1.0).unwrap();
-        let purchases = PurchaseModel::never(2, 1);
-        let mut engine = AuctionEngine::new(
-            vec![brand, strong],
-            clicks,
-            purchases,
-            1,
-            EngineConfig {
-                method: WdMethod::Hungarian,
-                pricing: PricingScheme::PayYourBid,
-                ..EngineConfig::default()
-            },
-        );
-        let mut rng = StdRng::seed_from_u64(1);
-        let report = engine.run_auction(0, &mut rng);
-        // Advertiser 1 wins the slot (expected 50 > 3); advertiser 0 is
-        // unplaced and owes its 3¢ "not displayed" bid.
-        assert_eq!(report.assignment.slot_to_adv, vec![Some(1)]);
-        assert!(report.charges.contains(&(0, Money::from_cents(3))));
-        assert!(report.charges.contains(&(1, Money::from_cents(50))));
-        assert!((report.expected_revenue - 53.0).abs() < 1e-9);
+        let mut market = Marketplace::builder()
+            .slots(1)
+            .keywords(1)
+            .seed(1)
+            .method(WdMethod::Hungarian)
+            .pricing(PricingScheme::PayYourBid)
+            .default_click_probs(vec![1.0])
+            .build()
+            .expect("valid configuration");
+        let advertiser = market.register_advertiser("a");
+        let brand = BidsTable::new(vec![(Formula::no_slot(1), Money::from_cents(3))]);
+        let brand = market
+            .add_campaign(advertiser, 0, CampaignSpec::table(brand))
+            .expect("accepted");
+        let strong = CampaignSpec::per_click(Money::from_cents(50));
+        let strong = market
+            .add_campaign(advertiser, 0, strong)
+            .expect("accepted");
+        let response = serve(&mut market);
+        // The strong campaign wins the slot (expected 50 > 3); the brand
+        // campaign is unplaced and owes its 3¢ "not displayed" bid.
+        let shown: Vec<_> = response.placements.iter().map(|p| p.campaign).collect();
+        assert_eq!(shown, vec![strong]);
+        assert!(response.charges.contains(&(brand, Money::from_cents(3))));
+        assert!(response.charges.contains(&(strong, Money::from_cents(50))));
+        assert!((response.expected_revenue - 53.0).abs() < 1e-9);
     }
 }

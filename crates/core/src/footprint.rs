@@ -1,7 +1,7 @@
 //! A memory ledger: what a [`Marketplace`] holds on the heap, line by line.
 //!
 //! [`Marketplace::footprint`] walks the market, its keyword books and each
-//! book's [`AuctionEngine`](crate::AuctionEngine), and enters every buffer
+//! book's keyword engine ([`crate::engine`]), and enters every buffer
 //! it finds under one [`Component`]. Each line carries the bytes in use
 //! (lengths), the bytes reserved (capacities) and the allocation count
 //! ([`HeapUse`]). What several owners share is entered once: a targeting

@@ -7,31 +7,32 @@
 //! 2. **Winner determination** — the bids plus the outcome-probability
 //!    models are folded into an expected-revenue matrix
 //!    ([`revenue::revenue_matrix`], the Theorem 2 construction), which any
-//!    of the four [`WdMethod`]s solves: LP (network simplex), H (full
-//!    Hungarian), RH (reduced graph), RHTALU (reduced graph over
-//!    threshold-algorithm selection with logically-updated indexes).
+//!    of the three [`WdMethod`]s solves: LP (network simplex), H (full
+//!    Hungarian), RH (reduced graph). RHTALU (the reduced graph over
+//!    threshold-algorithm selection with logically-updated indexes) is the
+//!    reference `ssa_workload::Simulation`.
 //! 3. **User action** — clicks and purchases are sampled from the same
 //!    probability models.
 //! 4. **Pricing and payment** — generalised second pricing or VCG
 //!    ([`pricing`]).
 //!
-//! Winner determination dispatches through the `ssa_matching::WdSolver`
-//! trait: [`AuctionEngine`] owns a solver with persistent scratch and the
-//! weights it reads — on the default `rh` path each slot's few best rows,
-//! kept current from the bids that changed; for methods that read whole
-//! columns a preallocated revenue matrix — and the batched entry point
-//! ([`AuctionEngine::run_batch`]) updates them in place: no per-auction
-//! matrix allocation on the hot path (see the [`engine`] module docs).
-//!
-//! Above the engine sits the [`marketplace`]: a long-lived
+//! Every auction runs in the [`marketplace`]: a long-lived
 //! [`marketplace::Marketplace`] — the one market type — owning registered
-//! advertisers, per-keyword campaigns, and one persistent engine+solver
+//! advertisers, per-keyword campaigns, and one persistent keyword engine
 //! per keyword (whose bidders are its campaigns), with a typed serving API
 //! and an incremental update API that rewrites one campaign in place.
 //! A market is built from one [`MarketConfigState`] by
 //! [`marketplace::Marketplace::from_config`], the one constructor;
 //! [`marketplace::Marketplace::builder`] writes that value one setter at
-//! a time. `AuctionEngine` remains the documented low-level escape hatch.
+//! a time.
+//!
+//! Winner determination dispatches through the `ssa_matching::WdSolver`
+//! trait: each keyword engine owns a solver with persistent scratch and
+//! the weights it reads — on the default `rh` path each slot's few best
+//! rows, kept current from the bids that changed; for methods that read
+//! whole columns a preallocated revenue matrix — and updates them in
+//! place: no per-auction matrix allocation on the hot path (see the
+//! [`engine`] module docs).
 //!
 //! For multi-core serving, a configuration's `shards` count
 //! ([`marketplace::MarketplaceBuilder::build_sharded`]) partitions the
@@ -73,10 +74,7 @@ pub mod state;
 
 pub use bidder::{Bidder, BidderOutcome, QueryContext, TableBidder};
 pub use codec::CodecError;
-pub use engine::{
-    AuctionEngine, AuctionReport, BatchReport, EngineConfig, EngineQuery, ParseMethodError,
-    PhaseStats, WdMethod,
-};
+pub use engine::{BatchReport, EngineConfig, ParseMethodError, PhaseStats, WdMethod};
 pub use heavyweight::{solve_heavyweight, HeavyweightInstance, HeavyweightSolution};
 pub use journal::{LogRecord, MutationJournal, MutationRecord, Reply};
 pub use marketplace::{
@@ -86,7 +84,7 @@ pub use marketplace::{
 };
 pub use pricing::{ParsePricingError, PricingScheme, SlotPrice};
 pub use prob::{ClickModel, ClickRows, PurchaseModel, SeparableClickModel};
-pub use revenue::{expected_revenue, revenue_matrix, revenue_matrix_into, NoSlotValues};
+pub use revenue::{expected_revenue, revenue_matrix, NoSlotValues};
 pub use sharded::{parse_shards, shard_of_keyword, ParseShardsError, ShardedMarketplace};
 pub use sqlprog::{SqlProgram, SqlProgramBidder, SqlProgramError};
 pub use ssa_bidlang::targeting::{AttrValue, CompiledTargeting, UserAttrs};

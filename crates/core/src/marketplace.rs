@@ -7,7 +7,7 @@
 //! configuration, the advertiser roster ([`AdvertiserHandle`]), the global
 //! clock, an optional mutation journal ([`crate::journal`]), one click
 //! table of every click row its campaigns use, and one *keyword book* per
-//! keyword: its persistent [`AuctionEngine`]+solver and its own
+//! keyword: its persistent engine+solver ([`crate::engine`]) and its own
 //! user-action RNG stream. A campaign is one 16-byte record, stored once
 //! as the engine's bidder: advertiser, pause flag, and a per-click bid and
 //! click value in `u32` cents inline; a program is one pointer to a small
@@ -15,17 +15,15 @@
 //! [`BidsTable`] or a per-click campaign with an ROI target or a larger
 //! amount is one pointer to a box that holds the rest. Its purchase
 //! probabilities are its row of the engine's purchase model; its click
-//! probabilities are a 4-byte id in the engine's click model, naming a row
-//! of the market's table, which the market passes to the engine wherever
-//! it reads them. Queries
-//! are served through a typed API ([`Marketplace::serve`] /
-//! [`Marketplace::serve_batch`], built on [`AuctionEngine::run_batch`]) and
-//! bids are changed through an incremental update API
+//! probabilities are a 4-byte id in the engine, naming a row of the
+//! market's table, which the market passes to the engine at every run.
+//! Queries are served through a typed API ([`Marketplace::serve`] /
+//! [`Marketplace::serve_batch`]; the one way an auction runs) and bids are
+//! changed through an incremental update API
 //! ([`Marketplace::update_bid`], [`Marketplace::pause_campaign`],
-//! [`Marketplace::set_roi_target`]) that rewrites the record in place
-//! through [`AuctionEngine::bidder_mut`], which marks its row written: the
-//! engine holds no table for a per-click or fixed-table campaign and reads
-//! it off the record ([`Bidder::standing_table`]) whenever it needs it.
+//! [`Marketplace::set_roi_target`]) that rewrites the record in place and
+//! marks its row written: the engine holds no table for a per-click or
+//! fixed-table campaign and reads it off the record whenever it needs it.
 //! [`Marketplace::current_bid`] and [`Marketplace::top_bids`] read the same
 //! record. Every operation is defined once and indexes the keyword's
 //! book directly.
@@ -40,9 +38,6 @@
 //! [`Marketplace::configure`], the journalled `Configure` operation, is the
 //! one way to change it: it replaces the market with a fresh build, so a
 //! recovered market replays exactly the configuration that was served.
-//!
-//! [`AuctionEngine`] remains the documented low-level escape hatch for
-//! callers that want to assemble a single-keyword auction by hand.
 //!
 //! # Shards are a partition of the books
 //!
@@ -111,7 +106,7 @@ use crate::engine::{AuctionEngine, BatchReport, EngineConfig, EngineQuery, WdMet
 use crate::footprint::{self, Accountant, Component, HeapUse, Ledger};
 use crate::journal::{LogRecord, MutationJournal, MutationRecord, PurchaseRow, Reply};
 use crate::pricing::PricingScheme;
-use crate::prob::{ClickModel, ClickRowId, ClickTable, PurchaseModel};
+use crate::prob::{ClickRowId, ClickTable};
 use crate::sharded::shard_of_keyword;
 use crate::sqlprog::{SqlProgram, SqlProgramBidder, SqlProgramError};
 use crate::state::{MarketConfigState, MarketState};
@@ -508,7 +503,7 @@ impl std::fmt::Debug for CampaignSpec {
 /// A per-click campaign's bidding fields: the nominal bid, capped by the
 /// ROI target at `click_value / roi_target`. The update API writes them;
 /// the one-row table is derived from them whenever the engine reads it
-/// ([`Bidder::standing_table`]) and is stored nowhere. A record holds
+/// ([`Campaign::standing_table`]) and is stored nowhere. A record holds
 /// them in line when they fit ([`PerClick::inline`]), else in its box.
 #[derive(Debug, Clone, Copy)]
 struct PerClick {
@@ -567,7 +562,7 @@ enum CampaignKind {
 /// Who owns a campaign, and whether it is paused: the part every campaign
 /// has, 8 bytes.
 #[derive(Debug, Clone, Copy)]
-struct Owner {
+pub(crate) struct Owner {
     /// The advertiser's registration index; [`Marketplace::add_campaign`]
     /// refuses one past `u32::MAX`.
     advertiser: u32,
@@ -575,7 +570,7 @@ struct Owner {
 }
 
 /// What an untargeted program's record points to, 24 bytes.
-struct ProgramCampaign {
+pub(crate) struct ProgramCampaign {
     owner: Owner,
     program: Box<dyn Bidder + Send>,
 }
@@ -583,10 +578,10 @@ struct ProgramCampaign {
 /// A campaign [`Campaign`] does not hold in line: a targeted campaign of
 /// any kind, a fixed table, or a per-click campaign with an ROI target or
 /// an amount past `u32::MAX` cents.
-struct BoxedCampaign {
+pub(crate) struct BoxedCampaign {
     owner: Owner,
     /// Compiled targeting matcher (`None` = the campaign bids on every
-    /// query), which the engine reads through [`Bidder::targeting`]. Shared
+    /// query), which the engine reads through [`Campaign::targeting`]. Shared
     /// via `Arc` with every campaign of the market registered with the same
     /// text; the retained [`CompiledTargeting::source`] is what state
     /// capture and the mutation journal serialize.
@@ -609,7 +604,7 @@ struct BoxedCampaign {
 /// one pointer to a [`ProgramCampaign`]; every other campaign, one pointer
 /// to a [`BoxedCampaign`] ([`Campaign::set_per_click`] moves a per-click
 /// campaign in and out of its box).
-enum Campaign {
+pub(crate) enum Campaign {
     /// Owner, nominal bid and click value in cents.
     PerClick(Owner, u32, u32),
     Program(Box<ProgramCampaign>),
@@ -675,7 +670,11 @@ impl Campaign {
         }
     }
 
-    fn shared_targeting(&self) -> Option<&Arc<CompiledTargeting>> {
+    /// The matcher deciding which queries the campaign bids on (`None`:
+    /// every query). The engine visits a targeted campaign at every
+    /// auction, and on a query the matcher rejects holds an empty table for
+    /// it without running it.
+    pub(crate) fn targeting(&self) -> Option<&Arc<CompiledTargeting>> {
         match self {
             Campaign::Boxed(boxed) => boxed.targeting.as_ref(),
             _ => None,
@@ -751,6 +750,37 @@ impl Campaign {
         self.per_click().map(|bid| bid.effective_bid())
     }
 
+    /// Step 3 for a program: this auction's table, from its program, or
+    /// empty while it is paused.
+    pub(crate) fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
+        self.running_program()
+            .map_or_else(BidsTable::empty, |program| program.on_query(ctx))
+    }
+
+    /// Step 6 for a program: its program learns the outcome, unless it is
+    /// paused.
+    pub(crate) fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
+        if let Some(program) = self.running_program() {
+            program.on_outcome(ctx, outcome);
+        }
+    }
+
+    /// A *standing* campaign's table, `None` for a program. Per-click and
+    /// fixed-table campaigns change only through the update API, which
+    /// writes through the engine's `bidder_mut`, so the engine reads their
+    /// table here whenever it needs it and holds no copy: a per-click
+    /// campaign derives its one-row table, a fixed table is lent, and a
+    /// paused campaign submits an empty one.
+    pub(crate) fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
+        let table = match (self.per_click(), self.table()) {
+            (None, None) => return None, // a program
+            _ if self.paused() => Cow::Owned(BidsTable::empty()),
+            (Some(bid), _) => Cow::Owned(BidsTable::single_feature(bid.effective_bid())),
+            (None, Some(table)) => Cow::Borrowed(table),
+        };
+        Some(table)
+    }
+
     /// Enters what the record points to: its box, its program's own
     /// record, its matcher unless an earlier campaign did.
     fn account(&self, ledger: &mut Accountant) {
@@ -782,39 +812,6 @@ fn account_matcher(ledger: &mut Accountant, matcher: &Arc<CompiledTargeting>) {
     });
 }
 
-impl Bidder for Campaign {
-    fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
-        match self.running_program() {
-            Some(program) => program.on_query(ctx),
-            None => self.standing_table().unwrap_or_default().into_owned(),
-        }
-    }
-
-    fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
-        if let Some(program) = self.running_program() {
-            program.on_outcome(ctx, outcome);
-        }
-    }
-
-    /// Per-click and fixed-table campaigns change only through the update
-    /// API, which writes through [`AuctionEngine::bidder_mut`]: a per-click
-    /// campaign derives its one-row table here, a fixed table is lent, and
-    /// a paused campaign submits an empty one.
-    fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
-        let table = match (self.per_click(), self.table()) {
-            (None, None) => return None, // a program
-            _ if self.paused() => Cow::Owned(BidsTable::empty()),
-            (Some(bid), _) => Cow::Owned(BidsTable::single_feature(bid.effective_bid())),
-            (None, Some(table)) => Cow::Borrowed(table),
-        };
-        Some(table)
-    }
-
-    fn targeting(&self) -> Option<&CompiledTargeting> {
-        self.shared_targeting().map(Arc::as_ref)
-    }
-}
-
 impl std::fmt::Debug for Campaign {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match (self.per_click(), self.table()) {
@@ -826,7 +823,7 @@ impl std::fmt::Debug for Campaign {
             .field("advertiser", &self.advertiser())
             .field("paused", &self.paused())
             .field("kind", &kind)
-            .field("targeting", &self.shared_targeting().map(|t| t.source()))
+            .field("targeting", &self.targeting().map(|t| t.source()))
             .finish()
     }
 }
@@ -865,7 +862,7 @@ struct KeywordBook {
     /// Built by the keyword's first campaign and grown in place by every
     /// later one; `None` exactly while the keyword has no campaigns. Boxed,
     /// so a keyword without campaigns costs a pointer, not an engine.
-    engine: Option<Box<AuctionEngine<Campaign>>>,
+    engine: Option<Box<AuctionEngine>>,
     /// The keyword's own user-action RNG stream, seeded purely from
     /// `(market seed, keyword)` ([`keyword_stream_seed`]), so a keyword's
     /// outcome stream does not depend on which other keywords were queried
@@ -902,13 +899,12 @@ impl KeywordBook {
                 charges: Vec::new(),
             };
         };
-        engine.set_time(time - 1);
-        let expected_revenue = engine.hot_step(Some(clicks), keyword, attrs, &mut self.rng);
+        let expected_revenue = engine.hot_step(clicks, time, keyword, attrs, &mut self.rng);
         respond(engine, keyword, time, expected_revenue)
     }
 
     /// Serves a run of consecutive queries on this book's keyword as one
-    /// [`AuctionEngine::run_batch`] call starting at global time
+    /// [`AuctionEngine::run_batch`] call after global time
     /// `start_time` (the clock value *before* the first of the queries). A
     /// campaign-less keyword serves `queries.len()` empty pages without
     /// touching any engine. The queries are borrowed straight from the
@@ -925,8 +921,7 @@ impl KeywordBook {
                 ..BatchReport::default()
             };
         };
-        engine.set_time(start_time);
-        engine.run_batch_in(Some(clicks), queries, &mut self.rng)
+        engine.run_batch(clicks, queries, start_time, &mut self.rng)
     }
 }
 
@@ -990,7 +985,7 @@ impl From<usize> for QueryRequest {
     }
 }
 
-impl crate::engine::EngineQuery for QueryRequest {
+impl EngineQuery for QueryRequest {
     fn keyword(&self) -> usize {
         self.keyword
     }
@@ -1054,10 +1049,9 @@ pub struct MarketBatchReport {
     /// Per-keyword totals (indexed by keyword).
     pub per_keyword: Vec<BatchReport>,
     /// Number of maximal same-keyword chunks the stream was split into.
-    /// A chunk on a keyword with campaigns is one
-    /// [`AuctionEngine::run_batch`] call on that keyword's persistent
-    /// engine; a chunk on a campaign-less keyword serves empty pages
-    /// without touching any engine.
+    /// A chunk on a keyword with campaigns is one batched run of that
+    /// keyword's persistent engine; a chunk on a campaign-less keyword
+    /// serves empty pages without touching any engine.
     pub chunks: u64,
 }
 
@@ -1388,7 +1382,7 @@ impl Marketplace {
     /// `AddCampaign`, then its `PauseCampaign` if it is paused.
     fn campaign_records<'a>(
         &'a self,
-        engine: &'a AuctionEngine<Campaign>,
+        engine: &'a AuctionEngine,
         id: CampaignId,
     ) -> impl Iterator<Item = Result<LogRecord<'a>, MarketError>> {
         let campaign = &engine.bidders()[id.index];
@@ -1397,7 +1391,7 @@ impl Marketplace {
             .per_click()
             .ok_or(MarketError::NotDurable(id))
             .map(|bid| {
-                let click_probs = self.clicks.row(engine.clicks().id(id.index));
+                let click_probs = self.clicks.row(engine.click_row(id.index));
                 let purchase_probs = match engine.purchases().stored_row(id.index) {
                     Some(stored) => PurchaseRow::Stored(stored),
                     None => PurchaseRow::Never {
@@ -1412,7 +1406,7 @@ impl Marketplace {
                     roi_target: bid.roi_target(),
                     click_probs: Some(click_probs),
                     purchase_probs: Some(purchase_probs),
-                    targeting: campaign.shared_targeting().map(|t| t.source()),
+                    targeting: campaign.targeting().map(|t| t.source()),
                 }
             });
         let pause = LogRecord::PauseCampaign { keyword, index };
@@ -1764,7 +1758,7 @@ impl Marketplace {
             pricing,
             pruned,
             warm_start,
-            slots: num_slots,
+            slots,
             ..
         } = self.config;
         let config = EngineConfig {
@@ -1784,16 +1778,8 @@ impl Marketplace {
         };
         // The next auction reads every row, the new one included.
         book.engine
-            .get_or_insert_with(|| {
-                Box::new(AuctionEngine::new(
-                    Vec::new(),
-                    ClickModel::empty(num_slots),
-                    PurchaseModel::never(0, num_slots),
-                    num_keywords,
-                    config,
-                ))
-            })
-            .push_bidder_with_row(
+            .get_or_insert_with(|| Box::new(AuctionEngine::new(slots, num_keywords, config)))
+            .push(
                 Campaign::new(owner, targeting, kind),
                 click_row,
                 purchase_probs,
@@ -1981,7 +1967,7 @@ impl Marketplace {
     /// engines, aggregating outcomes.
     ///
     /// The stream is split into maximal same-keyword chunks; each chunk is
-    /// one [`AuctionEngine::run_batch`] call, so consecutive queries on the
+    /// one batched run of the keyword's engine, so consecutive queries on the
     /// same keyword reuse one revenue matrix and one solver scratch with no
     /// per-query allocation. A chunk's auctions carry the global clock
     /// values of their stream positions.
@@ -2182,7 +2168,7 @@ fn check_roi_target(target: f64) -> Result<(), MarketError> {
 /// scratch into the typed [`AuctionResponse`] (campaign ids and advertiser
 /// handles): the response's two vectors are the only allocations.
 fn respond(
-    engine: &AuctionEngine<Campaign>,
+    engine: &AuctionEngine,
     keyword: usize,
     time: u64,
     expected_revenue: f64,
@@ -3184,11 +3170,11 @@ mod tests {
         let book = |id: CampaignId| &market.books[id.keyword];
         let row = |id: CampaignId| {
             let engine = book(id).engine.as_ref().expect("registered");
-            engine.clicks().id(id.index)
+            engine.click_row(id.index)
         };
         let matcher = |id: CampaignId| {
             let campaign = &book(id).campaigns()[id.index];
-            campaign.shared_targeting().expect("targeted")
+            campaign.targeting().expect("targeted")
         };
         let [a0, a1, b0, b1, c0, c1] = *ids;
         assert_eq!(row(a0), row(a1), "{how}: one advertiser, one row");

@@ -15,11 +15,11 @@
 //! [`PurchaseModel::push_row`]), so a new advertiser appends a row instead
 //! of rebuilding the model. Click rows live in a click table: each row
 //! stored once, as `k` contiguous probabilities in one flat buffer, and
-//! named by a 4-byte id. A [`ClickModel`] is one id per advertiser. A
-//! standalone model owns a table of its own; an engine inside a
-//! [`Marketplace`](crate::Marketplace) holds only ids, into the one table
-//! the market owns and passes to every call that reads probabilities, so
-//! an advertiser's row is stored once for its campaigns on every keyword.
+//! named by a 4-byte id. A [`ClickModel`] owns a table of its own and one
+//! id per advertiser. A [`Marketplace`](crate::Marketplace) owns one table
+//! for all its keywords, and each keyword engine holds only ids into it,
+//! so an advertiser's row is stored once for its campaigns on every
+//! keyword.
 //! The table's insert is the only way a row enters, and it refuses a row
 //! of the wrong length or with a probability outside `[0, 1]` as a typed
 //! [`MarketError`]. An advertiser that never purchases — the pure
@@ -96,6 +96,11 @@ impl ClickTable {
         self.k
     }
 
+    /// The rows `ids` name, as an auction reads them.
+    pub(crate) fn rows<'a>(&'a self, ids: &'a [ClickRowId]) -> ClickRows<'a> {
+        ClickRows { table: self, ids }
+    }
+
     /// Enters the table's one buffer.
     pub(crate) fn account(&self, ledger: &mut Accountant) {
         ledger.add(Component::ClickRows, HeapUse::of_vec(&self.probs));
@@ -103,22 +108,18 @@ impl ClickTable {
 }
 
 /// Per-advertiser, per-slot click probabilities: one 4-byte row id per
-/// advertiser.
-///
-/// A standalone model ([`ClickModel::from_fn`], [`ClickModel::from_rows`],
-/// [`ClickModel::push_row`]) owns the table its ids name, one row per
-/// advertiser. A model inside a [`Marketplace`](crate::Marketplace)'s
-/// keyword engine owns an empty one: its ids name rows of the market's
-/// table, which the market passes in wherever the engine reads them.
+/// advertiser, naming a row of the model's own table
+/// ([`ClickModel::from_fn`], [`ClickModel::from_rows`],
+/// [`ClickModel::push_row`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClickModel {
-    /// What a standalone model's ids name; empty inside a market.
+    /// What the ids name.
     table: ClickTable,
     ids: Vec<ClickRowId>,
 }
 
-/// A model's rows as an auction reads them: its ids, resolved in the table
-/// they name.
+/// Click rows as an auction reads them: ids, resolved in the table they
+/// name.
 #[derive(Debug, Clone, Copy)]
 pub struct ClickRows<'a> {
     table: &'a ClickTable,
@@ -191,34 +192,9 @@ impl ClickModel {
         Ok(())
     }
 
-    /// Appends an advertiser whose row is `id` in the table the model's
-    /// holder reads it from.
-    pub(crate) fn push_id(&mut self, id: ClickRowId) {
-        self.ids.push(id);
-    }
-
-    /// Advertiser `adv`'s row id.
-    pub(crate) fn id(&self, adv: usize) -> ClickRowId {
-        self.ids[adv]
-    }
-
     /// The model's rows, resolved in its own table.
     pub fn rows(&self) -> ClickRows<'_> {
-        self.rows_in(&self.table)
-    }
-
-    /// The model's rows, resolved in `table`.
-    pub(crate) fn rows_in<'a>(&'a self, table: &'a ClickTable) -> ClickRows<'a> {
-        ClickRows {
-            table,
-            ids: &self.ids,
-        }
-    }
-
-    /// Enters the model's ids and its own table.
-    pub(crate) fn account(&self, ledger: &mut Accountant) {
-        ledger.add(Component::ClickRowIds, HeapUse::of_vec(&self.ids));
-        self.table.account(ledger);
+        self.table.rows(&self.ids)
     }
 
     /// Number of advertisers.
@@ -529,14 +505,12 @@ mod tests {
     #[test]
     fn pushed_shared_rows_are_stored_once() {
         // A model's rows are one flat buffer, one row per push; the market
-        // shares a row by handing several models the same id.
+        // shares a row by handing several engines the same id.
         let mut table = ClickTable::new(2);
         let shared = table.insert(&[0.7, 0.4]).unwrap();
-        let mut clicks = ClickModel::empty(2);
-        clicks.push_id(shared);
-        clicks.push_id(shared);
+        let ids = [shared, shared];
         assert_eq!(table.len, 1);
-        let rows = clicks.rows_in(&table);
+        let rows = table.rows(&ids);
         assert!(std::ptr::eq(rows.row(0), rows.row(1)));
         assert_eq!(rows.row(1), &[0.7, 0.4]);
         assert_eq!(std::mem::size_of::<ClickRowId>(), 4);

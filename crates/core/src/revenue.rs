@@ -94,7 +94,7 @@ pub struct NoSlotValues {
 
 impl NoSlotValues {
     /// Rebuilds `total_base` by summing `base` in index order — the same
-    /// order [`revenue_matrix_into`] sums in, so refreshing single values
+    /// order [`revenue_matrix`] sums in, so refreshing single values
     /// with [`NoSlotValues::set`] stays bit-identical to a full rebuild.
     pub fn resum(&mut self) {
         self.total_base = self.base.iter().sum();
@@ -152,22 +152,6 @@ pub fn revenue_matrix(
     clicks: &ClickModel,
     purchases: &PurchaseModel,
 ) -> (RevenueMatrix, NoSlotValues) {
-    let mut matrix = RevenueMatrix::zeros(0, clicks.num_slots().max(1));
-    let mut no_slot = NoSlotValues::default();
-    revenue_matrix_into(bids, clicks, purchases, &mut matrix, &mut no_slot);
-    (matrix, no_slot)
-}
-
-/// In-place variant of [`revenue_matrix`]: reshapes and refills
-/// caller-owned buffers, so the batched auction pipeline performs no
-/// per-auction matrix (or base-vector) allocation after warm-up.
-pub fn revenue_matrix_into(
-    bids: &[BidsTable],
-    clicks: &ClickModel,
-    purchases: &PurchaseModel,
-    matrix: &mut RevenueMatrix,
-    no_slot: &mut NoSlotValues,
-) {
     let n = bids.len();
     assert_eq!(clicks.num_advertisers(), n, "click model size mismatch");
     assert_eq!(
@@ -176,8 +160,8 @@ pub fn revenue_matrix_into(
         "purchase model size mismatch"
     );
     let k = clicks.num_slots();
-    matrix.reshape(n, k);
-    no_slot.base.clear();
+    let mut matrix = RevenueMatrix::zeros(n, k);
+    let mut no_slot = NoSlotValues::default();
     let mut row = vec![0.0; k];
     let clicks = clicks.rows();
     for (i, table) in bids.iter().enumerate() {
@@ -187,6 +171,7 @@ pub fn revenue_matrix_into(
         matrix.set_row(i, &row);
     }
     no_slot.resum();
+    (matrix, no_slot)
 }
 
 #[cfg(test)]
@@ -319,25 +304,6 @@ mod tests {
         assert_eq!(base.total_base, 0.0);
         assert!((matrix.get(0, 0) - 8.0).abs() < 1e-12);
         assert!((matrix.get(1, 1) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn in_place_refill_matches_owned_construction() {
-        let (clicks, purchases) = uniform_models(2, 2, 0.4);
-        let bids = vec![
-            BidsTable::single_feature(Money::from_cents(10)),
-            BidsTable::new(vec![(Formula::no_slot(2), Money::from_cents(3))]),
-        ];
-        let (owned_matrix, owned_base) = revenue_matrix(&bids, &clicks, &purchases);
-        // Refill buffers previously sized for a different market.
-        let mut matrix = RevenueMatrix::zeros(5, 3);
-        let mut no_slot = NoSlotValues {
-            base: vec![9.0; 5],
-            total_base: 45.0,
-        };
-        revenue_matrix_into(&bids, &clicks, &purchases, &mut matrix, &mut no_slot);
-        assert_eq!(matrix, owned_matrix);
-        assert_eq!(no_slot, owned_base);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Heap allocations per operation on the `engine-solve` shape: a
-//! steady-state `update_bid` and `serve`, one snapshot campaign record,
-//! an `update_bid` that takes a campaign record out of line, and
-//! `ServeBatch` and `AddCampaign` records applied with and without a
-//! journal.
+//! steady-state `update_bid` and `serve`, a `serve` on the same shape with
+//! every campaign targeted, one snapshot campaign record, an `update_bid`
+//! that takes a campaign record out of line, and `ServeBatch` and
+//! `AddCampaign` records applied with and without a journal.
 //! `ssa_durable`'s `recovery_allocations` pins recovery the same way.
 //!
 //! A count is exact and build-independent, so a clone or a scratch vector
@@ -17,7 +17,7 @@
 mod support;
 
 use ssa_bidlang::Money;
-use ssa_core::marketplace::{CampaignId, QueryRequest};
+use ssa_core::marketplace::{CampaignId, CampaignSpec, Marketplace, QueryRequest};
 use ssa_core::{LogRecord, MutationJournal, MutationRecord, UserAttrs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,6 +109,18 @@ fn each_operation_allocates_a_pinned_number_of_times() {
     // is charged in. 5 968 (≈ 6 an auction) while the engine first copied
     // its assignment, clicks, purchases and charges into a report.
     assert_eq!(serves, 1_984, "allocations in {ROUNDS} steady serves");
+
+    // The same serves with every campaign targeted, each query carrying
+    // the wire workloads' attribute bag (geo, device, age): every campaign
+    // is evaluated at every auction, and the attributes are read where the
+    // request holds them. As many as untargeted: two an auction, one in
+    // the 12 auctions nobody is charged in (1 988 when first pinned; one
+    // more clone of the attributes on the serve path reads 7 988).
+    assert_eq!(
+        targeted_serves(),
+        1_988,
+        "allocations in {TARGETED_SERVES} steady targeted serves"
+    );
 
     // The snapshot writer's records borrow the market's names and rows.
     // 2 per campaign record from PR 48 to PR 53, while each copied its
@@ -240,4 +252,51 @@ fn journalled_records() -> [(u64, u64); 2] {
         (batches, adds)
     };
     [count(None), count(Some(Discard))]
+}
+
+/// Steady serves [`targeted_serves`] counts.
+const TARGETED_SERVES: usize = 1_000;
+
+/// The `engine-solve` shape with every campaign targeted at US mobile
+/// visitors, served `TARGETED_SERVES` times round the keywords after as
+/// many serves warmed every keyword's scratch up; the allocations of those
+/// serves. Each request
+/// is built before its count starts, as a decoded one would be.
+fn targeted_serves() -> u64 {
+    let mut market = Marketplace::builder()
+        .slots(SLOTS)
+        .keywords(KEYWORDS)
+        .seed(7)
+        .build()
+        .expect("valid configuration");
+    for adv in 0..ADVERTISERS {
+        let advertiser = market.register_advertiser(format!("advertiser-{adv}"));
+        for keyword in 0..KEYWORDS {
+            let bid = Money::from_cents(1 + ((adv * 31 + keyword * 17) % 50) as i64);
+            let spec = CampaignSpec::per_click(bid)
+                .click_probs(advertiser_row(adv, ADVERTISERS))
+                .targeting("geo = 'us' and device = 'mobile'");
+            market
+                .add_campaign(advertiser, keyword, spec)
+                .expect("campaign accepted");
+        }
+    }
+    let request = |round: usize| {
+        let attrs = UserAttrs::new()
+            .geo("us")
+            .device("mobile")
+            .set_int("age", 21 + (round % 49) as i64);
+        QueryRequest::with_attrs(round % KEYWORDS, attrs)
+    };
+    for round in 0..TARGETED_SERVES {
+        market.serve(request(round)).expect("keyword in range");
+    }
+    let mut serves = 0;
+    for round in TARGETED_SERVES..2 * TARGETED_SERVES {
+        let query = request(round);
+        let (served, allocations) = counted(|| market.serve(query));
+        assert_eq!(served.expect("keyword in range").placements.len(), SLOTS);
+        serves += allocations;
+    }
+    serves
 }

@@ -1,28 +1,21 @@
 //! Who is asked for a table, and when.
 //!
-//! A *standing* bidder ([`Bidder::standing_table`] is `Some`) is read, not
-//! asked: the engine holds no copy of its table, reads it off the bidder
-//! when it needs it, and re-solves after a write through
-//! [`AuctionEngine::bidder_mut`] only if the write changed it — it never
-//! calls [`Bidder::on_query`] on it. A *program* is asked at every auction
-//! it is matched and not paused, and told every outcome. The counters here
-//! are on the bidders themselves, so they count calls the engine actually
+//! A *standing* campaign (per-click or a fixed table) is read, not asked:
+//! the keyword engine holds no copy of its table, reads it off the campaign
+//! when it needs it, and re-solves after a write only if the write changed
+//! it — it has no program to ask. A *program* is asked at every auction it
+//! is matched and not paused, and told every outcome. The counters here are
+//! on the programs themselves, so they count calls the engine actually
 //! made.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use ssa_bidlang::targeting::UserAttrs;
 use ssa_bidlang::{BidsTable, Money};
-use ssa_core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
-use ssa_core::{
-    AuctionEngine, Bidder, BidderOutcome, ClickModel, CompiledTargeting, EngineConfig,
-    PurchaseModel, QueryContext,
-};
-use std::borrow::Cow;
+use ssa_core::marketplace::{CampaignId, CampaignSpec, Marketplace, QueryRequest};
+use ssa_core::{AuctionResponse, BatchReport, Bidder, BidderOutcome, QueryContext};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Calls the engine made to one bidder.
+/// Calls the engine made to one program.
 #[derive(Debug, Clone, Default)]
 struct Calls {
     asked: Arc<AtomicU64>,
@@ -39,159 +32,135 @@ impl Calls {
     }
 }
 
-/// A per-click bidder that counts the engine's questions and
-/// notifications, is standing (its table is read through
-/// [`Bidder::standing_table`], so it is never asked) or a program as told,
-/// and may target.
+/// A per-click program that counts the engine's questions and
+/// notifications.
 #[derive(Debug)]
 struct Counting {
     cents: i64,
-    standing: bool,
     calls: Calls,
-    targeting: Option<Arc<CompiledTargeting>>,
 }
 
 impl Counting {
-    fn new(cents: i64, standing: bool) -> (Self, Calls) {
+    fn new(cents: i64) -> (Self, Calls) {
         let calls = Calls::default();
         let bidder = Counting {
             cents,
-            standing,
             calls: calls.clone(),
-            targeting: None,
         };
         (bidder, calls)
-    }
-
-    fn targeted(self, matcher: Arc<CompiledTargeting>) -> Self {
-        Counting {
-            targeting: Some(matcher),
-            ..self
-        }
-    }
-}
-
-impl Counting {
-    fn table(&self) -> BidsTable {
-        BidsTable::single_feature(Money::from_cents(self.cents))
     }
 }
 
 impl Bidder for Counting {
     fn on_query(&mut self, _ctx: &QueryContext) -> BidsTable {
         self.calls.asked.fetch_add(1, Ordering::Relaxed);
-        self.table()
+        BidsTable::single_feature(Money::from_cents(self.cents))
     }
 
     fn on_outcome(&mut self, _ctx: &QueryContext, _outcome: &BidderOutcome) {
         self.calls.told.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn standing_table(&self) -> Option<Cow<'_, BidsTable>> {
-        self.standing.then(|| Cow::Owned(self.table()))
-    }
-
-    fn targeting(&self) -> Option<&CompiledTargeting> {
-        self.targeting.as_deref()
-    }
 }
 
 const CLICKS: [f64; 2] = [0.6, 0.3];
 
-fn engine_of(bidders: Vec<Counting>, config: EngineConfig) -> AuctionEngine<Counting> {
-    let n = bidders.len();
-    AuctionEngine::new(
-        bidders,
-        ClickModel::from_fn(n, 2, |_, j| CLICKS[j]).unwrap(),
-        PurchaseModel::never(n, 2),
-        1,
-        config,
-    )
+/// A one-keyword market over two slots whose campaigns default to
+/// [`CLICKS`].
+fn small_market(warm_start: bool) -> Marketplace {
+    Marketplace::builder()
+        .slots(2)
+        .keywords(1)
+        .seed(1)
+        .warm_start(warm_start)
+        .default_click_probs(CLICKS.to_vec())
+        .build()
+        .expect("valid configuration")
+}
+
+fn add(market: &mut Marketplace, spec: CampaignSpec) -> CampaignId {
+    let advertiser = market.register_advertiser("a");
+    market.add_campaign(advertiser, 0, spec).expect("accepted")
+}
+
+fn per_click(cents: i64) -> CampaignSpec {
+    CampaignSpec::per_click(Money::from_cents(cents))
+}
+
+/// Serves `auctions` queries on keyword 0 as one batch.
+fn serve_run(market: &mut Marketplace, auctions: usize) -> BatchReport {
+    let queries = vec![QueryRequest::new(0); auctions];
+    market
+        .serve_batch(&queries)
+        .expect("keyword 0 exists")
+        .total
 }
 
 #[test]
 fn a_standing_bidder_is_read_not_asked_and_never_told() {
-    let (a, a_calls) = Counting::new(10, true);
-    let (b, b_calls) = Counting::new(20, true);
-    let mut engine = engine_of(vec![a, b], EngineConfig::default());
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut market = small_market(true);
+    let a = add(&mut market, per_click(10));
+    let b = add(&mut market, per_click(20));
 
     // The first auction reads everybody and solves; unchanged auctions
     // are warm.
-    let first = engine.run_batch(&[0usize; 5], &mut rng);
+    let first = serve_run(&mut market, 5);
     assert_eq!((first.phases.solves, first.phases.warm_solves), (1, 4));
 
     // A write that changes the table: the next auction solves.
-    engine.bidder_mut(0).cents = 30;
-    let changed = engine.run_batch(&[0usize; 3], &mut rng);
+    market.update_bid(a, Money::from_cents(30)).unwrap();
+    let changed = serve_run(&mut market, 3);
     assert_eq!((changed.phases.solves, changed.phases.warm_solves), (1, 2));
 
     // Two writes before one auction are compared as one; writes that end
     // on the value already there dirty nothing.
-    engine.bidder_mut(1).cents = 25;
-    engine.bidder_mut(1).cents = 20;
-    let same = engine.run_batch(&[0usize; 3], &mut rng);
+    market.update_bid(b, Money::from_cents(25)).unwrap();
+    market.update_bid(b, Money::from_cents(20)).unwrap();
+    let same = serve_run(&mut market, 3);
     assert_eq!((same.phases.solves, same.phases.warm_solves), (0, 3));
 
-    // A bidder added to the warm engine is read at the next auction.
-    let (c, c_calls) = Counting::new(5, true);
-    engine.push_bidder(c, &CLICKS, None).unwrap();
-    let grown = engine.run_batch(&[0usize; 2], &mut rng);
+    // A campaign added to the warm engine is read at the next auction.
+    add(&mut market, per_click(5));
+    let grown = serve_run(&mut market, 2);
     assert_eq!((grown.phases.solves, grown.phases.warm_solves), (1, 1));
-    assert_eq!(grown.filled_slots, 4, "three bidders, two slots");
+    assert_eq!(grown.filled_slots, 4, "three campaigns, two slots");
 
-    // An engine built with warm starts off refills from every row and
+    // A market built with warm starts off refills from every row and
     // solves at every auction.
-    let (d, d_calls) = Counting::new(10, true);
-    let (e, e_calls) = Counting::new(20, true);
-    let cold_config = EngineConfig {
-        warm_start: false,
-        ..EngineConfig::default()
-    };
-    let mut cold_engine = engine_of(vec![d, e], cold_config);
-    let cold = cold_engine.run_batch(&[0usize; 3], &mut rng);
+    let mut cold_market = small_market(false);
+    add(&mut cold_market, per_click(10));
+    add(&mut cold_market, per_click(20));
+    let cold = serve_run(&mut cold_market, 3);
     assert_eq!((cold.phases.solves, cold.phases.warm_solves), (3, 0));
-
-    for calls in [&a_calls, &b_calls, &c_calls, &d_calls, &e_calls] {
-        assert_eq!(
-            (calls.asked(), calls.told()),
-            (0, 0),
-            "standing bidders are read, not asked, and do not listen"
-        );
-    }
 }
 
 #[test]
 fn a_program_is_asked_at_every_auction_it_is_matched() {
-    let (standing, standing_calls) = Counting::new(10, true);
-    let (program, program_calls) = Counting::new(20, false);
-    let mut engine = engine_of(vec![standing, program], EngineConfig::default());
-    // A targeted program and a targeted standing bidder join later.
-    let mobile = || Arc::new(CompiledTargeting::parse("device = 'mobile'").unwrap());
-    let (targeted, targeted_calls) = Counting::new(30, false);
-    let (fixed, fixed_calls) = Counting::new(40, true);
-    engine
-        .push_bidder(targeted.targeted(mobile()), &CLICKS, None)
-        .unwrap();
-    engine
-        .push_bidder(fixed.targeted(mobile()), &CLICKS, None)
-        .unwrap();
+    let mut market = small_market(true);
+    add(&mut market, per_click(10));
+    let (program, program_calls) = Counting::new(20);
+    add(&mut market, CampaignSpec::program(Box::new(program)));
+    // A targeted program and a targeted standing campaign join later.
+    let mobile = "device = 'mobile'";
+    let (targeted, targeted_calls) = Counting::new(30);
+    add(
+        &mut market,
+        CampaignSpec::program(Box::new(targeted)).targeting(mobile),
+    );
+    add(&mut market, per_click(40).targeting(mobile));
 
-    let mut rng = StdRng::seed_from_u64(2);
     let mobile_user = UserAttrs::new().set_str("device", "mobile");
     let desktop_user = UserAttrs::new().set_str("device", "desktop");
     for (auction, attrs) in [&mobile_user, &desktop_user, &desktop_user, &mobile_user]
         .into_iter()
         .enumerate()
     {
-        let report = engine.run_auction((0usize, attrs), &mut rng);
+        let request = QueryRequest::with_attrs(0, attrs.clone());
+        let response = market.serve(request).expect("keyword 0 exists");
         let matched = attrs == &mobile_user;
-        let shown: Vec<usize> = report
-            .assignment
-            .slot_to_adv
+        let shown: Vec<usize> = response
+            .placements
             .iter()
-            .flatten()
-            .copied()
+            .map(|p| p.campaign.index())
             .collect();
         assert_eq!(
             shown,
@@ -209,15 +178,9 @@ fn a_program_is_asked_at_every_auction_it_is_matched() {
         2,
         "a targeted program: matched auctions"
     );
-    assert_eq!(
-        (standing_calls.asked(), fixed_calls.asked()),
-        (0, 0),
-        "a standing bidder is read, targeted or not"
-    );
-    // Programs hear every outcome, matched or not; standing bidders none.
+    // Programs hear every outcome, matched or not.
     assert_eq!(program_calls.told(), 4);
     assert_eq!(targeted_calls.told(), 4);
-    assert_eq!((standing_calls.told(), fixed_calls.told()), (0, 0));
 }
 
 #[test]
@@ -228,7 +191,7 @@ fn a_paused_program_campaign_is_not_run() {
         .build()
         .expect("valid configuration");
     let advertiser = market.register_advertiser("a");
-    let (program, calls) = Counting::new(20, false);
+    let (program, calls) = Counting::new(20);
     let id = market
         .add_campaign(advertiser, 0, CampaignSpec::program(Box::new(program)))
         .expect("accepted");
@@ -254,18 +217,19 @@ fn a_paused_program_campaign_is_not_run() {
 }
 
 // ---------------------------------------------------------------------------
-// What an auction evaluates at benchmark scale (5 000 bidders, 15 slots).
+// What an auction evaluates at benchmark scale (5 000 campaigns, 15 slots).
 // ---------------------------------------------------------------------------
 //
-// On its default path the engine holds no revenue matrix: it keeps each
-// slot's best rows current from the rows that changed and evaluates weights
-// only for those rows and for rows that newly become candidates. The tests
-// below count the cells it evaluated (`PhaseStats::cells_evaluated`, an exact
-// count) and hold its candidates, assignment and charges against the dense
-// oracle — `revenue_matrix` of the tables the engine must be holding.
+// On its default path a keyword engine holds no revenue matrix: it keeps
+// each slot's best rows current from the rows that changed and evaluates
+// weights only for those rows and for rows that newly become candidates.
+// The tests below count the cells it evaluated (`PhaseStats::cells_evaluated`,
+// an exact count) and hold its candidates, assignment and charges against
+// the dense oracle — `revenue_matrix` of the tables the engine must be
+// holding.
 
 use ssa_core::pricing::gsp_prices;
-use ssa_core::{revenue_matrix, AuctionReport, PhaseStats, TableBidder};
+use ssa_core::{revenue_matrix, ClickModel, PhaseStats, PurchaseModel};
 use ssa_matching::{reduced_assignment, reduced_candidates};
 
 const N: usize = 5_000;
@@ -283,19 +247,26 @@ impl Stream {
     }
 }
 
-fn per_click(cents: i64) -> BidsTable {
+fn table(cents: i64) -> BidsTable {
     BidsTable::single_feature(Money::from_cents(cents))
 }
 
-/// `N` per-click bidders whose click probabilities do not factor into
-/// advertiser × slot, so every slot ranks them differently and the reduced
-/// graph has several dozen rows. The last `targeted` of them bid for mobile
-/// visitors only.
-fn big_engine(
+/// Campaign `row` of the one keyword.
+fn id(row: usize) -> CampaignId {
+    CampaignId::from_parts(0, row)
+}
+
+/// A one-keyword market of `N` per-click campaigns whose click
+/// probabilities do not factor into advertiser × slot, so every slot ranks
+/// them differently and the reduced graph has several dozen rows. The last
+/// `targeted` of them bid for mobile visitors only. Returns the market, the
+/// campaigns' bids and their click rows.
+fn big_market(
     stream: &mut Stream,
     targeted: usize,
-    config: EngineConfig,
-) -> (AuctionEngine<TableBidder>, Vec<i64>) {
+    pruned: bool,
+    seed: u64,
+) -> (Marketplace, Vec<i64>, Vec<Vec<f64>>) {
     let cents: Vec<i64> = (0..N).map(|_| 1 + stream.below(50) as i64).collect();
     let probs: Vec<Vec<f64>> = (0..N)
         .map(|_| {
@@ -306,80 +277,103 @@ fn big_engine(
                 .collect()
         })
         .collect();
-    let open = N - targeted;
-    let mut engine = AuctionEngine::new(
-        cents[..open]
-            .iter()
-            .map(|&c| TableBidder::new(per_click(c)))
-            .collect(),
-        ClickModel::from_rows(&probs[..open]).unwrap(),
-        PurchaseModel::never(open, K),
-        1,
-        config,
-    );
-    let mobile = Arc::new(CompiledTargeting::parse("device = 'mobile'").unwrap());
-    for row in open..N {
-        let targeting = Some(mobile.clone());
-        let bidder = TableBidder {
-            targeting,
-            ..TableBidder::new(per_click(cents[row]))
-        };
-        engine.push_bidder(bidder, &probs[row], None).unwrap();
+    let mut market = Marketplace::builder()
+        .slots(K)
+        .keywords(1)
+        .seed(seed)
+        .pruned(pruned)
+        .build()
+        .expect("valid configuration");
+    let advertiser = market.register_advertiser("a");
+    for (row, (&c, probs)) in cents.iter().zip(&probs).enumerate() {
+        let mut spec = per_click(c).click_probs(probs.clone());
+        if row >= N - targeted {
+            spec = spec.targeting("device = 'mobile'");
+        }
+        market.add_campaign(advertiser, 0, spec).expect("accepted");
     }
-    (engine, cents)
+    (market, cents, probs)
 }
 
-/// Serves one query on `engine` for its report and on its twin — same
-/// bidders, same writes, same RNG position — for the tallies.
-fn serve_both(
-    engines: &mut [AuctionEngine<TableBidder>; 2],
-    rngs: &mut [StdRng; 2],
-    attrs: &UserAttrs,
-) -> (AuctionReport, PhaseStats) {
-    let [solo, tallied] = engines;
-    let report = solo.run_auction((0usize, attrs), &mut rngs[0]);
-    let phases = tallied.run_batch(&[(0usize, attrs)], &mut rngs[1]).phases;
-    (report, phases)
+/// Sets campaign `row` of `market` to bid `cents` per click, unpaused.
+fn bid(market: &mut Marketplace, row: usize, cents: i64) {
+    market.resume_campaign(id(row)).expect("known campaign");
+    market
+        .update_bid(id(row), Money::from_cents(cents))
+        .expect("a per-click campaign");
+}
+
+/// Serves one query on `markets[0]` for its response and on its twin —
+/// same campaigns, same writes, same RNG position — for the tallies.
+fn serve_both(markets: &mut [Marketplace; 2], attrs: &UserAttrs) -> (AuctionResponse, PhaseStats) {
+    let [solo, tallied] = markets;
+    let request = QueryRequest::with_attrs(0, attrs.clone());
+    let response = solo.serve(request.clone()).expect("keyword 0 exists");
+    let report = tallied.serve_batch(&[request]).expect("keyword 0 exists");
+    (response, report.total.phases)
+}
+
+/// Who sits in each of the `K` slots, by row, and whether each slot's ad
+/// was clicked.
+fn seats(response: &AuctionResponse) -> (Vec<Option<usize>>, Vec<bool>) {
+    let (mut seated, mut clicked) = (vec![None; K], vec![false; K]);
+    for placement in &response.placements {
+        seated[placement.slot.index0()] = Some(placement.campaign.index());
+        clicked[placement.slot.index0()] = placement.clicked;
+    }
+    (seated, clicked)
 }
 
 #[test]
 fn an_auction_evaluates_the_changed_rows_and_the_newcomers_and_matches_the_dense_oracle() {
     const TARGETED: usize = 100;
     let mut stream = Stream(0x5EED_CAFE);
-    let (solo, cents) = big_engine(&mut Stream(7), TARGETED, EngineConfig::default());
-    let (tallied, _) = big_engine(&mut Stream(7), TARGETED, EngineConfig::default());
-    let mut engines = [solo, tallied];
-    let mut rngs = [StdRng::seed_from_u64(5), StdRng::seed_from_u64(5)];
+    let (solo, cents, probs) = big_market(&mut Stream(7), TARGETED, false, 5);
+    let (tallied, ..) = big_market(&mut Stream(7), TARGETED, false, 5);
+    let mut markets = [solo, tallied];
+    let clicks = ClickModel::from_rows(&probs).unwrap();
+    let purchases = PurchaseModel::never(N, K);
     let mobile = UserAttrs::new().set_str("device", "mobile");
     let desktop = UserAttrs::new().set_str("device", "desktop");
 
-    // What each bidder would answer, and what the engine must be holding:
-    // the answer, or nothing for a targeted bidder the query missed.
-    let mut answers: Vec<BidsTable> = cents.iter().map(|&c| per_click(c)).collect();
+    // What each campaign would answer, and what the engine must be holding:
+    // the answer, or nothing for a targeted campaign the query missed.
+    let mut answers: Vec<BidsTable> = cents.iter().map(|&c| table(c)).collect();
     let mut held: Vec<BidsTable> = vec![BidsTable::empty(); N];
     let mut candidates: Vec<usize> = Vec::new();
     let (mut cold_auctions, mut rescans) = (0, 0);
     for auction in 0..160 {
-        // A write, a pause, a resume, or nothing.
+        // A new bid, a pause, the first bid back, or nothing.
         let row = stream.below(N);
-        let written = match stream.below(10) {
-            0..=5 => Some(per_click(1 + stream.below(60) as i64)),
-            6 => Some(BidsTable::empty()),
-            7 => Some(per_click(cents[row])),
-            _ => None,
-        };
-        if let Some(table) = written {
-            for engine in &mut engines {
-                engine.bidder_mut(row).bids = table.clone();
+        match stream.below(10) {
+            0..=5 => {
+                let cents = 1 + stream.below(60) as i64;
+                for market in &mut markets {
+                    bid(market, row, cents);
+                }
+                answers[row] = table(cents);
             }
-            answers[row] = table;
+            6 => {
+                for market in &mut markets {
+                    market.pause_campaign(id(row)).expect("known campaign");
+                }
+                answers[row] = BidsTable::empty();
+            }
+            7 => {
+                for market in &mut markets {
+                    bid(market, row, cents[row]);
+                }
+                answers[row] = table(cents[row]);
+            }
+            _ => {}
         }
         let attrs = if stream.below(8) == 0 {
             &desktop
         } else {
             &mobile
         };
-        let (report, phases) = serve_both(&mut engines, &mut rngs, attrs);
+        let (response, phases) = serve_both(&mut markets, attrs);
+        let (seated, clicked) = seats(&response);
 
         let now: Vec<BidsTable> = (0..N)
             .map(|i| {
@@ -394,25 +388,24 @@ fn an_auction_evaluates_the_changed_rows_and_the_newcomers_and_matches_the_dense
         held = now;
 
         // The dense oracle.
-        let (clicks, purchases) = (engines[0].clicks(), engines[0].purchases());
-        let (matrix, base) = revenue_matrix(&held, clicks, purchases);
+        let (matrix, base) = revenue_matrix(&held, &clicks, &purchases);
         let want = reduced_assignment(&matrix);
         assert_eq!(want.candidates, reduced_candidates(&matrix));
-        assert_eq!(report.assignment, want.assignment, "auction {auction}");
+        assert_eq!(seated, want.assignment.slot_to_adv, "auction {auction}");
         assert_eq!(
-            report.expected_revenue.to_bits(),
+            response.expected_revenue.to_bits(),
             (base.total_base + want.assignment.total_weight).to_bits()
         );
         let prices = gsp_prices(&matrix, &want.assignment, &|adv, slot| {
             clicks.row(adv)[slot]
         });
-        let charges: Vec<(usize, Money)> = prices
+        let charges: Vec<(CampaignId, Money)> = prices
             .iter()
-            .filter(|p| report.clicked[p.slot])
-            .map(|p| (p.winner, Money::from_f64_rounded(p.amount)))
+            .filter(|p| clicked[p.slot])
+            .map(|p| (id(p.winner), Money::from_f64_rounded(p.amount)))
             .filter(|(_, m)| m.is_positive())
             .collect();
-        assert_eq!(report.charges, charges, "auction {auction}");
+        assert_eq!(response.charges, charges, "auction {auction}");
 
         // The cells it took.
         let newcomers = want
@@ -462,30 +455,24 @@ fn counters(p: &PhaseStats) -> [u64; 5] {
 /// The `engine-solve` benchmark's traffic: one bid write, then one auction.
 /// Exact counts of a seeded stream, printed for the `perf-smoke` CI job.
 /// `rh` with pruning on serves the same stream off the same lists: its
-/// counters are the unpruned engine's, auction by auction.
+/// counters are the unpruned market's, auction by auction.
 #[test]
 fn a_write_then_serve_stream_evaluates_a_few_rows_an_auction_and_rescans_rarely() {
     const AUCTIONS: u64 = 6_000;
     let mut stream = Stream(0xB1D_5EED);
-    let pruned = EngineConfig {
-        pruned: true,
-        ..EngineConfig::default()
-    };
-    let (mut engine, _) = big_engine(&mut Stream(11), 0, EngineConfig::default());
-    let (mut pruned_engine, _) = big_engine(&mut Stream(11), 0, pruned);
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut pruned_rng = rng.clone();
-    engine.run_batch(&[0usize], &mut rng);
-    pruned_engine.run_batch(&[0usize], &mut pruned_rng);
+    let (mut market, ..) = big_market(&mut Stream(11), 0, false, 9);
+    let (mut pruned_market, ..) = big_market(&mut Stream(11), 0, true, 9);
+    serve_run(&mut market, 1);
+    serve_run(&mut pruned_market, 1);
 
     let mut total = PhaseStats::default();
     for auction in 0..AUCTIONS {
         let row = stream.below(N);
-        let bids = per_click(1 + stream.below(60) as i64);
-        engine.bidder_mut(row).bids = bids.clone();
-        pruned_engine.bidder_mut(row).bids = bids;
-        let report = engine.run_batch(&[0usize], &mut rng);
-        let pruned_report = pruned_engine.run_batch(&[0usize], &mut pruned_rng);
+        let cents = Money::from_cents(1 + stream.below(60) as i64);
+        market.update_bid(id(row), cents).unwrap();
+        pruned_market.update_bid(id(row), cents).unwrap();
+        let report = serve_run(&mut market, 1);
+        let pruned_report = serve_run(&mut pruned_market, 1);
         assert_eq!(pruned_report, report, "auction {auction}");
         let phases = report.phases;
         assert_eq!(
@@ -532,35 +519,36 @@ fn a_write_then_serve_stream_evaluates_a_few_rows_an_auction_and_rescans_rarely(
 fn a_list_that_runs_short_is_rebuilt_from_every_row() {
     let (n, k) = (60usize, 2usize);
     let build = |warm_start| {
-        AuctionEngine::new(
-            (0..n)
-                .map(|i| TableBidder::new(per_click(100 - i as i64)))
-                .collect(),
-            ClickModel::from_fn(n, k, |_, j| 0.5 / (j + 1) as f64).unwrap(),
-            PurchaseModel::never(n, k),
-            1,
-            EngineConfig {
-                warm_start,
-                ..EngineConfig::default()
-            },
-        )
-    };
-    let mut engines = [build(true), build(true), build(false)];
-    let mut rngs = [1, 1, 1].map(StdRng::seed_from_u64);
-    let mut serve = |engines: &mut [AuctionEngine<TableBidder>; 3]| {
-        let [solo, tallied, cold] = engines;
-        assert_eq!(
-            solo.run_auction(0usize, &mut rngs[0]),
-            cold.run_auction(0usize, &mut rngs[2])
-        );
-        tallied.run_batch(&[0usize], &mut rngs[1]).phases
-    };
-    serve(&mut engines);
-    for leader in 0..12 {
-        for engine in &mut engines {
-            engine.bidder_mut(leader).bids = BidsTable::empty();
+        let mut market = Marketplace::builder()
+            .slots(k)
+            .keywords(1)
+            .seed(1)
+            .warm_start(warm_start)
+            .default_click_probs((0..k).map(|j| 0.5 / (j + 1) as f64).collect())
+            .build()
+            .expect("valid configuration");
+        let advertiser = market.register_advertiser("a");
+        for i in 0..n {
+            let spec = per_click(100 - i as i64);
+            market.add_campaign(advertiser, 0, spec).expect("accepted");
         }
-        let phases = serve(&mut engines);
+        market
+    };
+    let mut markets = [build(true), build(true), build(false)];
+    let serve = |markets: &mut [Marketplace; 3]| {
+        let [solo, tallied, cold] = markets;
+        assert_eq!(
+            solo.serve(QueryRequest::new(0)).unwrap(),
+            cold.serve(QueryRequest::new(0)).unwrap()
+        );
+        serve_run(tallied, 1).phases
+    };
+    serve(&mut markets);
+    for leader in 0..12 {
+        for market in &mut markets {
+            market.pause_campaign(id(leader)).expect("known campaign");
+        }
+        let phases = serve(&mut markets);
         let rescan = leader % 4 == 3;
         assert_eq!(phases.rescans, u64::from(rescan), "pause {leader}");
         // The paused row; on a rescan every row again, and then the whole

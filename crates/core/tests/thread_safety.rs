@@ -10,7 +10,7 @@
 //! integration.
 
 use ssa_core::marketplace::{AuctionResponse, CampaignSpec, MarketBatchReport, Marketplace};
-use ssa_core::{AuctionEngine, BatchReport, SqlProgramBidder, TableBidder};
+use ssa_core::{BatchReport, SqlProgramBidder};
 use ssa_matching::{HungarianSolver, ReducedSolver, WdSolver};
 use ssa_simplex::NetworkSimplexSolver;
 
@@ -20,9 +20,9 @@ fn assert_sync<T: Sync>() {}
 #[test]
 fn marketplaces_are_send() {
     // The marketplace carries its journal (`Box<dyn MutationJournal>`,
-    // `Send` by supertrait) wherever it goes.
+    // `Send` by supertrait) wherever it goes, and its keyword engines
+    // with it.
     assert_send::<Marketplace>();
-    assert_send::<AuctionEngine<TableBidder>>();
     // Campaign specs (and thus their boxed programs) move into the
     // marketplace, which must remain Send afterwards.
     assert_send::<CampaignSpec>();

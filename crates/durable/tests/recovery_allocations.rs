@@ -158,8 +158,10 @@ fn recovery_allocates_a_pinned_number_of_times_and_bytes() {
     // allocations and a 2 037 671-byte peak while the snapshot was first
     // decoded into a whole `MarketState`, whose records were then cloned
     // into the market, and the WAL suffix was collected into a vector
-    // before it was replayed. The market recovered holds 458 057 bytes
-    // either way.
+    // before it was replayed. The market recovered holds 457 577 bytes
+    // either way. The peak read 1 234 125 bytes and the market 458 057
+    // while each of its 10 keyword engines also carried a click model and
+    // a clock of its own, 48 bytes an engine.
     assert_eq!(allocations, 6_606, "allocations in one recovery");
-    assert_eq!(peak, 1_234_125, "peak live bytes in one recovery");
+    assert_eq!(peak, 1_233_645, "peak live bytes in one recovery");
 }

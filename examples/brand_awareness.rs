@@ -16,12 +16,10 @@
 //! cargo run --example brand_awareness
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sponsored_search::bidlang::{BidsTable, Formula, Money, SlotId};
+use sponsored_search::core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
 use sponsored_search::core::pricing::PricingScheme;
-use sponsored_search::core::prob::{ClickModel, PurchaseModel};
-use sponsored_search::core::{AuctionEngine, EngineConfig, TableBidder, WdMethod};
+use sponsored_search::core::WdMethod;
 
 fn main() {
     let k = 4u16;
@@ -29,14 +27,14 @@ fn main() {
 
     // TopOrNothing: 30¢ if in slot 1 **or not shown at all** — showing it
     // mid-page destroys the exclusive image it pays for.
-    let top_or_nothing = TableBidder::new(BidsTable::new(vec![(
+    let top_or_nothing = CampaignSpec::table(BidsTable::new(vec![(
         Formula::slot(SlotId::new(1)) | Formula::no_slot(k),
         Money::from_cents(30),
     )]));
 
     // EdgeLover: 9¢ per click, plus 8¢ if displayed at the top or bottom
     // edge of the list.
-    let edge_lover = TableBidder::new(BidsTable::new(vec![
+    let edge_lover = CampaignSpec::table(BidsTable::new(vec![
         (Formula::click(), Money::from_cents(9)),
         (
             Formula::slot(SlotId::new(1)) | Formula::slot(SlotId::new(4)),
@@ -44,50 +42,52 @@ fn main() {
         ),
     ]));
 
-    let clicker_a = TableBidder::per_click(Money::from_cents(25));
-    let clicker_b = TableBidder::per_click(Money::from_cents(18));
+    let clicker_a = CampaignSpec::per_click(Money::from_cents(25));
+    let clicker_b = CampaignSpec::per_click(Money::from_cents(18));
 
-    let clicks = ClickModel::from_fn(4, k as usize, |i, j| {
-        [0.5, 0.45, 0.4, 0.35][i] * [1.0, 0.7, 0.5, 0.4][j]
-    })
-    .expect("probabilities in [0, 1]");
-    let purchases = PurchaseModel::never(4, k as usize);
+    let mut market = Marketplace::builder()
+        .slots(k as usize)
+        .keywords(1)
+        .seed(31)
+        .method(WdMethod::Hungarian)
+        .pricing(PricingScheme::PayYourBid)
+        .build()
+        .expect("valid configuration");
+    let specs = [top_or_nothing, edge_lover, clicker_a, clicker_b];
+    for (i, (name, spec)) in names.into_iter().zip(specs).enumerate() {
+        let advertiser = market.register_advertiser(name);
+        let clicks = [1.0, 0.7, 0.5, 0.4].map(|slot| [0.5, 0.45, 0.4, 0.35][i] * slot);
+        market
+            .add_campaign(advertiser, 0, spec.click_probs(clicks.to_vec()))
+            .expect("campaign accepted");
+    }
 
-    let mut engine = AuctionEngine::new(
-        vec![top_or_nothing, edge_lover, clicker_a, clicker_b],
-        clicks,
-        purchases,
-        1,
-        EngineConfig {
-            method: WdMethod::Hungarian,
-            pricing: PricingScheme::PayYourBid,
-            ..EngineConfig::default()
-        },
-    );
-
-    let mut rng = StdRng::seed_from_u64(31);
-    let report = engine.run_auction(0, &mut rng);
+    let response = market
+        .serve(QueryRequest::new(0))
+        .expect("keyword 0 exists");
 
     println!("expressive winner determination (k = {k}):\n");
-    for (j, adv) in report.assignment.slot_to_adv.iter().enumerate() {
+    let mut seated = vec![None; k as usize];
+    for placement in &response.placements {
+        seated[placement.slot.index0()] = Some(placement.campaign.index());
+    }
+    for (j, adv) in seated.iter().enumerate() {
         match adv {
             Some(a) => println!("  slot {} -> {}", j + 1, names[*a]),
             None => println!("  slot {} -> (left empty)", j + 1),
         }
     }
-    let placed: Vec<bool> = {
-        let mut p = vec![false; 4];
-        for a in report.assignment.slot_to_adv.iter().flatten() {
-            p[*a] = true;
-        }
-        p
-    };
     for (i, name) in names.iter().enumerate() {
-        if !placed[i] {
+        if !seated.contains(&Some(i)) {
             println!("  not shown -> {name}");
         }
     }
-    println!("\nexpected revenue: {:.1}¢", report.expected_revenue);
+    // TopOrNothing is on top or off the page, never in between.
+    assert!(
+        !seated[1..].contains(&Some(0)),
+        "TopOrNothing placed mid-page"
+    );
+    println!("\nexpected revenue: {:.1}¢", response.expected_revenue);
     println!(
         "note: TopOrNothing is monetised either way — its 'or nothing' bid \
          pays {} when it is withheld from the page.",

@@ -2,17 +2,35 @@
 //! strategy against a field of competitors, watching its spending rate
 //! converge towards the target.
 //!
+//! Every advertiser runs one campaign per keyword on a [`Marketplace`],
+//! and its campaigns share its one strategy: the strategy couples the
+//! keywords through the advertiser's spending rate.
+//!
 //! ```text
 //! cargo run --example roi_campaign
 //! ```
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sponsored_search::bidlang::Money;
+use sponsored_search::bidlang::{BidsTable, Money};
+use sponsored_search::core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
 use sponsored_search::core::pricing::PricingScheme;
-use sponsored_search::core::prob::{ClickModel, PurchaseModel};
-use sponsored_search::core::{AuctionEngine, EngineConfig, WdMethod};
+use sponsored_search::core::{Bidder, BidderOutcome, QueryContext, WdMethod};
 use sponsored_search::strategy::{KeywordEntry, RoiBidder};
+use std::sync::{Arc, Mutex};
+
+/// One campaign's program: the advertiser's shared strategy.
+struct Shared(Arc<Mutex<RoiBidder>>);
+
+impl Bidder for Shared {
+    fn on_query(&mut self, ctx: &QueryContext) -> BidsTable {
+        self.0.lock().expect("strategy").on_query(ctx)
+    }
+
+    fn on_outcome(&mut self, ctx: &QueryContext, outcome: &BidderOutcome) {
+        self.0.lock().expect("strategy").on_outcome(ctx, outcome)
+    }
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(77);
@@ -43,24 +61,34 @@ fn main() {
         bidders.push(RoiBidder::new(entries, rng.gen_range(1.0..6.0)));
     }
 
-    let clicks = ClickModel::from_fn(n, k, |_, j| {
-        let hi = 0.9 - j as f64 * 0.2;
-        rng.gen_range((hi - 0.2)..hi)
-    })
-    .expect("probabilities in [0, 1]");
-    let purchases = PurchaseModel::never(n, k);
-
-    let mut engine = AuctionEngine::new(
-        bidders,
-        clicks,
-        purchases,
-        keywords,
-        EngineConfig {
-            method: WdMethod::Reduced,
-            pricing: PricingScheme::Gsp,
-            ..EngineConfig::default()
-        },
-    );
+    let mut market = Marketplace::builder()
+        .slots(k)
+        .keywords(keywords)
+        .seed(1234)
+        .method(WdMethod::Reduced)
+        .pricing(PricingScheme::Gsp)
+        .build()
+        .expect("valid configuration");
+    let bidders: Vec<Arc<Mutex<RoiBidder>>> = bidders
+        .into_iter()
+        .map(|bidder| Arc::new(Mutex::new(bidder)))
+        .collect();
+    for (i, bidder) in bidders.iter().enumerate() {
+        let advertiser = market.register_advertiser(format!("advertiser-{i}"));
+        let clicks: Vec<f64> = (0..k)
+            .map(|j| {
+                let hi = 0.9 - j as f64 * 0.2;
+                rng.gen_range((hi - 0.2)..hi)
+            })
+            .collect();
+        for keyword in 0..keywords {
+            let program = Box::new(Shared(Arc::clone(bidder)));
+            let spec = CampaignSpec::program(program).click_probs(clicks.clone());
+            market
+                .add_campaign(advertiser, keyword, spec)
+                .expect("campaign accepted");
+        }
+    }
 
     println!("target spend rate: 3.00 ¢/auction\n");
     println!(
@@ -70,9 +98,12 @@ fn main() {
     let mut sample_rng = StdRng::seed_from_u64(1234);
     for t in 1..=400u64 {
         let keyword = sample_rng.gen_range(0..keywords);
-        engine.run_auction(keyword, &mut sample_rng);
+        let response = market
+            .serve(QueryRequest::new(keyword))
+            .expect("keyword exists");
+        assert_eq!(response.time, t);
         if t % 50 == 0 {
-            let focal = &engine.bidders()[0];
+            let focal = bidders[0].lock().expect("strategy");
             println!(
                 "{:>8} {:>12.0} {:>12.3} {:>10} {:>10}",
                 t,
@@ -83,7 +114,7 @@ fn main() {
             );
         }
     }
-    let focal = &engine.bidders()[0];
+    let focal = bidders[0].lock().expect("strategy");
     let final_rate = focal.amt_spent / 400.0;
     println!(
         "\nfinal spending rate {:.3} ¢/auction (target 3.0); ROI boot {:.2}, shoe {:.2}",

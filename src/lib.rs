@@ -48,9 +48,9 @@
 //!      register_advertiser / add_campaign        update_bid / pause /
 //!      serve(QueryRequest) / serve_batch         set_roi_target
 //!                 │ one persistent engine              │ the campaign
-//!                 ▼ per keyword                        ▼ + its bidder, O(1)
-//!        core::AuctionEngine   workload::Simulation (RHTALU only:
-//!        (run_auction / run_batch)   the reference and Figs 12/13's column)
+//!                 ▼ per keyword                        ▼ in its engine, O(1)
+//!        core::engine (crate-private)  workload::Simulation (RHTALU only:
+//!                                      the reference and Figs 12/13's column)
 //!                    ┌──────┴────────┐
 //!                 WdMethod::new_solver()
 //!        ▲            ▲              ▲
@@ -62,12 +62,11 @@
 //!       solve(&mut self, &RevenueMatrix, &mut Assignment)
 //! ```
 //!
-//! The batched entry point ([`core::AuctionEngine::run_batch`]) reuses one
-//! solver and one weight source across the whole batch — per-slot top lists on the default `rh` path,
-//! a revenue matrix refilled in place (as [`core::revenue_matrix_into`] fills one) for
-//! the methods that read whole columns (see "Solver hot path" below) — so
-//! there is no per-auction matrix allocation.
-//! [`marketplace::Marketplace::serve_batch`] sits on top: it splits a
+//! A keyword's engine reuses one solver and one weight source across every
+//! auction on it — per-slot top lists on the default `rh` path, a revenue
+//! matrix refilled in place for the methods that read whole columns (see
+//! "Solver hot path" below) — so there is no per-auction matrix
+//! allocation. [`marketplace::Marketplace::serve_batch`] splits a
 //! multi-keyword query stream into same-keyword chunks and feeds each to
 //! that keyword's persistent engine, so there is no per-query allocation
 //! either.
@@ -243,71 +242,31 @@
 //! `plans_cached`), which flow through `reproduce --strategy sql --json`
 //! so CI tracks whether the index path actually served.
 //!
-//! ## Low-level escape hatch: driving `AuctionEngine` by hand
+//! ## Batched serving (`serve_batch`)
 //!
-//! The facade covers the service use case; the engine stays public for
-//! callers assembling a single-keyword auction themselves:
+//! On the hot path, hand the market a whole query stream: one solver and
+//! one weight source per keyword serve every auction, and the aggregate
+//! comes back as a [`core::BatchReport`]:
 //!
 //! ```
-//! use sponsored_search::core::{
-//!     AuctionEngine, EngineConfig, TableBidder, WdMethod,
-//! };
-//! use sponsored_search::core::prob::{ClickModel, PurchaseModel};
-//! use sponsored_search::core::pricing::PricingScheme;
+//! use sponsored_search::core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
 //! use sponsored_search::bidlang::Money;
-//! use rand::rngs::StdRng;
-//! use rand::SeedableRng;
 //!
-//! let bidders = vec![
-//!     TableBidder::per_click(Money::from_cents(10)),
-//!     TableBidder::per_click(Money::from_cents(20)),
-//! ];
-//! let clicks = ClickModel::from_rows(&[vec![0.8, 0.4], vec![0.6, 0.3]]).unwrap();
-//! let purchases = PurchaseModel::never(2, 2);
-//! let mut engine = AuctionEngine::new(
-//!     bidders,
-//!     clicks,
-//!     purchases,
-//!     1,
-//!     EngineConfig {
-//!         method: WdMethod::Reduced,
-//!         pricing: PricingScheme::Gsp,
-//!         ..EngineConfig::default()
-//!     },
-//! );
-//! let report = engine.run_auction(0, &mut StdRng::seed_from_u64(1));
-//! assert_eq!(report.assignment.slot_to_adv.len(), 2);
-//! ```
-//!
-//! ## Batched serving (`run_batch`)
-//!
-//! On the hot path, hand the engine a whole query stream: one solver and
-//! one matrix buffer serve every auction, and the aggregate comes back as
-//! a [`core::BatchReport`]:
-//!
-//! ```
-//! use sponsored_search::core::{AuctionEngine, EngineConfig, TableBidder};
-//! use sponsored_search::core::prob::{ClickModel, PurchaseModel};
-//! use sponsored_search::bidlang::Money;
-//! use rand::rngs::StdRng;
-//! use rand::SeedableRng;
-//!
-//! let bidders = vec![
-//!     TableBidder::per_click(Money::from_cents(10)),
-//!     TableBidder::per_click(Money::from_cents(20)),
-//! ];
-//! let clicks = ClickModel::from_rows(&[vec![0.8, 0.4], vec![0.6, 0.3]]).unwrap();
-//! let mut engine = AuctionEngine::new(
-//!     bidders,
-//!     clicks,
-//!     PurchaseModel::never(2, 2),
-//!     1,
-//!     EngineConfig::default(),
-//! );
-//! let queries = vec![0usize; 500];
-//! let report = engine.run_batch(&queries, &mut StdRng::seed_from_u64(1));
+//! let mut market = Marketplace::builder()
+//!     .slots(2)
+//!     .keywords(1)
+//!     .seed(1)
+//!     .build()
+//!     .expect("valid configuration");
+//! let shop = market.register_advertiser("shop.example");
+//! for (cents, probs) in [(10, vec![0.8, 0.4]), (20, vec![0.6, 0.3])] {
+//!     let spec = CampaignSpec::per_click(Money::from_cents(cents)).click_probs(probs);
+//!     market.add_campaign(shop, 0, spec).expect("campaign accepted");
+//! }
+//! let queries = vec![QueryRequest::new(0); 500];
+//! let report = market.serve_batch(&queries).expect("keyword 0 exists").total;
 //! assert_eq!(report.auctions, 500);
-//! assert_eq!(engine.now(), 500); // the clock advances per auction
+//! assert_eq!(market.now(), 500); // the clock advances per auction
 //! assert!(report.expected_revenue > 0.0);
 //! ```
 //!
@@ -335,16 +294,13 @@
 //!   (a dominated row's augmenting pass can re-route *tied* winners), so
 //!   outcomes are bit-identical — property-tested across all four
 //!   methods, sharded and not.
-//! * **Standing vs. evaluated bidders** — a bidder whose table is a
-//!   function of its own fields alone returns it from the provided method
-//!   [`core::Bidder::standing_table`]: a [`core::TableBidder`] and a
-//!   per-click or fixed-table campaign are *standing*, read — never asked —
-//!   and their tables held nowhere but in the bidder. The engine holds a
-//!   table only for SQL and closure *programs* and bidders with a
-//!   targeting matcher ([`core::Bidder::targeting`]), the rows it
-//!   evaluates at every auction; only programs are told outcomes. The
-//!   bidder vector is private: [`core::AuctionEngine::bidder_mut`], which
-//!   every marketplace update goes through, keeps a standing table from
+//! * **Standing vs. evaluated campaigns** — a per-click or fixed-table
+//!   campaign is *standing*: read — never asked — and its table held
+//!   nowhere but in the campaign. The engine holds a table only for SQL
+//!   and closure *programs* ([`core::Bidder`]) and targeted campaigns, the
+//!   rows it evaluates at every auction; only programs are told outcomes.
+//!   Every marketplace update reaches a campaign through the one mutable
+//!   accessor of its keyword engine, which keeps a standing table from
 //!   before its first write, so a write that leaves it equal dirties
 //!   nothing.
 //! * **Warm starts** (`EngineConfig::warm_start`, default on) — the
@@ -375,16 +331,15 @@
 //!   is fixed at construction; a market changes it only through the
 //!   journalled `Configure` ([`marketplace::Marketplace::configure`]),
 //!   which rebuilds the market.
-//! * **One copy of what campaigns share** —
-//!   [`core::ClickModel`] and [`core::PurchaseModel`] grow a row at a time
-//!   and live in the keyword's engine from its first `add_campaign`
-//!   ([`core::AuctionEngine::push_bidder`] appends to a warm engine rather
-//!   than rebuilding it). A campaign is one record — the engine's bidder is
-//!   the campaign — so nothing about it is stored twice; state capture
-//!   reads the models, and a campaign that never purchases stores
-//!   no purchase row (captured as explicit zeros, so snapshots do not
-//!   change). Click rows live once each in the market's flat click
-//!   table, and a [`core::ClickModel`] names them by 4-byte ids: an
+//! * **One copy of what campaigns share** — a keyword's engine holds a
+//!   click row id and a [`core::PurchaseModel`] row per campaign, grown a
+//!   row at a time from its first `add_campaign` (a campaign appends to a
+//!   warm engine rather than rebuilding it). A campaign is one record —
+//!   the engine's bidder is the campaign — so nothing about it is stored
+//!   twice; state capture reads the engine, and a campaign that never
+//!   purchases stores no purchase row (captured as explicit zeros, so
+//!   snapshots do not change). Click rows live once each in the market's
+//!   flat click table, named by 4-byte ids: an
 //!   advertiser's campaigns whose rows are bit for bit equal share one
 //!   across keywords (and across snapshot and journal replay), a
 //!   targeting text is compiled once per market, and a one-row

@@ -3,20 +3,43 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sponsored_search::bidlang::{BidsTable, Formula, Money, SlotId};
+use sponsored_search::core::marketplace::{
+    AuctionResponse, CampaignSpec, Marketplace, QueryRequest,
+};
 use sponsored_search::core::pricing::PricingScheme;
-use sponsored_search::core::prob::{ClickModel, PurchaseModel, SeparableClickModel};
-use sponsored_search::core::{AuctionEngine, EngineConfig, TableBidder, WdMethod};
+use sponsored_search::core::prob::SeparableClickModel;
+use sponsored_search::core::WdMethod;
 use sponsored_search::workload::{MarketSimulation, SectionVConfig, SectionVWorkload, Simulation};
 
-fn random_engine(
-    n: usize,
+/// A one-keyword market over `k` slots under `method` and `pricing`.
+fn one_keyword_market(
     k: usize,
     seed: u64,
     method: WdMethod,
     pricing: PricingScheme,
-) -> AuctionEngine<TableBidder> {
+) -> Marketplace {
+    Marketplace::builder()
+        .slots(k)
+        .keywords(1)
+        .seed(seed)
+        .method(method)
+        .pricing(pricing)
+        .build()
+        .expect("valid configuration")
+}
+
+/// A one-keyword market of `n` fixed-table campaigns — per-click, some with
+/// a purchase bid or a slot bid — each with random click and purchase
+/// probabilities drawn from `seed`; the market's own seed is `market_seed`.
+fn random_market(
+    n: usize,
+    k: usize,
+    (seed, market_seed): (u64, u64),
+    method: WdMethod,
+    pricing: PricingScheme,
+) -> Marketplace {
     let mut rng = StdRng::seed_from_u64(seed);
-    let bidders: Vec<TableBidder> = (0..n)
+    let tables: Vec<BidsTable> = (0..n)
         .map(|_| {
             let mut table = BidsTable::single_feature(Money::from_cents(rng.gen_range(1..=50)));
             if rng.gen_bool(0.4) {
@@ -31,23 +54,34 @@ fn random_engine(
                     Money::from_cents(rng.gen_range(1..=10)),
                 );
             }
-            TableBidder::new(table)
+            table
         })
         .collect();
-    let clicks =
-        ClickModel::from_fn(n, k, |_, j| rng.gen_range(0.05..0.9) / (1 + j) as f64).unwrap();
-    let purchases = PurchaseModel::from_fn(n, k, |_, _| (rng.gen_range(0.0..0.5), 0.0));
-    AuctionEngine::new(
-        bidders,
-        clicks,
-        purchases,
-        1,
-        EngineConfig {
-            method,
-            pricing,
-            ..EngineConfig::default()
-        },
-    )
+    let clicks: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            (0..k)
+                .map(|j| rng.gen_range(0.05..0.9) / (1 + j) as f64)
+                .collect()
+        })
+        .collect();
+    let purchases: Vec<Vec<(f64, f64)>> = (0..n)
+        .map(|_| (0..k).map(|_| (rng.gen_range(0.0..0.5), 0.0)).collect())
+        .collect();
+    let mut market = one_keyword_market(k, market_seed, method, pricing);
+    let advertiser = market.register_advertiser("a");
+    for ((table, clicks), purchases) in tables.into_iter().zip(clicks).zip(purchases) {
+        let spec = CampaignSpec::table(table)
+            .click_probs(clicks)
+            .purchase_probs(purchases);
+        market.add_campaign(advertiser, 0, spec).expect("accepted");
+    }
+    market
+}
+
+fn serve(market: &mut Marketplace) -> AuctionResponse {
+    market
+        .serve(QueryRequest::new(0))
+        .expect("keyword 0 exists")
 }
 
 #[test]
@@ -55,15 +89,14 @@ fn all_wd_methods_agree_across_engines() {
     for seed in [1u64, 2, 3] {
         let mut reference: Option<f64> = None;
         for method in [WdMethod::Lp, WdMethod::Hungarian, WdMethod::Reduced] {
-            let mut engine = random_engine(25, 4, seed, method, PricingScheme::PayYourBid);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report = engine.run_auction(0, &mut rng);
+            let mut market = random_market(25, 4, (seed, seed), method, PricingScheme::PayYourBid);
+            let response = serve(&mut market);
             match reference {
-                None => reference = Some(report.expected_revenue),
+                None => reference = Some(response.expected_revenue),
                 Some(r) => assert!(
-                    (report.expected_revenue - r).abs() < 1e-6,
+                    (response.expected_revenue - r).abs() < 1e-6,
                     "seed {seed}: {method:?} got {} expected {r}",
-                    report.expected_revenue
+                    response.expected_revenue
                 ),
             }
         }
@@ -79,17 +112,16 @@ fn vcg_charges_never_exceed_gsp_expected_value_bounds() {
         PricingScheme::Vickrey,
         PricingScheme::PayYourBid,
     ] {
-        let mut engine = random_engine(20, 3, 9, WdMethod::Reduced, pricing);
-        let mut rng = StdRng::seed_from_u64(10);
+        let mut market = random_market(20, 3, (9, 10), WdMethod::Reduced, pricing);
         for _ in 0..50 {
-            let report = engine.run_auction(0, &mut rng);
-            for (_, m) in &report.charges {
+            let response = serve(&mut market);
+            for (_, m) in &response.charges {
                 assert!(
                     m.is_positive(),
                     "{pricing:?} produced a non-positive charge"
                 );
             }
-            assert!(report.realized_revenue >= Money::ZERO);
+            assert!(response.realized_revenue >= Money::ZERO);
         }
     }
 }
@@ -101,29 +133,25 @@ fn separable_case_matches_sort_allocation() {
     let advertiser_factors = vec![0.9, 0.7, 0.5, 0.3, 0.2];
     let slot_factors = vec![0.9, 0.6, 0.3];
     let sep = SeparableClickModel::new(advertiser_factors.clone(), slot_factors.clone());
+    let clicks = sep.to_click_model().unwrap();
     let values = [10i64, 20, 30, 40, 5];
 
-    let bidders: Vec<TableBidder> = values
-        .iter()
-        .map(|&v| TableBidder::per_click(Money::from_cents(v)))
-        .collect();
-    let mut engine = AuctionEngine::new(
-        bidders,
-        sep.to_click_model().unwrap(),
-        PurchaseModel::never(5, 3),
-        1,
-        EngineConfig {
-            method: WdMethod::Hungarian,
-            pricing: PricingScheme::Gsp,
-            ..EngineConfig::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(5);
-    let report = engine.run_auction(0, &mut rng);
+    let mut market = one_keyword_market(3, 5, WdMethod::Hungarian, PricingScheme::Gsp);
+    let advertiser = market.register_advertiser("a");
+    for (i, &v) in values.iter().enumerate() {
+        let spec =
+            CampaignSpec::per_click(Money::from_cents(v)).click_probs(clicks.row(i).to_vec());
+        market.add_campaign(advertiser, 0, spec).expect("accepted");
+    }
+    let response = serve(&mut market);
+    let mut slot_to_adv = vec![None; slot_factors.len()];
+    for placement in &response.placements {
+        slot_to_adv[placement.slot.index0()] = Some(placement.campaign.index());
+    }
 
     let per_click: Vec<f64> = values.iter().map(|&v| v as f64).collect();
     let sorted = sep.sort_allocation(&per_click);
-    assert_eq!(report.assignment.slot_to_adv, sorted);
+    assert_eq!(slot_to_adv, sorted);
 }
 
 /// The marketplace under LP, H and RH tracks the RHTALU reference
@@ -202,15 +230,20 @@ fn engine_expected_revenue_matches_realized_average_pay_your_bid() {
     // Law of large numbers check: with pay-your-bid pricing, average
     // realised revenue over many auctions approaches the (constant)
     // expected revenue of the repeated optimal allocation.
-    let mut engine = random_engine(10, 3, 21, WdMethod::Hungarian, PricingScheme::PayYourBid);
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut market = random_market(
+        10,
+        3,
+        (21, 99),
+        WdMethod::Hungarian,
+        PricingScheme::PayYourBid,
+    );
     let mut expected = 0.0;
     let mut realized = 0i64;
     let rounds = 4000;
     for _ in 0..rounds {
-        let report = engine.run_auction(0, &mut rng);
-        expected = report.expected_revenue; // constant: static bidders
-        realized += report.realized_revenue.cents();
+        let response = serve(&mut market);
+        expected = response.expected_revenue; // constant: static bidders
+        realized += response.realized_revenue.cents();
     }
     let avg = realized as f64 / rounds as f64;
     let rel_err = (avg - expected).abs() / expected.max(1.0);

@@ -5,10 +5,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sponsored_search::bidlang::{BidsTable, Formula, Money, SlotId};
+use sponsored_search::core::marketplace::{CampaignSpec, Marketplace, QueryRequest};
 use sponsored_search::core::pricing::PricingScheme;
 use sponsored_search::core::prob::{ClickModel, PurchaseModel};
 use sponsored_search::core::revenue::{no_slot_revenue, revenue_matrix};
-use sponsored_search::core::{AuctionEngine, EngineConfig, TableBidder, WdMethod};
+use sponsored_search::core::WdMethod;
 use sponsored_search::matching::exhaustive::brute_force_assignment;
 use sponsored_search::matching::max_weight_assignment;
 
@@ -127,7 +128,6 @@ proptest! {
         tables in proptest::collection::vec(arb_bids_table(), 1..6),
         seed in 0u64..500,
     ) {
-        let n = tables.len();
         let k = K as usize;
         let mut reference: Option<f64> = None;
         for method in [
@@ -137,24 +137,26 @@ proptest! {
         ] {
             let mut rng = StdRng::seed_from_u64(seed);
             use rand::Rng;
-            let clicks = ClickModel::from_fn(n, k, |_, _| rng.gen_range(0.0..1.0)).unwrap();
-            let purchases = PurchaseModel::never(n, k);
-            let bidders: Vec<TableBidder> =
-                tables.iter().cloned().map(TableBidder::new).collect();
-            let mut engine = AuctionEngine::new(
-                bidders, clicks, purchases, 1,
-                EngineConfig {
-                    method,
-                    pricing: PricingScheme::PayYourBid,
-                    ..EngineConfig::default()
-                },
-            );
-            let report = engine.run_auction(0, &mut StdRng::seed_from_u64(seed));
+            let mut market = Marketplace::builder()
+                .slots(k)
+                .keywords(1)
+                .seed(seed)
+                .method(method)
+                .pricing(PricingScheme::PayYourBid)
+                .build()
+                .unwrap();
+            let advertiser = market.register_advertiser("a");
+            for table in &tables {
+                let clicks = (0..k).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let spec = CampaignSpec::table(table.clone()).click_probs(clicks);
+                market.add_campaign(advertiser, 0, spec).unwrap();
+            }
+            let response = market.serve(QueryRequest::new(0)).unwrap();
             match reference {
-                None => reference = Some(report.expected_revenue),
+                None => reference = Some(response.expected_revenue),
                 Some(r) => prop_assert!(
-                    (report.expected_revenue - r).abs() < 1e-6,
-                    "{method:?}: {} vs {r}", report.expected_revenue
+                    (response.expected_revenue - r).abs() < 1e-6,
+                    "{method:?}: {} vs {r}", response.expected_revenue
                 ),
             }
         }
